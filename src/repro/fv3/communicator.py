@@ -1,15 +1,18 @@
-"""In-process communicator with an mpi4py-style nonblocking interface.
+"""The communicator: an mpi4py-style nonblocking protocol over a mailbox.
 
-The paper runs MPI over Cray Aries; this reproduction runs all ranks in
-one process (the substitution documented in DESIGN.md). The communicator
+The paper runs MPI over Cray Aries; this reproduction runs its ranks on
+one machine (the substitution documented in DESIGN.md). The communicator
 preserves the *communication pattern*: data is exchanged through packed
 contiguous buffers with explicit ``Isend``/``Irecv``/``wait`` lifecycles
 (the mpi4py buffer idiom), and every message's byte count is recorded so
 the network model can replay the exchange at scale (Fig. 11).
 
-Concurrency (the threaded-ranks substrate, PR 5): the mailbox is a
-lock + condition-variable structure, safe against ranks running on the
-:class:`~repro.runtime.ranks.RankExecutor` thread pool.
+The protocol is written once, against a small *mailbox store*: a
+condition variable plus slot operations (see :class:`DictMailbox` for
+the interface). Two stores exist — the in-process dict below (ranks as
+objects or threads in one process) and the shared-memory slot table
+:class:`~repro.runtime.procs.ShmTransport` (ranks in worker processes).
+Everything here holds for both:
 
 - ``Request.wait`` on a receive *blocks* on the condition variable until
   the matching send lands (or a real-time budget of
@@ -17,21 +20,22 @@ lock + condition-variable structure, safe against ranks running on the
   :class:`~repro.resilience.errors.HaloTimeoutError` naming the ranks,
   tag, phase and the mailbox keys still pending).
 - ``Request.wait`` on a send blocks until the receiver drains the slot —
-  the documented ``test()`` semantics, now enforced rather than skipped.
-- Every message carries a *deliverable-at* instant: simulated network
+  the documented ``test()`` semantics, enforced rather than skipped.
+- Every message carries a *deliverable-at* instant (``monotonic_ns``,
+  system-wide, so it means the same in every process): simulated network
   latency (``latency`` / ``REPRO_NET_LATENCY``, seconds per message) and
   chaos ``halo.delay`` are both delivery-time conditions on the message
   itself, so seeded chaos replays are independent of how often a waiter
   happens to wake.
-- The message log and the byte/size counters are guarded by the mailbox
-  lock, so obs accounting stays exact under concurrent ranks.
+- The message log and the byte/size counters are guarded by a lock, so
+  obs accounting stays exact under concurrent ranks.
 
-Failure semantics (the resilience layer, PR 4) are unchanged: the chaos
-harness can drop, delay or corrupt individual messages at the
-``halo.drop`` / ``halo.delay`` / ``halo.corrupt`` sites (every ``Isend``
-consults the active plan — one ``is None`` check when chaos is off);
-``finalize()`` reports sent-but-never-received messages; ``drain()``
-clears in-flight state so an aborted exchange can be retried cleanly.
+Failure semantics (the resilience layer, PR 4): the chaos harness can
+drop, delay or corrupt individual messages at the ``halo.drop`` /
+``halo.delay`` / ``halo.corrupt`` sites (every ``Isend`` consults the
+active plan — one ``is None`` check when chaos is off); ``finalize()``
+reports sent-but-never-received messages; ``drain()`` clears in-flight
+state so an aborted exchange can be retried cleanly.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import os
 import threading
 import time
 import warnings
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,21 +77,42 @@ class MessageRecord:
     tag: int
 
 
-class _Message:
-    """One in-flight payload plus the instant it becomes deliverable.
+class DictMailbox:
+    """The in-process mailbox store, and the interface every store has.
 
-    ``delayed`` marks a chaos-withheld message so its eventual pickup is
-    counted as a redelivery — waiting on an ordinarily slow (latency)
-    message is not a recovery event.
+    ``cond`` is the condition variable all slot transitions happen
+    under; the communicator holds it around every call below. A *slot*
+    is whatever handle ``find`` returns (here the key itself).
     """
 
-    __slots__ = ("payload", "deliverable_at", "delayed")
+    def __init__(self):
+        self.cond = threading.Condition(threading.Lock())
+        # key -> (payload, deliverable-at in monotonic_ns, chaos-delayed)
+        self._slots: Dict[_Key, Tuple[np.ndarray, int, bool]] = {}
 
-    def __init__(self, payload: np.ndarray, deliverable_at: float,
-                 delayed: bool = False):
-        self.payload = payload
-        self.deliverable_at = deliverable_at
-        self.delayed = delayed
+    def find(self, key: _Key):
+        """The slot holding the message on ``key``, or None."""
+        return key if key in self._slots else None
+
+    def post(self, key: _Key, payload: np.ndarray, at_ns: int,
+             delayed: bool) -> bool:
+        """Copy ``payload`` into a free slot; False when there is none."""
+        self._slots[key] = (payload.copy(), at_ns, delayed)
+        return True
+
+    def due(self, slot) -> Tuple[int, bool]:
+        """(deliverable-at, chaos-delayed) of the message in ``slot``."""
+        return self._slots[slot][1:]
+
+    def take(self, slot) -> np.ndarray:
+        """The payload as sent; valid until ``free(slot)``."""
+        return self._slots[slot][0]
+
+    def free(self, slot) -> None:
+        del self._slots[slot]
+
+    def pending_keys(self) -> List[_Key]:
+        return sorted(self._slots)
 
 
 class Request:
@@ -98,8 +123,9 @@ class Request:
     - ``recv``: ``wait()`` blocks until the matching send is deliverable
       (bounded by ``comm.timeout`` seconds of *absence*; modeled latency
       and chaos delays on a present message never count against the
-      budget) and copies the payload into the posted buffer. ``test()``
-      is true once the payload is deliverable.
+      budget) and copies the payload into the posted buffer. A payload
+      whose size differs from the buffer's is consumed and reported as a
+      ``ValueError``. ``test()`` is true once the payload is deliverable.
     - ``send``: the transport copies eagerly (the buffer is reusable the
       moment ``Isend`` returns), but the *operation* completes only when
       the receiver drains the slot: ``wait()`` blocks until then (or the
@@ -128,42 +154,57 @@ class Request:
             self._wait_send(timeout)
         self._done = True
 
+    def _timed_out(self) -> HaloTimeoutError:
+        source, dest, tag = self._key
+        return HaloTimeoutError(
+            source=source,
+            dest=dest,
+            tag=tag,
+            polls=self._comm.max_polls,
+            pending=self._comm.mailbox.pending_keys(),
+        )
+
     def _wait_recv(self, timeout: Optional[float]) -> None:
-        comm, key = self._comm, self._key
+        comm, key, buf = self._comm, self._key, self._buf
+        box = comm.mailbox
         budget = comm.timeout if timeout is None else timeout
         deadline: Optional[float] = None
-        payload: Optional[np.ndarray] = None
-        delayed = False
+        sent_shape = None
         with _io_wait():
-            with comm._cv:
+            with box.cond:
                 while True:
-                    msg = comm._mailbox.get(key)
-                    now = time.monotonic()
-                    if msg is not None:
-                        if msg.deliverable_at <= now:
-                            del comm._mailbox[key]
-                            comm._cv.notify_all()
-                            payload = msg.payload
-                            delayed = msg.delayed
+                    slot = box.find(key)
+                    if slot is not None:
+                        at_ns, delayed = box.due(slot)
+                        now_ns = time.monotonic_ns()
+                        if at_ns <= now_ns:
+                            payload = box.take(slot)
+                            if payload.size == buf.size:
+                                np.copyto(buf, payload.reshape(buf.shape))
+                            else:
+                                sent_shape = payload.shape
+                            # a view into the store: it must not outlive
+                            # the slot (nor pin a shared segment open)
+                            del payload
+                            box.free(slot)
+                            box.cond.notify_all()
                             break
                         # present but in flight (modeled latency / chaos
                         # delay): wake at the delivery instant — this
                         # wait is not charged to the timeout budget
-                        comm._cv.wait(msg.deliverable_at - now)
+                        box.cond.wait((at_ns - now_ns) / 1e9)
                         continue
+                    now = time.monotonic()
                     if deadline is None:
                         deadline = now + budget
                     elif now >= deadline:
-                        source, dest, tag = key
-                        raise HaloTimeoutError(
-                            source=source,
-                            dest=dest,
-                            tag=tag,
-                            polls=comm.max_polls,
-                            pending=sorted(comm._mailbox),
-                        )
-                    comm._cv.wait(min(comm.poll_interval, deadline - now))
-        np.copyto(self._buf, payload.reshape(self._buf.shape))
+                        raise self._timed_out()
+                    box.cond.wait(min(comm.poll_interval, deadline - now))
+        if sent_shape is not None:
+            raise ValueError(
+                f"message {key} of shape {sent_shape} does not fit the "
+                f"posted receive buffer of shape {buf.shape}"
+            )
         if delayed:
             _record("halo_redeliveries")
 
@@ -171,43 +212,47 @@ class Request:
         if self._dropped:
             return
         comm, key = self._comm, self._key
+        box = comm.mailbox
         budget = comm.timeout if timeout is None else timeout
         with _io_wait():
-            with comm._cv:
+            with box.cond:
                 deadline = time.monotonic() + budget
-                while key in comm._mailbox:
+                while box.find(key) is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
-                        source, dest, tag = key
-                        raise HaloTimeoutError(
-                            source=source,
-                            dest=dest,
-                            tag=tag,
-                            polls=comm.max_polls,
-                            pending=sorted(comm._mailbox),
-                        )
-                    comm._cv.wait(min(comm.poll_interval, remaining))
+                        raise self._timed_out()
+                    box.cond.wait(min(comm.poll_interval, remaining))
 
     def test(self) -> bool:
         if self._done:
             return True
-        comm = self._comm
-        with comm._lock:
-            msg = comm._mailbox.get(self._key)
+        box = self._comm.mailbox
+        with box.cond:
+            slot = box.find(self._key)
             if self._kind == "recv":
-                return msg is not None and (
-                    msg.deliverable_at <= time.monotonic()
+                return slot is not None and (
+                    box.due(slot)[0] <= time.monotonic_ns()
                 )
-            return self._dropped or msg is None
+            return self._dropped or slot is None
 
 
 class LocalComm:
-    """A communicator routing buffers between in-process ranks.
+    """A communicator routing buffers between the ranks of one machine.
 
     Matching follows MPI semantics on (source, dest, tag). Sends deliver
     eagerly (buffered), so a driver may still run ranks sequentially —
     post all sends, then complete all receives — while concurrent ranks
-    block productively on the condition variable.
+    block productively on the condition variable. A send to an occupied
+    key blocks until the receiver drains it: that is the only flow
+    control, and it is what keeps cross-member pipelining between rank
+    worker processes correct without a global barrier.
+
+    ``mailbox`` is the store the messages live in: by default a fresh
+    in-process :class:`DictMailbox`; a rank worker process passes the
+    shared-memory table it attached to. ``owned_ranks`` scopes ``drain``
+    (and so ``finalize``) to messages destined to this endpoint's ranks,
+    so one endpoint of a shared table never discards a sibling's
+    in-flight messages; the log is per endpoint.
 
     ``latency`` (seconds, default ``REPRO_NET_LATENCY`` or 0) delays
     every message's deliverable-at instant, modeling the network the
@@ -221,14 +266,18 @@ class LocalComm:
     #: condition-variable wake interval while a wanted key is absent
     poll_interval: float = 0.05
 
-    def __init__(self, size: int, latency: Optional[float] = None):
+    def __init__(self, size: int, latency: Optional[float] = None,
+                 mailbox=None,
+                 owned_ranks: Optional[Sequence[int]] = None):
         self.size = size
         if latency is None:
             latency = float(os.environ.get("REPRO_NET_LATENCY", "0") or "0")
         self.latency = latency
-        self._lock = threading.Lock()
-        self._cv = threading.Condition(self._lock)
-        self._mailbox: Dict[_Key, _Message] = {}
+        self.mailbox = mailbox if mailbox is not None else DictMailbox()
+        self.owned_ranks = (
+            tuple(owned_ranks) if owned_ranks is not None else None
+        )
+        self._lock = threading.Lock()  # guards the log
         self.log: List[MessageRecord] = []
 
     @property
@@ -242,9 +291,10 @@ class LocalComm:
         return DEFAULT_DELAY_POLLS * self.poll_interval
 
     def pending(self) -> List[_Key]:
-        """Sorted (source, dest, tag) triples still in the mailbox."""
-        with self._lock:
-            return sorted(self._mailbox)
+        """Sorted (source, dest, tag) triples still in the mailbox (all
+        of it: every endpoint of a shared store sees the same set)."""
+        with self.mailbox.cond:
+            return self.mailbox.pending_keys()
 
     # ---- nonblocking operations -----------------------------------------
 
@@ -252,10 +302,9 @@ class LocalComm:
         if not (0 <= dest < self.size):
             raise ValueError(f"invalid destination rank {dest}")
         key = (source, dest, tag)
-        record = MessageRecord(source, dest, buf.nbytes, tag)
         dropped = False
         delayed = False
-        payload: Optional[np.ndarray] = None
+        payload = np.ascontiguousarray(buf)
         if _chaos._PLAN is not None:
             if _chaos.consult(
                 "halo.drop", source=source, dest=dest, tag=tag
@@ -264,7 +313,6 @@ class LocalComm:
                 # (logged below) but the mailbox never sees them
                 dropped = True
             else:
-                payload = np.ascontiguousarray(buf).copy()
                 fault = _chaos.consult(
                     "halo.corrupt", source=source, dest=dest, tag=tag
                 )
@@ -272,38 +320,49 @@ class LocalComm:
                     index = _chaos.get_plan().rng(
                         "halo.corrupt.index"
                     ).randrange(payload.size)
+                    payload = payload.copy()
                     payload.flat[index] = np.nan
                     fault.detail["index"] = index
                 if _chaos.consult(
                     "halo.delay", source=source, dest=dest, tag=tag
                 ):
                     delayed = True
-        if payload is None and not dropped:
-            payload = np.ascontiguousarray(buf).copy()
+        with self._lock:
+            self.log.append(MessageRecord(source, dest, buf.nbytes, tag))
+        if dropped:
+            return Request(self, "send", key, buf, dropped=True)
+        box = self.mailbox
+        hold_ns = int(
+            (self.latency + (self.delay_seconds if delayed else 0.0)) * 1e9
+        )
         with _io_wait():
-            with self._cv:
-                self.log.append(record)
-                if dropped:
-                    return Request(self, "send", key, buf, dropped=True)
-                # an occupied slot means the receiver has not consumed the
-                # previous message on this key yet: block until it does
+            with box.cond:
+                # an occupied key means the receiver has not consumed the
+                # previous message on it yet, a refused post that the
+                # store is full: block until the receiver frees a slot
                 # (concurrent ranks) or the budget expires (a genuine
-                # duplicate post)
+                # duplicate post, an undersized store)
                 deadline: Optional[float] = None
-                while key in self._mailbox:
+                while True:
+                    occupied = box.find(key) is not None
+                    if not occupied and box.post(
+                        key, payload, time.monotonic_ns() + hold_ns, delayed
+                    ):
+                        break
                     now = time.monotonic()
                     if deadline is None:
                         deadline = now + self.timeout
                     elif now >= deadline:
+                        if occupied:
+                            raise RuntimeError(
+                                f"message {key} already in flight"
+                            )
                         raise RuntimeError(
-                            f"message {key} already in flight"
+                            f"mailbox full: no free slot in {box!r} "
+                            f"while posting {key}"
                         )
-                    self._cv.wait(min(self.poll_interval, deadline - now))
-                at = time.monotonic() + self.latency
-                if delayed:
-                    at += self.delay_seconds
-                self._mailbox[key] = _Message(payload, at, delayed)
-                self._cv.notify_all()
+                    box.cond.wait(min(self.poll_interval, deadline - now))
+                box.cond.notify_all()
         return Request(self, "send", key, buf)
 
     def Irecv(self, buf: np.ndarray, source: int, dest: int, tag: int = 0) -> Request:
@@ -312,17 +371,24 @@ class LocalComm:
     # ---- lifecycle -------------------------------------------------------
 
     def drain(self) -> List[_Key]:
-        """Drop all in-flight messages (delays included — a delay is a
-        property of the message itself), returning the orphaned
-        (source, dest, tag) triples.
+        """Drop the in-flight messages destined to this endpoint's ranks
+        — all of them when unscoped; delays included, a delay is a
+        property of the message itself — returning the orphaned
+        (source, dest, tag) triples, sorted.
 
         Called after an aborted exchange so the retry can repost every
         send without tripping the duplicate-key check.
         """
-        with self._cv:
-            orphans = sorted(self._mailbox)
-            self._mailbox.clear()
-            self._cv.notify_all()
+        box = self.mailbox
+        owned = self.owned_ranks
+        with box.cond:
+            orphans = [
+                key for key in box.pending_keys()
+                if owned is None or key[1] in owned
+            ]
+            for key in orphans:
+                box.free(box.find(key))
+            box.cond.notify_all()
         return orphans
 
     def finalize(self, strict: bool = False) -> List[_Key]:

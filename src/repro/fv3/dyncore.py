@@ -23,6 +23,7 @@ import numpy as np
 from repro import resilience as _resilience
 from repro.fv3 import constants
 from repro.fv3.acoustics import AcousticDynamics
+from repro.fv3.communicator import LocalComm
 from repro.fv3.config import DynamicalCoreConfig
 from repro.fv3.corners import rank_corners
 from repro.fv3.grid import CubedSphereGrid
@@ -66,7 +67,7 @@ class DynamicalCore:
         resilience: Optional[ResilienceConfig] = None,
         executor: Optional[_ranks.RankExecutor] = None,
         grids: Optional[List[CubedSphereGrid]] = None,
-        comm=None,
+        comm: Optional[LocalComm] = None,
     ):
         if init is None:
             # the default workload is the registered baroclinic-wave
@@ -78,9 +79,9 @@ class DynamicalCore:
         self.config = config
         self.h = n_halo
         self.partitioner = CubedSpherePartitioner(config.npx, config.layout)
-        # ``comm`` is any LocalComm-shaped transport: the in-process
-        # mailbox (default) or the shared-memory mailbox a process-based
-        # rank worker is attached to — the halo updater never knows which
+        # ``comm`` is a LocalComm over either mailbox store: in-process
+        # (the default) or the shared-memory table a rank worker process
+        # is attached to — the halo updater never knows which
         self.halo = HaloUpdater(self.partitioner, n_halo=n_halo, comm=comm)
         # the rank executor decides sequential vs SPMD stepping; the
         # default reads REPRO_RANKS (1 → the original sequential path)
@@ -333,45 +334,54 @@ class DynamicalCore:
     # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------
+    # Each global diagnostic folds a per-rank summand in rank order; the
+    # summands are methods so that a rank worker process, which holds
+    # only its own ranks, reports exactly the term the fold would add.
+    def rank_integral(self, rank: int, attr: str = "delp") -> float:
+        h = self.h
+        field = getattr(self.states[rank], attr)
+        area = self.grids[rank].area[h:-h, h:-h]
+        return float(np.sum(field[h:-h, h:-h] * area[..., None]))
+
+    def rank_tracer_integral(self, rank: int, index: int = 0) -> float:
+        h = self.h
+        s = self.states[rank]
+        area = self.grids[rank].area[h:-h, h:-h]
+        return float(
+            np.sum(
+                s.tracers[index][h:-h, h:-h]
+                * s.delp[h:-h, h:-h]
+                * area[..., None]
+            )
+        )
+
+    def rank_max_wind(self, rank: int) -> float:
+        h = self.h
+        s = self.states[rank]
+        return float(np.max(np.hypot(s.u[h:-h, h:-h], s.v[h:-h, h:-h])))
+
+    def rank_max_w(self, rank: int) -> float:
+        h = self.h
+        return float(np.max(np.abs(self.states[rank].w[h:-h, h:-h])))
+
     def global_integral(self, attr: str = "delp") -> float:
         """Σ field·area over the whole sphere (mass proxy for δp)."""
         total = 0.0
-        h = self.h
         for r in range(self.partitioner.total_ranks):
-            field = getattr(self.states[r], attr)
-            area = self.grids[r].area[h:-h, h:-h]
-            total += float(
-                np.sum(field[h:-h, h:-h] * area[..., None])
-            )
+            total += self.rank_integral(r, attr)
         return total
 
     def tracer_integral(self, index: int = 0) -> float:
         """Σ tracer·δp·area (the conserved tracer mass)."""
         total = 0.0
-        h = self.h
         for r in range(self.partitioner.total_ranks):
-            s = self.states[r]
-            area = self.grids[r].area[h:-h, h:-h]
-            total += float(
-                np.sum(
-                    s.tracers[index][h:-h, h:-h]
-                    * s.delp[h:-h, h:-h]
-                    * area[..., None]
-                )
-            )
+            total += self.rank_tracer_integral(r, index)
         return total
 
     def max_wind(self) -> float:
-        h = self.h
         return max(
-            float(
-                np.max(
-                    np.hypot(
-                        s.u[h:-h, h:-h], s.v[h:-h, h:-h]
-                    )
-                )
-            )
-            for s in self.states
+            self.rank_max_wind(r)
+            for r in range(self.partitioner.total_ranks)
         )
 
     def state_summary(self) -> Dict[str, float]:
@@ -380,7 +390,7 @@ class DynamicalCore:
             "mass": self.global_integral("delp"),
             "max_wind": self.max_wind(),
             "max_w": max(
-                float(np.max(np.abs(s.w[self.h:-self.h, self.h:-self.h])))
-                for s in self.states
+                self.rank_max_w(r)
+                for r in range(self.partitioner.total_ranks)
             ),
         }

@@ -12,7 +12,9 @@ the frame rotation. The exchange runs in two phases (x-direction first,
 then y-direction including corner columns) so that cube-corner halo cells
 are sourced from already-updated neighbor halos, making the result
 independent of the rank layout. Data travels through packed contiguous
-buffers over the mpi4py-style communicator.
+buffers over the mpi4py-style communicator; which mailbox store that
+communicator sits on (in-process, or shared memory between rank worker
+processes) is invisible here.
 """
 
 from __future__ import annotations

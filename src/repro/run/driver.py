@@ -201,12 +201,18 @@ class _Member:
     tracer0: Optional[float] = None
 
 
+def _copy_rank(src: RankFields, dst: RankFields) -> None:
+    """Copy one rank's swapped fields, preserving ``dst`` array identity
+    (compiled programs stay bound to the engine's arrays)."""
+    for f in _STATE_FIELDS:
+        np.copyto(getattr(dst, f), getattr(src, f))
+    for ts, td in zip(src.tracers, dst.tracers):
+        np.copyto(td, ts)
+
+
 def _copy_states(src: Sequence[RankFields], dst: Sequence[RankFields]):
     for s, d in zip(src, dst):
-        for f in _STATE_FIELDS:
-            np.copyto(getattr(d, f), getattr(s, f))
-        for ts, td in zip(s.tracers, d.tracers):
-            np.copyto(td, ts)
+        _copy_rank(s, d)
 
 
 def _states_from_snapshot(snapshot) -> List[RankFields]:

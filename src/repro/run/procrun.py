@@ -32,11 +32,9 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.obs import tracer as _obs
 from repro.run import metrics as _metrics
-from repro.run.driver import _STATE_FIELDS, EnsembleDriver
+from repro.run.driver import EnsembleDriver, _copy_rank
 from repro.run.results import MemberResult, RunResult
 from repro.runtime import compile_cache as _compile_cache
 from repro.runtime.pool import get_pool
@@ -237,11 +235,7 @@ def run_processes(
         for member, record in payload["members"].items():
             rec = driver.members[member]
             for rank, fields in record["states"].items():
-                dst = rec.states[rank]
-                for name in _STATE_FIELDS:
-                    np.copyto(getattr(dst, name), fields[name])
-                for src_tr, dst_tr in zip(fields["tracers"], dst.tracers):
-                    np.copyto(dst_tr, src_tr)
+                _copy_rank(fields, rec.states[rank])
             rec.time = record["time"]
             rec.step_count = record["step"]
             histories[member] = record["history"]

@@ -2,13 +2,13 @@
 
 PR 5 made ranks *concurrent* (one thread per rank); this module makes
 them *parallel*: worker processes, each owning a contiguous block of
-ranks, exchange halos through :class:`ProcComm` — a drop-in counterpart
-of :class:`~repro.fv3.communicator.LocalComm` whose mailbox lives in a
-POSIX shared-memory slot table guarded by one ``multiprocessing``
-condition variable. The split ``start_*/advance/finish_*`` halo API and
-its disjoint snd/rcv pack buffers were designed for exactly this:
-:class:`~repro.fv3.halo.HaloUpdater` never learns which transport it is
-on.
+ranks, exchange halos through the one communicator
+(:class:`~repro.fv3.communicator.LocalComm`) over a mailbox store that
+lives in a POSIX shared-memory slot table guarded by one
+``multiprocessing`` condition variable (:class:`ShmTransport`). The
+split ``start_*/advance/finish_*`` halo API and its disjoint snd/rcv
+pack buffers were designed for exactly this:
+:class:`~repro.fv3.halo.HaloUpdater` never learns which store it is on.
 
 Design:
 
@@ -22,11 +22,9 @@ Design:
 - **Transport.** A fixed table of fixed-size slots in
   ``multiprocessing.shared_memory``; one slot holds one in-flight
   message (header: status/src/dst/tag/shape/dtype/deliverable-at).
-  Matching follows MPI semantics on (source, dest, tag), exactly like
-  ``LocalComm``; a send to an occupied key blocks until the receiver
-  drains it, which is the flow control that keeps cross-member
-  pipelining correct without global barriers. Deliverable-at instants
-  use ``time.monotonic_ns`` — ``CLOCK_MONOTONIC`` is system-wide on the
+  Matching, blocking, budgets and chaos sites are the communicator's;
+  the table only stores. Deliverable-at instants are
+  ``time.monotonic_ns`` — ``CLOCK_MONOTONIC`` is system-wide on the
   platforms we run on, so simulated latency works across processes.
   The alternative transports considered (one OS pipe per directed rank
   pair; a parent-brokered socket) were rejected for deadlock risk at
@@ -63,14 +61,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.obs import tracer as _obs
-from repro.resilience import chaos as _chaos
-from repro.resilience import record as _record
-from repro.resilience.chaos import DEFAULT_DELAY_POLLS
-from repro.resilience.errors import HaloTimeoutError, OrphanedMessagesWarning
+from repro.resilience.errors import OrphanedMessagesWarning
 from repro.runtime import ranks as _ranks
 
 __all__ = [
-    "ProcComm",
     "ProcessRankExecutor",
     "ShmTransport",
     "WorkerSpec",
@@ -189,7 +183,8 @@ class ShmTransport:
             except FileNotFoundError:
                 pass
 
-    # -- slot operations (caller holds ``cond``) ------------------------
+    # -- the mailbox-store interface (caller holds ``cond``; see
+    # -- ``repro.fv3.communicator.DictMailbox``) -------------------------
     def find(self, key: _Key) -> Optional[int]:
         h = self.hdr
         mask = (
@@ -201,30 +196,30 @@ class ShmTransport:
         hits = np.nonzero(mask)[0]
         return int(hits[0]) if hits.size else None
 
-    def find_empty(self) -> Optional[int]:
-        hits = np.nonzero(self.hdr[:, _H_STATUS] == _EMPTY)[0]
-        return int(hits[0]) if hits.size else None
-
     def _payload(self, slot: int, nbytes: int) -> np.ndarray:
         offset = self._payload_base + slot * self.slot_bytes
         return np.frombuffer(
             self._shm.buf, dtype=np.uint8, count=nbytes, offset=offset
         )
 
-    def post(self, slot: int, key: _Key, payload: np.ndarray,
-             at_ns: int, delayed: bool,
-             corrupt_index: Optional[int] = None) -> None:
+    def post(self, key: _Key, payload: np.ndarray, at_ns: int,
+             delayed: bool) -> bool:
         nbytes = payload.nbytes
         if nbytes > self.slot_bytes:
             raise ValueError(
                 f"message of {nbytes} bytes exceeds the transport's "
-                f"{self.slot_bytes}-byte slot capacity (resize via "
-                f"REPRO_SHM_SLOT_BYTES or a larger launch sizing)"
+                f"{self.slot_bytes}-byte slot capacity (slots are sized "
+                f"from the halo plans at launch: "
+                f"repro.run.procrun._transport_sizing)"
             )
         if payload.ndim > _MAX_DIMS:
             raise ValueError(
                 f"{payload.ndim}-d payloads unsupported (max {_MAX_DIMS})"
             )
+        empty = np.nonzero(self.hdr[:, _H_STATUS] == _EMPTY)[0]
+        if not empty.size:
+            return False
+        slot = int(empty[0])
         row = self.hdr[slot]
         row[_H_SRC], row[_H_DST], row[_H_TAG] = key
         row[_H_NBYTES] = nbytes
@@ -236,21 +231,21 @@ class ShmTransport:
         row[_H_DELAYED] = int(delayed)
         row[_H_DTYPE] = _pack_dtype(payload.dtype)
         self._payload(slot, nbytes)[:] = payload.reshape(-1).view(np.uint8)
-        if corrupt_index is not None:
-            view = np.frombuffer(
-                self._payload(slot, nbytes), dtype=payload.dtype
-            )
-            view[corrupt_index] = np.nan
         row[_H_STATUS] = _FULL
+        return True
 
-    def read_into(self, slot: int, buf: np.ndarray) -> None:
+    def due(self, slot: int) -> Tuple[int, bool]:
         row = self.hdr[slot]
-        nbytes = int(row[_H_NBYTES])
+        return int(row[_H_AT_NS]), bool(row[_H_DELAYED])
+
+    def take(self, slot: int) -> np.ndarray:
+        row = self.hdr[slot]
         ndim = int(row[_H_NDIM])
         shape = tuple(int(row[_H_SHAPE + axis]) for axis in range(ndim))
         dtype = _unpack_dtype(row[_H_DTYPE])
-        payload = self._payload(slot, nbytes).view(dtype).reshape(shape)
-        np.copyto(buf, payload.reshape(buf.shape))
+        return self._payload(slot, int(row[_H_NBYTES])).view(dtype).reshape(
+            shape
+        )
 
     def free(self, slot: int) -> None:
         self.hdr[slot, _H_STATUS] = _EMPTY
@@ -263,296 +258,11 @@ class ShmTransport:
         ]
         return sorted(keys)
 
-
-# ---------------------------------------------------------------------------
-# the LocalComm-compatible endpoint
-# ---------------------------------------------------------------------------
-
-# cached module reference for the compute-slot handoff around blocking
-# waits (same pattern as LocalComm)
-def _io_wait():
-    return _ranks.io_wait()
-
-
-class ProcRequest:
-    """Completion handle mirroring ``communicator.Request`` semantics:
-    receives block until the matching send is deliverable and copy into
-    the posted buffer; sends complete when the receiver drains the
-    slot."""
-
-    def __init__(self, comm: "ProcComm", kind: str, key: _Key, buf,
-                 dropped: bool = False):
-        self._comm = comm
-        self._kind = kind
-        self._key = key
-        self._buf = buf
-        self._done = False
-        self._dropped = dropped
-
-    def wait(self, timeout: Optional[float] = None) -> None:
-        if self._done:
-            return
-        if self._kind == "recv":
-            self._wait_recv(timeout)
-        else:
-            self._wait_send(timeout)
-        self._done = True
-
-    def _wait_recv(self, timeout: Optional[float]) -> None:
-        comm, key = self._comm, self._key
-        budget = comm.timeout if timeout is None else timeout
-        transport = comm.transport
-        deadline: Optional[float] = None
-        delayed = False
-        with _io_wait():
-            with transport.cond:
-                while True:
-                    slot = transport.find(key)
-                    if slot is not None:
-                        at_ns = int(transport.hdr[slot, _H_AT_NS])
-                        now_ns = time.monotonic_ns()
-                        if at_ns <= now_ns:
-                            delayed = bool(transport.hdr[slot, _H_DELAYED])
-                            transport.read_into(slot, self._buf)
-                            transport.free(slot)
-                            transport.cond.notify_all()
-                            break
-                        # present but in flight (modeled latency / chaos
-                        # delay): wake at the delivery instant — not
-                        # charged to the absence budget
-                        transport.cond.wait((at_ns - now_ns) / 1e9)
-                        continue
-                    now = time.monotonic()
-                    if deadline is None:
-                        deadline = now + budget
-                    elif now >= deadline:
-                        source, dest, tag = key
-                        raise HaloTimeoutError(
-                            source=source,
-                            dest=dest,
-                            tag=tag,
-                            polls=comm.max_polls,
-                            pending=transport.pending_keys(),
-                        )
-                    transport.cond.wait(
-                        min(comm.poll_interval, deadline - now)
-                    )
-        if delayed:
-            _record("halo_redeliveries")
-
-    def _wait_send(self, timeout: Optional[float]) -> None:
-        if self._dropped:
-            return
-        comm, key = self._comm, self._key
-        budget = comm.timeout if timeout is None else timeout
-        transport = comm.transport
-        with _io_wait():
-            with transport.cond:
-                deadline = time.monotonic() + budget
-                while transport.find(key) is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        source, dest, tag = key
-                        raise HaloTimeoutError(
-                            source=source,
-                            dest=dest,
-                            tag=tag,
-                            polls=comm.max_polls,
-                            pending=transport.pending_keys(),
-                        )
-                    transport.cond.wait(
-                        min(comm.poll_interval, remaining)
-                    )
-
-    def test(self) -> bool:
-        if self._done:
-            return True
-        comm = self._comm
-        with comm.transport.cond:
-            slot = comm.transport.find(self._key)
-            if self._kind == "recv":
-                return slot is not None and (
-                    int(comm.transport.hdr[slot, _H_AT_NS])
-                    <= time.monotonic_ns()
-                )
-            return self._dropped or slot is None
-
-
-class ProcComm:
-    """One process's endpoint of the shared-memory mailbox.
-
-    API-compatible with :class:`~repro.fv3.communicator.LocalComm`
-    (``Isend``/``Irecv``/``Request`` lifecycles, ``latency``,
-    ``max_polls``/``timeout``, ``drain``/``finalize``, message log) so
-    the halo updater — and the chaos sites consulted on every send —
-    behave identically on either transport. ``owned_ranks`` scopes
-    ``drain`` to this endpoint's inbound slots, so a worker tearing down
-    never steals another worker's in-flight messages.
-    """
-
-    #: receive budget, in polls of ``poll_interval`` seconds (the
-    #: process runner widens this by default: sibling workers may spend
-    #: seconds in first-step compilation while our receives are posted)
-    max_polls: int = 8
-    poll_interval: float = 0.05
-
-    def __init__(self, transport: ShmTransport, size: int,
-                 owned_ranks: Optional[Sequence[int]] = None,
-                 latency: Optional[float] = None):
-        self.transport = transport
-        self.size = int(size)
-        self.owned_ranks = (
-            tuple(owned_ranks) if owned_ranks is not None else None
+    def __repr__(self) -> str:
+        return (
+            f"ShmTransport(n_slots={self.n_slots}, "
+            f"slot_bytes={self.slot_bytes})"
         )
-        if latency is None:
-            latency = float(os.environ.get("REPRO_NET_LATENCY", "0") or "0")
-        self.latency = latency
-        self._lock = threading.Lock()
-        self.log: List[object] = []
-
-    @property
-    def timeout(self) -> float:
-        """Seconds of absence a wait tolerates before raising."""
-        return self.max_polls * self.poll_interval
-
-    @property
-    def delay_seconds(self) -> float:
-        """How long a chaos ``halo.delay`` withholds delivery."""
-        return DEFAULT_DELAY_POLLS * self.poll_interval
-
-    def pending(self) -> List[_Key]:
-        """Sorted (source, dest, tag) triples still in the mailbox
-        (table-global: every process sees the same pending set)."""
-        with self.transport.cond:
-            return self.transport.pending_keys()
-
-    # ---- nonblocking operations --------------------------------------
-    def Isend(self, buf: np.ndarray, source: int, dest: int,
-              tag: int = 0) -> ProcRequest:
-        from repro.fv3.communicator import MessageRecord
-
-        if not (0 <= dest < self.size):
-            raise ValueError(f"invalid destination rank {dest}")
-        key = (source, dest, tag)
-        dropped = False
-        delayed = False
-        corrupt_index: Optional[int] = None
-        if _chaos._PLAN is not None:
-            if _chaos.consult(
-                "halo.drop", source=source, dest=dest, tag=tag
-            ):
-                dropped = True
-            else:
-                fault = _chaos.consult(
-                    "halo.corrupt", source=source, dest=dest, tag=tag
-                )
-                if fault is not None:
-                    corrupt_index = _chaos.get_plan().rng(
-                        "halo.corrupt.index"
-                    ).randrange(buf.size)
-                    fault.detail["index"] = corrupt_index
-                if _chaos.consult(
-                    "halo.delay", source=source, dest=dest, tag=tag
-                ):
-                    delayed = True
-        with self._lock:
-            self.log.append(MessageRecord(source, dest, buf.nbytes, tag))
-        if dropped:
-            return ProcRequest(self, "send", key, buf, dropped=True)
-        payload = np.ascontiguousarray(buf)
-        transport = self.transport
-        with _io_wait():
-            with transport.cond:
-                deadline: Optional[float] = None
-                while True:
-                    occupied = transport.find(key) is not None
-                    slot = None if occupied else transport.find_empty()
-                    if slot is not None:
-                        break
-                    now = time.monotonic()
-                    if deadline is None:
-                        deadline = now + self.timeout
-                    elif now >= deadline:
-                        if occupied:
-                            raise RuntimeError(
-                                f"message {key} already in flight"
-                            )
-                        raise RuntimeError(
-                            "shared-memory mailbox full: all "
-                            f"{transport.n_slots} slots occupied while "
-                            f"posting {key}"
-                        )
-                    transport.cond.wait(
-                        min(self.poll_interval, deadline - now)
-                    )
-                at_ns = time.monotonic_ns() + int(self.latency * 1e9)
-                if delayed:
-                    at_ns += int(self.delay_seconds * 1e9)
-                transport.post(slot, key, payload, at_ns, delayed,
-                               corrupt_index)
-                transport.cond.notify_all()
-        return ProcRequest(self, "send", key, buf)
-
-    def Irecv(self, buf: np.ndarray, source: int, dest: int,
-              tag: int = 0) -> ProcRequest:
-        return ProcRequest(self, "recv", (source, dest, tag), buf)
-
-    # ---- lifecycle ----------------------------------------------------
-    def drain(self) -> List[_Key]:
-        """Drop in-flight messages destined to this endpoint's ranks
-        (all messages when unscoped), returning the orphaned keys."""
-        transport = self.transport
-        orphans: List[_Key] = []
-        with transport.cond:
-            for key in transport.pending_keys():
-                if self.owned_ranks is not None and \
-                        key[1] not in self.owned_ranks:
-                    continue
-                slot = transport.find(key)
-                if slot is not None:
-                    transport.free(slot)
-                    orphans.append(key)
-            transport.cond.notify_all()
-        return sorted(orphans)
-
-    def finalize(self, strict: bool = False) -> List[_Key]:
-        """Drain check at teardown, mirroring ``LocalComm.finalize``."""
-        orphans = self.drain()
-        if orphans:
-            _record("orphaned_messages", len(orphans))
-            triples = ", ".join(
-                f"(src={s}, dst={d}, tag={t})" for s, d, t in orphans
-            )
-            message = (
-                f"{len(orphans)} message(s) sent but never received: "
-                f"{triples}"
-            )
-            if strict:
-                raise RuntimeError(message)
-            warnings.warn(message, OrphanedMessagesWarning, stacklevel=2)
-        return orphans
-
-    # ---- statistics ---------------------------------------------------
-    def reset_log(self) -> None:
-        with self._lock:
-            self.log.clear()
-
-    def bytes_by_rank(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        with self._lock:
-            records = list(self.log)
-        for rec in records:
-            out[rec.source] = out.get(rec.source, 0) + rec.nbytes
-        return out
-
-    def message_sizes(self, rank: Optional[int] = None) -> List[int]:
-        with self._lock:
-            records = list(self.log)
-        return [
-            rec.nbytes
-            for rec in records
-            if rank is None or rec.source == rank
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -580,37 +290,8 @@ class _SubsetRankExecutor(_ranks.RankExecutor):
     def parallel(self) -> bool:
         return True
 
-    def run(self, fn, n_ranks: int, label: str = "ranks"):
-        owned = [r for r in self.owned_ranks if r < n_ranks]
-        results: List[object] = [None] * n_ranks
-        t0 = time.perf_counter()
-        if len(owned) <= 1:
-            for rank in owned:
-                results[rank] = fn(rank)
-        else:
-            pool = self._ensure_pool(len(owned))
-            tracer = _obs.get_tracer()
-            parent = tracer.current if tracer.enabled else None
-            futures = {
-                rank: pool.submit(self._run_rank, fn, rank, tracer, parent)
-                for rank in owned
-            }
-            errors: List[tuple] = []
-            for rank in owned:
-                try:
-                    results[rank] = futures[rank].result()
-                except BaseException as exc:  # noqa: BLE001 — re-raised
-                    errors.append((rank, exc))
-            if errors:
-                errors.sort(key=lambda item: item[0])
-                raise errors[0][1]
-        elapsed = time.perf_counter() - t0
-        with _ranks._LOCK:
-            _ranks._METRICS["workers"] = self.workers
-            _ranks._METRICS["sections"] += 1
-            _ranks._METRICS["tasks"] += len(owned)
-            _ranks._METRICS["section_seconds"] += elapsed
-        return results
+    def _ranks_to_run(self, n_ranks: int) -> Sequence[int]:
+        return [r for r in self.owned_ranks if r < n_ranks]
 
     def __repr__(self) -> str:
         return f"_SubsetRankExecutor(ranks={self.owned_ranks})"
@@ -657,23 +338,23 @@ def _numeric_delta(new: Dict, old: Dict) -> Dict:
 class _WorkerHarness:
     """One worker's replica engine plus its block of member states.
 
-    Mirrors the :class:`~repro.run.driver.EnsembleDriver` state-swap
-    contract exactly — member states are built with the same
-    ``SeedSequence`` streams *replayed across all ranks in rank order*
-    (a member's rank-r state depends on how many draws ranks 0..r-1
-    consumed), and stepping is step-major over members. Only the owned
-    ranks' results are kept; everything else is discarded after the
-    replay.
+    Follows the :class:`~repro.run.driver.EnsembleDriver` state-swap
+    contract with the driver's own per-rank copy and the engine's own
+    per-rank diagnostic summands, restricted to the owned ranks — member
+    states are built with the same ``SeedSequence`` streams *replayed
+    across all ranks in rank order* (a member's rank-r state depends on
+    how many draws ranks 0..r-1 consumed), and stepping is step-major
+    over members. Only the owned ranks' states are kept (a worker's
+    memory must not grow with the ranks it does not run); everything
+    else is discarded after the replay.
     """
 
-    def __init__(self, spec: WorkerSpec, owned: Sequence[int],
-                 comm: ProcComm):
+    def __init__(self, spec: WorkerSpec, owned: Sequence[int], comm):
         from repro.run.driver import build_core, member_rng
         from repro.scenarios import get_scenario
 
         self.spec = spec
         self.owned = tuple(owned)
-        self.comm = comm
         self.scenario = get_scenario(spec.scenario)
         self.config = spec.config
         self.core = build_core(
@@ -686,7 +367,6 @@ class _WorkerHarness:
             comm_latency=spec.comm_latency,
             max_polls=spec.max_polls,
         )
-        self.h = self.core.h
         # members: id -> {"states": {rank: RankFields}, "time", "step"}
         self.members: Dict[int, Dict[str, object]] = {}
         self.history: Dict[int, List[Dict[str, object]]] = {}
@@ -704,122 +384,70 @@ class _WorkerHarness:
             }
             self.history[member] = []
 
-    # -- per-rank conservation partials (bit-identical summands of the
-    # -- engine's global_integral/tracer_integral/max_wind folds) -------
-    def _mass_partial(self, rank: int) -> float:
-        h = self.h
-        field = self.core.states[rank].delp
-        area = self.core.grids[rank].area[h:-h, h:-h]
-        return float(np.sum(field[h:-h, h:-h] * area[..., None]))
+    # -- per-rank conservation partials: the engine's own summands, which
+    # -- the parent folds in rank order (``procrun._fold_partials``) -----
+    def _partials(self, summand) -> Dict[int, float]:
+        return {rank: summand(rank) for rank in self.owned}
 
-    def _tracer_partial(self, rank: int) -> Optional[float]:
+    def _tracer_partials(self) -> Dict[int, Optional[float]]:
         if not self.config.n_tracers:
-            return None
-        h = self.h
-        state = self.core.states[rank]
-        area = self.core.grids[rank].area[h:-h, h:-h]
-        return float(
-            np.sum(
-                state.tracers[0][h:-h, h:-h]
-                * state.delp[h:-h, h:-h]
-                * area[..., None]
-            )
-        )
-
-    def _wind_partial(self, rank: int) -> float:
-        h = self.h
-        state = self.core.states[rank]
-        return float(
-            np.max(np.hypot(state.u[h:-h, h:-h], state.v[h:-h, h:-h]))
-        )
-
-    def _w_partial(self, rank: int) -> float:
-        h = self.h
-        return float(
-            np.max(np.abs(self.core.states[rank].w[h:-h, h:-h]))
-        )
+            return dict.fromkeys(self.owned)
+        return self._partials(self.core.rank_tracer_integral)
 
     def baselines(self) -> Dict[str, object]:
         out: Dict[str, object] = {"mass0": {}, "tracer0": {}}
         for member in self.spec.member_ids:
             self._activate(member)
-            out["mass0"][member] = {
-                rank: self._mass_partial(rank) for rank in self.owned
-            }
-            out["tracer0"][member] = {
-                rank: self._tracer_partial(rank) for rank in self.owned
-            }
+            out["mass0"][member] = self._partials(self.core.rank_integral)
+            out["tracer0"][member] = self._tracer_partials()
         return out
 
     # -- state swap (owned ranks only) ----------------------------------
     def _activate(self, member: int) -> None:
-        from repro.run.driver import _STATE_FIELDS
+        from repro.run.driver import _copy_rank
 
         record = self.members[member]
         for rank in self.owned:
-            src = record["states"][rank]
-            dst = self.core.states[rank]
-            for name in _STATE_FIELDS:
-                np.copyto(getattr(dst, name), getattr(src, name))
-            for src_tr, dst_tr in zip(src.tracers, dst.tracers):
-                np.copyto(dst_tr, src_tr)
+            _copy_rank(record["states"][rank], self.core.states[rank])
         self.core.time = record["time"]
         self.core.step_count = record["step"]
 
     def _store(self, member: int) -> None:
-        from repro.run.driver import _STATE_FIELDS
+        from repro.run.driver import _copy_rank
 
         record = self.members[member]
         for rank in self.owned:
-            src = self.core.states[rank]
-            dst = record["states"][rank]
-            for name in _STATE_FIELDS:
-                np.copyto(getattr(dst, name), getattr(src, name))
-            for src_tr, dst_tr in zip(src.tracers, dst.tracers):
-                np.copyto(dst_tr, src_tr)
+            _copy_rank(self.core.states[rank], record["states"][rank])
         record["time"] = self.core.time
         record["step"] = self.core.step_count
 
     def step(self, n: int) -> None:
+        core = self.core
         for _ in range(int(n)):
             for member in self.spec.member_ids:
                 self._activate(member)
-                self.core.step_dynamics()
+                core.step_dynamics()
                 if self.spec.diagnostics:
                     self.history[member].append({
-                        "time": self.core.time,
-                        "step": self.core.step_count,
-                        "mass": {r: self._mass_partial(r)
-                                 for r in self.owned},
-                        "max_wind": {r: self._wind_partial(r)
-                                     for r in self.owned},
-                        "max_w": {r: self._w_partial(r)
-                                  for r in self.owned},
-                        "tracer": {r: self._tracer_partial(r)
-                                   for r in self.owned},
+                        "time": core.time,
+                        "step": core.step_count,
+                        "mass": self._partials(core.rank_integral),
+                        "max_wind": self._partials(core.rank_max_wind),
+                        "max_w": self._partials(core.rank_max_w),
+                        "tracer": self._tracer_partials(),
                     })
                 self._store(member)
 
     def collect(self) -> Dict[str, object]:
-        from repro.run.driver import _STATE_FIELDS
-
-        members: Dict[int, object] = {}
-        for member, record in self.members.items():
-            states = {}
-            for rank in self.owned:
-                fields = record["states"][rank]
-                states[rank] = {
-                    **{name: getattr(fields, name)
-                       for name in _STATE_FIELDS},
-                    "tracers": list(fields.tracers),
-                }
-            members[member] = {
-                "time": record["time"],
-                "step": record["step"],
-                "states": states,
-                "history": self.history[member],
-            }
-        return {"owned": self.owned, "members": members}
+        """Owned-rank states (``RankFields``, as stored), time/step and
+        the per-rank diagnostic history of every member."""
+        return {
+            "owned": self.owned,
+            "members": {
+                member: {**record, "history": self.history[member]}
+                for member, record in self.members.items()
+            },
+        }
 
     def close(self) -> None:
         self.core.finalize(strict=False)
@@ -836,6 +464,7 @@ def _worker_main(spec: WorkerSpec, owned: Tuple[int, ...], n_ranks: int,
     transport = None
     harness = None
     try:
+        from repro.fv3.communicator import LocalComm
         from repro.runtime import compile_cache as _compile_cache
         from repro.runtime import jit as _jit
         from repro.runtime.pool import get_pool
@@ -847,7 +476,7 @@ def _worker_main(spec: WorkerSpec, owned: Tuple[int, ...], n_ranks: int,
         cache0 = _compile_cache.stats()
         jit0 = _jit.stats()
         transport = ShmTransport.attach(shm_name, n_slots, slot_bytes, cond)
-        comm = ProcComm(transport, size=n_ranks, owned_ranks=owned)
+        comm = LocalComm(n_ranks, mailbox=transport, owned_ranks=owned)
         harness = _WorkerHarness(spec, owned, comm)
         conn.send(("ready", harness.baselines()))
         while True:

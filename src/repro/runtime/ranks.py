@@ -33,7 +33,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.obs import tracer as _obs
 
@@ -186,6 +186,10 @@ class RankExecutor:
                 self._pool_width = n_ranks
             return self._pool
 
+    def _ranks_to_run(self, n_ranks: int) -> Sequence[int]:
+        """Which of the ``n_ranks`` SPMD bodies run here, ascending."""
+        return range(n_ranks)
+
     def run(self, fn: Callable[[int], object], n_ranks: int,
             label: str = "ranks") -> List[object]:
         """Run ``fn(rank)`` for every rank; a barrier on completion.
@@ -195,31 +199,35 @@ class RankExecutor:
         deterministic choice, and it preserves ``RecoverableFault``
         types for the dyncore retry loop.
         """
-        if n_ranks <= 1 or not self.parallel:
-            return [fn(r) for r in range(n_ranks)]
-        pool = self._ensure_pool(n_ranks)
-        tracer = _obs.get_tracer()
-        parent = tracer.current if tracer.enabled else None
-        t0 = time.perf_counter()
-        futures = [
-            pool.submit(self._run_rank, fn, rank, tracer, parent)
-            for rank in range(n_ranks)
-        ]
+        ranks = self._ranks_to_run(n_ranks)
         results: List[object] = [None] * n_ranks
-        errors: List[tuple] = []
-        for rank, fut in enumerate(futures):
-            try:
-                results[rank] = fut.result()
-            except BaseException as exc:  # noqa: BLE001 — re-raised below
-                errors.append((rank, exc))
-        elapsed = time.perf_counter() - t0
-        with _LOCK:
-            _METRICS["workers"] = self.workers
-            _METRICS["sections"] += 1
-            _METRICS["tasks"] += n_ranks
-            _METRICS["section_seconds"] += elapsed
+        errors: List[BaseException] = []
+        t0 = time.perf_counter()
+        if not self.parallel or len(ranks) <= 1:
+            for rank in ranks:
+                results[rank] = fn(rank)
+        else:
+            pool = self._ensure_pool(len(ranks))
+            tracer = _obs.get_tracer()
+            parent = tracer.current if tracer.enabled else None
+            futures = [
+                pool.submit(self._run_rank, fn, rank, tracer, parent)
+                for rank in ranks
+            ]
+            for rank, fut in zip(ranks, futures):
+                try:
+                    results[rank] = fut.result()
+                except BaseException as exc:  # noqa: BLE001 — re-raised below
+                    errors.append(exc)
+        if self.parallel:
+            elapsed = time.perf_counter() - t0
+            with _LOCK:
+                _METRICS["workers"] = self.workers
+                _METRICS["sections"] += 1
+                _METRICS["tasks"] += len(ranks)
+                _METRICS["section_seconds"] += elapsed
         if errors:
-            raise errors[0][1]
+            raise errors[0]
         return results
 
     def _run_rank(self, fn, rank, tracer, parent):

@@ -1,17 +1,16 @@
 """Unit tests for the smaller substrate pieces: Quantity, corners,
-communicator, grid metrics, config arithmetic."""
+grid metrics, config arithmetic (the communicator has its own suite,
+``test_communicator.py``)."""
 
 import numpy as np
 import pytest
 
 from repro.fv3 import constants
-from repro.fv3.communicator import LocalComm
 from repro.fv3.config import DynamicalCoreConfig
 from repro.fv3.corners import fill_corners, rank_corners
 from repro.fv3.grid import CubedSphereGrid
 from repro.fv3.partitioner import CubedSpherePartitioner
 from repro.fv3.quantity import Quantity
-from repro.resilience.errors import HaloTimeoutError
 
 
 # ---------------------------------------------------------------------------
@@ -100,82 +99,6 @@ def test_rank_corners_layouts():
     p2 = CubedSpherePartitioner(12, 2)
     assert rank_corners(p2, p2.rank_at(0, 0, 0)) == ["sw"]
     assert rank_corners(p2, p2.rank_at(0, 1, 1)) == ["ne"]
-
-
-# ---------------------------------------------------------------------------
-# Communicator
-# ---------------------------------------------------------------------------
-
-def test_localcomm_isend_irecv_roundtrip():
-    comm = LocalComm(4)
-    payload = np.arange(12.0)
-    comm.Isend(payload, source=0, dest=1, tag=7)
-    buf = np.zeros(12)
-    req = comm.Irecv(buf, source=0, dest=1, tag=7)
-    assert req.test()
-    req.wait()
-    np.testing.assert_array_equal(buf, payload)
-
-
-def test_localcomm_send_copies_buffer():
-    comm = LocalComm(2)
-    payload = np.ones(4)
-    comm.Isend(payload, source=0, dest=1)
-    payload[:] = -1.0  # mutate after send: receiver must see the original
-    buf = np.zeros(4)
-    comm.Irecv(buf, source=0, dest=1).wait()
-    np.testing.assert_array_equal(buf, 1.0)
-
-
-def test_localcomm_unmatched_recv_raises():
-    comm = LocalComm(2)
-    comm.Isend(np.zeros(2), source=1, dest=0, tag=9)  # unrelated pending
-    buf = np.zeros(3)
-    req = comm.Irecv(buf, source=0, dest=1, tag=3)
-    assert not req.test()
-    with pytest.raises(RuntimeError) as excinfo:
-        req.wait()
-    # the error names the ranks, the tag and the pending mailbox keys
-    message = str(excinfo.value)
-    assert "rank 0" in message and "rank 1" in message
-    assert "tag 3" in message
-    assert "(src=1, dst=0, tag=9)" in message
-
-
-def test_localcomm_send_test_reports_delivery():
-    comm = LocalComm(2)
-    req = comm.Isend(np.arange(3.0), source=0, dest=1, tag=2)
-    # undelivered: the message still sits in the mailbox
-    assert not req.test()
-    buf = np.zeros(3)
-    comm.Irecv(buf, source=0, dest=1, tag=2).wait()
-    assert req.test()
-    # wait() completes a send only once the receiver drained the slot;
-    # with nobody receiving it times out (matching test() semantics)
-    req2 = comm.Isend(np.arange(3.0), source=0, dest=1, tag=4)
-    with pytest.raises(HaloTimeoutError):
-        req2.wait(timeout=0.05)
-    comm.Irecv(buf, source=0, dest=1, tag=4).wait()
-    req2.wait()  # drained: completes immediately now
-    assert req2.test()
-    comm.drain()
-
-
-def test_localcomm_duplicate_message_rejected():
-    comm = LocalComm(2)
-    comm.Isend(np.zeros(2), source=0, dest=1, tag=1)
-    with pytest.raises(RuntimeError, match="already in flight"):
-        comm.Isend(np.zeros(2), source=0, dest=1, tag=1)
-
-
-def test_localcomm_accounting():
-    comm = LocalComm(3)
-    comm.Isend(np.zeros(10), source=0, dest=1)
-    comm.Isend(np.zeros(20), source=1, dest=2, tag=5)
-    assert comm.bytes_by_rank() == {0: 80, 1: 160}
-    assert sorted(comm.message_sizes()) == [80, 160]
-    comm.reset_log()
-    assert comm.message_sizes() == []
 
 
 # ---------------------------------------------------------------------------

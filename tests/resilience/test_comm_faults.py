@@ -1,5 +1,8 @@
-"""Communicator fault semantics: drop/delay/corrupt, timeout errors,
-orphan reporting, and halo-updater integration."""
+"""Halo-updater fault semantics: a dropped message aborts and drains the
+exchange, a delayed one is absorbed, teardown reports orphans. The
+communicator-level half (drop/delay/corrupt on a bare ``Isend``,
+``drain``/``finalize``) lives in ``tests/fv3/test_communicator.py``,
+where it runs over both mailbox stores."""
 
 import numpy as np
 import pytest
@@ -18,76 +21,6 @@ from repro.resilience.errors import (
 
 def _counters():
     return resilience.summary()["counters"]
-
-
-# ---------------------------------------------------------------------------
-# LocalComm-level faults
-# ---------------------------------------------------------------------------
-
-def test_dropped_message_times_out_with_rich_error():
-    chaos.set_plan(ChaosPlan.from_spec("halo.drop@1"))
-    comm = LocalComm(4)
-    comm.Isend(np.ones(3), source=2, dest=0, tag=5)  # dropped
-    req = comm.Irecv(np.zeros(3), source=2, dest=0, tag=5)
-    with pytest.raises(HaloTimeoutError) as excinfo:
-        req.wait()
-    err = excinfo.value
-    assert (err.source, err.dest, err.tag) == (2, 0, 5)
-    assert err.polls == comm.max_polls
-    assert "rank 2" in str(err) and "tag 5" in str(err)
-    # the fault was recorded for replay
-    assert chaos.get_plan().counts() == {"halo.drop": 1}
-
-
-def test_delayed_message_is_redelivered():
-    chaos.set_plan(ChaosPlan.from_spec("halo.delay@1"))
-    comm = LocalComm(2)
-    payload = np.arange(4.0)
-    comm.Isend(payload, source=0, dest=1, tag=2)
-    req = comm.Irecv(np.zeros(4), source=0, dest=1, tag=2)
-    assert not req.test()  # withheld
-    req.wait()  # polls through the delay
-    np.testing.assert_array_equal(req._buf, payload)
-    assert _counters()["halo_redeliveries"] == 1
-
-
-def test_corrupted_message_carries_nan():
-    chaos.set_plan(ChaosPlan.from_spec("seed=3;halo.corrupt@1"))
-    comm = LocalComm(2)
-    comm.Isend(np.ones(8), source=0, dest=1)
-    buf = np.zeros(8)
-    comm.Irecv(buf, source=0, dest=1).wait()
-    assert np.isnan(buf).sum() == 1
-    (fault,) = chaos.get_plan().injected
-    assert fault.detail["index"] == int(np.flatnonzero(np.isnan(buf))[0])
-
-
-def test_drain_clears_in_flight_state():
-    comm = LocalComm(2)
-    comm.Isend(np.zeros(2), source=0, dest=1, tag=1)
-    assert comm.drain() == [(0, 1, 1)]
-    assert comm.pending() == []
-    # the same key can be reposted after a drain
-    comm.Isend(np.zeros(2), source=0, dest=1, tag=1)
-
-
-def test_finalize_reports_orphans():
-    comm = LocalComm(3)
-    comm.Isend(np.zeros(2), source=0, dest=1, tag=1)
-    comm.Isend(np.zeros(2), source=1, dest=2, tag=4)
-    with pytest.warns(OrphanedMessagesWarning, match=r"\(src=1, dst=2, tag=4\)"):
-        orphans = comm.finalize()
-    assert orphans == [(0, 1, 1), (1, 2, 4)]
-    assert _counters()["orphaned_messages"] == 2
-    # clean communicator: silent, empty
-    assert comm.finalize() == []
-
-
-def test_finalize_strict_raises():
-    comm = LocalComm(2)
-    comm.Isend(np.zeros(2), source=0, dest=1)
-    with pytest.raises(RuntimeError, match="never received"):
-        comm.finalize(strict=True)
 
 
 # ---------------------------------------------------------------------------
