@@ -55,7 +55,7 @@ def test_fig10_measured_runtimes_feed_report(report, benchmark):
 
     def run():
         compiled(
-            arrays=prog._builder.array_of,
+            arrays=prog._binding.arrays,
             scalars={**prog.sdfg.scalars, "dt_acoustic": cfg.dt_acoustic},
         )
 

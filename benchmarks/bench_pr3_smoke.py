@@ -38,7 +38,7 @@ def bench_fvtp2d():
         times.append(time.perf_counter() - t0)
     kernel_ms = {
         label: {"total_ms": 1e3 * total, "calls": count}
-        for label, (total, count) in prog._compiled.kernel_times.items()
+        for label, (total, count) in prog.kernel_times.items()
     }
     return {
         "config": {"n": N, "nk": NK, "repetitions": REPS},

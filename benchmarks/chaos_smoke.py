@@ -48,6 +48,13 @@ def _run(plan=None, res=None):
         npx=12, npz=4, layout=1, dt_atmos=120.0, k_split=1, n_split=2,
         n_tracers=1,
     )
+    if plan is not None:
+        # a compile can only fail where one happens: after the clean run
+        # every program of this configuration would be bound to its
+        # template without reaching the compile layer at all
+        from repro.runtime import compile_cache
+
+        compile_cache.reset(clear=True)
     chaos.set_plan(plan)
     core = DynamicalCore(cfg, resilience=res)
     for _ in range(STEPS):

@@ -46,12 +46,12 @@ def _per_kernel(prog, args, reps=5):
     machine = observed_machine()
     prog.compile(instrument=True)
     prog(*args)
-    before = dict(prog._compiled.kernel_times)
+    before = dict(prog.kernel_times)
     for _ in range(reps):
         prog(*args)
     bytes_by_label = prog._kernel_bytes_by_label()
     rows = {}
-    for label, (total, count) in prog._compiled.kernel_times.items():
+    for label, (total, count) in prog.kernel_times.items():
         t0, c0 = before.get(label, (0.0, 0))
         dt, dc = total - t0, count - c0
         if dc <= 0 or dt <= 0:

@@ -12,8 +12,9 @@ Asserts:
 - the ensemble costs measurably less than 4x the single run — the
   members share the built geometry, the content-hash compile cache and
   the pooled buffers instead of paying cold start four times;
-- the ensemble actually amortized compilation (compile-cache hits
-  recorded during the batched run, misses only from the first member);
+- the ensemble actually amortized orchestration and compilation (each
+  program traced once and bound for every other rank, compile misses
+  no more than a single run's);
 - every batch member is bit-identical to the same member run
   standalone (``members=(k,)``) from the same root seed, and a re-run
   of the whole ensemble is bit-identical to the first;
@@ -113,9 +114,10 @@ def amortization():
         f"cheaper than {MEMBERS}x a single run ({naive:.3f}s); "
         f"speedup {speedup:.2f} < target {TARGET_AMORTIZATION}"
     )
-    assert am["compile_hits"] > 0, (
-        "batched run recorded no compile-cache hits — members are not "
-        "sharing compiled programs"
+    assert am["program_binds"] > 0 and am["program_traces"] <= 10, (
+        f"batched run traced {am['program_traces']} programs and bound "
+        f"{am['program_binds']} — ranks and members are not sharing "
+        "traced programs"
     )
     assert am["compile_misses"] <= single.amortization["compile_misses"], (
         f"the {MEMBERS}-member ensemble compiled "

@@ -154,6 +154,12 @@ def _runtime_lines() -> List[str]:
             f"{cache['bytes_saved'] / 1e6:.1f} MB working-set reuse"
             f"{per_backend}"
         )
+    if cache["program_traces"] or cache["program_binds"]:
+        lines.append(
+            f"orchestration: {cache['program_traces']} programs traced, "
+            f"{cache['program_binds']} bound to "
+            f"{cache['templates']} templates"
+        )
     jt = rt.get("jit", {})
     if jt.get("compiles") or jt.get("disk_hits"):
         lines.append(

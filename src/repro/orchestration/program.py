@@ -1,10 +1,10 @@
 """Orchestration: build one SDFG from object-oriented model code.
 
 ``@orchestrate`` turns a function or method into an
-:class:`OrchestratedProgram`. On first call, the program is *built*: the
-Python source is closure-resolved (Fig. 6) and preprocessed (constant
-propagation, unrolling, dead branches), then walked statement by
-statement:
+:class:`OrchestratedProgram`. The first call of a (function, owner class)
+*traces* it: the Python source is closure-resolved (Fig. 6) and
+preprocessed (constant propagation, unrolling, dead branches), then walked
+statement by statement:
 
 - calls to ``@stencil`` objects insert StencilComputation library nodes
   (``__sdfg_node__`` protocol, Sec. V-B);
@@ -17,11 +17,24 @@ statement:
 Arrays reached through different names/attributes are consolidated into
 one container by object identity ("call-tree analysis detects and
 consolidates multiple instances of the same array object").
+
+The trace also records its *provenance*: every value it read from outside
+the function bodies — instance attributes, call arguments, module
+globals — as a step from an earlier read, with what was assumed about it.
+That makes the traced program a :class:`_Template` any later instance can
+be **bound** to: the reads are replayed on the new instance, the
+assumptions checked, and the compiled plan is called with the arrays
+found along the recorded paths — no parsing, no SDFG, no hashing. An
+instance that breaks an assumption is traced like the first one and
+becomes another template.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import threading
+import weakref
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -29,10 +42,21 @@ import numpy as np
 from repro.dsl.backend_numpy import GridBounds
 from repro.dsl.stencil import StencilObject
 from repro.obs import tracer as _obs
-from repro.orchestration.closure import get_function_ast, resolve_closure
+from repro.orchestration.closure import (
+    ClosureError,
+    closure_template,
+    get_function_ast,
+)
 from repro.orchestration.preprocessor import preprocess_function, try_const_eval
+from repro.runtime import compile_cache as _cache
 from repro.sdfg.graph import SDFG, SDFGState
-from repro.sdfg.nodes import Callback, StencilComputation, Tasklet
+from repro.sdfg.nodes import (
+    Callback,
+    ContainerRef,
+    StencilComputation,
+    Tasklet,
+    constant_key,
+)
 
 _TRACER = _obs.get_tracer()
 
@@ -42,6 +66,7 @@ class OrchestrationError(ValueError):
 
 
 _CONSTANT_TYPES = (bool, int, float, str, type(None))
+_FLOAT_TYPES = (float, np.floating)
 
 
 class _ScalarAlias:
@@ -56,8 +81,163 @@ class _ScalarAlias:
         return f"_ScalarAlias({self.name!r})"
 
 
+def _inline_target(obj) -> Optional[Callable]:
+    """The orchestrated function that calling ``obj`` inlines, if any: a
+    program, a module object whose ``__call__`` is orchestrated, or a
+    (bound) function that ``orchestrate`` marked."""
+    if isinstance(obj, OrchestratedProgram):
+        return obj.func
+    call_attr = type(obj).__dict__.get("__call__")
+    if isinstance(call_attr, OrchestratedProgram):
+        return call_attr.func
+    return getattr(obj, "__wrapped_orchestrate__", None)
+
+
+def _argument_key(value):
+    if isinstance(value, np.ndarray):
+        return id(value)
+    if isinstance(value, _FLOAT_TYPES):
+        return float
+    if isinstance(value, _CONSTANT_TYPES):
+        return (type(value), value)
+    return id(value)
+
+
+def _guard_of(value) -> Tuple[str, Any]:
+    """What a trace assumes about a value it read."""
+    key = constant_key(value)
+    if key is not None:
+        return ("const", key)
+    if isinstance(value, np.ndarray):
+        return ("array", (value.shape, value.dtype, value.strides))
+    return ("type", type(value))
+
+
+def _guard_holds(guard: Tuple[str, Any], value, values: List[Any]) -> bool:
+    kind, ref = guard
+    if kind == "const":
+        return constant_key(value) == ref
+    if kind == "array":
+        return (
+            isinstance(value, np.ndarray)
+            and (value.shape, value.dtype, value.strides) == ref
+        )
+    if kind == "type":
+        return type(value) is ref
+    if kind == "same":  # the object an earlier read produced
+        return value is values[ref]
+    if kind == "float":  # a runtime scalar: any value
+        return isinstance(value, _FLOAT_TYPES)
+    if kind == "is":
+        return value is ref()
+    return _inline_target(value) is ref  # "inline"
+
+
+class _Template:
+    """One traced program, and what binding another instance to it takes.
+
+    ``reads`` lists, in trace order, every value the trace took from
+    outside the function bodies as ``(parent, kind, key)``: a root
+    (``self``, a call argument by parameter name, a global of one of the
+    traced functions by ``(function, name)``) or an ``attr``/``item`` step
+    from the read at index ``parent``. ``guards`` holds the assumption
+    made about each: constants, tuples and ``GridBounds`` by value; arrays
+    by shape, dtype and strides; a repeated object as *the same* object as
+    the earlier read (which is how aliasing between array paths is
+    pinned); runtime scalars as floats; stencils and callback functions by
+    identity (weakly); inlined callees by their function; anything merely
+    walked through by type. ``containers`` names the read behind each
+    non-transient container. Nothing here references the traced instance
+    or its arrays.
+
+    A trace that consumed something it cannot re-read — an array or
+    object reached outside the instance/arguments/globals, an opaque
+    callback argument, a closure — has ``reads is None``: it serves the
+    instance that traced it and is never shared.
+    """
+
+    def __init__(self, sdfg: SDFG, runtime_scalars: List[str],
+                 reads: Optional[tuple] = None, guards: tuple = (),
+                 containers: tuple = (), arg_names: frozenset = frozenset(),
+                 has_instance: bool = False):
+        self.sdfg = sdfg
+        self.runtime_scalars = runtime_scalars
+        self.reads = reads
+        self.guards = guards
+        self.containers = containers
+        self.arg_names = arg_names
+        self.has_instance = has_instance
+        #: codegen flags → compiled plan, shared by every binding
+        self._plans: Dict[str, Any] = {}
+        self._lock = threading.Lock()
+
+    def plan(self, instrument: bool, backend: str):
+        flags = _cache.codegen_flags(instrument, backend)
+        plan = self._plans.get(flags)
+        if plan is None:
+            with self._lock:
+                plan = self._plans.get(flags)
+                if plan is None:
+                    plan = self._plans[flags] = _cache.get_or_compile(
+                        self.sdfg, instrument=instrument, backend=backend
+                    )
+        return plan
+
+    def bind(self, instance, bound: Dict[str, Any]
+             ) -> Optional[Dict[str, np.ndarray]]:
+        """Replay the reads on ``instance``/``bound``; the container →
+        array mapping when every guard holds, else ``None``."""
+        if (
+            self.reads is None
+            or bound.keys() != self.arg_names
+            or (instance is not None) != self.has_instance
+        ):
+            return None
+        values: List[Any] = []
+        try:
+            for (parent, kind, key), guard in zip(self.reads, self.guards):
+                if kind == "attr":
+                    value = getattr(values[parent], key)
+                elif kind == "item":
+                    value = values[parent][key]
+                elif kind == "arg":
+                    value = bound[key]
+                elif kind == "free":
+                    value = key[0].__globals__[key[1]]
+                else:
+                    value = instance
+                if not _guard_holds(guard, value, values):
+                    return None
+                values.append(value)
+        except (AttributeError, LookupError, TypeError):
+            return None
+        arrays: Dict[str, np.ndarray] = {}
+        distinct = set()
+        for name, index in self.containers:
+            arrays[name] = values[index]
+            distinct.add(id(values[index]))
+        # two containers are two arrays: the trace would have merged them
+        return arrays if len(distinct) == len(arrays) else None
+
+
+class _Binding:
+    """One program instance bound to a template for one set of call
+    arguments: the arrays its containers resolve to and the plan to call.
+    ``held`` keeps the arguments alive so the ids in the binding's key
+    cannot be recycled."""
+
+    __slots__ = ("template", "arrays", "plan", "held")
+
+    def __init__(self, template: _Template, arrays, plan, held):
+        self.template = template
+        self.arrays = arrays
+        self.plan = plan
+        self.held = held
+
+
 class _Builder:
-    """Builds one whole-program SDFG."""
+    """Builds one whole-program SDFG, recording where every outside value
+    it consumed came from (see :class:`_Template`)."""
 
     def __init__(self, name: str):
         self.sdfg = SDFG(name)
@@ -67,6 +247,125 @@ class _Builder:
         self._scalar_counter = 0
         self._state: Optional[SDFGState] = None
         self._label = name
+        # provenance: reads[i] = (parent, kind, key) produced values[i]
+        # under guards[i]; keeping the values also keeps their ids unique
+        # for the duration of the trace
+        self.reads: List[Tuple[int, str, Any]] = []
+        self.guards: List[Tuple[str, Any]] = []
+        self._values: List[Any] = []
+        self._read_index: Dict[Tuple[int, str, Any], int] = {}
+        #: id(object) → the first read that produced it
+        self._where: Dict[int, int] = {}
+        #: containers the trace itself created (``dict(...)``, tuples)
+        self._local: Dict[int, Any] = {}
+        #: why the result cannot be shared, once something made it so
+        self.unshareable: Optional[str] = None
+        self._arg_names: frozenset = frozenset()
+        self._has_instance = False
+
+    # ---- provenance -----------------------------------------------------
+
+    def _mark_unshareable(self, reason: str) -> None:
+        if self.unshareable is None:
+            self.unshareable = reason
+
+    def _record(self, parent: int, kind: str, key, value):
+        ident = (parent, kind, key)
+        index = self._read_index.get(ident)
+        if index is not None:
+            if value is not self._values[index] and \
+                    constant_key(value) is None:
+                self._mark_unshareable(
+                    f"{kind} {key!r} yields a new object on every read"
+                )
+            return value
+        index = len(self.reads)
+        self._read_index[ident] = index
+        self.reads.append(ident)
+        self._values.append(value)
+        guard = _guard_of(value)
+        if guard[0] != "const":
+            first = self._where.setdefault(id(value), index)
+            if first != index:
+                guard = ("same", first)
+        self.guards.append(guard)
+        return value
+
+    def _read(self, owner, kind: str, key):
+        """``owner.key`` / ``owner[key]``, recorded as a step from the read
+        that produced ``owner``. An owner the trace cannot re-reach (and
+        did not derive from guarded constants itself) makes the program
+        unshareable."""
+        value = getattr(owner, key) if kind == "attr" else owner[key]
+        parent = self._where.get(id(owner))
+        replayable = (
+            parent is not None
+            and not isinstance(owner, np.ndarray)  # a view per subscript
+            and (kind == "attr" or constant_key(key) is not None)
+        )
+        if replayable:
+            return self._record(parent, kind, key, value)
+        if constant_key(owner) is None and id(owner) not in self._local:
+            self._mark_unshareable(
+                f"{kind} {key!r} read from a {type(owner).__name__} the "
+                "trace cannot re-reach"
+            )
+        return value
+
+    def _keep_local(self, value):
+        self._local[id(value)] = value
+        return value
+
+    def _pin(self, obj) -> None:
+        """``obj`` itself (a stencil, a callback function) is part of the
+        program: later instances must reach the very same object."""
+        index = self._where.get(id(obj))
+        try:
+            guard = ("is", weakref.ref(obj))
+        except TypeError:
+            index = None
+        if index is None:
+            self._mark_unshareable(
+                f"{type(obj).__name__} object used by identity"
+            )
+        else:
+            self.guards[index] = guard
+
+    def trace(self, func: Callable, instance: Any, args: Tuple,
+              kwargs: Dict) -> None:
+        """Trace a top-level call: the instance and the call arguments are
+        the roots every other read starts from."""
+        self._has_instance = instance is not None
+        if instance is not None:
+            self._record(-1, "self", None, instance)
+        node, _, _ = closure_template(func, instance is not None)
+        params = [a.arg for a in node.args.args]
+        bound = list(zip(params, args)) + list(kwargs.items())
+        self._arg_names = frozenset(name for name, _ in bound)
+        for name, value in bound:
+            self._record(-1, "arg", name, value)
+            if isinstance(value, _FLOAT_TYPES):
+                self.guards[-1] = ("float", None)
+        self.build_function(func, instance, args, kwargs, self._label)
+
+    def template(self) -> _Template:
+        containers = []
+        for name, array in self.array_of.items():
+            index = self._where.get(id(array))
+            if index is None:
+                self._mark_unshareable(
+                    f"container {name!r} is an array the trace cannot "
+                    "re-reach"
+                )
+                break
+            containers.append((name, index))
+        if self.unshareable is not None:
+            return _Template(self.sdfg, self.runtime_scalars)
+        return _Template(
+            self.sdfg, self.runtime_scalars, tuple(self.reads),
+            tuple(self.guards), tuple(containers), self._arg_names,
+            self._has_instance,
+        )
 
     # ---- containers -----------------------------------------------------
 
@@ -111,18 +410,33 @@ class _Builder:
         kwargs: Dict,
         label: str,
     ) -> None:
-        node, bindings = resolve_closure(func, instance)
+        node, paths, loaded = closure_template(func, instance is not None)
         # lowest priority: module globals and closure freevars (stencil
         # objects, helper modules, shared arrays)
-        env: Dict[str, Any] = dict(getattr(func, "__globals__", {}))
+        globs = getattr(func, "__globals__", {})
+        env: Dict[str, Any] = dict(globs)
+        for name in loaded:
+            if name in globs:
+                self._record(-1, "free", (func, name), globs[name])
         closure_cells = getattr(func, "__closure__", None)
         if closure_cells:
+            # cells belong to one function object, not to its class
+            self._mark_unshareable(f"{label} is a closure")
             for fname, cell in zip(func.__code__.co_freevars, closure_cells):
                 try:
                     env[fname] = cell.cell_contents
                 except ValueError:  # pragma: no cover
                     pass
-        env.update(bindings)
+        for name, path in paths:
+            value = instance
+            try:
+                for attr in path:
+                    value = self._read(value, "attr", attr)
+            except AttributeError as exc:
+                raise ClosureError(
+                    f"cannot resolve self.{'.'.join(path)}: {exc}"
+                ) from exc
+            env[name] = value
         if instance is not None:
             env["self"] = instance  # method-call resolution (self.foo(...))
         # bind call arguments
@@ -147,9 +461,7 @@ class _Builder:
         # top-level float/int arguments stay runtime scalars unless they are
         # structural (used in loop bounds the preprocessor must fold)
         runtime = {
-            k
-            for k in bound
-            if isinstance(env.get(k), (float, np.floating))
+            k for k in bound if isinstance(env.get(k), _FLOAT_TYPES)
         }
         for k in runtime:
             constants.pop(k, None)
@@ -253,7 +565,7 @@ class _Builder:
         name = stmt.targets[0].id
         ok, value = try_const_eval(stmt.value, constants)
         if ok:
-            env[name] = value
+            env[name] = self._keep_local(value)
             if isinstance(value, _CONSTANT_TYPES):
                 constants[name] = value
             return
@@ -271,55 +583,67 @@ class _Builder:
     def _handle_call(self, call: ast.Call, env, constants) -> None:
         callee, owner = self._resolve_callee(call.func, env)
         if isinstance(callee, StencilObject):
+            self._pin(callee)
             self._add_stencil(callee, call, env, constants)
             return
-        if isinstance(callee, OrchestratedProgram):
+        inner = _inline_target(callee)
+        if inner is not None:
+            index = self._where.get(id(callee))
+            if index is not None:
+                self.guards[index] = ("inline", inner)
+            if isinstance(callee, OrchestratedProgram):
+                instance = self._read(callee, "attr", "instance")
+            elif getattr(callee, "__wrapped_orchestrate__", None) is inner:
+                instance = owner  # a (bound) function orchestrate marked
+            else:
+                instance = callee  # a module whose __call__ is orchestrated
             args, kwargs = self._eval_call_args(call, env, preserve_scalars=True)
-            self.build_function(
-                callee.func, callee.instance, args, kwargs, callee.name
-            )
-            return
-        if hasattr(callee, "__wrapped_orchestrate__"):
-            args, kwargs = self._eval_call_args(call, env, preserve_scalars=True)
-            inner = callee.__wrapped_orchestrate__
-            self.build_function(inner, owner, args, kwargs, inner.__name__)
+            self.build_function(inner, instance, args, kwargs, inner.__name__)
             return
         # automatic callback fallback (Sec. V-B)
+        self._pin(callee)
         args, kwargs = self._eval_call_args(call, env)
+        args = tuple(
+            self._callback_arg(a, n) for a, n in zip(args, call.args)
+        )
+        kwargs = {
+            kw.arg: self._callback_arg(kwargs[kw.arg], kw.value)
+            for kw in call.keywords if kw.arg is not None
+        }
         label = getattr(callee, "__name__", str(callee))
         self.cut_state()
         state = self.state(f"cb_{label}")
-        state.add(Callback(label, callee, tuple(args), kwargs))
+        state.add(Callback(label, callee, args, kwargs))
         self.cut_state()
 
+    def _callback_arg(self, value, node):
+        """Arrays become container references, resolved per call; any
+        other argument that has no by-value identity ties the compiled
+        program to that one object."""
+        if isinstance(value, np.ndarray) and 1 <= value.ndim <= 3:
+            return ContainerRef(
+                self.register_array(value, _name_hint(node, "arg"))
+            )
+        if constant_key(value) is None:
+            self._mark_unshareable(
+                f"callback argument of type {type(value).__name__} is "
+                "passed by identity"
+            )
+        return value
+
     def _resolve_callee(self, func_node, env):
+        """The called object and, for ``owner.attr(...)``, the owner."""
         if isinstance(func_node, ast.Name):
             if func_node.id in env:
-                return self._normalize_callee(env[func_node.id], None)
+                return env[func_node.id], None
             raise OrchestrationError(f"unknown callee {func_node.id!r}")
         if isinstance(func_node, ast.Attribute):
             owner = self._resolve_value(func_node.value, env)
             try:
-                bound = getattr(owner, func_node.attr)
+                return self._read(owner, "attr", func_node.attr), owner
             except AttributeError as exc:
                 raise OrchestrationError(str(exc)) from exc
-            return self._normalize_callee(bound, owner)
         raise OrchestrationError("unsupported callee expression")
-
-    @staticmethod
-    def _normalize_callee(obj, owner):
-        # bound orchestrated methods carry the original function
-        inner = getattr(obj, "__func__", None)
-        if inner is not None and hasattr(inner, "__wrapped_orchestrate__"):
-            return _MethodShim(inner.__wrapped_orchestrate__), owner
-        if isinstance(obj, OrchestratedProgram):
-            return obj, owner
-        # callable module objects whose __call__ is orchestrated get inlined
-        # with the object itself as the bound instance
-        call_attr = type(obj).__dict__.get("__call__")
-        if isinstance(call_attr, OrchestratedProgram):
-            return OrchestratedProgram(call_attr.func, obj), obj
-        return obj, owner
 
     def _eval_call_args(self, call: ast.Call, env, preserve_scalars=False):
         def resolve(node):
@@ -347,7 +671,7 @@ class _Builder:
         if isinstance(node, ast.Attribute):
             owner = self._resolve_value(node.value, env)
             try:
-                return getattr(owner, node.attr)
+                return self._read(owner, "attr", node.attr)
             except AttributeError as exc:
                 raise OrchestrationError(str(exc)) from exc
         if isinstance(node, ast.Subscript):
@@ -355,9 +679,11 @@ class _Builder:
             ok, key = try_const_eval(node.slice, env)
             if not ok:
                 key = self._resolve_value(node.slice, env)
-            return container[key]
+            return self._read(container, "item", key)
         if isinstance(node, ast.Tuple):
-            return tuple(self._resolve_value(e, env) for e in node.elts)
+            return self._keep_local(
+                tuple(self._resolve_value(e, env) for e in node.elts)
+            )
         if isinstance(node, (ast.BinOp, ast.UnaryOp)):
             ok, value = try_const_eval(node, env)
             if ok:
@@ -368,11 +694,11 @@ class _Builder:
             and node.func.id == "dict"
             and not node.args
         ):
-            return {
+            return self._keep_local({
                 kw.arg: self._resolve_value(kw.value, env)
                 for kw in node.keywords
                 if kw.arg is not None
-            }
+            })
         raise OrchestrationError(
             f"cannot resolve value of {type(node).__name__}"
         )
@@ -561,15 +887,8 @@ def _name_hint(node, fallback: str) -> str:
     return fallback
 
 
-class _MethodShim:
-    """Marks a method resolved through an instance as inlinable."""
-
-    def __init__(self, inner):
-        self.__wrapped_orchestrate__ = inner
-
-
 class OrchestratedProgram:
-    """A callable whole-program SDFG wrapper (built on first call)."""
+    """A callable whole-program SDFG wrapper (bound on first call)."""
 
     def __init__(self, func: Callable, instance: Any = None,
                  optimize: Optional[Callable] = None):
@@ -577,19 +896,16 @@ class OrchestratedProgram:
         self.instance = instance
         self.optimize = optimize
         self.name = func.__name__
-        self._builder: Optional[_Builder] = None
-        self._compiled = None
-        self._build_key = None
-        #: cache of previous builds: key → (builder, compiled)
-        self._builds: Dict[tuple, tuple] = {}
+        #: call-argument key → binding; ``_binding`` is the one last used
+        self._bindings: Dict[tuple, _Binding] = {}
+        self._binding: Optional[_Binding] = None
         #: sticky codegen flags: once instrumented (or pinned to a
-        #: backend), rebuilds triggered by new argument identities
-        #: recompile the same way instead of silently dropping them
+        #: backend), bindings made for new argument identities compile
+        #: the same way instead of silently dropping them
         self._instrument = False
         self._backend: Optional[str] = None
-        #: parameter names, parsed once — re-parsing the source on every
-        #: call would put ast.parse on the per-step hot path of every
-        #: rank thread (and 3.11's ast state is not thread-safe)
+        #: parameter names, read once — every call needs them to find the
+        #: runtime scalars among its arguments
         self._param_names: Optional[List[str]] = None
 
     # -- descriptor protocol: @orchestrate on methods ---------------------
@@ -605,80 +921,144 @@ class OrchestratedProgram:
 
     @property
     def sdfg(self) -> Optional[SDFG]:
-        return self._builder.sdfg if self._builder else None
+        return self._binding.template.sdfg if self._binding else None
 
-    def build(self, *args, **kwargs) -> SDFG:
-        """Build (or rebuild) the whole-program SDFG for these arguments."""
+    def _trace(self, args, kwargs) -> Tuple[_Template, Dict[str, np.ndarray]]:
         builder = _Builder(self.name)
-        builder.build_function(self.func, self.instance, args, kwargs, self.name)
+        builder.trace(self.func, self.instance, args, kwargs)
         builder.sdfg.expand_library_nodes()
         if self.optimize is not None:
             self.optimize(builder.sdfg)
-        self._builder = builder
-        self._compiled = None
-        self._build_key = self._key(args, kwargs)
-        return builder.sdfg
+        _cache.note_trace()
+        return builder.template(), builder.array_of
+
+    def build(self, *args, **kwargs) -> SDFG:
+        """Trace the whole-program SDFG for these arguments.
+
+        The result is private to this program — callers transform the
+        returned SDFG in place before ``compile()`` — and serves later
+        calls with the same arguments.
+        """
+        template, arrays = self._trace(args, kwargs)
+        self._binding = self._bindings[self._key(args, kwargs)] = _Binding(
+            template, arrays, None, (args, kwargs)
+        )
+        return template.sdfg
 
     def compile(self, instrument: bool = False,
                 backend: Optional[str] = None):
-        """Compile the built SDFG (``backend``: ``"numpy"``/``"compiled"``).
+        """Compile the current SDFG (``backend``: ``"numpy"``/``"compiled"``).
 
-        Both flags are sticky: a rebuild forced by new argument identities
-        recompiles with the same instrumentation and backend, so kernel
+        Both flags are sticky: a binding made for new argument identities
+        compiles with the same instrumentation and backend, so kernel
         timing attribution survives across specializations. The backend
         resolves explicit argument > previous sticky choice >
         ``REPRO_BACKEND=compiled`` > NumPy emission; a compiled request
         without a usable JIT engine degrades (warn once) to NumPy.
         """
-        import os
-
-        from repro.runtime.compile_cache import get_or_compile
-
-        if self._builder is None:
+        if self._binding is None:
             raise OrchestrationError("build() the program first")
         self._instrument = bool(self._instrument or instrument)
+        self._binding.plan = self._plan(self._binding.template, backend)
+        return self._binding.plan
+
+    def _plan(self, template: _Template, backend: Optional[str] = None):
+        from repro.dsl.backend_compiled import _warn_once
+        from repro.runtime import jit
+
         resolved = backend or self._backend
         if resolved is None:
             env = os.environ.get("REPRO_BACKEND", "").strip()
             resolved = "compiled" if env == "compiled" else "numpy"
-        if resolved == "compiled":
-            from repro.dsl.backend_compiled import _warn_once
-            from repro.runtime import jit
-
-            if not jit.available():
-                _warn_once(
-                    "no JIT engine: numba not installed and no C compiler"
-                )
-                resolved = "numpy"
-        from repro.runtime.jit import JitUnavailableError
-
+        if resolved == "compiled" and not jit.available():
+            _warn_once("no JIT engine: numba not installed and no C compiler")
+            resolved = "numpy"
         try:
-            self._compiled = get_or_compile(
-                self._builder.sdfg, instrument=self._instrument,
-                backend=resolved,
-            )
-        except JitUnavailableError as exc:
-            from repro.dsl.backend_compiled import _warn_once
-
+            plan = template.plan(self._instrument, resolved)
+        except jit.JitUnavailableError as exc:
             _warn_once(str(exc))
             resolved = "numpy"
-            self._compiled = get_or_compile(
-                self._builder.sdfg, instrument=self._instrument,
-                backend=resolved,
-            )
+            plan = template.plan(self._instrument, resolved)
         self._backend = resolved
-        return self._compiled
+        return plan
 
-    def _key(self, args, kwargs):
-        ids = tuple(
-            id(a) if isinstance(a, np.ndarray) else ("v", repr(type(a)))
-            for a in args
-        )
-        kids = tuple(
-            (k, id(v)) if isinstance(v, np.ndarray) else (k, repr(type(v)))
-            for k, v in sorted(kwargs.items())
-        )
-        return ids + kids
+    def _bind(self, args, kwargs) -> _Binding:
+        """Bind this instance to a published template, or trace it (one
+        thread per family at a time) and publish the result."""
+        held = (args, kwargs)
+        self._instrument = bool(self._instrument or _TRACER.enabled)
+        family = None
+        # a closure never shares (see _Template), and keying a family on
+        # it would keep its cells — often arrays — alive
+        if not getattr(self.func, "__closure__", None):
+            family = _cache.template_family((
+                self.func,
+                None if self.instance is None else type(self.instance),
+                self.optimize,
+            ))
+        if family is None:  # REPRO_COMPILE_CACHE=0, or a closure
+            return _Binding(*self._trace_and_compile(args, kwargs), held)
+        bound = dict(zip(self._parameters(), args))
+        bound.update(kwargs)
+        binding = self._match(family.templates, bound, held)
+        if binding is None:
+            with family.lock:
+                # another rank thread may have published while we waited
+                binding = self._match(family.templates, bound, held)
+                if binding is None:
+                    template, arrays, plan = self._trace_and_compile(
+                        args, kwargs
+                    )
+                    # bound like every later instance; a trace whose reads
+                    # do not replay onto its own instance stays private
+                    rebound = template.bind(self.instance, bound)
+                    if rebound is not None and all(
+                        rebound[name] is arrays[name] for name in arrays
+                    ):
+                        family.publish(template)
+                        arrays = rebound
+                    binding = _Binding(template, arrays, plan, held)
+        return binding
+
+    def _trace_and_compile(self, args, kwargs):
+        with _TRACER.span("orchestrate.build"):
+            template, arrays = self._trace(args, kwargs)
+        with _TRACER.span("orchestrate.compile"):
+            plan = self._plan(template)
+        return template, arrays, plan
+
+    def _match(self, templates, bound, held) -> Optional[_Binding]:
+        if not templates:
+            return None
+        with _TRACER.span("orchestrate.bind"):
+            for template in templates:
+                arrays = template.bind(self.instance, bound)
+                if arrays is not None:
+                    _cache.note_bind()
+                    return _Binding(
+                        template, arrays, self._plan(template), held
+                    )
+        return None
+
+    @staticmethod
+    def _key(args, kwargs) -> tuple:
+        """What distinguishes one binding of this instance from another:
+        array (and opaque object) arguments by identity, constants by
+        value, runtime scalars not at all."""
+        key = tuple([_argument_key(a) for a in args])
+        if kwargs:
+            key += tuple([
+                (k, _argument_key(v)) for k, v in sorted(kwargs.items())
+            ])
+        return key
+
+    def _parameters(self) -> List[str]:
+        params = self._param_names
+        if params is None:
+            node = get_function_ast(self.func)
+            params = [a.arg for a in node.args.args if a.arg != "self"]
+            self._param_names = params
+        return params
 
     def _span_label(self) -> str:
         if self.instance is not None and self.name == "__call__":
@@ -692,7 +1072,7 @@ class OrchestratedProgram:
         from repro.sdfg.nodes import Kernel
 
         out: Dict[str, Tuple[int, int]] = {}
-        sdfg = self._builder.sdfg
+        sdfg = self._binding.template.sdfg
         for state in sdfg.states:
             for node in state.nodes:
                 if isinstance(node, Kernel):
@@ -710,7 +1090,7 @@ class OrchestratedProgram:
         exactly the paper's Fig. 10 ratio.
         """
         bytes_by_label = self._kernel_bytes_by_label()
-        for label, (total, count) in self._compiled.kernel_times.items():
+        for label, (total, count) in self._binding.plan.kernel_times.items():
             t0, c0 = before.get(label, (0.0, 0))
             dt, dc = total - t0, count - c0
             if dc <= 0:
@@ -723,44 +1103,34 @@ class OrchestratedProgram:
 
     def __call__(self, *args, **kwargs):
         key = self._key(args, kwargs)
-        if self._build_key != key:
-            cached = self._builds.get(key)
-            if cached is not None:
-                self._builder, self._compiled = cached
-                self._build_key = key
-            else:
-                with _TRACER.span("orchestrate.build"):
-                    self.build(*args, **kwargs)
-        if self._compiled is None:
+        binding = self._bindings.get(key)
+        if binding is None:
+            binding = self._bindings[key] = self._bind(args, kwargs)
+        self._binding = binding
+        if binding.plan is None:  # build() without compile()
             with _TRACER.span("orchestrate.compile"):
                 self.compile(instrument=_TRACER.enabled)
-        self._builds[self._build_key] = (self._builder, self._compiled)
-        scalars = dict(self._builder.sdfg.scalars)
-        params = self._param_names
-        if params is None:
-            node = get_function_ast(self.func)
-            params = [a.arg for a in node.args.args if a.arg != "self"]
-            self._param_names = params
-        bound = dict(zip(params, args))
-        bound.update(kwargs)
-        for name in self._builder.runtime_scalars:
-            if name in bound:
-                scalars[name] = float(bound[name])
+        template, plan = binding.template, binding.plan
+        scalars = dict(template.sdfg.scalars)
+        if template.runtime_scalars:
+            bound = dict(zip(self._parameters(), args))
+            bound.update(kwargs)
+            for name in template.runtime_scalars:
+                if name in bound:
+                    scalars[name] = float(bound[name])
         if not _TRACER.enabled:
-            self._compiled(arrays=self._builder.array_of, scalars=scalars)
+            plan(arrays=binding.arrays, scalars=scalars)
             return
         with _TRACER.span(self._span_label()) as sp:
-            before = (
-                dict(self._compiled.kernel_times)
-                if self._compiled.instrument else None
-            )
-            self._compiled(arrays=self._builder.array_of, scalars=scalars)
+            before = dict(plan.kernel_times) if plan.instrument else None
+            plan(arrays=binding.arrays, scalars=scalars)
             if before is not None:
                 self._record_kernel_spans(sp, before)
 
     @property
     def kernel_times(self):
-        return self._compiled.kernel_times if self._compiled else {}
+        binding = self._binding
+        return binding.plan.kernel_times if binding and binding.plan else {}
 
 
 def orchestrate(func=None, *, optimize: Optional[Callable] = None):

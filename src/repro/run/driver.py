@@ -547,14 +547,11 @@ class EnsembleDriver:
         return meta
 
     # ------------------------------------------------------------------
-    def run(self, steps: int, check: bool = True) -> RunResult:
-        """Step all members and assemble the structured result."""
-        cache0 = _compile_cache.stats()
-        pool0 = get_pool().stats()
-        t0 = time.perf_counter()
-        with _TRACER.span("ensemble.run"):
-            self.step(steps)
-        seconds = time.perf_counter() - t0
+    def _record_amortization(self, steps: int, seconds: float,
+                             cache0: Dict, pool0: Dict) -> Dict[str, int]:
+        """What one run saved, as deltas of the compile-cache and pool
+        counters since ``cache0``/``pool0`` (also folded into the obs
+        footer's ``ensemble:`` totals)."""
         cache1 = _compile_cache.stats()
         pool1 = get_pool().stats()
         amortization = {
@@ -563,6 +560,10 @@ class EnsembleDriver:
             "grid_builds_avoided": self._grid_builds_avoided,
             "compile_hits": cache1["hits"] - cache0["hits"],
             "compile_misses": cache1["misses"] - cache0["misses"],
+            "program_traces":
+                cache1["program_traces"] - cache0["program_traces"],
+            "program_binds":
+                cache1["program_binds"] - cache0["program_binds"],
             "pool_reuse_hits": pool1["reuse_hits"] - pool0["reuse_hits"],
         }
         _metrics.record_run(
@@ -574,6 +575,19 @@ class EnsembleDriver:
             compile_hits=amortization["compile_hits"],
             compile_misses=amortization["compile_misses"],
             pool_reuse_hits=amortization["pool_reuse_hits"],
+        )
+        return amortization
+
+    def run(self, steps: int, check: bool = True) -> RunResult:
+        """Step all members and assemble the structured result."""
+        cache0 = _compile_cache.stats()
+        pool0 = get_pool().stats()
+        t0 = time.perf_counter()
+        with _TRACER.span("ensemble.run"):
+            self.step(steps)
+        seconds = time.perf_counter() - t0
+        amortization = self._record_amortization(
+            steps, seconds, cache0, pool0
         )
         checks = (
             self.reference_check() if check

@@ -33,7 +33,6 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs import tracer as _obs
-from repro.run import metrics as _metrics
 from repro.run.driver import EnsembleDriver, _copy_rank
 from repro.run.results import MemberResult, RunResult
 from repro.runtime import compile_cache as _compile_cache
@@ -250,26 +249,7 @@ def run_processes(
     from repro.runtime import procs as _procs
 
     _procs.fold_worker_reports(reports)
-    cache1 = _compile_cache.stats()
-    pool1 = get_pool().stats()
-    amortization = {
-        "members": len(driver.member_ids),
-        "grid_builds": driver._grid_builds,
-        "grid_builds_avoided": driver._grid_builds_avoided,
-        "compile_hits": cache1["hits"] - cache0["hits"],
-        "compile_misses": cache1["misses"] - cache0["misses"],
-        "pool_reuse_hits": pool1["reuse_hits"] - pool0["reuse_hits"],
-    }
-    _metrics.record_run(
-        members=len(driver.member_ids),
-        member_steps=steps * len(driver.member_ids),
-        seconds=seconds,
-        grid_builds=driver._grid_builds,
-        grid_builds_avoided=driver._grid_builds_avoided,
-        compile_hits=amortization["compile_hits"],
-        compile_misses=amortization["compile_misses"],
-        pool_reuse_hits=amortization["pool_reuse_hits"],
-    )
+    amortization = driver._record_amortization(steps, seconds, cache0, pool0)
     executor_repr = repr(pex)
     if owns_pex:
         pex.close()

@@ -185,8 +185,9 @@ class RunResult:
             )
         lines.append(
             f"  amortized: grids {am['grid_builds_avoided']} builds "
-            f"avoided, compile cache {am['compile_hits']} hits / "
-            f"{am['compile_misses']} misses, pool reuse "
-            f"{am['pool_reuse_hits']}"
+            f"avoided, programs {am.get('program_traces', 0)} traced / "
+            f"{am.get('program_binds', 0)} bound, compile cache "
+            f"{am['compile_hits']} hits / {am['compile_misses']} misses, "
+            f"pool reuse {am['pool_reuse_hits']}"
         )
         return "\n".join(lines)

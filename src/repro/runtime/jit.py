@@ -61,6 +61,8 @@ __all__ = [
 _ENGINES = ("numba", "cgen", "pyloops", "none")
 
 _LOCK = threading.Lock()
+#: serializes C builds within this process (see :func:`compile_c`)
+_BUILD_LOCK = threading.Lock()
 _ENGINE: Optional[str] = None
 _CC: Optional[str] = None
 _OPENMP: Optional[bool] = None
@@ -271,10 +273,12 @@ def compile_c(source: str, want_openmp: bool = False) -> ctypes.CDLL:
 
     The object file is content-addressed in :func:`jit_dir`; an existing
     file is loaded without invoking the compiler (a "disk hit"). Builds go
-    through a temporary name plus an atomic rename, so concurrent
-    processes racing on the same key are safe.
+    through a pid-suffixed temporary name plus an atomic rename, so
+    concurrent *processes* racing on the same key are safe; *threads* of
+    one process share that temporary name, so they build one at a time
+    (rank threads reach the same directly-called stencil together once
+    their programs bind instead of trace).
     """
-    global _COMPILES, _COMPILE_SECONDS, _DISK_HITS
     cc = _find_cc()
     if cc is None:
         raise JitUnavailableError(
@@ -288,8 +292,14 @@ def compile_c(source: str, want_openmp: bool = False) -> ctypes.CDLL:
         "\x1f".join([source, cc, " ".join(flags)]).encode()
     ).hexdigest()[:20]
     sopath = os.path.join(jit_dir(), f"repro_{key}.so")
-    if key in _LOADED:
+    with _BUILD_LOCK:
+        if key not in _LOADED:
+            _LOADED[key] = _load_or_build(source, cc, flags, key, sopath)
         return _LOADED[key]  # type: ignore[return-value]
+
+
+def _load_or_build(source, cc, flags, key, sopath) -> ctypes.CDLL:
+    global _COMPILES, _COMPILE_SECONDS, _DISK_HITS
     lib: Optional[ctypes.CDLL] = None
     if os.path.exists(sopath):
         # a cached object may be damaged (truncated write from a killed
@@ -335,7 +345,6 @@ def compile_c(source: str, want_openmp: bool = False) -> ctypes.CDLL:
             _COMPILES += 1
             _COMPILE_SECONDS += time.perf_counter() - t0
         lib = ctypes.CDLL(sopath)
-    _LOADED[key] = lib
     return lib
 
 

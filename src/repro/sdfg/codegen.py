@@ -926,10 +926,8 @@ class CompiledSDFG:
             out.emit(f"__s_{node.output} = {code}")
         elif isinstance(node, Callback):
             cidx = len(self._callbacks)
-            self._callbacks.append(
-                lambda f=node.func, a=node.args, kw=node.kwargs: f(*a, **kw)
-            )
-            out.emit(f"__CB[{cidx}]()  # callback {node.label}")
+            self._callbacks.append(node.caller())
+            out.emit(f"__CB[{cidx}](__A)  # callback {node.label}")
         elif isinstance(node, StencilComputation):
             raise ValueError(
                 f"library node {node.label!r} must be expanded before "

@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.sdfg.memlet import Memlet
@@ -103,6 +102,10 @@ class SDFGState:
 
     def dataflow_graph(self, sdfg: "SDFG") -> nx.MultiDiGraph:
         """Derive the access-node/memlet multigraph for this state."""
+        # imported here: nothing on the run path builds this view, and
+        # networkx is a third of `import repro.run`
+        import networkx as nx
+
         g = nx.MultiDiGraph()
         latest: Dict[str, AccessNode] = {}
 

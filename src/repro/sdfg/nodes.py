@@ -14,6 +14,8 @@ import dataclasses
 import itertools
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.dsl.backend_numpy import GridBounds, region_ranges
 from repro.dsl.extents import Extent
 from repro.dsl.ir import Assign, FieldAccess, Interval, count_flops, expr_reads
@@ -55,6 +57,35 @@ class Tasklet(Node):
         self.output = output
 
 
+@dataclasses.dataclass(frozen=True)
+class ContainerRef:
+    """A callback argument that names one of the program's data containers;
+    the array is looked up in the ``arrays`` of each call, so one compiled
+    program serves every set of arrays it is bound to."""
+
+    name: str
+
+
+def constant_key(value):
+    """Hashable by-value identity of a constant, or ``None`` when ``value``
+    can only be told apart by object identity.
+
+    Scalars (Python and NumPy), ranges, ``GridBounds`` and tuples of those
+    have one; the key carries the type and the ``repr`` so ``1``/``1.0``/
+    ``True`` and ``0.0``/``-0.0`` differ and NaN equals itself.
+    """
+    if isinstance(value, (bool, int, float, str, type(None), range,
+                          np.generic)):
+        return (type(value), repr(value))
+    if isinstance(value, tuple):
+        keys = tuple(constant_key(v) for v in value)
+        return None if None in keys else (tuple, keys)
+    if isinstance(value, GridBounds):
+        keys = (constant_key(value.origin), constant_key(value.tile_shape))
+        return None if None in keys else (GridBounds, keys)
+    return None
+
+
 class Callback(Node):
     """Automatic callback to interpreted Python (Sec. V-B).
 
@@ -62,6 +93,10 @@ class Callback(Node):
     C-function-pointer-like indirection; a ``__pystate`` dummy dependency
     serializes callbacks against each other so optimization passes cannot
     reorder them (Calotoiu et al.).
+
+    Array arguments are :class:`ContainerRef`s, resolved per call; constant
+    arguments are kept by value. Any other argument is an opaque object
+    held by reference, which ties the program to that object.
     """
 
     def __init__(self, label: str, func, args: Tuple = (), kwargs: Optional[Dict] = None):
@@ -73,6 +108,26 @@ class Callback(Node):
         # declared); None means "unknown: full barrier"
         self.reads: Optional[List[str]] = None
         self.writes: Optional[List[str]] = None
+
+    def caller(self):
+        """``call(arrays)``: invoke the function with every container
+        reference replaced by that container's array."""
+        func, args, kwargs = self.func, self.args, self.kwargs
+        values = args + tuple(kwargs.values())
+        if not any(isinstance(v, ContainerRef) for v in values):
+            return lambda arrays: func(*args, **kwargs)
+
+        def resolve(value, arrays):
+            return arrays[value.name] if isinstance(value, ContainerRef) \
+                else value
+
+        def call(arrays):
+            func(
+                *[resolve(a, arrays) for a in args],
+                **{k: resolve(v, arrays) for k, v in kwargs.items()},
+            )
+
+        return call
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Orchestration tests: whole-program SDFG construction and execution."""
 
+import ast
+
 import numpy as np
 import pytest
 
 from repro.dsl import Field, PARALLEL, computation, interval, stencil
-from repro.orchestration import orchestrate
+from repro.orchestration import orchestrate, preprocess_function
 from repro.orchestration.closure import resolve_closure
 from repro.orchestration.program import OrchestrationError
 from repro.sdfg.nodes import Callback, Tasklet
@@ -52,6 +54,36 @@ def test_closure_resolution_fig6():
     assert bindings["__g_self_q"] is inst.q
     # the free function signature no longer has self
     assert [a.arg for a in node.args.args] == ["a"]
+
+
+def test_source_is_parsed_and_rewritten_once_per_function(monkeypatch):
+    from repro.orchestration import closure
+
+    parsed = []
+    real = closure.inspect.getsource
+    monkeypatch.setattr(
+        closure.inspect, "getsource",
+        lambda func: (parsed.append(func), real(func))[1],
+    )
+
+    class Twice:
+        def __init__(self):
+            self.tmp = np.zeros(SHAPE)
+
+        def method(self, q):
+            _scale(q, self.tmp, 2.0, origin=(0, 0, 0), domain=SHAPE)
+
+    node, bindings = resolve_closure(Twice.method, Twice())
+    again, other = resolve_closure(Twice.method, Twice())
+    assert again is node  # the rewritten tree is shared ...
+    assert bindings["__g_self_tmp"] is not other["__g_self_tmp"]  # values not
+    assert closure.get_function_ast(Twice.method) is \
+        closure.get_function_ast(Twice.method)
+    assert parsed == [Twice.method]
+    # consumers copy: preprocessing leaves the shared tree untouched
+    before = ast.dump(node)
+    preprocess_function(node, {"SHAPE": SHAPE})
+    assert ast.dump(node) == before
 
 
 def test_orchestrated_method_builds_and_runs():

@@ -1,0 +1,350 @@
+"""Trace once, bind per instance: the differential oracle and the cases
+that must *not* share a template.
+
+A bound program is only as good as the guards that admitted it, so the
+oracle is a fresh trace: for every orchestrated program of every rank the
+SDFG a binding runs must hash like the SDFG ``build()`` produces for that
+same instance and arguments, carry the same scalars, and resolve every
+container to the very same array object.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro.dsl import (
+    Field, PARALLEL, computation, horizontal, i_start, interval, region,
+    stencil,
+)
+from repro.dsl.backend_numpy import GridBounds
+from repro.fv3.config import DynamicalCoreConfig
+from repro.orchestration import OrchestratedProgram, orchestrate
+from repro.resilience import chaos
+from repro.resilience.chaos import ChaosPlan
+from repro.resilience.errors import InjectedCompileError
+from repro.run import build_core, run
+from repro.runtime import compile_cache as cc
+from repro.scenarios import available_scenarios
+
+SHAPE = (6, 6, 4)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_store():
+    cc.reset(clear=True)
+    yield
+    cc.reset(clear=True)
+
+
+def _small(**changes) -> DynamicalCoreConfig:
+    base = DynamicalCoreConfig(npx=12, npz=4, k_split=1, n_split=1)
+    return dataclasses.replace(base, **changes)
+
+
+def _programs(core):
+    """Every program instance of every rank that has been called."""
+    ac = core.acoustics
+    modules = (ac.c_sw + ac.d_sw + ac.riemann + ac.transports
+               + core.remap + core.tracer_adv)
+    for module in modules:
+        for name, value in vars(module).items():
+            if name.startswith("_orchestrated_") and value._bindings:
+                yield value
+
+
+# ---------------------------------------------------------------------------
+# the oracle
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("layout", [1, 2])
+@pytest.mark.parametrize("scenario", available_scenarios())
+def test_every_binding_equals_a_fresh_trace(scenario, layout):
+    core = build_core(scenario, _small(layout=layout), executor="sequential")
+    core.step_dynamics()
+    stats = cc.stats()
+    ranks = core.partitioner.total_ranks
+    # sharing really happened: one trace per program and variant, the
+    # other ranks (and the other remapped fields) bound
+    assert stats["program_traces"] == stats["templates"] <= 10 * layout**2
+    assert stats["program_traces"] + stats["program_binds"] == 14 * ranks
+    checked = 0
+    for program in _programs(core):
+        for binding in program._bindings.values():
+            args, kwargs = binding.held
+            fresh = OrchestratedProgram(
+                program.func, program.instance, program.optimize
+            )
+            sdfg = fresh.build(*args, **kwargs)
+            assert cc.cache_key(binding.template.sdfg) == cc.cache_key(sdfg)
+            assert binding.template.sdfg.scalars == sdfg.scalars
+            assert binding.template.runtime_scalars == \
+                fresh._binding.template.runtime_scalars
+            arrays = fresh._binding.arrays
+            assert binding.arrays.keys() == arrays.keys()
+            for name, array in arrays.items():
+                assert binding.arrays[name] is array, (program.name, name)
+            checked += 1
+    assert checked == 14 * ranks
+
+
+# ---------------------------------------------------------------------------
+# configurations that must force another template
+# ---------------------------------------------------------------------------
+
+
+def _step_counts(config):
+    """(traces, binds) of one step of a new core on top of whatever
+    templates earlier cores published."""
+    before = cc.stats()
+    core = build_core("baroclinic_wave", config, executor="sequential")
+    core.step_dynamics()
+    after = cc.stats()
+    return (after["program_traces"] - before["program_traces"],
+            after["program_binds"] - before["program_binds"])
+
+
+def test_equal_configuration_binds_everything():
+    assert _step_counts(_small()) == (10, 74)
+    assert _step_counts(_small()) == (0, 84)
+
+
+def test_folded_constant_retraces_only_its_readers():
+    _step_counts(_small())
+    # only DGridSolver.damp_fields folds config.d2_damp
+    assert _step_counts(_small(d2_damp=0.05)) == (1, 83)
+    assert cc.stats()["templates"] == 11
+
+
+def test_different_npz_shares_nothing():
+    _step_counts(_small())
+    assert _step_counts(_small(npz=5)) == (10, 74)
+    assert cc.stats()["templates"] == 20
+
+
+@stencil
+def _scale(a: Field, out: Field, factor: float):
+    with computation(PARALLEL), interval(...):
+        out = a * factor
+
+
+@stencil
+def _add(a: Field, b: Field, out: Field):
+    with computation(PARALLEL), interval(...):
+        out = a + b
+
+
+@stencil
+def _edge(a: Field, out: Field):
+    with computation(PARALLEL), interval(...):
+        out = a
+        with horizontal(region[i_start, :]):
+            out = a + 100.0
+
+
+def _record_corners(q, corners, seen):
+    seen.append(corners)
+    q += len(corners)
+
+
+def _mark(q, corners):
+    q += len(corners)
+
+
+class Box:
+    """A module whose every traced assumption can be varied."""
+
+    def __init__(self, shape=SHAPE, dtype=np.float64, corners=("sw",),
+                 bounds=None, gain=2.0):
+        self.shape = shape
+        self.tmp = np.zeros(shape, dtype=dtype)
+        self.corners = tuple(corners)
+        self.bounds = bounds
+        self.gain = gain
+
+    @orchestrate
+    def combine(self, q: np.ndarray, out: np.ndarray):
+        _scale(q, self.tmp, self.gain, origin=(0, 0, 0), domain=self.shape)
+        _add(q, self.tmp, out, origin=(0, 0, 0), domain=self.shape)
+
+    @orchestrate
+    def fill(self, q: np.ndarray):
+        _mark(q, self.corners)
+
+    @orchestrate
+    def edged(self, q: np.ndarray, out: np.ndarray):
+        _edge(q, out, origin=(0, 0, 0), domain=self.shape,
+              bounds=self.bounds)
+
+
+def _templates() -> int:
+    return cc.stats()["templates"]
+
+
+def _combine(box, dtype=np.float64, alias=False):
+    q = np.arange(np.prod(box.shape), dtype=dtype).reshape(box.shape)
+    out = q if alias else np.zeros(box.shape, dtype=dtype)
+    expected = q + dtype(box.gain) * q
+    box.combine(q, out)
+    np.testing.assert_array_equal(out, expected)
+
+
+def test_second_instance_binds_and_gets_its_own_arrays():
+    _combine(Box())
+    _combine(Box())
+    stats = cc.stats()
+    assert (stats["program_traces"], stats["program_binds"]) == (1, 1)
+    assert stats["templates"] == 1
+
+
+def test_folded_scalar_value_is_guarded():
+    _combine(Box(gain=2.0))
+    _combine(Box(gain=3.0))  # asserts the result used 3.0, not 2.0
+    assert _templates() == 2
+
+
+def test_different_shape_is_another_template():
+    _combine(Box())
+    _combine(Box(shape=(8, 6, 4)))
+    assert _templates() == 2
+
+
+def test_different_dtype_is_another_template():
+    _combine(Box())
+    _combine(Box(dtype=np.float32), dtype=np.float32)
+    assert _templates() == 2
+
+
+def test_alias_pattern_is_another_template():
+    _combine(Box())
+    _combine(Box(), alias=True)  # q and out are one array: one container
+    assert _templates() == 2
+    _combine(Box())  # two arrays again: binds to the first template
+    assert _templates() == 2
+    assert cc.stats()["program_binds"] == 1
+
+
+def test_corner_list_is_guarded_by_value():
+    for corners, templates in ((("sw",), 1), (("sw",), 1),
+                               (("sw", "ne"), 2)):
+        q = np.zeros(SHAPE)
+        Box(corners=corners).fill(q)
+        assert q[0, 0, 0] == len(corners)
+        assert _templates() == templates
+
+
+def test_grid_bounds_are_guarded_by_value():
+    interior = GridBounds(origin=(6, 0), tile_shape=(12, 12))
+    west = GridBounds(origin=(0, 0), tile_shape=(12, 12))
+    for bounds, templates, first_row in ((interior, 1, 1.0), (west, 2, 101.0),
+                                         (GridBounds((0, 0), (12, 12)), 2,
+                                          101.0)):
+        q, out = np.ones(SHAPE), np.zeros(SHAPE)
+        Box(bounds=bounds).edged(q, out)
+        assert out[0, 0, 0] == first_row and out[1, 0, 0] == 1.0
+        assert _templates() == templates
+
+
+def test_int_argument_is_part_of_the_binding_key():
+    class Repeat:
+        def __init__(self):
+            self.acc = np.zeros(SHAPE)
+
+        @orchestrate
+        def run(self, q: np.ndarray, n: int):
+            for _ in range(n):
+                _add(self.acc, q, self.acc, origin=(0, 0, 0), domain=SHAPE)
+
+    rep, q = Repeat(), np.ones(SHAPE)
+    rep.run(q, 2)
+    rep.run(q, 3)  # the parent reused the n=2 build here
+    np.testing.assert_array_equal(rep.acc, 5.0)
+
+
+# ---------------------------------------------------------------------------
+# what stays per instance
+# ---------------------------------------------------------------------------
+
+
+class Logger:
+    """Passes a list — no by-value identity — to its callback."""
+
+    def __init__(self):
+        self.seen = []
+
+    @orchestrate
+    def fill(self, q: np.ndarray):
+        _record_corners(q, ("sw",), self.seen)
+
+
+def test_opaque_callback_argument_is_never_shared():
+    first, second = Logger(), Logger()
+    for logger in (first, second):
+        logger.fill(np.zeros(SHAPE))
+    # each instance's callback got that instance's list
+    assert first.seen == [("sw",)] and second.seen == [("sw",)]
+    stats = cc.stats()
+    assert stats["program_traces"] == 2 and stats["templates"] == 0
+    # and the compiled programs differ: the list is keyed by identity
+    assert stats["misses"] == 2
+
+
+def test_cache_disabled_retraces_every_instance(monkeypatch):
+    monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
+    _combine(Box())
+    _combine(Box())
+    stats = cc.stats()
+    assert stats["program_traces"] == 2
+    assert stats["program_binds"] == 0 and stats["templates"] == 0
+
+
+def test_template_store_is_bounded(monkeypatch):
+    monkeypatch.setenv("REPRO_COMPILE_CACHE_SIZE", "2")
+    for gain in (1.0, 2.0, 3.0, 4.0):
+        _combine(Box(gain=gain))
+    assert _templates() == 2
+
+
+def test_failed_compile_publishes_nothing():
+    previous = chaos.set_plan(ChaosPlan.from_spec("compile.fail@1"))
+    try:
+        with pytest.raises(InjectedCompileError):
+            _combine(Box())
+        assert _templates() == 0
+        _combine(Box())  # the injection was one-shot: retraces cleanly
+    finally:
+        chaos.set_plan(previous)
+    stats = cc.stats()
+    assert stats["program_traces"] == 2 and stats["templates"] == 1
+
+
+def test_rank_threads_trace_each_program_once():
+    config = _small()
+    threaded = run("baroclinic_wave", config, steps=1, executor="threads",
+                   check=False)
+    stats = cc.stats()
+    assert stats["program_traces"] == stats["templates"] == 10
+    assert stats["program_binds"] == 74
+    assert all(len(f.templates) == 1 for f in cc._FAMILIES.values())
+    cc.reset(clear=True)
+    sequential = run("baroclinic_wave", config, steps=1,
+                     executor="sequential", check=False)
+    for a, b in zip(threaded.members[0].states, sequential.members[0].states):
+        for name in ("u", "v", "w", "pt", "delp", "delz"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_counters_merge_and_reset():
+    _combine(Box())
+    _combine(Box())
+    cc.merge_stats({"program_traces": 3, "program_binds": 5})
+    stats = cc.stats()
+    assert (stats["program_traces"], stats["program_binds"]) == (4, 6)
+    assert stats["templates"] == 1  # other processes' templates are theirs
+    cc.reset(clear=False)
+    stats = cc.stats()
+    assert (stats["program_traces"], stats["program_binds"]) == (0, 0)
+    assert stats["templates"] == 1
+    cc.reset(clear=True)
+    assert cc.stats()["templates"] == 0

@@ -52,6 +52,8 @@ def test_run_result_structure(two_member_run):
     am = result.amortization
     assert am["members"] == 2
     assert am["grid_builds_avoided"] == 6  # second member shares geometry
+    # every program call of the run either traced or bound (14 per rank)
+    assert am["program_traces"] + am["program_binds"] == 14 * 6
     # the engine is shared; per-member state lives on the members
     assert result.engine is not None
     assert len(result.member(0).states) == result.config.total_ranks
@@ -146,6 +148,11 @@ def test_report_carries_ensemble_footer():
         assert len(footer) == 1
         assert "1 run(s), 2 member(s), 2 member-steps" in footer[0]
         assert "compile cache" in footer[0]
+        (programs,) = [
+            line for line in text.splitlines()
+            if line.startswith("orchestration:")
+        ]
+        assert "programs traced" in programs and "templates" in programs
         payload = json.loads(obs.to_json())
         assert payload["ensemble"]["members"] == 2
         assert payload["ensemble"]["member_steps"] == 2
@@ -190,3 +197,33 @@ def test_members_spread_is_visible_in_history():
     winds = [m.history[0]["max_wind"] for m in result.members]
     assert winds[0] != winds[1]  # perturbed member diverges immediately
     assert np.all(np.isfinite(winds))
+
+
+# ---------------------------------------------------------------------------
+# nothing process-wide may keep a finished run alive
+# ---------------------------------------------------------------------------
+def test_finished_runs_are_released():
+    """Templates and cached programs hold no state array: the compile
+    cache stops growing after the first call and a finished run's arrays
+    die with its result."""
+    import gc
+    import weakref
+
+    from repro.runtime import compile_cache
+
+    compile_cache.reset(clear=True)
+    entries, templates, state = [], [], None
+    for _ in range(3):
+        result = run("baroclinic_wave", _config(), steps=1, check=False,
+                     diagnostics=False)
+        if state is None:
+            state = weakref.ref(result.engine.states[0].delp)
+        del result
+        gc.collect()
+        stats = compile_cache.stats()
+        entries.append(stats["entries"])
+        templates.append(stats["templates"])
+    assert entries[0] == entries[1] == entries[2]
+    assert templates == [10, 10, 10]
+    assert state() is None
+    assert compile_cache.stats()["program_traces"] == 10

@@ -60,6 +60,56 @@ def test_cache_key_is_deterministic():
     assert k1 != cc.cache_key(_build_sdfg((5, 6, 3)))
 
 
+def _with_callback(*args, **kwargs):
+    from repro.sdfg.nodes import Callback
+
+    sdfg = _build_sdfg()
+    sdfg.add_state("cb").add(Callback("fill", print, args, kwargs))
+    return sdfg
+
+
+def test_callbacks_hash_by_container_name_and_constant_value():
+    """A callback's arrays are container references and its constants
+    values, so the key — and the cached program — is the same whichever
+    run's arrays it will be called with."""
+    from repro.sdfg.nodes import ContainerRef
+
+    def key(*args, **kwargs):
+        return cc.cache_key(_with_callback(*args, **kwargs))
+
+    corners = ("sw", "ne")
+    base = key(ContainerRef("a"), "y", corners, n_halo=3)
+    assert base == key(ContainerRef("a"), "y", tuple(list(corners)), n_halo=3)
+    assert base != key(ContainerRef("b"), "y", corners, n_halo=3)
+    assert base != key(ContainerRef("a"), "x", corners, n_halo=3)
+    assert base != key(ContainerRef("a"), "y", ("sw",), n_halo=3)
+    assert base != key(ContainerRef("a"), "y", corners, n_halo=3.0)
+
+
+def test_opaque_callback_arguments_hash_by_identity():
+    first, second = [], []
+    assert cc.cache_key(_with_callback(first)) == \
+        cc.cache_key(_with_callback(first))
+    assert cc.cache_key(_with_callback(first)) != \
+        cc.cache_key(_with_callback(second))
+
+
+def test_callback_container_references_resolve_per_call():
+    from repro.sdfg.nodes import Callback, ContainerRef
+
+    seen = []
+    sdfg = _build_sdfg()
+    sdfg.add_state("cb").add(Callback(
+        "note", lambda arr, tag, scale: seen.append((arr, tag, scale)),
+        (ContainerRef("a"), "t"), {"scale": 2},
+    ))
+    program = cc.get_or_compile(sdfg)
+    for _ in range(2):
+        arrays = {n: np.zeros((8, 8, 4)) for n in ("a", "b", "out")}
+        program(arrays=arrays)
+        assert seen[-1][0] is arrays["a"] and seen[-1][1:] == ("t", 2)
+
+
 def test_backend_is_part_of_the_key(monkeypatch):
     """NumPy and compiled plans for content-equal SDFGs never collide."""
     monkeypatch.setenv("REPRO_JIT", "pyloops")

@@ -89,6 +89,41 @@ def test_compile_c_roundtrip_and_disk_cache(forced_engine, tmp_path,
     assert jit.stats()["disk_hits"] == 1
 
 
+def test_compile_c_threads_racing_on_one_key(forced_engine, tmp_path,
+                                             monkeypatch):
+    """Rank threads that reach the same uncompiled kernel together share
+    one pid-suffixed temporary name: they must build once, not delete
+    each other's object between the compile and the rename."""
+    import threading
+
+    forced_engine("cgen")
+    if jit._find_cc() is None:
+        pytest.skip("no C compiler on this machine")
+    monkeypatch.setenv("REPRO_JIT_DIR", str(tmp_path))
+    jit.reset()
+    src = "double twice(double x) { return 2.0 * x; }\n"
+    start = threading.Barrier(6)
+    libs, errors = [], []
+
+    def build():
+        try:
+            start.wait(timeout=30)
+            libs.append(jit.compile_c(src))
+        except BaseException as exc:  # noqa: BLE001 - recorded for assert
+            errors.append(exc)
+
+    threads = [threading.Thread(target=build) for _ in range(6)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(libs) == 6 and all(lib is libs[0] for lib in libs)
+    assert jit.stats()["compiles"] == 1
+    assert [n for n in os.listdir(tmp_path) if ".tmp" in n] == []
+
+
 def test_compile_c_reports_compiler_errors(forced_engine, tmp_path,
                                            monkeypatch):
     forced_engine("cgen")
