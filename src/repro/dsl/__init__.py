@@ -36,7 +36,7 @@ from repro.dsl.builtins import (
     j_start,
     region,
 )
-from repro.dsl.stencil import StencilObject, set_default_backend, stencil
+from repro.dsl.stencil import StencilObject, stencil
 from repro.dsl.storage import StorageSpec, make_storage, zeros
 from repro.dsl.types import Field, FieldIJ, FieldK
 
@@ -64,7 +64,6 @@ __all__ = [
     "make_storage",
     "region",
     "register_backend",
-    "set_default_backend",
     "stencil",
     "zeros",
 ]

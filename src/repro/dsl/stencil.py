@@ -9,7 +9,6 @@ whole-program SDFG as a library node when a data-centric program calls it.
 from __future__ import annotations
 
 import functools
-import warnings
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -27,20 +26,6 @@ _TRACER = _obs.get_tracer()
 
 #: the bit-exact debug backend failed compiled backends re-execute on
 FALLBACK_BACKEND = "numpy"
-
-
-def __getattr__(name: str):
-    # Deprecated module globals, kept as warning shims. The backend set
-    # lives in repro.dsl.backends now; the old names resolve through it.
-    if name == "DEFAULT_BACKEND":
-        warnings.warn(
-            "repro.dsl.stencil.DEFAULT_BACKEND is deprecated; use "
-            "repro.dsl.default_backend(...) to get or set the default",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return backends.current_default_backend()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class StencilObject:
@@ -249,15 +234,3 @@ def stencil(func=None, *, backend: Optional[str] = None,
         return StencilObject(f, backend=backend, externals=externals, name=name)
 
     return wrapper
-
-
-def set_default_backend(backend: str) -> None:
-    """Deprecated: use :func:`repro.dsl.default_backend` instead."""
-    warnings.warn(
-        "set_default_backend() is deprecated; use "
-        "repro.dsl.default_backend(name) — it also works as a context "
-        "manager restoring the previous default",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    backends.default_backend(backend)

@@ -1,19 +1,15 @@
 """Initial conditions: the per-rank state container and the vertical
 reference coordinate.
 
-State *construction* moved to the scenario registry
-(:mod:`repro.scenarios`): every initial-condition generator is now a
-named, reference-checked :class:`~repro.scenarios.Scenario`, and runs
-are launched through the :mod:`repro.run` facade. The former builder
-functions (``baroclinic_state``, ``solid_body_rotation_winds``,
-``gaussian_tracer``) remain importable here as thin deprecation shims
-that delegate to :mod:`repro.scenarios.library`.
+State *construction* lives in the scenario registry
+(:mod:`repro.scenarios`): every initial-condition generator is a named,
+reference-checked :class:`~repro.scenarios.Scenario`, and runs are
+launched through the :mod:`repro.run` facade.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import List
 
 import numpy as np
@@ -37,47 +33,3 @@ def reference_coordinate(config, ptop: float = 100.0):
     nk = config.npz
     bk = np.linspace(0.0, 1.0, nk + 1)
     return bk, ptop
-
-
-# ---------------------------------------------------------------------------
-# deprecation shims (the PR-1 ``set_default_backend`` pattern): the real
-# builders live in repro.scenarios.library, looked up lazily to avoid an
-# import cycle
-# ---------------------------------------------------------------------------
-
-
-def _deprecated(old: str, new: str):
-    warnings.warn(
-        f"repro.fv3.initial.{old}() is deprecated; use the scenario "
-        f"registry instead — repro.scenarios.{new} (and launch runs "
-        f"through repro.run.run(scenario, ...))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def baroclinic_state(grid, config, ptop: float = 100.0) -> RankFields:
-    """Deprecated: use ``get_scenario("baroclinic_wave")`` instead."""
-    from repro.scenarios import library
-
-    _deprecated("baroclinic_state", 'get_scenario("baroclinic_wave")')
-    return library.baroclinic_state(grid, config, ptop)
-
-
-def solid_body_rotation_winds(grid, nk: int, u0: float = 40.0,
-                              angle: float = 0.0):
-    """Deprecated: use ``repro.scenarios.solid_body_rotation_winds``."""
-    from repro.scenarios import library
-
-    _deprecated("solid_body_rotation_winds", "solid_body_rotation_winds")
-    return library.solid_body_rotation_winds(grid, nk, u0=u0, angle=angle)
-
-
-def gaussian_tracer(grid, nk: int, lon0=0.0, lat0=0.0,
-                    width=0.35) -> np.ndarray:
-    """Deprecated: use ``repro.scenarios.gaussian_tracer``."""
-    from repro.scenarios import library
-
-    _deprecated("gaussian_tracer", "gaussian_tracer")
-    return library.gaussian_tracer(grid, nk, lon0=lon0, lat0=lat0,
-                                   width=width)

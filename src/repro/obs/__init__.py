@@ -18,7 +18,7 @@ observes itself:
 - :func:`report` / :func:`to_json` — text span-tree table and JSON
   export (consumed by the benchmarks).
 - :func:`median_time` / :func:`confidence_interval` — repeated-run
-  measurement helpers (absorbed from the deprecated ``repro.util.timing``).
+  measurement helpers.
 
 Environment toggles: ``REPRO_TRACE=1`` enables tracing process-wide;
 ``REPRO_TRACE_MACHINE={haswell,p100,a100}`` selects the roofline

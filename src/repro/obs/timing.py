@@ -1,5 +1,5 @@
 """Repeated-measurement helpers: the paper reports medians of ≥10 runs
-(Sec. VII). Absorbed from the deprecated ``repro.util.timing``."""
+(Sec. VII)."""
 
 from __future__ import annotations
 

@@ -134,17 +134,14 @@ def codegen_flags(instrument: bool = False, backend: str = "numpy") -> str:
     """Everything besides the SDFG that changes the generated program:
     the emission backend and, for the compiled backend, what shapes its
     loop nests (JIT engine, thread count, k-block override)."""
-    from repro.sdfg.codegen import scheduling_enabled
-
     flags = [f"instrument={instrument}", f"backend={backend}"]
     if backend == "compiled":
         from repro.runtime import jit
 
         flags.append(
             f"jit={jit.engine_name()};threads={jit.default_threads()};"
-            f"kblock={os.environ.get('REPRO_KBLOCK', '')}"
+            f"kblock={jit.k_block_override()}"
         )
-    flags.append(f"out_scheduling={scheduling_enabled()}")
     return "\x1e".join(flags)
 
 

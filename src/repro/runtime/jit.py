@@ -46,12 +46,14 @@ __all__ = [
     "JitCacheWarning",
     "JitUnavailableError",
     "JitCompileError",
+    "JitConfigError",
     "engine_name",
     "available",
     "compile_c",
     "compile_py",
     "default_threads",
     "jit_dir",
+    "k_block_override",
     "merge_stats",
     "stats",
     "sweep_stale_tmps",
@@ -104,6 +106,11 @@ class JitUnavailableError(RuntimeError):
 
 class JitCompileError(RuntimeError):
     """The C compiler rejected generated source (a codegen bug)."""
+
+
+class JitConfigError(ValueError):
+    """An environment setting of the compiled backend has an unusable
+    value."""
 
 
 def _numba_available() -> bool:
@@ -165,6 +172,19 @@ def default_threads() -> int:
     if env:
         return max(1, int(env))
     return max(1, min(os.cpu_count() or 1, 8))
+
+
+def k_block_override() -> Optional[int]:
+    """``REPRO_KBLOCK`` as a positive int, ``None`` when unset — the one
+    reader, so kernel lowering and the compile-cache key agree."""
+    env = os.environ.get("REPRO_KBLOCK", "").strip()
+    if not env:
+        return None
+    if not env.isdecimal() or int(env) < 1:
+        raise JitConfigError(
+            f"REPRO_KBLOCK={env!r}: expected a positive integer"
+        )
+    return int(env)
 
 
 def jit_dir() -> str:

@@ -25,15 +25,13 @@ Compiled programs remain bit-compatible with the pure NumPy backend:
 guarantee (NumPy ≥ 1.13) makes the result identical to evaluation through
 temporaries, and a subexpression is only materialized when its result
 dtype is provably float64 under NEP 50 promotion (at least one float64
-array operand). Everything else stays inline. ``REPRO_OUT_SCHEDULING=0``
-restores the seed's nested-expression emission for A/B comparisons.
+array operand). Everything else stays inline.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import re
 import time
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -88,13 +86,6 @@ _CMP_OPS = {"<", ">", "<=", ">=", "==", "!="}
 
 _F64 = np.dtype(np.float64)
 _BOOL = np.dtype(bool)
-
-
-def scheduling_enabled() -> bool:
-    """Whether expression emission uses ``out=`` scheduling into pooled
-    scratch (default). ``REPRO_OUT_SCHEDULING=0`` restores the seed's
-    nested-expression strings for A/B bit-exactness comparisons."""
-    return os.environ.get("REPRO_OUT_SCHEDULING", "1") != "0"
 
 
 class _SourceBuilder:
@@ -175,30 +166,25 @@ def _broadcast(*shapes) -> Tuple[int, ...]:
 class _ExprEmitter:
     """Translate IR expressions into NumPy source strings."""
 
-    def __init__(self, kernel: Kernel, sdfg, local_prefix: str):
+    def __init__(self, kernel: Kernel, sdfg):
         self.kernel = kernel
         self.sdfg = sdfg
-        self.local_prefix = local_prefix
+        self.locals = _local_arrays(kernel)
 
     def array_name(self, name: str) -> str:
-        if name in self.kernel.local_arrays:
-            return f"{self.local_prefix}{name}"
-        return name
+        return self.locals[name][0] if name in self.locals else name
 
     def axes(self, name: str) -> str:
-        if name in self.kernel.local_arrays:
-            return "IJK"
-        return self.sdfg.arrays[name].axes
+        return "IJK" if name in self.locals else self.sdfg.arrays[name].axes
 
     def dtype_of(self, name: str) -> np.dtype:
-        if name in self.kernel.local_arrays:
+        if name in self.locals:
             return _F64
         return np.dtype(self.sdfg.arrays[name].dtype)
 
     def origin(self, name: str) -> Tuple[int, int, int]:
-        if name in self.kernel.local_arrays:
-            ext = self.kernel.local_arrays[name]
-            return (-ext.i_lo, -ext.j_lo, -ext.k_lo)
+        if name in self.locals:
+            return self.locals[name][2]
         return self.kernel.origin_of(name)
 
     # ---- 3D (parallel) context -------------------------------------------
@@ -220,22 +206,6 @@ class _ExprEmitter:
         elif axes == "K":
             src += "[np.newaxis, np.newaxis, :]"
         return src
-
-    def expr_3d(self, expr: Expr, irng, jrng, krng) -> str:
-        e = lambda x: self.expr_3d(x, irng, jrng, krng)  # noqa: E731
-        if isinstance(expr, Literal):
-            return repr(expr.value)
-        if isinstance(expr, ScalarRef):
-            return f"__s_{expr.name}"
-        if isinstance(expr, FieldAccess):
-            return self.access_3d(expr.name, expr.offset, irng, jrng, krng)
-        if isinstance(expr, AxisIndexExpr):
-            if expr.axis == "I":
-                return f"np.arange({irng[0]}, {irng[1]}).reshape(-1, 1, 1)"
-            if expr.axis == "J":
-                return f"np.arange({jrng[0]}, {jrng[1]}).reshape(1, -1, 1)"
-            return f"np.arange({krng[0]}, {krng[1]}).reshape(1, 1, -1)"
-        return self._compound(expr, e)
 
     # ---- 2D (per-level) context --------------------------------------------
 
@@ -259,42 +229,6 @@ class _ExprEmitter:
                 f"[np.newaxis, np.newaxis, {parts[0]}]"
             )
         return f"{self.array_name(name)}[{', '.join(parts)}]"
-
-    def expr_2d(self, expr: Expr, irng, jrng, k_src: str) -> str:
-        e = lambda x: self.expr_2d(x, irng, jrng, k_src)  # noqa: E731
-        if isinstance(expr, Literal):
-            return repr(expr.value)
-        if isinstance(expr, ScalarRef):
-            return f"__s_{expr.name}"
-        if isinstance(expr, FieldAccess):
-            return self.access_2d(expr.name, expr.offset, irng, jrng, k_src)
-        if isinstance(expr, AxisIndexExpr):
-            if expr.axis == "I":
-                return f"np.arange({irng[0]}, {irng[1]}).reshape(-1, 1)"
-            if expr.axis == "J":
-                return f"np.arange({jrng[0]}, {jrng[1]}).reshape(1, -1)"
-            return f"({k_src})"
-        return self._compound(expr, e)
-
-    # ---- shared -----------------------------------------------------------
-
-    def _compound(self, expr: Expr, e) -> str:
-        if isinstance(expr, BinOp):
-            if expr.op == "and":
-                return f"np.logical_and({e(expr.left)}, {e(expr.right)})"
-            if expr.op == "or":
-                return f"np.logical_or({e(expr.left)}, {e(expr.right)})"
-            return f"({e(expr.left)} {expr.op} {e(expr.right)})"
-        if isinstance(expr, UnaryOp):
-            if expr.op == "not":
-                return f"np.logical_not({e(expr.operand)})"
-            return f"(-{e(expr.operand)})"
-        if isinstance(expr, Call):
-            args = ", ".join(e(a) for a in expr.args)
-            return f"{_NP_FUNCS[expr.func]}({args})"
-        if isinstance(expr, Ternary):
-            return f"np.where({e(expr.cond)}, {e(expr.then)}, {e(expr.orelse)})"
-        raise TypeError(f"cannot generate code for {type(expr).__name__}")
 
 
 class _Ctx:
@@ -363,6 +297,24 @@ class _Ctx:
             return _Val(text, (1, jlen), i64)
         return _Val(f"({self.k_src})", (), None)  # plain Python int at runtime
 
+    def region_mask(self, guard, out: _SourceBuilder) -> "_Val":
+        """Boolean mask of the region rectangle ``guard`` over this
+        statement's ranges (a predicated horizontal region)."""
+        (i0, i1), (j0, j1) = guard
+        ri = self.axis_index(AxisIndexExpr("I")).text
+        rj = self.axis_index(AxisIndexExpr("J")).text
+        if self.is_3d:
+            out.emit(f"__ri = {ri}")
+            out.emit(f"__rj = {rj}")
+            ri, rj = "__ri", "__rj"
+        return _Val(
+            f"(({ri} >= {i0}) & ({ri} < {i1}) & "
+            f"({rj} >= {j0}) & ({rj} < {j1}))",
+            self._hlens() + ((1,) if self.is_3d else ()),
+            _BOOL,
+            is_bool=True,
+        )
+
 
 class _StmtScheduler:
     """Post-order ``out=`` scheduling of one statement's expression tree.
@@ -376,10 +328,9 @@ class _StmtScheduler:
     an op may write in place over its own input — exact-overlap ``out=`` is
     well-defined for elementwise ufuncs."""
 
-    def __init__(self, out: _SourceBuilder, plan: _BufferPlan, enabled: bool):
+    def __init__(self, out: _SourceBuilder, plan: _BufferPlan):
         self.out = out
         self.plan = plan
-        self.enabled = enabled
 
     @staticmethod
     def _buf(idx: int) -> str:
@@ -391,11 +342,7 @@ class _StmtScheduler:
                 self.plan.free(slot)
 
     def _eligible(self, shape, operands) -> bool:
-        return (
-            self.enabled
-            and shape != ()
-            and any(o.is_f64_array for o in operands)
-        )
+        return shape != () and any(o.is_f64_array for o in operands)
 
     def _inline(self, text: str, operands, bool_: bool = False) -> _Val:
         slots = frozenset().union(*(o.slots for o in operands))
@@ -546,19 +493,31 @@ def _covering_first_write(kernel: Kernel, name: str, shape, origin) -> bool:
     return True
 
 
-def _locals_needing_zero(kernel: Kernel) -> set:
+def _local_arrays(kernel: Kernel) -> Dict[str, Tuple[str, tuple, tuple]]:
+    """(driver variable, shape, origin) of every kernel-local array: the
+    compute domain grown by the array's extent."""
     ni, nj, nk = kernel.domain
-    need = set()
-    for name, ext in kernel.local_arrays.items():
-        shape = (
-            ni - ext.i_lo + ext.i_hi,
-            nj - ext.j_lo + ext.j_hi,
-            nk - ext.k_lo + ext.k_hi,
+    return {
+        name: (
+            f"__loc{kernel.node_id}_{name}",
+            (ni - e.i_lo + e.i_hi, nj - e.j_lo + e.j_hi, nk - e.k_lo + e.k_hi),
+            (-e.i_lo, -e.j_lo, -e.k_lo),
         )
-        origin = (-ext.i_lo, -ext.j_lo, -ext.k_lo)
+        for name, e in kernel.local_arrays.items()
+    }
+
+
+def _bind_locals(kernel: Kernel, out: _SourceBuilder, plan: _BufferPlan) -> List[int]:
+    """Bind the kernel-local arrays to pooled slots, zeroing only those the
+    kernel reads (or writes under a mask) before fully writing. Returns the
+    slots, to be freed once the kernel's code is emitted."""
+    slots = []
+    for name, (var, shape, origin) in _local_arrays(kernel).items():
+        slots.append(plan.alloc(shape))
+        out.emit(f"{var} = __B[{slots[-1]}]")
         if not _covering_first_write(kernel, name, shape, origin):
-            need.add(name)
-    return need
+            out.emit(f"{var}.fill(0)")
+    return slots
 
 
 def _transients_needing_zero(sdfg) -> List[str]:
@@ -600,50 +559,23 @@ def _transients_needing_zero(sdfg) -> List[str]:
 
 
 def _kernel_source(
-    kernel: Kernel, sdfg, out: _SourceBuilder, plan: _BufferPlan,
-    enabled: bool,
+    kernel: Kernel, sdfg, out: _SourceBuilder, plan: _BufferPlan
 ) -> None:
     """Emit the body of one kernel."""
-    prefix = f"__loc{kernel.node_id}_"
-    em = _ExprEmitter(kernel, sdfg, prefix)
-    ni, nj, nk = kernel.domain
-
-    # bind kernel-local arrays to pooled slots; zero only those the kernel
-    # reads (or writes under a mask) before fully writing
-    need_zero = _locals_needing_zero(kernel)
-    local_slots = []
-    for name, ext in kernel.local_arrays.items():
-        shape = (
-            ni - ext.i_lo + ext.i_hi,
-            nj - ext.j_lo + ext.j_hi,
-            nk - ext.k_lo + ext.k_hi,
-        )
-        idx = plan.alloc(shape)
-        local_slots.append(idx)
-        out.emit(f"{prefix}{name} = __B[{idx}]")
-        if name in need_zero:
-            out.emit(f"{prefix}{name}.fill(0)")
-
-    for section in kernel.sections:
-        k0, k1 = section.interval.resolve(nk)
-        k0, k1 = max(k0, 0), min(k1, nk)
-        if k0 >= k1:
-            continue
+    em = _ExprEmitter(kernel, sdfg)
+    local_slots = _bind_locals(kernel, out, plan)
+    for (k0, k1), statements in _sections(kernel):
         if kernel.order == "PARALLEL":
-            for stmt, ext in section.statements:
-                _emit_parallel_stmt(
-                    kernel, em, out, stmt, ext, (k0, k1), plan, enabled
-                )
+            for stmt, ext in statements:
+                _emit_stmt(kernel, em, out, stmt, ext, plan, krng=(k0, k1))
         else:
             if kernel.order == "FORWARD":
                 out.emit(f"for __k in range({k0}, {k1}):")
             else:
                 out.emit(f"for __k in range({k1 - 1}, {k0 - 1}, -1):")
             out.indent += 1
-            for stmt, ext in section.statements:
-                _emit_level_stmt(
-                    kernel, em, out, stmt, ext, "__k", plan, enabled
-                )
+            for stmt, ext in statements:
+                _emit_stmt(kernel, em, out, stmt, ext, plan, k_src="__k")
             out.indent -= 1
 
     # the kernel's locals are dead past this point; later kernels reuse them
@@ -651,16 +583,34 @@ def _kernel_source(
         plan.free(idx)
 
 
-def _ranges_for(kernel: Kernel, stmt: Assign, ext):
-    """Full horizontal statement ranges and (for regions) restricted ones."""
+def _sections(kernel: Kernel):
+    """((k0, k1), statements) of every section with a non-empty interval
+    clipped to the kernel's domain."""
+    nk = kernel.domain[2]
+    for section in kernel.sections:
+        k0, k1 = section.interval.resolve(nk)
+        k0, k1 = max(k0, 0), min(k1, nk)
+        if k0 < k1:
+            yield (k0, k1), section.statements
+
+
+def _resolve_ranges(kernel: Kernel, stmt: Assign, ext):
+    """Where one statement executes: ``(irng, jrng, guard)``, or ``None``
+    when its region is empty on this rank. A region either restricts the
+    ranges (``guard`` is ``None``) or, under ``regions_as_predication``,
+    keeps the full ranges and returns the region rectangle as ``guard``."""
     ni, nj, _ = kernel.domain
-    full = ((ext.i_lo, ni + ext.i_hi), (ext.j_lo, nj + ext.j_hi))
+    irng, jrng = (ext.i_lo, ni + ext.i_hi), (ext.j_lo, nj + ext.j_hi)
     if stmt.region is None:
-        return full, None
+        return irng, jrng, None
     from repro.dsl.backend_numpy import region_ranges
 
     restricted = region_ranges(stmt.region, kernel.domain, kernel.bounds, ext)
-    return full, restricted
+    if restricted is None:
+        return None
+    if kernel.schedule.regions_as_predication:
+        return irng, jrng, restricted
+    return restricted[0], restricted[1], None
 
 
 def _finish_stmt(sched, out, stmt, ctx, conds: List[_Val]) -> None:
@@ -682,8 +632,7 @@ def _finish_stmt(sched, out, stmt, ctx, conds: List[_Val]) -> None:
             else conds[0].text
         )
         safe = (
-            sched.enabled
-            and lhs.dtype == _F64
+            lhs.dtype == _F64
             and all(c.is_bool for c in conds)
             and all(c.base is None or c.base != lhs.base for c in conds)
             and (val.base is None or val.base != lhs.base)
@@ -700,85 +649,26 @@ def _finish_stmt(sched, out, stmt, ctx, conds: List[_Val]) -> None:
         sched.free(val)
 
 
-def _emit_parallel_stmt(
-    kernel, em, out, stmt, ext, krng, plan, enabled
+def _emit_stmt(
+    kernel, em, out, stmt, ext, plan, krng=None, k_src: Optional[str] = None
 ) -> None:
-    full, restricted = _ranges_for(kernel, stmt, ext)
-    predicate = kernel.schedule.regions_as_predication and stmt.region is not None
-    if stmt.region is not None and restricted is None:
-        return  # region empty on this rank
-    irng, jrng = full if predicate else (restricted or full)
-
-    target_axes = em.axes(stmt.target.name)
-    if target_axes == "IJ":
+    """One statement over a 3D block (``krng``) or one level (``k_src``)."""
+    ranges = _resolve_ranges(kernel, stmt, ext)
+    if ranges is None:
+        return
+    irng, jrng, guard = ranges
+    if krng is not None and em.axes(stmt.target.name) == "IJ":
         if krng[1] - krng[0] != 1:
             raise ValueError(
                 f"cannot write 2D field {stmt.target.name!r} over a "
                 "multi-level interval"
             )
-        _emit_level_stmt(
-            kernel, em, out, stmt, ext, str(krng[0]), plan, enabled,
-            irjr=(irng, jrng),
-        )
-        return
-
-    ctx = _Ctx(em, irng, jrng, krng=krng)
-    sched = _StmtScheduler(out, plan, enabled)
+        krng, k_src = None, str(krng[0])
+    ctx = _Ctx(em, irng, jrng, krng=krng, k_src=k_src)
+    sched = _StmtScheduler(out, plan)
     conds: List[_Val] = []
-    if predicate:
-        (ri, rj) = restricted
-        out.emit(
-            f"__ri = np.arange({irng[0]}, {irng[1]}).reshape(-1, 1, 1)"
-        )
-        out.emit(
-            f"__rj = np.arange({jrng[0]}, {jrng[1]}).reshape(1, -1, 1)"
-        )
-        conds.append(
-            _Val(
-                f"((__ri >= {ri[0]}) & (__ri < {ri[1]}) & "
-                f"(__rj >= {rj[0]}) & (__rj < {rj[1]}))",
-                (irng[1] - irng[0], jrng[1] - jrng[0], 1),
-                _BOOL,
-                is_bool=True,
-            )
-        )
-    if stmt.mask is not None:
-        conds.append(sched.schedule(stmt.mask, ctx))
-    _finish_stmt(sched, out, stmt, ctx, conds)
-
-
-def _emit_level_stmt(
-    kernel, em, out, stmt, ext, k_src: str, plan, enabled, irjr=None
-) -> None:
-    if irjr is None:
-        full, restricted = _ranges_for(kernel, stmt, ext)
-        predicate = (
-            kernel.schedule.regions_as_predication and stmt.region is not None
-        )
-        if stmt.region is not None and restricted is None:
-            return
-        irng, jrng = full if predicate else (restricted or full)
-    else:
-        irng, jrng = irjr
-        predicate = False
-        restricted = None
-
-    ctx = _Ctx(em, irng, jrng, k_src=k_src)
-    sched = _StmtScheduler(out, plan, enabled)
-    conds: List[_Val] = []
-    if predicate:
-        (ri, rj) = restricted
-        conds.append(
-            _Val(
-                f"((np.arange({irng[0]}, {irng[1]}).reshape(-1, 1) >= {ri[0]}) & "
-                f"(np.arange({irng[0]}, {irng[1]}).reshape(-1, 1) < {ri[1]}) & "
-                f"(np.arange({jrng[0]}, {jrng[1]}).reshape(1, -1) >= {rj[0]}) & "
-                f"(np.arange({jrng[0]}, {jrng[1]}).reshape(1, -1) < {rj[1]}))",
-                (irng[1] - irng[0], jrng[1] - jrng[0]),
-                _BOOL,
-                is_bool=True,
-            )
-        )
+    if guard is not None:
+        conds.append(ctx.region_mask(guard, out))
     if stmt.mask is not None:
         conds.append(sched.schedule(stmt.mask, ctx))
     _finish_stmt(sched, out, stmt, ctx, conds)
@@ -803,7 +693,6 @@ class CompiledSDFG:
         self.instrument = instrument
         self.kernel_labels: List[str] = []
         self._callbacks: List = []
-        self._sched_enabled = scheduling_enabled()
         self._plan = _BufferPlan()
         self.source = self._generate()
         namespace = {
@@ -914,8 +803,7 @@ class CompiledSDFG:
             out.emit(f"# kernel {node.label}")
             if self.instrument:
                 out.emit("__t0 = __perf_counter()")
-            _kernel_source(node, self.sdfg, out, self._plan,
-                           self._sched_enabled)
+            _kernel_source(node, self.sdfg, out, self._plan)
             if self.instrument:
                 out.emit(f"__KT[{kidx}] += __perf_counter() - __t0")
                 out.emit(f"__KC[{kidx}] += 1")

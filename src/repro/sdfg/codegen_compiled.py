@@ -4,7 +4,9 @@ Where :mod:`repro.sdfg.codegen` lowers each fused kernel to a sequence of
 full-domain ``out=``-scheduled ufunc calls, this module lowers it to a
 single scalar loop nest and hands that nest to a JIT engine
 (:mod:`repro.runtime.jit`: numba, a system C compiler, or plain Python
-for testing). The nest realizes the machine model's decisions for real:
+for testing). Each kernel is analysed and lowered *once* to a loop-nest
+tree (:mod:`repro.sdfg.loopnest`); the engine's language is only printed
+from that tree. The nest realizes the machine model's decisions for real:
 
 - **k-blocking** with ``CPU_K_BLOCK`` (:mod:`repro.core.perfmodel`) so a
   kernel's working set stays cache-resident between statements, with the
@@ -44,7 +46,6 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import math
-import os
 import re
 import time
 from typing import Dict, List, Optional, Tuple
@@ -68,9 +69,26 @@ from repro.dsl.ir import (
 from repro.runtime import jit
 from repro.sdfg.codegen import (
     CompiledSDFG,
-    _locals_needing_zero,
-    _ranges_for,
-    _SourceBuilder,
+    _bind_locals,
+    _local_arrays,
+    _resolve_ranges,
+    _sections,
+)
+from repro.sdfg.loopnest import (
+    Array,
+    Axis,
+    Clamp,
+    Guard,
+    Lit,
+    Loop,
+    Nest,
+    Op,
+    Ref,
+    Scalar,
+    Store,
+    Strip,
+    print_c,
+    print_py,
 )
 from repro.sdfg.nodes import Kernel
 
@@ -93,7 +111,7 @@ class PlanBindError(ValueError):
 
 #: dtype.str → scalar type tag: "d" double, "l" int64, "b" bool
 _TAGS = {"<f8": "d", "<i8": "l", "|b1": "b"}
-_CTYPE = {"d": "double", "l": "int64_t", "b": "unsigned char"}
+_TAG_DTYPE = {tag: dstr for dstr, tag in _TAGS.items()}
 
 #: NaN- and signed-zero-exact scalar equivalents of the NumPy ufuncs
 #: (probed: np.maximum/minimum return the *second* argument on ties, NaN
@@ -120,24 +138,8 @@ static inline int64_t __r_lsign(int64_t x)
 
 
 def _promote(a: str, b: str) -> str:
-    if "d" in (a, b):
-        return "d"
-    if "l" in (a, b):
-        return "l"
-    return "b"
-
-
-@dataclasses.dataclass
-class _NameInfo:
-    """Everything the emitters need to index one array argument."""
-
-    param: str      # parameter name inside the generated function
-    runtime: str    # driver-side variable passed at the call site
-    axes: str
-    origin: Tuple[int, int, int]
-    shape: Tuple[int, ...]
-    tag: str
-    strides: Tuple[int, ...]  # element strides, one per axis present
+    """NumPy's result type of two tags: double over int64 over bool."""
+    return min(a, b, key="dlb".index)
 
 
 @dataclasses.dataclass
@@ -149,93 +151,68 @@ class _PlanStmt:
     jrng: Tuple[int, int]
     #: region predication rectangle (compute-relative) or None
     guard: Optional[Tuple[Tuple[int, int], Tuple[int, int]]]
-
-
-@dataclasses.dataclass
-class _PlanSection:
-    krng: Tuple[int, int]
-    stmts: List[_PlanStmt]
+    #: the statement as a typed tree node (set once the kernel is legal)
+    store: Optional[Store] = None
 
 
 @dataclasses.dataclass
 class KernelUnit:
-    """One lowered kernel: sources for every engine plus call metadata."""
+    """One lowered kernel: its loop-nest tree plus call metadata."""
 
     label: str
-    func_name: str
-    #: driver-side expressions for the array arguments, in order
-    runtime_args: List[str]
+    #: printed by the active engine's printer when the plan materializes
+    tree: Nest
     #: (shape, dtype.str) per array argument, validated at each call
     arg_specs: List[Tuple[Tuple[int, ...], str]]
-    scalar_names: List[str]
-    c_source: str
-    py_source: str
-    k_block: int
-    full_k: bool
-    parallel_dim: str  # "i" (parallel/level) or "column" or "none"
-
-
-def _k_params(kernel: Kernel, sdfg) -> Tuple[int, Optional[int]]:
-    """(k-block size, i-tile) for a kernel; ``REPRO_KBLOCK`` overrides."""
-    from repro.core.heuristics import select_cpu_tiles
-    from repro.obs.metrics import observed_machine
-
-    kb, i_tile = select_cpu_tiles(kernel, sdfg, observed_machine())
-    env = os.environ.get("REPRO_KBLOCK")
-    if env:
-        kb = max(1, int(env))
-    return kb, i_tile
 
 
 class _Lowerer:
-    """Shared analysis + per-language emission for one kernel."""
+    """Analysis of one kernel, then its lowering to a loop-nest tree.
 
-    def __init__(self, kernel: Kernel, sdfg, func_name: str, threads: int):
+    Construction runs every legality check (so an ineligible kernel raises
+    before any tree or text exists) and lowers each statement to a typed
+    :class:`~repro.sdfg.loopnest.Store`; :meth:`build` arranges those
+    stores into the loop shape the analysis chose."""
+
+    def __init__(self, kernel: Kernel, sdfg):
         self.kernel = kernel
         self.sdfg = sdfg
-        self.func_name = func_name
-        self.threads = threads
-        self.infos: Dict[str, _NameInfo] = {}
+        self.arrays: Dict[str, Array] = {}
         self.scalars: List[str] = []
-        self.sections: List[_PlanSection] = []
+        #: (k range, statements) per non-empty vertical section
+        self.sections: List[Tuple[Tuple[int, int], List[_PlanStmt]]] = []
         self.full_k = False
         self.column_major = True
         self._collect()
         self._resolve()
         self._analyze()
+        for ps in self._flat():
+            stmt = ps.stmt
+            mask = None if stmt.mask is None else self._value(stmt.mask)
+            value = self._value(stmt.value)
+            ps.store = Store(Ref(self.arrays[stmt.target.name]), value, mask)
+
+    def _flat(self) -> List[_PlanStmt]:
+        return [ps for _, stmts in self.sections for ps in stmts]
 
     # ---- argument collection -------------------------------------------
 
     def _collect(self) -> None:
         kernel, sdfg = self.kernel, self.sdfg
-        ni, nj, nk = kernel.domain
         names, scalars = set(), set()
         for stmt, _ in kernel.statements():
             names.add(stmt.target.name)
             for acc in expr_reads(stmt):
                 names.add(acc.name)
-            exprs = [stmt.value] + ([stmt.mask] if stmt.mask is not None else [])
-            for e in exprs:
-                for node in walk_expr(e):
-                    if isinstance(node, ScalarRef):
-                        scalars.add(node.name)
+            for e in filter(None, (stmt.value, stmt.mask)):
+                scalars.update(
+                    n.name for n in walk_expr(e) if isinstance(n, ScalarRef)
+                )
+        local = _local_arrays(kernel)
         for name in sorted(names):
-            if name in kernel.local_arrays:
-                ext = kernel.local_arrays[name]
-                shape = (
-                    ni - ext.i_lo + ext.i_hi,
-                    nj - ext.j_lo + ext.j_hi,
-                    nk - ext.k_lo + ext.k_hi,
-                )
-                info = _NameInfo(
-                    param=f"t_{name}",
-                    runtime=f"__loc{kernel.node_id}_{name}",
-                    axes="IJK",
-                    origin=(-ext.i_lo, -ext.j_lo, -ext.k_lo),
-                    shape=shape,
-                    tag="d",
-                    strides=(shape[1] * shape[2], shape[2], 1),
-                )
+            if name in local:
+                runtime, shape, origin = local[name]
+                param, axes, tag = f"t_{name}", "IJK", "d"
             else:
                 desc = sdfg.arrays[name]
                 tag = _TAGS.get(np.dtype(desc.dtype).str)
@@ -248,67 +225,41 @@ class _Lowerer:
                     isinstance(s, (int, np.integer)) and s > 0 for s in shape
                 ):
                     raise IneligibleKernel(f"non-concrete shape for {name!r}")
-                strides = []
-                acc = 1
-                for s in reversed(shape):
-                    strides.append(acc)
-                    acc *= int(s)
-                info = _NameInfo(
-                    param=f"f_{name}",
-                    runtime=name,
-                    axes=desc.axes,
-                    origin=kernel.origin_of(name),
-                    shape=shape,
-                    tag=tag,
-                    strides=tuple(reversed(strides)),
-                )
-            self.infos[name] = info
+                param, runtime, axes = f"f_{name}", name, desc.axes
+                origin = kernel.origin_of(name)
+            self.arrays[name] = Array(param, runtime, axes, origin, shape, tag)
         self.scalars = sorted(scalars)
-        self.arg_names = sorted(names)
 
     # ---- iteration-range resolution ------------------------------------
 
     def _resolve(self) -> None:
         kernel = self.kernel
-        nk = kernel.domain[2]
-        for section in kernel.sections:
-            k0, k1 = section.interval.resolve(nk)
-            k0, k1 = max(k0, 0), min(k1, nk)
-            if k0 >= k1:
-                continue
+        for (k0, k1), statements in _sections(kernel):
             plan_stmts = []
-            for stmt, ext in section.statements:
-                full, restricted = _ranges_for(kernel, stmt, ext)
-                predicate = (
-                    kernel.schedule.regions_as_predication
-                    and stmt.region is not None
-                )
-                if stmt.region is not None and restricted is None:
+            for stmt, ext in statements:
+                ranges = _resolve_ranges(kernel, stmt, ext)
+                if ranges is None:
                     continue  # region empty on this rank
-                irng, jrng = full if predicate else (restricted or full)
-                guard = restricted if predicate else None
-                tinfo = self.infos[stmt.target.name]
-                if tinfo.axes == "K":
+                axes = self.arrays[stmt.target.name].axes
+                if axes == "K":
                     raise IneligibleKernel(
                         f"K-axis target {stmt.target.name!r}"
                     )
-                if tinfo.axes == "IJ" and k1 - k0 != 1:
+                if axes == "IJ" and k1 - k0 != 1:
                     raise IneligibleKernel(
                         f"2D target {stmt.target.name!r} over a "
                         "multi-level interval"
                     )
-                plan_stmts.append(_PlanStmt(stmt, irng, jrng, guard))
+                plan_stmts.append(_PlanStmt(stmt, *ranges))
             if plan_stmts:
-                self.sections.append(_PlanSection((k0, k1), plan_stmts))
+                self.sections.append(((k0, k1), plan_stmts))
         if not self.sections:
             raise IneligibleKernel("no executable statements")
 
     # ---- legality analysis ----------------------------------------------
 
     def _analyze(self) -> None:
-        flat: List[_PlanStmt] = [
-            ps for sec in self.sections for ps in sec.stmts
-        ]
+        flat = self._flat()
         writers: Dict[str, List[int]] = {}
         for idx, ps in enumerate(flat):
             writers.setdefault(ps.stmt.target.name, []).append(idx)
@@ -335,7 +286,7 @@ class _Lowerer:
                     continue
                 if acc.offset[0] != 0 or acc.offset[1] != 0:
                     self.column_major = False
-                if "K" not in self.infos[acc.name].axes:
+                if "K" not in self.arrays[acc.name].axes:
                     if any(w != idx for w in widx):
                         self.full_k = True
                     continue
@@ -399,522 +350,175 @@ class _Lowerer:
         flush()
         return clusters
 
-    # ---- expression emission --------------------------------------------
+    # ---- typed values --------------------------------------------------
 
-    def _index_c(self, info: _NameInfo, off) -> str:
-        axvar = {"I": ("i", 0), "J": ("j", 1), "K": ("k", 2)}
-        terms = []
-        for ax, stride in zip(info.axes, info.strides):
-            var, d = axvar[ax]
-            base = info.origin[d] + off[d]
-            term = f"({var} + ({base}))" if base else var
-            terms.append(f"{term} * {stride}" if stride != 1 else term)
-        return " + ".join(terms)
-
-    def _index_py(self, info: _NameInfo, off) -> str:
-        axvar = {"I": ("i", 0), "J": ("j", 1), "K": ("k", 2)}
-        terms = []
-        for ax in info.axes:
-            var, d = axvar[ax]
-            base = info.origin[d] + off[d]
-            terms.append(f"{var} + ({base})" if base else var)
-        return ", ".join(terms)
-
-    def _expr(self, expr: Expr, c: bool) -> Tuple[str, str]:
-        """Emit one expression; returns (code, tag)."""
-        e = lambda x: self._expr(x, c)  # noqa: E731
+    def _value(self, expr: Expr):
+        """Lower one expression to a typed value tree, or raise
+        :class:`IneligibleKernel` where no bit-exact scalar form exists."""
         if isinstance(expr, Literal):
             v = expr.value
             if isinstance(v, bool):
-                return (("1" if v else "0") if c else repr(v), "b")
+                return Lit(v, "b")
             if isinstance(v, int):
-                return (f"((int64_t){v}LL)" if c else repr(v), "l")
+                return Lit(v, "l")
             if not math.isfinite(v):
                 raise IneligibleKernel(f"non-finite literal {v!r}")
-            return (float(v).hex() if c else repr(float(v)), "d")
+            return Lit(v, "d")
         if isinstance(expr, ScalarRef):
-            return f"s_{expr.name}", "d"
+            return Scalar(expr.name)
         if isinstance(expr, AxisIndexExpr):
-            return {"I": "i", "J": "j", "K": "k"}[expr.axis], "l"
+            return Axis(expr.axis.lower())
         if isinstance(expr, FieldAccess):
-            info = self.infos[expr.name]
-            idx = (
-                self._index_c(info, expr.offset)
-                if c
-                else self._index_py(info, expr.offset)
-            )
-            return f"{info.param}[{idx}]", info.tag
+            return Ref(self.arrays[expr.name], expr.offset)
         if isinstance(expr, BinOp):
-            if expr.op in ("and", "or"):
-                (A, _), (B, _) = e(expr.left), e(expr.right)
-                op = (
-                    ("&&" if expr.op == "and" else "||")
-                    if c
-                    else expr.op
-                )
-                return f"((({A}) != 0) {op} (({B}) != 0))", "b"
-            (A, ta), (B, tb) = e(expr.left), e(expr.right)
-            if expr.op in ("<", ">", "<=", ">=", "==", "!="):
-                return f"(({A}) {expr.op} ({B}))", "b"
-            if expr.op == "/":
-                if c:
-                    return f"((double)({A}) / (double)({B}))", "d"
-                return f"(({A}) / ({B}))", "d"
-            if expr.op in ("+", "-", "*"):
-                t = _promote(ta, tb)
-                if t == "b":
+            a, b = self._value(expr.left), self._value(expr.right)
+            if expr.op in ("and", "or", "<", ">", "<=", ">=", "==", "!="):
+                tag = "b"
+            elif expr.op == "/":
+                tag = "d"
+            elif expr.op in ("+", "-", "*"):
+                tag = _promote(a.tag, b.tag)
+                if tag == "b":
                     raise IneligibleKernel("arithmetic on two booleans")
-                if c and t == "l":
-                    # compute in uint64: two's-complement wrap without the
-                    # signed-overflow UB (matches NumPy int64 semantics)
-                    return (
-                        f"((int64_t)((uint64_t)({A}) {expr.op} "
-                        f"(uint64_t)({B})))",
-                        "l",
-                    )
-                return f"(({A}) {expr.op} ({B}))", t
-            raise IneligibleKernel(f"operator {expr.op!r}")
+            else:
+                raise IneligibleKernel(f"operator {expr.op!r}")
+            return Op(expr.op, (a, b), tag)
         if isinstance(expr, UnaryOp):
-            X, t = e(expr.operand)
+            x = self._value(expr.operand)
             if expr.op == "not":
-                return (
-                    f"(({X}) == 0)" if c else f"(not (({X}) != 0))",
-                    "b",
-                )
-            if t == "b":
+                return Op("not", (x,), "b")
+            if x.tag == "b":
                 raise IneligibleKernel("negation of a boolean")
-            if c and t == "l":
-                return f"((int64_t)(-(uint64_t)({X})))", "l"
-            return f"(-({X}))", t
+            return Op("neg", (x,), x.tag)
         if isinstance(expr, Call):
-            return self._call(expr, c)
+            f = expr.func
+            args = tuple(self._value(a) for a in expr.args)
+            if f in ("min", "max"):
+                tag = _promote(args[0].tag, args[1].tag)
+            elif f in ("sqrt", "abs", "floor", "ceil", "trunc", "sign"):
+                tag = args[0].tag
+                if tag == "b" and f != "abs":
+                    raise IneligibleKernel(f"{f} of a boolean")
+                if f == "sqrt":
+                    tag = "d"
+            else:
+                raise IneligibleKernel(
+                    f"{f}() has no bit-exact scalar form (libm differs "
+                    "from NumPy)"
+                )
+            return Op(f, args, tag)
         if isinstance(expr, Ternary):
-            C_, _ = e(expr.cond)
-            (A, ta), (B, tb) = e(expr.then), e(expr.orelse)
-            t = _promote(ta, tb)
-            if c:
-                return f"((({C_}) != 0) ? ({A}) : ({B}))", t
-            return f"(({A}) if (({C_}) != 0) else ({B}))", t
+            c, a, b = (
+                self._value(e) for e in (expr.cond, expr.then, expr.orelse)
+            )
+            return Op("select", (c, a, b), _promote(a.tag, b.tag))
         raise IneligibleKernel(f"expression {type(expr).__name__}")
 
-    def _call(self, expr: Call, c: bool) -> Tuple[str, str]:
-        f = expr.func
-        args = [self._expr(a, c) for a in expr.args]
-        if f == "sqrt":
-            (X, t) = args[0]
-            if t == "b":
-                raise IneligibleKernel("sqrt of a boolean")
-            return (f"sqrt((double)({X}))" if c else f"np.sqrt({X})", "d")
-        if f == "abs":
-            (X, t) = args[0]
-            if not c:
-                return f"np.abs({X})", t
-            if t == "d":
-                return f"fabs({X})", "d"
-            if t == "l":
-                return f"__r_labs({X})", "l"
-            return f"({X})", "b"  # np.abs on bool is the identity
-        if f in ("floor", "ceil", "trunc"):
-            (X, t) = args[0]
-            if t == "b":
-                raise IneligibleKernel(f"{f} of a boolean")
-            if t == "l":
-                return f"({X})", "l"  # NumPy preserves integer dtype
-            return (f"{f}({X})" if c else f"np.{f}({X})", "d")
-        if f in ("min", "max"):
-            (A, ta), (B, tb) = args
-            t = _promote(ta, tb)
-            if not c:
-                np_f = "np.minimum" if f == "min" else "np.maximum"
-                return f"{np_f}(({A}), ({B}))", t
-            if t == "b":
-                op = "&&" if f == "min" else "||"
-                return f"((({A}) != 0) {op} (({B}) != 0))", "b"
-            helper = {"d": "__r_f", "l": "__r_l"}[t] + f
-            return f"{helper}(({A}), ({B}))", t
-        if f == "sign":
-            (X, t) = args[0]
-            if t == "b":
-                raise IneligibleKernel("sign of a boolean")
-            if not c:
-                return f"np.sign({X})", t
-            return (f"__r_sign({X})" if t == "d" else f"__r_lsign({X})", t)
-        raise IneligibleKernel(
-            f"{f}() has no bit-exact scalar form (libm differs from NumPy)"
-        )
+    # ---- loop shapes ----------------------------------------------------
 
-    def _store(self, ps: _PlanStmt, c: bool) -> str:
-        info = self.infos[ps.stmt.target.name]
-        V, tv = self._expr(ps.stmt.value, c)
-        if c:
-            idx = self._index_c(info, (0, 0, 0))
-            if info.tag == "b":
-                V = f"(unsigned char)(({V}) != 0)"
-            elif info.tag == "l" and tv == "d":
-                V = f"(int64_t)({V})"  # C truncation == NumPy float→int
-            return f"{info.param}[{idx}] = {V};"
-        idx = self._index_py(info, (0, 0, 0))
-        # NumPy element assignment performs the same dtype cast the array
-        # backend's full-array assignment does
-        return f"{info.param}[{idx}] = {V}"
-
-    # ---- C loop nests ----------------------------------------------------
+    def build(self, func_name: str, k_block: int, i_tile: Optional[int]) -> Nest:
+        if self.kernel.order == "PARALLEL":
+            body = self._parallel_shape(k_block, i_tile)
+        elif self.column_major:
+            body = self._column_shape(i_tile)
+        else:
+            body = self._level_shape(i_tile)
+        return Nest(func_name, list(self.arrays.values()), self.scalars, body)
 
     @staticmethod
-    def _omp() -> str:
-        # ignored (silently) when the object was built without -fopenmp
-        return (
-            "#pragma omp parallel for schedule(static) "
-            "num_threads((int)nthreads) if(nthreads > 1)"
+    def _ij_nest(irng, jrng, i_tile, body) -> Loop:
+        """The thread axis: a parallel i loop (tiled when the tile is
+        narrower than the range) around a j loop."""
+        tile = i_tile if i_tile and 0 < i_tile < irng[1] - irng[0] else None
+        return Loop(
+            "i", *irng, [Loop("j", *jrng, body)], parallel=True, tile=tile
         )
 
-    def emit_c(self, k_block: int, i_tile: Optional[int]) -> str:
-        out = _SourceBuilder()
-        params = [
-            f"{_CTYPE[self.infos[n].tag]}* {self.infos[n].param}"
-            for n in self.arg_names
+    def _k_sweep(self, krng, body) -> Loop:
+        """The sequential k loop of a FORWARD/BACKWARD section."""
+        return Loop("k", *krng, body, reverse=self.kernel.order == "BACKWARD")
+
+    @staticmethod
+    def _guarded(ps: _PlanStmt, body, ranges=()) -> list:
+        """``body`` under ``ranges`` plus the statement's region guard."""
+        if ps.guard is not None:
+            ranges = (*ranges, ("i", *ps.guard[0]), ("j", *ps.guard[1]))
+        return [Guard(tuple(ranges), body)] if ranges else body
+
+    def _plane(self, group: List[_PlanStmt], i_tile, klo=None, khi=None) -> Loop:
+        """One fusion cluster (:meth:`_fuse_clusters`) as a horizontal
+        nest: i/j loops, the region guard, an inner k loop over
+        ``[klo, khi)`` when given, then the member stores. All members
+        share ranges and guard, so the structure comes from the first."""
+        head = group[0]
+        body = [ps.store for ps in group]
+        if klo is not None:
+            body = [Loop("k", klo, khi, body)]
+        return self._ij_nest(
+            head.irng, head.jrng, i_tile, self._guarded(head, body)
+        )
+
+    def _parallel_shape(self, kb: int, i_tile) -> list:
+        """Statement-major: per section, one plane per fusion cluster;
+        k-blocked when legal and the block is shallower than the kernel."""
+        kmin = min(krng[0] for krng, _ in self.sections)
+        kmax = max(krng[1] for krng, _ in self.sections)
+        blocked = not self.full_k and 0 < kb < (kmax - kmin)
+        body = []
+        for krng, stmts in self.sections:
+            klo, khi = ("__k0", "__k1") if blocked else krng
+            planes = [
+                self._plane(group, i_tile, klo, khi)
+                for group in self._fuse_clusters(stmts)
+            ]
+            if blocked:
+                planes = [Clamp(klo, khi, *krng, "__b", "__be", planes)]
+            body += planes
+        if blocked:
+            body = [Strip("__b", "__be", kmin, kmax, kb, body)]
+        return body
+
+    def _column_shape(self, i_tile) -> list:
+        """Column-major: all levels of one (i, j) column before the next;
+        statements narrower than the hull of all ranges are guarded."""
+        flat = self._flat()
+        irng = min(ps.irng[0] for ps in flat), max(ps.irng[1] for ps in flat)
+        jrng = min(ps.jrng[0] for ps in flat), max(ps.jrng[1] for ps in flat)
+        sweeps = []
+        for krng, stmts in self.sections:
+            body = []
+            for ps in stmts:
+                ranges = []
+                if ps.irng != irng:
+                    ranges.append(("i", *ps.irng))
+                if ps.jrng != jrng:
+                    ranges.append(("j", *ps.jrng))
+                body += self._guarded(ps, [ps.store], ranges)
+            sweeps.append(self._k_sweep(krng, body))
+        return [self._ij_nest(irng, jrng, i_tile, sweeps)]
+
+    def _level_shape(self, i_tile) -> list:
+        """Level-major, exactly the ufunc emission order: per section a
+        sequential k sweep with each statement a full horizontal plane."""
+        return [
+            self._k_sweep(krng, [self._plane([ps], i_tile) for ps in stmts])
+            for krng, stmts in self.sections
         ]
-        params += [f"double s_{s}" for s in self.scalars]
-        params.append("int64_t nthreads")
-        out.emit(f"void {self.func_name}({', '.join(params)})")
-        out.emit("{")
-        out.indent += 1
-        out.emit("(void)nthreads;")
-        if self.kernel.order == "PARALLEL":
-            self._c_parallel(out, k_block, i_tile)
-        elif self.column_major:
-            self._c_column(out, i_tile)
-        else:
-            self._c_level(out, i_tile)
-        out.indent -= 1
-        out.emit("}")
-        return out.source()
-
-    def _c_parallel(self, out, kb: int, i_tile) -> None:
-        kmin = min(sec.krng[0] for sec in self.sections)
-        kmax = max(sec.krng[1] for sec in self.sections)
-        blocked = not self.full_k and 0 < kb < (kmax - kmin)
-        if blocked:
-            out.emit(f"for (int64_t __b = {kmin}; __b < {kmax}; __b += {kb})")
-            out.emit("{")
-            out.indent += 1
-            out.emit(
-                f"int64_t __be = __b + {kb} < {kmax} ? __b + {kb} : {kmax};"
-            )
-        for sec in self.sections:
-            k0, k1 = sec.krng
-            if blocked:
-                out.emit("{")
-                out.indent += 1
-                out.emit(f"int64_t __k0 = {k0} > __b ? {k0} : __b;")
-                out.emit(f"int64_t __k1 = {k1} < __be ? {k1} : __be;")
-                out.emit("if (__k0 < __k1) {")
-                out.indent += 1
-                klo, khi = "__k0", "__k1"
-            else:
-                klo, khi = str(k0), str(k1)
-            for group in self._fuse_clusters(sec.stmts):
-                self._c_stmt_loops(out, group, i_tile, klo=klo, khi=khi)
-            if blocked:
-                out.indent -= 1
-                out.emit("}")
-                out.indent -= 1
-                out.emit("}")
-        if blocked:
-            out.indent -= 1
-            out.emit("}")
-
-    def _c_stmt_loops(self, out, group, i_tile, klo=None, khi=None) -> None:
-        """omp-parallel i (or i-tile) loop, j loop, optional region guard,
-        optional inner k loop [klo, khi), then the fused statement bodies.
-
-        ``group`` is one fusion cluster (:meth:`_fuse_clusters`) — or a
-        single statement wrapped in a list; all members share ranges and
-        guard, so the loop structure comes from the first."""
-        if isinstance(group, _PlanStmt):
-            group = [group]
-        ps = group[0]
-        i0, i1 = ps.irng
-        j0, j1 = ps.jrng
-        opens = 0
-        out.emit(self._omp())
-        if i_tile and 0 < i_tile < i1 - i0:
-            out.emit(
-                f"for (int64_t __t = {i0}; __t < {i1}; __t += {i_tile}) {{"
-            )
-            out.indent += 1
-            opens += 1
-            out.emit(
-                f"int64_t __te = __t + {i_tile} < {i1} ? "
-                f"__t + {i_tile} : {i1};"
-            )
-            out.emit("for (int64_t i = __t; i < __te; ++i) {")
-        else:
-            out.emit(f"for (int64_t i = {i0}; i < {i1}; ++i) {{")
-        out.indent += 1
-        opens += 1
-        out.emit(f"for (int64_t j = {j0}; j < {j1}; ++j) {{")
-        out.indent += 1
-        opens += 1
-        if ps.guard is not None:
-            (a0, a1), (b0, b1) = ps.guard
-            out.emit(
-                f"if (i >= {a0} && i < {a1} && j >= {b0} && j < {b1}) {{"
-            )
-            out.indent += 1
-            opens += 1
-        if klo is not None:
-            out.emit(f"for (int64_t k = {klo}; k < {khi}; ++k) {{")
-            out.indent += 1
-            opens += 1
-        for member in group:
-            self._c_body(out, member)
-        while opens:
-            out.indent -= 1
-            out.emit("}")
-            opens -= 1
-
-    def _c_body(self, out, ps) -> None:
-        if ps.stmt.mask is not None:
-            M, _ = self._expr(ps.stmt.mask, True)
-            out.emit(f"if (({M}) != 0) {{")
-            out.indent += 1
-            out.emit(self._store(ps, True))
-            out.indent -= 1
-            out.emit("}")
-        else:
-            out.emit(self._store(ps, True))
-
-    def _c_column(self, out, i_tile) -> None:
-        flat = [ps for sec in self.sections for ps in sec.stmts]
-        I0 = min(ps.irng[0] for ps in flat)
-        I1 = max(ps.irng[1] for ps in flat)
-        J0 = min(ps.jrng[0] for ps in flat)
-        J1 = max(ps.jrng[1] for ps in flat)
-        opens = 0
-        out.emit(self._omp())
-        if i_tile and 0 < i_tile < I1 - I0:
-            out.emit(
-                f"for (int64_t __t = {I0}; __t < {I1}; __t += {i_tile}) {{"
-            )
-            out.indent += 1
-            opens += 1
-            out.emit(
-                f"int64_t __te = __t + {i_tile} < {I1} ? "
-                f"__t + {i_tile} : {I1};"
-            )
-            out.emit("for (int64_t i = __t; i < __te; ++i) {")
-        else:
-            out.emit(f"for (int64_t i = {I0}; i < {I1}; ++i) {{")
-        out.indent += 1
-        opens += 1
-        out.emit(f"for (int64_t j = {J0}; j < {J1}; ++j) {{")
-        out.indent += 1
-        opens += 1
-        for sec in self.sections:
-            k0, k1 = sec.krng
-            if self.kernel.order == "FORWARD":
-                out.emit(f"for (int64_t k = {k0}; k < {k1}; ++k) {{")
-            else:
-                out.emit(f"for (int64_t k = {k1} - 1; k >= {k0}; --k) {{")
-            out.indent += 1
-            for ps in sec.stmts:
-                conds = []
-                if ps.irng != (I0, I1):
-                    conds.append(f"i >= {ps.irng[0]} && i < {ps.irng[1]}")
-                if ps.jrng != (J0, J1):
-                    conds.append(f"j >= {ps.jrng[0]} && j < {ps.jrng[1]}")
-                if ps.guard is not None:
-                    (a0, a1), (b0, b1) = ps.guard
-                    conds.append(
-                        f"i >= {a0} && i < {a1} && j >= {b0} && j < {b1}"
-                    )
-                if conds:
-                    out.emit(f"if ({' && '.join(conds)}) {{")
-                    out.indent += 1
-                    self._c_body(out, ps)
-                    out.indent -= 1
-                    out.emit("}")
-                else:
-                    self._c_body(out, ps)
-            out.indent -= 1
-            out.emit("}")
-        while opens:
-            out.indent -= 1
-            out.emit("}")
-            opens -= 1
-
-    def _c_level(self, out, i_tile) -> None:
-        """Exactly the parent's emission order: per section, a sequential
-        k sweep, statements as full horizontal planes inside."""
-        for sec in self.sections:
-            k0, k1 = sec.krng
-            if self.kernel.order == "FORWARD":
-                out.emit(f"for (int64_t k = {k0}; k < {k1}; ++k) {{")
-            else:
-                out.emit(f"for (int64_t k = {k1} - 1; k >= {k0}; --k) {{")
-            out.indent += 1
-            for ps in sec.stmts:
-                self._c_stmt_loops(out, ps, i_tile)
-            out.indent -= 1
-            out.emit("}")
-
-    # ---- Python loop nests ----------------------------------------------
-
-    def emit_py(self, k_block: int) -> str:
-        out = _SourceBuilder()
-        params = [self.infos[n].param for n in self.arg_names]
-        params += [f"s_{s}" for s in self.scalars]
-        out.emit(f"def {self.func_name}({', '.join(params)}):")
-        out.indent += 1
-        if self.kernel.order == "PARALLEL":
-            self._py_parallel(out, k_block)
-        elif self.column_major:
-            self._py_column(out)
-        else:
-            self._py_level(out)
-        out.emit("return None")
-        return out.source()
-
-    def _py_parallel(self, out, kb: int) -> None:
-        kmin = min(sec.krng[0] for sec in self.sections)
-        kmax = max(sec.krng[1] for sec in self.sections)
-        blocked = not self.full_k and 0 < kb < (kmax - kmin)
-        base = out.indent
-        if blocked:
-            out.emit(f"for __b in range({kmin}, {kmax}, {kb}):")
-            out.indent += 1
-            out.emit(f"__be = min(__b + {kb}, {kmax})")
-        for sec in self.sections:
-            k0, k1 = sec.krng
-            if blocked:
-                out.emit(f"__k0 = max({k0}, __b)")
-                out.emit(f"__k1 = min({k1}, __be)")
-                out.emit("if __k0 < __k1:")
-                out.indent += 1
-                klo, khi = "__k0", "__k1"
-            else:
-                klo, khi = str(k0), str(k1)
-            for group in self._fuse_clusters(sec.stmts):
-                self._py_stmt_loops(out, group, klo=klo, khi=khi)
-            if blocked:
-                out.indent -= 1
-        out.indent = base
-
-    def _py_stmt_loops(self, out, group, klo=None, khi=None) -> None:
-        if isinstance(group, _PlanStmt):
-            group = [group]
-        ps = group[0]
-        base = out.indent
-        i0, i1 = ps.irng
-        j0, j1 = ps.jrng
-        out.emit(f"for i in __prange({i0}, {i1}):")
-        out.indent += 1
-        out.emit(f"for j in range({j0}, {j1}):")
-        out.indent += 1
-        if ps.guard is not None:
-            (a0, a1), (b0, b1) = ps.guard
-            out.emit(f"if {a0} <= i < {a1} and {b0} <= j < {b1}:")
-            out.indent += 1
-        if klo is not None:
-            out.emit(f"for k in range({klo}, {khi}):")
-            out.indent += 1
-        for member in group:
-            self._py_body(out, member)
-        out.indent = base
-
-    def _py_body(self, out, ps) -> None:
-        if ps.stmt.mask is not None:
-            M, _ = self._expr(ps.stmt.mask, False)
-            out.emit(f"if ({M}) != 0:")
-            out.indent += 1
-            out.emit(self._store(ps, False))
-            out.indent -= 1
-        else:
-            out.emit(self._store(ps, False))
-
-    def _py_column(self, out) -> None:
-        flat = [ps for sec in self.sections for ps in sec.stmts]
-        I0 = min(ps.irng[0] for ps in flat)
-        I1 = max(ps.irng[1] for ps in flat)
-        J0 = min(ps.jrng[0] for ps in flat)
-        J1 = max(ps.jrng[1] for ps in flat)
-        base = out.indent
-        out.emit(f"for i in __prange({I0}, {I1}):")
-        out.indent += 1
-        out.emit(f"for j in range({J0}, {J1}):")
-        out.indent += 1
-        for sec in self.sections:
-            k0, k1 = sec.krng
-            if self.kernel.order == "FORWARD":
-                out.emit(f"for k in range({k0}, {k1}):")
-            else:
-                out.emit(f"for k in range({k1} - 1, {k0} - 1, -1):")
-            out.indent += 1
-            for ps in sec.stmts:
-                conds = []
-                if ps.irng != (I0, I1):
-                    conds.append(f"{ps.irng[0]} <= i < {ps.irng[1]}")
-                if ps.jrng != (J0, J1):
-                    conds.append(f"{ps.jrng[0]} <= j < {ps.jrng[1]}")
-                if ps.guard is not None:
-                    (a0, a1), (b0, b1) = ps.guard
-                    conds.append(
-                        f"{a0} <= i < {a1} and {b0} <= j < {b1}"
-                    )
-                if conds:
-                    out.emit(f"if {' and '.join(conds)}:")
-                    out.indent += 1
-                    self._py_body(out, ps)
-                    out.indent -= 1
-                else:
-                    self._py_body(out, ps)
-            out.indent -= 1
-        out.indent = base
-
-    def _py_level(self, out) -> None:
-        for sec in self.sections:
-            k0, k1 = sec.krng
-            if self.kernel.order == "FORWARD":
-                out.emit(f"for k in range({k0}, {k1}):")
-            else:
-                out.emit(f"for k in range({k1} - 1, {k0} - 1, -1):")
-            out.indent += 1
-            for ps in sec.stmts:
-                self._py_stmt_loops(out, ps)
-            out.indent -= 1
 
 
-_TAG_DTYPE = {"d": "<f8", "l": "<i8", "b": "|b1"}
-
-
-def lower_kernel(kernel: Kernel, sdfg, func_name: str, threads: int) -> KernelUnit:
+def lower_kernel(kernel: Kernel, sdfg, func_name: str) -> KernelUnit:
     """Lower one kernel to a :class:`KernelUnit`, or raise
     :class:`IneligibleKernel` when no bit-exact scalar form exists."""
     if kernel.order not in ("PARALLEL", "FORWARD", "BACKWARD"):
         raise IneligibleKernel(f"iteration order {kernel.order!r}")
-    low = _Lowerer(kernel, sdfg, func_name, threads)
-    k_block, i_tile = _k_params(kernel, sdfg)
-    tile = kernel.schedule.tile_sizes
-    if i_tile is None and tile and tile[0] and tile[0] > 0:
-        i_tile = tile[0]
-    c_source = low.emit_c(k_block, i_tile)
-    py_source = low.emit_py(k_block)
-    return KernelUnit(
-        label=kernel.label,
-        func_name=func_name,
-        runtime_args=[low.infos[n].runtime for n in low.arg_names],
-        arg_specs=[
-            (tuple(low.infos[n].shape), _TAG_DTYPE[low.infos[n].tag])
-            for n in low.arg_names
-        ],
-        scalar_names=low.scalars,
-        c_source=c_source,
-        py_source=py_source,
-        k_block=k_block,
-        full_k=low.full_k,
-        parallel_dim="i",
-    )
+    from repro.core.heuristics import select_cpu_tiles
+    from repro.obs.metrics import observed_machine
+
+    low = _Lowerer(kernel, sdfg)
+    k_block, i_tile = select_cpu_tiles(kernel, sdfg, observed_machine())
+    tree = low.build(func_name, jit.k_block_override() or k_block, i_tile)
+    specs = [(tuple(a.shape), _TAG_DTYPE[a.tag]) for a in tree.arrays]
+    return KernelUnit(kernel.label, tree, specs)
 
 
 # ---------------------------------------------------------------------------
@@ -998,7 +602,7 @@ class CompiledPlan(CompiledSDFG):
             re.sub(r"[^0-9A-Za-z_]", "_", node.label),
         )
         try:
-            unit = lower_kernel(node, self.sdfg, func_name, self.threads)
+            unit = lower_kernel(node, self.sdfg, func_name)
         except IneligibleKernel as exc:
             self.fallback_kernels.append((node.label, str(exc)))
             return super()._emit_node(node, out, pending_fills)
@@ -1007,28 +611,12 @@ class CompiledPlan(CompiledSDFG):
         self._units.append(unit)
         kidx = len(self.kernel_labels)
         self.kernel_labels.append(node.label)
-        out.emit(f"# kernel {node.label} [compiled:{unit.func_name}]")
+        out.emit(f"# kernel {node.label} [compiled:{func_name}]")
         if self.instrument:
             out.emit("__t0 = __perf_counter()")
-        # bind kernel-local arrays to pooled slots, zeroing exactly the
-        # ones the parent would zero (read before fully written)
-        prefix = f"__loc{node.node_id}_"
-        need_zero = _locals_needing_zero(node)
-        ni, nj, nk = node.domain
-        local_slots = []
-        for name, ext in node.local_arrays.items():
-            shape = (
-                ni - ext.i_lo + ext.i_hi,
-                nj - ext.j_lo + ext.j_hi,
-                nk - ext.k_lo + ext.k_hi,
-            )
-            idx = self._plan.alloc(shape)
-            local_slots.append(idx)
-            out.emit(f"{prefix}{name} = __B[{idx}]")
-            if name in need_zero:
-                out.emit(f"{prefix}{name}.fill(0)")
-        args = list(unit.runtime_args)
-        args += [f"__s_{s}" for s in unit.scalar_names]
+        local_slots = _bind_locals(node, out, self._plan)
+        args = [a.runtime for a in unit.tree.arrays]
+        args += [f"__s_{s}" for s in unit.tree.scalars]
         out.emit(f"__K[{uidx}]({', '.join(args)})")
         if self.instrument:
             out.emit(f"__KT[{kidx}] += __perf_counter() - __t0")
@@ -1048,14 +636,14 @@ class CompiledPlan(CompiledSDFG):
             pass
         elif engine == "cgen":
             source = _C_PREAMBLE + "\n".join(
-                u.c_source for u in self._units
+                print_c(u.tree) for u in self._units
             )
             lib = jit.compile_c(source, want_openmp=self.threads > 1)
             for unit in self._units:
-                cfn = getattr(lib, unit.func_name)
+                cfn = getattr(lib, unit.tree.name)
                 cfn.argtypes = (
                     [ctypes.c_void_p] * len(unit.arg_specs)
-                    + [ctypes.c_double] * len(unit.scalar_names)
+                    + [ctypes.c_double] * len(unit.tree.scalars)
                     + [ctypes.c_int64]
                 )
                 cfn.restype = None
@@ -1064,7 +652,7 @@ class CompiledPlan(CompiledSDFG):
             parallel = engine == "numba" and self.threads > 1
             for unit in self._units:
                 fn = jit.compile_py(
-                    unit.py_source, unit.func_name, parallel=parallel
+                    print_py(unit.tree), unit.tree.name, parallel=parallel
                 )
                 funcs.append(_py_caller(fn, unit))
         else:

@@ -1,11 +1,5 @@
-"""Utilities: lines-of-code accounting (Table I).
+"""Utilities: lines-of-code accounting (Table I)."""
 
-Timing helpers moved to :mod:`repro.obs`; ``median_time`` is re-exported
-here for compatibility (``repro.util.timing`` itself is a deprecation
-shim).
-"""
-
-from repro.obs.timing import median_time
 from repro.util.loc import count_loc, loc_table
 
-__all__ = ["count_loc", "loc_table", "median_time"]
+__all__ = ["count_loc", "loc_table"]

@@ -163,25 +163,9 @@ def test_default_backend_rejects_unknown_names():
 
 
 # ---------------------------------------------------------------------------
-# deprecation shims
+# removed module globals stay removed
 # ---------------------------------------------------------------------------
-def test_module_global_default_backend_warns_but_works():
-    with pytest.warns(DeprecationWarning, match="DEFAULT_BACKEND"):
-        value = _STENCIL_MODULE.DEFAULT_BACKEND
-    assert value == current_default_backend()
-
-
 def test_stencil_module_has_no_valid_backends_tuple():
     assert not hasattr(type(_STENCIL_MODULE), "_VALID_BACKENDS")
     with pytest.raises(AttributeError):
         _STENCIL_MODULE._VALID_BACKENDS
-
-
-def test_set_default_backend_warns_and_delegates():
-    before = default_backend()
-    try:
-        with pytest.warns(DeprecationWarning, match="set_default_backend"):
-            _STENCIL_MODULE.set_default_backend("dataflow")
-        assert default_backend() == "dataflow"
-    finally:
-        default_backend(before)

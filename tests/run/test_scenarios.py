@@ -143,47 +143,8 @@ def test_dyncore_default_init_is_the_baroclinic_scenario():
 
 
 # ---------------------------------------------------------------------------
-# deprecation shims (the PR-1 set_default_backend pattern)
+# what repro.fv3.initial still holds
 # ---------------------------------------------------------------------------
-def _assert_warns_once(called):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = called()
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len(deprecations) == 1, (
-        f"expected exactly one DeprecationWarning, got "
-        f"{[str(w.message) for w in deprecations]}"
-    )
-    assert "repro.scenarios" in str(deprecations[0].message)
-    return out
-
-
-def test_initial_shims_warn_once_and_delegate():
-    from repro.fv3 import initial
-    from repro.scenarios import library
-
-    grid = _one_grid()
-    cfg = DynamicalCoreConfig(npx=12, npz=4, layout=1, n_tracers=1)
-
-    old = _assert_warns_once(lambda: initial.baroclinic_state(grid, cfg))
-    new = library.baroclinic_state(grid, cfg)
-    np.testing.assert_array_equal(old.u, new.u)
-    np.testing.assert_array_equal(old.delp, new.delp)
-
-    old_uv = _assert_warns_once(
-        lambda: initial.solid_body_rotation_winds(grid, 4, u0=30.0)
-    )
-    new_uv = library.solid_body_rotation_winds(grid, 4, u0=30.0)
-    np.testing.assert_array_equal(old_uv[0], new_uv[0])
-    np.testing.assert_array_equal(old_uv[1], new_uv[1])
-
-    old_tr = _assert_warns_once(lambda: initial.gaussian_tracer(grid, 4))
-    new_tr = library.gaussian_tracer(grid, 4)
-    np.testing.assert_array_equal(old_tr, new_tr)
-
-
 def test_undeprecated_initial_surface_stays_quiet():
     from repro.fv3.initial import RankFields, reference_coordinate
 

@@ -38,6 +38,35 @@ def test_bogus_forced_engine_raises(forced_engine):
         forced_engine("fortran")
 
 
+@pytest.mark.parametrize("bad", ["junk", "0", "-4", "2.5"])
+def test_bad_kblock_raises_typed_error_naming_variable_and_value(
+    monkeypatch, bad
+):
+    monkeypatch.setenv("REPRO_KBLOCK", bad)
+    with pytest.raises(jit.JitConfigError, match=f"REPRO_KBLOCK='{bad}'"):
+        jit.k_block_override()
+    # the compile-cache key uses the same reader: same error, same place
+    from repro.runtime import compile_cache
+
+    with pytest.raises(jit.JitConfigError):
+        compile_cache.codegen_flags(backend="compiled")
+
+
+def test_kblock_cache_key_is_the_parsed_value(monkeypatch, forced_engine):
+    from repro.runtime import compile_cache
+
+    forced_engine("pyloops")
+    monkeypatch.delenv("REPRO_KBLOCK", raising=False)
+    assert jit.k_block_override() is None
+    unset = compile_cache.codegen_flags(backend="compiled")
+    keys = set()
+    for spelling in ("8", "08", " 8"):
+        monkeypatch.setenv("REPRO_KBLOCK", spelling)
+        assert jit.k_block_override() == 8
+        keys.add(compile_cache.codegen_flags(backend="compiled"))
+    assert len(keys) == 1 and unset not in keys
+
+
 def test_none_engine_is_unavailable(forced_engine):
     forced_engine("none")
     assert not jit.available()

@@ -114,6 +114,24 @@ def test_mask_equivalence():
     _assert_equal(*_run_both(limiter, arrays, origin=(0, 0, 0), domain=(6, 6, 4)))
 
 
+def test_region_on_a_2d_target_is_predicated():
+    """Regression: a region write to an IJ field inside a PARALLEL
+    single-level interval used to lose its predicate (the 2D branch of
+    the statement emitter re-resolved the ranges without the region) and
+    overwrote the whole plane."""
+    @stencil
+    def edge2d(a: Field, out: FieldIJ):
+        with computation(PARALLEL), interval(0, 1):
+            out = a
+            with horizontal(region[:, j_start]):
+                out = a * 10.0
+
+    arrays = {"a": _rand((5, 4, 3)), "out": np.zeros((5, 4))}
+    _assert_equal(
+        *_run_both(edge2d, arrays, origin=(0, 0, 0), domain=(5, 4, 3))
+    )
+
+
 def test_region_equivalence_both_strategies():
     def defn(v: Field, flux: Field, dt2: float):
         with computation(PARALLEL), interval(...):
@@ -274,41 +292,6 @@ def test_repeated_calls_do_not_see_stale_scratch():
     _assert_equal(
         *_run_both(masked, second, origin=(0, 0, 0), domain=shape)
     )
-
-
-def test_out_scheduling_toggle_is_bit_exact(monkeypatch):
-    """REPRO_OUT_SCHEDULING=0 restores nested-expression emission; both
-    emission modes must agree exactly."""
-    import repro.runtime.compile_cache as cc
-    from repro.dsl.backend_dataflow import DataflowStencilExecutor
-    from repro.sdfg.codegen import compile_sdfg
-
-    @stencil
-    def flux(a: Field, cr: Field, out: Field):
-        with computation(PARALLEL), interval(...):
-            out = (a[1, 0, 0] - a) * cr + a * 0.5 - min(a, cr) * abs(cr)
-
-    ex = DataflowStencilExecutor(flux)
-    shapes = {n: (7, 6, 3) for n in ("a", "cr", "out")}
-    sdfg = ex.build_sdfg(
-        shapes, {n: np.float64 for n in shapes}, (0, 0, 0), (6, 6, 3)
-    )
-    arrays = {
-        "a": _rand((7, 6, 3)),
-        "cr": _rand((7, 6, 3), seed=2) - 0.5,
-        "out": np.zeros((7, 6, 3)),
-    }
-    sched = {k: v.copy() for k, v in arrays.items()}
-    prog = compile_sdfg(sdfg)
-    assert "out=" in prog.source
-    prog(arrays=sched)
-
-    monkeypatch.setenv("REPRO_OUT_SCHEDULING", "0")
-    plain = {k: v.copy() for k, v in arrays.items()}
-    prog0 = compile_sdfg(sdfg)
-    assert "out=" not in prog0.source
-    prog0(arrays=plain)
-    np.testing.assert_array_equal(sched["out"], plain["out"])
 
 
 def test_compiled_program_reports_runtime_bytes():

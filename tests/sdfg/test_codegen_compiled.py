@@ -1,11 +1,11 @@
 """Unit tests for the compiled (JITted loop nest) emission target.
 
 Cross-checks the scalar lowering against both DSL backends, exercises
-the eligibility rules and their per-kernel fallback, the k-blocking
-legality analysis, statement fusion, and the plan's argument contract.
-Runs under the ``pyloops`` engine so it needs no toolchain; a separate
-test repeats the equivalence check under ``cgen`` when a C compiler
-exists.
+the eligibility rules and their per-kernel fallback, the shape of the
+loop-nest tree (k-blocking legality, statement fusion, solver loop
+orders), that both printers of one tree agree with the NumPy reference,
+and the plan's argument contract. Runs under the ``pyloops`` engine so it
+needs no toolchain; the C printer is exercised when a C compiler exists.
 """
 
 import numpy as np
@@ -22,15 +22,17 @@ from repro.dsl import (
 )
 from repro.dsl.backend_dataflow import DataflowStencilExecutor
 from repro.runtime import jit
+from repro.sdfg import codegen_compiled
 from repro.sdfg.codegen import compile_sdfg
 from repro.sdfg.codegen_compiled import (
-    CompiledPlan,
     IneligibleKernel,
     PlanBindError,
     compile_sdfg_compiled,
     lower_kernel,
 )
+from repro.sdfg.loopnest import Clamp, Loop, Store, Strip
 from repro.sdfg.nodes import Kernel
+from tests.fv3.test_backend_bitexact import NI, NJ, NK, _discover, _synthesize
 
 
 @pytest.fixture(autouse=True)
@@ -77,6 +79,26 @@ def _first_kernel(sdfg) -> Kernel:
             if isinstance(node, Kernel):
                 return node
     raise AssertionError("no kernel")
+
+
+def _tree(stencil_obj, arrays, origin=(0, 0, 0), domain=None):
+    """The loop-nest tree of a stencil's (single) kernel."""
+    sdfg = _build_sdfg(stencil_obj, arrays, origin, domain)
+    return lower_kernel(_first_kernel(sdfg), sdfg, "k0").tree
+
+
+def _nodes(nodes, kind):
+    """Every node of type ``kind`` under ``nodes``, in program order."""
+    found = []
+    for node in nodes:
+        if isinstance(node, kind):
+            found.append(node)
+        found.extend(_nodes(getattr(node, "body", ()), kind))
+    return found
+
+
+def loops(nodes, var=None):
+    return [lp for lp in _nodes(nodes, Loop) if var in (None, lp.var)]
 
 
 # ---------------------------------------------------------------------------
@@ -176,29 +198,66 @@ def test_parallel_self_read_at_offset_is_ineligible():
     sdfg = _build_sdfg(shift, arrays, domain=(4, 4, 3))
     kernel = _first_kernel(sdfg)
     with pytest.raises(IneligibleKernel, match="reads itself"):
-        lower_kernel(kernel, sdfg, "k0", threads=1)
+        lower_kernel(kernel, sdfg, "k0")
+
+
+def test_ineligible_kernel_raises_before_any_printer_runs(monkeypatch):
+    """Every eligibility decision is taken while the tree is built: a
+    kernel with no scalar form never reaches ``print_c``/``print_py``."""
+    printed = []
+    for name in ("print_c", "print_py"):
+        monkeypatch.setattr(
+            codegen_compiled, name, lambda tree: printed.append(tree.name)
+        )
+    arrays = {"a": 1.0 + _rand((4, 4, 3)), "out": np.zeros((4, 4, 3))}
+    sdfg = _build_sdfg(_logged, arrays)
+    with pytest.raises(IneligibleKernel, match="bit-exact scalar form"):
+        lower_kernel(_first_kernel(sdfg), sdfg, "k0")
+    plan = compile_sdfg_compiled(sdfg)
+    assert plan.fallback_kernels and not plan.compiled_kernels
+    assert printed == []
 
 
 # ---------------------------------------------------------------------------
-# k-blocking legality + fusion
+# the loop-nest tree: k-blocking legality, fusion, solver loop orders
 # ---------------------------------------------------------------------------
 
 
-def test_upward_cross_statement_read_forces_full_k():
-    @stencil
-    def updown(a: Field, t: Field, out: Field):
-        with computation(PARALLEL), interval(...):
-            t = a * 2.0
-            out = t[0, 0, 1]
+@stencil
+def _updown(a: Field, t: Field, out: Field):
+    with computation(PARALLEL), interval(...):
+        t = a * 2.0
+        out = t[0, 0, 1]
 
-    arrays = {
-        "a": _rand((4, 4, 6)), "t": np.zeros((4, 4, 6)),
-        "out": np.zeros((4, 4, 6)),
-    }
-    sdfg = _build_sdfg(updown, arrays, domain=(4, 4, 5))
-    unit = lower_kernel(_first_kernel(sdfg), sdfg, "k0", threads=1)
-    assert unit.full_k
 
+@stencil
+def _downward(a: Field, t: Field, out: Field):
+    with computation(PARALLEL), interval(...):
+        t = a * 2.0
+        out = t[0, 0, -1]
+
+
+def _three(shape):
+    return {"a": _rand(shape), "t": np.zeros(shape), "out": np.zeros(shape)}
+
+
+def test_upward_cross_statement_read_forces_full_k(monkeypatch):
+    monkeypatch.setenv("REPRO_KBLOCK", "2")
+    arrays = _three((4, 4, 7))
+    # a downward read of an earlier statement's output may be k-blocked:
+    # one strip-mined block loop, each section's k range clamped to it
+    blocked = _tree(_downward, arrays, origin=(0, 0, 1), domain=(4, 4, 5))
+    (strip,) = _nodes(blocked.body, Strip)
+    assert strip.step == 2 and blocked.body == [strip]
+    assert all(isinstance(n, Clamp) for n in strip.body)
+    assert all(k.lo == "__k0" and k.hi == "__k1"
+               for k in loops(blocked.body, "k"))
+    # an upward one would see levels the block has not computed yet
+    full = _tree(_updown, arrays, domain=(4, 4, 5))
+    assert not _nodes(full.body, Strip) and not _nodes(full.body, Clamp)
+    assert [(k.lo, k.hi) for k in loops(full.body, "k")] == [(0, 5), (0, 5)]
+
+    sdfg = _build_sdfg(_updown, arrays, domain=(4, 4, 5))
     ref = {n: a.copy() for n, a in arrays.items()}
     got = {n: a.copy() for n, a in arrays.items()}
     compile_sdfg(sdfg)(arrays=ref, scalars={})
@@ -213,36 +272,137 @@ def test_pointwise_chain_is_fused_into_one_loop_nest():
             t = a * 2.0
             out = t + 1.0
 
-    arrays = {
-        "a": _rand((4, 4, 3)), "t": np.zeros((4, 4, 3)),
-        "out": np.zeros((4, 4, 3)),
-    }
-    sdfg = _build_sdfg(chain, arrays)
-    unit = lower_kernel(_first_kernel(sdfg), sdfg, "k0", threads=1)
-    # both statements share one loop nest: a single i-loop in the source
-    assert unit.py_source.count("for i in __prange") == 1
+    tree = _tree(chain, _three((4, 4, 3)))
+    # both statements share one loop nest: i (the thread axis) > j > k
+    (nest,) = tree.body
+    assert [lp.var for lp in loops([nest])] == ["i", "j", "k"]
+    assert nest.parallel and not loops(nest.body, "j")[0].parallel
+    assert [st.target.array.runtime for st in _nodes([nest], Store)] == [
+        "t", "out",
+    ]
 
 
-def test_offset_read_of_written_name_splits_the_cluster():
-    @stencil
-    def stag(a: Field, t: Field, out: Field):
-        with computation(PARALLEL), interval(...):
-            t = a * 2.0
-            out = t[1, 0, 0] + t[-1, 0, 0]
+@stencil
+def _raw(a: Field, t: Field, out: Field):
+    with computation(PARALLEL), interval(...):
+        t = a * 2.0
+        out = t[1, 0, 0] + t[-1, 0, 0]
 
-    arrays = {
-        "a": _rand((6, 4, 3)), "t": np.zeros((6, 4, 3)),
-        "out": np.zeros((6, 4, 3)),
-    }
-    sdfg = _build_sdfg(stag, arrays, origin=(1, 0, 0), domain=(4, 4, 3))
-    unit = lower_kernel(_first_kernel(sdfg), sdfg, "k0", threads=1)
-    assert unit.py_source.count("for i in __prange") == 2
 
+@stencil
+def _war(a: Field, t: Field, out: Field):
+    with computation(PARALLEL), interval(...):
+        out = t[1, 0, 0] + t[-1, 0, 0]
+        t = a * 2.0
+
+
+def _assert_two_nests(stencil_obj):
+    arrays = _three((6, 4, 3))
+    arrays["t"] = _rand((6, 4, 3), seed=3)
+    tree = _tree(stencil_obj, arrays, origin=(1, 0, 0), domain=(4, 4, 3))
+    nests = loops(tree.body, "i")
+    assert len(nests) == 2 and tree.body == nests
+    assert [len(_nodes([n], Store)) for n in nests] == [1, 1]
+
+    sdfg = _build_sdfg(stencil_obj, arrays, origin=(1, 0, 0),
+                       domain=(4, 4, 3))
     ref = {n: a.copy() for n, a in arrays.items()}
     got = {n: a.copy() for n, a in arrays.items()}
     compile_sdfg(sdfg)(arrays=ref, scalars={})
     compile_sdfg_compiled(sdfg)(arrays=got, scalars={})
-    np.testing.assert_array_equal(got["out"], ref["out"])
+    for name in arrays:
+        np.testing.assert_array_equal(got[name], ref[name])
+
+
+def test_offset_read_of_written_name_splits_the_cluster():
+    """RAW: a neighbour read of a name the cluster writes must not fuse."""
+    _assert_two_nests(_raw)
+
+
+def test_write_of_a_neighbour_read_name_splits_the_cluster():
+    """WAR: nor may a write of a name the cluster reads at a neighbour."""
+    _assert_two_nests(_war)
+
+
+@stencil
+def _level_solver(a: Field, t: Field, out: Field):
+    with computation(BACKWARD):
+        with interval(-1, None):
+            t = a
+            out = t[1, 0, 0]
+        with interval(0, -1):
+            t = t[0, 0, 1] * 0.5 + a
+            out = t[-1, 0, 0] + out[0, 0, 1]
+
+
+def test_solver_runs_column_major_unless_it_reads_a_written_neighbour():
+    # no horizontal dependence: all levels of one column, then the next
+    column = _tree(_cumsum, {"a": _rand((5, 4, 7)), "out": np.zeros((5, 4, 7))})
+    (nest,) = column.body
+    assert (nest.var, nest.parallel) == ("i", True)
+    (j,) = nest.body
+    assert [(k.lo, k.hi, k.reverse) for k in j.body] == [
+        (0, 1, False), (1, 7, False),
+    ]
+    # a neighbour read of an in-kernel write: level-major, the ufunc
+    # emission order — sequential k outside, each statement a full plane
+    arrays = _three((6, 4, 5))
+    level = _tree(_level_solver, arrays, origin=(1, 0, 0), domain=(4, 4, 5))
+    assert [(k.var, k.lo, k.hi, k.reverse, k.parallel) for k in level.body] \
+        == [("k", 4, 5, True, False), ("k", 0, 4, True, False)]
+    for sweep in level.body:
+        assert all(isinstance(p, Loop) and p.var == "i" and p.parallel
+                   for p in sweep.body)
+        assert len(sweep.body) == 2
+
+    sdfg = _build_sdfg(_level_solver, arrays, origin=(1, 0, 0),
+                       domain=(4, 4, 5))
+    ref = {n: a.copy() for n, a in arrays.items()}
+    got = {n: a.copy() for n, a in arrays.items()}
+    compile_sdfg(sdfg)(arrays=ref, scalars={})
+    compile_sdfg_compiled(sdfg)(arrays=got, scalars={})
+    for name in arrays:
+        np.testing.assert_array_equal(got[name], ref[name])
+
+
+# ---------------------------------------------------------------------------
+# printer agreement: one tree, two languages, one answer
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("stencil_obj", _discover())
+def test_both_printers_of_one_tree_match_the_numpy_reference(
+    stencil_obj, monkeypatch, tmp_path
+):
+    """Each FV3 stencil is lowered once; the Python print (``pyloops``)
+    and the C print (``cgen``) of those same trees must both reproduce the
+    debug backend bit for bit."""
+    fields, scalars, origin = _synthesize(stencil_obj)
+    domain = (NI, NJ, NK)
+    ref = {n: a.copy() for n, a in fields.items()}
+    stencil_obj(**ref, **scalars, origin=origin, domain=domain,
+                backend="numpy")
+    plan = compile_sdfg_compiled(
+        _build_sdfg(stencil_obj, fields, origin, domain)
+    )
+    trees = [unit.tree for unit in plan._units]
+    monkeypatch.setenv("REPRO_JIT_DIR", str(tmp_path))
+    for engine in ("pyloops", "cgen"):
+        if engine == "cgen" and jit._find_cc() is None:
+            pytest.skip("Python printer agrees; no C compiler for the C one")
+        monkeypatch.setenv("REPRO_JIT", engine)
+        jit.reset(engine=True)
+        plan._materialize()  # prints the trees in this engine's language
+        assert plan.engine == engine
+        assert [unit.tree for unit in plan._units] == trees
+        got = {n: a.copy() for n, a in fields.items()}
+        plan(arrays=got, scalars=scalars)
+        for name in fields:
+            np.testing.assert_array_equal(
+                got[name], ref[name],
+                err_msg=f"{stencil_obj.name}: {name!r} diverged under the "
+                f"{engine} printer",
+            )
 
 
 # ---------------------------------------------------------------------------
