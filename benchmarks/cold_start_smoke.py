@@ -1,0 +1,66 @@
+"""CI smoke check of the JIT kernel store's cold start (PR 16).
+
+Two fresh processes share one empty ``REPRO_JIT_DIR``. The first runs a
+default-config ``run(steps=1)`` on the C engine and must build fewer
+kernels than it asks for (equal kernels of different programs are one
+kernel) in at least one translation unit; the second must find every
+kernel on disk: no translation unit, no kernel built and not one
+subprocess started — the OpenMP probe's verdict is on disk as well.
+
+Run:  PYTHONPATH=src python benchmarks/cold_start_smoke.py
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+
+def _child() -> None:
+    started = []
+
+    class Counting(subprocess.Popen):
+        def __init__(self, args, *rest, **kwargs):
+            started.append(args)
+            super().__init__(args, *rest, **kwargs)
+
+    subprocess.Popen = Counting  # ``subprocess.run`` goes through it too
+    from repro.run import run
+    from repro.runtime import jit
+
+    result = run("baroclinic_wave", steps=1)
+    print(json.dumps({**jit.stats(), "ok": result.ok,
+                      "subprocesses": len(started)}))
+
+
+def _spawn(jit_dir: str) -> dict:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env.update(REPRO_BACKEND="compiled", REPRO_JIT="cgen",
+               REPRO_JIT_DIR=jit_dir)
+    proc = subprocess.run(
+        [sys.executable, __file__, "--child"], env=env, check=True,
+        capture_output=True, text=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="repro-cold-") as jit_dir:
+        cold = _spawn(jit_dir)
+        primed = _spawn(jit_dir)
+    print("cold:  ", cold)
+    print("primed:", primed)
+    assert cold["ok"] and primed["ok"]
+    assert cold["engine"] == primed["engine"] == "cgen"
+    assert 0 < cold["kernels_built"] < cold["kernels_requested"], cold
+    assert cold["compiles"] > 0 and cold["subprocesses"] > 0, cold
+    assert cold["cache_repairs"] == primed["cache_repairs"] == 0
+    assert primed["kernels_requested"] == cold["kernels_requested"], primed
+    assert primed["compiles"] == 0 and primed["kernels_built"] == 0, primed
+    assert primed["disk_hits"] > 0 and primed["subprocesses"] == 0, primed
+    print("cold-start smoke: ok")
+
+
+if __name__ == "__main__":
+    _child() if sys.argv[1:] == ["--child"] else main()

@@ -161,11 +161,13 @@ def _runtime_lines() -> List[str]:
             f"{cache['templates']} templates"
         )
     jt = rt.get("jit", {})
-    if jt.get("compiles") or jt.get("disk_hits"):
+    if jt.get("kernels_requested"):
         lines.append(
-            f"jit: {jt['engine']} engine, {jt['compiles']} kernel-plan "
-            f"compiles ({jt['compile_seconds']:.3f}s warmup), "
-            f"{jt['disk_hits']} disk-cache hits"
+            f"jit: {jt['engine']} engine, {jt['kernels_requested']} kernels "
+            f"requested = {jt['kernels_built']} built + "
+            f"{jt['kernels_reused']} reused; {jt['compiles']} translation "
+            f"units compiled ({jt['compile_seconds']:.3f}s blocked), "
+            f"{jt['disk_hits']} objects opened from disk"
         )
     rk = rt.get("ranks", {})
     if rk.get("sections"):

@@ -1,13 +1,13 @@
-"""JIT engine abstraction for the compiled CPU backend.
+"""JIT engines and the kernel store of the compiled CPU backend.
 
 The ``compiled`` backend (:mod:`repro.sdfg.codegen_compiled`) lowers each
 fused SDFG kernel to a scalar loop nest and needs *some* way to run that
 nest at machine speed. Three engines are supported, probed in order:
 
-- ``numba`` — the loop nest is emitted as Python source and wrapped in
+- ``numba`` — the loop nest is printed as Python source and wrapped in
   ``numba.njit(fastmath=False)`` (``parallel=True`` + ``prange`` when more
   than one thread is configured). Preferred when numba is importable.
-- ``cgen`` — the loop nest is emitted as C99, compiled with the system C
+- ``cgen`` — the loop nest is printed as C99, compiled with the system C
   compiler (``-O3 -shared -fPIC -ffp-contract=off``, never ``-ffast-math``)
   and loaded through :mod:`ctypes`. Chosen when numba is absent but a C
   compiler exists, so the backend works on a bare Python toolchain.
@@ -17,15 +17,49 @@ nest at machine speed. Three engines are supported, probed in order:
 
 ``REPRO_JIT=numba|cgen|pyloops|none`` forces an engine (``pyloops``
 executes the generated Python loop nest uninterpreted — orders of
-magnitude slower, but it validates the emitted semantics without any
-toolchain and is what the test suite uses to cross-check emitters).
+magnitude slower, but it validates the printed semantics without any
+toolchain and is what the test suite uses to cross-check the printers).
 
-Shared objects are cached on disk under ``REPRO_JIT_DIR`` (default
-``$TMPDIR/repro-jit-<uid>``) keyed by a content hash of the C source and
-compiler flags, so warm processes skip compilation entirely. Compile
-counts and wall time are surfaced via :func:`stats` into the obs report
-footer — the "JIT warmup" attribution the paper's productivity argument
-needs to be honest about.
+**The kernel is the unit of identity.** A kernel is printed under the
+placeholder name :data:`SYMBOL`; its key is a hash of that text together
+with everything else that decides its machine code (the C preamble, the
+flags, the compiler binary's ``(realpath, size, mtime)``), and its symbol
+is ``repro_k_<key>``. Which program asked for it is not part of the key,
+so a stencil used by N programs — or by N rank threads at once — is one
+kernel. A request (:func:`load_c`, :func:`compile_py`) resolves each
+kernel in three steps:
+
+1. the process-wide table: a kernel already loaded, or being resolved by
+   another thread, is waited for and shared (single flight per kernel —
+   there is no process-wide build lock);
+2. the disk store under ``REPRO_JIT_DIR`` (default
+   ``$TMPDIR/repro-jit-<uid>``): ``repro_k_<key>.so`` is a *name*, a
+   symlink to the object file that holds the kernel, whichever program
+   or process built it;
+3. the builder: the kernels still missing are split into at most as many
+   translation units as this process may use CPUs
+   (``os.sched_getaffinity``), balanced by source size, compiled
+   concurrently (one ``Popen`` each, then ``wait``), loaded, and
+   published — first the object ``repro_o_<hash of its keys>.so``, then
+   one name per kernel, each by an atomic rename.
+
+Everything written goes through a pid-suffixed temporary name (sources
+too: a name shared between processes is only ever the target of a
+rename); stale temporaries of dead builders are swept on the first open
+of the directory. A name that dangles, an object that does not load, an
+object without the kernel's symbol: each is rebuilt in place, counted in
+``cache_repairs`` and warned about once per process
+(:class:`JitCacheWarning`). A translation unit the compiler rejects
+raises :class:`JitCompileError` naming its kernels and leaves no object
+or name behind; units built beside it are kept.
+
+:func:`stats` counts kernels (``kernels_requested`` = ``kernels_built``
++ ``kernels_reused``, the latter from the table or from disk),
+translation units (``compiles``), object files opened without building
+(``disk_hits``) and the wall seconds callers were blocked on the builder
+(``compile_seconds`` — wall, not the sum over concurrent compilers). They
+reach the obs report footer — the "JIT warmup" attribution the paper's
+productivity argument needs to be honest about.
 """
 
 from __future__ import annotations
@@ -40,16 +74,18 @@ import tempfile
 import threading
 import time
 import warnings
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 __all__ = [
     "JitCacheWarning",
     "JitUnavailableError",
     "JitCompileError",
     "JitConfigError",
+    "KernelSource",
+    "SYMBOL",
     "engine_name",
     "available",
-    "compile_c",
+    "load_c",
     "compile_py",
     "default_threads",
     "jit_dir",
@@ -62,37 +98,48 @@ __all__ = [
 
 _ENGINES = ("numba", "cgen", "pyloops", "none")
 
+#: the function name a kernel is printed under; :func:`load_c` replaces
+#: it by the kernel's own symbol ``repro_k_<key>``
+SYMBOL = "repro_k_SYMBOL"
+
 _LOCK = threading.Lock()
-#: serializes C builds within this process (see :func:`compile_c`)
-_BUILD_LOCK = threading.Lock()
 _ENGINE: Optional[str] = None
-_CC: Optional[str] = None
 _OPENMP: Optional[bool] = None
-_COMPILES = 0
-_COMPILE_SECONDS = 0.0
-_DISK_HITS = 0
-_CACHE_REPAIRS = 0
+_ZERO_COUNTS: Dict[str, float] = {
+    "kernels_requested": 0,
+    "kernels_built": 0,
+    "kernels_reused": 0,
+    "compiles": 0,
+    "compile_seconds": 0.0,
+    "disk_hits": 0,
+    "cache_repairs": 0,
+}
+_COUNTS = dict(_ZERO_COUNTS)
 _WARNED_CORRUPT = False
-#: pins loaded shared libraries (and numba dispatchers) for the process
-_LOADED: Dict[str, object] = {}
+
+
+def _count(**deltas: float) -> None:
+    with _LOCK:
+        for name, delta in deltas.items():
+            _COUNTS[name] += delta
 
 
 class JitCacheWarning(RuntimeWarning):
-    """A cached shared object under ``REPRO_JIT_DIR`` was damaged and
-    has been rebuilt in place."""
+    """An entry of the kernel store under ``REPRO_JIT_DIR`` was damaged
+    and has been rebuilt in place."""
 
 
-def _warn_corrupt_cache(sopath: str, exc: BaseException) -> None:
+def _warn_corrupt_cache(path: str, exc: BaseException) -> None:
     """Count a cache repair; warn only once per process (a shared cache
     directory full of stale objects would otherwise spam every run)."""
-    global _CACHE_REPAIRS, _WARNED_CORRUPT
+    global _WARNED_CORRUPT
     with _LOCK:
-        _CACHE_REPAIRS += 1
+        _COUNTS["cache_repairs"] += 1
         first = not _WARNED_CORRUPT
         _WARNED_CORRUPT = True
     if first:
         warnings.warn(
-            f"corrupt JIT disk-cache entry {sopath!r} "
+            f"corrupt JIT disk-cache entry {path!r} "
             f"({type(exc).__name__}: {exc}); rebuilding in place — "
             f"further repairs this process will be silent",
             JitCacheWarning,
@@ -138,7 +185,7 @@ def engine_name() -> str:
 
     ``REPRO_JIT`` forces a choice; otherwise numba is preferred, then a C
     compiler, then ``"none"``. A forced engine whose toolchain is missing
-    still resolves — :func:`compile_c`/:func:`compile_py` raise
+    still resolves — :func:`load_c`/:func:`compile_py` raise
     :class:`JitUnavailableError` at use, which the backend's degradation
     path turns into a warn-once fallback.
     """
@@ -188,9 +235,9 @@ def k_block_override() -> Optional[int]:
 
 
 def jit_dir() -> str:
-    """On-disk cache directory for compiled shared objects.
+    """On-disk directory of the kernel store.
 
-    The first open per process also sweeps stale ``*.so.tmp<pid>``
+    The first open per process also sweeps stale ``*.tmp<pid>``
     leftovers from builds that died between the tmp-write and the atomic
     rename (see :func:`sweep_stale_tmps`).
     """
@@ -209,7 +256,9 @@ def jit_dir() -> str:
 #: one stale-tmp sweep per process, on first cache open
 _TMP_SWEPT = False
 
-_TMP_PATTERN = re.compile(r"\.so\.tmp(\d+)$")
+#: objects, names and the OpenMP verdict end in ``.tmp<pid>`` while they
+#: are written, sources in ``.tmp<pid>.c`` (the compiler wants the suffix)
+_TMP_PATTERN = re.compile(r"\.tmp(\d+)(?:\.c)?$")
 
 
 def _pid_alive(pid: int) -> bool:
@@ -223,9 +272,9 @@ def _pid_alive(pid: int) -> bool:
 
 
 def sweep_stale_tmps(path: str, max_age_seconds: float = 600.0) -> List[str]:
-    """Remove orphaned ``repro_*.so.tmp<pid>`` files beside the cache.
+    """Remove orphaned ``repro_*.tmp<pid>`` files beside the cache.
 
-    A build writes the object to a pid-suffixed temporary name and
+    A build writes every file to a pid-suffixed temporary name and
     ``os.replace``s it into place; a compiler (or process) death in
     between leaves the tmp behind forever. A tmp is stale when its owning
     pid is gone, or — to cover pid reuse — when it is older than
@@ -260,6 +309,91 @@ def sweep_stale_tmps(path: str, max_age_seconds: float = 600.0) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
+# the process-wide kernel table
+# ---------------------------------------------------------------------------
+
+
+class KernelSource(NamedTuple):
+    """One kernel as the C engine receives it."""
+
+    #: the kernel's label in its program (error messages only)
+    label: str
+    #: one C function named :data:`SYMBOL`
+    source: str
+    #: ctypes argument types of that function (it returns nothing)
+    argtypes: tuple
+
+
+class _Flight:
+    """The slot of one kernel in the process-wide table: whoever creates
+    it resolves the kernel, everybody else waits on it."""
+
+    __slots__ = ("done", "value", "error")
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.value: object = None
+        self.error: Optional[BaseException] = None
+
+    def resolve(self, value: object) -> None:
+        self.value = value
+        self.done.set()
+
+    def result(self) -> object:
+        self.done.wait()
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+#: kernel key → its flight; entry points stay loaded for the process
+_KERNELS: Dict[str, _Flight] = {}
+#: object file path → its ``ctypes.CDLL`` (one ``dlopen`` per object)
+_OBJECTS: Dict[str, ctypes.CDLL] = {}
+
+
+def _digest(*parts: str) -> str:
+    return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()[:20]
+
+
+def _single_flight(
+    keys: Sequence[str],
+    produce: Callable[[List[int], List[_Flight]], None],
+) -> List[object]:
+    """The table's value for every key. Keys nobody has asked for yet are
+    claimed; ``produce(mine, flights)`` must ``resolve`` the flight of
+    every claimed index. What it leaves unresolved when it raises fails
+    with that error — for the threads waiting on it too — and is dropped
+    from the table, so that a later request tries again. A caller
+    finishes its own claims before it waits for anybody else's, so two
+    callers never wait for each other."""
+    flights: List[_Flight] = []
+    mine: List[int] = []
+    with _LOCK:
+        _COUNTS["kernels_requested"] += len(keys)
+        for n, key in enumerate(keys):
+            flight = _KERNELS.get(key)
+            if flight is None:
+                flight = _KERNELS[key] = _Flight()
+                mine.append(n)
+            else:
+                _COUNTS["kernels_reused"] += 1
+            flights.append(flight)
+    if mine:
+        try:
+            produce(mine, flights)
+        except BaseException as exc:
+            with _LOCK:
+                for n in mine:
+                    if not flights[n].done.is_set():
+                        del _KERNELS[keys[n]]
+                        flights[n].error = exc
+                        flights[n].done.set()
+            raise
+    return [flight.result() for flight in flights]
+
+
+# ---------------------------------------------------------------------------
 # cgen engine
 # ---------------------------------------------------------------------------
 
@@ -271,33 +405,142 @@ _BASE_FLAGS = [
 ]
 
 
-def _openmp_works(cc: str) -> bool:
+def _cc_identity(cc: str) -> str:
+    """What tells one compiler from another in every key of the store:
+    the resolved binary's path, size and modification time (an upgrade
+    changes the latter two), without running it."""
+    real = os.path.realpath(shutil.which(cc) or cc)
+    st = os.stat(real)
+    return f"{real}:{st.st_size}:{st.st_mtime_ns}"
+
+
+def _openmp_works(cc: str, identity: str) -> bool:
+    """Whether ``cc`` builds with ``-fopenmp``: probed once per compiler
+    identity and kept beside the objects, so a primed process does not
+    run the compiler at all."""
     global _OPENMP
     if _OPENMP is None:
-        src = "#include <omp.h>\nint touch(void){return omp_get_max_threads();}\n"
-        with tempfile.TemporaryDirectory() as tmp:
-            cpath = os.path.join(tmp, "probe.c")
-            with open(cpath, "w") as fh:
-                fh.write(src)
-            proc = subprocess.run(
-                [cc, *_BASE_FLAGS, "-fopenmp", cpath, "-o",
-                 os.path.join(tmp, "probe.so")],
-                capture_output=True,
+        path = os.path.join(
+            jit_dir(), "repro_openmp_" + _digest(identity, *_BASE_FLAGS)
+        )
+        try:
+            with open(path) as fh:
+                verdict = fh.read().strip()
+        except OSError:
+            verdict = ""
+        if verdict not in ("0", "1"):
+            src = (
+                "#include <omp.h>\n"
+                "int touch(void){return omp_get_max_threads();}\n"
             )
-            _OPENMP = proc.returncode == 0
+            with tempfile.TemporaryDirectory() as tmp:
+                cpath = os.path.join(tmp, "probe.c")
+                with open(cpath, "w") as fh:
+                    fh.write(src)
+                proc = subprocess.run(
+                    [cc, *_BASE_FLAGS, "-fopenmp", cpath, "-o",
+                     os.path.join(tmp, "probe.so")],
+                    capture_output=True,
+                )
+            verdict = "01"[proc.returncode == 0]
+            with open(f"{path}.tmp{os.getpid()}", "w") as fh:
+                fh.write(verdict + "\n")
+            os.replace(fh.name, path)
+        _OPENMP = verdict == "1"
     return _OPENMP
 
 
-def compile_c(source: str, want_openmp: bool = False) -> ctypes.CDLL:
-    """Compile C source to a shared object and load it.
+def _build_width() -> int:
+    """Compilers to run at once: the CPUs this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on this platform
+        return os.cpu_count() or 1
 
-    The object file is content-addressed in :func:`jit_dir`; an existing
-    file is loaded without invoking the compiler (a "disk hit"). Builds go
-    through a pid-suffixed temporary name plus an atomic rename, so
-    concurrent *processes* racing on the same key are safe; *threads* of
-    one process share that temporary name, so they build one at a time
-    (rank threads reach the same directly-called stencil together once
-    their programs bind instead of trace).
+
+def _batches(todo: List[tuple]) -> List[List[tuple]]:
+    """Split the ``(symbol, kernel, flight)`` items into at most
+    :func:`_build_width` translation units of about equal source size
+    (largest first onto the lightest). One unit per kernel would pay the
+    compiler's fixed start-up cost per kernel, one unit in all would
+    leave CPUs idle."""
+    bins: List[List[tuple]] = [
+        [] for _ in range(min(_build_width(), len(todo)))
+    ]
+    load = [0] * len(bins)
+    for item in sorted(todo, key=lambda item: -len(item[1].source)):
+        lightest = load.index(min(load))
+        bins[lightest].append(item)
+        load[lightest] += len(item[1].source)
+    return [sorted(batch) for batch in bins]  # by symbol: a stable name
+
+
+def _open_object(path: str, built: bool = False) -> ctypes.CDLL:
+    """The process's one handle on an object file; opening one that this
+    process did not just build is a disk hit."""
+    with _LOCK:
+        lib = _OBJECTS.get(path)
+    if lib is None:
+        lib = ctypes.CDLL(path)
+        with _LOCK:
+            if _OBJECTS.setdefault(path, lib) is lib and not built:
+                _COUNTS["disk_hits"] += 1
+            lib = _OBJECTS[path]
+    return lib
+
+
+def _unlink(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
+def _from_disk(directory: str, symbol: str):
+    """The kernel's entry point if the store holds it, else ``None``. A
+    damaged entry (the name dangles, the object does not load, the object
+    lacks the symbol) is removed for the builder to replace."""
+    name = os.path.join(directory, symbol + ".so")
+    if not os.path.lexists(name):
+        return None
+    target = os.path.realpath(name)
+    try:
+        return getattr(_open_object(target), symbol)
+    except (OSError, AttributeError) as exc:
+        _warn_corrupt_cache(name, exc)
+        _unlink(name)
+        if isinstance(exc, OSError):
+            # whatever else points at the unloadable object now dangles
+            # and is repaired in turn; other kernels of an object that
+            # only lacks this symbol stay valid
+            _unlink(target)
+        return None
+
+
+def _publish(directory: str, symbol: str, objname: str) -> None:
+    """Point the kernel's name at the (already published) object."""
+    name = os.path.join(directory, symbol + ".so")
+    tmp = f"{name}.tmp{os.getpid()}"
+    os.symlink(objname, tmp)  # relative: the directory can be moved
+    os.replace(tmp, name)
+
+
+def _typed(cfn, kernel: KernelSource):
+    cfn.argtypes = kernel.argtypes
+    cfn.restype = None
+    return cfn
+
+
+def load_c(
+    kernels: Sequence[KernelSource], preamble: str,
+    want_openmp: bool = False,
+) -> List[object]:
+    """The ctypes entry point of every kernel, in order.
+
+    Kernels are looked up in the process-wide table, then in the disk
+    store; what is still missing is compiled in concurrent batches,
+    loaded and published (module docstring). Two requests for the same
+    text get the same function object, whoever made them.
     """
     cc = _find_cc()
     if cc is None:
@@ -305,67 +548,86 @@ def compile_c(source: str, want_openmp: bool = False) -> ctypes.CDLL:
             "cgen engine selected but no C compiler found "
             "(searched cc/gcc/clang; set REPRO_CC to override)"
         )
+    identity = _cc_identity(cc)
     flags = list(_BASE_FLAGS)
-    if want_openmp and _openmp_works(cc):
+    if want_openmp and _openmp_works(cc, identity):
         flags.append("-fopenmp")
-    key = hashlib.sha256(
-        "\x1f".join([source, cc, " ".join(flags)]).encode()
-    ).hexdigest()[:20]
-    sopath = os.path.join(jit_dir(), f"repro_{key}.so")
-    with _BUILD_LOCK:
-        if key not in _LOADED:
-            _LOADED[key] = _load_or_build(source, cc, flags, key, sopath)
-        return _LOADED[key]  # type: ignore[return-value]
+    salt = _digest(preamble, identity, *flags)
+    keys = [_digest(salt, kernel.source) for kernel in kernels]
+    symbols = ["repro_k_" + key for key in keys]
+
+    def produce(mine: List[int], flights: List[_Flight]) -> None:
+        directory = jit_dir()
+        todo = []
+        for n in mine:
+            cfn = _from_disk(directory, symbols[n])
+            if cfn is None:
+                todo.append((symbols[n], kernels[n], flights[n]))
+            else:
+                flights[n].resolve(_typed(cfn, kernels[n]))
+        _count(kernels_reused=len(mine) - len(todo))
+        if todo:
+            _build(directory, [cc, *flags], preamble, todo)
+
+    return _single_flight(keys, produce)
 
 
-def _load_or_build(source, cc, flags, key, sopath) -> ctypes.CDLL:
-    global _COMPILES, _COMPILE_SECONDS, _DISK_HITS
-    lib: Optional[ctypes.CDLL] = None
-    if os.path.exists(sopath):
-        # a cached object may be damaged (truncated write from a killed
-        # process, disk corruption): self-heal by rebuilding in place
-        # rather than wedging every process that shares the cache
-        try:
-            lib = ctypes.CDLL(sopath)
-        except OSError as exc:
-            _warn_corrupt_cache(sopath, exc)
-            try:
-                os.unlink(sopath)
-            except OSError:
-                pass
-        else:
-            with _LOCK:
-                _DISK_HITS += 1
-    if lib is None:
-        t0 = time.perf_counter()
-        cpath = os.path.join(jit_dir(), f"repro_{key}.c")
-        tmpso = sopath + f".tmp{os.getpid()}"
-        with open(cpath, "w") as fh:
-            fh.write(source)
-        try:
-            proc = subprocess.run(
-                [cc, *flags, cpath, "-o", tmpso, "-lm"], capture_output=True
+def _build(directory: str, command: List[str], preamble: str,
+           todo: List[tuple]) -> None:
+    """Compile the ``(symbol, kernel, flight)`` items in concurrent
+    batches; load and publish every batch that compiled, then raise for
+    those that did not."""
+    t0 = time.perf_counter()
+    pid = os.getpid()
+    running = []
+    failed: List[str] = []
+    try:
+        for batch in _batches(todo):
+            base = os.path.join(
+                directory, "repro_o_" + _digest(*(item[0] for item in batch))
             )
+            with open(f"{base}.tmp{pid}.c", "w") as fh:
+                fh.write(preamble)
+                for symbol, kernel, _ in batch:
+                    fh.write("\n")
+                    fh.write(kernel.source.replace(SYMBOL, symbol))
+            running.append((subprocess.Popen(
+                [*command, f"{base}.tmp{pid}.c", "-o", f"{base}.so.tmp{pid}",
+                 "-lm"],
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            ), batch, base))
+        for proc, batch, base in running:
+            _, stderr = proc.communicate()
+            # the source stays for inspection; it is complete, so it may
+            # take the name other processes read
+            os.replace(f"{base}.tmp{pid}.c", base + ".c")
             if proc.returncode != 0:
-                raise JitCompileError(
-                    f"{cc} failed on generated source ({cpath}):\n"
-                    f"{proc.stderr.decode(errors='replace')}"
+                labels = ", ".join(kernel.label for _, kernel, _ in batch)
+                failed.append(
+                    f"{command[0]} failed on generated source ({base}.c) "
+                    f"of kernels {labels}:\n"
+                    f"{stderr.decode(errors='replace')}"
                 )
-            os.replace(tmpso, sopath)
-        finally:
-            # a failed (or interrupted) build must not leak its partial
-            # object beside the cache; after the atomic rename this is a
-            # no-op
-            if os.path.exists(tmpso):
-                try:
-                    os.unlink(tmpso)
-                except OSError:
-                    pass
-        with _LOCK:
-            _COMPILES += 1
-            _COMPILE_SECONDS += time.perf_counter() - t0
-        lib = ctypes.CDLL(sopath)
-    return lib
+                continue
+            os.replace(f"{base}.so.tmp{pid}", base + ".so")
+            lib = _open_object(base + ".so", built=True)
+            for symbol, kernel, flight in batch:
+                cfn = _typed(getattr(lib, symbol), kernel)
+                _publish(directory, symbol, os.path.basename(base) + ".so")
+                flight.resolve(cfn)
+            _count(compiles=1, kernels_built=len(batch))
+    finally:
+        # an interrupted build leaves no compiler running, and neither
+        # it nor a failed one leaks a partial file beside the store
+        for proc, _, base in running:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+            _unlink(f"{base}.tmp{pid}.c")
+            _unlink(f"{base}.so.tmp{pid}")
+        _count(compile_seconds=time.perf_counter() - t0)
+    if failed:
+        raise JitCompileError("\n".join(failed))
 
 
 # ---------------------------------------------------------------------------
@@ -374,44 +636,44 @@ def _load_or_build(source, cc, flags, key, sopath) -> ctypes.CDLL:
 
 
 def compile_py(source: str, func_name: str, parallel: bool = False):
-    """Materialize one emitted Python loop nest.
+    """Materialize one printed Python loop nest, once per distinct text.
 
     Under the ``numba`` engine the function is wrapped in
     ``njit(fastmath=False)``; under ``pyloops`` it is returned as plain
     (slow) Python. ``__prange`` in the source binds to ``numba.prange``
     only when both the engine and ``parallel`` ask for it.
     """
-    global _COMPILES, _COMPILE_SECONDS
     import numpy as np
 
     engine = engine_name()
-    namespace: Dict[str, object] = {"np": np, "__prange": range}
-    if engine == "numba":
-        if not _numba_available():
-            raise JitUnavailableError(
-                "REPRO_JIT=numba but numba is not importable"
-            )
-        import numba
-
-        if parallel:
-            namespace["__prange"] = numba.prange
-        t0 = time.perf_counter()
-        exec(compile(source, f"<jit:{func_name}>", "exec"), namespace)
-        fn = numba.njit(
-            namespace[func_name], fastmath=False, parallel=parallel,
-            cache=False,
+    if engine not in ("numba", "pyloops"):
+        raise JitUnavailableError(
+            f"compile_py called under engine {engine!r}"
         )
-        with _LOCK:
-            _COMPILES += 1
-            _COMPILE_SECONDS += time.perf_counter() - t0
-        _LOADED[f"py:{func_name}:{id(fn)}"] = fn
-        return fn
-    if engine == "pyloops":
+    if engine == "numba" and not _numba_available():
+        raise JitUnavailableError(
+            "REPRO_JIT=numba but numba is not importable"
+        )
+    parallel = parallel and engine == "numba"
+
+    def produce(mine: List[int], flights: List[_Flight]) -> None:
+        namespace: Dict[str, object] = {"np": np, "__prange": range}
+        t0 = time.perf_counter()
+        if engine == "numba":
+            import numba
+
+            if parallel:
+                namespace["__prange"] = numba.prange
         exec(compile(source, f"<jit:{func_name}>", "exec"), namespace)
-        return namespace[func_name]
-    raise JitUnavailableError(
-        f"compile_py called under engine {engine!r}"
-    )
+        fn = namespace[func_name]
+        if engine == "numba":
+            fn = numba.njit(fn, fastmath=False, parallel=parallel, cache=False)
+            _count(compiles=1, compile_seconds=time.perf_counter() - t0)
+        _count(kernels_built=1)
+        flights[0].resolve(fn)
+
+    key = "py:" + _digest(engine, str(parallel), func_name, source)
+    return _single_flight([key], produce)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -422,45 +684,30 @@ def compile_py(source: str, func_name: str, parallel: bool = False):
 def record_compile_seconds(seconds: float, count: int = 1) -> None:
     """Fold externally-measured JIT work (e.g. numba's lazy first-call
     compilation) into the warmup attribution."""
-    global _COMPILES, _COMPILE_SECONDS
-    with _LOCK:
-        _COMPILES += count
-        _COMPILE_SECONDS += seconds
+    _count(compiles=count, compile_seconds=seconds)
 
 
 def stats() -> Dict[str, object]:
-    """Engine + compile-time attribution for the obs report footer."""
+    """Engine + kernel-store attribution for the obs report footer."""
     with _LOCK:
         return {
             "engine": _ENGINE if _ENGINE is not None else "(unresolved)",
-            "compiles": _COMPILES,
-            "compile_seconds": _COMPILE_SECONDS,
-            "disk_hits": _DISK_HITS,
-            "cache_repairs": _CACHE_REPAIRS,
+            **_COUNTS,
         }
 
 
 def merge_stats(data: Dict[str, object]) -> None:
     """Fold a worker process's counter deltas into this process's JIT
     accounting (engine identity is per-process and is not merged)."""
-    global _COMPILES, _COMPILE_SECONDS, _DISK_HITS, _CACHE_REPAIRS
-    with _LOCK:
-        _COMPILES += int(data.get("compiles", 0))
-        _COMPILE_SECONDS += float(data.get("compile_seconds", 0.0))
-        _DISK_HITS += int(data.get("disk_hits", 0))
-        _CACHE_REPAIRS += int(data.get("cache_repairs", 0))
+    _count(**{name: data.get(name, 0) for name in _COUNTS})
 
 
 def reset(engine: bool = False) -> None:
     """Zero the counters; with ``engine=True`` also forget the resolved
     engine so the next :func:`engine_name` re-reads ``REPRO_JIT`` (tests)."""
-    global _COMPILES, _COMPILE_SECONDS, _DISK_HITS, _CACHE_REPAIRS, \
-        _WARNED_CORRUPT, _ENGINE, _OPENMP
+    global _WARNED_CORRUPT, _ENGINE, _OPENMP
     with _LOCK:
-        _COMPILES = 0
-        _COMPILE_SECONDS = 0.0
-        _DISK_HITS = 0
-        _CACHE_REPAIRS = 0
+        _COUNTS.update(_ZERO_COUNTS)
         _WARNED_CORRUPT = False
         if engine:
             _ENGINE = None

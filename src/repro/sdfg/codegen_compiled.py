@@ -46,7 +46,6 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import math
-import re
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -416,14 +415,16 @@ class _Lowerer:
 
     # ---- loop shapes ----------------------------------------------------
 
-    def build(self, func_name: str, k_block: int, i_tile: Optional[int]) -> Nest:
+    def build(self, k_block: int, i_tile: Optional[int]) -> Nest:
         if self.kernel.order == "PARALLEL":
             body = self._parallel_shape(k_block, i_tile)
         elif self.column_major:
             body = self._column_shape(i_tile)
         else:
             body = self._level_shape(i_tile)
-        return Nest(func_name, list(self.arrays.values()), self.scalars, body)
+        # every kernel is printed under the one placeholder name: equal
+        # nests print equal text, which is what the JIT store keys on
+        return Nest(jit.SYMBOL, list(self.arrays.values()), self.scalars, body)
 
     @staticmethod
     def _ij_nest(irng, jrng, i_tile, body) -> Loop:
@@ -506,7 +507,7 @@ class _Lowerer:
         ]
 
 
-def lower_kernel(kernel: Kernel, sdfg, func_name: str) -> KernelUnit:
+def lower_kernel(kernel: Kernel, sdfg) -> KernelUnit:
     """Lower one kernel to a :class:`KernelUnit`, or raise
     :class:`IneligibleKernel` when no bit-exact scalar form exists."""
     if kernel.order not in ("PARALLEL", "FORWARD", "BACKWARD"):
@@ -516,7 +517,7 @@ def lower_kernel(kernel: Kernel, sdfg, func_name: str) -> KernelUnit:
 
     low = _Lowerer(kernel, sdfg)
     k_block, i_tile = select_cpu_tiles(kernel, sdfg, observed_machine())
-    tree = low.build(func_name, jit.k_block_override() or k_block, i_tile)
+    tree = low.build(jit.k_block_override() or k_block, i_tile)
     specs = [(tuple(a.shape), _TAG_DTYPE[a.tag]) for a in tree.arrays]
     return KernelUnit(kernel.label, tree, specs)
 
@@ -585,6 +586,9 @@ class CompiledPlan(CompiledSDFG):
         self.fallback_kernels: List[Tuple[str, str]] = []
         self.threads = jit.default_threads()
         self.engine: Optional[str] = None
+        #: the engine's entry point per unit; a kernel that another plan
+        #: of this process also contains is the same object in both
+        self.kernel_functions: List = []
         self.jit_seconds = 0.0
         super().__init__(sdfg, instrument=instrument)
         self._materialize()
@@ -597,12 +601,8 @@ class CompiledPlan(CompiledSDFG):
     def _emit_node(self, node, out, pending_fills) -> None:
         if not isinstance(node, Kernel):
             return super()._emit_node(node, out, pending_fills)
-        func_name = "repro_k%d_%s" % (
-            len(self._units),
-            re.sub(r"[^0-9A-Za-z_]", "_", node.label),
-        )
         try:
-            unit = lower_kernel(node, self.sdfg, func_name)
+            unit = lower_kernel(node, self.sdfg)
         except IneligibleKernel as exc:
             self.fallback_kernels.append((node.label, str(exc)))
             return super()._emit_node(node, out, pending_fills)
@@ -611,7 +611,7 @@ class CompiledPlan(CompiledSDFG):
         self._units.append(unit)
         kidx = len(self.kernel_labels)
         self.kernel_labels.append(node.label)
-        out.emit(f"# kernel {node.label} [compiled:{func_name}]")
+        out.emit(f"# kernel {node.label} [compiled:{uidx}]")
         if self.instrument:
             out.emit("__t0 = __perf_counter()")
         local_slots = _bind_locals(node, out, self._plan)
@@ -626,8 +626,9 @@ class CompiledPlan(CompiledSDFG):
 
     # ------------------------------------------------------------------
     def _materialize(self) -> None:
-        """Compile every lowered unit with the active JIT engine and bind
-        the resulting entry points into the driver's ``__K`` table."""
+        """Ask the active JIT engine for every lowered unit's entry point
+        (it builds only what no program has asked for before) and bind
+        them into the driver's ``__K`` table."""
         engine = jit.engine_name()
         self.engine = engine
         funcs: List = []
@@ -635,26 +636,34 @@ class CompiledPlan(CompiledSDFG):
         if not self._units:
             pass
         elif engine == "cgen":
-            source = _C_PREAMBLE + "\n".join(
-                print_c(u.tree) for u in self._units
+            self.kernel_functions = jit.load_c(
+                [
+                    jit.KernelSource(
+                        u.label,
+                        print_c(u.tree),
+                        (ctypes.c_void_p,) * len(u.arg_specs)
+                        + (ctypes.c_double,) * len(u.tree.scalars)
+                        + (ctypes.c_int64,),
+                    )
+                    for u in self._units
+                ],
+                _C_PREAMBLE,
+                want_openmp=self.threads > 1,
             )
-            lib = jit.compile_c(source, want_openmp=self.threads > 1)
-            for unit in self._units:
-                cfn = getattr(lib, unit.tree.name)
-                cfn.argtypes = (
-                    [ctypes.c_void_p] * len(unit.arg_specs)
-                    + [ctypes.c_double] * len(unit.tree.scalars)
-                    + [ctypes.c_int64]
-                )
-                cfn.restype = None
-                funcs.append(_c_caller(cfn, unit, self.threads))
+            funcs = [
+                _c_caller(cfn, unit, self.threads)
+                for cfn, unit in zip(self.kernel_functions, self._units)
+            ]
         elif engine in ("numba", "pyloops"):
             parallel = engine == "numba" and self.threads > 1
-            for unit in self._units:
-                fn = jit.compile_py(
-                    print_py(unit.tree), unit.tree.name, parallel=parallel
-                )
-                funcs.append(_py_caller(fn, unit))
+            self.kernel_functions = [
+                jit.compile_py(print_py(u.tree), u.tree.name, parallel)
+                for u in self._units
+            ]
+            funcs = [
+                _py_caller(fn, unit)
+                for fn, unit in zip(self.kernel_functions, self._units)
+            ]
         else:
             raise jit.JitUnavailableError(
                 "compiled backend requires a JIT engine (numba, a C "

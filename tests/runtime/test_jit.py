@@ -1,11 +1,17 @@
 """Unit tests for the JIT engine abstraction (repro.runtime.jit)."""
 
 import ctypes
+import json
 import os
+import subprocess
+import sys
+import threading
 
 import pytest
 
 from repro.runtime import jit
+
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 @pytest.fixture()
@@ -88,56 +94,138 @@ def test_compile_py_pyloops_executes(forced_engine):
     assert list(x) == [3.0, 6.0, 9.0]
 
 
-def test_compile_c_roundtrip_and_disk_cache(forced_engine, tmp_path,
-                                            monkeypatch):
+def _kernel(name, body, label=None, argtypes=(ctypes.c_void_p, ctypes.c_int64)):
+    """A C kernel ``name`` applying ``body`` to every x[i]; distinct
+    names give distinct text, hence distinct kernels."""
+    return jit.KernelSource(
+        label or name,
+        f"/* {name} */\n"
+        f"void {jit.SYMBOL}(double* x, int64_t n)\n"
+        f"{{ for (int64_t i = 0; i < n; ++i) {body}; }}\n",
+        argtypes,
+    )
+
+
+PREAMBLE = "#include <stdint.h>\n"
+ADD_ONE = _kernel("add_one", "x[i] += 1.0")
+
+
+def _forget_loaded():
+    """What a fresh process starts with: nothing loaded, nothing probed."""
+    jit._KERNELS.clear()
+    jit._OBJECTS.clear()
+    jit._OPENMP = None
+
+
+@pytest.fixture()
+def store(forced_engine, tmp_path, monkeypatch):
+    """The C engine on an empty store directory, as a fresh process."""
     forced_engine("cgen")
     if jit._find_cc() is None:
         pytest.skip("no C compiler on this machine")
     monkeypatch.setenv("REPRO_JIT_DIR", str(tmp_path))
+    _forget_loaded()
     jit.reset()
-    src = (
-        "#include <stdint.h>\n"
-        "void add_one(double* x, int64_t n)\n"
-        "{ for (int64_t i = 0; i < n; ++i) x[i] += 1.0; }\n"
-    )
-    lib = jit.compile_c(src)
+    return tmp_path
+
+
+def _apply(cfn, values=(0.0, 0.0, 0.0, 0.0)):
     import numpy as np
 
-    x = np.zeros(4)
-    fn = lib.add_one
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_int64]
-    fn(x.ctypes.data, 4)
-    assert list(x) == [1.0, 1.0, 1.0, 1.0]
+    x = np.array(values)
+    cfn(x.ctypes.data, len(x))
+    return list(x)
+
+
+class _RecordingPopen(subprocess.Popen):
+    """Counts the compiler processes alive at once (started and not yet
+    collected), without timing anything."""
+
+    live = 0
+    peak = 0
+    started = 0
+    lock = threading.Lock()
+    #: when set, every start waits here for its siblings
+    gate = None
+
+    def __init__(self, *args, **kwargs):
+        cls = _RecordingPopen
+        if cls.gate is not None:
+            cls.gate.wait(timeout=60)
+        super().__init__(*args, **kwargs)
+        with cls.lock:
+            cls.live += 1
+            cls.started += 1
+            cls.peak = max(cls.peak, cls.live)
+
+    def communicate(self, *args, **kwargs):
+        try:
+            return super().communicate(*args, **kwargs)
+        finally:
+            with _RecordingPopen.lock:
+                _RecordingPopen.live -= 1
+
+
+@pytest.fixture()
+def compilers(monkeypatch):
+    cls = _RecordingPopen
+    cls.live = cls.peak = cls.started = 0
+    cls.gate = None
+    monkeypatch.setattr(jit.subprocess, "Popen", cls)
+    return cls
+
+
+def test_compile_c_roundtrip_and_disk_cache(store):
+    (fn,) = jit.load_c([ADD_ONE], PREAMBLE)
+    assert _apply(fn) == [1.0, 1.0, 1.0, 1.0]
     stats = jit.stats()
     assert stats["compiles"] == 1
     assert stats["compile_seconds"] > 0
+    assert (stats["kernels_requested"], stats["kernels_built"],
+            stats["kernels_reused"]) == (1, 1, 0)
+    # one object, one name pointing at it, the source beside them
+    (name,) = store.glob("repro_k_*.so")
+    (obj,) = store.glob("repro_o_*.so")
+    assert name.is_symlink() and name.resolve() == obj
+    assert obj.with_suffix(".c").exists()
 
-    # same source, fresh process-level state → served from disk
-    jit._LOADED.clear()
-    jit.compile_c(src)
-    assert jit.stats()["disk_hits"] == 1
+    # asked again in this process: the table answers, same object
+    assert jit.load_c([ADD_ONE], PREAMBLE)[0] is fn
+    assert jit.stats()["kernels_reused"] == 1
+    assert jit.stats()["disk_hits"] == 0
+
+    # same text, fresh process-level state → served from disk
+    _forget_loaded()
+    jit.load_c([ADD_ONE], PREAMBLE)
+    stats = jit.stats()
+    assert stats["disk_hits"] == 1 and stats["compiles"] == 1
+    assert stats["kernels_reused"] == 2 and stats["kernels_built"] == 1
 
 
-def test_compile_c_threads_racing_on_one_key(forced_engine, tmp_path,
-                                             monkeypatch):
-    """Rank threads that reach the same uncompiled kernel together share
-    one pid-suffixed temporary name: they must build once, not delete
-    each other's object between the compile and the rename."""
-    import threading
+def test_kernel_identity_ignores_label_but_not_text_or_preamble(store):
+    a, b = jit.load_c(
+        [ADD_ONE, ADD_ONE._replace(label="same text, other program")],
+        PREAMBLE,
+    )
+    assert a is b
+    assert jit.stats()["kernels_built"] == 1
+    (c,) = jit.load_c([_kernel("add_two", "x[i] += 2.0")], PREAMBLE)
+    (d,) = jit.load_c([ADD_ONE], PREAMBLE + "#include <math.h>\n")
+    assert c is not a and d is not a
+    assert jit.stats()["kernels_built"] == 3
+    assert _apply(c) == [2.0] * 4 and _apply(d) == [1.0] * 4
 
-    forced_engine("cgen")
-    if jit._find_cc() is None:
-        pytest.skip("no C compiler on this machine")
-    monkeypatch.setenv("REPRO_JIT_DIR", str(tmp_path))
-    jit.reset()
-    src = "double twice(double x) { return 2.0 * x; }\n"
+
+def test_compile_c_threads_racing_on_one_key(store):
+    """Rank threads that reach the same unbuilt kernel together build it
+    once and all get the one function object."""
     start = threading.Barrier(6)
-    libs, errors = [], []
+    fns, errors = [], []
 
     def build():
         try:
             start.wait(timeout=30)
-            libs.append(jit.compile_c(src))
+            fns.extend(jit.load_c([ADD_ONE], PREAMBLE))
         except BaseException as exc:  # noqa: BLE001 - recorded for assert
             errors.append(exc)
 
@@ -148,19 +236,232 @@ def test_compile_c_threads_racing_on_one_key(forced_engine, tmp_path,
         t.join(timeout=120)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(libs) == 6 and all(lib is libs[0] for lib in libs)
+    assert len(fns) == 6 and all(fn is fns[0] for fn in fns)
+    stats = jit.stats()
+    assert stats["compiles"] == 1 and stats["kernels_built"] == 1
+    assert stats["kernels_requested"] == 6 and stats["kernels_reused"] == 5
+    assert [n for n in os.listdir(store) if ".tmp" in n] == []
+
+
+def test_threads_on_different_kernels_build_concurrently(store, compilers):
+    """No process-wide build lock: each thread's compiler only starts
+    once the other thread's is about to start too."""
+    compilers.gate = threading.Barrier(2)
+    errors = []
+
+    def build(kernel):
+        try:
+            jit.load_c([kernel], PREAMBLE)
+        except BaseException as exc:  # noqa: BLE001 - recorded for assert
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=build, args=(_kernel(f"t{n}", f"x[i] += {n}"),))
+        for n in range(2)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert compilers.peak == 2 and jit.stats()["compiles"] == 2
+
+
+def test_stress_overlapping_requests_lose_no_kernel(store):
+    """More threads than cores, overlapping kernel sets, a short switch
+    interval: every kernel is built exactly once and every request gets
+    the table's one object per kernel."""
+    import sys
+
+    kernels = [_kernel(f"s{n}", f"x[i] += {n}") for n in range(6)]
+    results, errors = {}, []
+
+    def build(tid):
+        try:
+            mine = [kernels[(tid + d) % 6] for d in range(3)]
+            results[tid] = dict(zip(
+                (k.label for k in mine), jit.load_c(mine, PREAMBLE)
+            ))
+        except BaseException as exc:  # noqa: BLE001 - recorded for assert
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=build, args=(t,)) for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    stats = jit.stats()
+    assert stats["kernels_requested"] == 24 and stats["kernels_built"] == 6
+    assert stats["kernels_reused"] == 18
+    for label in (k.label for k in kernels):
+        assert len({id(r[label]) for r in results.values() if label in r}) == 1
+    assert len(list(store.glob("repro_k_*.so"))) == 6
+
+
+@pytest.mark.parametrize("cpus, expected", [({0, 1}, 2), ({0}, 1), ({0, 1, 2}, 3)])
+def test_missing_kernels_build_in_concurrent_batches(
+    store, compilers, monkeypatch, cpus, expected
+):
+    monkeypatch.setattr(jit.os, "sched_getaffinity", lambda pid: cpus)
+    kernels = [_kernel(f"b{n}", f"x[i] += {n}") for n in range(5)]
+    fns = jit.load_c(kernels, PREAMBLE)
+    assert [_apply(fn, (0.0,)) for fn in fns] == [[float(n)] for n in range(5)]
+    assert compilers.started == compilers.peak == expected
+    stats = jit.stats()
+    assert stats["compiles"] == expected and stats["kernels_built"] == 5
+    assert len(list(store.glob("repro_o_*.so"))) == expected
+    assert len(list(store.glob("repro_k_*.so"))) == 5
+    # only what is missing is built: one new kernel, one compiler
+    jit.load_c(kernels + [_kernel("b5", "x[i] += 5")], PREAMBLE)
+    assert compilers.started == expected + 1
+    assert jit.stats()["kernels_built"] == 6
+
+
+def test_compile_c_reports_compiler_errors(store):
+    broken = jit.KernelSource("broken_label", f"void {jit.SYMBOL}( {{", ())
+    with pytest.raises(jit.JitCompileError, match="failed on generated") as err:
+        jit.load_c([broken], "")
+    assert "broken_label" in str(err.value)
+
+
+def test_failing_batch_leaves_nothing_and_keeps_its_siblings(
+    store, monkeypatch
+):
+    monkeypatch.setattr(jit.os, "sched_getaffinity", lambda pid: {0, 1})
+    broken = jit.KernelSource("bad_one", f"void {jit.SYMBOL}( {{", ())
+    with pytest.raises(jit.JitCompileError, match="bad_one") as err:
+        jit.load_c([ADD_ONE, broken], PREAMBLE)
+    assert "add_one" not in str(err.value)
+    assert len(list(store.glob("repro_o_*.so"))) == 1
+    assert len(list(store.glob("repro_k_*.so"))) == 1
+    assert [n for n in os.listdir(store) if ".tmp" in n] == []
+    stats = jit.stats()
+    assert stats["compiles"] == 1 and stats["kernels_built"] == 1
+    # the sibling is loaded; the failed kernel is asked for afresh
+    (fn,) = jit.load_c([ADD_ONE], PREAMBLE)
+    assert _apply(fn) == [1.0] * 4
     assert jit.stats()["compiles"] == 1
-    assert [n for n in os.listdir(tmp_path) if ".tmp" in n] == []
+    with pytest.raises(jit.JitCompileError):
+        jit.load_c([broken], PREAMBLE)
 
 
-def test_compile_c_reports_compiler_errors(forced_engine, tmp_path,
-                                           monkeypatch):
-    forced_engine("cgen")
-    if jit._find_cc() is None:
-        pytest.skip("no C compiler on this machine")
-    monkeypatch.setenv("REPRO_JIT_DIR", str(tmp_path))
-    with pytest.raises(jit.JitCompileError, match="failed on generated"):
-        jit.compile_c("void broken( {")
+def test_waiters_on_a_failed_build_fail_too_and_a_retry_builds(store):
+    """A thread waiting for a kernel another thread fails to build gets
+    that error instead of hanging; the table forgets the kernel."""
+    broken = jit.KernelSource("bad_one", f"void {jit.SYMBOL}( {{", ())
+    start = threading.Barrier(4)
+    errors = []
+
+    def build():
+        start.wait(timeout=30)
+        try:
+            jit.load_c([broken], PREAMBLE)
+        except jit.JitCompileError as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=build) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert len(errors) == 4
+    assert jit._KERNELS == {}
+
+
+def test_primed_process_never_runs_a_compiler(store, monkeypatch):
+    """Objects, names and the OpenMP verdict are all on disk: a second
+    process starts no subprocess from this module."""
+    kernels = [_kernel(f"p{n}", f"x[i] += {n}") for n in range(3)]
+    jit.load_c(kernels, PREAMBLE, want_openmp=True)
+    assert list(store.glob("repro_openmp_*"))
+    _forget_loaded()
+    jit.reset()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"subprocess started: {args}")
+
+    monkeypatch.setattr(jit.subprocess, "Popen", refuse)
+    monkeypatch.setattr(jit.subprocess, "run", refuse)
+    fns = jit.load_c(kernels, PREAMBLE, want_openmp=True)
+    assert [_apply(fn, (0.0,)) for fn in fns] == [[0.0], [1.0], [2.0]]
+    stats = jit.stats()
+    assert stats["compiles"] == 0 and stats["kernels_built"] == 0
+    assert stats["kernels_reused"] == 3 and stats["disk_hits"] >= 1
+
+
+def test_compiler_upgrade_is_a_new_key(store, monkeypatch, tmp_path_factory):
+    """The key holds the resolved binary's size and mtime, not only its
+    path: the same path with a new binary rebuilds."""
+    real = jit._find_cc()
+    wrapper = tmp_path_factory.mktemp("bin") / "mycc"
+    wrapper.write_text(f'#!/bin/sh\nexec {real} "$@"\n')
+    wrapper.chmod(0o755)
+    monkeypatch.setenv("REPRO_CC", str(wrapper))
+    jit.load_c([ADD_ONE], PREAMBLE)
+    _forget_loaded()
+    jit.load_c([ADD_ONE], PREAMBLE)
+    assert jit.stats()["kernels_built"] == 1  # same compiler: from disk
+    stamp = wrapper.stat().st_mtime_ns + 5_000_000_000
+    os.utime(wrapper, ns=(stamp, stamp))
+    _forget_loaded()
+    jit.load_c([ADD_ONE], PREAMBLE)
+    assert jit.stats()["kernels_built"] == 2
+    assert len(list(store.glob("repro_k_*.so"))) == 2
+
+
+_ORDER_CHILD = """
+import ctypes, json, sys
+from repro.runtime import jit
+
+def kernel(label, inc):
+    return jit.KernelSource(
+        label,
+        "void %s(double* x, int64_t n)\\n"
+        "{ for (int64_t i = 0; i < n; ++i) x[i] += %d; }\\n"
+        % (jit.SYMBOL, inc),
+        (ctypes.c_void_p, ctypes.c_int64),
+    )
+
+x, shared, y = kernel("x", 1), kernel("shared", 2), kernel("y", 3)
+programs = {"A": [x, shared], "B": [shared, y]}
+for name in sys.argv[1]:
+    jit.load_c(programs[name], "#include <stdint.h>\\n")
+print(json.dumps(jit.stats()))
+"""
+
+
+def _run_order(store, order):
+    env = dict(os.environ, REPRO_JIT="cgen", REPRO_JIT_DIR=str(store),
+               PYTHONPATH="src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _ORDER_CHILD, order],
+        env=env, capture_output=True, text=True, cwd=REPO, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("first, second", [("AB", "BA"), ("BA", "AB")])
+def test_build_order_does_not_matter_to_the_next_process(
+    store, first, second
+):
+    """The store is per kernel: whichever program built the shared kernel
+    first, a second process building in the other order builds nothing."""
+    cold = _run_order(store, first)
+    assert cold["kernels_requested"] == 4 and cold["kernels_built"] == 3
+    assert cold["kernels_reused"] == 1 and cold["cache_repairs"] == 0
+    warm = _run_order(store, second)
+    assert warm["kernels_built"] == 0 and warm["compiles"] == 0
+    assert warm["kernels_reused"] == 4 and warm["disk_hits"] >= 1
 
 
 def test_default_threads_env(monkeypatch):

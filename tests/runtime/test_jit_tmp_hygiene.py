@@ -1,6 +1,6 @@
 """JIT disk-cache tmp hygiene (PR 10 satellite): failed builds must not
-leak ``*.so.tmp<pid>`` files, and stale tmps from dead builders are
-swept when the cache is opened."""
+leak ``*.tmp<pid>`` files (objects, kernel names, sources), and stale
+tmps from dead builders are swept when the cache is opened."""
 
 import os
 import time
@@ -51,12 +51,28 @@ def test_sweep_reaps_ancient_tmp_even_if_pid_looks_alive(tmp_path):
 
 def test_sweep_removes_own_pid_tmp(tmp_path):
     # our own pid suffix means *we* died mid-build last time this pid
-    # existed — or a previous compile_c in this process failed; either
+    # existed — or a previous build in this process failed; either
     # way the tmp is garbage
     mine = tmp_path / f"repro_abc.so.tmp{os.getpid()}"
     _touch(str(mine))
     removed = jit.sweep_stale_tmps(str(tmp_path))
     assert str(mine) in removed
+
+
+@pytest.mark.parametrize("name", [
+    "repro_o_abc.tmp{pid}.c",      # a source being written
+    "repro_k_abc.so.tmp{pid}",     # a kernel name being published
+    "repro_openmp_abc.tmp{pid}",   # the OpenMP verdict being written
+])
+def test_sweep_covers_every_kind_of_temporary(tmp_path, name):
+    dead = os.getpid()
+    while jit._pid_alive(dead):
+        dead += 7919
+        if dead > 4_000_000:
+            pytest.skip("could not find a free pid")
+    victim = tmp_path / name.format(pid=dead)
+    _touch(str(victim))
+    assert jit.sweep_stale_tmps(str(tmp_path)) == [str(victim)]
 
 
 def test_sweep_ignores_non_tmp_files(tmp_path):
@@ -93,8 +109,10 @@ def test_failed_compile_leaves_no_tmp(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_JIT_DIR", str(tmp_path))
     monkeypatch.setattr(jit, "_TMP_SWEPT", True)
     with pytest.raises(jit.JitCompileError):
-        jit.compile_c("this is not C at all {{{")
-    leftovers = [
-        name for name in os.listdir(tmp_path) if ".so.tmp" in name
-    ]
+        jit.load_c(
+            [jit.KernelSource("junk", "this is not C at all {{{", ())], ""
+        )
+    leftovers = [name for name in os.listdir(tmp_path) if ".tmp" in name]
     assert leftovers == []
+    # no object and no kernel name either: only the rejected source stays
+    assert [n for n in os.listdir(tmp_path) if n.endswith(".so")] == []

@@ -33,6 +33,7 @@ from repro.sdfg.codegen_compiled import (
 from repro.sdfg.loopnest import Clamp, Loop, Store, Strip
 from repro.sdfg.nodes import Kernel
 from tests.fv3.test_backend_bitexact import NI, NJ, NK, _discover, _synthesize
+from tests.runtime.test_jit import _forget_loaded
 
 
 @pytest.fixture(autouse=True)
@@ -84,7 +85,7 @@ def _first_kernel(sdfg) -> Kernel:
 def _tree(stencil_obj, arrays, origin=(0, 0, 0), domain=None):
     """The loop-nest tree of a stencil's (single) kernel."""
     sdfg = _build_sdfg(stencil_obj, arrays, origin, domain)
-    return lower_kernel(_first_kernel(sdfg), sdfg, "k0").tree
+    return lower_kernel(_first_kernel(sdfg), sdfg).tree
 
 
 def _nodes(nodes, kind):
@@ -168,6 +169,36 @@ def test_cgen_engine_matches_numpy_emission(monkeypatch, tmp_path):
     np.testing.assert_array_equal(got["out"], ref["out"])
 
 
+@pytest.mark.parametrize("engine", ["pyloops", "cgen"])
+def test_two_programs_share_one_kernel(engine, monkeypatch, tmp_path):
+    """The kernel, not the program, is what the JIT store identifies: a
+    stencil at one domain is built once and is one function object in
+    every plan that contains it; another domain is another kernel (the
+    extents are literals of the text)."""
+    if engine == "cgen" and jit._find_cc() is None:
+        pytest.skip("no C compiler")
+    monkeypatch.setenv("REPRO_JIT", engine)
+    monkeypatch.setenv("REPRO_JIT_DIR", str(tmp_path))
+    jit.reset(engine=True)
+    _forget_loaded()  # as a fresh process: earlier tests built _lap
+    arrays = {"a": _rand((8, 8, 6)), "out": np.zeros((8, 8, 6))}
+    results = [
+        _run_both(_lap, arrays, scalars={"w": 0.25}, origin=(1, 1, 0),
+                  domain=domain)
+        for domain in ((6, 6, 6), (6, 6, 6), (5, 6, 6))
+    ]
+    for ref, got, _ in results:
+        np.testing.assert_array_equal(got["out"], ref["out"])
+    (fa,), (fb,), (fc,) = (plan.kernel_functions for _, _, plan in results)
+    assert fa is fb and fc is not fa
+    stats = jit.stats()
+    assert (stats["kernels_requested"], stats["kernels_built"],
+            stats["kernels_reused"]) == (3, 2, 1)
+    if engine == "cgen":
+        assert stats["compiles"] == 2
+        assert len(list(tmp_path.glob("repro_k_*.so"))) == 2
+
+
 # ---------------------------------------------------------------------------
 # eligibility + fallback
 # ---------------------------------------------------------------------------
@@ -198,7 +229,7 @@ def test_parallel_self_read_at_offset_is_ineligible():
     sdfg = _build_sdfg(shift, arrays, domain=(4, 4, 3))
     kernel = _first_kernel(sdfg)
     with pytest.raises(IneligibleKernel, match="reads itself"):
-        lower_kernel(kernel, sdfg, "k0")
+        lower_kernel(kernel, sdfg)
 
 
 def test_ineligible_kernel_raises_before_any_printer_runs(monkeypatch):
@@ -212,7 +243,7 @@ def test_ineligible_kernel_raises_before_any_printer_runs(monkeypatch):
     arrays = {"a": 1.0 + _rand((4, 4, 3)), "out": np.zeros((4, 4, 3))}
     sdfg = _build_sdfg(_logged, arrays)
     with pytest.raises(IneligibleKernel, match="bit-exact scalar form"):
-        lower_kernel(_first_kernel(sdfg), sdfg, "k0")
+        lower_kernel(_first_kernel(sdfg), sdfg)
     plan = compile_sdfg_compiled(sdfg)
     assert plan.fallback_kernels and not plan.compiled_kernels
     assert printed == []
