@@ -1,15 +1,24 @@
 """The acoustic sub-step loop (the blue region of Fig. 2).
 
-One acoustic sub-step of the Lagrangian dynamics:
+One acoustic sub-step of the Lagrangian dynamics, as the SPMD body every
+rank runs (``AcousticDynamics._substep_rank``), whichever way the rank
+executor schedules it (:mod:`repro.runtime.ranks`):
 
-1. halo exchange of the winds (nonblocking in the paper; routed through
-   the in-process communicator here),
-2. ``c_sw``: interface winds, Courant numbers, swept areas, divergence,
-3. ``riem_solver_c``: the semi-implicit vertical solve for w and δz,
-4. halo exchange of the transported scalars,
-5. ``d_sw``: finite-volume transport of δp/pt/w, vector-invariant momentum
-   update with Smagorinsky and divergence damping,
+1. start the nonblocking halo exchange of the winds,
+2. ``riem_solver_c``: the semi-implicit vertical solve for w and δz,
+   inside the wind exchange's window,
+3. start the fused exchange of the transported scalars δp/pt/w on
+   disjoint tag slots; advance both exchanges; finish the winds,
+4. ``c_sw``: interface winds, Courant numbers, swept areas, divergence,
+5. finish the scalars; ``d_sw``: finite-volume transport of δp/pt/w,
+   vector-invariant momentum update with Smagorinsky and divergence
+   damping,
 6. accumulation of Courant numbers/mass fluxes for the tracer transport.
+
+The body ``yield``s before each group of waits (twice per sub-step), so
+the lockstep schedule finds every message posted. The same order is
+published as a static plan (:func:`acoustic_comm_plan`) for the C3xx
+protocol checker.
 """
 
 from __future__ import annotations
@@ -37,18 +46,16 @@ from repro.runtime import ranks as _ranks
 _TRACER = _obs.get_tracer()
 
 
-def acoustic_comm_plan(halo: HaloUpdater | None = None, *,
-                       overlap: bool = True):
+def acoustic_comm_plan(halo: HaloUpdater | None = None):
     """The acoustic sub-step's communication schedule as a static
     :class:`repro.lint.plan_ir.CommPlan`.
 
     This is the declared contract the C3xx protocol rules verify: the
     split wind and scalar exchanges with their tag-slot bases, and the
     compute ops between them with read/write footprints taken from the
-    real stencil extents. ``overlap=True`` mirrors ``_substep_rank``'s
-    pipelined path, ``overlap=False`` the ``REPRO_OVERLAP=0`` ordering.
-    Message edges come from ``halo.comm_schedule()`` (a default 6-rank
-    decomposition when no updater is passed).
+    real stencil extents, in ``_substep_rank``'s order. Message edges
+    come from ``halo.comm_schedule()`` (a default 6-rank decomposition
+    when no updater is passed).
     """
     from repro.lint import plan_ir
     from repro.fv3.stencils.c_sw import cgrid_winds_x, cgrid_winds_y
@@ -63,11 +70,10 @@ def acoustic_comm_plan(halo: HaloUpdater | None = None, *,
     h = halo.n_halo
     winds = plan_ir.ExchangeDecl("winds", ("u", "v"), fslot_base=0,
                                  vector=True)
-    # in the overlap path the transported scalars fly concurrently with
-    # the winds, so they sit past the wind exchange's two slots; the
-    # sequential path runs them after finish_vector on the default base
+    # the transported scalars fly concurrently with the winds, so they
+    # sit past the wind exchange's two slots
     scalars = plan_ir.ExchangeDecl(
-        "scalars", ("delp", "pt", "w"), fslot_base=2 if overlap else 0
+        "scalars", ("delp", "pt", "w"), fslot_base=2
     )
     riemann_op = plan_ir.compute_op_from_stencils("riem_solver_c", [
         (precompute_coefficients,
@@ -91,8 +97,11 @@ def acoustic_comm_plan(halo: HaloUpdater | None = None, *,
         writes={f: plan_ir.halo_extent(0)
                 for f in ("u", "v", "delp", "pt", "w")},
     )
-    if overlap:
-        program = (
+    return plan_ir.CommPlan.spmd(
+        name="acoustics.substep",
+        n_ranks=halo.partitioner.total_ranks,
+        exchanges=(winds, scalars),
+        program=(
             plan_ir.StartOp("winds"),
             riemann_op,
             plan_ir.StartOp("scalars"),
@@ -102,44 +111,15 @@ def acoustic_comm_plan(halo: HaloUpdater | None = None, *,
             c_sw_op,
             plan_ir.FinishOp("scalars"),
             d_sw_op,
-        )
-    else:
-        # The C305 exposed-window findings below are real and accepted:
-        # with overlap disabled the split API degenerates to an atomic
-        # exchange (start immediately followed by finish, nothing inside
-        # the window). That is the point of REPRO_OVERLAP=0 — it keeps
-        # the exact sequential op order that the bit-identity contract
-        # of the scaling tests compares against, trading latency hiding
-        # away on purpose, so the "window hides no latency" warning is
-        # expected rather than a scheduling bug.
-        program = (
-            plan_ir.StartOp("winds"),  # lint: ignore[C305] — deliberate empty window, see above
-            plan_ir.FinishOp("winds"),
-            riemann_op,
-            c_sw_op,
-            plan_ir.StartOp("scalars"),  # lint: ignore[C305] — deliberate empty window, see above
-            plan_ir.FinishOp("scalars"),
-            d_sw_op,
-        )
-    return plan_ir.CommPlan.spmd(
-        name=(
-            "acoustics.substep.overlap"
-            if overlap else "acoustics.substep.sequential"
         ),
-        n_ranks=halo.partitioner.total_ranks,
-        exchanges=(winds, scalars),
-        program=program,
         edges=halo.comm_schedule(),
     )
 
 
 def build_comm_plans():
-    """Discovery hook for ``python -m repro.lint --comm``: both acoustic
-    schedules, on the default 6-rank decomposition."""
-    return [
-        acoustic_comm_plan(overlap=True),
-        acoustic_comm_plan(overlap=False),
-    ]
+    """Discovery hook for ``python -m repro.lint --comm``: the acoustic
+    schedule on the default 6-rank decomposition."""
+    return [acoustic_comm_plan()]
 
 
 class RankWorkspace:
@@ -175,8 +155,8 @@ class AcousticDynamics:
         grids: List[CubedSphereGrid],
         states: List[RankFields],
         halo: HaloUpdater,
+        executor: _ranks.RankExecutor,
         n_halo: int = constants.N_HALO,
-        executor: "_ranks.RankExecutor | None" = None,
     ):
         self.config = config
         self.partitioner = partitioner
@@ -218,69 +198,50 @@ class AcousticDynamics:
             )
             self.riemann.append(RiemannSolverC(nx, ny, nk, n_halo=n_halo))
 
-    def comm_plan(self, overlap: bool | None = None):
+    def comm_plan(self):
         """This instance's communication schedule over its real halo
         topology, for the C3xx protocol checker and the transformation
-        audit. ``overlap=None`` resolves from ``REPRO_OVERLAP``."""
-        if overlap is None:
-            overlap = _ranks.overlap_enabled()
-        return acoustic_comm_plan(self.halo, overlap=overlap)
+        audit."""
+        return acoustic_comm_plan(self.halo)
 
     # ------------------------------------------------------------------
     def substep(self, dt: float) -> None:
         """One acoustic sub-step across all ranks."""
         with _TRACER.span("acoustics.substep"):
-            ex = self.executor
-            if ex is not None and ex.parallel:
-                ex.run(
-                    lambda r: self._substep_rank(r, dt),
-                    self.partitioner.total_ranks,
-                    label="acoustics.substep",
-                )
-            else:
-                self._substep(dt)
+            self.executor.run(
+                lambda r: self._substep_rank(r, dt),
+                self.partitioner.total_ranks,
+                label="acoustics.substep",
+            )
 
-    def _substep_rank(self, rank: int, dt: float) -> None:
-        """SPMD body: one rank's acoustic sub-step on its own thread.
+    def _substep_rank(self, rank: int, dt: float):
+        """SPMD body: one rank's acoustic sub-step.
 
-        The Riemann solve reads and writes only w/δz/pt/δp — independent
-        of the winds — so with overlap enabled it runs inside the window
-        of the in-flight wind exchange. Reordering it against ``c_sw``
-        (which is also independent of it) leaves every floating-point
-        result bit-identical to the sequential path.
+        Software-pipelined exchanges: the Riemann solve reads and writes
+        only w/δz/pt/δp — independent of the winds — so it fills the
+        wind exchange's phase-0 window; the transported scalars (which
+        riemann just finished writing, and which c_sw never reads) go in
+        flight on disjoint tag slots immediately after, so both scalar
+        phases ride inside the wind exchange's waits. Per sub-step only
+        the two wind phases are exposed. c_sw still runs on completely
+        filled u/v halos.
         """
         s, w = self.states[rank], self.work[rank]
         halo = self.halo
         hx = halo.start_vector(self._u, self._v, rank)
-        if _ranks.overlap_enabled():
-            # software-pipelined exchanges: riemann fills the wind
-            # exchange's phase-0 window; the transported scalars (which
-            # riemann just finished writing, and which c_sw never reads)
-            # go in flight on disjoint tag slots immediately after, so
-            # both scalar phases ride inside the wind exchange's waits.
-            # Per sub-step only the two wind phases are exposed. Every
-            # reordered pair is independent — c_sw still runs on
-            # completely filled u/v halos — so all results stay
-            # bit-identical to the sequential path.
-            self.riemann[rank](s.w, s.delz, s.pt, s.delp, w.pe_nh, dt)
-            sx = halo.start_scalars(
-                (self._delp, self._pt, self._w), rank, fslot_base=2
-            )
-            halo.advance(hx)
-            halo.advance(sx)
-            halo.finish_vector(hx)
-            self.c_sw[rank](
-                s.u, s.v, w.crx, w.cry, w.xfx, w.yfx, w.delpc, dt
-            )
-            halo.finish_scalars(sx)
-        else:
-            halo.finish_vector(hx)
-            self.riemann[rank](s.w, s.delz, s.pt, s.delp, w.pe_nh, dt)
-            self.c_sw[rank](
-                s.u, s.v, w.crx, w.cry, w.xfx, w.yfx, w.delpc, dt
-            )
-            sx = halo.start_scalars((self._delp, self._pt, self._w), rank)
-            halo.finish_scalars(sx)
+        self.riemann[rank](s.w, s.delz, s.pt, s.delp, w.pe_nh, dt)
+        sx = halo.start_scalars(
+            (self._delp, self._pt, self._w), rank, fslot_base=2
+        )
+        yield  # peers post both phase 0s
+        halo.advance(hx)
+        halo.advance(sx)
+        yield  # peers post both phase 1s
+        halo.finish_vector(hx)
+        self.c_sw[rank](
+            s.u, s.v, w.crx, w.cry, w.xfx, w.yfx, w.delpc, dt
+        )
+        halo.finish_scalars(sx)
         self.d_sw[rank].transport_fields(
             s.delp, s.pt, s.w, w.crx, w.cry, w.xfx, w.yfx
         )
@@ -298,47 +259,6 @@ class AcousticDynamics:
             origin=(0, 0, 0),
             domain=(nx + 2 * self.h, ny + 2 * self.h, nk),
         )
-
-    def _substep(self, dt: float) -> None:
-        states, work = self.states, self.work
-        nranks = self.partitioner.total_ranks
-        # winds with rotated halos
-        self.halo.update_vector(
-            [s.u for s in states], [s.v for s in states]
-        )
-        for r in range(nranks):
-            self.c_sw[r](
-                states[r].u, states[r].v,
-                work[r].crx, work[r].cry, work[r].xfx, work[r].yfx,
-                work[r].delpc, dt,
-            )
-            self.riemann[r](
-                states[r].w, states[r].delz, states[r].pt,
-                states[r].delp, work[r].pe_nh, dt,
-            )
-        for field in ("delp", "pt", "w"):
-            self.halo.update_scalar([getattr(s, field) for s in states])
-        for r in range(nranks):
-            self.d_sw[r].transport_fields(
-                states[r].delp, states[r].pt, states[r].w,
-                work[r].crx, work[r].cry, work[r].xfx, work[r].yfx,
-            )
-            self.d_sw[r].momentum(
-                states[r].u, states[r].v, states[r].pt, states[r].delp,
-                states[r].delz, work[r].delpc, dt,
-            )
-            self.d_sw[r].damp_fields(states[r].delp, states[r].pt)
-            nx, ny, nk = (
-                self.partitioner.nx, self.partitioner.ny, self.config.npz,
-            )
-            accumulate_fluxes(
-                work[r].crx, work[r].cry, work[r].xfx, work[r].yfx,
-                work[r].crx_adv, work[r].cry_adv,
-                work[r].xfx_adv, work[r].yfx_adv,
-                1.0,
-                origin=(0, 0, 0),
-                domain=(nx + 2 * self.h, ny + 2 * self.h, nk),
-            )
 
     def run(self, dt_acoustic: float, n_split: int) -> None:
         with _TRACER.span("acoustics"):

@@ -83,8 +83,8 @@ class DynamicalCore:
         # (the default) or the shared-memory table a rank worker process
         # is attached to — the halo updater never knows which
         self.halo = HaloUpdater(self.partitioner, n_halo=n_halo, comm=comm)
-        # the rank executor decides sequential vs SPMD stepping; the
-        # default reads REPRO_RANKS (1 → the original sequential path)
+        # the rank executor schedules the per-rank SPMD bodies; the
+        # default reads REPRO_RANKS (1 → lockstep on this thread)
         self.executor = executor if executor is not None \
             else _ranks.get_executor()
         if grids is None:
@@ -104,7 +104,7 @@ class DynamicalCore:
         ]
         self.acoustics = AcousticDynamics(
             config, self.partitioner, self.grids, self.states, self.halo,
-            n_halo=n_halo, executor=self.executor,
+            self.executor, n_halo=n_halo,
         )
         bk, ptop = reference_coordinate(config)
         nx, ny, nk = self.partitioner.nx, self.partitioner.ny, config.npz
@@ -192,9 +192,6 @@ class DynamicalCore:
                 ) from failure
             with _TRACER.span("dyncore.rollback"):
                 _resilience.record("rollbacks")
-                # drop messages stranded by an aborted exchange so the
-                # re-advance can repost every send cleanly
-                self.halo.comm.drain()
                 snapshot.restore(self.states)
                 self.time = snapshot.time
             if res.backoff_base > 0.0:
@@ -250,43 +247,39 @@ class DynamicalCore:
     def _remapping_step(self, dt_remap: float) -> None:
         cfg = self.config
         nranks = self.partitioner.total_ranks
-        ex = self.executor
-        parallel = ex is not None and ex.parallel
+        run = self.executor.run
         # snapshot δp for the tracer transport (consistent bracketing)
         for r in range(nranks):
             self._delp_start[r][:] = self.states[r].delp
-        # acoustic loop (accumulates tracer Courant numbers/mass fluxes)
-        self.acoustics.run(cfg.dt_acoustic, cfg.n_split)
-        # sub-cycled tracer advection with the accumulated transport
-        with _TRACER.span("dyncore.tracer_advection"):
-            if parallel:
-                ex.run(self._advect_tracers_rank, nranks,
-                       label="tracer_advection")
-            else:
-                self._advect_tracers()
-        # Lagrangian-to-Eulerian vertical remap
-        with _TRACER.span("dyncore.vertical_remap"):
-            if parallel:
-                ex.run(self._vertical_remap_rank, nranks,
-                       label="vertical_remap")
-            else:
-                self._vertical_remap()
+        try:
+            # acoustic loop (accumulates tracer Courant numbers/mass
+            # fluxes)
+            self.acoustics.run(cfg.dt_acoustic, cfg.n_split)
+            # sub-cycled tracer advection with the accumulated transport
+            with _TRACER.span("dyncore.tracer_advection"):
+                run(self._advect_tracers_rank, nranks,
+                    label="tracer_advection")
+            # Lagrangian-to-Eulerian vertical remap
+            with _TRACER.span("dyncore.vertical_remap"):
+                run(self._vertical_remap_rank, nranks,
+                    label="vertical_remap")
+        except BaseException:
+            # a section that failed between a start_* and its finish_*
+            # leaves its peers' messages in flight: drop them (this
+            # endpoint's ranks only) so the next step, or the rollback's
+            # re-advance, can repost every send cleanly
+            self.halo.comm.drain()
+            raise
 
-    def _advect_tracers(self) -> None:
-        nranks = self.partitioner.total_ranks
-        self.halo.update_scalar(self._delp_start)
-        for tr in range(self.config.n_tracers):
-            self.halo.update_scalar([s.tracers[tr] for s in self.states])
-        for r in range(nranks):
-            self._advect_tracers_compute(r)
-
-    def _advect_tracers_rank(self, r: int) -> None:
+    def _advect_tracers_rank(self, r: int):
         """SPMD body: one fused halo exchange of δp_start plus every
         tracer (per-field tag slots), then this rank's advection."""
-        hx = self.halo.start_scalars(
-            [self._delp_start] + self._tracer_fields, r
-        )
-        self.halo.finish_scalars(hx)
+        halo = self.halo
+        hx = halo.start_scalars([self._delp_start] + self._tracer_fields, r)
+        yield  # peers post phase 0
+        halo.advance(hx)
+        yield  # peers post phase 1
+        halo.finish_scalars(hx)
         self._advect_tracers_compute(r)
 
     def _advect_tracers_compute(self, r: int) -> None:
@@ -302,10 +295,6 @@ class DynamicalCore:
                 work[r].crx_adv, work[r].cry_adv,
                 work[r].xfx_adv, work[r].yfx_adv,
             )
-
-    def _vertical_remap(self) -> None:
-        for r in range(self.partitioner.total_ranks):
-            self._vertical_remap_rank(r)
 
     def _vertical_remap_rank(self, r: int) -> None:
         state = self.states[r]

@@ -15,6 +15,16 @@ independent of the rank layout. Data travels through packed contiguous
 buffers over the mpi4py-style communicator; which mailbox store that
 communicator sits on (in-process, or shared memory between rank worker
 processes) is invisible here.
+
+There is one implementation, per rank and split: ``start_*`` posts a
+rank's phase-0 messages, ``advance`` completes phase 0 and posts phase 1,
+``finish_*`` completes phase 1 — the SPMD body of every rank executor
+(:mod:`repro.runtime.ranks`) calls these around its interior compute.
+``update_scalar`` / ``update_vector`` are whole-world conveniences over
+the same three calls (start all ranks, advance all, finish all). Spans:
+``halo.exchange`` (``messages`` / ``bytes`` posted) around every post and
+every wait-and-scatter, ``halo.rotate_vectors`` (``cells``) around the
+seam rotations, under every executor.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from repro.fv3.partitioner import (
 from repro.obs import tracer as _obs
 from repro.resilience import record as _record
 from repro.resilience.errors import HaloTimeoutError
+from repro.runtime import ranks as _ranks
 
 _TRACER = _obs.get_tracer()
 
@@ -51,17 +62,12 @@ def _tag(fslot: int, phase: int, pi: int) -> int:
     return fslot * 10000 + phase * 1000 + pi
 
 
-def _record_overlap(hidden_seconds: float, exposed_seconds: float) -> None:
-    from repro.runtime import ranks as _ranks
-
-    _ranks.record_overlap(hidden_seconds, exposed_seconds)
-
-
 @dataclasses.dataclass
 class RankHaloExchange:
     """An in-flight split exchange for one rank: phase-0 sends and
-    receives are posted; ``finish_*`` completes phase 0, runs phase 1
-    and (for vectors) the seam rotations.
+    receives are posted; ``advance`` completes phase 0 and posts phase
+    1, ``finish_*`` completes phase 1 (each followed, for vectors, by
+    the phase's seam rotations).
 
     Between ``start_*`` and ``finish_*`` the rank may compute anything
     that does not read the halo cells of the exchanged fields — that
@@ -71,15 +77,17 @@ class RankHaloExchange:
     rank: int
     slots: Tuple[Sequence[np.ndarray], ...]
     vector: bool
-    reqs: List[tuple]
-    t_start: float
-    #: next phase to complete: 0 after ``start_*``, 1 after ``advance``
-    phase: int = 0
-    #: seconds spent blocked in waits so far (accumulated by ``advance``)
-    blocked: float = 0.0
     #: first tag slot: two exchanges in flight concurrently (e.g. the
     #: wind exchange and the transported scalars) need disjoint slots
     fslot_base: int = 0
+    #: the posted phase: 0 after ``start_*``, 1 after ``advance``
+    phase: int = 0
+    #: (slot index, plan, buffer, request) of the posted phase's receives
+    reqs: List[tuple] = dataclasses.field(default_factory=list)
+    #: when phase 0 had been posted (start of the overlap window)
+    t_start: float = 0.0
+    #: seconds spent blocked in waits so far
+    blocked: float = 0.0
 
 
 @dataclasses.dataclass
@@ -148,11 +156,9 @@ class HaloUpdater:
             self._build_rank_plans(rank)
             for rank in range(partitioner.total_ranks)
         ]
-        # persistent pack buffers: gather plans are static per (rank,
-        # phase), so each message reuses one buffer for its whole lifetime
-        # (pack → send → receive back into it → scatter). Keyed also by the
-        # field's trailing shape and dtype since one updater serves both 2D
-        # and 3D fields.
+        # persistent buffers: one receive buffer per message (gather
+        # plans are static per (rank, phase, field slot)), one send
+        # scratch per (rank, shape, dtype), one pair per rotated plan
         self._bufs: Dict[tuple, np.ndarray] = {}
         self._buf_lock = threading.Lock()
         #: send-side inverse of ``plans``: for each source rank and
@@ -265,70 +271,6 @@ class HaloUpdater:
             phases.append(plans)
         return phases
 
-    # ------------------------------------------------------------------
-    def _exchange_phase(
-        self, fields: Sequence[np.ndarray], phase: int
-    ) -> None:
-        """Run one phase: pack → Isend/Irecv → wait → unpack (+rotate)."""
-        comm = self.comm
-        requests = []
-        messages = 0
-        nbytes = 0
-        with _TRACER.span("halo.exchange") as sp:
-            # post sends: the source rank packs the requested cells into the
-            # message's persistent buffer. The pack is already contiguous,
-            # so nothing is copied between pack and send.
-            for rank in range(self.partitioner.total_ranks):
-                for pi, plan in enumerate(self.plans[rank][phase]):
-                    src_field = fields[plan.src_rank]
-                    shape = (plan.cells,) + src_field.shape[2:]
-                    buf = self._plan_buf(
-                        (rank, phase, pi), shape, src_field.dtype
-                    )
-                    self._gather(
-                        src_field, plan.flat_src, buf,
-                        (plan.src_i, plan.src_j),
-                    )
-                    messages += 1
-                    nbytes += buf.nbytes
-                    comm.Isend(
-                        buf,
-                        source=plan.src_rank,
-                        dest=rank,
-                        tag=phase * 1000 + pi,
-                    )
-            # post receives and complete them; each message's buffer is
-            # free for reuse the moment its send is posted (Isend hands a
-            # stable copy to the transport), so the receive lands in the
-            # same buffer
-            for rank in range(self.partitioner.total_ranks):
-                for pi, plan in enumerate(self.plans[rank][phase]):
-                    shape = (plan.cells,) + fields[rank].shape[2:]
-                    buf = self._plan_buf(
-                        (rank, phase, pi), shape, fields[rank].dtype
-                    )
-                    req = comm.Irecv(
-                        buf, source=plan.src_rank, dest=rank,
-                        tag=phase * 1000 + pi,
-                    )
-                    requests.append((rank, plan, buf, req))
-            try:
-                for rank, plan, buf, req in requests:
-                    req.wait()
-                    fields[rank][plan.dst_i, plan.dst_j] = buf
-            except HaloTimeoutError as exc:
-                # the tag encoding is ours, so the phase and tag slot are
-                # named here; drain the aborted exchange so a retry can
-                # repost every send without tripping the duplicate-key
-                # check
-                exc.phase = phase
-                exc.fslot_base = 0  # the atomic path always uses slot 0
-                _record("halo_timeouts")
-                comm.drain()
-                raise
-            sp.add("messages", messages)
-            sp.add("bytes", nbytes)
-
     def _rotate_rank(self, rank: int, u_fields, v_fields,
                      phase: int) -> int:
         """Rotate one rank's received vector halo cells into its local
@@ -367,145 +309,121 @@ class HaloUpdater:
             pool.release(t1)
         return rotated
 
-    def _rotate_vectors(self, vector_pair, phase: int) -> None:
-        u_fields, v_fields = vector_pair
-        with _TRACER.span("halo.rotate_vectors") as sp:
-            rotated = 0
-            for rank in range(self.partitioner.total_ranks):
-                rotated += self._rotate_rank(rank, u_fields, v_fields, phase)
-            sp.add("cells", rotated)
-
     # ------------------------------------------------------------------
-    # split per-rank exchange (the SPMD path)
+    # the split per-rank exchange
     # ------------------------------------------------------------------
-    def _post_rank_sends(self, rank: int, slots, phase: int,
-                         fslot_base: int = 0) -> None:
-        """Pack and post every message ``rank`` owes its neighbors for
-        one phase, all field slots."""
-        comm = self.comm
-        for dst, pi, plan in self._send_index[rank][phase]:
-            for fslot, fields in enumerate(slots, start=fslot_base):
-                field = fields[rank]
-                shape = (plan.cells,) + field.shape[2:]
-                # "snd"-keyed, distinct from the receiver's "rcv" buffer:
-                # the sender's thread may repack for the next exchange
-                # while the receiver is still scattering this one, so the
-                # two sides must never share storage (Isend snapshots the
-                # payload, making the pack buffer free on return)
-                buf = self._plan_buf(
-                    ("snd", dst, phase, pi, fslot), shape, field.dtype
-                )
-                self._gather(
-                    field, plan.flat_src, buf, (plan.src_i, plan.src_j)
-                )
-                comm.Isend(
-                    buf, source=rank, dest=dst, tag=_tag(fslot, phase, pi)
-                )
+    def _post(self, ex: RankHaloExchange, phase: int) -> None:
+        """Pack and post every message the rank owes its neighbors for
+        one phase (all field slots), then post its own receives."""
+        comm, rank = self.comm, ex.rank
+        sends = self._send_index[rank][phase]
+        nbytes = 0
+        with _TRACER.span("halo.exchange") as sp:
+            for dst, pi, plan in sends:
+                for fslot, fields in enumerate(ex.slots, start=ex.fslot_base):
+                    field = fields[rank]
+                    shape = (plan.cells,) + field.shape[2:]
+                    # the rank's own send scratch, never the receiver's
+                    # "rcv" buffer: the sender may repack for the next
+                    # exchange while the receiver is still scattering
+                    # this one, so the two sides must never share
+                    # storage. Isend snapshots the payload, making the
+                    # scratch free on return — one per (rank, shape,
+                    # dtype) serves every message the rank sends
+                    buf = self._plan_buf(
+                        ("snd", rank, shape, field.dtype), shape, field.dtype
+                    )
+                    self._gather(
+                        field, plan.flat_src, buf, (plan.src_i, plan.src_j)
+                    )
+                    nbytes += buf.nbytes
+                    comm.Isend(
+                        buf, source=rank, dest=dst,
+                        tag=_tag(fslot, phase, pi),
+                    )
+            ex.reqs = []
+            for pi, plan in enumerate(self.plans[rank][phase]):
+                for si, fields in enumerate(ex.slots):
+                    fslot = ex.fslot_base + si
+                    field = fields[rank]
+                    shape = (plan.cells,) + field.shape[2:]
+                    buf = self._plan_buf(
+                        ("rcv", rank, phase, pi, fslot), shape, field.dtype
+                    )
+                    req = comm.Irecv(
+                        buf, source=plan.src_rank, dest=rank,
+                        tag=_tag(fslot, phase, pi),
+                    )
+                    ex.reqs.append((si, plan, buf, req))
+            sp.add("messages", len(sends) * len(ex.slots))
+            sp.add("bytes", nbytes)
+        ex.phase = phase
 
-    def _post_rank_recvs(self, rank: int, slots, phase: int,
-                         fslot_base: int = 0) -> List[tuple]:
-        """Post ``rank``'s receives for one phase; returns
-        (slot index, plan, buffer, request) tuples for the wait/unpack."""
-        reqs = []
-        for pi, plan in enumerate(self.plans[rank][phase]):
-            for si, fields in enumerate(slots):
-                fslot = fslot_base + si
-                field = fields[rank]
-                shape = (plan.cells,) + field.shape[2:]
-                buf = self._plan_buf(
-                    ("rcv", rank, phase, pi, fslot), shape, field.dtype
-                )
-                req = self.comm.Irecv(
-                    buf, source=plan.src_rank, dest=rank,
-                    tag=_tag(fslot, phase, pi),
-                )
-                reqs.append((si, plan, buf, req))
-        return reqs
+    def _complete(self, ex: RankHaloExchange) -> None:
+        """Complete the posted phase's receives, scatter the halo cells
+        and (for vectors) rotate them into the local tile basis.
 
-    def _finish_rank_phase(self, rank: int, slots, reqs,
-                           phase: int, fslot_base: int = 0) -> float:
-        """Complete one phase's receives and scatter the halo cells;
-        returns the seconds this rank spent blocked in waits.
-
-        Unlike the sequential path, a timeout does *not* drain the
-        communicator here — other rank threads are still exchanging.
-        The driver (the dyncore rollback loop) drains after joining
-        every rank.
+        A timeout does *not* drain the communicator here — other ranks
+        may still be exchanging. Whoever drives the ranks drains once
+        they have all stopped (``DynamicalCore._remapping_step``, the
+        whole-world ``update_*`` below).
         """
-        blocked = 0.0
-        try:
-            for fslot, plan, buf, req in reqs:
-                t0 = time.perf_counter()
-                req.wait()
-                blocked += time.perf_counter() - t0
-                slots[fslot][rank][plan.dst_i, plan.dst_j] = buf
-        except HaloTimeoutError as exc:
-            # name the owning exchange's tag-slot window so the timeout
-            # is cross-referenceable with the C3xx protocol findings
-            exc.phase = phase
-            exc.fslot_base = fslot_base
-            _record("halo_timeouts")
-            raise
-        return blocked
+        rank, slots = ex.rank, ex.slots
+        with _TRACER.span("halo.exchange"):
+            try:
+                for si, plan, buf, req in ex.reqs:
+                    t0 = time.perf_counter()
+                    req.wait()
+                    ex.blocked += time.perf_counter() - t0
+                    slots[si][rank][plan.dst_i, plan.dst_j] = buf
+            except HaloTimeoutError as exc:
+                # name the owning exchange's tag-slot window so the
+                # timeout is cross-referenceable with the C3xx protocol
+                # findings
+                exc.phase = ex.phase
+                exc.fslot_base = ex.fslot_base
+                _record("halo_timeouts")
+                raise
+        if ex.vector:
+            with _TRACER.span("halo.rotate_vectors") as sp:
+                sp.add(
+                    "cells",
+                    self._rotate_rank(rank, slots[0], slots[1], ex.phase),
+                )
 
     def _start(self, slots, rank: int, vector: bool,
                fslot_base: int = 0) -> RankHaloExchange:
-        with _TRACER.span("halo.start"):
-            self._post_rank_sends(rank, slots, 0, fslot_base)
-            reqs = self._post_rank_recvs(rank, slots, 0, fslot_base)
-        return RankHaloExchange(
-            rank=rank, slots=slots, vector=vector, reqs=reqs,
-            t_start=time.perf_counter(), fslot_base=fslot_base,
-        )
+        ex = RankHaloExchange(rank, slots, vector, fslot_base)
+        self._post(ex, 0)
+        ex.t_start = time.perf_counter()
+        return ex
 
     def advance(self, ex: RankHaloExchange) -> None:
         """Complete phase 0 and post phase 1 without blocking on it.
 
-        Optional pipelining step between ``start_*`` and ``finish_*``:
-        after ``advance`` the rank may post *another* exchange (or
-        compute) while phase 1's messages are in flight, so a subsequent
-        exchange's phase-0 latency elapses inside this one's phase-1
-        wait. The exchanged fields' edge halos are valid after
-        ``advance``; corners (and seam rotations) only after
-        ``finish_*``.
+        Pipelining step between ``start_*`` and ``finish_*`` (implied by
+        ``finish_*`` when skipped): after ``advance`` the rank may post
+        *another* exchange (or compute) while phase 1's messages are in
+        flight, so a subsequent exchange's phase-0 latency elapses
+        inside this one's phase-1 wait. The exchanged fields' edge halos
+        are valid after ``advance``; corners only after ``finish_*``.
         """
         if ex.phase != 0:
             raise ValueError("advance() called twice on one exchange")
-        rank, slots = ex.rank, ex.slots
-        with _TRACER.span("halo.advance"):
-            ex.blocked += self._finish_rank_phase(
-                rank, slots, ex.reqs, 0, ex.fslot_base
-            )
-            if ex.vector:
-                self._rotate_rank(rank, slots[0], slots[1], 0)
-            self._post_rank_sends(rank, slots, 1, ex.fslot_base)
-            ex.reqs = self._post_rank_recvs(rank, slots, 1, ex.fslot_base)
-        ex.phase = 1
+        self._complete(ex)
+        self._post(ex, 1)
 
     def _finish(self, ex: RankHaloExchange) -> None:
         hidden = time.perf_counter() - ex.t_start
-        rank, slots = ex.rank, ex.slots
-        with _TRACER.span("halo.finish"):
-            if ex.phase == 0:
-                ex.blocked += self._finish_rank_phase(
-                    rank, slots, ex.reqs, 0, ex.fslot_base
-                )
-                if ex.vector:
-                    self._rotate_rank(rank, slots[0], slots[1], 0)
-                self._post_rank_sends(rank, slots, 1, ex.fslot_base)
-                ex.reqs = self._post_rank_recvs(rank, slots, 1, ex.fslot_base)
-            blocked = ex.blocked + self._finish_rank_phase(
-                rank, slots, ex.reqs, 1, ex.fslot_base
-            )
-            if ex.vector:
-                self._rotate_rank(rank, slots[0], slots[1], 1)
-        _record_overlap(hidden, blocked)
+        if ex.phase == 0:
+            self.advance(ex)
+        self._complete(ex)
+        _ranks.record_overlap(hidden, ex.blocked)
 
     def start_scalar(self, fields: Sequence[np.ndarray],
                      rank: int) -> RankHaloExchange:
         """Post phase 0 of one rank's scalar halo exchange (SPMD: every
-        rank calls this on its own thread). Pair with
-        :meth:`finish_scalar`."""
+        rank's body calls this). Pair with :meth:`finish_scalar`."""
         return self._start((fields,), rank, vector=False)
 
     def start_scalars(self, fields_list: Sequence[Sequence[np.ndarray]],
@@ -526,7 +444,7 @@ class HaloUpdater:
         return self._start((u_fields, v_fields), rank, vector=True)
 
     def finish_scalar(self, ex: RankHaloExchange) -> None:
-        """Complete a scalar exchange: wait out phase 0, run phase 1."""
+        """Complete a scalar exchange (phase 0 too, if not advanced)."""
         if ex.vector:
             raise ValueError("vector exchange passed to finish_scalar")
         self._finish(ex)
@@ -540,6 +458,27 @@ class HaloUpdater:
         self._finish(ex)
 
     # ------------------------------------------------------------------
+    def _update(self, slots, vector: bool) -> None:
+        """Whole-world exchange on the calling thread: every rank
+        starts, then every rank advances, then every rank finishes, so
+        each wait finds its message posted. A timeout drains the aborted
+        exchange so a retry can repost every send without tripping the
+        duplicate-key check."""
+        for fields in slots:
+            self._check(fields)
+        try:
+            exchanges = [
+                self._start(slots, rank, vector)
+                for rank in range(self.partitioner.total_ranks)
+            ]
+            for ex in exchanges:
+                self.advance(ex)
+            for ex in exchanges:
+                self._finish(ex)
+        except HaloTimeoutError:
+            self.comm.drain()
+            raise
+
     def update_scalar(self, fields: Sequence[np.ndarray]) -> None:
         """Fill halos of one scalar field given per-rank arrays.
 
@@ -547,9 +486,7 @@ class HaloUpdater:
         [h:h+nx, h:h+ny].
         """
         with _TRACER.span("halo.update_scalar"):
-            self._check(fields)
-            self._exchange_phase(fields, 0)
-            self._exchange_phase(fields, 1)
+            self._update((fields,), vector=False)
 
     def update_vector(
         self, u_fields: Sequence[np.ndarray], v_fields: Sequence[np.ndarray]
@@ -557,13 +494,7 @@ class HaloUpdater:
         """Fill halos of a vector field, rotating components across tile
         seams (A-grid components in the local tile basis)."""
         with _TRACER.span("halo.update_vector"):
-            self._check(u_fields)
-            self._check(v_fields)
-            for phase in (0, 1):
-                # exchange both components, then rotate the received cells
-                self._exchange_phase(u_fields, phase)
-                self._exchange_phase(v_fields, phase)
-                self._rotate_vectors((u_fields, v_fields), phase)
+            self._update((u_fields, v_fields), vector=True)
 
     def finalize(self, strict: bool = False):
         """Teardown drain check: report sent-but-never-received messages

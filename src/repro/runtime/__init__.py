@@ -12,8 +12,9 @@ two allocation sources the generated NumPy programs had:
 - :mod:`repro.runtime.compile_cache` — a content-hash cache of expanded
   SDFGs → :class:`~repro.sdfg.codegen.CompiledSDFG`, so autotuning and
   transfer tuning stop recompiling identical candidate configurations.
-- :mod:`repro.runtime.ranks` — the SPMD rank executor (PR 5): one thread
-  per simulated rank with a compute-slot cap, plus the halo overlap
+- :mod:`repro.runtime.ranks` — the SPMD rank executor: the one per-rank
+  body, interleaved at its wait points on the calling thread or run on
+  one thread per rank with a compute-slot cap, plus the halo overlap
   accounting behind the obs footer's efficiency line.
 - :mod:`repro.runtime.jit` — JIT engine probing + compilation for the
   ``compiled`` backend (PR 8), with compile-count/wall-time counters so

@@ -274,27 +274,19 @@ class _SubsetRankExecutor(_ranks.RankExecutor):
     """Runs the SPMD bodies of this worker's ranks; sibling ranks run in
     other processes and are reached only through the communicator.
 
-    Always ``parallel`` (the engine must take the message-passing SPMD
-    path — the sequential path's atomic exchanges need every rank's
-    arrays, which a replica core does not keep fresh). With more than
-    one owned rank, the bodies run on threads exactly like the PR-5
-    executor: a rank blocked in a receive must not prevent a same-worker
-    rank from posting the matching send.
+    With more than one owned rank, the bodies run on threads exactly
+    like the in-process thread executor: a rank blocked in a receive
+    must not prevent a same-worker rank from posting the matching send.
+    A single owned rank runs on the worker's main thread, blocking in
+    its waits.
     """
 
     def __init__(self, owned_ranks: Sequence[int]):
         super().__init__(workers=max(1, len(owned_ranks)))
         self.owned_ranks = tuple(sorted(owned_ranks))
 
-    @property
-    def parallel(self) -> bool:
-        return True
-
     def _ranks_to_run(self, n_ranks: int) -> Sequence[int]:
         return [r for r in self.owned_ranks if r < n_ranks]
-
-    def __repr__(self) -> str:
-        return f"_SubsetRankExecutor(ranks={self.owned_ranks})"
 
 
 # ---------------------------------------------------------------------------

@@ -1,33 +1,41 @@
-"""SPMD rank execution on a thread pool (the strong-scaling substrate).
+"""SPMD rank execution: one rank body, scheduled two ways.
 
-The paper's scaling results (Fig. 11) rest on ranks advancing
-*concurrently*, with halo communication overlapped against interior
-compute. This module provides the executor that turns the repo's
-simulated ranks into actually parallel ones:
+The paper's scaling results (Fig. 11) rest on every rank running the
+*same* body, with halo communication overlapped against interior
+compute. :class:`RankExecutor` decides how those bodies are scheduled,
+never which body runs:
 
-- :class:`RankExecutor` runs one thread per rank (SPMD), with a
-  semaphore capping how many ranks *compute* at once. One thread per
-  rank is mandatory — a rank blocked in a collective receive must not
-  occupy the slot another rank needs to post the matching send — so the
-  cap is enforced by slot handover, not by pool width.
-- :func:`io_wait` releases the calling rank's compute slot for the
-  duration of a blocking communicator wait and reacquires it afterwards.
-  Waiting never consumes compute capacity; this is what makes the
-  executor deadlock-free at any ``workers`` setting.
-- Overlap accounting: the halo updater reports, per split exchange, how
-  long the communication window was covered by interior compute
-  (*hidden*) versus how long the rank still blocked (*exposed*).
-  :func:`summary` derives the overlap efficiency shown in the obs report
-  footer.
+- **Lockstep** (``workers == 1``, or a single rank to run): all bodies
+  advance on the calling thread. A body that communicates is a
+  generator that ``yield``s wherever it is about to wait on messages its
+  peers post before *their* matching ``yield``; every body reaches its
+  next ``yield`` before any goes past it, so each wait finds its message
+  already posted. A body that does not communicate is a plain function.
+- **Rank threads** (``workers > 1``): one thread per rank runs a body to
+  its end and blocks in its waits — the ``yield``s are no-ops. A
+  semaphore caps how many ranks *compute* at once. One thread per rank
+  is mandatory — a rank blocked in a receive must not occupy the slot
+  another rank needs to post the matching send — so the cap is enforced
+  by slot handover, not by pool width: :func:`io_wait` releases the
+  calling rank's compute slot for the duration of a blocking
+  communicator wait and reacquires it afterwards.
+
+No span may be open across a ``yield``: under lockstep the bodies share
+one thread's span stack.
+
+Overlap accounting: the halo updater reports, per split exchange and
+under every schedule, how long the communication window was covered by
+compute (*hidden*) versus how long the rank still blocked (*exposed*).
+:func:`summary` derives the overlap efficiency shown in the obs report
+footer.
 
 Configuration: ``REPRO_RANKS`` sets the default executor's worker cap
-(default 1, i.e. the original sequential path — zero behavior change);
-``REPRO_OVERLAP=0`` disables compute/communication overlap in the SPMD
-dyncore path without disabling threading itself.
+(default 1, lockstep).
 """
 
 from __future__ import annotations
 
+import inspect
 import os
 import threading
 import time
@@ -41,10 +49,8 @@ __all__ = [
     "RankExecutor",
     "current_rank",
     "get_executor",
-    "configure",
     "io_wait",
     "merge_summary",
-    "overlap_enabled",
     "record_overlap",
     "reset_metrics",
     "summary",
@@ -68,21 +74,13 @@ _METRICS: Dict[str, float] = {
 
 def current_rank() -> Optional[int]:
     """The rank whose SPMD body the calling thread is executing, or
-    ``None`` outside a parallel rank task (sequential path, main thread).
+    ``None`` outside a rank thread (lockstep schedule, main thread).
 
     Lets per-buffer and per-message diagnostics (the ``repro.lint``
     R4xx lifetime traces) name the owning rank without threading it
     through every call signature.
     """
     return getattr(_tls, "rank", None)
-
-
-def overlap_enabled() -> bool:
-    """Whether the SPMD dyncore overlaps interior compute with in-flight
-    halo messages (``REPRO_OVERLAP``, default on)."""
-    return os.environ.get("REPRO_OVERLAP", "1").strip().lower() not in (
-        "0", "false", "no", "off"
-    )
 
 
 @contextmanager
@@ -154,12 +152,11 @@ def summary() -> Dict[str, object]:
 
 
 class RankExecutor:
-    """Runs per-rank SPMD bodies, one thread per rank.
+    """Schedules per-rank SPMD bodies (see the module docstring).
 
     ``workers`` caps concurrent *compute* (waits release their slot via
-    :func:`io_wait`); ``workers == 1`` is the sequential path — rank
-    bodies run inline on the calling thread in rank order, bit-identical
-    to the pre-threading code.
+    :func:`io_wait`); ``workers == 1`` drives the bodies in lockstep on
+    the calling thread, in rank order between their ``yield``s.
     """
 
     def __init__(self, workers: Optional[int] = None):
@@ -192,45 +189,72 @@ class RankExecutor:
 
     def run(self, fn: Callable[[int], object], n_ranks: int,
             label: str = "ranks") -> List[object]:
-        """Run ``fn(rank)`` for every rank; a barrier on completion.
+        """Run the body ``fn(rank)`` of every rank; a barrier on
+        completion. ``fn`` is a plain function or a generator function
+        (its ``return`` value is the rank's result either way).
 
-        Parallel failures are collected after all ranks have finished
+        Rank-thread failures are collected after all ranks have finished
         (or errored), and the lowest-rank exception is re-raised — a
         deterministic choice, and it preserves ``RecoverableFault``
-        types for the dyncore retry loop.
+        types for the dyncore retry loop. Under lockstep the first
+        failure closes the other bodies (their ``finally`` blocks run)
+        and is re-raised.
         """
         ranks = self._ranks_to_run(n_ranks)
         results: List[object] = [None] * n_ranks
+        if not self.parallel or len(ranks) <= 1:
+            self._run_lockstep(fn, ranks, results)
+            return results
         errors: List[BaseException] = []
         t0 = time.perf_counter()
-        if not self.parallel or len(ranks) <= 1:
-            for rank in ranks:
-                results[rank] = fn(rank)
-        else:
-            pool = self._ensure_pool(len(ranks))
-            tracer = _obs.get_tracer()
-            parent = tracer.current if tracer.enabled else None
-            futures = [
-                pool.submit(self._run_rank, fn, rank, tracer, parent)
-                for rank in ranks
-            ]
-            for rank, fut in zip(ranks, futures):
-                try:
-                    results[rank] = fut.result()
-                except BaseException as exc:  # noqa: BLE001 — re-raised below
-                    errors.append(exc)
-        if self.parallel:
-            elapsed = time.perf_counter() - t0
-            with _LOCK:
-                _METRICS["workers"] = self.workers
-                _METRICS["sections"] += 1
-                _METRICS["tasks"] += len(ranks)
-                _METRICS["section_seconds"] += elapsed
+        pool = self._ensure_pool(len(ranks))
+        tracer = _obs.get_tracer()
+        parent = tracer.current if tracer.enabled else None
+        futures = [
+            pool.submit(self._run_rank, fn, rank, results, tracer, parent)
+            for rank in ranks
+        ]
+        for fut in futures:
+            try:
+                fut.result()
+            except BaseException as exc:  # noqa: BLE001 — re-raised below
+                errors.append(exc)
+        elapsed = time.perf_counter() - t0
+        with _LOCK:
+            _METRICS["workers"] = self.workers
+            _METRICS["sections"] += 1
+            _METRICS["tasks"] += len(ranks)
+            _METRICS["section_seconds"] += elapsed
         if errors:
             raise errors[0]
         return results
 
-    def _run_rank(self, fn, rank, tracer, parent):
+    @staticmethod
+    def _run_lockstep(fn, ranks, results) -> None:
+        """Advance every body to its next ``yield`` before any goes past
+        it, in rank order, until all have returned. (A rank thread is
+        the one-body case: it runs through the ``yield``s and blocks in
+        the waits themselves.)"""
+        live = {}
+        try:
+            for rank in ranks:
+                out = fn(rank)
+                if inspect.isgenerator(out):
+                    live[rank] = out
+                else:
+                    results[rank] = out
+            while live:
+                for rank in list(live):
+                    try:
+                        next(live[rank])
+                    except StopIteration as stop:
+                        results[rank] = stop.value
+                        del live[rank]
+        finally:
+            for body in live.values():
+                body.close()
+
+    def _run_rank(self, fn, rank, results, tracer, parent):
         _tls.slot = self._sem
         _tls.rank = rank
         self._sem.acquire()
@@ -238,8 +262,9 @@ class RankExecutor:
             if parent is not None:
                 with tracer.thread_context(parent):
                     with tracer.span(f"rank[{rank}]"):
-                        return fn(rank)
-            return fn(rank)
+                        self._run_lockstep(fn, (rank,), results)
+            else:
+                self._run_lockstep(fn, (rank,), results)
         finally:
             self._sem.release()
             _tls.slot = None
@@ -263,17 +288,8 @@ _DEFAULT: Optional[RankExecutor] = None
 
 def get_executor() -> RankExecutor:
     """The process-wide default executor (worker cap from ``REPRO_RANKS``,
-    default 1 → sequential)."""
+    default 1 → lockstep)."""
     global _DEFAULT
     if _DEFAULT is None:
         _DEFAULT = RankExecutor()
-    return _DEFAULT
-
-
-def configure(workers: int) -> RankExecutor:
-    """Replace the default executor with one capped at ``workers``."""
-    global _DEFAULT
-    if _DEFAULT is not None:
-        _DEFAULT.shutdown()
-    _DEFAULT = RankExecutor(workers)
     return _DEFAULT

@@ -1,7 +1,9 @@
-"""SPMD dyncore stepping: the thread-per-rank executor with overlapped
-halo exchange must stay bit-identical to the sequential driver, under
-any worker cap, with overlap disabled, and under chaos-driven rollback
-— and its overlap metrics must surface in the obs report."""
+"""SPMD dyncore stepping: the one rank body on rank threads must stay
+bit-identical to the same body under the lockstep (sequential)
+schedule, under any worker cap and under chaos-driven rollback — and
+its overlap metrics must surface in the obs report."""
+
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +12,12 @@ from repro import resilience
 from repro.fv3.config import DynamicalCoreConfig
 from repro.fv3.dyncore import DynamicalCore
 from repro.obs.report import report
-from repro.resilience import GuardConfig, ResilienceConfig, chaos
+from repro.resilience import (
+    GuardConfig,
+    RecoverableFault,
+    ResilienceConfig,
+    chaos,
+)
 from repro.resilience.chaos import ChaosPlan
 from repro.runtime import ranks
 
@@ -63,14 +70,6 @@ def test_small_worker_cap_bit_identical(sequential_run):
     _assert_bit_identical(capped, sequential_run)
 
 
-def test_overlap_disabled_bit_identical(sequential_run, monkeypatch):
-    """REPRO_OVERLAP=0 serializes finish_vector before riemann; the
-    answer must not depend on the overlap window."""
-    monkeypatch.setenv("REPRO_OVERLAP", "0")
-    threaded = _run(workers=6)
-    _assert_bit_identical(threaded, sequential_run)
-
-
 def test_threaded_rollback_recovers_bit_identical():
     """A dropped halo message under threads trips the timeout, the
     driver drains and rolls back, and the retried step finishes
@@ -94,6 +93,67 @@ def test_threaded_rollback_recovers_bit_identical():
         resilience.reset()
     _assert_bit_identical(faulty, clean)
     assert faulty.halo.comm.pending() == []
+
+
+@pytest.mark.parametrize("workers", [1, 6], ids=["sequential", "threads"])
+def test_failed_section_leaves_no_messages_in_flight(workers):
+    """A stencil that raises between a start_* and its finish_* (here:
+    rank 0's c_sw, with the scalar exchange in flight) strands its
+    peers' messages; the remapping step drains them on the way out, so
+    the next step on the same core reposts every send cleanly — without
+    any ``resilience=`` harness."""
+    ex = ranks.RankExecutor(workers)
+    try:
+        core = DynamicalCore(CFG, executor=ex)
+        c_sw = core.acoustics.c_sw
+        healthy = c_sw[0]
+
+        def fails_once(*args):
+            c_sw[0] = healthy
+            raise RecoverableFault("injected: c_sw on rank 0")
+
+        c_sw[0] = fails_once
+        with pytest.raises(RecoverableFault, match="injected"):
+            core.step_dynamics()
+        assert core.halo.comm.pending() == []
+        core.step_dynamics()
+        assert core.halo.comm.pending() == []
+    finally:
+        ex.shutdown()
+
+
+def test_sequential_step_hides_latency_behind_ten_windows():
+    """Under a simulated per-message latency L the lockstep schedule
+    pays one L per exposed window — two per acoustic sub-step (the wind
+    phases; the scalars ride inside them) plus two for the fused tracer
+    exchange, 10 on this config — where a schedule that completes each
+    field's each phase before posting the next pays 44 (per sub-step
+    2 fields x 2 phases + 3 x 2, plus 2 x 2 for the tracers)."""
+    from repro.run import build_core
+
+    latency = 0.05
+    cfg = DynamicalCoreConfig(
+        npx=12, npz=4, layout=1, dt_atmos=120.0, k_split=1, n_split=4,
+        n_tracers=1,
+    )
+
+    def step_seconds(comm_latency):
+        core = build_core(
+            "baroclinic_wave", cfg, executor="sequential",
+            comm_latency=comm_latency, max_polls=40,
+        )
+        try:
+            core.step_dynamics()  # programs bound, buffers allocated
+            t0 = time.perf_counter()
+            core.step_dynamics()
+            return time.perf_counter() - t0
+        finally:
+            core.finalize()
+            core.executor.shutdown()
+
+    added = step_seconds(latency) - step_seconds(0.0)
+    assert added > 5 * latency  # the latency is really simulated ...
+    assert added < 0.5 * 44 * latency  # ... and paid per window only
 
 
 @pytest.mark.traced

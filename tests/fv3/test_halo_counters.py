@@ -38,7 +38,8 @@ def test_scalar_counters_match_analytic_sizes_2x2():
     updater.update_scalar([np.zeros(shape) for _ in range(p.total_ranks)])
 
     ex = _exchange_span("halo.update_scalar")
-    assert ex.count == 2  # one entry per phase
+    # per rank and phase: one entry posting, one completing
+    assert ex.count == 4 * p.total_ranks
     assert ex.attrs["bytes"] == _cells_per_update(p) * 8  # float64
     # messages: one per (source rank, rotation) gather plan
     assert ex.attrs["messages"] == sum(
@@ -70,8 +71,12 @@ def test_vector_update_doubles_traffic_and_counts_rotated_cells():
 
     vec = obs.get_tracer().root.children["halo.update_vector"]
     ex = vec.children["halo.exchange"]
-    assert ex.count == 4  # two components x two phases
+    # both components travel in one fused exchange on two tag slots
+    assert ex.count == 4 * p.total_ranks
     assert ex.attrs["bytes"] == 2 * _cells_per_update(p) * 8
+    assert ex.attrs["messages"] == 2 * sum(
+        len(phase) for rank_plans in updater.plans for phase in rank_plans
+    )
 
     rot = vec.children["halo.rotate_vectors"]
     expected_rotated = sum(

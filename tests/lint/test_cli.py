@@ -95,18 +95,41 @@ def test_cli_requires_some_target(capsys):
 
 
 def test_cli_comm_lints_module_plans(capsys):
-    # the acoustic overlap plan is clean; the sequential plan's two
-    # deliberate exposed windows are suppressed in-source
+    # one acoustic schedule, clean, nothing suppressed in-source
+    import repro.fv3.acoustics as acoustics
+    from repro.lint.cli import collect_comm_plans
+
+    assert [p.name for p in collect_comm_plans(acoustics)] == [
+        "acoustics.substep"
+    ]
     assert main(["--comm", "repro.fv3.acoustics"]) == 0
     out = capsys.readouterr().out
-    assert "(2 suppressed)" in out
+    assert "0 findings (0 suppressed)" in out
 
 
-def test_cli_comm_shows_suppressed_windows(capsys):
-    main(["--comm", "--show-suppressed", "repro.fv3.acoustics"])
+#: a plan module with one deliberate exposed window, silenced in-source
+_EXPOSED_WINDOW_PLAN = (
+    "from repro.lint.plan_ir import (CommPlan, ExchangeDecl, StartOp,\n"
+    "                                FinishOp, ComputeOp, ring_edges)\n"
+    "a = ExchangeDecl('a', ('u',), fslot_base=0)\n"
+    "plan = CommPlan.spmd('exposed.window', 2, (a,), [\n"
+    "    StartOp('a'),  # lint: ignore[C305] \u2014 deliberate empty window\n"
+    "    FinishOp('a'),\n"
+    "    ComputeOp('interior'),\n"
+    "], ring_edges(2))\n"
+)
+
+
+def test_cli_comm_shows_suppressed_windows(tmp_path, capsys):
+    mod = tmp_path / "exposed_window_plan.py"
+    mod.write_text(_EXPOSED_WINDOW_PLAN)
+    assert main(["--comm", str(mod)]) == 0
+    out = capsys.readouterr().out
+    assert "C305" not in out and "(1 suppressed)" in out
+    main(["--comm", "--show-suppressed", str(mod)])
     out = capsys.readouterr().out
     assert "C305" in out
-    assert "acoustics.substep.sequential" in out
+    assert "exposed.window" in out
 
 
 def test_cli_without_comm_skips_plans(capsys):
@@ -136,28 +159,36 @@ def test_cli_comm_fails_on_buggy_plan(tmp_path, capsys):
 def test_cli_json_artifact(tmp_path, capsys):
     import json
 
+    mod = tmp_path / "exposed_window_plan.py"
+    mod.write_text(_EXPOSED_WINDOW_PLAN)
     artifact = tmp_path / "findings.json"
-    assert main(
-        ["--comm", "repro.fv3.acoustics", "--json", str(artifact)]
-    ) == 0
+    assert main(["--comm", str(mod), "--json", str(artifact)]) == 0
     data = json.loads(artifact.read_text())
     assert data["fail_on"] == "error"
     assert data["failing"] == 0
-    assert data["suppressed"] == 2
+    assert data["suppressed"] == 1
     assert {f["rule"] for f in data["findings"]} == {"C305"}
     assert all(f["suppressed"] for f in data["findings"])
     assert set(data["counts"]) == {"error", "warning", "info"}
 
 
-def test_cli_scenario_discovers_registry_stencils(capsys):
+def test_cli_scenario_discovers_registry_stencils(monkeypatch, capsys):
     """Satellite: stencils reachable only through the scenario registry
     (built by repro.run.build_core, never imported by name here) are
-    linted; the acoustic comm plans ride along via --comm."""
+    linted; the acoustic comm plan rides along via --comm."""
+    from repro.lint import cli
+
+    linted = []
+    real = cli.lint_comm_plan
+    monkeypatch.setattr(
+        cli, "lint_comm_plan",
+        lambda plan: linted.append(plan.name) or real(plan),
+    )
     assert main(
         ["--comm", "--scenario", "baroclinic_wave"]
     ) == 0
-    out = capsys.readouterr().out
-    assert "(2 suppressed)" in out  # found the acoustic plans
+    assert "acoustics.substep" in linted  # found the acoustic plan
+    assert "(0 suppressed)" in capsys.readouterr().out
 
 
 def test_cli_scenario_unknown_name_exits_2(capsys):

@@ -16,9 +16,7 @@ from repro.lint import (
     CommPlan,
     ComputeOp,
     ExchangeDecl,
-    SuppressionIndex,
     lint_comm_plan,
-    max_severity,
 )
 from repro.lint.plan_ir import (
     AdvanceOp,
@@ -271,32 +269,23 @@ def test_rule_filter_limits_output():
 
 
 # ---------------------------------------------------------------------------
-# The shipped acoustic plans (acceptance)
+# The shipped acoustic plan (acceptance)
 # ---------------------------------------------------------------------------
 
 
 def test_acoustic_overlap_plan_is_clean():
     from repro.fv3.acoustics import acoustic_comm_plan
 
-    plan = acoustic_comm_plan(overlap=True)
+    plan = acoustic_comm_plan()
+    assert plan.name == "acoustics.substep"
     assert lint_comm_plan(plan) == []
-
-
-def test_acoustic_sequential_plan_has_only_suppressed_c305():
-    from repro.fv3.acoustics import acoustic_comm_plan
-
-    plan = acoustic_comm_plan(overlap=False)
-    findings = SuppressionIndex().apply(lint_comm_plan(plan))
-    assert findings, "expected the two deliberate exposed windows"
-    assert all(f.rule == "C305" and f.suppressed for f in findings)
-    assert max_severity(findings) is None
 
 
 @pytest.mark.parametrize("executor", ["sequential", "threads"])
 def test_core_acoustic_plan_has_no_errors_on_any_executor(executor):
-    """The real core's declared schedule is error-free however it is
-    executed: the overlap (threaded) and sequential orderings both
-    verify against the core's own halo topology."""
+    """The real core's declared schedule is finding-free however its
+    rank bodies are scheduled: one ordering, verified against the
+    core's own halo topology."""
     from repro.run.driver import build_core
     from repro.scenarios import get_scenario
 
@@ -308,10 +297,7 @@ def test_core_acoustic_plan_has_no_errors_on_any_executor(executor):
         workers=2,
     )
     try:
-        for overlap in (True, False):
-            plan = core.acoustics.comm_plan(overlap=overlap)
-            findings = SuppressionIndex().apply(lint_comm_plan(plan))
-            assert max_severity(findings) is None
+        assert lint_comm_plan(core.acoustics.comm_plan()) == []
     finally:
         core.finalize()
         core.executor.shutdown()
