@@ -104,15 +104,17 @@ def test_riemann_measured(benchmark, backend):
         )
 
         interior = dict(origin=(3, 3, 0), domain=(n, n, nk))
+        # the module only declares its coefficients (program transients);
+        # the un-orchestrated leg brings its own arrays
+        aa, bb, cc, dd, gam = (np.zeros(shape) for _ in range(5))
 
         def run():
             precompute_coefficients(
-                delz, pt, w, delp, module.aa, module.bb, module.cc,
-                module.dd, 10.0, 100.0, backend="numpy", **interior,
+                delz, pt, w, delp, aa, bb, cc, dd, 10.0, 100.0,
+                backend="numpy", **interior,
             )
             tridiagonal_solve(
-                module.aa, module.bb, module.cc, module.dd, w, module.gam,
-                backend="numpy", **interior,
+                aa, bb, cc, dd, w, gam, backend="numpy", **interior,
             )
             update_heights_pressure(
                 w, delz, pe, delp, pt, 10.0, 100.0, backend="numpy",

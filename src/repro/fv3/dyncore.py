@@ -127,6 +127,11 @@ class DynamicalCore:
             [s.tracers[tr] for s in self.states]
             for tr in range(config.n_tracers)
         ]
+        # stable per-rank lists of everything the vertical remap moves
+        # (the remap program is bound to the list, not to a copy of it)
+        self._remapped_fields = [
+            [s.pt, s.u, s.v, s.w, *s.tracers] for s in self.states
+        ]
         self.time = 0.0
         self.step_count = 0
         self.resilience = resilience
@@ -280,44 +285,16 @@ class DynamicalCore:
         halo.advance(hx)
         yield  # peers post phase 1
         halo.finish_scalars(hx)
-        self._advect_tracers_compute(r)
-
-    def _advect_tracers_compute(self, r: int) -> None:
-        work = self.acoustics.work
-        self.tracer_adv[r].prepare(
-            self._delp_start[r],
-            work[r].crx_adv, work[r].cry_adv,
-            work[r].xfx_adv, work[r].yfx_adv,
+        work = self.acoustics.work[r]
+        self.tracer_adv[r](
+            self.states[r].tracers, self._delp_start[r],
+            work.crx_adv, work.cry_adv, work.xfx_adv, work.yfx_adv,
         )
-        for tr in range(self.config.n_tracers):
-            self.tracer_adv[r](
-                self.states[r].tracers[tr], self._delp_start[r],
-                work[r].crx_adv, work[r].cry_adv,
-                work[r].xfx_adv, work[r].yfx_adv,
-            )
 
     def _vertical_remap_rank(self, r: int) -> None:
         state = self.states[r]
-        remap = self.remap[r]
-        remap.compute_levels(state.delp)
-        for field in (state.pt, state.u, state.v, state.w):
-            remap.remap_field(field)
-        for tracer in state.tracers:
-            remap.remap_field(tracer)
-        remap.finalize(state.delp)
-        self._recompute_delz(r)
-
-    def _recompute_delz(self, rank: int) -> None:
-        """Hydrostatic δz from the remapped temperature and pressures
-        (interior only: pe2 is computed on the compute domain)."""
-        state = self.states[rank]
-        h = self.h
-        sl = (slice(h, -h), slice(h, -h))
-        pe2 = self.remap[rank].pe2[sl]
-        p_mid = 0.5 * (pe2[..., :-1] + pe2[..., 1:])
-        state.delz[sl] = (
-            -constants.RDGAS * state.pt[sl] * state.delp[sl]
-            / (constants.GRAV * p_mid)
+        self.remap[r](
+            state.delp, state.pt, state.delz, self._remapped_fields[r]
         )
 
     # ------------------------------------------------------------------

@@ -82,6 +82,10 @@ class SingleRankDynCore:
             self.transport, self.grid.rarea, nx, ny, nk, n_halo=self.h
         )
         self._delp_start = np.zeros_like(self.state.delp)
+        self._remapped_fields = [
+            self.state.pt, self.state.u, self.state.v, self.state.w,
+            *self.state.tracers,
+        ]
         self.n_split = config.n_split
         self.k_split = config.k_split
         self.nx, self.ny, self.nk = nx, ny, nk
@@ -131,23 +135,15 @@ class SingleRankDynCore:
                     domain=(self.nx + 6, self.ny + 6, self.nk),
                 )
             _local_halo_fill(self._delp_start, self.state.tracers[0])
-            self.tracer_adv.prepare(
-                self._delp_start,
-                self.work.crx_adv, self.work.cry_adv,
-                self.work.xfx_adv, self.work.yfx_adv,
-            )
             self.tracer_adv(
-                self.state.tracers[0], self._delp_start,
+                self.state.tracers, self._delp_start,
                 self.work.crx_adv, self.work.cry_adv,
                 self.work.xfx_adv, self.work.yfx_adv,
             )
-            self.remap.compute_levels(self.state.delp)
-            self.remap.remap_field(self.state.pt)
-            self.remap.remap_field(self.state.u)
-            self.remap.remap_field(self.state.v)
-            self.remap.remap_field(self.state.w)
-            self.remap.remap_field(self.state.tracers[0])
-            self.remap.finalize(self.state.delp)
+            self.remap(
+                self.state.delp, self.state.pt, self.state.delz,
+                self._remapped_fields,
+            )
 
     # ------------------------------------------------------------------
     def build_sdfg(self, dt_acoustic: float = None):

@@ -36,7 +36,7 @@ from repro.fv3.stencils.delnflux import (
     del2_flux_x,
     del2_flux_y,
 )
-from repro.orchestration import orchestrate
+from repro.orchestration import orchestrate, transient
 
 
 @stencil
@@ -170,7 +170,14 @@ def update_mass_weighted(
 
 
 class DGridSolver:
-    """One rank's d_sw module (paper OOP design, Sec. IV-A)."""
+    """One rank's d_sw module (paper OOP design, Sec. IV-A).
+
+    Its ten work fields are transient declarations. Each of the three
+    programs writes what it reads of them (``fx2``/``fy2`` are declared
+    once and used by both ``transport_fields`` and ``damp_fields``, each
+    of which gets its own buffer per call); ``fx``/``fy`` are handed down
+    into the inlined transport operator and stay one container there.
+    """
 
     def __init__(self, grid, transport, config, bounds=None,
                  n_halo=constants.N_HALO):
@@ -182,16 +189,16 @@ class DGridSolver:
         self.ny = grid.shape[1] - 2 * n_halo
         nk = config.npz
         shape = (grid.shape[0], grid.shape[1], nk)
-        self.vort = np.zeros(shape)
-        self.ke = np.zeros(shape)
-        self.smag = np.zeros(shape)
-        self.gz = np.zeros(shape)
-        self.lnp = np.zeros(shape)
-        self.fx = np.zeros(shape)
-        self.fy = np.zeros(shape)
-        self.fx2 = np.zeros(shape)
-        self.fy2 = np.zeros(shape)
-        self.delp_old = np.zeros(shape)
+        self.vort = transient(shape)
+        self.ke = transient(shape)
+        self.smag = transient(shape)
+        self.gz = transient(shape)
+        self.lnp = transient(shape)
+        self.fx = transient(shape)
+        self.fy = transient(shape)
+        self.fx2 = transient(shape)
+        self.fy2 = transient(shape)
+        self.delp_old = transient(shape)
         self.ptop = 100.0
         self.bounds = bounds
 

@@ -3,8 +3,10 @@
 The 2D flux-form transport operator of Lin & Rood (1996) on the cubed
 sphere: directionally-split PPM sweeps with constancy-preserving inner
 (transverse) updates, reused across several components of the model
-(Fig. 2). Module state (intermediate fields) lives on the class per the
-paper's OOP design (Sec. IV-A); corner fills run as automatic callbacks.
+(Fig. 2). The module *declares* its intermediate fields on the class per
+the paper's OOP design (Sec. IV-A) but does not allocate them: they are
+transients of whichever program the operator is inlined into. Corner
+fills run as automatic callbacks.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from repro.fv3 import constants
 from repro.fv3.corners import fill_corners
 from repro.fv3.stencils.xppm import xppm_flux
 from repro.fv3.stencils.yppm import yppm_flux
-from repro.orchestration import orchestrate
+from repro.orchestration import orchestrate, transient
 
 
 @stencil
@@ -65,7 +67,13 @@ def scale_flux_y(fv: Field, yfx: Field, fy: Field):
 
 
 class FiniteVolumeTransport:
-    """One fv_tp_2d operator bound to a rank's geometry."""
+    """One fv_tp_2d operator bound to a rank's geometry.
+
+    The six intermediates (interface values and advected fields of the
+    inner and outer sweeps) are transient declarations: each sweep writes
+    the sub-domain the next one reads, so no call starts from zeros and
+    nothing survives the call.
+    """
 
     def __init__(
         self,
@@ -81,12 +89,12 @@ class FiniteVolumeTransport:
         self.rarea = rarea
         self.corner_list = tuple(corners)
         shape = (nx + 2 * h, ny + 2 * h, nk)
-        self.fy_v = np.zeros(shape)  # inner y interface values
-        self.fx_v = np.zeros(shape)  # inner x interface values
-        self.q_y = np.zeros(shape)  # y-advected intermediate
-        self.q_x = np.zeros(shape)  # x-advected intermediate
-        self.fxv2 = np.zeros(shape)  # outer x interface values
-        self.fyv2 = np.zeros(shape)  # outer y interface values
+        self.fy_v = transient(shape)  # inner y interface values
+        self.fx_v = transient(shape)  # inner x interface values
+        self.q_y = transient(shape)  # y-advected intermediate
+        self.q_x = transient(shape)  # x-advected intermediate
+        self.fxv2 = transient(shape)  # outer x interface values
+        self.fyv2 = transient(shape)  # outer y interface values
 
     @orchestrate
     def __call__(

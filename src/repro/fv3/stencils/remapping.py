@@ -30,7 +30,8 @@ from repro.dsl import (
     stencil,
 )
 from repro.fv3 import constants
-from repro.orchestration import orchestrate
+from repro.fv3.constants import GRAV, RDGAS
+from repro.orchestration import orchestrate, transient
 
 
 @stencil
@@ -104,8 +105,21 @@ def install_target_delp(delp: Field, pe2: Field):
         delp = pe2[0, 0, 1] - pe2
 
 
+@stencil
+def hydrostatic_delz(pt: Field, delp: Field, pe2: Field, delz: Field):
+    """Hydrostatic δz of the remapped column: −R·T·δp / (g·p_mid) with
+    p_mid the mean of the layer's two target interfaces."""
+    with computation(PARALLEL), interval(...):
+        delz = -RDGAS * pt * delp / (GRAV * (0.5 * (pe2 + pe2[0, 0, 1])))
+
+
 class LagrangianToEulerian:
-    """One rank's vertical remapping module."""
+    """One rank's vertical remapping module.
+
+    One call is one program — levels, every remapped field, the new δp
+    and the hydrostatic δz — so the interface pressures ``pe1``/``pe2``
+    and the remap target ``q_new`` are its transients.
+    """
 
     def __init__(self, nx, ny, nk, bk: np.ndarray, ptop: float = 100.0,
                  n_halo: int = constants.N_HALO):
@@ -115,30 +129,31 @@ class LagrangianToEulerian:
         self.ptop = ptop
         self.bk = np.ascontiguousarray(bk, dtype=float)
         shape2 = (nx + 2 * n_halo, ny + 2 * n_halo)
-        self.pe1 = np.zeros(shape2 + (nk + 1,))
-        self.pe2 = np.zeros(shape2 + (nk + 1,))
-        self.q_new = np.zeros(shape2 + (nk,))
+        self.pe1 = transient(shape2 + (nk + 1,))
+        self.pe2 = transient(shape2 + (nk + 1,))
+        self.q_new = transient(shape2 + (nk,))
 
     @orchestrate
-    def compute_levels(self, delp: np.ndarray):
-        """Interface pressures of the deformed and target coordinates."""
+    def __call__(
+        self,
+        delp: np.ndarray,
+        pt: np.ndarray,
+        delz: np.ndarray,
+        fields: list,
+    ):
+        """Remap every mass-weighted field of ``fields`` (a list that
+        keeps its identity between calls; it contains ``pt``) from the
+        deformed coordinate ``delp`` describes to the target one, install
+        the target thicknesses as the new δp and recompute δz
+        hydrostatically from the remapped temperature (compute domain
+        only: the levels are computed there)."""
         h, nx, ny, nk = self.h, self.nx, self.ny, self.nk
         iface = dict(origin=(h, h, 0), domain=(nx, ny, nk + 1))
+        interior = dict(origin=(h, h, 0), domain=(nx, ny, nk))
         interface_pressures(delp, self.pe1, self.ptop, **iface)
         target_levels(self.pe1, self.pe2, self.bk, self.ptop, **iface)
-
-    @orchestrate
-    def remap_field(self, q: np.ndarray):
-        """Remap one mass-weighted field to the target levels."""
-        h, nx, ny, nk = self.h, self.nx, self.ny, self.nk
-        interior = dict(origin=(h, h, 0), domain=(nx, ny, nk))
-        remap_layer(q, self.q_new, self.pe1, self.pe2, **interior)
-        copy_back(q, self.q_new, **interior)
-
-    @orchestrate
-    def finalize(self, delp: np.ndarray):
-        """Install the target thicknesses as the new δp."""
-        h, nx, ny, nk = self.h, self.nx, self.ny, self.nk
-        install_target_delp(
-            delp, self.pe2, origin=(h, h, 0), domain=(nx, ny, nk)
-        )
+        for q in fields:
+            remap_layer(q, self.q_new, self.pe1, self.pe2, **interior)
+            copy_back(q, self.q_new, **interior)
+        install_target_delp(delp, self.pe2, **interior)
+        hydrostatic_delz(pt, delp, self.pe2, delz, **interior)

@@ -27,7 +27,7 @@ from repro.dsl import (
 )
 from repro.fv3 import constants
 from repro.fv3.constants import GRAV, RDGAS, SOUND_SPEED
-from repro.orchestration import orchestrate
+from repro.orchestration import orchestrate, transient
 
 
 @stencil
@@ -129,16 +129,21 @@ def update_heights_pressure(
 
 
 class RiemannSolverC:
-    """One rank's riem_solver_c module."""
+    """One rank's riem_solver_c module.
+
+    The tridiagonal coefficients, right-hand side and elimination factor
+    are transients of the program: written on the compute domain by the
+    first two stencils, read there by the next, dead on return.
+    """
 
     def __init__(self, nx, ny, nk, n_halo: int = constants.N_HALO):
         self.nx, self.ny, self.nk, self.h = nx, ny, nk, n_halo
         shape = (nx + 2 * n_halo, ny + 2 * n_halo, nk)
-        self.aa = np.zeros(shape)
-        self.bb = np.zeros(shape)
-        self.cc = np.zeros(shape)
-        self.dd = np.zeros(shape)
-        self.gam = np.zeros(shape)
+        self.aa = transient(shape)
+        self.bb = transient(shape)
+        self.cc = transient(shape)
+        self.dd = transient(shape)
+        self.gam = transient(shape)
 
     @orchestrate
     def __call__(

@@ -9,7 +9,7 @@ import numpy as np
 from repro.dsl import Field, FieldIJ, PARALLEL, computation, interval, stencil
 from repro.fv3 import constants
 from repro.fv3.stencils.d_sw import update_mass_weighted
-from repro.orchestration import orchestrate
+from repro.orchestration import orchestrate, transient
 
 
 @stencil
@@ -37,7 +37,14 @@ def transported_delp(
 
 
 class TracerAdvection:
-    """Advects all tracer species with the accumulated transport."""
+    """Advects all tracer species with the accumulated transport.
+
+    One call is one program: the δp mass fluxes of the accumulated motion
+    and the consistent post-transport δp are computed once and every
+    species rides them, so the five work fields are transients of that
+    program (``mfx``/``mfy``/``delp_tr`` live across all species,
+    ``fx``/``fy`` are rewritten per species).
+    """
 
     def __init__(self, transport, rarea, nx, ny, nk,
                  n_halo=constants.N_HALO):
@@ -45,49 +52,41 @@ class TracerAdvection:
         self.rarea = rarea
         self.nx, self.ny, self.nk, self.h = nx, ny, nk, n_halo
         shape = (nx + 2 * n_halo, ny + 2 * n_halo, nk)
-        self.fx = np.zeros(shape)
-        self.fy = np.zeros(shape)
-        self.mfx = np.zeros(shape)
-        self.mfy = np.zeros(shape)
-        self.delp_tr = np.zeros(shape)
+        self.fx = transient(shape)
+        self.fy = transient(shape)
+        self.mfx = transient(shape)
+        self.mfy = transient(shape)
+        self.delp_tr = transient(shape)
 
     @orchestrate
-    def prepare(
+    def __call__(
         self,
+        tracers: list,
         delp_old: np.ndarray,
         crx_adv: np.ndarray,
         cry_adv: np.ndarray,
         xfx_adv: np.ndarray,
         yfx_adv: np.ndarray,
     ):
-        """Mass fluxes of the accumulated motion plus the consistent
-        post-transport δp (shared by all tracer species)."""
+        """Advect every tracer of ``tracers`` (a list that keeps its
+        identity between calls) with the accumulated mass transport."""
         h, nx, ny, nk = self.h, self.nx, self.ny, self.nk
+        interior = dict(origin=(h, h, 0), domain=(nx, ny, nk))
+        # mass fluxes of the accumulated motion plus the consistent
+        # post-transport δp (shared by all tracer species)
         self.transport(
             delp_old, crx_adv, cry_adv, xfx_adv, yfx_adv, self.mfx, self.mfy
         )
         transported_delp(
             delp_old, self.mfx, self.mfy, self.rarea, self.delp_tr,
-            origin=(h, h, 0), domain=(nx, ny, nk),
+            **interior,
         )
-
-    @orchestrate
-    def __call__(
-        self,
-        tracer: np.ndarray,
-        delp_old: np.ndarray,
-        crx_adv: np.ndarray,
-        cry_adv: np.ndarray,
-        xfx_adv: np.ndarray,
-        yfx_adv: np.ndarray,
-    ):
-        """Advect one tracer with the accumulated mass transport."""
-        h, nx, ny, nk = self.h, self.nx, self.ny, self.nk
-        self.transport.mass_weighted(
-            tracer, crx_adv, cry_adv, xfx_adv, yfx_adv,
-            self.mfx, self.mfy, self.fx, self.fy,
-        )
-        update_mass_weighted(
-            tracer, delp_old, self.delp_tr, self.fx, self.fy, self.rarea,
-            origin=(h, h, 0), domain=(nx, ny, nk),
-        )
+        for tracer in tracers:
+            self.transport.mass_weighted(
+                tracer, crx_adv, cry_adv, xfx_adv, yfx_adv,
+                self.mfx, self.mfy, self.fx, self.fy,
+            )
+            update_mass_weighted(
+                tracer, delp_old, self.delp_tr, self.fx, self.fy,
+                self.rarea, **interior,
+            )

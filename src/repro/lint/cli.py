@@ -13,10 +13,12 @@ follows).
 
 ``--scenario NAME`` discovers lint subjects *through the experiment
 registry*: the named scenario is wired into a real (small) core with
-:func:`repro.run.driver.build_core`, the resulting object graph is
-walked, and every repro-owned module a live object came from is linted.
-This catches stencils reachable only through runtime composition that a
-plain module listing would miss.
+:func:`repro.run.driver.build_core`, the core takes one step, and the
+resulting object graph is walked: every repro-owned module a live object
+came from is linted, and so is the whole-program SDFG of every
+orchestrated program the step traced — what the model runs, transients
+included (S204/S205). This catches stencils reachable only through
+runtime composition that a plain module listing would miss.
 
 Exit status is 1 if any unsuppressed finding at or above ``--fail-on``
 (default: error) is reported, 0 otherwise — wired for CI. ``--json``
@@ -151,44 +153,72 @@ def _lint_module(module, comm: bool = False) -> List[LintFinding]:
     return findings
 
 
-def _reachable_repro_modules(root, max_objects: int = 10000) -> List[str]:
-    """Module names of every repro-owned class encountered on the live
-    object graph under ``root``.
+def _walk_repro_objects(root, max_objects: int = 10000) -> Iterable:
+    """Every object on the live object graph under ``root``: a
+    breadth-first walk over ``__dict__`` values of repro-owned objects
+    and over container elements. Orchestrated programs are yielded but
+    not entered (their bindings hold the arrays and SDFGs of every
+    rank)."""
+    from repro.orchestration import OrchestratedProgram
 
-    A breadth-first walk over ``__dict__`` values and container
-    elements; anything whose *type* is defined in a ``repro.*`` module
-    contributes that module. This is how ``--scenario`` finds stencils
-    that only exist because the registry composed them — e.g. solvers
-    built inside :func:`repro.run.driver.build_core` whose stencils live
-    in modules nothing on the CLI named."""
     visited: Set[int] = set()
-    modules: Set[str] = set()
     queue = [root]
     while queue and len(visited) < max_objects:
         obj = queue.pop()
         if id(obj) in visited:
             continue
         visited.add(id(obj))
-        mod = getattr(type(obj), "__module__", "") or ""
-        if mod.split(".", 1)[0] == "repro":
-            modules.add(mod)
+        yield obj
+        if isinstance(obj, OrchestratedProgram):
+            continue
         if isinstance(obj, dict):
             queue.extend(obj.values())
             continue
         if isinstance(obj, (list, tuple, set, frozenset)):
             queue.extend(obj)
             continue
+        mod = getattr(type(obj), "__module__", "") or ""
         if mod.split(".", 1)[0] != "repro":
             continue  # don't wander into numpy/stdlib internals
         d = getattr(obj, "__dict__", None)
         if d:
             queue.extend(d.values())
+
+
+def _reachable_repro_modules(root, max_objects: int = 10000) -> List[str]:
+    """Module names of every repro-owned class encountered on the live
+    object graph under ``root``: anything whose *type* is defined in a
+    ``repro.*`` module contributes that module. This is how
+    ``--scenario`` finds stencils that only exist because the registry
+    composed them — e.g. solvers built inside
+    :func:`repro.run.driver.build_core` whose stencils live in modules
+    nothing on the CLI named."""
+    modules: Set[str] = set()
+    for obj in _walk_repro_objects(root, max_objects):
+        mod = getattr(type(obj), "__module__", "") or ""
+        if mod.split(".", 1)[0] == "repro":
+            modules.add(mod)
     return sorted(modules)
 
 
+def _traced_programs(root) -> List:
+    """The whole-program SDFG of every traced orchestrated program on
+    the object graph under ``root`` (ranks bound to one template share
+    its SDFG, which is listed once)."""
+    from repro.orchestration import OrchestratedProgram
+
+    sdfgs = {}
+    for obj in _walk_repro_objects(root):
+        if isinstance(obj, OrchestratedProgram):
+            for binding in obj._bindings.values():
+                sdfgs[id(binding.template.sdfg)] = binding.template.sdfg
+    return list(sdfgs.values())
+
+
 def lint_scenario(name: str, comm: bool = False) -> List[LintFinding]:
-    """Build the named scenario into a tiny sequential core and lint
-    every repro module its live object graph reaches."""
+    """Build the named scenario into a tiny sequential core, take one
+    step, and lint every repro module its live object graph reaches and
+    every program the step traced."""
     from repro.run.driver import build_core
     from repro.scenarios import get_scenario
 
@@ -199,8 +229,11 @@ def lint_scenario(name: str, comm: bool = False) -> List[LintFinding]:
         executor="sequential",
     )
     try:
+        core.step_dynamics()
         modules = _reachable_repro_modules(core)
         findings: List[LintFinding] = []
+        for sdfg in _traced_programs(core):
+            findings.extend(lint_sdfg(sdfg))
         linted: Set[str] = set()
         for mod_name in modules:
             module = sys.modules.get(mod_name)
@@ -273,7 +306,8 @@ def main(argv=None) -> int:
         default=[],
         metavar="NAME",
         help="lint every module reachable from this registered scenario "
-        "(repeatable); builds a small sequential core to discover them",
+        "and every program one step of it traces (repeatable); builds a "
+        "small sequential core to discover them",
     )
     parser.add_argument(
         "--json",

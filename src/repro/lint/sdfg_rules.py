@@ -25,16 +25,27 @@ Rules:
 - ``S204`` transient-read-before-write / ``S205`` dead-transient:
   lifetime errors for toolchain-allocated buffers.
 
+S202, S204 and S205 report what :mod:`repro.sdfg.analysis` computes
+(``uncovered_reads`` / ``dead_transients``) — the same records that make
+the code generator zero-fill a transient.
+
 Rule catalog and suppression syntax: ``docs/static_analysis.md``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
-from repro.dsl.ir import Assign, FieldAccess
-from repro.sdfg.nodes import Callback, Kernel, Tasklet
-from repro.sdfg.subsets import Range
+from repro.dsl.ir import Assign, expr_reads
+from repro.sdfg.analysis import (
+    KernelStatement,
+    access_range,
+    axes_of,
+    dead_transients,
+    kernel_statements,
+    uncovered_reads,
+)
+from repro.sdfg.nodes import Kernel
 from repro.lint.findings import LintFinding, register_rules
 from repro.util.loc import SourceLocation
 
@@ -57,93 +68,37 @@ def _loc(kernel: Kernel, stmt: Optional[Assign] = None) -> SourceLocation:
     return SourceLocation(kernel.source_file, line)
 
 
-def _axes_of(sdfg, kernel: Kernel, name: str) -> str:
-    if name in kernel.local_arrays:
-        return "IJK"
-    desc = sdfg.arrays.get(name)
-    return desc.axes if desc is not None else "IJK"
-
-
-def _access_range(
-    sdfg, kernel: Kernel, name: str, offset, ranges
-) -> Optional[Range]:
-    """Array-coordinate range one access touches (mirrors access_subsets)."""
-    if ranges is None:
-        return None
-    axes = _axes_of(sdfg, kernel, name)
-    origin = kernel.origin_of(name)
-    irange, jrange, krange = ranges
-    di, dj, dk = offset
-    dims = []
-    if "I" in axes:
-        dims.append((origin[0] + irange[0] + di, origin[0] + irange[1] + di))
-    if "J" in axes:
-        dims.append((origin[1] + jrange[0] + dj, origin[1] + jrange[1] + dj))
-    if "K" in axes:
-        dims.append((origin[2] + krange[0] + dk, origin[2] + krange[1] + dk))
-    return Range.of(*dims)
-
-
-class _KStmt:
-    """One kernel statement with its flattened index and access ranges."""
-
-    def __init__(self, idx, section, stmt, ext, kernel, sdfg):
-        self.idx = idx
-        self.stmt = stmt
-        self.ranges = kernel._stmt_ranges(stmt, ext, section.interval)
-
-    @property
-    def active(self) -> bool:
-        return self.ranges is not None
-
-
-def _flatten_kernel(kernel: Kernel, sdfg) -> List[_KStmt]:
-    out = []
-    i = 0
-    for section in kernel.sections:
-        for stmt, ext in section.statements:
-            out.append(_KStmt(i, section, stmt, ext, kernel, sdfg))
-            i += 1
-    return out
-
-
-def _reads(stmt: Assign) -> List[FieldAccess]:
-    from repro.dsl.ir import expr_reads
-
-    return expr_reads(stmt)
-
-
 # ---------------------------------------------------------------------------
 # S201: write-after-read races inside one map scope
 # ---------------------------------------------------------------------------
 
 
 def _rule_kernel_race(sdfg, subject, kernel: Kernel) -> Iterable[LintFinding]:
-    stmts = _flatten_kernel(kernel, sdfg)
+    stmts = kernel_statements(kernel)
     loop_dims = set(kernel.schedule.loop_dims)
     if kernel.order in SEQUENTIAL_ORDERS:
         loop_dims.add("K")  # K is sequential for solvers regardless
-    writes_by_name: Dict[str, List[_KStmt]] = {}
+    writes_by_name: Dict[str, List[KernelStatement]] = {}
     for s in stmts:
         if s.active:
             writes_by_name.setdefault(s.stmt.target.name, []).append(s)
     for s in stmts:
         if not s.active:
             continue
-        for acc in _reads(s.stmt):
+        for acc in expr_reads(s.stmt):
             di, dj, dk = acc.offset
             concurrent = (di, dj) != (0, 0) or (
                 dk != 0 and "K" not in loop_dims
             )
             if not concurrent:
                 continue
-            read_rng = _access_range(sdfg, kernel, acc.name, acc.offset, s.ranges)
+            read_rng = access_range(sdfg, kernel, acc.name, acc.offset, s.ranges)
             if read_rng is None:
                 continue
             for w in writes_by_name.get(acc.name, []):
                 if w.idx < s.idx:
                     continue  # RAW: handled by extent coverage (S202)
-                write_rng = _access_range(
+                write_rng = access_range(
                     sdfg, kernel, acc.name, (0, 0, 0), w.ranges
                 )
                 if write_rng is None or write_rng.ndim != read_rng.ndim:
@@ -176,179 +131,62 @@ def _rule_kernel_race(sdfg, subject, kernel: Kernel) -> Iterable[LintFinding]:
 # ---------------------------------------------------------------------------
 
 
-def _node_position_index(sdfg) -> List[Tuple[int, int, object]]:
-    out = []
-    for si, state in enumerate(sdfg.states):
-        for ni, node in enumerate(state.nodes):
-            out.append((si, ni, node))
-    return out
-
-
-def _opaque_writers(sdfg) -> Tuple[Dict[str, bool], bool]:
-    """Containers written by nodes without exact ranges (tasklets,
-    callbacks): coverage of those is unknowable — assume covered.
-
-    A callback with undeclared writes may touch *anything*; the second
-    return value flags that wildcard (every lifetime check is skipped).
-    """
-    opaque: Dict[str, bool] = {}
-    wildcard = False
-    for state in sdfg.states:
-        for node in state.nodes:
-            if isinstance(node, Callback) and node.writes is None:
-                wildcard = True
-            if isinstance(node, (Tasklet, Callback)):
-                _, writes = state.node_reads_writes(node)
-                for name in writes:
-                    opaque[name] = True
-    return opaque, wildcard
-
-
-def _same_loop(sdfg, si: int, sj: int) -> bool:
-    """Are two state indices iterated together by some loop region?
-
-    A transient written later in a loop body is legally read earlier in
-    the body on the next iteration, so program order alone cannot prove a
-    read-before-write there.
-    """
-    return any(
-        lp.first <= si <= lp.last and lp.first <= sj <= lp.last
-        for lp in sdfg.loops
-        if lp.count > 1
-    )
-
-
 def _rule_lifetimes(sdfg) -> Iterable[LintFinding]:
-    transients = set(sdfg.transients())
-    opaque, opaque_wildcard = _opaque_writers(sdfg)
-    if opaque_wildcard:
-        return  # an undeclared callback may initialize anything
-    positions = _node_position_index(sdfg)
-
-    # program-order exact write ranges per transient container
-    kernel_writes: Dict[str, List[Tuple[int, int, Range]]] = {}
-    transient_read_anywhere: Dict[str, bool] = {}
-    for pos, (si, ni, node) in enumerate(positions):
-        if not isinstance(node, Kernel):
+    """The findings behind :func:`repro.sdfg.analysis.uncovered_reads` —
+    the same records that make the code generator zero-fill a transient.
+    A read with an excuse (loop-carried, or a callback may have
+    initialized the container) is not reported."""
+    for read in uncovered_reads(sdfg):
+        if read.excuse is not None:
             continue
-        for s in _flatten_kernel(node, sdfg):
-            if not s.active:
-                continue
-            name = s.stmt.target.name
-            if name in transients:
-                rng = _access_range(sdfg, node, name, (0, 0, 0), s.ranges)
-                kernel_writes.setdefault(name, []).append((pos, si, rng))
-            for acc in _reads(s.stmt):
-                if acc.name in transients:
-                    transient_read_anywhere[acc.name] = True
-
-    for pos, (si, ni, node) in enumerate(positions):
-        if not isinstance(node, Kernel):
-            continue
-        stmts = _flatten_kernel(node, sdfg)
-        sequential = node.order in SEQUENTIAL_ORDERS
-        subject = f"{sdfg.name}.{node.label}"
-        # write ranges of this kernel's own statements, by flat index
-        own_writes: Dict[str, List[Tuple[int, Range]]] = {}
-        for s in stmts:
-            if s.active:
-                own_writes.setdefault(s.stmt.target.name, []).append(
-                    (s.idx, _access_range(sdfg, node, s.stmt.target.name,
-                                          (0, 0, 0), s.ranges))
-                )
-        for s in stmts:
-            if not s.active:
-                continue
-            for acc in _reads(s.stmt):
-                name = acc.name
-                local = name in node.local_arrays
-                if not local and name not in transients:
-                    continue  # external data may be initialized by the caller
-                if opaque.get(name):
-                    continue
-                required = _access_range(sdfg, node, name, acc.offset, s.ranges)
-                if required is None:
-                    continue
-                dk = acc.offset[2]
-                carry = sequential and (
-                    dk < 0 if node.order == "FORWARD" else dk > 0
-                )
-                available: Optional[Range] = None
-                for idx, rng in own_writes.get(name, []):
-                    if idx < s.idx or carry:
-                        available = rng if available is None else available.union(rng)
-                if not local:
-                    for wpos, wsi, rng in kernel_writes.get(name, []):
-                        reaches = wpos < pos or (
-                            wpos != pos and _same_loop(sdfg, si, wsi)
-                        )
-                        if reaches and rng.ndim == required.ndim:
-                            available = (
-                                rng if available is None else available.union(rng)
-                            )
-                if available is None:
-                    yield LintFinding(
-                        rule="S204",
-                        name="transient-read-before-write",
-                        severity="error",
-                        subject=subject,
-                        message=(
-                            f"{'local array' if local else 'transient'} "
-                            f"{name!r} is read over {required} but nothing "
-                            "has written it by this point in the program"
-                        ),
-                        location=_loc(node, s.stmt),
-                        hint="initialize the buffer before this kernel runs",
-                    )
-                elif available.ndim == required.ndim and not available.covers(
-                    required
-                ):
-                    yield LintFinding(
-                        rule="S202",
-                        name="uncovered-read",
-                        severity="error",
-                        subject=subject,
-                        message=(
-                            f"read of {name!r} at offset {acc.offset} "
-                            f"requires {required} but only {available} has "
-                            "been written; producer extents were not "
-                            "enlarged for this consumer (illegal fusion?)"
-                        ),
-                        location=_loc(node, s.stmt),
-                        hint=(
-                            "recompute extents for the fused kernel, or "
-                            "undo the fusion that merged producer and "
-                            "consumer"
-                        ),
-                    )
-
-    transient_read_by_opaque = set()
-    for state in sdfg.states:
-        for node in state.nodes:
-            if isinstance(node, Callback) and node.reads is None:
-                transient_read_by_opaque.update(transients)
-            elif isinstance(node, (Tasklet, Callback)):
-                reads, _ = state.node_reads_writes(node)
-                transient_read_by_opaque.update(reads)
-    for name in sorted(transients):
-        if name in kernel_writes and not transient_read_anywhere.get(name) and (
-            not opaque.get(name) and name not in transient_read_by_opaque
-        ):
-            # attribute to the first writing kernel
-            pos = kernel_writes[name][0][0]
-            node = positions[pos][2]
+        kind = "local array" if read.local else "transient"
+        subject = f"{sdfg.name}.{read.node.label}"
+        if read.written is None:
             yield LintFinding(
-                rule="S205",
-                name="dead-transient",
-                severity="warning",
-                subject=f"{sdfg.name}.{node.label}",
+                rule="S204",
+                name="transient-read-before-write",
+                severity="error",
+                subject=subject,
                 message=(
-                    f"transient {name!r} is written but never read by any "
-                    "node; the buffer and the writes are dead"
+                    f"{kind} {read.name!r} is read over {read.required} "
+                    "but nothing has written it by this point in the "
+                    "program"
                 ),
-                location=_loc(node),
-                hint="remove the writes or the transient container",
+                location=_loc(read.node, read.stmt),
+                hint="initialize the buffer before this kernel runs",
             )
+        else:
+            yield LintFinding(
+                rule="S202",
+                name="uncovered-read",
+                severity="error",
+                subject=subject,
+                message=(
+                    f"read of {read.name!r} at offset {read.offset} "
+                    f"requires {read.required} but only {read.written} "
+                    f"has been written ({read.missing[0]} never is); "
+                    "producer extents were not enlarged for this consumer "
+                    "(illegal fusion?)"
+                ),
+                location=_loc(read.node, read.stmt),
+                hint=(
+                    "recompute extents for the fused kernel, or undo the "
+                    "fusion that merged producer and consumer"
+                ),
+            )
+    for name, writer in dead_transients(sdfg):
+        yield LintFinding(
+            rule="S205",
+            name="dead-transient",
+            severity="warning",
+            subject=f"{sdfg.name}.{writer.label}",
+            message=(
+                f"transient {name!r} is written but never read by any "
+                "node; the buffer and the writes are dead"
+            ),
+            location=_loc(writer),
+            hint="remove the writes or the transient container",
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +195,7 @@ def _rule_lifetimes(sdfg) -> Iterable[LintFinding]:
 
 
 def _rule_bounds(sdfg, subject, kernel: Kernel) -> Iterable[LintFinding]:
-    reads, writes = kernel.access_subsets(lambda n: _axes_of(sdfg, kernel, n))
+    reads, writes = kernel.access_subsets(lambda n: axes_of(sdfg, kernel, n))
     for kind, accesses in (("read", reads), ("write", writes)):
         for name, rng in accesses.items():
             desc = sdfg.arrays.get(name)

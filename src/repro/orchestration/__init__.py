@@ -9,11 +9,20 @@ that cannot be parsed becomes an automatic callback into the interpreter.
 
 from repro.orchestration.closure import resolve_closure
 from repro.orchestration.preprocessor import preprocess_function
-from repro.orchestration.program import OrchestratedProgram, orchestrate
+from repro.orchestration.program import (
+    OrchestratedProgram,
+    OrchestrationError,
+    Transient,
+    orchestrate,
+    transient,
+)
 
 __all__ = [
     "OrchestratedProgram",
+    "OrchestrationError",
+    "Transient",
     "orchestrate",
     "preprocess_function",
     "resolve_closure",
+    "transient",
 ]

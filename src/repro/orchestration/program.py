@@ -18,6 +18,14 @@ Arrays reached through different names/attributes are consolidated into
 one container by object identity ("call-tree analysis detects and
 consolidates multiple instances of the same array object").
 
+A module's *temporaries* are not arrays at all: ``self.tmp =
+transient(shape)`` declares storage-less scratch (:class:`Transient`),
+and wherever a field argument resolves to one the program gets an SDFG
+transient — consolidated by identity like an array, so a declaration
+handed down into an inlined callee is one container — that every call
+draws from the buffer arena and returns. Its contents are undefined on
+entry and lost on return; a callback cannot receive one.
+
 The trace also records its *provenance*: every value it read from outside
 the function bodies — instance attributes, call arguments, module
 globals — as a step from an earlier read, with what was assumed about it.
@@ -34,6 +42,7 @@ from __future__ import annotations
 import ast
 import os
 import threading
+import types
 import weakref
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -49,6 +58,7 @@ from repro.orchestration.closure import (
 )
 from repro.orchestration.preprocessor import preprocess_function, try_const_eval
 from repro.runtime import compile_cache as _cache
+from repro.sdfg.analysis import memory_footprint
 from repro.sdfg.graph import SDFG, SDFGState
 from repro.sdfg.nodes import (
     Callback,
@@ -67,6 +77,30 @@ class OrchestrationError(ValueError):
 
 _CONSTANT_TYPES = (bool, int, float, str, type(None))
 _FLOAT_TYPES = (float, np.floating)
+
+
+class Transient:
+    """Scratch a module declares but does not own: a ``shape`` and a
+    ``dtype``, no buffer. Orchestrated programs that pass it to a stencil
+    allocate it per call as an SDFG transient; the object's identity is
+    what makes two uses the same container."""
+
+    __slots__ = ("shape", "dtype", "__weakref__")
+
+    def __init__(self, shape, dtype=np.float64):
+        self.shape = tuple(int(n) for n in shape)
+        self.dtype = np.dtype(dtype)
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    def __repr__(self) -> str:
+        return f"transient({self.shape}, {self.dtype.name})"
+
+
+#: the declaration as modules spell it: ``self.tmp = transient(shape)``
+transient = Transient
 
 
 class _ScalarAlias:
@@ -110,6 +144,10 @@ def _guard_of(value) -> Tuple[str, Any]:
         return ("const", key)
     if isinstance(value, np.ndarray):
         return ("array", (value.shape, value.dtype, value.strides))
+    if isinstance(value, Transient):
+        return ("transient", (value.shape, value.dtype))
+    if isinstance(value, (list, tuple)):
+        return ("sequence", (type(value), len(value)))
     return ("type", type(value))
 
 
@@ -122,6 +160,13 @@ def _guard_holds(guard: Tuple[str, Any], value, values: List[Any]) -> bool:
             isinstance(value, np.ndarray)
             and (value.shape, value.dtype, value.strides) == ref
         )
+    if kind == "transient":
+        return (
+            isinstance(value, Transient)
+            and (value.shape, value.dtype) == ref
+        )
+    if kind == "sequence":
+        return type(value) is ref[0] and len(value) == ref[1]
     if kind == "type":
         return type(value) is ref
     if kind == "same":  # the object an earlier read produced
@@ -144,11 +189,13 @@ class _Template:
     made about each: constants, tuples and ``GridBounds`` by value; arrays
     by shape, dtype and strides; a repeated object as *the same* object as
     the earlier read (which is how aliasing between array paths is
-    pinned); runtime scalars as floats; stencils and callback functions by
-    identity (weakly); inlined callees by their function; anything merely
-    walked through by type. ``containers`` names the read behind each
-    non-transient container. Nothing here references the traced instance
-    or its arrays.
+    pinned); transient declarations by shape and dtype; lists and tuples
+    by type and length; runtime scalars as floats; stencils and callback
+    functions by identity (weakly); inlined callees by their function;
+    anything merely walked through by type. ``containers`` names the read
+    behind each non-transient container and ``transients`` the read
+    behind each declared transient, which has no array to bind. Nothing
+    here references the traced instance or its arrays.
 
     A trace that consumed something it cannot re-read — an array or
     object reached outside the instance/arguments/globals, an opaque
@@ -158,13 +205,15 @@ class _Template:
 
     def __init__(self, sdfg: SDFG, runtime_scalars: List[str],
                  reads: Optional[tuple] = None, guards: tuple = (),
-                 containers: tuple = (), arg_names: frozenset = frozenset(),
+                 containers: tuple = (), transients: tuple = (),
+                 arg_names: frozenset = frozenset(),
                  has_instance: bool = False):
         self.sdfg = sdfg
         self.runtime_scalars = runtime_scalars
         self.reads = reads
         self.guards = guards
         self.containers = containers
+        self.transients = transients
         self.arg_names = arg_names
         self.has_instance = has_instance
         #: codegen flags → compiled plan, shared by every binding
@@ -211,13 +260,13 @@ class _Template:
                 values.append(value)
         except (AttributeError, LookupError, TypeError):
             return None
-        arrays: Dict[str, np.ndarray] = {}
-        distinct = set()
-        for name, index in self.containers:
-            arrays[name] = values[index]
-            distinct.add(id(values[index]))
-        # two containers are two arrays: the trace would have merged them
-        return arrays if len(distinct) == len(arrays) else None
+        arrays = {name: values[index] for name, index in self.containers}
+        distinct = {id(array) for array in arrays.values()}
+        distinct.update(id(values[index]) for index in self.transients)
+        # two containers are two objects: the trace would have merged them
+        if len(distinct) != len(arrays) + len(self.transients):
+            return None
+        return arrays
 
 
 class _Binding:
@@ -242,7 +291,8 @@ class _Builder:
     def __init__(self, name: str):
         self.sdfg = SDFG(name)
         self.container_of: Dict[int, str] = {}
-        self.array_of: Dict[str, np.ndarray] = {}
+        #: container → the array, or the transient declaration, behind it
+        self.field_of: Dict[str, Any] = {}
         self.runtime_scalars: List[str] = []
         self._scalar_counter = 0
         self._state: Optional[SDFGState] = None
@@ -349,28 +399,41 @@ class _Builder:
         self.build_function(func, instance, args, kwargs, self._label)
 
     def template(self) -> _Template:
-        containers = []
-        for name, array in self.array_of.items():
-            index = self._where.get(id(array))
+        containers, transients = [], []
+        for name, field in self.field_of.items():
+            index = self._where.get(id(field))
             if index is None:
                 self._mark_unshareable(
-                    f"container {name!r} is an array the trace cannot "
+                    f"container {name!r} is an object the trace cannot "
                     "re-reach"
                 )
                 break
-            containers.append((name, index))
+            if isinstance(field, Transient):
+                transients.append(index)
+            else:
+                containers.append((name, index))
         if self.unshareable is not None:
             return _Template(self.sdfg, self.runtime_scalars)
         return _Template(
             self.sdfg, self.runtime_scalars, tuple(self.reads),
-            tuple(self.guards), tuple(containers), self._arg_names,
-            self._has_instance,
+            tuple(self.guards), tuple(containers), tuple(transients),
+            self._arg_names, self._has_instance,
         )
 
     # ---- containers -----------------------------------------------------
 
-    def register_array(self, array: np.ndarray, hint: str) -> str:
-        key = id(array)
+    @property
+    def array_of(self) -> Dict[str, np.ndarray]:
+        """The array behind each non-transient container."""
+        return {
+            name: field for name, field in self.field_of.items()
+            if isinstance(field, np.ndarray)
+        }
+
+    def register_field(self, field, hint: str) -> str:
+        """The container of an array or a :class:`Transient` declaration:
+        one per object, however many names and attributes reach it."""
+        key = id(field)
         if key in self.container_of:
             return self.container_of[key]
         name = hint.lstrip("_") or "arr"
@@ -378,14 +441,17 @@ class _Builder:
         while name in self.sdfg.arrays:
             n += 1
             name = f"{base}_{n}"
-        axes = {3: "IJK", 2: "IJ", 1: "K"}.get(array.ndim)
+        axes = {3: "IJK", 2: "IJ", 1: "K"}.get(field.ndim)
         if axes is None:
             raise OrchestrationError(
-                f"field {hint!r} has unsupported rank {array.ndim}"
+                f"field {hint!r} has unsupported rank {field.ndim}"
             )
-        self.sdfg.add_array(name, array.shape, array.dtype.type, axes=axes)
+        self.sdfg.add_array(
+            name, field.shape, field.dtype.type, axes=axes,
+            transient=isinstance(field, Transient),
+        )
         self.container_of[key] = name
-        self.array_of[name] = array
+        self.field_of[name] = field
         return name
 
     # ---- states -----------------------------------------------------------
@@ -524,10 +590,8 @@ class _Builder:
     def _handle_loop(self, stmt: ast.For, env, constants) -> None:
         ok, iterable = try_const_eval(stmt.iter, constants)
         if not ok:
-            raise OrchestrationError(
-                f"line {stmt.lineno}: loop bound is not a compile-time "
-                "constant"
-            )
+            self._unroll_over_sequence(stmt, env, constants)
+            return
         count = len(list(iterable))
         if count == 0:
             return
@@ -538,6 +602,25 @@ class _Builder:
         last = len(self.sdfg.states) - 1
         if last >= first:
             self.sdfg.add_loop(first, last, count, label=f"loop_l{stmt.lineno}")
+
+    def _unroll_over_sequence(self, stmt: ast.For, env, constants) -> None:
+        """``for field in fields:`` over a list or tuple the trace read
+        (a variable number of tracers): one copy of the body per element,
+        each element a recorded item read; the length is guarded."""
+        try:
+            items = self._resolve_value(stmt.iter, env)
+        except OrchestrationError:
+            items = None
+        if not isinstance(items, (list, tuple)) or \
+                not isinstance(stmt.target, ast.Name):
+            raise OrchestrationError(
+                f"line {stmt.lineno}: loop bound is not a compile-time "
+                "constant"
+            )
+        constants.pop(stmt.target.id, None)
+        for index in range(len(items)):
+            env[stmt.target.id] = self._read(items, "item", index)
+            self._walk_block(stmt.body, env, constants)
 
     # ------------------------------------------------------------------
     def _handle_assign(self, stmt: ast.Assign, env, constants) -> None:
@@ -611,9 +694,26 @@ class _Builder:
             for kw in call.keywords if kw.arg is not None
         }
         label = getattr(callee, "__name__", str(callee))
+        callback = Callback(label, callee, args, kwargs)
+        values = args + tuple(kwargs.values())
+        if (
+            isinstance(callee, types.FunctionType)
+            and not callee.__closure__
+            and all(
+                isinstance(v, ContainerRef) or constant_key(v) is not None
+                for v in values
+            )
+        ):
+            # a plain function handed only containers and constants can
+            # touch no other container of this program: declare it, so
+            # the callback is no barrier for the rest (transient
+            # lifetimes, zero fills)
+            callback.reads = callback.writes = sorted(
+                {v.name for v in values if isinstance(v, ContainerRef)}
+            )
         self.cut_state()
         state = self.state(f"cb_{label}")
-        state.add(Callback(label, callee, args, kwargs))
+        state.add(callback)
         self.cut_state()
 
     def _callback_arg(self, value, node):
@@ -622,7 +722,13 @@ class _Builder:
         program to that one object."""
         if isinstance(value, np.ndarray) and 1 <= value.ndim <= 3:
             return ContainerRef(
-                self.register_array(value, _name_hint(node, "arg"))
+                self.register_field(value, _name_hint(node, "arg"))
+            )
+        if isinstance(value, Transient):
+            raise OrchestrationError(
+                f"transient {_name_hint(node, 'arg')!r} is passed to a "
+                "callback: a transient has no storage outside the "
+                "compiled program — hand the callback an array"
             )
         if constant_key(value) is None:
             self._mark_unshareable(
@@ -745,12 +851,13 @@ class _Builder:
                     f"{sd.name}: missing field argument {p.name!r}"
                 )
             arr = bound_values[p.name]
-            if not isinstance(arr, np.ndarray):
+            if not isinstance(arr, (np.ndarray, Transient)):
                 raise OrchestrationError(
-                    f"{sd.name}: field {p.name!r} did not resolve to an array"
+                    f"{sd.name}: field {p.name!r} did not resolve to an "
+                    "array or a transient declaration"
                 )
             hint = _name_hint(bound_nodes.get(p.name), p.name)
-            mapping[p.name] = self.register_array(arr, hint)
+            mapping[p.name] = self.register_field(arr, hint)
 
         scalar_mapping: Dict[str, str] = {}
         state = self.state(sd.name)
@@ -924,7 +1031,7 @@ class OrchestratedProgram:
         return self._binding.template.sdfg if self._binding else None
 
     def _trace(self, args, kwargs) -> Tuple[_Template, Dict[str, np.ndarray]]:
-        builder = _Builder(self.name)
+        builder = _Builder(self.label)
         builder.trace(self.func, self.instance, args, kwargs)
         builder.sdfg.expand_library_nodes()
         if self.optimize is not None:
@@ -1060,12 +1167,15 @@ class OrchestratedProgram:
             self._param_names = params
         return params
 
-    def _span_label(self) -> str:
-        if self.instance is not None and self.name == "__call__":
-            return f"program.{type(self.instance).__name__}"
-        if self.instance is not None:
-            return f"program.{type(self.instance).__name__}.{self.name}"
-        return f"program.{self.name}"
+    @property
+    def label(self) -> str:
+        """What the program is called in spans, SDFG names and findings:
+        ``Class`` for a ``__call__``, ``Class.method``, or the function
+        name."""
+        if self.instance is None:
+            return self.name
+        owner = type(self.instance).__name__
+        return owner if self.name == "__call__" else f"{owner}.{self.name}"
 
     def _kernel_bytes_by_label(self) -> Dict[str, Tuple[int, int]]:
         """label -> (summed perf-model moved bytes, kernel count)."""
@@ -1121,11 +1231,16 @@ class OrchestratedProgram:
         if not _TRACER.enabled:
             plan(arrays=binding.arrays, scalars=scalars)
             return
-        with _TRACER.span(self._span_label()) as sp:
+        with _TRACER.span(f"program.{self.label}") as sp:
             before = dict(plan.kernel_times) if plan.instrument else None
             plan(arrays=binding.arrays, scalars=scalars)
             if before is not None:
                 self._record_kernel_spans(sp, before)
+            # scratch the program drew from the arena, summed over the
+            # span's entries like ``bytes`` (divide by ``count`` per call)
+            footprint = memory_footprint(template.sdfg)
+            sp.add("transients", footprint["transients"])
+            sp.add("transient_bytes", footprint["transient"])
 
     @property
     def kernel_times(self):

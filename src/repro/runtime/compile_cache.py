@@ -116,7 +116,7 @@ def _node_repr(node) -> str:
         ))
         return _SEP.join(
             ["callback", node.label, str(id(node.func)), repr(args),
-             repr(kwargs)]
+             repr(kwargs), repr(node.reads), repr(node.writes)]
         )
     return _SEP.join(["node", type(node).__name__, node.label])
 

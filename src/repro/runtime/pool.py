@@ -81,7 +81,8 @@ class BufferPool:
             self._recorder(kind, buf, label)
 
     @staticmethod
-    def _key(shape, dtype) -> _Key:
+    def key(shape, dtype) -> _Key:
+        """The free-list key of a ``shape``/``dtype`` buffer."""
         return (tuple(shape), np.dtype(dtype).str)
 
     # ------------------------------------------------------------------
@@ -122,70 +123,109 @@ class BufferPool:
                 if scope._live.pop(key, None) is not None:
                     return
 
+    #: the allocator behind a miss (an attribute so a test can make the
+    #: n-th allocation fail)
+    _allocate = staticmethod(np.empty)
+
     def checkout(self, shape, dtype=np.float64) -> np.ndarray:
         """Return a buffer of exactly ``shape``/``dtype`` (contents
         arbitrary)."""
-        key = self._key(shape, dtype)
-        with self._lock:
-            self.checkouts += 1
-            free = self._free.get(key)
-            if self.recycle and free:
-                buf = free.pop()
-                self._idle_ids.discard(id(buf))
-                self.reuse_hits += 1
-                self.alloc_bytes_avoided += buf.nbytes
-                self.idle_bytes -= buf.nbytes
-                self.live_bytes += buf.nbytes
-                if _chaos._PLAN is not None:
-                    _chaos.maybe_poison(buf)
-                if self._recorder is not None:
-                    self._recorder("acquire", buf, None)
-                self._track(buf)
-                return buf
-        buf = np.empty(shape, dtype=dtype)
-        with self._lock:
-            self.allocations += 1
-            self.allocated_bytes += buf.nbytes
-            self.live_bytes += buf.nbytes
-            self.high_water_bytes = max(
-                self.high_water_bytes, self.live_bytes + self.idle_bytes
-            )
-        if _chaos._PLAN is not None:
-            _chaos.maybe_poison(buf)
-        if self._recorder is not None:
-            self._recorder("acquire", buf, None)
-        self._track(buf)
-        return buf
+        return self.checkout_keys((self.key(shape, dtype),))[0]
 
     def release(self, buf: np.ndarray) -> None:
         """Return a buffer to the arena for reuse."""
-        if buf.base is not None:
-            raise ValueError(
-                "cannot release a view: later checkouts would alias it"
-            )
-        key = self._key(buf.shape, buf.dtype)
-        with self._lock:
-            if id(buf) in self._idle_ids:
-                raise ValueError("buffer released twice")
-            self._idle_ids.add(id(buf))
-            self._free.setdefault(key, []).append(buf)
-            self.live_bytes -= buf.nbytes
-            self.idle_bytes += buf.nbytes
-            self.high_water_bytes = max(
-                self.high_water_bytes, self.live_bytes + self.idle_bytes
-            )
-        if self._recorder is not None:
-            self._recorder("release", buf, None)
-        self._untrack(buf)
+        self.release_many((buf,))
 
     def checkout_many(
         self, specs: Sequence[Tuple[Tuple[int, ...], np.dtype]]
     ) -> List[np.ndarray]:
-        return [self.checkout(shape, dtype) for shape, dtype in specs]
+        return self.checkout_keys([self.key(*spec) for spec in specs])
+
+    def checkout_keys(self, keys: Sequence[_Key]) -> List[np.ndarray]:
+        """One buffer per arena key (:meth:`key`), taking the lock once —
+        the path of a compiled program, which derives its keys when it is
+        built. If an allocation fails part-way, the buffers the batch
+        already took go back before the error propagates."""
+        bufs: List[np.ndarray] = []
+        hits = hit_bytes = allocs = alloc_bytes = 0
+        try:
+            with self._lock:
+                try:
+                    for key in keys:
+                        free = self._free.get(key)
+                        if free and self.recycle:
+                            buf = free.pop()
+                            self._idle_ids.discard(id(buf))
+                            hits += 1
+                            hit_bytes += buf.nbytes
+                        else:
+                            buf = self._allocate(key[0], key[1])
+                            allocs += 1
+                            alloc_bytes += buf.nbytes
+                        bufs.append(buf)
+                finally:
+                    self.checkouts += hits + allocs
+                    self.reuse_hits += hits
+                    self.alloc_bytes_avoided += hit_bytes
+                    self.idle_bytes -= hit_bytes
+                    self.allocations += allocs
+                    self.allocated_bytes += alloc_bytes
+                    self.live_bytes += hit_bytes + alloc_bytes
+                    self.high_water_bytes = max(
+                        self.high_water_bytes,
+                        self.live_bytes + self.idle_bytes,
+                    )
+            poison = _chaos._PLAN is not None
+            recorder = self._recorder
+            scopes = getattr(self._tls, "scopes", None)
+            if poison or recorder is not None or scopes:
+                for buf in bufs:
+                    if poison:
+                        _chaos.maybe_poison(buf)
+                    if recorder is not None:
+                        recorder("acquire", buf, None)
+                    if scopes:
+                        scopes[-1]._live[id(buf)] = buf
+        except BaseException:
+            self.release_many(bufs)
+            raise
+        return bufs
 
     def release_many(self, bufs: Sequence[np.ndarray]) -> None:
-        for buf in bufs:
-            self.release(buf)
+        """Return buffers to the arena, taking the lock once. Releasing a
+        view or releasing twice raises: the buffers ahead of the offender
+        in ``bufs`` are released, the rest stay live."""
+        released = 0
+        try:
+            with self._lock:
+                idle_ids = self._idle_ids
+                for buf in bufs:
+                    if buf.base is not None:
+                        raise ValueError(
+                            "cannot release a view: later checkouts would "
+                            "alias it"
+                        )
+                    if id(buf) in idle_ids:
+                        raise ValueError("buffer released twice")
+                    idle_ids.add(id(buf))
+                    key = (buf.shape, buf.dtype.str)
+                    free = self._free.get(key)
+                    if free is None:
+                        free = self._free[key] = []
+                    free.append(buf)
+                    # live + idle is unchanged: no new high water
+                    self.live_bytes -= buf.nbytes
+                    self.idle_bytes += buf.nbytes
+                    released += 1
+        finally:
+            recorder = self._recorder
+            scopes = getattr(self._tls, "scopes", None)
+            if recorder is not None or scopes:
+                for buf in bufs[:released]:
+                    if recorder is not None:
+                        recorder("release", buf, None)
+                    if scopes:
+                        self._untrack(buf)
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:

@@ -16,9 +16,12 @@ temporary), each floating-point subexpression becomes an explicit ufunc
 call with ``out=`` into a scratch slot drawn from :mod:`repro.runtime.pool`.
 Slots are recycled register-style — freed as soon as their last consumer
 has been emitted — and kernel-local arrays and SDFG transients are pooled
-too, zeroed only when a kernel actually reads them before writing (the
-condition the ``repro.lint`` D101 rule detects). Steady-state execution of
-a compiled program therefore performs no array allocation.
+too: a local is zeroed only when its kernel reads it before writing (the
+condition the ``repro.lint`` D101 rule detects), a transient only when
+some read of it is not covered by the writes ahead of it
+(:func:`repro.sdfg.analysis.transients_needing_zero`, the S202/S204
+condition). Steady-state execution of a compiled program therefore
+performs no array allocation.
 
 Compiled programs remain bit-compatible with the pure NumPy backend:
 ``out=`` targets are only used where NumPy's ufunc memory-overlap
@@ -51,7 +54,8 @@ from repro.dsl.ir import (
     UnaryOp,
     expr_reads,
 )
-from repro.runtime.pool import get_pool
+from repro.runtime.pool import BufferPool, get_pool
+from repro.sdfg.analysis import transients_needing_zero
 from repro.sdfg.nodes import Callback, Kernel, StencilComputation, Tasklet
 
 _NP_FUNCS = {
@@ -520,39 +524,6 @@ def _bind_locals(kernel: Kernel, out: _SourceBuilder, plan: _BufferPlan) -> List
     return slots
 
 
-def _transients_needing_zero(sdfg) -> List[str]:
-    """Transients whose first touching node does not provably overwrite
-    them: these are re-zeroed before that node on every pass (matching the
-    debug backend, which zeroes temporaries on every stencil call)."""
-
-    def first_touch_safe(name: str, shape) -> bool:
-        for state in sdfg.states:
-            for node in state.nodes:
-                if isinstance(node, Kernel):
-                    if (
-                        name in node.written_fields()
-                        or name in node.read_fields()
-                    ):
-                        return _covering_first_write(
-                            node, name, shape, node.origin_of(name)
-                        )
-                elif isinstance(node, Callback):
-                    reads = node.reads
-                    writes = node.writes
-                    if (
-                        reads is None
-                        or name in reads
-                        or (writes is not None and name in writes)
-                    ):
-                        return False  # unknown contact: keep the zero fill
-        return True  # never touched
-    return [
-        name
-        for name, desc in sdfg.arrays.items()
-        if desc.transient and not first_touch_safe(name, desc.shape)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # kernel emission
 # ---------------------------------------------------------------------------
@@ -714,6 +685,16 @@ class CompiledSDFG:
         self._required: Tuple[str, ...] = tuple(
             name for name, desc in sdfg.arrays.items() if not desc.transient
         )
+        #: everything one call draws from the arena, as its keys:
+        #: transients first, then the scratch slots ``__B``
+        self._transient_names = [name for name, _, _ in self._transient_specs]
+        self._pool_keys = [
+            BufferPool.key(shape, dtype)
+            for shape, dtype in (
+                [spec[1:] for spec in self._transient_specs]
+                + self._buffer_specs
+            )
+        ]
 
     @property
     def plan_events(self) -> Tuple[Tuple[str, int], ...]:
@@ -751,10 +732,11 @@ class CompiledSDFG:
             out.emit(f"__s_{name} = __S[{name!r}]")
         out.emit()
 
-        # transients whose first consumer reads before (fully) writing get
-        # re-zeroed right before that consumer — per loop iteration, exactly
-        # like the debug backend's per-call temporary zeroing
-        pending_fills = set(_transients_needing_zero(sdfg))
+        # transients with a read that earlier writes do not cover (the
+        # S202/S204 condition) are re-zeroed right before their first
+        # toucher — per loop iteration, exactly like the debug backend's
+        # per-call temporary zeroing; the rest are used as checked out
+        pending_fills = set(transients_needing_zero(sdfg))
 
         # control-flow structure: linear chain with counted loop regions
         loop_starts = {lp.first: lp for lp in sdfg.loops}
@@ -859,23 +841,23 @@ class CompiledSDFG:
             # output owned by someone else
             for name, arr in arrays.items():
                 pool.note("bind", arr, label=f"sdfg:{self.sdfg.name}:{name}")
-        merged = dict(arrays)
-        transient_bufs: List[np.ndarray] = []
-        for name, shape, dtype in self._transient_specs:
-            if name in merged:
-                continue  # caller-provided transient storage wins
-            buf = pool.checkout(shape, dtype)
-            transient_bufs.append(buf)
-            merged[name] = buf
-        bufs = pool.checkout_many(self._buffer_specs)
+        names, keys = self._transient_names, self._pool_keys
+        if len(arrays) != len(self._required):
+            # caller-provided transient storage wins
+            keep = [n not in arrays for n in names]
+            keys = [k for k, kept in zip(keys, keep) if kept] \
+                + keys[len(names):]
+            names = [n for n, kept in zip(names, keep) if kept]
+        bufs = pool.checkout_keys(keys)
         try:
+            merged = dict(arrays)
+            merged.update(zip(names, bufs))
             self._program(
                 merged, scalars or {}, self._kernel_time, self._kernel_count,
-                bufs,
+                bufs[len(names):],
             )
         finally:
             pool.release_many(bufs)
-            pool.release_many(transient_bufs)
 
     @property
     def kernel_times(self) -> Dict[str, Tuple[float, int]]:

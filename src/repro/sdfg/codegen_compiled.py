@@ -208,6 +208,7 @@ class _Lowerer:
                     n.name for n in walk_expr(e) if isinstance(n, ScalarRef)
                 )
         local = _local_arrays(kernel)
+        n_fields = 0
         for name in sorted(names):
             if name in local:
                 runtime, shape, origin = local[name]
@@ -224,7 +225,12 @@ class _Lowerer:
                     isinstance(s, (int, np.integer)) and s > 0 for s in shape
                 ):
                     raise IneligibleKernel(f"non-concrete shape for {name!r}")
-                param, runtime, axes = f"f_{name}", name, desc.axes
+                # positional, not named after the container: the same
+                # stencil on another field (a loop unrolled over the
+                # remapped fields) prints the same text and is the same
+                # kernel to the JIT store
+                param, runtime, axes = f"f{n_fields}", name, desc.axes
+                n_fields += 1
                 origin = kernel.origin_of(name)
             self.arrays[name] = Array(param, runtime, axes, origin, shape, tag)
         self.scalars = sorted(scalars)

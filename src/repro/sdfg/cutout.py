@@ -69,6 +69,16 @@ def cutout_from_nodes(sdfg, state: SDFGState, kernels: List[Kernel]) -> Cutout:
     for k in copied:
         cstate.add(k)
 
+    # a transient some node outside the cutout also touches (module
+    # scratch reused from state to state) is an output here: the whole
+    # graph could not fuse it away either
+    inside = {id(k) for k in kernels}
+    shared = {
+        name
+        for users in (sdfg.container_readers(), sdfg.container_writers())
+        for name, nodes in users.items()
+        if any(id(node) not in inside for _, node in nodes)
+    }
     written: set = set()
     inputs: List[str] = []
     outputs: List[str] = []
@@ -78,14 +88,17 @@ def cutout_from_nodes(sdfg, state: SDFGState, kernels: List[Kernel]) -> Cutout:
             desc = sdfg.arrays[name]
             # read before any in-cutout write: a genuine input
             cut.add_array(name, desc.shape, desc.dtype, desc.axes,
-                          transient=name in written and desc.transient)
+                          transient=name in written and desc.transient
+                          and name not in shared)
             if name not in written and name not in inputs:
                 inputs.append(name)
         for name in writes:
             desc = sdfg.arrays[name]
-            # containers produced inside the cutout keep their transient
-            # flag so fusion transformations remain applicable during tuning
-            transient = desc.transient and name not in inputs
+            # containers produced and consumed inside the cutout keep
+            # their transient flag so fusion transformations remain
+            # applicable during tuning
+            transient = desc.transient and name not in inputs \
+                and name not in shared
             cut.add_array(name, desc.shape, desc.dtype, desc.axes,
                           transient=transient)
             written.add(name)

@@ -8,7 +8,7 @@ algebra those queries are built on.
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,6 +65,31 @@ class Range:
                 return None
             dims.append((lo, hi))
         return Range(tuple(dims))
+
+    def difference(self, other: "Range") -> "List[Range]":
+        """The part of this range that ``other`` leaves uncovered, as
+        disjoint rectangles (exact, where :meth:`union` is a bounding
+        box); empty when ``other`` covers it."""
+        if self.volume() == 0:
+            return []
+        overlap = self.intersection(other)
+        if overlap is None:
+            return [self]
+        pieces = []
+        dims = list(self.dims)
+        for axis, ((lo, hi), (olo, ohi)) in enumerate(
+            zip(self.dims, overlap.dims)
+        ):
+            # slabs below and above the overlap along this axis; the
+            # axes before it are already narrowed to the overlap
+            for slab in ((lo, olo), (ohi, hi)):
+                if slab[0] < slab[1]:
+                    pieces.append(
+                        Range(tuple(dims[:axis]) + (slab,)
+                              + tuple(dims[axis + 1:]))
+                    )
+            dims[axis] = (olo, ohi)
+        return pieces
 
     def covers(self, other: "Range") -> bool:
         if self.ndim != other.ndim:

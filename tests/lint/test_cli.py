@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.fv3.stencils.remapping import copy_back
 from repro.lint import SuppressionIndex, lint_stencil
 from repro.lint.cli import main
 
@@ -215,3 +216,59 @@ def test_scenario_walk_reaches_stencil_modules():
     assert "repro.fv3.stencils.c_sw" in mods
     assert "repro.fv3.stencils.d_sw" in mods
     assert "repro.fv3.acoustics" in mods
+
+
+def test_cli_scenario_lints_the_programs_one_step_traces(monkeypatch,
+                                                         capsys):
+    """``--scenario`` takes a step and runs the S2xx rules over every
+    whole-program SDFG it traced — the module scratch is only visible
+    there, as transients."""
+    from repro.lint import cli
+
+    linted = {}
+    real = cli.lint_sdfg
+    monkeypatch.setattr(
+        cli, "lint_sdfg",
+        lambda sdfg: linted.setdefault(sdfg.name, sdfg) and real(sdfg),
+    )
+    assert main(["--scenario", "baroclinic_wave"]) == 0
+    assert "0 findings" in capsys.readouterr().out
+    assert sorted(linted) == [
+        "CGridSolver", "DGridSolver.damp_fields", "DGridSolver.momentum",
+        "DGridSolver.transport_fields", "LagrangianToEulerian",
+        "RiemannSolverC", "TracerAdvection",
+    ]
+    # 29 declarations a rank, seen where they are used (the transport
+    # operator's six in both programs that inline it), plus one stencil
+    # temporary that crosses computations
+    assert sum(len(s.transients()) for s in linted.values()) == 38
+
+
+def test_cli_scenario_reports_a_transient_read_before_write(monkeypatch,
+                                                            capsys):
+    """Seeded defect: the remap's copy-back runs before the layer remap
+    that fills ``q_new``, so the first field reads scratch nothing
+    wrote."""
+    from repro.fv3.stencils import remapping
+    from repro.orchestration import orchestrate
+    from repro.runtime import compile_cache
+
+    monkeypatch.setattr(
+        remapping.LagrangianToEulerian, "__call__",
+        orchestrate(_copy_back_before_remap),
+    )
+    compile_cache.reset(clear=True)
+    try:
+        assert main(["--scenario", "resting_atmosphere"]) == 1
+    finally:
+        compile_cache.reset(clear=True)
+    out = capsys.readouterr().out
+    assert "S204" in out and "q_new" in out
+    assert "LagrangianToEulerian._copy_back_before_remap.copy_back_c0" in out
+
+
+def _copy_back_before_remap(self, delp, pt, delz, fields):
+    h, nx, ny, nk = self.h, self.nx, self.ny, self.nk
+    interior = dict(origin=(h, h, 0), domain=(nx, ny, nk))
+    for q in fields:
+        copy_back(q, self.q_new, **interior)

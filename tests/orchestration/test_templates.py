@@ -66,9 +66,9 @@ def test_every_binding_equals_a_fresh_trace(scenario, layout):
     stats = cc.stats()
     ranks = core.partitioner.total_ranks
     # sharing really happened: one trace per program and variant, the
-    # other ranks (and the other remapped fields) bound
-    assert stats["program_traces"] == stats["templates"] <= 10 * layout**2
-    assert stats["program_traces"] + stats["program_binds"] == 14 * ranks
+    # other ranks bound
+    assert stats["program_traces"] == stats["templates"] <= 7 * layout**2
+    assert stats["program_traces"] + stats["program_binds"] == 7 * ranks
     checked = 0
     for program in _programs(core):
         for binding in program._bindings.values():
@@ -86,7 +86,7 @@ def test_every_binding_equals_a_fresh_trace(scenario, layout):
             for name, array in arrays.items():
                 assert binding.arrays[name] is array, (program.name, name)
             checked += 1
-    assert checked == 14 * ranks
+    assert checked == 7 * ranks
 
 
 # ---------------------------------------------------------------------------
@@ -106,21 +106,21 @@ def _step_counts(config):
 
 
 def test_equal_configuration_binds_everything():
-    assert _step_counts(_small()) == (10, 74)
-    assert _step_counts(_small()) == (0, 84)
+    assert _step_counts(_small()) == (7, 35)
+    assert _step_counts(_small()) == (0, 42)
 
 
 def test_folded_constant_retraces_only_its_readers():
     _step_counts(_small())
     # only DGridSolver.damp_fields folds config.d2_damp
-    assert _step_counts(_small(d2_damp=0.05)) == (1, 83)
-    assert cc.stats()["templates"] == 11
+    assert _step_counts(_small(d2_damp=0.05)) == (1, 41)
+    assert cc.stats()["templates"] == 8
 
 
 def test_different_npz_shares_nothing():
     _step_counts(_small())
-    assert _step_counts(_small(npz=5)) == (10, 74)
-    assert cc.stats()["templates"] == 20
+    assert _step_counts(_small(npz=5)) == (7, 35)
+    assert cc.stats()["templates"] == 14
 
 
 @stencil
@@ -324,8 +324,8 @@ def test_rank_threads_trace_each_program_once():
     threaded = run("baroclinic_wave", config, steps=1, executor="threads",
                    check=False)
     stats = cc.stats()
-    assert stats["program_traces"] == stats["templates"] == 10
-    assert stats["program_binds"] == 74
+    assert stats["program_traces"] == stats["templates"] == 7
+    assert stats["program_binds"] == 35
     assert all(len(f.templates) == 1 for f in cc._FAMILIES.values())
     cc.reset(clear=True)
     sequential = run("baroclinic_wave", config, steps=1,

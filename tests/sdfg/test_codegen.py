@@ -332,3 +332,110 @@ def test_missing_container_error_is_precomputed():
     prog = compile_sdfg(sdfg)
     with pytest.raises(ValueError, match="missing arrays for containers"):
         prog(arrays={"a": np.zeros((3, 3, 2))})
+
+
+# ---------------------------------------------------------------------------
+# transients: one arena batch per call, zero fill decided by coverage
+# ---------------------------------------------------------------------------
+
+
+def _two_computation_sdfg():
+    """A stencil whose temporary crosses computations (an SDFG
+    transient) and whose expressions need scratch slots."""
+    from repro.dsl.backend_dataflow import DataflowStencilExecutor
+
+    @stencil
+    def staged(a: Field, out: Field):
+        with computation(PARALLEL), interval(...):
+            t = a * 2.0 + 1.0
+        with computation(FORWARD), interval(1, None):
+            out = t[0, 0, -1] * 3.0 + a
+
+    ex = DataflowStencilExecutor(staged)
+    shape = (6, 5, 4)
+    sdfg = ex.build_sdfg(
+        {"a": shape, "out": shape}, {"a": np.float64, "out": np.float64},
+        (0, 0, 0), shape,
+    )
+    return sdfg, shape
+
+
+def test_failed_arena_batch_leaves_nothing_checked_out(monkeypatch):
+    """Transients and scratch slots are taken in one batch inside the
+    call's clean-up: an allocation failure part-way must not strand the
+    buffers taken before it."""
+    from repro.runtime.pool import get_pool
+    from repro.sdfg.codegen import compile_sdfg
+
+    sdfg, shape = _two_computation_sdfg()
+    prog = compile_sdfg(sdfg)
+    assert len(prog._pool_keys) >= 2 and sdfg.transients()
+    pool = get_pool()
+    pool.clear()  # every buffer of the call must be allocated
+    live = pool.stats()["live_bytes"]
+    calls = {"n": 0}
+
+    def failing(shape, dtype):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise MemoryError("second buffer of the batch")
+        return np.empty(shape, dtype)
+
+    monkeypatch.setattr(pool, "_allocate", failing)
+    arrays = {"a": _rand(shape), "out": np.zeros(shape)}
+    with pytest.raises(MemoryError):
+        prog(arrays=arrays)
+    assert calls["n"] == 2
+    assert pool.stats()["live_bytes"] == live
+    monkeypatch.undo()
+    prog(arrays=arrays)  # and the program still runs
+    assert pool.stats()["live_bytes"] == live
+    np.testing.assert_array_equal(
+        arrays["out"][:, :, 1:],
+        (arrays["a"][:, :, :-1] * 2.0 + 1.0) * 3.0 + arrays["a"][:, :, 1:],
+    )
+
+
+def test_caller_provided_transient_storage_is_used():
+    from repro.sdfg.codegen import compile_sdfg
+
+    sdfg, shape = _two_computation_sdfg()
+    prog = compile_sdfg(sdfg)
+    (name,) = sdfg.transients()
+    mine = np.full(sdfg.arrays[name].shape, np.nan)
+    a = _rand(shape)
+    prog(arrays={"a": a, "out": np.zeros(shape), name: mine})
+    # the buffer starts one level above the domain (the k-1 read's
+    # extent); that level is neither written nor read
+    np.testing.assert_array_equal(mine[:, :, 1:], a * 2.0 + 1.0)
+    assert np.isnan(mine[:, :, 0]).all()
+
+
+def test_transient_written_across_intervals_needs_no_fill():
+    """The first touch of the transient writes it interval by interval —
+    not one covering statement — but every read is covered, so the
+    program uses the pooled buffer as it comes."""
+    from repro.dsl.backend_dataflow import DataflowStencilExecutor
+    from repro.sdfg.codegen import compile_sdfg
+
+    @stencil
+    def cumulative(a: Field, out: Field):
+        with computation(FORWARD):
+            with interval(0, 1):
+                acc = a
+            with interval(1, None):
+                acc = acc[0, 0, -1] + a
+        with computation(PARALLEL), interval(...):
+            out = acc * 0.5
+
+    ex = DataflowStencilExecutor(cumulative)
+    shape = (5, 4, 6)
+    sdfg = ex.build_sdfg(
+        {"a": shape, "out": shape}, {"a": np.float64, "out": np.float64},
+        (0, 0, 0), shape,
+    )
+    assert len(sdfg.transients()) == 1
+    assert ".fill(0)" not in compile_sdfg(sdfg).source
+    arrays = {"a": _rand(shape), "out": np.zeros(shape)}
+    _assert_equal(*_run_both(cumulative, arrays, origin=(0, 0, 0),
+                             domain=shape))

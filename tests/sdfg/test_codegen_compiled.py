@@ -199,6 +199,39 @@ def test_two_programs_share_one_kernel(engine, monkeypatch, tmp_path):
         assert len(list(tmp_path.glob("repro_k_*.so"))) == 2
 
 
+def test_kernel_text_does_not_name_the_containers():
+    """One stencil applied to differently named containers (a loop
+    unrolled over a list of fields) is one kernel: array parameters are
+    positional in the printed text."""
+    from repro.sdfg import SDFG
+    from repro.sdfg.loopnest import print_c, print_py
+    from repro.sdfg.nodes import StencilComputation
+
+    sdfg = SDFG("two_fields")
+    for name in ("pt", "pt_out", "u", "u_out"):
+        sdfg.add_array(name, (8, 8, 6))
+    sdfg.scalars["w"] = 0.25
+    state = sdfg.add_state("s0")
+    for src, dst in (("pt", "pt_out"), ("u", "u_out")):
+        state.add(StencilComputation(
+            _lap.definition, _lap.extents, mapping={"a": src, "out": dst},
+            domain=(6, 6, 6), origin=(1, 1, 0), scalar_mapping={"w": "w"},
+        ))
+    sdfg.expand_library_nodes()
+    first, second = (lower_kernel(k, sdfg) for k in sdfg.all_kernels())
+    assert print_c(first.tree) == print_c(second.tree)
+    assert print_py(first.tree) == print_py(second.tree)
+    assert [a.runtime for a in second.tree.arrays] == ["u", "u_out"]
+    arrays = {n: _rand((8, 8, 6), seed=i) for i, n in enumerate(sdfg.arrays)}
+    ref = {n: a.copy() for n, a in arrays.items()}
+    compile_sdfg(sdfg)(arrays=ref, scalars={"w": 0.25})
+    plan = compile_sdfg_compiled(sdfg)
+    plan(arrays=arrays, scalars={"w": 0.25})
+    assert plan.kernel_functions[0] is plan.kernel_functions[1]
+    for name in arrays:
+        np.testing.assert_array_equal(arrays[name], ref[name])
+
+
 # ---------------------------------------------------------------------------
 # eligibility + fallback
 # ---------------------------------------------------------------------------
