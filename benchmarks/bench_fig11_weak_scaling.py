@@ -163,11 +163,29 @@ def measured_weak_scaling(steps=4, comm_latency=0.02, seed=11,
     same decomposition, the same per-rank halo message sizes, stepped by
     real OS processes over the shared-memory mailbox with a simulated
     per-message latency — so the latency-hiding claim is *measured*, not
-    modeled.
+    modeled. Every worker is single-threaded: it steps its block of the
+    ranks in lockstep, which hides the latency behind the same windows
+    as one thread per rank would (the 1-worker leg is the sequential
+    executor's schedule in another process).
     """
     import os
 
     from repro.run import run
+    from repro.runtime import procs, runtime_summary
+
+    def footprint(leg):
+        """The leg's largest worker, from the counters the workers
+        report. A worker builds and steps its own block only, so its
+        peak RSS falls with the ranks it runs (c48 L24: 148 / 105 / 76
+        MiB at 6 / 3 / 1 ranks a worker) — at this benchmark's c12 L4 a
+        rank is ~0.1 MiB and the peak is what the worker inherits at the
+        fork; the arena is one program's transients whatever the ranks."""
+        counters = runtime_summary()["procs"]
+        leg["worker_peak_rss_mb"] = counters["worker_peak_rss_mb"]
+        leg["worker_arena_high_water_mb"] = \
+            counters["worker_arena_high_water_mb"]
+        return (f"worker peak {leg['worker_peak_rss_mb']:.0f} MiB RSS, "
+                f"{leg['worker_arena_high_water_mb']:.2f} MiB arena")
 
     cfg = DynamicalCoreConfig(npx=12, npz=4, layout=1, dt_atmos=120.0,
                               k_split=1, n_split=2, n_tracers=1)
@@ -182,6 +200,7 @@ def measured_weak_scaling(steps=4, comm_latency=0.02, seed=11,
                               threaded.members[0].states)
     legs = []
     for workers in (1, 2, 6):
+        procs.reset_metrics()
         result = run("baroclinic_wave", cfg, steps=steps, seed=seed,
                      executor="processes", workers=workers,
                      comm_latency=comm_latency)
@@ -197,7 +216,7 @@ def measured_weak_scaling(steps=4, comm_latency=0.02, seed=11,
         })
         echo(f"  {workers} proc(s) x {cfg.total_ranks // workers} "
              f"rank(s): {result.seconds / steps * 1e3:8.1f} ms/step  "
-             f"bit-identical={leg_identical}")
+             f"bit-identical={leg_identical}  {footprint(legs[-1])}")
     if include_24 is None:
         include_24 = (os.cpu_count() or 1) >= 8
     if include_24:
@@ -206,6 +225,7 @@ def measured_weak_scaling(steps=4, comm_latency=0.02, seed=11,
                                     n_tracers=1)
         seq24 = run("baroclinic_wave", cfg24, steps=steps, seed=seed,
                     executor="sequential")
+        procs.reset_metrics()
         result = run("baroclinic_wave", cfg24, steps=steps, seed=seed,
                      executor="processes", workers=6,
                      comm_latency=comm_latency)
@@ -221,7 +241,7 @@ def measured_weak_scaling(steps=4, comm_latency=0.02, seed=11,
         })
         echo(f"  6 proc(s) x 4 rank(s) (24-rank cube): "
              f"{result.seconds / steps * 1e3:8.1f} ms/step  "
-             f"bit-identical={leg_identical}")
+             f"bit-identical={leg_identical}  {footprint(legs[-1])}")
     return {
         "config": {
             "npx": cfg.npx, "npz": cfg.npz, "layout": cfg.layout,

@@ -146,7 +146,10 @@ class RankWorkspace:
 
 
 class AcousticDynamics:
-    """Drives the acoustic loop across all simulated ranks."""
+    """Drives the acoustic loop across the ranks the halo updater's
+    communicator owns (all of them unless it is one endpoint of a shared
+    mailbox). Every per-rank list is indexed by rank and holds ``None``
+    for a rank that runs elsewhere."""
 
     def __init__(
         self,
@@ -165,38 +168,32 @@ class AcousticDynamics:
         self.halo = halo
         self.h = n_halo
         self.executor = executor
+        self.ranks = halo.comm.owned_ranks
+        per_rank = halo.comm.per_rank
         # stable per-field rank lists for the split halo API (snapshots
         # restore into these arrays in place, so the views stay valid)
-        self._u = [s.u for s in states]
-        self._v = [s.v for s in states]
-        self._delp = [s.delp for s in states]
-        self._pt = [s.pt for s in states]
-        self._w = [s.w for s in states]
+        self._u = per_rank(lambda rank: states[rank].u)
+        self._v = per_rank(lambda rank: states[rank].v)
+        self._delp = per_rank(lambda rank: states[rank].delp)
+        self._pt = per_rank(lambda rank: states[rank].pt)
+        self._w = per_rank(lambda rank: states[rank].w)
         nx, ny, nk = partitioner.nx, partitioner.ny, config.npz
-        self.work = [
-            RankWorkspace(nx, ny, nk, n_halo)
-            for _ in range(partitioner.total_ranks)
-        ]
-        self.c_sw = []
-        self.d_sw = []
-        self.riemann = []
-        self.transports = []
-        for rank in range(partitioner.total_ranks):
-            grid = grids[rank]
-            transport = FiniteVolumeTransport(
-                nx, ny, nk, grid.rarea, rank_corners(partitioner, rank),
-                n_halo=n_halo,
-            )
-            self.transports.append(transport)
-            self.c_sw.append(
-                CGridSolver(nx, ny, nk, grid.dx, grid.dy, grid.rarea,
-                            n_halo=n_halo)
-            )
-            self.d_sw.append(
-                DGridSolver(grid, transport, config,
-                            bounds=partitioner.bounds(rank), n_halo=n_halo)
-            )
-            self.riemann.append(RiemannSolverC(nx, ny, nk, n_halo=n_halo))
+        self.work = per_rank(lambda rank: RankWorkspace(nx, ny, nk, n_halo))
+        self.transports = per_rank(lambda rank: FiniteVolumeTransport(
+            nx, ny, nk, grids[rank].rarea, rank_corners(partitioner, rank),
+            n_halo=n_halo,
+        ))
+        self.c_sw = per_rank(lambda rank: CGridSolver(
+            nx, ny, nk, grids[rank].dx, grids[rank].dy, grids[rank].rarea,
+            n_halo=n_halo,
+        ))
+        self.d_sw = per_rank(lambda rank: DGridSolver(
+            grids[rank], self.transports[rank], config,
+            bounds=partitioner.bounds(rank), n_halo=n_halo,
+        ))
+        self.riemann = per_rank(
+            lambda rank: RiemannSolverC(nx, ny, nk, n_halo=n_halo)
+        )
 
     def comm_plan(self):
         """This instance's communication schedule over its real halo
@@ -206,11 +203,11 @@ class AcousticDynamics:
 
     # ------------------------------------------------------------------
     def substep(self, dt: float) -> None:
-        """One acoustic sub-step across all ranks."""
+        """One acoustic sub-step across this endpoint's ranks."""
         with _TRACER.span("acoustics.substep"):
             self.executor.run(
                 lambda r: self._substep_rank(r, dt),
-                self.partitioner.total_ranks,
+                self.ranks,
                 label="acoustics.substep",
             )
 
@@ -262,7 +259,7 @@ class AcousticDynamics:
 
     def run(self, dt_acoustic: float, n_split: int) -> None:
         with _TRACER.span("acoustics"):
-            for w in self.work:
-                w.zero_accumulators()
+            for rank in self.ranks:
+                self.work[rank].zero_accumulators()
             for _ in range(n_split):
                 self.substep(dt_acoustic)

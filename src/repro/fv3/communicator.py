@@ -249,10 +249,12 @@ class LocalComm:
 
     ``mailbox`` is the store the messages live in: by default a fresh
     in-process :class:`DictMailbox`; a rank worker process passes the
-    shared-memory table it attached to. ``owned_ranks`` scopes ``drain``
-    (and so ``finalize``) to messages destined to this endpoint's ranks,
-    so one endpoint of a shared table never discards a sibling's
-    in-flight messages; the log is per endpoint.
+    shared-memory table it attached to. ``owned_ranks`` (ascending; all
+    ranks by default) are the ranks this endpoint runs: a dynamical core
+    builds and steps exactly these, and ``drain`` (and so ``finalize``)
+    is scoped to messages destined to them, so one endpoint of a shared
+    table never discards a sibling's in-flight messages; the log is per
+    endpoint.
 
     ``latency`` (seconds, default ``REPRO_NET_LATENCY`` or 0) delays
     every message's deliverable-at instant, modeling the network the
@@ -274,11 +276,19 @@ class LocalComm:
             latency = float(os.environ.get("REPRO_NET_LATENCY", "0") or "0")
         self.latency = latency
         self.mailbox = mailbox if mailbox is not None else DictMailbox()
-        self.owned_ranks = (
-            tuple(owned_ranks) if owned_ranks is not None else None
+        self.owned_ranks = tuple(
+            sorted(owned_ranks) if owned_ranks is not None else range(size)
         )
         self._lock = threading.Lock()  # guards the log
         self.log: List[MessageRecord] = []
+
+    def per_rank(self, build) -> list:
+        """A rank-indexed list holding ``build(rank)`` for the ranks this
+        endpoint owns (built in rank order) and ``None`` for the rest."""
+        out = [None] * self.size
+        for rank in self.owned_ranks:
+            out[rank] = build(rank)
+        return out
 
     @property
     def timeout(self) -> float:
@@ -372,9 +382,8 @@ class LocalComm:
 
     def drain(self) -> List[_Key]:
         """Drop the in-flight messages destined to this endpoint's ranks
-        — all of them when unscoped; delays included, a delay is a
-        property of the message itself — returning the orphaned
-        (source, dest, tag) triples, sorted.
+        (delays included, a delay is a property of the message itself),
+        returning the orphaned (source, dest, tag) triples, sorted.
 
         Called after an aborted exchange so the retry can repost every
         send without tripping the duplicate-key check.
@@ -383,8 +392,7 @@ class LocalComm:
         owned = self.owned_ranks
         with box.cond:
             orphans = [
-                key for key in box.pending_keys()
-                if owned is None or key[1] in owned
+                key for key in box.pending_keys() if key[1] in owned
             ]
             for key in orphans:
                 box.free(box.find(key))

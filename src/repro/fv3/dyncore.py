@@ -57,6 +57,15 @@ class DynamicalCore:
     Owns per-rank state, grids and module instances; ``step_dynamics``
     advances one physics time step through ``k_split`` remapping sub-steps
     of ``n_split`` acoustic sub-steps each (Sec. II).
+
+    The core holds the ranks its communicator owns (``comm.owned_ranks``,
+    all of them by default): a rank worker process passes one endpoint of
+    a shared mailbox and gets grids, states, workspaces and modules for
+    its block only, the rest of the sphere being reached through the halo
+    updater. ``init`` is called for the held ranks in rank order; the
+    ``rank_*`` diagnostics work on any held rank, the global folds
+    (``global_integral``, ``state_summary``, …) and ``resilience=`` need
+    every rank.
     """
 
     def __init__(
@@ -87,11 +96,16 @@ class DynamicalCore:
         # default reads REPRO_RANKS (1 → lockstep on this thread)
         self.executor = executor if executor is not None \
             else _ranks.get_executor()
+        # the ranks this core builds and steps: the communicator's (all
+        # of them, unless it is one endpoint of a shared mailbox). Every
+        # per-rank list below is indexed by rank and holds ``None`` for
+        # a rank that runs elsewhere
+        self.ranks = self.halo.comm.owned_ranks
+        per_rank = self.halo.comm.per_rank
         if grids is None:
-            grids = [
-                CubedSphereGrid.build(self.partitioner, rank, n_halo=n_halo)
-                for rank in range(self.partitioner.total_ranks)
-            ]
+            grids = per_rank(lambda rank: CubedSphereGrid.build(
+                self.partitioner, rank, n_halo=n_halo
+            ))
         elif len(grids) != self.partitioner.total_ranks:
             raise ValueError(
                 f"got {len(grids)} prebuilt grids for "
@@ -99,39 +113,37 @@ class DynamicalCore:
             )
         # grids are immutable geometry — ensemble members share them
         self.grids = grids
-        self.states: List[RankFields] = [
-            init(grid, config) for grid in self.grids
-        ]
+        self.states: List[RankFields] = per_rank(
+            lambda rank: init(grids[rank], config)
+        )
         self.acoustics = AcousticDynamics(
             config, self.partitioner, self.grids, self.states, self.halo,
             self.executor, n_halo=n_halo,
         )
         bk, ptop = reference_coordinate(config)
         nx, ny, nk = self.partitioner.nx, self.partitioner.ny, config.npz
-        self.remap = [
-            LagrangianToEulerian(nx, ny, nk, bk, ptop, n_halo=n_halo)
-            for _ in range(self.partitioner.total_ranks)
-        ]
-        self.tracer_adv = [
-            TracerAdvection(
-                self.acoustics.transports[rank], self.grids[rank].rarea,
-                nx, ny, nk, n_halo=n_halo,
-            )
-            for rank in range(self.partitioner.total_ranks)
-        ]
-        self._delp_start = [
-            np.zeros_like(s.delp) for s in self.states
-        ]
+        self.remap = per_rank(lambda rank: LagrangianToEulerian(
+            nx, ny, nk, bk, ptop, n_halo=n_halo
+        ))
+        self.tracer_adv = per_rank(lambda rank: TracerAdvection(
+            self.acoustics.transports[rank], grids[rank].rarea,
+            nx, ny, nk, n_halo=n_halo,
+        ))
+        self._delp_start = per_rank(
+            lambda rank: np.zeros_like(self.states[rank].delp)
+        )
         # stable per-tracer rank lists for the split halo API
         self._tracer_fields = [
-            [s.tracers[tr] for s in self.states]
+            per_rank(lambda rank: self.states[rank].tracers[tr])
             for tr in range(config.n_tracers)
         ]
         # stable per-rank lists of everything the vertical remap moves
         # (the remap program is bound to the list, not to a copy of it)
-        self._remapped_fields = [
-            [s.pt, s.u, s.v, s.w, *s.tracers] for s in self.states
-        ]
+        def remapped(rank):
+            s = self.states[rank]
+            return [s.pt, s.u, s.v, s.w, *s.tracers]
+
+        self._remapped_fields = per_rank(remapped)
         self.time = 0.0
         self.step_count = 0
         self.resilience = resilience
@@ -251,10 +263,9 @@ class DynamicalCore:
 
     def _remapping_step(self, dt_remap: float) -> None:
         cfg = self.config
-        nranks = self.partitioner.total_ranks
         run = self.executor.run
         # snapshot δp for the tracer transport (consistent bracketing)
-        for r in range(nranks):
+        for r in self.ranks:
             self._delp_start[r][:] = self.states[r].delp
         try:
             # acoustic loop (accumulates tracer Courant numbers/mass
@@ -262,11 +273,11 @@ class DynamicalCore:
             self.acoustics.run(cfg.dt_acoustic, cfg.n_split)
             # sub-cycled tracer advection with the accumulated transport
             with _TRACER.span("dyncore.tracer_advection"):
-                run(self._advect_tracers_rank, nranks,
+                run(self._advect_tracers_rank, self.ranks,
                     label="tracer_advection")
             # Lagrangian-to-Eulerian vertical remap
             with _TRACER.span("dyncore.vertical_remap"):
-                run(self._vertical_remap_rank, nranks,
+                run(self._vertical_remap_rank, self.ranks,
                     label="vertical_remap")
         except BaseException:
             # a section that failed between a start_* and its finish_*

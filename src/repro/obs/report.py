@@ -193,7 +193,10 @@ def _runtime_lines() -> List[str]:
             f"{pr['workers']} worker(s) / {pr['ranks']} ranks, "
             f"{pr['worker_reports_merged']} worker reports merged, "
             f"{pr['messages']} shm messages "
-            f"({pr['bytes'] / 1e6:.1f} MB)"
+            f"({pr['bytes'] / 1e6:.1f} MB); largest worker "
+            f"{pr['worker_peak_rss_mb']:.0f} MiB RSS, "
+            f"{pr['worker_arena_high_water_mb']:.1f} MiB arena, "
+            f"{pr['worker_threads']} thread(s)"
         )
     return lines
 

@@ -55,7 +55,7 @@ from repro.runtime.pool import get_pool
 from repro.scenarios import Scenario, get_scenario
 
 __all__ = ["EnsembleDriver", "build_core", "build_grids", "member_rng",
-           "resolve_executor"]
+           "resolve_executor", "resolve_members"]
 
 _TRACER = _obs.get_tracer()
 
@@ -103,6 +103,22 @@ def resolve_executor(
         f"{', '.join(map(repr, _EXECUTOR_NAMES))}, a RankExecutor, "
         f"or None"
     )
+
+
+def resolve_members(members: Union[int, Sequence[int]],
+                    allow_empty: bool = False) -> Tuple[int, ...]:
+    """Member ids from the facade's ``members=`` argument: a count N is
+    ids ``0..N-1``, an explicit sequence is taken as given."""
+    if isinstance(members, (int, np.integer)):
+        if members < 1:
+            raise ValueError("members must be >= 1")
+        return tuple(range(int(members)))
+    member_ids = tuple(int(m) for m in members)
+    if not member_ids and not allow_empty:
+        raise ValueError("members sequence must not be empty")
+    if len(set(member_ids)) != len(member_ids):
+        raise ValueError("duplicate member ids")
+    return member_ids
 
 
 def member_rng(root_seed: int, member: int) -> Optional[np.random.Generator]:
@@ -265,16 +281,7 @@ class EnsembleDriver:
         self.config = (
             config if config is not None else self.scenario.default_config()
         )
-        if isinstance(members, (int, np.integer)):
-            if members < 1:
-                raise ValueError("members must be >= 1")
-            member_ids: Tuple[int, ...] = tuple(range(int(members)))
-        else:
-            member_ids = tuple(int(m) for m in members)
-            if not member_ids and engine is None:
-                raise ValueError("members sequence must not be empty")
-            if len(set(member_ids)) != len(member_ids):
-                raise ValueError("duplicate member ids")
+        member_ids = resolve_members(members, allow_empty=engine is not None)
         self.seed = int(seed)
         self.diagnostics = diagnostics
         self._base_resilience = resilience
@@ -589,6 +596,13 @@ class EnsembleDriver:
         amortization = self._record_amortization(
             steps, seconds, cache0, pool0
         )
+        return self._result(seconds, amortization, check,
+                            repr(self.engine.executor))
+
+    def _result(self, seconds: float, amortization: Dict[str, int],
+                check: bool, executor: str) -> RunResult:
+        """The structured result of the members as they stand (stepped
+        here, or gathered from rank worker processes)."""
         checks = (
             self.reference_check() if check
             else {m: [] for m in self.member_ids}
@@ -613,7 +627,7 @@ class EnsembleDriver:
             seed=self.seed,
             members=members,
             seconds=seconds,
-            executor=repr(self.engine.executor),
+            executor=executor,
             amortization=amortization,
             engine=self.engine,
         )

@@ -12,13 +12,24 @@ pack buffers were designed for exactly this:
 
 Design:
 
-- **Replica cores.** Each worker builds the full member state and
-  geometry deterministically from the run spec (same builders, same
-  seeds), then executes *only its own ranks'* SPMD bodies. The rank
-  bodies touch nothing but rank-local arrays plus the communicator, so
-  the other ranks' replica arrays simply go stale — they are never read.
-  This keeps every compiled program, pool buffer and plan process-local
-  with zero sharing.
+- **Owned-rank cores.** A worker's communicator names its block
+  (``LocalComm(owned_ranks=block)``) and the dynamical core it builds
+  holds grids, states, workspaces and modules for that block only: the
+  rest of the sphere is reached through the halo updater and nothing
+  else. Member states come from the same builders and seeds as the
+  parent's; a perturbed member draws from one stream across the ranks in
+  rank order, so a worker builds the ranks below its block just long
+  enough to advance the stream (:class:`_WorkerHarness`).
+- **One thread per worker.** The worker runs its ranks' SPMD bodies in
+  lockstep on its main thread, the schedule ``executor="sequential"``
+  uses (:mod:`repro.runtime.ranks`): every body ``yield``s before its
+  waits, so the messages between a worker's own ranks are posted before
+  any of them waits, and a wait on another worker's rank blocks on the
+  shared condition until that worker posts. Only one rank's transients
+  are live in the arena at a time.
+- **Launch, then build.** The parent starts the workers before it builds
+  its own engine (:mod:`repro.run.procrun`), so both build at the same
+  time and a forked worker never inherits the run's parent-side state.
 - **Transport.** A fixed table of fixed-size slots in
   ``multiprocessing.shared_memory``; one slot holds one in-flight
   message (header: status/src/dst/tag/shape/dtype/deliverable-at).
@@ -30,10 +41,15 @@ Design:
   pair; a parent-brokered socket) were rejected for deadlock risk at
   full eager-send fan-in and for serializing every message through one
   broker, respectively.
-- **Observability.** Workers ship their tracer span trees and
-  pool/compile-cache/jit/rank-executor counters back over the result
-  pipe at teardown; :func:`fold_worker_reports` merges them into the
-  parent's subsystems so the obs report footer stays truthful.
+- **Collection.** A worker answers ``collect`` with a small pickled
+  header and then one raw frame per (member, rank, field), which the
+  parent receives straight into its member records: no array is pickled
+  and no worker's block is held twice.
+- **Observability.** Workers ship their tracer span trees, their
+  pool/compile-cache/jit/rank-executor counters, their peak RSS and
+  their thread count back over the result pipe at teardown;
+  :func:`fold_worker_reports` merges them into the parent's subsystems
+  so the obs report footer stays truthful.
 
 ``repro.run.run(..., executor="processes", workers=W)`` is the public
 entry point (see :mod:`repro.run.procrun`); 1/2/6-process runs over the
@@ -52,10 +68,12 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import resource
 import threading
 import time
 import traceback
 import warnings
+from multiprocessing import BufferTooShort
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -111,11 +129,10 @@ class ShmTransport:
     """A fixed slot table in shared memory plus one condition variable.
 
     The parent creates the segment (``create``); workers attach by name
-    (``attach``). All slot transitions happen under ``cond``, which is a
-    ``multiprocessing.Condition`` — process- *and* thread-safe, so the
-    in-worker rank threads and sibling processes share one wait/notify
-    domain. Headers live in one contiguous int64 block at the front,
-    payloads in fixed-capacity slots behind it.
+    (``attach``). All slot transitions happen under ``cond``, a
+    ``multiprocessing.Condition``: the one wait/notify domain of all
+    worker processes. Headers live in one contiguous int64 block at the
+    front, payloads in fixed-capacity slots behind it.
     """
 
     def __init__(self, shm, cond, n_slots: int, slot_bytes: int,
@@ -266,37 +283,13 @@ class ShmTransport:
 
 
 # ---------------------------------------------------------------------------
-# in-worker executor: this process's ranks only
-# ---------------------------------------------------------------------------
-
-
-class _SubsetRankExecutor(_ranks.RankExecutor):
-    """Runs the SPMD bodies of this worker's ranks; sibling ranks run in
-    other processes and are reached only through the communicator.
-
-    With more than one owned rank, the bodies run on threads exactly
-    like the in-process thread executor: a rank blocked in a receive
-    must not prevent a same-worker rank from posting the matching send.
-    A single owned rank runs on the worker's main thread, blocking in
-    its waits.
-    """
-
-    def __init__(self, owned_ranks: Sequence[int]):
-        super().__init__(workers=max(1, len(owned_ranks)))
-        self.owned_ranks = tuple(sorted(owned_ranks))
-
-    def _ranks_to_run(self, n_ranks: int) -> Sequence[int]:
-        return [r for r in self.owned_ranks if r < n_ranks]
-
-
-# ---------------------------------------------------------------------------
 # worker process
 # ---------------------------------------------------------------------------
 
 
 @dataclasses.dataclass(frozen=True)
 class WorkerSpec:
-    """Everything a worker needs to rebuild its replica deterministically
+    """Everything a worker needs to build its block deterministically
     (picklable: scenario travels by registry name)."""
 
     scenario: str
@@ -309,72 +302,77 @@ class WorkerSpec:
     trace: bool
 
 
-def _numeric_delta(new: Dict, old: Dict) -> Dict:
-    """Recursive new-minus-old over numeric leaves (non-numerics copied
-    from ``new``) — workers forked from a warm parent must report only
-    their own activity."""
-    out: Dict = {}
-    for key, value in new.items():
-        base = old.get(key)
-        if isinstance(value, dict):
-            out[key] = _numeric_delta(value, base if isinstance(base, dict)
-                                      else {})
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            out[key] = value
-        else:
-            out[key] = value - (base if isinstance(base, (int, float))
-                                and not isinstance(base, bool) else 0)
-    return out
+def _raw(array: np.ndarray) -> memoryview:
+    """The bytes of a C-contiguous array, for the raw collect frames."""
+    return memoryview(array).cast("B")
+
+
+def _frames(state, fields: Sequence[str]) -> List[np.ndarray]:
+    """One rank's arrays in collect order: ``fields``, then its tracers
+    (the worker sends them, the parent receives into them)."""
+    return [getattr(state, name) for name in fields] + list(state.tracers)
 
 
 class _WorkerHarness:
-    """One worker's replica engine plus its block of member states.
+    """One worker's owned-rank engine plus its block of member states.
 
     Follows the :class:`~repro.run.driver.EnsembleDriver` state-swap
     contract with the driver's own per-rank copy and the engine's own
-    per-rank diagnostic summands, restricted to the owned ranks — member
-    states are built with the same ``SeedSequence`` streams *replayed
-    across all ranks in rank order* (a member's rank-r state depends on
-    how many draws ranks 0..r-1 consumed), and stepping is step-major
-    over members. Only the owned ranks' states are kept (a worker's
-    memory must not grow with the ranks it does not run); everything
-    else is discarded after the replay.
+    per-rank diagnostic summands; stepping is step-major over members.
+    Member states are built by the parent's builders from the parent's
+    ``SeedSequence`` streams. A perturbed member draws from one stream
+    across the ranks *in rank order* (its rank-r state depends on how
+    many draws ranks 0..r-1 consumed), so for such members the ranks
+    below the block's last are visited too: an unowned rank's grid and
+    state exist only while the stream is advanced past it. The control
+    member (no stream) touches owned ranks only.
     """
 
-    def __init__(self, spec: WorkerSpec, owned: Sequence[int], comm):
+    def __init__(self, spec: WorkerSpec, comm):
+        from repro.fv3.grid import CubedSphereGrid
         from repro.run.driver import build_core, member_rng
         from repro.scenarios import get_scenario
 
         self.spec = spec
-        self.owned = tuple(owned)
+        self.owned = comm.owned_ranks
         self.scenario = get_scenario(spec.scenario)
         self.config = spec.config
-        self.core = build_core(
+        self.core = core = build_core(
             self.scenario,
             self.config,
             member=0,
             seed=spec.seed,
-            executor=_SubsetRankExecutor(self.owned),
+            executor=_ranks.RankExecutor(1),
             comm=comm,
             comm_latency=spec.comm_latency,
             max_polls=spec.max_polls,
         )
+        #: most threads seen alive right after a step (the report's
+        #: ``threads``: the lockstep schedule needs exactly one)
+        self.threads = 0
         # members: id -> {"states": {rank: RankFields}, "time", "step"}
-        self.members: Dict[int, Dict[str, object]] = {}
-        self.history: Dict[int, List[Dict[str, object]]] = {}
-        for member in spec.member_ids:
-            rng = member_rng(spec.seed, member)
-            states: Dict[int, object] = {}
-            for rank in range(self.core.partitioner.total_ranks):
+        self.members: Dict[int, Dict[str, object]] = {
+            member: {"states": {}, "time": 0.0, "step": 0}
+            for member in spec.member_ids
+        }
+        self.history: Dict[int, List[Dict[str, object]]] = {
+            member: [] for member in spec.member_ids
+        }
+        rngs = {m: member_rng(spec.seed, m) for m in spec.member_ids}
+        perturbed = [m for m in spec.member_ids if rngs[m] is not None]
+        for rank in range(self.owned[-1] + 1):
+            mine = rank in self.owned
+            if not (mine or perturbed):
+                continue
+            grid = core.grids[rank] if mine else CubedSphereGrid.build(
+                core.partitioner, rank, n_halo=core.h
+            )
+            for member in (spec.member_ids if mine else perturbed):
                 state = self.scenario.build_state(
-                    self.core.grids[rank], self.config, rng
+                    grid, self.config, rngs[member]
                 )
-                if rank in self.owned:
-                    states[rank] = state
-            self.members[member] = {
-                "states": states, "time": 0.0, "step": 0,
-            }
-            self.history[member] = []
+                if mine:
+                    self.members[member]["states"][rank] = state
 
     # -- per-rank conservation partials: the engine's own summands, which
     # -- the parent folds in rank order (``procrun._fold_partials``) -----
@@ -419,6 +417,7 @@ class _WorkerHarness:
             for member in self.spec.member_ids:
                 self._activate(member)
                 core.step_dynamics()
+                self.threads = max(self.threads, threading.active_count())
                 if self.spec.diagnostics:
                     self.history[member].append({
                         "time": core.time,
@@ -430,29 +429,39 @@ class _WorkerHarness:
                     })
                 self._store(member)
 
-    def collect(self) -> Dict[str, object]:
-        """Owned-rank states (``RankFields``, as stored), time/step and
-        the per-rank diagnostic history of every member."""
-        return {
+    def collect(self, conn) -> None:
+        """Answer ``collect``: a header (owned ranks, per-member
+        time/step/history, field order), then one raw frame per
+        (member, owned rank, field) in that order, each rank's tracers
+        after its fields. No array is pickled."""
+        from repro.run.driver import _STATE_FIELDS
+
+        conn.send(("ok", {
             "owned": self.owned,
+            "fields": _STATE_FIELDS,
             "members": {
-                member: {**record, "history": self.history[member]}
+                member: {"time": record["time"], "step": record["step"],
+                         "history": self.history[member]}
                 for member, record in self.members.items()
             },
-        }
+        }))
+        for record in self.members.values():
+            for rank in self.owned:
+                for array in _frames(record["states"][rank], _STATE_FIELDS):
+                    conn.send_bytes(_raw(array))
 
     def close(self) -> None:
         self.core.finalize(strict=False)
-        self.core.executor.shutdown()
 
 
 def _worker_main(spec: WorkerSpec, owned: Tuple[int, ...], n_ranks: int,
-                 shm_name: str, n_slots: int, slot_bytes: int, cond,
-                 conn) -> None:
+                 n_workers: int, shm_name: str, n_slots: int,
+                 slot_bytes: int, cond, conn) -> None:
     """Entry point of one rank worker process (module-level so the spawn
     start method can pickle it). Protocol over ``conn``: parent sends
     ``(command, arg)``; worker replies ``("ok"|"ready", payload)`` or
-    ``("error", (type, message, traceback))``."""
+    ``("error", (type, message, traceback))``, and to ``close`` by
+    closing its end of the pipe once its mailbox is drained."""
     transport = None
     harness = None
     try:
@@ -461,15 +470,25 @@ def _worker_main(spec: WorkerSpec, owned: Tuple[int, ...], n_ranks: int,
         from repro.runtime import jit as _jit
         from repro.runtime.pool import get_pool
 
+        if not os.environ.get("REPRO_THREADS"):
+            # the workers share the cores: each starts its share of the
+            # kernel threads one process would (more would have the
+            # OpenMP teams of different workers spin against each other)
+            os.environ["REPRO_THREADS"] = str(
+                max(1, _jit.default_threads() // n_workers)
+            )
+        # a worker reports its own activity only: every counter starts
+        # at zero (the pool's already does, after a fork as after a
+        # spawn); inherited programs and templates stay cached
         tracer = _obs.get_tracer()
         tracer.enabled = bool(spec.trace)
         tracer.reset()
         _ranks.reset_metrics()
-        cache0 = _compile_cache.stats()
-        jit0 = _jit.stats()
+        _compile_cache.reset(clear=False)
+        _jit.reset()
         transport = ShmTransport.attach(shm_name, n_slots, slot_bytes, cond)
         comm = LocalComm(n_ranks, mailbox=transport, owned_ranks=owned)
-        harness = _WorkerHarness(spec, owned, comm)
+        harness = _WorkerHarness(spec, comm)
         conn.send(("ready", harness.baselines()))
         while True:
             command, arg = conn.recv()
@@ -477,32 +496,29 @@ def _worker_main(spec: WorkerSpec, owned: Tuple[int, ...], n_ranks: int,
                 harness.step(arg)
                 conn.send(("ok", None))
             elif command == "collect":
-                conn.send(("ok", harness.collect()))
+                harness.collect(conn)
             elif command == "report":
                 sent = comm.message_sizes()
                 conn.send(("ok", {
                     "owned": owned,
+                    "threads": harness.threads,
+                    # ru_maxrss is KiB on Linux; a forked worker starts
+                    # from the parent's resident set at the fork
+                    "rss_mb": resource.getrusage(
+                        resource.RUSAGE_SELF
+                    ).ru_maxrss / 1024.0,
                     "spans": tracer.summary() if tracer.enabled else None,
                     "ranks": _ranks.summary(),
                     "pool": get_pool().stats(),
-                    "compile_cache": _numeric_delta(
-                        _compile_cache.stats(), cache0
-                    ),
-                    "jit": _numeric_delta(_jit.stats(), jit0),
+                    "compile_cache": _compile_cache.stats(),
+                    "jit": _jit.stats(),
                     "comm": {
                         "messages": len(sent),
                         "bytes": int(sum(sent)),
                     },
                 }))
             elif command == "close":
-                harness.close()
-                harness = None
-                conn.send(("ok", None))
-                break
-            else:
-                conn.send(("error", (
-                    "ValueError", f"unknown command {command!r}", "",
-                )))
+                break  # the ``finally`` below drains and detaches
     except BaseException as exc:  # noqa: BLE001 — shipped to the parent
         try:
             conn.send(("error", (
@@ -534,6 +550,10 @@ _METRICS: Dict[str, float] = {
     "worker_reports_merged": 0,
     "messages": 0,
     "bytes": 0,
+    # maxima over every worker that reported
+    "worker_peak_rss_mb": 0,
+    "worker_arena_high_water_mb": 0,
+    "worker_threads": 0,
 }
 
 
@@ -570,10 +590,18 @@ def fold_worker_reports(payloads: Sequence[Dict[str, object]]) -> None:
         _compile_cache.merge_stats(payload.get("compile_cache") or {})
         _jit.merge_stats(payload.get("jit") or {})
         comm = payload.get("comm") or {}
+        peaks = {
+            "worker_peak_rss_mb": payload.get("rss_mb", 0),
+            "worker_arena_high_water_mb": (payload.get("pool") or {}).get(
+                "high_water_bytes", 0) / 2 ** 20,
+            "worker_threads": payload.get("threads", 0),
+        }
         with _LOCK:
             _METRICS["worker_reports_merged"] += 1
             _METRICS["messages"] += int(comm.get("messages", 0))
             _METRICS["bytes"] += int(comm.get("bytes", 0))
+            for key, value in peaks.items():
+                _METRICS[key] = max(_METRICS[key], value)
 
 
 def _default_start_method() -> str:
@@ -592,11 +620,12 @@ class ProcessRankExecutor:
     """Parent handle on a fleet of rank worker processes.
 
     ``workers=W`` distributes the ``n_ranks`` ranks over W processes in
-    contiguous blocks (W=1 degenerates to one replica stepping all
-    ranks on threads; W=n_ranks is one process per rank). The lifecycle
-    is ``launch → step* → collect/collect_reports → close``; every
-    command fans out to all workers and gathers their replies, raising
-    the lowest-worker error deterministically.
+    contiguous blocks (W=1 is one worker stepping every rank, W=n_ranks
+    one process per rank; a worker always runs its block in lockstep on
+    one thread). The lifecycle is ``launch → ready → step* →
+    collect/collect_reports → close``; every command fans out to all
+    workers and gathers their replies, raising the lowest-worker error
+    deterministically.
     """
 
     def __init__(self, workers: Optional[int] = None,
@@ -611,14 +640,12 @@ class ProcessRankExecutor:
         self._blocks: List[Tuple[int, ...]] = []
         self.n_ranks = 0
 
-    @property
-    def parallel(self) -> bool:
-        return True
-
     def launch(self, spec: WorkerSpec, n_ranks: int, slot_bytes: int,
-               n_slots: int) -> List[Dict[str, object]]:
-        """Create the transport, start the workers and wait for every
-        ``ready`` handshake; returns the per-worker baseline payloads."""
+               n_slots: int) -> int:
+        """Create the transport and start the workers without waiting
+        for them — the caller builds its own side meanwhile, then calls
+        :meth:`ready`. Returns the number of workers. On any failure
+        from here on the caller owes a :meth:`close`."""
         import multiprocessing
 
         if self._procs:
@@ -632,61 +659,87 @@ class ProcessRankExecutor:
             if len(block)
         ]
         self.transport = ShmTransport.create(n_slots, slot_bytes, ctx)
-        try:
-            for index, block in enumerate(self._blocks):
-                parent_conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(spec, block, n_ranks, self.transport.name,
-                          n_slots, slot_bytes, self.transport.cond,
-                          child_conn),
-                    name=f"repro-rank-worker-{index}",
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                self._procs.append(proc)
-                self._conns.append(parent_conn)
-            ready = [self._recv(i) for i in range(len(self._procs))]
-        except BaseException:
-            self.close()
-            raise
+        for index, block in enumerate(self._blocks):
+            parent_conn, child_conn = ctx.Pipe()
+            proc = ctx.Process(
+                target=_worker_main,
+                args=(spec, block, n_ranks, len(self._blocks),
+                      self.transport.name, n_slots, slot_bytes,
+                      self.transport.cond, child_conn),
+                name=f"repro-rank-worker-{index}",
+                daemon=True,
+            )
+            proc.start()
+            child_conn.close()
+            self._procs.append(proc)
+            self._conns.append(parent_conn)
         with _LOCK:
             _METRICS["launches"] += 1
             _METRICS["workers"] = max(
                 _METRICS["workers"], len(self._procs)
             )
             _METRICS["ranks"] = max(_METRICS["ranks"], n_ranks)
-        return ready
+        return len(self._procs)
 
-    def _recv(self, index: int):
+    def ready(self) -> List[Dict[str, object]]:
+        """Wait for every worker's ``ready`` handshake (its engine and
+        member states are built); returns the per-worker baseline
+        payloads."""
+        return [self._recv(i) for i in range(len(self._procs))]
+
+    def _failure(self, index: int, what: str) -> RuntimeError:
+        return RuntimeError(
+            f"rank worker {index} (ranks {self._blocks[index]}) {what}"
+        )
+
+    def _await(self, index: int) -> None:
+        """Block until worker ``index`` has sent something."""
         conn, proc = self._conns[index], self._procs[index]
         deadline = time.monotonic() + self.command_timeout
         while not conn.poll(1.0):
             if not proc.is_alive() and not conn.poll(0):
-                raise RuntimeError(
-                    f"rank worker {index} (ranks {self._blocks[index]}) "
-                    f"died with exit code {proc.exitcode}"
+                raise self._failure(
+                    index, f"died with exit code {proc.exitcode}"
                 )
             if time.monotonic() > deadline:
-                raise RuntimeError(
-                    f"rank worker {index} unresponsive after "
-                    f"{self.command_timeout:.0f}s"
+                raise self._failure(
+                    index,
+                    f"unresponsive after {self.command_timeout:.0f}s",
                 )
+
+    def _recv(self, index: int):
+        self._await(index)
         try:
-            status, payload = conn.recv()
+            status, payload = self._conns[index].recv()
         except EOFError:
-            raise RuntimeError(
-                f"rank worker {index} closed its pipe unexpectedly "
-                f"(exit code {proc.exitcode})"
+            raise self._failure(
+                index, "closed its pipe unexpectedly (exit code "
+                f"{self._procs[index].exitcode})"
             ) from None
         if status == "error":
             kind, message, tb = payload
-            raise RuntimeError(
-                f"rank worker {index} (ranks {self._blocks[index]}) "
-                f"failed with {kind}: {message}\n{tb}"
+            raise self._failure(
+                index, f"failed with {kind}: {message}\n{tb}"
             )
         return payload
+
+    def _recv_into(self, index: int, array: np.ndarray) -> None:
+        """Receive one raw frame straight into ``array``."""
+        self._await(index)
+        try:
+            got = self._conns[index].recv_bytes_into(_raw(array))
+        except BufferTooShort as exc:
+            got = len(exc.args[0])
+        except EOFError:
+            raise self._failure(
+                index, "closed its pipe in the middle of a collect "
+                f"(exit code {self._procs[index].exitcode})"
+            ) from None
+        if got != array.nbytes:
+            raise self._failure(
+                index, f"sent a {got}-byte frame for a field of "
+                f"{array.nbytes} bytes"
+            )
 
     def _broadcast(self, command: str, arg=None) -> List[object]:
         for conn in self._conns:
@@ -698,8 +751,26 @@ class ProcessRankExecutor:
         with _LOCK:
             _METRICS["steps"] += int(n)
 
-    def collect(self) -> List[Dict[str, object]]:
-        return self._broadcast("collect")
+    def collect(
+        self, states: Dict[int, Sequence[object]]
+    ) -> List[Dict[str, object]]:
+        """Gather the stepped blocks into ``states[member][rank]`` (the
+        ``RankFields`` of the parent's member records), worker by
+        worker: each answers with a header, then one raw frame per
+        (member, rank, field) in the header's order, received straight
+        into the destination array. Returns the headers."""
+        for conn in self._conns:
+            conn.send(("collect", None))
+        headers = []
+        for index in range(len(self._conns)):
+            header = self._recv(index)
+            for member in header["members"]:
+                for rank in header["owned"]:
+                    for array in _frames(states[member][rank],
+                                         header["fields"]):
+                        self._recv_into(index, array)
+            headers.append(header)
+        return headers
 
     def collect_reports(self) -> List[Dict[str, object]]:
         return self._broadcast("report")
@@ -713,6 +784,8 @@ class ProcessRankExecutor:
             except (OSError, ValueError):
                 pass
         for index, proc in enumerate(self._procs):
+            # a reply nobody read yet (a worker must not stay blocked in
+            # its send), else the end of its pipe
             try:
                 self._recv(index)
             except Exception:
@@ -739,9 +812,6 @@ class ProcessRankExecutor:
                 )
             self.transport.close()
             self.transport = None
-
-    def shutdown(self) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         width = len(self._blocks) or (self.workers or 0)

@@ -11,6 +11,9 @@ never which body runs:
   peers post before *their* matching ``yield``; every body reaches its
   next ``yield`` before any goes past it, so each wait finds its message
   already posted. A body that does not communicate is a plain function.
+  A rank worker process runs its block of the ranks this way too: the
+  messages of its own ranks are posted before any of them waits, and a
+  wait on another worker's rank blocks until that worker posts.
 - **Rank threads** (``workers > 1``): one thread per rank runs a body to
   its end and blocks in its waits — the ``yield``s are no-ops. A
   semaphore caps how many ranks *compute* at once. One thread per rank
@@ -41,7 +44,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.obs import tracer as _obs
 
@@ -183,15 +186,14 @@ class RankExecutor:
                 self._pool_width = n_ranks
             return self._pool
 
-    def _ranks_to_run(self, n_ranks: int) -> Sequence[int]:
-        """Which of the ``n_ranks`` SPMD bodies run here, ascending."""
-        return range(n_ranks)
-
-    def run(self, fn: Callable[[int], object], n_ranks: int,
+    def run(self, fn: Callable[[int], object],
+            ranks: Union[int, Sequence[int]],
             label: str = "ranks") -> List[object]:
-        """Run the body ``fn(rank)`` of every rank; a barrier on
-        completion. ``fn`` is a plain function or a generator function
-        (its ``return`` value is the rank's result either way).
+        """Run the body ``fn(rank)`` of every rank in ``ranks`` (a count
+        ``n`` means ranks ``0..n-1``; a core that holds a block of the
+        ranks passes the block, ascending); a barrier on completion.
+        ``fn`` is a plain function or a generator function; its
+        ``return`` values come back in the order of ``ranks``.
 
         Rank-thread failures are collected after all ranks have finished
         (or errored), and the lowest-rank exception is re-raised — a
@@ -200,11 +202,12 @@ class RankExecutor:
         failure closes the other bodies (their ``finally`` blocks run)
         and is re-raised.
         """
-        ranks = self._ranks_to_run(n_ranks)
-        results: List[object] = [None] * n_ranks
+        if isinstance(ranks, int):
+            ranks = range(ranks)
+        results: Dict[int, object] = {}
         if not self.parallel or len(ranks) <= 1:
             self._run_lockstep(fn, ranks, results)
-            return results
+            return [results[rank] for rank in ranks]
         errors: List[BaseException] = []
         t0 = time.perf_counter()
         pool = self._ensure_pool(len(ranks))
@@ -227,7 +230,7 @@ class RankExecutor:
             _METRICS["section_seconds"] += elapsed
         if errors:
             raise errors[0]
-        return results
+        return [results[rank] for rank in ranks]
 
     @staticmethod
     def _run_lockstep(fn, ranks, results) -> None:

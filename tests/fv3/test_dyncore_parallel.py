@@ -122,6 +122,82 @@ def test_failed_section_leaves_no_messages_in_flight(workers):
         ex.shutdown()
 
 
+def _per_rank_lists(core):
+    ac = core.acoustics
+    lists = {
+        "grids": core.grids, "states": core.states, "remap": core.remap,
+        "tracer_adv": core.tracer_adv, "delp_start": core._delp_start,
+        "remapped": core._remapped_fields, "work": ac.work,
+        "transports": ac.transports, "c_sw": ac.c_sw, "d_sw": ac.d_sw,
+        "riemann": ac.riemann, "u": ac._u, "v": ac._v, "delp": ac._delp,
+        "pt": ac._pt, "w": ac._w,
+    }
+    for index, fields in enumerate(core._tracer_fields):
+        lists[f"tracer{index}"] = fields
+    return lists
+
+
+@pytest.mark.parametrize("block", [None, (0, 1, 2), (3, 4, 5), (4,)])
+def test_core_holds_exactly_the_ranks_its_communicator_owns(block):
+    """Grids, states, workspaces, modules and the per-field rank lists
+    exist for the communicator's ranks and for no other; a core on the
+    default communicator holds every rank, as it always did."""
+    from repro.fv3.communicator import LocalComm
+
+    comm = None if block is None else LocalComm(6, owned_ranks=block)
+    core = DynamicalCore(CFG, comm=comm)
+    held = tuple(range(6)) if block is None else block
+    assert core.ranks == core.acoustics.ranks == held
+    for name, per_rank in _per_rank_lists(core).items():
+        assert len(per_rank) == 6, name
+        present = tuple(r for r in range(6) if per_rank[r] is not None)
+        assert present == held, name
+
+
+def test_two_block_cores_over_one_mailbox_match_the_full_core(
+    sequential_run,
+):
+    """Two owned-rank cores, each stepping its block in lockstep on one
+    thread, reach each other only through the shared mailbox — what two
+    rank worker processes do — and reproduce the full core's ranks."""
+    import threading
+
+    from repro.fv3.communicator import DictMailbox, LocalComm
+
+    mailbox = DictMailbox()
+    cores = []
+    for block in ((0, 1, 2), (3, 4, 5)):
+        comm = LocalComm(6, mailbox=mailbox, owned_ranks=block)
+        comm.max_polls = 400  # a peer may still be binding its programs
+        cores.append(DynamicalCore(
+            CFG, executor=ranks.RankExecutor(1), comm=comm
+        ))
+    errors = []
+
+    def drive(core):
+        try:
+            for _ in range(2):
+                core.step_dynamics()
+        except BaseException as exc:  # noqa: BLE001 — asserted below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=drive, args=(c,)) for c in cores]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120.0)
+    assert not any(t.is_alive() for t in threads) and not errors, errors
+    assert mailbox.pending_keys() == []
+    for core in cores:
+        for r in core.ranks:
+            sa, sb = sequential_run.states[r], core.states[r]
+            for f in FIELDS:
+                np.testing.assert_array_equal(
+                    getattr(sa, f), getattr(sb, f), err_msg=f"rank {r} {f}"
+                )
+            np.testing.assert_array_equal(sa.tracers[0], sb.tracers[0])
+
+
 def test_sequential_step_hides_latency_behind_ten_windows():
     """Under a simulated per-message latency L the lockstep schedule
     pays one L per exposed window — two per acoustic sub-step (the wind

@@ -1,15 +1,26 @@
 """The process-based rank executor (PR 10): bit-identity with the
 sequential and threaded executors on the full 6-tile cube, the
-resilience guard, and the merged observability fan-in."""
+resilience guard, the merged observability fan-in — and what a rank
+worker costs: one thread, its own ranks' arena, its own block's frames,
+and a clean teardown whichever side fails."""
+
+import dataclasses
+import multiprocessing
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.fv3.config import DynamicalCoreConfig
-from repro.run import run
-from repro.runtime import runtime_summary
+from repro.fv3.halo import HaloUpdater
+from repro.fv3.partitioner import CubedSpherePartitioner
+from repro.run import procrun, run
+from repro.runtime import procs, runtime_summary
+from repro.runtime.pool import get_pool
 from repro.runtime.procs import ProcessRankExecutor
+from repro.scenarios import get_scenario, register_scenario
+from repro.scenarios import base as _scenarios
 
 STATE_FIELDS = ("u", "v", "w", "pt", "delp", "delz")
 
@@ -51,16 +62,243 @@ def test_threads_match_sequential(sequential_run):
     _assert_bit_identical(sequential_run, threaded)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 6])
+@pytest.mark.parametrize("workers", [1, 2, 3, 6])
 def test_processes_bit_identical_to_sequential(sequential_run, workers):
-    """1, 2 and 6 worker processes over the 6-rank cube all reproduce
+    """1, 2, 3 and 6 worker processes over the 6-rank cube all reproduce
     the sequential ensemble bit for bit — states, summaries, drifts and
-    per-step history entries."""
+    per-step history entries — each on a single thread."""
+    procs.reset_metrics()
     proc = run("baroclinic_wave", _config(), steps=2, members=2, seed=4,
                executor="processes", workers=workers)
     _assert_bit_identical(sequential_run, proc)
     assert f"workers={workers}" in proc.executor
     assert "ranks=6" in proc.executor
+    # threading.active_count() after each step, the most any worker saw
+    assert runtime_summary()["procs"]["worker_threads"] == 1
+
+
+@pytest.fixture(scope="module")
+def perturbed_sequential():
+    """Members 1 and 2 (both perturbed: each draws from one stream
+    across the ranks, so a worker must replay the ranks below its
+    block), 4 steps, per layout."""
+    return {
+        layout: run("baroclinic_wave", _config(layout=layout, n_split=1),
+                    steps=4, members=(1, 2), seed=9, executor="sequential")
+        for layout in (1, 2)
+    }
+
+
+@pytest.mark.parametrize("layout", [1, 2], ids=["1x1", "2x2"])
+@pytest.mark.parametrize("start", ["fork", "spawn"])
+@pytest.mark.parametrize("workers", [1, 2, 3, 6])
+def test_perturbed_members_bit_identical(perturbed_sequential, workers,
+                                         start, layout):
+    """Lockstep workers over 4 steps x 2 members reuse every message
+    key many times across steps and members with nothing but
+    occupied-key blocking between them."""
+    pex = ProcessRankExecutor(workers=workers, start_method=start)
+    proc = run("baroclinic_wave", _config(layout=layout, n_split=1),
+               steps=4, members=(1, 2), seed=9, executor=pex)
+    _assert_bit_identical(perturbed_sequential[layout], proc)
+    assert pex.transport is None and not multiprocessing.active_children()
+
+
+def test_transport_squeezed_to_one_slot_per_key(perturbed_sequential,
+                                                monkeypatch):
+    """One slot per (plan, field slot) key and no byte of headroom is
+    all the lockstep workers can ever occupy: the sizing's doubling is
+    headroom, not a requirement."""
+    config = _config(layout=2, n_split=1)
+    schedule = HaloUpdater(
+        CubedSpherePartitioner(config.npx, config.layout)
+    ).comm_schedule()
+    squeezed = (
+        max(cells for *_, cells in schedule) * config.npz * 8,
+        len(schedule) * max(5, 1 + config.n_tracers),
+    )
+    default = procrun._transport_sizing(
+        CubedSpherePartitioner(config.npx, config.layout), config
+    )
+    assert squeezed[0] < default[0] and squeezed[1] < default[1]
+    monkeypatch.setattr(procrun, "_transport_sizing",
+                        lambda partitioner, config: squeezed)
+    proc = run("baroclinic_wave", config, steps=4, members=(1, 2), seed=9,
+               executor="processes", workers=3)
+    _assert_bit_identical(perturbed_sequential[2], proc)
+
+
+def _sequential_arena(conn, config):
+    run("baroclinic_wave", config, steps=2, members=2, seed=4,
+        executor="sequential")
+    conn.send(get_pool().stats()["high_water_bytes"])
+
+
+def test_worker_arena_is_the_sequential_engines():
+    """A worker's ranks take turns on one thread, so its arena peaks
+    where the sequential engine's does — not at that times the ranks it
+    runs. The sequential figure comes from a forked child, whose arena
+    starts empty like a worker's."""
+    ctx = multiprocessing.get_context("fork")
+    ours, theirs = ctx.Pipe()
+    child = ctx.Process(target=_sequential_arena, args=(theirs, _config()))
+    child.start()
+    assert ours.poll(120.0)
+    sequential = ours.recv()
+    child.join(timeout=30.0)
+    assert child.exitcode == 0 and sequential > 0
+    procs.reset_metrics()
+    run("baroclinic_wave", _config(), steps=2, members=2, seed=4,
+        executor="processes", workers=2)
+    arena_mb = runtime_summary()["procs"]["worker_arena_high_water_mb"]
+    assert arena_mb * 2 ** 20 == sequential
+
+
+# ---------------------------------------------------------------------------
+# collection: raw frames
+# ---------------------------------------------------------------------------
+_SPECIALS = np.array(
+    [np.nan, -np.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+     np.inf, -np.inf, 1.0],
+)
+
+
+@pytest.fixture()
+def scenario_registry():
+    """Scenarios registered by a test are dropped again (forked workers
+    resolve them by name in the registry they inherit)."""
+    before = dict(_scenarios._REGISTRY)
+    try:
+        yield
+    finally:
+        _scenarios._REGISTRY.clear()
+        _scenarios._REGISTRY.update(before)
+
+
+def _in_worker() -> bool:
+    return multiprocessing.parent_process() is not None
+
+
+def _forked(workers):
+    """Forked workers inherit what a test registered or patched."""
+    return ProcessRankExecutor(workers=workers, start_method="fork")
+
+
+def test_collect_frames_round_trip_special_values(scenario_registry):
+    """The collect frames are the arrays' bytes: NaN payloads, signed
+    zeros, subnormals and infinities arrive bit for bit. The workers
+    plant them in ``w`` (which no baseline reads); the parent builds
+    plain zeros there and must end up holding the workers' bits."""
+    base = get_scenario("baroclinic_wave")
+
+    def builder(grid, config):
+        state = base.builder(grid, config)
+        if _in_worker():
+            state.w[...] = 0.0
+            state.w.reshape(-1)[:_SPECIALS.size] = _SPECIALS
+        return state
+
+    register_scenario(dataclasses.replace(
+        base, name="test_special_values", builder=builder, checks=(),
+    ))
+    result = run("test_special_values", _config(), steps=0, members=2,
+                 executor=_forked(2), check=False)
+    for member in result.members:
+        for state in member.states:
+            got = state.w.reshape(-1)
+            np.testing.assert_array_equal(
+                got[:_SPECIALS.size].view(np.uint64),
+                _SPECIALS.view(np.uint64),
+            )
+            assert not got[_SPECIALS.size:].any()
+
+
+@pytest.mark.parametrize("env, expected", [(None, 4), ("3", 3)])
+def test_workers_share_the_kernel_threads(scenario_registry, monkeypatch,
+                                          env, expected):
+    """Unless ``REPRO_THREADS`` fixes it, each of W workers starts 1/W of
+    the kernel threads one process would (8 cores here, 2 workers). The
+    workers write the width they resolved into ``w``."""
+    from repro.runtime import jit
+
+    base = get_scenario("baroclinic_wave")
+
+    def builder(grid, config):
+        state = base.builder(grid, config)
+        state.w[...] = jit.default_threads() if _in_worker() else 0.0
+        return state
+
+    register_scenario(dataclasses.replace(
+        base, name="test_thread_share", builder=builder, checks=(),
+    ))
+    monkeypatch.setattr("os.cpu_count", lambda: 8)  # forked workers too
+    if env is None:
+        monkeypatch.delenv("REPRO_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_THREADS", env)
+    result = run("test_thread_share", _config(), steps=0,
+                 executor=_forked(2), check=False)
+    for state in result.members[0].states:
+        assert (state.w == expected).all()
+
+
+# ---------------------------------------------------------------------------
+# failure paths of launch-then-build
+# ---------------------------------------------------------------------------
+def _failing_scenario(name, fails, seen):
+    """A baroclinic wave whose builder raises where ``fails()`` says so;
+    in the parent it first notes the live transport's segment name."""
+    base = get_scenario("baroclinic_wave")
+
+    def builder(grid, config):
+        if not _in_worker():
+            seen["segment"] = seen["pex"].transport.name
+        if fails():
+            raise FloatingPointError(f"{name}: builder refused")
+        return base.builder(grid, config)
+
+    return register_scenario(dataclasses.replace(
+        base, name=name, builder=builder, checks=(),
+    ))
+
+
+def _assert_torn_down(seen):
+    assert seen["pex"].transport is None
+    for child in multiprocessing.active_children():
+        child.join(timeout=30.0)
+    assert not multiprocessing.active_children()
+    with pytest.raises(FileNotFoundError):
+        shared_memory.SharedMemory(name=seen["segment"])
+
+
+def test_parent_build_failure_after_launch_tears_the_fleet_down(
+    scenario_registry,
+):
+    seen = {"pex": _forked(2)}
+    _failing_scenario("test_parent_fails", lambda: not _in_worker(), seen)
+    with pytest.raises(FloatingPointError, match="builder refused"):
+        run("test_parent_fails", _config(), steps=1, executor=seen["pex"])
+    _assert_torn_down(seen)
+
+
+def test_worker_build_failure_surfaces_typed_and_tears_down(
+    scenario_registry,
+):
+    """One worker fails while the parent is still building: the parent
+    finishes its build, then reports that worker by index and ranks."""
+    seen = {"pex": _forked(2)}
+    _failing_scenario(
+        "test_worker_fails",
+        lambda: multiprocessing.current_process().name
+        == "repro-rank-worker-1",
+        seen,
+    )
+    with pytest.raises(RuntimeError) as excinfo:
+        run("test_worker_fails", _config(), steps=1, executor=seen["pex"])
+    message = str(excinfo.value)
+    assert "rank worker 1 (ranks (3, 4, 5)) failed with " \
+        "FloatingPointError: test_worker_fails: builder refused" in message
+    _assert_torn_down(seen)
 
 
 def test_spawn_start_method_matches(sequential_run):
@@ -133,6 +371,11 @@ def test_worker_spans_folded_when_tracing():
 
         walk(tracer.root)
         assert "ensemble.launch_workers" in names
+        # launch, then build: the workers are started before the parent
+        # builds its own engine
+        opened = list(tracer.root.children)
+        assert opened.index("ensemble.launch_workers") \
+            < opened.index("ensemble.build_engine")
         # spans recorded inside the workers (dyncore stepping) arrived
         assert any(name.startswith("step[") or name == "ensemble.step"
                    or name.startswith("acoustic") or "halo" in name

@@ -66,6 +66,24 @@ def test_generator_and_plain_bodies_both_land_in_results(executor):
     assert executor.run(mixed, 3) == [0, 10, -2]
 
 
+def test_a_block_of_ranks_runs_like_the_whole(executor):
+    """What the core of a rank worker process passes: the ranks of its
+    block. Results come back in the block's order."""
+    events = []
+
+    def body(rank):
+        events.append(rank)
+        yield
+        events.append(-rank)
+        return 10 * rank
+
+    assert executor.run(body, (3, 4, 5)) == [30, 40, 50]
+    assert sorted(events) == [-5, -4, -3, 3, 4, 5]
+    if not executor.parallel:
+        assert events == [3, 4, 5, -3, -4, -5]
+    assert executor.run(lambda rank: -rank, (4,)) == [-4]
+
+
 def test_lockstep_error_closes_the_other_bodies_and_reraises():
     cleaned, reached = [], []
 
@@ -106,29 +124,41 @@ def test_waiting_without_a_yield_times_out_typed_instead_of_hanging():
     """A lockstep body that waits on a message its peer posts only later
     — no ``yield`` in between — cannot be served: the wait must give up
     with the communicator's typed timeout inside its absence budget."""
-    comm = LocalComm(2)
+    _wait_without_a_yield((0, 1))
+
+
+def test_waiting_without_a_yield_inside_a_block_times_out_typed():
+    """The same inside the block a rank worker process runs (one
+    endpoint of a larger communicator): no hang there either."""
+    _wait_without_a_yield((2, 3))
+
+
+def _wait_without_a_yield(block):
+    first, second = block
+    comm = LocalComm(second + 1, owned_ranks=block)
     comm.max_polls, comm.poll_interval = 2, 0.02
     got = np.zeros(1)
 
     def body(rank):
-        if rank == 0:
-            comm.Irecv(got, source=1, dest=0).wait()  # rank 1 not started
+        if rank == first:
+            # the peer has not started
+            comm.Irecv(got, source=second, dest=first).wait()
         else:
-            comm.Isend(np.ones(1), source=1, dest=0)
+            comm.Isend(np.ones(1), source=second, dest=first)
         yield
 
     t0 = time.perf_counter()
     with pytest.raises(HaloTimeoutError) as excinfo:
-        RankExecutor(1).run(body, 2)
+        RankExecutor(1).run(body, block)
     assert time.perf_counter() - t0 < 10 * comm.timeout
-    assert (excinfo.value.source, excinfo.value.dest) == (1, 0)
+    assert (excinfo.value.source, excinfo.value.dest) == (second, first)
 
     def fixed(rank):
-        if rank == 1:
-            comm.Isend(np.ones(1), source=1, dest=0)
+        if rank == second:
+            comm.Isend(np.ones(1), source=second, dest=first)
         yield  # every peer has posted
-        if rank == 0:
-            comm.Irecv(got, source=1, dest=0).wait()
+        if rank == first:
+            comm.Irecv(got, source=second, dest=first).wait()
 
-    RankExecutor(1).run(fixed, 2)
+    RankExecutor(1).run(fixed, block)
     assert got[0] == 1.0 and comm.pending() == []
