@@ -80,8 +80,7 @@ def acoustic_comm_plan(halo: HaloUpdater | None = None):
          {"delz": "delz", "pt": "pt", "w": "w", "delp": "delp"}),
         (tridiagonal_solve, {"w": "w"}),
         (update_heights_pressure,
-         {"w": "w", "delz": "delz", "pe": "pe_nh", "delp": "delp",
-          "pt": "pt"}),
+         {"w": "w", "delz": "delz", "delp": "delp", "pt": "pt"}),
     ])
     # c_sw computes interface quantities over the halo-extended domain,
     # reading the full wind halos (its other parameters are private
@@ -136,7 +135,6 @@ class RankWorkspace:
         self.xfx_adv = np.zeros(shape)
         self.yfx_adv = np.zeros(shape)
         self.delpc = np.zeros(shape)
-        self.pe_nh = np.zeros(shape)
 
     def zero_accumulators(self):
         self.crx_adv[:] = 0.0
@@ -226,7 +224,7 @@ class AcousticDynamics:
         s, w = self.states[rank], self.work[rank]
         halo = self.halo
         hx = halo.start_vector(self._u, self._v, rank)
-        self.riemann[rank](s.w, s.delz, s.pt, s.delp, w.pe_nh, dt)
+        self.riemann[rank](s.w, s.delz, s.pt, s.delp, dt)
         sx = halo.start_scalars(
             (self._delp, self._pt, self._w), rank, fslot_base=2
         )

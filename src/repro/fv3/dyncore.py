@@ -116,6 +116,10 @@ class DynamicalCore:
         self.states: List[RankFields] = per_rank(
             lambda rank: init(grids[rank], config)
         )
+        #: whoever swaps states through this core (the ensemble driver)
+        #: may leave here whose copy ``states`` equals bit for bit, and
+        #: skip copying it in again; whatever changes ``states`` clears it
+        self.resident: Optional[object] = None
         self.acoustics = AcousticDynamics(
             config, self.partitioner, self.grids, self.states, self.halo,
             self.executor, n_halo=n_halo,
@@ -159,6 +163,7 @@ class DynamicalCore:
         path — no snapshots, no guard scans, zero overhead.
         """
         cfg = self.config
+        self.resident = None  # also what a step that raises leaves behind
         with _TRACER.span("dyncore.step"):
             if self.resilience is None:
                 for _ in range(cfg.k_split):
@@ -241,6 +246,7 @@ class DynamicalCore:
     def restore_checkpoint(self, path) -> Dict[str, object]:
         """Restore all rank states, model time and step counter from a
         checkpoint file; returns its metadata."""
+        self.resident = None
         meta = load_checkpoint(path, self.states)
         self.time = float(meta["time"])
         self.step_count = int(meta["step"])

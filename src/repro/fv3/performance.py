@@ -109,7 +109,7 @@ class SingleRankDynCore:
                 )
                 self.riemann(
                     self.state.w, self.state.delz, self.state.pt,
-                    self.state.delp, self.work.pe_nh, dt_acoustic,
+                    self.state.delp, dt_acoustic,
                 )
                 _local_halo_fill(
                     self.state.delp, self.state.pt, self.state.w

@@ -15,10 +15,12 @@ follows).
 registry*: the named scenario is wired into a real (small) core with
 :func:`repro.run.driver.build_core`, the core takes one step, and the
 resulting object graph is walked: every repro-owned module a live object
-came from is linted, and so is the whole-program SDFG of every
-orchestrated program the step traced — what the model runs, transients
-included (S204/S205). This catches stencils reachable only through
-runtime composition that a plain module listing would miss.
+came from is linted, and so is every orchestrated program the step
+traced — what the model runs: its whole-program SDFG, transients
+included (S204/S205), and the slab layout its compiled plan executes in
+(R4xx: no two simultaneously live values share bytes). This catches
+stencils reachable only through runtime composition that a plain module
+listing would miss.
 
 Exit status is 1 if any unsuppressed finding at or above ``--fail-on``
 (default: error) is reported, 0 otherwise — wired for CI. ``--json``
@@ -43,6 +45,7 @@ from repro.lint.findings import (
     SuppressionIndex,
     sort_findings,
 )
+from repro.lint.runtime_rules import lint_compiled_plan
 from repro.lint.sdfg_rules import lint_sdfg
 
 
@@ -202,17 +205,19 @@ def _reachable_repro_modules(root, max_objects: int = 10000) -> List[str]:
 
 
 def _traced_programs(root) -> List:
-    """The whole-program SDFG of every traced orchestrated program on
-    the object graph under ``root`` (ranks bound to one template share
-    its SDFG, which is listed once)."""
+    """``(whole-program SDFG, compiled plan)`` of every traced
+    orchestrated program on the object graph under ``root`` (ranks bound
+    to one template share both, which are listed once)."""
     from repro.orchestration import OrchestratedProgram
 
-    sdfgs = {}
+    programs = {}
     for obj in _walk_repro_objects(root):
         if isinstance(obj, OrchestratedProgram):
             for binding in obj._bindings.values():
-                sdfgs[id(binding.template.sdfg)] = binding.template.sdfg
-    return list(sdfgs.values())
+                programs[id(binding.template.sdfg)] = (
+                    binding.template.sdfg, binding.plan
+                )
+    return list(programs.values())
 
 
 def lint_scenario(name: str, comm: bool = False) -> List[LintFinding]:
@@ -232,8 +237,11 @@ def lint_scenario(name: str, comm: bool = False) -> List[LintFinding]:
         core.step_dynamics()
         modules = _reachable_repro_modules(core)
         findings: List[LintFinding] = []
-        for sdfg in _traced_programs(core):
+        for sdfg, plan in _traced_programs(core):
             findings.extend(lint_sdfg(sdfg))
+            if plan is not None:
+                # the slab layout the step just ran in (R4xx)
+                findings.extend(lint_compiled_plan(plan))
         linted: Set[str] = set()
         for mod_name in modules:
             module = sys.modules.get(mod_name)

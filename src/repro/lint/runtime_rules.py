@@ -1,27 +1,29 @@
 """Buffer-lifetime rules (R4xx) over pool event traces and compiled plans.
 
 The :class:`~repro.runtime.pool.BufferPool` arena and the compiled-SDFG
-scratch planner make the hot path allocation-free, at the price of
+memory planner make the hot path allocation-free, at the price of
 manual lifetimes: a buffer released too early is recycled under a live
 reader, a leaked checkout grows the arena forever, and a pooled scratch
 buffer handed to a compiled program as an ``out=`` destination aliases
 two owners. These rules verify recorded lifetime traces:
 
 - **R401 use-after-release** — a buffer is used (or scheduled as a
-  kernel destination) after it went back to the free list; the next
-  checkout of the same shape aliases it.
+  kernel destination) after it went back to the arena; the next
+  checkout it serves aliases it.
 - **R402 acquire-release-mismatch** — double acquire of a live buffer,
   or release of a buffer that is not checked out (double release).
 - **R403 leaked-arena** — buffers still checked out when the trace ends.
-- **R404 scratch-aliasing** — a live pooled buffer owned by one scope
-  (label/rank) is bound as another program's kernel destination: two
-  writers now share storage the pool believes has a single owner.
+- **R404 scratch-aliasing** — two owners of one piece of storage: a live
+  pooled buffer owned by one scope (label/rank) is bound as another
+  program's kernel destination, or a compiled program's memory plan
+  gives two simultaneously live values overlapping byte intervals of
+  its slab.
 
 Traces come from two sources: :func:`record_buffer_events` attaches a
 recorder to a live :class:`BufferPool` (checkout/release/bind events at
 runtime), and :func:`lint_compiled_plan` replays the codegen-time
-alloc/free log of a :class:`~repro.sdfg.codegen.CompiledSDFG` scratch
-plan.
+alloc/free log of a :class:`~repro.sdfg.codegen.CompiledSDFG` against
+the slab layout the planner derived from it.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class BufferEvent:
     """One lifetime event of one buffer.
 
     ``buffer`` is a stable identity for the storage (``id()`` of the
-    array, or a slot index for compiled plans); ``label`` names the
+    array, or a value index for compiled plans); ``label`` names the
     owning scope (e.g. ``"sdfg:heat:out"``) and ``rank`` the owning rank
     thread, both optional.
     """
@@ -71,7 +73,7 @@ class BufferEvent:
 
     def describe(self) -> str:
         what = f"buffer {self.buffer:#x}" if self.buffer > 0xFFFF else (
-            f"slot {self.buffer}"
+            f"value {self.buffer}"
         )
         if self.key:
             what += f" {self.key[0]}×{self.key[1]}"
@@ -134,7 +136,7 @@ def lint_buffer_events(
                 )
                 findings.append(_finding(
                     "R402", "error", subject,
-                    f"{ev.describe()} {detail}; the free list would hand "
+                    f"{ev.describe()} {detail}; the arena would hand "
                     "the same storage to two future checkouts",
                     hint="release each buffer exactly once, from the "
                          "scope that checked it out",
@@ -149,8 +151,8 @@ def lint_buffer_events(
                 findings.append(_finding(
                     "R401", "error", subject,
                     f"{ev.describe()} is {what} by {_owner(ev)} after "
-                    "being released to the arena; the next checkout of "
-                    "this shape aliases it",
+                    "being released to the arena; the next checkout it "
+                    "serves aliases it",
                     hint="keep the buffer checked out for as long as any "
                          "kernel can read or write it",
                 ))
@@ -229,27 +231,55 @@ def record_buffer_events(pool=None) -> Iterator[List[BufferEvent]]:
 
 
 def lint_compiled_plan(compiled) -> List[LintFinding]:
-    """Check a compiled SDFG's scratch-slot plan for lifetime violations.
+    """Check a compiled SDFG's memory plan for lifetime violations.
 
-    Replays the codegen-time alloc/free log of the register-style slot
-    allocator. Slots live at the end are expected (kernel-local slots are
-    owned for the whole program body), so only R401/R402/R404 can fire.
+    Replays the planner's alloc/free log twice over: as a lifetime trace
+    of the planned values (R401/R402; values live at the end are
+    expected — nothing has to free what the call's release gives back),
+    and against the layout — the byte interval of a value must lie inside
+    the slab and share no byte with a value that is live at its birth
+    (R404: two owners of one piece of storage).
     """
+    subject = f"sdfg:{compiled.sdfg.name}"
+    specs = compiled._plan.specs
     events = [
         BufferEvent(
             kind="acquire" if kind == "alloc" else "release",
             buffer=idx,
-            key=(
-                tuple(compiled._plan.specs[idx][0]),
-                str(compiled._plan.specs[idx][1]),
-            ),
+            key=(tuple(specs[idx][0]), str(specs[idx][1])),
             seq=seq,
-            label=f"sdfg:{compiled.sdfg.name}",
+            label=subject,
         )
         for seq, (kind, idx) in enumerate(compiled.plan_events)
     ]
-    return lint_buffer_events(
-        events,
-        subject=f"sdfg:{compiled.sdfg.name}",
-        allow_live_at_end=True,
-    )
+    findings = lint_buffer_events(events, subject=subject,
+                                  allow_live_at_end=True)
+    offsets, nbytes = compiled.plan_offsets, compiled.plan_nbytes
+    live: Dict[int, BufferEvent] = {}
+    for ev in events:
+        if ev.kind == "release":
+            live.pop(ev.buffer, None)
+            continue
+        lo, hi = offsets[ev.buffer], offsets[ev.buffer] + nbytes[ev.buffer]
+        if hi > compiled.runtime_bytes:
+            findings.append(_finding(
+                "R404", "error", subject,
+                f"{ev.describe()} is laid out at bytes [{lo}, {hi}) of a "
+                f"{compiled.runtime_bytes}-byte slab; it reaches into "
+                "memory the call never checked out",
+                hint="the slab must end no earlier than its highest value",
+            ))
+        for other in live.values():
+            olo = offsets[other.buffer]
+            ohi = olo + nbytes[other.buffer]
+            if lo < ohi and olo < hi:
+                findings.append(_finding(
+                    "R404", "error", subject,
+                    f"{ev.describe()} at bytes [{lo}, {hi}) is born while "
+                    f"{other.describe()} at [{olo}, {ohi}) is live: two "
+                    "simultaneously live values share storage",
+                    hint="values may share bytes of the slab only when "
+                         "their lifetimes are disjoint",
+                ))
+        live[ev.buffer] = ev
+    return findings

@@ -136,7 +136,10 @@ def _runtime_lines() -> List[str]:
             f"{pool['reuse_hits']} reuse hits, "
             f"{pool['allocated_bytes'] / 1e6:.1f} MB allocated, "
             f"{pool['alloc_bytes_avoided'] / 1e6:.1f} MB avoided, "
-            f"high water {pool['high_water_bytes'] / 1e6:.1f} MB"
+            f"high water {pool['high_water_bytes'] / 1e6:.1f} MB in "
+            f"{pool['peak_slabs']} slabs "
+            f"(largest {pool['largest_slab_bytes'] / 1e6:.1f} MB, "
+            f"{pool['retirements']} retired)"
         )
     if cache["hits"] or cache["misses"]:
         by = cache.get("by_backend") or {}

@@ -1236,11 +1236,15 @@ class OrchestratedProgram:
             plan(arrays=binding.arrays, scalars=scalars)
             if before is not None:
                 self._record_kernel_spans(sp, before)
-            # scratch the program drew from the arena, summed over the
-            # span's entries like ``bytes`` (divide by ``count`` per call)
+            # scratch the program drew from the arena — the slab, the
+            # planned values laid out in it, and the declared transients
+            # among them — summed over the span's entries like ``bytes``
+            # (divide by ``count`` per call)
             footprint = memory_footprint(template.sdfg)
             sp.add("transients", footprint["transients"])
             sp.add("transient_bytes", footprint["transient"])
+            sp.add("slab_bytes", plan.runtime_bytes)
+            sp.add("values", len(plan.plan_offsets))
 
     @property
     def kernel_times(self):

@@ -392,9 +392,11 @@ class EnsembleDriver:
         removed record so a caller may still snapshot it."""
         self.history.pop(member, None)
         try:
-            return self.members.pop(member)
+            rec = self.members.pop(member)
         except KeyError:
             raise KeyError(f"no member {member} loaded") from None
+        self._changed(rec)
+        return rec
 
     def snapshot_member(self, member: int) -> Snapshot:
         """A bit-exact in-memory snapshot of one member's canonical
@@ -406,9 +408,14 @@ class EnsembleDriver:
     # state swap
     # ------------------------------------------------------------------
     def _activate(self, member: int) -> _Member:
-        """Load one member's state into the engine's arrays."""
+        """Load one member's state into the engine's arrays — no copy
+        when they already hold exactly that record
+        (:attr:`DynamicalCore.resident`)."""
         rec = self.members[member]
-        _copy_states(rec.states, self.engine.states)
+        if self.engine.resident is not rec:
+            self.engine.resident = None
+            _copy_states(rec.states, self.engine.states)
+            self.engine.resident = rec
         self.engine.time = rec.time
         self.engine.step_count = rec.step_count
         self.engine.resilience = rec.resilience
@@ -420,6 +427,13 @@ class EnsembleDriver:
         _copy_states(self.engine.states, rec.states)
         rec.time = self.engine.time
         rec.step_count = self.engine.step_count
+        self.engine.resident = rec
+
+    def _changed(self, rec: _Member) -> None:
+        """``rec`` is about to differ from what the engine may hold of
+        it (or to go away): the next activation copies again."""
+        if self.engine.resident is rec:
+            self.engine.resident = None
 
     # ------------------------------------------------------------------
     def step(self, n: int = 1) -> None:
@@ -548,6 +562,7 @@ class EnsembleDriver:
         """Restore one member from a checkpoint file (the other
         members are untouched)."""
         rec = self.members[member]
+        self._changed(rec)
         meta = load_checkpoint(path, rec.states)
         rec.time = float(meta["time"])
         rec.step_count = int(meta["step"])

@@ -217,7 +217,9 @@ def run_processes(
         with tracer.span("ensemble.run"):
             pex.step(steps)
         seconds = time.perf_counter() - t0
-        # the stepped blocks land in the parent's member records
+        # the stepped blocks land in the parent's member records, which
+        # the engine's arrays therefore no longer equal
+        driver.engine.resident = None
         collected = pex.collect(
             {member: rec.states for member, rec in driver.members.items()}
         )

@@ -5,10 +5,11 @@ The paper's measured per-kernel times (Fig. 10) are meaningful only if
 they reflect array traffic, not allocator churn. This package removes the
 two allocation sources the generated NumPy programs had:
 
-- :mod:`repro.runtime.pool` — a shape/dtype-keyed scratch arena. Compiled
-  programs check out every temporary (expression scratch, kernel-local
-  arrays, SDFG transients) per call and release them afterwards, so
-  steady-state execution performs no array allocation.
+- :mod:`repro.runtime.pool` — a capacity-keyed scratch arena of slabs.
+  A compiled program checks out one slab per call, in which every
+  temporary it has (expression scratch, kernel-local arrays, SDFG
+  transients) is an interval fixed at compile time, and releases it
+  afterwards, so steady-state execution performs no array allocation.
 - :mod:`repro.runtime.compile_cache` — a content-hash cache of expanded
   SDFGs → :class:`~repro.sdfg.codegen.CompiledSDFG`, so autotuning and
   transfer tuning stop recompiling identical candidate configurations.

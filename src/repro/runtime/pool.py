@@ -1,52 +1,94 @@
-"""Shape/dtype-keyed scratch buffer arena (checkout/release).
+"""Capacity-keyed scratch arena (checkout/release of slabs).
 
-Compiled SDFG programs, the halo updater and the ``out=`` expression
-scheduler draw every temporary array from here instead of allocating.
-Buffers are keyed by exact ``(shape, dtype)``; a released buffer is
-recycled by the next checkout of the same key, so steady-state execution
-of a compiled program performs zero array allocations.
+Compiled SDFG programs, the halo updater and the state guards draw every
+temporary array from here instead of allocating. The arena owns *slabs* —
+flat, cache-line-aligned byte ranges — and a slab serves one caller at a
+time: a compiled program checks one out per call
+(:meth:`BufferPool.checkout_slab`) and sees all of its transients, kernel
+locals and expression scratch as views at offsets fixed when it was
+compiled; :meth:`BufferPool.checkout` hands a single shaped array out as
+a view of the front of a slab. Nothing is keyed on shape: the smallest
+idle slab that holds a request serves it, so consecutive programs of
+different shapes run in the same memory and steady-state execution
+allocates nothing.
 
-Checked-out buffers contain arbitrary data. Call sites that need defined
+The arena stays as small as its callers are concurrent. A request no idle
+slab can hold allocates one that can — and *retires* the largest idle
+slab that was too small instead of keeping both, so a sequence of
+growing requests ends with one slab, not one per size, and the number of
+slabs only grows when all of them are checked out at once (a program
+called from inside another's callback, a second rank thread).
+
+Checked-out memory holds arbitrary data. Call sites that need defined
 contents (kernel locals that are read before written, flagged by the
 codegen analysis mirroring the ``repro.lint`` D-rules) zero them
 explicitly — everything else is fully overwritten by its producer.
 
 Safety properties:
 
-- two live (checked-out) buffers never alias — a buffer leaves the free
-  list on checkout and only returns on release;
-- double release raises, as does releasing a view (``arr.base`` set),
-  which would let two later checkouts alias;
-- nesting is safe: a nested program call simply checks out different
-  buffers while the outer call's buffers are live.
+- two live checkouts never share a byte — a slab leaves the idle list on
+  checkout and only returns on release;
+- :meth:`BufferPool.release` takes exactly what a checkout returned: a
+  second release, a view of a checkout and an array the arena never
+  handed out all raise, because any of them would let two later
+  checkouts alias;
+- nesting is safe: a nested program call simply checks out another slab
+  while the outer call's slab is live.
 
 ``REPRO_BUFFER_POOL=0`` disables recycling (every checkout allocates a
-fresh array) as a debugging aid; the accounting still runs.
+fresh slab, a released one is dropped) as a debugging aid; the accounting
+still runs.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import os
 import threading
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
 from repro.resilience import chaos as _chaos
 
-__all__ = ["BufferPool", "CancelScope", "get_pool"]
+__all__ = ["ALIGN", "BufferPool", "CancelScope", "Slab", "get_pool"]
 
-_Key = Tuple[Tuple[int, ...], str]
+#: slabs start on a cache line and hold a whole number of them; a caller
+#: that lays values out in a slab at multiples of this keeps every value
+#: on a cache line too
+ALIGN = 64
+
+
+class Slab:
+    """One allocation of the arena: ``data`` is ``capacity`` bytes
+    (``uint8``) starting on a cache line. Weakly referenceable, so a
+    caller can key the views it derives from a slab on the slab and lose
+    them when the arena retires it."""
+
+    __slots__ = ("data", "capacity", "__weakref__")
+
+    def __init__(self, data: np.ndarray):
+        self.data = data
+        self.capacity = data.nbytes
+
+
+#: what a checkout returns and a release takes back
+Handle = Union[Slab, np.ndarray]
+
+_CAPACITY = operator.attrgetter("capacity")
 
 
 class BufferPool:
-    """A scratch arena with free lists keyed by (shape, dtype)."""
+    """A scratch arena of slabs, served by capacity (smallest fit)."""
 
     def __init__(self, recycle: bool = True):
         self.recycle = recycle
         self._pid = os.getpid()
-        self._free: Dict[_Key, List[np.ndarray]] = {}
-        self._idle_ids: set = set()
+        self._idle: List[Slab] = []
+        #: id(handle) → (handle, its slab) of every live checkout; holding
+        #: the handle keeps its id from being recycled while it is live
+        self._live: Dict[int, Tuple[Handle, Slab]] = {}
         self._lock = threading.Lock()
         #: per-thread stack of active CancelScopes (cooperative
         #: cancellation support for the serving layer)
@@ -56,15 +98,20 @@ class BufferPool:
         #: by ``repro.lint.runtime_rules.record_buffer_events`` — one
         #: ``is not None`` predicate per checkout when inactive
         self._recorder = None
-        # accounting
+        self._zero_accounting()
+
+    def _zero_accounting(self) -> None:
         self.checkouts = 0
         self.reuse_hits = 0
         self.allocations = 0
         self.allocated_bytes = 0
         self.alloc_bytes_avoided = 0
+        self.retirements = 0
         self.live_bytes = 0
         self.idle_bytes = 0
         self.high_water_bytes = 0
+        self.peak_slabs = 0
+        self.largest_slab_bytes = 0
 
     # ------------------------------------------------------------------
     def set_recorder(self, recorder):
@@ -80,27 +127,22 @@ class BufferPool:
         if self._recorder is not None:
             self._recorder(kind, buf, label)
 
-    @staticmethod
-    def key(shape, dtype) -> _Key:
-        """The free-list key of a ``shape``/``dtype`` buffer."""
-        return (tuple(shape), np.dtype(dtype).str)
-
     # ------------------------------------------------------------------
     # cooperative cancellation
     # ------------------------------------------------------------------
     def cancel_scope(self, label: str = "") -> "CancelScope":
-        """A context manager that returns still-live buffers checked out
-        by the **current thread** inside the scope back to the arena if
-        the scope exits with an exception.
+        """A context manager that returns still-live checkouts made by
+        the **current thread** inside the scope back to the arena if the
+        scope exits with an exception.
 
         This is the serving layer's "no wedged workers" guarantee: a
         request cancelled (deadline exhausted, fault mid-kernel) between
-        a ``checkout`` and its matching ``release`` would otherwise leak
-        that buffer from the arena for the worker's whole lifetime. A
-        clean exit releases nothing — buffers intentionally retained
-        past the scope stay live. Only checkouts made on the entering
-        thread are tracked, so rank-executor worker threads running
-        under a parallel executor are not covered.
+        a checkout and its matching ``release`` would otherwise leak that
+        slab from the arena for the worker's whole lifetime. A clean exit
+        releases nothing — checkouts intentionally retained past the
+        scope stay live. Only checkouts made on the entering thread are
+        tracked, so rank-executor worker threads running under a parallel
+        executor are not covered.
         """
         return CancelScope(self, label)
 
@@ -110,122 +152,109 @@ class BufferPool:
             stack = self._tls.scopes = []
         return stack
 
-    def _track(self, buf: np.ndarray) -> None:
+    def _track(self, handle: Handle) -> None:
         stack = getattr(self._tls, "scopes", None)
         if stack:
-            stack[-1]._live[id(buf)] = buf
+            stack[-1]._live[id(handle)] = handle
 
-    def _untrack(self, buf: np.ndarray) -> None:
+    def _untrack(self, handle: Handle) -> None:
         stack = getattr(self._tls, "scopes", None)
         if stack:
-            key = id(buf)
+            key = id(handle)
             for scope in reversed(stack):
                 if scope._live.pop(key, None) is not None:
                     return
 
+    # ------------------------------------------------------------------
+    # checkout / release
+    # ------------------------------------------------------------------
     #: the allocator behind a miss (an attribute so a test can make the
     #: n-th allocation fail)
     _allocate = staticmethod(np.empty)
 
+    def checkout_slab(self, nbytes: int) -> Slab:
+        """A slab of at least ``nbytes`` bytes (contents arbitrary) — the
+        path of a compiled program, which lays its values out inside."""
+        return self._checkout(nbytes, None)
+
     def checkout(self, shape, dtype=np.float64) -> np.ndarray:
-        """Return a buffer of exactly ``shape``/``dtype`` (contents
-        arbitrary)."""
-        return self.checkout_keys((self.key(shape, dtype),))[0]
+        """An array of exactly ``shape``/``dtype`` (contents arbitrary):
+        a view of the front of a slab."""
+        shape, dtype = tuple(shape), np.dtype(dtype)
+        return self._checkout(math.prod(shape) * dtype.itemsize, (shape, dtype))
 
-    def release(self, buf: np.ndarray) -> None:
-        """Return a buffer to the arena for reuse."""
-        self.release_many((buf,))
-
-    def checkout_many(
-        self, specs: Sequence[Tuple[Tuple[int, ...], np.dtype]]
-    ) -> List[np.ndarray]:
-        return self.checkout_keys([self.key(*spec) for spec in specs])
-
-    def checkout_keys(self, keys: Sequence[_Key]) -> List[np.ndarray]:
-        """One buffer per arena key (:meth:`key`), taking the lock once —
-        the path of a compiled program, which derives its keys when it is
-        built. If an allocation fails part-way, the buffers the batch
-        already took go back before the error propagates."""
-        bufs: List[np.ndarray] = []
-        hits = hit_bytes = allocs = alloc_bytes = 0
+    def _checkout(self, nbytes: int, spec) -> Handle:
+        capacity = max(-(-nbytes // ALIGN), 1) * ALIGN
+        with self._lock:
+            # (without recycling nothing is ever idle)
+            fits = [s for s in self._idle if s.capacity >= capacity]
+            if fits:
+                slab = min(fits, key=_CAPACITY)
+                self._idle.remove(slab)
+                self.reuse_hits += 1
+                self.alloc_bytes_avoided += slab.capacity
+                self.idle_bytes -= slab.capacity
+            else:
+                if self._idle:
+                    # every idle slab is too small: the largest goes, and
+                    # is gone before its replacement is allocated
+                    retired = max(self._idle, key=_CAPACITY)
+                    self._idle.remove(retired)
+                    self.idle_bytes -= retired.capacity
+                    self.retirements += 1
+                    del retired
+                raw = self._allocate(capacity + ALIGN, np.uint8)
+                start = -raw.ctypes.data % ALIGN
+                slab = Slab(raw[start:start + capacity])
+                self.allocations += 1
+                self.allocated_bytes += capacity
+                self.largest_slab_bytes = max(self.largest_slab_bytes, capacity)
+            if spec is None:
+                handle = slab
+            else:
+                handle = slab.data[:nbytes].view(spec[1]).reshape(spec[0])
+            self._live[id(handle)] = (handle, slab)
+            self.checkouts += 1
+            self.live_bytes += slab.capacity
+            self.high_water_bytes = max(
+                self.high_water_bytes, self.live_bytes + self.idle_bytes
+            )
+            self.peak_slabs = max(
+                self.peak_slabs, len(self._live) + len(self._idle)
+            )
         try:
-            with self._lock:
-                try:
-                    for key in keys:
-                        free = self._free.get(key)
-                        if free and self.recycle:
-                            buf = free.pop()
-                            self._idle_ids.discard(id(buf))
-                            hits += 1
-                            hit_bytes += buf.nbytes
-                        else:
-                            buf = self._allocate(key[0], key[1])
-                            allocs += 1
-                            alloc_bytes += buf.nbytes
-                        bufs.append(buf)
-                finally:
-                    self.checkouts += hits + allocs
-                    self.reuse_hits += hits
-                    self.alloc_bytes_avoided += hit_bytes
-                    self.idle_bytes -= hit_bytes
-                    self.allocations += allocs
-                    self.allocated_bytes += alloc_bytes
-                    self.live_bytes += hit_bytes + alloc_bytes
-                    self.high_water_bytes = max(
-                        self.high_water_bytes,
-                        self.live_bytes + self.idle_bytes,
-                    )
-            poison = _chaos._PLAN is not None
-            recorder = self._recorder
-            scopes = getattr(self._tls, "scopes", None)
-            if poison or recorder is not None or scopes:
-                for buf in bufs:
-                    if poison:
-                        _chaos.maybe_poison(buf)
-                    if recorder is not None:
-                        recorder("acquire", buf, None)
-                    if scopes:
-                        scopes[-1]._live[id(buf)] = buf
+            if _chaos._PLAN is not None:
+                _chaos.maybe_poison(
+                    slab.data.view(np.float64) if spec is None else handle
+                )
+            if self._recorder is not None:
+                self._recorder("acquire", _recorded(handle), None)
+            self._track(handle)
         except BaseException:
-            self.release_many(bufs)
+            self.release(handle)
             raise
-        return bufs
+        return handle
 
-    def release_many(self, bufs: Sequence[np.ndarray]) -> None:
-        """Return buffers to the arena, taking the lock once. Releasing a
-        view or releasing twice raises: the buffers ahead of the offender
-        in ``bufs`` are released, the rest stay live."""
-        released = 0
-        try:
-            with self._lock:
-                idle_ids = self._idle_ids
-                for buf in bufs:
-                    if buf.base is not None:
-                        raise ValueError(
-                            "cannot release a view: later checkouts would "
-                            "alias it"
-                        )
-                    if id(buf) in idle_ids:
-                        raise ValueError("buffer released twice")
-                    idle_ids.add(id(buf))
-                    key = (buf.shape, buf.dtype.str)
-                    free = self._free.get(key)
-                    if free is None:
-                        free = self._free[key] = []
-                    free.append(buf)
-                    # live + idle is unchanged: no new high water
-                    self.live_bytes -= buf.nbytes
-                    self.idle_bytes += buf.nbytes
-                    released += 1
-        finally:
-            recorder = self._recorder
-            scopes = getattr(self._tls, "scopes", None)
-            if recorder is not None or scopes:
-                for buf in bufs[:released]:
-                    if recorder is not None:
-                        recorder("release", buf, None)
-                    if scopes:
-                        self._untrack(buf)
+    def release(self, handle: Handle) -> None:
+        """Return a checkout — the very object ``checkout_slab`` or
+        ``checkout`` returned — to the arena for reuse."""
+        with self._lock:
+            entry = self._live.pop(id(handle), None)
+            if entry is None:
+                raise ValueError(
+                    "not a live checkout of this arena: released twice, a "
+                    "view of a checkout, or never handed out here — any of "
+                    "them would let later checkouts alias"
+                )
+            slab = entry[1]
+            # live + idle does not grow: no new high water
+            self.live_bytes -= slab.capacity
+            if self.recycle:
+                self._idle.append(slab)
+                self.idle_bytes += slab.capacity
+        if self._recorder is not None:
+            self._recorder("release", _recorded(handle), None)
+        self._untrack(handle)
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
@@ -235,17 +264,19 @@ class BufferPool:
             "allocations": self.allocations,
             "allocated_bytes": self.allocated_bytes,
             "alloc_bytes_avoided": self.alloc_bytes_avoided,
+            "retirements": self.retirements,
             "live_bytes": self.live_bytes,
             "idle_bytes": self.idle_bytes,
             "high_water_bytes": self.high_water_bytes,
+            "peak_slabs": self.peak_slabs,
+            "largest_slab_bytes": self.largest_slab_bytes,
             "scope_reclaims": self.scope_reclaims,
         }
 
     def clear(self) -> None:
-        """Drop all idle buffers (live checkouts are unaffected)."""
+        """Drop all idle slabs (live checkouts are unaffected)."""
         with self._lock:
-            self._free.clear()
-            self._idle_ids.clear()
+            self._idle.clear()
             self.idle_bytes = 0
 
     # ------------------------------------------------------------------
@@ -254,60 +285,59 @@ class BufferPool:
     def _reset_after_fork(self) -> None:
         """Give a forked child a clean arena.
 
-        The child inherits the parent's free lists, stats and — if the
-        fork happened while another thread held it — a permanently-locked
-        ``threading.Lock``. Everything is replaced: a fresh lock, empty
-        free lists and zeroed accounting, so the child can neither
-        deadlock on the inherited lock nor double-free (or alias) buffers
-        the parent still considers checked out. Inherited buffer
-        references the child may still hold are copy-on-write private to
-        it; releasing one simply donates it to the child's own arena.
+        The child inherits the parent's slabs, stats and — if the fork
+        happened while another thread held it — a permanently-locked
+        ``threading.Lock``. Everything is replaced: a fresh lock, no
+        slabs and zeroed accounting, so the child can neither deadlock on
+        the inherited lock nor hand out memory the parent still considers
+        checked out. A checkout the parent held at the fork is foreign to
+        the child's arena like any other array.
         """
         self._pid = os.getpid()
         self._lock = threading.Lock()
         self._tls = threading.local()
-        self._free = {}
-        self._idle_ids = set()
+        self._idle = []
+        self._live = {}
         self._recorder = None
         self.scope_reclaims = 0
-        self.checkouts = 0
-        self.reuse_hits = 0
-        self.allocations = 0
-        self.allocated_bytes = 0
-        self.alloc_bytes_avoided = 0
-        self.live_bytes = 0
-        self.idle_bytes = 0
-        self.high_water_bytes = 0
+        self._zero_accounting()
 
     def merge_stats(self, data: Dict[str, int]) -> None:
         """Fold a worker process's pool counters into this pool's
         accounting (the process-based rank executor ships them over the
         result pipe so the report footer stays truthful). Additive
-        counters sum; ``high_water_bytes`` takes the max — arenas in
-        different processes are separate address spaces, so their peaks
-        do not stack. Transient gauges (live/idle bytes) are per-process
-        and are not merged."""
+        counters sum; the peaks (``high_water_bytes``, ``peak_slabs``,
+        ``largest_slab_bytes``) take the max — arenas in different
+        processes are separate address spaces, so their peaks do not
+        stack. Transient gauges (live/idle bytes) are per-process and are
+        not merged."""
         with self._lock:
             for key in (
-                "checkouts", "reuse_hits", "allocations",
-                "allocated_bytes", "alloc_bytes_avoided", "scope_reclaims",
+                "checkouts", "reuse_hits", "allocations", "allocated_bytes",
+                "alloc_bytes_avoided", "retirements", "scope_reclaims",
             ):
                 setattr(self, key, getattr(self, key) + int(data.get(key, 0)))
-            self.high_water_bytes = max(
-                self.high_water_bytes, int(data.get("high_water_bytes", 0))
-            )
+            for key in ("high_water_bytes", "peak_slabs", "largest_slab_bytes"):
+                setattr(
+                    self, key, max(getattr(self, key), int(data.get(key, 0)))
+                )
+
+
+def _recorded(handle: Handle) -> np.ndarray:
+    """The array a lifetime recorder sees for a checkout."""
+    return handle.data if isinstance(handle, Slab) else handle
 
 
 class CancelScope:
     """See :meth:`BufferPool.cancel_scope`. ``reclaimed`` (valid after
-    exit) counts the buffers returned to the arena."""
+    exit) counts the checkouts returned to the arena."""
 
     __slots__ = ("_pool", "label", "_live", "reclaimed")
 
     def __init__(self, pool: BufferPool, label: str = ""):
         self._pool = pool
         self.label = label
-        self._live: Dict[int, np.ndarray] = {}
+        self._live: Dict[int, Handle] = {}
         self.reclaimed = 0
 
     def __enter__(self) -> "CancelScope":
@@ -322,13 +352,13 @@ class CancelScope:
         leftovers = list(self._live.values())
         self._live.clear()
         if exc_type is None:
-            # clean exit: retained buffers are the caller's business,
+            # clean exit: retained checkouts are the caller's business,
             # but an enclosing scope must keep covering them
-            for buf in leftovers:
-                self._pool._track(buf)
+            for handle in leftovers:
+                self._pool._track(handle)
             return False
-        for buf in leftovers:
-            self._pool.release(buf)
+        for handle in leftovers:
+            self._pool.release(handle)
         self.reclaimed = len(leftovers)
         if leftovers:
             with self._pool._lock:

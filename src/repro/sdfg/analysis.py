@@ -12,7 +12,9 @@ statement, whether storage the toolchain owns — SDFG transients and
 kernel-local arrays — is written before it is read. They are the one
 implementation behind both the code generator's zero-fill decision
 (:func:`transients_needing_zero`: pooled buffers hold arbitrary data) and
-the ``repro.lint`` S202/S204/S205 rules.
+the ``repro.lint`` S202/S204/S205 rules. :func:`transient_lifetimes` says
+between which nodes a transient has to keep its storage at all, which is
+what the code generator's memory planner lays a program's slab out from.
 """
 
 from __future__ import annotations
@@ -403,6 +405,54 @@ def transients_needing_zero(sdfg) -> List[str]:
     handed out as it comes."""
     needing = {r.name for r in uncovered_reads(sdfg) if not r.local}
     return [name for name in sdfg.transients() if name in needing]
+
+
+def transient_lifetimes(sdfg) -> Dict[str, Tuple[int, int]]:
+    """Transient → ``(first, last)`` positions in program order between
+    which it has to keep its storage: from the first node that touches it
+    to the last. Kernels touch what they read or write, callbacks what
+    :func:`_callback_contacts` says they may. A transient nothing touches
+    has no entry.
+
+    No value flows backwards through a transient — a read is either
+    covered by writes ahead of it in program order or zero-filled ahead
+    of the first toucher on every pass (:func:`transients_needing_zero`)
+    — so inside a loop body a lifetime is the same on every iteration.
+    What a loop does require is that a value born outside it survives
+    the back edge: a lifetime that reaches into a loop region without
+    lying wholly inside it is widened to the whole region.
+    """
+    order = _program_order(sdfg)
+    contacts = _callback_contacts(sdfg, order)
+    transients = frozenset(sdfg.transients())
+    spans: Dict[str, Tuple[int, int]] = {}
+    for pos, (_, node) in enumerate(order):
+        if isinstance(node, Kernel):
+            touched = transients.intersection(
+                node.read_fields() + node.written_fields()
+            )
+        else:
+            touched = contacts.get(pos, ())
+        for name in touched:
+            spans[name] = (spans.get(name, (pos, pos))[0], pos)
+    regions = []
+    for lp in sdfg.loops:
+        inside = [
+            pos for pos, (si, _) in enumerate(order)
+            if lp.first <= si <= lp.last
+        ]
+        if lp.count > 1 and inside:
+            regions.append((inside[0], inside[-1]))
+    for name, (lo, hi) in spans.items():
+        widened = True
+        while widened:
+            widened = False
+            for a, b in regions:
+                # the loop's tail, or its head, lies inside the lifetime
+                if a < lo <= b < hi or lo < a <= hi < b:
+                    lo, hi, widened = min(lo, a), max(hi, b), True
+        spans[name] = (lo, hi)
+    return spans
 
 
 def dead_transients(sdfg) -> List[Tuple[str, Kernel]]:

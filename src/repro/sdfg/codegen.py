@@ -13,12 +13,15 @@ properties the evaluation relies on:
 Statement emission is *scheduled*: instead of one nested expression string
 per statement (every NumPy operator allocating a fresh full-domain
 temporary), each floating-point subexpression becomes an explicit ufunc
-call with ``out=`` into a scratch slot drawn from :mod:`repro.runtime.pool`.
-Slots are recycled register-style — freed as soon as their last consumer
-has been emitted — and kernel-local arrays and SDFG transients are pooled
-too: a local is zeroed only when its kernel reads it before writing (the
-condition the ``repro.lint`` D101 rule detects), a transient only when
-some read of it is not covered by the writes ahead of it
+call with ``out=`` into a scratch value. Scratch values are freed as soon
+as their last consumer has been emitted, kernel-local arrays when their
+kernel ends and SDFG transients after their last toucher; from that
+alloc/free order a compile-time planner (:class:`_BufferPlan`) gives every
+value a byte interval of one slab, which the program checks out of
+:mod:`repro.runtime.pool` once per call. Nothing is zeroed wholesale: a
+local only when its kernel reads it before writing (the condition the
+``repro.lint`` D101 rule detects), a transient only when some read of it
+is not covered by the writes ahead of it
 (:func:`repro.sdfg.analysis.transients_needing_zero`, the S202/S204
 condition). Steady-state execution of a compiled program therefore
 performs no array allocation.
@@ -37,6 +40,7 @@ import dataclasses
 import math
 import re
 import time
+import weakref
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
@@ -54,8 +58,8 @@ from repro.dsl.ir import (
     UnaryOp,
     expr_reads,
 )
-from repro.runtime.pool import BufferPool, get_pool
-from repro.sdfg.analysis import transients_needing_zero
+from repro.runtime.pool import ALIGN, get_pool
+from repro.sdfg.analysis import transient_lifetimes, transients_needing_zero
 from repro.sdfg.nodes import Callback, Kernel, StencilComputation, Tasklet
 
 _NP_FUNCS = {
@@ -130,37 +134,80 @@ class _Val:
         return self.shape != () and self.dtype == _F64
 
 
-class _BufferPlan:
-    """Codegen-time scratch slot allocator with keyed free lists.
+def _aligned(nbytes: int) -> int:
+    """``nbytes`` in whole cache lines: every planned value starts on
+    one (slabs do, and offsets are multiples of ``ALIGN``)."""
+    return -(-nbytes // ALIGN) * ALIGN
 
-    Slot indices are positions in the runtime buffer list ``__B``; a freed
-    slot of the same (shape, dtype) is reused by the next allocation, so
-    the compiled program's working set is the peak number of simultaneously
-    live values, not the total op count."""
+
+def plan_layout(nbytes, events) -> Tuple[List[int], int]:
+    """Byte offsets of the values of an alloc/free log inside one slab,
+    and the slab's size.
+
+    ``nbytes[v]`` is the size of value ``v``; ``events`` is the program's
+    ``("alloc" | "free", v)`` order, every value allocated once. The log
+    is run through a first-fit allocator: a value takes the lowest
+    ``ALIGN``-aligned gap between the values live at its birth that
+    holds it, and gives it back at its death. Values that are live
+    together therefore never overlap; values that are not share bytes,
+    whatever their shapes. The slab ends where the highest value ever
+    placed ends, which is the peak of live bytes whenever lifetimes nest
+    (kernel locals inside transients, expression scratch inside both) and
+    for values of one size; crossing lifetimes of unequal sizes can leave
+    a gap nothing later fits.
+    """
+    offsets = [0] * len(nbytes)
+    live: List[Tuple[int, int, int]] = []  # (offset, end, value), by offset
+    top = 0
+    for kind, value in events:
+        if kind == "free":
+            live = [entry for entry in live if entry[2] != value]
+            continue
+        size = _aligned(nbytes[value])
+        offset = 0
+        at = len(live)
+        for index, (start, end, _) in enumerate(live):
+            if start - offset >= size:
+                at = index
+                break
+            offset = max(offset, end)
+        live.insert(at, (offset, offset + size, value))
+        offsets[value] = offset
+        top = max(top, offset + size)
+    return offsets, top
+
+
+class _BufferPlan:
+    """Compile-time memory planner of one program.
+
+    Every pooled value — an SDFG transient, a kernel-local array, one
+    ``out=`` expression result — is one :meth:`alloc` and at most one
+    :meth:`free` in emission order; the value index is its position in the
+    runtime list ``__B``. :func:`plan_layout` turns that log into one byte
+    interval per value inside a single per-call slab, so the program's
+    working set is the peak of simultaneously live *bytes*, not a buffer
+    per distinct shape."""
 
     def __init__(self):
+        #: (shape, dtype) of every value
         self.specs: List[Tuple[Tuple[int, ...], np.dtype]] = []
-        self._free: Dict[Tuple[Tuple[int, ...], str], List[int]] = {}
-        #: codegen-time alloc/free log, replayed by the R4xx lifetime
-        #: checker (``repro.lint.runtime_rules.lint_compiled_plan``)
+        #: the alloc/free log: what :func:`plan_layout` lays out and the
+        #: R4xx checker (``repro.lint.runtime_rules.lint_compiled_plan``)
+        #: replays
         self.events: List[Tuple[str, int]] = []
 
     def alloc(self, shape, dtype=_F64) -> int:
-        dtype = np.dtype(dtype)
-        key = (tuple(shape), dtype.str)
-        free = self._free.get(key)
-        if free:
-            idx = free.pop()
-            self.events.append(("alloc", idx))
-            return idx
-        self.specs.append((tuple(shape), dtype))
+        self.specs.append((tuple(shape), np.dtype(dtype)))
         self.events.append(("alloc", len(self.specs) - 1))
         return len(self.specs) - 1
 
     def free(self, idx: int) -> None:
-        shape, dtype = self.specs[idx]
-        self._free.setdefault((shape, dtype.str), []).append(idx)
         self.events.append(("free", idx))
+
+    def nbytes(self) -> List[int]:
+        return [
+            math.prod(shape) * dtype.itemsize for shape, dtype in self.specs
+        ]
 
 
 def _broadcast(*shapes) -> Tuple[int, ...]:
@@ -653,10 +700,14 @@ class CompiledSDFG:
     times are collected when ``instrument=True`` (used by the Fig. 10
     analysis).
 
-    All working memory — expression scratch slots, kernel-local arrays and
-    SDFG transients — is checked out of the process buffer pool per call
-    and released afterwards, so nested calls are safe and repeated calls
-    allocate nothing.
+    All working memory — expression scratch, kernel-local arrays and SDFG
+    transients — is one slab checked out of the process buffer pool per
+    call and released afterwards, laid out when the program is compiled
+    (:class:`_BufferPlan`). The shaped views a slab is seen through are
+    built the first time the arena hands that slab to this program and
+    kept for as long as the arena keeps the slab, so nested calls are safe
+    (they draw another slab) and repeated calls allocate and construct
+    nothing.
     """
 
     def __init__(self, sdfg, instrument: bool = False):
@@ -665,6 +716,8 @@ class CompiledSDFG:
         self.kernel_labels: List[str] = []
         self._callbacks: List = []
         self._plan = _BufferPlan()
+        #: transient → its value in the plan
+        self._transient_values: Dict[str, int] = {}
         self.source = self._generate()
         namespace = {
             "np": np,
@@ -676,42 +729,46 @@ class CompiledSDFG:
         self._program = namespace["__program"]
         self._kernel_time = np.zeros(len(self.kernel_labels))
         self._kernel_count = np.zeros(len(self.kernel_labels), dtype=np.int64)
-        self._buffer_specs = list(self._plan.specs)
-        self._transient_specs: List[Tuple[str, Tuple[int, ...], np.dtype]] = [
-            (name, tuple(desc.shape), np.dtype(desc.dtype))
-            for name, desc in sdfg.arrays.items()
-            if desc.transient
-        ]
         self._required: Tuple[str, ...] = tuple(
             name for name, desc in sdfg.arrays.items() if not desc.transient
         )
-        #: everything one call draws from the arena, as its keys:
-        #: transients first, then the scratch slots ``__B``
-        self._transient_names = [name for name, _, _ in self._transient_specs]
-        self._pool_keys = [
-            BufferPool.key(shape, dtype)
-            for shape, dtype in (
-                [spec[1:] for spec in self._transient_specs]
-                + self._buffer_specs
-            )
-        ]
+        #: byte offset of every planned value, and the slab that holds them
+        self.plan_offsets, self.runtime_bytes = plan_layout(
+            self._plan.nbytes(), self._plan.events
+        )
+        #: arena slab → (``__B``, transient name → view), see :meth:`_bind`
+        self._bound: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
     @property
     def plan_events(self) -> Tuple[Tuple[str, int], ...]:
-        """The scratch planner's alloc/free log, for the R4xx lifetime
-        checker."""
+        """The planner's alloc/free log, for the R4xx lifetime checker."""
         return tuple(self._plan.events)
 
     @property
-    def runtime_bytes(self) -> int:
-        """Bytes of pooled working memory one call of this program uses
-        (scratch slots + kernel locals + transients)."""
-        total = 0
-        for shape, dtype in self._buffer_specs:
-            total += math.prod(shape) * dtype.itemsize
-        for _, shape, dtype in self._transient_specs:
-            total += math.prod(shape) * dtype.itemsize
-        return total
+    def plan_nbytes(self) -> List[int]:
+        """Bytes of every planned value (indexed like ``plan_offsets``)."""
+        return self._plan.nbytes()
+
+    def _bind(self, slab) -> Tuple[List[np.ndarray], Dict[str, np.ndarray]]:
+        """The plan's values as shaped views of ``slab``. Values the
+        planner gave the same bytes, shape and dtype are one view."""
+        views: Dict[tuple, np.ndarray] = {}
+        scratch = []
+        for (shape, dtype), offset, nbytes in zip(
+            self._plan.specs, self.plan_offsets, self.plan_nbytes
+        ):
+            key = (offset, shape, dtype.str)
+            view = views.get(key)
+            if view is None:
+                view = views[key] = (
+                    slab.data[offset:offset + nbytes].view(dtype).reshape(shape)
+                )
+            scratch.append(view)
+        transients = {
+            name: scratch[value]
+            for name, value in self._transient_values.items()
+        }
+        return scratch, transients
 
     # ------------------------------------------------------------------
     def _generate(self) -> str:
@@ -732,15 +789,30 @@ class CompiledSDFG:
             out.emit(f"__s_{name} = __S[{name!r}]")
         out.emit()
 
-        # transients with a read that earlier writes do not cover (the
-        # S202/S204 condition) are re-zeroed right before their first
-        # toucher — per loop iteration, exactly like the debug backend's
-        # per-call temporary zeroing; the rest are used as checked out
-        pending_fills = set(transients_needing_zero(sdfg))
+        # a transient owns bytes of the slab from its first toucher to its
+        # last (a loop it reaches into widens that to the whole loop). One
+        # with a read that earlier writes do not cover (the S202/S204
+        # condition) is zeroed as it is born — per loop iteration, exactly
+        # like the debug backend's per-call temporary zeroing; the rest
+        # are used as the slab comes
+        lifetimes = transient_lifetimes(sdfg)
+        needing_zero = set(transients_needing_zero(sdfg))
+        born: Dict[int, List[str]] = {}
+        dying: Dict[int, List[str]] = {}
+        for name in sdfg.transients():
+            if name in lifetimes:
+                first, last = lifetimes[name]
+                born.setdefault(first, []).append(name)
+                dying.setdefault(last, []).append(name)
+            else:
+                # nothing touches it: bound like the rest, live for no node
+                self._alloc_transient(name)
+                self._plan.free(self._transient_values[name])
 
         # control-flow structure: linear chain with counted loop regions
         loop_starts = {lp.first: lp for lp in sdfg.loops}
         loop_depth = []
+        pos = 0
         for idx, state in enumerate(sdfg.states):
             if idx in loop_starts:
                 lp = loop_starts[idx]
@@ -750,35 +822,25 @@ class CompiledSDFG:
                 loop_depth.append(lp)
             out.emit(f"# --- state {state.name} ---")
             for node in state.nodes:
-                self._emit_node(node, out, pending_fills)
+                for name in born.get(pos, ()):
+                    self._alloc_transient(name)
+                    if name in needing_zero:
+                        out.emit(f"{name}.fill(0)")
+                self._emit_node(node, out)
+                for name in dying.get(pos, ()):
+                    self._plan.free(self._transient_values[name])
+                pos += 1
             while loop_depth and loop_depth[-1].last == idx:
                 loop_depth.pop()
                 out.indent -= 1
         out.emit("return None")
         return out.source()
 
-    def _emit_fills(self, node, out: _SourceBuilder, pending: set) -> None:
-        if not pending:
-            return
-        if isinstance(node, Kernel):
-            touched = pending.intersection(
-                node.read_fields() + node.written_fields()
-            )
-        elif isinstance(node, Callback):
-            if node.reads is None or node.writes is None:
-                touched = set(pending)  # unknown contact: fill everything
-            else:
-                touched = pending.intersection(
-                    set(node.reads) | set(node.writes)
-                )
-        else:
-            return
-        for name in sorted(touched):
-            out.emit(f"{name}.fill(0)")
-            pending.discard(name)
+    def _alloc_transient(self, name: str) -> None:
+        desc = self.sdfg.arrays[name]
+        self._transient_values[name] = self._plan.alloc(desc.shape, desc.dtype)
 
-    def _emit_node(self, node, out: _SourceBuilder, pending_fills: set) -> None:
-        self._emit_fills(node, out, pending_fills)
+    def _emit_node(self, node, out: _SourceBuilder) -> None:
         if isinstance(node, Kernel):
             kidx = len(self.kernel_labels)
             self.kernel_labels.append(node.label)
@@ -841,23 +903,24 @@ class CompiledSDFG:
             # output owned by someone else
             for name, arr in arrays.items():
                 pool.note("bind", arr, label=f"sdfg:{self.sdfg.name}:{name}")
-        names, keys = self._transient_names, self._pool_keys
-        if len(arrays) != len(self._required):
-            # caller-provided transient storage wins
-            keep = [n not in arrays for n in names]
-            keys = [k for k, kept in zip(keys, keep) if kept] \
-                + keys[len(names):]
-            names = [n for n, kept in zip(names, keep) if kept]
-        bufs = pool.checkout_keys(keys)
-        try:
-            merged = dict(arrays)
-            merged.update(zip(names, bufs))
+        if not self.runtime_bytes:
             self._program(
-                merged, scalars or {}, self._kernel_time, self._kernel_count,
-                bufs[len(names):],
+                arrays, scalars or {}, self._kernel_time, self._kernel_count, ()
+            )
+            return
+        slab = pool.checkout_slab(self.runtime_bytes)
+        try:
+            bound = self._bound.get(slab)
+            if bound is None:
+                bound = self._bound[slab] = self._bind(slab)
+            scratch, transients = bound
+            # caller-provided transient storage wins
+            self._program(
+                {**transients, **arrays}, scalars or {},
+                self._kernel_time, self._kernel_count, scratch,
             )
         finally:
-            pool.release_many(bufs)
+            pool.release(slab)
 
     @property
     def kernel_times(self) -> Dict[str, Tuple[float, int]]:

@@ -604,15 +604,14 @@ class CompiledPlan(CompiledSDFG):
         return [u.label for u in self._units]
 
     # ------------------------------------------------------------------
-    def _emit_node(self, node, out, pending_fills) -> None:
+    def _emit_node(self, node, out) -> None:
         if not isinstance(node, Kernel):
-            return super()._emit_node(node, out, pending_fills)
+            return super()._emit_node(node, out)
         try:
             unit = lower_kernel(node, self.sdfg)
         except IneligibleKernel as exc:
             self.fallback_kernels.append((node.label, str(exc)))
-            return super()._emit_node(node, out, pending_fills)
-        self._emit_fills(node, out, pending_fills)
+            return super()._emit_node(node, out)
         uidx = len(self._units)
         self._units.append(unit)
         kidx = len(self.kernel_labels)

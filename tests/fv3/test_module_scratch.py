@@ -52,7 +52,7 @@ def test_no_module_keeps_an_array_for_its_scratch():
                 if isinstance(value, np.ndarray):
                     # what is left on the modules is geometry
                     assert value.ndim < 3, (type(module).__name__, name)
-        assert declared == 29 * core.partitioner.total_ranks
+        assert declared == 30 * core.partitioner.total_ranks
     finally:
         _finish(core)
 
@@ -91,35 +91,137 @@ def test_step_is_bit_identical_on_poisoned_scratch(backend, executor,
             np.testing.assert_array_equal(a, b, err_msg=f"rank {rank}")
 
 
-def _arena_after_two_steps(**config):
-    pool = get_pool()
+def _arena_after_two_steps(monkeypatch, **config):
+    """Pool counters and the traced plans after two steps in an arena of
+    their own (the process arena's high water remembers earlier tests)."""
+    from repro.lint.cli import _traced_programs
+    from repro.runtime import pool as pool_module
+
+    pool = BufferPool()
+    monkeypatch.setattr(pool_module, "_POOL", pool)
     core = _core(**config)
     try:
-        pool.clear()
-        assert pool.stats()["idle_bytes"] == 0
         core.step_dynamics()
         allocations = pool.stats()["allocations"]
         core.step_dynamics()
         stats = pool.stats()
         assert stats["allocations"] == allocations  # warm: nothing new
         assert stats["live_bytes"] == 0
-        field = BufferPool.key(core.states[0].delp.shape, np.float64)
-        return stats["idle_bytes"], len(pool._free[field])
+        assert stats["idle_bytes"] == stats["high_water_bytes"]
+        return stats, [plan for _, plan in _traced_programs(core)]
     finally:
         _finish(core)
 
 
-def test_scratch_does_not_scale_with_the_number_of_ranks():
+def test_scratch_does_not_scale_with_the_number_of_ranks(monkeypatch):
     """6 ranks and 24 ranks of the same per-rank shape leave the same
     arena behind: under the sequential executor one rank runs one
-    program at a time, and all of them draw from the same buffers."""
-    six = _arena_after_two_steps(npx=12, layout=1)
-    twenty_four = _arena_after_two_steps(npx=24, layout=2)
-    assert six == twenty_four
-    # full fields in the arena: what the widest program holds at once
-    # (transport_fields and tracer advection, 11 each) — not the 27 a
-    # rank's modules declare, times the ranks
-    assert six[1] == 11
+    program at a time, and all of them run in the same slab."""
+    six, _ = _arena_after_two_steps(monkeypatch, npx=12, layout=1)
+    twenty_four, _ = _arena_after_two_steps(monkeypatch, npx=24, layout=2)
+    for key in ("peak_slabs", "largest_slab_bytes"):
+        assert six[key] == twenty_four[key], key
+    # the second slab is the halo rotation's: a strip of edge cells
+    for stats in (six, twenty_four):
+        rest = stats["high_water_bytes"] - stats["largest_slab_bytes"]
+        assert 0 < rest < 0.01 * stats["largest_slab_bytes"]
+
+
+def test_arena_is_the_largest_plan_not_the_sum_of_the_plans(monkeypatch):
+    """The guard that keeps the fat from growing back: after two
+    sequential steps the arena's high water is the widest program's slab
+    (plus the halo rotation's second scratch array), nowhere near one
+    buffer per shape or one slab per program."""
+    stats, plans = _arena_after_two_steps(monkeypatch)
+    slabs = [plan.runtime_bytes for plan in plans]
+    assert len(slabs) == 7 and min(slabs) > 0
+    assert stats["largest_slab_bytes"] == max(slabs)
+    assert stats["high_water_bytes"] <= 1.1 * max(slabs)
+    assert stats["high_water_bytes"] < 0.4 * sum(slabs)
+    assert stats["peak_slabs"] == 2
+    # and a slab is what its program keeps live, not what it ever names
+    named = sum(sum(plan.plan_nbytes) for plan in plans)
+    assert sum(slabs) < 0.5 * named
+
+
+def test_checkouts_of_a_step_follow_from_its_plans(monkeypatch):
+    """One slab per call of a program that has scratch, two arrays per
+    rotated halo strip, nothing per value: the step's checkout count is
+    known before it runs."""
+    from repro.sdfg.codegen import CompiledSDFG
+
+    calls = []
+    real = CompiledSDFG.__call__
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.runtime_bytes)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(CompiledSDFG, "__call__", counted)
+    pool = get_pool()
+    core = _core()
+    try:
+        core.step_dynamics()  # traces; the second step is the steady one
+        del calls[:]
+        before = pool.stats()
+        core.step_dynamics()
+        after = pool.stats()
+        cfg = core.config
+        ranks = core.partitioner.total_ranks
+        substeps = cfg.k_split * cfg.n_split
+        # c_sw, Riemann, transport, momentum and damping per acoustic
+        # sub-step; tracers and the remap per remapping step — every one
+        # of them has scratch
+        assert len(calls) == ranks * (5 * substeps + 2 * cfg.k_split)
+        with_scratch = sum(1 for nbytes in calls if nbytes)
+        assert with_scratch == len(calls)
+        # one vector exchange per sub-step; a strip arriving from a tile
+        # whose axes are turned takes two scratch arrays
+        rotated = sum(
+            1 for rank_plans in core.halo.plans for phase in rank_plans
+            for plan in phase if plan.rotations
+        )
+        assert rotated == 12
+        assert after["checkouts"] - before["checkouts"] \
+            == with_scratch + 2 * rotated * substeps
+        assert after["allocations"] == before["allocations"]
+    finally:
+        _finish(core)
+
+
+SCENARIOS = ("resting_atmosphere", "rotated_transport", "solid_body_rotation")
+
+
+@pytest.mark.parametrize("backend", ["numpy", "compiled"])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_poisoned_step_is_bit_identical_in_every_scenario(scenario, backend,
+                                                          monkeypatch):
+    """The other three scenarios of the registry on NaN-filled slabs
+    (``baroclinic_wave`` is the test above)."""
+    monkeypatch.setenv("REPRO_BACKEND", backend)
+
+    def stepped():
+        core = build_core(
+            scenario, get_scenario(scenario).default_config(npx=12, npz=4),
+            executor="sequential",
+        )
+        try:
+            core.step_dynamics()
+            return _state(core)
+        finally:
+            _finish(core)
+
+    expected = stepped()
+    plan = ChaosPlan.from_spec("pool.poison:p=1.0")
+    previous = chaos.set_plan(plan)
+    try:
+        got = stepped()
+    finally:
+        chaos.set_plan(previous)
+    assert plan.counts()["pool.poison"] > 0
+    for rank, (want, have) in enumerate(zip(expected, got)):
+        for a, b in zip(want, have):
+            np.testing.assert_array_equal(a, b, err_msg=f"rank {rank}")
 
 
 def test_hydrostatic_delz_stencil_equals_the_numpy_glue_it_replaced():

@@ -222,26 +222,64 @@ def test_cli_scenario_lints_the_programs_one_step_traces(monkeypatch,
                                                          capsys):
     """``--scenario`` takes a step and runs the S2xx rules over every
     whole-program SDFG it traced — the module scratch is only visible
-    there, as transients."""
+    there, as transients — and the R4xx rules over the slab layout of
+    every compiled plan the step ran in."""
     from repro.lint import cli
 
-    linted = {}
-    real = cli.lint_sdfg
+    linted, planned = {}, {}
+    real, real_plan = cli.lint_sdfg, cli.lint_compiled_plan
     monkeypatch.setattr(
         cli, "lint_sdfg",
         lambda sdfg: linted.setdefault(sdfg.name, sdfg) and real(sdfg),
     )
+    monkeypatch.setattr(
+        cli, "lint_compiled_plan",
+        lambda plan: planned.setdefault(plan.sdfg.name, plan)
+        and real_plan(plan),
+    )
     assert main(["--scenario", "baroclinic_wave"]) == 0
-    assert "0 findings" in capsys.readouterr().out
-    assert sorted(linted) == [
+    out = capsys.readouterr().out
+    # the one standing finding: the Riemann solver diagnoses a pressure
+    # perturbation nothing reads yet
+    assert "1 finding (0 suppressed), 0 at or above 'error'" in out
+    assert "S205" in out and "RiemannSolverC" in out and "'pe'" in out
+    assert sorted(linted) == sorted(planned) == [
         "CGridSolver", "DGridSolver.damp_fields", "DGridSolver.momentum",
         "DGridSolver.transport_fields", "LagrangianToEulerian",
         "RiemannSolverC", "TracerAdvection",
     ]
-    # 29 declarations a rank, seen where they are used (the transport
+    # 30 declarations a rank, seen where they are used (the transport
     # operator's six in both programs that inline it), plus one stencil
     # temporary that crosses computations
-    assert sum(len(s.transients()) for s in linted.values()) == 38
+    assert sum(len(s.transients()) for s in linted.values()) == 39
+    # every slab holds more than one value, laid out without a finding
+    for plan in planned.values():
+        assert len(plan.plan_offsets) > 1 and real_plan(plan) == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_scenario_reports_two_live_values_on_one_offset(monkeypatch,
+                                                            capsys):
+    """Seeded defect: the planner hands every value of a slab offset 0.
+    The step still runs (on garbage); the lint run exits 1 with R404."""
+    from repro.runtime import compile_cache
+    from repro.sdfg import codegen
+
+    real = codegen.plan_layout
+
+    def everything_at_zero(nbytes, events):
+        offsets, slab = real(nbytes, events)
+        return [0] * len(offsets), slab
+
+    monkeypatch.setattr(codegen, "plan_layout", everything_at_zero)
+    compile_cache.reset(clear=True)
+    try:
+        assert main(["--scenario", "resting_atmosphere"]) == 1
+    finally:
+        compile_cache.reset(clear=True)
+    out = capsys.readouterr().out
+    assert "R404" in out and "share storage" in out
+    assert "sdfg:DGridSolver.transport_fields" in out
 
 
 def test_cli_scenario_reports_a_transient_read_before_write(monkeypatch,

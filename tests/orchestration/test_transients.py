@@ -332,8 +332,9 @@ def test_loop_over_something_else_is_still_an_error():
 
 @pytest.mark.traced
 def test_program_span_says_how_much_scratch_it_owns():
-    """``transients`` / ``transient_bytes`` accumulate per entry like
-    ``bytes``: divided by the span's count they are the program's."""
+    """``transients`` / ``transient_bytes`` / ``slab_bytes`` / ``values``
+    accumulate per entry like ``bytes``: divided by the span's count
+    they are the program's."""
     from repro import obs
 
     outer = Outer()
@@ -343,3 +344,6 @@ def test_program_span_says_how_much_scratch_it_owns():
     assert span.count == 3
     assert span.attrs["transients"] == 3 * 1
     assert span.attrs["transient_bytes"] == 3 * int(np.prod(SHAPE)) * 8
+    plan = outer.__call__._binding.plan
+    assert span.attrs["slab_bytes"] == 3 * plan.runtime_bytes > 0
+    assert span.attrs["values"] == 3 * len(plan.plan_offsets) >= 3

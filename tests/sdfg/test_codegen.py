@@ -335,7 +335,7 @@ def test_missing_container_error_is_precomputed():
 
 
 # ---------------------------------------------------------------------------
-# transients: one arena batch per call, zero fill decided by coverage
+# transients: one arena slab per call, zero fill decided by coverage
 # ---------------------------------------------------------------------------
 
 
@@ -361,39 +361,178 @@ def _two_computation_sdfg():
 
 
 def test_failed_arena_batch_leaves_nothing_checked_out(monkeypatch):
-    """Transients and scratch slots are taken in one batch inside the
-    call's clean-up: an allocation failure part-way must not strand the
-    buffers taken before it."""
+    """Transients and scratch are one slab, taken inside the call's
+    clean-up: a failing allocation strands nothing, and neither does a
+    kernel that raises with the slab checked out."""
     from repro.runtime.pool import get_pool
     from repro.sdfg.codegen import compile_sdfg
 
     sdfg, shape = _two_computation_sdfg()
     prog = compile_sdfg(sdfg)
-    assert len(prog._pool_keys) >= 2 and sdfg.transients()
+    assert len(prog.plan_offsets) >= 2 and sdfg.transients()
     pool = get_pool()
-    pool.clear()  # every buffer of the call must be allocated
-    live = pool.stats()["live_bytes"]
-    calls = {"n": 0}
+    pool.clear()  # the call's slab must be allocated
+    before = pool.stats()
 
     def failing(shape, dtype):
-        calls["n"] += 1
-        if calls["n"] == 2:
-            raise MemoryError("second buffer of the batch")
-        return np.empty(shape, dtype)
+        raise MemoryError("no slab for you")
 
     monkeypatch.setattr(pool, "_allocate", failing)
     arrays = {"a": _rand(shape), "out": np.zeros(shape)}
     with pytest.raises(MemoryError):
         prog(arrays=arrays)
-    assert calls["n"] == 2
-    assert pool.stats()["live_bytes"] == live
+    assert pool.stats() == before
     monkeypatch.undo()
+    with pytest.raises(TypeError):
+        prog(arrays={"a": None, "out": arrays["out"]})
+    assert pool.stats()["live_bytes"] == before["live_bytes"]
     prog(arrays=arrays)  # and the program still runs
-    assert pool.stats()["live_bytes"] == live
+    assert pool.stats()["live_bytes"] == before["live_bytes"]
     np.testing.assert_array_equal(
         arrays["out"][:, :, 1:],
         (arrays["a"][:, :, :-1] * 2.0 + 1.0) * 3.0 + arrays["a"][:, :, 1:],
     )
+
+
+def test_a_call_is_one_checkout_and_steady_state_builds_no_views():
+    from repro.runtime.pool import get_pool
+    from repro.sdfg.codegen import compile_sdfg
+
+    sdfg, shape = _two_computation_sdfg()
+    prog = compile_sdfg(sdfg)
+    arrays = {"a": _rand(shape), "out": np.zeros(shape)}
+    pool = get_pool()
+    prog(arrays=arrays)
+    expected = arrays["out"].copy()
+    (slab,) = prog._bound  # the views of the one slab it has run in
+    scratch, transients = prog._bound[slab]
+    assert set(transients) == set(sdfg.transients())
+    for offset, nbytes, view in zip(prog.plan_offsets, prog.plan_nbytes,
+                                    scratch):
+        assert view.ctypes.data == slab.data.ctypes.data + offset
+        assert view.nbytes == nbytes and offset % 64 == 0
+        assert offset + nbytes <= prog.runtime_bytes <= slab.capacity
+    before = pool.stats()
+    for _ in range(3):
+        prog(arrays=arrays)
+    after = pool.stats()
+    assert after["checkouts"] - before["checkouts"] == 3
+    assert after["allocations"] == before["allocations"]
+    assert prog._bound[slab][0] is scratch  # not rebuilt
+    np.testing.assert_array_equal(arrays["out"], expected)
+    # the arena retiring the slab drops the views with it
+    del slab, scratch, transients
+    pool.release(pool.checkout_slab(prog.runtime_bytes * 2 + 64))
+    assert len(prog._bound) == 0
+    prog(arrays=arrays)
+    np.testing.assert_array_equal(arrays["out"], expected)
+
+
+def _contactless(callback):
+    """Declare that a callback touches no container (undeclared, it is a
+    barrier that keeps every transient alive)."""
+    callback.reads, callback.writes = [], []
+    return callback
+
+
+def _program_calling(inner, shape, hook=None):
+    """An SDFG that runs ``_two_computation_sdfg``'s stencil, then a
+    callback that calls the compiled ``inner`` (and ``hook``) while the
+    outer program's slab is checked out."""
+    from repro.sdfg.nodes import Callback
+
+    outer, _ = _two_computation_sdfg()
+    inner_arrays = {"a": _rand(shape), "out": np.zeros(shape)}
+
+    def nested():
+        inner(arrays=inner_arrays)
+        if hook is not None:
+            hook()
+
+    outer.add_state("call_inner").add(_contactless(Callback("nested", nested)))
+    return outer, inner_arrays
+
+
+def test_nested_program_call_takes_a_second_slab():
+    from repro.runtime import pool as pool_module
+    from repro.runtime.pool import BufferPool
+    from repro.sdfg.codegen import compile_sdfg
+
+    sdfg, shape = _two_computation_sdfg()
+    inner = compile_sdfg(sdfg)
+    seen = {}
+    pool = BufferPool()
+    outer_sdfg, inner_arrays = _program_calling(
+        inner, shape, hook=lambda: seen.update(pool.stats()),
+    )
+    outer = compile_sdfg(outer_sdfg)
+    arrays = {"a": _rand(shape), "out": np.zeros(shape)}
+    previous, pool_module._POOL = pool_module._POOL, pool
+    try:
+        for _ in range(2):
+            outer(arrays=arrays)
+    finally:
+        pool_module._POOL = previous
+    # inside the callback the outer slab was live and the inner one idle
+    assert seen["live_bytes"] == outer.runtime_bytes
+    assert seen["idle_bytes"] == inner.runtime_bytes
+    stats = pool.stats()
+    assert stats["peak_slabs"] == stats["allocations"] == 2
+    assert stats["checkouts"] == 4 and stats["live_bytes"] == 0
+    for got in (arrays, inner_arrays):
+        np.testing.assert_array_equal(
+            got["out"][:, :, 1:],
+            (got["a"][:, :, :-1] * 2.0 + 1.0) * 3.0 + got["a"][:, :, 1:],
+        )
+
+
+def test_two_threads_in_one_program_never_share_a_live_slab():
+    """Two rank threads bound to one compiled template meet inside it:
+    each has its own slab and its own views."""
+    import threading
+
+    from repro.runtime.pool import get_pool
+    from repro.sdfg.codegen import compile_sdfg
+    from repro.sdfg.nodes import Callback
+
+    sdfg, shape = _two_computation_sdfg()
+    meet = threading.Barrier(2)
+    live = []
+
+    def rendezvous():
+        meet.wait(timeout=30)
+        live.append(get_pool().stats()["live_bytes"])
+        meet.wait(timeout=30)
+
+    sdfg.add_state("meet").add(_contactless(Callback("meet", rendezvous)))
+    prog = compile_sdfg(sdfg)
+    base = get_pool().stats()["live_bytes"]
+    inputs = [{"a": _rand(shape), "out": np.zeros(shape)} for _ in range(2)]
+    errors = []
+
+    def rank(arrays):
+        try:
+            for _ in range(5):
+                prog(arrays=arrays)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(repr(exc))
+
+    workers = [threading.Thread(target=rank, args=(a,)) for a in inputs]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=60)
+    assert not any(w.is_alive() for w in workers) and errors == []
+    slabs = list(prog._bound)
+    assert len(slabs) == 2
+    assert not np.shares_memory(slabs[0].data, slabs[1].data)
+    assert all(seen - base >= 2 * prog.runtime_bytes for seen in live)
+    for arrays in inputs:
+        np.testing.assert_array_equal(
+            arrays["out"][:, :, 1:],
+            (arrays["a"][:, :, :-1] * 2.0 + 1.0) * 3.0
+            + arrays["a"][:, :, 1:],
+        )
 
 
 def test_caller_provided_transient_storage_is_used():
