@@ -12,7 +12,7 @@ on representative modules and its modeled effect reported:
 import numpy as np
 import pytest
 
-from repro.core.machine import P100
+from repro.machine import P100
 from repro.core.perfmodel import model_sdfg_time
 from repro.core.heuristics import apply_schedule_heuristics
 from repro.dsl import (

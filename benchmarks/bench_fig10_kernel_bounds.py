@@ -8,7 +8,7 @@ After tuning, "most of the shown kernels are above 60% peak".
 
 import pytest
 
-from repro.core.machine import P100
+from repro.machine import P100
 from repro.core.perfmodel import bound_report, format_bound_report
 from repro.core.pipeline import optimize_sdfg_locally
 from repro.fv3.config import DynamicalCoreConfig

@@ -17,7 +17,7 @@ import math
 
 import pytest
 
-from repro.core.machine import (
+from repro.machine import (
     A100,
     ARIES,
     HASWELL,

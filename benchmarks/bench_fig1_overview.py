@@ -8,7 +8,7 @@ kernels, some invoked ≤56 times.
 
 import pytest
 
-from repro.core.machine import A100, HASWELL, P100
+from repro.machine import A100, HASWELL, P100
 from repro.core.perfmodel import model_sdfg_time
 from repro.core.pipeline import optimize_sdfg_locally
 from repro.fv3.config import DynamicalCoreConfig

@@ -8,7 +8,7 @@ Paper: STREAM 43.77 GB/s (Haswell), 501.1 GB/s peak (P100); copy-stencil
 import numpy as np
 import pytest
 
-from repro.core.machine import GB, GiB, HASWELL, P100
+from repro.machine import GB, GiB, HASWELL, P100
 from repro.core.heuristics import apply_schedule_heuristics
 from repro.core.perfmodel import model_kernel_time, peak_time
 from repro.dsl.backend_dataflow import DataflowStencilExecutor

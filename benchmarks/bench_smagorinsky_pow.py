@@ -10,7 +10,7 @@ and a 1.81% whole-step improvement.
 import numpy as np
 import pytest
 
-from repro.core.machine import P100
+from repro.machine import P100
 from repro.core.heuristics import apply_schedule_heuristics
 from repro.core.perfmodel import model_kernel_time, peak_time
 from repro.dsl.backend_dataflow import DataflowStencilExecutor

@@ -12,7 +12,7 @@ domain grows — the speedup climbs from ~2× toward the bandwidth ratio.
 import numpy as np
 import pytest
 
-from repro.core.machine import HASWELL, P100
+from repro.machine import HASWELL, P100
 from repro.core.perfmodel import model_sdfg_time
 from repro.core.pipeline import optimize_sdfg_locally
 from repro.fv3.corners import rank_corners

@@ -15,7 +15,7 @@ a few percent — is domain-size independent above the occupancy knee).
 
 import pytest
 
-from repro.core.machine import HASWELL, P100
+from repro.machine import HASWELL, P100
 from repro.core.pipeline import (
     OptimizationPipeline,
     PipelineOptions,

@@ -15,7 +15,7 @@ improvement, in feasible time.
 
 import pytest
 
-from repro.core.machine import P100
+from repro.machine import P100
 from repro.core.perfmodel import model_sdfg_time
 from repro.core.pipeline import OptimizationPipeline, PipelineOptions
 from repro.fv3.config import DynamicalCoreConfig

@@ -5,7 +5,10 @@ default-config ``run(steps=1)`` on the C engine and must build fewer
 kernels than it asks for (equal kernels of different programs are one
 kernel) in at least one translation unit; the second must find every
 kernel on disk: no translation unit, no kernel built and not one
-subprocess started — the OpenMP probe's verdict is on disk as well.
+subprocess started — the verdicts of the OpenMP probe and of the
+instruction-set probe are on disk as well. A third process claims another
+host's CPU feature string: every kernel has another key and is built
+again, beside the first host's objects.
 
 Run:  PYTHONPATH=src python benchmarks/cold_start_smoke.py
 """
@@ -17,7 +20,7 @@ import sys
 import tempfile
 
 
-def _child() -> None:
+def _child(other_host: bool) -> None:
     started = []
 
     class Counting(subprocess.Popen):
@@ -29,17 +32,24 @@ def _child() -> None:
     from repro.run import run
     from repro.runtime import jit
 
+    if other_host:
+        jit._FEATURES = jit._cpu_features() + " another-host"
     result = run("baroclinic_wave", steps=1)
-    print(json.dumps({**jit.stats(), "ok": result.ok,
-                      "subprocesses": len(started)}))
+    print(json.dumps({
+        **jit.stats(), "ok": result.ok, "subprocesses": len(started),
+        "keys": sorted(jit._KERNELS),
+        # the compiler's verdict on the host's instruction set, as this
+        # process came to know it
+        "isa": jit._PROBED.get(jit._ISA_FLAG),
+    }))
 
 
-def _spawn(jit_dir: str) -> dict:
+def _spawn(jit_dir: str, *args: str) -> dict:
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env.update(REPRO_BACKEND="compiled", REPRO_JIT="cgen",
                REPRO_JIT_DIR=jit_dir)
     proc = subprocess.run(
-        [sys.executable, __file__, "--child"], env=env, check=True,
+        [sys.executable, __file__, "--child", *args], env=env, check=True,
         capture_output=True, text=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
@@ -49,8 +59,11 @@ def main() -> None:
     with tempfile.TemporaryDirectory(prefix="repro-cold-") as jit_dir:
         cold = _spawn(jit_dir)
         primed = _spawn(jit_dir)
+        other = _spawn(jit_dir, "--other-host")
+    keys = [set(report.pop("keys")) for report in (cold, primed, other)]
     print("cold:  ", cold)
     print("primed:", primed)
+    print("other: ", other)
     assert cold["ok"] and primed["ok"]
     assert cold["engine"] == primed["engine"] == "cgen"
     assert 0 < cold["kernels_built"] < cold["kernels_requested"], cold
@@ -59,8 +72,15 @@ def main() -> None:
     assert primed["kernels_requested"] == cold["kernels_requested"], primed
     assert primed["compiles"] == 0 and primed["kernels_built"] == 0, primed
     assert primed["disk_hits"] > 0 and primed["subprocesses"] == 0, primed
+    # no subprocess, yet the verdict is known: it was read from the store
+    assert primed["isa"] is not None and primed["isa"] == cold["isa"], primed
+    assert keys[0] == keys[1] and not keys[0] & keys[2]
+    assert other["kernels_built"] == cold["kernels_built"], other
     print("cold-start smoke: ok")
 
 
 if __name__ == "__main__":
-    _child() if sys.argv[1:] == ["--child"] else main()
+    if sys.argv[1:2] == ["--child"]:
+        _child(other_host="--other-host" in sys.argv)
+    else:
+        main()

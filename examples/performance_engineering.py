@@ -9,7 +9,7 @@ report before and after.
 Run:  python examples/performance_engineering.py
 """
 
-from repro.core.machine import HASWELL, P100
+from repro.machine import HASWELL, P100
 from repro.core.perfmodel import bound_report, format_bound_report
 from repro.core.pipeline import (
     OptimizationPipeline,

@@ -9,7 +9,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.core.machine import P100
+from repro.machine import P100
 from repro.core.perfmodel import bound_report, format_bound_report
 from repro.core.pipeline import optimize_sdfg_locally
 from repro.dsl import (

@@ -1,6 +1,6 @@
 """The paper's optimization methodology (Sec. VI, Fig. 7).
 
-- :mod:`repro.core.machine` — machine models of the paper's testbeds
+- :mod:`repro.machine` — machine models of the paper's testbeds
   (Piz Daint XC50: Haswell + P100; JUWELS Booster: A100; Aries network).
 - :mod:`repro.core.perfmodel` — memory-bandwidth-bound performance model
   over expanded SDFGs (the Fig. 10 analysis).
@@ -11,7 +11,7 @@
 - :mod:`repro.core.pipeline` — the full optimization cycle (Table III).
 """
 
-from repro.core.machine import (
+from repro.machine import (
     A100,
     ARIES,
     HASWELL,

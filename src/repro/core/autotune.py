@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core.machine import MachineModel
+from repro.machine import MachineModel
 from repro.core.perfmodel import model_sdfg_time
 from repro.obs import tracer as _obs
 from repro.sdfg.cutout import Cutout, time_cutout

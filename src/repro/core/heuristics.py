@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.machine import MachineModel
+from repro.machine import MachineModel
 from repro.core.perfmodel import model_kernel_time
 from repro.sdfg.nodes import Kernel, KernelSchedule, feasible_schedules
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional
 
-from repro.core.machine import MachineModel
+from repro.machine import MachineModel
 from repro.sdfg.nodes import Kernel
 
 
@@ -73,6 +73,20 @@ def working_set_bytes(kernel: Kernel, sdfg) -> int:
         nk = max(kernel.domain[2], 1)
         return max(total * min(CPU_K_BLOCK, nk) // nk, 1)
     return total
+
+
+def recompute_pays(
+    extra_flops: int, stored_bytes: int, machine: MachineModel
+) -> bool:
+    """Whether evaluating a kernel-local value again where it is read
+    (``extra_flops`` more arithmetic per grid point) is cheaper than
+    keeping it in an array (``stored_bytes`` per point through memory:
+    its store and the loads that read it back) — Sec. VI-A's on-the-fly
+    fusion, priced the way the rest of the model prices a kernel."""
+    return (
+        extra_flops / machine.peak_flops
+        < stored_bytes / machine.achievable_bandwidth
+    )
 
 
 def peak_time(kernel: Kernel, sdfg, machine: MachineModel) -> float:

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro import obs
 from repro.core.autotune import make_evaluator, tune_cutout
 from repro.core.heuristics import apply_schedule_heuristics
-from repro.core.machine import HASWELL, P100, MachineModel
+from repro.machine import HASWELL, P100, MachineModel
 from repro.core.perfmodel import model_sdfg_time
 from repro.core.transfer import extract_patterns, transfer_patterns
 from repro.dsl.backend_numpy import region_ranges

@@ -14,7 +14,7 @@ import dataclasses
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.autotune import TuningConfig, _XFORMS
-from repro.core.machine import MachineModel
+from repro.machine import MachineModel
 from repro.core.perfmodel import model_sdfg_time
 from repro.sdfg.cutout import cutout_from_nodes
 

@@ -7,7 +7,8 @@ paper (Sec. III-A, IV):
 - ``with interval(a, b)`` vertical restrictions,
 - ``with horizontal(region[...])`` sub-domain restrictions (Sec. IV-B),
 - assignments with relative offsets ``field[di, dj, dk]``,
-- ``if``/``elif``/``else`` on field expressions (lowered to masks),
+- ``if``/``elif``/``else`` on field expressions (the test is evaluated
+  once into a temporary; the branches are lowered to masks on its value),
 - calls to ``@function``-decorated subroutines (inlined),
 - compile-time external constants (folded to literals).
 
@@ -50,6 +51,8 @@ from repro.dsl.ir import (
     StencilDef,
     Ternary,
     UnaryOp,
+    shift_expr,
+    walk_expr,
 )
 from repro.dsl.types import (
     FieldType,
@@ -158,6 +161,7 @@ class StencilParser:
         self.scalar_locals: Dict[str, Expr] = {}
         self.computations: List[Computation] = []
         self._inline_counter = 0
+        self._condition_counter = 0
         # absolute source location: ast linenos are relative to the
         # dedented snippet, so offset by the function's first source line
         try:
@@ -325,7 +329,18 @@ class StencilParser:
             elif isinstance(stmt, ast.AugAssign):
                 self._parse_augassign(stmt, out, mask, region, rename, subst)
             elif isinstance(stmt, ast.If):
+                self._current_lineno = self._abs_lineno(stmt)
                 cond = self._parse_expr(stmt.test, out, mask, region, rename, subst)
+                if _reads_fields(cond):
+                    # the test is evaluated once, into a temporary of its
+                    # own (wherever the enclosing masks point: nothing
+                    # reads it elsewhere), and both branches are masked
+                    # by that value — a body that assigns a name its test
+                    # reads does not move its own mask
+                    self._condition_counter += 1
+                    held = f"__if{self._condition_counter}"
+                    self._emit_assign(held, cond, out, None, region, rename)
+                    cond = BinOp("!=", FieldAccess(held), Literal(0.0))
                 then_mask = cond if mask is None else BinOp("and", mask, cond)
                 self._parse_statements(
                     stmt.body, out, then_mask, region, rename, subst
@@ -606,10 +621,6 @@ class StencilParser:
         else:
             base = self._name_expr(name, out, mask, region, rename)
         offset = self._parse_offset(node.slice, name)
-        if isinstance(base, FieldAccess):
-            return base.shifted(offset)
-        from repro.dsl.ir import shift_expr
-
         return shift_expr(base, offset)
 
     def _parse_offset(self, slice_node, name: str) -> Tuple[int, int, int]:
@@ -786,12 +797,14 @@ class StencilParser:
 
 def _is_scalar_expr(expr: Expr) -> bool:
     """True if an expression reads no fields and no axis indices."""
-    from repro.dsl.ir import walk_expr
+    return not any(
+        isinstance(node, (FieldAccess, AxisIndexExpr))
+        for node in walk_expr(expr)
+    )
 
-    for node in walk_expr(expr):
-        if isinstance(node, (FieldAccess, AxisIndexExpr)):
-            return False
-    return True
+
+def _reads_fields(expr: Expr) -> bool:
+    return any(isinstance(node, FieldAccess) for node in walk_expr(expr))
 
 
 def parse_stencil(func, externals: Optional[Dict] = None) -> StencilDef:

@@ -62,7 +62,7 @@ def acoustic_comm_plan(halo: HaloUpdater | None = None):
     from repro.fv3.stencils.riem_solver_c import (
         precompute_coefficients,
         tridiagonal_solve,
-        update_heights_pressure,
+        update_heights,
     )
 
     if halo is None:
@@ -79,8 +79,7 @@ def acoustic_comm_plan(halo: HaloUpdater | None = None):
         (precompute_coefficients,
          {"delz": "delz", "pt": "pt", "w": "w", "delp": "delp"}),
         (tridiagonal_solve, {"w": "w"}),
-        (update_heights_pressure,
-         {"w": "w", "delz": "delz", "delp": "delp", "pt": "pt"}),
+        (update_heights, {"w": "w", "delz": "delz"}),
     ])
     # c_sw computes interface quantities over the halo-extended domain,
     # reading the full wind halos (its other parameters are private

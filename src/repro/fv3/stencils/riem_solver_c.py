@@ -9,7 +9,9 @@ vertically propagating sound waves: an implicit column problem
 with L the vertical Laplacian over the layer heights, solved by the
 Thomas algorithm. Per the paper, the module "is divided into three GT4Py
 stencils": coefficient precomputation, the tridiagonal solve (forward
-elimination + back substitution), and the height/pressure update.
+elimination + back substitution), and the height/pressure update — of
+which only the heights are kept: nothing here reads the diagnosed
+pressure perturbation, so it is not computed.
 """
 
 from __future__ import annotations
@@ -106,26 +108,10 @@ def tridiagonal_solve(
 
 
 @stencil
-def update_heights_pressure(
-    w: Field, delz: Field, pe: Field, delp: Field, pt: Field,
-    dt: float, ptop: float,
-):
-    """Advance δz with the implicit w and diagnose the nonhydrostatic
-    pressure perturbation (ideal-gas layer pressure minus the hydrostatic
-    reconstruction)."""
+def update_heights(w: Field, delz: Field, dt: float):
+    """Advance δz with the implicit w."""
     with computation(PARALLEL), interval(0, -1):
         delz = delz - dt * (w[0, 0, 1] - w)
-    with computation(FORWARD):
-        with interval(0, 1):
-            pe = RDGAS * pt * delp / (GRAV * (0.0 - delz)) - (
-                ptop + 0.5 * delp
-            )
-            pcum = ptop + delp
-        with interval(1, None):
-            pe = RDGAS * pt * delp / (GRAV * (0.0 - delz)) - (
-                pcum[0, 0, -1] + 0.5 * delp
-            )
-            pcum = pcum[0, 0, -1] + delp
 
 
 class RiemannSolverC:
@@ -133,9 +119,7 @@ class RiemannSolverC:
 
     The tridiagonal coefficients, right-hand side and elimination factor
     are transients of the program: written on the compute domain by the
-    first two stencils, read there by the next, dead on return. So is the
-    diagnosed nonhydrostatic pressure perturbation, which nothing
-    downstream reads yet.
+    first stencil, read there by the second, dead on return.
     """
 
     def __init__(self, nx, ny, nk, n_halo: int = constants.N_HALO):
@@ -146,7 +130,6 @@ class RiemannSolverC:
         self.cc = transient(shape)
         self.dd = transient(shape)
         self.gam = transient(shape)
-        self.pe = transient(shape)
 
     @orchestrate
     def __call__(
@@ -166,10 +149,4 @@ class RiemannSolverC:
         tridiagonal_solve(
             self.aa, self.bb, self.cc, self.dd, w, self.gam, **interior
         )
-        # through a local, so that the container is called ``pe``: a
-        # kernel's parameters are ordered by container name, and the text
-        # that order prints is the kernel's key in the JIT store
-        pe = self.pe
-        update_heights_pressure(
-            w, delz, pe, delp, pt, dt, 100.0, **interior
-        )
+        update_heights(w, delz, dt, **interior)

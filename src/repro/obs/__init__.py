@@ -12,7 +12,7 @@ observes itself:
 - per-stencil metrics — ``StencilObject.__call__`` and both executors
   record invocations, domain points, estimated bytes moved (from extent
   inference) and, via the report, achieved GB/s against the
-  :mod:`repro.core.machine` roofline.
+  :mod:`repro.machine` roofline.
 - halo-exchange counters — messages, bytes and orientation-transform
   time in :mod:`repro.fv3.halo`.
 - :func:`report` / :func:`to_json` — text span-tree table and JSON

@@ -5,7 +5,7 @@ The traffic estimate follows the paper's bandwidth-bound model
 over its extended access footprint, even when the stencil touches it
 several times — caches serve the repeats. Combined with a span's wall
 time this yields achieved GB/s, and against a
-:class:`~repro.core.machine.MachineModel` the fraction of the roofline.
+:class:`~repro.machine.MachineModel` the fraction of the roofline.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import os
 import warnings
 from typing import Dict, Optional, Tuple
 
-from repro.core.machine import A100, HASWELL, P100, MachineModel
+from repro.machine import A100, HASWELL, P100, MachineModel
 from repro.dsl.extents import Extent, k_access_bounds
 
 __all__ = [

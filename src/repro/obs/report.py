@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-from repro.core.machine import MachineModel
+from repro.machine import MachineModel
 from repro.obs.metrics import observed_machine
 from repro.obs.tracer import Span, Tracer, get_tracer
 

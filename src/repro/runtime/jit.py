@@ -8,7 +8,8 @@ nest at machine speed. Three engines are supported, probed in order:
   ``numba.njit(fastmath=False)`` (``parallel=True`` + ``prange`` when more
   than one thread is configured). Preferred when numba is importable.
 - ``cgen`` — the loop nest is printed as C99, compiled with the system C
-  compiler (``-O3 -shared -fPIC -ffp-contract=off``, never ``-ffast-math``)
+  compiler (``-O3 -shared -fPIC -ffp-contract=off``, never ``-ffast-math``,
+  for the host's own instruction set when the compiler can target it)
   and loaded through :mod:`ctypes`. Chosen when numba is absent but a C
   compiler exists, so the backend works on a bare Python toolchain.
 - ``none`` — neither is available; the backend registry degrades to the
@@ -23,7 +24,8 @@ toolchain and is what the test suite uses to cross-check the printers).
 **The kernel is the unit of identity.** A kernel is printed under the
 placeholder name :data:`SYMBOL`; its key is a hash of that text together
 with everything else that decides its machine code (the C preamble, the
-flags, the compiler binary's ``(realpath, size, mtime)``), and its symbol
+flags, the compiler binary's ``(realpath, size, mtime)``, the host's CPU
+feature string), and its symbol
 is ``repro_k_<key>``. Which program asked for it is not part of the key,
 so a stencil used by N programs — or by N rank threads at once — is one
 kernel. A request (:func:`load_c`, :func:`compile_py`) resolves each
@@ -104,7 +106,9 @@ SYMBOL = "repro_k_SYMBOL"
 
 _LOCK = threading.Lock()
 _ENGINE: Optional[str] = None
-_OPENMP: Optional[bool] = None
+#: compiler flag → whether the compiler takes it (see :func:`_flag_works`)
+_PROBED: Dict[str, bool] = {}
+_FEATURES: Optional[str] = None
 _ZERO_COUNTS: Dict[str, float] = {
     "kernels_requested": 0,
     "kernels_built": 0,
@@ -256,7 +260,7 @@ def jit_dir() -> str:
 #: one stale-tmp sweep per process, on first cache open
 _TMP_SWEPT = False
 
-#: objects, names and the OpenMP verdict end in ``.tmp<pid>`` while they
+#: objects, names and the probe verdicts end in ``.tmp<pid>`` while they
 #: are written, sources in ``.tmp<pid>.c`` (the compiler wants the suffix)
 _TMP_PATTERN = re.compile(r"\.tmp(\d+)(?:\.c)?$")
 
@@ -414,14 +418,51 @@ def _cc_identity(cc: str) -> str:
     return f"{real}:{st.st_size}:{st.st_mtime_ns}"
 
 
-def _openmp_works(cc: str, identity: str) -> bool:
-    """Whether ``cc`` builds with ``-fopenmp``: probed once per compiler
-    identity and kept beside the objects, so a primed process does not
-    run the compiler at all."""
-    global _OPENMP
-    if _OPENMP is None:
+#: what the host adds to the flag set when its compiler takes it: the
+#: full instruction set of the CPU the process runs on. Vector add, mul,
+#: div, sqrt, compare and select are per-lane IEEE and kernels hold no
+#: reductions, so wider lanes compute the same bits; contraction stays off.
+_ISA_FLAG = "-march=native"
+
+#: probed flag → (name of its persisted verdict, what must compile)
+_PROBES = {
+    "-fopenmp": ("openmp", "#include <omp.h>\n"
+                 "int touch(void){return omp_get_max_threads();}\n"),
+    _ISA_FLAG: ("isa", "double touch(double x){return x + 1.0;}\n"),
+}
+
+
+def _cpu_features() -> str:
+    """What tells this host's instruction set from another's: the CPU
+    flags the kernel reports (the machine name where it reports none).
+    Part of every kernel key, so a store shared between hosts never
+    hands one an object built for the other."""
+    global _FEATURES
+    if _FEATURES is None:
+        found = ""
+        try:
+            with open("/proc/cpuinfo") as fh:
+                for line in fh:
+                    if line.startswith(("flags", "Features")):
+                        found = line.split(":", 1)[1].strip()
+                        break
+        except OSError:
+            pass
+        _FEATURES = found or "-".join(os.uname()[3:])
+    return _FEATURES
+
+
+def _flag_works(cc: str, identity: str, flag: str) -> bool:
+    """Whether ``cc`` builds with ``flag``: probed once per compiler
+    identity and host and kept beside the objects, so a primed process
+    does not run the compiler at all."""
+    works = _PROBED.get(flag)
+    if works is None:
+        name, source = _PROBES[flag]
         path = os.path.join(
-            jit_dir(), "repro_openmp_" + _digest(identity, *_BASE_FLAGS)
+            jit_dir(),
+            f"repro_{name}_"
+            + _digest(identity, _cpu_features(), flag, *_BASE_FLAGS),
         )
         try:
             with open(path) as fh:
@@ -429,16 +470,12 @@ def _openmp_works(cc: str, identity: str) -> bool:
         except OSError:
             verdict = ""
         if verdict not in ("0", "1"):
-            src = (
-                "#include <omp.h>\n"
-                "int touch(void){return omp_get_max_threads();}\n"
-            )
             with tempfile.TemporaryDirectory() as tmp:
                 cpath = os.path.join(tmp, "probe.c")
                 with open(cpath, "w") as fh:
-                    fh.write(src)
+                    fh.write(source)
                 proc = subprocess.run(
-                    [cc, *_BASE_FLAGS, "-fopenmp", cpath, "-o",
+                    [cc, *_BASE_FLAGS, flag, cpath, "-o",
                      os.path.join(tmp, "probe.so")],
                     capture_output=True,
                 )
@@ -446,8 +483,8 @@ def _openmp_works(cc: str, identity: str) -> bool:
             with open(f"{path}.tmp{os.getpid()}", "w") as fh:
                 fh.write(verdict + "\n")
             os.replace(fh.name, path)
-        _OPENMP = verdict == "1"
-    return _OPENMP
+        works = _PROBED[flag] = verdict == "1"
+    return works
 
 
 def _build_width() -> int:
@@ -550,9 +587,11 @@ def load_c(
         )
     identity = _cc_identity(cc)
     flags = list(_BASE_FLAGS)
-    if want_openmp and _openmp_works(cc, identity):
+    if _flag_works(cc, identity, _ISA_FLAG):
+        flags.append(_ISA_FLAG)
+    if want_openmp and _flag_works(cc, identity, "-fopenmp"):
         flags.append("-fopenmp")
-    salt = _digest(preamble, identity, *flags)
+    salt = _digest(preamble, identity, _cpu_features(), *flags)
     keys = [_digest(salt, kernel.source) for kernel in kernels]
     symbols = ["repro_k_" + key for key in keys]
 
@@ -705,10 +744,11 @@ def merge_stats(data: Dict[str, object]) -> None:
 def reset(engine: bool = False) -> None:
     """Zero the counters; with ``engine=True`` also forget the resolved
     engine so the next :func:`engine_name` re-reads ``REPRO_JIT`` (tests)."""
-    global _WARNED_CORRUPT, _ENGINE, _OPENMP
+    global _WARNED_CORRUPT, _ENGINE, _FEATURES
     with _LOCK:
         _COUNTS.update(_ZERO_COUNTS)
         _WARNED_CORRUPT = False
         if engine:
             _ENGINE = None
-            _OPENMP = None
+            _FEATURES = None
+            _PROBED.clear()

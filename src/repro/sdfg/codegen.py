@@ -558,12 +558,18 @@ def _local_arrays(kernel: Kernel) -> Dict[str, Tuple[str, tuple, tuple]]:
     }
 
 
-def _bind_locals(kernel: Kernel, out: _SourceBuilder, plan: _BufferPlan) -> List[int]:
+def _bind_locals(
+    kernel: Kernel, out: _SourceBuilder, plan: _BufferPlan,
+    registers: FrozenSet[str] = frozenset(),
+) -> List[int]:
     """Bind the kernel-local arrays to pooled slots, zeroing only those the
     kernel reads (or writes under a mask) before fully writing. Returns the
-    slots, to be freed once the kernel's code is emitted."""
+    slots, to be freed once the kernel's code is emitted. A local among
+    ``registers`` has no array: the kernel's loop nest holds it per point."""
     slots = []
     for name, (var, shape, origin) in _local_arrays(kernel).items():
+        if name in registers:
+            continue
         slots.append(plan.alloc(shape))
         out.emit(f"{var} = __B[{slots[-1]}]")
         if not _covering_first_write(kernel, name, shape, origin):

@@ -9,9 +9,14 @@ tree into text: they read nothing of the kernel or its schedule, so a new
 schedule rewrite is written once, on the tree, and both engines get it.
 
 Structure nodes: :class:`Loop`, :class:`Strip`, :class:`Clamp`,
-:class:`Guard`, :class:`Store`. Value nodes (typed ``"d"`` double,
-``"l"`` int64, ``"b"`` bool): :class:`Lit`, :class:`Scalar`, :class:`Axis`,
-:class:`Ref`, :class:`Op`.
+:class:`Guard`, :class:`Store`, :class:`Let`. Value nodes (typed ``"d"``
+double, ``"l"`` int64, ``"b"`` bool): :class:`Lit`, :class:`Scalar`,
+:class:`Axis`, :class:`Ref`, :class:`Reg`, :class:`Op`.
+
+There is no masked statement: a conditional assignment is the
+unconditional ``x = c ? v : x``. The lowering keeps every ``select`` in
+the form a vectorizer turns into a blend instead of control flow — its
+condition one comparison, its two values plain names or constants.
 """
 
 from __future__ import annotations
@@ -83,11 +88,21 @@ class Ref:
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
+class Reg:
+    """A per-point scalar: a kernel local that lives in a register."""
+
+    name: str
+    tag: str = "d"
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
 class Op:
     """``op`` applied to typed ``args``; ``tag`` is the result type.
 
-    Operators: ``and or not neg select`` (cond, then, else), the six
-    comparisons, ``+ - * /``, ``sqrt abs floor ceil trunc min max sign``.
+    Operators: ``and or not neg``, ``select`` (a truth value, then,
+    else), ``cast`` (to ``tag``, NumPy's assignment conversion), the six
+    comparisons,
+    ``+ - * /``, ``sqrt abs floor ceil trunc min max sign``.
     """
 
     op: str
@@ -104,7 +119,9 @@ class Op:
 class Loop:
     """``for var in [lo, hi)``, downwards when ``reverse``. ``parallel``
     marks the thread axis; ``tile`` asks for strip-mining by that many
-    iterations (a locality hint: a printer may ignore it)."""
+    iterations (a locality hint: a printer may ignore it);
+    ``independent`` says no iteration reads what another writes (a
+    vectorizer need not version the loop on a run-time overlap test)."""
 
     var: str
     lo: Bound
@@ -113,6 +130,7 @@ class Loop:
     reverse: bool = False
     parallel: bool = False
     tile: Optional[int] = None
+    independent: bool = False
 
 
 @dataclasses.dataclass(slots=True)
@@ -152,11 +170,21 @@ class Guard:
 
 @dataclasses.dataclass(slots=True)
 class Store:
-    """``target = value`` (cast to the target's type), where ``mask``."""
+    """``target = value``; the value already has the target's type."""
 
     target: Ref
     value: object
-    mask: Optional[object] = None
+
+
+@dataclasses.dataclass(slots=True)
+class Let:
+    """``reg = value``. With ``declare`` this is the register's
+    definition, which every register has once, at the top of the
+    per-point body it lives in."""
+
+    reg: Reg
+    value: object
+    declare: bool = False
 
 
 @dataclasses.dataclass(slots=True)
@@ -194,7 +222,10 @@ _C_OPS = {
     "not": "(({0}) == 0)",
     "neg": "(-({0}))",
     ("neg", "l"): "((int64_t)(-(uint64_t)({0})))",
-    "select": "((({0}) != 0) ? ({1}) : ({2}))",
+    "select": "(({0}) ? ({1}) : ({2}))",
+    ("cast", "d"): "((double)({0}))",
+    ("cast", "l"): "((int64_t)({0}))",  # C truncation == NumPy float→int
+    ("cast", "b"): "((unsigned char)(({0}) != 0))",
     "sqrt": "sqrt((double)({0}))",
     ("abs", "d"): "fabs({0})",
     ("abs", "l"): "__r_labs({0})",
@@ -216,7 +247,11 @@ _PY_OPS = {
     "or": "((({0}) != 0) or (({1}) != 0))",
     "not": "(not (({0}) != 0))",
     "neg": "(-({0}))",
-    "select": "(({1}) if (({0}) != 0) else ({2}))",
+    "select": "(({1}) if ({0}) else ({2}))",
+    # NumPy element assignment converts a stored value itself; a register
+    # has no dtype, so what it holds is made a double here
+    ("cast", "d"): "np.float64({0})",
+    "cast": "({0})",
     "sqrt": "np.sqrt({0})",
     "abs": "np.abs({0})",
     **{f: f"np.{f}({{0}})" for f in _ROUNDERS},
@@ -265,6 +300,8 @@ def _value(node, ops, index, lit) -> str:
         return lit(node)
     if isinstance(node, Scalar):
         return f"s_{node.name}"
+    if isinstance(node, Reg):
+        return f"r_{node.name}"
     if isinstance(node, Axis):
         return node.var
     fmt = ops.get((node.op, node.tag)) or ops[node.op]
@@ -318,13 +355,10 @@ def _c_strip(v, end, lo, hi, step) -> List[str]:
 
 def _c_heads(n):
     if isinstance(n, Store):
-        value = _c_value(n.value)
-        if n.target.tag == "b":
-            value = f"(unsigned char)(({value}) != 0)"
-        elif n.target.tag == "l" and n.value.tag == "d":
-            value = f"(int64_t)({value})"  # C truncation == NumPy float→int
-        test = [] if n.mask is None else [f"if (({_c_value(n.mask)}) != 0) {{"]
-        return test, [f"{_c_value(n.target)} = {value};"]
+        return [f"{_c_value(n.target)} = {_c_value(n.value)};"], ()
+    if isinstance(n, Let):
+        ctype = _CTYPE[n.reg.tag] + " " if n.declare else ""
+        return [f"{ctype}{_c_value(n.reg)} = {_c_value(n.value)};"], ()
     if isinstance(n, Guard):
         cond = " && ".join(f"{v} >= {lo} && {v} < {hi}" for v, lo, hi in n.ranges)
         return [f"if ({cond}) {{"], n.body
@@ -343,6 +377,8 @@ def _c_heads(n):
     if n.tile:
         lines += _c_strip("__t", "__te", lo, hi, n.tile)
         lo, hi = "__t", "__te"
+    if n.independent:
+        lines.append("#pragma GCC ivdep")
     if n.reverse:
         lines.append(f"for (int64_t {v} = {hi} - 1; {v} >= {lo}; --{v}) {{")
     else:
@@ -367,11 +403,9 @@ def print_c(nest: Nest) -> str:
 
 
 def _py_heads(n):
-    if isinstance(n, Store):
-        # NumPy element assignment performs the same dtype cast the array
-        # backend's full-array assignment does
-        test = [] if n.mask is None else [f"if ({_py_value(n.mask)}) != 0:"]
-        return test, [f"{_py_value(n.target)} = {_py_value(n.value)}"]
+    if isinstance(n, (Store, Let)):
+        target = n.target if isinstance(n, Store) else n.reg
+        return [f"{_py_value(target)} = {_py_value(n.value)}"], ()
     if isinstance(n, Guard):
         cond = " and ".join(f"{lo} <= {v} < {hi}" for v, lo, hi in n.ranges)
         return [f"if {cond}:"], n.body

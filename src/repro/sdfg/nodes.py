@@ -509,10 +509,7 @@ class Kernel(Node):
                     * (jrange[1] - jrange[0])
                     * (krange[1] - krange[0])
                 )
-                ops = count_flops(stmt.value) + (
-                    count_flops(stmt.mask) + 1 if stmt.mask is not None else 0
-                )
-                total += max(ops, 1) * points
+                total += stmt_flops(stmt) * points
         return total
 
     def iteration_points(self) -> int:
@@ -543,6 +540,14 @@ class Kernel(Node):
             self.bounds,
             dict(self.origins),
         )
+
+
+def stmt_flops(stmt: Assign) -> int:
+    """Modeled arithmetic operations of one statement at one point."""
+    ops = count_flops(stmt.value) + (
+        count_flops(stmt.mask) + 1 if stmt.mask is not None else 0
+    )
+    return max(ops, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.machine import A100, ARIES, HASWELL, P100, GB, GiB
+from repro.machine import A100, ARIES, HASWELL, P100, GB, GiB
 from repro.core.perfmodel import (
+    recompute_pays,
     bound_report,
     coalescing_factor,
     format_bound_report,
@@ -207,6 +208,18 @@ def test_bound_report_ranks_and_formats():
     assert 0.0 < rows[0].utilization <= 1.0
     text = format_bound_report(rows)
     assert "% peak" in text and "_copy" in text
+
+
+def test_recompute_pays_below_the_machine_balance():
+    """Evaluating a value again is cheaper than storing and reloading it
+    as long as the extra flops take less time than the bytes: on the
+    Haswell model one 16-byte round trip buys ~180 flops."""
+    balance = 16 * HASWELL.peak_flops / HASWELL.achievable_bandwidth
+    assert 150 < balance < 200
+    assert recompute_pays(20, 16, HASWELL)           # a PPM interface value
+    assert recompute_pays(int(balance) - 1, 16, HASWELL)
+    assert not recompute_pays(int(balance) + 1, 16, HASWELL)
+    assert not recompute_pays(300, 16, HASWELL)      # one pow()
 
 
 def test_network_halo_exchange_time():

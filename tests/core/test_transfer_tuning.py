@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.autotune import make_evaluator, tune_cutout
-from repro.core.machine import P100
+from repro.machine import P100
 from repro.core.perfmodel import model_sdfg_time
 from repro.core.transfer import extract_patterns, find_match, transfer_patterns
 from repro.dsl import Field, PARALLEL, computation, interval, stencil

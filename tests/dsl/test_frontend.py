@@ -112,7 +112,7 @@ def test_scalar_local_is_folded_not_stored():
     assert isinstance(stmt.value.right, BinOp)
 
 
-def test_if_else_lowered_to_masks():
+def test_if_else_lowered_to_masks_on_the_held_test():
     def cond(a: Field, out: Field):
         with computation(PARALLEL), interval(...):
             if a > 0.0:
@@ -121,9 +121,13 @@ def test_if_else_lowered_to_masks():
                 out = -a
 
     sd = parse_stencil(cond)
-    s1, s2 = sd.statements()
-    assert isinstance(s1.mask, BinOp) and s1.mask.op == ">"
-    assert isinstance(s2.mask, UnaryOp) and s2.mask.op == "not"
+    held, s1, s2 = sd.statements()
+    # the test is evaluated once, unmasked, into a temporary of its own
+    assert held.target.name in sd.temporaries and held.mask is None
+    assert isinstance(held.value, BinOp) and held.value.op == ">"
+    # and the branches are masked by that value, not by the expression
+    assert s1.mask == BinOp("!=", FieldAccess(held.target.name), Literal(0.0))
+    assert s2.mask == UnaryOp("not", s1.mask)
 
 
 def test_nested_if_masks_composed():
@@ -134,8 +138,25 @@ def test_nested_if_masks_composed():
                     out = a + b
 
     sd = parse_stencil(cond)
+    outer, inner, stmt = sd.statements()
+    assert outer.mask is None and inner.mask is None
+    assert stmt.mask == BinOp(
+        "and",
+        BinOp("!=", FieldAccess(outer.target.name), Literal(0.0)),
+        BinOp("!=", FieldAccess(inner.target.name), Literal(0.0)),
+    )
+
+
+def test_a_test_that_reads_no_field_stays_an_expression():
+    def cond(a: Field, out: Field, w: float):
+        with computation(PARALLEL), interval(...):
+            if w > 0.0:
+                out = a
+
+    sd = parse_stencil(cond)
     (stmt,) = sd.statements()
-    assert isinstance(stmt.mask, BinOp) and stmt.mask.op == "and"
+    assert not sd.temporaries  # nothing a body could assign: nothing held
+    assert isinstance(stmt.mask, BinOp) and stmt.mask.op == ">"
 
 
 def test_intervals_forward_backward():

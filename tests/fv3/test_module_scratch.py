@@ -52,7 +52,7 @@ def test_no_module_keeps_an_array_for_its_scratch():
                 if isinstance(value, np.ndarray):
                     # what is left on the modules is geometry
                     assert value.ndim < 3, (type(module).__name__, name)
-        assert declared == 30 * core.partitioner.total_ranks
+        assert declared == 29 * core.partitioner.total_ranks
     finally:
         _finish(core)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core.machine import HASWELL
+from repro.machine import HASWELL
 from repro.dsl import Field, PARALLEL, computation, interval, stencil
 from repro.obs.tracer import _NULL_SPAN, Span, Tracer
 

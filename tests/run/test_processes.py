@@ -89,9 +89,19 @@ def perturbed_sequential():
     }
 
 
-@pytest.mark.parametrize("layout", [1, 2], ids=["1x1", "2x2"])
-@pytest.mark.parametrize("start", ["fork", "spawn"])
-@pytest.mark.parametrize("workers", [1, 2, 3, 6])
+#: tier-1 runs every value of each axis once; the other twelve
+#: combinations run under ``--deep`` (the ``proc-scaling-smoke`` CI job)
+_SAMPLE = {(1, "fork", 1), (2, "spawn", 2), (3, "fork", 2), (6, "spawn", 1)}
+
+
+@pytest.mark.parametrize("workers, start, layout", [
+    pytest.param(
+        workers, start, layout, id=f"{workers}-{start}-{layout}x{layout}",
+        marks=() if (workers, start, layout) in _SAMPLE else pytest.mark.deep,
+    )
+    for layout in (1, 2) for start in ("fork", "spawn")
+    for workers in (1, 2, 3, 6)
+])
 def test_perturbed_members_bit_identical(perturbed_sequential, workers,
                                          start, layout):
     """Lockstep workers over 4 steps x 2 members reuse every message

@@ -114,7 +114,7 @@ def _forget_loaded():
     """What a fresh process starts with: nothing loaded, nothing probed."""
     jit._KERNELS.clear()
     jit._OBJECTS.clear()
-    jit._OPENMP = None
+    jit._PROBED.clear()
 
 
 @pytest.fixture()
@@ -126,6 +126,11 @@ def store(forced_engine, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_JIT_DIR", str(tmp_path))
     _forget_loaded()
     jit.reset()
+    # the host's instruction set is probed once per store; do it here so
+    # that the tests below count the compilers of *kernels*
+    cc = jit._find_cc()
+    jit._flag_works(cc, jit._cc_identity(cc), jit._ISA_FLAG)
+    _forget_loaded()
     return tmp_path
 
 
@@ -378,11 +383,12 @@ def test_waiters_on_a_failed_build_fail_too_and_a_retry_builds(store):
 
 
 def test_primed_process_never_runs_a_compiler(store, monkeypatch):
-    """Objects, names and the OpenMP verdict are all on disk: a second
-    process starts no subprocess from this module."""
+    """Objects, names and both probe verdicts (OpenMP, the host's
+    instruction set) are all on disk: a second process starts no
+    subprocess from this module."""
     kernels = [_kernel(f"p{n}", f"x[i] += {n}") for n in range(3)]
     jit.load_c(kernels, PREAMBLE, want_openmp=True)
-    assert list(store.glob("repro_openmp_*"))
+    assert list(store.glob("repro_openmp_*")) and list(store.glob("repro_isa_*"))
     _forget_loaded()
     jit.reset()
 
@@ -396,6 +402,62 @@ def test_primed_process_never_runs_a_compiler(store, monkeypatch):
     stats = jit.stats()
     assert stats["compiles"] == 0 and stats["kernels_built"] == 0
     assert stats["kernels_reused"] == 3 and stats["disk_hits"] >= 1
+
+
+def _compile_commands(monkeypatch):
+    """Every compiler command line this module starts from here on."""
+    commands = []
+    real = subprocess.Popen
+
+    def recording(args, **kwargs):
+        commands.append(list(args))
+        return real(args, **kwargs)
+
+    monkeypatch.setattr(jit.subprocess, "Popen", recording)
+    return commands
+
+
+def test_kernels_are_built_for_the_hosts_instruction_set(store, monkeypatch):
+    commands = _compile_commands(monkeypatch)
+    (fn,) = jit.load_c([ADD_ONE], PREAMBLE)
+    assert _apply(fn) == [1.0] * 4
+    (build,) = commands  # the probe's verdict came from the store
+    assert jit._ISA_FLAG in build
+    assert "-ffp-contract=off" in build and "-ffast-math" not in build
+
+
+def test_a_compiler_without_the_isa_flag_builds_with_the_base_flags(
+    store, monkeypatch, tmp_path_factory
+):
+    real = jit._find_cc()
+    wrapper = tmp_path_factory.mktemp("bin") / "oldcc"
+    wrapper.write_text(
+        "#!/bin/sh\n"
+        f'for a in "$@"; do [ "$a" = "{jit._ISA_FLAG}" ] && exit 1; done\n'
+        f'exec {real} "$@"\n'
+    )
+    wrapper.chmod(0o755)
+    monkeypatch.setenv("REPRO_CC", str(wrapper))
+    commands = _compile_commands(monkeypatch)
+    (fn,) = jit.load_c([ADD_ONE], PREAMBLE)
+    assert _apply(fn) == [1.0] * 4
+    probe, build = commands
+    assert jit._ISA_FLAG in probe and jit._ISA_FLAG not in build
+    assert build[1:len(jit._BASE_FLAGS) + 1] == jit._BASE_FLAGS
+
+
+def test_another_hosts_cpu_is_another_key(store, monkeypatch):
+    """A store shared between hosts: the feature string is part of every
+    kernel's key, so neither is served the other's object."""
+    kernels = [_kernel(f"h{n}", f"x[i] += {n}") for n in range(3)]
+    jit.load_c(kernels, PREAMBLE)
+    mine = set(jit._KERNELS)
+    _forget_loaded()
+    monkeypatch.setattr(jit, "_FEATURES", jit._cpu_features() + " avx1024")
+    jit.load_c(kernels, PREAMBLE)
+    assert len(mine) == 3 and not mine & set(jit._KERNELS)
+    assert jit.stats()["kernels_built"] == 6
+    assert len(list(store.glob("repro_isa_*"))) == 2  # probed per host
 
 
 def test_compiler_upgrade_is_a_new_key(store, monkeypatch, tmp_path_factory):

@@ -30,7 +30,9 @@ from repro.sdfg.codegen_compiled import (
     compile_sdfg_compiled,
     lower_kernel,
 )
-from repro.sdfg.loopnest import Clamp, Loop, Store, Strip
+from repro.sdfg.loopnest import (
+    Clamp, Let, Lit, Loop, Op, Ref, Reg, Store, Strip,
+)
 from repro.sdfg.nodes import Kernel
 from tests.fv3.test_backend_bitexact import NI, NJ, NK, _discover, _synthesize
 from tests.runtime.test_jit import _forget_loaded
@@ -427,6 +429,123 @@ def test_solver_runs_column_major_unless_it_reads_a_written_neighbour():
     compile_sdfg_compiled(sdfg)(arrays=got, scalars={})
     for name in arrays:
         np.testing.assert_array_equal(got[name], ref[name])
+
+
+# ---------------------------------------------------------------------------
+# where kernel values live
+# ---------------------------------------------------------------------------
+
+
+@stencil
+def _scaled(a: Field, out: Field):
+    with computation(PARALLEL), interval(...):
+        t = a * 2.0
+        if t > 1.0:
+            out = t - 1.0
+        else:
+            out = t
+
+
+def _ops(node, op):
+    """Every ``Op`` named ``op`` in a value tree."""
+    if not isinstance(node, Op):
+        return []
+    found = [node] if node.op == op else []
+    return found + [f for arg in node.args for f in _ops(arg, op)]
+
+
+def test_a_local_of_one_cluster_is_a_register_and_masks_are_selects():
+    arrays = {"a": _rand((4, 4, 3)), "out": np.zeros((4, 4, 3))}
+    sdfg = _build_sdfg(_scaled, arrays)
+    unit = lower_kernel(_first_kernel(sdfg), sdfg)
+    # neither the temporary nor the held test has an array ...
+    assert [a.runtime for a in unit.tree.arrays] == ["a", "out"]
+    assert len(unit.registers) == 2 and "t" in unit.registers
+    # ... each is defined once, at zero, at the top of the point body
+    lets = _nodes(unit.tree.body, Let)
+    zeroed = {n.reg for n in lets if n.declare and n.value == Lit(0.0, "d")}
+    assert zeroed >= {n.reg for n in lets if not n.declare}
+    # a store has no mask: it selects between names, on one comparison
+    stores = _nodes(unit.tree.body, Store)
+    assert len(stores) == 2
+    for store in stores:
+        (select,) = _ops(store.value, "select")
+        cond, then, orelse = select.args
+        assert cond.op == "!=" and isinstance(cond.args[0], Reg)
+        assert isinstance(then, Reg) and isinstance(orelse, Reg)
+    # one plane: nothing for a k block to stay in cache for
+    assert not _nodes(unit.tree.body, Strip)
+    (k,) = loops(unit.tree.body, "k")
+    assert k.independent
+
+    plan = compile_sdfg_compiled(sdfg)
+    assert plan.plan_nbytes == [] and ".fill(0)" not in plan.source
+    ref = {n: a.copy() for n, a in arrays.items()}
+    got = {n: a.copy() for n, a in arrays.items()}
+    compile_sdfg(sdfg)(arrays=ref, scalars={})
+    plan(arrays=got, scalars={})
+    np.testing.assert_array_equal(got["out"], ref["out"])
+
+
+@stencil
+def _neighbours(a: Field, out: Field):
+    with computation(PARALLEL), interval(...):
+        t = a * 2.0 + a[0, 1, 0]
+        out = t[1, 0, 0] + t[-1, 0, 0]
+
+
+def test_a_local_of_the_inputs_is_recomputed_where_it_is_read(monkeypatch):
+    arrays = {"a": _rand((6, 6, 3)), "out": np.zeros((6, 6, 3))}
+    kwargs = dict(origin=(1, 1, 0), domain=(4, 4, 3))
+    tree = _tree(_neighbours, arrays, **kwargs)
+    # one nest over a and out: t is evaluated at i+1 and at i-1
+    (nest,) = tree.body
+    assert [a.runtime for a in tree.arrays] == ["a", "out"]
+    (store,) = _nodes([nest], Store)
+    lets = [n for n in _nodes([nest], Let) if not n.declare]
+    assert len(lets) == 2 and len({n.reg for n in lets}) == 2
+    reads = sorted(
+        ref.offset for n in lets for ref in _refs(n.value)
+    )
+    assert reads == [(-1, 0, 0), (-1, 1, 0), (1, 0, 0), (1, 1, 0)]
+
+    ref, got, plan = _run_both(_neighbours, arrays, **kwargs)
+    np.testing.assert_array_equal(got["out"], ref["out"])
+    assert plan.plan_nbytes == []
+
+    # priced out (core.perfmodel.recompute_pays), it is an array again:
+    # two nests, the neighbour read splits the cluster, one planned value
+    monkeypatch.setattr(
+        "repro.core.perfmodel.recompute_pays", lambda *args: False
+    )
+    stored = _tree(_neighbours, arrays, **kwargs)
+    assert len(stored.body) == 2
+    assert [a.param for a in stored.arrays] == ["f0", "f1", "t_t"]
+    ref, got, plan = _run_both(_neighbours, arrays, **kwargs)
+    np.testing.assert_array_equal(got["out"], ref["out"])
+    assert len(plan.plan_nbytes) == 1
+
+
+def _refs(node):
+    if isinstance(node, Ref):
+        return [node]
+    return [r for arg in getattr(node, "args", ()) for r in _refs(arg)]
+
+
+def test_the_ppm_kernels_are_one_nest_over_three_arrays():
+    """The kernels the rewrites were made for: ten locals, none left."""
+    from repro.fv3.stencils.xppm import xppm_flux
+    from repro.fv3.stencils.yppm import yppm_flux
+
+    for stencil_obj in (xppm_flux, yppm_flux):
+        fields, _, origin = _synthesize(stencil_obj)
+        sdfg = _build_sdfg(stencil_obj, fields, origin, (NI, NJ, NK))
+        kernel = _first_kernel(sdfg)
+        unit = lower_kernel(kernel, sdfg)
+        assert len(unit.tree.body) == 1 and len(unit.tree.arrays) == 3
+        assert unit.registers == frozenset(kernel.local_arrays)
+        assert len(unit.registers) == 10
+        assert not _nodes(unit.tree.body, Strip)
 
 
 # ---------------------------------------------------------------------------
