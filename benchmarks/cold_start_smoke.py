@@ -1,11 +1,13 @@
-"""CI smoke check of the JIT kernel store's cold start (PR 16).
+"""CI smoke check of the JIT kernel store's cold start (PRs 16, 22).
 
 Two fresh processes share one empty ``REPRO_JIT_DIR``. The first runs a
-default-config ``run(steps=1)`` on the C engine and must build fewer
-kernels than it asks for (equal kernels of different programs are one
-kernel) in at least one translation unit; the second must find every
-kernel on disk: no translation unit, no kernel built and not one
-subprocess started — the verdicts of the OpenMP probe and of the
+default-config ``run(steps=1)`` on the C engine: its core binds every
+program before the first step inside one ``jit.batch()``, so it must
+enter the builder exactly once, start at most one compiler per CPU it
+may use (plus the two flag probes) and build fewer kernels than it asks
+for (equal kernels of different programs are one kernel). The second
+must find every kernel on disk: no translation unit, no kernel built and
+not one subprocess started — the verdicts of the OpenMP probe and of the
 instruction-set probe are on disk as well. A third process claims another
 host's CPU feature string: every kernel has another key and is built
 again, beside the first host's objects.
@@ -37,7 +39,8 @@ def _child(other_host: bool) -> None:
     result = run("baroclinic_wave", steps=1)
     print(json.dumps({
         **jit.stats(), "ok": result.ok, "subprocesses": len(started),
-        "keys": sorted(jit._KERNELS),
+        "keys": sorted(jit._KERNELS), "cpus": jit._build_width(),
+        "probes": len(jit._PROBED),
         # the compiler's verdict on the host's instruction set, as this
         # process came to know it
         "isa": jit._PROBED.get(jit._ISA_FLAG),
@@ -67,10 +70,12 @@ def main() -> None:
     assert cold["ok"] and primed["ok"]
     assert cold["engine"] == primed["engine"] == "cgen"
     assert 0 < cold["kernels_built"] < cold["kernels_requested"], cold
-    assert cold["compiles"] > 0 and cold["subprocesses"] > 0, cold
+    assert cold["builds"] == 1 and 0 < cold["compiles"] <= cold["cpus"], cold
+    assert cold["subprocesses"] == cold["compiles"] + cold["probes"], cold
     assert cold["cache_repairs"] == primed["cache_repairs"] == 0
     assert primed["kernels_requested"] == cold["kernels_requested"], primed
     assert primed["compiles"] == 0 and primed["kernels_built"] == 0, primed
+    assert primed["builds"] == 0, primed
     assert primed["disk_hits"] > 0 and primed["subprocesses"] == 0, primed
     # no subprocess, yet the verdict is known: it was read from the store
     assert primed["isa"] is not None and primed["isa"] == cold["isa"], primed

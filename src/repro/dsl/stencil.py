@@ -118,7 +118,10 @@ class StencilObject:
             fallback = self._executor(FALLBACK_BACKEND)
             fallback(fields, scalars, origin, domain, bounds)
         if _chaos._PLAN is not None:
-            _chaos.maybe_nanflip(self.definition, fields)
+            _chaos.maybe_nanflip(self.name, {
+                name: fields[name]
+                for name in self.definition.written_fields() if name in fields
+            })
 
     # ------------------------------------------------------------------
     def _bind_arguments(self, args, kwargs):

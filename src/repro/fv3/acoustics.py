@@ -18,12 +18,16 @@ executor schedules it (:mod:`repro.runtime.ranks`):
 The body ``yield``s before each group of waits (twice per sub-step), so
 the lockstep schedule finds every message posted. The same order is
 published as a static plan (:func:`acoustic_comm_plan`) for the C3xx
-protocol checker.
+protocol checker. Steps 2, 4, 5 and 6 are orchestrated programs; which,
+and on what arguments, is written down once
+(``AcousticDynamics.programs``) for the body to call and for
+``DynamicalCore.prepare`` to bind ahead of the first step.
 """
 
 from __future__ import annotations
 
-from typing import List
+from functools import partial
+from typing import List, Tuple
 
 import numpy as np
 
@@ -41,6 +45,7 @@ from repro.fv3.stencils.fvtp2d import FiniteVolumeTransport
 from repro.fv3.stencils.riem_solver_c import RiemannSolverC
 from repro.fv3.stencils.tracer2d import accumulate_fluxes
 from repro.obs import tracer as _obs
+from repro.orchestration import orchestrate
 from repro.runtime import ranks as _ranks
 
 _TRACER = _obs.get_tracer()
@@ -125,6 +130,7 @@ class RankWorkspace:
 
     def __init__(self, nx, ny, nk, h):
         shape = (nx + 2 * h, ny + 2 * h, nk)
+        self.shape = shape
         self.crx = np.zeros(shape)
         self.cry = np.zeros(shape)
         self.xfx = np.zeros(shape)
@@ -140,6 +146,18 @@ class RankWorkspace:
         self.cry_adv[:] = 0.0
         self.xfx_adv[:] = 0.0
         self.yfx_adv[:] = 0.0
+
+    @orchestrate
+    def accumulate(self):
+        """Add this sub-step's Courant numbers and swept areas to what
+        the tracer transport of the remapping step will ride."""
+        accumulate_fluxes(
+            self.crx, self.cry, self.xfx, self.yfx,
+            self.crx_adv, self.cry_adv, self.xfx_adv, self.yfx_adv,
+            1.0,
+            origin=(0, 0, 0),
+            domain=self.shape,
+        )
 
 
 class AcousticDynamics:
@@ -208,6 +226,27 @@ class AcousticDynamics:
                 label="acoustics.substep",
             )
 
+    def programs(self, rank: int, dt: float) -> Tuple[partial, ...]:
+        """One rank's sub-step as its orchestrated programs on their
+        arguments, in call order: the Riemann solve, c_sw, the three
+        d_sw programs, the flux accumulation (the program of a module
+        object is its ``__call__``). The rank body calls these and
+        ``DynamicalCore.prepare`` binds these, so what is compiled ahead
+        is what runs."""
+        s, w, d_sw = self.states[rank], self.work[rank], self.d_sw[rank]
+        return (
+            partial(self.riemann[rank].__call__,
+                    s.w, s.delz, s.pt, s.delp, dt),
+            partial(self.c_sw[rank].__call__,
+                    s.u, s.v, w.crx, w.cry, w.xfx, w.yfx, w.delpc, dt),
+            partial(d_sw.transport_fields,
+                    s.delp, s.pt, s.w, w.crx, w.cry, w.xfx, w.yfx),
+            partial(d_sw.momentum,
+                    s.u, s.v, s.pt, s.delp, s.delz, w.delpc, dt),
+            partial(d_sw.damp_fields, s.delp, s.pt),
+            partial(w.accumulate),
+        )
+
     def _substep_rank(self, rank: int, dt: float):
         """SPMD body: one rank's acoustic sub-step.
 
@@ -220,10 +259,10 @@ class AcousticDynamics:
         the two wind phases are exposed. c_sw still runs on completely
         filled u/v halos.
         """
-        s, w = self.states[rank], self.work[rank]
+        riemann, c_sw, *d_sw_and_accumulate = self.programs(rank, dt)
         halo = self.halo
         hx = halo.start_vector(self._u, self._v, rank)
-        self.riemann[rank](s.w, s.delz, s.pt, s.delp, dt)
+        riemann()
         sx = halo.start_scalars(
             (self._delp, self._pt, self._w), rank, fslot_base=2
         )
@@ -232,27 +271,10 @@ class AcousticDynamics:
         halo.advance(sx)
         yield  # peers post both phase 1s
         halo.finish_vector(hx)
-        self.c_sw[rank](
-            s.u, s.v, w.crx, w.cry, w.xfx, w.yfx, w.delpc, dt
-        )
+        c_sw()
         halo.finish_scalars(sx)
-        self.d_sw[rank].transport_fields(
-            s.delp, s.pt, s.w, w.crx, w.cry, w.xfx, w.yfx
-        )
-        self.d_sw[rank].momentum(
-            s.u, s.v, s.pt, s.delp, s.delz, w.delpc, dt
-        )
-        self.d_sw[rank].damp_fields(s.delp, s.pt)
-        nx, ny, nk = (
-            self.partitioner.nx, self.partitioner.ny, self.config.npz,
-        )
-        accumulate_fluxes(
-            w.crx, w.cry, w.xfx, w.yfx,
-            w.crx_adv, w.cry_adv, w.xfx_adv, w.yfx_adv,
-            1.0,
-            origin=(0, 0, 0),
-            domain=(nx + 2 * self.h, ny + 2 * self.h, nk),
-        )
+        for program in d_sw_and_accumulate:
+            program()
 
     def run(self, dt_acoustic: float, n_split: int) -> None:
         with _TRACER.span("acoustics"):

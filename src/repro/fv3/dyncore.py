@@ -16,6 +16,7 @@ from __future__ import annotations
 import pathlib
 import time as _time
 import warnings
+from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -34,6 +35,7 @@ from repro.fv3.stencils.fvtp2d import FiniteVolumeTransport
 from repro.fv3.stencils.remapping import LagrangianToEulerian
 from repro.fv3.stencils.tracer2d import TracerAdvection
 from repro.obs import tracer as _obs
+from repro.runtime import jit as _jit
 from repro.runtime import ranks as _ranks
 from repro.resilience import (
     GuardError,
@@ -154,8 +156,30 @@ class DynamicalCore:
         self._guard: Optional[StateGuard] = (
             StateGuard(resilience.guard) if resilience is not None else None
         )
+        self._prepared = False
 
     # ------------------------------------------------------------------
+    def prepare(self) -> None:
+        """Bind every orchestrated program of every held rank to the
+        arguments a step calls it on, inside one ``jit.batch()``: each is
+        traced (or matched to a published template) and lowered, and the
+        kernels nobody has built yet — of all of them together — go to
+        the C compiler once. Nothing is executed. The first step does
+        this before anything else; an ahead-of-time build calls it
+        directly. Done once per core; a failed build is tried again."""
+        if self._prepared:
+            return
+        dt = self.config.dt_acoustic
+        with _TRACER.span("dyncore.prepare"), _jit.batch():
+            for r in self.ranks:
+                for call in (
+                    *self.acoustics.programs(r, dt),
+                    self._tracer_program(r),
+                    self._remap_program(r),
+                ):
+                    call.func.bind(*call.args)
+        self._prepared = True
+
     def step_dynamics(self) -> None:
         """Advance the model by one physics time step (Fig. 2 outer box).
 
@@ -270,6 +294,10 @@ class DynamicalCore:
     def _remapping_step(self, dt_remap: float) -> None:
         cfg = self.config
         run = self.executor.run
+        # a no-op after the first time; here, so that a build that fails
+        # is a fault of the step like any other (rolled back and retried
+        # under ``resilience=``)
+        self.prepare()
         # snapshot δp for the tracer transport (consistent bracketing)
         for r in self.ranks:
             self._delp_start[r][:] = self.states[r].delp
@@ -293,6 +321,24 @@ class DynamicalCore:
             self.halo.comm.drain()
             raise
 
+    def _tracer_program(self, r: int) -> partial:
+        """The tracer advection of rank ``r`` on its arguments (what the
+        rank body calls and ``prepare`` binds)."""
+        work = self.acoustics.work[r]
+        return partial(
+            self.tracer_adv[r].__call__,
+            self.states[r].tracers, self._delp_start[r],
+            work.crx_adv, work.cry_adv, work.xfx_adv, work.yfx_adv,
+        )
+
+    def _remap_program(self, r: int) -> partial:
+        """The vertical remap of rank ``r`` on its arguments."""
+        state = self.states[r]
+        return partial(
+            self.remap[r].__call__,
+            state.delp, state.pt, state.delz, self._remapped_fields[r],
+        )
+
     def _advect_tracers_rank(self, r: int):
         """SPMD body: one fused halo exchange of δp_start plus every
         tracer (per-field tag slots), then this rank's advection."""
@@ -302,17 +348,10 @@ class DynamicalCore:
         halo.advance(hx)
         yield  # peers post phase 1
         halo.finish_scalars(hx)
-        work = self.acoustics.work[r]
-        self.tracer_adv[r](
-            self.states[r].tracers, self._delp_start[r],
-            work.crx_adv, work.cry_adv, work.xfx_adv, work.yfx_adv,
-        )
+        self._tracer_program(r)()
 
     def _vertical_remap_rank(self, r: int) -> None:
-        state = self.states[r]
-        self.remap[r](
-            state.delp, state.pt, state.delz, self._remapped_fields[r]
-        )
+        self._remap_program(r)()
 
     # ------------------------------------------------------------------
     # diagnostics

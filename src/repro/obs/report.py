@@ -169,7 +169,8 @@ def _runtime_lines() -> List[str]:
             f"jit: {jt['engine']} engine, {jt['kernels_requested']} kernels "
             f"requested = {jt['kernels_built']} built + "
             f"{jt['kernels_reused']} reused; {jt['compiles']} translation "
-            f"units compiled ({jt['compile_seconds']:.3f}s blocked), "
+            f"units compiled in {jt['builds']} builds "
+            f"({jt['compile_seconds']:.3f}s blocked), "
             f"{jt['disk_hits']} objects opened from disk"
         )
     rk = rt.get("ranks", {})

@@ -40,7 +40,6 @@ becomes another template.
 from __future__ import annotations
 
 import ast
-import os
 import threading
 import types
 import weakref
@@ -48,6 +47,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.dsl import backends as _backends
 from repro.dsl.backend_numpy import GridBounds
 from repro.dsl.stencil import StencilObject
 from repro.obs import tracer as _obs
@@ -57,6 +57,7 @@ from repro.orchestration.closure import (
     get_function_ast,
 )
 from repro.orchestration.preprocessor import preprocess_function, try_const_eval
+from repro.resilience import chaos as _chaos
 from repro.runtime import compile_cache as _cache
 from repro.sdfg.analysis import memory_footprint
 from repro.sdfg.graph import SDFG, SDFGState
@@ -219,6 +220,17 @@ class _Template:
         #: codegen flags → compiled plan, shared by every binding
         self._plans: Dict[str, Any] = {}
         self._lock = threading.Lock()
+        self._kernel_outputs: Optional[tuple] = None
+
+    def kernel_outputs(self) -> tuple:
+        """``(label, names of the containers it writes)`` per kernel, in
+        program order (where an injected ``stencil.nanflip`` can land)."""
+        if self._kernel_outputs is None:
+            self._kernel_outputs = tuple(
+                (kernel.label, tuple(kernel.written_fields()))
+                for kernel in self.sdfg.all_kernels()
+            )
+        return self._kernel_outputs
 
     def plan(self, instrument: bool, backend: str):
         flags = _cache.codegen_flags(instrument, backend)
@@ -271,17 +283,20 @@ class _Template:
 
 class _Binding:
     """One program instance bound to a template for one set of call
-    arguments: the arrays its containers resolve to and the plan to call.
-    ``held`` keeps the arguments alive so the ids in the binding's key
-    cannot be recycled."""
+    arguments: the arrays its containers resolve to, the plan to call and
+    the backend that plan was asked of (``None``: no plan yet). ``held``
+    keeps the arguments alive so the ids in the binding's key cannot be
+    recycled."""
 
-    __slots__ = ("template", "arrays", "plan", "held")
+    __slots__ = ("template", "arrays", "plan", "held", "backend")
 
-    def __init__(self, template: _Template, arrays, plan, held):
+    def __init__(self, template: _Template, arrays, held,
+                 plan=None, backend: Optional[str] = None):
         self.template = template
         self.arrays = arrays
-        self.plan = plan
         self.held = held
+        self.plan = plan
+        self.backend = backend
 
 
 class _Builder:
@@ -1007,8 +1022,9 @@ class OrchestratedProgram:
         self._bindings: Dict[tuple, _Binding] = {}
         self._binding: Optional[_Binding] = None
         #: sticky codegen flags: once instrumented (or pinned to a
-        #: backend), bindings made for new argument identities compile
-        #: the same way instead of silently dropping them
+        #: backend by ``compile``), bindings made for new argument
+        #: identities compile the same way instead of silently dropping
+        #: them
         self._instrument = False
         self._backend: Optional[str] = None
         #: parameter names, read once — every call needs them to find the
@@ -1048,7 +1064,7 @@ class OrchestratedProgram:
         """
         template, arrays = self._trace(args, kwargs)
         self._binding = self._bindings[self._key(args, kwargs)] = _Binding(
-            template, arrays, None, (args, kwargs)
+            template, arrays, (args, kwargs)
         )
         return template.sdfg
 
@@ -1058,36 +1074,46 @@ class OrchestratedProgram:
 
         Both flags are sticky: a binding made for new argument identities
         compiles with the same instrumentation and backend, so kernel
-        timing attribution survives across specializations. The backend
-        resolves explicit argument > previous sticky choice >
-        ``REPRO_BACKEND=compiled`` > NumPy emission; a compiled request
-        without a usable JIT engine degrades (warn once) to NumPy.
+        timing attribution survives across specializations. Without a
+        ``backend`` pinned here a program follows the DSL's default
+        backend (:meth:`_backend_wanted`); a compiled request without a
+        usable JIT engine degrades (warn once) to NumPy.
         """
         if self._binding is None:
             raise OrchestrationError("build() the program first")
         self._instrument = bool(self._instrument or instrument)
-        self._binding.plan = self._plan(self._binding.template, backend)
-        return self._binding.plan
+        if backend is not None:
+            self._backend = backend
+        return self._replan(self._binding).plan
 
-    def _plan(self, template: _Template, backend: Optional[str] = None):
+    def _backend_wanted(self) -> str:
+        """``"compiled"`` or ``"numpy"``: what ``compile`` pinned, else
+        what the DSL's default backend is *now* — ``REPRO_BACKEND`` sets
+        it for the process, ``ForecastService`` switches it per attempt.
+        Programs have two emissions; under any backend but ``compiled``
+        they run the NumPy one."""
+        if self._backend is not None:
+            return self._backend
+        if _backends.current_default_backend() == "compiled":
+            return "compiled"
+        return "numpy"
+
+    def _replan(self, binding: _Binding) -> _Binding:
+        """Give ``binding`` the plan of the backend wanted now."""
         from repro.dsl.backend_compiled import _warn_once
         from repro.runtime import jit
 
-        resolved = backend or self._backend
-        if resolved is None:
-            env = os.environ.get("REPRO_BACKEND", "").strip()
-            resolved = "compiled" if env == "compiled" else "numpy"
+        wanted = resolved = self._backend_wanted()
         if resolved == "compiled" and not jit.available():
             _warn_once("no JIT engine: numba not installed and no C compiler")
             resolved = "numpy"
         try:
-            plan = template.plan(self._instrument, resolved)
+            plan = binding.template.plan(self._instrument, resolved)
         except jit.JitUnavailableError as exc:
             _warn_once(str(exc))
-            resolved = "numpy"
-            plan = template.plan(self._instrument, resolved)
-        self._backend = resolved
-        return plan
+            plan = binding.template.plan(self._instrument, "numpy")
+        binding.plan, binding.backend = plan, wanted
+        return binding
 
     def _bind(self, args, kwargs) -> _Binding:
         """Bind this instance to a published template, or trace it (one
@@ -1104,7 +1130,7 @@ class OrchestratedProgram:
                 self.optimize,
             ))
         if family is None:  # REPRO_COMPILE_CACHE=0, or a closure
-            return _Binding(*self._trace_and_compile(args, kwargs), held)
+            return self._trace_and_compile(args, kwargs)
         bound = dict(zip(self._parameters(), args))
         bound.update(kwargs)
         binding = self._match(family.templates, bound, held)
@@ -1113,9 +1139,8 @@ class OrchestratedProgram:
                 # another rank thread may have published while we waited
                 binding = self._match(family.templates, bound, held)
                 if binding is None:
-                    template, arrays, plan = self._trace_and_compile(
-                        args, kwargs
-                    )
+                    binding = self._trace_and_compile(args, kwargs)
+                    template, arrays = binding.template, binding.arrays
                     # bound like every later instance; a trace whose reads
                     # do not replay onto its own instance stays private
                     rebound = template.bind(self.instance, bound)
@@ -1123,16 +1148,14 @@ class OrchestratedProgram:
                         rebound[name] is arrays[name] for name in arrays
                     ):
                         family.publish(template)
-                        arrays = rebound
-                    binding = _Binding(template, arrays, plan, held)
+                        binding.arrays = rebound
         return binding
 
-    def _trace_and_compile(self, args, kwargs):
+    def _trace_and_compile(self, args, kwargs) -> _Binding:
         with _TRACER.span("orchestrate.build"):
             template, arrays = self._trace(args, kwargs)
         with _TRACER.span("orchestrate.compile"):
-            plan = self._plan(template)
-        return template, arrays, plan
+            return self._replan(_Binding(template, arrays, (args, kwargs)))
 
     def _match(self, templates, bound, held) -> Optional[_Binding]:
         if not templates:
@@ -1142,9 +1165,7 @@ class OrchestratedProgram:
                 arrays = template.bind(self.instance, bound)
                 if arrays is not None:
                     _cache.note_bind()
-                    return _Binding(
-                        template, arrays, self._plan(template), held
-                    )
+                    return self._replan(_Binding(template, arrays, held))
         return None
 
     @staticmethod
@@ -1211,15 +1232,29 @@ class OrchestratedProgram:
             nbytes, nkernels = bytes_by_label.get(label, (0, 1))
             child.add("bytes", dc * (nbytes // max(nkernels, 1)))
 
-    def __call__(self, *args, **kwargs):
+    def _bound(self, args, kwargs) -> _Binding:
         key = self._key(args, kwargs)
         binding = self._bindings.get(key)
         if binding is None:
             binding = self._bindings[key] = self._bind(args, kwargs)
         self._binding = binding
-        if binding.plan is None:  # build() without compile()
+        if binding.backend != self._backend_wanted():
+            # build() without compile(), or the default backend has been
+            # switched since this binding was planned
             with _TRACER.span("orchestrate.compile"):
                 self.compile(instrument=_TRACER.enabled)
+        return binding
+
+    def bind(self, *args, **kwargs) -> None:
+        """Everything a call with these arguments does before it runs
+        anything: match a published template or trace one, lower it, and
+        ask the JIT for its kernels — inside a ``jit.batch()`` without
+        waiting for them. The call itself then finds the binding made.
+        Kernels an earlier request failed to get are asked for again."""
+        self._bound(args, kwargs).plan.request()
+
+    def __call__(self, *args, **kwargs):
+        binding = self._bound(args, kwargs)
         template, plan = binding.template, binding.plan
         scalars = dict(template.sdfg.scalars)
         if template.runtime_scalars:
@@ -1229,11 +1264,11 @@ class OrchestratedProgram:
                 if name in bound:
                     scalars[name] = float(bound[name])
         if not _TRACER.enabled:
-            plan(arrays=binding.arrays, scalars=scalars)
+            self._run(binding, scalars)
             return
         with _TRACER.span(f"program.{self.label}") as sp:
             before = dict(plan.kernel_times) if plan.instrument else None
-            plan(arrays=binding.arrays, scalars=scalars)
+            self._run(binding, scalars)
             if before is not None:
                 self._record_kernel_spans(sp, before)
             # scratch the program drew from the arena — the slab, the
@@ -1245,6 +1280,18 @@ class OrchestratedProgram:
             sp.add("transient_bytes", footprint["transient"])
             sp.add("slab_bytes", plan.runtime_bytes)
             sp.add("values", len(plan.plan_offsets))
+
+    def _run(self, binding: _Binding, scalars: Dict[str, float]) -> None:
+        arrays = binding.arrays
+        binding.plan(arrays=arrays, scalars=scalars)
+        if _chaos._PLAN is not None:
+            # a stencil traced into a program is no ``StencilObject``
+            # call; the fault such a call can be injected with is
+            # injected here, kernel by kernel, once the program has run
+            for label, written in binding.template.kernel_outputs():
+                _chaos.maybe_nanflip(
+                    label, {n: arrays[n] for n in written if n in arrays}
+                )
 
     @property
     def kernel_times(self):

@@ -364,27 +364,25 @@ def maybe_poison(buf: np.ndarray) -> None:
         buf.fill(np.nan)
 
 
-def maybe_nanflip(definition, fields: Dict[str, np.ndarray]) -> None:
-    """``stencil.nanflip``: write one NaN into a stencil output field."""
+def maybe_nanflip(name: str, outputs: Dict[str, np.ndarray]) -> None:
+    """``stencil.nanflip``: write one NaN into one of the arrays that
+    stencil ``name`` — called, or run as a kernel of an orchestrated
+    program — has written."""
     plan = _PLAN
     if plan is None:
         return
-    targets = [
-        name
-        for name in definition.written_fields()
-        if name in fields and fields[name].dtype.kind == "f"
-    ]
+    targets = [n for n, arr in outputs.items() if arr.dtype.kind == "f"]
     if not targets:
         return
-    fault = plan.consult("stencil.nanflip", stencil=definition.name)
+    fault = plan.consult("stencil.nanflip", stencil=name)
     if fault is None:
         return
     rng = plan.rng("stencil.nanflip.index")
-    name = targets[rng.randrange(len(targets))]
-    arr = fields[name]
+    target = targets[rng.randrange(len(targets))]
+    arr = outputs[target]
     index = rng.randrange(arr.size)
     arr.flat[index] = np.nan
-    fault.detail["field"] = name
+    fault.detail["field"] = target
     fault.detail["index"] = index
 
 

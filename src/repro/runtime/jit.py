@@ -38,12 +38,30 @@ kernel in three steps:
    ``$TMPDIR/repro-jit-<uid>``): ``repro_k_<key>.so`` is a *name*, a
    symlink to the object file that holds the kernel, whichever program
    or process built it;
-3. the builder: the kernels still missing are split into at most as many
-   translation units as this process may use CPUs
-   (``os.sched_getaffinity``), balanced by source size, compiled
-   concurrently (one ``Popen`` each, then ``wait``), loaded, and
-   published — first the object ``repro_o_<hash of its keys>.so``, then
-   one name per kernel, each by an atomic rename.
+3. the builder: the kernels still missing are *recorded* in the calling
+   thread's :func:`batch` — asking for a kernel and waiting for it are
+   two steps, so a caller that knows all its programs
+   (``DynamicalCore.prepare``) asks for every kernel of every program
+   before the compiler starts once. When the thread's outermost batch
+   exits, everything recorded is split into at most as many translation
+   units as this process may use CPUs (``os.sched_getaffinity``; kernels
+   of different flag sets or preambles never share one), balanced by
+   source size, compiled concurrently (one ``Popen`` each, then
+   ``wait``), loaded, and published — first the object
+   ``repro_o_<hash of its keys>.so``, then one name per kernel, each by
+   an atomic rename. A request outside any batch is a batch of its own.
+   The batch is synchronous on purpose: its compilers already occupy
+   every CPU the process may use, so a background builder would have
+   nothing to overlap the wait with but the tracing that produced the
+   requests.
+
+What :func:`load_c` hands out is the kernel's slot in the table
+(``result()`` is the entry point). Outside a batch every slot has landed
+when the request returns; inside one it lands when the batch exits, and a
+wait before that builds what the batch has recorded so far instead of
+deadlocking on itself. A batch whose block raises builds nothing and
+fails what it recorded: those slots leave the table and keep their error,
+so whoever still holds one (a cached plan) asks again.
 
 Everything written goes through a pid-suffixed temporary name (sources
 too: a name shared between processes is only ever the target of a
@@ -56,7 +74,8 @@ raises :class:`JitCompileError` naming its kernels and leaves no object
 or name behind; units built beside it are kept.
 
 :func:`stats` counts kernels (``kernels_requested`` = ``kernels_built``
-+ ``kernels_reused``, the latter from the table or from disk),
++ ``kernels_reused``, the latter from the table or from disk), entries
+into the builder (``builds``: one per batch that had anything missing),
 translation units (``compiles``), object files opened without building
 (``disk_hits``) and the wall seconds callers were blocked on the builder
 (``compile_seconds`` — wall, not the sum over concurrent compilers). They
@@ -66,6 +85,7 @@ productivity argument needs to be honest about.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -76,7 +96,9 @@ import tempfile
 import threading
 import time
 import warnings
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import (
+    Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 __all__ = [
     "JitCacheWarning",
@@ -87,6 +109,7 @@ __all__ = [
     "SYMBOL",
     "engine_name",
     "available",
+    "batch",
     "load_c",
     "compile_py",
     "default_threads",
@@ -113,6 +136,7 @@ _ZERO_COUNTS: Dict[str, float] = {
     "kernels_requested": 0,
     "kernels_built": 0,
     "kernels_reused": 0,
+    "builds": 0,
     "compiles": 0,
     "compile_seconds": 0.0,
     "disk_hits": 0,
@@ -330,11 +354,14 @@ class KernelSource(NamedTuple):
 
 class _Flight:
     """The slot of one kernel in the process-wide table: whoever creates
-    it resolves the kernel, everybody else waits on it."""
+    it resolves the kernel, everybody else waits on it. It is what a
+    request hands out; one that failed (``error``) has left the table and
+    stays failed — its holder asks for the kernel again."""
 
-    __slots__ = ("done", "value", "error")
+    __slots__ = ("key", "done", "value", "error")
 
-    def __init__(self) -> None:
+    def __init__(self, key: str) -> None:
+        self.key = key
         self.done = threading.Event()
         self.value: object = None
         self.error: Optional[BaseException] = None
@@ -344,7 +371,11 @@ class _Flight:
         self.done.set()
 
     def result(self) -> object:
-        self.done.wait()
+        if not self.done.is_set():
+            # own claims before anybody else's: a wait inside a batch
+            # first builds what the batch has recorded so far
+            _flush()
+            self.done.wait()
         if self.error is not None:
             raise self.error
         return self.value
@@ -360,39 +391,50 @@ def _digest(*parts: str) -> str:
     return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()[:20]
 
 
-def _single_flight(
-    keys: Sequence[str],
-    produce: Callable[[List[int], List[_Flight]], None],
-) -> List[object]:
-    """The table's value for every key. Keys nobody has asked for yet are
-    claimed; ``produce(mine, flights)`` must ``resolve`` the flight of
-    every claimed index. What it leaves unresolved when it raises fails
-    with that error — for the threads waiting on it too — and is dropped
-    from the table, so that a later request tries again. A caller
-    finishes its own claims before it waits for anybody else's, so two
-    callers never wait for each other."""
+def _claim(keys: Sequence[str]) -> Tuple[List[_Flight], List[_Flight]]:
+    """The table's flight for every key, and those among them that
+    nobody had asked for yet: the caller's to resolve."""
     flights: List[_Flight] = []
-    mine: List[int] = []
+    mine: List[_Flight] = []
     with _LOCK:
         _COUNTS["kernels_requested"] += len(keys)
-        for n, key in enumerate(keys):
+        for key in keys:
             flight = _KERNELS.get(key)
             if flight is None:
-                flight = _KERNELS[key] = _Flight()
-                mine.append(n)
+                flight = _KERNELS[key] = _Flight(key)
+                mine.append(flight)
             else:
                 _COUNTS["kernels_reused"] += 1
             flights.append(flight)
+    return flights, mine
+
+
+def _fail(flights: Iterable[_Flight], exc: BaseException) -> None:
+    """Whatever ``flights`` still has unresolved fails with ``exc`` — for
+    the threads waiting on it too — and is dropped from the table, so
+    that a later request tries again."""
+    with _LOCK:
+        for flight in flights:
+            if not flight.done.is_set():
+                del _KERNELS[flight.key]
+                flight.error = exc
+                flight.done.set()
+
+
+def _single_flight(
+    keys: Sequence[str], produce: Callable[[List[_Flight]], None],
+) -> List[object]:
+    """The table's value for every key. Keys nobody has asked for yet are
+    claimed; ``produce(mine)`` must ``resolve`` every claimed flight.
+    What it leaves unresolved when it raises fails with that error
+    (:func:`_fail`). A caller finishes its own claims before it waits for
+    anybody else's, so two callers never wait for each other."""
+    flights, mine = _claim(keys)
     if mine:
         try:
-            produce(mine, flights)
+            produce(mine)
         except BaseException as exc:
-            with _LOCK:
-                for n in mine:
-                    if not flights[n].done.is_set():
-                        del _KERNELS[keys[n]]
-                        flights[n].error = exc
-                        flights[n].done.set()
+            _fail(mine, exc)
             raise
     return [flight.result() for flight in flights]
 
@@ -495,21 +537,58 @@ def _build_width() -> int:
         return os.cpu_count() or 1
 
 
-def _batches(todo: List[tuple]) -> List[List[tuple]]:
-    """Split the ``(symbol, kernel, flight)`` items into at most
-    :func:`_build_width` translation units of about equal source size
-    (largest first onto the lightest). One unit per kernel would pay the
-    compiler's fixed start-up cost per kernel, one unit in all would
-    leave CPUs idle."""
-    bins: List[List[tuple]] = [
-        [] for _ in range(min(_build_width(), len(todo)))
-    ]
-    load = [0] * len(bins)
-    for item in sorted(todo, key=lambda item: -len(item[1].source)):
-        lightest = load.index(min(load))
-        bins[lightest].append(item)
-        load[lightest] += len(item[1].source)
-    return [sorted(batch) for batch in bins]  # by symbol: a stable name
+class _Request(NamedTuple):
+    """One kernel a batch claimed and did not find on disk."""
+
+    directory: str
+    #: compiler and flags
+    command: Tuple[str, ...]
+    preamble: str
+    kernel: KernelSource
+    flight: _Flight
+
+    @property
+    def symbol(self) -> str:
+        return "repro_k_" + self.flight.key
+
+    @property
+    def group(self) -> tuple:
+        """What two requests must share to share a translation unit."""
+        return self.directory, self.command, self.preamble
+
+
+def _units(requests: List[_Request]) -> List[List[_Request]]:
+    """Split the requests into translation units. Only kernels of one
+    directory, command line and preamble can share a unit; every such
+    group gets one, and the CPUs :func:`_build_width` leaves over go, one
+    by one, to the group with the most source per unit. Inside a group
+    the units are of about equal source size (largest kernel first onto
+    the lightest). One unit per kernel would pay the compiler's fixed
+    start-up cost per kernel, one unit in all would leave CPUs idle."""
+    groups: Dict[tuple, List[_Request]] = {}
+    for request in requests:
+        groups.setdefault(request.group, []).append(request)
+    size = {
+        group: sum(len(r.kernel.source) for r in members)
+        for group, members in groups.items()
+    }
+    count = dict.fromkeys(groups, 1)
+    for _ in range(_build_width() - len(groups)):
+        splittable = [g for g in groups if count[g] < len(groups[g])]
+        if not splittable:
+            break
+        count[max(splittable, key=lambda g: size[g] / count[g])] += 1
+    units: List[List[_Request]] = []
+    for group, members in groups.items():
+        bins: List[List[_Request]] = [[] for _ in range(count[group])]
+        load = [0] * len(bins)
+        for request in sorted(members, key=lambda r: -len(r.kernel.source)):
+            lightest = load.index(min(load))
+            bins[lightest].append(request)
+            load[lightest] += len(request.kernel.source)
+        # by symbol: the object's name does not depend on request order
+        units += [sorted(unit, key=lambda r: r.symbol) for unit in bins]
+    return units
 
 
 def _open_object(path: str, built: bool = False) -> ctypes.CDLL:
@@ -568,16 +647,60 @@ def _typed(cfn, kernel: KernelSource):
     return cfn
 
 
+#: ``requests``: what this thread's open batch has recorded, if one is open
+_OPEN = threading.local()
+
+
+@contextlib.contextmanager
+def batch():
+    """Ask for kernels now, wait for the compiler once: inside the block
+    :func:`load_c` claims its kernels, takes what the store holds and
+    *records* the rest; when the thread's outermost batch exits, all of
+    it is built together (:func:`_build`) and the flights resolve. If
+    the block raises, nothing is built and every recorded kernel fails
+    with that exception — for the threads waiting on one too."""
+    if getattr(_OPEN, "requests", None) is not None:
+        yield  # nested: the outermost batch builds
+        return
+    requests: List[_Request] = []
+    _OPEN.requests = requests
+    try:
+        yield
+        _flush()
+    except BaseException as exc:
+        _fail((r.flight for r in requests), exc)
+        raise
+    finally:
+        _OPEN.requests = None
+
+
+def _flush() -> None:
+    """Build what this thread's open batch has recorded so far: the batch
+    is over, or a kernel is waited for before it is."""
+    requests = getattr(_OPEN, "requests", None)
+    if requests:
+        todo = requests[:]
+        del requests[:]
+        try:
+            _build(todo)
+        except BaseException as exc:
+            _fail((r.flight for r in todo), exc)
+            raise
+
+
 def load_c(
     kernels: Sequence[KernelSource], preamble: str,
     want_openmp: bool = False,
-) -> List[object]:
-    """The ctypes entry point of every kernel, in order.
+) -> List[_Flight]:
+    """The flight of every kernel, in order; its ``result()`` is the
+    ctypes entry point.
 
     Kernels are looked up in the process-wide table, then in the disk
-    store; what is still missing is compiled in concurrent batches,
-    loaded and published (module docstring). Two requests for the same
-    text get the same function object, whoever made them.
+    store; what is still missing joins the thread's :func:`batch` (a
+    request outside one is a batch of its own) and is compiled when that
+    exits (module docstring). Outside a batch every flight returned has
+    landed — or the request raises what failed it. Two requests for the
+    same text get the same flight, whoever made them.
     """
     cc = _find_cc()
     if cc is None:
@@ -593,68 +716,87 @@ def load_c(
         flags.append("-fopenmp")
     salt = _digest(preamble, identity, _cpu_features(), *flags)
     keys = [_digest(salt, kernel.source) for kernel in kernels]
-    symbols = ["repro_k_" + key for key in keys]
+    source_of = dict(zip(keys, kernels))
+    with batch():
+        flights, mine = _claim(keys)
+        try:
+            directory = jit_dir()
+            missing = []
+            for flight in mine:
+                kernel = source_of[flight.key]
+                cfn = _from_disk(directory, "repro_k_" + flight.key)
+                if cfn is None:
+                    missing.append(_Request(
+                        directory, (cc, *flags), preamble, kernel, flight
+                    ))
+                else:
+                    flight.resolve(_typed(cfn, kernel))
+            _count(kernels_reused=len(mine) - len(missing))
+        except BaseException as exc:
+            _fail(mine, exc)
+            raise
+        _OPEN.requests.extend(missing)
+    if _OPEN.requests is None:
+        # own claims are built; now everybody else's
+        for flight in flights:
+            flight.result()
+    return flights
 
-    def produce(mine: List[int], flights: List[_Flight]) -> None:
-        directory = jit_dir()
-        todo = []
-        for n in mine:
-            cfn = _from_disk(directory, symbols[n])
-            if cfn is None:
-                todo.append((symbols[n], kernels[n], flights[n]))
-            else:
-                flights[n].resolve(_typed(cfn, kernels[n]))
-        _count(kernels_reused=len(mine) - len(todo))
-        if todo:
-            _build(directory, [cc, *flags], preamble, todo)
 
-    return _single_flight(keys, produce)
-
-
-def _build(directory: str, command: List[str], preamble: str,
-           todo: List[tuple]) -> None:
-    """Compile the ``(symbol, kernel, flight)`` items in concurrent
-    batches; load and publish every batch that compiled, then raise for
-    those that did not."""
+def _build(requests: List[_Request]) -> None:
+    """Compile the requests as concurrent translation units
+    (:func:`_units`); load and publish every unit that compiled, then
+    raise for those that did not — each of which fails its own kernels
+    with an error that names them."""
+    # (a claim that failed while its batch went on is nobody's any more)
+    requests = [r for r in requests if not r.flight.done.is_set()]
+    if not requests:
+        return
     t0 = time.perf_counter()
+    _count(builds=1)
     pid = os.getpid()
     running = []
     failed: List[str] = []
     try:
-        for batch in _batches(todo):
+        for unit in _units(requests):
+            directory, command, preamble = unit[0].group
             base = os.path.join(
-                directory, "repro_o_" + _digest(*(item[0] for item in batch))
+                directory, "repro_o_" + _digest(*(r.symbol for r in unit))
             )
             with open(f"{base}.tmp{pid}.c", "w") as fh:
                 fh.write(preamble)
-                for symbol, kernel, _ in batch:
+                for request in unit:
                     fh.write("\n")
-                    fh.write(kernel.source.replace(SYMBOL, symbol))
+                    fh.write(
+                        request.kernel.source.replace(SYMBOL, request.symbol)
+                    )
             running.append((subprocess.Popen(
                 [*command, f"{base}.tmp{pid}.c", "-o", f"{base}.so.tmp{pid}",
                  "-lm"],
                 stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-            ), batch, base))
-        for proc, batch, base in running:
+            ), unit, base))
+        for proc, unit, base in running:
             _, stderr = proc.communicate()
             # the source stays for inspection; it is complete, so it may
             # take the name other processes read
             os.replace(f"{base}.tmp{pid}.c", base + ".c")
             if proc.returncode != 0:
-                labels = ", ".join(kernel.label for _, kernel, _ in batch)
+                labels = ", ".join(r.kernel.label for r in unit)
                 failed.append(
-                    f"{command[0]} failed on generated source ({base}.c) "
-                    f"of kernels {labels}:\n"
+                    f"{unit[0].command[0]} failed on generated source "
+                    f"({base}.c) of kernels {labels}:\n"
                     f"{stderr.decode(errors='replace')}"
                 )
+                _fail((r.flight for r in unit), JitCompileError(failed[-1]))
                 continue
             os.replace(f"{base}.so.tmp{pid}", base + ".so")
             lib = _open_object(base + ".so", built=True)
-            for symbol, kernel, flight in batch:
-                cfn = _typed(getattr(lib, symbol), kernel)
-                _publish(directory, symbol, os.path.basename(base) + ".so")
-                flight.resolve(cfn)
-            _count(compiles=1, kernels_built=len(batch))
+            objname = os.path.basename(base) + ".so"
+            for request in unit:
+                cfn = _typed(getattr(lib, request.symbol), request.kernel)
+                _publish(request.directory, request.symbol, objname)
+                request.flight.resolve(cfn)
+            _count(compiles=1, kernels_built=len(unit))
     finally:
         # an interrupted build leaves no compiler running, and neither
         # it nor a failed one leaks a partial file beside the store
@@ -695,7 +837,7 @@ def compile_py(source: str, func_name: str, parallel: bool = False):
         )
     parallel = parallel and engine == "numba"
 
-    def produce(mine: List[int], flights: List[_Flight]) -> None:
+    def produce(mine: List[_Flight]) -> None:
         namespace: Dict[str, object] = {"np": np, "__prange": range}
         t0 = time.perf_counter()
         if engine == "numba":
@@ -709,7 +851,7 @@ def compile_py(source: str, func_name: str, parallel: bool = False):
             fn = numba.njit(fn, fastmath=False, parallel=parallel, cache=False)
             _count(compiles=1, compile_seconds=time.perf_counter() - t0)
         _count(kernels_built=1)
-        flights[0].resolve(fn)
+        mine[0].resolve(fn)
 
     key = "py:" + _digest(engine, str(parallel), func_name, source)
     return _single_flight([key], produce)[0]

@@ -607,9 +607,6 @@ def fold_worker_reports(payloads: Sequence[Dict[str, object]]) -> None:
 def _default_start_method() -> str:
     import multiprocessing
 
-    method = os.environ.get("REPRO_PROC_START")
-    if method:
-        return method
     # fork is preferred: workers inherit the scenario registry, warm
     # in-memory caches and the import graph, so launch cost stays low
     return ("fork" if "fork" in multiprocessing.get_all_start_methods()

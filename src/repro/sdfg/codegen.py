@@ -928,6 +928,11 @@ class CompiledSDFG:
         finally:
             pool.release(slab)
 
+    def request(self) -> None:
+        """Ask again for whatever of this plan is built outside it and
+        failed to build (nothing here: NumPy emission is complete when it
+        is compiled; see ``CompiledPlan.request``)."""
+
     @property
     def kernel_times(self) -> Dict[str, Tuple[float, int]]:
         """Per-kernel (total seconds, invocation count) when instrumented."""

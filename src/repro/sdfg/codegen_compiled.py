@@ -53,7 +53,7 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import math
-import time
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -254,18 +254,22 @@ class _Lowerer:
 
     def _collect(self) -> None:
         kernel, sdfg = self.kernel, self.sdfg
-        names, scalars = set(), set()
+        #: in order of first use as the statements evaluate (reads, then
+        #: the target) — the stencil's order, whatever the containers
+        #: are called
+        names: Dict[str, None] = {}
+        scalars = set()
         for stmt, _ in kernel.statements():
-            names.add(stmt.target.name)
             for acc in expr_reads(stmt):
-                names.add(acc.name)
+                names[acc.name] = None
+            names[stmt.target.name] = None
             for e in filter(None, (stmt.value, stmt.mask)):
                 scalars.update(
                     n.name for n in walk_expr(e) if isinstance(n, ScalarRef)
                 )
         local = _local_arrays(kernel)
         n_fields = 0
-        for name in sorted(names):
+        for name in names:
             if name in local:
                 runtime, shape, origin = local[name]
                 param, axes, tag = f"t_{name}", "IJK", "d"
@@ -281,10 +285,10 @@ class _Lowerer:
                     isinstance(s, (int, np.integer)) and s > 0 for s in shape
                 ):
                     raise IneligibleKernel(f"non-concrete shape for {name!r}")
-                # positional, not named after the container: the same
-                # stencil on another field (a loop unrolled over the
-                # remapped fields) prints the same text and is the same
-                # kernel to the JIT store
+                # positional, neither named after the container nor
+                # ordered by its name: the same stencil on other fields
+                # (a loop unrolled over the remapped fields) prints the
+                # same text and is the same kernel to the JIT store
                 param, runtime, axes = f"f{n_fields}", name, desc.axes
                 n_fields += 1
                 origin = kernel.origin_of(name)
@@ -872,10 +876,17 @@ def _check_args(args, specs, label):
             )
 
 
-def _c_caller(cfn, unit: KernelUnit, threads: int):
+def _c_caller(entry, unit: KernelUnit, threads: int):
+    """``entry()`` is the kernel's entry point; it is asked for at the
+    first call, when whichever batch the kernel was requested in has been
+    built (``CompiledPlan._entry``)."""
     narr = len(unit.arg_specs)
+    cfn = None
 
     def call(*args):
+        nonlocal cfn
+        if cfn is None:
+            cfn = entry()
         _check_args(args[:narr], unit.arg_specs, unit.label)
         cargs = [arr.ctypes.data for arr in args[:narr]]
         cargs.extend(float(s) for s in args[narr:])
@@ -916,10 +927,11 @@ class CompiledPlan(CompiledSDFG):
         self.fallback_kernels: List[Tuple[str, str]] = []
         self.threads = jit.default_threads()
         self.engine: Optional[str] = None
-        #: the engine's entry point per unit; a kernel that another plan
-        #: of this process also contains is the same object in both
+        #: what the engine handed out per unit (the C engine: the
+        #: kernel's flight, which may still be in the builder's batch); a
+        #: kernel that another plan of this process also contains is the
+        #: same object in both
         self.kernel_functions: List = []
-        self.jit_seconds = 0.0
         super().__init__(sdfg, instrument=instrument)
         self._materialize()
 
@@ -955,33 +967,20 @@ class CompiledPlan(CompiledSDFG):
 
     # ------------------------------------------------------------------
     def _materialize(self) -> None:
-        """Ask the active JIT engine for every lowered unit's entry point
-        (it builds only what no program has asked for before) and bind
-        them into the driver's ``__K`` table."""
+        """Ask the active JIT engine for every lowered unit (it builds
+        only what no program has asked for before, and inside a
+        ``jit.batch()`` only when that exits) and bind the callers into
+        the driver's ``__K`` table."""
         engine = jit.engine_name()
         self.engine = engine
         funcs: List = []
-        t0 = time.perf_counter()
         if not self._units:
             pass
         elif engine == "cgen":
-            self.kernel_functions = jit.load_c(
-                [
-                    jit.KernelSource(
-                        u.label,
-                        print_c(u.tree),
-                        (ctypes.c_void_p,) * len(u.arg_specs)
-                        + (ctypes.c_double,) * len(u.tree.scalars)
-                        + (ctypes.c_int64,),
-                    )
-                    for u in self._units
-                ],
-                _C_PREAMBLE,
-                want_openmp=self.threads > 1,
-            )
+            self._request_c()
             funcs = [
-                _c_caller(cfn, unit, self.threads)
-                for cfn, unit in zip(self.kernel_functions, self._units)
+                _c_caller(partial(self._entry, index), unit, self.threads)
+                for index, unit in enumerate(self._units)
             ]
         elif engine in ("numba", "pyloops"):
             parallel = engine == "numba" and self.threads > 1
@@ -998,8 +997,39 @@ class CompiledPlan(CompiledSDFG):
                 "compiled backend requires a JIT engine (numba, a C "
                 "compiler, or REPRO_JIT=pyloops); none is available"
             )
-        self.jit_seconds = time.perf_counter() - t0
         self._program.__globals__["__K"] = funcs
+
+    def _request_c(self) -> None:
+        self.kernel_functions = jit.load_c(
+            [
+                jit.KernelSource(
+                    u.label,
+                    print_c(u.tree),
+                    (ctypes.c_void_p,) * len(u.arg_specs)
+                    + (ctypes.c_double,) * len(u.tree.scalars)
+                    + (ctypes.c_int64,),
+                )
+                for u in self._units
+            ],
+            _C_PREAMBLE,
+            want_openmp=self.threads > 1,
+        )
+
+    def request(self) -> None:
+        """Ask again for the kernels of a request that failed before they
+        were built — the batch they were recorded in raised, or the
+        compiler rejected their unit. The plan is in the compile caches
+        by then and outlives the failure; its failed flights have left
+        the JIT's table and never resolve."""
+        if self.engine == "cgen" and any(
+            flight.error is not None for flight in self.kernel_functions
+        ):
+            self._request_c()
+
+    def _entry(self, index: int):
+        """The C entry point of unit ``index``, for its first call."""
+        self.request()
+        return self.kernel_functions[index].result()
 
 
 def compile_sdfg_compiled(sdfg, instrument: bool = False) -> CompiledPlan:

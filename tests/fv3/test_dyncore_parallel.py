@@ -105,6 +105,7 @@ def test_failed_section_leaves_no_messages_in_flight(workers):
     ex = ranks.RankExecutor(workers)
     try:
         core = DynamicalCore(CFG, executor=ex)
+        core.prepare()  # the stand-in below is no program to bind
         c_sw = core.acoustics.c_sw
         healthy = c_sw[0]
 

@@ -6,6 +6,7 @@ did not write)."""
 import numpy as np
 import pytest
 
+from repro.dsl import backends
 from repro.fv3 import constants
 from repro.fv3.stencils.remapping import hydrostatic_delz
 from repro.orchestration import Transient
@@ -64,7 +65,7 @@ def test_step_is_bit_identical_on_poisoned_scratch(backend, executor,
     """``pool.poison:p=1.0`` NaN-fills every buffer the arena hands out:
     a program that read a transient (or a scratch slot) before writing
     it would carry the NaN into the state."""
-    monkeypatch.setenv("REPRO_BACKEND", backend)
+    monkeypatch.setattr(backends, "_default_backend", backend)
     clean = _core(executor)
     try:
         clean.step_dynamics()
@@ -134,7 +135,7 @@ def test_arena_is_the_largest_plan_not_the_sum_of_the_plans(monkeypatch):
     buffer per shape or one slab per program."""
     stats, plans = _arena_after_two_steps(monkeypatch)
     slabs = [plan.runtime_bytes for plan in plans]
-    assert len(slabs) == 7 and min(slabs) > 0
+    assert len(slabs) == 8 and min(slabs) > 0
     assert stats["largest_slab_bytes"] == max(slabs)
     assert stats["high_water_bytes"] <= 1.1 * max(slabs)
     assert stats["high_water_bytes"] < 0.4 * sum(slabs)
@@ -169,10 +170,10 @@ def test_checkouts_of_a_step_follow_from_its_plans(monkeypatch):
         cfg = core.config
         ranks = core.partitioner.total_ranks
         substeps = cfg.k_split * cfg.n_split
-        # c_sw, Riemann, transport, momentum and damping per acoustic
-        # sub-step; tracers and the remap per remapping step — every one
-        # of them has scratch
-        assert len(calls) == ranks * (5 * substeps + 2 * cfg.k_split)
+        # c_sw, Riemann, transport, momentum, damping and the flux
+        # accumulation per acoustic sub-step; tracers and the remap per
+        # remapping step — every one of them has scratch
+        assert len(calls) == ranks * (6 * substeps + 2 * cfg.k_split)
         with_scratch = sum(1 for nbytes in calls if nbytes)
         assert with_scratch == len(calls)
         # one vector exchange per sub-step; a strip arriving from a tile
@@ -198,7 +199,7 @@ def test_poisoned_step_is_bit_identical_in_every_scenario(scenario, backend,
                                                           monkeypatch):
     """The other three scenarios of the registry on NaN-filled slabs
     (``baroclinic_wave`` is the test above)."""
-    monkeypatch.setenv("REPRO_BACKEND", backend)
+    monkeypatch.setattr(backends, "_default_backend", backend)
 
     def stepped():
         core = build_core(

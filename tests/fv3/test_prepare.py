@@ -1,0 +1,235 @@
+"""A core binds every program before its first step: what
+``DynamicalCore.prepare`` covers is what a step runs, and a cold start
+enters the C compiler once."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro.dsl import backends
+from repro.fv3.config import DynamicalCoreConfig
+from repro.run import build_core
+from repro.runtime import compile_cache as cc
+from repro.runtime import jit
+from repro.scenarios import available_scenarios, get_scenario
+
+SMALL = DynamicalCoreConfig(npx=12, npz=4, k_split=1, n_split=2)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_templates():
+    """Every test traces for itself: a program that ``prepare`` missed
+    cannot hide behind a template an earlier test published."""
+    cc.reset(clear=True)
+    yield
+    cc.reset(clear=True)
+
+
+def _finish(core):
+    core.finalize()
+    core.executor.shutdown()
+
+
+def _assert_same_state(core, clean):
+    for got, want in zip(core.states, clean.states):
+        np.testing.assert_array_equal(got.delp, want.delp)
+        np.testing.assert_array_equal(got.u, want.u)
+
+
+def _counts():
+    stats, jstats = cc.stats(), jit.stats()
+    return (stats["program_traces"], stats["program_binds"],
+            jstats["kernels_requested"], jstats["builds"])
+
+
+@pytest.mark.parametrize("layout", [1, 2])
+@pytest.mark.parametrize("scenario", available_scenarios())
+def test_a_prepared_core_steps_without_tracing_or_building(
+    scenario, layout, monkeypatch
+):
+    """After ``prepare()`` a step traces nothing, binds nothing, asks the
+    JIT for nothing and never enters the builder: a program left out of
+    the list ``prepare`` walks would show up here as a late trace."""
+    monkeypatch.setattr(backends, "_default_backend", "compiled")
+    core = build_core(
+        scenario, dataclasses.replace(SMALL, layout=layout),
+        executor="sequential",
+    )
+    try:
+        assert _counts()[:2] == (0, 0)  # constructing a core binds nothing
+        before = [s.delp.copy() for s in core.states]
+        core.prepare()
+        prepared = _counts()
+        ranks = core.partitioner.total_ranks
+        assert prepared[0] + prepared[1] == 8 * ranks
+        # ... and binding runs nothing
+        assert core.step_count == 0
+        for state, delp in zip(core.states, before):
+            np.testing.assert_array_equal(state.delp, delp)
+        core.prepare()  # idempotent
+        assert _counts() == prepared
+        core.step_dynamics()
+        assert _counts() == prepared
+    finally:
+        _finish(core)
+
+
+def test_a_failed_build_is_a_fault_of_the_step():
+    """``prepare`` runs inside the step: a compile that fails there is
+    rolled back and retried under ``resilience=`` like any fault of the
+    step, and without it the next step binds what is still missing."""
+    from repro.resilience import GuardConfig, ResilienceConfig, chaos
+    from repro.resilience.chaos import ChaosPlan
+    from repro.resilience.errors import InjectedCompileError
+
+    def core_failing_its_third_compile(**kwargs):
+        cc.reset(clear=True)
+        chaos.set_plan(ChaosPlan.from_spec("compile.fail@3"))
+        return build_core("baroclinic_wave", SMALL, executor="sequential",
+                          **kwargs)
+
+    clean = build_core("baroclinic_wave", SMALL, executor="sequential")
+    cores = [clean]
+    try:
+        clean.step_dynamics()
+        guarded = core_failing_its_third_compile(
+            resilience=ResilienceConfig(
+                guard=GuardConfig(policy="rollback"), max_retries=2
+            ),
+        )
+        cores.append(guarded)
+        guarded.step_dynamics()
+        bare = core_failing_its_third_compile()
+        cores.append(bare)
+        with pytest.raises(InjectedCompileError):
+            bare.step_dynamics()
+        assert bare.step_count == 0
+        bare.step_dynamics()
+        for core in (guarded, bare):
+            _assert_same_state(core, clean)
+    finally:
+        chaos.set_plan(None)
+        for core in cores:
+            _finish(core)
+
+
+@pytest.fixture()
+def empty_store(monkeypatch, tmp_path):
+    """The C engine on an empty kernel store, as a fresh process."""
+    monkeypatch.setenv("REPRO_JIT", "cgen")
+    jit.reset(engine=True)
+    if jit._find_cc() is None:
+        pytest.skip("no C compiler on this machine")
+    monkeypatch.setattr(backends, "_default_backend", "compiled")
+    monkeypatch.setenv("REPRO_JIT_DIR", str(tmp_path))
+    monkeypatch.setattr(jit, "_KERNELS", {})
+    monkeypatch.setattr(jit, "_OBJECTS", {})
+    yield tmp_path
+    monkeypatch.delenv("REPRO_JIT", raising=False)
+    jit.reset(engine=True)
+
+
+def test_a_batch_that_failed_is_built_by_the_retry(empty_store):
+    """On an empty store the third compile fails while the kernels of
+    the first two programs are recorded and unbuilt: their plans are in
+    the compile caches by then, holding flights that will never land.
+    The retry's ``prepare`` asks for those kernels again and builds
+    everything in its one batch."""
+    from repro.resilience import GuardConfig, ResilienceConfig, chaos
+    from repro.resilience.chaos import ChaosPlan
+
+    chaos.set_plan(ChaosPlan.from_spec("compile.fail@3"))
+    guarded = build_core(
+        "baroclinic_wave", SMALL, executor="sequential",
+        resilience=ResilienceConfig(
+            guard=GuardConfig(policy="rollback"), max_retries=2
+        ),
+    )
+    cores = [guarded]
+    try:
+        guarded.step_dynamics()
+        assert chaos.get_plan().counts() == {"compile.fail": 1}
+        chaos.set_plan(None)
+        stats = jit.stats()
+        # the failed attempt built nothing; the retry, all 79 requests
+        assert stats["builds"] == 1
+        assert (stats["kernels_built"], stats["kernels_reused"]) == (35, 44)
+        failed = stats["kernels_requested"] - 79
+        assert failed > 0  # kernels the failed batch had recorded
+        clean = build_core("baroclinic_wave", SMALL, executor="sequential")
+        cores.append(clean)
+        clean.step_dynamics()
+        assert jit.stats()["builds"] == 1
+        _assert_same_state(guarded, clean)
+    finally:
+        chaos.set_plan(None)
+        for core in cores:
+            _finish(core)
+
+
+def test_a_step_runs_once_the_compiler_takes_what_it_rejected(
+    empty_store, monkeypatch, tmp_path_factory
+):
+    """A compiler that rejects the batch's units fails ``prepare`` and
+    the flights of every cached plan; with the compiler mended the same
+    core's next step asks again, builds and runs."""
+    real = jit._find_cc()
+    bin_dir = tmp_path_factory.mktemp("bin")
+    broken = bin_dir / "broken"
+    wrapper = bin_dir / "pickycc"
+    wrapper.write_text(
+        "#!/bin/sh\n"
+        f'if [ -e {broken} ]; then case "$*" in *repro_o_*)\n'
+        '  echo "pickycc: rejected" >&2; exit 1;; esac; fi\n'
+        f'exec {real} "$@"\n'
+    )
+    wrapper.chmod(0o755)
+    monkeypatch.setenv("REPRO_CC", str(wrapper))
+    broken.touch()
+    core = build_core("baroclinic_wave", SMALL, executor="sequential")
+    cores = [core]
+    try:
+        with pytest.raises(jit.JitCompileError, match="pickycc: rejected"):
+            core.step_dynamics()
+        assert core.step_count == 0
+        assert jit.stats()["kernels_built"] == 0 and jit._KERNELS == {}
+        assert [p.name for p in empty_store.iterdir() if ".tmp" in p.name] \
+            == []
+        broken.unlink()
+        core.step_dynamics()
+        stats = jit.stats()
+        assert stats["builds"] == 2 and stats["kernels_built"] > 0
+        clean = build_core("baroclinic_wave", SMALL, executor="sequential")
+        cores.append(clean)
+        clean.step_dynamics()
+        assert jit.stats()["kernels_built"] == stats["kernels_built"]
+        _assert_same_state(core, clean)
+    finally:
+        for core in cores:
+            _finish(core)
+
+
+def test_a_cold_default_run_enters_the_builder_once(empty_store):
+    """The default c24 L10 configuration on an empty kernel store: all
+    8 programs' kernels go to the compiler together — at most one
+    translation unit per CPU — and the 79 kernels they ask for are 35
+    distinct texts (a stencil applied to differently named fields is one
+    kernel)."""
+    config = get_scenario("baroclinic_wave").default_config()
+    assert (config.npx, config.npz) == (24, 10)
+    core = build_core("baroclinic_wave", config, executor="sequential")
+    try:
+        core.prepare()
+        stats = jit.stats()
+        assert stats["builds"] == 1
+        assert 1 <= stats["compiles"] <= jit._build_width()
+        assert (stats["kernels_requested"], stats["kernels_built"],
+                stats["kernels_reused"]) == (79, 35, 44)
+        assert len(list(empty_store.glob("repro_o_*.so"))) \
+            == stats["compiles"]
+        core.step_dynamics()
+        assert jit.stats()["builds"] == 1
+        assert jit.stats()["kernels_requested"] == 79
+    finally:
+        _finish(core)

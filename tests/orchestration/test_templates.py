@@ -45,7 +45,7 @@ def _small(**changes) -> DynamicalCoreConfig:
 def _programs(core):
     """Every program instance of every rank that has been called."""
     ac = core.acoustics
-    modules = (ac.c_sw + ac.d_sw + ac.riemann + ac.transports
+    modules = (ac.c_sw + ac.d_sw + ac.riemann + ac.transports + ac.work
                + core.remap + core.tracer_adv)
     for module in modules:
         for name, value in vars(module).items():
@@ -67,8 +67,8 @@ def test_every_binding_equals_a_fresh_trace(scenario, layout):
     ranks = core.partitioner.total_ranks
     # sharing really happened: one trace per program and variant, the
     # other ranks bound
-    assert stats["program_traces"] == stats["templates"] <= 7 * layout**2
-    assert stats["program_traces"] + stats["program_binds"] == 7 * ranks
+    assert stats["program_traces"] == stats["templates"] <= 8 * layout**2
+    assert stats["program_traces"] + stats["program_binds"] == 8 * ranks
     checked = 0
     for program in _programs(core):
         for binding in program._bindings.values():
@@ -86,7 +86,7 @@ def test_every_binding_equals_a_fresh_trace(scenario, layout):
             for name, array in arrays.items():
                 assert binding.arrays[name] is array, (program.name, name)
             checked += 1
-    assert checked == 7 * ranks
+    assert checked == 8 * ranks
 
 
 # ---------------------------------------------------------------------------
@@ -106,21 +106,21 @@ def _step_counts(config):
 
 
 def test_equal_configuration_binds_everything():
-    assert _step_counts(_small()) == (7, 35)
-    assert _step_counts(_small()) == (0, 42)
+    assert _step_counts(_small()) == (8, 40)
+    assert _step_counts(_small()) == (0, 48)
 
 
 def test_folded_constant_retraces_only_its_readers():
     _step_counts(_small())
     # only DGridSolver.damp_fields folds config.d2_damp
-    assert _step_counts(_small(d2_damp=0.05)) == (1, 41)
-    assert cc.stats()["templates"] == 8
+    assert _step_counts(_small(d2_damp=0.05)) == (1, 47)
+    assert cc.stats()["templates"] == 9
 
 
 def test_different_npz_shares_nothing():
     _step_counts(_small())
-    assert _step_counts(_small(npz=5)) == (7, 35)
-    assert cc.stats()["templates"] == 14
+    assert _step_counts(_small(npz=5)) == (8, 40)
+    assert cc.stats()["templates"] == 16
 
 
 @stencil
@@ -324,8 +324,8 @@ def test_rank_threads_trace_each_program_once():
     threaded = run("baroclinic_wave", config, steps=1, executor="threads",
                    check=False)
     stats = cc.stats()
-    assert stats["program_traces"] == stats["templates"] == 7
-    assert stats["program_binds"] == 35
+    assert stats["program_traces"] == stats["templates"] == 8
+    assert stats["program_binds"] == 40
     assert all(len(f.templates) == 1 for f in cc._FAMILIES.values())
     cc.reset(clear=True)
     sequential = run("baroclinic_wave", config, steps=1,
@@ -333,6 +333,59 @@ def test_rank_threads_trace_each_program_once():
     for a, b in zip(threaded.members[0].states, sequential.members[0].states):
         for name in ("u", "v", "w", "pt", "delp", "delz"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_bind_then_call_traces_once_and_computes_what_a_call_computes():
+    """``bind`` is the first half of a call — match or trace, lower, ask
+    for kernels — and runs nothing; the call that follows finds the
+    binding made."""
+    box, q, out = Box(), np.arange(144.0).reshape(SHAPE), np.zeros(SHAPE)
+    box.combine.bind(q, out)
+    assert (cc.stats()["program_traces"], cc.stats()["program_binds"]) \
+        == (1, 0)
+    assert not out.any() and not box.tmp.any()
+    box.combine(q, out)
+    assert (cc.stats()["program_traces"], cc.stats()["program_binds"]) \
+        == (1, 0)
+    # what a program that was only ever called computes
+    cc.reset(clear=True)
+    direct = np.zeros(SHAPE)
+    Box().combine(q, direct)
+    assert out.tobytes() == direct.tobytes() and out.any()
+
+
+def test_a_program_follows_the_default_backend_until_compile_pins_one(
+    monkeypatch
+):
+    """A binding is re-planned when the DSL's default backend has changed
+    since it was made (what ``ForecastService`` switches per attempt);
+    both plans stay on the template, nothing is traced again, and a
+    backend given to ``compile`` holds whatever the default becomes."""
+    from repro.dsl import backends
+    from repro.runtime import jit
+    from repro.sdfg.codegen_compiled import CompiledPlan
+
+    if not jit.available():
+        pytest.skip("no JIT engine: compiled degrades to NumPy emission")
+    box, q, out = Box(), np.arange(144.0).reshape(SHAPE), np.zeros(SHAPE)
+    results = {}
+    for backend in ("numpy", "compiled", "numpy", "dataflow"):
+        monkeypatch.setattr(backends, "_default_backend", backend)
+        out[:] = 0.0
+        box.combine(q, out)
+        (binding,) = box.combine._bindings.values()
+        assert isinstance(binding.plan, CompiledPlan) \
+            == (backend == "compiled")
+        plan, answer = results.setdefault(
+            backend, (binding.plan, out.tobytes())
+        )
+        assert plan is binding.plan
+        assert out.tobytes() == answer == results["numpy"][1]
+    assert (cc.stats()["program_traces"], cc.stats()["program_binds"]) \
+        == (1, 0)
+    box.combine.compile(backend="compiled")
+    box.combine(q, out)
+    assert isinstance(binding.plan, CompiledPlan)
 
 
 def test_counters_merge_and_reset():

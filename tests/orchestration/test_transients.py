@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.dsl import Field, PARALLEL, computation, interval, stencil
+from repro.dsl import backends
 from repro.lint import lint_sdfg
 from repro.orchestration import OrchestrationError, orchestrate, transient
 from repro.runtime import compile_cache as cc
@@ -248,7 +249,7 @@ def _traced(name):
 
 @pytest.mark.parametrize("backend", ["numpy", "compiled"])
 def test_read_inside_what_was_written_needs_no_fill(backend, monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", backend)
+    monkeypatch.setattr(backends, "_default_backend", backend)
     program, q, out = _traced("inside")
     assert ".fill(0)" not in program._binding.plan.source
     assert lint_sdfg(program.sdfg) == []
@@ -262,7 +263,7 @@ def test_read_inside_what_was_written_needs_no_fill(backend, monkeypatch):
                                         ("unwritten", "S204")])
 def test_uncovered_read_is_reported_and_zero_filled(name, rule, backend,
                                                     monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", backend)
+    monkeypatch.setattr(backends, "_default_backend", backend)
     program, q, out = _traced(name)
     (transient_name,) = program.sdfg.transients()
     source = program._binding.plan.source

@@ -22,9 +22,16 @@ CFG = DynamicalCoreConfig(
 )
 
 #: drops one halo message, corrupts another, poisons one pool buffer and
-#: flips one NaN into a stencil output — all within a two-step run
+#: flips one NaN into a stencil's output — all within a two-step run.
+#: Inside a program ``stencil.nanflip`` is consulted once per kernel that
+#: writes a field of the program's caller: the 29th of a run is rank 0's
+#: first flux accumulation (six Riemann solves of three such kernels,
+#: then ten in rank 0's c_sw and d_sw programs); the 263rd is the same
+#: in the second step (216 a step, and 18 in the attempt the dropped
+#: message cut short): an output every element of which is read again,
+#: so the NaN cannot be absorbed by a halo update
 CHAOS_SPEC = (
-    "seed=7;halo.drop@40;halo.corrupt@11;pool.poison@3;stencil.nanflip@5"
+    "seed=7;halo.drop@40;halo.corrupt@11;pool.poison@3;stencil.nanflip@263"
 )
 
 ROLLBACK = ResilienceConfig(
@@ -98,7 +105,7 @@ def test_chaos_replay_is_deterministic(clean_run):
 def test_recovery_shows_in_obs_report(clean_run):
     import repro.obs as obs
 
-    plan = ChaosPlan.from_spec("seed=7;stencil.nanflip@5")
+    plan = ChaosPlan.from_spec("seed=7;stencil.nanflip@29")
     obs.enable()
     try:
         _run(plan, ROLLBACK, steps=1)
@@ -131,7 +138,7 @@ def test_retry_budget_exhaustion():
 
 
 def test_guard_policy_raise_fails_fast():
-    plan = ChaosPlan.from_spec("seed=7;stencil.nanflip@5")
+    plan = ChaosPlan.from_spec("seed=7;stencil.nanflip@29")
     chaos.set_plan(plan)
     res = ResilienceConfig(guard=GuardConfig(policy="raise"))
     core = DynamicalCore(CFG, resilience=res)
@@ -141,7 +148,7 @@ def test_guard_policy_raise_fails_fast():
 
 
 def test_guard_policy_warn_continues():
-    plan = ChaosPlan.from_spec("seed=7;stencil.nanflip@5")
+    plan = ChaosPlan.from_spec("seed=7;stencil.nanflip@29")
     chaos.set_plan(plan)
     res = ResilienceConfig(guard=GuardConfig(policy="warn"))
     core = DynamicalCore(CFG, resilience=res)

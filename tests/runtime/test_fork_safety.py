@@ -120,11 +120,11 @@ def test_jit_merge_stats_accumulates():
     jit.merge_stats({
         "compiles": 3, "compile_seconds": 0.5, "disk_hits": 2,
         "cache_repairs": 1, "kernels_requested": 7, "kernels_built": 4,
-        "kernels_reused": 3,
+        "kernels_reused": 3, "builds": 2,
     })
     after = jit.stats()
     for name, delta in (("kernels_requested", 7), ("kernels_built", 4),
-                        ("kernels_reused", 3)):
+                        ("kernels_reused", 3), ("builds", 2)):
         assert after[name] == before[name] + delta
     assert after["compiles"] == before["compiles"] + 3
     assert after["disk_hits"] == before["disk_hits"] + 2

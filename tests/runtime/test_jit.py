@@ -134,11 +134,11 @@ def store(forced_engine, tmp_path, monkeypatch):
     return tmp_path
 
 
-def _apply(cfn, values=(0.0, 0.0, 0.0, 0.0)):
+def _apply(flight, values=(0.0, 0.0, 0.0, 0.0)):
     import numpy as np
 
     x = np.array(values)
-    cfn(x.ctypes.data, len(x))
+    flight.result()(x.ctypes.data, len(x))
     return list(x)
 
 
@@ -380,6 +380,174 @@ def test_waiters_on_a_failed_build_fail_too_and_a_retry_builds(store):
     assert not any(t.is_alive() for t in threads)
     assert len(errors) == 4
     assert jit._KERNELS == {}
+
+
+# ---------------------------------------------------------------------------
+# batches: ask for everything, then wait once
+# ---------------------------------------------------------------------------
+
+
+def _unit_commands(commands):
+    """The command lines among ``commands`` that compile a translation
+    unit of kernels (not a flag probe)."""
+    return [c for c in commands if any("repro_o_" in arg for arg in c)]
+
+
+def test_a_batch_builds_all_its_requests_at_once(store, compilers):
+    """Requests made inside a batch are claimed and recorded; the builder
+    is entered once, when the batch exits, with the union."""
+    first = [_kernel(f"q{n}", f"x[i] += {n}") for n in range(3)]
+    second = [_kernel(f"q{n}", f"x[i] += {n}") for n in range(2, 6)]
+    with jit.batch():
+        a = jit.load_c(first, PREAMBLE)
+        b = jit.load_c(second, PREAMBLE)
+        assert a[2] is b[0]
+        assert not any(flight.done.is_set() for flight in a + b)
+        assert compilers.started == 0 and jit.stats()["builds"] == 0
+    assert [_apply(fn, (0.0,)) for fn in a + b[1:]] == \
+        [[float(n)] for n in range(6)]
+    stats = jit.stats()
+    assert stats["builds"] == 1
+    assert stats["compiles"] == compilers.started == min(jit._build_width(), 6)
+    assert (stats["kernels_requested"], stats["kernels_built"],
+            stats["kernels_reused"]) == (7, 6, 1)
+    assert len(list(store.glob("repro_k_*.so"))) == 6
+
+
+def test_nested_batches_build_once_at_the_outermost_exit(store):
+    inner_kernel, outer_kernel = (
+        _kernel(f"n{n}", f"x[i] += {n}") for n in (1, 2)
+    )
+    with jit.batch():
+        with jit.batch():
+            (inner,) = jit.load_c([inner_kernel], PREAMBLE)
+        assert not inner.done.is_set() and jit.stats()["builds"] == 0
+        (outer,) = jit.load_c([outer_kernel], PREAMBLE)
+    assert jit.stats()["builds"] == 1
+    assert _apply(inner, (0.0,)) == [1.0] and _apply(outer, (0.0,)) == [2.0]
+
+
+def test_a_wait_inside_a_batch_builds_what_is_recorded_so_far(store):
+    """Calling a kernel before its batch is over does not wait for the
+    batch — which would be waiting for oneself."""
+    early, late = (_kernel(f"w{n}", f"x[i] += {n}") for n in (1, 2))
+    with jit.batch():
+        (fn,) = jit.load_c([early], PREAMBLE)
+        assert _apply(fn, (0.0,)) == [1.0]
+        assert jit.stats()["builds"] == 1
+        (other,) = jit.load_c([late], PREAMBLE)
+        assert not other.done.is_set()
+    assert jit.stats()["builds"] == 2 and _apply(other, (0.0,)) == [2.0]
+
+
+def test_flag_sets_of_one_batch_do_not_share_a_unit(store, monkeypatch):
+    """Kernels asked for with and without OpenMP in one batch are built
+    side by side, each unit with its own flags — also on one CPU."""
+    cc = jit._find_cc()
+    if not jit._flag_works(cc, jit._cc_identity(cc), "-fopenmp"):
+        pytest.skip("the compiler has no OpenMP")
+    monkeypatch.setattr(jit.os, "sched_getaffinity", lambda pid: {0})
+    commands = _compile_commands(monkeypatch)
+    with jit.batch():
+        threaded = jit.load_c(
+            [_kernel(f"o{n}", f"x[i] += {n}") for n in range(2)], PREAMBLE,
+            want_openmp=True,
+        )
+        (serial,) = jit.load_c([_kernel("o2", "x[i] += 2")], PREAMBLE)
+    units = _unit_commands(commands)
+    assert sorted("-fopenmp" in unit for unit in units) == [False, True]
+    stats = jit.stats()
+    assert stats["builds"] == 1 and stats["compiles"] == 2
+    assert [_apply(fn, (0.0,)) for fn in (*threaded, serial)] == \
+        [[0.0], [1.0], [2.0]]
+
+
+def test_a_batch_whose_body_raises_fails_what_it_recorded(store):
+    """Nothing is built; a thread waiting on a recorded kernel gets the
+    body's exception instead of hanging; the kernel can be asked for
+    again."""
+    import time
+
+    recorded = threading.Event()
+    errors = []
+
+    def waiter():
+        recorded.wait(timeout=30)
+        try:
+            jit.load_c([ADD_ONE], PREAMBLE)
+        except RuntimeError as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=waiter)
+    thread.start()
+    with pytest.raises(RuntimeError, match="body failed"):
+        with jit.batch():
+            (flight,) = jit.load_c([ADD_ONE], PREAMBLE)
+            recorded.set()
+            deadline = time.monotonic() + 30
+            while jit.stats()["kernels_requested"] < 2:  # the waiter's
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            raise RuntimeError("body failed")
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert [str(exc) for exc in errors] == ["body failed"]
+    with pytest.raises(RuntimeError, match="body failed"):
+        flight.result()
+    assert jit._KERNELS == {} and jit.stats()["builds"] == 0
+    assert list(store.glob("repro_[ko]_*")) == []
+    (fn,) = jit.load_c([ADD_ONE], PREAMBLE)
+    assert _apply(fn) == [1.0] * 4 and jit.stats()["builds"] == 1
+
+
+def test_a_rejected_unit_fails_its_kernels_only_and_a_retry_builds(
+    store, monkeypatch, tmp_path_factory
+):
+    """A compiler that rejects one translation unit of a batch: that
+    unit's kernels fail with an error naming them, the other unit is
+    loaded and published, nothing half-written stays, and the rejected
+    kernels are asked for afresh."""
+    real = jit._find_cc()
+    wrapper = tmp_path_factory.mktemp("bin") / "pickycc"
+    wrapper.write_text(
+        "#!/bin/sh\n"
+        'for a in "$@"; do case "$a" in *.c)\n'
+        '  if grep -q reject_me "$a"; then\n'
+        '    echo "pickycc: rejected" >&2; exit 1; fi;;\n'
+        "esac; done\n"
+        f'exec {real} "$@"\n'
+    )
+    wrapper.chmod(0o755)
+    monkeypatch.setenv("REPRO_CC", str(wrapper))
+    monkeypatch.setattr(jit.os, "sched_getaffinity", lambda pid: {0, 1})
+    # largest first onto the lightest unit: {good}, {reject_me, bystander}
+    good = _kernel("good", "x[i] += 1.0 /* the longest of the three */")
+    bad = _kernel("reject_me", "x[i] += 2.0 /* second */")
+    bystander = _kernel("bystander", "x[i] += 3.0")
+    with pytest.raises(jit.JitCompileError, match="pickycc: rejected") as err:
+        with jit.batch():
+            (a,) = jit.load_c([good], PREAMBLE)
+            b, c = jit.load_c([bad, bystander], PREAMBLE)
+    # (a unit lists its kernels by symbol, which hashes the compiler's path)
+    assert "reject_me" in str(err.value) and "bystander" in str(err.value)
+    assert "good" not in str(err.value)
+    assert _apply(a, (0.0,)) == [1.0]
+    for flight in (b, c):
+        with pytest.raises(jit.JitCompileError, match="reject_me") as own:
+            flight.result()
+        assert "bystander" in str(own.value)
+    stats = jit.stats()
+    assert (stats["builds"], stats["compiles"], stats["kernels_built"]) \
+        == (1, 1, 1)
+    assert len(list(store.glob("repro_o_*.so"))) == 1
+    assert len(list(store.glob("repro_k_*.so"))) == 1
+    assert [n for n in os.listdir(store) if ".tmp" in n] == []
+    assert set(jit._KERNELS) == {a.key}
+    # a compiler that takes the unit: the same request builds it
+    wrapper.write_text(f'#!/bin/sh\nexec {real} "$@"\n')
+    b, c = jit.load_c([bad, bystander], PREAMBLE)
+    assert _apply(b, (0.0,)) == [2.0] and _apply(c, (0.0,)) == [3.0]
+    assert jit.stats()["builds"] == 2
 
 
 def test_primed_process_never_runs_a_compiler(store, monkeypatch):

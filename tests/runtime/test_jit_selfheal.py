@@ -41,8 +41,8 @@ OTHER = KERNEL._replace(label="add_two", source=SRC.replace("1.0", "2.0"))
 
 
 def _load(kernel=KERNEL):
-    (fn,) = jit.load_c([kernel], PREAMBLE)
-    return fn
+    (flight,) = jit.load_c([kernel], PREAMBLE)
+    return flight.result()
 
 
 _REAL_CDLL = ctypes.CDLL
@@ -174,7 +174,7 @@ def test_fresh_process_heals_corrupt_cache(cgen):
         f"    (fn,) = jit.load_c([jit.KernelSource('add_one', {SRC!r},\n"
         f"        (ctypes.c_void_p, ctypes.c_int64))], {PREAMBLE!r})\n"
         "x = np.zeros(3)\n"
-        "fn(x.ctypes.data, 3)\n"
+        "fn.result()(x.ctypes.data, 3)\n"
         "print(json.dumps({\n"
         "    'warned': [str(w.message) for w in caught\n"
         "               if issubclass(w.category, jit.JitCacheWarning)],\n"

@@ -2,49 +2,42 @@
 and traffic routes to the bit-identical NumPy fallback; half-open
 probes restore the primary when it heals.
 
-The DSL's own per-stencil fallback (``REPRO_FALLBACK``) is disabled
-here so backend failures actually escape to the serving layer — with it
-on, a broken backend costs every stencil call a failed attempt plus a
-NumPy re-run, which is exactly the per-call tax the breaker exists to
-stop paying."""
+What the service switches per attempt is the DSL's default backend,
+and a step is orchestrated programs from end to end, which follow that
+default (``compiled``: the compiled plan, else NumPy emission). The
+failing primary is therefore the compiled backend with plans that fail
+when they are run: the fault has to travel plan -> program -> rank
+body -> step -> driver -> service, and the fallback runs other code."""
 
 import pytest
 
-from repro.dsl import backends
 from repro.resilience import RecoverableFault
 from repro.run import run
+from repro.runtime import jit
+from repro.sdfg.codegen_compiled import CompiledPlan
 from repro.serve import ForecastService, ServiceConfig
-
-
-#: module-level so every flaky executor — including ones cached on
-#: long-lived stencil objects by an earlier test — sees the same knobs
-_FLAKY_STATE = {"healthy": False, "calls": 0}
 
 
 @pytest.fixture
 def flaky_backend(monkeypatch):
-    """A registered backend whose executors fail on demand."""
-    monkeypatch.setenv("REPRO_FALLBACK", "0")
-    _FLAKY_STATE.update(healthy=False, calls=0)
+    """The compiled backend, its plans failing on demand."""
+    if not jit.available():
+        pytest.skip("no JIT engine: compiled programs are NumPy emission")
+    state = {"healthy": False, "calls": 0}
+    run_plan = CompiledPlan.__call__
 
-    def factory(stencil):
-        numpy_exec = backends.get_backend("numpy")(stencil)
+    def flaky_plan(plan, **kwargs):
+        state["calls"] += 1
+        if not state["healthy"]:
+            raise RecoverableFault("flaky backend: injected failure")
+        run_plan(plan, **kwargs)
 
-        def executor(*args, **kwargs):
-            _FLAKY_STATE["calls"] += 1
-            if not _FLAKY_STATE["healthy"]:
-                raise RecoverableFault("flaky backend: injected failure")
-            numpy_exec(*args, **kwargs)
-
-        return executor
-
-    backends.register_backend("flaky", factory, replace=True)
-    yield _FLAKY_STATE
-    backends.unregister_backend("flaky")
+    monkeypatch.setattr(CompiledPlan, "__call__", flaky_plan)
+    return state
 
 
 def make_service(**overrides):
-    kw = dict(workers=1, backend="flaky", max_retries=2,
+    kw = dict(workers=1, backend="compiled", max_retries=2,
               breaker_threshold=2, breaker_cooldown=3600.0)
     kw.update(overrides)
     return ForecastService(ServiceConfig(**kw))
@@ -60,7 +53,7 @@ def test_breaker_trips_and_routes_to_fallback(flaky_backend, small_config):
         assert response.degraded
         assert response.backend == "numpy"
         assert response.attempts == 3  # 2 primary failures + 1 fallback
-        board = svc.breakers.stats()["baroclinic_wave/flaky"]
+        board = svc.breakers.stats()["baroclinic_wave/compiled"]
         assert board["state"] == "open"
         assert board["trips"] == 1
         # the next request degrades immediately: no failed attempt paid
@@ -93,14 +86,14 @@ def test_half_open_probe_recovers_healed_primary(flaky_backend,
                                                  small_config):
     clock = FakeClock()
     svc = ForecastService(
-        ServiceConfig(workers=1, backend="flaky", max_retries=2,
+        ServiceConfig(workers=1, backend="compiled", max_retries=2,
                       breaker_threshold=2, breaker_cooldown=10.0),
         clock=clock,
     )
     try:
         svc.forecast("baroclinic_wave", 1, config=small_config,
                      deadline=None, use_cache=False)
-        breaker = svc.breakers.get("baroclinic_wave", "flaky")
+        breaker = svc.breakers.get("baroclinic_wave", "compiled")
         assert breaker.state == "open"
         # primary heals; after the cooldown the next request probes it
         flaky_backend["healthy"] = True
@@ -108,7 +101,7 @@ def test_half_open_probe_recovers_healed_primary(flaky_backend,
         probe = svc.forecast("baroclinic_wave", 1, config=small_config,
                              seed=7, deadline=None, use_cache=False)
         assert not probe.degraded
-        assert probe.backend == "flaky"
+        assert probe.backend == "compiled"
         assert breaker.state == "closed"
         assert breaker.stats()["recoveries"] == 1
     finally:
