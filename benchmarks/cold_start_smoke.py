@@ -1,4 +1,5 @@
-"""CI smoke check of the JIT kernel store's cold start (PRs 16, 22).
+"""CI smoke check of the JIT kernel store's cold and primed start (PRs
+16, 22, 23).
 
 Two fresh processes share one empty ``REPRO_JIT_DIR``. The first runs a
 default-config ``run(steps=1)`` on the C engine: its core binds every
@@ -11,6 +12,11 @@ not one subprocess started — the verdicts of the OpenMP probe and of the
 instruction-set probe are on disk as well. A third process claims another
 host's CPU feature string: every kernel has another key and is built
 again, beside the first host's objects.
+
+The programs that call the kernels are in the store too (PR 23): the
+first process traces its 8 programs and stores them, the second and the
+third trace and lower nothing — they restore the templates and the plan
+images, and the other host rebuilds only kernels, from the stored texts.
 
 Run:  PYTHONPATH=src python benchmarks/cold_start_smoke.py
 """
@@ -32,13 +38,14 @@ def _child(other_host: bool) -> None:
 
     subprocess.Popen = Counting  # ``subprocess.run`` goes through it too
     from repro.run import run
-    from repro.runtime import jit
+    from repro.runtime import compile_cache, jit
 
     if other_host:
         jit._FEATURES = jit._cpu_features() + " another-host"
     result = run("baroclinic_wave", steps=1)
     print(json.dumps({
-        **jit.stats(), "ok": result.ok, "subprocesses": len(started),
+        **jit.stats(), "programs": compile_cache.stats(),
+        "ok": result.ok, "subprocesses": len(started),
         "keys": sorted(jit._KERNELS), "cpus": jit._build_width(),
         "probes": len(jit._PROBED),
         # the compiler's verdict on the host's instruction set, as this
@@ -64,6 +71,7 @@ def main() -> None:
         primed = _spawn(jit_dir)
         other = _spawn(jit_dir, "--other-host")
     keys = [set(report.pop("keys")) for report in (cold, primed, other)]
+    programs = [report.pop("programs") for report in (cold, primed, other)]
     print("cold:  ", cold)
     print("primed:", primed)
     print("other: ", other)
@@ -81,6 +89,20 @@ def main() -> None:
     assert primed["isa"] is not None and primed["isa"] == cold["isa"], primed
     assert keys[0] == keys[1] and not keys[0] & keys[2]
     assert other["kernels_built"] == cold["kernels_built"], other
+    # the programs: traced and stored once, restored ever after — by the
+    # other host too, which rebuilds kernels from the stored texts
+    traced, restored, elsewhere = programs
+    print("programs:", {
+        name: [p[name] for p in programs]
+        for name in ("program_traces", "misses", "hits",
+                     "programs_stored", "programs_restored")
+    })
+    assert (traced["program_traces"], traced["programs_stored"]) == (8, 8)
+    assert (restored["program_traces"], restored["misses"],
+            restored["programs_restored"]) == (0, 0, 8), restored
+    assert elsewhere["program_traces"] == 0, elsewhere
+    assert all(p["programs_stale"] == p["programs_unpersistable"] == 0
+               for p in programs), programs
     print("cold-start smoke: ok")
 
 

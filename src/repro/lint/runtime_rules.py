@@ -241,7 +241,7 @@ def lint_compiled_plan(compiled) -> List[LintFinding]:
     (R404: two owners of one piece of storage).
     """
     subject = f"sdfg:{compiled.sdfg.name}"
-    specs = compiled._plan.specs
+    specs = compiled.image.specs
     events = [
         BufferEvent(
             kind="acquire" if kind == "alloc" else "release",

@@ -173,6 +173,16 @@ def _runtime_lines() -> List[str]:
             f"({jt['compile_seconds']:.3f}s blocked), "
             f"{jt['disk_hits']} objects opened from disk"
         )
+    if cache["program_traces"] or cache.get("programs_restored"):
+        lines.append(
+            f"programs: {cache['programs_restored']} restored / "
+            f"{cache['program_traces']} traced "
+            f"({cache['programs_stored']} stored, "
+            f"{cache['programs_unpersistable']} memory-only) / "
+            f"{cache['programs_stale']} stale records, "
+            f"{cache['restore_bytes'] / 1e3:.0f} kB read in "
+            f"{cache['restore_seconds']:.3f}s"
+        )
     rk = rt.get("ranks", {})
     if rk.get("sections"):
         lines.append(

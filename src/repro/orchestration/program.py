@@ -35,6 +35,16 @@ assumptions checked, and the compiled plan is called with the arrays
 found along the recorded paths — no parsing, no SDFG, no hashing. An
 instance that breaks an assumption is traced like the first one and
 becomes another template.
+
+Templates outlive the process: a traced template joins its family's
+*record* in the kernel store's directory
+(:mod:`repro.runtime.compile_cache`, "Program records"), and the first
+miss on a family in a later process loads that record, publishes what it
+holds and binds — through the same :meth:`_Template.bind` — instead of
+tracing. The guards are re-checked on the live instance exactly as for a
+template traced a moment ago; what they cannot see, the *code* a trace
+walked, is in the record's manifest and compared before anything of the
+record is used.
 """
 
 from __future__ import annotations
@@ -51,11 +61,7 @@ from repro.dsl import backends as _backends
 from repro.dsl.backend_numpy import GridBounds
 from repro.dsl.stencil import StencilObject
 from repro.obs import tracer as _obs
-from repro.orchestration.closure import (
-    ClosureError,
-    closure_template,
-    get_function_ast,
-)
+from repro.orchestration.closure import ClosureError, closure_template
 from repro.orchestration.preprocessor import preprocess_function, try_const_eval
 from repro.resilience import chaos as _chaos
 from repro.runtime import compile_cache as _cache
@@ -208,7 +214,7 @@ class _Template:
                  reads: Optional[tuple] = None, guards: tuple = (),
                  containers: tuple = (), transients: tuple = (),
                  arg_names: frozenset = frozenset(),
-                 has_instance: bool = False):
+                 has_instance: bool = False, sources: tuple = ()):
         self.sdfg = sdfg
         self.runtime_scalars = runtime_scalars
         self.reads = reads
@@ -217,6 +223,9 @@ class _Template:
         self.transients = transients
         self.arg_names = arg_names
         self.has_instance = has_instance
+        #: the functions the trace walked or inlined and the stencils it
+        #: called: the code no guard sees, for the record's manifest
+        self.sources = sources
         #: codegen flags → compiled plan, shared by every binding
         self._plans: Dict[str, Any] = {}
         self._lock = threading.Lock()
@@ -243,6 +252,77 @@ class _Template:
                         self.sdfg, instrument=instrument, backend=backend
                     )
         return plan
+
+    def encode(self, manifest: "_cache.Manifest") -> Dict[str, Any]:
+        """This template as plain data for its family's record: what it
+        holds by identity — stencils, callback and inlined functions,
+        the functions whose globals it read, types — as numbers of
+        ``manifest`` (:class:`~repro.runtime.compile_cache.Unpersistable`
+        when one of them has no name another process could find it
+        under, or when the template is private to its instance)."""
+        if self.reads is None:
+            raise _cache.Unpersistable("the trace is private to its instance")
+        index = manifest.index
+        # (as the record's pickle will: asked here, a callback nobody
+        # else could find costs the family this template, not its record)
+        for node in self.sdfg.all_nodes():
+            if isinstance(node, Callback):
+                index(node.func)
+
+        def by_number(kind, ref):
+            if kind == "is":
+                return index(ref())
+            if kind in ("type", "inline"):
+                return index(ref)
+            if kind == "sequence":  # (its class, its length)
+                return index(ref[0]), ref[1]
+            return ref
+
+        return {
+            "sources": [index(source) for source in self.sources],
+            "reads": tuple(
+                (parent, kind, (index(key[0]), key[1]) if kind == "free"
+                 else key)
+                for parent, kind, key in self.reads
+            ),
+            "guards": tuple(
+                (kind, by_number(kind, ref)) for kind, ref in self.guards
+            ),
+            "containers": self.containers,
+            "transients": self.transients,
+            "arg_names": self.arg_names,
+            "has_instance": self.has_instance,
+            "runtime_scalars": self.runtime_scalars,
+            "sdfg": self.sdfg,
+        }
+
+    @classmethod
+    def decode(cls, data: Dict[str, Any], objects: List[Any]) -> "_Template":
+        """The template :meth:`encode` wrote, around the live ``objects``
+        of its record's manifest."""
+        def by_object(kind, ref):
+            if kind == "is":
+                return weakref.ref(objects[ref])
+            if kind in ("type", "inline"):
+                return objects[ref]
+            if kind == "sequence":
+                return objects[ref[0]], ref[1]
+            return ref
+
+        guards = tuple(
+            (kind, by_object(kind, ref)) for kind, ref in data["guards"]
+        )
+        reads = tuple(
+            (parent, kind, (objects[key[0]], key[1]) if kind == "free"
+             else key)
+            for parent, kind, key in data["reads"]
+        )
+        return cls(
+            data["sdfg"], data["runtime_scalars"], reads, guards,
+            data["containers"], data["transients"], data["arg_names"],
+            data["has_instance"],
+            tuple(objects[at] for at in data["sources"]),
+        )
 
     def bind(self, instance, bound: Dict[str, Any]
              ) -> Optional[Dict[str, np.ndarray]]:
@@ -327,6 +407,8 @@ class _Builder:
         self.unshareable: Optional[str] = None
         self._arg_names: frozenset = frozenset()
         self._has_instance = False
+        #: the functions walked and the stencils called, in first-use order
+        self.sources: Dict[Any, None] = {}
 
     # ---- provenance -----------------------------------------------------
 
@@ -432,7 +514,7 @@ class _Builder:
         return _Template(
             self.sdfg, self.runtime_scalars, tuple(self.reads),
             tuple(self.guards), tuple(containers), tuple(transients),
-            self._arg_names, self._has_instance,
+            self._arg_names, self._has_instance, tuple(self.sources),
         )
 
     # ---- containers -----------------------------------------------------
@@ -492,6 +574,7 @@ class _Builder:
         label: str,
     ) -> None:
         node, paths, loaded = closure_template(func, instance is not None)
+        self.sources[func] = None
         # lowest priority: module globals and closure freevars (stencil
         # objects, helper modules, shared arrays)
         globs = getattr(func, "__globals__", {})
@@ -827,6 +910,7 @@ class _Builder:
     # ------------------------------------------------------------------
     def _add_stencil(self, stencil: StencilObject, call, env, constants):
         sd = stencil.definition
+        self.sources[stencil] = None
         params = [p.name for p in sd.params]
         # scalar arguments may be runtime expressions: value resolution is
         # best-effort (the AST node drives the scalar lowering)
@@ -1015,6 +1099,9 @@ class OrchestratedProgram:
     def __init__(self, func: Callable, instance: Any = None,
                  optimize: Optional[Callable] = None):
         self.func = func
+        #: the convention of ``functools.wraps``: the name a decorated
+        #: method is found under holds the program, this the function
+        self.__wrapped__ = func
         self.instance = instance
         self.optimize = optimize
         self.name = func.__name__
@@ -1123,13 +1210,12 @@ class OrchestratedProgram:
         family = None
         # a closure never shares (see _Template), and keying a family on
         # it would keep its cells — often arrays — alive
-        if not getattr(self.func, "__closure__", None):
-            family = _cache.template_family((
-                self.func,
-                None if self.instance is None else type(self.instance),
-                self.optimize,
-            ))
+        closure = getattr(self.func, "__closure__", None)
+        if not closure:
+            family = _cache.template_family(self._family_key())
         if family is None:  # REPRO_COMPILE_CACHE=0, or a closure
+            if closure:
+                _cache.note_records(programs_unpersistable=1)
             return self._trace_and_compile(args, kwargs)
         bound = dict(zip(self._parameters(), args))
         bound.update(kwargs)
@@ -1138,6 +1224,12 @@ class OrchestratedProgram:
             with family.lock:
                 # another rank thread may have published while we waited
                 binding = self._match(family.templates, bound, held)
+                if binding is None and not family.consulted:
+                    # ... or an earlier process: what its record holds is
+                    # published and bound like any template
+                    family.consulted = True
+                    self._restore(family)
+                    binding = self._match(family.templates, bound, held)
                 if binding is None:
                     binding = self._trace_and_compile(args, kwargs)
                     template, arrays = binding.template, binding.arrays
@@ -1149,7 +1241,69 @@ class OrchestratedProgram:
                     ):
                         family.publish(template)
                         binding.arrays = rebound
+                        self._store(family, template)
+                    else:
+                        _cache.note_records(programs_unpersistable=1)
         return binding
+
+    def _family_key(self) -> tuple:
+        """What a template family is keyed by: the function, the class of
+        the instance and the ``optimize`` pass."""
+        return (
+            self.func,
+            None if self.instance is None else type(self.instance),
+            self.optimize,
+        )
+
+    def _record(self, manifest: "_cache.Manifest") -> str:
+        """The name of the family's record; the family's key joins
+        ``manifest``, so that a record is refused when the function's or
+        the ``optimize`` pass's code has changed."""
+        names = [
+            None if part is None else manifest.entries[manifest.index(part)][:3]
+            for part in self._family_key()
+        ]
+        return _cache.record_name("t", repr(names))
+
+    def _restore(self, family) -> None:
+        """Publish the templates of the family's record, if there is a
+        valid one (caller holds ``family.lock``)."""
+        try:
+            name = self._record(_cache.Manifest())
+        except _cache.Unpersistable:
+            return
+        with _cache.restoring() as sp:
+            templates = _cache.load_record(name, lambda payload, objects: [
+                _Template.decode(data, objects) for data in payload
+            ])
+            if templates is not None:
+                for template in templates:
+                    family.publish(template)
+                _cache.note_records(programs_restored=len(templates))
+                sp.add("templates", len(templates))
+
+    def _store(self, family, template: _Template) -> None:
+        """Write the family's record: every template of the family that
+        another process could bind, ``template`` — just traced and
+        published — last (caller holds ``family.lock``). If it names
+        something no other process could find, it is counted and stays
+        in memory only."""
+        manifest = _cache.Manifest()
+        encoded = []
+        try:
+            name = self._record(manifest)
+            for member in family.templates:
+                try:
+                    encoded.append(member.encode(manifest))
+                except _cache.Unpersistable:
+                    if member is template:
+                        raise
+            stored = _cache.store_record(name, manifest, encoded)
+        except _cache.Unpersistable:
+            _cache.note_records(programs_unpersistable=1)
+            return
+        if stored:
+            _cache.note_records(programs_stored=1)
 
     def _trace_and_compile(self, args, kwargs) -> _Binding:
         with _TRACER.span("orchestrate.build"):
@@ -1183,8 +1337,11 @@ class OrchestratedProgram:
     def _parameters(self) -> List[str]:
         params = self._param_names
         if params is None:
-            node = get_function_ast(self.func)
-            params = [a.arg for a in node.args.args if a.arg != "self"]
+            code = self.func.__code__
+            params = [
+                name for name in code.co_varnames[:code.co_argcount]
+                if name != "self"
+            ]
             self._param_names = params
         return params
 

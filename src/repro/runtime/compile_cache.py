@@ -1,5 +1,6 @@
 """Compiled-program cache: content hash of an expanded SDFG → CompiledSDFG,
-behind a store of orchestrated-program templates.
+behind a store of orchestrated-program templates — each of the two in
+memory, with a disk level behind it.
 
 The tuning loops compile the same candidate many times: ``tune_cutout``
 replays transformation sequences onto fresh SDFG copies, transfer tuning
@@ -7,13 +8,16 @@ re-times cutouts per pattern, and orchestration recompiles after identical
 rebuilds. Two SDFG *objects* with equal content generate equal programs,
 so compilation is memoized on a canonical serialization of the expanded
 graph (array descriptors, kernel schedules/sections/statements, control
-flow, tasklets; callbacks by function, with array arguments by container
-name and constant arguments by value). A cached program therefore holds
-no array of the run that compiled it. The exception is a callback
-argument that is neither an array nor a value-hashable constant: it is
-keyed by object identity, the cached program pins that object (so its id
-cannot be recycled while the entry lives), and the orchestrated program
-around it is traced per instance instead of shared.
+flow, tasklets; callbacks by the ``(module, qualname)`` of their
+function, with array arguments by container name and constant arguments
+by value) plus the codegen flags (:func:`codegen_flags`). A cached
+program therefore holds no array of the run that compiled it. The
+exception is a callback that no other process could find by name, or a
+callback argument that is neither an array nor a value-hashable
+constant: it is keyed by object identity, the cached program pins that
+object (so its id cannot be recycled while the entry lives), the
+orchestrated program around it is traced per instance instead of
+shared, and nothing of it goes to disk.
 
 In front of the content hash sits the template store
 (:func:`template_family`): :mod:`repro.orchestration.program` traces each
@@ -22,31 +26,97 @@ later instance to it without building or hashing an SDFG at all. The
 store only holds the families, their single-flight locks and the
 counters; what a template records is the orchestration layer's business.
 
+**The disk level** ("Program records" below). Both levels keep what
+they make in the kernel store's directory
+(:func:`repro.runtime.jit.jit_dir`), beside the kernels and under the
+same discipline — pid-suffixed temporary, atomic rename, stale
+temporaries swept, a record that does not load is a miss that is
+rebuilt in place, counted in the JIT's ``cache_repairs`` and warned
+about once (:func:`repro.runtime.jit.publish` /
+:func:`repro.runtime.jit.heal` serve kernels and records alike):
+
+- ``repro_t_<hash of the family's names>.rec`` — the templates of one
+  family (written by the orchestration layer after a trace, read by the
+  first miss on that family in a later process);
+- ``repro_p_<content key>.rec`` — the *image* of one plan
+  (:class:`repro.sdfg.plan.PlanImage`: driver source, memory plan,
+  kernel texts), read and written by :func:`get_or_compile`. The key
+  holds the codegen flags, the kernel keys inside :mod:`repro.runtime.jit`
+  hold compiler and CPU, so another host restores the program and
+  rebuilds only kernels.
+
+A record is a JSON line followed by a pickle of plain data. The JSON
+line is compared with this process before the pickle is touched: the
+*environment* (Python and NumPy versions, one hash over the source files
+of the ``repro`` package — the code of tracer, transformations and
+generators is an input of every record) and the *manifest*, the objects
+the record holds by reference, each as ``(module, qualname, wrapped,
+fingerprint)``: it must resolve among the modules this process has
+imported, and its code — a stencil's definition IR, a function's source
+file — must hash as it did. A mismatch is a *stale* record: counted
+(``programs_stale``), not used, overwritten by what is built instead.
+A function whose source cannot be read (a notebook cell, ``<string>``)
+has no fingerprint, and what names it stays in memory only.
+The pickle is written and read with one allow-list (:func:`_named`:
+``repro.dsl.ir``, ``repro.sdfg.*``, a few named dataclasses, NumPy
+dtypes, scalar types and scalar values, builtin containers); every
+other class makes the writer give up (:class:`Unpersistable`) and the
+reader heal, and every function, stencil or module appears as its
+number in the manifest — a callback's function inside an SDFG included
+— so a record constructs nothing it was not allowed to and finds, never
+rebuilds, what it holds by identity. The whole pickle is read inside
+:func:`load_record`, together with whatever the caller makes of it
+(``decode``), so nothing of a record can fail later than there: a
+record that does not load is a miss, never an error. The directory is
+an execution trust boundary anyway (it holds ``.so`` files); this keeps
+a damaged record from being more than a miss.
+
 Counters (hits, misses, bytes saved by not re-allocating the program's
-transient/local working set; program traces, binds and live templates)
-are surfaced through ``repro.obs`` spans and the report footer.
-``REPRO_COMPILE_CACHE=0`` disables both levels (every new binding
-retraces and recompiles); ``REPRO_COMPILE_CACHE_SIZE`` bounds each of
-them (LRU, default 256 programs and 256 templates).
+transient/local working set; program traces, binds and live templates;
+``programs_restored`` / ``programs_stored`` / ``programs_stale`` /
+``programs_unpersistable`` — templates published from a record, written
+into one, records refused, traces that no other process could use — and
+``restore_bytes`` / ``restore_seconds``) are surfaced through
+``repro.obs`` spans and the report footer; a plan materialised from its
+record counts as a **hit** of its backend. ``REPRO_COMPILE_CACHE=0``
+disables both levels, in memory and on disk (every new binding retraces
+and recompiles, nothing is read or written);
+``REPRO_COMPILE_CACHE_SIZE`` bounds each of them in memory (LRU, default
+256 programs and 256 templates).
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import importlib
+import io
+import json
 import os
+import pickle
+import sys
 import threading
+import time
+import types
+import warnings
 from collections import OrderedDict
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.obs import tracer as _obs
 from repro.resilience import chaos as _chaos
 from repro.resilience.errors import InjectedCompileError
+from repro.runtime import jit as _jit
 
 __all__ = ["get_or_compile", "cache_key", "codegen_flags", "template_family",
            "TemplateFamily", "note_trace", "note_bind", "merge_stats",
-           "stats", "reset"]
+           "stats", "reset", "Manifest", "Unpersistable", "reference",
+           "record_name", "load_record", "store_record", "restoring",
+           "note_records"]
 
 _SEP = "\x1f"
+#: prefix of every part of a content key that names an object by its
+#: ``id()``: such a key means nothing to another process
+_BY_IDENTITY = "\x1d"
 
 _CACHE: "OrderedDict[str, object]" = OrderedDict()
 #: per-backend counters, so cross-backend A/B runs report hits/misses per
@@ -61,9 +131,30 @@ _FAMILIES_LOCK = threading.Lock()
 _TRACES = 0
 _BINDS = 0
 
-#: backend name → compile entry point (lazy imports; "numpy" is the
-#: parent ufunc emission, "compiled" the JIT loop-nest emission)
-_BACKENDS = ("numpy", "compiled")
+#: the disk level (see "Program records" below)
+_ZERO_RECORDS: Dict[str, float] = {
+    "programs_restored": 0,
+    "programs_stored": 0,
+    "programs_stale": 0,
+    "programs_unpersistable": 0,
+    "restore_bytes": 0,
+    "restore_seconds": 0.0,
+}
+_RECORDS = dict(_ZERO_RECORDS)
+
+#: the two halves of an emission backend — "numpy" is the parent ufunc
+#: emission, "compiled" the JIT loop-nest emission — by import path:
+#: *generate* (SDFG, instrument → plan image) and *materialise* (SDFG,
+#: image → callable plan). Imported when first used: a process that
+#: finds its images on disk imports no generator
+_GENERATE = {
+    "numpy": "repro.sdfg.codegen.generate",
+    "compiled": "repro.sdfg.codegen_compiled.generate_compiled",
+}
+_MATERIALISE = {
+    "numpy": "repro.sdfg.plan.CompiledSDFG",
+    "compiled": "repro.sdfg.plan.CompiledPlan",
+}
 
 
 def _enabled() -> bool:
@@ -114,8 +205,10 @@ def _node_repr(node) -> str:
         kwargs = tuple(sorted(
             (k, _callback_arg_repr(v)) for k, v in node.kwargs.items()
         ))
+        ref = reference(node.func)
+        func = f"{_BY_IDENTITY}{id(node.func)}" if ref is None else repr(ref)
         return _SEP.join(
-            ["callback", node.label, str(id(node.func)), repr(args),
+            ["callback", node.label, func, repr(args),
              repr(kwargs), repr(node.reads), repr(node.writes)]
         )
     return _SEP.join(["node", type(node).__name__, node.label])
@@ -127,33 +220,38 @@ def _callback_arg_repr(value) -> str:
     if isinstance(value, ContainerRef):
         return f"container:{value.name}"
     key = constant_key(value)
-    return f"id:{id(value)}" if key is None else f"const:{key!r}"
+    return f"{_BY_IDENTITY}{id(value)}" if key is None else f"const:{key!r}"
 
 
 def codegen_flags(instrument: bool = False, backend: str = "numpy") -> str:
     """Everything besides the SDFG that changes the generated program:
     the emission backend and, for the compiled backend, what shapes its
-    loop nests (JIT engine, thread count, k-block override)."""
+    loop nests (JIT engine, thread count, k-block override, and the
+    machine model whose cache size and balance pick tiles and decide
+    what is recomputed)."""
     flags = [f"instrument={instrument}", f"backend={backend}"]
     if backend == "compiled":
-        from repro.runtime import jit
+        from repro.obs.metrics import observed_machine
 
         flags.append(
-            f"jit={jit.engine_name()};threads={jit.default_threads()};"
-            f"kblock={jit.k_block_override()}"
+            f"jit={_jit.engine_name()};threads={_jit.default_threads()};"
+            f"kblock={_jit.k_block_override()};"
+            f"machine={observed_machine().name}"
         )
     return "\x1e".join(flags)
 
 
-def cache_key(sdfg, instrument: bool = False, backend: str = "numpy") -> str:
-    """Canonical content hash of an expanded SDFG (+ codegen flags), so
-    NumPy and compiled plans for the same SDFG never collide in the
-    cache."""
+def _content_key(sdfg, instrument: bool, backend: str) -> Tuple[str, bool]:
+    """The content hash, and whether another process would compute the
+    same one for this program (nothing in it is named by ``id()``)."""
     import numpy as np
 
     h = hashlib.sha256()
+    portable = True
 
     def feed(text: str) -> None:
+        nonlocal portable
+        portable = portable and _BY_IDENTITY not in text
         h.update(text.encode())
         h.update(b"\x1e")
 
@@ -170,7 +268,16 @@ def cache_key(sdfg, instrument: bool = False, backend: str = "numpy") -> str:
         feed(f"state{_SEP}{state.name}{_SEP}{len(state.nodes)}")
         for node in state.nodes:
             feed(_node_repr(node))
-    return h.hexdigest()
+    return h.hexdigest(), portable
+
+
+def cache_key(sdfg, instrument: bool = False, backend: str = "numpy") -> str:
+    """Canonical content hash of an expanded SDFG (+ codegen flags), so
+    NumPy and compiled plans for the same SDFG never collide in the
+    cache. Callback functions enter it by ``(module, qualname)``; only
+    one no other process could find that way, or an opaque callback
+    argument, enters it by ``id()``."""
+    return _content_key(sdfg, instrument, backend)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +285,16 @@ def cache_key(sdfg, instrument: bool = False, backend: str = "numpy") -> str:
 # ---------------------------------------------------------------------------
 
 
-def _compile_fn(backend: str):
-    if backend == "numpy":
-        from repro.sdfg.codegen import compile_sdfg
-
-        return compile_sdfg
-    if backend == "compiled":
-        from repro.sdfg.codegen_compiled import compile_sdfg_compiled
-
-        return compile_sdfg_compiled
-    raise ValueError(
-        f"unknown compile backend {backend!r}: expected one of {_BACKENDS}"
-    )
+def _half(table: Dict[str, str], backend: str):
+    """``backend``'s entry of ``_GENERATE`` or ``_MATERIALISE``."""
+    try:
+        module, _, name = table[backend].rpartition(".")
+    except KeyError:
+        raise ValueError(
+            f"unknown compile backend {backend!r}: expected one of "
+            f"{tuple(table)}"
+        ) from None
+    return getattr(importlib.import_module(module), name)
 
 
 def get_or_compile(sdfg, instrument: bool = False, backend: str = "numpy"):
@@ -199,11 +304,16 @@ def get_or_compile(sdfg, instrument: bool = False, backend: str = "numpy"):
     content-equal SDFGs: per-kernel instrumentation counters accumulate
     across users (readers take before/after deltas). ``backend="compiled"``
     compiles through :mod:`repro.sdfg.codegen_compiled` instead; entries
-    are keyed per backend.
+    are keyed per backend. Behind the in-memory level sits the disk
+    level: a program nobody in this process has compiled is materialised
+    from its stored image when the kernel store's directory holds one
+    (a hit for its backend), and an image generated here is stored.
+    ``compile.fail`` is consulted once per call — before any look-up, so
+    a seeded spec fires at the same program whatever is cached where.
     """
     global _BYTES_SAVED
 
-    compile_sdfg = _compile_fn(backend)
+    materialise = _half(_MATERIALISE, backend)
 
     if _chaos._PLAN is not None:
         fault = _chaos.consult(
@@ -216,14 +326,14 @@ def get_or_compile(sdfg, instrument: bool = False, backend: str = "numpy"):
                 f"{getattr(sdfg, 'name', '?')!r}",
             )
 
-    if not _enabled():
-        return compile_sdfg(sdfg, instrument=instrument)
-
     if any(state.library_nodes for state in sdfg.states):
         sdfg.expand_library_nodes()
+    if not _enabled():
+        return materialise(sdfg, _half(_GENERATE, backend)(sdfg, instrument))
+
     tracer = _obs.get_tracer()
     with tracer.span("sdfg.compile") as sp:
-        key = cache_key(sdfg, instrument, backend=backend)
+        key, portable = _content_key(sdfg, instrument, backend)
         sp.set("backend", backend)
         program = _CACHE.get(key)
         if program is not None:
@@ -232,13 +342,27 @@ def get_or_compile(sdfg, instrument: bool = False, backend: str = "numpy"):
             _BYTES_SAVED += program.runtime_bytes
             sp.add("cache_hits", 1)
             return program
-        _MISSES[backend] = _MISSES.get(backend, 0) + 1
-        sp.add("cache_misses", 1)
-        program = compile_sdfg(sdfg, instrument=instrument)
-        _CACHE[key] = program
-        while len(_CACHE) > _max_entries():
-            _CACHE.popitem(last=False)
-        return program
+    record = record_name("p", key) if portable else None
+    if record is not None:
+        with restoring() as sp:
+            image = load_record(record)
+            if image is not None:
+                program = materialise(sdfg, image)
+                _HITS[backend] = _HITS.get(backend, 0) + 1
+                sp.add("plans", 1)
+    if program is None:
+        with tracer.span("sdfg.compile") as sp:
+            _MISSES[backend] = _MISSES.get(backend, 0) + 1
+            sp.add("cache_misses", 1)
+            image = _half(_GENERATE, backend)(sdfg, instrument)
+            program = materialise(sdfg, image)
+        if record is not None:
+            with contextlib.suppress(Unpersistable):
+                store_record(record, Manifest(), image)
+    _CACHE[key] = program
+    while len(_CACHE) > _max_entries():
+        _CACHE.popitem(last=False)
+    return program
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +374,16 @@ class TemplateFamily:
     """The templates traced so far for one key, e.g. a (function, owner
     class): ``templates`` is replaced, never mutated, so binders scan it
     without the lock; ``lock`` is held across trace + compile + publish so
-    concurrent rank threads trace once and the rest bind."""
+    concurrent rank threads trace once and the rest bind. ``consulted``
+    says that the family's disk record has been looked at (once per
+    process, by whoever first misses)."""
 
-    __slots__ = ("lock", "templates")
+    __slots__ = ("lock", "templates", "consulted")
 
     def __init__(self):
         self.lock = threading.Lock()
         self.templates: tuple = ()
+        self.consulted = False
 
     def publish(self, template) -> None:
         """Add a template (caller holds ``lock``) and evict the least
@@ -306,6 +433,360 @@ def note_bind() -> None:
         _BINDS += 1
 
 
+# ---------------------------------------------------------------------------
+# program records: the disk level behind both levels above
+# ---------------------------------------------------------------------------
+#
+# A record is one file of the kernel store's directory: a JSON line — the
+# environment it was written in and its *manifest*, the objects it holds
+# by reference as ``(module, qualname, wrapped, fingerprint)`` — followed
+# by a pickle of plain data in which those objects appear as their
+# manifest index. Nothing of the pickle is looked at before the JSON line
+# has been compared with this process.
+
+#: where records are read and written; ``None``: beside the kernels, in
+#: :func:`repro.runtime.jit.jit_dir` (the test suite points it at a
+#: directory of its own per test — it may not exist yet)
+RECORDS_DIR: Optional[str] = None
+
+_FORMAT = 1
+_ENVIRONMENT: Optional[List[str]] = None
+#: source file → content hash (``None``: unreadable), read once per process
+_FILE_HASHES: Dict[str, Optional[str]] = {}
+#: writers of one process take turns (their temporaries share a name)
+_STORE_LOCK = threading.Lock()
+
+
+class Unpersistable(Exception):
+    """Something a record would have to name cannot be found again by
+    another process: the program stays in memory only."""
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:32]
+
+
+def _file_hash(path: str) -> Optional[str]:
+    """Content hash of a source file; ``None`` when there is no such
+    file to read (a notebook cell, ``<string>``, a relative path seen
+    from another directory)."""
+    if path not in _FILE_HASHES:
+        try:
+            with open(path, "rb") as fh:
+                _FILE_HASHES[path] = _sha(fh.read())
+        except OSError:
+            _FILE_HASHES[path] = None
+    return _FILE_HASHES[path]
+
+
+def _environment() -> List[str]:
+    """What every record depends on without naming it: the interpreter,
+    NumPy, and the ``repro`` package itself — tracer, transformations,
+    code generators — as one hash over its source files."""
+    global _ENVIRONMENT
+    if _ENVIRONMENT is None:
+        import numpy
+
+        import repro
+
+        tree = hashlib.sha256()
+        root = os.path.dirname(os.path.abspath(repro.__file__))
+        for folder, subfolders, files in os.walk(root):
+            subfolders.sort()
+            for name in sorted(files):
+                if name.endswith(".py"):
+                    path = os.path.join(folder, name)
+                    tree.update(os.path.relpath(path, root).encode())
+                    tree.update((_file_hash(path) or "").encode())
+        _ENVIRONMENT = [sys.version, numpy.__version__, tree.hexdigest()[:32]]
+    return _ENVIRONMENT
+
+
+def _resolve(module: str, qualname: str, wrapped: bool):
+    """The object a reference names, among the modules this process has
+    imported (a record never makes it import one)."""
+    obj = sys.modules[module]
+    for part in qualname.split(".") if qualname else ():
+        obj = getattr(obj, part)
+    return obj.__wrapped__ if wrapped else obj
+
+
+def reference(obj) -> Optional[Tuple[str, str, bool]]:
+    """``(module, qualname, wrapped)`` under which any process that has
+    imported the module finds *this very object* — ``wrapped``: as the
+    ``__wrapped__`` of what the name holds (a decorated method, whose
+    name is the program and not the function) — or ``None``: a lambda, a
+    function or stencil made inside a function, a rebound name."""
+    if isinstance(obj, types.ModuleType):
+        name = obj.__name__
+        return (name, "", False) if sys.modules.get(name) is obj else None
+    module = getattr(obj, "__module__", None)
+    qualname = getattr(obj, "__qualname__", None)
+    if not isinstance(module, str) or not isinstance(qualname, str):
+        return None
+    for ref in ((module, qualname, False), (module, qualname, True)):
+        try:
+            if _resolve(*ref) is obj:
+                return ref
+        except (KeyError, AttributeError):
+            pass
+    if module == "builtins":  # ``module``, ``function``: named in ``types``
+        for name, value in vars(types).items():
+            if value is obj:
+                return ("types", name, False)
+    return None
+
+
+def _fingerprint(obj) -> Optional[str]:
+    """What of an object's *code* a record depends on: the definition IR
+    of a stencil (whatever it inlines is in it), the source file of a
+    function (``None`` when that cannot be read: an edit would go
+    unnoticed); a class or a module is only ever asked for its
+    identity."""
+    from repro.dsl.ir import StencilDef
+
+    definition = getattr(obj, "definition", None)
+    if isinstance(definition, StencilDef):
+        # (not where its source lives: a checkout can be moved)
+        return _sha(repr((
+            definition.name, definition.params, definition.temporaries,
+            definition.computations,
+        )).encode())
+    if isinstance(obj, types.FunctionType):
+        return _file_hash(obj.__code__.co_filename)
+    return ""
+
+
+class Manifest:
+    """The objects one record holds by reference, numbered in order of
+    first use."""
+
+    def __init__(self):
+        #: ``[module, qualname, wrapped, fingerprint]`` per object
+        self.entries: List[list] = []
+        #: id → number; the objects are kept so that no id is recycled
+        self._index: Dict[int, Tuple[int, object]] = {}
+
+    def index(self, obj) -> int:
+        """The number of ``obj``; :class:`Unpersistable` when no other
+        process could find it."""
+        known = self._index.get(id(obj))
+        if known is not None:
+            return known[0]
+        ref = None if obj is None else reference(obj)
+        fingerprint = None if ref is None else _fingerprint(obj)
+        if fingerprint is None:
+            raise Unpersistable(
+                f"{type(obj).__name__} "
+                f"{getattr(obj, '__qualname__', obj)!r} is not the "
+                "value of a module-level name with readable source"
+            )
+        self._index[id(obj)] = (len(self.entries), obj)
+        self.entries.append([*ref, fingerprint])
+        return len(self.entries) - 1
+
+
+#: the classes a record may construct, besides everything in
+#: ``repro.dsl.ir`` and ``repro.sdfg.*``
+_ALLOWED = {
+    ("repro.dsl.backend_numpy", "GridBounds"),
+    ("repro.dsl.extents", "Extent"),
+    ("repro.dsl.builtins", "AxisAnchor"),
+    ("repro.dsl.builtins", "RegionAxisSpec"),
+    ("repro.dsl.builtins", "RegionSpec"),
+    ("numpy", "dtype"),
+    *(("builtins", name) for name in (
+        "bool", "int", "float", "complex", "str", "bytes", "tuple", "list",
+        "dict", "set", "frozenset", "range", "slice", "type", "object",
+    )),
+}
+
+
+def _named(module: str, name: str):
+    """The object a record's pickle may name as ``module.name`` — a
+    class of the allow-list, a NumPy scalar type, the function NumPy
+    pickles a scalar *value* with — or ``None``."""
+    import numpy as np
+
+    if (
+        (module, name) in _ALLOWED
+        or module == "repro.dsl.ir"
+        or module.startswith("repro.sdfg.")
+    ):
+        found = getattr(importlib.import_module(module), name, None)
+        return found if isinstance(found, type) else None
+    if module == "numpy":
+        found = getattr(np, name, None)
+        scalar_type = isinstance(found, type) and issubclass(found, np.generic)
+        return found if scalar_type else None
+    scalar = np.float64(0).__reduce__()[0]  # (moved between NumPy 1 and 2)
+    if (module, name) == (scalar.__module__, scalar.__name__):
+        return scalar
+    return None
+
+
+def _by_reference(number: int):
+    """What a record's pickle names in place of an object it holds by
+    identity: :class:`_Unpickler` reads this name as "the object the
+    manifest lists at ``number``"."""
+    raise TypeError("only meaningful inside a program record")
+
+
+class _Pickler(pickle.Pickler):
+    """Writes what :class:`_Unpickler` will accept: classes of the
+    allow-list by name, every other callable — a callback's function,
+    a stencil — as its number in ``manifest``, nothing else."""
+
+    def __init__(self, file, manifest: Manifest):
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self.manifest = manifest
+
+    def reducer_override(self, obj):
+        if not callable(obj) or obj is _by_reference or obj is type(None):
+            return NotImplemented  # (pickle writes ``type(None)`` for that)
+        module = getattr(obj, "__module__", None)
+        name = getattr(obj, "__qualname__", None)
+        if isinstance(module, str) and isinstance(name, str) \
+                and _named(module, name) is obj:
+            return NotImplemented
+        if isinstance(obj, type):
+            raise Unpersistable(
+                f"{module}.{name} is outside the allow-list of program "
+                "records"
+            )
+        return _by_reference, (self.manifest.index(obj),)
+
+
+class _Unpickler(pickle.Unpickler):
+    def __init__(self, file, objects: List[object]):
+        super().__init__(file)
+        self.objects = objects
+
+    def find_class(self, module, name):
+        if (module, name) == (__name__, _by_reference.__name__):
+            return self.objects.__getitem__
+        found = _named(module, name)
+        if found is None:
+            raise pickle.UnpicklingError(
+                f"record names {module}.{name}, which is outside the "
+                "allow-list of program records"
+            )
+        return found
+
+
+def record_name(level: str, identity: str) -> str:
+    """The file name of a record: ``repro_t_*`` a template family's,
+    ``repro_p_*`` a plan's."""
+    return f"repro_{level}_{_sha(identity.encode())}.rec"
+
+
+def _record_path(name: str) -> str:
+    return os.path.join(RECORDS_DIR or _jit.jit_dir(), name)
+
+
+def store_record(name: str, manifest: Manifest, payload) -> bool:
+    """Write record ``name`` — ``payload``, plain data in which the
+    objects of ``manifest`` appear as their number, or (functions)
+    join it now — under the kernel store's discipline.
+    :class:`Unpersistable` when ``payload`` holds something a record may
+    not. A directory that cannot be written costs the next process its
+    start-up, not this one its run: warned, ``False``."""
+    body = io.BytesIO()
+    _Pickler(body, manifest).dump(payload)
+    header = json.dumps({
+        "format": _FORMAT,
+        "environment": _environment(),
+        "manifest": manifest.entries,
+    }).encode() + b"\n"
+
+    def write(tmp: str) -> None:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            fh.write(body.getbuffer())
+
+    try:
+        path = _record_path(name)
+        with _STORE_LOCK:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            _jit.publish(path, write)
+    except OSError as exc:
+        warnings.warn(
+            f"program records cannot be written ({exc}): later processes "
+            "will trace and lower again",
+            _jit.JitCacheWarning, stacklevel=2,
+        )
+        return False
+    return True
+
+
+def load_record(name: str, decode=None):
+    """The payload of record ``name`` — ``decode(payload, objects)`` of
+    it when given, ``objects`` being the live objects its manifest
+    names, by number — or ``None``: there is none, it is *stale*
+    (written by another Python, NumPy or source tree, or something it
+    names has changed its code since: counted, and overwritten by what
+    the caller builds instead) or it is *damaged* (does not parse, names
+    something that no longer resolves or that records may not construct,
+    ``decode`` cannot make sense of it: healed like a damaged kernel)."""
+    try:
+        path = _record_path(name)
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return None
+    try:
+        line, _, body = data.partition(b"\n")
+        header = json.loads(line)
+        if header["format"] != _FORMAT:
+            raise ValueError(f"record format {header['format']!r}")
+        stale = header["environment"] != _environment()
+        objects = []
+        for module, qualname, wrapped, fingerprint in header["manifest"]:
+            if stale:
+                break
+            obj = _resolve(module, qualname, wrapped)
+            stale = _fingerprint(obj) != fingerprint
+            objects.append(obj)
+        if stale:
+            note_records(programs_stale=1)
+            return None
+        payload = _Unpickler(io.BytesIO(body), objects).load()
+        if decode is not None:
+            payload = decode(payload, objects)
+    except Exception as exc:  # whatever a damaged file can raise
+        _jit.heal(path, exc)
+        return None
+    note_records(restore_bytes=len(data))
+    return payload
+
+
+@contextlib.contextmanager
+def restoring():
+    """The ``orchestrate.restore`` span around reading a record and
+    making what it holds live — a span of its own, outside the
+    ``orchestrate.build`` / ``sdfg.compile`` prefixes that account for
+    tracing and code generation — timed into ``restore_seconds`` whether
+    or not tracing is on."""
+    t0 = time.perf_counter()
+    try:
+        with _obs.get_tracer().span("orchestrate.restore") as sp:
+            yield sp
+    finally:
+        note_records(restore_seconds=time.perf_counter() - t0)
+
+
+def note_records(**deltas: float) -> None:
+    """Add to the record counters (``programs_restored=8``, ...)."""
+    with _FAMILIES_LOCK:
+        for name, delta in deltas.items():
+            _RECORDS[name] += delta
+
+
+# ---------------------------------------------------------------------------
+# counters
+# ---------------------------------------------------------------------------
+
+
 def stats() -> Dict[str, object]:
     hits = sum(_HITS.values())
     misses = sum(_MISSES.values())
@@ -324,6 +805,7 @@ def stats() -> Dict[str, object]:
         "program_traces": _TRACES,
         "program_binds": _BINDS,
         "templates": sum(len(f.templates) for f in list(_FAMILIES.values())),
+        **_RECORDS,
     }
 
 
@@ -331,10 +813,10 @@ def merge_stats(data: Dict[str, object]) -> None:
     """Fold a worker process's counter *deltas* into this process's
     accounting (the process-based rank executor ships each worker's
     stats-since-launch over the result pipe). Hit/miss counters add per
-    backend, as do the working-set reuse estimate and the program
-    trace/bind counts; ``entries`` and ``templates`` count what is cached
-    in *this* process and are untouched — other processes' program
-    objects are not shared."""
+    backend, as do the working-set reuse estimate, the program
+    trace/bind counts and the record counters; ``entries`` and
+    ``templates`` count what is cached in *this* process and are
+    untouched — other processes' program objects are not shared."""
     global _BYTES_SAVED, _TRACES, _BINDS
     by_backend = data.get("by_backend") or {}
     if by_backend:
@@ -353,15 +835,19 @@ def merge_stats(data: Dict[str, object]) -> None:
     _BYTES_SAVED += int(data.get("bytes_saved", 0))
     _TRACES += int(data.get("program_traces", 0))
     _BINDS += int(data.get("program_binds", 0))
+    note_records(**{name: data.get(name, 0) for name in _RECORDS})
 
 
 def reset(clear: bool = True) -> None:
     """Zero the counters (and optionally drop all cached programs and
-    templates)."""
+    templates). Memory only: the records under the kernel store's
+    directory stay, so what is dropped here is restored, not traced or
+    compiled, the next time it is asked for."""
     global _BYTES_SAVED, _TRACES, _BINDS
     _HITS.clear()
     _MISSES.clear()
     _BYTES_SAVED = _TRACES = _BINDS = 0
+    _RECORDS.update(_ZERO_RECORDS)
     if clear:
         _CACHE.clear()
         with _FAMILIES_LOCK:

@@ -65,13 +65,29 @@ so whoever still holds one (a cached plan) asks again.
 
 Everything written goes through a pid-suffixed temporary name (sources
 too: a name shared between processes is only ever the target of a
-rename); stale temporaries of dead builders are swept on the first open
-of the directory. A name that dangles, an object that does not load, an
-object without the kernel's symbol: each is rebuilt in place, counted in
-``cache_repairs`` and warned about once per process
-(:class:`JitCacheWarning`). A translation unit the compiler rejects
-raises :class:`JitCompileError` naming its kernels and leaves no object
-or name behind; units built beside it are kept.
+rename — :func:`publish`); stale temporaries of dead builders are swept
+on the first open of the directory. A name that dangles, an object that
+does not load, an object without the kernel's symbol: each is rebuilt
+in place, counted in ``cache_repairs`` and warned about once per process
+(:func:`heal`, :class:`JitCacheWarning`). A translation unit the
+compiler rejects raises :class:`JitCompileError` naming its kernels and
+leaves no object or name behind; units built beside it are kept.
+
+What the directory holds::
+
+    repro_k_<key>.so      a kernel's name: symlink to the object holding it
+    repro_o_<hash>.so/.c  an object file (one translation unit) and its source
+    repro_isa_<hash>      the compiler's verdict on -march=native, per host
+    repro_openmp_<hash>   ... and on -fopenmp
+    repro_t_<hash>.rec    the templates of one orchestrated-program family
+    repro_p_<key>.rec     the image of one compiled plan
+    *.tmp<pid>[.c]        somebody's write in progress
+
+The last two kinds of entry are the programs that *call* the kernels:
+:mod:`repro.runtime.compile_cache` ("Program records") writes and reads
+them through the same :func:`publish` and :func:`heal`, so that a
+process on a primed directory neither compiles a kernel nor traces or
+lowers a program.
 
 :func:`stats` counts kernels (``kernels_requested`` = ``kernels_built``
 + ``kernels_reused``, the latter from the table or from disk), entries
@@ -110,6 +126,8 @@ __all__ = [
     "engine_name",
     "available",
     "batch",
+    "publish",
+    "heal",
     "load_c",
     "compile_py",
     "default_threads",
@@ -157,14 +175,17 @@ class JitCacheWarning(RuntimeWarning):
     and has been rebuilt in place."""
 
 
-def _warn_corrupt_cache(path: str, exc: BaseException) -> None:
-    """Count a cache repair; warn only once per process (a shared cache
+def heal(path: str, exc: BaseException) -> None:
+    """Remove a damaged entry of the store — a kernel name, an object, a
+    program record — for whoever found it to rebuild in place. Counted
+    in ``cache_repairs``; warned about once per process (a shared
     directory full of stale objects would otherwise spam every run)."""
     global _WARNED_CORRUPT
     with _LOCK:
         _COUNTS["cache_repairs"] += 1
         first = not _WARNED_CORRUPT
         _WARNED_CORRUPT = True
+    _unlink(path)
     if first:
         warnings.warn(
             f"corrupt JIT disk-cache entry {path!r} "
@@ -173,6 +194,20 @@ def _warn_corrupt_cache(path: str, exc: BaseException) -> None:
             JitCacheWarning,
             stacklevel=3,
         )
+
+
+def publish(path: str, write: Callable[[str], None]) -> None:
+    """Give ``path`` its content whole or not at all: ``write(tmp)``
+    creates a pid-suffixed temporary beside it, an atomic rename gives it
+    the name other processes read. A writer that dies in between leaves
+    only the temporary, which :func:`sweep_stale_tmps` reaps."""
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        _unlink(tmp)
+        raise
 
 
 class JitUnavailableError(RuntimeError):
@@ -522,9 +557,7 @@ def _flag_works(cc: str, identity: str, flag: str) -> bool:
                     capture_output=True,
                 )
             verdict = "01"[proc.returncode == 0]
-            with open(f"{path}.tmp{os.getpid()}", "w") as fh:
-                fh.write(verdict + "\n")
-            os.replace(fh.name, path)
+            publish(path, lambda tmp: _write_text(tmp, verdict + "\n"))
         works = _PROBED[flag] = verdict == "1"
     return works
 
@@ -612,6 +645,11 @@ def _unlink(path: str) -> None:
         pass
 
 
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def _from_disk(directory: str, symbol: str):
     """The kernel's entry point if the store holds it, else ``None``. A
     damaged entry (the name dangles, the object does not load, the object
@@ -623,22 +661,13 @@ def _from_disk(directory: str, symbol: str):
     try:
         return getattr(_open_object(target), symbol)
     except (OSError, AttributeError) as exc:
-        _warn_corrupt_cache(name, exc)
-        _unlink(name)
+        heal(name, exc)
         if isinstance(exc, OSError):
             # whatever else points at the unloadable object now dangles
             # and is repaired in turn; other kernels of an object that
             # only lacks this symbol stay valid
             _unlink(target)
         return None
-
-
-def _publish(directory: str, symbol: str, objname: str) -> None:
-    """Point the kernel's name at the (already published) object."""
-    name = os.path.join(directory, symbol + ".so")
-    tmp = f"{name}.tmp{os.getpid()}"
-    os.symlink(objname, tmp)  # relative: the directory can be moved
-    os.replace(tmp, name)
 
 
 def _typed(cfn, kernel: KernelSource):
@@ -794,7 +823,12 @@ def _build(requests: List[_Request]) -> None:
             objname = os.path.basename(base) + ".so"
             for request in unit:
                 cfn = _typed(getattr(lib, request.symbol), request.kernel)
-                _publish(request.directory, request.symbol, objname)
+                # the kernel's name points at the (already published)
+                # object; relative, so the directory can be moved
+                publish(
+                    os.path.join(request.directory, request.symbol + ".so"),
+                    lambda tmp: os.symlink(objname, tmp),
+                )
                 request.flight.resolve(cfn)
             _count(compiles=1, kernels_built=len(unit))
     finally:

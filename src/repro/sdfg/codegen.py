@@ -32,6 +32,11 @@ guarantee (NumPy ≥ 1.13) makes the result identical to evaluation through
 temporaries, and a subexpression is only materialized when its result
 dtype is provably float64 under NEP 50 promotion (at least one float64
 array operand). Everything else stays inline.
+
+This module is the *generate* half: :func:`generate` turns an SDFG into
+a :class:`~repro.sdfg.plan.PlanImage` — driver source and memory plan as
+plain data. Making an image callable is the other half,
+:mod:`repro.sdfg.plan`.
 """
 
 from __future__ import annotations
@@ -39,8 +44,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
-import time
-import weakref
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
@@ -58,9 +61,10 @@ from repro.dsl.ir import (
     UnaryOp,
     expr_reads,
 )
-from repro.runtime.pool import ALIGN, get_pool
+from repro.runtime.pool import ALIGN
 from repro.sdfg.analysis import transient_lifetimes, transients_needing_zero
 from repro.sdfg.nodes import Callback, Kernel, StencilComputation, Tasklet
+from repro.sdfg.plan import CompiledSDFG, PlanImage
 
 _NP_FUNCS = {
     "sqrt": "np.sqrt",
@@ -550,7 +554,7 @@ def _local_arrays(kernel: Kernel) -> Dict[str, Tuple[str, tuple, tuple]]:
     ni, nj, nk = kernel.domain
     return {
         name: (
-            f"__loc{kernel.node_id}_{name}",
+            f"__loc_{name}",
             (ni - e.i_lo + e.i_hi, nj - e.j_lo + e.j_hi, nk - e.k_lo + e.k_hi),
             (-e.i_lo, -e.j_lo, -e.k_lo),
         )
@@ -698,83 +702,29 @@ def _emit_stmt(
     _finish_stmt(sched, out, stmt, ctx, conds)
 
 
-class CompiledSDFG:
-    """A compiled whole-program SDFG.
-
-    Call with ``arrays`` (container name → NumPy array for every
-    non-transient container) and optional ``scalars``. Per-kernel wall-clock
-    times are collected when ``instrument=True`` (used by the Fig. 10
-    analysis).
-
-    All working memory — expression scratch, kernel-local arrays and SDFG
-    transients — is one slab checked out of the process buffer pool per
-    call and released afterwards, laid out when the program is compiled
-    (:class:`_BufferPlan`). The shaped views a slab is seen through are
-    built the first time the arena hands that slab to this program and
-    kept for as long as the arena keeps the slab, so nested calls are safe
-    (they draw another slab) and repeated calls allocate and construct
-    nothing.
-    """
+class _Generator:
+    """One pass over an SDFG that writes its driver and plans its memory
+    (NumPy emission of every kernel; the compiled backend overrides
+    :meth:`_emit_node`)."""
 
     def __init__(self, sdfg, instrument: bool = False):
         self.sdfg = sdfg
         self.instrument = instrument
         self.kernel_labels: List[str] = []
-        self._callbacks: List = []
+        self._n_callbacks = 0
         self._plan = _BufferPlan()
-        #: transient → its value in the plan
         self._transient_values: Dict[str, int] = {}
-        self.source = self._generate()
-        namespace = {
-            "np": np,
-            "__CB": self._callbacks,
-            "__perf_counter": time.perf_counter,
-        }
-        code = compile(self.source, f"<sdfg:{sdfg.name}>", "exec")
-        exec(code, namespace)  # noqa: S102 - generated from our own IR
-        self._program = namespace["__program"]
-        self._kernel_time = np.zeros(len(self.kernel_labels))
-        self._kernel_count = np.zeros(len(self.kernel_labels), dtype=np.int64)
-        self._required: Tuple[str, ...] = tuple(
-            name for name, desc in sdfg.arrays.items() if not desc.transient
-        )
-        #: byte offset of every planned value, and the slab that holds them
-        self.plan_offsets, self.runtime_bytes = plan_layout(
+
+    def image(self, **compiled) -> PlanImage:
+        source = self._generate()
+        offsets, runtime_bytes = plan_layout(
             self._plan.nbytes(), self._plan.events
         )
-        #: arena slab → (``__B``, transient name → view), see :meth:`_bind`
-        self._bound: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-    @property
-    def plan_events(self) -> Tuple[Tuple[str, int], ...]:
-        """The planner's alloc/free log, for the R4xx lifetime checker."""
-        return tuple(self._plan.events)
-
-    @property
-    def plan_nbytes(self) -> List[int]:
-        """Bytes of every planned value (indexed like ``plan_offsets``)."""
-        return self._plan.nbytes()
-
-    def _bind(self, slab) -> Tuple[List[np.ndarray], Dict[str, np.ndarray]]:
-        """The plan's values as shaped views of ``slab``. Values the
-        planner gave the same bytes, shape and dtype are one view."""
-        views: Dict[tuple, np.ndarray] = {}
-        scratch = []
-        for (shape, dtype), offset, nbytes in zip(
-            self._plan.specs, self.plan_offsets, self.plan_nbytes
-        ):
-            key = (offset, shape, dtype.str)
-            view = views.get(key)
-            if view is None:
-                view = views[key] = (
-                    slab.data[offset:offset + nbytes].view(dtype).reshape(shape)
-                )
-            scratch.append(view)
-        transients = {
-            name: scratch[value]
-            for name, value in self._transient_values.items()
-        }
-        return scratch, transients
+        return PlanImage(
+            self.instrument, source, self._plan.specs,
+            self._plan.events, offsets, runtime_bytes,
+            self._transient_values, self.kernel_labels, **compiled,
+        )
 
     # ------------------------------------------------------------------
     def _generate(self) -> str:
@@ -863,9 +813,10 @@ class CompiledSDFG:
                 code = _replace_word(code, name, f"__s_{name}")
             out.emit(f"__s_{node.output} = {code}")
         elif isinstance(node, Callback):
-            cidx = len(self._callbacks)
-            self._callbacks.append(node.caller())
-            out.emit(f"__CB[{cidx}](__A)  # callback {node.label}")
+            # ``__CB`` holds the callbacks in program order: the
+            # materialised plan builds it from the SDFG's Callback nodes
+            out.emit(f"__CB[{self._n_callbacks}](__A)  # callback {node.label}")
+            self._n_callbacks += 1
         elif isinstance(node, StencilComputation):
             raise ValueError(
                 f"library node {node.label!r} must be expanded before "
@@ -891,62 +842,10 @@ class CompiledSDFG:
                     names.update(node.inputs)
         return names
 
-    # ------------------------------------------------------------------
-    def __call__(
-        self,
-        arrays: Optional[Dict[str, np.ndarray]] = None,
-        scalars: Optional[Dict[str, float]] = None,
-    ) -> None:
-        arrays = arrays or {}
-        missing = [n for n in self._required if n not in arrays]
-        if missing:
-            raise ValueError(f"missing arrays for containers: {missing}")
-        pool = get_pool()
-        if pool._recorder is not None:
-            # lifetime recording active: declare every caller-provided
-            # container as an out=-scheduled destination so the R404
-            # checker can catch live pooled scratch aliasing a kernel
-            # output owned by someone else
-            for name, arr in arrays.items():
-                pool.note("bind", arr, label=f"sdfg:{self.sdfg.name}:{name}")
-        if not self.runtime_bytes:
-            self._program(
-                arrays, scalars or {}, self._kernel_time, self._kernel_count, ()
-            )
-            return
-        slab = pool.checkout_slab(self.runtime_bytes)
-        try:
-            bound = self._bound.get(slab)
-            if bound is None:
-                bound = self._bound[slab] = self._bind(slab)
-            scratch, transients = bound
-            # caller-provided transient storage wins
-            self._program(
-                {**transients, **arrays}, scalars or {},
-                self._kernel_time, self._kernel_count, scratch,
-            )
-        finally:
-            pool.release(slab)
 
-    def request(self) -> None:
-        """Ask again for whatever of this plan is built outside it and
-        failed to build (nothing here: NumPy emission is complete when it
-        is compiled; see ``CompiledPlan.request``)."""
-
-    @property
-    def kernel_times(self) -> Dict[str, Tuple[float, int]]:
-        """Per-kernel (total seconds, invocation count) when instrumented."""
-        out: Dict[str, Tuple[float, int]] = {}
-        for label, t, c in zip(
-            self.kernel_labels, self._kernel_time, self._kernel_count
-        ):
-            prev = out.get(label, (0.0, 0))
-            out[label] = (prev[0] + float(t), prev[1] + int(c))
-        return out
-
-    def reset_instrumentation(self) -> None:
-        self._kernel_time[:] = 0.0
-        self._kernel_count[:] = 0
+def generate(sdfg, instrument: bool = False) -> PlanImage:
+    """SDFG (expanded) → the image of its NumPy-emission plan."""
+    return _Generator(sdfg, instrument).image()
 
 
 def _replace_word(code: str, name: str, repl: str) -> str:
@@ -961,4 +860,4 @@ def compile_sdfg(sdfg, instrument: bool = False) -> CompiledSDFG:
     """
     if any(state.library_nodes for state in sdfg.states):
         sdfg.expand_library_nodes()
-    return CompiledSDFG(sdfg, instrument=instrument)
+    return CompiledSDFG(sdfg, generate(sdfg, instrument))

@@ -6,7 +6,10 @@ single scalar loop nest and hands that nest to a JIT engine
 (:mod:`repro.runtime.jit`: numba, a system C compiler, or plain Python
 for testing). Each kernel is analysed and lowered *once* to a loop-nest
 tree (:mod:`repro.sdfg.loopnest`); the engine's language is only printed
-from that tree. The nest realizes the machine model's decisions for real:
+from that tree, into the plan's image (:func:`generate_compiled` — the
+plan itself, :class:`~repro.sdfg.plan.CompiledPlan`, is materialised
+from the image and needs nothing of this module). The nest realizes the
+machine model's decisions for real:
 
 - **local storage and on-the-fly fusion** (Sec. VI-A): a kernel local
   lives in a per-point register when one fusion cluster owns it, or when
@@ -50,10 +53,8 @@ NumPy's statement-at-a-time semantics:
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
 import math
-from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -74,7 +75,7 @@ from repro.dsl.ir import (
 )
 from repro.runtime import jit
 from repro.sdfg.codegen import (
-    CompiledSDFG,
+    _Generator,
     _bind_locals,
     _local_arrays,
     _resolve_ranges,
@@ -99,11 +100,14 @@ from repro.sdfg.loopnest import (
     print_py,
 )
 from repro.sdfg.nodes import Kernel, stmt_flops
+from repro.sdfg.plan import CompiledPlan, PlanBindError, PlanImage, UnitImage
 
 __all__ = [
     "IneligibleKernel",
     "PlanBindError",
     "CompiledPlan",
+    "UnitImage",
+    "generate_compiled",
     "compile_sdfg_compiled",
     "lower_kernel",
 ]
@@ -111,10 +115,6 @@ __all__ = [
 
 class IneligibleKernel(Exception):
     """This kernel has no bit-exact scalar lowering; use ufunc emission."""
-
-
-class PlanBindError(ValueError):
-    """An array passed at call time does not match the compiled plan."""
 
 
 #: dtype.str → scalar type tag: "d" double, "l" int64, "b" bool
@@ -184,7 +184,7 @@ class KernelUnit:
     """One lowered kernel: its loop-nest tree plus call metadata."""
 
     label: str
-    #: printed by the active engine's printer when the plan materializes
+    #: printed in the active engine's language when the image is generated
     tree: Nest
     #: (shape, dtype.str) per array argument, validated at each call
     arg_specs: List[Tuple[Tuple[int, ...], str]]
@@ -857,89 +857,30 @@ def lower_kernel(kernel: Kernel, sdfg) -> KernelUnit:
 
 
 # ---------------------------------------------------------------------------
-# runtime call wrappers
-# ---------------------------------------------------------------------------
-
-
-def _check_args(args, specs, label):
-    for arr, (shape, dstr) in zip(args, specs):
-        if (
-            getattr(arr, "shape", None) != shape
-            or arr.dtype.str != dstr
-            or not arr.flags.c_contiguous
-        ):
-            raise PlanBindError(
-                f"kernel {label!r}: array does not match the compiled plan "
-                f"(expected C-contiguous {shape}/{dstr}, got "
-                f"{getattr(arr, 'shape', None)}/"
-                f"{getattr(getattr(arr, 'dtype', None), 'str', None)})"
-            )
-
-
-def _c_caller(entry, unit: KernelUnit, threads: int):
-    """``entry()`` is the kernel's entry point; it is asked for at the
-    first call, when whichever batch the kernel was requested in has been
-    built (``CompiledPlan._entry``)."""
-    narr = len(unit.arg_specs)
-    cfn = None
-
-    def call(*args):
-        nonlocal cfn
-        if cfn is None:
-            cfn = entry()
-        _check_args(args[:narr], unit.arg_specs, unit.label)
-        cargs = [arr.ctypes.data for arr in args[:narr]]
-        cargs.extend(float(s) for s in args[narr:])
-        cargs.append(threads)
-        cfn(*cargs)
-
-    return call
-
-
-def _py_caller(fn, unit: KernelUnit):
-    narr = len(unit.arg_specs)
-
-    def call(*args):
-        _check_args(args[:narr], unit.arg_specs, unit.label)
-        fn(*args)
-
-    return call
-
-
-# ---------------------------------------------------------------------------
 # the compiled plan
 # ---------------------------------------------------------------------------
 
 
-class CompiledPlan(CompiledSDFG):
-    """A whole-program plan whose eligible kernels run as JIT-compiled
-    scalar loop nests; ineligible kernels keep the parent's ufunc emission
-    within the same program, so the plan as a whole always runs.
-
-    The driver program (tasklets, callbacks, transient zero fills, pooled
-    kernel-local binding, per-kernel ``__KT``/``__KC`` instrumentation) is
-    inherited unchanged from :class:`repro.sdfg.codegen.CompiledSDFG` —
-    only the per-kernel body emission is replaced by a call into ``__K``,
-    the list of materialized kernel entry points."""
+class _CompiledGenerator(_Generator):
+    """The driver program (tasklets, callbacks, transient zero fills,
+    pooled kernel-local binding, per-kernel ``__KT``/``__KC``
+    instrumentation) is the parent's — only the body of a kernel that
+    lowers is replaced by a call into ``__K``, the list of kernel entry
+    points; a kernel that does not keeps the parent's ufunc emission."""
 
     def __init__(self, sdfg, instrument: bool = False):
-        self._units: List[KernelUnit] = []
+        super().__init__(sdfg, instrument)
+        self.engine = jit.engine_name()
+        self.units: List[UnitImage] = []
         self.fallback_kernels: List[Tuple[str, str]] = []
-        self.threads = jit.default_threads()
-        self.engine: Optional[str] = None
-        #: what the engine handed out per unit (the C engine: the
-        #: kernel's flight, which may still be in the builder's batch); a
-        #: kernel that another plan of this process also contains is the
-        #: same object in both
-        self.kernel_functions: List = []
-        super().__init__(sdfg, instrument=instrument)
-        self._materialize()
 
-    @property
-    def compiled_kernels(self) -> List[str]:
-        return [u.label for u in self._units]
+    def image(self) -> PlanImage:
+        return super().image(
+            units=self.units, fallback_kernels=self.fallback_kernels,
+            engine=self.engine, threads=jit.default_threads(),
+            preamble=_C_PREAMBLE if self.engine == "cgen" else "",
+        )
 
-    # ------------------------------------------------------------------
     def _emit_node(self, node, out) -> None:
         if not isinstance(node, Kernel):
             return super()._emit_node(node, out)
@@ -948,8 +889,12 @@ class CompiledPlan(CompiledSDFG):
         except IneligibleKernel as exc:
             self.fallback_kernels.append((node.label, str(exc)))
             return super()._emit_node(node, out)
-        uidx = len(self._units)
-        self._units.append(unit)
+        uidx = len(self.units)
+        printer = print_c if self.engine == "cgen" else print_py
+        self.units.append(UnitImage(
+            unit.label, printer(unit.tree), unit.arg_specs,
+            list(unit.tree.scalars), unit.registers,
+        ))
         kidx = len(self.kernel_labels)
         self.kernel_labels.append(node.label)
         out.emit(f"# kernel {node.label} [compiled:{uidx}]")
@@ -965,84 +910,24 @@ class CompiledPlan(CompiledSDFG):
         for idx in local_slots:
             self._plan.free(idx)
 
-    # ------------------------------------------------------------------
-    def _materialize(self) -> None:
-        """Ask the active JIT engine for every lowered unit (it builds
-        only what no program has asked for before, and inside a
-        ``jit.batch()`` only when that exits) and bind the callers into
-        the driver's ``__K`` table."""
-        engine = jit.engine_name()
-        self.engine = engine
-        funcs: List = []
-        if not self._units:
-            pass
-        elif engine == "cgen":
-            self._request_c()
-            funcs = [
-                _c_caller(partial(self._entry, index), unit, self.threads)
-                for index, unit in enumerate(self._units)
-            ]
-        elif engine in ("numba", "pyloops"):
-            parallel = engine == "numba" and self.threads > 1
-            self.kernel_functions = [
-                jit.compile_py(print_py(u.tree), u.tree.name, parallel)
-                for u in self._units
-            ]
-            funcs = [
-                _py_caller(fn, unit)
-                for fn, unit in zip(self.kernel_functions, self._units)
-            ]
-        else:
-            raise jit.JitUnavailableError(
-                "compiled backend requires a JIT engine (numba, a C "
-                "compiler, or REPRO_JIT=pyloops); none is available"
-            )
-        self._program.__globals__["__K"] = funcs
 
-    def _request_c(self) -> None:
-        self.kernel_functions = jit.load_c(
-            [
-                jit.KernelSource(
-                    u.label,
-                    print_c(u.tree),
-                    (ctypes.c_void_p,) * len(u.arg_specs)
-                    + (ctypes.c_double,) * len(u.tree.scalars)
-                    + (ctypes.c_int64,),
-                )
-                for u in self._units
-            ],
-            _C_PREAMBLE,
-            want_openmp=self.threads > 1,
-        )
-
-    def request(self) -> None:
-        """Ask again for the kernels of a request that failed before they
-        were built — the batch they were recorded in raised, or the
-        compiler rejected their unit. The plan is in the compile caches
-        by then and outlives the failure; its failed flights have left
-        the JIT's table and never resolve."""
-        if self.engine == "cgen" and any(
-            flight.error is not None for flight in self.kernel_functions
-        ):
-            self._request_c()
-
-    def _entry(self, index: int):
-        """The C entry point of unit ``index``, for its first call."""
-        self.request()
-        return self.kernel_functions[index].result()
-
-
-def compile_sdfg_compiled(sdfg, instrument: bool = False) -> CompiledPlan:
-    """Expand (if needed) and compile an SDFG into a compiled-backend plan.
-
-    Raises :class:`repro.runtime.jit.JitUnavailableError` when no JIT
-    engine resolved — callers (the backend registry, the orchestration
+def generate_compiled(sdfg, instrument: bool = False) -> PlanImage:
+    """SDFG (expanded) → the image of its compiled-backend plan: every
+    kernel that lowers is in it as text of the active JIT engine's
+    language. Raises :class:`repro.runtime.jit.JitUnavailableError` when
+    no engine resolved — callers (the backend registry, the orchestration
     layer) turn that into a warn-once fallback."""
     if not jit.available():
         raise jit.JitUnavailableError(
             "no JIT engine available (install numba, provide a C compiler, "
             "or set REPRO_JIT=pyloops)"
         )
+    return _CompiledGenerator(sdfg, instrument).image()
+
+
+def compile_sdfg_compiled(sdfg, instrument: bool = False) -> CompiledPlan:
+    """Expand (if needed) and compile an SDFG into a compiled-backend plan
+    (:func:`generate_compiled`, then :class:`CompiledPlan`)."""
     if any(state.library_nodes for state in sdfg.states):
         sdfg.expand_library_nodes()
-    return CompiledPlan(sdfg, instrument=instrument)
+    return CompiledPlan(sdfg, generate_compiled(sdfg, instrument))

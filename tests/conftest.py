@@ -8,11 +8,31 @@ keeps its own accumulated spans across unmarked tests.
 
 Tests marked ``@pytest.mark.deep`` are the part of a matrix tier-1 only
 samples; they run under ``--deep`` (the CI job that owns the matrix).
+
+Every test reads and writes *program records* (traced templates, lowered
+plans: ``repro.runtime.compile_cache``) in an empty directory of its own,
+so that what it counts — ``program_traces``, cache misses — depends
+neither on an earlier test nor on an earlier session. The kernels stay
+in the shared ``REPRO_JIT_DIR``: recompiling them would add minutes.
 """
+
+import itertools
 
 import pytest
 
 from repro.obs import tracer as _tracer_mod
+from repro.runtime import compile_cache as _compile_cache
+
+_RECORD_DIRS = itertools.count()
+
+
+@pytest.fixture(autouse=True)
+def _own_program_records(tmp_path_factory, monkeypatch):
+    # not created here: the first record written makes it
+    monkeypatch.setattr(
+        _compile_cache, "RECORDS_DIR",
+        str(tmp_path_factory.getbasetemp() / f"records-{next(_RECORD_DIRS)}"),
+    )
 
 
 def pytest_addoption(parser):

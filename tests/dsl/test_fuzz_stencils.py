@@ -226,18 +226,14 @@ def check(source: str, seed: int = 0) -> None:
             stencil_obj(**got, **scalars, origin=origin, domain=domain,
                         backend=backend)
             agree(got, backend)
-        plan = None
+        sdfg = _build_sdfg(stencil_obj, fields, origin, domain)
         engines = ["pyloops"] + (["cgen"] if jit._find_cc() else [])
         with pytest.MonkeyPatch.context() as patch:
             for engine in engines:
                 patch.setenv("REPRO_JIT", engine)
                 jit.reset(engine=True)
-                if plan is None:
-                    plan = compile_sdfg_compiled(
-                        _build_sdfg(stencil_obj, fields, origin, domain)
-                    )
-                else:
-                    plan._materialize()  # the same trees, the other printer
+                # the same lowering, printed in this engine's language
+                plan = compile_sdfg_compiled(sdfg)
                 got = {n: a.copy() for n, a in fields.items()}
                 plan(arrays=got, scalars=scalars)
                 agree(got, f"compiled/{engine}")

@@ -233,3 +233,68 @@ def test_a_cold_default_run_enters_the_builder_once(empty_store):
         assert jit.stats()["kernels_requested"] == 79
     finally:
         _finish(core)
+
+
+def test_a_seeded_compile_fault_hits_the_same_program_cold_and_primed():
+    """``compile.fail`` is consulted once per plan *obtained*, whether it
+    is compiled or materialised from its record: the third consult is
+    the same program on an empty and on a primed directory, and the
+    retry compiles in the one case and restores in the other."""
+    from repro.resilience import GuardConfig, ResilienceConfig, chaos
+    from repro.resilience.chaos import ChaosPlan
+
+    def guarded_step():
+        cc.reset(clear=True)  # memory only: the records stay
+        plan = ChaosPlan.from_spec("compile.fail@3")
+        chaos.set_plan(plan)
+        core = build_core(
+            "baroclinic_wave", SMALL, executor="sequential",
+            resilience=ResilienceConfig(
+                guard=GuardConfig(policy="rollback"), max_retries=2
+            ),
+        )
+        try:
+            core.step_dynamics()
+        finally:
+            chaos.set_plan(None)
+        return core, plan.trace(), plan.consults("compile.fail"), cc.stats()
+
+    cores = []
+    try:
+        cold, cold_faults, cold_consults, cold_stats = guarded_step()
+        cores.append(cold)
+        primed, primed_faults, primed_consults, primed_stats = guarded_step()
+        cores.append(primed)
+        assert len(cold_faults) == 1 and primed_faults == cold_faults
+        assert cold_faults[0]["occurrence"] == 3
+        assert primed_consults == cold_consults == 9  # 8 plans + the retry
+        # the failed third program left no template behind when it was
+        # being traced, and one when it had been restored
+        assert (cold_stats["program_traces"], cold_stats["misses"]) == (9, 8)
+        assert cold_stats["programs_stored"] == 8
+        assert (primed_stats["program_traces"], primed_stats["misses"],
+                primed_stats["hits"]) == (0, 0, 8)
+        assert primed_stats["programs_restored"] == 8
+        _assert_same_state(primed, cold)
+    finally:
+        for core in cores:
+            _finish(core)
+
+
+def test_restored_programs_lint_like_traced_ones():
+    """``repro.lint --scenario`` takes a step and lints what the step
+    bound; what it finds in programs that came from their records is
+    what it finds in the traces that wrote them: nothing."""
+    from repro.lint.cli import lint_scenario
+
+    def summary(findings):
+        return sorted((f.rule, f.subject, f.message) for f in findings)
+
+    traced = lint_scenario("baroclinic_wave")
+    assert cc.stats()["program_traces"] == 8
+    cc.reset(clear=True)
+    restored = lint_scenario("baroclinic_wave")
+    assert cc.stats()["program_traces"] == 0
+    assert cc.stats()["programs_restored"] == 8
+    assert summary(restored) == summary(traced)
+    assert not [f for f in restored if not f.suppressed]

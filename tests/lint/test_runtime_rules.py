@@ -177,7 +177,7 @@ def _fake_compiled(events, specs, offsets=None):
     planned, slab = plan_layout(nbytes, plan.events)
     return SimpleNamespace(
         sdfg=SimpleNamespace(name="prog"),
-        _plan=plan,
+        image=plan,
         plan_events=tuple(plan.events),
         plan_nbytes=nbytes,
         plan_offsets=planned if offsets is None else list(offsets),

@@ -25,6 +25,7 @@ from repro.resilience.chaos import ChaosPlan
 from repro.resilience.errors import InjectedCompileError
 from repro.run import build_core, run
 from repro.runtime import compile_cache as cc
+from repro.runtime import jit
 from repro.scenarios import available_scenarios
 
 SHAPE = (6, 6, 4)
@@ -401,3 +402,306 @@ def test_counters_merge_and_reset():
     assert stats["templates"] == 1
     cc.reset(clear=True)
     assert cc.stats()["templates"] == 0
+
+
+# ---------------------------------------------------------------------------
+# templates that survive the process (the family's record on disk)
+# ---------------------------------------------------------------------------
+
+
+def _as_a_new_process():
+    """Forget everything in memory; the records on disk stay."""
+    cc.reset(clear=True)
+
+
+def _record_counts():
+    stats = cc.stats()
+    return {
+        name[len("programs_"):]: stats[name]
+        for name in ("programs_restored", "programs_stored",
+                     "programs_stale", "programs_unpersistable")
+    }
+
+
+def test_a_restored_template_binds_like_a_traced_one():
+    _combine(Box())
+    assert _record_counts() == dict(restored=0, stored=1, stale=0,
+                                    unpersistable=0)
+    _as_a_new_process()
+    _combine(Box())  # asserts the result
+    _combine(Box())
+    stats = cc.stats()
+    # the instance that used to trace binds like the rest, to a template
+    # and a plan that came from their records
+    assert (stats["program_traces"], stats["program_binds"]) == (0, 2)
+    assert (stats["hits"], stats["misses"]) == (1, 0)
+    assert _record_counts() == dict(restored=1, stored=0, stale=0,
+                                    unpersistable=0)
+    assert stats["restore_bytes"] > 0
+
+
+def test_a_guard_mismatch_appends_a_template_and_both_restore():
+    _combine(Box(gain=2.0))
+    _as_a_new_process()
+    _combine(Box(gain=3.0))  # restores gain=2.0's, which does not fit
+    assert _record_counts() == dict(restored=1, stored=1, stale=0,
+                                    unpersistable=0)
+    assert cc.stats()["program_traces"] == 1 and _templates() == 2
+    _as_a_new_process()
+    for gain in (3.0, 2.0):
+        _combine(Box(gain=gain))  # asserts each used its own gain
+    assert cc.stats()["program_traces"] == 0
+    assert _record_counts() == dict(restored=2, stored=0, stale=0,
+                                    unpersistable=0)
+
+
+def test_a_callback_is_restored_by_reference():
+    """``_mark`` is a module-level function: the record names it, and the
+    restored program calls the very function this process imported."""
+    for restored in (0, 1):
+        q = np.zeros(SHAPE)
+        Box(corners=("sw", "ne")).fill(q)
+        assert q[0, 0, 0] == 2
+        stats = cc.stats()
+        assert (stats["program_traces"], stats["programs_restored"]) \
+            == (1 - restored, restored)
+        _as_a_new_process()
+
+
+def _amplify(q, gain, times, offset):
+    q *= gain * times
+    assert offset is None
+
+
+class Amplifier:
+    """Hands its callback NumPy scalars: constants kept by value in the
+    SDFG, which NumPy pickles through a function, not a class."""
+
+    gain = np.float64(2.5)
+    times = np.int64(3)
+    offset = None  # (guarded by type: ``NoneType`` has no importable name)
+
+    @orchestrate
+    def run(self, q: np.ndarray):
+        _amplify(q, self.gain, self.times, self.offset)
+
+
+def test_numpy_scalar_constants_of_a_callback_survive_the_record():
+    for restored in (0, 1):
+        q = np.ones(SHAPE)
+        Amplifier().run(q)
+        assert q[0, 0, 0] == 7.5
+        assert _record_counts() == dict(
+            restored=restored, stored=1 - restored, stale=0, unpersistable=0
+        )
+        assert jit.stats()["cache_repairs"] == 0
+        _as_a_new_process()
+
+
+def test_copying_an_sdfg_keeps_its_callbacks_callable():
+    import copy
+    import pickle
+
+    from repro.sdfg.nodes import Callback
+
+    box = Box()
+    box.fill(np.zeros(SHAPE))
+    sdfg = box.fill.sdfg
+    for clone in (copy.deepcopy(sdfg), pickle.loads(pickle.dumps(sdfg))):
+        functions = [node.func for node in clone.all_nodes()
+                     if isinstance(node, Callback)]
+        assert functions == [_mark]
+
+
+def _cell_program():
+    """A program whose source ``inspect`` finds and ``open`` does not,
+    like a notebook cell's: registered in ``linecache`` under a file
+    name that is no file."""
+    import linecache
+    import sys
+    import types
+
+    source = (
+        "import numpy as np\n"
+        "from repro.orchestration import orchestrate\n"
+        "from tests.orchestration.test_templates import SHAPE, _add\n"
+        "class Cell:\n"
+        "    def __init__(self):\n"
+        "        self.one = np.ones(SHAPE)\n"
+        "    @orchestrate\n"
+        "    def run(self, q: np.ndarray, out: np.ndarray):\n"
+        "        _add(q, self.one, out, origin=(0, 0, 0), domain=SHAPE)\n"
+    )
+    name = "<cell-of-test-templates>"
+    linecache.cache[name] = (len(source), None,
+                             source.splitlines(keepends=True), name)
+    module = sys.modules.setdefault("_repro_cell", types.ModuleType(
+        "_repro_cell"
+    ))
+    if not hasattr(module, "Cell"):
+        exec(compile(source, name, "exec"), module.__dict__)
+    return module.Cell()
+
+
+def _local_program():
+    @stencil
+    def double(a: Field, out: Field):
+        with computation(PARALLEL), interval(...):
+            out = a * 2.0
+
+    class Doubler:
+        @orchestrate
+        def run(self, q: np.ndarray, out: np.ndarray):
+            double(q, out, origin=(0, 0, 0), domain=SHAPE)
+
+    return Doubler()
+
+
+class LambdaCaller:
+    hook = staticmethod(lambda q: q.__iadd__(1.0))
+
+    @orchestrate
+    def run(self, q: np.ndarray):
+        self.hook(q)
+
+
+def _closure_program():
+    gain = np.full(SHAPE, 3.0)
+
+    @orchestrate
+    def scaled(q: np.ndarray, out: np.ndarray):
+        _add(q, gain, out, origin=(0, 0, 0), domain=SHAPE)
+
+    return scaled
+
+
+@pytest.mark.parametrize("case", ["local stencil", "lambda callback",
+                                  "closure", "unreadable source"])
+def test_what_no_other_process_could_find_stays_in_memory(case, tmp_path):
+    """A stencil made inside a function, a lambda callback, a closure
+    program, a program whose source file cannot be hashed (an edit to it
+    would go unnoticed): each works, each is counted, none leaves a
+    record."""
+    import os
+
+    q, out = np.ones(SHAPE), np.zeros(SHAPE)
+    for _ in range(2):
+        if case == "local stencil":
+            _local_program().run(q, out)
+            assert out[0, 0, 0] == 2.0
+        elif case == "lambda callback":
+            q[:] = 1.0
+            LambdaCaller().run(q)
+            assert q[0, 0, 0] == 2.0
+        elif case == "unreadable source":
+            _cell_program().run(q, out)
+            assert out[0, 0, 0] == 2.0
+        else:
+            _closure_program()(q, out)
+            assert out[0, 0, 0] == 4.0
+    counts = _record_counts()
+    assert counts["stored"] == counts["restored"] == 0
+    assert counts["unpersistable"] >= 1
+    records = cc.RECORDS_DIR
+    assert not os.path.isdir(records) or not [
+        name for name in os.listdir(records) if name.startswith("repro_t_")
+    ]
+
+
+def _restored_core(scenario, config):
+    """A core whose programs all came from the records an identical core
+    left, and the compile-cache counters of preparing it."""
+    first = build_core(scenario, config, executor="sequential")
+    first.prepare()
+    _as_a_new_process()
+    core = build_core(scenario, config, executor="sequential")
+    core.prepare()
+    return core, cc.stats()
+
+
+def _oracle_cases():
+    for scenario in available_scenarios():
+        for layout in (1, 2):
+            marks = () if scenario == "baroclinic_wave" else pytest.mark.deep
+            yield pytest.param(scenario, layout, marks=marks)
+
+
+@pytest.mark.parametrize("scenario, layout", _oracle_cases())
+def test_every_restored_binding_equals_a_fresh_trace(scenario, layout,
+                                                     monkeypatch):
+    """The oracle again, for programs that were *restored*: per program
+    of every rank the same content key, scalars and container → array
+    mapping as a fresh trace of that instance, and the plan materialised
+    from the stored image has the driver source, the kernel keys and the
+    slab layout of one generated from that fresh trace."""
+    from repro.dsl import backends
+    from repro.runtime import jit
+
+    backend = "compiled" if jit.available() else "numpy"
+    monkeypatch.setattr(backends, "_default_backend", backend)
+    core, stats = _restored_core(scenario, _small(layout=layout))
+    ranks = core.partitioner.total_ranks
+    assert stats["program_traces"] == 0 and stats["misses"] == 0
+    assert stats["program_binds"] == 8 * ranks
+    assert stats["programs_restored"] == stats["templates"] \
+        == stats["hits"] <= 8 * layout**2
+    checked = 0
+    for program in _programs(core):
+        for binding in program._bindings.values():
+            args, kwargs = binding.held
+            fresh = OrchestratedProgram(
+                program.func, program.instance, program.optimize
+            )
+            sdfg = fresh.build(*args, **kwargs)
+            restored = binding.template.sdfg
+            key = cc.cache_key(sdfg, binding.plan.instrument, backend)
+            assert cc.cache_key(
+                restored, binding.plan.instrument, backend
+            ) == key
+            assert restored.scalars == sdfg.scalars
+            assert binding.template.runtime_scalars == \
+                fresh._binding.template.runtime_scalars
+            arrays = fresh._binding.arrays
+            assert binding.arrays.keys() == arrays.keys()
+            for name, array in arrays.items():
+                assert binding.arrays[name] is array, (program.name, name)
+            plan = fresh.compile(
+                instrument=binding.plan.instrument, backend=backend
+            )
+            # (content-equal, so the cache hands back the restored plan:
+            # generate one from the fresh trace itself)
+            assert plan is binding.plan
+            generated = cc._half(cc._GENERATE, backend)(
+                sdfg, plan.instrument
+            )
+            assert generated.source == plan.image.source
+            assert generated.offsets == plan.plan_offsets
+            assert generated.runtime_bytes == plan.runtime_bytes
+            assert [u.text for u in generated.units] \
+                == [u.text for u in plan.image.units]
+            if backend == "compiled" and plan.engine == "cgen":
+                again = type(plan)(sdfg, generated)
+                assert [f.key for f in again.kernel_functions] \
+                    == [f.key for f in plan.kernel_functions]
+            checked += 1
+    assert checked == 8 * ranks
+
+
+def test_a_changed_constant_restores_beside_the_first_template():
+    """``d2_damp`` is folded into ``DGridSolver.damp_fields`` alone: on a
+    2x2 layout the second configuration traces only that program's
+    variants, which join the family's record — and a later process
+    restores both configurations without tracing."""
+    base, other = _small(layout=2), _small(layout=2, d2_damp=0.05)
+    for config in (base, other):
+        build_core("baroclinic_wave", config,
+                   executor="sequential").prepare()
+    traced, templates = cc.stats()["program_traces"], _templates()
+    assert cc.stats()["programs_stored"] == traced == templates
+    _as_a_new_process()
+    for config in (other, base):
+        build_core("baroclinic_wave", config,
+                   executor="sequential").prepare()
+    stats = cc.stats()
+    assert stats["program_traces"] == 0 and stats["misses"] == 0
+    assert stats["programs_restored"] == _templates() == templates

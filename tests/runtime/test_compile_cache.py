@@ -1,5 +1,7 @@
 """Unit tests for the compiled-program cache (repro.runtime.compile_cache)."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -151,8 +153,21 @@ def test_lru_eviction(monkeypatch):
     cc.get_or_compile(_build_sdfg((5, 6, 3)))
     cc.get_or_compile(_build_sdfg((4, 6, 3)))  # evicts the (6, 6, 3) entry
     assert cc.stats()["entries"] == 2
+    shutil.rmtree(cc.RECORDS_DIR)  # the memory level alone
     cc.get_or_compile(_build_sdfg((6, 6, 3)))
     assert cc.stats()["misses"] == 4  # recompiled after eviction
+
+
+def test_an_evicted_plan_is_materialised_from_its_record(monkeypatch):
+    monkeypatch.setenv("REPRO_COMPILE_CACHE_SIZE", "1")
+    evicted = cc.get_or_compile(_build_sdfg((6, 6, 3)))
+    cc.get_or_compile(_build_sdfg((5, 6, 3)))
+    again = cc.get_or_compile(_build_sdfg((6, 6, 3)))
+    # another object, made from the image the first compile stored: a
+    # hit, not a third miss
+    assert again is not evicted
+    stats = cc.stats()
+    assert (stats["misses"], stats["hits"]) == (2, 1)
 
 
 def test_cached_program_results_are_correct():
@@ -190,3 +205,44 @@ def test_tuning_loop_shows_cache_hits_in_obs_report():
     assert payload["runtime"]["compile_cache"]["hits"] >= 1
     text = report()
     assert "compile cache:" in text
+
+
+@stencil
+def _two_planes(a: Field, b: Field, out: Field):
+    with computation(PARALLEL), interval(...):
+        b = a * 2.0
+        out = b[1, 0, 0] + b[-1, 0, 0]
+
+
+def test_the_machine_model_is_part_of_the_key():
+    """Lowering reads the observed machine (its cache size picks the
+    k-block, its balance what is recomputed), so a plan lowered for one
+    machine must not be handed out under another: two machines whose
+    caches force different k-blocks get two plans."""
+    import dataclasses
+
+    from repro import obs
+    from repro.machine import HASWELL
+    from repro.runtime import jit
+
+    if not jit.available():
+        pytest.skip("no JIT engine: nothing is lowered")
+    ex = DataflowStencilExecutor(_two_planes)
+    shapes = {n: (10, 8, 16) for n in ("a", "b", "out")}
+    sdfg = ex.build_sdfg(
+        shapes, {n: np.float64 for n in shapes}, (1, 0, 0), (8, 8, 16)
+    )
+    tiny = dataclasses.replace(HASWELL, name="tiny-cache", cache_bytes=4096)
+    plans = {}
+    try:
+        for machine in (HASWELL, tiny, HASWELL):
+            obs.set_observed_machine(machine)
+            plan = cc.get_or_compile(sdfg, backend="compiled")
+            assert plans.setdefault(machine.name, plan) is plan
+    finally:
+        obs.set_observed_machine(None)
+    big, small = plans[HASWELL.name], plans[tiny.name]
+    assert big is not small
+    assert [u.text for u in big.image.units] \
+        != [u.text for u in small.image.units]
+    assert (cc.stats()["hits"], cc.stats()["misses"]) == (1, 2)

@@ -19,6 +19,7 @@ this process.
 import ctypes
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -28,6 +29,9 @@ import pytest
 
 from repro.runtime import jit
 from tests.runtime.test_jit import _forget_loaded
+
+#: the checkout this file is in (child processes import its ``src``)
+ROOT = str(pathlib.Path(__file__).resolve().parents[2])
 
 PREAMBLE = "#include <stdint.h>\n"
 SRC = (
@@ -185,7 +189,7 @@ def test_fresh_process_heals_corrupt_cache(cgen):
     env = dict(os.environ, REPRO_JIT="cgen", REPRO_JIT_DIR=str(cgen),
                PYTHONPATH="src")
     proc = subprocess.run([sys.executable, "-c", child], env=env,
-                          capture_output=True, text=True, cwd="/root/repo")
+                          capture_output=True, text=True, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["repairs"] == 1
@@ -251,7 +255,7 @@ def test_two_cold_processes_on_one_directory_never_repair(cgen):
     procs = [
         subprocess.Popen([sys.executable, "-W", "error", "-c", child],
                          env=env, stdout=subprocess.PIPE,
-                         stderr=subprocess.PIPE, text=True, cwd="/root/repo")
+                         stderr=subprocess.PIPE, text=True, cwd=ROOT)
         for _ in range(2)
     ]
     for proc in procs:

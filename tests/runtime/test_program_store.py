@@ -1,0 +1,530 @@
+"""Program records: traced templates and lowered plans that outlive the
+process, in the kernel store's directory
+(``repro.runtime.compile_cache``, "Program records").
+
+What is checked here is the store itself — a record is found, refused
+when anything it depends on has changed, healed when it is damaged, and
+never written for what another process could not find again. That a
+restored program *is* the program a trace would produce is the oracle of
+``tests/orchestration/test_templates.py``.
+
+Cases that need a second process run one: a child interpreter with a
+``REPRO_JIT_DIR`` of its own under ``tmp_path``, driving a toy program
+whose module is written there too (so that its source can be edited
+between two processes).
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import warnings
+
+import numpy as np
+import pytest
+
+from repro.runtime import compile_cache as cc
+from repro.runtime import jit
+from tests.orchestration.test_templates import SHAPE, Box, _combine
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+
+@pytest.fixture(autouse=True)
+def _fresh():
+    cc.reset(clear=True)
+    jit.reset()
+    yield
+    cc.reset(clear=True)
+
+
+def _as_a_new_process():
+    cc.reset(clear=True)
+
+
+def _records(level=""):
+    folder = pathlib.Path(cc.RECORDS_DIR)
+    return sorted(folder.glob(f"repro_{level}*.rec")) if folder.is_dir() else []
+
+
+def _counts():
+    stats = cc.stats()
+    return (stats["program_traces"], stats["programs_restored"],
+            stats["programs_stale"], stats["misses"], stats["hits"])
+
+
+# ---------------------------------------------------------------------------
+# staleness: a record is refused, and replaced by what is built instead
+# ---------------------------------------------------------------------------
+
+
+def test_another_source_tree_or_interpreter_never_accepts_a_record(
+    monkeypatch
+):
+    """Two checkouts with different sources (or two Pythons, or two
+    NumPys) sharing one directory: each finds the other's records stale,
+    builds its own and overwrites them in place."""
+    _combine(Box())
+    assert _counts() == (1, 0, 0, 1, 0)
+    names = _records()
+    assert len(names) == 2  # one family, one plan
+    mine = list(cc._environment())
+    for position in range(len(mine)):
+        other = list(mine)
+        other[position] = "something else"
+        for environment in (other, mine):
+            _as_a_new_process()
+            monkeypatch.setattr(cc, "_ENVIRONMENT", environment)
+            _combine(Box())
+            # template record stale, plan record stale: traced, compiled
+            assert _counts() == (1, 0, 2, 1, 0)
+            assert _records() == names
+        _as_a_new_process()
+        _combine(Box())  # ... and what was overwritten is ours again
+        assert _counts() == (0, 1, 0, 0, 1)
+
+
+def _flag_changes():
+    from repro import obs
+    from repro.machine import P100
+
+    yield "threads", lambda patch: patch.setenv("REPRO_THREADS", "3")
+    yield "k-block", lambda patch: patch.setenv("REPRO_KBLOCK", "2")
+    yield "machine", lambda patch: patch.setattr(
+        obs.metrics, "_observed", P100
+    )
+    yield "engine", lambda patch: (
+        patch.setenv("REPRO_JIT", "pyloops"), jit.reset(engine=True)
+    )
+
+
+@pytest.mark.parametrize("what, change", list(_flag_changes()))
+def test_changed_codegen_flags_find_no_plan_record(what, change, monkeypatch):
+    """The flags are in the plan's key: the template is restored, the plan
+    is lowered for the flags of *this* process and stored beside the
+    other one."""
+    from repro.dsl import backends
+
+    if jit._find_cc() is None:
+        pytest.skip("no C compiler: the compiled backend is not in play")
+    monkeypatch.setenv("REPRO_JIT", "cgen")
+    jit.reset(engine=True)
+    monkeypatch.setattr(backends, "_default_backend", "compiled")
+    try:
+        _combine(Box())
+        _as_a_new_process()
+        change(monkeypatch)
+        _combine(Box())
+        assert _counts() == (0, 1, 0, 1, 0)
+        assert len(_records("t_")) == 1 and len(_records("p_")) == 2
+        _as_a_new_process()
+        _combine(Box())
+        assert _counts() == (0, 1, 0, 0, 1)
+    finally:
+        monkeypatch.undo()
+        jit.reset(engine=True)
+
+
+def test_instrumented_and_plain_plans_are_two_records():
+    from repro import obs
+
+    _combine(Box())
+    _as_a_new_process()
+    obs.enable()
+    try:
+        _combine(Box())
+    finally:
+        obs.disable()
+    assert _counts() == (0, 1, 0, 1, 0)
+    assert len(_records("p_")) == 2
+
+
+# ---------------------------------------------------------------------------
+# damage: a record that does not load is a miss, healed in place
+# ---------------------------------------------------------------------------
+
+
+def _truncate(data: bytes) -> bytes:
+    return data[: len(data) // 2]
+
+
+def _garbage(data: bytes) -> bytes:
+    return b"\x00\xff not a record \xfe" * 7
+
+
+def _foreign_class(data: bytes) -> bytes:
+    """A well-formed record whose pickle asks for ``os.system``."""
+    import pickle
+
+    header = data.partition(b"\n")[0]
+    return header + b"\n" + pickle.dumps(os.system)
+
+
+def _foreign_inside(data: bytes) -> bytes:
+    """A well-formed record with a template whose SDFG is of a class no
+    record may construct."""
+    import fractions
+    import pickle
+
+    header = data.partition(b"\n")[0]
+    template = {"sdfg": fractions.Fraction(1, 2)}
+    return header + b"\n" + pickle.dumps([template])
+
+
+def _wrong_shape(data: bytes) -> bytes:
+    """A well-formed record of allowed data that is no template."""
+    import pickle
+
+    header = data.partition(b"\n")[0]
+    return header + b"\n" + pickle.dumps([{"guards": ((("is", 99),),)}])
+
+
+def _unresolvable(data: bytes) -> bytes:
+    """A well-formed record naming an object that is gone."""
+    line, _, body = data.partition(b"\n")
+    header = json.loads(line)
+    header["manifest"][0][1] = "Box.no_such_program"
+    return json.dumps(header).encode() + b"\n" + body
+
+
+@pytest.mark.parametrize("damage, level", [
+    *((damage, level) for level in ("t_", "p_")
+      for damage in (_truncate, _garbage, _foreign_class)),
+    # (a plan record names nothing by reference and is read as it is)
+    *((damage, "t_") for damage in (_unresolvable, _foreign_inside,
+                                    _wrong_shape)),
+])
+def test_a_damaged_record_is_rebuilt_in_place(damage, level):
+    _combine(Box())
+    (path,) = _records(level)
+    sound = path.read_bytes()
+    path.unlink()
+    path.write_bytes(damage(sound))
+    _as_a_new_process()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _combine(Box())  # the result is asserted: never a wrong bind
+        _combine(Box())
+    assert jit.stats()["cache_repairs"] == 1
+    assert len([w for w in caught
+                if issubclass(w.category, jit.JitCacheWarning)]) == 1
+    # damaged is not stale; only the damaged level is built again
+    assert _counts() == ((1, 0, 0, 0, 1) if level == "t_"
+                         else (0, 1, 0, 1, 0))
+    # rewritten: the next process restores both levels again
+    _as_a_new_process()
+    jit.reset()
+    _combine(Box())
+    assert _counts() == (0, 1, 0, 0, 1)
+    assert jit.stats()["cache_repairs"] == 0
+
+
+def test_records_follow_the_kernel_stores_discipline(tmp_path, monkeypatch):
+    """Written through a pid-suffixed temporary and an atomic rename, into
+    ``REPRO_JIT_DIR`` when nothing says otherwise; a writer that died
+    leaves a temporary the first open of the directory sweeps."""
+    monkeypatch.setattr(cc, "RECORDS_DIR", None)
+    monkeypatch.setenv("REPRO_JIT_DIR", str(tmp_path))
+    monkeypatch.setattr(jit, "_TMP_SWEPT", False)
+    dead = tmp_path / "repro_t_0123.rec.tmp999999"
+    dead.write_bytes(b"half a record")
+    _combine(Box())
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert [n[:8] for n in names] == ["repro_p_", "repro_t_"]
+    assert all(n.endswith(".rec") for n in names)
+
+
+def test_a_directory_that_cannot_be_written_costs_only_the_records(
+    tmp_path, monkeypatch
+):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("not a directory")
+    monkeypatch.setattr(cc, "RECORDS_DIR", str(blocker / "records"))
+    with pytest.warns(jit.JitCacheWarning, match="cannot be written"):
+        _combine(Box())  # computes, and asserts, the right answer
+    stats = cc.stats()
+    assert stats["program_traces"] == 1 and stats["programs_stored"] == 0
+
+
+def test_disabled_cache_reads_and_writes_nothing(monkeypatch):
+    monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
+    _combine(Box())
+    assert _records() == []
+    monkeypatch.delenv("REPRO_COMPILE_CACHE")
+    _combine(Box())
+    before = {p: p.stat().st_mtime_ns for p in _records()}
+    assert len(before) == 2
+    _as_a_new_process()
+    monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
+    _combine(Box())
+    stats = cc.stats()
+    assert stats["program_traces"] == 1 and stats["programs_restored"] == 0
+    assert stats["restore_bytes"] == 0 and stats["programs_stored"] == 0
+    assert {p: p.stat().st_mtime_ns for p in _records()} == before
+
+
+def test_private_builds_neither_store_nor_restore():
+    """``program.build()`` hands out an SDFG its caller transforms in
+    place: such a trace is nobody else's template."""
+    box, q, out = Box(), np.ones(SHAPE), np.zeros(SHAPE)
+    box.combine.build(q, out)
+    assert _records("t_") == []
+    _combine(Box())  # leaves the family's record
+    _as_a_new_process()
+    Box().combine.build(q, out)
+    assert cc.stats()["program_traces"] == 1
+    assert cc.stats()["programs_restored"] == 0
+
+
+def test_worker_counters_merge_like_their_neighbours():
+    cc.merge_stats({"programs_restored": 8, "programs_stale": 1,
+                    "restore_bytes": 1000, "restore_seconds": 0.5})
+    cc.merge_stats({"programs_restored": 8, "programs_stored": 2,
+                    "programs_unpersistable": 1})
+    stats = cc.stats()
+    assert (stats["programs_restored"], stats["programs_stored"],
+            stats["programs_stale"], stats["programs_unpersistable"],
+            stats["restore_bytes"], stats["restore_seconds"]) \
+        == (16, 2, 1, 1, 1000, 0.5)
+    from repro.runtime import runtime_summary
+
+    assert runtime_summary()["compile_cache"]["programs_restored"] == 16
+    cc.reset(clear=False)
+    assert cc.stats()["programs_restored"] == 0
+
+
+def test_the_report_footer_has_a_programs_line():
+    from repro import obs
+    from repro.obs.report import report
+
+    _combine(Box())
+    _as_a_new_process()
+    obs.enable()
+    try:
+        _combine(Box())
+        text = report()
+    finally:
+        obs.disable()
+        obs.reset()
+    (line,) = [ln for ln in text.splitlines() if ln.startswith("programs:")]
+    assert "1 restored / 0 traced" in line and "0 stale" in line
+    assert "orchestrate.restore" in text
+
+
+# ---------------------------------------------------------------------------
+# two processes
+# ---------------------------------------------------------------------------
+
+TOY = '''
+import numpy as np
+
+from repro.dsl import Field, PARALLEL, computation, function, interval, stencil
+from repro.orchestration import orchestrate
+
+SHAPE = (6, 6, 4)
+
+
+@function
+def helper(x):
+    return x * 2.0
+
+
+@stencil
+def scale(a: Field, out: Field):
+    with computation(PARALLEL), interval(...):
+        out = helper(a) + 1.0
+
+
+GAIN = np.float64(2.5)
+TIMES = np.int64(3)
+
+
+def amplify(out, gain, times):
+    out *= gain * times
+
+
+class Amplified:
+    @orchestrate
+    def run(self, q: np.ndarray, out: np.ndarray):
+        scale(q, out, origin=(0, 0, 0), domain=SHAPE)
+        amplify(out, GAIN, TIMES)
+
+
+class Toy:
+    def __init__(self):
+        self.tmp = np.zeros(SHAPE)
+
+    @orchestrate
+    def run(self, q: np.ndarray, out: np.ndarray):
+        scale(q, self.tmp, origin=(0, 0, 0), domain=SHAPE)
+        scale(self.tmp, out, origin=(0, 0, 0), domain=SHAPE)
+'''
+
+CHILD = '''
+import json
+import sys
+
+import numpy as np
+
+sys.path.insert(0, sys.argv[1])
+import toy  # noqa: E402
+from repro.runtime import compile_cache as cc  # noqa: E402
+
+from repro.runtime import jit  # noqa: E402
+
+q, out = np.ones(toy.SHAPE), np.zeros(toy.SHAPE)
+getattr(toy, sys.argv[2])().run(q, out)
+print(json.dumps({"stats": cc.stats(), "value": float(out[0, 0, 0]),
+                  "repairs": jit.stats()["cache_repairs"]}))
+'''
+
+
+def _child(script: pathlib.Path, *args, jit_dir, **env):
+    proc = subprocess.run(
+        [sys.executable, str(script), *map(str, args)],
+        capture_output=True, text=True, cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                 REPRO_JIT_DIR=str(jit_dir), **env),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("edit, value", [
+    # what the second process must compute after the edit (q == 1):
+    # helper(helper(1) + 1) + 1 == 7 before any of them
+    (("scale(self.tmp, out,", "scale(q, out,"), 3.0),      # the program
+    (("helper(a) + 1.0", "helper(a) + 5.0"), 19.0),        # the stencil
+    (("return x * 2.0", "return x * 3.0"), 13.0),          # what it inlines
+])
+def test_edited_source_is_traced_again_never_bound_wrong(edit, value,
+                                                         tmp_path):
+    module, script = tmp_path / "toy.py", tmp_path / "child.py"
+    module.write_text(TOY)
+    script.write_text(CHILD)
+    store = tmp_path / "store"
+
+    def run():
+        got = _child(script, tmp_path, "Toy", jit_dir=store,
+                     REPRO_BACKEND="numpy")
+        stats = got["stats"]
+        return (got["value"], stats["program_traces"],
+                stats["programs_restored"], stats["programs_stale"])
+
+    assert run() == (7.0, 1, 0, 0)
+    assert run() == (7.0, 0, 1, 0)
+    records = sorted(p.name for p in store.glob("repro_t_*.rec"))
+    assert len(records) == 1
+    assert edit[0] in TOY
+    module.write_text(TOY.replace(*edit))
+    assert run() == (value, 1, 0, 1)
+    assert run() == (value, 0, 1, 0)
+    # replaced in place, not piled up
+    assert sorted(p.name for p in store.glob("repro_t_*.rec")) == records
+
+
+def test_numpy_scalar_callback_constants_restore_in_a_second_process(
+        tmp_path):
+    """NumPy pickles a scalar value through a function: the allow-list
+    knows it, so the record a cold process writes is one the next can
+    read — neither a crash at the first bind nor a heal per process."""
+    module, script = tmp_path / "toy.py", tmp_path / "child.py"
+    module.write_text(TOY)
+    script.write_text(CHILD)
+    for restored in (0, 1):
+        got = _child(script, tmp_path, "Amplified", jit_dir=tmp_path / "store",
+                     REPRO_BACKEND="numpy")
+        stats = got["stats"]
+        assert got["value"] == 3.0 * 7.5 and got["repairs"] == 0
+        assert (stats["program_traces"], stats["programs_stored"],
+                stats["programs_restored"], stats["programs_unpersistable"]
+                ) == (1 - restored, 1 - restored, restored, 0)
+
+
+STEP = '''
+import dataclasses
+import hashlib
+import json
+import sys
+
+from repro.run import EnsembleDriver
+from repro.runtime import runtime_summary
+from repro.scenarios import get_scenario
+
+config = dataclasses.replace(
+    get_scenario("baroclinic_wave").default_config(), npx=12, npz=4
+)
+driver = EnsembleDriver("baroclinic_wave", config, members=(1,), seed=5,
+                        diagnostics=False, executor="sequential")
+driver.step(2)
+digest = hashlib.sha256()
+snapshot = driver.snapshot_member(1)
+for arrays, tracers in zip(snapshot.arrays, snapshot.tracers):
+    for name in ("u", "v", "w", "pt", "delp", "delz"):
+        digest.update(arrays[name].tobytes())
+    for tracer in tracers:
+        digest.update(tracer.tobytes())
+summary = runtime_summary()
+driver.close()
+print(json.dumps({"digest": digest.hexdigest(),
+                  "cache": summary["compile_cache"], "jit": summary["jit"]}))
+'''
+
+
+@pytest.mark.skipif(jit._find_cc() is None, reason="no C compiler")
+def test_a_second_process_restores_everything_and_builds_nothing(tmp_path):
+    """The counters the issue names, at a small configuration: a process
+    on a primed directory traces nothing, compiles nothing, starts no
+    compiler, and computes what the first one computed."""
+    script, store = tmp_path / "step.py", tmp_path / "store"
+    script.write_text(STEP)
+    env = dict(REPRO_BACKEND="compiled", REPRO_JIT="cgen", REPRO_THREADS="1")
+    cold = _child(script, jit_dir=store, **env)
+    primed = _child(script, jit_dir=store, **env)
+    assert primed["digest"] == cold["digest"]
+    cache, kernels = cold["cache"], cold["jit"]
+    assert (cache["program_traces"], cache["program_binds"]) == (8, 40)
+    assert (cache["misses"], cache["hits"]) == (8, 0)
+    assert (cache["programs_stored"], cache["programs_restored"]) == (8, 0)
+    assert kernels["kernels_built"] > 0 and kernels["builds"] == 1
+    cache, kernels = primed["cache"], primed["jit"]
+    assert (cache["program_traces"], cache["program_binds"]) == (0, 48)
+    assert cache["templates"] == 8
+    assert cache["by_backend"] == {"compiled": {"hits": 8, "misses": 0}}
+    assert (cache["programs_stored"], cache["programs_restored"]) == (0, 8)
+    assert cache["programs_stale"] == cache["programs_unpersistable"] == 0
+    assert kernels["kernels_requested"] == kernels["kernels_reused"] \
+        == cold["jit"]["kernels_requested"]
+    assert (kernels["kernels_built"], kernels["builds"],
+            kernels["compiles"]) == (0, 0, 0)
+    assert kernels["cache_repairs"] == 0
+
+
+def test_two_cold_processes_on_one_directory_agree(tmp_path):
+    """Both trace, both write every record (the last rename wins, either
+    is whole), neither leaves a temporary behind, and a third process
+    restores what they left."""
+    script, store = tmp_path / "step.py", tmp_path / "store"
+    script.write_text(STEP)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               REPRO_JIT_DIR=str(store), REPRO_BACKEND="numpy")
+    procs = [
+        subprocess.Popen([sys.executable, str(script)], env=env, cwd=ROOT,
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         text=True)
+        for _ in range(2)
+    ]
+    outs = []
+    for proc in procs:
+        stdout, stderr = proc.communicate()
+        assert proc.returncode == 0, stderr
+        outs.append(json.loads(stdout.splitlines()[-1]))
+    assert outs[0]["digest"] == outs[1]["digest"]
+    assert not [p.name for p in store.iterdir() if ".tmp" in p.name]
+    third = _child(script, jit_dir=store, REPRO_BACKEND="numpy")
+    assert third["digest"] == outs[0]["digest"]
+    assert third["cache"]["program_traces"] == 0
+    assert third["cache"]["programs_restored"] == 8
+    assert third["cache"]["by_backend"] == {"numpy": {"hits": 8, "misses": 0}}
+    assert third["jit"]["cache_repairs"] == 0

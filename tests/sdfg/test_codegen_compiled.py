@@ -31,7 +31,7 @@ from repro.sdfg.codegen_compiled import (
     lower_kernel,
 )
 from repro.sdfg.loopnest import (
-    Clamp, Let, Lit, Loop, Op, Ref, Reg, Store, Strip,
+    Clamp, Let, Lit, Loop, Op, Ref, Reg, Store, Strip, print_c, print_py,
 )
 from repro.sdfg.nodes import Kernel
 from tests.fv3.test_backend_bitexact import NI, NJ, NK, _discover, _synthesize
@@ -569,19 +569,28 @@ def test_both_printers_of_one_tree_match_the_numpy_reference(
     ref = {n: a.copy() for n, a in fields.items()}
     stencil_obj(**ref, **scalars, origin=origin, domain=domain,
                 backend="numpy")
-    plan = compile_sdfg_compiled(
-        _build_sdfg(stencil_obj, fields, origin, domain)
-    )
-    trees = [unit.tree for unit in plan._units]
+    sdfg = _build_sdfg(stencil_obj, fields, origin, domain)
+    sdfg.expand_library_nodes()
+    # lowered once, here, independently of any plan
+    trees = []
+    for kernel in sdfg.all_kernels():
+        try:
+            trees.append(lower_kernel(kernel, sdfg).tree)
+        except IneligibleKernel:
+            pass
     monkeypatch.setenv("REPRO_JIT_DIR", str(tmp_path))
     for engine in ("pyloops", "cgen"):
         if engine == "cgen" and jit._find_cc() is None:
             pytest.skip("Python printer agrees; no C compiler for the C one")
         monkeypatch.setenv("REPRO_JIT", engine)
         jit.reset(engine=True)
-        plan._materialize()  # prints the trees in this engine's language
+        # generates an image in this engine's language and materialises
+        # it: what the plan runs is this engine's print of those trees
+        plan = compile_sdfg_compiled(sdfg)
         assert plan.engine == engine
-        assert [unit.tree for unit in plan._units] == trees
+        printer = print_c if engine == "cgen" else print_py
+        assert [unit.text for unit in plan.image.units] \
+            == [printer(tree) for tree in trees]
         got = {n: a.copy() for n, a in fields.items()}
         plan(arrays=got, scalars=scalars)
         for name in fields:
