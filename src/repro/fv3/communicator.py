@@ -23,7 +23,7 @@ Everything here holds for both:
   the documented ``test()`` semantics, enforced rather than skipped.
 - Every message carries a *deliverable-at* instant (``monotonic_ns``,
   system-wide, so it means the same in every process): simulated network
-  latency (``latency`` / ``REPRO_NET_LATENCY``, seconds per message) and
+  latency (``latency``, seconds per message) and
   chaos ``halo.delay`` are both delivery-time conditions on the message
   itself, so seeded chaos replays are independent of how often a waiter
   happens to wake.
@@ -41,7 +41,6 @@ state so an aborted exchange can be retried cleanly.
 from __future__ import annotations
 
 import dataclasses
-import os
 import threading
 import time
 import warnings
@@ -256,7 +255,7 @@ class LocalComm:
     table never discards a sibling's in-flight messages; the log is per
     endpoint.
 
-    ``latency`` (seconds, default ``REPRO_NET_LATENCY`` or 0) delays
+    ``latency`` (seconds, default 0) delays
     every message's deliverable-at instant, modeling the network the
     paper's Cray Aries interconnect provides: with it set, comm/compute
     overlap becomes measurable in one process.
@@ -272,9 +271,7 @@ class LocalComm:
                  mailbox=None,
                  owned_ranks: Optional[Sequence[int]] = None):
         self.size = size
-        if latency is None:
-            latency = float(os.environ.get("REPRO_NET_LATENCY", "0") or "0")
-        self.latency = latency
+        self.latency = latency or 0.0
         self.mailbox = mailbox if mailbox is not None else DictMailbox()
         self.owned_ranks = tuple(
             sorted(owned_ranks) if owned_ranks is not None else range(size)

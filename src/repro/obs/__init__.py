@@ -20,9 +20,14 @@ observes itself:
 - :func:`median_time` / :func:`confidence_interval` — repeated-run
   measurement helpers.
 
-Environment toggles: ``REPRO_TRACE=1`` enables tracing process-wide;
-``REPRO_TRACE_MACHINE={haswell,p100,a100}`` selects the roofline
-reference used in reports. See ``docs/observability.md``.
+- :mod:`repro.obs.counters` — the one counter store: every subsystem
+  declares its counters as a :class:`Counters` set and registers it;
+  report footers, the JSON export and what a rank worker ships to its
+  parent are loops over that registry.
+
+``REPRO_TRACE=1`` enables tracing process-wide;
+:func:`set_observed_machine` selects the roofline reference used in
+reports. See ``docs/observability.md``.
 """
 
 from repro.obs.metrics import (

@@ -10,11 +10,9 @@ time this yields achieved GB/s, and against a
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import Dict, Optional, Tuple
 
-from repro.machine import A100, HASWELL, P100, MachineModel
+from repro.machine import HASWELL, MachineModel
 from repro.dsl.extents import Extent, k_access_bounds
 
 __all__ = [
@@ -23,40 +21,21 @@ __all__ = [
     "stencil_traffic_bytes",
 ]
 
-_MACHINES = {"haswell": HASWELL, "p100": P100, "a100": A100}
-
-_observed: Optional[MachineModel] = None
+_observed: MachineModel = HASWELL
 
 
 def observed_machine() -> MachineModel:
-    """Machine model used as the roofline reference in reports.
-
-    Defaults to the CPU actually running this reproduction (Haswell);
-    override with ``REPRO_TRACE_MACHINE={haswell,p100,a100}`` or
-    :func:`set_observed_machine`.
-    """
-    global _observed
-    if _observed is None:
-        key = os.environ.get("REPRO_TRACE_MACHINE", "haswell").strip().lower()
-        _observed = _MACHINES.get(key)
-        if _observed is None:
-            warnings.warn(
-                f"unknown REPRO_TRACE_MACHINE {key!r} "
-                f"(expected one of: {', '.join(sorted(_MACHINES))}); "
-                f"using haswell",
-                stacklevel=2,
-            )
-            _observed = HASWELL
+    """Machine model used as the roofline reference in reports: the CPU
+    actually running this reproduction (Haswell) unless
+    :func:`set_observed_machine` chose another."""
     return _observed
 
 
 def set_observed_machine(machine: Optional[MachineModel]) -> None:
-    """Set (or with ``None``, re-derive from the environment) the roofline
-    machine used by :func:`repro.obs.report`."""
+    """Set (or with ``None``, reset to the default) the roofline machine
+    used by :func:`repro.obs.report`."""
     global _observed
-    _observed = machine
-    if machine is None:
-        observed_machine()
+    _observed = machine if machine is not None else HASWELL
 
 
 def stencil_traffic_bytes(

@@ -1139,7 +1139,7 @@ class OrchestratedProgram:
         builder.sdfg.expand_library_nodes()
         if self.optimize is not None:
             self.optimize(builder.sdfg)
-        _cache.note_trace()
+        _cache.COUNTERS.add("program_traces")
         return builder.template(), builder.array_of
 
     def build(self, *args, **kwargs) -> SDFG:
@@ -1215,7 +1215,7 @@ class OrchestratedProgram:
             family = _cache.template_family(self._family_key())
         if family is None:  # REPRO_COMPILE_CACHE=0, or a closure
             if closure:
-                _cache.note_records(programs_unpersistable=1)
+                _cache.COUNTERS.add("programs_unpersistable")
             return self._trace_and_compile(args, kwargs)
         bound = dict(zip(self._parameters(), args))
         bound.update(kwargs)
@@ -1243,7 +1243,7 @@ class OrchestratedProgram:
                         binding.arrays = rebound
                         self._store(family, template)
                     else:
-                        _cache.note_records(programs_unpersistable=1)
+                        _cache.COUNTERS.add("programs_unpersistable")
         return binding
 
     def _family_key(self) -> tuple:
@@ -1279,7 +1279,7 @@ class OrchestratedProgram:
             if templates is not None:
                 for template in templates:
                     family.publish(template)
-                _cache.note_records(programs_restored=len(templates))
+                _cache.COUNTERS.add("programs_restored", len(templates))
                 sp.add("templates", len(templates))
 
     def _store(self, family, template: _Template) -> None:
@@ -1300,10 +1300,10 @@ class OrchestratedProgram:
                         raise
             stored = _cache.store_record(name, manifest, encoded)
         except _cache.Unpersistable:
-            _cache.note_records(programs_unpersistable=1)
+            _cache.COUNTERS.add("programs_unpersistable")
             return
         if stored:
-            _cache.note_records(programs_stored=1)
+            _cache.COUNTERS.add("programs_stored")
 
     def _trace_and_compile(self, args, kwargs) -> _Binding:
         with _TRACER.span("orchestrate.build"):
@@ -1318,7 +1318,7 @@ class OrchestratedProgram:
             for template in templates:
                 arrays = template.bind(self.instance, bound)
                 if arrays is not None:
-                    _cache.note_bind()
+                    _cache.COUNTERS.add("program_binds")
                     return self._replan(_Binding(template, arrays, held))
         return None
 

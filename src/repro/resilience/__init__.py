@@ -17,8 +17,10 @@ backends → dyncore → obs:
   (:meth:`repro.dsl.stencil.StencilObject.__call__`), and halo receives
   poll with a bounded budget instead of crashing on the first miss.
 
-Every recovery action increments a process-wide counter surfaced in the
-``repro.obs`` report footer; :func:`summary` is the machine-facing view.
+Every recovery action increments a counter of the registered
+``resilience`` set (:mod:`repro.obs.counters`: a rank worker's counts
+reach its parent) surfaced in the ``repro.obs`` report footer;
+:func:`summary` is the machine-facing view.
 ``REPRO_FALLBACK=0`` disables the backend fallback (failures then
 propagate to the dyncore retry loop, or to the caller).
 """
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import threading
 import warnings
 from typing import Dict, List, Optional, Tuple
 
@@ -55,6 +56,9 @@ from repro.resilience.errors import (
     RetriesExhaustedError,
 )
 from repro.resilience.guards import GuardConfig, GuardViolation, StateGuard
+# after the submodules: importing ``repro.obs`` comes back here through
+# ``repro.dsl``, which needs them and nothing below
+from repro.obs.counters import Counters, register
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -127,7 +131,7 @@ class ResilienceConfig:
 # process-wide recovery counters (the obs report footer reads these)
 # ---------------------------------------------------------------------------
 
-_COUNTER_NAMES = (
+COUNTERS = register("resilience", Counters(sums=(
     "guard_trips",
     "rollbacks",
     "retries",
@@ -137,21 +141,15 @@ _COUNTER_NAMES = (
     "orphaned_messages",
     "checkpoints_saved",
     "checkpoints_restored",
-)
-
-_COUNTERS: Dict[str, int] = {name: 0 for name in _COUNTER_NAMES}
-_COUNTER_LOCK = threading.Lock()
+)))
+#: ``record(name, n=1)``: increment one recovery counter (rank threads
+#: report redeliveries and timeouts concurrently); an unknown name is a
+#: ``KeyError``
+record = COUNTERS.add
 
 #: most recent backend fallbacks as (stencil, backend, error repr)
 _FALLBACK_LOG: List[Tuple[str, str, str]] = []
 _FALLBACK_LOG_LIMIT = 32
-
-
-def record(name: str, n: int = 1) -> None:
-    """Increment one recovery counter (thread-safe: rank threads report
-    redeliveries and timeouts concurrently)."""
-    with _COUNTER_LOCK:
-        _COUNTERS[name] = _COUNTERS.get(name, 0) + n
 
 
 def record_fallback(stencil: str, backend: str, exc: BaseException) -> None:
@@ -177,7 +175,7 @@ def summary() -> Dict[str, object]:
     """Recovery counters plus the active chaos plan's injection record."""
     plan = chaos.get_plan()
     return {
-        "counters": dict(_COUNTERS),
+        "counters": COUNTERS.snapshot(),
         "fallback_log": [list(entry) for entry in _FALLBACK_LOG],
         "chaos": {
             "active": plan is not None,
@@ -191,6 +189,5 @@ def summary() -> Dict[str, object]:
 def reset() -> None:
     """Zero all counters and drop the fallback log (the chaos plan is
     untouched — clear it with ``chaos.clear_plan()``)."""
-    for name in _COUNTERS:
-        _COUNTERS[name] = 0
+    COUNTERS.reset()
     _FALLBACK_LOG.clear()

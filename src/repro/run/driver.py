@@ -574,30 +574,24 @@ class EnsembleDriver:
         """What one run saved, as deltas of the compile-cache and pool
         counters since ``cache0``/``pool0`` (also folded into the obs
         footer's ``ensemble:`` totals)."""
-        cache1 = _compile_cache.stats()
-        pool1 = get_pool().stats()
+        cache = _compile_cache.COUNTERS.since(cache0)
         amortization = {
             "members": len(self.member_ids),
             "grid_builds": self._grid_builds,
             "grid_builds_avoided": self._grid_builds_avoided,
-            "compile_hits": cache1["hits"] - cache0["hits"],
-            "compile_misses": cache1["misses"] - cache0["misses"],
-            "program_traces":
-                cache1["program_traces"] - cache0["program_traces"],
-            "program_binds":
-                cache1["program_binds"] - cache0["program_binds"],
-            "pool_reuse_hits": pool1["reuse_hits"] - pool0["reuse_hits"],
+            "compile_hits": cache["hits"],
+            "compile_misses": cache["misses"],
+            "program_traces": cache["program_traces"],
+            "program_binds": cache["program_binds"],
+            "pool_reuse_hits":
+                get_pool().counters.since(pool0)["reuse_hits"],
         }
-        _metrics.record_run(
-            members=len(self.member_ids),
-            member_steps=steps * len(self.member_ids),
-            seconds=seconds,
-            grid_builds=self._grid_builds,
-            grid_builds_avoided=self._grid_builds_avoided,
-            compile_hits=amortization["compile_hits"],
-            compile_misses=amortization["compile_misses"],
-            pool_reuse_hits=amortization["pool_reuse_hits"],
-        )
+        # one run, folded whole (names that are not ensemble counters —
+        # the program counts — are not the set's to take)
+        _metrics.COUNTERS.merge({
+            **amortization, "runs": 1, "seconds": seconds,
+            "member_steps": steps * len(self.member_ids),
+        })
         return amortization
 
     def run(self, steps: int, check: bool = True) -> RunResult:

@@ -4,69 +4,38 @@ The whole point of batching members through one driver is that the
 second member stops paying the first member's fixed costs: compiled
 programs come out of the content-hash cache, scratch arrays out of the
 buffer pool, and the cubed-sphere geometry is built once and shared.
-The driver records, per ``run()``, the compile-cache and pool deltas
-observed *during* the run plus the grid builds it avoided; the obs
-report footer (``ensemble:`` line) and :func:`summary` expose the
-accumulated totals.
+The driver adds, per ``run()``, the compile-cache and pool deltas
+observed *during* the run plus the grid builds it avoided to the set
+declared here; the obs report footer (``ensemble:`` line) and
+:func:`summary` expose the accumulated totals.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Dict
 
-__all__ = ["record_run", "reset_metrics", "summary"]
+from repro.obs.counters import Counters, register
 
-_LOCK = threading.Lock()
-_METRICS: Dict[str, float] = {
-    "runs": 0,
-    "members": 0,
-    "member_steps": 0,
-    "seconds": 0.0,
-    "grid_builds": 0,
-    "grid_builds_avoided": 0,
-    "compile_hits": 0,
-    "compile_misses": 0,
-    "pool_reuse_hits": 0,
-}
+__all__ = ["COUNTERS", "reset_metrics", "summary"]
 
 
-def record_run(
-    members: int,
-    member_steps: int,
-    seconds: float,
-    grid_builds: int,
-    grid_builds_avoided: int,
-    compile_hits: int,
-    compile_misses: int,
-    pool_reuse_hits: int,
-) -> None:
-    """Accumulate one driver run's amortization counters."""
-    with _LOCK:
-        _METRICS["runs"] += 1
-        _METRICS["members"] += members
-        _METRICS["member_steps"] += member_steps
-        _METRICS["seconds"] += seconds
-        _METRICS["grid_builds"] += grid_builds
-        _METRICS["grid_builds_avoided"] += grid_builds_avoided
-        _METRICS["compile_hits"] += compile_hits
-        _METRICS["compile_misses"] += compile_misses
-        _METRICS["pool_reuse_hits"] += pool_reuse_hits
-
-
-def reset_metrics() -> None:
-    with _LOCK:
-        for key in _METRICS:
-            _METRICS[key] = 0
-
-
-def summary() -> Dict[str, object]:
-    """Accumulated ensemble counters (plus the compile amortization
-    rate: hits / (hits + misses) observed during driver runs)."""
-    with _LOCK:
-        out: Dict[str, object] = dict(_METRICS)
-    compiled = out["compile_hits"] + out["compile_misses"]
-    out["compile_amortization"] = (
-        out["compile_hits"] / compiled if compiled else None
+def _with_amortization(snapshot: Dict[str, object]) -> Dict[str, object]:
+    """The compile amortization rate: hits / (hits + misses) observed
+    during driver runs."""
+    compiled = snapshot["compile_hits"] + snapshot["compile_misses"]
+    snapshot["compile_amortization"] = (
+        snapshot["compile_hits"] / compiled if compiled else None
     )
-    return out
+    return snapshot
+
+
+COUNTERS = register("ensemble", Counters(
+    sums=(
+        "runs", "members", "member_steps", "seconds", "grid_builds",
+        "grid_builds_avoided", "compile_hits", "compile_misses",
+        "pool_reuse_hits",
+    ),
+    derive=_with_amortization,
+))
+summary = COUNTERS.snapshot
+reset_metrics = COUNTERS.reset

@@ -25,13 +25,16 @@ two allocation sources the generated NumPy programs had:
   shared-memory mailbox; imported lazily (only runs that ask for
   ``executor="processes"`` pay for it).
 
-:func:`runtime_summary` aggregates the counter sets for the obs report.
+Each of the five declares its counters as one registered
+:class:`~repro.obs.counters.Counters` set; :func:`runtime_summary` is the
+registry's snapshot of those groups.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
+from repro.obs.counters import REGISTRY
 from repro.runtime.pool import BufferPool, CancelScope, get_pool
 from repro.runtime import compile_cache
 from repro.runtime import jit
@@ -44,21 +47,14 @@ __all__ = [
     "RankExecutor", "runtime_summary",
 ]
 
+_GROUPS = ("pool", "compile_cache", "jit", "ranks", "procs")
+
 
 def runtime_summary() -> Dict[str, Dict[str, object]]:
     """Pool, compile-cache, JIT and rank-executor counters for reports
-    (zero-filled dicts when the subsystems have not been exercised)."""
-    import sys
-
-    out = {
-        "pool": get_pool().stats(),
-        "compile_cache": compile_cache.stats(),
-        "jit": jit.stats(),
-        "ranks": ranks.summary(),
+    (all zero when the subsystems have not been exercised), and the
+    process executor's once a run has imported it."""
+    return {
+        group: REGISTRY[group].snapshot()
+        for group in _GROUPS if group in REGISTRY
     }
-    # the process executor is imported lazily; only report it when some
-    # run actually loaded it
-    procs = sys.modules.get("repro.runtime.procs")
-    if procs is not None:
-        out["procs"] = procs.summary()
-    return out

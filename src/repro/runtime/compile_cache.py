@@ -103,15 +103,15 @@ from collections import OrderedDict
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.obs import tracer as _obs
+from repro.obs.counters import Counters, register
 from repro.resilience import chaos as _chaos
 from repro.resilience.errors import InjectedCompileError
 from repro.runtime import jit as _jit
 
 __all__ = ["get_or_compile", "cache_key", "codegen_flags", "template_family",
-           "TemplateFamily", "note_trace", "note_bind", "merge_stats",
-           "stats", "reset", "Manifest", "Unpersistable", "reference",
-           "record_name", "load_record", "store_record", "restoring",
-           "note_records"]
+           "TemplateFamily", "COUNTERS", "stats", "reset", "Manifest",
+           "Unpersistable", "reference", "record_name", "load_record",
+           "store_record", "restoring"]
 
 _SEP = "\x1f"
 #: prefix of every part of a content key that names an object by its
@@ -119,28 +119,48 @@ _SEP = "\x1f"
 _BY_IDENTITY = "\x1d"
 
 _CACHE: "OrderedDict[str, object]" = OrderedDict()
-#: per-backend counters, so cross-backend A/B runs report hits/misses per
-#: backend instead of a single merged number
-_HITS: Dict[str, int] = {}
-_MISSES: Dict[str, int] = {}
-_BYTES_SAVED = 0
 
-#: template families in LRU order, and what orchestration did with them
+#: template families in LRU order
 _FAMILIES: "OrderedDict[Hashable, TemplateFamily]" = OrderedDict()
 _FAMILIES_LOCK = threading.Lock()
-_TRACES = 0
-_BINDS = 0
 
-#: the disk level (see "Program records" below)
-_ZERO_RECORDS: Dict[str, float] = {
-    "programs_restored": 0,
-    "programs_stored": 0,
-    "programs_stale": 0,
-    "programs_unpersistable": 0,
-    "restore_bytes": 0,
-    "restore_seconds": 0.0,
-}
-_RECORDS = dict(_ZERO_RECORDS)
+
+def _with_totals(snapshot: Dict[str, object]) -> Dict[str, object]:
+    """What readers see: the snapshot plus the totals over backends."""
+    rows = snapshot["by_backend"].values()
+    hits = sum(row["hits"] for row in rows)
+    misses = sum(row["misses"] for row in rows)
+    total = hits + misses
+    return {
+        "hits": hits,
+        "misses": misses,
+        "hit_rate": (hits / total) if total else 0.0,
+        **snapshot,
+    }
+
+
+#: hits and misses are counted per backend, so cross-backend A/B runs
+#: report them per backend instead of as one merged number;
+#: ``program_*`` is what orchestration did with the template store,
+#: ``programs_*`` / ``restore_*`` the disk level ("Program records"
+#: below). ``entries`` and ``templates`` count what is cached in *this*
+#: process: other processes' program objects are not shared
+COUNTERS = register("compile_cache", Counters(
+    sums=(
+        "bytes_saved", "program_traces", "program_binds",
+        "programs_restored", "programs_stored", "programs_stale",
+        "programs_unpersistable", "restore_bytes", "restore_seconds",
+    ),
+    local={
+        "entries": lambda: len(_CACHE),
+        "templates": lambda: sum(
+            len(f.templates) for f in list(_FAMILIES.values())
+        ),
+    },
+    family=("by_backend", ("hits", "misses")),
+    derive=_with_totals,
+))
+stats = COUNTERS.snapshot
 
 #: the two halves of an emission backend — "numpy" is the parent ufunc
 #: emission, "compiled" the JIT loop-nest emission — by import path:
@@ -311,8 +331,6 @@ def get_or_compile(sdfg, instrument: bool = False, backend: str = "numpy"):
     ``compile.fail`` is consulted once per call — before any look-up, so
     a seeded spec fires at the same program whatever is cached where.
     """
-    global _BYTES_SAVED
-
     materialise = _half(_MATERIALISE, backend)
 
     if _chaos._PLAN is not None:
@@ -338,8 +356,8 @@ def get_or_compile(sdfg, instrument: bool = False, backend: str = "numpy"):
         program = _CACHE.get(key)
         if program is not None:
             _CACHE.move_to_end(key)
-            _HITS[backend] = _HITS.get(backend, 0) + 1
-            _BYTES_SAVED += program.runtime_bytes
+            COUNTERS.add("hits", label=backend)
+            COUNTERS.add("bytes_saved", program.runtime_bytes)
             sp.add("cache_hits", 1)
             return program
     record = record_name("p", key) if portable else None
@@ -348,11 +366,11 @@ def get_or_compile(sdfg, instrument: bool = False, backend: str = "numpy"):
             image = load_record(record)
             if image is not None:
                 program = materialise(sdfg, image)
-                _HITS[backend] = _HITS.get(backend, 0) + 1
+                COUNTERS.add("hits", label=backend)
                 sp.add("plans", 1)
     if program is None:
         with tracer.span("sdfg.compile") as sp:
-            _MISSES[backend] = _MISSES.get(backend, 0) + 1
+            COUNTERS.add("misses", label=backend)
             sp.add("cache_misses", 1)
             image = _half(_GENERATE, backend)(sdfg, instrument)
             program = materialise(sdfg, image)
@@ -417,20 +435,6 @@ def template_family(key: Hashable) -> Optional[TemplateFamily]:
         else:
             _FAMILIES.move_to_end(key)
         return family
-
-
-def note_trace() -> None:
-    """Count one real trace of an orchestrated program."""
-    global _TRACES
-    with _FAMILIES_LOCK:  # rank threads trace different families at once
-        _TRACES += 1
-
-
-def note_bind() -> None:
-    """Count one instance bound to an existing template."""
-    global _BINDS
-    with _FAMILIES_LOCK:
-        _BINDS += 1
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +752,7 @@ def load_record(name: str, decode=None):
             stale = _fingerprint(obj) != fingerprint
             objects.append(obj)
         if stale:
-            note_records(programs_stale=1)
+            COUNTERS.add("programs_stale")
             return None
         payload = _Unpickler(io.BytesIO(body), objects).load()
         if decode is not None:
@@ -756,7 +760,7 @@ def load_record(name: str, decode=None):
     except Exception as exc:  # whatever a damaged file can raise
         _jit.heal(path, exc)
         return None
-    note_records(restore_bytes=len(data))
+    COUNTERS.add("restore_bytes", len(data))
     return payload
 
 
@@ -772,70 +776,7 @@ def restoring():
         with _obs.get_tracer().span("orchestrate.restore") as sp:
             yield sp
     finally:
-        note_records(restore_seconds=time.perf_counter() - t0)
-
-
-def note_records(**deltas: float) -> None:
-    """Add to the record counters (``programs_restored=8``, ...)."""
-    with _FAMILIES_LOCK:
-        for name, delta in deltas.items():
-            _RECORDS[name] += delta
-
-
-# ---------------------------------------------------------------------------
-# counters
-# ---------------------------------------------------------------------------
-
-
-def stats() -> Dict[str, object]:
-    hits = sum(_HITS.values())
-    misses = sum(_MISSES.values())
-    total = hits + misses
-    by_backend = {
-        b: {"hits": _HITS.get(b, 0), "misses": _MISSES.get(b, 0)}
-        for b in sorted(set(_HITS) | set(_MISSES))
-    }
-    return {
-        "hits": hits,
-        "misses": misses,
-        "entries": len(_CACHE),
-        "bytes_saved": _BYTES_SAVED,
-        "hit_rate": (hits / total) if total else 0.0,
-        "by_backend": by_backend,
-        "program_traces": _TRACES,
-        "program_binds": _BINDS,
-        "templates": sum(len(f.templates) for f in list(_FAMILIES.values())),
-        **_RECORDS,
-    }
-
-
-def merge_stats(data: Dict[str, object]) -> None:
-    """Fold a worker process's counter *deltas* into this process's
-    accounting (the process-based rank executor ships each worker's
-    stats-since-launch over the result pipe). Hit/miss counters add per
-    backend, as do the working-set reuse estimate, the program
-    trace/bind counts and the record counters; ``entries`` and
-    ``templates`` count what is cached in *this* process and are
-    untouched — other processes' program objects are not shared."""
-    global _BYTES_SAVED, _TRACES, _BINDS
-    by_backend = data.get("by_backend") or {}
-    if by_backend:
-        for backend, counts in by_backend.items():
-            _HITS[backend] = _HITS.get(backend, 0) + int(
-                counts.get("hits", 0)
-            )
-            _MISSES[backend] = _MISSES.get(backend, 0) + int(
-                counts.get("misses", 0)
-            )
-    else:
-        hits, misses = int(data.get("hits", 0)), int(data.get("misses", 0))
-        if hits or misses:
-            _HITS["merged"] = _HITS.get("merged", 0) + hits
-            _MISSES["merged"] = _MISSES.get("merged", 0) + misses
-    _BYTES_SAVED += int(data.get("bytes_saved", 0))
-    _TRACES += int(data.get("program_traces", 0))
-    _BINDS += int(data.get("program_binds", 0))
-    note_records(**{name: data.get(name, 0) for name in _RECORDS})
+        COUNTERS.add("restore_seconds", time.perf_counter() - t0)
 
 
 def reset(clear: bool = True) -> None:
@@ -843,11 +784,7 @@ def reset(clear: bool = True) -> None:
     templates). Memory only: the records under the kernel store's
     directory stay, so what is dropped here is restored, not traced or
     compiled, the next time it is asked for."""
-    global _BYTES_SAVED, _TRACES, _BINDS
-    _HITS.clear()
-    _MISSES.clear()
-    _BYTES_SAVED = _TRACES = _BINDS = 0
-    _RECORDS.update(_ZERO_RECORDS)
+    COUNTERS.reset()
     if clear:
         _CACHE.clear()
         with _FAMILIES_LOCK:

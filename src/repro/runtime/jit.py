@@ -116,6 +116,8 @@ from typing import (
     Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
 )
 
+from repro.obs.counters import Counters, register
+
 __all__ = [
     "JitCacheWarning",
     "JitUnavailableError",
@@ -133,7 +135,6 @@ __all__ = [
     "default_threads",
     "jit_dir",
     "k_block_override",
-    "merge_stats",
     "stats",
     "sweep_stale_tmps",
     "reset",
@@ -150,24 +151,22 @@ _ENGINE: Optional[str] = None
 #: compiler flag → whether the compiler takes it (see :func:`_flag_works`)
 _PROBED: Dict[str, bool] = {}
 _FEATURES: Optional[str] = None
-_ZERO_COUNTS: Dict[str, float] = {
-    "kernels_requested": 0,
-    "kernels_built": 0,
-    "kernels_reused": 0,
-    "builds": 0,
-    "compiles": 0,
-    "compile_seconds": 0.0,
-    "disk_hits": 0,
-    "cache_repairs": 0,
-}
-_COUNTS = dict(_ZERO_COUNTS)
+#: engine + kernel-store attribution for the obs report footer (the
+#: engine is this process's own). The set shares ``_LOCK``: code that
+#: holds it increments ``_COUNTS`` in place
+COUNTERS = register("jit", Counters(
+    sums=(
+        "kernels_requested", "kernels_built", "kernels_reused", "builds",
+        "compiles", "compile_seconds", "disk_hits", "cache_repairs",
+    ),
+    local={
+        "engine": lambda: _ENGINE if _ENGINE is not None else "(unresolved)",
+    },
+    lock=_LOCK,
+))
+_COUNTS = COUNTERS.values
+stats = COUNTERS.snapshot
 _WARNED_CORRUPT = False
-
-
-def _count(**deltas: float) -> None:
-    with _LOCK:
-        for name, delta in deltas.items():
-            _COUNTS[name] += delta
 
 
 class JitCacheWarning(RuntimeWarning):
@@ -760,7 +759,7 @@ def load_c(
                     ))
                 else:
                     flight.resolve(_typed(cfn, kernel))
-            _count(kernels_reused=len(mine) - len(missing))
+            COUNTERS.add("kernels_reused", len(mine) - len(missing))
         except BaseException as exc:
             _fail(mine, exc)
             raise
@@ -782,7 +781,7 @@ def _build(requests: List[_Request]) -> None:
     if not requests:
         return
     t0 = time.perf_counter()
-    _count(builds=1)
+    COUNTERS.add("builds")
     pid = os.getpid()
     running = []
     failed: List[str] = []
@@ -830,7 +829,8 @@ def _build(requests: List[_Request]) -> None:
                     lambda tmp: os.symlink(objname, tmp),
                 )
                 request.flight.resolve(cfn)
-            _count(compiles=1, kernels_built=len(unit))
+            COUNTERS.add("compiles")
+            COUNTERS.add("kernels_built", len(unit))
     finally:
         # an interrupted build leaves no compiler running, and neither
         # it nor a failed one leaks a partial file beside the store
@@ -840,7 +840,7 @@ def _build(requests: List[_Request]) -> None:
                 proc.communicate()
             _unlink(f"{base}.tmp{pid}.c")
             _unlink(f"{base}.so.tmp{pid}")
-        _count(compile_seconds=time.perf_counter() - t0)
+        COUNTERS.add("compile_seconds", time.perf_counter() - t0)
     if failed:
         raise JitCompileError("\n".join(failed))
 
@@ -883,8 +883,8 @@ def compile_py(source: str, func_name: str, parallel: bool = False):
         fn = namespace[func_name]
         if engine == "numba":
             fn = numba.njit(fn, fastmath=False, parallel=parallel, cache=False)
-            _count(compiles=1, compile_seconds=time.perf_counter() - t0)
-        _count(kernels_built=1)
+            record_compile_seconds(time.perf_counter() - t0)
+        COUNTERS.add("kernels_built")
         mine[0].resolve(fn)
 
     key = "py:" + _digest(engine, str(parallel), func_name, source)
@@ -899,30 +899,16 @@ def compile_py(source: str, func_name: str, parallel: bool = False):
 def record_compile_seconds(seconds: float, count: int = 1) -> None:
     """Fold externally-measured JIT work (e.g. numba's lazy first-call
     compilation) into the warmup attribution."""
-    _count(compiles=count, compile_seconds=seconds)
-
-
-def stats() -> Dict[str, object]:
-    """Engine + kernel-store attribution for the obs report footer."""
-    with _LOCK:
-        return {
-            "engine": _ENGINE if _ENGINE is not None else "(unresolved)",
-            **_COUNTS,
-        }
-
-
-def merge_stats(data: Dict[str, object]) -> None:
-    """Fold a worker process's counter deltas into this process's JIT
-    accounting (engine identity is per-process and is not merged)."""
-    _count(**{name: data.get(name, 0) for name in _COUNTS})
+    COUNTERS.add("compiles", count)
+    COUNTERS.add("compile_seconds", seconds)
 
 
 def reset(engine: bool = False) -> None:
     """Zero the counters; with ``engine=True`` also forget the resolved
     engine so the next :func:`engine_name` re-reads ``REPRO_JIT`` (tests)."""
     global _WARNED_CORRUPT, _ENGINE, _FEATURES
+    COUNTERS.reset()
     with _LOCK:
-        _COUNTS.update(_ZERO_COUNTS)
         _WARNED_CORRUPT = False
         if engine:
             _ENGINE = None

@@ -35,9 +35,9 @@ Safety properties:
 - nesting is safe: a nested program call simply checks out another slab
   while the outer call's slab is live.
 
-``REPRO_BUFFER_POOL=0`` disables recycling (every checkout allocates a
-fresh slab, a released one is dropped) as a debugging aid; the accounting
-still runs.
+``BufferPool(recycle=False)`` does not recycle (every checkout allocates
+a fresh slab, a released one is dropped) as a debugging aid; the
+accounting still runs.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
+from repro.obs.counters import Counters, register
 from repro.resilience import chaos as _chaos
 
 __all__ = ["ALIGN", "BufferPool", "CancelScope", "Slab", "get_pool"]
@@ -93,25 +94,29 @@ class BufferPool:
         #: per-thread stack of active CancelScopes (cooperative
         #: cancellation support for the serving layer)
         self._tls = threading.local()
-        self.scope_reclaims = 0
+        #: bytes checked out and bytes idle right now
+        self.live_bytes = 0
+        self.idle_bytes = 0
+        #: the accounting; it shares the arena's lock, under which
+        #: checkout and release increment ``_n`` in place
+        self.counters = Counters(
+            sums=(
+                "checkouts", "reuse_hits", "allocations", "allocated_bytes",
+                "alloc_bytes_avoided", "retirements", "scope_reclaims",
+            ),
+            peaks=("high_water_bytes", "peak_slabs", "largest_slab_bytes"),
+            local={
+                "live_bytes": lambda: self.live_bytes,
+                "idle_bytes": lambda: self.idle_bytes,
+            },
+            lock=self._lock,
+        )
+        self._n = self.counters.values
+        self.stats = self.counters.snapshot
         #: optional lifetime recorder ``fn(kind, buf, label=None)`` used
         #: by ``repro.lint.runtime_rules.record_buffer_events`` — one
         #: ``is not None`` predicate per checkout when inactive
         self._recorder = None
-        self._zero_accounting()
-
-    def _zero_accounting(self) -> None:
-        self.checkouts = 0
-        self.reuse_hits = 0
-        self.allocations = 0
-        self.allocated_bytes = 0
-        self.alloc_bytes_avoided = 0
-        self.retirements = 0
-        self.live_bytes = 0
-        self.idle_bytes = 0
-        self.high_water_bytes = 0
-        self.peak_slabs = 0
-        self.largest_slab_bytes = 0
 
     # ------------------------------------------------------------------
     def set_recorder(self, recorder):
@@ -185,14 +190,15 @@ class BufferPool:
 
     def _checkout(self, nbytes: int, spec) -> Handle:
         capacity = max(-(-nbytes // ALIGN), 1) * ALIGN
+        n = self._n
         with self._lock:
             # (without recycling nothing is ever idle)
             fits = [s for s in self._idle if s.capacity >= capacity]
             if fits:
                 slab = min(fits, key=_CAPACITY)
                 self._idle.remove(slab)
-                self.reuse_hits += 1
-                self.alloc_bytes_avoided += slab.capacity
+                n["reuse_hits"] += 1
+                n["alloc_bytes_avoided"] += slab.capacity
                 self.idle_bytes -= slab.capacity
             else:
                 if self._idle:
@@ -201,26 +207,26 @@ class BufferPool:
                     retired = max(self._idle, key=_CAPACITY)
                     self._idle.remove(retired)
                     self.idle_bytes -= retired.capacity
-                    self.retirements += 1
+                    n["retirements"] += 1
                     del retired
                 raw = self._allocate(capacity + ALIGN, np.uint8)
                 start = -raw.ctypes.data % ALIGN
                 slab = Slab(raw[start:start + capacity])
-                self.allocations += 1
-                self.allocated_bytes += capacity
-                self.largest_slab_bytes = max(self.largest_slab_bytes, capacity)
+                n["allocations"] += 1
+                n["allocated_bytes"] += capacity
+                n["largest_slab_bytes"] = max(n["largest_slab_bytes"], capacity)
             if spec is None:
                 handle = slab
             else:
                 handle = slab.data[:nbytes].view(spec[1]).reshape(spec[0])
             self._live[id(handle)] = (handle, slab)
-            self.checkouts += 1
+            n["checkouts"] += 1
             self.live_bytes += slab.capacity
-            self.high_water_bytes = max(
-                self.high_water_bytes, self.live_bytes + self.idle_bytes
+            n["high_water_bytes"] = max(
+                n["high_water_bytes"], self.live_bytes + self.idle_bytes
             )
-            self.peak_slabs = max(
-                self.peak_slabs, len(self._live) + len(self._idle)
+            n["peak_slabs"] = max(
+                n["peak_slabs"], len(self._live) + len(self._idle)
             )
         try:
             if _chaos._PLAN is not None:
@@ -257,22 +263,6 @@ class BufferPool:
         self._untrack(handle)
 
     # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, int]:
-        return {
-            "checkouts": self.checkouts,
-            "reuse_hits": self.reuse_hits,
-            "allocations": self.allocations,
-            "allocated_bytes": self.allocated_bytes,
-            "alloc_bytes_avoided": self.alloc_bytes_avoided,
-            "retirements": self.retirements,
-            "live_bytes": self.live_bytes,
-            "idle_bytes": self.idle_bytes,
-            "high_water_bytes": self.high_water_bytes,
-            "peak_slabs": self.peak_slabs,
-            "largest_slab_bytes": self.largest_slab_bytes,
-            "scope_reclaims": self.scope_reclaims,
-        }
-
     def clear(self) -> None:
         """Drop all idle slabs (live checkouts are unaffected)."""
         with self._lock:
@@ -294,33 +284,13 @@ class BufferPool:
         the child's arena like any other array.
         """
         self._pid = os.getpid()
-        self._lock = threading.Lock()
+        self._lock = self.counters.lock = threading.Lock()
         self._tls = threading.local()
         self._idle = []
         self._live = {}
         self._recorder = None
-        self.scope_reclaims = 0
-        self._zero_accounting()
-
-    def merge_stats(self, data: Dict[str, int]) -> None:
-        """Fold a worker process's pool counters into this pool's
-        accounting (the process-based rank executor ships them over the
-        result pipe so the report footer stays truthful). Additive
-        counters sum; the peaks (``high_water_bytes``, ``peak_slabs``,
-        ``largest_slab_bytes``) take the max — arenas in different
-        processes are separate address spaces, so their peaks do not
-        stack. Transient gauges (live/idle bytes) are per-process and are
-        not merged."""
-        with self._lock:
-            for key in (
-                "checkouts", "reuse_hits", "allocations", "allocated_bytes",
-                "alloc_bytes_avoided", "retirements", "scope_reclaims",
-            ):
-                setattr(self, key, getattr(self, key) + int(data.get(key, 0)))
-            for key in ("high_water_bytes", "peak_slabs", "largest_slab_bytes"):
-                setattr(
-                    self, key, max(getattr(self, key), int(data.get(key, 0)))
-                )
+        self.live_bytes = self.idle_bytes = 0
+        self.counters.reset()
 
 
 def _recorded(handle: Handle) -> np.ndarray:
@@ -361,14 +331,12 @@ class CancelScope:
             self._pool.release(handle)
         self.reclaimed = len(leftovers)
         if leftovers:
-            with self._pool._lock:
-                self._pool.scope_reclaims += self.reclaimed
+            self._pool.counters.add("scope_reclaims", self.reclaimed)
         return False
 
 
-_POOL: BufferPool = BufferPool(
-    recycle=os.environ.get("REPRO_BUFFER_POOL", "1") != "0"
-)
+_POOL: BufferPool = BufferPool()
+register("pool", _POOL.counters)
 
 
 def _reset_default_pool_after_fork() -> None:

@@ -45,11 +45,13 @@ Design:
   header and then one raw frame per (member, rank, field), which the
   parent receives straight into its member records: no array is pickled
   and no worker's block is held twice.
-- **Observability.** Workers ship their tracer span trees, their
-  pool/compile-cache/jit/rank-executor counters, their peak RSS and
-  their thread count back over the result pipe at teardown;
-  :func:`fold_worker_reports` merges them into the parent's subsystems
-  so the obs report footer stays truthful.
+- **Observability.** A worker zeroes every registered counter set when
+  it starts (:func:`repro.obs.counters.reset_all`) and ships its tracer
+  span tree, ``snapshot_all()`` — whatever is registered, its own
+  message count included — its peak RSS and its thread count back over
+  the result pipe at teardown; :func:`fold_worker_reports` merges them
+  into the parent (``merge_all``) so the obs report footer covers the
+  whole process tree.
 
 ``repro.run.run(..., executor="processes", workers=W)`` is the public
 entry point (see :mod:`repro.run.procrun`); 1/2/6-process runs over the
@@ -79,6 +81,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.obs import tracer as _obs
+from repro.obs.counters import (
+    Counters, merge_all, register, reset_all, snapshot_all,
+)
 from repro.resilience.errors import OrphanedMessagesWarning
 from repro.runtime import ranks as _ranks
 
@@ -466,26 +471,21 @@ def _worker_main(spec: WorkerSpec, owned: Tuple[int, ...], n_ranks: int,
     harness = None
     try:
         from repro.fv3.communicator import LocalComm
-        from repro.runtime import compile_cache as _compile_cache
-        from repro.runtime import jit as _jit
-        from repro.runtime.pool import get_pool
+        from repro.runtime.jit import default_threads
 
         if not os.environ.get("REPRO_THREADS"):
             # the workers share the cores: each starts its share of the
             # kernel threads one process would (more would have the
             # OpenMP teams of different workers spin against each other)
             os.environ["REPRO_THREADS"] = str(
-                max(1, _jit.default_threads() // n_workers)
+                max(1, default_threads() // n_workers)
             )
         # a worker reports its own activity only: every counter starts
-        # at zero (the pool's already does, after a fork as after a
-        # spawn); inherited programs and templates stay cached
+        # at zero; inherited programs and templates stay cached
         tracer = _obs.get_tracer()
         tracer.enabled = bool(spec.trace)
         tracer.reset()
-        _ranks.reset_metrics()
-        _compile_cache.reset(clear=False)
-        _jit.reset()
+        reset_all()
         transport = ShmTransport.attach(shm_name, n_slots, slot_bytes, cond)
         comm = LocalComm(n_ranks, mailbox=transport, owned_ranks=owned)
         harness = _WorkerHarness(spec, comm)
@@ -499,6 +499,8 @@ def _worker_main(spec: WorkerSpec, owned: Tuple[int, ...], n_ranks: int,
                 harness.collect(conn)
             elif command == "report":
                 sent = comm.message_sizes()
+                COUNTERS.add("messages", len(sent))
+                COUNTERS.add("bytes", int(sum(sent)))
                 conn.send(("ok", {
                     "owned": owned,
                     "threads": harness.threads,
@@ -508,14 +510,7 @@ def _worker_main(spec: WorkerSpec, owned: Tuple[int, ...], n_ranks: int,
                         resource.RUSAGE_SELF
                     ).ru_maxrss / 1024.0,
                     "spans": tracer.summary() if tracer.enabled else None,
-                    "ranks": _ranks.summary(),
-                    "pool": get_pool().stats(),
-                    "compile_cache": _compile_cache.stats(),
-                    "jit": _jit.stats(),
-                    "comm": {
-                        "messages": len(sent),
-                        "bytes": int(sum(sent)),
-                    },
+                    "counters": snapshot_all(),
                 }))
             elif command == "close":
                 break  # the ``finally`` below drains and detaches
@@ -541,43 +536,24 @@ def _worker_main(spec: WorkerSpec, owned: Tuple[int, ...], n_ranks: int,
 # parent-side executor
 # ---------------------------------------------------------------------------
 
-_LOCK = threading.Lock()
-_METRICS: Dict[str, float] = {
-    "launches": 0,
-    "workers": 0,
-    "ranks": 0,
-    "steps": 0,
-    "worker_reports_merged": 0,
-    "messages": 0,
-    "bytes": 0,
-    # maxima over every worker that reported
-    "worker_peak_rss_mb": 0,
-    "worker_arena_high_water_mb": 0,
-    "worker_threads": 0,
-}
-
-
-def summary() -> Dict[str, object]:
-    """Process-executor counters for the obs report footer."""
-    with _LOCK:
-        return dict(_METRICS)
-
-
-def reset_metrics() -> None:
-    with _LOCK:
-        for key in _METRICS:
-            _METRICS[key] = 0
+#: process-executor counters for the obs report footer. A worker's own
+#: set carries what its communicator sent (``messages``, ``bytes``); the
+#: three ``worker_*`` peaks are maxima over every worker that reported
+COUNTERS = register("procs", Counters(
+    sums=("launches", "steps", "worker_reports_merged", "messages", "bytes"),
+    peaks=(
+        "workers", "ranks", "worker_peak_rss_mb",
+        "worker_arena_high_water_mb", "worker_threads",
+    ),
+))
+summary = COUNTERS.snapshot
+reset_metrics = COUNTERS.reset
 
 
 def fold_worker_reports(payloads: Sequence[Dict[str, object]]) -> None:
-    """Merge worker report payloads into the parent's obs/runtime
-    subsystems (span trees, executor/overlap counters, pool and
-    compile-cache/jit accounting) so the report footer covers the whole
-    process tree, not just the parent."""
-    from repro.runtime import compile_cache as _compile_cache
-    from repro.runtime import jit as _jit
-    from repro.runtime.pool import get_pool
-
+    """Merge worker report payloads into the parent's tracer and counter
+    sets, so the report footer covers the whole process tree, not just
+    the parent."""
     tracer = _obs.get_tracer()
     for payload in payloads:
         if not payload:
@@ -585,23 +561,15 @@ def fold_worker_reports(payloads: Sequence[Dict[str, object]]) -> None:
         spans = payload.get("spans")
         if spans:
             tracer.merge(spans)
-        _ranks.merge_summary(payload.get("ranks") or {})
-        get_pool().merge_stats(payload.get("pool") or {})
-        _compile_cache.merge_stats(payload.get("compile_cache") or {})
-        _jit.merge_stats(payload.get("jit") or {})
-        comm = payload.get("comm") or {}
-        peaks = {
-            "worker_peak_rss_mb": payload.get("rss_mb", 0),
-            "worker_arena_high_water_mb": (payload.get("pool") or {}).get(
-                "high_water_bytes", 0) / 2 ** 20,
-            "worker_threads": payload.get("threads", 0),
-        }
-        with _LOCK:
-            _METRICS["worker_reports_merged"] += 1
-            _METRICS["messages"] += int(comm.get("messages", 0))
-            _METRICS["bytes"] += int(comm.get("bytes", 0))
-            for key, value in peaks.items():
-                _METRICS[key] = max(_METRICS[key], value)
+        counters = payload["counters"]
+        merge_all(counters)
+        COUNTERS.add("worker_reports_merged")
+        COUNTERS.peak("worker_peak_rss_mb", payload["rss_mb"])
+        COUNTERS.peak(
+            "worker_arena_high_water_mb",
+            counters["pool"]["high_water_bytes"] / 2 ** 20,
+        )
+        COUNTERS.peak("worker_threads", payload["threads"])
 
 
 def _default_start_method() -> str:
@@ -670,12 +638,9 @@ class ProcessRankExecutor:
             child_conn.close()
             self._procs.append(proc)
             self._conns.append(parent_conn)
-        with _LOCK:
-            _METRICS["launches"] += 1
-            _METRICS["workers"] = max(
-                _METRICS["workers"], len(self._procs)
-            )
-            _METRICS["ranks"] = max(_METRICS["ranks"], n_ranks)
+        COUNTERS.add("launches")
+        COUNTERS.peak("workers", len(self._procs))
+        COUNTERS.peak("ranks", n_ranks)
         return len(self._procs)
 
     def ready(self) -> List[Dict[str, object]]:
@@ -745,8 +710,7 @@ class ProcessRankExecutor:
 
     def step(self, n: int) -> None:
         self._broadcast("step", int(n))
-        with _LOCK:
-            _METRICS["steps"] += int(n)
+        COUNTERS.add("steps", int(n))
 
     def collect(
         self, states: Dict[int, Sequence[object]]

@@ -47,13 +47,13 @@ from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.obs import tracer as _obs
+from repro.obs.counters import Counters, register
 
 __all__ = [
     "RankExecutor",
     "current_rank",
     "get_executor",
     "io_wait",
-    "merge_summary",
     "record_overlap",
     "reset_metrics",
     "summary",
@@ -63,16 +63,31 @@ __all__ = [
 #: the duration of a rank task so ``io_wait`` can find it
 _tls = threading.local()
 
-_LOCK = threading.Lock()
-_METRICS: Dict[str, float] = {
-    "workers": 0,
-    "sections": 0,
-    "tasks": 0,
-    "section_seconds": 0.0,
-    "exchanges": 0,
-    "hidden_seconds": 0.0,
-    "exposed_seconds": 0.0,
-}
+
+def _with_efficiency(snapshot: Dict[str, object]) -> Dict[str, object]:
+    """``overlap_efficiency`` is hidden / (hidden + exposed) — the
+    fraction of the measured communication cost covered by compute — or
+    ``None`` when no split exchange ran."""
+    covered = snapshot["hidden_seconds"] + snapshot["exposed_seconds"]
+    snapshot["overlap_efficiency"] = (
+        snapshot["hidden_seconds"] / covered if covered > 0 else None
+    )
+    return snapshot
+
+
+#: executor and overlap counters for the obs report footer; ``workers``
+#: is the widest executor seen
+COUNTERS = register("ranks", Counters(
+    sums=(
+        "sections", "tasks", "section_seconds",
+        "exchanges", "hidden_seconds", "exposed_seconds",
+    ),
+    peaks=("workers",),
+    derive=_with_efficiency,
+))
+_N = COUNTERS.values
+summary = COUNTERS.snapshot
+reset_metrics = COUNTERS.reset
 
 
 def current_rank() -> Optional[int]:
@@ -110,48 +125,10 @@ def record_overlap(hidden_seconds: float, exposed_seconds: float) -> None:
     """Account one split halo exchange: ``hidden`` is the communication
     window covered by interior compute, ``exposed`` the time the rank
     still blocked in waits."""
-    with _LOCK:
-        _METRICS["exchanges"] += 1
-        _METRICS["hidden_seconds"] += hidden_seconds
-        _METRICS["exposed_seconds"] += exposed_seconds
-
-
-def reset_metrics() -> None:
-    with _LOCK:
-        for key in _METRICS:
-            _METRICS[key] = 0
-
-
-def merge_summary(data: Dict[str, object]) -> None:
-    """Fold a worker process's executor/overlap counters into this
-    process's metrics (the process-based rank executor ships each
-    worker's :func:`summary` back over the result pipe). Counters add;
-    ``workers`` reports the widest executor seen."""
-    with _LOCK:
-        _METRICS["workers"] = max(
-            _METRICS["workers"], int(data.get("workers", 0) or 0)
-        )
-        for key in (
-            "sections", "tasks", "section_seconds",
-            "exchanges", "hidden_seconds", "exposed_seconds",
-        ):
-            _METRICS[key] += data.get(key, 0) or 0
-
-
-def summary() -> Dict[str, object]:
-    """Executor and overlap counters for the obs report footer.
-
-    ``overlap_efficiency`` is hidden / (hidden + exposed) — the fraction
-    of the measured communication cost covered by compute — or ``None``
-    when no split exchange ran.
-    """
-    with _LOCK:
-        out: Dict[str, object] = dict(_METRICS)
-    covered = out["hidden_seconds"] + out["exposed_seconds"]
-    out["overlap_efficiency"] = (
-        out["hidden_seconds"] / covered if covered > 0 else None
-    )
-    return out
+    with COUNTERS.lock:
+        _N["exchanges"] += 1
+        _N["hidden_seconds"] += hidden_seconds
+        _N["exposed_seconds"] += exposed_seconds
 
 
 class RankExecutor:
@@ -223,11 +200,11 @@ class RankExecutor:
             except BaseException as exc:  # noqa: BLE001 — re-raised below
                 errors.append(exc)
         elapsed = time.perf_counter() - t0
-        with _LOCK:
-            _METRICS["workers"] = self.workers
-            _METRICS["sections"] += 1
-            _METRICS["tasks"] += len(ranks)
-            _METRICS["section_seconds"] += elapsed
+        with COUNTERS.lock:
+            _N["workers"] = max(_N["workers"], self.workers)
+            _N["sections"] += 1
+            _N["tasks"] += len(ranks)
+            _N["section_seconds"] += elapsed
         if errors:
             raise errors[0]
         return [results[rank] for rank in ranks]

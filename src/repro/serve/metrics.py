@@ -14,6 +14,8 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Sequence
 
+from repro.obs.counters import Counters
+
 __all__ = ["ServeMetrics", "percentile"]
 
 
@@ -57,9 +59,10 @@ class _Reservoir:
 
 
 class ServeMetrics:
-    """Thread-safe counters + reservoirs for one service instance."""
+    """One service's declared counters (``bump`` is the set's ``add``: an
+    unknown name is a ``KeyError``) plus its two reservoirs."""
 
-    _COUNTERS = (
+    COUNTERS = (
         "submitted", "admitted", "shed", "completed", "deadline_exceeded",
         "cancelled", "failed", "retries", "degraded", "batches",
         "batched_requests", "steps_computed", "steps_saved",
@@ -67,22 +70,10 @@ class ServeMetrics:
 
     def __init__(self, reservoir_cap: int = 4096):
         self._lock = threading.Lock()
-        self._reservoir_cap = reservoir_cap
-        self._reset_locked()
-
-    def _reset_locked(self) -> None:
-        self.counters: Dict[str, int] = {k: 0 for k in self._COUNTERS}
-        self.latency = _Reservoir(self._reservoir_cap)
-        self.queue_wait = _Reservoir(self._reservoir_cap)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._reset_locked()
-
-    # ------------------------------------------------------------------
-    def bump(self, name: str, amount: int = 1) -> None:
-        with self._lock:
-            self.counters[name] = self.counters.get(name, 0) + amount
+        self.counters = Counters(sums=self.COUNTERS)
+        self.bump = self.counters.add
+        self.latency = _Reservoir(reservoir_cap)
+        self.queue_wait = _Reservoir(reservoir_cap)
 
     def observe_latency(self, seconds: float) -> None:
         with self._lock:
@@ -94,8 +85,8 @@ class ServeMetrics:
 
     # ------------------------------------------------------------------
     def summary(self) -> Dict[str, object]:
+        out = self.counters.snapshot()
         with self._lock:
-            out: Dict[str, object] = dict(self.counters)
             out["latency"] = self.latency.summary()
             out["queue_wait"] = self.queue_wait.summary()
-            return out
+        return out

@@ -58,6 +58,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dsl import backends as _backends
 from repro.obs import tracer as _obs
+from repro.obs.counters import Counters
 from repro.resilience import (
     GuardConfig,
     GuardError,
@@ -750,9 +751,12 @@ def serving_summary() -> Optional[Dict[str, object]]:
     if not pairs:
         return None
     summaries = [summary for _, summary in pairs]
-    totals: Dict[str, object] = {"services": len(summaries)}
-    for name in ServeMetrics._COUNTERS:
-        totals[name] = sum(s["requests"][name] for s in summaries)
+    requests = Counters(sums=ServeMetrics.COUNTERS)
+    for summary in summaries:
+        requests.merge(summary["requests"])
+    totals: Dict[str, object] = {
+        "services": len(summaries), **requests.snapshot(),
+    }
     for reservoir in ("latency", "queue_wait"):
         # smoke-scale exactness: merge the raw reservoirs
         merged: List[float] = []

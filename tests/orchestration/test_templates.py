@@ -392,7 +392,7 @@ def test_a_program_follows_the_default_backend_until_compile_pins_one(
 def test_counters_merge_and_reset():
     _combine(Box())
     _combine(Box())
-    cc.merge_stats({"program_traces": 3, "program_binds": 5})
+    cc.COUNTERS.merge({"program_traces": 3, "program_binds": 5})
     stats = cc.stats()
     assert (stats["program_traces"], stats["program_binds"]) == (4, 6)
     assert stats["templates"] == 1  # other processes' templates are theirs

@@ -404,3 +404,35 @@ def test_comm_latency_rides_through():
                seed=2, executor="processes", workers=2,
                comm_latency=0.001)
     _assert_bit_identical(seq, proc)
+
+
+def test_worker_recovery_counters_reach_the_parent(monkeypatch):
+    """What a rank worker records in ``repro.resilience`` is folded into
+    the parent like every other registered counter set (occurrences are
+    numbered per process; only the counting is whole)."""
+    from repro import resilience
+    from repro.resilience import ChaosPlan, chaos
+
+    spec = "seed=1;halo.delay@5,9,40"
+    monkeypatch.setenv("REPRO_CHAOS", spec)  # a spawned worker reads it
+    previous = chaos.set_plan(ChaosPlan.from_spec(spec))
+    shipped = []
+    fold = procs.fold_worker_reports
+
+    def capture(payloads):
+        shipped.extend(
+            p["counters"]["resilience"]["halo_redeliveries"]
+            for p in payloads
+        )
+        fold(payloads)
+
+    monkeypatch.setattr(procs, "fold_worker_reports", capture)
+    before = resilience.summary()["counters"]["halo_redeliveries"]
+    try:
+        run("baroclinic_wave", _config(), steps=1, executor="processes",
+            workers=2)
+    finally:
+        chaos.set_plan(previous)
+    after = resilience.summary()["counters"]["halo_redeliveries"]
+    assert len(shipped) == 2
+    assert after - before == sum(shipped) > 0

@@ -3,9 +3,9 @@
 A forked worker inherits the parent's buffer pool — free lists full of
 arrays the parent still owns, counters mid-flight, possibly a held
 lock. The ``os.register_at_fork`` hook (plus the pid guard in
-``get_pool``) must hand the child a pristine pool; ``merge_stats`` /
-``merge_summary`` / jit ``merge_stats`` fold worker counters back into
-the parent without double counting.
+``get_pool``) must hand the child a pristine pool; a worker's
+``snapshot_all()`` folds back into the parent whole, without double
+counting.
 """
 
 import multiprocessing
@@ -14,7 +14,10 @@ import os
 import numpy as np
 import pytest
 
-from repro.runtime import jit, ranks
+from repro import resilience
+from repro.obs import counters
+from repro.run import metrics  # noqa: F401 — registers "ensemble"
+from repro.runtime import procs  # noqa: F401 — registers "procs"
 from repro.runtime.pool import get_pool
 
 fork_ctx = pytest.importorskip("multiprocessing").get_context
@@ -79,56 +82,56 @@ def test_pool_pid_guard_resets_without_hook():
         pool._pid = os.getpid()
 
 
-def test_pool_merge_stats_folds_worker_counters():
-    pool = get_pool()
-    before = pool.stats()
-    pool.merge_stats({
-        "checkouts": 5, "reuse_hits": 3, "allocations": 2,
-        "allocated_bytes": 1024, "alloc_bytes_avoided": 2048,
-        "scope_reclaims": 1, "high_water_bytes": 10 ** 9,
-    })
-    after = pool.stats()
-    assert after["checkouts"] == before["checkouts"] + 5
-    assert after["reuse_hits"] == before["reuse_hits"] + 3
-    assert after["allocated_bytes"] == before["allocated_bytes"] + 1024
-    assert after["high_water_bytes"] == max(
-        before["high_water_bytes"], 10 ** 9
-    )
+def _child_counts(conn):
+    """What a rank worker does with its counters: zero every registered
+    set, count, ship the whole registry."""
+    counters.reset_all()
+    for c in counters.REGISTRY.values():
+        for i, name in enumerate(c.sums):
+            c.add(name, i + 1)
+        for name in c.peaks:
+            c.peak(name, 10 ** 12)
+        for name in c.labelled:
+            c.add(name, 2, label="compiled")
+    conn.send((os.getpid(), counters.snapshot_all()))
+    conn.close()
 
 
-def test_ranks_merge_summary_adds_counters_and_maxes_workers():
-    ranks.reset_metrics()
+@pytest.mark.parametrize("start", ["fork", "spawn"])
+def test_a_workers_whole_registry_arrives(start):
+    """Every registered set reaches the parent through ``merge_all`` —
+    none is listed by hand anywhere — whether the worker inherited the
+    parent's counts (fork) or imported the modules afresh (spawn)."""
+    ctx = fork_ctx(start)
+    sets = counters.REGISTRY
+    before = counters.snapshot_all()
+    resilience.record("retries", 7)  # a fork inherits it; it must not return
     try:
-        ranks.merge_summary({
-            "workers": 6, "sections": 4, "tasks": 24,
-            "section_seconds": 1.5, "exchanges": 8,
-            "hidden_seconds": 0.25, "exposed_seconds": 0.75,
-        })
-        ranks.merge_summary({"workers": 2, "sections": 1, "tasks": 2})
-        out = ranks.summary()
-        assert out["workers"] == 6
-        assert out["sections"] == 5
-        assert out["tasks"] == 26
-        assert out["exchanges"] == 8
-        assert out["overlap_efficiency"] == 0.25
+        parent_conn, child_conn = ctx.Pipe()
+        proc = ctx.Process(target=_child_counts, args=(child_conn,))
+        proc.start()
+        child_conn.close()
+        child_pid, payload = parent_conn.recv()
+        proc.join(30)
+        assert not proc.is_alive() and child_pid != os.getpid()
+        assert set(payload) == set(sets) >= {
+            "pool", "compile_cache", "jit", "ranks", "procs", "ensemble",
+            "resilience",
+        }
+        mine = counters.snapshot_all()
+        counters.merge_all(payload)
+        for group, c in sets.items():
+            delta = c.since(mine[group])
+            for i, name in enumerate(c.sums):
+                assert delta[name] == payload[group][name] == i + 1, (
+                    group, name)
+            for name in c.peaks:
+                assert delta[name] == 10 ** 12, (group, name)
+            for name in c.labelled:
+                assert delta[c.family]["compiled"][name] == 2, (group, name)
+            for name in c.local:  # this process's, not the worker's
+                assert delta[name] == mine[group][name], (group, name)
     finally:
-        ranks.reset_metrics()
-
-
-def test_jit_merge_stats_accumulates():
-    before = jit.stats()
-    jit.merge_stats({
-        "compiles": 3, "compile_seconds": 0.5, "disk_hits": 2,
-        "cache_repairs": 1, "kernels_requested": 7, "kernels_built": 4,
-        "kernels_reused": 3, "builds": 2,
-    })
-    after = jit.stats()
-    for name, delta in (("kernels_requested", 7), ("kernels_built", 4),
-                        ("kernels_reused", 3), ("builds", 2)):
-        assert after[name] == before[name] + delta
-    assert after["compiles"] == before["compiles"] + 3
-    assert after["disk_hits"] == before["disk_hits"] + 2
-    assert after["cache_repairs"] == before["cache_repairs"] + 1
-    assert after["compile_seconds"] == pytest.approx(
-        before["compile_seconds"] + 0.5
-    )
+        for group, c in sets.items():
+            c.reset()
+            c.merge(before[group])

@@ -17,8 +17,8 @@ def test_checkout_release_roundtrip_reuses_buffer():
     pool.release(a)
     b = pool.checkout((4, 3))
     assert _address(b) == where
-    assert pool.reuse_hits == 1
-    assert pool.allocations == 1
+    assert pool.stats()["reuse_hits"] == 1
+    assert pool.stats()["allocations"] == 1
 
 
 def test_live_buffers_never_alias():
@@ -37,7 +37,7 @@ def test_live_buffers_never_alias():
     d = pool.checkout((8, 8))
     assert not np.shares_memory(c, d)
     assert {_address(c), _address(d)} == homes
-    assert pool.allocations == 2
+    assert pool.stats()["allocations"] == 2
 
 
 def test_smallest_idle_slab_that_fits_serves_any_shape_and_dtype():
@@ -61,7 +61,8 @@ def test_smallest_idle_slab_that_fits_serves_any_shape_and_dtype():
     # and with the big one out, the small one still serves what fits
     other = pool.checkout((3,))
     assert _address(other) == homes["small"]
-    assert pool.allocations == 2 and pool.stats()["retirements"] == 0
+    stats = pool.stats()
+    assert stats["allocations"] == 2 and stats["retirements"] == 0
 
 
 def test_every_checkout_starts_on_a_cache_line():
@@ -122,13 +123,13 @@ def test_high_water_and_byte_accounting():
     a = pool.checkout((4, 4))
     b = pool.checkout((4, 4))
     assert pool.live_bytes == 2 * nbytes
-    assert pool.high_water_bytes == 2 * nbytes
+    assert pool.stats()["high_water_bytes"] == 2 * nbytes
     pool.release(a)
     pool.release(b)
     assert pool.live_bytes == 0
     assert pool.idle_bytes == 2 * nbytes
     c = pool.checkout((4, 4))
-    assert pool.alloc_bytes_avoided == nbytes
+    assert pool.stats()["alloc_bytes_avoided"] == nbytes
     stats = pool.stats()
     assert stats["checkouts"] == 3
     assert stats["allocations"] == 2
@@ -149,9 +150,9 @@ def test_recycling_disabled_still_accounts():
     assert pool.idle_bytes == 0  # a released slab is dropped, not kept
     b = pool.checkout((4, 4))
     assert b is not a
-    assert pool.reuse_hits == 0
-    assert pool.allocations == 2
-    assert pool.high_water_bytes == a.nbytes
+    assert pool.stats()["reuse_hits"] == 0
+    assert pool.stats()["allocations"] == 2
+    assert pool.stats()["high_water_bytes"] == a.nbytes
 
 
 def test_clear_drops_idle_buffers():
@@ -161,7 +162,8 @@ def test_clear_drops_idle_buffers():
     pool.clear()
     assert pool.idle_bytes == 0
     pool.checkout((4, 4))
-    assert pool.allocations == 2 and pool.reuse_hits == 0
+    stats = pool.stats()
+    assert stats["allocations"] == 2 and stats["reuse_hits"] == 0
 
 
 def test_process_pool_is_shared():

@@ -278,10 +278,10 @@ def test_private_builds_neither_store_nor_restore():
 
 
 def test_worker_counters_merge_like_their_neighbours():
-    cc.merge_stats({"programs_restored": 8, "programs_stale": 1,
-                    "restore_bytes": 1000, "restore_seconds": 0.5})
-    cc.merge_stats({"programs_restored": 8, "programs_stored": 2,
-                    "programs_unpersistable": 1})
+    cc.COUNTERS.merge({"programs_restored": 8, "programs_stale": 1,
+                       "restore_bytes": 1000, "restore_seconds": 0.5})
+    cc.COUNTERS.merge({"programs_restored": 8, "programs_stored": 2,
+                       "programs_unpersistable": 1})
     stats = cc.stats()
     assert (stats["programs_restored"], stats["programs_stored"],
             stats["programs_stale"], stats["programs_unpersistable"],
