@@ -17,6 +17,9 @@ The programs that call the kernels are in the store too (PR 23): the
 first process traces its 8 programs and stores them, the second and the
 third trace and lower nothing — they restore the templates and the plan
 images, and the other host rebuilds only kernels, from the stored texts.
+So neither loads the tracer, the stencil front end or a code generator:
+after their step none of them is in ``sys.modules``, and no stencil was
+parsed.
 
 Run:  PYTHONPATH=src python benchmarks/cold_start_smoke.py
 """
@@ -26,6 +29,19 @@ import os
 import subprocess
 import sys
 import tempfile
+
+#: what only tracing, parsing and lowering need: a primed process loads
+#: none of it
+TRACE_SIDE = (
+    "repro.dsl.frontend",
+    "repro.orchestration.trace",
+    "repro.orchestration.preprocessor",
+    "repro.orchestration.closure",
+    "repro.sdfg.analysis",
+    "repro.sdfg.codegen",
+    "repro.sdfg.codegen_compiled",
+    "repro.sdfg.loopnest",
+)
 
 
 def _child(other_host: bool) -> None:
@@ -51,6 +67,7 @@ def _child(other_host: bool) -> None:
         # the compiler's verdict on the host's instruction set, as this
         # process came to know it
         "isa": jit._PROBED.get(jit._ISA_FLAG),
+        "loaded": [name for name in TRACE_SIDE if name in sys.modules],
     }))
 
 
@@ -87,6 +104,7 @@ def main() -> None:
     assert primed["disk_hits"] > 0 and primed["subprocesses"] == 0, primed
     # no subprocess, yet the verdict is known: it was read from the store
     assert primed["isa"] is not None and primed["isa"] == cold["isa"], primed
+    assert primed["loaded"] == other["loaded"] == [], (primed, other)
     assert keys[0] == keys[1] and not keys[0] & keys[2]
     assert other["kernels_built"] == cold["kernels_built"], other
     # the programs: traced and stored once, restored ever after — by the

@@ -19,7 +19,6 @@ previous default on exit::
 
 from __future__ import annotations
 
-import difflib
 import importlib
 from typing import Callable, Dict, Tuple
 
@@ -53,6 +52,8 @@ class UnknownBackendError(ValueError):
     """
 
     def __init__(self, name: str, available: Tuple[str, ...]):
+        import difflib  # (only ever needed on this error path)
+
         self.backend = name
         self.available = tuple(sorted(available))
         matches = difflib.get_close_matches(name, self.available, n=1)

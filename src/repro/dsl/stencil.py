@@ -1,26 +1,31 @@
 """The ``@stencil`` decorator and the callable StencilObject.
 
-A decorated function is parsed once into the stencil IR; backends are
-compiled lazily on first use. The object also exposes the hooks used by the
-orchestration layer (Sec. V-B): ``__sdfg_node__`` inserts the stencil into a
-whole-program SDFG as a library node when a data-centric program calls it.
+Decorating a function parses nothing: the stencil IR and its extents are
+made on first use — the first call, trace or lint — once per stencil, and
+backends are compiled lazily on first use of each. A process that restores
+its programs from records never parses a stencil at all. The object also
+exposes the hooks used by the orchestration layer (Sec. V-B):
+``__sdfg_node__`` inserts the stencil into a whole-program SDFG as a
+library node when a data-centric program calls it.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Dict, Optional, Tuple
+import threading
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro import resilience as _resilience
 from repro.dsl import backends
 from repro.dsl.backend_numpy import GridBounds
-from repro.dsl.extents import compute_extents
-from repro.dsl.frontend import parse_stencil
-from repro.dsl.ir import StencilDef
 from repro.obs import tracer as _obs
 from repro.resilience import chaos as _chaos
+
+if TYPE_CHECKING:
+    from repro.dsl.extents import StencilExtents
+    from repro.dsl.ir import StencilDef
 
 _TRACER = _obs.get_tracer()
 
@@ -36,15 +41,41 @@ class StencilObject:
         self._func = definition_func
         self._backend_name = backend
         self.externals = dict(externals or {})
-        self.definition: StencilDef = parse_stencil(definition_func, externals)
-        if name:
-            self.definition.name = name
-        self.name = self.definition.name
-        self.extents = compute_extents(self.definition)
+        self.name = name or definition_func.__name__
+        #: ``(definition, extents)`` once parsed
+        self._parsed: Optional[tuple] = None
+        self._parse_lock = threading.Lock()
+        #: (field, nk) → its exact k footprint (see :meth:`_validate`)
+        self._k_bounds: Dict[Tuple[str, int], Optional[Tuple[int, int]]] = {}
         self._executors: Dict[str, object] = {}
         functools.update_wrapper(self, definition_func)
 
     # ------------------------------------------------------------------
+    @property
+    def definition(self) -> "StencilDef":
+        """The stencil IR, parsed on first access."""
+        return (self._parsed or self._parse())[0]
+
+    @property
+    def extents(self) -> "StencilExtents":
+        return (self._parsed or self._parse())[1]
+
+    def _parse(self) -> tuple:
+        with self._parse_lock:
+            if self._parsed is None:
+                from repro.dsl.extents import compute_extents
+                from repro.dsl.frontend import StencilSyntaxError, parse_stencil
+
+                try:
+                    definition = parse_stencil(self._func, self.externals)
+                except StencilSyntaxError as exc:
+                    raise StencilSyntaxError(
+                        f"stencil {self.name!r}: {exc}"
+                    ) from exc
+                definition.name = self.name
+                self._parsed = (definition, compute_extents(definition))
+            return self._parsed
+
     @property
     def backend(self) -> str:
         return self._backend_name or backends.current_default_backend()
@@ -197,9 +228,7 @@ class StencilObject:
             if "K" in axes:
                 # exact per-interval vertical footprint: fields may have a
                 # different k size than the domain (staggered interfaces)
-                from repro.dsl.extents import k_access_bounds
-
-                kb = k_access_bounds(self.definition, p.name, nk)
+                kb = self._k_footprint(p.name, nk)
                 if kb is not None:
                     req.append((origin[2] + kb[0], origin[2] + kb[1]))
             for dim, (lo, hi) in enumerate(req):
@@ -209,6 +238,14 @@ class StencilObject:
                         f"cannot satisfy accesses [{lo}, {hi}) along axis "
                         f"{dim} for domain {domain} at origin {origin}"
                     )
+
+    def _k_footprint(self, name: str, nk: int) -> Optional[Tuple[int, int]]:
+        key = (name, nk)
+        if key not in self._k_bounds:
+            from repro.dsl.extents import k_access_bounds
+
+            self._k_bounds[key] = k_access_bounds(self.definition, name, nk)
+        return self._k_bounds[key]
 
     # ------------------------------------------------------------------
     # Orchestration hooks (Sec. V-B)

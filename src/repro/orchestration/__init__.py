@@ -5,10 +5,14 @@ with respect to data movement: a Python-to-Python preprocessor propagates
 constants, unrolls configuration-dependent loops and eliminates dead
 branches; closure resolution turns methods into free functions; anything
 that cannot be parsed becomes an automatic callback into the interpreter.
+
+The preprocessor and the closure resolver serve tracing only, and are
+imported with the first trace (:mod:`repro.orchestration.trace`) or the
+first use of their names here.
 """
 
-from repro.orchestration.closure import resolve_closure
-from repro.orchestration.preprocessor import preprocess_function
+import importlib
+
 from repro.orchestration.program import (
     OrchestratedProgram,
     OrchestrationError,
@@ -16,6 +20,19 @@ from repro.orchestration.program import (
     orchestrate,
     transient,
 )
+
+#: trace-side names → the module that defines them, imported when asked
+_LAZY = {
+    "preprocess_function": "repro.orchestration.preprocessor",
+    "resolve_closure": "repro.orchestration.closure",
+}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return getattr(importlib.import_module(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "OrchestratedProgram",

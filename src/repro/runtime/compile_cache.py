@@ -52,11 +52,16 @@ of the ``repro`` package — the code of tracer, transformations and
 generators is an input of every record) and the *manifest*, the objects
 the record holds by reference, each as ``(module, qualname, wrapped,
 fingerprint)``: it must resolve among the modules this process has
-imported, and its code — a stencil's definition IR, a function's source
-file — must hash as it did. A mismatch is a *stale* record: counted
-(``programs_stale``), not used, overwritten by what is built instead.
-A function whose source cannot be read (a notebook cell, ``<string>``)
-has no fingerprint, and what names it stays in memory only.
+imported, and its code must hash as it did — a function's source file;
+a stencil's, read off its code object without parsing it: its source
+file, the ``@function``s it inlines (recursively), the plain data
+(numbers, strings, tuples, NumPy scalars) it reads from its globals and
+``externals``, and the source file of each module, function or class it
+names. A mismatch is a *stale* record: counted (``programs_stale``), not
+used, overwritten by what is built instead. A function whose source
+cannot be read (a notebook cell, ``<string>``), or a stencil that reads
+anything else — a list, an array, an object only its identity tells
+apart — has no fingerprint, and what names it stays in memory only.
 The pickle is written and read with one allow-list (:func:`_named`:
 ``repro.dsl.ir``, ``repro.sdfg.*``, a few named dataclasses, NumPy
 dtypes, scalar types and scalar values, builtin containers); every
@@ -542,23 +547,108 @@ def reference(obj) -> Optional[Tuple[str, str, bool]]:
 
 
 def _fingerprint(obj) -> Optional[str]:
-    """What of an object's *code* a record depends on: the definition IR
-    of a stencil (whatever it inlines is in it), the source file of a
-    function (``None`` when that cannot be read: an edit would go
-    unnoticed); a class or a module is only ever asked for its
-    identity."""
-    from repro.dsl.ir import StencilDef
+    """What of an object's *code* a record depends on: what a stencil is
+    made of (:func:`_stencil_parts`), the source file of a function
+    (``None`` when that cannot be read: an edit would go unnoticed); a
+    class or a module is only ever asked for its identity."""
+    from repro.dsl.stencil import StencilObject
 
-    definition = getattr(obj, "definition", None)
-    if isinstance(definition, StencilDef):
-        # (not where its source lives: a checkout can be moved)
-        return _sha(repr((
-            definition.name, definition.params, definition.temporaries,
-            definition.computations,
-        )).encode())
+    if isinstance(obj, StencilObject):
+        try:
+            return _sha(repr(_stencil_parts(obj)).encode())
+        except Unpersistable:
+            return None
     if isinstance(obj, types.FunctionType):
         return _file_hash(obj.__code__.co_filename)
     return ""
+
+
+def _stencil_parts(stencil) -> list:
+    """What a stencil is made of, read off its code without parsing it:
+    its name, its definition (:func:`_code_parts`) and its ``externals``
+    under the rules of :func:`_value_part`. Hashes of source files, not
+    their paths: a checkout can be moved."""
+    spaces = (stencil.externals,)
+    return [
+        stencil.name,
+        _code_parts(stencil.__wrapped__, spaces, set()),
+        [(name, _value_part(value, spaces, set()))
+         for name, value in sorted(stencil.externals.items())],
+    ]
+
+
+def _code_names(code: types.CodeType):
+    """The names a code object reads, nested code objects included."""
+    yield from code.co_names
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _code_names(const)
+
+
+def _code_parts(func, spaces: tuple, seen: set) -> list:
+    """A stencil's or ``@function``'s definition: the hash of its source
+    file and every name its code reads, valued in the first namespace
+    that has it — externals, then the globals of the stencil and of each
+    function inlined on the way, as the front end looks them up."""
+    code = func.__code__
+    source = _file_hash(code.co_filename)
+    if source is None or func.__closure__:
+        raise Unpersistable(
+            f"{func.__qualname__} is a closure or has no readable source"
+        )
+    spaces = (*spaces, func.__globals__)
+    parts = [source]
+    for name in sorted(set(_code_names(code))):
+        for space in spaces:
+            if name in space:
+                parts.append((name, _value_part(space[name], spaces, seen)))
+                break
+    return parts
+
+
+#: values a stencil may read by value (NumPy scalars too)
+_PLAIN = (bool, int, float, complex, str, bytes, type(None))
+
+
+def _value_part(value, spaces: tuple, seen: set):
+    """A value a stencil reads: a ``@function`` by its definition
+    (:func:`_code_parts`, once per stencil), plain data and tuples of it
+    by value, a module, function or class by its source file's hash, a
+    name of the DSL itself by that name; anything else is
+    :class:`Unpersistable`."""
+    import numpy as np
+
+    from repro.dsl import builtins as dsl
+
+    if isinstance(value, dsl.GTFunction):
+        if id(value) in seen:
+            return ("function", value.__name__)
+        seen.add(id(value))
+        return ("function", _code_parts(value.definition, spaces, seen))
+    if isinstance(value, _PLAIN + (np.generic,)):
+        return (type(value).__name__, repr(value))
+    if isinstance(value, tuple):
+        return tuple(_value_part(item, spaces, seen) for item in value)
+    if isinstance(value, types.FunctionType):
+        path = value.__code__.co_filename
+    elif isinstance(value, types.ModuleType):
+        path = getattr(value, "__file__", None)
+    elif isinstance(value, type):
+        path = getattr(sys.modules.get(value.__module__), "__file__", None)
+    else:
+        for name, known in vars(dsl).items():
+            if known is value:
+                return ("dsl", name)
+        raise Unpersistable(
+            f"a stencil reads a {type(value).__name__}, which has no value "
+            "another process could compare"
+        )
+    if path is None:  # a builtin: part of the interpreter
+        return ("builtin", getattr(value, "__name__", ""))
+    digest = _file_hash(path)
+    if digest is None:
+        raise Unpersistable(f"{path} cannot be read")
+    return ("source", digest)
 
 
 class Manifest:

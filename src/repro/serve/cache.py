@@ -25,6 +25,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
+from repro.obs.counters import Counters
 from repro.resilience import Snapshot
 
 __all__ = ["CacheEntry", "StateCache"]
@@ -51,8 +52,20 @@ class CacheEntry:
         return self.snapshot.nbytes
 
 
+def with_hit_ratio(snapshot: Dict[str, object]) -> Dict[str, object]:
+    """What readers see: the counters plus the exact-hit ratio."""
+    lookups = snapshot["hits"] + snapshot["misses"]
+    return {
+        **snapshot,
+        "hit_ratio": (snapshot["hits"] / lookups) if lookups else None,
+    }
+
+
 class StateCache:
     """LRU over (series key, step) with entry and byte budgets."""
+
+    #: what a cache counts: exact hits and misses, warm starts, evictions
+    COUNTED = ("hits", "warm_hits", "misses", "evictions")
 
     def __init__(self, max_entries: int = 64,
                  max_bytes: int = 512 * 1024 * 1024):
@@ -63,10 +76,19 @@ class StateCache:
             OrderedDict()
         )
         self._bytes = 0
-        self.hits = 0
-        self.warm_hits = 0
-        self.misses = 0
-        self.evictions = 0
+        #: the accounting; it shares the cache's lock, under which the
+        #: look-ups and ``put`` increment ``_n`` in place
+        self.counters = Counters(
+            sums=self.COUNTED,
+            local={
+                "entries": lambda: len(self._entries),
+                "bytes": lambda: self._bytes,
+            },
+            derive=with_hit_ratio,
+            lock=self._lock,
+        )
+        self._n = self.counters.values
+        self.stats = self.counters.snapshot
 
     # ------------------------------------------------------------------
     def put(self, series: SeriesKey, step: int, entry: CacheEntry) -> None:
@@ -85,7 +107,7 @@ class StateCache:
             ):
                 _, evicted = self._entries.popitem(last=False)
                 self._bytes -= evicted.nbytes
-                self.evictions += 1
+                self._n["evictions"] += 1
 
     def exact(self, series: SeriesKey, step: int) -> Optional[CacheEntry]:
         """The entry at exactly ``step``, or None. Counts hit/miss."""
@@ -93,10 +115,10 @@ class StateCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.misses += 1
+                self._n["misses"] += 1
                 return None
             self._entries.move_to_end(key)
-            self.hits += 1
+            self._n["hits"] += 1
             return entry
 
     def best_at_or_below(
@@ -115,7 +137,7 @@ class StateCache:
             if best_key is None:
                 return None, 0
             self._entries.move_to_end(best_key)
-            self.warm_hits += 1
+            self._n["warm_hits"] += 1
             return self._entries[best_key], best_step
 
     # ------------------------------------------------------------------
@@ -127,16 +149,3 @@ class StateCache:
         with self._lock:
             self._entries.clear()
             self._bytes = 0
-
-    def stats(self) -> Dict[str, object]:
-        with self._lock:
-            lookups = self.hits + self.misses
-            return {
-                "entries": len(self._entries),
-                "bytes": self._bytes,
-                "hits": self.hits,
-                "warm_hits": self.warm_hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "hit_ratio": (self.hits / lookups) if lookups else None,
-            }

@@ -70,7 +70,7 @@ from repro.run import EnsembleDriver, build_core, member_rng
 from repro.runtime import get_pool
 from repro.serve.breaker import BreakerBoard
 from repro.serve.budget import DeadlineBudget, RetryPolicy
-from repro.serve.cache import CacheEntry, StateCache
+from repro.serve.cache import CacheEntry, StateCache, with_hit_ratio
 from repro.serve.errors import (
     DeadlineExceeded,
     Overloaded,
@@ -771,15 +771,10 @@ def serving_summary() -> Optional[Dict[str, object]]:
             "p50": percentile(merged, 50),
             "p99": percentile(merged, 99),
         }
-    totals["cache"] = {
-        "hits": sum(s["cache"]["hits"] for s in summaries),
-        "warm_hits": sum(s["cache"]["warm_hits"] for s in summaries),
-        "misses": sum(s["cache"]["misses"] for s in summaries),
-    }
-    lookups = totals["cache"]["hits"] + totals["cache"]["misses"]
-    totals["cache"]["hit_ratio"] = (
-        totals["cache"]["hits"] / lookups if lookups else None
-    )
+    caches = Counters(sums=StateCache.COUNTED, derive=with_hit_ratio)
+    for summary in summaries:
+        caches.merge(summary["cache"])
+    totals["cache"] = caches.snapshot()
     totals["breakers"] = {
         key: sum(s["breakers"][key] for s in summaries)
         for key in ("trips", "probes", "recoveries", "open")

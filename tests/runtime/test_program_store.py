@@ -424,6 +424,104 @@ def test_edited_source_is_traced_again_never_bound_wrong(edit, value,
     assert sorted(p.name for p in store.glob("repro_t_*.rec")) == records
 
 
+#: what the stencils of READS read from outside their own module
+CONSTS = '''
+FIRST = 0
+BIAS = 1.0
+'''
+
+READS = '''
+import numpy as np
+
+import consts
+from repro.dsl import Field, PARALLEL, computation, interval, stencil
+from repro.orchestration import orchestrate
+
+SHAPE = (6, 6, 4)
+LEVELS = [0]
+
+
+@stencil
+def from_module(a: Field, out: Field):
+    with computation(PARALLEL), interval(consts.FIRST, None):
+        out = a + 1.0
+
+
+@stencil(externals={"BIAS": consts.BIAS})
+def biased(a: Field, out: Field):
+    with computation(PARALLEL), interval(...):
+        out = a + BIAS
+
+
+@stencil
+def by_identity(a: Field, out: Field):
+    with computation(PARALLEL), interval(LEVELS[0], None):
+        out = a + 1.0
+
+
+class FromModule:
+    @orchestrate
+    def run(self, q: np.ndarray, out: np.ndarray):
+        from_module(q, out, origin=(0, 0, 0), domain=SHAPE)
+
+
+class Biased:
+    @orchestrate
+    def run(self, q: np.ndarray, out: np.ndarray):
+        biased(q, out, origin=(0, 0, 0), domain=SHAPE)
+
+
+class ByIdentity:
+    @orchestrate
+    def run(self, q: np.ndarray, out: np.ndarray):
+        by_identity(q, out, origin=(0, 0, 0), domain=SHAPE)
+'''
+
+
+def _reads_child(tmp_path, program):
+    """Run ``program`` of READS in a second process on ``tmp_path``'s
+    store: (out[0, 0, 0], traces, restored, stale, unpersistable)."""
+    got = _child(tmp_path / "child.py", tmp_path, program,
+                 jit_dir=tmp_path / "store", REPRO_BACKEND="numpy")
+    stats = got["stats"]
+    return (got["value"], stats["program_traces"],
+            stats["programs_restored"], stats["programs_stale"],
+            stats["programs_unpersistable"])
+
+
+@pytest.mark.parametrize("program, edit, value", [
+    # a constant the stencil reads as ``consts.FIRST``: level 0 is no
+    # longer written
+    ("FromModule", ("FIRST = 0", "FIRST = 1"), 0.0),
+    # a value handed in through ``externals=``
+    ("Biased", ("BIAS = 1.0", "BIAS = 2.0"), 3.0),
+])
+def test_what_a_stencil_reads_from_another_module_is_in_its_fingerprint(
+        program, edit, value, tmp_path):
+    """Neither edit touches the stencil's own file: the record is stale
+    because of what the stencil's code reads, and the second process
+    computes the new answer."""
+    (tmp_path / "toy.py").write_text(READS)
+    (tmp_path / "consts.py").write_text(CONSTS)
+    (tmp_path / "child.py").write_text(CHILD)
+    assert _reads_child(tmp_path, program) == (2.0, 1, 0, 0, 0)
+    assert _reads_child(tmp_path, program) == (2.0, 0, 1, 0, 0)
+    (tmp_path / "consts.py").write_text(CONSTS.replace(*edit))
+    assert _reads_child(tmp_path, program) == (value, 1, 0, 1, 0)
+
+
+def test_a_stencil_reading_an_identity_only_global_stays_in_memory(
+        tmp_path):
+    """A list has no value another process could compare: the program
+    is counted unpersistable, and every process traces it again."""
+    (tmp_path / "toy.py").write_text(READS)
+    (tmp_path / "consts.py").write_text(CONSTS)
+    (tmp_path / "child.py").write_text(CHILD)
+    for _ in range(2):
+        assert _reads_child(tmp_path, "ByIdentity") == (2.0, 1, 0, 0, 1)
+    assert not list((tmp_path / "store").glob("repro_t_*.rec"))
+
+
 def test_numpy_scalar_callback_constants_restore_in_a_second_process(
         tmp_path):
     """NumPy pickles a scalar value through a function: the allow-list

@@ -1,4 +1,5 @@
-"""Every ``repro.*`` subpackage imports on its own.
+"""Every ``repro.*`` subpackage imports on its own, and the entry points
+import nothing only a trace needs.
 
 Inside one pytest process the import order of earlier tests hides a
 cycle (``import repro.sdfg`` first used to die in ``obs.metrics →
@@ -13,14 +14,28 @@ import sys
 
 import repro
 
+#: what tracing a program (and parsing a stencil) needs and binding a
+#: restored one does not: loaded with the first trace
+TRACE_SIDE = (
+    "repro.dsl.frontend",
+    "repro.orchestration.trace",
+    "repro.orchestration.preprocessor",
+    "repro.orchestration.closure",
+    "repro.sdfg.analysis",
+)
+
+
+def _fresh_env():
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    return {**os.environ, "PYTHONPATH": src}
+
 
 def test_every_subpackage_imports_first_in_a_fresh_interpreter():
     names = sorted(
         f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__)
     )
     assert {"repro.sdfg", "repro.dsl", "repro.obs", "repro.core"} <= set(names)
-    src = os.path.dirname(os.path.dirname(repro.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
+    env = _fresh_env()
     failed = []
     for start in range(0, len(names), 4):  # four interpreters at a time
         running = [
@@ -35,3 +50,17 @@ def test_every_subpackage_imports_first_in_a_fresh_interpreter():
             if proc.returncode != 0:
                 failed.append(f"{name}:\n{stderr.decode(errors='replace')}")
     assert not failed, "\n".join(failed)
+
+
+def test_the_entry_points_load_no_trace_side_module():
+    """Decorating the package's stencils parses none of them, and
+    importing the tracer waits for the first trace."""
+    probe = (
+        "import sys, repro.run, repro.serve; "
+        f"print([m for m in {TRACE_SIDE!r} if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=_fresh_env(), check=True,
+        capture_output=True, text=True,
+    ).stdout
+    assert out.strip() == "[]"
