@@ -14,6 +14,7 @@ the per-node time, the speedup at scale, and the A100 ratio.
 """
 
 import math
+import pathlib
 
 import pytest
 
@@ -32,6 +33,11 @@ from repro.fv3.performance import SingleRankDynCore
 
 #: nodes → approximate grid spacing [km] from the paper's figure
 NODE_COUNTS = (54, 96, 216, 600, 1014, 1536, 2400)
+
+#: where ``main`` writes by default: ignored by git, so a run never
+#: rewrites the committed record
+OUTPUT = (pathlib.Path(__file__).resolve().parent.parent / ".bench_build"
+          / "fig11_measured.json")
 
 
 def _per_node_times(npx=96, npz=80):
@@ -302,8 +308,11 @@ def main(argv=None):
                         "small machines")
     parser.add_argument("--projection-npx", type=int, default=96)
     parser.add_argument("--projection-npz", type=int, default=80)
-    parser.add_argument("--output", default="BENCH_PR10.json")
+    parser.add_argument("--output", type=pathlib.Path, default=OUTPUT,
+                        help="where the result JSON goes "
+                        "(default: %(default)s)")
     args = parser.parse_args(argv)
+    args.output.parent.mkdir(parents=True, exist_ok=True)
 
     out = {"benchmark": "fig11_weak_scaling"}
     print("Fig. 11 — LogGP projection:")

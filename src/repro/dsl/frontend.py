@@ -162,6 +162,7 @@ class StencilParser:
         self.computations: List[Computation] = []
         self._inline_counter = 0
         self._condition_counter = 0
+        self._tuple_counter = 0
         # absolute source location: ast linenos are relative to the
         # dedented snippet, so offset by the function's first source line
         try:
@@ -414,6 +415,15 @@ class StencilParser:
         if len(stmt.targets) != 1:
             raise StencilSyntaxError("chained assignment is unsupported")
         values = self._parse_rhs(stmt.value, len(names), out, mask, region, rename, subst)
+        # every right-hand side is read before any target is written: a
+        # value that reads a target assigned ahead of it is held in a
+        # temporary first (``a, b = b, a``)
+        for i, value in enumerate(values):
+            if _reads_fields(value, names[:i]):
+                self._tuple_counter += 1
+                held = f"__tuple{self._tuple_counter}"
+                self._emit_assign(held, value, out, mask, region, rename)
+                values[i] = FieldAccess(held)
         for name, value in zip(names, values):
             self._emit_assign(name, value, out, mask, region, rename)
 
@@ -803,8 +813,12 @@ def _is_scalar_expr(expr: Expr) -> bool:
     )
 
 
-def _reads_fields(expr: Expr) -> bool:
-    return any(isinstance(node, FieldAccess) for node in walk_expr(expr))
+def _reads_fields(expr: Expr, names=None) -> bool:
+    """True if ``expr`` reads a field (one of ``names``, when given)."""
+    return any(
+        isinstance(node, FieldAccess) and (names is None or node.name in names)
+        for node in walk_expr(expr)
+    )
 
 
 def parse_stencil(func, externals: Optional[Dict] = None) -> StencilDef:

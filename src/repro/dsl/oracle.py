@@ -11,13 +11,14 @@ NumPy scalar arithmetic, with the semantics the DSL promises:
 - ``if``/``elif``/``else`` evaluates its test **once**, where control
   reaches it, and the branches run where that value was true or false —
   whatever they assign;
+- a tuple assignment reads every right-hand side, at every point, before
+  it writes any target (``a, b = b, a`` swaps);
 - offsets index the arrays handed in; temporaries start at zero.
 
 Where a statement runs is not semantics but extent inference, which has
 its own tests: each statement takes the extent the stencil object
 inferred for the IR statement of the same source line and target.
-Not covered: ``@function`` calls and tuple assignment (no shipped stencil
-uses either).
+Not covered: ``@function`` calls (no shipped stencil uses one).
 """
 
 from __future__ import annotations
@@ -133,9 +134,8 @@ class _Oracle:
         found = []
         for node in stmts:
             if isinstance(node, (ast.Assign, ast.AugAssign)):
-                target = node.targets[0] if isinstance(node, ast.Assign) \
-                    else node.target
-                found.append(self._ranges(node, target.id, region))
+                found.extend(self._ranges(node, name, region)
+                             for name, _ in self._writes(node))
             elif isinstance(node, ast.If):
                 found.append(self._hull(node.body + node.orelse, region))
             elif isinstance(node, ast.With):
@@ -172,28 +172,39 @@ class _Oracle:
                             {p for p, c in held.items() if not c}, region)
             elif isinstance(node, ast.With):
                 self._block(node.body, krng, active, self._region(node))
-            elif isinstance(node, ast.AugAssign):
-                value = ast.BinOp(node.target, node.op, node.value)
-                self._assign(node, node.target.id, value, krng, active, region)
-            elif isinstance(node, ast.Assign):
-                (target,) = node.targets
-                if not isinstance(target, ast.Name):
-                    raise NotImplementedError("tuple assignment")
-                self._assign(node, target.id, node.value, krng, active, region)
+            elif isinstance(node, (ast.Assign, ast.AugAssign)):
+                self._assign(node, krng, active, region)
             elif not isinstance(node, (ast.Pass, ast.Expr)):
                 raise NotImplementedError(type(node).__name__)
 
-    def _assign(self, node, name, value, krng, active, region) -> None:
-        if name not in self.arrays:
-            self.locals[name] = self._eval(value, None)  # a scalar local
-            return
-        ranges = self._ranges(node, name, region)
-        if ranges is None:
-            return
-        pts = self._points(ranges, krng, active)
-        values = [self._eval(value, p) for p in pts]  # all, then the update
-        for p, v in zip(pts, values):
-            self.arrays[name][self._index(name, p)] = v
+    @staticmethod
+    def _writes(node):
+        """(target name, value) of every name an assignment writes."""
+        if isinstance(node, ast.AugAssign):
+            return [(node.target.id,
+                     ast.BinOp(node.target, node.op, node.value))]
+        (target,) = node.targets
+        if isinstance(target, ast.Name):
+            return [(target.id, node.value)]
+        if not isinstance(node.value, ast.Tuple):
+            raise NotImplementedError("@function call")
+        return [(t.id, v) for t, v in zip(target.elts, node.value.elts)]
+
+    def _assign(self, node, krng, active, region) -> None:
+        updates = []  # every value, then every update
+        for name, value in self._writes(node):
+            if name not in self.arrays:  # a scalar local
+                updates.append((self.locals, name, self._eval(value, None)))
+                continue
+            ranges = self._ranges(node, name, region)
+            if ranges is None:
+                continue
+            updates.extend(
+                (self.arrays[name], self._index(name, p), self._eval(value, p))
+                for p in self._points(ranges, krng, active)
+            )
+        for store, key, value in updates:
+            store[key] = value
 
     # ---- values ----------------------------------------------------------
 

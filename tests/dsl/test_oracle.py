@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.dsl import Field, PARALLEL, computation, interval, stencil
+from repro.dsl import Field, PARALLEL, computation, function, interval, stencil
 from repro.dsl.ir import FieldAccess, map_expr
 from repro.dsl.oracle import run_oracle
 from repro.fv3.stencils.xppm import xppm_flux
@@ -212,6 +212,59 @@ def test_xppm_on_an_infinite_cell_is_still_what_the_definition_says(backend):
     assert np.isnan(want["flux"]).any() and np.isinf(want["flux"]).any()
     assert_backend_matches(xppm_flux, backend, fields, scalars, origin,
                            domain, want)
+
+
+# ---------------------------------------------------------------------------
+# what a tuple assignment means
+# ---------------------------------------------------------------------------
+
+
+@stencil
+def _swap(a: Field, b: Field, c: Field):
+    with computation(PARALLEL), interval(...):
+        a, b = b, a
+
+
+@stencil
+def _rotate(a: Field, b: Field, c: Field):
+    with computation(PARALLEL), interval(...):
+        a, b, c = b, c, a
+
+
+@function
+def _swapped(x, y):
+    return y, x
+
+
+@stencil
+def _swap_by_function(a: Field, b: Field, c: Field):
+    with computation(PARALLEL), interval(...):
+        a, b = _swapped(a, b)
+
+
+@pytest.mark.parametrize("backend", _backends())
+@pytest.mark.parametrize("stencil_obj, meaning", [
+    (_swap, _swap), (_rotate, _rotate),
+    # the oracle does not interpret @function: a tuple it returns means
+    # what the same tuple written out means
+    (_swap_by_function, _swap),
+], ids=["swap", "rotate", "swap-by-function"])
+def test_a_tuple_assignment_reads_every_value_before_it_writes(
+    stencil_obj, meaning, backend
+):
+    """``a, b = b, a`` used to lower as ``a = b; b = a``: both ended as
+    ``b``."""
+    shape = (4, 3, 2)
+    fields = {name: np.full(shape, value)
+              for name, value in (("a", 1.0), ("b", 2.0), ("c", 3.0))}
+    fields["a"][1, 2, 1] = np.nan
+    want = oracle_of(meaning, fields, {}, (0, 0, 0), shape)
+    rotated = meaning is _rotate
+    assert want["a"][0, 0, 0] == 2.0
+    assert want["b"][0, 0, 0] == (3.0 if rotated else 1.0)
+    assert np.isnan(want["c" if rotated else "b"][1, 2, 1])
+    assert_backend_matches(stencil_obj, backend, fields, {}, (0, 0, 0), shape,
+                           want)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ no extra pool allocations in steady state, no counter movement, and no
 chaos consults on any call site."""
 
 import numpy as np
-import pytest
 
 from repro import resilience
 from repro.fv3.config import DynamicalCoreConfig
@@ -67,18 +66,3 @@ def test_no_chaos_consults_without_plan():
     core = DynamicalCore(CFG)
     core.step_dynamics()
     assert chaos.get_plan() is None  # still none — nothing installed one
-
-
-def test_bench_baseline_recorded():
-    """BENCH_PR3.json (the zero-allocation smoke baseline) must still be
-    present and structurally intact so benchmarks/chaos_smoke.py can
-    compare against it."""
-    import json
-    import pathlib
-
-    path = pathlib.Path(__file__).resolve().parents[2] / "BENCH_PR3.json"
-    if not path.exists():
-        pytest.skip("no recorded baseline in this checkout")
-    data = json.loads(path.read_text())
-    assert data["fvtp2d"]["median_ms"] > 0
-    assert data["fvtp2d"]["runtime"]["pool"]["allocations"] >= 0

@@ -544,11 +544,23 @@ STEP = '''
 import dataclasses
 import hashlib
 import json
+import subprocess
 import sys
 
-from repro.run import EnsembleDriver
-from repro.runtime import runtime_summary
-from repro.scenarios import get_scenario
+started = []
+
+
+class Counting(subprocess.Popen):
+    def __init__(self, args, *rest, **kwargs):
+        started.append(args)
+        super().__init__(args, *rest, **kwargs)
+
+
+subprocess.Popen = Counting  # ``subprocess.run`` goes through it too
+
+from repro.run import EnsembleDriver  # noqa: E402
+from repro.runtime import jit, runtime_summary  # noqa: E402
+from repro.scenarios import get_scenario  # noqa: E402
 
 config = dataclasses.replace(
     get_scenario("baroclinic_wave").default_config(), npx=12, npz=4
@@ -565,38 +577,73 @@ for arrays, tracers in zip(snapshot.arrays, snapshot.tracers):
         digest.update(tracer.tobytes())
 summary = runtime_summary()
 driver.close()
-print(json.dumps({"digest": digest.hexdigest(),
-                  "cache": summary["compile_cache"], "jit": summary["jit"]}))
+print(json.dumps({
+    "digest": digest.hexdigest(),
+    "cache": summary["compile_cache"], "jit": summary["jit"],
+    "subprocesses": len(started), "probes": len(jit._PROBED),
+    # the compiler's verdict on the host's instruction set, as this
+    # process came to know it
+    "isa": jit._PROBED.get(jit._ISA_FLAG),
+    "modules": sorted(name for name in sys.modules if name.startswith("repro.")),
+}))
 '''
+
+#: what only tracing, parsing and lowering need: a primed process loads
+#: none of it
+TRACE_SIDE = {
+    "repro.dsl.frontend",
+    "repro.orchestration.trace",
+    "repro.orchestration.preprocessor",
+    "repro.orchestration.closure",
+    "repro.sdfg.analysis",
+    "repro.sdfg.codegen",
+    "repro.sdfg.codegen_compiled",
+    "repro.sdfg.loopnest",
+}
 
 
 @pytest.mark.skipif(jit._find_cc() is None, reason="no C compiler")
 def test_a_second_process_restores_everything_and_builds_nothing(tmp_path):
-    """The counters the issue names, at a small configuration: a process
-    on a primed directory traces nothing, compiles nothing, starts no
-    compiler, and computes what the first one computed."""
+    """A small configuration on an empty directory, then on the directory
+    it left: the cold process enters the builder once and starts one
+    compiler per CPU at most; the primed one traces nothing, compiles
+    nothing, starts no subprocess at all (the probes' verdicts are on
+    disk), loads neither tracer nor code generator, and computes what the
+    first one computed."""
     script, store = tmp_path / "step.py", tmp_path / "store"
     script.write_text(STEP)
     env = dict(REPRO_BACKEND="compiled", REPRO_JIT="cgen", REPRO_THREADS="1")
     cold = _child(script, jit_dir=store, **env)
     primed = _child(script, jit_dir=store, **env)
     assert primed["digest"] == cold["digest"]
+    for report in (cold, primed):
+        assert report["jit"]["engine"] == "cgen"
+        assert report["jit"]["cache_repairs"] == 0
+        assert report["cache"]["programs_stale"] == 0
+        assert report["cache"]["programs_unpersistable"] == 0
     cache, kernels = cold["cache"], cold["jit"]
     assert (cache["program_traces"], cache["program_binds"]) == (8, 40)
     assert (cache["misses"], cache["hits"]) == (8, 0)
     assert (cache["programs_stored"], cache["programs_restored"]) == (8, 0)
-    assert kernels["kernels_built"] > 0 and kernels["builds"] == 1
+    # equal kernels of different programs are one kernel
+    assert 0 < kernels["kernels_built"] < kernels["kernels_requested"]
+    assert kernels["builds"] == 1
+    assert 0 < kernels["compiles"] <= jit._build_width()
+    assert cold["subprocesses"] == kernels["compiles"] + cold["probes"]
+    assert TRACE_SIDE <= set(cold["modules"])
     cache, kernels = primed["cache"], primed["jit"]
     assert (cache["program_traces"], cache["program_binds"]) == (0, 48)
     assert cache["templates"] == 8
     assert cache["by_backend"] == {"compiled": {"hits": 8, "misses": 0}}
     assert (cache["programs_stored"], cache["programs_restored"]) == (0, 8)
-    assert cache["programs_stale"] == cache["programs_unpersistable"] == 0
     assert kernels["kernels_requested"] == kernels["kernels_reused"] \
         == cold["jit"]["kernels_requested"]
     assert (kernels["kernels_built"], kernels["builds"],
             kernels["compiles"]) == (0, 0, 0)
-    assert kernels["cache_repairs"] == 0
+    assert kernels["disk_hits"] > 0 and primed["subprocesses"] == 0
+    # no subprocess, yet the verdict is known: it was read from the store
+    assert primed["isa"] is not None and primed["isa"] == cold["isa"]
+    assert not TRACE_SIDE & set(primed["modules"])
 
 
 def test_two_cold_processes_on_one_directory_agree(tmp_path):

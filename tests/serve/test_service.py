@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from repro.run import run
+from repro.runtime import compile_cache
 from repro.serve import (
     DeadlineExceeded,
     ForecastRequest,
@@ -48,9 +49,11 @@ def test_repeat_query_served_from_cache_with_zero_model_work(
         service, small_config):
     first = service.submit(_req(small_config)).result()
     assert first.cache == "miss" and first.steps_computed == 2
+    misses = compile_cache.stats()["misses"]
     again = service.submit(_req(small_config)).result()
     assert again.cache == "hit"
     assert again.steps_computed == 0
+    assert compile_cache.stats()["misses"] == misses  # nothing compiled
     assert again.report["summary"] == first.report["summary"]
     assert service.cache.stats()["hits"] == 1
 
