@@ -58,7 +58,8 @@ class DynamicalCore:
 
     Owns per-rank state, grids and module instances; ``step_dynamics``
     advances one physics time step through ``k_split`` remapping sub-steps
-    of ``n_split`` acoustic sub-steps each (Sec. II).
+    of ``n_split`` acoustic sub-steps each (Sec. II). The modules and
+    work arrays are built by :meth:`prepare`, which the first step calls.
 
     The core holds the ranks its communicator owns (``comm.owned_ranks``,
     all of them by default): a rank worker process passes one endpoint of
@@ -118,12 +119,42 @@ class DynamicalCore:
         self.states: List[RankFields] = per_rank(
             lambda rank: init(grids[rank], config)
         )
-        #: whoever swaps states through this core (the ensemble driver)
-        #: may leave here whose copy ``states`` equals bit for bit, and
-        #: skip copying it in again; whatever changes ``states`` clears it
+        # ``states`` keep their arrays for the life of the core (every
+        # program is bound to them); the ensemble driver
+        # (``repro.run.driver._load``) makes them one member's storage.
+        #: the member record whose state ``states`` are, if any
         self.resident: Optional[object] = None
-        self.acoustics = AcousticDynamics(
-            config, self.partitioner, self.grids, self.states, self.halo,
+        #: state arrays no member owns, kept for the next eviction
+        self.spare: Optional[List[RankFields]] = None
+        #: what ``states`` were built from, until a step, a checkpoint
+        #: restore or a member load changes them: ``build_core`` sets it
+        #: so that a member drawn from the same stream takes these arrays
+        #: instead of building its own
+        self.initial: Optional[object] = None
+        #: the step machinery, built by :meth:`prepare`: a core that is
+        #: never stepped (the process executor's parent) has none
+        self.acoustics: Optional[AcousticDynamics] = None
+        self.remap: Optional[list] = None
+        self.tracer_adv: Optional[list] = None
+        self.time = 0.0
+        self.step_count = 0
+        self.resilience = resilience
+        self._guard: Optional[StateGuard] = (
+            StateGuard(resilience.guard) if resilience is not None else None
+        )
+        self._prepared = False
+
+    # ------------------------------------------------------------------
+    def _build_step_machinery(self) -> None:
+        """The acoustic loop (workspaces and modules), the tracer
+        transport, the vertical remap and the δp snapshot of every held
+        rank, plus the per-field rank lists the halo API and the remap
+        program are bound to. ``acoustics`` is set last: it says the
+        rest is there."""
+        config, n_halo, grids = self.config, self.h, self.grids
+        per_rank = self.halo.comm.per_rank
+        acoustics = AcousticDynamics(
+            config, self.partitioner, grids, self.states, self.halo,
             self.executor, n_halo=n_halo,
         )
         bk, ptop = reference_coordinate(config)
@@ -132,7 +163,7 @@ class DynamicalCore:
             nx, ny, nk, bk, ptop, n_halo=n_halo
         ))
         self.tracer_adv = per_rank(lambda rank: TracerAdvection(
-            self.acoustics.transports[rank], grids[rank].rarea,
+            acoustics.transports[rank], grids[rank].rarea,
             nx, ny, nk, n_halo=n_halo,
         ))
         self._delp_start = per_rank(
@@ -150,25 +181,22 @@ class DynamicalCore:
             return [s.pt, s.u, s.v, s.w, *s.tracers]
 
         self._remapped_fields = per_rank(remapped)
-        self.time = 0.0
-        self.step_count = 0
-        self.resilience = resilience
-        self._guard: Optional[StateGuard] = (
-            StateGuard(resilience.guard) if resilience is not None else None
-        )
-        self._prepared = False
+        self.acoustics = acoustics
 
-    # ------------------------------------------------------------------
     def prepare(self) -> None:
-        """Bind every orchestrated program of every held rank to the
-        arguments a step calls it on, inside one ``jit.batch()``: each is
-        traced (or matched to a published template) and lowered, and the
-        kernels nobody has built yet — of all of them together — go to
-        the C compiler once. Nothing is executed. The first step does
-        this before anything else; an ahead-of-time build calls it
-        directly. Done once per core; a failed build is tried again."""
+        """Build the step machinery, then bind every orchestrated program
+        of every held rank to the arguments a step calls it on, inside
+        one ``jit.batch()``: each is traced (or matched to a published
+        template) and lowered, and the kernels nobody has built yet — of
+        all of them together — go to the C compiler once. Nothing is
+        executed. The first step does this before anything else; an
+        ahead-of-time build, and a caller that inspects the modules
+        before stepping, call it directly. Done once per core; a failed
+        build is tried again."""
         if self._prepared:
             return
+        if self.acoustics is None:
+            self._build_step_machinery()
         dt = self.config.dt_acoustic
         with _TRACER.span("dyncore.prepare"), _jit.batch():
             for r in self.ranks:
@@ -187,7 +215,7 @@ class DynamicalCore:
         path — no snapshots, no guard scans, zero overhead.
         """
         cfg = self.config
-        self.resident = None  # also what a step that raises leaves behind
+        self.initial = None
         with _TRACER.span("dyncore.step"):
             if self.resilience is None:
                 for _ in range(cfg.k_split):
@@ -270,8 +298,8 @@ class DynamicalCore:
     def restore_checkpoint(self, path) -> Dict[str, object]:
         """Restore all rank states, model time and step counter from a
         checkpoint file; returns its metadata."""
-        self.resident = None
         meta = load_checkpoint(path, self.states)
+        self.initial = None
         self.time = float(meta["time"])
         self.step_count = int(meta["step"])
         _resilience.record("checkpoints_restored")

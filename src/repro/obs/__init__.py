@@ -16,7 +16,8 @@ observes itself:
 - halo-exchange counters — messages, bytes and orientation-transform
   time in :mod:`repro.fv3.halo`.
 - :func:`report` / :func:`to_json` — text span-tree table and JSON
-  export (consumed by the benchmarks).
+  export (consumed by the benchmarks), rendered by
+  :mod:`repro.obs.render`, which loads on their first use.
 - :func:`median_time` / :func:`confidence_interval` — repeated-run
   measurement helpers.
 
@@ -35,7 +36,6 @@ from repro.obs.metrics import (
     set_observed_machine,
     stencil_traffic_bytes,
 )
-from repro.obs.report import report, snapshot, to_json
 from repro.obs.timing import confidence_interval, median_time
 from repro.obs.tracer import (
     Span,
@@ -68,3 +68,15 @@ __all__ = [
     "timed",
     "to_json",
 ]
+
+_RENDERED = ("report", "snapshot", "to_json")
+
+
+def __getattr__(name):
+    # the renderer (and what its footers read) loads with the first report
+    if name in _RENDERED:
+        from repro.obs import render
+
+        globals().update({n: getattr(render, n) for n in _RENDERED})
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

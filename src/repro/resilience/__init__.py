@@ -50,6 +50,7 @@ from repro.resilience.errors import (
     HaloTimeoutError,
     InjectedCompileError,
     InjectedFaultError,
+    MemberLostError,
     OrphanedMessagesWarning,
     RecoverableFault,
     ResilienceError,
@@ -75,6 +76,7 @@ __all__ = [
     "InjectedCompileError",
     "InjectedFault",
     "InjectedFaultError",
+    "MemberLostError",
     "OrphanedMessagesWarning",
     "RecoverableFault",
     "ResilienceConfig",

@@ -63,6 +63,28 @@ class Snapshot:
             step=step,
         )
 
+    @classmethod
+    def adopt(cls, states: Sequence, time: float, step: int) -> "Snapshot":
+        """A snapshot over ``states``' own arrays, not a copy, for a
+        caller that gives them up (a removed ensemble member's)."""
+        return cls(
+            arrays=[{f: getattr(s, f) for f in STATE_FIELDS} for s in states],
+            tracers=[list(s.tracers) for s in states],
+            time=time,
+            step=step,
+        )
+
+    def recapture(self, states: Sequence, time: float, step: int) -> None:
+        """Capture ``states`` again, into this snapshot's own arrays (a
+        snapshot taken before every step allocates once)."""
+        for state, fields, tracers in zip(states, self.arrays, self.tracers):
+            for name, arr in fields.items():
+                np.copyto(arr, getattr(state, name))
+            for dst, src in zip(tracers, state.tracers):
+                np.copyto(dst, src)
+        self.time = time
+        self.step = step
+
     def restore(self, states: Sequence) -> None:
         """Copy the captured contents back into ``states`` in place."""
         if len(states) != len(self.arrays):

@@ -27,6 +27,7 @@ __all__ = [
     "HaloTimeoutError",
     "InjectedCompileError",
     "InjectedFaultError",
+    "MemberLostError",
     "OrphanedMessagesWarning",
     "RecoverableFault",
     "ResilienceError",
@@ -134,6 +135,23 @@ class RetriesExhaustedError(ResilienceError):
         super().__init__(
             f"step {step}: {attempts} rollback attempt(s) exhausted; "
             f"last failure: {type(last).__name__}: {last}"
+        )
+
+
+class MemberLostError(ResilienceError):
+    """An ensemble member whose step raised part-way through.
+
+    The engine steps the resident member's own arrays, so a step that
+    raises leaves that member's only copy half-stepped. Until
+    ``restore_member`` or ``remove_member``, stepping, reporting,
+    snapshotting or checkpointing it raises this error.
+    """
+
+    def __init__(self, member: int):
+        self.member = member
+        super().__init__(
+            f"member {member} is lost: a step raised part-way through "
+            f"its only copy; restore_member() or remove_member() it"
         )
 
 

@@ -1,11 +1,16 @@
 """The batched ensemble driver and the single-core factory.
 
 ``EnsembleDriver`` owns N members of one scenario and steps them all
-through **one** engine :class:`~repro.fv3.dyncore.DynamicalCore`. Each
-member's prognostic state lives in its own arrays; to advance a member
-the driver copies its state into the engine's arrays (``np.copyto``,
-preserving array identity), steps, and copies back. Because every
-compiled program is bound to the engine's arrays, the per-member fixed
+through **one** engine :class:`~repro.fv3.dyncore.DynamicalCore`. Every
+compiled program is bound to the engine's arrays, so those arrays are
+the storage of whichever member is *resident*
+(:attr:`DynamicalCore.resident`): it is stepped in place, and a step
+copies nothing. The engine is built from the first member's initial
+state, which that member then owns. Loading another member is one swap
+(:func:`_load`): the resident member is copied out into spare arrays the
+engine keeps (allocated at its first eviction only) and the incoming one
+copied in (``np.copyto``, preserving array identity), whose own arrays
+become the spare. Because the engine is shared, the per-member fixed
 costs are paid exactly once for the whole ensemble:
 
 - the cubed-sphere geometry is built once;
@@ -16,11 +21,17 @@ costs are paid exactly once for the whole ensemble:
   :class:`~repro.runtime.BufferPool` instead of being allocated per
   member.
 
-This swap is bit-exact by the same argument the PR-4 rollback/retry
-loop rests on: a remapping step re-advanced from a restored
+This swap is bit-exact by the same argument the rollback/retry loop
+rests on: a remapping step re-advanced from a restored
 :class:`~repro.resilience.Snapshot` (arrays + time + step) finishes
 bit-identical, i.e. the engine holds no live cross-step state outside
 the swapped fields. The ensemble determinism tests pin this down.
+
+A step that raises leaves the resident member's only copy half-stepped:
+the member is *lost*, and stepping, reporting, snapshotting or
+checkpointing it raises :class:`~repro.resilience.MemberLostError` until
+:meth:`EnsembleDriver.restore_member` or
+:meth:`EnsembleDriver.remove_member`.
 
 Seeding contract: member k's perturbation stream is
 ``np.random.SeedSequence(root_seed, spawn_key=(k,))`` — a pure function
@@ -45,8 +56,8 @@ from repro.fv3.grid import CubedSphereGrid
 from repro.fv3.initial import RankFields
 from repro.fv3.partitioner import CubedSpherePartitioner
 from repro.obs import tracer as _obs
-from repro.resilience import ResilienceConfig, Snapshot, load_checkpoint, \
-    save_checkpoint
+from repro.resilience import MemberLostError, ResilienceConfig, Snapshot, \
+    load_checkpoint, save_checkpoint
 from repro.run import metrics as _metrics
 from repro.run.results import MemberResult, RunResult
 from repro.runtime import compile_cache as _compile_cache
@@ -168,19 +179,25 @@ def build_core(
     ``DynamicalCoreConfig → DynamicalCore → comm knobs`` call this (or
     :func:`repro.run.run` above it) instead. ``comm_latency`` and
     ``max_polls`` configure the simulated transport exactly like the
-    scaling benchmark needs.
+    scaling benchmark needs. The core's arrays hold ``member``'s initial
+    state until it steps (``DynamicalCore.initial``); a driver record
+    drawn from the same stream takes them instead of building its own.
     """
     scen = get_scenario(scenario)
     cfg = config if config is not None else scen.default_config()
     ex, _ = resolve_executor(executor, workers, cfg.total_ranks)
+    rng = member_rng(seed, member)
+    initial = _stream(scen, rng)
     core = DynamicalCore(
         cfg,
-        init=scen.initializer(member_rng(seed, member)),
+        init=scen.initializer(rng),
         resilience=resilience,
         executor=ex,
         grids=grids,
         comm=comm,
     )
+    # the first member drawn from this stream takes these arrays
+    core.initial = initial
     if comm_latency is not None:
         core.halo.comm.latency = comm_latency
     if max_polls is not None:
@@ -205,16 +222,27 @@ def _member_resilience(
 
 @dataclasses.dataclass
 class _Member:
-    """One member's canonical state (the engine holds only a working
-    copy while the member is being stepped)."""
+    """One member's state and clock. ``states`` is the record's own
+    list; while the member is resident (``engine.resident is`` it) its
+    entries are the engine's :class:`RankFields`, otherwise arrays of the
+    member's own — a swap replaces the entries, so whoever holds the list
+    sees the member's state wherever it lives."""
 
     member: int
-    states: List[RankFields]
-    resilience: Optional[ResilienceConfig]
+    states: List[Optional[RankFields]]
+    resilience: Optional[ResilienceConfig] = None
     time: float = 0.0
     step_count: int = 0
     mass0: float = 0.0
     tracer0: Optional[float] = None
+    #: a step raised part-way through ``states`` (see ``MemberLostError``)
+    lost: bool = False
+
+
+def _stream(scenario: Scenario, rng: Optional[np.random.Generator]):
+    """What a member's initial state is a function of, beside the
+    config: the scenario and the position of its perturbation stream."""
+    return scenario, (None if rng is None else rng.bit_generator.state)
 
 
 def _copy_rank(src: RankFields, dst: RankFields) -> None:
@@ -226,9 +254,88 @@ def _copy_rank(src: RankFields, dst: RankFields) -> None:
         np.copyto(td, ts)
 
 
-def _copy_states(src: Sequence[RankFields], dst: Sequence[RankFields]):
+def _copy_states(src: Sequence[Optional[RankFields]],
+                 dst: Sequence[Optional[RankFields]]) -> None:
+    """Copy every held rank (``None``: a rank held elsewhere)."""
     for s, d in zip(src, dst):
-        _copy_rank(s, d)
+        if d is not None:
+            _copy_rank(s, d)
+
+
+def _empty_like(states: Sequence[Optional[RankFields]]):
+    return [
+        None if s is None else RankFields(
+            **{f: np.empty_like(getattr(s, f)) for f in _STATE_FIELDS},
+            tracers=[np.empty_like(t) for t in s.tracers],
+        )
+        for s in states
+    ]
+
+
+def _new_member(engine: DynamicalCore, scenario: Scenario, member: int,
+                rng: Optional[np.random.Generator],
+                resilience: Optional[ResilienceConfig] = None) -> _Member:
+    """A record holding the initial state ``rng`` draws on the ranks the
+    engine holds. While the engine's arrays still hold exactly that
+    state (``build_core`` drew them from the same stream and nothing has
+    changed them since) the record takes them and is resident; otherwise
+    it is built."""
+    if engine.initial is not None and engine.initial == _stream(scenario,
+                                                                rng):
+        rec = _Member(member, list(engine.states), resilience)
+        engine.initial, engine.resident = None, rec
+        return rec
+    init = scenario.initializer(rng)
+    states = engine.halo.comm.per_rank(
+        lambda rank: init(engine.grids[rank], engine.config)
+    )
+    return _Member(member, states, resilience)
+
+
+def _load(engine: DynamicalCore, rec: Optional[_Member]) -> None:
+    """The one swap: make the engine's arrays ``rec``'s storage
+    (``None``: nobody's) and set the engine's clock to ``rec``'s.
+
+    The member resident so far is copied out into the engine's spare
+    arrays, which it keeps (they are allocated at the first eviction
+    only); ``rec`` is copied in, and the arrays it leaves become the
+    spare. Two copies a swap, none for the resident member and no
+    allocation after the first eviction (``state_copies_in`` /
+    ``state_copies_out``). A lost member is never loaded."""
+    if rec is not None and rec.lost:
+        raise MemberLostError(rec.member)
+    out = engine.resident
+    if out is not rec and out is not None:
+        storage = engine.spare or _empty_like(engine.states)
+        engine.spare = None
+        _copy_states(engine.states, storage)
+        out.states[:] = storage
+        engine.resident = None
+        _metrics.COUNTERS.add("state_copies_out")
+    if rec is None:
+        return
+    if engine.resident is not rec:
+        _copy_states(rec.states, engine.states)
+        engine.spare = list(rec.states)
+        rec.states[:] = engine.states
+        engine.initial, engine.resident = None, rec
+        _metrics.COUNTERS.add("state_copies_in")
+    engine.time = rec.time
+    engine.step_count = rec.step_count
+    engine.resilience = rec.resilience
+
+
+def _step(engine: DynamicalCore, rec: _Member) -> None:
+    """Advance ``rec`` one step in the engine's arrays. A step that
+    raises has half-stepped its only copy: the member is lost."""
+    _load(engine, rec)
+    try:
+        engine.step_dynamics()
+    except BaseException:
+        rec.lost = True
+        raise
+    rec.time = engine.time
+    rec.step_count = engine.step_count
 
 
 def _states_from_snapshot(snapshot) -> List[RankFields]:
@@ -259,7 +366,8 @@ class EnsembleDriver:
     let a long-lived driver (the serving layer keeps one warm per
     scenario+config) swap request states through the already-compiled
     engine without paying geometry or compilation again. Pass a warm
-    ``engine=`` to adopt an existing core instead of building one.
+    ``engine=`` to adopt an existing core instead of building one; any
+    number of drivers may share it, each loading its own records.
     """
 
     def __init__(
@@ -299,12 +407,13 @@ class EnsembleDriver:
             self.executor, self._owns_executor = resolve_executor(
                 executor, workers, self.config.total_ranks
             )
-            # one engine core: its compiled suite serves every member
+            # one engine core: its compiled suite serves every member,
+            # and its arrays hold (and become) the first member's state
             with _TRACER.span("ensemble.build_engine"):
                 self.engine = build_core(
                     self.scenario,
                     self.config,
-                    member=0,
+                    member=member_ids[0],
                     seed=self.seed,
                     executor=self.executor,
                     resilience=resilience,
@@ -354,86 +463,66 @@ class EnsembleDriver:
         if member in self.members:
             raise ValueError(f"member {member} already loaded")
         with _TRACER.span(f"ensemble.build[{member}]"):
+            resilience = _member_resilience(self._base_resilience, member)
             if snapshot is not None:
-                states = _states_from_snapshot(snapshot)
-                time0, step0 = snapshot.time, snapshot.step
+                rec = _Member(member, _states_from_snapshot(snapshot),
+                              resilience, time=snapshot.time,
+                              step_count=snapshot.step)
             else:
                 if rng is _UNSET_RNG:
                     rng = member_rng(self.seed, member)
-                states = [
-                    self.scenario.build_state(grid, self.config, rng)
-                    for grid in self.engine.grids
-                ]
-                time0, step0 = 0.0, 0
-            self.members[member] = _Member(
-                member=member,
-                states=states,
-                resilience=_member_resilience(self._base_resilience, member),
-                time=time0,
-                step_count=step0,
-            )
+                rec = _new_member(self.engine, self.scenario, member, rng,
+                                  resilience=resilience)
+            self.members[member] = rec
         # conservation baselines for the driver-level reference checks
-        rec = self._activate(member)
+        n_tracers = self.config.n_tracers
+        if mass0 is None or (tracer0 is None and n_tracers):
+            self._activate(member)
         rec.mass0 = (
             mass0 if mass0 is not None
             else self.engine.global_integral("delp")
         )
-        if tracer0 is not None:
-            rec.tracer0 = tracer0
-        else:
-            rec.tracer0 = (
-                self.engine.tracer_integral(0)
-                if self.config.n_tracers else None
-            )
+        rec.tracer0 = (
+            tracer0 if tracer0 is not None
+            else self.engine.tracer_integral(0) if n_tracers else None
+        )
         self.history[member] = []
 
     def remove_member(self, member: int) -> _Member:
-        """Drop one member (its arrays become collectible); returns the
-        removed record so a caller may still snapshot it."""
-        self.history.pop(member, None)
+        """Drop one member; returns its record, which keeps the member's
+        state for a caller who still wants it. The resident member is
+        detached first (copied out of the engine's arrays), so what the
+        record holds never changes with the next member's steps."""
         try:
             rec = self.members.pop(member)
         except KeyError:
             raise KeyError(f"no member {member} loaded") from None
-        self._changed(rec)
+        self.history.pop(member, None)
+        if self.engine.resident is rec:
+            _load(self.engine, None)
         return rec
 
     def snapshot_member(self, member: int) -> Snapshot:
-        """A bit-exact in-memory snapshot of one member's canonical
-        state (independent of the engine's working copy)."""
-        rec = self.members[member]
+        """A bit-exact in-memory snapshot of one member's state
+        (independent of the engine's arrays and of later steps)."""
+        rec = self._record(member)
         return Snapshot.capture(rec.states, rec.time, rec.step_count)
 
     # ------------------------------------------------------------------
     # state swap
     # ------------------------------------------------------------------
-    def _activate(self, member: int) -> _Member:
-        """Load one member's state into the engine's arrays — no copy
-        when they already hold exactly that record
-        (:attr:`DynamicalCore.resident`)."""
+    def _record(self, member: int) -> _Member:
         rec = self.members[member]
-        if self.engine.resident is not rec:
-            self.engine.resident = None
-            _copy_states(rec.states, self.engine.states)
-            self.engine.resident = rec
-        self.engine.time = rec.time
-        self.engine.step_count = rec.step_count
-        self.engine.resilience = rec.resilience
+        if rec.lost:
+            raise MemberLostError(member)
         return rec
 
-    def _store(self, member: int) -> None:
-        """Copy the engine's (just stepped) state back to the member."""
+    def _activate(self, member: int) -> _Member:
+        """Make one member resident in the engine (no copy when it is
+        already, :attr:`DynamicalCore.resident`)."""
         rec = self.members[member]
-        _copy_states(self.engine.states, rec.states)
-        rec.time = self.engine.time
-        rec.step_count = self.engine.step_count
-        self.engine.resident = rec
-
-    def _changed(self, rec: _Member) -> None:
-        """``rec`` is about to differ from what the engine may hold of
-        it (or to go away): the next activation copies again."""
-        if self.engine.resident is rec:
-            self.engine.resident = None
+        _load(self.engine, rec)
+        return rec
 
     # ------------------------------------------------------------------
     def step(self, n: int = 1) -> None:
@@ -454,11 +543,9 @@ class EnsembleDriver:
         for _ in range(n):
             for m in members:
                 with _TRACER.span(f"member[{m}]"):
-                    self._activate(m)
-                    self.engine.step_dynamics()
+                    _step(self.engine, self.members[m])
                     if self.diagnostics:
                         self.history[m].append(self._diagnose(m))
-                    self._store(m)
 
     def member_report(self, member: int) -> Dict[str, object]:
         """One member's current summary + conservation drift (loads the
@@ -538,7 +625,7 @@ class EnsembleDriver:
     # ------------------------------------------------------------------
     def checkpoint_member(self, member: int, path=None) -> pathlib.Path:
         """Write one member's versioned on-disk checkpoint."""
-        rec = self.members[member]
+        rec = self._record(member)
         if path is None:
             res = rec.resilience
             if res is None or not res.checkpoint_dir:
@@ -559,13 +646,14 @@ class EnsembleDriver:
         )
 
     def restore_member(self, member: int, path) -> Dict[str, object]:
-        """Restore one member from a checkpoint file (the other
-        members are untouched)."""
+        """Restore one member from a checkpoint file, in place (into the
+        engine's arrays if it is resident; the other members are
+        untouched). A lost member is usable again."""
         rec = self.members[member]
-        self._changed(rec)
         meta = load_checkpoint(path, rec.states)
         rec.time = float(meta["time"])
         rec.step_count = int(meta["step"])
+        rec.lost = False
         return meta
 
     # ------------------------------------------------------------------
@@ -611,23 +699,21 @@ class EnsembleDriver:
     def _result(self, seconds: float, amortization: Dict[str, int],
                 check: bool, executor: str) -> RunResult:
         """The structured result of the members as they stand (stepped
-        here, or gathered from rank worker processes)."""
-        checks = (
-            self.reference_check() if check
-            else {m: [] for m in self.member_ids}
-        )
+        here, or gathered from rank worker processes): each member is
+        loaded once, for its checks and its summary."""
         members = []
         for m in self.member_ids:
-            self._activate(m)
+            rec = self._activate(m)
             members.append(MemberResult(
                 member=m,
                 steps=self.steps_taken,
                 summary=self.engine.state_summary(),
                 mass_drift=self._mass_drift_loaded(m),
                 tracer_drift=self._tracer_drift_loaded(m),
-                check_violations=checks[m],
+                check_violations=self.reference_check(m)[m] if check
+                else [],
                 history=list(self.history[m]),
-                states=self.members[m].states,
+                states=rec.states,
             ))
         return RunResult(
             scenario=self.scenario.name,

@@ -10,7 +10,8 @@ that is **bit-identical** to the sequential and threaded executors':
   sequential run would (engine core, member states, conservation
   baselines), while the workers build their blocks. A forked worker
   therefore never inherits this run's parent-side state, and fork and
-  spawn take the same path. The parent's driver is never stepped: it
+  spawn take the same path. The parent's driver is never stepped (its
+  engine builds no step machinery, ``DynamicalCore.prepare``): it
   receives the stepped blocks — raw frames written straight into its
   member records — and computes the final summaries, drifts and
   reference checks through the very same engine code path a sequential
@@ -217,9 +218,8 @@ def run_processes(
         with tracer.span("ensemble.run"):
             pex.step(steps)
         seconds = time.perf_counter() - t0
-        # the stepped blocks land in the parent's member records, which
-        # the engine's arrays therefore no longer equal
-        driver.engine.resident = None
+        # the stepped blocks land in the parent's member records (the
+        # resident one's are the engine's arrays)
         collected = pex.collect(
             {member: rec.states for member, rec in driver.members.items()}
         )

@@ -23,11 +23,16 @@ __all__ = ["MemberResult", "RunResult"]
 class MemberResult:
     """Outcome of one ensemble member (the control is member 0).
 
-    ``states`` are the member's own per-rank
-    :class:`~repro.fv3.initial.RankFields` — canonical, inspectable
-    after the run, and independent of every other member. The engine
-    core the members were stepped through is on the owning
-    :class:`RunResult` (``result.engine``).
+    ``states`` is the member's per-rank
+    :class:`~repro.fv3.initial.RankFields` list — its only copy,
+    inspectable after the run and independent of every other member. For
+    the member resident in the engine when the result was made the
+    entries are the engine's own arrays; a driver that goes on to load
+    another member replaces them with the member's copied-out arrays, so
+    the list keeps showing this member (take
+    ``EnsembleDriver.snapshot_member`` to keep a state). The engine core
+    the members were stepped through is on the owning :class:`RunResult`
+    (``result.engine``).
     """
 
     member: int
@@ -86,8 +91,8 @@ class RunResult:
     ``engine`` is the shared :class:`~repro.fv3.dyncore.DynamicalCore`
     every member was stepped through — use it for geometry
     (``engine.grids``, ``engine.h``) and communication diagnostics
-    (``engine.halo.comm``); after the run it holds a working copy of
-    the last member's state, so per-member fields belong on
+    (``engine.halo.comm``); after the run its arrays are the storage
+    of the member resident at the end, so per-member fields belong on
     ``member(k).states``.
     """
 

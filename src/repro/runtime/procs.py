@@ -19,7 +19,8 @@ Design:
   else. Member states come from the same builders and seeds as the
   parent's; a perturbed member draws from one stream across the ranks in
   rank order, so a worker builds the ranks below its block just long
-  enough to advance the stream (:class:`_WorkerHarness`).
+  enough to advance the stream (``Scenario.initializer``). Members swap
+  through the ensemble driver's helpers (:class:`_WorkerHarness`).
 - **One thread per worker.** The worker runs its ranks' SPMD bodies in
   lockstep on its main thread, the schedule ``executor="sequential"``
   uses (:mod:`repro.runtime.ranks`): every body ``yield``s before its
@@ -321,21 +322,19 @@ def _frames(state, fields: Sequence[str]) -> List[np.ndarray]:
 class _WorkerHarness:
     """One worker's owned-rank engine plus its block of member states.
 
-    Follows the :class:`~repro.run.driver.EnsembleDriver` state-swap
-    contract with the driver's own per-rank copy and the engine's own
-    per-rank diagnostic summands; stepping is step-major over members.
-    Member states are built by the parent's builders from the parent's
-    ``SeedSequence`` streams. A perturbed member draws from one stream
-    across the ranks *in rank order* (its rank-r state depends on how
-    many draws ranks 0..r-1 consumed), so for such members the ranks
-    below the block's last are visited too: an unowned rank's grid and
-    state exist only while the stream is advanced past it. The control
-    member (no stream) touches owned ranks only.
+    Members are the :class:`~repro.run.driver.EnsembleDriver`'s records,
+    swapped and stepped through the driver's own helpers
+    (``_new_member``, ``_load``, ``_step``): the engine is built from the
+    first member's initial state, which that member keeps, so a
+    one-member block copies nothing. Stepping is step-major over members;
+    diagnostics are the engine's own per-rank summands. Member states
+    come from the parent's builders and ``SeedSequence`` streams, the
+    scenario's initializer replaying a perturbed member's stream past the
+    ranks below the block (:meth:`repro.scenarios.Scenario.initializer`).
     """
 
     def __init__(self, spec: WorkerSpec, comm):
-        from repro.fv3.grid import CubedSphereGrid
-        from repro.run.driver import build_core, member_rng
+        from repro.run.driver import _new_member, build_core, member_rng
         from repro.scenarios import get_scenario
 
         self.spec = spec
@@ -345,7 +344,7 @@ class _WorkerHarness:
         self.core = core = build_core(
             self.scenario,
             self.config,
-            member=0,
+            member=spec.member_ids[0],
             seed=spec.seed,
             executor=_ranks.RankExecutor(1),
             comm=comm,
@@ -355,29 +354,14 @@ class _WorkerHarness:
         #: most threads seen alive right after a step (the report's
         #: ``threads``: the lockstep schedule needs exactly one)
         self.threads = 0
-        # members: id -> {"states": {rank: RankFields}, "time", "step"}
-        self.members: Dict[int, Dict[str, object]] = {
-            member: {"states": {}, "time": 0.0, "step": 0}
+        self.members = {
+            member: _new_member(core, self.scenario, member,
+                                member_rng(spec.seed, member))
             for member in spec.member_ids
         }
         self.history: Dict[int, List[Dict[str, object]]] = {
             member: [] for member in spec.member_ids
         }
-        rngs = {m: member_rng(spec.seed, m) for m in spec.member_ids}
-        perturbed = [m for m in spec.member_ids if rngs[m] is not None]
-        for rank in range(self.owned[-1] + 1):
-            mine = rank in self.owned
-            if not (mine or perturbed):
-                continue
-            grid = core.grids[rank] if mine else CubedSphereGrid.build(
-                core.partitioner, rank, n_halo=core.h
-            )
-            for member in (spec.member_ids if mine else perturbed):
-                state = self.scenario.build_state(
-                    grid, self.config, rngs[member]
-                )
-                if mine:
-                    self.members[member]["states"][rank] = state
 
     # -- per-rank conservation partials: the engine's own summands, which
     # -- the parent folds in rank order (``procrun._fold_partials``) -----
@@ -390,38 +374,22 @@ class _WorkerHarness:
         return self._partials(self.core.rank_tracer_integral)
 
     def baselines(self) -> Dict[str, object]:
+        from repro.run.driver import _load
+
         out: Dict[str, object] = {"mass0": {}, "tracer0": {}}
-        for member in self.spec.member_ids:
-            self._activate(member)
+        for member, record in self.members.items():
+            _load(self.core, record)
             out["mass0"][member] = self._partials(self.core.rank_integral)
             out["tracer0"][member] = self._tracer_partials()
         return out
 
-    # -- state swap (owned ranks only) ----------------------------------
-    def _activate(self, member: int) -> None:
-        from repro.run.driver import _copy_rank
-
-        record = self.members[member]
-        for rank in self.owned:
-            _copy_rank(record["states"][rank], self.core.states[rank])
-        self.core.time = record["time"]
-        self.core.step_count = record["step"]
-
-    def _store(self, member: int) -> None:
-        from repro.run.driver import _copy_rank
-
-        record = self.members[member]
-        for rank in self.owned:
-            _copy_rank(self.core.states[rank], record["states"][rank])
-        record["time"] = self.core.time
-        record["step"] = self.core.step_count
-
     def step(self, n: int) -> None:
+        from repro.run.driver import _step
+
         core = self.core
         for _ in range(int(n)):
-            for member in self.spec.member_ids:
-                self._activate(member)
-                core.step_dynamics()
+            for member, record in self.members.items():
+                _step(core, record)
                 self.threads = max(self.threads, threading.active_count())
                 if self.spec.diagnostics:
                     self.history[member].append({
@@ -432,7 +400,6 @@ class _WorkerHarness:
                         "max_w": self._partials(core.rank_max_w),
                         "tracer": self._tracer_partials(),
                     })
-                self._store(member)
 
     def collect(self, conn) -> None:
         """Answer ``collect``: a header (owned ranks, per-member
@@ -445,14 +412,14 @@ class _WorkerHarness:
             "owned": self.owned,
             "fields": _STATE_FIELDS,
             "members": {
-                member: {"time": record["time"], "step": record["step"],
+                member: {"time": record.time, "step": record.step_count,
                          "history": self.history[member]}
                 for member, record in self.members.items()
             },
         }))
         for record in self.members.values():
             for rank in self.owned:
-                for array in _frames(record["states"][rank], _STATE_FIELDS):
+                for array in _frames(record.states[rank], _STATE_FIELDS):
                     conn.send_bytes(_raw(array))
 
     def close(self) -> None:

@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.fv3.config import DynamicalCoreConfig
+from repro.fv3.grid import CubedSphereGrid
 
 __all__ = [
     "Perturbation",
@@ -148,9 +149,27 @@ class Scenario:
         return state
 
     def initializer(self, rng: Optional[np.random.Generator] = None):
-        """An ``init(grid, config)`` adapter for ``DynamicalCore``."""
+        """An ``init(grid, config)`` adapter for ``DynamicalCore``, which
+        calls it for the ranks the core holds, in rank order.
+
+        A perturbed member draws from one stream across *all* ranks in
+        rank order, so its rank-r state depends on the draws of ranks
+        0..r-1. Asked for a rank past the next one, the adapter first
+        replays the ranks it skipped: each one's grid and state exist
+        only while the stream is advanced past it. A core that holds a
+        block of ranks (a rank worker process) thus gets exactly the
+        states a core holding every rank has there."""
+        following = 0  # the rank whose draws come next
 
         def init(grid, config):
+            nonlocal following
+            if rng is not None and self.perturbation is not None:
+                for rank in range(following, grid.rank):
+                    skipped = CubedSphereGrid.build(
+                        grid.partitioner, rank, n_halo=grid.n_halo
+                    )
+                    self.build_state(skipped, config, rng)
+                following = max(following, grid.rank + 1)
             return self.build_state(grid, config, rng)
 
         return init

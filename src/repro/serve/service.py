@@ -65,6 +65,7 @@ from repro.resilience import (
     RecoverableFault,
     ResilienceConfig,
     RetriesExhaustedError,
+    Snapshot,
 )
 from repro.run import EnsembleDriver, build_core, member_rng
 from repro.runtime import get_pool
@@ -321,6 +322,8 @@ class ForecastService:
             Tuple[str, object], Tuple[EnsembleDriver, threading.Lock]
         ] = {}
         self._driver_lock = threading.Lock()
+        #: per warm driver, the snapshot a failed step is retried from
+        self._before: Dict[EnsembleDriver, Snapshot] = {}
         # explicit-backend execution serializes on this lock because the
         # DSL default-backend switch is process-global; results are
         # unaffected either way (backends are bit-identical)
@@ -423,6 +426,7 @@ class ForecastService:
             ))
         with self._driver_lock:
             drivers, self._drivers = list(self._drivers.values()), {}
+            self._before = {}
         for driver, _ in drivers:
             driver.close()
 
@@ -479,7 +483,8 @@ class ForecastService:
     ) -> Tuple[EnsembleDriver, threading.Lock]:
         """The warm driver (and its use lock) for this (scenario,
         config): built — engine compile and all — on first use, reused
-        for every later batch."""
+        for every later batch. The engine is built from the request's
+        own initial state, which its member slot then takes."""
         key = (request.scenario, request.config)
         with self._driver_lock:
             cached = self._drivers.get(key)
@@ -488,6 +493,8 @@ class ForecastService:
                     engine = build_core(
                         request.scenario,
                         request.config,
+                        member=request.member,
+                        seed=request.seed,
                         executor=self.config.executor,
                         resilience=self._resilience,
                     )
@@ -628,7 +635,12 @@ class ForecastService:
                  entry: _Entry) -> None:
         """One model step for one request: cooperative cancellation and
         deadline checks, breaker-routed backend choice, service-level
-        retry on recoverable faults, pool reclamation on abort."""
+        retry on recoverable faults, pool reclamation on abort.
+
+        The engine steps the member's only copy, so a step that raises
+        loses it (:class:`~repro.resilience.MemberLostError`): each
+        attempt snapshots the member first, and a failed one re-installs
+        that snapshot in the slot before the retry."""
         if entry.ticket.cancelled:
             raise RequestCancelled(entry.ticket.request_id, "stepping")
         breaker = self.breakers.get(entry.request.scenario, self._primary)
@@ -644,11 +656,20 @@ class ForecastService:
                 self.metrics.bump("degraded")
             try:
                 with entry.budget.phase("steps"), dlock:
-                    with get_pool().cancel_scope(
-                        f"serve.req{entry.ticket.request_id}"
-                    ):
-                        with self._on_backend(backend):
-                            driver.step_selected([entry.slot], 1)
+                    before = self._before_step(driver, entry.slot)
+                    try:
+                        with get_pool().cancel_scope(
+                            f"serve.req{entry.ticket.request_id}"
+                        ):
+                            with self._on_backend(backend):
+                                driver.step_selected([entry.slot], 1)
+                    except _RETRYABLE:
+                        lost = driver.remove_member(entry.slot)
+                        driver.add_member(
+                            entry.slot, snapshot=before,
+                            mass0=lost.mass0, tracer0=lost.tracer0,
+                        )
+                        raise
             except _RETRYABLE as exc:
                 if on_primary:
                     breaker.record_failure()
@@ -670,6 +691,18 @@ class ForecastService:
             self.metrics.bump("steps_computed")
             return
 
+    def _before_step(self, driver: EnsembleDriver, slot: int) -> Snapshot:
+        """The member in ``slot`` as it stands, in the driver's one
+        pre-step snapshot: taken by the driver's first step, recaptured
+        in place by every later one (steps hold the driver's lock)."""
+        before = self._before.get(driver)
+        if before is None:
+            before = self._before[driver] = driver.snapshot_member(slot)
+        else:
+            rec = driver.members[slot]
+            before.recapture(rec.states, rec.time, rec.step_count)
+        return before
+
     def _finish(self, driver: EnsembleDriver, dlock: threading.Lock,
                 entry: _Entry) -> None:
         """Build the response, cache the final state, free the slot."""
@@ -677,17 +710,17 @@ class ForecastService:
         with dlock:
             report = driver.member_report(entry.slot)
             report["member"] = request.member
+            # removed, the record owns its arrays: the cache takes them
+            rec = driver.remove_member(entry.slot)
             if request.use_cache and self.cache.max_entries > 0:
-                rec = driver.members[entry.slot]
                 self.cache.put(
                     self._series_key(request),
                     rec.step_count,
                     CacheEntry(
-                        driver.snapshot_member(entry.slot),
+                        Snapshot.adopt(rec.states, rec.time, rec.step_count),
                         rec.mass0, rec.tracer0, dict(report),
                     ),
                 )
-            driver.remove_member(entry.slot)
         self._respond(entry, report)
 
     def _evict(self, driver: EnsembleDriver, dlock: threading.Lock,

@@ -93,6 +93,7 @@ def test_decomposition_invariance_one_substep():
             n_split=1, n_tracers=1,
         )
         core = DynamicalCore(cfg)
+        core.prepare()
         core.acoustics.run(cfg.dt_acoustic, 1)
         # reassemble tile 0 interior
         p = core.partitioner

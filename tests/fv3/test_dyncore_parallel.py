@@ -11,7 +11,7 @@ import pytest
 from repro import resilience
 from repro.fv3.config import DynamicalCoreConfig
 from repro.fv3.dyncore import DynamicalCore
-from repro.obs.report import report
+from repro.obs import report
 from repro.resilience import (
     GuardConfig,
     RecoverableFault,
@@ -147,6 +147,8 @@ def test_core_holds_exactly_the_ranks_its_communicator_owns(block):
 
     comm = None if block is None else LocalComm(6, owned_ranks=block)
     core = DynamicalCore(CFG, comm=comm)
+    assert core.acoustics is None  # a core never stepped builds none of it
+    core.prepare()
     held = tuple(range(6)) if block is None else block
     assert core.ranks == core.acoustics.ranks == held
     for name, per_rank in _per_rank_lists(core).items():

@@ -44,6 +44,7 @@ def _state(core):
 def test_no_module_keeps_an_array_for_its_scratch():
     core = _core()
     try:
+        core.prepare()
         ac = core.acoustics
         declared = 0
         for module in (ac.riemann + ac.d_sw + ac.transports + ac.c_sw

@@ -209,6 +209,7 @@ def test_scenario_walk_reaches_stencil_modules():
         executor="sequential",
     )
     try:
+        core.prepare()
         mods = set(_reachable_repro_modules(core))
     finally:
         core.finalize()

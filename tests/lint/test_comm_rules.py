@@ -297,6 +297,7 @@ def test_core_acoustic_plan_has_no_errors_on_any_executor(executor):
         workers=2,
     )
     try:
+        core.prepare()
         assert lint_comm_plan(core.acoustics.comm_plan()) == []
     finally:
         core.finalize()

@@ -135,15 +135,15 @@ def test_engine_adoption_rejects_config_mismatch(driver):
 
 
 # ---------------------------------------------------------------------------
-# the engine remembers whose record it holds: no copy-in for that one
+# the engine's arrays are the resident member's storage: no copy for it
 # ---------------------------------------------------------------------------
 
 
-def _digest(driver, member):
+def _digest_states(states):
     import hashlib
 
     h = hashlib.sha256()
-    for state in driver.members[member].states:
+    for state in states:
         for name in ("u", "v", "w", "pt", "delp", "delz"):
             h.update(getattr(state, name).tobytes())
         for tracer in state.tracers:
@@ -151,33 +151,39 @@ def _digest(driver, member):
     return h.hexdigest()
 
 
-@pytest.fixture
-def copies(monkeypatch):
-    """Counts state copies by direction: ``in`` (record → engine) and
-    ``out`` (engine → record)."""
-    from repro.run import driver as driver_module
+def _digest(driver, member):
+    return _digest_states(driver.members[member].states)
 
-    real = driver_module._copy_states
-    counts = {"in": 0, "out": 0, "engines": set()}
 
-    def counted(src, dst):
-        counts["in" if id(dst) in counts["engines"] else "out"] += 1
-        real(src, dst)
+def _copies():
+    """State copies (in, out) by the swap since this call."""
+    from repro.run import metrics
 
-    monkeypatch.setattr(driver_module, "_copy_states", counted)
-    return counts
+    start = metrics.summary()
+
+    def since():
+        now = metrics.summary()
+        return tuple(now[f"state_copies_{way}"] - start[f"state_copies_{way}"]
+                     for way in ("in", "out"))
+
+    return since
 
 
 def _always_copying(monkeypatch):
-    """The reference: a driver that copies the record in before every
-    use, whatever the engine holds."""
-    real = EnsembleDriver._activate
+    """The reference: a driver whose members never take the engine's
+    arrays and are copied out and back in around every use, whatever
+    the engine holds."""
+    from repro.run import driver as driver_module
 
-    def activate(self, member):
-        self.engine.resident = None
-        return real(self, member)
+    load = driver_module._load
 
-    monkeypatch.setattr(EnsembleDriver, "_activate", activate)
+    def reload(engine, rec):
+        load(engine, None)
+        load(engine, rec)
+
+    monkeypatch.setattr(driver_module, "_load", reload)
+    monkeypatch.setattr(driver_module, "_stream",
+                        lambda scenario, rng: object())
 
 
 def _script(members, tmp_path):
@@ -216,27 +222,50 @@ def test_skipping_the_copy_in_changes_no_bit(members, tmp_path, monkeypatch):
     assert got == _script(members, tmp_path)
 
 
-def test_a_resident_member_is_copied_out_only(driver, copies):
-    copies["engines"].add(id(driver.engine.states))
+def test_a_one_member_run_copies_nothing():
+    from repro.run import run
+
+    copies = _copies()
+    result = run("baroclinic_wave", CFG, steps=3, members=(1,), seed=3)
+    assert result.ok
+    assert copies() == (0, 0)
+
+
+def test_a_resident_member_is_not_copied(driver):
+    copies = _copies()
     driver.step(3)
     driver.member_report(0)
     assert driver.mass_drift(0) == driver.mass_drift(0)
-    # one member: the engine keeps it, a step only stores it
-    assert (copies["in"], copies["out"]) == (0, 3)
-    driver.add_member(4)
-    assert copies["in"] == 1  # the newcomer, for its baselines
-    driver.step(1)  # 0 in, step, out; 4 in, step, out
-    assert (copies["in"], copies["out"]) == (3, 5)
+    # one member: the engine's arrays are its own
+    assert copies() == (0, 0)
+    driver.add_member(4)  # loaded for its baselines: 0 out, 4 in
+    assert copies() == (1, 1)
+    driver.step(1)  # 4 out, 0 in, step; 0 out, 4 in, step
+    assert copies() == (3, 3)
     driver.step_selected([4], 2)  # still resident
-    assert (copies["in"], copies["out"]) == (3, 7)
+    assert copies() == (3, 3)
+    driver.remove_member(4)  # detached: copied out
+    assert copies() == (3, 4)
 
 
-def test_restored_record_is_what_the_next_step_sees(driver, tmp_path,
-                                                    copies):
-    """A record changed behind the engine's back — ``restore_member``
-    is the sanctioned way — is copied in again although the engine held
-    that member."""
-    copies["engines"].add(id(driver.engine.states))
+def test_swaps_after_the_first_eviction_allocate_nothing(driver):
+    def arrays():
+        held = [rec.states for rec in driver.members.values()]
+        held.append(driver.engine.spare)
+        return {id(state.u) for states in held for state in states}
+
+    driver.add_member(4)  # the first eviction allocates the spare
+    before = arrays()
+    driver.step(2)
+    driver.member_report(0)
+    assert arrays() == before
+
+
+def test_restored_record_is_what_the_next_step_sees(driver, tmp_path):
+    """``restore_member`` of the resident member writes the engine's
+    arrays in place: the next step starts from the checkpoint, and
+    nothing is copied."""
+    copies = _copies()
     start = _digest(driver, 0)
     path = driver.checkpoint_member(0, tmp_path / "start.npz")
     driver.step(1)
@@ -245,14 +274,19 @@ def test_restored_record_is_what_the_next_step_sees(driver, tmp_path,
     assert _digest(driver, 0) != once
     driver.restore_member(0, path)
     assert _digest(driver, 0) == start
-    assert driver.engine.resident is None
+    assert driver.engine.resident is driver.members[0]
     driver.step(1)
     assert _digest(driver, 0) == once
-    assert copies["in"] == 1
+    assert copies() == (0, 0)
 
 
-def test_a_step_that_raises_leaves_nobody_resident(driver, monkeypatch):
+def test_a_step_that_raises_loses_the_member_until_restored(
+    driver, tmp_path, monkeypatch,
+):
+    from repro.resilience import MemberLostError, ResilienceError
+
     driver.step(1)
+    path = driver.checkpoint_member(0, tmp_path / "step1.npz")
     reference = EnsembleDriver("baroclinic_wave", CFG, members=(0,), seed=3,
                                diagnostics=False)
     try:
@@ -270,10 +304,34 @@ def test_a_step_that_raises_leaves_nobody_resident(driver, monkeypatch):
     with pytest.raises(RuntimeError, match="half a step"):
         driver.step(1)
     monkeypatch.undo()
-    assert driver.engine.resident is None
-    assert driver.members[0].step_count == 1  # the record is untouched
-    driver.step(1)  # copies the record back in over the half step
+    assert issubclass(MemberLostError, ResilienceError)
+    for use in (
+        lambda: driver.step(1),
+        lambda: driver.member_report(0),
+        lambda: driver.mass_drift(0),
+        lambda: driver.snapshot_member(0),
+        lambda: driver.checkpoint_member(0, tmp_path / "lost.npz"),
+        lambda: driver.run(1),
+    ):
+        with pytest.raises(MemberLostError, match="member 0"):
+            use()
+    assert driver.members[0].step_count == 1
+    # the others go on (the lost member is evicted like any other)
+    driver.add_member(4)
+    driver.step_selected([4], 1)
+    driver.restore_member(0, path)
+    driver.step_selected([0], 1)
     assert _digest(driver, 0) == want_next
+
+
+def test_a_removed_resident_record_keeps_its_state(driver):
+    driver.add_member(6)
+    driver.step_selected([6], 1)
+    assert driver.engine.resident is driver.members[6]
+    removed = driver.remove_member(6)
+    kept = _digest_states(removed.states)
+    driver.step_selected([0], 2)
+    assert _digest_states(removed.states) == kept
 
 
 def test_removed_member_is_not_kept_alive_by_the_engine(driver):
@@ -294,10 +352,13 @@ def test_two_drivers_on_one_engine_do_not_trust_each_others_loads(driver):
     serving.add_member(0, rng=member_rng(3, 1))  # same id, another state
     serving.step_selected([0], 1)
     driver.step(1)  # must load its own member 0, not step serving's
-    alone = EnsembleDriver("baroclinic_wave", CFG, members=(0,), seed=3,
+    serving.step_selected([0], 1)  # and serving its own again
+    alone = EnsembleDriver("baroclinic_wave", CFG, members=(0, 1), seed=3,
                            diagnostics=False)
     try:
-        alone.step(1)
+        alone.step_selected([0], 1)
+        alone.step_selected([1], 2)
         assert _digest(driver, 0) == _digest(alone, 0)
+        assert _digest(serving, 0) == _digest(alone, 1)
     finally:
         alone.close()

@@ -172,7 +172,7 @@ def test_footer_absent_without_runs():
     summary = metrics.summary()
     assert summary["runs"] == 0
     assert summary["compile_amortization"] is None
-    from repro.obs.report import _ensemble_lines
+    from repro.obs.render import _ensemble_lines
 
     assert _ensemble_lines() == []
 

@@ -15,7 +15,7 @@ from repro import obs
 from repro.fv3.config import DynamicalCoreConfig
 from repro.fv3.halo import HaloUpdater
 from repro.fv3.partitioner import CubedSpherePartitioner
-from repro.run import procrun, run
+from repro.run import metrics, procrun, run
 from repro.runtime import procs, runtime_summary
 from repro.runtime.pool import get_pool
 from repro.runtime.procs import ProcessRankExecutor
@@ -68,6 +68,7 @@ def test_processes_bit_identical_to_sequential(sequential_run, workers):
     the sequential ensemble bit for bit — states, summaries, drifts and
     per-step history entries — each on a single thread."""
     procs.reset_metrics()
+    copies = _copies()
     proc = run("baroclinic_wave", _config(), steps=2, members=2, seed=4,
                executor="processes", workers=workers)
     _assert_bit_identical(sequential_run, proc)
@@ -75,6 +76,33 @@ def test_processes_bit_identical_to_sequential(sequential_run, workers):
     assert "ranks=6" in proc.executor
     # threading.active_count() after each step, the most any worker saw
     assert runtime_summary()["procs"]["worker_threads"] == 1
+    # member 0 owns each engine it is built from; member 1 swaps in: in
+    # the parent once to build and twice for the result, in each worker
+    # once for its baselines and twice a step (folded from the workers)
+    assert copies() == (3 + 5 * workers,) * 2
+
+
+def _copies():
+    start = metrics.summary()
+    return lambda: tuple(
+        metrics.summary()[name] - start[name]
+        for name in ("state_copies_in", "state_copies_out")
+    )
+
+
+def test_a_one_member_run_copies_no_state():
+    """The parent's engine and each worker's are built from the member's
+    own initial state (a worker's replays the perturbation stream past
+    the ranks below its block), so nobody copies a state."""
+    copies = _copies()
+    proc = run("baroclinic_wave", _config(), steps=2, members=(1,), seed=4,
+               executor="processes", workers=2)
+    assert copies() == (0, 0)
+    _assert_bit_identical(
+        run("baroclinic_wave", _config(), steps=2, members=(1,), seed=4,
+            executor="sequential"),
+        proc,
+    )
 
 
 @pytest.fixture(scope="module")

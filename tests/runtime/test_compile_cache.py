@@ -188,7 +188,7 @@ def test_tuning_loop_shows_cache_hits_in_obs_report():
     import json
 
     from repro import obs
-    from repro.obs.report import report, to_json
+    from repro.obs import report, to_json
     from repro.sdfg.cutout import Cutout, time_cutout
 
     sdfg = _build_sdfg()

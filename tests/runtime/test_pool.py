@@ -362,7 +362,7 @@ def test_batches_from_many_threads_never_alias_or_lose_a_buffer():
 def test_report_footer_prints_slabs_and_the_largest_slab():
     import re
 
-    from repro.obs.report import _runtime_lines
+    from repro.obs.render import _runtime_lines
     from repro.runtime import runtime_summary
 
     pool = get_pool()

@@ -296,7 +296,7 @@ def test_worker_counters_merge_like_their_neighbours():
 
 def test_the_report_footer_has_a_programs_line():
     from repro import obs
-    from repro.obs.report import report
+    from repro.obs import report
 
     _combine(Box())
     _as_a_new_process()

@@ -73,6 +73,41 @@ def test_chaos_recovered_answers_are_bit_identical_to_clean(small_config):
     assert counters["rollbacks"] >= 1
 
 
+def test_a_step_that_fails_half_way_is_retried_from_its_snapshot(
+    small_config, monkeypatch,
+):
+    """The engine steps a request's only copy: a fault that escapes the
+    engine after the state was written loses it, and the service retries
+    from the snapshot it took before the step — same answer, one more
+    attempt."""
+    from repro.fv3.dyncore import DynamicalCore
+    from repro.resilience import GuardError
+
+    def serve_one():
+        svc = ForecastService(ServiceConfig(workers=1, max_retries=1))
+        try:
+            return svc.forecast("baroclinic_wave", 2, config=small_config,
+                                seed=2, member=1, deadline=300.0,
+                                use_cache=False)
+        finally:
+            svc.close()
+
+    clean = serve_one()
+    real = DynamicalCore._remapping_step
+    calls = []
+
+    def write_then_fail(self, dt):
+        real(self, dt)
+        calls.append(dt)
+        if len(calls) == 2:  # the second step, after its writes
+            raise GuardError(["injected after the state was written"])
+
+    monkeypatch.setattr(DynamicalCore, "_remapping_step", write_then_fail)
+    faulty = serve_one()
+    assert (clean.attempts, faulty.attempts) == (1, 2)
+    assert faulty.report == clean.report
+
+
 def test_unrecoverable_chaos_fails_typed_not_wedged(small_config):
     """A fault rate high enough to exhaust both retry budgets must
     surface as a typed failure — and the worker must survive it."""

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.run import run
+from repro.run import metrics, run
 from repro.runtime import compile_cache
 from repro.serve import (
     DeadlineExceeded,
@@ -34,8 +34,14 @@ def _req(small_config, steps=2, **kw):
 def test_forecast_matches_direct_run_bit_identical(service, small_config):
     """The serving path is a transport, not a model change: its answer
     equals the classic ``repro.run`` facade's, summary for summary."""
+    before = metrics.summary()
     response = service.forecast("baroclinic_wave", 2, config=small_config,
                                 seed=3, member=1, deadline=300.0)
+    # the warm engine was built from this request's own state: stepped in
+    # place, copied once, out, when its slot was freed
+    after = metrics.summary()
+    assert [after[f"state_copies_{way}"] - before[f"state_copies_{way}"]
+            for way in ("in", "out")] == [0, 1]
     direct = run("baroclinic_wave", small_config, steps=2, members=(1,),
                  seed=3, check=False)
     assert response.report["summary"] == direct.members[0].summary

@@ -64,3 +64,25 @@ def test_the_entry_points_load_no_trace_side_module():
         capture_output=True, text=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_the_report_renderer_loads_with_the_first_report():
+    """``import repro.run`` leaves the renderer out; the first
+    ``obs.report()`` loads it, footers and all."""
+    probe = "\n".join((
+        "import sys",
+        "import repro.run",
+        "print('repro.obs.render' in sys.modules)",
+        "from repro import obs",
+        "from repro.run import metrics",
+        "obs.enable()",
+        "with obs.span('step'):",
+        "    metrics.COUNTERS.merge({'runs': 1, 'members': 1})",
+        "print(obs.report().splitlines()[-1])",
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=_fresh_env(), check=True,
+        capture_output=True, text=True,
+    ).stdout.splitlines()
+    assert out[0] == "False"
+    assert out[1].startswith("ensemble: 1 run(s), 1 member(s)")
