@@ -3,7 +3,9 @@
 The paper's automated memory-bound analysis lists the worst-performing,
 most important kernels with their % of peak memory bandwidth; the
 Smagorinsky-diffusion kernel stands out (and is fixed in Sec. VI-C1).
-After tuning, "most of the shown kernels are above 60% peak".
+After tuning, "most of the shown kernels are above 60% peak". Ours ranks
+the kernels of the eight programs one rank's step runs
+(``DynamicalCore.step_graphs``).
 """
 
 import pytest
@@ -11,27 +13,31 @@ import pytest
 from repro.machine import P100
 from repro.core.perfmodel import bound_report, format_bound_report
 from repro.core.pipeline import optimize_sdfg_locally
+from repro.fv3.communicator import LocalComm
 from repro.fv3.config import DynamicalCoreConfig
-from repro.fv3.performance import SingleRankDynCore
+from repro.fv3.dyncore import DynamicalCore
 
 
 def _build(npx=96, npz=80):
     cfg = DynamicalCoreConfig(npx=npx, npz=npz, layout=1, k_split=1,
                               n_split=2)
-    src = SingleRankDynCore(cfg)
-    return src.build_sdfg().sdfg
+    core = DynamicalCore(
+        cfg, comm=LocalComm(cfg.total_ranks, owned_ranks=(0,))
+    )
+    return core.step_graphs()
 
 
 def test_fig10_kernel_bounds(report, benchmark):
-    sdfg = benchmark.pedantic(_build, rounds=1, iterations=1)
-    rows_before = bound_report(sdfg, P100, top=10)
+    graphs = benchmark.pedantic(_build, rounds=1, iterations=1)
+    rows_before = bound_report(graphs, P100, top=10)
     report("Fig. 10 — worst-performing, most important kernels (initial)")
     report(format_bound_report(rows_before))
     # the untuned graph has kernels well below peak bandwidth
     assert min(r.utilization for r in rows_before) < 0.5
 
-    optimize_sdfg_locally(sdfg, P100)
-    rows_after = bound_report(sdfg, P100, top=10)
+    for sdfg in graphs:
+        optimize_sdfg_locally(sdfg, P100)
+    rows_after = bound_report(graphs, P100, top=10)
     report()
     report("after cycle-1 optimization (paper: most kernels above 60%):")
     report(format_bound_report(rows_after))
@@ -45,27 +51,26 @@ def test_fig10_kernel_bounds(report, benchmark):
 
 def test_fig10_measured_runtimes_feed_report(report, benchmark):
     """The workflow combines modeling with instrumented runtimes: the
-    report accepts measured per-kernel times from the compiled program."""
-    from repro.sdfg.codegen import compile_sdfg
-
+    report accepts measured per-kernel times from the programs a step
+    runs (rank 0's, instrumented, while the core steps)."""
     cfg = DynamicalCoreConfig(npx=24, npz=16, layout=1, k_split=1, n_split=1)
-    src = SingleRankDynCore(cfg)
-    prog = src.build_sdfg()
-    compiled = compile_sdfg(prog.sdfg, instrument=True)
+    core = DynamicalCore(cfg)
+    core.prepare()
+    programs = [call.func for call, _ in core.step_programs(0)]
+    for program in programs:
+        program.compile(instrument=True)
 
-    def run():
-        compiled(
-            arrays=prog._binding.arrays,
-            scalars={**prog.sdfg.scalars, "dt_acoustic": cfg.dt_acoustic},
-        )
-
-    benchmark(run)
+    benchmark(core.step_dynamics)
+    times = {}
+    for program in programs:
+        for label, (total, count) in program.kernel_times.items():
+            t, n = times.get(label, (0.0, 0))
+            times[label] = (t + total, n + count)
     measured = {
-        label: total / max(count, 1)
-        for label, (total, count) in compiled.kernel_times.items()
+        label: total / max(count, 1) for label, (total, count) in times.items()
     }
     assert measured
-    rows = bound_report(prog.sdfg, P100, measured=measured, top=8)
+    rows = bound_report(core.step_graphs(), P100, measured=measured, top=8)
     report("Fig. 10 with measured (instrumented NumPy) runtimes:")
     report(format_bound_report(rows))
     assert all(r.runtime > 0 for r in rows)

@@ -7,7 +7,8 @@ faster than FORTRAN at scale; 0.11 SYPD at 2.28 km. On JUWELS Booster
 A100 offering 2.83× the memory bandwidth.
 
 Substitution: per-node compute comes from the machine model over the
-whole-step SDFG; communication comes from the LogGP Aries model fed with
+programs one rank's step runs (``DynamicalCore.step_graphs``);
+communication comes from the LogGP Aries model fed with
 the *exact* per-rank halo message sizes of our partitioner. Weak scaling
 is flat by construction of the decomposition — the reproduced claims are
 the per-node time, the speedup at scale, and the A100 ratio.
@@ -27,9 +28,10 @@ from repro.machine import (
 )
 from repro.core.perfmodel import model_sdfg_time
 from repro.core.pipeline import optimize_sdfg_locally
+from repro.fv3.communicator import LocalComm
 from repro.fv3.config import DynamicalCoreConfig
+from repro.fv3.dyncore import DynamicalCore
 from repro.fv3.partitioner import CubedSpherePartitioner
-from repro.fv3.performance import SingleRankDynCore
 
 #: nodes → approximate grid spacing [km] from the paper's figure
 NODE_COUNTS = (54, 96, 216, 600, 1014, 1536, 2400)
@@ -44,13 +46,18 @@ def _per_node_times(npx=96, npz=80):
     """Modeled per-node compute time of one step, CPU vs tuned GPU."""
     cfg = DynamicalCoreConfig(npx=npx, npz=npz, layout=1, k_split=1,
                               n_split=5)
-    src = SingleRankDynCore(cfg)
-    sdfg = src.build_sdfg().sdfg
-    t_cpu = model_sdfg_time(sdfg, HASWELL)
-    optimize_sdfg_locally(sdfg, P100)
-    t_gpu = model_sdfg_time(sdfg, P100)
-    t_a100 = model_sdfg_time(sdfg, A100)
-    return t_cpu, t_gpu, t_a100, cfg
+    core = DynamicalCore(
+        cfg, comm=LocalComm(cfg.total_ranks, owned_ranks=(0,))
+    )
+    graphs = core.step_graphs()
+
+    def step_time(machine):
+        return sum(model_sdfg_time(g, machine) for g in graphs)
+
+    t_cpu = step_time(HASWELL)
+    for sdfg in graphs:
+        optimize_sdfg_locally(sdfg, P100)
+    return t_cpu, step_time(P100), step_time(A100), cfg
 
 
 def _comm_time(nodes, cfg, network, exchanges_per_step=20):

@@ -1,10 +1,11 @@
 """The Fig. 7 optimization cycle, end to end, on the real dynamical core.
 
-Builds the whole-step SDFG of one rank (Sec. V-B orchestration), then
-walks the paper's pipeline stage by stage — schedule heuristics, local
-caching, power-operator strength reduction, region splitting, pruning and
-transfer tuning — printing the Table III rows and the Fig. 10 kernel
-report before and after.
+Takes the programs one rank's time step runs (Sec. V-B orchestration),
+each weighted by its calls per step, then walks the paper's pipeline
+stage by stage — schedule heuristics, local caching, power-operator
+strength reduction, region splitting, pruning and transfer tuning —
+printing the Table III rows and the Fig. 10 kernel report before and
+after.
 
 Run:  python examples/performance_engineering.py
 """
@@ -16,22 +17,25 @@ from repro.core.pipeline import (
     PipelineOptions,
     format_table3,
 )
+from repro.fv3.communicator import LocalComm
 from repro.fv3.config import DynamicalCoreConfig
-from repro.fv3.performance import SingleRankDynCore
+from repro.fv3.dyncore import DynamicalCore
 
 
 def main() -> None:
     config = DynamicalCoreConfig(
         npx=48, npz=32, layout=1, dt_atmos=225.0, k_split=1, n_split=3
     )
-    print("building the whole-step SDFG (orchestration, Sec. V-B)...")
-    core = SingleRankDynCore(config)
-    program = core.build_sdfg()
-    sdfg = program.sdfg
-    print(f"  {sdfg.stats()}")
+    print("orchestrating the programs of one rank's step (Sec. V-B)...")
+    core = DynamicalCore(
+        config, comm=LocalComm(config.total_ranks, owned_ranks=(0,))
+    )
+    graphs = core.step_graphs()
+    for sdfg in graphs:
+        print(f"  {sdfg.name}: {sdfg.stats()}")
 
     print("\ninitial Fig. 10 report (worst kernels, % of peak bandwidth):")
-    print(format_bound_report(bound_report(sdfg, P100, top=6)))
+    print(format_bound_report(bound_report(graphs, P100, top=6)))
 
     print("\nrunning the optimization pipeline (Fig. 7)...")
     pipeline = OptimizationPipeline(
@@ -41,12 +45,12 @@ def main() -> None:
             transfer_states=("xppm", "yppm", "transverse", "scale_flux"),
         )
     )
-    stages = pipeline.run(sdfg)
+    stages = pipeline.run(graphs)
     print()
     print(format_table3(stages))
 
     print("\nfinal Fig. 10 report:")
-    print(format_bound_report(bound_report(sdfg, P100, top=6)))
+    print(format_bound_report(bound_report(graphs, P100, top=6)))
 
     print(
         "\nAll of this happened in the toolchain — the model code "

@@ -97,7 +97,7 @@ def main() -> None:
 
     # ---- 6. the Fig. 10 view --------------------------------------------
     print("\nmodel-augmented kernel report (P100 model):")
-    print(format_bound_report(bound_report(sdfg, P100)))
+    print(format_bound_report(bound_report([sdfg], P100)))
 
     # ---- 7. from one stencil to the whole model -------------------------
     # the same stack drives the full dynamical core through the unified

@@ -157,12 +157,13 @@ class KernelPerf:
 
 
 def bound_report(
-    sdfg,
+    graphs,
     machine: MachineModel,
     measured: Optional[Dict[str, float]] = None,
     top: int = 10,
 ) -> List[KernelPerf]:
-    """Rank kernels by overall importance with % peak bandwidth.
+    """Rank the kernels of ``graphs`` (the SDFGs of one program or of a
+    whole step) by overall importance with % peak bandwidth.
 
     Kernels executing under different configurations are grouped by label;
     the maximal runtime and largest modeled configuration are reported
@@ -170,28 +171,27 @@ def bound_report(
     kernel label (overriding the model), as in the paper's workflow where
     modeling is combined with runtime results.
     """
-    invocations = sdfg.kernel_invocations()
     grouped: Dict[str, KernelPerf] = {}
-    for si, state in enumerate(sdfg.states):
-        for node in state.nodes:
-            if not isinstance(node, Kernel):
-                continue
-            if measured and node.label in measured:
-                runtime = measured[node.label]
-            else:
-                runtime = model_kernel_time(node, sdfg, machine)
-            pk = peak_time(node, sdfg, machine)
-            inv = invocations[si]
-            row = grouped.get(node.label)
-            if row is None:
-                grouped[node.label] = KernelPerf(
-                    node.label, runtime, runtime * inv, pk, inv
-                )
-            else:
-                row.runtime = max(row.runtime, runtime)
-                row.peak = max(row.peak, pk)
-                row.total_runtime += runtime * inv
-                row.invocations += inv
+    for sdfg in graphs:
+        invocations = sdfg.kernel_invocations()
+        for si, state in enumerate(sdfg.states):
+            for node in state.kernels:
+                if measured and node.label in measured:
+                    runtime = measured[node.label]
+                else:
+                    runtime = model_kernel_time(node, sdfg, machine)
+                pk = peak_time(node, sdfg, machine)
+                inv = invocations[si]
+                row = grouped.get(node.label)
+                if row is None:
+                    grouped[node.label] = KernelPerf(
+                        node.label, runtime, runtime * inv, pk, inv
+                    )
+                else:
+                    row.runtime = max(row.runtime, runtime)
+                    row.peak = max(row.peak, pk)
+                    row.total_runtime += runtime * inv
+                    row.invocations += inv
     rows = sorted(grouped.values(), key=lambda r: -r.total_runtime)
     return rows[:top]
 

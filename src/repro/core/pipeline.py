@@ -107,7 +107,8 @@ class PipelineOptions:
 
 
 class OptimizationPipeline:
-    """Runs the Fig. 7 cycle on an orchestrated SDFG."""
+    """Runs the Fig. 7 cycle on the SDFGs of an orchestrated step, one per
+    program (``DynamicalCore.step_graphs``)."""
 
     def __init__(self, options: Optional[PipelineOptions] = None):
         self.options = options or PipelineOptions()
@@ -116,12 +117,12 @@ class OptimizationPipeline:
         self.audit: Optional[TransformationAudit] = None
 
     # ------------------------------------------------------------------
-    def _record(self, cycle: str, name: str, sdfg, baseline: float,
+    def _record(self, cycle: str, name: str, graphs, baseline: float,
                 run: Optional[Callable] = None) -> StageResult:
-        modeled = model_sdfg_time(sdfg, self.options.machine)
+        modeled = sum(model_sdfg_time(g, self.options.machine) for g in graphs)
         measured = None
         if self.options.measure and run is not None:
-            measured = run(sdfg)
+            measured = run(graphs)
         result = StageResult(
             cycle=cycle,
             name=name,
@@ -132,7 +133,7 @@ class OptimizationPipeline:
         self.stages.append(result)
         return result
 
-    def _stage(self, cycle: str, name: str, sdfg, baseline: float,
+    def _stage(self, cycle: str, name: str, graphs, baseline: float,
                run: Optional[Callable], work: Optional[Callable] = None
                ) -> StageResult:
         """Apply one optimization stage inside a span and record its row.
@@ -147,32 +148,38 @@ class OptimizationPipeline:
             if work is not None:
                 work()
             if self.audit is not None:
-                new_findings = self.audit.check(sdfg, name)
+                new_findings = self.audit.check(graphs, name)
                 if timer.span is not None:
                     timer.span.set("lint.new_findings", len(new_findings))
                     if new_findings:
                         timer.span.set(
                             "lint.findings", [str(f) for f in new_findings]
                         )
-            result = self._record(cycle, name, sdfg, baseline, run)
+            result = self._record(cycle, name, graphs, baseline, run)
         result.lint_findings = new_findings
         result.stage_seconds = timer.seconds
         if timer.span is not None:
             result.spans = obs.snapshot(timer.span)
         return result
 
-    def run(self, sdfg, run: Optional[Callable] = None) -> List[StageResult]:
-        """Optimize ``sdfg`` in place, recording Table III-style stages.
+    def run(self, graphs: Sequence, run: Optional[Callable] = None
+            ) -> List[StageResult]:
+        """Optimize ``graphs`` in place, recording Table III-style stages:
+        each stage is applied to every graph, and a row's time is the sum
+        over them.
 
-        ``run`` optionally executes a compiled SDFG and returns wall-clock
-        seconds (used when ``options.measure`` is set).
+        ``run`` optionally executes the compiled graphs and returns
+        wall-clock seconds (used when ``options.measure`` is set).
         """
         opts = self.options
-        validate_sdfg(sdfg)  # structural invariants must hold at entry
+        for sdfg in graphs:
+            validate_sdfg(sdfg)  # structural invariants must hold at entry
         if opts.lint_audit:
             self.audit = TransformationAudit()
-            self.audit.start(sdfg)  # pre-existing findings are not charged
-        baseline_time = model_sdfg_time(sdfg, opts.baseline_machine)
+            self.audit.start(graphs)  # pre-existing findings are not charged
+        baseline_time = sum(
+            model_sdfg_time(g, opts.baseline_machine) for g in graphs
+        )
         self.stages.append(
             StageResult(
                 cycle="",
@@ -181,45 +188,53 @@ class OptimizationPipeline:
                 speedup=1.0,
             )
         )
-        self._stage("", "GT4Py + DaCe (Default)", sdfg, baseline_time, run)
+        self._stage("", "GT4Py + DaCe (Default)", graphs, baseline_time, run)
+
+        def each(transform: Callable) -> Callable:
+            def work():
+                for sdfg in graphs:
+                    transform(sdfg)
+            return work
 
         # ---- cycle 1 ------------------------------------------------------
-        self._stage("Cycle 1", "Stencil schedule heuristics", sdfg,
+        self._stage("Cycle 1", "Stencil schedule heuristics", graphs,
                     baseline_time, run,
-                    lambda: apply_schedule_heuristics(sdfg, opts.machine))
+                    each(lambda g: apply_schedule_heuristics(g, opts.machine)))
 
-        self._stage("Cycle 1", "Local caching", sdfg, baseline_time, run,
-                    lambda: apply_exhaustively(sdfg, [LocalStorage()]))
+        self._stage("Cycle 1", "Local caching", graphs, baseline_time, run,
+                    each(lambda g: apply_exhaustively(g, [LocalStorage()])))
 
-        self._stage("Cycle 1", "Optimize power operator", sdfg,
+        self._stage("Cycle 1", "Optimize power operator", graphs,
                     baseline_time, run,
-                    lambda: apply_exhaustively(sdfg, [PowerExpansion()]))
+                    each(lambda g: apply_exhaustively(g, [PowerExpansion()])))
 
-        self._stage("Cycle 1", "Split regions to multiple kernels", sdfg,
+        self._stage("Cycle 1", "Split regions to multiple kernels", graphs,
                     baseline_time, run,
-                    lambda: apply_exhaustively(sdfg, [RegionSplit()]))
+                    each(lambda g: apply_exhaustively(g, [RegionSplit()])))
 
         # ---- cycle 2 ------------------------------------------------------
-        def _fine_tune():
+        def _fine_tune(sdfg):
             for hook in opts.fine_tune_hooks:
                 hook(sdfg)
 
-        self._stage("Cycle 2", "Lagrangian contrib. reschedule", sdfg,
-                    baseline_time, run, _fine_tune)
+        self._stage("Cycle 2", "Lagrangian contrib. reschedule", graphs,
+                    baseline_time, run, each(_fine_tune))
 
-        self._stage("Cycle 2", "Region pruning", sdfg, baseline_time, run,
-                    lambda: prune_inactive_regions(sdfg))
+        self._stage("Cycle 2", "Region pruning", graphs, baseline_time, run,
+                    each(prune_inactive_regions))
 
-        self._stage("Cycle 2", "Transfer Tuning (FVT)", sdfg,
-                    baseline_time, run, lambda: self.transfer_tune(sdfg))
-        validate_sdfg(sdfg)  # and after the final transformation stage
+        self._stage("Cycle 2", "Transfer Tuning (FVT)", graphs,
+                    baseline_time, run, lambda: self.transfer_tune(graphs))
+        for sdfg in graphs:
+            validate_sdfg(sdfg)  # and after the final transformation stage
         return self.stages
 
     # ------------------------------------------------------------------
-    def transfer_tune(self, sdfg) -> Dict[str, object]:
-        """Phase 1 (tune cutouts) + phase 2 (transfer patterns)."""
+    def transfer_tune(self, graphs: Sequence) -> Dict[str, object]:
+        """Phase 1 (tune the cutouts of all graphs) + phase 2 (transfer
+        the patterns to each graph)."""
         opts = self.options
-        cutouts = state_cutouts(sdfg)
+        cutouts = [c for sdfg in graphs for c in state_cutouts(sdfg)]
         if opts.transfer_states is not None:
             cutouts = [
                 c
@@ -238,20 +253,23 @@ class OptimizationPipeline:
                 configs.extend(cfgs)
                 total_evaluated += n
         patterns = extract_patterns(configs, top_m=2)
+        per_pattern = dict.fromkeys(patterns, 0)
         with obs.timed("transfer.apply_patterns") as phase2:
-            result = transfer_patterns(sdfg, patterns, machine=opts.machine)
-        phase1_time = phase1.seconds
-        phase2_time = phase2.seconds
-        # clean up fully-fused leftovers
-        apply_exhaustively(sdfg, [DeadKernelElimination()])
+            for sdfg in graphs:
+                result = transfer_patterns(sdfg, patterns,
+                                           machine=opts.machine)
+                for pattern, applied in result.per_pattern.items():
+                    per_pattern[pattern] += applied
+                # clean up fully-fused leftovers
+                apply_exhaustively(sdfg, [DeadKernelElimination()])
         return {
             "cutouts": len(cutouts),
             "configurations": total_evaluated,
             "patterns": len(patterns),
-            "applied": result.applied,
-            "per_pattern": result.per_pattern,
-            "phase1_seconds": phase1_time,
-            "phase2_seconds": phase2_time,
+            "applied": sum(per_pattern.values()),
+            "per_pattern": per_pattern,
+            "phase1_seconds": phase1.seconds,
+            "phase2_seconds": phase2.seconds,
         }
 
 

@@ -25,12 +25,11 @@ class DataflowStencilExecutor:
     #: the lowered SDFG; the ``compiled`` backend subclasses and overrides
     compile_backend = "numpy"
 
-    def __init__(self, stencil_object, optimize: bool = False):
+    def __init__(self, stencil_object):
         from repro.obs import tracer as _obs
 
         self._tracer = _obs.get_tracer()
         self.stencil_object = stencil_object
-        self.optimize = optimize
         self._cache: Dict[Tuple, object] = {}
 
     def build_sdfg(
@@ -62,10 +61,6 @@ class DataflowStencilExecutor:
         )
         state.add(node)
         sdfg.expand_library_nodes()
-        if self.optimize:
-            from repro.core.pipeline import optimize_sdfg_locally
-
-            optimize_sdfg_locally(sdfg)
         return sdfg
 
     def __call__(self, fields, scalars, origin, domain, bounds=None) -> None:
@@ -74,7 +69,6 @@ class DataflowStencilExecutor:
             origin,
             domain,
             (bounds.origin, bounds.tile_shape) if bounds else None,
-            self.optimize,
         )
         program = self._cache.get(key)
         if program is None:

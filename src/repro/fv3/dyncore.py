@@ -17,7 +17,7 @@ import pathlib
 import time as _time
 import warnings
 from functools import partial
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -197,16 +197,43 @@ class DynamicalCore:
             return
         if self.acoustics is None:
             self._build_step_machinery()
-        dt = self.config.dt_acoustic
         with _TRACER.span("dyncore.prepare"), _jit.batch():
             for r in self.ranks:
-                for call in (
-                    *self.acoustics.programs(r, dt),
-                    self._tracer_program(r),
-                    self._remap_program(r),
-                ):
+                for call, _ in self.step_programs(r):
                     call.func.bind(*call.args)
         self._prepared = True
+
+    def step_programs(self, rank: int) -> List[Tuple[partial, int]]:
+        """What one step of rank ``rank`` runs: each orchestrated program
+        on its arguments with the number of times a step calls it, in
+        call order — the six programs of an acoustic sub-step
+        ``k_split * n_split`` times, the tracer advection and the
+        vertical remap ``k_split`` times. :meth:`prepare` binds these and
+        :meth:`step_graphs` models them. Needs the step machinery."""
+        cfg = self.config
+        substeps = cfg.k_split * cfg.n_split
+        return [
+            *((call, substeps)
+              for call in self.acoustics.programs(rank, cfg.dt_acoustic)),
+            (self._tracer_program(rank), cfg.k_split),
+            (self._remap_program(rank), cfg.k_split),
+        ]
+
+    def step_graphs(self) -> list:
+        """The SDFGs of the first held rank's step, for the Fig. 7
+        pipeline and the performance model: per program of
+        :meth:`step_programs`, a private copy of the SDFG it runs, its
+        states inside a counted loop of its calls per step. Transforming
+        a copy leaves the program that runs untouched (``SDFG.copy``
+        duplicates every kernel)."""
+        self.prepare()
+        graphs = []
+        for call, calls in self.step_programs(self.ranks[0]):
+            call.func.bind(*call.args)  # its binding for these arguments
+            sdfg = call.func.sdfg.copy()
+            sdfg.add_loop(0, len(sdfg.states) - 1, calls, label="step")
+            graphs.append(sdfg)
+        return graphs
 
     def step_dynamics(self) -> None:
         """Advance the model by one physics time step (Fig. 2 outer box).

@@ -40,7 +40,7 @@ class TransformationAudit:
     """Tracks which pipeline stage introduced which lint finding.
 
     ``comm_plan`` attaches a communication schedule; ``comm_op`` names
-    the plan's ComputeOp that corresponds to the SDFG being optimized,
+    the plan's ComputeOp that corresponds to the SDFGs being optimized,
     so its footprints are re-derived from the transformed kernels on
     every check (``comm_rename`` maps SDFG container names to the plan's
     logical field names).
@@ -65,8 +65,10 @@ class TransformationAudit:
         self.by_stage: Dict[str, List[LintFinding]] = {}
         self._started = False
 
-    def _lint(self, sdfg) -> List[LintFinding]:
-        findings = lint_sdfg(sdfg, rules=self.rules)
+    def _lint(self, graphs) -> List[LintFinding]:
+        findings = [
+            f for sdfg in graphs for f in lint_sdfg(sdfg, rules=self.rules)
+        ]
         if self.comm_plan is not None:
             plan = self.comm_plan
             if self.comm_op is not None:
@@ -75,27 +77,28 @@ class TransformationAudit:
                 plan = plan.with_compute(
                     self.comm_op,
                     compute_op_from_sdfg(
-                        self.comm_op, sdfg, rename=self.comm_rename
+                        self.comm_op, graphs, rename=self.comm_rename
                     ),
                 )
             findings.extend(lint_comm_plan(plan, rules=self.comm_rules))
         return findings
 
-    def start(self, sdfg) -> List[LintFinding]:
-        """Record the pre-optimization state; its findings are not
-        attributed to any transformation."""
-        self.baseline = sort_findings(self._lint(sdfg))
+    def start(self, graphs) -> List[LintFinding]:
+        """Record the pre-optimization state of ``graphs`` (the SDFGs
+        being optimized); its findings are not attributed to any
+        transformation."""
+        self.baseline = sort_findings(self._lint(graphs))
         self._seen = {f.key() for f in self.baseline}
         self._started = True
         return self.baseline
 
-    def check(self, sdfg, stage: str) -> List[LintFinding]:
-        """Re-lint after ``stage``; return findings new since the last
-        check, charging them to that stage."""
+    def check(self, graphs, stage: str) -> List[LintFinding]:
+        """Re-lint ``graphs`` after ``stage``; return findings new since
+        the last check, charging them to that stage."""
         if not self._started:
-            self.start(sdfg)
+            self.start(graphs)
             return []
-        current = self._lint(sdfg)
+        current = self._lint(graphs)
         new = sort_findings(f for f in current if f.key() not in self._seen)
         self._seen.update(f.key() for f in current)
         if new:

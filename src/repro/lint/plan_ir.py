@@ -370,12 +370,13 @@ def compute_op_from_stencils(
 
 def compute_op_from_sdfg(
     name: str,
-    sdfg,
+    graphs,
     rename: Optional[Mapping[str, str]] = None,
     *,
     location: Optional[SourceLocation] = None,
 ) -> ComputeOp:
-    """Re-derive a compute footprint from an (optimized) SDFG.
+    """Re-derive a compute footprint from (optimized) SDFGs: the union
+    over the kernels of every graph in ``graphs``.
 
     Used by the transformation audit: after each pipeline stage the
     named ComputeOp of the plan is rebuilt from the *current* kernels, so
@@ -389,23 +390,22 @@ def compute_op_from_sdfg(
     def _logical(container: str) -> str:
         return rename.get(container, container)
 
-    for state in sdfg.states:
-        for kernel in getattr(state, "kernels", []):
-            local = kernel.local_arrays
-            for stmt, ext in kernel.statements():
-                tname = stmt.target.name
-                if tname not in local:
-                    key = _logical(tname)
-                    prev = writes.get(key, Extent.zero())
-                    writes[key] = prev.union(ext.normalized())
-                for acc in expr_reads(stmt):
-                    if acc.name in local:
-                        continue
-                    key = _logical(acc.name)
-                    prev = reads.get(key, Extent.zero())
-                    reads[key] = prev.union(
-                        ext.shifted(acc.offset).normalized()
-                    )
+    for kernel in [k for sdfg in graphs for k in sdfg.all_kernels()]:
+        local = kernel.local_arrays
+        for stmt, ext in kernel.statements():
+            tname = stmt.target.name
+            if tname not in local:
+                key = _logical(tname)
+                prev = writes.get(key, Extent.zero())
+                writes[key] = prev.union(ext.normalized())
+            for acc in expr_reads(stmt):
+                if acc.name in local:
+                    continue
+                key = _logical(acc.name)
+                prev = reads.get(key, Extent.zero())
+                reads[key] = prev.union(
+                    ext.shifted(acc.offset).normalized()
+                )
     return ComputeOp(
         name=name,
         reads=reads,

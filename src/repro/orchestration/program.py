@@ -713,8 +713,9 @@ def orchestrate(func=None, *, optimize: Optional[Callable] = None):
 
     Methods of model classes decorated with ``@orchestrate`` are inlined
     when called from another orchestrated program (closure resolution per
-    Fig. 6); top-level entry points are built into a single SDFG spanning
-    the whole time step.
+    Fig. 6); a top-level entry point is built into one SDFG spanning its
+    whole call tree. A rank step calls eight such programs
+    (``DynamicalCore.step_programs``).
     """
     def wrap(f):
         program = OrchestratedProgram(f, optimize=optimize)

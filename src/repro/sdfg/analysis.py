@@ -75,17 +75,16 @@ def total_flops(sdfg) -> int:
     return sum(c.flops * c.invocations for c in kernel_costs(sdfg))
 
 
-def load_store_fraction(sdfg) -> float:
-    """Fraction of "instructions" that are loads/stores.
+def load_store_fraction(graphs) -> float:
+    """Fraction of "instructions" that are loads/stores in ``graphs``
+    (the SDFGs of one program or of a whole step).
 
     Modeled as element accesses vs. (element accesses + arithmetic ops),
     the analytic analogue of the paper's PAPI measurement.
     """
-    import numpy as np
-
     accesses = 0
     flops = 0
-    for cost in kernel_costs(sdfg):
+    for cost in [c for sdfg in graphs for c in kernel_costs(sdfg)]:
         accesses += (cost.bytes_moved + cost.excess_bytes) * cost.invocations / 8.0
         flops += cost.flops * cost.invocations
     denom = accesses + flops

@@ -14,7 +14,6 @@ from repro.sdfg.transformations.dead_code import DeadKernelElimination
 from repro.sdfg.transformations.local_storage import LocalStorage
 from repro.sdfg.transformations.otf_fusion import OTFMapFusion
 from repro.sdfg.transformations.power_expansion import PowerExpansion
-from repro.sdfg.transformations.redundant_array import RedundantArrayRemoval
 from repro.sdfg.transformations.region_split import RegionSplit
 from repro.sdfg.transformations.subgraph_fusion import SubgraphFusion
 
@@ -23,7 +22,6 @@ __all__ = [
     "LocalStorage",
     "OTFMapFusion",
     "PowerExpansion",
-    "RedundantArrayRemoval",
     "RegionSplit",
     "SubgraphFusion",
     "Transformation",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, List, Tuple
 
-from repro.sdfg.nodes import Callback, Kernel, Node
+from repro.sdfg.nodes import Callback, Kernel, Node, Tasklet
 
 
 class Transformation:
@@ -58,6 +58,10 @@ def node_conflicts(state, a: Node, b: Node) -> bool:
     """True if nodes a and b cannot be reordered past each other."""
     if isinstance(a, Callback) or isinstance(b, Callback):
         return True  # __pystate serializes callbacks against everything
+    if isinstance(a, Tasklet) or isinstance(b, Tasklet):
+        # a kernel reads a tasklet's scalar by name, which is in no
+        # container set below: keep kernels on their side of it
+        return True
     ra, wa = state.node_reads_writes(a)
     rb, wb = state.node_reads_writes(b)
     wa_s, wb_s = set(wa), set(wb)

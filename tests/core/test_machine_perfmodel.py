@@ -203,7 +203,7 @@ def test_model_sdfg_time_accounts_for_loops():
 def test_bound_report_ranks_and_formats():
     shape = (32, 32, 8)
     sdfg = _single_kernel_sdfg(_copy, shape)
-    rows = bound_report(sdfg, P100)
+    rows = bound_report([sdfg], P100)
     assert len(rows) == 1
     assert 0.0 < rows[0].utilization <= 1.0
     text = format_bound_report(rows)

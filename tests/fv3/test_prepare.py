@@ -3,6 +3,7 @@
 enters the C compiler once."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,8 +34,11 @@ def _finish(core):
 
 def _assert_same_state(core, clean):
     for got, want in zip(core.states, clean.states):
-        np.testing.assert_array_equal(got.delp, want.delp)
-        np.testing.assert_array_equal(got.u, want.u)
+        for name in ("u", "v", "w", "pt", "delp", "delz"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))
+        for tracer, reference in zip(got.tracers, want.tracers):
+            np.testing.assert_array_equal(tracer, reference)
 
 
 def _counts():
@@ -73,6 +77,72 @@ def test_a_prepared_core_steps_without_tracing_or_building(
         assert _counts() == prepared
     finally:
         _finish(core)
+
+
+@pytest.mark.traced
+def test_a_step_calls_each_program_as_often_as_declared():
+    """``step_programs`` is what a step runs: on a c24 core one traced
+    step enters each of the eight programs its declared calls per step
+    times on every held rank."""
+    from repro import obs
+
+    config = dataclasses.replace(
+        get_scenario("baroclinic_wave").default_config(), k_split=2
+    )
+    assert (config.npx, config.layout) == (24, 1)
+    core = build_core("baroclinic_wave", config, executor="sequential")
+    try:
+        core.step_dynamics()
+        entered = Counter()
+
+        def walk(span):
+            for child in span.children.values():
+                if child.name.startswith("program."):
+                    entered[child.name] += child.count
+                walk(child)
+
+        walk(obs.get_tracer().root)
+        declared = Counter()
+        for rank in core.ranks:
+            for call, calls in core.step_programs(rank):
+                declared[f"program.{call.func.label}"] += calls
+        assert len(declared) == 8
+        assert entered == declared
+    finally:
+        _finish(core)
+
+
+def test_modelling_a_step_leaves_the_programs_it_runs_alone():
+    """``step_graphs`` hands out copies: the local bundle and the whole
+    Fig. 7 pipeline on them leave every program's SDFG as traced, and
+    the core then steps to the state of a core that was never modelled."""
+    from repro.core.pipeline import (
+        OptimizationPipeline,
+        optimize_sdfg_locally,
+    )
+
+    modelled = build_core("baroclinic_wave", SMALL, executor="sequential")
+    clean = build_core("baroclinic_wave", SMALL, executor="sequential")
+    try:
+        modelled.prepare()
+
+        def traced():
+            return [cc.cache_key(call.func.sdfg)
+                    for rank in modelled.ranks
+                    for call, _ in modelled.step_programs(rank)]
+
+        before = traced()
+        for sdfg in modelled.step_graphs():
+            optimize_sdfg_locally(sdfg)
+        stages = OptimizationPipeline().run(modelled.step_graphs())
+        assert stages[-1].modeled_time < stages[1].modeled_time
+        assert traced() == before
+        modelled.step_dynamics()
+        clean.step_dynamics()
+        _assert_same_state(modelled, clean)
+    finally:
+        _finish(modelled)
+        _finish(clean)
 
 
 def test_a_failed_build_is_a_fault_of_the_step():

@@ -17,9 +17,9 @@ from tests.lint.graph_defects import (
 def test_audit_attributes_new_findings_to_stage():
     sdfg = chained_sdfg()
     audit = TransformationAudit()
-    assert audit.start(sdfg) == []
+    assert audit.start([sdfg]) == []
     fuse_chained_illegally(sdfg)
-    new = audit.check(sdfg, "evil-fusion")
+    new = audit.check([sdfg], "evil-fusion")
     assert [f.rule for f in new] == ["S202", "S202"]
     assert list(audit.by_stage) == ["evil-fusion"]
     assert [s for s, _ in audit.introduced] == ["evil-fusion", "evil-fusion"]
@@ -28,10 +28,10 @@ def test_audit_attributes_new_findings_to_stage():
 def test_audit_reports_each_finding_once():
     sdfg = chained_sdfg()
     audit = TransformationAudit()
-    audit.start(sdfg)
+    audit.start([sdfg])
     fuse_chained_illegally(sdfg)
-    assert len(audit.check(sdfg, "first")) == 2
-    assert audit.check(sdfg, "second") == []
+    assert len(audit.check([sdfg], "first")) == 2
+    assert audit.check([sdfg], "second") == []
     assert "second" not in audit.by_stage
 
 
@@ -39,18 +39,18 @@ def test_audit_baseline_findings_not_charged_to_any_stage():
     sdfg = chained_sdfg()
     fuse_chained_illegally(sdfg)  # broken before the audit starts
     audit = TransformationAudit()
-    baseline = audit.start(sdfg)
+    baseline = audit.start([sdfg])
     assert [f.rule for f in baseline] == ["S202", "S202"]
-    assert audit.check(sdfg, "stage") == []
+    assert audit.check([sdfg], "stage") == []
     assert audit.summary() == "transformation audit: no new findings"
 
 
 def test_audit_summary_names_stage_and_rule():
     sdfg = chained_sdfg()
     audit = TransformationAudit()
-    audit.start(sdfg)
+    audit.start([sdfg])
     fuse_chained_illegally(sdfg)
-    audit.check(sdfg, "bad-stage")
+    audit.check([sdfg], "bad-stage")
     text = audit.summary()
     assert "bad-stage" in text and "S202" in text
 
@@ -60,7 +60,7 @@ def test_pipeline_attributes_findings_to_hook_stage():
     pipeline = OptimizationPipeline(
         PipelineOptions(fine_tune_hooks=[fuse_chained_illegally])
     )
-    stages = pipeline.run(sdfg)
+    stages = pipeline.run([sdfg])
     by_name = {s.name: s for s in stages}
     hook_stage = by_name["Lagrangian contrib. reschedule"]
     assert [f.rule for f in hook_stage.lint_findings] == ["S202", "S202"]
@@ -82,7 +82,7 @@ def test_pipeline_audit_can_be_disabled():
             lint_audit=False, fine_tune_hooks=[fuse_chained_illegally]
         )
     )
-    stages = pipeline.run(sdfg)
+    stages = pipeline.run([sdfg])
     assert pipeline.audit is None
     assert all(s.lint_findings == [] for s in stages)
 
@@ -91,7 +91,7 @@ def test_pipeline_validates_at_entry():
     sdfg = producer_consumer_sdfg()
     del sdfg.arrays["out"]
     with pytest.raises(SDFGValidationError, match="unknown container"):
-        OptimizationPipeline().run(sdfg)
+        OptimizationPipeline().run([sdfg])
 
 
 def test_pipeline_validates_after_final_stage():
@@ -102,7 +102,7 @@ def test_pipeline_validates_after_final_stage():
 
     pipeline = OptimizationPipeline(PipelineOptions(fine_tune_hooks=[corrupt]))
     with pytest.raises(SDFGValidationError, match="exceeds container"):
-        pipeline.run(sdfg)
+        pipeline.run([sdfg])
     # the stages up to the corruption were still recorded
     assert any(s.name == "Region pruning" for s in pipeline.stages)
 
@@ -143,9 +143,9 @@ def test_audit_lints_attached_comm_plan_as_is():
         "work", dataclasses.replace(op, reads={"u": halo_extent(1)})
     )
     audit = TransformationAudit(comm_plan=plan)
-    baseline = audit.start(chained_sdfg())
+    baseline = audit.start([chained_sdfg()])
     assert [f.rule for f in baseline] == ["C304"]
-    assert audit.check(chained_sdfg(), "stage") == []
+    assert audit.check([chained_sdfg()], "stage") == []
 
 
 def test_audit_charges_comm_finding_to_enlarging_stage():
@@ -159,10 +159,10 @@ def test_audit_charges_comm_finding_to_enlarging_stage():
         comm_op="work",
         comm_rename={"a": "u"},
     )
-    baseline = audit.start(fused)
+    baseline = audit.start([fused])
     assert not [f for f in baseline if f.rule.startswith("C")]
     # "transformation" restores the enlarged producer reads of `a`
-    new = audit.check(chained_sdfg(), "halo-recompute")
+    new = audit.check([chained_sdfg()], "halo-recompute")
     comm = [f for f in new if f.rule == "C304"]
     assert len(comm) == 1
     assert comm[0].severity == "error"

@@ -70,7 +70,7 @@ def test_kernel_costs_and_totals():
 
 def test_load_store_fraction_bounds():
     sdfg = _simple_sdfg()
-    frac = load_store_fraction(sdfg)
+    frac = load_store_fraction([sdfg])
     assert 0.0 < frac < 1.0
 
 

@@ -12,7 +12,6 @@ from repro.sdfg.transformations import (
     LocalStorage,
     OTFMapFusion,
     PowerExpansion,
-    RedundantArrayRemoval,
     SubgraphFusion,
     apply_exhaustively,
 )
@@ -39,12 +38,6 @@ def _shift_add(t: Field, out: Field):
 def _incr(a: Field, b: Field):
     with computation(PARALLEL), interval(...):
         b = a + 1.0
-
-
-@stencil
-def _copy(a: Field, b: Field):
-    with computation(PARALLEL), interval(...):
-        b = a
 
 
 def _two_stencil_sdfg(shape=(10, 8, 4), domain=(8, 6, 4), origin=(1, 1, 0)):
@@ -174,49 +167,36 @@ def test_subgraph_fusion_allows_zero_offset_dependency():
     np.testing.assert_array_equal(ref["out"], got["out"])
 
 
-def test_redundant_array_removal():
+def test_subgraph_fusion_keeps_a_kernel_after_the_tasklet_it_reads():
+    """The shape of ``DGridSolver.momentum``: a kernel reading a scalar a
+    tasklet computes is not hoisted above the tasklet to fuse with a
+    kernel before it."""
+    from repro.sdfg.nodes import Tasklet
+
+    @stencil
+    def scale(a: Field, b: Field, s: float):
+        with computation(PARALLEL), interval(...):
+            b = a * s
+
     sdfg = SDFG("prog")
     shape, domain, origin = (8, 8, 3), (6, 6, 3), (1, 1, 0)
-    sdfg.add_array("a", shape)
-    sdfg.add_array("out", shape)
-    sdfg.add_transient("cpy", shape)
+    for name in ("a", "m", "out"):
+        sdfg.add_array(name, shape)
     state = sdfg.add_state("s0")
-    state.add(StencilComputation(_copy.definition, _copy.extents,
-                                 mapping={"a": "a", "b": "cpy"},
-                                 domain=domain, origin=origin))
     state.add(StencilComputation(_incr.definition, _incr.extents,
-                                 mapping={"a": "cpy", "b": "out"},
+                                 mapping={"a": "a", "b": "m"},
                                  domain=domain, origin=origin))
+    state.add(Tasklet("tasklet_s", "dt * 0.2", ("dt",), "s"))
+    state.add(StencilComputation(scale.definition, scale.extents,
+                                 mapping={"a": "a", "b": "out"},
+                                 domain=domain, origin=origin,
+                                 scalar_mapping={"s": "s"}))
     sdfg.expand_library_nodes()
-    arrays = {"a": _rand(shape), "out": np.zeros(shape)}
-    ref = _run(sdfg, arrays)
-
-    assert RedundantArrayRemoval().apply_first(sdfg)
-    assert "cpy" not in sdfg.arrays
-    assert len(sdfg.states[0].kernels) == 1
-    got = _run(sdfg, arrays)
+    arrays = {"a": _rand(shape), "m": np.zeros(shape), "out": np.zeros(shape)}
+    ref = _run(sdfg, arrays, scalars={"dt": 2.0})
+    assert not SubgraphFusion().apply_first(sdfg)
+    got = _run(sdfg, arrays, scalars={"dt": 2.0})
     np.testing.assert_array_equal(ref["out"], got["out"])
-
-
-def test_redundant_array_blocked_by_source_redefinition():
-    sdfg = SDFG("prog")
-    shape, domain, origin = (8, 8, 3), (6, 6, 3), (1, 1, 0)
-    sdfg.add_array("a", shape)
-    sdfg.add_array("out", shape)
-    sdfg.add_transient("cpy", shape)
-    state = sdfg.add_state("s0")
-    state.add(StencilComputation(_copy.definition, _copy.extents,
-                                 mapping={"a": "a", "b": "cpy"},
-                                 domain=domain, origin=origin))
-    # a is overwritten between the copy and cpy's reader
-    state.add(StencilComputation(_incr.definition, _incr.extents,
-                                 mapping={"a": "out", "b": "a"},
-                                 domain=domain, origin=origin))
-    state.add(StencilComputation(_incr.definition, _incr.extents,
-                                 mapping={"a": "cpy", "b": "out"},
-                                 domain=domain, origin=origin))
-    sdfg.expand_library_nodes()
-    assert not RedundantArrayRemoval().apply_first(sdfg)
 
 
 def test_dead_kernel_elimination():
