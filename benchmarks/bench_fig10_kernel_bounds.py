@@ -4,7 +4,7 @@ The paper's automated memory-bound analysis lists the worst-performing,
 most important kernels with their % of peak memory bandwidth; the
 Smagorinsky-diffusion kernel stands out (and is fixed in Sec. VI-C1).
 After tuning, "most of the shown kernels are above 60% peak". Ours ranks
-the kernels of the eight programs one rank's step runs
+the kernels of the four programs one rank's step runs
 (``DynamicalCore.step_graphs``).
 """
 

@@ -3,7 +3,7 @@
 Paper headline: 0.42× the FORTRAN lines of code; 3.92× speedup on P100,
 8.48× on A100 (= 3.92 × A100/P100 step ratio ~2.42 — Fig. 1 and Sec. IX).
 Sec. V graph: 26,689 dataflow nodes in 3,179 states, 4,241 unique GPU
-kernels, some invoked ≤56 times. Ours are the eight programs one rank's
+kernels, some invoked ≤56 times. Ours are the four programs one rank's
 step runs (``DynamicalCore.step_graphs``), each looped by its calls per
 step.
 """

@@ -7,7 +7,7 @@ Paper (6-node case study, step time):
   Lagrangian reschedule 4.816 (3.40×) → region pruning 4.77 (3.43×) →
   transfer tuning (FVT) 4.61 (3.55×).
 
-Reproduced on the eight programs one rank's step runs, each weighted by
+Reproduced on the four programs one rank's step runs, each weighted by
 its calls per step (``DynamicalCore.step_graphs``), at the paper's
 per-node domain (192²×80 scaled down to keep the harness fast; the shape —
 monotone improvement with heuristics the largest step and transfer tuning

@@ -7,7 +7,7 @@ configurations and the single best SGF configuration per cutout transfer
 2:42 h and phase 2 8:24 h on a Piz Daint node; the final step is a 3.47%
 speedup (Table III: 4.77 → 4.61 s).
 
-Ours tunes the cutouts of the eight programs one rank's step runs
+Ours tunes the cutouts of the four programs one rank's step runs
 (``DynamicalCore.step_graphs``) and transfers the patterns to each of
 them. Our graphs are smaller, so counts differ; the reproduced claims are the
 mechanics (exhaustive per-cutout search, label-based patterns, many more

@@ -18,16 +18,19 @@ executor schedules it (:mod:`repro.runtime.ranks`):
 The body ``yield``s before each group of waits (twice per sub-step), so
 the lockstep schedule finds every message posted. The same order is
 published as a static plan (:func:`acoustic_comm_plan`) for the C3xx
-protocol checker. Steps 2, 4, 5 and 6 are orchestrated programs; which,
-and on what arguments, is written down once
-(``AcousticDynamics.programs``) for the body to call and for
+protocol checker. A sub-step is two orchestrated programs: the Riemann
+solve (step 2), and steps 4–6 as one program (:class:`AcousticSubstep`)
+in which the scalar finish is a callback between c_sw and d_sw (paper
+Sec. V-B) and the C-grid fields c_sw hands on are transients of the
+program's slab. Which programs, and on what arguments, is written down
+once (``AcousticDynamics.programs``) for the body to call and for
 ``DynamicalCore.prepare`` to bind ahead of the first step.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -36,7 +39,7 @@ from repro.fv3.communicator import LocalComm
 from repro.fv3.config import DynamicalCoreConfig
 from repro.fv3.corners import rank_corners
 from repro.fv3.grid import CubedSphereGrid
-from repro.fv3.halo import HaloUpdater
+from repro.fv3.halo import HaloUpdater, RankHaloExchange
 from repro.fv3.initial import RankFields
 from repro.fv3.partitioner import CubedSpherePartitioner
 from repro.fv3.stencils.c_sw import CGridSolver
@@ -45,7 +48,7 @@ from repro.fv3.stencils.fvtp2d import FiniteVolumeTransport
 from repro.fv3.stencils.riem_solver_c import RiemannSolverC
 from repro.fv3.stencils.tracer2d import accumulate_fluxes
 from repro.obs import tracer as _obs
-from repro.orchestration import orchestrate
+from repro.orchestration import orchestrate, transient
 from repro.runtime import ranks as _ranks
 
 _TRACER = _obs.get_tracer()
@@ -58,7 +61,8 @@ def acoustic_comm_plan(halo: HaloUpdater | None = None):
     This is the declared contract the C3xx protocol rules verify: the
     split wind and scalar exchanges with their tag-slot bases, and the
     compute ops between them with read/write footprints taken from the
-    real stencil extents, in ``_substep_rank``'s order. Message edges
+    real stencil extents, in ``_substep_rank``'s order (the scalars'
+    finish is the sub-step program's callback). Message edges
     come from ``halo.comm_schedule()`` (a default 6-rank decomposition
     when no updater is passed).
     """
@@ -87,8 +91,8 @@ def acoustic_comm_plan(halo: HaloUpdater | None = None):
         (update_heights, {"w": "w", "delz": "delz"}),
     ])
     # c_sw computes interface quantities over the halo-extended domain,
-    # reading the full wind halos (its other parameters are private
-    # workspace arrays, not exchanged fields)
+    # reading the full wind halos (its other parameters are transients
+    # of the sub-step program, not exchanged fields)
     c_sw_op = plan_ir.compute_op_from_stencils("c_sw", [
         (cgrid_winds_x, {"ua": "u"}, h),
         (cgrid_winds_y, {"va": "v"}, h),
@@ -126,20 +130,16 @@ def build_comm_plans():
 
 
 class RankWorkspace:
-    """Per-rank work arrays of the acoustic step."""
+    """The Courant numbers and swept areas one rank's sub-steps add up for
+    the tracer transport of the remapping step: the only step arrays the
+    acoustic loop keeps between programs."""
 
     def __init__(self, nx, ny, nk, h):
         shape = (nx + 2 * h, ny + 2 * h, nk)
-        self.shape = shape
-        self.crx = np.zeros(shape)
-        self.cry = np.zeros(shape)
-        self.xfx = np.zeros(shape)
-        self.yfx = np.zeros(shape)
         self.crx_adv = np.zeros(shape)
         self.cry_adv = np.zeros(shape)
         self.xfx_adv = np.zeros(shape)
         self.yfx_adv = np.zeros(shape)
-        self.delpc = np.zeros(shape)
 
     def zero_accumulators(self):
         self.crx_adv[:] = 0.0
@@ -147,13 +147,79 @@ class RankWorkspace:
         self.xfx_adv[:] = 0.0
         self.yfx_adv[:] = 0.0
 
+
+class ScalarWindow:
+    """One rank's exchange of the transported scalars while it is open:
+    the rank body starts it before the sub-step program, the program's
+    callback (:func:`finish_scalars`) finishes it."""
+
+    def __init__(self, halo: HaloUpdater):
+        self.halo = halo
+        self.exchange: Optional[RankHaloExchange] = None
+
+
+def finish_scalars(window: ScalarWindow, delp, pt, w) -> None:
+    """The sub-step program's callback (paper Sec. V-B): finish the
+    exchange ``window`` holds, which fills the halos of ``delp``, ``pt``
+    and ``w``. It is handed the three arrays so that the program knows
+    what it touches: a declared callback, no barrier to the transients."""
+    exchange, window.exchange = window.exchange, None
+    window.halo.finish_scalars(exchange)
+
+
+class AcousticSubstep:
+    """One rank's acoustic sub-step after the Riemann solve, as one
+    program: c_sw, the scalar halo finish, the three d_sw programs
+    (inlined) and the flux accumulation, in that order.
+
+    The five C-grid fields c_sw hands to d_sw and to the accumulation are
+    transient declarations: they live in the program's slab for one call
+    and nowhere else. c_sw leaves the first column of the x-interface
+    fields and the first row of the y-interface ones unwritten (no upwind
+    cell), and the accumulation reads whole fields, so those four start
+    at zero. The scalar exchange the rank body started is finished
+    inside the program, between c_sw (which does not read the scalars)
+    and d_sw (which does).
+    """
+
+    def __init__(self, c_sw: CGridSolver, d_sw: DGridSolver,
+                 work: RankWorkspace, scalars: ScalarWindow, shape):
+        self.c_sw = c_sw
+        self.d_sw = d_sw
+        self.work = work
+        self.scalars = scalars
+        self.shape = tuple(shape)
+        self.crx = transient(shape, zeroed=True)
+        self.cry = transient(shape, zeroed=True)
+        self.xfx = transient(shape, zeroed=True)
+        self.yfx = transient(shape, zeroed=True)
+        self.delpc = transient(shape)
+
     @orchestrate
-    def accumulate(self):
-        """Add this sub-step's Courant numbers and swept areas to what
-        the tracer transport of the remapping step will ride."""
+    def __call__(
+        self,
+        u: np.ndarray,
+        v: np.ndarray,
+        delp: np.ndarray,
+        pt: np.ndarray,
+        w: np.ndarray,
+        delz: np.ndarray,
+        dt: float,
+    ):
+        self.c_sw(
+            u, v, self.crx, self.cry, self.xfx, self.yfx, self.delpc, dt
+        )
+        finish_scalars(self.scalars, delp, pt, w)
+        self.d_sw.transport_fields(
+            delp, pt, w, self.crx, self.cry, self.xfx, self.yfx
+        )
+        self.d_sw.momentum(u, v, pt, delp, delz, self.delpc, dt)
+        self.d_sw.damp_fields(delp, pt)
+        # this sub-step's share of what the tracer transport rides
         accumulate_fluxes(
             self.crx, self.cry, self.xfx, self.yfx,
-            self.crx_adv, self.cry_adv, self.xfx_adv, self.yfx_adv,
+            self.work.crx_adv, self.work.cry_adv,
+            self.work.xfx_adv, self.work.yfx_adv,
             1.0,
             origin=(0, 0, 0),
             domain=self.shape,
@@ -194,6 +260,7 @@ class AcousticDynamics:
         self._w = per_rank(lambda rank: states[rank].w)
         nx, ny, nk = partitioner.nx, partitioner.ny, config.npz
         self.work = per_rank(lambda rank: RankWorkspace(nx, ny, nk, n_halo))
+        self.windows = per_rank(lambda rank: ScalarWindow(halo))
         self.transports = per_rank(lambda rank: FiniteVolumeTransport(
             nx, ny, nk, grids[rank].rarea, rank_corners(partitioner, rank),
             n_halo=n_halo,
@@ -209,6 +276,11 @@ class AcousticDynamics:
         self.riemann = per_rank(
             lambda rank: RiemannSolverC(nx, ny, nk, n_halo=n_halo)
         )
+        shape = (nx + 2 * n_halo, ny + 2 * n_halo, nk)
+        self.substeps = per_rank(lambda rank: AcousticSubstep(
+            self.c_sw[rank], self.d_sw[rank], self.work[rank],
+            self.windows[rank], shape,
+        ))
 
     def comm_plan(self):
         """This instance's communication schedule over its real halo
@@ -228,23 +300,17 @@ class AcousticDynamics:
 
     def programs(self, rank: int, dt: float) -> Tuple[partial, ...]:
         """One rank's sub-step as its orchestrated programs on their
-        arguments, in call order: the Riemann solve, c_sw, the three
-        d_sw programs, the flux accumulation (the program of a module
+        arguments, in call order: the Riemann solve, then c_sw, d_sw and
+        the flux accumulation as one program (the program of a module
         object is its ``__call__``). The rank body calls these and
         ``DynamicalCore.prepare`` binds these, so what is compiled ahead
         is what runs."""
-        s, w, d_sw = self.states[rank], self.work[rank], self.d_sw[rank]
+        s = self.states[rank]
         return (
             partial(self.riemann[rank].__call__,
                     s.w, s.delz, s.pt, s.delp, dt),
-            partial(self.c_sw[rank].__call__,
-                    s.u, s.v, w.crx, w.cry, w.xfx, w.yfx, w.delpc, dt),
-            partial(d_sw.transport_fields,
-                    s.delp, s.pt, s.w, w.crx, w.cry, w.xfx, w.yfx),
-            partial(d_sw.momentum,
-                    s.u, s.v, s.pt, s.delp, s.delz, w.delpc, dt),
-            partial(d_sw.damp_fields, s.delp, s.pt),
-            partial(w.accumulate),
+            partial(self.substeps[rank].__call__,
+                    s.u, s.v, s.delp, s.pt, s.w, s.delz, dt),
         )
 
     def _substep_rank(self, rank: int, dt: float):
@@ -257,24 +323,25 @@ class AcousticDynamics:
         flight on disjoint tag slots immediately after, so both scalar
         phases ride inside the wind exchange's waits. Per sub-step only
         the two wind phases are exposed. c_sw still runs on completely
-        filled u/v halos.
+        filled u/v halos, and the sub-step program finishes the scalars
+        after it, before d_sw reads them.
         """
-        riemann, c_sw, *d_sw_and_accumulate = self.programs(rank, dt)
-        halo = self.halo
+        riemann, substep = self.programs(rank, dt)
+        halo, window = self.halo, self.windows[rank]
         hx = halo.start_vector(self._u, self._v, rank)
         riemann()
-        sx = halo.start_scalars(
+        window.exchange = halo.start_scalars(
             (self._delp, self._pt, self._w), rank, fslot_base=2
         )
         yield  # peers post both phase 0s
         halo.advance(hx)
-        halo.advance(sx)
+        halo.advance(window.exchange)
         yield  # peers post both phase 1s
         halo.finish_vector(hx)
-        c_sw()
-        halo.finish_scalars(sx)
-        for program in d_sw_and_accumulate:
-            program()
+        # the scalars' messages are waited for out here, where the rank
+        # holds no slab; the program writes them into the halos
+        halo.receive(window.exchange)
+        substep()  # c_sw, finish the scalars, d_sw, accumulate
 
     def run(self, dt_acoustic: float, n_split: int) -> None:
         with _TRACER.span("acoustics"):

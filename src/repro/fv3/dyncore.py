@@ -58,8 +58,9 @@ class DynamicalCore:
 
     Owns per-rank state, grids and module instances; ``step_dynamics``
     advances one physics time step through ``k_split`` remapping sub-steps
-    of ``n_split`` acoustic sub-steps each (Sec. II). The modules and
-    work arrays are built by :meth:`prepare`, which the first step calls.
+    of ``n_split`` acoustic sub-steps each (Sec. II), four orchestrated
+    programs per rank (:meth:`step_programs`). The modules and work
+    arrays are built by :meth:`prepare`, which the first step calls.
 
     The core holds the ranks its communicator owns (``comm.owned_ranks``,
     all of them by default): a rank worker process passes one endpoint of
@@ -206,10 +207,12 @@ class DynamicalCore:
     def step_programs(self, rank: int) -> List[Tuple[partial, int]]:
         """What one step of rank ``rank`` runs: each orchestrated program
         on its arguments with the number of times a step calls it, in
-        call order — the six programs of an acoustic sub-step
+        call order — the two programs of an acoustic sub-step (the
+        Riemann solve; c_sw, d_sw and the flux accumulation)
         ``k_split * n_split`` times, the tracer advection and the
-        vertical remap ``k_split`` times. :meth:`prepare` binds these and
-        :meth:`step_graphs` models them. Needs the step machinery."""
+        vertical remap ``k_split`` times: four per rank. :meth:`prepare`
+        binds these and :meth:`step_graphs` models them. Needs the step
+        machinery."""
         cfg = self.config
         substeps = cfg.k_split * cfg.n_split
         return [

@@ -18,7 +18,9 @@ processes) is invisible here.
 
 There is one implementation, per rank and split: ``start_*`` posts a
 rank's phase-0 messages, ``advance`` completes phase 0 and posts phase 1,
-``finish_*`` completes phase 1 — the SPMD body of every rank executor
+``finish_*`` completes phase 1 (``receive`` waits for a posted phase's
+messages ahead of either, without writing them) — the SPMD body of every
+rank executor
 (:mod:`repro.runtime.ranks`) calls these around its interior compute.
 ``update_scalar`` / ``update_vector`` are whole-world conveniences over
 the same three calls (start all ranks, advance all, finish all). Spans:
@@ -359,31 +361,45 @@ class HaloUpdater:
             sp.add("bytes", nbytes)
         ex.phase = phase
 
-    def _complete(self, ex: RankHaloExchange) -> None:
-        """Complete the posted phase's receives, scatter the halo cells
-        and (for vectors) rotate them into the local tile basis.
+    def receive(self, ex: RankHaloExchange) -> None:
+        """Wait until the posted phase's messages are in their receive
+        buffers, writing nothing into the fields: the ``advance`` or
+        ``finish_*`` that follows scatters them without blocking. A rank
+        that finishes an exchange inside a program (a callback) waits
+        here first, so that it never blocks holding the program's slab."""
+        with _TRACER.span("halo.exchange"):
+            self._wait(ex)
+
+    def _wait(self, ex: RankHaloExchange) -> None:
+        """Complete the posted phase's receives (a request already
+        completed returns at once).
 
         A timeout does *not* drain the communicator here — other ranks
         may still be exchanging. Whoever drives the ranks drains once
         they have all stopped (``DynamicalCore._remapping_step``, the
         whole-world ``update_*`` below).
         """
+        try:
+            for _, _, _, req in ex.reqs:
+                t0 = time.perf_counter()
+                req.wait()
+                ex.blocked += time.perf_counter() - t0
+        except HaloTimeoutError as exc:
+            # name the owning exchange's tag-slot window so the timeout
+            # is cross-referenceable with the C3xx protocol findings
+            exc.phase = ex.phase
+            exc.fslot_base = ex.fslot_base
+            _record("halo_timeouts")
+            raise
+
+    def _complete(self, ex: RankHaloExchange) -> None:
+        """Complete the posted phase's receives, scatter the halo cells
+        and (for vectors) rotate them into the local tile basis."""
         rank, slots = ex.rank, ex.slots
         with _TRACER.span("halo.exchange"):
-            try:
-                for si, plan, buf, req in ex.reqs:
-                    t0 = time.perf_counter()
-                    req.wait()
-                    ex.blocked += time.perf_counter() - t0
-                    slots[si][rank][plan.dst_i, plan.dst_j] = buf
-            except HaloTimeoutError as exc:
-                # name the owning exchange's tag-slot window so the
-                # timeout is cross-referenceable with the C3xx protocol
-                # findings
-                exc.phase = ex.phase
-                exc.fslot_base = ex.fslot_base
-                _record("halo_timeouts")
-                raise
+            self._wait(ex)
+            for si, plan, buf, _ in ex.reqs:
+                slots[si][rank][plan.dst_i, plan.dst_j] = buf
         if ex.vector:
             with _TRACER.span("halo.rotate_vectors") as sp:
                 sp.add(

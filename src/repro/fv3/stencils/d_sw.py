@@ -174,9 +174,10 @@ class DGridSolver:
 
     Its ten work fields are transient declarations. Each of the three
     programs writes what it reads of them (``fx2``/``fy2`` are declared
-    once and used by both ``transport_fields`` and ``damp_fields``, each
-    of which gets its own buffer per call); ``fx``/``fy`` are handed down
-    into the inlined transport operator and stay one container there.
+    once and used by both ``transport_fields`` and ``damp_fields``, which
+    the acoustic sub-step program inlines: one container there);
+    ``fx``/``fy`` are handed down into the inlined transport operator and
+    stay one container there.
     """
 
     def __init__(self, grid, transport, config, bounds=None,

@@ -11,7 +11,8 @@ imported with the first trace:
   (``__sdfg_node__`` protocol, Sec. V-B);
 - calls to other orchestrated functions/methods are inlined recursively;
 - any other call becomes an automatic :class:`Callback` with ``__pystate``
-  serialization;
+  serialization; its array arguments, and objects it is handed that the
+  trace reached through the instance, are bound per call like containers;
 - remaining counted ``for`` loops become SDFG loop regions;
 - scalar argument arithmetic becomes Tasklets.
 
@@ -78,20 +79,24 @@ class Transient:
     """Scratch a module declares but does not own: a ``shape`` and a
     ``dtype``, no buffer. Orchestrated programs that pass it to a stencil
     allocate it per call as an SDFG transient; the object's identity is
-    what makes two uses the same container."""
+    what makes two uses the same container. A ``zeroed`` one starts each
+    call at zero, for a reader that reads more of it than its writers
+    define (the rest of them start undefined)."""
 
-    __slots__ = ("shape", "dtype", "__weakref__")
+    __slots__ = ("shape", "dtype", "zeroed", "__weakref__")
 
-    def __init__(self, shape, dtype=np.float64):
+    def __init__(self, shape, dtype=np.float64, zeroed: bool = False):
         self.shape = tuple(int(n) for n in shape)
         self.dtype = np.dtype(dtype)
+        self.zeroed = bool(zeroed)
 
     @property
     def ndim(self) -> int:
         return len(self.shape)
 
     def __repr__(self) -> str:
-        return f"transient({self.shape}, {self.dtype.name})"
+        zeroed = ", zeroed" if self.zeroed else ""
+        return f"transient({self.shape}, {self.dtype.name}{zeroed})"
 
 
 #: the declaration as modules spell it: ``self.tmp = transient(shape)``
@@ -132,7 +137,7 @@ def _guard_holds(guard: Tuple[str, Any], value, values: List[Any]) -> bool:
     if kind == "transient":
         return (
             isinstance(value, Transient)
-            and (value.shape, value.dtype) == ref
+            and (value.shape, value.dtype, value.zeroed) == ref
         )
     if kind == "sequence":
         return type(value) is ref[0] and len(value) == ref[1]
@@ -162,14 +167,16 @@ class _Template:
     by type and length; runtime scalars as floats; stencils and callback
     functions by identity (weakly); inlined callees by their function;
     anything merely walked through by type. ``containers`` names the read
-    behind each non-transient container and ``transients`` the read
+    behind each non-transient container — and behind each object a
+    callback is handed (an :class:`~repro.sdfg.nodes.ObjectRef`), which
+    is re-bound per instance the same way — and ``transients`` the read
     behind each declared transient, which has no array to bind. Nothing
     here references the traced instance or its arrays.
 
     A trace that consumed something it cannot re-read — an array or
-    object reached outside the instance/arguments/globals, an opaque
-    callback argument, a closure — has ``reads is None``: it serves the
-    instance that traced it and is never shared.
+    object reached outside the instance/arguments/globals (a callback
+    argument among them), a closure — has ``reads is None``: it serves
+    the instance that traced it and is never shared.
     """
 
     def __init__(self, sdfg: SDFG, runtime_scalars: List[str],
@@ -289,7 +296,8 @@ class _Template:
     def bind(self, instance, bound: Dict[str, Any]
              ) -> Optional[Dict[str, np.ndarray]]:
         """Replay the reads on ``instance``/``bound``; the container →
-        array mapping when every guard holds, else ``None``."""
+        array (or callback object) mapping when every guard holds, else
+        ``None``."""
         if (
             self.reads is None
             or bound.keys() != self.arg_names
@@ -714,8 +722,11 @@ def orchestrate(func=None, *, optimize: Optional[Callable] = None):
     Methods of model classes decorated with ``@orchestrate`` are inlined
     when called from another orchestrated program (closure resolution per
     Fig. 6); a top-level entry point is built into one SDFG spanning its
-    whole call tree. A rank step calls eight such programs
-    (``DynamicalCore.step_programs``).
+    whole call tree. A rank step calls four such programs
+    (``DynamicalCore.step_programs``): the Riemann solve and the rest of
+    the acoustic sub-step — c_sw, the scalar halo finish as a callback,
+    d_sw and the flux accumulation — per sub-step, the tracer transport
+    and the vertical remap per remapping step.
     """
     def wrap(f):
         program = OrchestratedProgram(f, optimize=optimize)

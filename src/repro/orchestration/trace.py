@@ -36,6 +36,7 @@ from repro.sdfg.graph import SDFG, SDFGState
 from repro.sdfg.nodes import (
     Callback,
     ContainerRef,
+    ObjectRef,
     StencilComputation,
     Tasklet,
     constant_key,
@@ -62,7 +63,7 @@ def _guard_of(value) -> Tuple[str, Any]:
     if isinstance(value, np.ndarray):
         return ("array", (value.shape, value.dtype, value.strides))
     if isinstance(value, Transient):
-        return ("transient", (value.shape, value.dtype))
+        return ("transient", (value.shape, value.dtype, value.zeroed))
     if isinstance(value, (list, tuple)):
         return ("sequence", (type(value), len(value)))
     return ("type", type(value))
@@ -76,6 +77,7 @@ class _Builder:
         self.sdfg = SDFG(name)
         self.container_of: Dict[int, str] = {}
         #: container → the array, or the transient declaration, behind it
+        #: (and an ``ObjectRef``'s name → the object a callback is handed)
         self.field_of: Dict[str, Any] = {}
         self.runtime_scalars: List[str] = []
         self._scalar_counter = 0
@@ -209,12 +211,21 @@ class _Builder:
     # ---- containers -----------------------------------------------------
 
     @property
-    def array_of(self) -> Dict[str, np.ndarray]:
-        """The array behind each non-transient container."""
+    def array_of(self) -> Dict[str, Any]:
+        """What a call binds each name to: the array behind each
+        non-transient container, the object behind each :class:`ObjectRef`."""
         return {
             name: field for name, field in self.field_of.items()
-            if isinstance(field, np.ndarray)
+            if not isinstance(field, Transient)
         }
+
+    def _fresh_name(self, hint: str) -> str:
+        name = hint.lstrip("_") or "arr"
+        base, n = name, 0
+        while name in self.field_of:
+            n += 1
+            name = f"{base}_{n}"
+        return name
 
     def register_field(self, field, hint: str) -> str:
         """The container of an array or a :class:`Transient` declaration:
@@ -222,19 +233,16 @@ class _Builder:
         key = id(field)
         if key in self.container_of:
             return self.container_of[key]
-        name = hint.lstrip("_") or "arr"
-        base, n = name, 0
-        while name in self.sdfg.arrays:
-            n += 1
-            name = f"{base}_{n}"
+        name = self._fresh_name(hint)
         axes = {3: "IJK", 2: "IJ", 1: "K"}.get(field.ndim)
         if axes is None:
             raise OrchestrationError(
                 f"field {hint!r} has unsupported rank {field.ndim}"
             )
+        transient = isinstance(field, Transient)
         self.sdfg.add_array(
             name, field.shape, field.dtype.type, axes=axes,
-            transient=isinstance(field, Transient),
+            transient=transient, zeroed=transient and field.zeroed,
         )
         self.container_of[key] = name
         self.field_of[name] = field
@@ -487,14 +495,16 @@ class _Builder:
             isinstance(callee, types.FunctionType)
             and not callee.__closure__
             and all(
-                isinstance(v, ContainerRef) or constant_key(v) is not None
+                isinstance(v, (ContainerRef, ObjectRef))
+                or constant_key(v) is not None
                 for v in values
             )
         ):
-            # a plain function handed only containers and constants can
-            # touch no other container of this program: declare it, so
-            # the callback is no barrier for the rest (transient
-            # lifetimes, zero fills)
+            # a plain function handed only containers, constants and
+            # objects of the instance can touch no transient of this
+            # program (an object cannot hold one) and, by contract, no
+            # container it was not handed: declare it, so the callback is
+            # no barrier for the rest (transient lifetimes, zero fills)
             callback.reads = callback.writes = sorted(
                 {v.name for v in values if isinstance(v, ContainerRef)}
             )
@@ -504,9 +514,11 @@ class _Builder:
         self.cut_state()
 
     def _callback_arg(self, value, node):
-        """Arrays become container references, resolved per call; any
-        other argument that has no by-value identity ties the compiled
-        program to that one object."""
+        """Arrays become container references and objects the trace
+        reached along a recorded path object references, both resolved
+        per call — so every instance binds its own; any other argument
+        that has no by-value identity ties the compiled program to that
+        one object."""
         if isinstance(value, np.ndarray) and 1 <= value.ndim <= 3:
             return ContainerRef(
                 self.register_field(value, _name_hint(node, "arg"))
@@ -517,11 +529,19 @@ class _Builder:
                 "callback: a transient has no storage outside the "
                 "compiled program — hand the callback an array"
             )
-        if constant_key(value) is None:
-            self._mark_unshareable(
-                f"callback argument of type {type(value).__name__} is "
-                "passed by identity"
-            )
+        if constant_key(value) is not None:
+            return value
+        if id(value) in self._where:
+            name = self.container_of.get(id(value))
+            if name is None:
+                name = self._fresh_name(_name_hint(node, "obj"))
+                self.container_of[id(value)] = name
+                self.field_of[name] = value
+            return ObjectRef(name)
+        self._mark_unshareable(
+            f"callback argument of type {type(value).__name__} is "
+            "passed by identity"
+        )
         return value
 
     def _resolve_callee(self, func_node, env):

@@ -240,10 +240,12 @@ def _node_repr(node) -> str:
 
 
 def _callback_arg_repr(value) -> str:
-    from repro.sdfg.nodes import ContainerRef, constant_key
+    from repro.sdfg.nodes import ContainerRef, ObjectRef, constant_key
 
     if isinstance(value, ContainerRef):
         return f"container:{value.name}"
+    if isinstance(value, ObjectRef):
+        return f"object:{value.name}"
     key = constant_key(value)
     return f"{_BY_IDENTITY}{id(value)}" if key is None else f"const:{key!r}"
 
@@ -282,10 +284,11 @@ def _content_key(sdfg, instrument: bool, backend: str) -> Tuple[str, bool]:
 
     feed(codegen_flags(instrument, backend))
     for name, desc in sorted(sdfg.arrays.items()):
+        zeroed = f"{_SEP}zeroed" if desc.zeroed else ""
         feed(
             f"array{_SEP}{name}{_SEP}{desc.shape!r}{_SEP}"
             f"{np.dtype(desc.dtype).str}{_SEP}{desc.axes}{_SEP}"
-            f"{desc.transient}"
+            f"{desc.transient}{zeroed}"
         )
     for lp in sdfg.loops:
         feed(f"loop{_SEP}{lp.first}{_SEP}{lp.last}{_SEP}{lp.count}")

@@ -305,9 +305,12 @@ def uncovered_reads(sdfg) -> List[UncoveredRead]:
     ranges. Inside a FORWARD/BACKWARD kernel a read at a vertical offset
     against the sweep direction is loop-carried, so every statement of
     the kernel counts as its producer. External (non-transient)
-    containers are the caller's to initialize and are never reported.
+    containers are the caller's to initialize and zeroed transients the
+    program's: neither is ever reported.
     """
-    transients = set(sdfg.transients())
+    transients = {
+        name for name in sdfg.transients() if not sdfg.arrays[name].zeroed
+    }
     order = _program_order(sdfg)
     statements = {
         pos: kernel_statements(node)
@@ -330,7 +333,7 @@ def uncovered_reads(sdfg) -> List[UncoveredRead]:
     for pos, (si, node) in enumerate(order):
         if pos in contacts:
             # a callback sees whole containers
-            for name in sorted(contacts[pos]):
+            for name in sorted(contacts[pos] & transients):
                 required = Range.from_shape(sdfg.arrays[name].shape)
                 reaching = [r for p, _, r in writes.get(name, []) if p < pos]
                 missing = _remainder(required, reaching)
@@ -396,14 +399,18 @@ def uncovered_reads(sdfg) -> List[UncoveredRead]:
 
 
 def transients_needing_zero(sdfg) -> List[str]:
-    """Transients some reader may observe before the program wrote them.
+    """Transients some reader may observe before the program wrote them,
+    and the ones declared zeroed.
 
     Pooled buffers hold arbitrary data on checkout, so the code generator
     zero-fills exactly these (before their first toucher, on every pass);
     every other transient is provably written before each read and is
     handed out as it comes."""
     needing = {r.name for r in uncovered_reads(sdfg) if not r.local}
-    return [name for name in sdfg.transients() if name in needing]
+    return [
+        name for name in sdfg.transients()
+        if name in needing or sdfg.arrays[name].zeroed
+    ]
 
 
 def transient_lifetimes(sdfg) -> Dict[str, Tuple[int, int]]:

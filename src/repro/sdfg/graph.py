@@ -36,6 +36,9 @@ class ArrayDesc:
     dtype: type = np.float64
     axes: str = "IJK"
     transient: bool = False
+    #: a transient the program zero-fills where it is born: a read that
+    #: no write covers reads zeros, not the slab's leftovers
+    zeroed: bool = False
 
     @property
     def volume(self) -> int:
@@ -162,6 +165,7 @@ class SDFG:
         dtype=np.float64,
         axes: str = "IJK",
         transient: bool = False,
+        zeroed: bool = False,
     ) -> str:
         if name in self.arrays:
             existing = self.arrays[name]
@@ -171,7 +175,9 @@ class SDFG:
                     f"(was {existing.shape})"
                 )
             return name
-        self.arrays[name] = ArrayDesc(tuple(shape), dtype, axes, transient)
+        self.arrays[name] = ArrayDesc(
+            tuple(shape), dtype, axes, transient, zeroed
+        )
         return name
 
     def add_transient(self, name: str, shape, dtype=np.float64, axes="IJK") -> str:

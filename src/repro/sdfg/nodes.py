@@ -66,6 +66,16 @@ class ContainerRef:
     name: str
 
 
+@dataclasses.dataclass(frozen=True)
+class ObjectRef:
+    """A callback argument that is an object, not an array, reached along
+    the attributes of the program's instance (a rank's halo handle): it
+    too is looked up by name in the ``arrays`` of each call, so the
+    program serves every instance it is bound to."""
+
+    name: str
+
+
 def constant_key(value):
     """Hashable by-value identity of a constant, or ``None`` when ``value``
     can only be told apart by object identity.
@@ -94,9 +104,10 @@ class Callback(Node):
     serializes callbacks against each other so optimization passes cannot
     reorder them (Calotoiu et al.).
 
-    Array arguments are :class:`ContainerRef`s, resolved per call; constant
-    arguments are kept by value. Any other argument is an opaque object
-    held by reference, which ties the program to that object.
+    Array arguments are :class:`ContainerRef`s and objects of the instance
+    :class:`ObjectRef`s, both resolved per call; constant arguments are
+    kept by value. Any other argument is an opaque object held by
+    reference, which ties the program to that object.
     """
 
     def __init__(self, label: str, func, args: Tuple = (), kwargs: Optional[Dict] = None):
@@ -110,16 +121,16 @@ class Callback(Node):
         self.writes: Optional[List[str]] = None
 
     def caller(self):
-        """``call(arrays)``: invoke the function with every container
-        reference replaced by that container's array."""
+        """``call(arrays)``: invoke the function with every container or
+        object reference replaced by what ``arrays`` binds its name to."""
         func, args, kwargs = self.func, self.args, self.kwargs
+        refs = (ContainerRef, ObjectRef)
         values = args + tuple(kwargs.values())
-        if not any(isinstance(v, ContainerRef) for v in values):
+        if not any(isinstance(v, refs) for v in values):
             return lambda arrays: func(*args, **kwargs)
 
         def resolve(value, arrays):
-            return arrays[value.name] if isinstance(value, ContainerRef) \
-                else value
+            return arrays[value.name] if isinstance(value, refs) else value
 
         def call(arrays):
             func(

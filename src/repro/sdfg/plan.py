@@ -100,7 +100,8 @@ class CompiledSDFG:
     """A compiled whole-program SDFG, materialised from its image.
 
     Call with ``arrays`` (container name → NumPy array for every
-    non-transient container) and optional ``scalars``. Per-kernel wall-clock
+    non-transient container, plus the object behind each callback's
+    ``ObjectRef``) and optional ``scalars``. Per-kernel wall-clock
     times are collected when the image was generated with
     ``instrument=True`` (used by the Fig. 10 analysis).
 
@@ -199,8 +200,9 @@ class CompiledSDFG:
             # container as an out=-scheduled destination so the R404
             # checker can catch live pooled scratch aliasing a kernel
             # output owned by someone else
-            for name, arr in arrays.items():
-                pool.note("bind", arr, label=f"sdfg:{self.sdfg.name}:{name}")
+            for name in self._required:
+                pool.note("bind", arrays[name],
+                          label=f"sdfg:{self.sdfg.name}:{name}")
         if not self.runtime_bytes:
             self._program(
                 arrays, scalars or {}, self._kernel_time, self._kernel_count, ()

@@ -97,23 +97,23 @@ def test_threaded_rollback_recovers_bit_identical():
 
 @pytest.mark.parametrize("workers", [1, 6], ids=["sequential", "threads"])
 def test_failed_section_leaves_no_messages_in_flight(workers):
-    """A stencil that raises between a start_* and its finish_* (here:
-    rank 0's c_sw, with the scalar exchange in flight) strands its
-    peers' messages; the remapping step drains them on the way out, so
-    the next step on the same core reposts every send cleanly — without
-    any ``resilience=`` harness."""
+    """A program that raises between a start_* and its finish_* (here:
+    rank 0's sub-step program, before its callback finished the scalar
+    exchange) strands its peers' messages; the remapping step drains
+    them on the way out, so the next step on the same core reposts every
+    send cleanly — without any ``resilience=`` harness."""
     ex = ranks.RankExecutor(workers)
     try:
         core = DynamicalCore(CFG, executor=ex)
         core.prepare()  # the stand-in below is no program to bind
-        c_sw = core.acoustics.c_sw
-        healthy = c_sw[0]
+        substeps = core.acoustics.substeps
+        healthy = substeps[0]
 
         def fails_once(*args):
-            c_sw[0] = healthy
-            raise RecoverableFault("injected: c_sw on rank 0")
+            substeps[0] = healthy
+            raise RecoverableFault("injected: sub-step on rank 0")
 
-        c_sw[0] = fails_once
+        substeps[0] = fails_once
         with pytest.raises(RecoverableFault, match="injected"):
             core.step_dynamics()
         assert core.halo.comm.pending() == []
@@ -129,6 +129,7 @@ def _per_rank_lists(core):
         "grids": core.grids, "states": core.states, "remap": core.remap,
         "tracer_adv": core.tracer_adv, "delp_start": core._delp_start,
         "remapped": core._remapped_fields, "work": ac.work,
+        "windows": ac.windows, "substeps": ac.substeps,
         "transports": ac.transports, "c_sw": ac.c_sw, "d_sw": ac.d_sw,
         "riemann": ac.riemann, "u": ac._u, "v": ac._v, "delp": ac._delp,
         "pt": ac._pt, "w": ac._w,

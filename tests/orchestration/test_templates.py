@@ -46,8 +46,7 @@ def _small(**changes) -> DynamicalCoreConfig:
 def _programs(core):
     """Every program instance of every rank that has been called."""
     ac = core.acoustics
-    modules = (ac.c_sw + ac.d_sw + ac.riemann + ac.transports + ac.work
-               + core.remap + core.tracer_adv)
+    modules = ac.riemann + ac.substeps + core.tracer_adv + core.remap
     for module in modules:
         for name, value in vars(module).items():
             if name.startswith("_orchestrated_") and value._bindings:
@@ -68,8 +67,8 @@ def test_every_binding_equals_a_fresh_trace(scenario, layout):
     ranks = core.partitioner.total_ranks
     # sharing really happened: one trace per program and variant, the
     # other ranks bound
-    assert stats["program_traces"] == stats["templates"] <= 8 * layout**2
-    assert stats["program_traces"] + stats["program_binds"] == 8 * ranks
+    assert stats["program_traces"] == stats["templates"] <= 4 * layout**2
+    assert stats["program_traces"] + stats["program_binds"] == 4 * ranks
     checked = 0
     for program in _programs(core):
         for binding in program._bindings.values():
@@ -87,7 +86,7 @@ def test_every_binding_equals_a_fresh_trace(scenario, layout):
             for name, array in arrays.items():
                 assert binding.arrays[name] is array, (program.name, name)
             checked += 1
-    assert checked == 8 * ranks
+    assert checked == 4 * ranks
 
 
 # ---------------------------------------------------------------------------
@@ -107,21 +106,22 @@ def _step_counts(config):
 
 
 def test_equal_configuration_binds_everything():
-    assert _step_counts(_small()) == (8, 40)
-    assert _step_counts(_small()) == (0, 48)
+    assert _step_counts(_small()) == (4, 20)
+    assert _step_counts(_small()) == (0, 24)
 
 
 def test_folded_constant_retraces_only_its_readers():
     _step_counts(_small())
-    # only DGridSolver.damp_fields folds config.d2_damp
-    assert _step_counts(_small(d2_damp=0.05)) == (1, 47)
-    assert cc.stats()["templates"] == 9
+    # only the sub-step program (DGridSolver.damp_fields, inlined) folds
+    # config.d2_damp
+    assert _step_counts(_small(d2_damp=0.05)) == (1, 23)
+    assert cc.stats()["templates"] == 5
 
 
 def test_different_npz_shares_nothing():
     _step_counts(_small())
-    assert _step_counts(_small(npz=5)) == (8, 40)
-    assert cc.stats()["templates"] == 16
+    assert _step_counts(_small(npz=5)) == (4, 20)
+    assert cc.stats()["templates"] == 8
 
 
 @stencil
@@ -269,7 +269,8 @@ def test_int_argument_is_part_of_the_binding_key():
 
 
 class Logger:
-    """Passes a list — no by-value identity — to its callback."""
+    """Passes its own list — no by-value identity, reached through the
+    instance — to its callback."""
 
     def __init__(self):
         self.seen = []
@@ -279,15 +280,38 @@ class Logger:
         _record_corners(q, ("sw",), self.seen)
 
 
-def test_opaque_callback_argument_is_never_shared():
+def _count_options(q, options):
+    q += len(options["corners"])
+
+
+class Tagger:
+    """Passes its callback an object the program itself makes."""
+
+    @orchestrate
+    def fill(self, q: np.ndarray):
+        _count_options(q, dict(corners=("sw",)))
+
+
+def test_callback_object_of_the_instance_is_bound_per_instance():
     first, second = Logger(), Logger()
     for logger in (first, second):
         logger.fill(np.zeros(SHAPE))
-    # each instance's callback got that instance's list
+    # each instance's callback got that instance's list ...
     assert first.seen == [("sw",)] and second.seen == [("sw",)]
+    # ... from one template and one compiled program
+    stats = cc.stats()
+    assert (stats["program_traces"], stats["program_binds"]) == (1, 1)
+    assert stats["templates"] == 1 and stats["misses"] == 1
+
+
+def test_opaque_callback_argument_is_never_shared():
+    for tagger in (Tagger(), Tagger()):
+        q = np.zeros(SHAPE)
+        tagger.fill(q)
+        assert q[0, 0, 0] == 1.0
     stats = cc.stats()
     assert stats["program_traces"] == 2 and stats["templates"] == 0
-    # and the compiled programs differ: the list is keyed by identity
+    # and the compiled programs differ: the object is keyed by identity
     assert stats["misses"] == 2
 
 
@@ -325,8 +349,8 @@ def test_rank_threads_trace_each_program_once():
     threaded = run("baroclinic_wave", config, steps=1, executor="threads",
                    check=False)
     stats = cc.stats()
-    assert stats["program_traces"] == stats["templates"] == 8
-    assert stats["program_binds"] == 40
+    assert stats["program_traces"] == stats["templates"] == 4
+    assert stats["program_binds"] == 20
     assert all(len(f.templates) == 1 for f in cc._FAMILIES.values())
     cc.reset(clear=True)
     sequential = run("baroclinic_wave", config, steps=1,
@@ -642,9 +666,9 @@ def test_every_restored_binding_equals_a_fresh_trace(scenario, layout,
     core, stats = _restored_core(scenario, _small(layout=layout))
     ranks = core.partitioner.total_ranks
     assert stats["program_traces"] == 0 and stats["misses"] == 0
-    assert stats["program_binds"] == 8 * ranks
+    assert stats["program_binds"] == 4 * ranks
     assert stats["programs_restored"] == stats["templates"] \
-        == stats["hits"] <= 8 * layout**2
+        == stats["hits"] <= 4 * layout**2
     checked = 0
     for program in _programs(core):
         for binding in program._bindings.values():
@@ -684,13 +708,13 @@ def test_every_restored_binding_equals_a_fresh_trace(scenario, layout,
                 assert [f.key for f in again.kernel_functions] \
                     == [f.key for f in plan.kernel_functions]
             checked += 1
-    assert checked == 8 * ranks
+    assert checked == 4 * ranks
 
 
 def test_a_changed_constant_restores_beside_the_first_template():
     """``d2_damp`` is folded into ``DGridSolver.damp_fields`` alone: on a
-    2x2 layout the second configuration traces only that program's
-    variants, which join the family's record — and a later process
+    2x2 layout the second configuration traces only the variants of the
+    sub-step program that inlines it, which join the family's record — and a later process
     restores both configurations without tracing."""
     base, other = _small(layout=2), _small(layout=2, d2_damp=0.05)
     for config in (base, other):

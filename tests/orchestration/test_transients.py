@@ -172,14 +172,16 @@ def test_transient_as_a_top_level_argument_is_discarded_scratch():
 
 
 def test_callback_handed_only_containers_declares_them():
-    """A plain function that gets arrays and constants can touch nothing
-    else of the program, so it is no barrier for the transients."""
+    """A plain function that gets arrays, constants and objects of the
+    instance can touch no transient of the program, so it is no barrier
+    for them; any other callable may reach anything."""
     from repro.sdfg.nodes import Callback
 
     class WithCallback:
         def __init__(self):
             self.tmp = transient(SHAPE)
             self.log = []
+            self.recorder = _Recorder()
 
         @orchestrate
         def declared(self, q: np.ndarray, out: np.ndarray):
@@ -188,13 +190,20 @@ def test_callback_handed_only_containers_declares_them():
             _add(q, self.tmp, out, **FULL)
 
         @orchestrate
-        def opaque(self, q: np.ndarray, out: np.ndarray):
+        def with_object(self, q: np.ndarray, out: np.ndarray):
             _record(q, self.log)
             _scale(q, self.tmp, 2.0, **FULL)
             _add(q, self.tmp, out, **FULL)
 
+        @orchestrate
+        def opaque(self, q: np.ndarray, out: np.ndarray):
+            self.recorder(q)
+            _scale(q, self.tmp, 2.0, **FULL)
+            _add(q, self.tmp, out, **FULL)
+
     module = WithCallback()
-    for name, declared in (("declared", ["q"]), ("opaque", None)):
+    for name, declared in (("declared", ["q"]), ("with_object", ["q"]),
+                           ("opaque", None)):
         program = getattr(module, name)
         program(np.ones(SHAPE), np.zeros(SHAPE))
         (callback,) = [n for n in program.sdfg.all_nodes()
@@ -204,6 +213,16 @@ def test_callback_handed_only_containers_declares_them():
         # zeroed before it runs; a declared one leaves it alone
         fills = program._binding.plan.source.count(".fill(0)")
         assert fills == (0 if declared else 1)
+    assert module.log == [float(SHAPE[0] * SHAPE[1] * SHAPE[2])]
+    assert module.recorder.log == module.log
+
+
+class _Recorder:
+    def __init__(self):
+        self.log = []
+
+    def __call__(self, q):
+        _record(q, self.log)
 
 
 def _record(q, log):

@@ -50,7 +50,7 @@ def _assert_bit_identical(a, b):
 
 def test_nanflip_rollback_recovers_bit_identical_on_compiled():
     clean = _run("compiled")
-    plan = ChaosPlan.from_spec("seed=7;stencil.nanflip@29")
+    plan = ChaosPlan.from_spec("seed=7;stencil.nanflip@26")
     faulty = _run("compiled", plan, ROLLBACK)
     assert plan.counts() == {"stencil.nanflip": 1}
     counters = resilience.summary()["counters"]
@@ -62,7 +62,7 @@ def test_nanflip_rollback_recovers_bit_identical_on_compiled():
 def test_compiled_recovery_matches_default_backend():
     """The recovered compiled-backend state equals the recovered
     default-backend state — recovery does not depend on the backend."""
-    plan_spec = "seed=7;stencil.nanflip@29"
+    plan_spec = "seed=7;stencil.nanflip@26"
     a = _run("compiled", ChaosPlan.from_spec(plan_spec), ROLLBACK)
     resilience.reset()
     b = _run(default_backend(), ChaosPlan.from_spec(plan_spec), ROLLBACK)

@@ -52,10 +52,10 @@ def test_run_result_structure(two_member_run):
     am = result.amortization
     assert am["members"] == 2
     assert am["grid_builds_avoided"] == 6  # second member shares geometry
-    # every program call of the run either traced or bound (8 per rank),
+    # every program call of the run either traced or bound (4 per rank),
     # and each program is traced once for both members and all ranks
-    assert am["program_traces"] + am["program_binds"] == 8 * 6
-    assert am["program_traces"] <= 8
+    assert am["program_traces"] + am["program_binds"] == 4 * 6
+    assert am["program_traces"] <= 4
     # the engine is shared; per-member state lives on the members
     assert result.engine is not None
     assert len(result.member(0).states) == result.config.total_ranks
@@ -226,6 +226,6 @@ def test_finished_runs_are_released():
         entries.append(stats["entries"])
         templates.append(stats["templates"])
     assert entries[0] == entries[1] == entries[2]
-    assert templates == [8, 8, 8]
+    assert templates == [4, 4, 4]
     assert state() is None
-    assert compile_cache.stats()["program_traces"] == 8
+    assert compile_cache.stats()["program_traces"] == 4

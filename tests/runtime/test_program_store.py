@@ -622,9 +622,9 @@ def test_a_second_process_restores_everything_and_builds_nothing(tmp_path):
         assert report["cache"]["programs_stale"] == 0
         assert report["cache"]["programs_unpersistable"] == 0
     cache, kernels = cold["cache"], cold["jit"]
-    assert (cache["program_traces"], cache["program_binds"]) == (8, 40)
-    assert (cache["misses"], cache["hits"]) == (8, 0)
-    assert (cache["programs_stored"], cache["programs_restored"]) == (8, 0)
+    assert (cache["program_traces"], cache["program_binds"]) == (4, 20)
+    assert (cache["misses"], cache["hits"]) == (4, 0)
+    assert (cache["programs_stored"], cache["programs_restored"]) == (4, 0)
     # equal kernels of different programs are one kernel
     assert 0 < kernels["kernels_built"] < kernels["kernels_requested"]
     assert kernels["builds"] == 1
@@ -632,10 +632,10 @@ def test_a_second_process_restores_everything_and_builds_nothing(tmp_path):
     assert cold["subprocesses"] == kernels["compiles"] + cold["probes"]
     assert TRACE_SIDE <= set(cold["modules"])
     cache, kernels = primed["cache"], primed["jit"]
-    assert (cache["program_traces"], cache["program_binds"]) == (0, 48)
-    assert cache["templates"] == 8
-    assert cache["by_backend"] == {"compiled": {"hits": 8, "misses": 0}}
-    assert (cache["programs_stored"], cache["programs_restored"]) == (0, 8)
+    assert (cache["program_traces"], cache["program_binds"]) == (0, 24)
+    assert cache["templates"] == 4
+    assert cache["by_backend"] == {"compiled": {"hits": 4, "misses": 0}}
+    assert (cache["programs_stored"], cache["programs_restored"]) == (0, 4)
     assert kernels["kernels_requested"] == kernels["kernels_reused"] \
         == cold["jit"]["kernels_requested"]
     assert (kernels["kernels_built"], kernels["builds"],
@@ -670,6 +670,6 @@ def test_two_cold_processes_on_one_directory_agree(tmp_path):
     third = _child(script, jit_dir=store, REPRO_BACKEND="numpy")
     assert third["digest"] == outs[0]["digest"]
     assert third["cache"]["program_traces"] == 0
-    assert third["cache"]["programs_restored"] == 8
-    assert third["cache"]["by_backend"] == {"numpy": {"hits": 8, "misses": 0}}
+    assert third["cache"]["programs_restored"] == 4
+    assert third["cache"]["by_backend"] == {"numpy": {"hits": 4, "misses": 0}}
     assert third["jit"]["cache_repairs"] == 0
