@@ -64,11 +64,6 @@ def _candidate_steps(sdfg, xform_name: str) -> List[Tuple[object, Step]]:
     return out
 
 
-def _apply_step(sdfg, concrete) -> None:
-    state, cand, xform = concrete
-    xform.apply(sdfg, state, cand)
-
-
 def make_evaluator(
     machine: Optional[MachineModel] = None,
     measured: bool = False,

@@ -9,13 +9,11 @@ which turns each fused kernel plan into a JITted scalar loop nest
 full-domain ufunc calls. The bit-exactness contract against the NumPy
 emission holds: same evaluation order, ``fastmath`` off.
 
-Graceful degradation: when no JIT engine is usable (numba absent *and* no
-C compiler — see :mod:`repro.runtime.jit`) the executor warns once and
-compiles through the NumPy emission instead, i.e. it behaves exactly like
-the ``dataflow`` backend. This composes with ``REPRO_FALLBACK``: the
-registry-level degradation here is about a missing toolchain and is
-always on, while ``REPRO_FALLBACK=0`` only disables the *runtime*
-re-execution of failing compiled stencils on the NumPy debug backend
+Graceful degradation: when no JIT engine is usable (no C compiler — see
+:mod:`repro.runtime.jit`) the executor warns once and compiles through the
+NumPy emission instead, i.e. it behaves exactly like the ``dataflow``
+backend. This is about a missing toolchain; a compiled stencil that fails
+at run time is re-executed on the NumPy debug backend instead
 (:mod:`repro.resilience`).
 """
 
@@ -56,10 +54,10 @@ class CompiledStencilExecutor(DataflowStencilExecutor):
                 return get_or_compile(sdfg, backend="compiled")
             except JitUnavailableError as exc:
                 # engine resolved but its toolchain broke at use
-                # (e.g. REPRO_JIT=numba without numba installed)
+                # (e.g. REPRO_JIT=cgen without a C compiler)
                 _warn_once(str(exc))
         else:
-            _warn_once("no JIT engine: numba not installed and no C compiler")
+            _warn_once("no JIT engine: no C compiler")
         return get_or_compile(sdfg, backend="numpy")
 
 

@@ -72,10 +72,6 @@ class Extent:
         """The symmetric horizontal halo width needed to satisfy this extent."""
         return max(-self.i_lo, self.i_hi, -self.j_lo, self.j_hi, 0)
 
-    def horizontal_points(self, ni: int, nj: int) -> int:
-        """Number of horizontal points in the extended compute domain."""
-        return (ni - self.i_lo + self.i_hi) * (nj - self.j_lo + self.j_hi)
-
 
 @dataclasses.dataclass
 class StencilExtents:

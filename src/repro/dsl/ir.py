@@ -20,8 +20,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.dsl.builtins import RegionSpec
 from repro.dsl.types import FieldType
 
@@ -371,11 +369,3 @@ def count_flops(expr: Expr) -> int:
                 else 2
             )
     return total
-
-
-def literal_dtype(value) -> type:
-    if isinstance(value, bool):
-        return np.bool_
-    if isinstance(value, int):
-        return np.int64
-    return np.float64

@@ -140,10 +140,7 @@ class StencilObject:
         try:
             executor(fields, scalars, origin, domain, bounds)
         except Exception as exc:
-            if (
-                backend_name == FALLBACK_BACKEND
-                or not _resilience.fallback_enabled()
-            ):
+            if backend_name == FALLBACK_BACKEND:
                 raise
             _resilience.record_fallback(self.name, backend_name, exc)
             fallback = self._executor(FALLBACK_BACKEND)

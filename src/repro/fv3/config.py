@@ -1,8 +1,7 @@
 """Model configuration (the namelist analogue).
 
 The configuration drives orchestration-time constant propagation: loop
-counts (``k_split``, ``n_split``, tracer count) and option flags
-(hydrostatic branch elimination, damping options) are compile-time
+counts (``k_split``, ``n_split``, tracer count) are compile-time
 constants of the built SDFG, as in the paper (Sec. V-B).
 """
 
@@ -26,10 +25,8 @@ class DynamicalCoreConfig:
         k_split: remapping sub-steps per physics step.
         n_split: acoustic sub-steps per remapping step.
         n_tracers: number of advected tracer species.
-        hydrostatic: hydrostatic option (False in the paper's evaluation).
         d2_damp: divergence-damping coefficient (nondimensional).
         smag_coeff: Smagorinsky diffusion coefficient (cs in Sec. VI-C1).
-        tau: Rayleigh-ish damping timescale for winds [s] (0 disables).
     """
 
     npx: int = 24
@@ -39,10 +36,8 @@ class DynamicalCoreConfig:
     k_split: int = 2
     n_split: int = 4
     n_tracers: int = 1
-    hydrostatic: bool = False
     d2_damp: float = 0.15
     smag_coeff: float = 0.2
-    tau: float = 0.0
 
     def __post_init__(self):
         if self.npx < 4:

@@ -97,9 +97,9 @@ class DynamicalCore:
         # is attached to — the halo updater never knows which
         self.halo = HaloUpdater(self.partitioner, n_halo=n_halo, comm=comm)
         # the rank executor schedules the per-rank SPMD bodies; the
-        # default reads REPRO_RANKS (1 → lockstep on this thread)
+        # default runs them in lockstep on this thread
         self.executor = executor if executor is not None \
-            else _ranks.get_executor()
+            else _ranks.RankExecutor()
         # the ranks this core builds and steps: the communicator's (all
         # of them, unless it is one endpoint of a shared mailbox). Every
         # per-rank list below is indexed by rank and holds ``None`` for

@@ -102,16 +102,6 @@ def conservative_remap_1d(q, pe1, pe2):
     return out
 
 
-def vorticity_centered(u, v, rdx, rdy):
-    """Reference centered-difference vorticity at interior points."""
-    vort = np.zeros_like(u)
-    vort[1:-1, 1:-1] = (
-        0.5 * (v[2:, 1:-1] - v[:-2, 1:-1]) * rdx[1:-1, 1:-1, None]
-        - 0.5 * (u[1:-1, 2:] - u[1:-1, :-2]) * rdy[1:-1, 1:-1, None]
-    )
-    return vort
-
-
 def smagorinsky(delpc, vort, dt):
     """Reference Smagorinsky magnitude (the Sec. VI-C1 formula)."""
     return dt * np.sqrt(delpc**2 + vort**2)

@@ -125,12 +125,6 @@ def _intervals_overlap(a: Interval, b: Interval, dk: int = 0) -> bool:
     return lo < hi
 
 
-def _interval_covers(outer: Interval, inner: Interval) -> bool:
-    return _key(outer.start) <= _key(inner.start) and _key(
-        inner.end
-    ) <= _key(outer.end)
-
-
 def _gap_between(first: Interval, second: Interval) -> bool:
     """Is there a hole between ``first`` and ``second`` (sorted by start)?"""
     return _key(first.end) < _key(second.start)

@@ -364,10 +364,10 @@ class OrchestratedProgram:
         #: call-argument key → binding; ``_binding`` is the one last used
         self._bindings: Dict[tuple, _Binding] = {}
         self._binding: Optional[_Binding] = None
-        #: sticky codegen flags: once instrumented (or pinned to a
-        #: backend by ``compile``), bindings made for new argument
-        #: identities compile the same way instead of silently dropping
-        #: them
+        #: sticky codegen flags: once ``compile`` instrumented or pinned
+        #: a backend, bindings made for new argument identities compile
+        #: the same way instead of silently dropping them; without it a
+        #: plan is instrumented exactly while tracing is on
         self._instrument = False
         self._backend: Optional[str] = None
         #: parameter names, read once — every call needs them to find the
@@ -419,10 +419,11 @@ class OrchestratedProgram:
 
         Both flags are sticky: a binding made for new argument identities
         compiles with the same instrumentation and backend, so kernel
-        timing attribution survives across specializations. Without a
-        ``backend`` pinned here a program follows the DSL's default
-        backend (:meth:`_backend_wanted`); a compiled request without a
-        usable JIT engine degrades (warn once) to NumPy.
+        timing attribution survives across specializations and outlives
+        tracing. Without a ``backend`` pinned here a program follows the
+        DSL's default backend (:meth:`_backend_wanted`), and without
+        ``instrument`` whether tracing is on; a compiled request without
+        a usable JIT engine degrades (warn once) to NumPy.
         """
         if self._binding is None:
             raise OrchestrationError("build() the program first")
@@ -443,20 +444,27 @@ class OrchestratedProgram:
             return "compiled"
         return "numpy"
 
+    def _instrument_wanted(self) -> bool:
+        """Whether a plan is instrumented now: ``compile`` asked for it,
+        or tracing is on."""
+        return self._instrument or _TRACER.enabled
+
     def _replan(self, binding: _Binding) -> _Binding:
-        """Give ``binding`` the plan of the backend wanted now."""
+        """Give ``binding`` the plan of the backend and instrumentation
+        wanted now."""
         from repro.dsl.backend_compiled import _warn_once
         from repro.runtime import jit
 
         wanted = resolved = self._backend_wanted()
+        instrument = self._instrument_wanted()
         if resolved == "compiled" and not jit.available():
-            _warn_once("no JIT engine: numba not installed and no C compiler")
+            _warn_once("no JIT engine: no C compiler")
             resolved = "numpy"
         try:
-            plan = binding.template.plan(self._instrument, resolved)
+            plan = binding.template.plan(instrument, resolved)
         except jit.JitUnavailableError as exc:
             _warn_once(str(exc))
-            plan = binding.template.plan(self._instrument, "numpy")
+            plan = binding.template.plan(instrument, "numpy")
         binding.plan, binding.backend = plan, wanted
         return binding
 
@@ -464,17 +472,12 @@ class OrchestratedProgram:
         """Bind this instance to a published template, or trace it (one
         thread per family at a time) and publish the result."""
         held = (args, kwargs)
-        self._instrument = bool(self._instrument or _TRACER.enabled)
-        family = None
         # a closure never shares (see _Template), and keying a family on
         # it would keep its cells — often arrays — alive
-        closure = getattr(self.func, "__closure__", None)
-        if not closure:
-            family = _cache.template_family(self._family_key())
-        if family is None:  # REPRO_COMPILE_CACHE=0, or a closure
-            if closure:
-                _cache.COUNTERS.add("programs_unpersistable")
+        if getattr(self.func, "__closure__", None):
+            _cache.COUNTERS.add("programs_unpersistable")
             return self._trace_and_compile(args, kwargs)
+        family = _cache.template_family(self._family_key())
         bound = dict(zip(self._parameters(), args))
         bound.update(kwargs)
         binding = self._match(family.templates, bound, held)
@@ -653,11 +656,15 @@ class OrchestratedProgram:
         if binding is None:
             binding = self._bindings[key] = self._bind(args, kwargs)
         self._binding = binding
-        if binding.backend != self._backend_wanted():
+        if (
+            binding.backend != self._backend_wanted()
+            or binding.plan.instrument != self._instrument_wanted()
+        ):
             # build() without compile(), or the default backend has been
-            # switched since this binding was planned
+            # switched or tracing turned on or off since this binding was
+            # planned
             with _TRACER.span("orchestrate.compile"):
-                self.compile(instrument=_TRACER.enabled)
+                self._replan(binding)
         return binding
 
     def bind(self, *args, **kwargs) -> None:

@@ -16,19 +16,18 @@ backends → dyncore → obs:
   re-executes on the bit-exact NumPy debug backend
   (:meth:`repro.dsl.stencil.StencilObject.__call__`), and halo receives
   poll with a bounded budget instead of crashing on the first miss.
+  A failure on the NumPy backend itself propagates to the dyncore retry
+  loop, or to the caller.
 
 Every recovery action increments a counter of the registered
 ``resilience`` set (:mod:`repro.obs.counters`: a rank worker's counts
 reach its parent) surfaced in the ``repro.obs`` report footer;
 :func:`summary` is the machine-facing view.
-``REPRO_FALLBACK=0`` disables the backend fallback (failures then
-propagate to the dyncore retry loop, or to the caller).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import warnings
 from typing import Dict, List, Optional, Tuple
 
@@ -85,7 +84,6 @@ __all__ = [
     "Snapshot",
     "StateGuard",
     "chaos",
-    "fallback_enabled",
     "load_checkpoint",
     "record",
     "record_fallback",
@@ -166,11 +164,6 @@ def record_fallback(stencil: str, backend: str, exc: BaseException) -> None:
         FallbackWarning,
         stacklevel=3,
     )
-
-
-def fallback_enabled() -> bool:
-    """Whether failed compiled-backend stencils re-run on NumPy."""
-    return os.environ.get("REPRO_FALLBACK", "1") != "0"
 
 
 def summary() -> Dict[str, object]:

@@ -91,7 +91,7 @@ def resolve_executor(
     """Resolve the facade's ``executor=`` argument.
 
     Returns ``(executor_or_None, owned)`` — ``None`` defers to the
-    process default (``REPRO_RANKS``); ``owned`` means the caller is
+    core's default (lockstep); ``owned`` means the caller is
     responsible for ``shutdown()``.
     """
     if executor is None:

@@ -83,11 +83,8 @@ transient/local working set; program traces, binds and live templates;
 into one, records refused, traces that no other process could use — and
 ``restore_bytes`` / ``restore_seconds``) are surfaced through
 ``repro.obs`` spans and the report footer; a plan materialised from its
-record counts as a **hit** of its backend. ``REPRO_COMPILE_CACHE=0``
-disables both levels, in memory and on disk (every new binding retraces
-and recompiles, nothing is read or written);
-``REPRO_COMPILE_CACHE_SIZE`` bounds each of them in memory (LRU, default
-256 programs and 256 templates).
+record counts as a **hit** of its backend. :data:`MAX_ENTRIES` bounds
+each of the two levels in memory (LRU: 256 programs and 256 templates).
 """
 
 from __future__ import annotations
@@ -116,7 +113,7 @@ from repro.runtime import jit as _jit
 __all__ = ["get_or_compile", "cache_key", "codegen_flags", "template_family",
            "TemplateFamily", "COUNTERS", "stats", "reset", "Manifest",
            "Unpersistable", "reference", "record_name", "load_record",
-           "store_record", "restoring"]
+           "store_record", "restoring", "MAX_ENTRIES"]
 
 _SEP = "\x1f"
 #: prefix of every part of a content key that names an object by its
@@ -182,12 +179,8 @@ _MATERIALISE = {
 }
 
 
-def _enabled() -> bool:
-    return os.environ.get("REPRO_COMPILE_CACHE", "1") != "0"
-
-
-def _max_entries() -> int:
-    return int(os.environ.get("REPRO_COMPILE_CACHE_SIZE", "256"))
+#: the LRU bound of the programs, and of the templates, held in memory
+MAX_ENTRIES = 256
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +246,14 @@ def _callback_arg_repr(value) -> str:
 def codegen_flags(instrument: bool = False, backend: str = "numpy") -> str:
     """Everything besides the SDFG that changes the generated program:
     the emission backend and, for the compiled backend, what shapes its
-    loop nests (JIT engine, thread count, k-block override, and the
-    machine model whose cache size and balance pick tiles and decide
-    what is recomputed)."""
+    loop nests (JIT engine, thread count, and the machine model whose
+    cache size and balance pick tiles and decide what is recomputed)."""
     flags = [f"instrument={instrument}", f"backend={backend}"]
     if backend == "compiled":
         from repro.obs.metrics import observed_machine
 
         flags.append(
             f"jit={_jit.engine_name()};threads={_jit.default_threads()};"
-            f"kblock={_jit.k_block_override()};"
             f"machine={observed_machine().name}"
         )
     return "\x1e".join(flags)
@@ -354,8 +345,6 @@ def get_or_compile(sdfg, instrument: bool = False, backend: str = "numpy"):
 
     if any(state.library_nodes for state in sdfg.states):
         sdfg.expand_library_nodes()
-    if not _enabled():
-        return materialise(sdfg, _half(_GENERATE, backend)(sdfg, instrument))
 
     tracer = _obs.get_tracer()
     with tracer.span("sdfg.compile") as sp:
@@ -386,7 +375,7 @@ def get_or_compile(sdfg, instrument: bool = False, backend: str = "numpy"):
             with contextlib.suppress(Unpersistable):
                 store_record(record, Manifest(), image)
     _CACHE[key] = program
-    while len(_CACHE) > _max_entries():
+    while len(_CACHE) > MAX_ENTRIES:
         _CACHE.popitem(last=False)
     return program
 
@@ -413,12 +402,12 @@ class TemplateFamily:
 
     def publish(self, template) -> None:
         """Add a template (caller holds ``lock``) and evict the least
-        recently used ones beyond ``REPRO_COMPILE_CACHE_SIZE``."""
+        recently used ones beyond :data:`MAX_ENTRIES`."""
         self.templates += (template,)
         with _FAMILIES_LOCK:
             excess = (
                 sum(len(f.templates) for f in _FAMILIES.values())
-                - _max_entries()
+                - MAX_ENTRIES
             )
             while excess > 0 and _FAMILIES:
                 key, oldest = next(iter(_FAMILIES.items()))
@@ -429,16 +418,14 @@ class TemplateFamily:
                     del _FAMILIES[key]
 
 
-def template_family(key: Hashable) -> Optional[TemplateFamily]:
+def template_family(key: Hashable) -> TemplateFamily:
     """The family for ``key`` (created on first use, refreshed in the LRU
-    order), or ``None`` when ``REPRO_COMPILE_CACHE=0``."""
-    if not _enabled():
-        return None
+    order)."""
     with _FAMILIES_LOCK:
         family = _FAMILIES.get(key)
         if family is None:
             family = _FAMILIES[key] = TemplateFamily()
-            while len(_FAMILIES) > _max_entries():
+            while len(_FAMILIES) > MAX_ENTRIES:
                 _FAMILIES.popitem(last=False)
         else:
             _FAMILIES.move_to_end(key)

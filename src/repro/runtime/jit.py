@@ -1,25 +1,22 @@
-"""JIT engines and the kernel store of the compiled CPU backend.
+"""The JIT engine and the kernel store of the compiled CPU backend.
 
 The ``compiled`` backend (:mod:`repro.sdfg.codegen_compiled`) lowers each
 fused SDFG kernel to a scalar loop nest and needs *some* way to run that
-nest at machine speed. Three engines are supported, probed in order:
+nest at machine speed:
 
-- ``numba`` — the loop nest is printed as Python source and wrapped in
-  ``numba.njit(fastmath=False)`` (``parallel=True`` + ``prange`` when more
-  than one thread is configured). Preferred when numba is importable.
 - ``cgen`` — the loop nest is printed as C99, compiled with the system C
   compiler (``-O3 -shared -fPIC -ffp-contract=off``, never ``-ffast-math``,
   for the host's own instruction set when the compiler can target it)
-  and loaded through :mod:`ctypes`. Chosen when numba is absent but a C
-  compiler exists, so the backend works on a bare Python toolchain.
-- ``none`` — neither is available; the backend registry degrades to the
+  and loaded through :mod:`ctypes`. Chosen whenever a C compiler exists,
+  so the backend works on a bare Python toolchain.
+- ``none`` — there is no compiler; the backend registry degrades to the
   ``dataflow`` backend with a single warning (see
   :mod:`repro.dsl.backend_compiled`).
 
-``REPRO_JIT=numba|cgen|pyloops|none`` forces an engine (``pyloops``
-executes the generated Python loop nest uninterpreted — orders of
-magnitude slower, but it validates the printed semantics without any
-toolchain and is what the test suite uses to cross-check the printers).
+``REPRO_JIT=cgen|pyloops|none`` forces an engine (``pyloops`` executes
+the nest printed as Python, uninterpreted — orders of magnitude slower,
+but it validates the printed semantics without any toolchain and is what
+the test suite uses to cross-check the two printers).
 
 **The kernel is the unit of identity.** A kernel is printed under the
 placeholder name :data:`SYMBOL`; its key is a hash of that text together
@@ -122,7 +119,6 @@ __all__ = [
     "JitCacheWarning",
     "JitUnavailableError",
     "JitCompileError",
-    "JitConfigError",
     "KernelSource",
     "SYMBOL",
     "engine_name",
@@ -134,13 +130,12 @@ __all__ = [
     "compile_py",
     "default_threads",
     "jit_dir",
-    "k_block_override",
     "stats",
     "sweep_stale_tmps",
     "reset",
 ]
 
-_ENGINES = ("numba", "cgen", "pyloops", "none")
+_ENGINES = ("cgen", "pyloops", "none")
 
 #: the function name a kernel is printed under; :func:`load_c` replaces
 #: it by the kernel's own symbol ``repro_k_<key>``
@@ -217,20 +212,6 @@ class JitCompileError(RuntimeError):
     """The C compiler rejected generated source (a codegen bug)."""
 
 
-class JitConfigError(ValueError):
-    """An environment setting of the compiled backend has an unusable
-    value."""
-
-
-def _numba_available() -> bool:
-    try:
-        import numba  # noqa: F401
-
-        return True
-    except Exception:
-        return False
-
-
 def _find_cc() -> Optional[str]:
     forced = os.environ.get("REPRO_CC")
     if forced:
@@ -245,9 +226,9 @@ def _find_cc() -> Optional[str]:
 def engine_name() -> str:
     """Resolve (once) the active engine name.
 
-    ``REPRO_JIT`` forces a choice; otherwise numba is preferred, then a C
-    compiler, then ``"none"``. A forced engine whose toolchain is missing
-    still resolves — :func:`load_c`/:func:`compile_py` raise
+    ``REPRO_JIT`` forces a choice; otherwise ``"cgen"`` when a C
+    compiler is found, else ``"none"``. A forced engine whose toolchain
+    is missing still resolves — :func:`load_c` raises
     :class:`JitUnavailableError` at use, which the backend's degradation
     path turns into a warn-once fallback.
     """
@@ -261,8 +242,6 @@ def engine_name() -> str:
                         f"REPRO_JIT={forced!r}: expected one of {_ENGINES}"
                     )
                 _ENGINE = forced
-            elif _numba_available():
-                _ENGINE = "numba"
             elif _find_cc() is not None:
                 _ENGINE = "cgen"
             else:
@@ -281,19 +260,6 @@ def default_threads() -> int:
     if env:
         return max(1, int(env))
     return max(1, min(os.cpu_count() or 1, 8))
-
-
-def k_block_override() -> Optional[int]:
-    """``REPRO_KBLOCK`` as a positive int, ``None`` when unset — the one
-    reader, so kernel lowering and the compile-cache key agree."""
-    env = os.environ.get("REPRO_KBLOCK", "").strip()
-    if not env:
-        return None
-    if not env.isdecimal() or int(env) < 1:
-        raise JitConfigError(
-            f"REPRO_KBLOCK={env!r}: expected a positive integer"
-        )
-    return int(env)
 
 
 def jit_dir() -> str:
@@ -846,61 +812,34 @@ def _build(requests: List[_Request]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# numba / pyloops engines
+# the pyloops engine
 # ---------------------------------------------------------------------------
 
 
-def compile_py(source: str, func_name: str, parallel: bool = False):
-    """Materialize one printed Python loop nest, once per distinct text.
-
-    Under the ``numba`` engine the function is wrapped in
-    ``njit(fastmath=False)``; under ``pyloops`` it is returned as plain
-    (slow) Python. ``__prange`` in the source binds to ``numba.prange``
-    only when both the engine and ``parallel`` ask for it.
-    """
+def compile_py(source: str, func_name: str):
+    """Materialize one printed Python loop nest, once per distinct text,
+    as plain (slow) Python: the ``pyloops`` engine."""
     import numpy as np
 
     engine = engine_name()
-    if engine not in ("numba", "pyloops"):
+    if engine != "pyloops":
         raise JitUnavailableError(
             f"compile_py called under engine {engine!r}"
         )
-    if engine == "numba" and not _numba_available():
-        raise JitUnavailableError(
-            "REPRO_JIT=numba but numba is not importable"
-        )
-    parallel = parallel and engine == "numba"
 
     def produce(mine: List[_Flight]) -> None:
-        namespace: Dict[str, object] = {"np": np, "__prange": range}
-        t0 = time.perf_counter()
-        if engine == "numba":
-            import numba
-
-            if parallel:
-                namespace["__prange"] = numba.prange
+        namespace: Dict[str, object] = {"np": np}
         exec(compile(source, f"<jit:{func_name}>", "exec"), namespace)
-        fn = namespace[func_name]
-        if engine == "numba":
-            fn = numba.njit(fn, fastmath=False, parallel=parallel, cache=False)
-            record_compile_seconds(time.perf_counter() - t0)
         COUNTERS.add("kernels_built")
-        mine[0].resolve(fn)
+        mine[0].resolve(namespace[func_name])
 
-    key = "py:" + _digest(engine, str(parallel), func_name, source)
+    key = "py:" + _digest(func_name, source)
     return _single_flight([key], produce)[0]
 
 
 # ---------------------------------------------------------------------------
 # counters
 # ---------------------------------------------------------------------------
-
-
-def record_compile_seconds(seconds: float, count: int = 1) -> None:
-    """Fold externally-measured JIT work (e.g. numba's lazy first-call
-    compilation) into the warmup attribution."""
-    COUNTERS.add("compiles", count)
-    COUNTERS.add("compile_seconds", seconds)
 
 
 def reset(engine: bool = False) -> None:

@@ -32,14 +32,13 @@ compute (*hidden*) versus how long the rank still blocked (*exposed*).
 :func:`summary` derives the overlap efficiency shown in the obs report
 footer.
 
-Configuration: ``REPRO_RANKS`` sets the default executor's worker cap
-(default 1, lockstep).
+A core runs lockstep unless it is handed an executor with more workers
+(``executor=`` of ``DynamicalCore``, ``repro.run.run`` and the drivers).
 """
 
 from __future__ import annotations
 
 import inspect
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -52,7 +51,6 @@ from repro.obs.counters import Counters, register
 __all__ = [
     "RankExecutor",
     "current_rank",
-    "get_executor",
     "io_wait",
     "record_overlap",
     "reset_metrics",
@@ -139,9 +137,7 @@ class RankExecutor:
     the calling thread, in rank order between their ``yield``s.
     """
 
-    def __init__(self, workers: Optional[int] = None):
-        if workers is None:
-            workers = int(os.environ.get("REPRO_RANKS", "1") or "1")
+    def __init__(self, workers: int = 1):
         self.workers = max(1, int(workers))
         self._sem = threading.Semaphore(self.workers)
         self._pool: Optional[ThreadPoolExecutor] = None
@@ -262,14 +258,3 @@ class RankExecutor:
         mode = "parallel" if self.parallel else "sequential"
         return f"RankExecutor(workers={self.workers}, {mode})"
 
-
-_DEFAULT: Optional[RankExecutor] = None
-
-
-def get_executor() -> RankExecutor:
-    """The process-wide default executor (worker cap from ``REPRO_RANKS``,
-    default 1 → lockstep)."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = RankExecutor()
-    return _DEFAULT

@@ -3,8 +3,8 @@
 Where :mod:`repro.sdfg.codegen` lowers each fused kernel to a sequence of
 full-domain ``out=``-scheduled ufunc calls, this module lowers it to a
 single scalar loop nest and hands that nest to a JIT engine
-(:mod:`repro.runtime.jit`: numba, a system C compiler, or plain Python
-for testing). Each kernel is analysed and lowered *once* to a loop-nest
+(:mod:`repro.runtime.jit`: a system C compiler, or plain Python for
+testing). Each kernel is analysed and lowered *once* to a loop-nest
 tree (:mod:`repro.sdfg.loopnest`); the engine's language is only printed
 from that tree, into the plan's image (:func:`generate_compiled` — the
 plan itself, :class:`~repro.sdfg.plan.CompiledPlan`, is materialised
@@ -21,11 +21,10 @@ machine model's decisions for real:
 - **k-blocking** with ``CPU_K_BLOCK`` (:mod:`repro.core.perfmodel`) so a
   kernel's working set stays cache-resident between statements, with the
   block size shrunk by :func:`repro.core.heuristics.select_cpu_tiles`
-  until it fits the machine's last-level cache (``REPRO_KBLOCK``
-  overrides);
+  until it fits the machine's last-level cache;
 - **i-tiling** from the kernel's tuned ``schedule.tile_sizes``;
-- **in-rank threading** over the outer i/tile loop (OpenMP under the C
-  engine, ``prange`` under numba), ``REPRO_THREADS`` sets the width.
+- **in-rank threading** over the outer i/tile loop (OpenMP),
+  ``REPRO_THREADS`` sets the width.
 
 Bit-exactness against the NumPy backend is the hard contract. A kernel is
 only lowered when every operation in it has a scalar form provably
@@ -851,7 +850,7 @@ def lower_kernel(kernel: Kernel, sdfg) -> KernelUnit:
     machine = observed_machine()
     low = _Lowerer(kernel, sdfg, machine)
     k_block, i_tile = select_cpu_tiles(kernel, sdfg, machine)
-    tree = low.build(jit.k_block_override() or k_block, i_tile)
+    tree = low.build(k_block, i_tile)
     specs = [(tuple(a.shape), _TAG_DTYPE[a.tag]) for a in tree.arrays]
     return KernelUnit(kernel.label, tree, specs, low.registers)
 
@@ -919,8 +918,8 @@ def generate_compiled(sdfg, instrument: bool = False) -> PlanImage:
     layer) turn that into a warn-once fallback."""
     if not jit.available():
         raise jit.JitUnavailableError(
-            "no JIT engine available (install numba, provide a C compiler, "
-            "or set REPRO_JIT=pyloops)"
+            "no JIT engine available (provide a C compiler, or set "
+            "REPRO_JIT=pyloops)"
         )
     return _CompiledGenerator(sdfg, instrument).image()
 

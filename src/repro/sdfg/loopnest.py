@@ -420,15 +420,15 @@ def _py_heads(n):
             f"for {n.var} in range({n.lo}, {n.hi}, {n.step}):",
             f"{n.end} = min({n.var} + {n.step}, {n.hi})",
         ], n.body
-    # ``tile`` is not printed: numba's prange is unit-step
-    rng = "__prange" if n.parallel else "range"
+    # ``tile`` and ``parallel`` are not printed: neither changes what a
+    # loop of the Python print computes
     span = f"{n.hi} - 1, {n.lo} - 1, -1" if n.reverse else f"{n.lo}, {n.hi}"
-    return [f"for {n.var} in {rng}({span}):"], n.body
+    return [f"for {n.var} in range({span}):"], n.body
 
 
 def print_py(nest: Nest) -> str:
-    """The nest as one Python function (``np`` and ``__prange`` are
-    supplied by :func:`repro.runtime.jit.compile_py`)."""
+    """The nest as one Python function (``np`` is supplied by
+    :func:`repro.runtime.jit.compile_py`)."""
     params = [a.param for a in nest.arrays] + [f"s_{s}" for s in nest.scalars]
     out = _SourceBuilder()
     out.emit(f"def {nest.name}({', '.join(params)}):")

@@ -523,10 +523,6 @@ class Kernel(Node):
                 total += stmt_flops(stmt) * points
         return total
 
-    def iteration_points(self) -> int:
-        ni, nj, nk = self.domain
-        return ni * nj * nk
-
     def has_regions(self) -> bool:
         return any(s.region is not None for s, _ in self.statements())
 

@@ -238,10 +238,6 @@ class CompiledSDFG:
             out[label] = (prev[0] + float(t), prev[1] + int(c))
         return out
 
-    def reset_instrumentation(self) -> None:
-        self._kernel_time[:] = 0.0
-        self._kernel_count[:] = 0
-
 
 # ---------------------------------------------------------------------------
 # runtime call wrappers
@@ -325,11 +321,9 @@ class CompiledPlan(CompiledSDFG):
                 _c_caller(partial(self._entry, index), unit, self.threads)
                 for index, unit in enumerate(units)
             ]
-        elif self.engine in ("numba", "pyloops"):
-            parallel = self.engine == "numba" and self.threads > 1
+        elif self.engine == "pyloops":
             self.kernel_functions = [
-                jit.compile_py(unit.text, jit.SYMBOL, parallel)
-                for unit in units
+                jit.compile_py(unit.text, jit.SYMBOL) for unit in units
             ]
             funcs = [
                 _py_caller(fn, unit)
@@ -337,8 +331,8 @@ class CompiledPlan(CompiledSDFG):
             ]
         else:
             raise jit.JitUnavailableError(
-                "compiled backend requires a JIT engine (numba, a C "
-                "compiler, or REPRO_JIT=pyloops); none is available"
+                "compiled backend requires a JIT engine (a C compiler, "
+                "or REPRO_JIT=pyloops); none is available"
             )
         self._program.__globals__["__K"] = funcs
 

@@ -43,30 +43,3 @@ class RegionSplit(Transformation):
     def apply(self, sdfg, state, candidate) -> None:
         state.nodes[candidate].schedule.regions_as_predication = False
 
-
-class RegionPredicate(Transformation):
-    """The inverse knob (used by the auto-tuner to explore both options)."""
-
-    name = "region_predicate"
-
-    def candidates(self, sdfg, state) -> List[int]:
-        return [
-            i
-            for i, node in enumerate(state.nodes)
-            if isinstance(node, Kernel)
-            and node.has_regions()
-            and not node.schedule.regions_as_predication
-        ]
-
-    def can_apply(self, sdfg, state, candidate) -> bool:
-        if candidate >= len(state.nodes):
-            return False
-        node = state.nodes[candidate]
-        return (
-            isinstance(node, Kernel)
-            and node.has_regions()
-            and not node.schedule.regions_as_predication
-        )
-
-    def apply(self, sdfg, state, candidate) -> None:
-        state.nodes[candidate].schedule.regions_as_predication = True

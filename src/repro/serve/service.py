@@ -57,6 +57,7 @@ from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dsl import backends as _backends
+from repro.dsl.stencil import FALLBACK_BACKEND
 from repro.obs import tracer as _obs
 from repro.obs.counters import Counters
 from repro.resilience import (
@@ -162,18 +163,16 @@ class ServiceConfig:
         workers: worker threads pulling batches off the queue.
         batch_max: max compatible requests fused into one warm-driver
             batch.
-        default_deadline: per-request budget when the request carries
-            none (None = unlimited).
         max_retries: service-level re-attempts per request on
             recoverable model faults.
-        backoff_base / max_backoff / retry_seed: the
-            :class:`RetryPolicy` schedule (deterministic full jitter).
+        backoff_base / max_backoff: the :class:`RetryPolicy` schedule
+            (deterministic full jitter).
         breaker_threshold / breaker_cooldown: consecutive failures that
             trip a (scenario, backend) breaker, and the open→half-open
             cooldown in seconds.
         backend: primary backend name (None = the process default at
-            service construction).
-        fallback_backend: bit-identical degradation target.
+            service construction). The degradation target is
+            :data:`repro.dsl.stencil.FALLBACK_BACKEND`, bit-identical.
         cache_entries / cache_bytes: :class:`StateCache` budget
             (``cache_entries=0`` disables caching entirely).
         executor: rank executor spec forwarded to
@@ -190,15 +189,12 @@ class ServiceConfig:
     max_inflight: int = 128
     workers: int = 2
     batch_max: int = 4
-    default_deadline: Optional[float] = None
     max_retries: int = 2
     backoff_base: float = 0.0
     max_backoff: float = 0.5
-    retry_seed: int = 0
     breaker_threshold: int = 3
     breaker_cooldown: float = 30.0
     backend: Optional[str] = None
-    fallback_backend: str = "numpy"
     cache_entries: int = 64
     cache_bytes: int = 512 * 1024 * 1024
     executor: object = None
@@ -294,8 +290,7 @@ class ForecastService:
                                      self.config.breaker_cooldown, clock)
         self.retry = RetryPolicy(self.config.max_retries,
                                  self.config.backoff_base,
-                                 self.config.max_backoff,
-                                 self.config.retry_seed)
+                                 self.config.max_backoff)
         # the primary backend is pinned at construction so a concurrent
         # degraded batch (which flips the process default under a lock)
         # cannot change what "primary" means for everyone else
@@ -366,14 +361,10 @@ class ForecastService:
                 )
             self._next_request_id += 1
             request_id = self._next_request_id
-            deadline = (
-                request.deadline if request.deadline is not None
-                else self.config.default_deadline
-            )
             ticket = ForecastTicket(request_id, request)
             entry = _Entry(
                 request, ticket,
-                DeadlineBudget(deadline, request_id, self._clock),
+                DeadlineBudget(request.deadline, request_id, self._clock),
                 now,
             )
             self._queue.append(entry)
@@ -399,7 +390,7 @@ class ForecastService:
             "breaker_detail": self.breakers.stats(),
             "drivers": len(self._drivers),
             "primary_backend": self._primary,
-            "fallback_backend": self.config.fallback_backend,
+            "fallback_backend": FALLBACK_BACKEND,
         }
 
     def close(self, wait: bool = True) -> None:
@@ -647,10 +638,7 @@ class ForecastService:
         while True:
             entry.budget.check("steps")
             on_primary = breaker.allow_primary()
-            backend = (
-                self._primary if on_primary
-                else self.config.fallback_backend
-            )
+            backend = self._primary if on_primary else FALLBACK_BACKEND
             if not on_primary and not entry.degraded:
                 entry.degraded = True
                 self.metrics.bump("degraded")

@@ -83,8 +83,8 @@ def _backends():
 
             if not jit.available():
                 marks = (pytest.mark.skip(
-                    reason="compiled backend: no JIT engine (numba not "
-                    "installed and no C compiler found)"
+                    reason="compiled backend: no JIT engine (no C "
+                    "compiler found)"
                 ),)
         params.append(pytest.param(name, id=name, marks=marks))
     return params

@@ -203,14 +203,6 @@ def test_threaded_timeout_keeps_diagnostics(executor):
     )
 
 
-def test_executor_env_configuration(monkeypatch):
-    monkeypatch.setenv("REPRO_RANKS", "6")
-    ex = RankExecutor()
-    assert ex.workers == 6 and ex.parallel
-    monkeypatch.setenv("REPRO_RANKS", "1")
-    assert not RankExecutor().parallel
-
-
 def test_timeout_names_the_owning_tag_slot(executor):
     """A timeout inside a split exchange on offset tag slots carries the
     exchange's fslot_base, so the runtime error cross-references the

@@ -108,6 +108,34 @@ def test_runtime_scalar_changes_without_rebuild():
     np.testing.assert_allclose(out, q + 2.0 * q)
 
 
+@pytest.mark.traced
+def test_tracing_switched_on_after_the_first_call_times_the_kernels():
+    """A plan follows whether tracing is on, as it follows the backend;
+    only an explicit ``compile(instrument=True)`` outlives tracing."""
+    from repro import obs
+
+    tracer = obs.get_tracer()
+    mod = Module()
+    q = np.random.default_rng(2).random(SHAPE)
+    out = np.zeros(SHAPE)
+    call = type(mod).__dict__["__call__"].__get__(mod)
+    tracer.disable()
+    call(q, out, 0.5)
+    assert not call._binding.plan.instrument
+    tracer.enable()
+    call(q, out, 0.5)
+    span = tracer.root.children["program.Module"]
+    kernels = [name for name in span.children if name.startswith("kernel.")]
+    assert kernels and all(span.children[name].count == 1 for name in kernels)
+    tracer.disable()
+    call(q, out, 0.5)
+    assert not call._binding.plan.instrument
+    call.compile(instrument=True)
+    call(q, out, 0.5)
+    assert call._binding.plan.instrument
+    np.testing.assert_allclose(out, q + 0.5 * q)
+
+
 def test_array_consolidation_by_identity():
     """The same array reached via two attribute paths is ONE container."""
 

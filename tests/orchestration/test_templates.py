@@ -315,17 +315,8 @@ def test_opaque_callback_argument_is_never_shared():
     assert stats["misses"] == 2
 
 
-def test_cache_disabled_retraces_every_instance(monkeypatch):
-    monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
-    _combine(Box())
-    _combine(Box())
-    stats = cc.stats()
-    assert stats["program_traces"] == 2
-    assert stats["program_binds"] == 0 and stats["templates"] == 0
-
-
 def test_template_store_is_bounded(monkeypatch):
-    monkeypatch.setenv("REPRO_COMPILE_CACHE_SIZE", "2")
+    monkeypatch.setattr(cc, "MAX_ENTRIES", 2)
     for gain in (1.0, 2.0, 3.0, 4.0):
         _combine(Box(gain=gain))
     assert _templates() == 2

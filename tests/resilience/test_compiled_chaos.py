@@ -16,8 +16,7 @@ from repro.runtime import jit
 
 pytestmark = pytest.mark.skipif(
     not jit.available(),
-    reason="compiled backend: no JIT engine (numba not installed and no "
-    "C compiler found)",
+    reason="compiled backend: no JIT engine (no C compiler found)",
 )
 
 CFG = DynamicalCoreConfig(

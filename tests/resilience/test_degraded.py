@@ -9,7 +9,7 @@ from repro.dsl import Field, PARALLEL, computation, interval, stencil
 from repro.dsl.backends import register_backend, unregister_backend
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosPlan
-from repro.resilience.errors import FallbackWarning, InjectedCompileError
+from repro.resilience.errors import FallbackWarning
 
 
 @stencil
@@ -68,17 +68,6 @@ def test_real_backend_failure_falls_back_too():
         np.testing.assert_array_equal(fields["a"], _reference())
     finally:
         unregister_backend("exploding")
-
-
-def test_fallback_disabled_propagates(monkeypatch):
-    monkeypatch.setenv("REPRO_FALLBACK", "0")
-    chaos.set_plan(ChaosPlan.from_spec("compile.fail@1"))
-    # drop the cached executor so the compile path (and its chaos
-    # consult) actually runs
-    _axpy._executors.pop("dataflow", None)
-    with pytest.raises(InjectedCompileError):
-        _axpy(**_inputs(), alpha=2.5, backend="dataflow")
-    assert resilience.summary()["counters"]["fallbacks"] == 0
 
 
 def test_numpy_backend_failures_never_loop():

@@ -139,16 +139,8 @@ def test_unknown_backend_raises():
         cc.get_or_compile(_build_sdfg(), backend="fortran")
 
 
-def test_disabled_cache_compiles_fresh(monkeypatch):
-    monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
-    p1 = cc.get_or_compile(_build_sdfg())
-    p2 = cc.get_or_compile(_build_sdfg())
-    assert p2 is not p1
-    assert cc.stats()["hits"] == 0 and cc.stats()["misses"] == 0
-
-
 def test_lru_eviction(monkeypatch):
-    monkeypatch.setenv("REPRO_COMPILE_CACHE_SIZE", "2")
+    monkeypatch.setattr(cc, "MAX_ENTRIES", 2)
     cc.get_or_compile(_build_sdfg((6, 6, 3)))
     cc.get_or_compile(_build_sdfg((5, 6, 3)))
     cc.get_or_compile(_build_sdfg((4, 6, 3)))  # evicts the (6, 6, 3) entry
@@ -159,7 +151,7 @@ def test_lru_eviction(monkeypatch):
 
 
 def test_an_evicted_plan_is_materialised_from_its_record(monkeypatch):
-    monkeypatch.setenv("REPRO_COMPILE_CACHE_SIZE", "1")
+    monkeypatch.setattr(cc, "MAX_ENTRIES", 1)
     evicted = cc.get_or_compile(_build_sdfg((6, 6, 3)))
     cc.get_or_compile(_build_sdfg((5, 6, 3)))
     again = cc.get_or_compile(_build_sdfg((6, 6, 3)))

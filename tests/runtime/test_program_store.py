@@ -90,7 +90,6 @@ def _flag_changes():
     from repro.machine import P100
 
     yield "threads", lambda patch: patch.setenv("REPRO_THREADS", "3")
-    yield "k-block", lambda patch: patch.setenv("REPRO_KBLOCK", "2")
     yield "machine", lambda patch: patch.setattr(
         obs.metrics, "_observed", P100
     )
@@ -245,23 +244,6 @@ def test_a_directory_that_cannot_be_written_costs_only_the_records(
         _combine(Box())  # computes, and asserts, the right answer
     stats = cc.stats()
     assert stats["program_traces"] == 1 and stats["programs_stored"] == 0
-
-
-def test_disabled_cache_reads_and_writes_nothing(monkeypatch):
-    monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
-    _combine(Box())
-    assert _records() == []
-    monkeypatch.delenv("REPRO_COMPILE_CACHE")
-    _combine(Box())
-    before = {p: p.stat().st_mtime_ns for p in _records()}
-    assert len(before) == 2
-    _as_a_new_process()
-    monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
-    _combine(Box())
-    stats = cc.stats()
-    assert stats["program_traces"] == 1 and stats["programs_restored"] == 0
-    assert stats["restore_bytes"] == 0 and stats["programs_stored"] == 0
-    assert {p: p.stat().st_mtime_ns for p in _records()} == before
 
 
 def test_private_builds_neither_store_nor_restore():

@@ -312,7 +312,9 @@ def _three(shape):
 
 
 def test_upward_cross_statement_read_forces_full_k(monkeypatch):
-    monkeypatch.setenv("REPRO_KBLOCK", "2")
+    from repro.core import perfmodel
+
+    monkeypatch.setattr(perfmodel, "CPU_K_BLOCK", 2)
     arrays = _three((4, 4, 7))
     # a downward read of an earlier statement's output may be k-blocked:
     # one strip-mined block loop, each section's k range clamped to it

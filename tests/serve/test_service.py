@@ -79,6 +79,21 @@ def test_cache_bypass_recomputes(service, small_config):
     assert bypass.cache == "bypass" and bypass.steps_computed == 2
 
 
+def test_a_service_without_a_cache_computes_every_request(small_config):
+    """``cache_entries=0`` turns the state cache off: a repeated request
+    is computed again, and nothing is kept."""
+    svc = ForecastService(ServiceConfig(workers=1, cache_entries=0))
+    try:
+        first = svc.submit(_req(small_config)).result()
+        again = svc.submit(_req(small_config)).result()
+    finally:
+        svc.close()
+    assert first.cache == again.cache == "bypass"
+    assert again.steps_computed == 2
+    assert again.report["summary"] == first.report["summary"]
+    assert svc.summary()["cache"]["entries"] == 0
+
+
 def test_warm_driver_reused_across_requests(service, small_config):
     service.submit(_req(small_config, seed=1, use_cache=False)).result()
     service.submit(_req(small_config, seed=2, use_cache=False)).result()

@@ -1,9 +1,11 @@
-"""Every environment switch earns its place: a ``REPRO_*`` variable read
-under ``src/`` is set by at least one test or benchmark and is a row of
-the README's "Environment variables" table — and the table lists nothing
-that is no longer read. A switch nobody exercises fails here, not in a
-review."""
+"""Every switch earns its place: a ``REPRO_*`` variable read under
+``src/`` is set by at least one test or benchmark and is a row of the
+README's "Environment variables" table — and the table lists nothing that
+is no longer read. Every field of the configuration objects is read by
+the code it configures. A switch nobody exercises, or a field nobody
+reads, fails here, not in a review."""
 
+import ast
 import pathlib
 import re
 
@@ -11,6 +13,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 _READ = re.compile(r"""environ(?:\.get\(|\[)\s*["'](REPRO_[A-Z0-9_]+)["']""")
 _NAME = re.compile(r"REPRO_[A-Z0-9_]+")
 _ROW = re.compile(r"^\| `(REPRO_[A-Z0-9_]+)` \|", re.MULTILINE)
+#: the configuration objects a caller builds: each field is a setting
+_CONFIGS = {
+    "DynamicalCoreConfig", "ServiceConfig", "ResilienceConfig", "GuardConfig",
+}
 
 
 def _text(*directories):
@@ -26,7 +32,7 @@ def _text(*directories):
 
 def _read_by_the_package():
     names = set(_READ.findall(_text("src")))
-    assert len(names) >= 10  # the pattern still matches how they are read
+    assert len(names) >= 7  # the pattern still matches how they are read
     return names
 
 
@@ -41,3 +47,35 @@ def test_the_readme_table_lists_exactly_the_switches_read():
     table = _ROW.findall(section.partition("\n## ")[0])
     assert len(table) == len(set(table))
     assert set(table) == _read_by_the_package()
+
+
+def test_every_config_field_is_read_outside_its_class():
+    """A field is read as an attribute somewhere under ``src/`` other
+    than in its own class's body (which only validates it)."""
+    fields = {}  # class → (file, its lines, its field names)
+    reads = []  # (file, line, attribute name)
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and node.name in _CONFIGS:
+                names = [
+                    stmt.target.id for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                ]
+                lines = range(node.lineno, node.end_lineno + 1)
+                fields[node.name] = (path, lines, names)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                reads.append((path, node.lineno, node.attr))
+    assert fields.keys() == _CONFIGS
+    unread = [
+        f"{cls}.{name}"
+        for cls, (path, lines, names) in sorted(fields.items())
+        for name in names
+        if not any(
+            attr == name and not (where == path and line in lines)
+            for where, line, attr in reads
+        )
+    ]
+    assert all(names for _, _, names in fields.values())
+    assert unread == []
