@@ -72,9 +72,9 @@ def main(steps: int = 4) -> None:
           f"(range {anomaly.min():+.2f}..{anomaly.max():+.2f} K):")
     print(ascii_field(anomaly))
 
-    comm = engine.halo.comm
-    print(f"\ncommunication: {len(comm.log)} messages routed, "
-          f"{sum(m.nbytes for m in comm.log) / 1e6:.1f} MB total")
+    sizes = engine.halo.comm.message_sizes()
+    print(f"\ncommunication: {len(sizes)} messages routed, "
+          f"{sum(sizes) / 1e6:.1f} MB total")
 
     if obs.enabled():
         print()

@@ -7,8 +7,8 @@ executor schedules it (:mod:`repro.runtime.ranks`):
 1. start the nonblocking halo exchange of the winds,
 2. ``riem_solver_c``: the semi-implicit vertical solve for w and δz,
    inside the wind exchange's window,
-3. start the fused exchange of the transported scalars δp/pt/w on
-   disjoint tag slots; advance both exchanges; finish the winds,
+3. start the exchange of the transported scalars δp/pt/w on a tag slot
+   of its own; advance both exchanges; finish the winds,
 4. ``c_sw``: interface winds, Courant numbers, swept areas, divergence,
 5. finish the scalars; ``d_sw``: finite-volume transport of δp/pt/w,
    vector-invariant momentum update with Smagorinsky and divergence
@@ -59,7 +59,7 @@ def acoustic_comm_plan(halo: HaloUpdater | None = None):
     :class:`repro.lint.plan_ir.CommPlan`.
 
     This is the declared contract the C3xx protocol rules verify: the
-    split wind and scalar exchanges with their tag-slot bases, and the
+    split wind and scalar exchanges with their tag slots, and the
     compute ops between them with read/write footprints taken from the
     real stencil extents, in ``_substep_rank``'s order (the scalars'
     finish is the sub-step program's callback). Message edges
@@ -80,9 +80,9 @@ def acoustic_comm_plan(halo: HaloUpdater | None = None):
     winds = plan_ir.ExchangeDecl("winds", ("u", "v"), fslot_base=0,
                                  vector=True)
     # the transported scalars fly concurrently with the winds, so they
-    # sit past the wind exchange's two slots
+    # take the next tag slot
     scalars = plan_ir.ExchangeDecl(
-        "scalars", ("delp", "pt", "w"), fslot_base=2
+        "scalars", ("delp", "pt", "w"), fslot_base=1
     )
     riemann_op = plan_ir.compute_op_from_stencils("riem_solver_c", [
         (precompute_coefficients,
@@ -331,15 +331,15 @@ class AcousticDynamics:
         hx = halo.start_vector(self._u, self._v, rank)
         riemann()
         window.exchange = halo.start_scalars(
-            (self._delp, self._pt, self._w), rank, fslot_base=2
+            (self._delp, self._pt, self._w), rank, fslot_base=1
         )
         yield  # peers post both phase 0s
         halo.advance(hx)
         halo.advance(window.exchange)
         yield  # peers post both phase 1s
         halo.finish_vector(hx)
-        # the scalars' messages are waited for out here, where the rank
-        # holds no slab; the program writes them into the halos
+        # the scalars' messages are taken out here, where the rank holds
+        # no slab; the program's callback unpacks them into the halos
         halo.receive(window.exchange)
         substep()  # c_sw, finish the scalars, d_sw, accumulate
 

@@ -14,25 +14,32 @@ objects or threads in one process) and the shared-memory slot table
 :class:`~repro.runtime.procs.ShmTransport` (ranks in worker processes).
 Everything here holds for both:
 
+- A message is written once, by its sender, into storage the store
+  owns: ``Ipack`` reserves a slot and hands the sender's ``pack`` the
+  payload array to fill (``Isend`` is ``Ipack`` with a copy of a
+  buffer). A receive *takes* that payload: the receiver reads it where
+  it lies and hands the storage back with ``Request.release`` (an
+  ``Irecv`` with a buffer copies into it and releases at once).
 - ``Request.wait`` on a receive *blocks* on the condition variable until
   the matching send lands (or a real-time budget of
   ``max_polls * poll_interval`` seconds runs out, raising
   :class:`~repro.resilience.errors.HaloTimeoutError` naming the ranks,
   tag, phase and the mailbox keys still pending).
-- ``Request.wait`` on a send blocks until the receiver drains the slot —
-  the documented ``test()`` semantics, enforced rather than skipped.
+- ``Request.wait`` on a send blocks until the receiver takes the
+  message — the documented ``test()`` semantics, enforced rather than
+  skipped.
 - Every message carries a *deliverable-at* instant (``monotonic_ns``,
   system-wide, so it means the same in every process): simulated network
   latency (``latency``, seconds per message) and
   chaos ``halo.delay`` are both delivery-time conditions on the message
   itself, so seeded chaos replays are independent of how often a waiter
   happens to wake.
-- The message log and the byte/size counters are guarded by a lock, so
-  obs accounting stays exact under concurrent ranks.
+- The message tally and the byte/size counters are guarded by a lock,
+  so obs accounting stays exact under concurrent ranks.
 
 Failure semantics (the resilience layer, PR 4): the chaos harness can
 drop, delay or corrupt individual messages at the ``halo.drop`` /
-``halo.delay`` / ``halo.corrupt`` sites (every ``Isend`` consults the
+``halo.delay`` / ``halo.corrupt`` sites (every ``Ipack`` consults the
 active plan — one ``is None`` check when chaos is off); ``finalize()``
 reports sent-but-never-received messages; ``drain()`` clears in-flight
 state so an aborted exchange can be retried cleanly.
@@ -40,11 +47,11 @@ state so an aborted exchange can be retried cleanly.
 
 from __future__ import annotations
 
-import dataclasses
+import math
 import threading
 import time
 import warnings
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,50 +75,69 @@ def _io_wait():
     return _ranks_mod.io_wait()
 
 
-@dataclasses.dataclass
-class MessageRecord:
-    source: int
-    dest: int
-    nbytes: int
-    tag: int
-
-
 class DictMailbox:
     """The in-process mailbox store, and the interface every store has.
 
     ``cond`` is the condition variable all slot transitions happen
     under; the communicator holds it around every call below. A *slot*
-    is whatever handle ``find`` returns (here the key itself).
+    is whatever handle ``reserve`` / ``find`` return. A message's life:
+    ``reserve`` (the sender fills the payload it returns, outside the
+    lock), ``post`` (it becomes findable), ``take`` (the receiver owns
+    the payload; the key is free for the next message), ``release`` (the
+    receiver is done with it). ``discard`` drops what an aborted
+    exchange left behind.
     """
 
     def __init__(self):
         self.cond = threading.Condition(threading.Lock())
-        # key -> (payload, deliverable-at in monotonic_ns, chaos-delayed)
-        self._slots: Dict[_Key, Tuple[np.ndarray, int, bool]] = {}
+        # key -> (payload, deliverable-at in monotonic_ns, chaos-delayed),
+        # or None while the key has no posted message: the table keeps
+        # an entry per key it has seen (the plans fix them), so it stops
+        # changing once the first exchanges have run
+        self._slots: Dict[_Key, Optional[Tuple[np.ndarray, int, bool]]] = {}
 
     def find(self, key: _Key):
-        """The slot holding the message on ``key``, or None."""
-        return key if key in self._slots else None
+        """The slot holding the posted message on ``key``, or None."""
+        return key if self._slots.get(key) is not None else None
 
-    def post(self, key: _Key, payload: np.ndarray, at_ns: int,
-             delayed: bool) -> bool:
-        """Copy ``payload`` into a free slot; False when there is none."""
-        self._slots[key] = (payload.copy(), at_ns, delayed)
-        return True
+    def reserve(self, key: _Key, shape, dtype):
+        """``(slot, payload)`` for a message on ``key``: the payload is
+        the array the sender packs; None when the store is full (never,
+        here: the payload is a new array)."""
+        return key, np.empty(shape, dtype)
+
+    def post(self, slot, payload: np.ndarray, at_ns: int,
+             delayed: bool) -> None:
+        """Publish a reserved slot. The store adopts ``payload`` as it
+        is: the array the receiver takes is the one the sender packed."""
+        self._slots[slot] = (payload, at_ns, delayed)
 
     def due(self, slot) -> Tuple[int, bool]:
         """(deliverable-at, chaos-delayed) of the message in ``slot``."""
         return self._slots[slot][1:]
 
     def take(self, slot) -> np.ndarray:
-        """The payload as sent; valid until ``free(slot)``."""
-        return self._slots[slot][0]
+        """The payload as sent, now the receiver's until ``release``."""
+        payload = self._slots[slot][0]
+        self._slots[slot] = None
+        return payload
 
-    def free(self, slot) -> None:
-        del self._slots[slot]
+    def release(self, slot) -> None:
+        """A taken payload's storage is free again (here: the garbage
+        collector's)."""
+
+    def discard(self, owned: Sequence[int]) -> List[_Key]:
+        """Drop every message destined to ``owned`` (taken or not);
+        returns the keys of those never taken, sorted."""
+        orphans = [key for key in self.pending_keys() if key[1] in owned]
+        for key in orphans:
+            self._slots[key] = None
+        return orphans
 
     def pending_keys(self) -> List[_Key]:
-        return sorted(self._slots)
+        return sorted(
+            key for key, entry in self._slots.items() if entry is not None
+        )
 
 
 class Request:
@@ -122,20 +148,21 @@ class Request:
     - ``recv``: ``wait()`` blocks until the matching send is deliverable
       (bounded by ``comm.timeout`` seconds of *absence*; modeled latency
       and chaos delays on a present message never count against the
-      budget) and copies the payload into the posted buffer. A payload
-      whose size differs from the buffer's is consumed and reported as a
-      ``ValueError``. ``test()`` is true once the payload is deliverable.
-    - ``send``: the transport copies eagerly (the buffer is reusable the
-      moment ``Isend`` returns), but the *operation* completes only when
-      the receiver drains the slot: ``wait()`` blocks until then (or the
-      timeout budget expires), matching ``test()``, which reports
-      delivery — false while the message still sits undelivered in the
-      mailbox, true once the receiver picked it up. A dropped message
-      never occupied a slot, so its send completes immediately (the
-      fault is invisible to the sender, as on a real network).
+      budget) and takes the payload: it is ``payload`` until
+      ``release()``. With a posted buffer, ``wait()`` copies the payload
+      into it and releases at once; a payload whose size differs from
+      the buffer's is consumed and reported as a ``ValueError``.
+      ``test()`` is true once the payload is deliverable.
+    - ``send``: the payload left the sender when ``Ipack`` returned, but
+      the *operation* completes only when the receiver takes it:
+      ``wait()`` blocks until then (or the timeout budget expires),
+      matching ``test()``, which reports delivery — false while the
+      message still sits untaken in the mailbox. A dropped message never
+      occupied a slot, so its send completes immediately (the fault is
+      invisible to the sender, as on a real network).
     """
 
-    def __init__(self, comm: "LocalComm", kind: str, key: _Key, buf,
+    def __init__(self, comm: "LocalComm", kind: str, key: _Key, buf=None,
                  dropped: bool = False):
         self._comm = comm
         self._kind = kind
@@ -143,6 +170,9 @@ class Request:
         self._buf = buf
         self._done = False
         self._dropped = dropped
+        self._slot = None
+        #: a waited receive's payload, until ``release``
+        self.payload: Optional[np.ndarray] = None
 
     def wait(self, timeout: Optional[float] = None) -> None:
         if self._done:
@@ -152,6 +182,17 @@ class Request:
         else:
             self._wait_send(timeout)
         self._done = True
+
+    def release(self) -> None:
+        """Hand a taken payload's storage back to the store (a no-op for
+        anything else); the payload must not be read afterwards."""
+        slot, self._slot, self.payload = self._slot, None, None
+        if slot is None:
+            return
+        box = self._comm.mailbox
+        with box.cond:
+            box.release(slot)
+            box.cond.notify_all()
 
     def _timed_out(self) -> HaloTimeoutError:
         source, dest, tag = self._key
@@ -164,11 +205,10 @@ class Request:
         )
 
     def _wait_recv(self, timeout: Optional[float]) -> None:
-        comm, key, buf = self._comm, self._key, self._buf
+        comm, key = self._comm, self._key
         box = comm.mailbox
         budget = comm.timeout if timeout is None else timeout
         deadline: Optional[float] = None
-        sent_shape = None
         with _io_wait():
             with box.cond:
                 while True:
@@ -177,15 +217,8 @@ class Request:
                         at_ns, delayed = box.due(slot)
                         now_ns = time.monotonic_ns()
                         if at_ns <= now_ns:
-                            payload = box.take(slot)
-                            if payload.size == buf.size:
-                                np.copyto(buf, payload.reshape(buf.shape))
-                            else:
-                                sent_shape = payload.shape
-                            # a view into the store: it must not outlive
-                            # the slot (nor pin a shared segment open)
-                            del payload
-                            box.free(slot)
+                            self.payload = box.take(slot)
+                            self._slot = slot
                             box.cond.notify_all()
                             break
                         # present but in flight (modeled latency / chaos
@@ -199,13 +232,21 @@ class Request:
                     elif now >= deadline:
                         raise self._timed_out()
                     box.cond.wait(min(comm.poll_interval, deadline - now))
-        if sent_shape is not None:
+        if delayed:
+            _record("halo_redeliveries")
+        buf = self._buf
+        if buf is None:
+            return
+        sent_shape = self.payload.shape
+        fits = self.payload.size == buf.size
+        if fits:
+            np.copyto(buf, self.payload.reshape(buf.shape))
+        self.release()
+        if not fits:
             raise ValueError(
                 f"message {key} of shape {sent_shape} does not fit the "
                 f"posted receive buffer of shape {buf.shape}"
             )
-        if delayed:
-            _record("halo_redeliveries")
 
     def _wait_send(self, timeout: Optional[float]) -> None:
         if self._dropped:
@@ -242,7 +283,7 @@ class LocalComm:
     eagerly (buffered), so a driver may still run ranks sequentially —
     post all sends, then complete all receives — while concurrent ranks
     block productively on the condition variable. A send to an occupied
-    key blocks until the receiver drains it: that is the only flow
+    key blocks until the receiver takes the message there: that is the only flow
     control, and it is what keeps cross-member pipelining between rank
     worker processes correct without a global barrier.
 
@@ -252,8 +293,8 @@ class LocalComm:
     ranks by default) are the ranks this endpoint runs: a dynamical core
     builds and steps exactly these, and ``drain`` (and so ``finalize``)
     is scoped to messages destined to them, so one endpoint of a shared
-    table never discards a sibling's in-flight messages; the log is per
-    endpoint.
+    table never discards a sibling's in-flight messages; the message
+    tally is per endpoint.
 
     ``latency`` (seconds, default 0) delays
     every message's deliverable-at instant, modeling the network the
@@ -276,8 +317,9 @@ class LocalComm:
         self.owned_ranks = tuple(
             sorted(owned_ranks) if owned_ranks is not None else range(size)
         )
-        self._lock = threading.Lock()  # guards the log
-        self.log: List[MessageRecord] = []
+        self._lock = threading.Lock()  # guards the tally
+        #: (source, bytes) -> messages sent
+        self._sent: Dict[Tuple[int, int], int] = {}
 
     def per_rank(self, build) -> list:
         """A rank-indexed list holding ``build(rank)`` for the ranks this
@@ -306,55 +348,65 @@ class LocalComm:
     # ---- nonblocking operations -----------------------------------------
 
     def Isend(self, buf: np.ndarray, source: int, dest: int, tag: int = 0) -> Request:
+        """Post a copy of ``buf`` (reusable the moment this returns)."""
+        buf = np.asarray(buf)
+        return self.Ipack(
+            buf.shape, buf.dtype, lambda out: np.copyto(out, buf),
+            source=source, dest=dest, tag=tag,
+        )
+
+    def Ipack(self, shape, dtype, pack: Callable[[np.ndarray], None],
+              source: int, dest: int, tag: int = 0) -> Request:
+        """Post a message of ``shape``/``dtype`` that ``pack(out)`` writes
+        straight into the storage the store reserved for it."""
         if not (0 <= dest < self.size):
             raise ValueError(f"invalid destination rank {dest}")
         key = (source, dest, tag)
+        dtype = np.dtype(dtype)
+        size = math.prod(shape)
         dropped = False
         delayed = False
-        payload = np.ascontiguousarray(buf)
+        corrupt: Optional[int] = None
         if _chaos._PLAN is not None:
             if _chaos.consult(
                 "halo.drop", source=source, dest=dest, tag=tag
             ):
                 # the message vanishes in transit: bytes left the source
-                # (logged below) but the mailbox never sees them
+                # (counted below) but the mailbox never sees them
                 dropped = True
             else:
                 fault = _chaos.consult(
                     "halo.corrupt", source=source, dest=dest, tag=tag
                 )
                 if fault is not None:
-                    index = _chaos.get_plan().rng(
+                    corrupt = _chaos.get_plan().rng(
                         "halo.corrupt.index"
-                    ).randrange(payload.size)
-                    payload = payload.copy()
-                    payload.flat[index] = np.nan
-                    fault.detail["index"] = index
+                    ).randrange(size)
+                    fault.detail["index"] = corrupt
                 if _chaos.consult(
                     "halo.delay", source=source, dest=dest, tag=tag
                 ):
                     delayed = True
+        sent = (source, size * dtype.itemsize)
         with self._lock:
-            self.log.append(MessageRecord(source, dest, buf.nbytes, tag))
+            self._sent[sent] = self._sent.get(sent, 0) + 1
         if dropped:
-            return Request(self, "send", key, buf, dropped=True)
+            return Request(self, "send", key, dropped=True)
         box = self.mailbox
-        hold_ns = int(
-            (self.latency + (self.delay_seconds if delayed else 0.0)) * 1e9
-        )
         with _io_wait():
             with box.cond:
-                # an occupied key means the receiver has not consumed the
-                # previous message on it yet, a refused post that the
-                # store is full: block until the receiver frees a slot
-                # (concurrent ranks) or the budget expires (a genuine
-                # duplicate post, an undersized store)
+                # an occupied key means the receiver has not taken the
+                # previous message on it yet, a refused reservation that
+                # the store is full: block until the receiver frees a
+                # slot (concurrent ranks) or the budget expires (a
+                # genuine duplicate post, an undersized store)
                 deadline: Optional[float] = None
                 while True:
                     occupied = box.find(key) is not None
-                    if not occupied and box.post(
-                        key, payload, time.monotonic_ns() + hold_ns, delayed
-                    ):
+                    reserved = None if occupied else box.reserve(
+                        key, shape, dtype
+                    )
+                    if reserved is not None:
                         break
                     now = time.monotonic()
                     if deadline is None:
@@ -369,10 +421,27 @@ class LocalComm:
                             f"while posting {key}"
                         )
                     box.cond.wait(min(self.poll_interval, deadline - now))
-                box.cond.notify_all()
-        return Request(self, "send", key, buf)
+        slot, payload = reserved
+        try:
+            pack(payload)
+        except BaseException:
+            with box.cond:
+                box.release(slot)
+            raise
+        if corrupt is not None:
+            payload.flat[corrupt] = np.nan
+        hold_ns = int(
+            (self.latency + (self.delay_seconds if delayed else 0.0)) * 1e9
+        )
+        with box.cond:
+            box.post(slot, payload, time.monotonic_ns() + hold_ns, delayed)
+            box.cond.notify_all()
+        return Request(self, "send", key)
 
-    def Irecv(self, buf: np.ndarray, source: int, dest: int, tag: int = 0) -> Request:
+    def Irecv(self, buf: Optional[np.ndarray], source: int, dest: int,
+              tag: int = 0) -> Request:
+        """A receive on (source, dest, tag): into ``buf``, or, with
+        ``buf=None``, left on the request as its ``payload``."""
         return Request(self, "recv", (source, dest, tag), buf)
 
     # ---- lifecycle -------------------------------------------------------
@@ -383,16 +452,12 @@ class LocalComm:
         returning the orphaned (source, dest, tag) triples, sorted.
 
         Called after an aborted exchange so the retry can repost every
-        send without tripping the duplicate-key check.
+        send without tripping the duplicate-key check; payloads its
+        receives took and never released are handed back too.
         """
         box = self.mailbox
-        owned = self.owned_ranks
         with box.cond:
-            orphans = [
-                key for key in box.pending_keys() if key[1] in owned
-            ]
-            for key in orphans:
-                box.free(box.find(key))
+            orphans = box.discard(self.owned_ranks)
             box.cond.notify_all()
         return orphans
 
@@ -420,24 +485,28 @@ class LocalComm:
         return orphans
 
     # ---- statistics for the network model -------------------------------
+    # a tally of (source, bytes) -> messages: it stays the same size
+    # however many messages are sent
 
     def reset_log(self) -> None:
         with self._lock:
-            self.log.clear()
+            self._sent.clear()
 
     def bytes_by_rank(self) -> Dict[int, int]:
         out: Dict[int, int] = {}
         with self._lock:
-            records = list(self.log)
-        for rec in records:
-            out[rec.source] = out.get(rec.source, 0) + rec.nbytes
+            tally = list(self._sent.items())
+        for (source, nbytes), count in tally:
+            out[source] = out.get(source, 0) + nbytes * count
         return out
 
     def message_sizes(self, rank: Optional[int] = None) -> List[int]:
+        """Sizes of the messages sent (from ``rank``), in bytes."""
         with self._lock:
-            records = list(self.log)
+            tally = list(self._sent.items())
         return [
-            rec.nbytes
-            for rec in records
-            if rank is None or rec.source == rank
+            nbytes
+            for (source, nbytes), count in tally
+            if rank is None or source == rank
+            for _ in range(count)
         ]

@@ -53,6 +53,42 @@ from repro.resilience import (
 _TRACER = _obs.get_tracer()
 
 
+def tracer_comm_plan(halo: HaloUpdater | None = None):
+    """The tracer advection's communication schedule as a static
+    :class:`repro.lint.plan_ir.CommPlan` (``_advect_tracers_rank``): one
+    exchange of δp at step start and every tracer, finished before the
+    advection reads their halos. Message edges come from
+    ``halo.comm_schedule()`` (a default 6-rank decomposition when no
+    updater is passed)."""
+    from repro.lint import plan_ir
+
+    if halo is None:
+        halo = HaloUpdater(CubedSpherePartitioner(12, 1))
+    fields = ("delp_start", "tracers")
+    tracers = plan_ir.ExchangeDecl("tracers", fields, fslot_base=0)
+    advection = plan_ir.ComputeOp(
+        "tracer_advection",
+        reads={f: plan_ir.halo_extent(halo.n_halo) for f in fields},
+        writes={"tracers": plan_ir.halo_extent(0)},
+    )
+    return plan_ir.CommPlan.spmd(
+        name="dyncore.tracer_advection",
+        n_ranks=halo.partitioner.total_ranks,
+        exchanges=(tracers,),
+        # every part of the advection reads the halos the exchange
+        # fills, so it has no work for a window: a whole exchange (its
+        # two phases exposed)
+        program=(plan_ir.ExchangeOp("tracers"), advection),
+        edges=halo.comm_schedule(),
+    )
+
+
+def build_comm_plans():
+    """Discovery hook for ``python -m repro.lint --comm``: the tracer
+    exchange on the default 6-rank decomposition."""
+    return [tracer_comm_plan()]
+
+
 class DynamicalCore:
     """The Python FV3 dynamical core on simulated ranks.
 
@@ -398,8 +434,10 @@ class DynamicalCore:
         )
 
     def _advect_tracers_rank(self, r: int):
-        """SPMD body: one fused halo exchange of δp_start plus every
-        tracer (per-field tag slots), then this rank's advection."""
+        """SPMD body: one halo exchange of δp_start plus every tracer
+        (one message per neighbor and phase carries them all), then this
+        rank's advection (the schedule :func:`tracer_comm_plan`
+        declares)."""
         halo = self.halo
         hx = halo.start_scalars([self._delp_start] + self._tracer_fields, r)
         yield  # peers post phase 0

@@ -11,14 +11,17 @@ for every halo cell, the owning source rank, the source array indices and
 the frame rotation. The exchange runs in two phases (x-direction first,
 then y-direction including corner columns) so that cube-corner halo cells
 are sourced from already-updated neighbor halos, making the result
-independent of the rank layout. Data travels through packed contiguous
-buffers over the mpi4py-style communicator; which mailbox store that
+independent of the rank layout. Per (neighbor, phase) one message
+carries every field of the exchange, packed by the sender straight into
+the storage of the mpi4py-style communicator's mailbox and unpacked by
+the receiver from the payload it took (seam rotations included): the
+halo layer keeps no buffer of its own. Which mailbox store that
 communicator sits on (in-process, or shared memory between rank worker
 processes) is invisible here.
 
 There is one implementation, per rank and split: ``start_*`` posts a
 rank's phase-0 messages, ``advance`` completes phase 0 and posts phase 1,
-``finish_*`` completes phase 1 (``receive`` waits for a posted phase's
+``finish_*`` completes phase 1 (``receive`` takes a posted phase's
 messages ahead of either, without writing them) — the SPMD body of every
 rank executor
 (:mod:`repro.runtime.ranks`) calls these around its interior compute.
@@ -32,8 +35,9 @@ seam rotations, under every executor.
 from __future__ import annotations
 
 import dataclasses
-import threading
+import math
 import time
+from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -54,14 +58,34 @@ _TRACER = _obs.get_tracer()
 
 
 def _tag(fslot: int, phase: int, pi: int) -> int:
-    """Message tag for plan ``pi`` of ``phase``, field slot ``fslot``.
-
-    Slot 0 reproduces the historical ``phase * 1000 + pi`` encoding;
-    higher slots let one split exchange carry several fields (u/v, or
-    δp/pt/w) with disjoint (source, dest, tag) keys while all are in
-    flight concurrently.
-    """
+    """Message tag for plan ``pi`` of ``phase`` of the exchange on tag
+    slot ``fslot``: two exchanges in flight at once (the winds and the
+    transported scalars) take different slots, so their messages have
+    disjoint (source, dest, tag) keys."""
     return fslot * 10000 + phase * 1000 + pi
+
+
+def _pack(fields, plan: "GatherPlan", out: np.ndarray) -> None:
+    """Gather the cells ``plan`` sends of every field into ``out[k]``."""
+    for field, row in zip(fields, out):
+        if field.flags["C_CONTIGUOUS"]:
+            # a single-axis take on the row-major flattened view; "clip"
+            # (the indices are in range by construction) writes ``row``
+            # directly instead of through a temporary
+            np.take(
+                field.reshape((-1,) + field.shape[2:]), plan.flat_src,
+                axis=0, out=row, mode="clip",
+            )
+        else:
+            row[...] = field[plan.src_i, plan.src_j]
+
+
+def _scatter(field: np.ndarray, plan: "GatherPlan", values) -> None:
+    """field[plan's halo cells] = values."""
+    if field.flags["C_CONTIGUOUS"]:
+        field.reshape((-1,) + field.shape[2:])[plan.flat_dst] = values
+    else:
+        field[plan.dst_i, plan.dst_j] = values
 
 
 @dataclasses.dataclass
@@ -79,12 +103,14 @@ class RankHaloExchange:
     rank: int
     slots: Tuple[Sequence[np.ndarray], ...]
     vector: bool
-    #: first tag slot: two exchanges in flight concurrently (e.g. the
-    #: wind exchange and the transported scalars) need disjoint slots
+    #: the exchange's tag slot: two exchanges in flight concurrently
+    #: (e.g. the wind exchange and the transported scalars) need
+    #: different slots
     fslot_base: int = 0
     #: the posted phase: 0 after ``start_*``, 1 after ``advance``
     phase: int = 0
-    #: (slot index, plan, buffer, request) of the posted phase's receives
+    #: (plan, request) of the posted phase's receives; a waited request
+    #: holds its payload until the unpack
     reqs: List[tuple] = dataclasses.field(default_factory=list)
     #: when phase 0 had been posted (start of the overlap window)
     t_start: float = 0.0
@@ -103,7 +129,7 @@ class GatherPlan:
     src_j: np.ndarray
     rotations: int  # CCW quarter turns applied to vector components
     #: row-major flat equivalents of (src_i, src_j) / (dst_i, dst_j) for
-    #: single-axis gathers into persistent pack buffers (``np.take``)
+    #: single-axis gathers and scatters
     flat_src: np.ndarray = None
     flat_dst: np.ndarray = None
 
@@ -158,11 +184,6 @@ class HaloUpdater:
             self._build_rank_plans(rank)
             for rank in range(partitioner.total_ranks)
         ]
-        # persistent buffers: one receive buffer per message (gather
-        # plans are static per (rank, phase, field slot)), one send
-        # scratch per (rank, shape, dtype), one pair per rotated plan
-        self._bufs: Dict[tuple, np.ndarray] = {}
-        self._buf_lock = threading.Lock()
         #: send-side inverse of ``plans``: for each source rank and
         #: phase, the (dest rank, plan index, plan) triples it must pack
         #: and post — what a rank thread needs to run its own sends
@@ -192,28 +213,6 @@ class HaloUpdater:
                         (plan.src_rank, dst, phase, pi, plan.cells)
                     )
         return edges
-
-    def _plan_buf(self, key: tuple, shape, dtype) -> np.ndarray:
-        buf = self._bufs.get(key)
-        if buf is None or buf.shape != shape or buf.dtype != dtype:
-            with self._buf_lock:
-                buf = self._bufs.get(key)
-                if buf is None or buf.shape != shape or buf.dtype != dtype:
-                    buf = np.empty(shape, dtype=dtype)
-                    self._bufs[key] = buf
-        return buf
-
-    @staticmethod
-    def _gather(field: np.ndarray, flat: np.ndarray, buf: np.ndarray,
-                ij: Tuple[np.ndarray, np.ndarray]) -> None:
-        """buf[...] = field[ij] without allocating: a single-axis ``take``
-        on the row-major flattened view when the field is contiguous."""
-        if field.flags["C_CONTIGUOUS"]:
-            np.take(
-                field.reshape((-1,) + field.shape[2:]), flat, axis=0, out=buf
-            )
-        else:
-            buf[...] = field[ij]
 
     # ------------------------------------------------------------------
     def _build_rank_plans(self, rank: int) -> List[List[GatherPlan]]:
@@ -273,106 +272,81 @@ class HaloUpdater:
             phases.append(plans)
         return phases
 
-    def _rotate_rank(self, rank: int, u_fields, v_fields,
-                     phase: int) -> int:
-        """Rotate one rank's received vector halo cells into its local
-        tile basis; returns the number of cells rotated."""
+    @staticmethod
+    def _rotate(fields, rotated) -> int:
+        """Unpack the rotated plans of a vector exchange: each payload's
+        components turned into the local tile basis, straight into the
+        halo cells; returns the number of cells rotated."""
         from repro.runtime.pool import get_pool
 
         pool = get_pool()
-        rotated = 0
-        for pi, plan in enumerate(self.plans[rank][phase]):
-            if plan.rotations == 0:
-                continue
+        uf, vf = fields
+        cells = 0
+        for plan, req in rotated:
             rot = _ROTATIONS[plan.rotations]
-            rotated += plan.cells
-            uf, vf = u_fields[rank], v_fields[rank]
-            shape = (plan.cells,) + uf.shape[2:]
-            ij = (plan.dst_i, plan.dst_j)
-            # gather both components into persistent buffers, form
-            # the rotated combinations in pooled scratch, scatter
-            ub = self._plan_buf(("rotu", phase, rank, pi), shape,
-                                uf.dtype)
-            vb = self._plan_buf(("rotv", phase, rank, pi), shape,
-                                vf.dtype)
-            self._gather(uf, plan.flat_dst, ub, ij)
-            self._gather(vf, plan.flat_dst, vb, ij)
-            t1 = pool.checkout(shape, uf.dtype)
-            t2 = pool.checkout(shape, uf.dtype)
-            np.multiply(rot[0, 0], ub, out=t1)
-            np.multiply(rot[0, 1], vb, out=t2)
+            u, v = req.payload
+            # the combinations form in pooled scratch, in the ufunc
+            # order r00*u + r01*v (which fixes the signed zeros)
+            t1 = pool.checkout(u.shape, u.dtype)
+            t2 = pool.checkout(u.shape, u.dtype)
+            np.multiply(rot[0, 0], u, out=t1)
+            np.multiply(rot[0, 1], v, out=t2)
             np.add(t1, t2, out=t1)
-            uf[ij] = t1
-            np.multiply(rot[1, 0], ub, out=t1)
-            np.multiply(rot[1, 1], vb, out=t2)
+            _scatter(uf, plan, t1)
+            np.multiply(rot[1, 0], u, out=t1)
+            np.multiply(rot[1, 1], v, out=t2)
             np.add(t1, t2, out=t1)
-            vf[ij] = t1
+            _scatter(vf, plan, t1)
             pool.release(t2)
             pool.release(t1)
-        return rotated
+            req.release()
+            cells += plan.cells
+        return cells
 
     # ------------------------------------------------------------------
     # the split per-rank exchange
     # ------------------------------------------------------------------
     def _post(self, ex: RankHaloExchange, phase: int) -> None:
-        """Pack and post every message the rank owes its neighbors for
-        one phase (all field slots), then post its own receives."""
+        """Pack and post the one message per neighbor the rank owes for
+        one phase — every field of the exchange in it — then post its
+        own receives."""
         comm, rank = self.comm, ex.rank
+        fields = [f[rank] for f in ex.slots]
+        trailing, dtype = fields[0].shape[2:], fields[0].dtype
         sends = self._send_index[rank][phase]
         nbytes = 0
         with _TRACER.span("halo.exchange") as sp:
             for dst, pi, plan in sends:
-                for fslot, fields in enumerate(ex.slots, start=ex.fslot_base):
-                    field = fields[rank]
-                    shape = (plan.cells,) + field.shape[2:]
-                    # the rank's own send scratch, never the receiver's
-                    # "rcv" buffer: the sender may repack for the next
-                    # exchange while the receiver is still scattering
-                    # this one, so the two sides must never share
-                    # storage. Isend snapshots the payload, making the
-                    # scratch free on return — one per (rank, shape,
-                    # dtype) serves every message the rank sends
-                    buf = self._plan_buf(
-                        ("snd", rank, shape, field.dtype), shape, field.dtype
-                    )
-                    self._gather(
-                        field, plan.flat_src, buf, (plan.src_i, plan.src_j)
-                    )
-                    nbytes += buf.nbytes
-                    comm.Isend(
-                        buf, source=rank, dest=dst,
-                        tag=_tag(fslot, phase, pi),
-                    )
-            ex.reqs = []
-            for pi, plan in enumerate(self.plans[rank][phase]):
-                for si, fields in enumerate(ex.slots):
-                    fslot = ex.fslot_base + si
-                    field = fields[rank]
-                    shape = (plan.cells,) + field.shape[2:]
-                    buf = self._plan_buf(
-                        ("rcv", rank, phase, pi, fslot), shape, field.dtype
-                    )
-                    req = comm.Irecv(
-                        buf, source=plan.src_rank, dest=rank,
-                        tag=_tag(fslot, phase, pi),
-                    )
-                    ex.reqs.append((si, plan, buf, req))
-            sp.add("messages", len(sends) * len(ex.slots))
+                shape = (len(fields), plan.cells) + trailing
+                comm.Ipack(
+                    shape, dtype, partial(_pack, fields, plan),
+                    source=rank, dest=dst,
+                    tag=_tag(ex.fslot_base, phase, pi),
+                )
+                nbytes += math.prod(shape) * dtype.itemsize
+            ex.reqs = [
+                (plan, comm.Irecv(
+                    None, source=plan.src_rank, dest=rank,
+                    tag=_tag(ex.fslot_base, phase, pi),
+                ))
+                for pi, plan in enumerate(self.plans[rank][phase])
+            ]
+            sp.add("messages", len(sends))
             sp.add("bytes", nbytes)
         ex.phase = phase
 
     def receive(self, ex: RankHaloExchange) -> None:
-        """Wait until the posted phase's messages are in their receive
-        buffers, writing nothing into the fields: the ``advance`` or
-        ``finish_*`` that follows scatters them without blocking. A rank
-        that finishes an exchange inside a program (a callback) waits
-        here first, so that it never blocks holding the program's slab."""
+        """Wait until the posted phase's messages are taken, writing
+        nothing into the fields: the ``advance`` or ``finish_*`` that
+        follows unpacks them without blocking. A rank that finishes an
+        exchange inside a program (a callback) waits here first, so that
+        it never blocks holding the program's slab."""
         with _TRACER.span("halo.exchange"):
             self._wait(ex)
 
     def _wait(self, ex: RankHaloExchange) -> None:
-        """Complete the posted phase's receives (a request already
-        completed returns at once).
+        """Take the posted phase's messages (a request already completed
+        returns at once).
 
         A timeout does *not* drain the communicator here — other ranks
         may still be exchanging. Whoever drives the ranks drains once
@@ -380,32 +354,37 @@ class HaloUpdater:
         whole-world ``update_*`` below).
         """
         try:
-            for _, _, _, req in ex.reqs:
+            for _, req in ex.reqs:
                 t0 = time.perf_counter()
                 req.wait()
                 ex.blocked += time.perf_counter() - t0
         except HaloTimeoutError as exc:
-            # name the owning exchange's tag-slot window so the timeout
-            # is cross-referenceable with the C3xx protocol findings
+            # name the owning exchange's tag slot so the timeout is
+            # cross-referenceable with the C3xx protocol findings
             exc.phase = ex.phase
             exc.fslot_base = ex.fslot_base
             _record("halo_timeouts")
             raise
 
     def _complete(self, ex: RankHaloExchange) -> None:
-        """Complete the posted phase's receives, scatter the halo cells
-        and (for vectors) rotate them into the local tile basis."""
-        rank, slots = ex.rank, ex.slots
+        """Take the posted phase's messages and unpack each from its
+        payload into the halo cells — through the seam rotation, for the
+        rotated plans of a vector exchange. No two plans of a phase
+        write the same cell, so the order of the unpacks is free."""
+        fields = [f[ex.rank] for f in ex.slots]
+        rotated = []
         with _TRACER.span("halo.exchange"):
             self._wait(ex)
-            for si, plan, buf, _ in ex.reqs:
-                slots[si][rank][plan.dst_i, plan.dst_j] = buf
+            for plan, req in ex.reqs:
+                if ex.vector and plan.rotations:
+                    rotated.append((plan, req))
+                    continue
+                for field, values in zip(fields, req.payload):
+                    _scatter(field, plan, values)
+                req.release()
         if ex.vector:
             with _TRACER.span("halo.rotate_vectors") as sp:
-                sp.add(
-                    "cells",
-                    self._rotate_rank(rank, slots[0], slots[1], ex.phase),
-                )
+                sp.add("cells", self._rotate(fields, rotated))
 
     def _start(self, slots, rank: int, vector: bool,
                fslot_base: int = 0) -> RankHaloExchange:
@@ -445,9 +424,10 @@ class HaloUpdater:
     def start_scalars(self, fields_list: Sequence[Sequence[np.ndarray]],
                       rank: int, fslot_base: int = 0) -> RankHaloExchange:
         """Like :meth:`start_scalar` for several fields at once — one
-        fused exchange with per-field tag slots. ``fslot_base`` offsets
-        the slots so this exchange can be in flight concurrently with
-        another one using lower slots (disjoint message keys)."""
+        exchange, one message per neighbor and phase carrying them all
+        (they share a shape and dtype). ``fslot_base`` is the exchange's
+        tag slot: another exchange in flight at the same time takes a
+        different one (disjoint message keys)."""
         return self._start(
             tuple(fields_list), rank, vector=False, fslot_base=fslot_base
         )
@@ -514,14 +494,12 @@ class HaloUpdater:
 
     def finalize(self, strict: bool = False):
         """Teardown drain check: report sent-but-never-received messages
-        (the mailbox leak) and drop the persistent pack buffers.
+        (the mailbox leak).
 
         Returns the orphaned (source, dest, tag) triples from
         :meth:`LocalComm.finalize`.
         """
-        orphans = self.comm.finalize(strict=strict)
-        self._bufs.clear()
-        return orphans
+        return self.comm.finalize(strict=strict)
 
     def _check(self, fields) -> None:
         p = self.partitioner

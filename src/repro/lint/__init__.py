@@ -42,6 +42,7 @@ from repro.lint.plan_ir import (
     CommPlan,
     ComputeOp,
     ExchangeDecl,
+    ExchangeOp,
     FinishOp,
     AdvanceOp,
     MessageEdge,
@@ -70,6 +71,7 @@ __all__ = [
     "ComputeOp",
     "DSL_RULES",
     "ExchangeDecl",
+    "ExchangeOp",
     "FinishOp",
     "KNOWN_RULES",
     "LintFinding",

@@ -20,8 +20,12 @@ these rules give them back to the toolchain:
   half-filled halos, writes race the scatter); interior writes to an
   in-flight field are a warning (they change what a later phase packs).
 - **C305 exposed-window** — a window with no compute inside hides
-  nothing; the split API is pure overhead there (use the atomic update,
-  or move work into the window).
+  nothing; the split API is pure overhead there (declare the exchange
+  whole, an :class:`~repro.lint.plan_ir.ExchangeOp`, or move work into
+  the window).
+
+An ``ExchangeOp`` is checked as its start, advance and finish back to
+back by every rule but C304/C305, for which it opens no window.
 
 Entry point: :func:`lint_comm_plan`.
 """
@@ -37,6 +41,7 @@ from repro.lint.plan_ir import (
     CommPlan,
     ComputeOp,
     ExchangeDecl,
+    ExchangeOp,
     FinishOp,
     StartOp,
 )
@@ -75,6 +80,14 @@ def _finding(rule: str, severity: str, plan: CommPlan, message: str,
         location=location,
         hint=hint,
     )
+
+
+def _expanded(program) -> Tuple:
+    """``program`` with every ExchangeOp as its start/advance/finish."""
+    out = []
+    for op in program:
+        out.extend(op.expand() if isinstance(op, ExchangeOp) else (op,))
+    return tuple(out)
 
 
 def _grouped_programs(plan: CommPlan):
@@ -399,7 +412,8 @@ def _rule_windows(plan, program, ranks) -> Iterable[LintFinding]:
                     "no latency here",
                     start.location,
                     hint="move independent compute between start and "
-                         "finish, or use the atomic update_* call",
+                         "finish, or declare the exchange whole "
+                         "(ExchangeOp)",
                 )
         elif isinstance(op, ComputeOp):
             for x in live:
@@ -465,11 +479,15 @@ def lint_comm_plan(
     findings: List[LintFinding] = []
     groups = _grouped_programs(plan)
     for program, ranks in groups:
-        findings.extend(_rule_lifecycle(plan, program, ranks))
-        findings.extend(_rule_slot_collision(plan, program, ranks))
+        expanded = _expanded(program)
+        findings.extend(_rule_lifecycle(plan, expanded, ranks))
+        findings.extend(_rule_slot_collision(plan, expanded, ranks))
         findings.extend(_rule_windows(plan, program, ranks))
-    findings.extend(_rule_symmetry(plan))
-    findings.extend(_rule_deadlock(plan))
+    flat = dataclasses.replace(
+        plan, programs=tuple(_expanded(p) for p in plan.programs)
+    )
+    findings.extend(_rule_symmetry(flat))
+    findings.extend(_rule_deadlock(flat))
     if rules is not None:
         wanted = set(rules)
         findings = [f for f in findings if f.rule in wanted]

@@ -16,10 +16,11 @@ A :class:`CommPlan` is
   from :meth:`repro.fv3.halo.HaloUpdater.comm_schedule` (or synthesized
   with :func:`ring_edges` in tests);
 - per-rank *programs*: linear sequences of :class:`StartOp` /
-  :class:`AdvanceOp` / :class:`FinishOp` / :class:`ComputeOp`, mirroring
-  what each rank thread executes;
+  :class:`AdvanceOp` / :class:`FinishOp` / :class:`ExchangeOp` /
+  :class:`ComputeOp`, mirroring what each rank thread executes;
 - the *exchange declarations*: which logical fields each split exchange
-  carries and on which ``fslot_base`` tag slots.
+  carries and on which ``fslot_base`` tag slot (one per exchange: a
+  message carries every field of its exchange).
 
 Compute ops carry per-field read/write :class:`~repro.dsl.extents.Extent`
 footprints (relative to the interior compute domain, so
@@ -48,6 +49,7 @@ __all__ = [
     "CommPlan",
     "ComputeOp",
     "ExchangeDecl",
+    "ExchangeOp",
     "FinishOp",
     "MessageEdge",
     "StartOp",
@@ -98,7 +100,7 @@ class MessageEdge:
 
 @dataclasses.dataclass(frozen=True)
 class ExchangeDecl:
-    """A split exchange: which fields travel, on which tag slots."""
+    """A split exchange: which fields travel, on which tag slot."""
 
     name: str
     fields: Tuple[str, ...]
@@ -107,10 +109,9 @@ class ExchangeDecl:
 
     @property
     def fslots(self) -> Tuple[int, ...]:
-        """Tag slots this exchange occupies (one per carried field)."""
-        return tuple(
-            range(self.fslot_base, self.fslot_base + len(self.fields))
-        )
+        """Tag slots this exchange occupies: its one slot, since each
+        message carries all of its fields."""
+        return (self.fslot_base,)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -144,6 +145,27 @@ class FinishOp:
 
 
 @dataclasses.dataclass(frozen=True)
+class ExchangeOp:
+    """A whole exchange with no compute of the rank's own inside it: its
+    start, advance and finish back to back (a lockstep body yields
+    between them). Checked as those three ops, with no window to hide
+    latency in — the form for an exchange whose every reader needs the
+    halos it fills."""
+
+    exchange: str
+    location: SourceLocation = dataclasses.field(
+        default_factory=_capture_location
+    )
+
+    def expand(self) -> Tuple["StartOp", "AdvanceOp", "FinishOp"]:
+        return (
+            StartOp(self.exchange, self.location),
+            AdvanceOp(self.exchange, self.location),
+            FinishOp(self.exchange, self.location),
+        )
+
+
+@dataclasses.dataclass(frozen=True)
 class ComputeOp:
     """A compute region between communication ops.
 
@@ -164,7 +186,7 @@ class ComputeOp:
         object.__setattr__(self, "writes", dict(self.writes))
 
 
-CommOp = object  # StartOp | AdvanceOp | FinishOp | ComputeOp
+CommOp = object  # StartOp | AdvanceOp | FinishOp | ExchangeOp | ComputeOp
 
 
 @dataclasses.dataclass(frozen=True)

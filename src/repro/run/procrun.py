@@ -60,21 +60,27 @@ __all__ = ["run_processes"]
 #: is far too twitchy for a cold fleet
 _DEFAULT_MAX_POLLS = 1200
 
+#: halo exchanges a rank has in flight at once (the winds and the
+#: transported scalars of an acoustic sub-step)
+_CONCURRENT_EXCHANGES = 2
+
 
 def _transport_sizing(partitioner, config) -> Tuple[int, int]:
     """(slot_bytes, n_slots) from the decomposition's halo plans.
 
-    Slot capacity covers the largest single boundary message (widest
-    plan × npz levels × 8 bytes); the slot count covers one message on
-    every (exchange plan × concurrent field slot) key — all that can be
-    in flight at once, a post to an occupied key blocks. Both are then
-    doubled for headroom.
+    A message carries every field of its exchange, so a slot holds the
+    largest packed payload: the widest plan × npz levels × the most
+    fields one exchange carries (δp/pt/w, or δp plus every tracer) × 8
+    bytes. The slot count covers one message on every (plan, exchange)
+    key of the exchanges in flight at once — the winds and the scalars
+    of a sub-step; a post to an occupied key blocks — doubled for
+    headroom.
     """
     schedule = HaloUpdater(partitioner).comm_schedule()
     max_cells = max(cells for *_, cells in schedule)
-    slot_bytes = max(4096, max_cells * max(1, config.npz) * 8 * 2)
-    fields = max(5, 2 + config.n_tracers)
-    n_slots = min(4096, max(64, len(schedule) * fields * 2))
+    fields = max(3, 1 + config.n_tracers)
+    slot_bytes = max(4096, max_cells * max(1, config.npz) * fields * 8)
+    n_slots = min(4096, max(64, len(schedule) * _CONCURRENT_EXCHANGES * 2))
     return slot_bytes, n_slots
 
 

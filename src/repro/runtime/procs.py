@@ -6,8 +6,9 @@ ranks, exchange halos through the one communicator
 (:class:`~repro.fv3.communicator.LocalComm`) over a mailbox store that
 lives in a POSIX shared-memory slot table guarded by one
 ``multiprocessing`` condition variable (:class:`ShmTransport`). The
-split ``start_*/advance/finish_*`` halo API and its disjoint snd/rcv
-pack buffers were designed for exactly this:
+split ``start_*/advance/finish_*`` halo API, whose messages are packed
+into and unpacked from the store's own storage, was designed for
+exactly this:
 :class:`~repro.fv3.halo.HaloUpdater` never learns which store it is on.
 
 Design:
@@ -33,7 +34,9 @@ Design:
   time and a forked worker never inherits the run's parent-side state.
 - **Transport.** A fixed table of fixed-size slots in
   ``multiprocessing.shared_memory``; one slot holds one in-flight
-  message (header: status/src/dst/tag/shape/dtype/deliverable-at).
+  message (header: status/src/dst/tag/shape/dtype/deliverable-at),
+  which its sender packs in place and its receiver unpacks in place —
+  the slot stays held from the take until the receiver releases it.
   Matching, blocking, budgets and chaos sites are the communicator's;
   the table only stores. Deliverable-at instants are
   ``time.monotonic_ns`` — ``CLOCK_MONOTONIC`` is system-wide on the
@@ -70,6 +73,7 @@ under the default ``fork`` start method, which inherits the registry).
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import resource
 import threading
@@ -117,7 +121,9 @@ _H_DTYPE = 12
 _HDR_INTS = 16
 _HDR_BYTES = _HDR_INTS * 8
 
-_EMPTY, _FULL = 0, 1
+#: slot states: free; being packed by its sender; posted (findable);
+#: taken by its receiver, which still reads the payload in place
+_EMPTY, _FULL, _RESERVED, _TAKEN = 0, 1, 2, 3
 
 
 def _pack_dtype(dtype: np.dtype) -> int:
@@ -199,7 +205,12 @@ class ShmTransport:
             return
         self._closed = True
         self.hdr = None  # release the exported buffer before closing
-        self._shm.close()
+        try:
+            self._shm.close()
+        except BufferError:
+            # a payload an aborted exchange took is still referenced:
+            # the mapping goes with this process
+            pass
         if self._owner:
             try:
                 self._shm.unlink()
@@ -219,15 +230,16 @@ class ShmTransport:
         hits = np.nonzero(mask)[0]
         return int(hits[0]) if hits.size else None
 
-    def _payload(self, slot: int, nbytes: int) -> np.ndarray:
+    def _payload(self, slot: int, shape, dtype: np.dtype) -> np.ndarray:
         offset = self._payload_base + slot * self.slot_bytes
         return np.frombuffer(
-            self._shm.buf, dtype=np.uint8, count=nbytes, offset=offset
-        )
+            self._shm.buf, dtype=dtype, count=math.prod(shape),
+            offset=offset,
+        ).reshape(shape)
 
-    def post(self, key: _Key, payload: np.ndarray, at_ns: int,
-             delayed: bool) -> bool:
-        nbytes = payload.nbytes
+    def reserve(self, key: _Key, shape, dtype) -> Optional[tuple]:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
         if nbytes > self.slot_bytes:
             raise ValueError(
                 f"message of {nbytes} bytes exceeds the transport's "
@@ -235,27 +247,32 @@ class ShmTransport:
                 f"from the halo plans at launch: "
                 f"repro.run.procrun._transport_sizing)"
             )
-        if payload.ndim > _MAX_DIMS:
+        if len(shape) > _MAX_DIMS:
             raise ValueError(
-                f"{payload.ndim}-d payloads unsupported (max {_MAX_DIMS})"
+                f"{len(shape)}-d payloads unsupported (max {_MAX_DIMS})"
             )
         empty = np.nonzero(self.hdr[:, _H_STATUS] == _EMPTY)[0]
         if not empty.size:
-            return False
+            return None
         slot = int(empty[0])
         row = self.hdr[slot]
         row[_H_SRC], row[_H_DST], row[_H_TAG] = key
         row[_H_NBYTES] = nbytes
-        row[_H_NDIM] = payload.ndim
+        row[_H_NDIM] = len(shape)
         row[_H_SHAPE:_H_SHAPE + _MAX_DIMS] = 0
-        for axis, extent in enumerate(payload.shape):
+        for axis, extent in enumerate(shape):
             row[_H_SHAPE + axis] = extent
+        row[_H_DTYPE] = _pack_dtype(dtype)
+        row[_H_STATUS] = _RESERVED
+        # the sender packs straight into the slot
+        return slot, self._payload(slot, shape, dtype)
+
+    def post(self, slot: int, payload: np.ndarray, at_ns: int,
+             delayed: bool) -> None:
+        row = self.hdr[slot]
         row[_H_AT_NS] = at_ns
         row[_H_DELAYED] = int(delayed)
-        row[_H_DTYPE] = _pack_dtype(payload.dtype)
-        self._payload(slot, nbytes)[:] = payload.reshape(-1).view(np.uint8)
         row[_H_STATUS] = _FULL
-        return True
 
     def due(self, slot: int) -> Tuple[int, bool]:
         row = self.hdr[slot]
@@ -263,23 +280,31 @@ class ShmTransport:
 
     def take(self, slot: int) -> np.ndarray:
         row = self.hdr[slot]
+        row[_H_STATUS] = _TAKEN
         ndim = int(row[_H_NDIM])
         shape = tuple(int(row[_H_SHAPE + axis]) for axis in range(ndim))
-        dtype = _unpack_dtype(row[_H_DTYPE])
-        return self._payload(slot, int(row[_H_NBYTES])).view(dtype).reshape(
-            shape
-        )
+        return self._payload(slot, shape, _unpack_dtype(row[_H_DTYPE]))
 
-    def free(self, slot: int) -> None:
+    def release(self, slot: int) -> None:
         self.hdr[slot, _H_STATUS] = _EMPTY
 
-    def pending_keys(self) -> List[_Key]:
+    def discard(self, owned: Sequence[int]) -> List[_Key]:
         h = self.hdr
-        keys = [
+        status = h[:, _H_STATUS]
+        mine = np.isin(h[:, _H_DST], owned)
+        orphans = self._keys(mine & (status == _FULL))
+        h[mine & ((status == _FULL) | (status == _TAKEN)), _H_STATUS] = _EMPTY
+        return orphans
+
+    def _keys(self, mask) -> List[_Key]:
+        h = self.hdr
+        return sorted(
             (int(h[s, _H_SRC]), int(h[s, _H_DST]), int(h[s, _H_TAG]))
-            for s in np.nonzero(h[:, _H_STATUS] == _FULL)[0]
-        ]
-        return sorted(keys)
+            for s in np.nonzero(mask)[0]
+        )
+
+    def pending_keys(self) -> List[_Key]:
+        return self._keys(self.hdr[:, _H_STATUS] == _FULL)
 
     def __repr__(self) -> str:
         return (

@@ -21,7 +21,10 @@ never which body runs:
   another rank needs to post the matching send — so the cap is enforced
   by slot handover, not by pool width: :func:`io_wait` releases the
   calling rank's compute slot for the duration of a blocking
-  communicator wait and reacquires it afterwards.
+  communicator wait and reacquires it afterwards. The cores are shared
+  the same way: a compiled kernel called on a rank thread opens
+  ``1/workers`` of the OpenMP team one thread would
+  (:func:`kernel_threads`), as worker processes split it.
 
 No span may be open across a ``yield``: under lockstep the bodies share
 one thread's span stack.
@@ -52,6 +55,7 @@ __all__ = [
     "RankExecutor",
     "current_rank",
     "io_wait",
+    "kernel_threads",
     "record_overlap",
     "reset_metrics",
     "summary",
@@ -97,6 +101,13 @@ def current_rank() -> Optional[int]:
     through every call signature.
     """
     return getattr(_tls, "rank", None)
+
+
+def kernel_threads(default: int) -> int:
+    """The OpenMP width of a compiled kernel called on this thread: on a
+    rank thread its share of the kernel threads (``default_threads() //
+    workers``, at least one), elsewhere ``default``."""
+    return getattr(_tls, "threads", None) or default
 
 
 @contextmanager
@@ -181,13 +192,17 @@ class RankExecutor:
         if not self.parallel or len(ranks) <= 1:
             self._run_lockstep(fn, ranks, results)
             return [results[rank] for rank in ranks]
+        from repro.runtime.jit import default_threads
+
         errors: List[BaseException] = []
         t0 = time.perf_counter()
         pool = self._ensure_pool(len(ranks))
+        threads = max(1, default_threads() // self.workers)
         tracer = _obs.get_tracer()
         parent = tracer.current if tracer.enabled else None
         futures = [
-            pool.submit(self._run_rank, fn, rank, results, tracer, parent)
+            pool.submit(self._run_rank, fn, rank, threads, results, tracer,
+                        parent)
             for rank in ranks
         ]
         for fut in futures:
@@ -230,9 +245,10 @@ class RankExecutor:
             for body in live.values():
                 body.close()
 
-    def _run_rank(self, fn, rank, results, tracer, parent):
+    def _run_rank(self, fn, rank, threads, results, tracer, parent):
         _tls.slot = self._sem
         _tls.rank = rank
+        _tls.threads = threads
         self._sem.acquire()
         try:
             if parent is not None:
@@ -245,6 +261,7 @@ class RankExecutor:
             self._sem.release()
             _tls.slot = None
             _tls.rank = None
+            _tls.threads = None
 
     def shutdown(self) -> None:
         """Join the worker threads (idempotent)."""

@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.runtime import jit
+from repro.runtime import ranks as _ranks
 from repro.runtime.pool import get_pool
 from repro.sdfg.nodes import Callback
 
@@ -262,7 +263,8 @@ def _check_args(args, specs, label):
 def _c_caller(entry, unit: UnitImage, threads: int):
     """``entry()`` is the kernel's entry point; it is asked for at the
     first call, when whichever batch the kernel was requested in has been
-    built (``CompiledPlan._entry``)."""
+    built (``CompiledPlan._entry``). The OpenMP width is ``threads``, or
+    a rank thread's share of the cores (``ranks.kernel_threads``)."""
     narr = len(unit.arg_specs)
     cfn = None
 
@@ -273,7 +275,7 @@ def _c_caller(entry, unit: UnitImage, threads: int):
         _check_args(args[:narr], unit.arg_specs, unit.label)
         cargs = [arr.ctypes.data for arr in args[:narr]]
         cargs.extend(float(s) for s in args[narr:])
-        cargs.append(threads)
+        cargs.append(_ranks.kernel_threads(threads))
         cfn(*cargs)
 
     return call

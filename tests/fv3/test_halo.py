@@ -1,5 +1,8 @@
 """Halo-exchange correctness: continuity, invariance, vector rotation."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -171,25 +174,41 @@ def test_shape_validation():
         updater.update_scalar([np.zeros((14, 14))] * 5)
 
 
-def test_exchange_buffers_are_persistent_and_reused():
-    """Gather plans are static per (rank, phase): every message must reuse
-    one persistent pack buffer across update calls instead of allocating."""
+def test_an_exchange_leaves_nothing_allocated_behind():
+    """Messages are packed into storage the mailbox owns and unpacked
+    from the payload the receiver took: from its first update on, an
+    updater allocates nothing that outlives the exchange. (A second
+    updater warms what outlives both: the buffer pool the seam rotations
+    draw from, and the mailbox's table of message keys.)"""
     p = CubedSpherePartitioner(npx=8, layout=1)
-    updater = HaloUpdater(p, n_halo=H)
+    warm = HaloUpdater(p, n_halo=H)
+    updater = HaloUpdater(p, n_halo=H, comm=warm.comm)
     rng = np.random.default_rng(0)
-    fields = [rng.random((8 + 2 * H, 8 + 2 * H)) for _ in range(p.total_ranks)]
-    updater.update_scalar(fields)
-    bufs_after_first = dict(updater._bufs)
-    assert bufs_after_first  # buffers were created
-    updater.update_scalar(fields)
-    assert set(updater._bufs) == set(bufs_after_first)
-    for key, buf in updater._bufs.items():
-        assert buf is bufs_after_first[key], key
+    fields = [rng.random((8 + 2 * H, 8 + 2 * H, 2)) for _ in range(6)]
+    u = [rng.random((8 + 2 * H, 8 + 2 * H, 2)) for _ in range(6)]
+    v = [rng.random((8 + 2 * H, 8 + 2 * H, 2)) for _ in range(6)]
+    only_halo = [tracemalloc.Filter(True, "*/fv3/halo.py")]
+    warm.update_scalar([f.copy() for f in fields])
+    warm.update_vector([f.copy() for f in u], [f.copy() for f in v])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(only_halo)
+        updater.update_scalar(fields)
+        updater.update_vector(u, v)
+        gc.collect()
+        after = tracemalloc.take_snapshot().filter_traces(only_halo)
+    finally:
+        tracemalloc.stop()
+    assert not [
+        stat for stat in after.compare_to(before, "lineno")
+        if stat.size_diff > 0
+    ]
+    assert updater.comm.pending() == []
 
 
 def test_exchange_buffers_rebuilt_on_field_rank_change():
-    """The same updater serves 2D and 3D fields: buffers re-key by the
-    trailing shape, and results stay correct."""
+    """The same updater serves 2D and 3D fields: payloads take the
+    trailing shape of what they carry, and results stay correct."""
     p = CubedSpherePartitioner(npx=8, layout=1)
     updater = HaloUpdater(p, n_halo=H)
     rng = np.random.default_rng(1)
@@ -201,7 +220,7 @@ def test_exchange_buffers_rebuilt_on_field_rank_change():
     fresh.update_scalar(ref2)
     HaloUpdater(p, n_halo=H).update_scalar(ref3)
     updater.update_scalar(f2)
-    updater.update_scalar(f3)  # reshapes every buffer
+    updater.update_scalar(f3)
     for got, want in zip(f2, ref2):
         np.testing.assert_array_equal(got, want)
     for got, want in zip(f3, ref3):

@@ -71,10 +71,10 @@ def test_vector_update_doubles_traffic_and_counts_rotated_cells():
 
     vec = obs.get_tracer().root.children["halo.update_vector"]
     ex = vec.children["halo.exchange"]
-    # both components travel in one fused exchange on two tag slots
+    # both components travel in one message per neighbor and phase
     assert ex.count == 4 * p.total_ranks
     assert ex.attrs["bytes"] == 2 * _cells_per_update(p) * 8
-    assert ex.attrs["messages"] == 2 * sum(
+    assert ex.attrs["messages"] == sum(
         len(phase) for rank_plans in updater.plans for phase in rank_plans
     )
 

@@ -20,6 +20,7 @@ from repro.lint import (
 )
 from repro.lint.plan_ir import (
     AdvanceOp,
+    ExchangeOp,
     FinishOp,
     StartOp,
     halo_extent,
@@ -260,6 +261,36 @@ def test_empty_window_is_c305_warning():
     plan = _spmd([StartOp("a"), FinishOp("a"), COMPUTE], (EX_A,))
     (f,) = lint_comm_plan(plan)
     assert (f.rule, f.severity) == ("C305", "warning")
+
+
+def test_whole_exchange_is_checked_as_its_three_ops():
+    """An ExchangeOp opens no window (no C305), but it is a start and a
+    finish for every other rule: inside its own window it is a double
+    start, and two ranks running two whole exchanges in opposite order
+    deadlock."""
+    assert lint_comm_plan(_spmd([ExchangeOp("a"), COMPUTE], (EX_A,))) == []
+    nested = _spmd([StartOp("a"), COMPUTE, ExchangeOp("a"), FinishOp("a")],
+                   (EX_A,))
+    assert "C301" in _rules(_errors(lint_comm_plan(nested)))
+    crossed = CommPlan(
+        "crossed", 2, (EX_A, EX_B),
+        ((ExchangeOp("a"), ExchangeOp("b")),
+         (ExchangeOp("b"), ExchangeOp("a"))),
+        ring_edges(2),
+    )
+    assert _rules(lint_comm_plan(crossed)) == ["C303"]
+
+
+def test_tracer_exchange_plan_is_clean():
+    """The tracer advection's schedule — one whole exchange of δp and
+    the tracers on tag slot 0, then the advection — over the real
+    6-rank topology: every exchange a step runs is declared and clean."""
+    from repro.fv3 import dyncore
+
+    (plan,) = dyncore.build_comm_plans()
+    assert plan.name == "dyncore.tracer_advection"
+    assert plan.exchange("tracers").fslots == (0,)
+    assert lint_comm_plan(plan) == []
 
 
 def test_rule_filter_limits_output():

@@ -70,4 +70,3 @@ def test_halo_finalize_reports_orphans():
     with pytest.warns(OrphanedMessagesWarning):
         orphans = updater.finalize()
     assert orphans == [(0, 1, 77)]
-    assert updater._bufs == {}

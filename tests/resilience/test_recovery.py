@@ -23,16 +23,23 @@ CFG = DynamicalCoreConfig(
 
 #: drops one halo message, corrupts another, poisons one pool buffer and
 #: flips one NaN into a stencil's output — all within a two-step run.
+#: A halo message is one neighbor's share of one exchange phase, every
+#: field of the exchange packed in it: 24 an exchange here, the winds'
+#: and the scalars' phase 0 first. The 11th is a scalar message of the
+#: first attempt, the 40th a phase-1 scalar message of that attempt, which
+#: rank 5 then waits for in vain (ranks 0–4 have run their sub-step
+#: programs by then).
 #: Inside a program ``stencil.nanflip`` is consulted once per kernel that
 #: writes a field of the program's caller: the 26th of a run is rank 0's
 #: first flux accumulation (six Riemann solves of three such kernels,
 #: then the seven d_sw kernels ahead of it in rank 0's sub-step program,
-#: whose c_sw writes transients only); the 224th is the same in the
-#: second step (180 a step, and 18 in the attempt the dropped message
-#: cut short): an output every element of which is read again, so the
+#: whose c_sw writes transients only); the 264th is the same in the
+#: second step (180 a step, and 58 in the attempt the dropped message
+#: cut short: the six Riemann solves and five sub-step programs of eight
+#: such kernels): an output every element of which is read again, so the
 #: NaN cannot be absorbed by a halo update
 CHAOS_SPEC = (
-    "seed=7;halo.drop@40;halo.corrupt@11;pool.poison@3;stencil.nanflip@224"
+    "seed=7;halo.drop@40;halo.corrupt@11;pool.poison@3;stencil.nanflip@264"
 )
 
 ROLLBACK = ResilienceConfig(
@@ -101,6 +108,25 @@ def test_chaos_replay_is_deterministic(clean_run):
     assert plan_b.trace() == trace_a
     assert dict(resilience.summary()["counters"]) == counters_a
     _assert_bit_identical(run_a, run_b)
+
+
+def test_corrupted_packed_message_trips_the_guard_and_rolls_back(
+    clean_run,
+):
+    """A NaN written into one packed halo message (rank 2's phase-0
+    scalars for rank 1: δp, pt and w in one payload) reaches the state,
+    trips the guard, and the rolled-back step ends on the fault-free
+    state."""
+    plan = ChaosPlan.from_spec("seed=7;halo.corrupt@11")
+    faulty = _run(plan, ROLLBACK)
+    (fault,) = plan.injected
+    assert (fault.site, fault.detail["source"], fault.detail["dest"]) == (
+        "halo.corrupt", 2, 1,
+    )
+    counters = resilience.summary()["counters"]
+    assert counters["guard_trips"] == 1
+    assert counters["rollbacks"] == 1
+    _assert_bit_identical(clean_run, faulty)
 
 
 def test_recovery_shows_in_obs_report(clean_run):
