@@ -96,7 +96,8 @@ class DynamicalCore:
     advances one physics time step through ``k_split`` remapping sub-steps
     of ``n_split`` acoustic sub-steps each (Sec. II), four orchestrated
     programs per rank (:meth:`step_programs`). The modules and work
-    arrays are built by :meth:`prepare`, which the first step calls.
+    arrays are built by :meth:`prepare`, which the first step calls, and
+    dropped by :meth:`release`.
 
     The core holds the ranks its communicator owns (``comm.owned_ranks``,
     all of them by default): a rank worker process passes one endpoint of
@@ -180,6 +181,10 @@ class DynamicalCore:
             StateGuard(resilience.guard) if resilience is not None else None
         )
         self._prepared = False
+        # (imported here: repro.run imports this module)
+        from repro.run import metrics as _run_metrics
+
+        _run_metrics.count_engine(self)
 
     # ------------------------------------------------------------------
     def _build_step_machinery(self) -> None:
@@ -219,6 +224,18 @@ class DynamicalCore:
 
         self._remapped_fields = per_rank(remapped)
         self.acoustics = acoustics
+
+    def release(self) -> None:
+        """Drop what :meth:`_build_step_machinery` built: the modules,
+        their workspaces and accumulators, the δp snapshot, the rank
+        lists the programs are bound to — and with the modules every
+        binding of their programs. States, grids and the halo updater
+        stay. A core that steps again prepares again, from the caches:
+        its programs are bound, not traced."""
+        self.acoustics = self.remap = self.tracer_adv = None
+        self._delp_start = self._tracer_fields = None
+        self._remapped_fields = None
+        self._prepared = False
 
     def prepare(self) -> None:
         """Build the step machinery, then bind every orchestrated program

@@ -159,11 +159,10 @@ def _lint_module(module, comm: bool = False) -> List[LintFinding]:
 def _walk_repro_objects(root, max_objects: int = 10000) -> Iterable:
     """Every object on the live object graph under ``root``: a
     breadth-first walk over ``__dict__`` values of repro-owned objects
-    and over container elements. Orchestrated programs are yielded but
-    not entered (their bindings hold the arrays and SDFGs of every
-    rank)."""
-    from repro.orchestration import OrchestratedProgram
-
+    and over container elements. A program's state (an instance's
+    :class:`~repro.orchestration.program.ProgramState`) is yielded but
+    not entered: it has no ``__dict__``, and its bindings hold the arrays
+    and SDFGs of every rank."""
     visited: Set[int] = set()
     queue = [root]
     while queue and len(visited) < max_objects:
@@ -172,8 +171,6 @@ def _walk_repro_objects(root, max_objects: int = 10000) -> Iterable:
             continue
         visited.add(id(obj))
         yield obj
-        if isinstance(obj, OrchestratedProgram):
-            continue
         if isinstance(obj, dict):
             queue.extend(obj.values())
             continue
@@ -208,12 +205,12 @@ def _traced_programs(root) -> List:
     """``(whole-program SDFG, compiled plan)`` of every traced
     orchestrated program on the object graph under ``root`` (ranks bound
     to one template share both, which are listed once)."""
-    from repro.orchestration import OrchestratedProgram
+    from repro.orchestration.program import ProgramState
 
     programs = {}
     for obj in _walk_repro_objects(root):
-        if isinstance(obj, OrchestratedProgram):
-            for binding in obj._bindings.values():
+        if isinstance(obj, ProgramState):
+            for binding in obj.bindings.values():
                 programs[id(binding.template.sdfg)] = (
                     binding.template.sdfg, binding.plan
                 )

@@ -11,8 +11,8 @@ into it, which is the only thing that ever differed between the stores:
 - **peaks** take the maximum (``high_water_bytes``, ``workers``): two
   processes are two address spaces, their high waters do not stack;
 - **locals** describe this process and are never merged or reset
-  (``live_bytes``, ``entries``, ``engine``): each is a function
-  evaluated when a snapshot is taken;
+  (``live_bytes``, ``entries``, ``engine``): each is a function — of
+  the set's owner, if it has one — evaluated when a snapshot is taken;
 - one **labelled family** at most (the compile cache's ``hits`` /
   ``misses`` by backend), which snapshots as a dictionary of rows under
   the family's name and sums row by row.
@@ -31,7 +31,9 @@ list. Report footers, ``obs.to_json()`` and
 
 from __future__ import annotations
 
+import inspect
 import threading
+import weakref
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 __all__ = ["Counters", "REGISTRY", "register", "snapshot_all", "merge_all",
@@ -50,20 +52,37 @@ class Counters:
     ``lock`` lets an owner that already serialises its updates share its
     lock with the set: under it the owner may increment :attr:`values`
     in place, at no cost beyond the dictionary store.
+
+    ``owner`` is the object a set kept on it (``self.counters``)
+    describes: the set holds it weakly and hands it to each local
+    (``len``, ``attrgetter("live_bytes")``), whose value is ``None``
+    once the owner is gone. A local that closed over its owner instead
+    would make owner → set → local → owner a reference cycle, which
+    only the cyclic collector frees — with everything the owner holds:
+    a closure or a bound method is refused as a local. The locals of a
+    set without an owner (a module's) take no argument.
     """
 
     def __init__(
         self,
         sums: Iterable[str] = (),
         peaks: Iterable[str] = (),
-        local: Optional[Mapping[str, Callable[[], object]]] = None,
+        local: Optional[Mapping[str, Callable[..., object]]] = None,
         family: Optional[Tuple[str, Iterable[str]]] = None,
         derive: Optional[Callable[[Snapshot], Snapshot]] = None,
         lock: Optional[threading.Lock] = None,
+        owner: object = None,
     ):
         self.sums = tuple(sums)
         self.peaks = tuple(peaks)
         self.local = dict(local or {})
+        for name, read in self.local.items():
+            if getattr(read, "__closure__", None) or inspect.ismethod(read):
+                raise TypeError(
+                    f"local {name!r} closes over an object: pass it as "
+                    "owner= and take it as the local's argument"
+                )
+        self._owner = None if owner is None else weakref.ref(owner)
         self.family, labelled = family or (None, ())
         self.labelled = tuple(labelled)
         self.derive = derive
@@ -107,8 +126,13 @@ class Counters:
                     for label in sorted(self.rows)
                 }
         # outside the lock: a local may take its owner's
-        for name, read in self.local.items():
-            out[name] = read()
+        if self._owner is None:
+            for name, read in self.local.items():
+                out[name] = read()
+        else:
+            owner = self._owner()
+            for name, read in self.local.items():
+                out[name] = None if owner is None else read(owner)
         return out
 
     def _view(self, plain: Snapshot) -> Snapshot:

@@ -229,7 +229,8 @@ def _ensemble_lines() -> List[str]:
         f"amortized {es['grid_builds_avoided']} grid builds, "
         f"compile cache {es['compile_hits']} hits / "
         f"{es['compile_misses']} misses ({rate_cell}), "
-        f"pool reuse {es['pool_reuse_hits']}"
+        f"pool reuse {es['pool_reuse_hits']}; "
+        f"engines alive {es['engines_alive']}"
     ]
 
 

@@ -349,11 +349,45 @@ class _Binding:
         self.backend = backend
 
 
+class ProgramState:
+    """What a program keeps between calls, for one instance: kept in the
+    instance's ``__dict__`` (``_orchestrated_<name>``) when the program is
+    a method. Nothing here references the instance — bindings hold
+    arrays, templates and plans — so an instance and its programs are
+    freed by reference counting, never left to the cyclic collector."""
+
+    __slots__ = ("bindings", "binding", "instrument", "backend",
+                 "param_names")
+
+    def __init__(self):
+        #: call-argument key → binding; ``binding`` is the one last used
+        self.bindings: Dict[tuple, _Binding] = {}
+        self.binding: Optional[_Binding] = None
+        #: sticky codegen flags: once ``compile`` instrumented or pinned
+        #: a backend, bindings made for new argument identities compile
+        #: the same way instead of silently dropping them; without it a
+        #: plan is instrumented exactly while tracing is on
+        self.instrument = False
+        self.backend: Optional[str] = None
+        #: parameter names, read once — every call needs them to find the
+        #: runtime scalars among its arguments
+        self.param_names: Optional[List[str]] = None
+
+
 class OrchestratedProgram:
-    """A callable whole-program SDFG wrapper (bound on first call)."""
+    """A callable whole-program SDFG wrapper (bound on first call).
+
+    On a class, ``@orchestrate`` leaves a program without an instance;
+    read off an instance (``module.__call__``, ``model.step``) it gives,
+    like a bound method, a new program for that instance on every read,
+    around the :class:`ProgramState` the instance keeps. The program
+    holds the instance and nothing holds the program, so the pair is no
+    reference cycle, and a program read off a temporary object keeps
+    that object alive for as long as it is itself held."""
 
     def __init__(self, func: Callable, instance: Any = None,
-                 optimize: Optional[Callable] = None):
+                 optimize: Optional[Callable] = None,
+                 state: Optional[ProgramState] = None):
         self.func = func
         #: the convention of ``functools.wraps``: the name a decorated
         #: method is found under holds the program, this the function
@@ -361,33 +395,22 @@ class OrchestratedProgram:
         self.instance = instance
         self.optimize = optimize
         self.name = func.__name__
-        #: call-argument key → binding; ``_binding`` is the one last used
-        self._bindings: Dict[tuple, _Binding] = {}
-        self._binding: Optional[_Binding] = None
-        #: sticky codegen flags: once ``compile`` instrumented or pinned
-        #: a backend, bindings made for new argument identities compile
-        #: the same way instead of silently dropping them; without it a
-        #: plan is instrumented exactly while tracing is on
-        self._instrument = False
-        self._backend: Optional[str] = None
-        #: parameter names, read once — every call needs them to find the
-        #: runtime scalars among its arguments
-        self._param_names: Optional[List[str]] = None
+        self._state = state if state is not None else ProgramState()
 
     # -- descriptor protocol: @orchestrate on methods ---------------------
     def __get__(self, obj, objtype=None):
         if obj is None:
             return self
         cache_name = f"_orchestrated_{self.name}"
-        program = obj.__dict__.get(cache_name)
-        if program is None:
-            program = OrchestratedProgram(self.func, obj, self.optimize)
-            obj.__dict__[cache_name] = program
-        return program
+        state = obj.__dict__.get(cache_name)
+        if state is None:
+            state = obj.__dict__.setdefault(cache_name, ProgramState())
+        return OrchestratedProgram(self.func, obj, self.optimize, state)
 
     @property
     def sdfg(self) -> Optional[SDFG]:
-        return self._binding.template.sdfg if self._binding else None
+        binding = self._state.binding
+        return binding.template.sdfg if binding else None
 
     def _trace(self, args, kwargs) -> Tuple[_Template, Dict[str, np.ndarray]]:
         from repro.orchestration.trace import _Builder
@@ -408,7 +431,8 @@ class OrchestratedProgram:
         calls with the same arguments.
         """
         template, arrays = self._trace(args, kwargs)
-        self._binding = self._bindings[self._key(args, kwargs)] = _Binding(
+        state = self._state
+        state.binding = state.bindings[self._key(args, kwargs)] = _Binding(
             template, arrays, (args, kwargs)
         )
         return template.sdfg
@@ -425,12 +449,13 @@ class OrchestratedProgram:
         ``instrument`` whether tracing is on; a compiled request without
         a usable JIT engine degrades (warn once) to NumPy.
         """
-        if self._binding is None:
+        state = self._state
+        if state.binding is None:
             raise OrchestrationError("build() the program first")
-        self._instrument = bool(self._instrument or instrument)
+        state.instrument = bool(state.instrument or instrument)
         if backend is not None:
-            self._backend = backend
-        return self._replan(self._binding).plan
+            state.backend = backend
+        return self._replan(state.binding).plan
 
     def _backend_wanted(self) -> str:
         """``"compiled"`` or ``"numpy"``: what ``compile`` pinned, else
@@ -438,8 +463,8 @@ class OrchestratedProgram:
         it for the process, ``ForecastService`` switches it per attempt.
         Programs have two emissions; under any backend but ``compiled``
         they run the NumPy one."""
-        if self._backend is not None:
-            return self._backend
+        if self._state.backend is not None:
+            return self._state.backend
         if _backends.current_default_backend() == "compiled":
             return "compiled"
         return "numpy"
@@ -447,7 +472,7 @@ class OrchestratedProgram:
     def _instrument_wanted(self) -> bool:
         """Whether a plan is instrumented now: ``compile`` asked for it,
         or tracing is on."""
-        return self._instrument or _TRACER.enabled
+        return self._state.instrument or _TRACER.enabled
 
     def _replan(self, binding: _Binding) -> _Binding:
         """Give ``binding`` the plan of the backend and instrumentation
@@ -596,14 +621,14 @@ class OrchestratedProgram:
         return key
 
     def _parameters(self) -> List[str]:
-        params = self._param_names
+        params = self._state.param_names
         if params is None:
             code = self.func.__code__
             params = [
                 name for name in code.co_varnames[:code.co_argcount]
                 if name != "self"
             ]
-            self._param_names = params
+            self._state.param_names = params
         return params
 
     @property
@@ -621,7 +646,7 @@ class OrchestratedProgram:
         from repro.sdfg.nodes import Kernel
 
         out: Dict[str, Tuple[int, int]] = {}
-        sdfg = self._binding.template.sdfg
+        sdfg = self._state.binding.template.sdfg
         for state in sdfg.states:
             for node in state.nodes:
                 if isinstance(node, Kernel):
@@ -639,7 +664,8 @@ class OrchestratedProgram:
         exactly the paper's Fig. 10 ratio.
         """
         bytes_by_label = self._kernel_bytes_by_label()
-        for label, (total, count) in self._binding.plan.kernel_times.items():
+        kernel_times = self._state.binding.plan.kernel_times
+        for label, (total, count) in kernel_times.items():
             t0, c0 = before.get(label, (0.0, 0))
             dt, dc = total - t0, count - c0
             if dc <= 0:
@@ -652,10 +678,11 @@ class OrchestratedProgram:
 
     def _bound(self, args, kwargs) -> _Binding:
         key = self._key(args, kwargs)
-        binding = self._bindings.get(key)
+        state = self._state
+        binding = state.bindings.get(key)
         if binding is None:
-            binding = self._bindings[key] = self._bind(args, kwargs)
-        self._binding = binding
+            binding = state.bindings[key] = self._bind(args, kwargs)
+        state.binding = binding
         if (
             binding.backend != self._backend_wanted()
             or binding.plan.instrument != self._instrument_wanted()
@@ -719,7 +746,7 @@ class OrchestratedProgram:
 
     @property
     def kernel_times(self):
-        binding = self._binding
+        binding = self._state.binding
         return binding.plan.kernel_times if binding and binding.plan else {}
 
 

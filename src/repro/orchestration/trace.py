@@ -111,8 +111,14 @@ class _Builder:
         ident = (parent, kind, key)
         index = self._read_index.get(ident)
         if index is not None:
-            if value is not self._values[index] and \
-                    constant_key(value) is None:
+            first = self._values[index]
+            if value is not first and constant_key(value) is None:
+                if isinstance(value, OrchestratedProgram) and \
+                        isinstance(first, OrchestratedProgram) and \
+                        value._state is first._state:
+                    # a method read off its instance again: a new
+                    # program object around the same state
+                    return first
                 self._mark_unshareable(
                     f"{kind} {key!r} yields a new object on every read"
                 )

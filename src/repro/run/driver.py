@@ -403,7 +403,9 @@ class EnsembleDriver:
             self.engine = engine
             self.executor = engine.executor
             self._owns_executor = False
+            self._owns_engine = False
         else:
+            self._owns_engine = True
             self.executor, self._owns_executor = resolve_executor(
                 executor, workers, self.config.total_ranks
             )
@@ -730,10 +732,16 @@ class EnsembleDriver:
     # ------------------------------------------------------------------
     def close(self, strict: bool = False) -> None:
         """Drain the engine's halo machinery; shut down an owned
-        executor (member states stay inspectable afterwards)."""
+        executor and release an owned engine's step machinery
+        (:meth:`DynamicalCore.release`: modules, workspaces, bound
+        programs). Member states, the grids and the halo updater stay
+        inspectable afterwards; an engine passed in as ``engine=`` is
+        its owner's and keeps everything."""
         self.engine.finalize(strict=strict)
         if self._owns_executor and self.executor is not None:
             self.executor.shutdown()
+        if self._owns_engine:
+            self.engine.release()
 
     def __enter__(self) -> "EnsembleDriver":
         return self

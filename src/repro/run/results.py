@@ -31,8 +31,8 @@ class MemberResult:
     another member replaces them with the member's copied-out arrays, so
     the list keeps showing this member (take
     ``EnsembleDriver.snapshot_member`` to keep a state). The engine core
-    the members were stepped through is on the owning :class:`RunResult`
-    (``result.engine``).
+    the members were stepped through, and what of it a result keeps, is
+    on the owning :class:`RunResult` (``result.engine``).
     """
 
     member: int
@@ -93,7 +93,13 @@ class RunResult:
     (``engine.grids``, ``engine.h``) and communication diagnostics
     (``engine.halo.comm``); after the run its arrays are the storage
     of the member resident at the end, so per-member fields belong on
-    ``member(k).states``.
+    ``member(k).states``. The run's driver released the engine's step
+    machinery when it closed (:meth:`DynamicalCore.release`:
+    ``engine.acoustics is None``), so a kept result holds the states,
+    the grids and the halo updater and nothing else of the run — no
+    module, workspace or bound program; a driver handed the engine
+    (``EnsembleDriver(..., engine=result.engine)``) rebuilds the rest
+    from the caches. Dropping the result frees all of it at once.
     """
 
     scenario: str

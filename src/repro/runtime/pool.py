@@ -106,10 +106,11 @@ class BufferPool:
             ),
             peaks=("high_water_bytes", "peak_slabs", "largest_slab_bytes"),
             local={
-                "live_bytes": lambda: self.live_bytes,
-                "idle_bytes": lambda: self.idle_bytes,
+                "live_bytes": operator.attrgetter("live_bytes"),
+                "idle_bytes": operator.attrgetter("idle_bytes"),
             },
             lock=self._lock,
+            owner=self,
         )
         self._n = self.counters.values
         self.stats = self.counters.snapshot

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from operator import attrgetter
 from typing import Dict, Optional, Tuple
 
 from repro.obs.counters import Counters
@@ -80,12 +81,10 @@ class StateCache:
         #: look-ups and ``put`` increment ``_n`` in place
         self.counters = Counters(
             sums=self.COUNTED,
-            local={
-                "entries": lambda: len(self._entries),
-                "bytes": lambda: self._bytes,
-            },
+            local={"entries": len, "bytes": attrgetter("_bytes")},
             derive=with_hit_ratio,
             lock=self._lock,
+            owner=self,
         )
         self._n = self.counters.values
         self.stats = self.counters.snapshot

@@ -47,7 +47,9 @@ def test_one_trace_of_the_substep_serves_every_rank():
         ranks = core.partitioner.total_ranks
         assert ranks == 6
         bindings = [
-            next(iter(core.acoustics.substeps[r].__call__._bindings.values()))
+            next(iter(
+                core.acoustics.substeps[r].__call__._state.bindings.values()
+            ))
             for r in core.ranks
         ]
         # traced for rank 0, bound by the other five
@@ -97,7 +99,8 @@ def test_the_scalar_finish_is_a_declared_callback_between_c_sw_and_d_sw():
         c_grid = {"crx", "cry", "xfx", "yfx", "delpc"}
         assert {name.rsplit("_", 1)[-1] for name in transients} >= c_grid
         work = core.acoustics.work[0]
-        (binding,) = core.acoustics.substeps[0].__call__._bindings.values()
+        program = core.acoustics.substeps[0].__call__
+        (binding,) = program._state.bindings.values()
         held = [a for a in binding.arrays.values()
                 if isinstance(a, np.ndarray)]
         for array in (work.crx_adv, work.cry_adv, work.xfx_adv,
@@ -159,8 +162,9 @@ config = get_scenario("baroclinic_wave").default_config(npx=12, npz=4)
 core = build_core("baroclinic_wave", config, executor="sequential")
 core.step_dynamics()
 templates = {
-    id(next(iter(core.acoustics.substeps[r].__call__._bindings.values()))
-       .template)
+    id(next(iter(
+        core.acoustics.substeps[r].__call__._state.bindings.values()
+    )).template)
     for r in core.ranks
 }
 stats = cc.stats()

@@ -230,7 +230,7 @@ def test_a_batch_that_failed_is_built_by_the_retry(empty_store):
         # before the third, a text one plan asks for twice reused at once
         recorded = [
             unit.text for call, _ in guarded.step_programs(0)[:2]
-            for unit in call.func._binding.plan.image.units
+            for unit in call.func._state.binding.plan.image.units
         ]
         assert failed == len(recorded) > 0
         assert stats["kernels_reused"] \

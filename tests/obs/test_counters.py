@@ -223,3 +223,50 @@ def test_registry_loops(monkeypatch):
     }
     with pytest.raises(KeyError):  # a group this process does not know
         counters.merge_all({"c": {"n": 1}})
+
+
+# -- a set kept on its owner -------------------------------------------------
+
+
+def test_a_set_holds_its_owner_weakly():
+    """``self.counters`` is no reference cycle: the owner's locals take
+    it as their argument, the set holds it weakly, and an owner dropped
+    with the collector off is gone at once."""
+    import gc
+    import weakref
+
+    class Owner:
+        def __init__(self):
+            self.items = [1, 2, 3]
+            self.counters = Counters(
+                sums=("n",), local={"items": lambda owner: len(owner.items)},
+                owner=self,
+            )
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        owner = Owner()
+        kept = owner.counters
+        assert kept.snapshot() == {"n": 0, "items": 3}
+        ref = weakref.ref(owner)
+        del owner
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert kept.snapshot() == {"n": 0, "items": None}
+
+
+def test_a_local_closing_over_an_object_is_refused():
+    class Owner:
+        size = 3
+
+        def read(self):
+            return self.size
+
+    owner = Owner()
+    with pytest.raises(TypeError):
+        Counters(local={"size": lambda: owner.size})
+    with pytest.raises(TypeError):
+        Counters(local={"size": owner.read})

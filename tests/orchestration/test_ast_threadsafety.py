@@ -96,10 +96,10 @@ def test_program_caches_parameter_names():
 
     model = Model()
     program = Model.step.__get__(model)
-    assert program._param_names is None
+    assert program._state.param_names is None
     program(1.0)
-    assert program._param_names == ["factor"]
-    first = program._param_names
+    assert program._state.param_names == ["factor"]
+    first = program._state.param_names
     program(2.0)
-    assert program._param_names is first  # parsed once, reused
+    assert program._state.param_names is first  # parsed once, reused
     np.testing.assert_array_equal(model.out, model.q)

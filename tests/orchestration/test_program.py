@@ -121,7 +121,7 @@ def test_tracing_switched_on_after_the_first_call_times_the_kernels():
     call = type(mod).__dict__["__call__"].__get__(mod)
     tracer.disable()
     call(q, out, 0.5)
-    assert not call._binding.plan.instrument
+    assert not call._state.binding.plan.instrument
     tracer.enable()
     call(q, out, 0.5)
     span = tracer.root.children["program.Module"]
@@ -129,10 +129,10 @@ def test_tracing_switched_on_after_the_first_call_times_the_kernels():
     assert kernels and all(span.children[name].count == 1 for name in kernels)
     tracer.disable()
     call(q, out, 0.5)
-    assert not call._binding.plan.instrument
+    assert not call._state.binding.plan.instrument
     call.compile(instrument=True)
     call(q, out, 0.5)
-    assert call._binding.plan.instrument
+    assert call._state.binding.plan.instrument
     np.testing.assert_allclose(out, q + 0.5 * q)
 
 

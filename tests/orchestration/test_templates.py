@@ -48,9 +48,9 @@ def _programs(core):
     ac = core.acoustics
     modules = ac.riemann + ac.substeps + core.tracer_adv + core.remap
     for module in modules:
-        for name, value in vars(module).items():
-            if name.startswith("_orchestrated_") and value._bindings:
-                yield value
+        for name, state in vars(module).items():
+            if name.startswith("_orchestrated_") and state.bindings:
+                yield getattr(module, name[len("_orchestrated_"):])
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +71,7 @@ def test_every_binding_equals_a_fresh_trace(scenario, layout):
     assert stats["program_traces"] + stats["program_binds"] == 4 * ranks
     checked = 0
     for program in _programs(core):
-        for binding in program._bindings.values():
+        for binding in program._state.bindings.values():
             args, kwargs = binding.held
             fresh = OrchestratedProgram(
                 program.func, program.instance, program.optimize
@@ -80,8 +80,8 @@ def test_every_binding_equals_a_fresh_trace(scenario, layout):
             assert cc.cache_key(binding.template.sdfg) == cc.cache_key(sdfg)
             assert binding.template.sdfg.scalars == sdfg.scalars
             assert binding.template.runtime_scalars == \
-                fresh._binding.template.runtime_scalars
-            arrays = fresh._binding.arrays
+                fresh._state.binding.template.runtime_scalars
+            arrays = fresh._state.binding.arrays
             assert binding.arrays.keys() == arrays.keys()
             for name, array in arrays.items():
                 assert binding.arrays[name] is array, (program.name, name)
@@ -389,7 +389,7 @@ def test_a_program_follows_the_default_backend_until_compile_pins_one(
         monkeypatch.setattr(backends, "_default_backend", backend)
         out[:] = 0.0
         box.combine(q, out)
-        (binding,) = box.combine._bindings.values()
+        (binding,) = box.combine._state.bindings.values()
         assert isinstance(binding.plan, CompiledPlan) \
             == (backend == "compiled")
         plan, answer = results.setdefault(
@@ -662,7 +662,7 @@ def test_every_restored_binding_equals_a_fresh_trace(scenario, layout,
         == stats["hits"] <= 4 * layout**2
     checked = 0
     for program in _programs(core):
-        for binding in program._bindings.values():
+        for binding in program._state.bindings.values():
             args, kwargs = binding.held
             fresh = OrchestratedProgram(
                 program.func, program.instance, program.optimize
@@ -675,8 +675,8 @@ def test_every_restored_binding_equals_a_fresh_trace(scenario, layout,
             ) == key
             assert restored.scalars == sdfg.scalars
             assert binding.template.runtime_scalars == \
-                fresh._binding.template.runtime_scalars
-            arrays = fresh._binding.arrays
+                fresh._state.binding.template.runtime_scalars
+            arrays = fresh._state.binding.arrays
             assert binding.arrays.keys() == arrays.keys()
             for name, array in arrays.items():
                 assert binding.arrays[name] is array, (program.name, name)

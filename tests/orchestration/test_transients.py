@@ -211,7 +211,7 @@ def test_callback_handed_only_containers_declares_them():
         assert callback.reads == callback.writes == declared
         # an undeclared callback may read anything: the transient is
         # zeroed before it runs; a declared one leaves it alone
-        fills = program._binding.plan.source.count(".fill(0)")
+        fills = program._state.binding.plan.source.count(".fill(0)")
         assert fills == (0 if declared else 1)
     assert module.log == [float(SHAPE[0] * SHAPE[1] * SHAPE[2])]
     assert module.recorder.log == module.log
@@ -270,7 +270,7 @@ def _traced(name):
 def test_read_inside_what_was_written_needs_no_fill(backend, monkeypatch):
     monkeypatch.setattr(backends, "_default_backend", backend)
     program, q, out = _traced("inside")
-    assert ".fill(0)" not in program._binding.plan.source
+    assert ".fill(0)" not in program._state.binding.plan.source
     assert lint_sdfg(program.sdfg) == []
     np.testing.assert_array_equal(
         out[1:-1, 1:-1], q[:-2, 1:-1] + q[2:, 1:-1]
@@ -285,7 +285,7 @@ def test_uncovered_read_is_reported_and_zero_filled(name, rule, backend,
     monkeypatch.setattr(backends, "_default_backend", backend)
     program, q, out = _traced(name)
     (transient_name,) = program.sdfg.transients()
-    source = program._binding.plan.source
+    source = program._state.binding.plan.source
     assert source.count(f"{transient_name}.fill(0)") == 1
     rules = {f.rule for f in lint_sdfg(program.sdfg)}
     assert rules == {rule}
@@ -364,6 +364,6 @@ def test_program_span_says_how_much_scratch_it_owns():
     assert span.count == 3
     assert span.attrs["transients"] == 3 * 1
     assert span.attrs["transient_bytes"] == 3 * int(np.prod(SHAPE)) * 8
-    plan = outer.__call__._binding.plan
+    plan = outer.__call__._state.binding.plan
     assert span.attrs["slab_bytes"] == 3 * plan.runtime_bytes > 0
     assert span.attrs["values"] == 3 * len(plan.plan_offsets) >= 3

@@ -150,6 +150,9 @@ def test_report_carries_ensemble_footer():
         assert len(footer) == 1
         assert "1 run(s), 2 member(s), 2 member-steps" in footer[0]
         assert "compile cache" in footer[0]
+        alive = metrics.summary()["engines_alive"]
+        assert alive >= 1  # this result's
+        assert footer[0].endswith(f"engines alive {alive}")
         (programs,) = [
             line for line in text.splitlines()
             if line.startswith("orchestration:")
@@ -207,7 +210,8 @@ def test_members_spread_is_visible_in_history():
 def test_finished_runs_are_released():
     """Templates and cached programs hold no state array: the compile
     cache stops growing after the first call and a finished run's arrays
-    die with its result."""
+    die with its result — by reference counting, the cyclic collector
+    off (``tests/run/test_teardown.py`` has the rest of the teardown)."""
     import gc
     import weakref
 
@@ -215,16 +219,21 @@ def test_finished_runs_are_released():
 
     compile_cache.reset(clear=True)
     entries, templates, state = [], [], None
-    for _ in range(3):
-        result = run("baroclinic_wave", _config(), steps=1, check=False,
-                     diagnostics=False)
-        if state is None:
-            state = weakref.ref(result.engine.states[0].delp)
-        del result
-        gc.collect()
-        stats = compile_cache.stats()
-        entries.append(stats["entries"])
-        templates.append(stats["templates"])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(3):
+            result = run("baroclinic_wave", _config(), steps=1, check=False,
+                         diagnostics=False)
+            if state is None:
+                state = weakref.ref(result.engine.states[0].delp)
+            del result
+            stats = compile_cache.stats()
+            entries.append(stats["entries"])
+            templates.append(stats["templates"])
+    finally:
+        if enabled:
+            gc.enable()
     assert entries[0] == entries[1] == entries[2]
     assert templates == [4, 4, 4]
     assert state() is None
