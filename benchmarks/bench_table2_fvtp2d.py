@@ -84,13 +84,15 @@ def test_table2_fvtp2d_model(report, benchmark):
     assert speedups[-1] < 11.45  # bounded by the bandwidth ratio
 
 
-@pytest.mark.parametrize("mode", ["module_numpy", "module_dataflow"])
+@pytest.mark.parametrize("mode", ["module_numpy", "module_compiled"])
 def test_fvtp2d_measured(benchmark, mode):
     """Measured wall-clock of the transport operator, debug backend vs
-    compiled dataflow program (one call, 64²×20)."""
+    the whole-module program on the compiled backend (one call,
+    64²×20)."""
     n, nk = 64, 20
     module, prog, args = _build(n, nk)
-    if mode == "module_dataflow":
+    if mode == "module_compiled":
+        prog.compile(backend="compiled")
         benchmark(lambda: prog(*args))
     else:
         q, crx, cry, xfx, yfx, fx, fy = args

@@ -6,8 +6,9 @@ vertical iteration policies, horizontal regions) from *how* it is executed
 
 - ``"numpy"``: a pure-NumPy debug backend for rapid prototyping, mirroring
   the paper's pure-Python backend (Sec. III-A).
-- ``"dataflow"``: lowering to the data-centric SDFG IR (:mod:`repro.sdfg`)
-  followed by optimization and code generation (Sec. V).
+- ``"compiled"``: lowering to the data-centric SDFG IR (:mod:`repro.sdfg`)
+  followed by code generation and a JIT-compiled loop nest per kernel
+  (Sec. V); without a C compiler, the lowered SDFG's NumPy emission.
 
 Backends are looked up through the :mod:`repro.dsl.backends` registry —
 ``register_backend(name, factory)`` plugs in new ones without touching the

@@ -1,27 +1,31 @@
 """Compiled backend: lower one stencil to an SDFG, JIT the kernel plan.
 
-Same lowering pipeline as the ``dataflow`` backend — a stencil call
-inserts a StencilComputation library node, expands it, and compiles the
-result through the shared program cache — but the compile step requests
-the ``compiled`` emission target (:mod:`repro.sdfg.codegen_compiled`),
-which turns each fused kernel plan into a JITted scalar loop nest
-(k-blocked, i/j-tiled, optionally threaded) instead of a sequence of
-full-domain ufunc calls. The bit-exactness contract against the NumPy
-emission holds: same evaluation order, ``fastmath`` off.
+Each stencil call inserts a StencilComputation library node into a fresh
+SDFG, expands it and compiles the result through the shared program
+cache for the ``compiled`` emission target
+(:mod:`repro.sdfg.codegen_compiled`), which turns each fused kernel plan
+into a JITted scalar loop nest (k-blocked, i/j-tiled, optionally
+threaded) instead of a sequence of full-domain ufunc calls. The
+bit-exactness contract against the NumPy emission holds: same evaluation
+order, ``fastmath`` off. Compiled programs are cached per (shapes,
+origin, domain, bounds) specialization.
 
 Graceful degradation: when no JIT engine is usable (no C compiler — see
-:mod:`repro.runtime.jit`) the executor warns once and compiles through the
-NumPy emission instead, i.e. it behaves exactly like the ``dataflow``
-backend. This is about a missing toolchain; a compiled stencil that fails
-at run time is re-executed on the NumPy debug backend instead
-(:mod:`repro.resilience`).
+:mod:`repro.runtime.jit`) the executor warns once and compiles the
+lowered SDFG through the NumPy emission instead. This is about a missing
+toolchain; a compiled stencil that fails at run time is re-executed on
+the NumPy debug backend instead (:mod:`repro.resilience`).
+
+Full-program optimization across many stencils is handled by the
+orchestration layer (:mod:`repro.orchestration`), not here.
 """
 
 from __future__ import annotations
 
 import warnings
+from typing import Dict, Optional, Tuple
 
-from repro.dsl.backend_dataflow import DataflowStencilExecutor
+from repro.dsl.backend_numpy import GridBounds
 from repro.runtime.jit import JitUnavailableError
 
 __all__ = ["CompiledStencilExecutor"]
@@ -34,16 +38,79 @@ def _warn_once(reason: str) -> None:
         _WARNED[0] = True
         warnings.warn(
             f"compiled backend unavailable ({reason}); falling back to the "
-            f"dataflow (NumPy emission) backend for this process",
+            f"NumPy emission for this process",
             RuntimeWarning,
             stacklevel=4,
         )
 
 
-class CompiledStencilExecutor(DataflowStencilExecutor):
+class CompiledStencilExecutor:
     """Executes a stencil through the SDFG pipeline with JITted kernels."""
 
-    compile_backend = "compiled"
+    def __init__(self, stencil_object):
+        from repro.obs import tracer as _obs
+
+        self._tracer = _obs.get_tracer()
+        self.stencil_object = stencil_object
+        self._cache: Dict[Tuple, object] = {}
+
+    def build_sdfg(
+        self,
+        shapes: Dict[str, Tuple[int, ...]],
+        dtypes: Dict[str, type],
+        origin: Tuple[int, int, int],
+        domain: Tuple[int, int, int],
+        bounds: Optional[GridBounds] = None,
+    ):
+        from repro.sdfg.graph import SDFG
+        from repro.sdfg.nodes import StencilComputation
+
+        so = self.stencil_object
+        sdfg = SDFG(so.name)
+        for p in so.definition.field_params:
+            sdfg.add_array(
+                p.name, shapes[p.name], dtypes[p.name], axes=p.field_type.axes
+            )
+        state = sdfg.add_state(so.name)
+        node = StencilComputation(
+            so.definition,
+            so.extents,
+            mapping={p.name: p.name for p in so.definition.field_params},
+            domain=domain,
+            origin=origin,
+            scalar_mapping={p.name: p.name for p in so.definition.scalar_params},
+            bounds=bounds,
+        )
+        state.add(node)
+        sdfg.expand_library_nodes()
+        return sdfg
+
+    def __call__(self, fields, scalars, origin, domain, bounds=None) -> None:
+        key = (
+            tuple(sorted((n, a.shape, a.dtype.str) for n, a in fields.items())),
+            origin,
+            domain,
+            (bounds.origin, bounds.tile_shape) if bounds else None,
+        )
+        program = self._cache.get(key)
+        if program is None:
+            # lower + compile: traced separately so reports distinguish
+            # one-time specialization cost from steady-state execution
+            with self._tracer.span("exec.compiled.compile"):
+                sdfg = self.build_sdfg(
+                    {n: a.shape for n, a in fields.items()},
+                    {n: a.dtype.type for n, a in fields.items()},
+                    origin,
+                    domain,
+                    bounds,
+                )
+                program = self._compile(sdfg)
+            self._cache[key] = program
+        if self._tracer.enabled:
+            with self._tracer.span("exec.compiled"):
+                program(arrays=fields, scalars=scalars)
+        else:
+            program(arrays=fields, scalars=scalars)
 
     def _compile(self, sdfg):
         from repro.runtime import jit

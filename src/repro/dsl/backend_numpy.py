@@ -4,8 +4,8 @@ This is the paper's "pure-Python backend ... ideal for rapid prototyping,
 debugging and interactive visualization" (Sec. I). Each statement is a
 vectorized full-domain sweep; FORWARD/BACKWARD computations iterate levels
 sequentially so vertical solvers can consume previously computed levels.
-It defines the reference semantics that the optimizing dataflow backend
-must match bit-for-bit.
+It defines the reference semantics that the lowered SDFG — its NumPy
+emission and the compiled backend — must match bit-for-bit.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Backends are looked up by name through a process-wide registry instead of
 a hardcoded tuple in ``stencil.py``: a backend is a *factory* taking the
 :class:`~repro.dsl.stencil.StencilObject` and returning an executor
 callable ``executor(fields, scalars, origin, domain, bounds)``. The
-built-in ``"numpy"`` and ``"dataflow"`` backends self-register when their
+built-in ``"numpy"`` and ``"compiled"`` backends self-register when their
 modules import; third-party backends call :func:`register_backend` and
 need no edits here or in ``stencil.py``.
 
@@ -12,7 +12,7 @@ The process-wide default backend is managed by :func:`default_backend`,
 usable both as a plain setter and as a context manager restoring the
 previous default on exit::
 
-    repro.dsl.default_backend("dataflow")          # set for the process
+    repro.dsl.default_backend("compiled")          # set for the process
     with repro.dsl.default_backend("numpy"):       # set, then restore
         ...
 """
@@ -39,7 +39,6 @@ _REGISTRY: Dict[str, Callable] = {}
 #: built-in backends importable on demand; their modules self-register
 _LAZY_BUILTINS = {
     "numpy": "repro.dsl.backend_numpy",
-    "dataflow": "repro.dsl.backend_dataflow",
     "compiled": "repro.dsl.backend_compiled",
 }
 
@@ -95,7 +94,7 @@ def unregister_backend(name: str) -> None:
 def get_backend(name: str) -> Callable:
     """The factory registered under ``name``.
 
-    Built-in backends are imported on first request so the dataflow
+    Built-in backends are imported on first request so the SDFG
     toolchain stays off the import path until used. Unknown names raise
     :class:`UnknownBackendError` naming the registry contents and the
     nearest match.
@@ -174,7 +173,7 @@ def default_backend(name: str = None):
     """Get or set the process-wide default backend.
 
     - ``default_backend()`` returns the current default's name.
-    - ``default_backend("dataflow")`` switches the default immediately and
+    - ``default_backend("compiled")`` switches the default immediately and
       returns a guard usable as a context manager that restores the
       previous default on exit; ignoring the guard makes the switch
       permanent.

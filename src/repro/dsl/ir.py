@@ -236,13 +236,6 @@ class StencilDef:
             return self.temporaries[name]
         raise KeyError(f"{name!r} is not a field of stencil {self.name!r}")
 
-    def is_field(self, name: str) -> bool:
-        try:
-            self.field_type(name)
-            return True
-        except KeyError:
-            return False
-
     def statements(self) -> List[Assign]:
         return [s for c in self.computations for s in c.statements()]
 
@@ -250,18 +243,6 @@ class StencilDef:
         seen: Dict[str, None] = {}
         for stmt in self.statements():
             seen.setdefault(stmt.target.name, None)
-        return list(seen)
-
-    def read_fields(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for stmt in self.statements():
-            for acc in walk_expr(stmt.value):
-                if isinstance(acc, FieldAccess):
-                    seen.setdefault(acc.name, None)
-            if stmt.mask is not None:
-                for acc in walk_expr(stmt.mask):
-                    if isinstance(acc, FieldAccess):
-                        seen.setdefault(acc.name, None)
         return list(seen)
 
 

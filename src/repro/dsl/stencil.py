@@ -3,10 +3,7 @@
 Decorating a function parses nothing: the stencil IR and its extents are
 made on first use — the first call, trace or lint — once per stencil, and
 backends are compiled lazily on first use of each. A process that restores
-its programs from records never parses a stencil at all. The object also
-exposes the hooks used by the orchestration layer (Sec. V-B):
-``__sdfg_node__`` inserts the stencil into a whole-program SDFG as a
-library node when a data-centric program calls it.
+its programs from records never parses a stencil at all.
 """
 
 from __future__ import annotations
@@ -79,14 +76,6 @@ class StencilObject:
     @property
     def backend(self) -> str:
         return self._backend_name or backends.current_default_backend()
-
-    @property
-    def field_names(self):
-        return [p.name for p in self.definition.field_params]
-
-    @property
-    def scalar_names(self):
-        return [p.name for p in self.definition.scalar_params]
 
     @property
     def n_halo(self) -> int:
@@ -244,15 +233,6 @@ class StencilObject:
             self._k_bounds[key] = k_access_bounds(self.definition, name, nk)
         return self._k_bounds[key]
 
-    # ------------------------------------------------------------------
-    # Orchestration hooks (Sec. V-B)
-    # ------------------------------------------------------------------
-    def __sdfg_node__(self):
-        """Create a StencilComputation library node for this stencil."""
-        from repro.sdfg.nodes import StencilComputation
-
-        return StencilComputation.from_stencil(self)
-
     def __repr__(self) -> str:
         return f"StencilObject({self.name!r}, backend={self.backend!r})"
 
@@ -262,7 +242,7 @@ def stencil(func=None, *, backend: Optional[str] = None,
     """Decorator turning a definition function into a compiled stencil.
 
     Usable bare (``@stencil``) or with options
-    (``@stencil(backend="dataflow", externals={...})``).
+    (``@stencil(backend="compiled", externals={...})``).
     """
     if func is not None:
         return StencilObject(func)

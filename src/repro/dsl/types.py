@@ -39,9 +39,6 @@ class FieldType:
     def ndim(self) -> int:
         return len(self.axes)
 
-    def axis_present(self, axis: str) -> bool:
-        return axis in self.axes
-
 
 class _FieldMeta(type):
     """Allow both ``Field`` and ``Field[np.float32]`` spellings."""

@@ -10,13 +10,11 @@ and the D-grid solver, with nonblocking halo exchanges between them.
 from repro.fv3.config import DynamicalCoreConfig
 from repro.fv3.grid import CubedSphereGrid
 from repro.fv3.partitioner import CubedSpherePartitioner
-from repro.fv3.quantity import Quantity
 
 __all__ = [
     "CubedSphereGrid",
     "CubedSpherePartitioner",
     "DynamicalCoreConfig",
-    "Quantity",
 ]
 
 

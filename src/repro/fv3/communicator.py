@@ -3,7 +3,7 @@
 The paper runs MPI over Cray Aries; this reproduction runs its ranks on
 one machine (the substitution documented in DESIGN.md). The communicator
 preserves the *communication pattern*: data is exchanged through packed
-contiguous buffers with explicit ``Isend``/``Irecv``/``wait`` lifecycles
+contiguous buffers with explicit ``Ipack``/``Irecv``/``wait`` lifecycles
 (the mpi4py buffer idiom), and every message's byte count is recorded so
 the network model can replay the exchange at scale (Fig. 11).
 
@@ -16,18 +16,18 @@ Everything here holds for both:
 
 - A message is written once, by its sender, into storage the store
   owns: ``Ipack`` reserves a slot and hands the sender's ``pack`` the
-  payload array to fill (``Isend`` is ``Ipack`` with a copy of a
-  buffer). A receive *takes* that payload: the receiver reads it where
-  it lies and hands the storage back with ``Request.release`` (an
-  ``Irecv`` with a buffer copies into it and releases at once).
+  payload array to fill. A receive *takes* that payload: the receiver
+  reads it where it lies and hands the storage back with
+  ``Request.release`` (an ``Irecv`` with a buffer copies into it and
+  releases at once).
 - ``Request.wait`` on a receive *blocks* on the condition variable until
   the matching send lands (or a real-time budget of
   ``max_polls * poll_interval`` seconds runs out, raising
   :class:`~repro.resilience.errors.HaloTimeoutError` naming the ranks,
   tag, phase and the mailbox keys still pending).
-- ``Request.wait`` on a send blocks until the receiver takes the
-  message — the documented ``test()`` semantics, enforced rather than
-  skipped.
+- A send completes when ``Ipack`` returns: the payload has left the
+  sender, and a second post on the same key blocks until the receiver
+  took the first (the only flow control).
 - Every message carries a *deliverable-at* instant (``monotonic_ns``,
   system-wide, so it means the same in every process): simulated network
   latency (``latency``, seconds per message) and
@@ -141,35 +141,22 @@ class DictMailbox:
 
 
 class Request:
-    """Completion handle for a nonblocking operation.
+    """Completion handle for a nonblocking receive.
 
-    Semantics of the two kinds:
-
-    - ``recv``: ``wait()`` blocks until the matching send is deliverable
-      (bounded by ``comm.timeout`` seconds of *absence*; modeled latency
-      and chaos delays on a present message never count against the
-      budget) and takes the payload: it is ``payload`` until
-      ``release()``. With a posted buffer, ``wait()`` copies the payload
-      into it and releases at once; a payload whose size differs from
-      the buffer's is consumed and reported as a ``ValueError``.
-      ``test()`` is true once the payload is deliverable.
-    - ``send``: the payload left the sender when ``Ipack`` returned, but
-      the *operation* completes only when the receiver takes it:
-      ``wait()`` blocks until then (or the timeout budget expires),
-      matching ``test()``, which reports delivery — false while the
-      message still sits untaken in the mailbox. A dropped message never
-      occupied a slot, so its send completes immediately (the fault is
-      invisible to the sender, as on a real network).
+    ``wait()`` blocks until the matching send is deliverable (bounded by
+    ``comm.timeout`` seconds of *absence*; modeled latency and chaos
+    delays on a present message never count against the budget) and
+    takes the payload: it is ``payload`` until ``release()``. With a
+    posted buffer, ``wait()`` copies the payload into it and releases at
+    once; a payload whose size differs from the buffer's is consumed and
+    reported as a ``ValueError``.
     """
 
-    def __init__(self, comm: "LocalComm", kind: str, key: _Key, buf=None,
-                 dropped: bool = False):
+    def __init__(self, comm: "LocalComm", key: _Key, buf=None):
         self._comm = comm
-        self._kind = kind
         self._key = key
         self._buf = buf
         self._done = False
-        self._dropped = dropped
         self._slot = None
         #: a waited receive's payload, until ``release``
         self.payload: Optional[np.ndarray] = None
@@ -177,10 +164,7 @@ class Request:
     def wait(self, timeout: Optional[float] = None) -> None:
         if self._done:
             return
-        if self._kind == "recv":
-            self._wait_recv(timeout)
-        else:
-            self._wait_send(timeout)
+        self._wait_recv(timeout)
         self._done = True
 
     def release(self) -> None:
@@ -248,33 +232,6 @@ class Request:
                 f"posted receive buffer of shape {buf.shape}"
             )
 
-    def _wait_send(self, timeout: Optional[float]) -> None:
-        if self._dropped:
-            return
-        comm, key = self._comm, self._key
-        box = comm.mailbox
-        budget = comm.timeout if timeout is None else timeout
-        with _io_wait():
-            with box.cond:
-                deadline = time.monotonic() + budget
-                while box.find(key) is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise self._timed_out()
-                    box.cond.wait(min(comm.poll_interval, remaining))
-
-    def test(self) -> bool:
-        if self._done:
-            return True
-        box = self._comm.mailbox
-        with box.cond:
-            slot = box.find(self._key)
-            if self._kind == "recv":
-                return slot is not None and (
-                    box.due(slot)[0] <= time.monotonic_ns()
-                )
-            return self._dropped or slot is None
-
 
 class LocalComm:
     """A communicator routing buffers between the ranks of one machine.
@@ -334,31 +291,15 @@ class LocalComm:
         """Seconds of absence a wait tolerates before raising."""
         return self.max_polls * self.poll_interval
 
-    @property
-    def delay_seconds(self) -> float:
-        """How long a chaos ``halo.delay`` withholds delivery."""
-        return DEFAULT_DELAY_POLLS * self.poll_interval
-
-    def pending(self) -> List[_Key]:
-        """Sorted (source, dest, tag) triples still in the mailbox (all
-        of it: every endpoint of a shared store sees the same set)."""
-        with self.mailbox.cond:
-            return self.mailbox.pending_keys()
-
     # ---- nonblocking operations -----------------------------------------
 
-    def Isend(self, buf: np.ndarray, source: int, dest: int, tag: int = 0) -> Request:
-        """Post a copy of ``buf`` (reusable the moment this returns)."""
-        buf = np.asarray(buf)
-        return self.Ipack(
-            buf.shape, buf.dtype, lambda out: np.copyto(out, buf),
-            source=source, dest=dest, tag=tag,
-        )
-
     def Ipack(self, shape, dtype, pack: Callable[[np.ndarray], None],
-              source: int, dest: int, tag: int = 0) -> Request:
+              source: int, dest: int, tag: int = 0) -> None:
         """Post a message of ``shape``/``dtype`` that ``pack(out)`` writes
-        straight into the storage the store reserved for it."""
+        straight into the storage the store reserved for it. The send is
+        complete when this returns; a dropped message never occupied a
+        slot (the fault is invisible to the sender, as on a real
+        network)."""
         if not (0 <= dest < self.size):
             raise ValueError(f"invalid destination rank {dest}")
         key = (source, dest, tag)
@@ -391,7 +332,7 @@ class LocalComm:
         with self._lock:
             self._sent[sent] = self._sent.get(sent, 0) + 1
         if dropped:
-            return Request(self, "send", key, dropped=True)
+            return
         box = self.mailbox
         with _io_wait():
             with box.cond:
@@ -430,19 +371,17 @@ class LocalComm:
             raise
         if corrupt is not None:
             payload.flat[corrupt] = np.nan
-        hold_ns = int(
-            (self.latency + (self.delay_seconds if delayed else 0.0)) * 1e9
-        )
+        delay = DEFAULT_DELAY_POLLS * self.poll_interval if delayed else 0.0
+        hold_ns = int((self.latency + delay) * 1e9)
         with box.cond:
             box.post(slot, payload, time.monotonic_ns() + hold_ns, delayed)
             box.cond.notify_all()
-        return Request(self, "send", key)
 
     def Irecv(self, buf: Optional[np.ndarray], source: int, dest: int,
               tag: int = 0) -> Request:
         """A receive on (source, dest, tag): into ``buf``, or, with
         ``buf=None``, left on the request as its ``payload``."""
-        return Request(self, "recv", (source, dest, tag), buf)
+        return Request(self, (source, dest, tag), buf)
 
     # ---- lifecycle -------------------------------------------------------
 

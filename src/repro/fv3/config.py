@@ -62,15 +62,6 @@ class DynamicalCoreConfig:
         return constants.N_TILES * self.layout**2
 
     @property
-    def nx_rank(self) -> int:
-        """Cells per rank along x."""
-        return self.npx // self.layout
-
-    @property
-    def ny_rank(self) -> int:
-        return self.npx // self.layout
-
-    @property
     def dt_remap(self) -> float:
         return self.dt_atmos / self.k_split
 

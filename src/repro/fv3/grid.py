@@ -184,20 +184,7 @@ class CubedSphereGrid:
             raise ValueError("wind_to_local expects 2D horizontal fields")
         return u_loc, v_loc
 
-    def wind_to_earth(
-        self, u_loc: np.ndarray, v_loc: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Local index-basis components back to (east, north)."""
-        u_east = u_loc * self.ex_east + v_loc * self.ey_east
-        v_north = u_loc * self.ex_north + v_loc * self.ey_north
-        return u_east, v_north
-
     # ------------------------------------------------------------------
     @property
     def shape(self) -> Tuple[int, int]:
         return self.area.shape
-
-    def global_area(self) -> float:
-        """Sum of compute-domain cell areas on this rank."""
-        h = self.n_halo
-        return float(np.sum(self.area[h:-h, h:-h]))

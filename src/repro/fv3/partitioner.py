@@ -16,7 +16,7 @@ tiles is split into ``layout × layout`` rectangular subdomains.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -125,17 +125,6 @@ def _build_connectivity() -> Dict[Tuple[int, str], EdgeNeighbor]:
 CONNECTIVITY: Dict[Tuple[int, str], EdgeNeighbor] = _build_connectivity()
 
 
-@dataclasses.dataclass(frozen=True)
-class RankNeighbor:
-    """One communication partner of a rank across one edge."""
-
-    rank: int
-    rotations: int  # CCW quarter turns: neighbor frame → my frame
-    edge: str  # my edge ("W"/"E"/"S"/"N")
-    neighbor_edge: str  # which of the neighbor's edges touches mine
-    reversed: bool
-
-
 class CubedSpherePartitioner:
     """6-tile × (layout × layout) rank decomposition."""
 
@@ -182,47 +171,6 @@ class CubedSpherePartitioner:
             "S": py == 0,
             "N": py == self.layout - 1,
         }[edge]
-
-    # ---- neighbor resolution ----------------------------------------------
-
-    def edge_neighbor(self, rank: int, edge: str) -> RankNeighbor:
-        """The rank across one edge, with the orientation transform."""
-        tile = self.tile_of(rank)
-        px, py = self.subtile_of(rank)
-        steps = {"W": (-1, 0), "E": (1, 0), "S": (0, -1), "N": (0, 1)}
-        dx, dy = steps[edge]
-        nx_, ny_ = px + dx, py + dy
-        if 0 <= nx_ < self.layout and 0 <= ny_ < self.layout:
-            return RankNeighbor(
-                rank=self.rank_at(tile, nx_, ny_),
-                rotations=0,
-                edge=edge,
-                neighbor_edge={"W": "E", "E": "W", "S": "N", "N": "S"}[edge],
-                reversed=False,
-            )
-        conn = CONNECTIVITY[(tile, edge)]
-        # position along my edge, possibly reversed on the neighbor tile
-        s = py if edge in ("W", "E") else px
-        s_n = (self.layout - 1 - s) if conn.reversed else s
-        # the neighbor subtile sits along the neighbor's edge `conn.edge`
-        if conn.edge == "W":
-            npx_, npy_ = 0, s_n
-        elif conn.edge == "E":
-            npx_, npy_ = self.layout - 1, s_n
-        elif conn.edge == "S":
-            npx_, npy_ = s_n, 0
-        else:
-            npx_, npy_ = s_n, self.layout - 1
-        return RankNeighbor(
-            rank=self.rank_at(conn.tile, npx_, npy_),
-            rotations=conn.rotations,
-            edge=edge,
-            neighbor_edge=conn.edge,
-            reversed=conn.reversed,
-        )
-
-    def neighbors(self, rank: int) -> Dict[str, RankNeighbor]:
-        return {edge: self.edge_neighbor(rank, edge) for edge in EDGES}
 
     def boundary_message_bytes(
         self, n_halo: int, npz: int, n_fields: int, itemsize: int = 8

@@ -1,4 +1,4 @@
-"""Elementary stencils: copies, scaling, the bandwidth-test kernel."""
+"""Elementary stencils: the bandwidth-test copy and the flux-form update."""
 
 from repro.dsl import Field, FieldIJ, PARALLEL, computation, interval, stencil
 
@@ -11,18 +11,6 @@ def copy_stencil(q_in: Field, q_out: Field):
 
 
 @stencil
-def scale_stencil(q: Field, factor: float):
-    with computation(PARALLEL), interval(...):
-        q = q * factor
-
-
-@stencil
-def axpy_stencil(x: Field, y: Field, alpha: float):
-    with computation(PARALLEL), interval(...):
-        y = alpha * x + y
-
-
-@stencil
 def flux_divergence(q: Field, fx: Field, fy: Field, rarea: FieldIJ):
     """q += div(F): the conservative flux-form update.
 
@@ -30,15 +18,3 @@ def flux_divergence(q: Field, fx: Field, fy: Field, rarea: FieldIJ):
     """
     with computation(PARALLEL), interval(...):
         q = q + (fx - fx[1, 0, 0] + fy - fy[0, 1, 0]) * rarea
-
-
-@stencil
-def mass_weighted_divergence(
-    q: Field, delp_old: Field, delp_new: Field, fx: Field, fy: Field,
-    rarea: FieldIJ,
-):
-    """Update a mass-weighted scalar: q = (q·δp + div F) / δp_new."""
-    with computation(PARALLEL), interval(...):
-        q = (
-            q * delp_old + (fx - fx[1, 0, 0] + fy - fy[0, 1, 0]) * rarea
-        ) / delp_new

@@ -6,12 +6,11 @@ toolchain is about to execute (SDFG rules ``S2xx``, a race detector over
 expanded map scopes); :func:`lint_comm_plan` checks how ranks will talk
 (communication-protocol rules ``C3xx`` over a :class:`CommPlan` — the
 whole-program send/recv, tag-slot and overlap-window verifier); and
-:func:`lint_buffer_events` checks pooled-buffer lifetimes (runtime rules
-``R4xx``, fed by :func:`record_buffer_events` traces or a compiled
-plan's allocation log via :func:`lint_compiled_plan`).
+:func:`lint_compiled_plan` checks a compiled plan's scratch lifetimes
+(runtime rules ``R4xx`` over its allocation log, through
+:func:`lint_buffer_events`).
 
-:class:`TransformationAudit` diffs the SDFG and protocol rules across
-pipeline stages so a transformation that introduces a violation is
+:class:`TransformationAudit` diffs the SDFG rules across pipeline stages so a transformation that introduces a violation is
 named in the report. ``python -m repro.lint <module-or-path>`` runs the
 static layers from the shell; ``--comm`` adds the protocol rules and
 ``--scenario`` discovers subjects through the experiment registry.
@@ -19,11 +18,7 @@ static layers from the shell; ``--comm`` adds the protocol rules and
 Rule catalog: ``docs/static_analysis.md``.
 """
 
-from repro.lint.audit import (
-    AUDIT_COMM_RULES,
-    AUDIT_RULES,
-    TransformationAudit,
-)
+from repro.lint.audit import AUDIT_RULES, TransformationAudit
 from repro.lint.comm_rules import COMM_RULES, lint_comm_plan
 from repro.lint.dsl_rules import DSL_RULES, lint_stencil
 from repro.lint.findings import (
@@ -47,7 +42,6 @@ from repro.lint.plan_ir import (
     AdvanceOp,
     MessageEdge,
     StartOp,
-    compute_op_from_sdfg,
     compute_op_from_stencils,
     edges_from_schedule,
     ring_edges,
@@ -57,12 +51,10 @@ from repro.lint.runtime_rules import (
     BufferEvent,
     lint_buffer_events,
     lint_compiled_plan,
-    record_buffer_events,
 )
 from repro.lint.sdfg_rules import SDFG_RULES, lint_sdfg
 
 __all__ = [
-    "AUDIT_COMM_RULES",
     "AUDIT_RULES",
     "AdvanceOp",
     "BufferEvent",
@@ -84,7 +76,6 @@ __all__ = [
     "TransformationAudit",
     "UnknownRuleWarning",
     "apply_suppressions",
-    "compute_op_from_sdfg",
     "compute_op_from_stencils",
     "edges_from_schedule",
     "lint_buffer_events",
@@ -94,7 +85,6 @@ __all__ = [
     "lint_stencil",
     "max_severity",
     "parse_suppressions",
-    "record_buffer_events",
     "register_rules",
     "ring_edges",
     "sort_findings",

@@ -9,19 +9,12 @@ and attributes any *new* violation to the stage that introduced it.
 Findings are keyed by :meth:`LintFinding.key` (rule, subject, location),
 not by message, so ranges that legally change as kernels are reshaped do
 not read as new violations.
-
-When a :class:`~repro.lint.plan_ir.CommPlan` is attached, the audit also
-re-runs the C3xx communication-protocol rules per stage, re-deriving the
-named compute op's read/write footprints from the *current* SDFG — so a
-fusion that enlarges a read extent into the halo of an in-flight field
-is charged to the stage that applied it, not discovered at runtime.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.lint.comm_rules import lint_comm_plan
 from repro.lint.findings import LintFinding, sort_findings
 from repro.lint.sdfg_rules import lint_sdfg
 
@@ -30,35 +23,12 @@ from repro.lint.sdfg_rules import lint_sdfg
 #: pipeline, and exactly the properties transformations can break.
 AUDIT_RULES = ("S201", "S202", "S203", "S204", "S205")
 
-#: Communication rules re-run per stage when a plan is attached (the
-#: schedule itself does not change across stages, but the compute
-#: footprints inside the windows do).
-AUDIT_COMM_RULES = ("C301", "C302", "C303", "C304")
-
 
 class TransformationAudit:
-    """Tracks which pipeline stage introduced which lint finding.
+    """Tracks which pipeline stage introduced which lint finding."""
 
-    ``comm_plan`` attaches a communication schedule; ``comm_op`` names
-    the plan's ComputeOp that corresponds to the SDFGs being optimized,
-    so its footprints are re-derived from the transformed kernels on
-    every check (``comm_rename`` maps SDFG container names to the plan's
-    logical field names).
-    """
-
-    def __init__(
-        self,
-        rules: Sequence[str] = AUDIT_RULES,
-        comm_plan=None,
-        comm_op: Optional[str] = None,
-        comm_rename: Optional[Dict[str, str]] = None,
-        comm_rules: Sequence[str] = AUDIT_COMM_RULES,
-    ):
+    def __init__(self, rules: Sequence[str] = AUDIT_RULES):
         self.rules = tuple(rules)
-        self.comm_plan = comm_plan
-        self.comm_op = comm_op
-        self.comm_rename = dict(comm_rename or {})
-        self.comm_rules = tuple(comm_rules)
         self._seen: Set[Tuple[str, str, str]] = set()
         self.baseline: List[LintFinding] = []
         #: stage name -> findings first observed after that stage
@@ -66,22 +36,9 @@ class TransformationAudit:
         self._started = False
 
     def _lint(self, graphs) -> List[LintFinding]:
-        findings = [
+        return [
             f for sdfg in graphs for f in lint_sdfg(sdfg, rules=self.rules)
         ]
-        if self.comm_plan is not None:
-            plan = self.comm_plan
-            if self.comm_op is not None:
-                from repro.lint.plan_ir import compute_op_from_sdfg
-
-                plan = plan.with_compute(
-                    self.comm_op,
-                    compute_op_from_sdfg(
-                        self.comm_op, graphs, rename=self.comm_rename
-                    ),
-                )
-            findings.extend(lint_comm_plan(plan, rules=self.comm_rules))
-        return findings
 
     def start(self, graphs) -> List[LintFinding]:
         """Record the pre-optimization state of ``graphs`` (the SDFGs

@@ -25,9 +25,7 @@ A :class:`CommPlan` is
 Compute ops carry per-field read/write :class:`~repro.dsl.extents.Extent`
 footprints (relative to the interior compute domain, so
 ``halo_width > 0`` means the op touches halo cells), derived from real
-stencil extents via :func:`compute_op_from_stencils` or re-derived from a
-transformed SDFG via :func:`compute_op_from_sdfg` for the per-stage
-transformation audit.
+stencil extents via :func:`compute_op_from_stencils`.
 
 This module deliberately imports nothing from :mod:`repro.fv3` — the
 halo layer hands over its schedule as plain tuples, so the lint layer
@@ -38,7 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import sys
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.dsl.extents import Extent
 from repro.dsl.ir import expr_reads
@@ -53,7 +51,6 @@ __all__ = [
     "FinishOp",
     "MessageEdge",
     "StartOp",
-    "compute_op_from_sdfg",
     "compute_op_from_stencils",
     "halo_extent",
     "ring_edges",
@@ -253,31 +250,6 @@ class CommPlan:
             )
         )
 
-    def with_compute(self, name: str, op: ComputeOp) -> "CommPlan":
-        """Replace every ComputeOp called ``name`` with ``op``.
-
-        The original op's source location is preserved so suppressions
-        and audit stage-diff keys stay anchored to the declaration site.
-        """
-        replaced = 0
-        programs = []
-        for program in self.programs:
-            out = []
-            for o in program:
-                if isinstance(o, ComputeOp) and o.name == name:
-                    out.append(
-                        dataclasses.replace(op, location=o.location)
-                    )
-                    replaced += 1
-                else:
-                    out.append(o)
-            programs.append(tuple(out))
-        if not replaced:
-            raise KeyError(
-                f"no compute op {name!r} in plan {self.name!r}"
-            )
-        return dataclasses.replace(self, programs=tuple(programs))
-
 
 def edges_from_schedule(schedule) -> Tuple[MessageEdge, ...]:
     """Normalize a schedule into :class:`MessageEdge` tuples.
@@ -382,52 +354,6 @@ def compute_op_from_stencils(
                     ext = ext.union(halo_extent(halo))
                 prev = target.get(logical, Extent.zero())
                 target[logical] = prev.union(ext)
-    return ComputeOp(
-        name=name,
-        reads=reads,
-        writes=writes,
-        location=location or _capture_location(),
-    )
-
-
-def compute_op_from_sdfg(
-    name: str,
-    graphs,
-    rename: Optional[Mapping[str, str]] = None,
-    *,
-    location: Optional[SourceLocation] = None,
-) -> ComputeOp:
-    """Re-derive a compute footprint from (optimized) SDFGs: the union
-    over the kernels of every graph in ``graphs``.
-
-    Used by the transformation audit: after each pipeline stage the
-    named ComputeOp of the plan is rebuilt from the *current* kernels, so
-    a transformation that enlarges a read extent into the halo of an
-    in-flight field surfaces as a new C304 finding charged to that stage.
-    """
-    rename = dict(rename or {})
-    reads: Dict[str, Extent] = {}
-    writes: Dict[str, Extent] = {}
-
-    def _logical(container: str) -> str:
-        return rename.get(container, container)
-
-    for kernel in [k for sdfg in graphs for k in sdfg.all_kernels()]:
-        local = kernel.local_arrays
-        for stmt, ext in kernel.statements():
-            tname = stmt.target.name
-            if tname not in local:
-                key = _logical(tname)
-                prev = writes.get(key, Extent.zero())
-                writes[key] = prev.union(ext.normalized())
-            for acc in expr_reads(stmt):
-                if acc.name in local:
-                    continue
-                key = _logical(acc.name)
-                prev = reads.get(key, Extent.zero())
-                reads[key] = prev.union(
-                    ext.shifted(acc.offset).normalized()
-                )
     return ComputeOp(
         name=name,
         reads=reads,

@@ -1,4 +1,4 @@
-"""Buffer-lifetime rules (R4xx) over pool event traces and compiled plans.
+"""Buffer-lifetime rules (R4xx) over compiled plans' lifetime logs.
 
 The :class:`~repro.runtime.pool.BufferPool` arena and the compiled-SDFG
 memory planner make the hot path allocation-free, at the price of
@@ -19,19 +19,18 @@ two owners. These rules verify recorded lifetime traces:
   gives two simultaneously live values overlapping byte intervals of
   its slab.
 
-Traces come from two sources: :func:`record_buffer_events` attaches a
-recorder to a live :class:`BufferPool` (checkout/release/bind events at
-runtime), and :func:`lint_compiled_plan` replays the codegen-time
-alloc/free log of a :class:`~repro.sdfg.codegen.CompiledSDFG` against
-the slab layout the planner derived from it.
+The trace is the codegen-time alloc/free log of a compiled plan:
+:func:`lint_compiled_plan` replays it against the slab layout the
+planner derived from it. A compiled program checks out one slab per call
+and every value it holds is a byte interval of it, so that log is the
+whole lifetime story of a call's scratch; :func:`lint_buffer_events`
+runs the rules on any event sequence.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lint.findings import LintFinding, register_rules
 
@@ -40,7 +39,6 @@ __all__ = [
     "BufferEvent",
     "lint_buffer_events",
     "lint_compiled_plan",
-    "record_buffer_events",
 ]
 
 #: Rule id -> rule name, the R4xx catalog.
@@ -185,49 +183,6 @@ def lint_buffer_events(
                      "buffer as a deliberate persistent allocation",
             ))
     return findings
-
-
-# ---------------------------------------------------------------------------
-# Trace sources
-# ---------------------------------------------------------------------------
-
-
-@contextmanager
-def record_buffer_events(pool=None) -> Iterator[List[BufferEvent]]:
-    """Attach a lifetime recorder to a pool for the duration of a block.
-
-    Yields the (growing) event list; run :func:`lint_buffer_events` on it
-    afterwards. Recording composes with everything else the pool does and
-    costs one predicate per checkout when inactive.
-    """
-    if pool is None:
-        from repro.runtime.pool import get_pool
-
-        pool = get_pool()
-    from repro.runtime.ranks import current_rank
-
-    events: List[BufferEvent] = []
-    counter = itertools.count()
-
-    def recorder(kind: str, buf, label: Optional[str] = None) -> None:
-        key = None
-        shape = getattr(buf, "shape", None)
-        if shape is not None:
-            key = (tuple(shape), buf.dtype.str)
-        events.append(BufferEvent(
-            kind=kind,
-            buffer=id(buf),
-            key=key,
-            seq=next(counter),
-            label=label,
-            rank=current_rank(),
-        ))
-
-    previous = pool.set_recorder(recorder)
-    try:
-        yield events
-    finally:
-        pool.set_recorder(previous)
 
 
 def lint_compiled_plan(compiled) -> List[LintFinding]:

@@ -135,9 +135,6 @@ class NetworkModel:
     bandwidth: float  # B/s per link
     overlap_fraction: float = 0.8  # nonblocking overlap with compute
 
-    def message_time(self, nbytes: int) -> float:
-        return self.latency + nbytes / self.bandwidth
-
     def halo_exchange_time(self, messages) -> float:
         """Time for a set of concurrent nonblocking messages.
 

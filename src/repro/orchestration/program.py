@@ -8,7 +8,7 @@ statement by statement by :mod:`repro.orchestration.trace`, which is
 imported with the first trace:
 
 - calls to ``@stencil`` objects insert StencilComputation library nodes
-  (``__sdfg_node__`` protocol, Sec. V-B);
+  (Sec. V-B);
 - calls to other orchestrated functions/methods are inlined recursively;
 - any other call becomes an automatic :class:`Callback` with ``__pystate``
   serialization; its array arguments, and objects it is handed that the

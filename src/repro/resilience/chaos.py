@@ -21,7 +21,7 @@ Known sites (an unknown site name in a spec is accepted — it simply
 never fires unless some code consults it — but is warned about):
 
 ========================  ==================================================
-``halo.drop``             ``LocalComm.Isend`` discards the message
+``halo.drop``             ``LocalComm.Ipack`` discards the message
 ``halo.delay``            delivery withheld for a few receive polls
 ``halo.corrupt``          a NaN is written into the packed payload
 ``pool.poison``           a checked-out float scratch buffer is NaN-filled

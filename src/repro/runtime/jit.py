@@ -9,8 +9,8 @@ nest at machine speed:
   for the host's own instruction set when the compiler can target it)
   and loaded through :mod:`ctypes`. Chosen whenever a C compiler exists,
   so the backend works on a bare Python toolchain.
-- ``none`` — there is no compiler; the backend registry degrades to the
-  ``dataflow`` backend with a single warning (see
+- ``none`` — there is no compiler; the ``compiled`` backend degrades to
+  the NumPy emission of the lowered SDFG with a single warning (see
   :mod:`repro.dsl.backend_compiled`).
 
 ``REPRO_JIT=cgen|pyloops|none`` forces an engine (``pyloops`` executes

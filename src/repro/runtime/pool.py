@@ -114,24 +114,6 @@ class BufferPool:
         )
         self._n = self.counters.values
         self.stats = self.counters.snapshot
-        #: optional lifetime recorder ``fn(kind, buf, label=None)`` used
-        #: by ``repro.lint.runtime_rules.record_buffer_events`` — one
-        #: ``is not None`` predicate per checkout when inactive
-        self._recorder = None
-
-    # ------------------------------------------------------------------
-    def set_recorder(self, recorder):
-        """Install (or with ``None`` remove) a lifetime-event recorder;
-        returns the previous one so recorders nest."""
-        previous = self._recorder
-        self._recorder = recorder
-        return previous
-
-    def note(self, kind: str, buf: np.ndarray, label=None) -> None:
-        """Report an external lifetime event (``use``/``bind``) on a
-        buffer to the active recorder, if any. No-op otherwise."""
-        if self._recorder is not None:
-            self._recorder(kind, buf, label)
 
     # ------------------------------------------------------------------
     # cooperative cancellation
@@ -234,8 +216,6 @@ class BufferPool:
                 _chaos.maybe_poison(
                     slab.data.view(np.float64) if spec is None else handle
                 )
-            if self._recorder is not None:
-                self._recorder("acquire", _recorded(handle), None)
             self._track(handle)
         except BaseException:
             self.release(handle)
@@ -259,8 +239,6 @@ class BufferPool:
             if self.recycle:
                 self._idle.append(slab)
                 self.idle_bytes += slab.capacity
-        if self._recorder is not None:
-            self._recorder("release", _recorded(handle), None)
         self._untrack(handle)
 
     # ------------------------------------------------------------------
@@ -289,14 +267,8 @@ class BufferPool:
         self._tls = threading.local()
         self._idle = []
         self._live = {}
-        self._recorder = None
         self.live_bytes = self.idle_bytes = 0
         self.counters.reset()
-
-
-def _recorded(handle: Handle) -> np.ndarray:
-    """The array a lifetime recorder sees for a checkout."""
-    return handle.data if isinstance(handle, Slab) else handle
 
 
 class CancelScope:

@@ -53,7 +53,6 @@ from repro.obs.counters import Counters, register
 
 __all__ = [
     "RankExecutor",
-    "current_rank",
     "io_wait",
     "kernel_threads",
     "record_overlap",
@@ -90,17 +89,6 @@ COUNTERS = register("ranks", Counters(
 _N = COUNTERS.values
 summary = COUNTERS.snapshot
 reset_metrics = COUNTERS.reset
-
-
-def current_rank() -> Optional[int]:
-    """The rank whose SPMD body the calling thread is executing, or
-    ``None`` outside a rank thread (lockstep schedule, main thread).
-
-    Lets per-buffer and per-message diagnostics (the ``repro.lint``
-    R4xx lifetime traces) name the owning rank without threading it
-    through every call signature.
-    """
-    return getattr(_tls, "rank", None)
 
 
 def kernel_threads(default: int) -> int:
@@ -247,7 +235,6 @@ class RankExecutor:
 
     def _run_rank(self, fn, rank, threads, results, tracer, parent):
         _tls.slot = self._sem
-        _tls.rank = rank
         _tls.threads = threads
         self._sem.acquire()
         try:
@@ -260,7 +247,6 @@ class RankExecutor:
         finally:
             self._sem.release()
             _tls.slot = None
-            _tls.rank = None
             _tls.threads = None
 
     def shutdown(self) -> None:

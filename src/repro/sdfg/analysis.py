@@ -40,10 +40,6 @@ class KernelCost:
     invocations: int
     order: str
 
-    @property
-    def arithmetic_intensity(self) -> float:
-        return self.flops / max(self.bytes_moved, 1)
-
 
 def kernel_costs(sdfg) -> List[KernelCost]:
     """Per-kernel static costs, weighted by loop invocation counts."""

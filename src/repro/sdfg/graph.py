@@ -12,7 +12,7 @@ flow during orchestration, Sec. V-B; kernels inside remaining loops are
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -93,8 +93,6 @@ class SDFGState:
         """Container names read and written by a compute node."""
         if isinstance(node, Kernel):
             return node.read_fields(), node.written_fields()
-        if isinstance(node, StencilComputation):
-            return node.read_containers(), node.written_containers()
         if isinstance(node, Tasklet):
             return list(node.inputs), [node.output]
         if isinstance(node, Callback):
@@ -284,11 +282,6 @@ class SDFG:
         from repro.sdfg.validation import validate_sdfg
 
         validate_sdfg(self)
-
-    def compile(self, bounds=None) -> "Callable":
-        from repro.sdfg.codegen import compile_sdfg
-
-        return compile_sdfg(self)
 
     def __repr__(self) -> str:
         return (

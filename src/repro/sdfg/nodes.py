@@ -589,31 +589,3 @@ class StencilComputation(Node):
         self.origin = origin
         self.schedule = schedule or KernelSchedule()
         self.bounds = bounds or GridBounds()
-
-    @staticmethod
-    def from_stencil(stencil_object, mapping=None, domain=None, origin=None,
-                     scalar_mapping=None, bounds=None):
-        mapping = mapping or {
-            p.name: p.name for p in stencil_object.definition.field_params
-        }
-        h = stencil_object.n_halo
-        origin = origin or (h, h, 0)
-        if domain is None:
-            raise ValueError("StencilComputation requires an explicit domain")
-        return StencilComputation(
-            stencil_object.definition,
-            stencil_object.extents,
-            mapping,
-            domain,
-            origin,
-            scalar_mapping=scalar_mapping,
-            bounds=bounds,
-        )
-
-    def written_containers(self) -> List[str]:
-        return [self.mapping[f] for f in self.stencil_def.written_fields()
-                if f in self.mapping]
-
-    def read_containers(self) -> List[str]:
-        return [self.mapping[f] for f in self.stencil_def.read_fields()
-                if f in self.mapping]

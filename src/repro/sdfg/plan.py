@@ -196,14 +196,6 @@ class CompiledSDFG:
         if missing:
             raise ValueError(f"missing arrays for containers: {missing}")
         pool = get_pool()
-        if pool._recorder is not None:
-            # lifetime recording active: declare every caller-provided
-            # container as an out=-scheduled destination so the R404
-            # checker can catch live pooled scratch aliasing a kernel
-            # output owned by someone else
-            for name in self._required:
-                pool.note("bind", arrays[name],
-                          label=f"sdfg:{self.sdfg.name}:{name}")
         if not self.runtime_bytes:
             self._program(
                 arrays, scalars or {}, self._kernel_time, self._kernel_count, ()

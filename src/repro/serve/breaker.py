@@ -14,7 +14,7 @@ The classic three-state machine:
   and restarts the cooldown.
 
 Because every repro backend is bit-identical by contract (the
-34-stencil suite asserts exact equality), degradation changes *where*
+31-stencil suite asserts exact equality), degradation changes *where*
 the arithmetic runs, never *what* it produces — a degraded response is
 bit-identical to the NumPy backend run directly. That turns the usual
 "degraded = approximate" trade into "degraded = slower", which is the

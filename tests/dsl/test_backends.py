@@ -56,10 +56,10 @@ def recording_backend():
 # ---------------------------------------------------------------------------
 def test_builtins_are_available_and_lazily_resolvable():
     names = available_backends()
-    assert "numpy" in names and "dataflow" in names
+    assert "numpy" in names and "compiled" in names
     assert names == tuple(sorted(names))
     assert callable(get_backend("numpy"))
-    assert callable(get_backend("dataflow"))
+    assert callable(get_backend("compiled"))
 
 
 def test_register_lookup_unregister(recording_backend):
@@ -91,7 +91,7 @@ def test_unknown_backend_error_names_registry_and_suggests():
     err = exc_info.value
     assert isinstance(err, ValueError)  # old except-clauses keep working
     assert err.backend == "nunpy"
-    assert "numpy" in err.available and "dataflow" in err.available
+    assert "numpy" in err.available and "compiled" in err.available
     assert err.suggestion == "numpy"
     assert "did you mean 'numpy'?" in str(err)
 
@@ -135,9 +135,9 @@ def test_default_backend_drives_unpinned_stencils(recording_backend):
 def test_default_backend_getter_and_setter():
     before = default_backend()
     assert before == current_default_backend()
-    guard = default_backend("dataflow")
+    guard = default_backend("compiled")
     try:
-        assert default_backend() == "dataflow"
+        assert default_backend() == "compiled"
     finally:
         with guard:  # __exit__ restores
             pass
@@ -146,12 +146,12 @@ def test_default_backend_getter_and_setter():
 
 def test_default_backend_context_manager_nests_and_restores():
     before = default_backend()
-    with default_backend("dataflow") as outer:
-        assert outer == "dataflow"
-        assert default_backend() == "dataflow"
+    with default_backend("compiled") as outer:
+        assert outer == "compiled"
+        assert default_backend() == "compiled"
         with default_backend("numpy"):
             assert default_backend() == "numpy"
-        assert default_backend() == "dataflow"
+        assert default_backend() == "compiled"
     assert default_backend() == before
 
 

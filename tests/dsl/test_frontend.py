@@ -367,4 +367,4 @@ def test_stencil_decorator_bare_and_with_options():
     assert s1.name == "s1"
     assert s2.name == "renamed"
     assert s2.backend == "numpy"
-    assert s1.field_names == ["a", "b"]
+    assert [p.name for p in s1.definition.field_params] == ["a", "b"]

@@ -1,4 +1,5 @@
-"""Random well-typed stencils: oracle == numpy == dataflow == compiled.
+"""Random well-typed stencils: oracle == numpy == dataflow == compiled
+(``dataflow``: the NumPy emission of the lowered SDFG).
 
 The strategy writes stencil *source* — offsets, intervals, the three
 iteration orders, regions, a 2-D target, nested ``if``/``elif``/``else``
@@ -25,7 +26,7 @@ from repro.runtime import jit
 from repro.sdfg.codegen_compiled import compile_sdfg_compiled
 from tests.dsl.test_oracle import oracle_of, same
 from tests.runtime.test_jit import _forget_loaded
-from tests.sdfg.test_codegen_compiled import _build_sdfg
+from tests.sdfg.emission import build_sdfg as _build_sdfg, run_emission
 
 EXAMPLES = int(os.environ.get("FUZZ_EXAMPLES") or 0)
 NI, NJ, NK = 5, 4, 4
@@ -221,11 +222,13 @@ def check(source: str, seed: int = 0) -> None:
             )
 
     with np.errstate(all="ignore"):
-        for backend in ("numpy", "dataflow"):
-            got = {n: a.copy() for n, a in fields.items()}
-            stencil_obj(**got, **scalars, origin=origin, domain=domain,
-                        backend=backend)
-            agree(got, backend)
+        got = {n: a.copy() for n, a in fields.items()}
+        stencil_obj(**got, **scalars, origin=origin, domain=domain,
+                    backend="numpy")
+        agree(got, "numpy")
+        got = {n: a.copy() for n, a in fields.items()}
+        run_emission(stencil_obj, got, scalars, origin, domain)
+        agree(got, "dataflow")
         sdfg = _build_sdfg(stencil_obj, fields, origin, domain)
         engines = ["pyloops"] + (["cgen"] if jit._find_cc() else [])
         with pytest.MonkeyPatch.context() as patch:

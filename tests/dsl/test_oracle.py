@@ -1,9 +1,10 @@
 """The backends against the semantics oracle (:mod:`repro.dsl.oracle`).
 
-``test_backend_bitexact`` compares three implementations of one lowering
-with each other; this file compares each of them with an interpreter of
-the definition function itself, which knows nothing of masks, fusion
-clusters, registers or selects. The compiled backend is held to it with
+``test_backend_bitexact`` compares three implementations of one stencil
+with each other: the debug backend, the NumPy emission of its lowered
+SDFG (``dataflow``) and the compiled backend. This file compares each of
+them with an interpreter of the definition function itself, which knows
+nothing of masks, fusion clusters, registers or selects. The compiled backend is held to it with
 its register rewrites switched on one after the other (the lowering has
 no such switch: the stages take the candidate sets away by patching the
 two methods that compute them).
@@ -23,7 +24,7 @@ from repro.runtime import jit
 from repro.sdfg.codegen_compiled import _Lowerer, compile_sdfg_compiled
 from tests.fv3.test_backend_bitexact import NI, NJ, NK, _discover, _synthesize
 from tests.runtime.test_jit import _forget_loaded
-from tests.sdfg.test_codegen_compiled import _build_sdfg
+from tests.sdfg.emission import build_sdfg as _build_sdfg, run_emission
 
 
 def same(got, want) -> bool:
@@ -42,9 +43,14 @@ def oracle_of(stencil_obj, fields, scalars, origin, domain):
 
 def assert_backend_matches(stencil_obj, backend, fields, scalars, origin,
                            domain, want, where=""):
+    """``backend`` is a DSL backend, or ``"dataflow"``: the NumPy
+    emission of the stencil's lowered SDFG."""
     got = {n: a.copy() for n, a in fields.items()}
-    stencil_obj(**got, **scalars, origin=origin, domain=domain,
-                backend=backend)
+    if backend == "dataflow":
+        run_emission(stencil_obj, got, scalars, origin, domain)
+    else:
+        stencil_obj(**got, **scalars, origin=origin, domain=domain,
+                    backend=backend)
     for name in fields:
         assert same(got[name], want[name]), (
             f"{stencil_obj.name}: {name!r} on {backend}{where} is not what "

@@ -158,7 +158,7 @@ def test_every_stencil_of_the_package_parses():
     """Nothing parses a stencil at import any more: this is where a
     definition the front end rejects fails CI."""
     stencils = _package_stencils()
-    assert len(stencils) >= 35
+    assert len(stencils) >= 32
     for obj in stencils:
         assert obj.definition.name == obj.name
         assert obj.extents.max_halo() >= 0

@@ -1,14 +1,16 @@
 """Bit-exactness of every non-debug backend against the NumPy reference.
 
-Every stencil in every FV3 stencil module runs through the debug NumPy
-backend and each other registered backend on identical random inputs; the
-results must be *exactly* equal — not allclose. For ``dataflow`` the
-``out=`` scheduler only materializes subexpressions whose dtype is
-provably float64 and only uses ``out=`` where NumPy's ufunc overlap
-guarantee applies; for ``compiled`` every lowered scalar operation must
-replicate the ufunc bit-for-bit (fastmath off, no FMA contraction,
-NumPy's NaN/signed-zero min/max/sign semantics). Any bit difference on
-any backend is a codegen bug.
+Every stencil in every FV3 stencil module — the stencils the dynamical
+core, the paper harnesses and the examples call — runs through the debug
+NumPy backend, the NumPy emission of its lowered SDFG (``dataflow``, what
+every program runs under the ``numpy`` backend) and each other registered
+backend on identical random inputs; the results must be *exactly* equal —
+not allclose. For ``dataflow`` the ``out=`` scheduler only materializes
+subexpressions whose dtype is provably float64 and only uses ``out=``
+where NumPy's ufunc overlap guarantee applies; for ``compiled`` every
+lowered scalar operation must replicate the ufunc bit-for-bit (fastmath
+off, no FMA contraction, NumPy's NaN/signed-zero min/max/sign
+semantics). Any bit difference on any backend is a codegen bug.
 """
 
 import importlib
@@ -21,6 +23,7 @@ import repro.fv3.stencils as stencils_pkg
 from repro.dsl import StencilObject
 from repro.dsl.backends import available_backends
 from repro.dsl.extents import k_access_bounds
+from tests.sdfg.emission import run_emission
 
 
 def _discover():
@@ -71,21 +74,21 @@ def _synthesize(stencil):
 
 
 def _backends():
-    """Every registered backend except the NumPy reference, each skipped
-    with a reason when its toolchain is unavailable."""
-    params = []
+    """Every path a stencil runs on besides the NumPy reference: the
+    ``compiled`` backend (skipped when no JIT engine is usable) and
+    ``dataflow``, the NumPy emission of the lowered SDFG."""
+    from repro.runtime import jit
+
+    params = [pytest.param("dataflow", id="dataflow")]
     for name in available_backends():
         if name == "numpy":
             continue
         marks = ()
-        if name == "compiled":
-            from repro.runtime import jit
-
-            if not jit.available():
-                marks = (pytest.mark.skip(
-                    reason="compiled backend: no JIT engine (no C "
-                    "compiler found)"
-                ),)
+        if name == "compiled" and not jit.available():
+            marks = (pytest.mark.skip(
+                reason="compiled backend: no JIT engine (no C "
+                "compiler found)"
+            ),)
         params.append(pytest.param(name, id=name, marks=marks))
     return params
 
@@ -98,8 +101,11 @@ def test_backend_is_bit_identical(backend, stencil):
     ref = {n: a.copy() for n, a in fields.items()}
     got = {n: a.copy() for n, a in fields.items()}
     stencil(**ref, **scalars, origin=origin, domain=domain, backend="numpy")
-    stencil(**got, **scalars, origin=origin, domain=domain,
-            backend=backend)
+    if backend == "dataflow":
+        run_emission(stencil, got, scalars, origin, domain)
+    else:
+        stencil(**got, **scalars, origin=origin, domain=domain,
+                backend=backend)
     for name in fields:
         np.testing.assert_array_equal(
             got[name], ref[name],

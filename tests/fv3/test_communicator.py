@@ -61,6 +61,18 @@ def _counters():
     return resilience.summary()["counters"]
 
 
+def _send(comm, buf, source, dest, tag=0):
+    """Post a copy of ``buf`` (reusable the moment this returns)."""
+    buf = np.asarray(buf)
+    comm.Ipack(buf.shape, buf.dtype, lambda out: np.copyto(out, buf),
+               source=source, dest=dest, tag=tag)
+
+
+def _pending(comm):
+    with comm.mailbox.cond:
+        return comm.mailbox.pending_keys()
+
+
 # ---------------------------------------------------------------------------
 # matching and delivery
 # ---------------------------------------------------------------------------
@@ -74,18 +86,16 @@ def test_roundtrip_preserves_shape_dtype_and_bits(comm):
         rng.random((8,)).astype(np.float32),
         np.arange(12, dtype=np.int64).reshape(3, 4),
     ):
-        comm.Isend(payload, source=0, dest=1, tag=42)
+        _send(comm, payload, source=0, dest=1, tag=42)
         out = np.empty_like(payload)
-        req = comm.Irecv(out, source=0, dest=1, tag=42)
-        assert req.test()
-        req.wait()
+        comm.Irecv(out, source=0, dest=1, tag=42).wait()
         np.testing.assert_array_equal(out, payload)
         assert out.dtype == payload.dtype
 
 
 def test_send_is_an_eager_copy(comm):
     buf = np.ones((4, 4))
-    comm.Isend(buf, source=0, dest=1)
+    _send(comm, buf, source=0, dest=1)
     buf[:] = -7.0  # mutate after post: receiver must see the snapshot
     out = np.empty_like(buf)
     comm.Irecv(out, source=0, dest=1).wait()
@@ -93,9 +103,9 @@ def test_send_is_an_eager_copy(comm):
 
 
 def test_tag_and_source_matching(comm):
-    comm.Isend(np.full((2, 2), 1.0), source=0, dest=1, tag=5)
-    comm.Isend(np.full((2, 2), 2.0), source=2, dest=1, tag=5)
-    comm.Isend(np.full((2, 2), 3.0), source=0, dest=1, tag=6)
+    _send(comm, np.full((2, 2), 1.0), source=0, dest=1, tag=5)
+    _send(comm, np.full((2, 2), 2.0), source=2, dest=1, tag=5)
+    _send(comm, np.full((2, 2), 3.0), source=0, dest=1, tag=6)
     out = np.empty((2, 2))
     comm.Irecv(out, source=2, dest=1, tag=5).wait()
     assert out[0, 0] == 2.0
@@ -106,9 +116,8 @@ def test_tag_and_source_matching(comm):
 
 
 def test_absent_message_times_out_naming_ranks_tag_and_pending(comm):
-    comm.Isend(np.zeros(2), source=1, dest=0, tag=9)  # unrelated pending
+    _send(comm, np.zeros(2), source=1, dest=0, tag=9)  # unrelated pending
     req = comm.Irecv(np.zeros(3), source=0, dest=1, tag=3)
-    assert not req.test()
     with pytest.raises(HaloTimeoutError) as excinfo:
         req.wait()
     assert isinstance(excinfo.value, RuntimeError)
@@ -120,7 +129,7 @@ def test_absent_message_times_out_naming_ranks_tag_and_pending(comm):
 
 
 def test_size_mismatched_receive_consumes_the_message_and_raises(comm):
-    comm.Isend(np.zeros((2, 2)), source=0, dest=1, tag=8)
+    _send(comm, np.zeros((2, 2)), source=0, dest=1, tag=8)
     req = comm.Irecv(np.zeros(3), source=0, dest=1, tag=8)
     with pytest.raises(ValueError) as excinfo:
         req.wait()
@@ -128,35 +137,17 @@ def test_size_mismatched_receive_consumes_the_message_and_raises(comm):
     assert "(0, 1, 8)" in message
     assert "(2, 2)" in message and "(3,)" in message
     # consumed, not leaked: the slot is free and the key can be reused
-    assert comm.pending() == []
-    comm.Isend(np.zeros(3), source=0, dest=1, tag=8)
+    assert _pending(comm) == []
+    _send(comm, np.zeros(3), source=0, dest=1, tag=8)
     comm.Irecv(np.zeros(3), source=0, dest=1, tag=8).wait()
-
-
-def test_send_test_reports_delivery(comm):
-    req = comm.Isend(np.arange(3.0), source=0, dest=1, tag=2)
-    # undelivered: the message still sits in the mailbox
-    assert not req.test()
-    buf = np.zeros(3)
-    comm.Irecv(buf, source=0, dest=1, tag=2).wait()
-    assert req.test()
-    # wait() completes a send only once the receiver drained the slot;
-    # with nobody receiving it times out (matching test() semantics)
-    req2 = comm.Isend(np.arange(3.0), source=0, dest=1, tag=4)
-    with pytest.raises(HaloTimeoutError):
-        req2.wait(timeout=0.05)
-    comm.Irecv(buf, source=0, dest=1, tag=4).wait()
-    req2.wait()  # drained: completes immediately now
-    assert req2.test()
 
 
 def test_latency_defers_delivery(comm):
     comm.latency = 0.08
     t0 = time.monotonic()
-    comm.Isend(np.ones(3), source=0, dest=1, tag=2)
+    _send(comm, np.ones(3), source=0, dest=1, tag=2)
     req = comm.Irecv(np.empty(3), source=0, dest=1, tag=2)
-    assert not req.test()  # present but not deliverable yet
-    req.wait()
+    req.wait()  # present at once, deliverable only after the latency
     assert time.monotonic() - t0 >= 0.08
     # the latency wait is not charged to the absence budget
     assert comm.timeout < 0.08
@@ -168,7 +159,7 @@ def test_latency_defers_delivery(comm):
 
 def test_duplicate_key_send_blocks_until_receiver_drains(comm):
     comm.max_polls = 100  # budget must outlast the late receiver
-    comm.Isend(np.full(4, 1.0), source=0, dest=1, tag=7)
+    _send(comm, np.full(4, 1.0), source=0, dest=1, tag=7)
     received = []
 
     def late_receiver():
@@ -180,7 +171,7 @@ def test_duplicate_key_send_blocks_until_receiver_drains(comm):
     thread = threading.Thread(target=late_receiver)
     thread.start()
     # blocks until the receiver drains the first message, then lands
-    comm.Isend(np.full(4, 2.0), source=0, dest=1, tag=7)
+    _send(comm, np.full(4, 2.0), source=0, dest=1, tag=7)
     thread.join()
     assert received == [1.0]
     out = np.empty(4)
@@ -189,27 +180,27 @@ def test_duplicate_key_send_blocks_until_receiver_drains(comm):
 
 
 def test_duplicate_key_send_raises_after_budget(comm):
-    comm.Isend(np.zeros(2), source=0, dest=1, tag=3)
+    _send(comm, np.zeros(2), source=0, dest=1, tag=3)
     with pytest.raises(RuntimeError, match="already in flight"):
-        comm.Isend(np.zeros(2), source=0, dest=1, tag=3)
+        _send(comm, np.zeros(2), source=0, dest=1, tag=3)
 
 
 @shm_only
 def test_mailbox_full_raises_after_budget(comm, mailbox):
     for tag in range(mailbox.n_slots):
-        comm.Isend(np.zeros(2), source=0, dest=1, tag=tag)
+        _send(comm, np.zeros(2), source=0, dest=1, tag=tag)
     with pytest.raises(RuntimeError, match="mailbox full"):
-        comm.Isend(np.zeros(2), source=0, dest=1, tag=999)
+        _send(comm, np.zeros(2), source=0, dest=1, tag=999)
 
 
 @shm_only
 def test_oversized_payload_is_a_clear_error(comm):
     with pytest.raises(ValueError, match="slot capacity") as excinfo:
-        comm.Isend(np.zeros(10_000), source=0, dest=1, tag=0)
+        _send(comm, np.zeros(10_000), source=0, dest=1, tag=0)
     # the hint names where slots are really sized, not a made-up knob
     assert "_transport_sizing" in str(excinfo.value)
     assert "REPRO_SHM_SLOT_BYTES" not in str(excinfo.value)
-    assert comm.pending() == []
+    assert _pending(comm) == []
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +209,7 @@ def test_oversized_payload_is_a_clear_error(comm):
 
 def test_dropped_message_times_out_with_rich_error(comm):
     chaos.set_plan(ChaosPlan.from_spec("halo.drop@1"))
-    comm.Isend(np.ones(3), source=2, dest=0, tag=5)  # dropped
+    _send(comm, np.ones(3), source=2, dest=0, tag=5)  # dropped
     req = comm.Irecv(np.zeros(3), source=2, dest=0, tag=5)
     with pytest.raises(HaloTimeoutError) as excinfo:
         req.wait()
@@ -233,10 +224,13 @@ def test_dropped_message_times_out_with_rich_error(comm):
 def test_delayed_message_is_redelivered(comm):
     chaos.set_plan(ChaosPlan.from_spec("halo.delay@1"))
     payload = np.arange(4.0)
-    comm.Isend(payload, source=0, dest=1, tag=2)
+    _send(comm, payload, source=0, dest=1, tag=2)
     req = comm.Irecv(np.zeros(4), source=0, dest=1, tag=2)
-    assert not req.test()  # withheld
-    req.wait()  # polls through the delay
+    t0 = time.monotonic()
+    req.wait()  # withheld, then delivered
+    assert time.monotonic() - t0 >= (
+        chaos.DEFAULT_DELAY_POLLS * comm.poll_interval
+    )
     np.testing.assert_array_equal(req._buf, payload)
     assert _counters()["halo_redeliveries"] == 1
 
@@ -244,7 +238,7 @@ def test_delayed_message_is_redelivered(comm):
 def test_corrupted_message_carries_nan(comm):
     chaos.set_plan(ChaosPlan.from_spec("seed=3;halo.corrupt@1"))
     sent = np.ones(8)
-    comm.Isend(sent, source=0, dest=1)
+    _send(comm, sent, source=0, dest=1)
     buf = np.zeros(8)
     comm.Irecv(buf, source=0, dest=1).wait()
     assert np.isnan(buf).sum() == 1
@@ -258,46 +252,46 @@ def test_corrupted_message_carries_nan(comm):
 # ---------------------------------------------------------------------------
 
 def test_drain_clears_in_flight_state(comm):
-    comm.Isend(np.zeros(2), source=0, dest=1, tag=1)
+    _send(comm, np.zeros(2), source=0, dest=1, tag=1)
     assert comm.drain() == [(0, 1, 1)]
-    assert comm.pending() == []
+    assert _pending(comm) == []
     # the same key can be reposted after a drain
-    comm.Isend(np.zeros(2), source=0, dest=1, tag=1)
+    _send(comm, np.zeros(2), source=0, dest=1, tag=1)
 
 
 def test_drain_is_scoped_to_owned_ranks(mailbox):
     """Two endpoints of one store, as two rank worker processes have."""
     comm_all = _endpoint(mailbox)
-    comm_all.Isend(np.zeros(2), source=0, dest=1, tag=0)
-    comm_all.Isend(np.zeros(2), source=0, dest=4, tag=0)
+    _send(comm_all, np.zeros(2), source=0, dest=1, tag=0)
+    _send(comm_all, np.zeros(2), source=0, dest=4, tag=0)
     mine = _endpoint(mailbox, owned_ranks=(0, 1, 2))
     orphans = mine.drain()
     assert orphans == [(0, 1, 0)]
-    assert comm_all.pending() == [(0, 4, 0)]
+    assert _pending(comm_all) == [(0, 4, 0)]
 
 
 def test_finalize_reports_orphans(comm):
-    comm.Isend(np.zeros(2), source=0, dest=1, tag=1)
-    comm.Isend(np.zeros(2), source=1, dest=2, tag=4)
+    _send(comm, np.zeros(2), source=0, dest=1, tag=1)
+    _send(comm, np.zeros(2), source=1, dest=2, tag=4)
     with pytest.warns(OrphanedMessagesWarning, match=r"\(src=1, dst=2, tag=4\)"):
         orphans = comm.finalize()
     assert orphans == [(0, 1, 1), (1, 2, 4)]
     assert _counters()["orphaned_messages"] == 2
-    assert comm.pending() == []
+    assert _pending(comm) == []
     # clean communicator: silent, empty
     assert comm.finalize() == []
 
 
 def test_finalize_strict_raises(comm):
-    comm.Isend(np.zeros(2), source=0, dest=1)
+    _send(comm, np.zeros(2), source=0, dest=1)
     with pytest.raises(RuntimeError, match="never received"):
         comm.finalize(strict=True)
 
 
 def test_message_log_and_byte_accounting(comm):
-    comm.Isend(np.zeros(4), source=0, dest=1, tag=0)
-    comm.Isend(np.zeros(8), source=0, dest=2, tag=0)
-    comm.Isend(np.zeros(2), source=3, dest=0, tag=1)
+    _send(comm, np.zeros(4), source=0, dest=1, tag=0)
+    _send(comm, np.zeros(8), source=0, dest=2, tag=0)
+    _send(comm, np.zeros(2), source=3, dest=0, tag=1)
     assert comm.bytes_by_rank() == {0: 96, 3: 16}
     assert sorted(comm.message_sizes()) == [16, 32, 64]
     assert comm.message_sizes(rank=3) == [16]

@@ -60,7 +60,7 @@ def sequential_run():
 def test_threaded_step_bit_identical(sequential_run):
     threaded = _run(workers=6)
     _assert_bit_identical(threaded, sequential_run)
-    assert threaded.halo.comm.pending() == []
+    assert threaded.halo.comm.mailbox.pending_keys() == []
 
 
 def test_small_worker_cap_bit_identical(sequential_run):
@@ -92,7 +92,7 @@ def test_threaded_rollback_recovers_bit_identical():
         chaos.set_plan(previous)
         resilience.reset()
     _assert_bit_identical(faulty, clean)
-    assert faulty.halo.comm.pending() == []
+    assert faulty.halo.comm.mailbox.pending_keys() == []
 
 
 @pytest.mark.parametrize("workers", [1, 6], ids=["sequential", "threads"])
@@ -116,9 +116,9 @@ def test_failed_section_leaves_no_messages_in_flight(workers):
         substeps[0] = fails_once
         with pytest.raises(RecoverableFault, match="injected"):
             core.step_dynamics()
-        assert core.halo.comm.pending() == []
+        assert core.halo.comm.mailbox.pending_keys() == []
         core.step_dynamics()
-        assert core.halo.comm.pending() == []
+        assert core.halo.comm.mailbox.pending_keys() == []
     finally:
         ex.shutdown()
 

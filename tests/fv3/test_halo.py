@@ -203,7 +203,7 @@ def test_an_exchange_leaves_nothing_allocated_behind():
         stat for stat in after.compare_to(before, "lineno")
         if stat.size_diff > 0
     ]
-    assert updater.comm.pending() == []
+    assert updater.comm.mailbox.pending_keys() == []
 
 
 def test_exchange_buffers_rebuilt_on_field_rank_change():

@@ -71,7 +71,7 @@ def test_steps_after_the_first_leave_nothing_allocated_in_the_halo_layer(
     finally:
         tracemalloc.stop()
     assert _halo_layer_bytes(before, after) == 0
-    assert core.halo.comm.pending() == []
+    assert core.halo.comm.mailbox.pending_keys() == []
 
 
 @pytest.mark.traced
@@ -140,7 +140,7 @@ def test_dict_mailbox_post_adopts_the_payload():
     assert req.payload is packed[0]
     np.testing.assert_array_equal(req.payload, np.arange(6.0).reshape(2, 3))
     req.release()
-    assert req.payload is None and comm.pending() == []
+    assert req.payload is None and comm.mailbox.pending_keys() == []
     # the store on its own: reserve hands out the array post adopts
     box = DictMailbox()
     key = (0, 1, 9)

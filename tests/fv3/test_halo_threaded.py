@@ -57,7 +57,7 @@ def test_threaded_scalar_bit_identical(executor):
     )
     for a, b in zip(fields, seq):
         np.testing.assert_array_equal(a, b)
-    assert updater.comm.pending() == []
+    assert updater.comm.mailbox.pending_keys() == []
 
 
 def test_threaded_vector_bit_identical(executor):
@@ -119,7 +119,7 @@ def test_repeated_rounds_stay_identical_and_leak_free(executor):
         )
         for a, b in zip(fields, seq):
             np.testing.assert_array_equal(a, b)
-    assert updater.comm.pending() == []
+    assert updater.comm.mailbox.pending_keys() == []
 
 
 def test_shuffled_post_order_is_deadlock_free(executor):
@@ -195,7 +195,7 @@ def test_threaded_timeout_keeps_diagnostics(executor):
     assert f"phase {err.phase}" in text
     # the aborted exchange is drained by the driver, not the rank thread
     updater.comm.drain()
-    assert updater.comm.pending() == []
+    assert updater.comm.mailbox.pending_keys() == []
     # a clean retry goes through
     executor.run(
         lambda r: updater.finish_scalar(updater.start_scalar(fields, r)),
@@ -225,7 +225,7 @@ def test_timeout_names_the_owning_tag_slot(executor):
     assert err.fslot_base == 2
     assert "fslot_base 2" in str(err)
     updater.comm.drain()
-    assert updater.comm.pending() == []
+    assert updater.comm.mailbox.pending_keys() == []
 
 
 def test_atomic_path_timeout_reports_slot_zero():

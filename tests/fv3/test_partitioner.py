@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.fv3 import constants
+from repro.fv3.halo import HaloUpdater, _tile_edge_map
 from repro.fv3.partitioner import (
     CONNECTIVITY,
     EDGES,
@@ -71,24 +72,41 @@ def test_subdomain_origins_tile_cover():
 
 
 def test_same_tile_neighbors_no_rotation():
+    """The halo of a rank's east edge inside its tile comes from the next
+    rank of the tile, unrotated."""
     p = CubedSpherePartitioner(npx=12, layout=2)
     rank = p.rank_at(0, 0, 0)
-    east = p.edge_neighbor(rank, "E")
-    assert east.rank == p.rank_at(0, 1, 0)
-    assert east.rotations == 0 and not east.reversed
+    east = [
+        plan for phase in HaloUpdater(p, n_halo=3).plans[rank]
+        for plan in phase if plan.src_rank == p.rank_at(0, 1, 0)
+    ]
+    assert east and all(plan.rotations == 0 for plan in east)
 
 
 def test_cross_tile_neighbor_consistency():
-    """Crossing an edge and crossing back lands on the original rank."""
-    for layout in (1, 2):
-        p = CubedSpherePartitioner(npx=12, layout=layout)
-        for rank in range(p.total_ranks):
-            for edge in EDGES:
-                n = p.edge_neighbor(rank, edge)
-                back = p.edge_neighbor(n.rank, n.neighbor_edge)
-                assert back.rank == rank, (
-                    f"rank {rank} edge {edge} -> {n.rank} does not return"
+    """Crossing an edge and crossing back lands on the original cell, for
+    every cell along every edge of every tile; the first cell of an edge
+    lands at the neighbor's end that touches the same cube corner."""
+    npx = 12
+    outward = {"E": (1, 0), "W": (-1, 0), "N": (0, 1), "S": (0, -1)}
+    for tile in range(constants.N_TILES):
+        for edge, (di, dj) in outward.items():
+            theirs = CONNECTIVITY[(tile, edge)].edge
+            back_i, back_j = outward[theirs]
+            for s in range(npx):
+                inside = {"E": (npx - 1, s), "W": (0, s),
+                          "N": (s, npx - 1), "S": (s, 0)}[edge]
+                t2, i2, j2, _ = _tile_edge_map(
+                    npx, tile, inside[0] + di, inside[1] + dj
                 )
+                assert _tile_edge_map(
+                    npx, t2, i2 + back_i, j2 + back_j
+                )[:3] == (tile, *inside), (tile, edge, s)
+                if s == 0:
+                    corner = _edge_endpoints(tile, edge)[0]
+                    same = _edge_endpoints(t2, theirs)[0] == corner
+                    along = j2 if theirs in "EW" else i2
+                    assert along == (0 if same else npx - 1), (tile, edge)
 
 
 def test_bounds_edge_ownership():

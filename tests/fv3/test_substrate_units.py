@@ -1,4 +1,4 @@
-"""Unit tests for the smaller substrate pieces: Quantity, corners,
+"""Unit tests for the smaller substrate pieces: corners,
 grid metrics, config arithmetic (the communicator has its own suite,
 ``test_communicator.py``)."""
 
@@ -10,44 +10,6 @@ from repro.fv3.config import DynamicalCoreConfig
 from repro.fv3.corners import fill_corners, rank_corners
 from repro.fv3.grid import CubedSphereGrid
 from repro.fv3.partitioner import CubedSpherePartitioner
-from repro.fv3.quantity import Quantity
-
-
-# ---------------------------------------------------------------------------
-# Quantity
-# ---------------------------------------------------------------------------
-
-def test_quantity_views_and_metadata():
-    q = Quantity.zeros("delp", 8, 8, 4, units="Pa")
-    assert q.data.shape == (14, 14, 4)
-    assert q.view.shape == (8, 8, 4)
-    assert q.domain == (8, 8, 4)
-    assert q.origin == (3, 3, 0)
-    q.view[...] = 7.0
-    assert q.data[3, 3, 0] == 7.0
-    assert q.data[0, 0, 0] == 0.0  # halo untouched
-    assert "Pa" in repr(q)
-
-
-def test_quantity_2d():
-    q = Quantity.zeros("area", 6, 6, units="m^2", n_halo=2)
-    assert q.data.shape == (10, 10)
-    assert q.dims == ("x", "y")
-    assert q.origin == (2, 2)
-
-
-def test_quantity_copy_is_deep():
-    q = Quantity.zeros("a", 4, 4, 2)
-    c = q.copy()
-    c.view[...] = 1.0
-    assert q.view.max() == 0.0
-
-
-def test_quantity_storage_is_aligned():
-    from repro.dsl.storage import is_aligned
-
-    q = Quantity.zeros("a", 16, 16, 8)
-    assert is_aligned(q.data, (3, 3, 0), 64)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +70,7 @@ def test_rank_corners_layouts():
 def test_grid_total_area_is_sphere():
     p = CubedSpherePartitioner(8, 1)
     total = sum(
-        CubedSphereGrid.build(p, r, n_halo=2).global_area()
+        np.sum(CubedSphereGrid.build(p, r, n_halo=2).area[2:-2, 2:-2])
         for r in range(6)
     )
     sphere = 4.0 * np.pi * constants.RADIUS**2
@@ -139,7 +101,9 @@ def test_wind_basis_roundtrip():
         u_e = rng.standard_normal(g.shape)
         v_n = rng.standard_normal(g.shape)
         u_l, v_l = g.wind_to_local(u_e, v_n)
-        u_e2, v_n2 = g.wind_to_earth(u_l, v_l)
+        # back to (east, north) through the basis vectors themselves
+        u_e2 = u_l * g.ex_east + v_l * g.ey_east
+        v_n2 = u_l * g.ex_north + v_l * g.ey_north
         np.testing.assert_allclose(u_e2, u_e, atol=1e-10)
         np.testing.assert_allclose(v_n2, v_n, atol=1e-10)
 
@@ -153,7 +117,6 @@ def test_config_substep_arithmetic():
                               n_split=5)
     assert cfg.dt_remap == pytest.approx(150.0)
     assert cfg.dt_acoustic == pytest.approx(30.0)
-    assert cfg.nx_rank == 48
 
 
 def test_config_rejects_small_subdomains():

@@ -105,66 +105,3 @@ def test_pipeline_validates_after_final_stage():
         pipeline.run([sdfg])
     # the stages up to the corruption were still recorded
     assert any(s.name == "Region pruning" for s in pipeline.stages)
-
-
-# ---------------------------------------------------------------------------
-# Comm-plan attribution
-# ---------------------------------------------------------------------------
-
-
-def _window_plan():
-    from repro.lint.plan_ir import (
-        CommPlan,
-        ComputeOp,
-        ExchangeDecl,
-        FinishOp,
-        StartOp,
-        ring_edges,
-    )
-
-    return CommPlan.spmd(
-        "audit-plan",
-        2,
-        (ExchangeDecl("ex", ("u",)),),
-        [StartOp("ex"), ComputeOp("work"), FinishOp("ex")],
-        ring_edges(2),
-    )
-
-
-def test_audit_lints_attached_comm_plan_as_is():
-    from repro.lint.plan_ir import halo_extent
-
-    plan = _window_plan()
-    # a halo read already baked into the plan is a baseline finding
-    import dataclasses
-
-    op = plan.programs[0][1]
-    plan = plan.with_compute(
-        "work", dataclasses.replace(op, reads={"u": halo_extent(1)})
-    )
-    audit = TransformationAudit(comm_plan=plan)
-    baseline = audit.start([chained_sdfg()])
-    assert [f.rule for f in baseline] == ["C304"]
-    assert audit.check([chained_sdfg()], "stage") == []
-
-
-def test_audit_charges_comm_finding_to_enlarging_stage():
-    """The audit re-derives the window op's footprints from the current
-    SDFG: a stage that enlarges a read into the halo of the in-flight
-    field gets the C304 charged to it."""
-    fused = chained_sdfg()
-    fuse_chained_illegally(fused)  # zero-extent reads: window is safe
-    audit = TransformationAudit(
-        comm_plan=_window_plan(),
-        comm_op="work",
-        comm_rename={"a": "u"},
-    )
-    baseline = audit.start([fused])
-    assert not [f for f in baseline if f.rule.startswith("C")]
-    # "transformation" restores the enlarged producer reads of `a`
-    new = audit.check([chained_sdfg()], "halo-recompute")
-    comm = [f for f in new if f.rule == "C304"]
-    assert len(comm) == 1
-    assert comm[0].severity == "error"
-    assert "'u'" in comm[0].message
-    assert any(f.rule == "C304" for f in audit.by_stage["halo-recompute"])

@@ -1,5 +1,5 @@
-"""R4xx buffer-lifetime rules: synthetic traces, live pool recording,
-and compiled-plan replay."""
+"""R4xx buffer-lifetime rules: synthetic traces and compiled-plan
+replay."""
 
 from types import SimpleNamespace
 
@@ -10,11 +10,9 @@ from repro.lint import (
     BufferEvent,
     lint_buffer_events,
     lint_compiled_plan,
-    record_buffer_events,
 )
-from repro.runtime.pool import BufferPool
 
-from tests.lint.graph_defects import SHAPE, chained_sdfg
+from tests.lint.graph_defects import chained_sdfg
 
 
 def _rules(findings):
@@ -118,50 +116,6 @@ def test_unknown_event_kind_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Live pool recording
-# ---------------------------------------------------------------------------
-
-
-def test_recorder_sees_checkout_release_pairs():
-    pool = BufferPool()
-    with record_buffer_events(pool) as events:
-        a = pool.checkout((4, 4), np.float64)
-        pool.release(a)
-    assert [e.kind for e in events] == ["acquire", "release"]
-    assert events[0].buffer == id(a)
-    assert events[0].key == ((4, 4), "<f8")
-    assert lint_buffer_events(events) == []
-
-
-def test_recorder_catches_leak_and_use_after_release():
-    pool = BufferPool()
-    with record_buffer_events(pool) as events:
-        a = pool.checkout((4, 4), np.float64)
-        b = pool.checkout((2, 2), np.float64)
-        pool.release(a)
-        pool.note("use", a, label="late-reader")
-        del b  # never released
-    assert _rules(lint_buffer_events(events)) == ["R401", "R403"]
-
-
-def test_recorder_detaches_after_block():
-    pool = BufferPool()
-    with record_buffer_events(pool) as events:
-        pool.release(pool.checkout((2, 2), np.float64))
-    n = len(events)
-    pool.release(pool.checkout((2, 2), np.float64))
-    assert len(events) == n
-    assert pool._recorder is None
-
-
-def test_note_is_noop_without_recorder():
-    pool = BufferPool()
-    buf = pool.checkout((2, 2), np.float64)
-    pool.note("use", buf)  # must not raise or record anything
-    pool.release(buf)
-
-
-# ---------------------------------------------------------------------------
 # Compiled plans
 # ---------------------------------------------------------------------------
 
@@ -249,36 +203,3 @@ def test_real_compiled_sdfg_plan_is_clean():
     compiled = compile_sdfg(chained_sdfg())
     assert compiled.runtime_bytes > 0
     assert lint_compiled_plan(compiled) == []
-
-
-def test_live_pooled_scratch_as_sdfg_destination_is_r404():
-    """The end-to-end aliasing scenario: a caller checks out pooled
-    scratch and passes it to a compiled program as an output — the
-    program's out=-scheduled writes now alias pool-owned storage."""
-    from repro.runtime.pool import get_pool
-    from repro.sdfg.codegen import compile_sdfg
-
-    compiled = compile_sdfg(chained_sdfg())
-    pool = get_pool()
-    a = np.ones(SHAPE)
-    with record_buffer_events(pool) as events:
-        scratch = pool.checkout(SHAPE, np.float64)
-        compiled({"a": a, "out": scratch})
-        pool.release(scratch)
-    findings = [
-        f for f in lint_buffer_events(events) if f.rule == "R404"
-    ]
-    assert len(findings) == 1
-    assert "sdfg:prog:out" in findings[0].message
-
-
-def test_dedicated_output_array_has_no_r404():
-    from repro.runtime.pool import get_pool
-    from repro.sdfg.codegen import compile_sdfg
-
-    compiled = compile_sdfg(chained_sdfg())
-    pool = get_pool()
-    a, out = np.ones(SHAPE), np.zeros(SHAPE)
-    with record_buffer_events(pool) as events:
-        compiled({"a": a, "out": out})
-    assert lint_buffer_events(events) == []

@@ -57,12 +57,12 @@ def test_same_name_under_different_parents_is_distinct():
 
 def test_attrs_set_overwrites_and_add_accumulates():
     tracer = Tracer("t", enabled=True)
-    for backend in ("numpy", "dataflow"):
+    for backend in ("numpy", "compiled"):
         with tracer.span("s") as sp:
             sp.set("backend", backend)
             sp.add("bytes", 100)
     node = tracer.root.children["s"]
-    assert node.attrs["backend"] == "dataflow"
+    assert node.attrs["backend"] == "compiled"
     assert node.attrs["bytes"] == 200
 
 

@@ -385,7 +385,7 @@ def test_a_program_follows_the_default_backend_until_compile_pins_one(
         pytest.skip("no JIT engine: compiled degrades to NumPy emission")
     box, q, out = Box(), np.arange(144.0).reshape(SHAPE), np.zeros(SHAPE)
     results = {}
-    for backend in ("numpy", "compiled", "numpy", "dataflow"):
+    for backend in ("numpy", "compiled", "numpy"):
         monkeypatch.setattr(backends, "_default_backend", backend)
         out[:] = 0.0
         box.combine(q, out)

@@ -1,6 +1,6 @@
 """Halo-updater fault semantics: a dropped message aborts and drains the
 exchange, a delayed one is absorbed, teardown reports orphans. The
-communicator-level half (drop/delay/corrupt on a bare ``Isend``,
+communicator-level half (drop/delay/corrupt on a bare ``Ipack``,
 ``drain``/``finalize``) lives in ``tests/fv3/test_communicator.py``,
 where it runs over both mailbox stores."""
 
@@ -45,7 +45,7 @@ def test_halo_timeout_names_phase_and_drains():
     assert excinfo.value.phase == 0
     assert "phase 0" in str(excinfo.value)
     # aborted exchange left nothing in flight: the retry goes through
-    assert updater.comm.pending() == []
+    assert updater.comm.mailbox.pending_keys() == []
     assert _counters()["halo_timeouts"] == 1
     chaos.clear_plan()
     updater.update_scalar(fields)
@@ -66,7 +66,8 @@ def test_halo_delay_is_absorbed():
 
 def test_halo_finalize_reports_orphans():
     updater, fields = _updater()
-    updater.comm.Isend(np.zeros(3), source=0, dest=1, tag=77)
+    updater.comm.Ipack((3,), np.float64, lambda out: out.fill(0.0),
+                       source=0, dest=1, tag=77)
     with pytest.warns(OrphanedMessagesWarning):
         orphans = updater.finalize()
     assert orphans == [(0, 1, 77)]

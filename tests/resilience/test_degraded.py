@@ -38,16 +38,16 @@ def test_injected_compile_failure_falls_back_bit_identical():
     chaos.set_plan(ChaosPlan.from_spec("compile.fail@1"))
     fields = _inputs()
     with pytest.warns(FallbackWarning, match="re-executed on the NumPy"):
-        _axpy(**fields, alpha=2.5, backend="dataflow")
+        _axpy(**fields, alpha=2.5, backend="compiled")
     np.testing.assert_array_equal(fields["a"], _reference())
     summary = resilience.summary()
     assert summary["counters"]["fallbacks"] == 1
     (entry,) = summary["fallback_log"]
-    assert entry[0] == "_axpy" and entry[1] == "dataflow"
+    assert entry[0] == "_axpy" and entry[1] == "compiled"
     assert "InjectedCompileError" in entry[2]
     # the injection is one-shot: the next call compiles and runs clean
     fields2 = _inputs()
-    _axpy(**fields2, alpha=2.5, backend="dataflow")
+    _axpy(**fields2, alpha=2.5, backend="compiled")
     np.testing.assert_array_equal(fields2["a"], _reference())
     assert resilience.summary()["counters"]["fallbacks"] == 1
 
@@ -92,4 +92,4 @@ def test_argument_errors_stay_loud():
     """Binding/validation errors are user errors, not backend failures —
     they must not be degraded away."""
     with pytest.raises(TypeError, match="missing argument"):
-        _axpy(a=np.zeros((4, 4, 2)), backend="dataflow")
+        _axpy(a=np.zeros((4, 4, 2)), backend="compiled")

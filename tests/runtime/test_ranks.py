@@ -144,7 +144,8 @@ def _wait_without_a_yield(block):
             # the peer has not started
             comm.Irecv(got, source=second, dest=first).wait()
         else:
-            comm.Isend(np.ones(1), source=second, dest=first)
+            comm.Ipack((1,), np.float64, lambda out: out.fill(1.0),
+                       source=second, dest=first)
         yield
 
     t0 = time.perf_counter()
@@ -155,10 +156,11 @@ def _wait_without_a_yield(block):
 
     def fixed(rank):
         if rank == second:
-            comm.Isend(np.ones(1), source=second, dest=first)
+            comm.Ipack((1,), np.float64, lambda out: out.fill(1.0),
+                       source=second, dest=first)
         yield  # every peer has posted
         if rank == first:
             comm.Irecv(got, source=second, dest=first).wait()
 
     RankExecutor(1).run(fixed, block)
-    assert got[0] == 1.0 and comm.pending() == []
+    assert got[0] == 1.0 and comm.mailbox.pending_keys() == []

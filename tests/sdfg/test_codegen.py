@@ -1,4 +1,6 @@
-"""Codegen equivalence tests: dataflow backend must match NumPy backend."""
+"""Codegen equivalence tests: a stencil's lowered SDFG, printed as NumPy
+(the emission every program runs under the ``numpy`` backend), must
+match the NumPy debug backend."""
 
 import numpy as np
 import pytest
@@ -16,15 +18,18 @@ from repro.dsl import (
     region,
     stencil,
 )
+from repro.dsl.backend_compiled import CompiledStencilExecutor
+from tests.sdfg.emission import run_emission
 
 
 def _run_both(stencil_obj, arrays, scalars=None, **call_kwargs):
-    """Run a stencil on both backends, return (numpy_result, dataflow_result)."""
+    """Run a stencil on the debug backend and through its NumPy
+    emission, return (numpy_result, emission_result)."""
     scalars = scalars or {}
     a_np = {k: v.copy() for k, v in arrays.items()}
     a_df = {k: v.copy() for k, v in arrays.items()}
     stencil_obj(**a_np, **scalars, backend="numpy", **call_kwargs)
-    stencil_obj(**a_df, **scalars, backend="dataflow", **call_kwargs)
+    run_emission(stencil_obj, a_df, scalars, **call_kwargs)
     return a_np, a_df
 
 
@@ -146,9 +151,7 @@ def test_region_equivalence_both_strategies():
         a_np = {k: v.copy() for k, v in arrays.items()}
         s(**a_np, dt2=2.0, backend="numpy", origin=(0, 0, 0), domain=(5, 5, 2))
 
-        from repro.dsl.backend_dataflow import DataflowStencilExecutor
-
-        ex = DataflowStencilExecutor(s)
+        ex = CompiledStencilExecutor(s)
         sdfg = ex.build_sdfg(
             {k: v.shape for k, v in arrays.items()},
             {k: v.dtype.type for k, v in arrays.items()},
@@ -185,9 +188,7 @@ def test_compiled_program_is_cached():
         with computation(PARALLEL), interval(...):
             b = a
 
-    from repro.dsl.backend_dataflow import DataflowStencilExecutor
-
-    ex = DataflowStencilExecutor(copy)
+    ex = CompiledStencilExecutor(copy)
     a = _rand((4, 4, 2))
     b = np.zeros_like(a)
     ex({"a": a, "b": b}, {}, (0, 0, 0), (4, 4, 2))
@@ -204,10 +205,9 @@ def test_instrumented_kernel_times():
         with computation(PARALLEL), interval(...):
             b = a
 
-    from repro.dsl.backend_dataflow import DataflowStencilExecutor
     from repro.sdfg.codegen import compile_sdfg
 
-    ex = DataflowStencilExecutor(copy)
+    ex = CompiledStencilExecutor(copy)
     a = _rand((32, 32, 8))
     sdfg = ex.build_sdfg(
         {"a": a.shape, "b": a.shape},
@@ -252,7 +252,6 @@ def test_k_field_generated_source_broadcasts():
     """The emitted K-axis access must be a (1, 1) view, not a 0-d scalar
     subscripted with np.newaxis (which would raise)."""
     from repro.dsl import FieldK
-    from repro.dsl.backend_dataflow import DataflowStencilExecutor
     from repro.sdfg.codegen import compile_sdfg
 
     @stencil
@@ -260,7 +259,7 @@ def test_k_field_generated_source_broadcasts():
         with computation(FORWARD), interval(...):
             out = a * coef
 
-    ex = DataflowStencilExecutor(kcopy)
+    ex = CompiledStencilExecutor(kcopy)
     sdfg = ex.build_sdfg(
         {"a": (3, 3, 2), "coef": (2,), "out": (3, 3, 2)},
         {n: np.float64 for n in ("a", "coef", "out")},
@@ -288,14 +287,13 @@ def test_repeated_calls_do_not_see_stale_scratch():
     # pollute the pool with a run on different data, then verify the next
     # run still matches the debug backend exactly
     poll = {k: v.copy() for k, v in first.items()}
-    masked(**poll, backend="dataflow", origin=(0, 0, 0), domain=shape)
+    run_emission(masked, poll, origin=(0, 0, 0), domain=shape)
     _assert_equal(
         *_run_both(masked, second, origin=(0, 0, 0), domain=shape)
     )
 
 
 def test_compiled_program_reports_runtime_bytes():
-    from repro.dsl.backend_dataflow import DataflowStencilExecutor
     from repro.sdfg.codegen import compile_sdfg
 
     @stencil
@@ -303,7 +301,7 @@ def test_compiled_program_reports_runtime_bytes():
         with computation(PARALLEL), interval(...):
             out = a * 2.0 + b
 
-    ex = DataflowStencilExecutor(axpy)
+    ex = CompiledStencilExecutor(axpy)
     shapes = {n: (8, 8, 4) for n in ("a", "b", "out")}
     sdfg = ex.build_sdfg(
         shapes, {n: np.float64 for n in shapes}, (0, 0, 0), (8, 8, 4)
@@ -314,7 +312,6 @@ def test_compiled_program_reports_runtime_bytes():
 
 
 def test_missing_container_error_is_precomputed():
-    from repro.dsl.backend_dataflow import DataflowStencilExecutor
     from repro.sdfg.codegen import compile_sdfg
 
     @stencil
@@ -322,7 +319,7 @@ def test_missing_container_error_is_precomputed():
         with computation(PARALLEL), interval(...):
             b = a
 
-    ex = DataflowStencilExecutor(copy)
+    ex = CompiledStencilExecutor(copy)
     sdfg = ex.build_sdfg(
         {"a": (3, 3, 2), "b": (3, 3, 2)},
         {"a": np.float64, "b": np.float64},
@@ -342,8 +339,6 @@ def test_missing_container_error_is_precomputed():
 def _two_computation_sdfg():
     """A stencil whose temporary crosses computations (an SDFG
     transient) and whose expressions need scratch slots."""
-    from repro.dsl.backend_dataflow import DataflowStencilExecutor
-
     @stencil
     def staged(a: Field, out: Field):
         with computation(PARALLEL), interval(...):
@@ -351,7 +346,7 @@ def _two_computation_sdfg():
         with computation(FORWARD), interval(1, None):
             out = t[0, 0, -1] * 3.0 + a
 
-    ex = DataflowStencilExecutor(staged)
+    ex = CompiledStencilExecutor(staged)
     shape = (6, 5, 4)
     sdfg = ex.build_sdfg(
         {"a": shape, "out": shape}, {"a": np.float64, "out": np.float64},
@@ -554,7 +549,6 @@ def test_transient_written_across_intervals_needs_no_fill():
     """The first touch of the transient writes it interval by interval —
     not one covering statement — but every read is covered, so the
     program uses the pooled buffer as it comes."""
-    from repro.dsl.backend_dataflow import DataflowStencilExecutor
     from repro.sdfg.codegen import compile_sdfg
 
     @stencil
@@ -567,7 +561,7 @@ def test_transient_written_across_intervals_needs_no_fill():
         with computation(PARALLEL), interval(...):
             out = acc * 0.5
 
-    ex = DataflowStencilExecutor(cumulative)
+    ex = CompiledStencilExecutor(cumulative)
     shape = (5, 4, 6)
     sdfg = ex.build_sdfg(
         {"a": shape, "out": shape}, {"a": np.float64, "out": np.float64},

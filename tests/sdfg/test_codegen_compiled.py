@@ -20,7 +20,6 @@ from repro.dsl import (
     interval,
     stencil,
 )
-from repro.dsl.backend_dataflow import DataflowStencilExecutor
 from repro.runtime import jit
 from repro.sdfg import codegen_compiled
 from repro.sdfg.codegen import compile_sdfg
@@ -35,6 +34,7 @@ from repro.sdfg.loopnest import (
 )
 from repro.sdfg.nodes import Kernel
 from tests.fv3.test_backend_bitexact import NI, NJ, NK, _discover, _synthesize
+from tests.sdfg.emission import build_sdfg as _build_sdfg
 from tests.runtime.test_jit import _forget_loaded
 
 
@@ -45,18 +45,6 @@ def _pyloops_engine(monkeypatch):
     yield
     monkeypatch.delenv("REPRO_JIT", raising=False)
     jit.reset(engine=True)
-
-
-def _build_sdfg(stencil_obj, arrays, origin=(0, 0, 0), domain=None):
-    domain = domain or next(iter(arrays.values())).shape
-    ex = DataflowStencilExecutor(stencil_obj)
-    return ex.build_sdfg(
-        {n: a.shape for n, a in arrays.items()},
-        {n: a.dtype.type for n, a in arrays.items()},
-        origin,
-        domain,
-        None,
-    )
 
 
 def _run_both(stencil_obj, arrays, scalars=None, origin=(0, 0, 0),
