@@ -273,6 +273,10 @@ def _serving_lines() -> List[str]:
     cache = sv["cache"]
     ratio = cache.get("hit_ratio")
     ratio_cell = f"{100 * ratio:.0f}%" if ratio is not None else "n/a"
+    packing = (
+        f" ({cache['raw_bytes'] / cache['bytes']:.2f}x)"
+        if cache["bytes"] else ""
+    )
     lines.append(
         f"serving slo: {sv['retries']} retries, "
         f"{sv['degraded']} degraded, "
@@ -281,7 +285,10 @@ def _serving_lines() -> List[str]:
         f"{sv['breakers']['recoveries']} recoveries; "
         f"cache {cache['hits']} hits / {cache['warm_hits']} warm / "
         f"{cache['misses']} misses (hit ratio {ratio_cell}), "
-        f"{sv['steps_saved']} steps saved"
+        f"{sv['steps_saved']} steps saved; "
+        f"{cache['entries']} states held in "
+        f"{cache['bytes'] / 2 ** 20:.1f} MiB packed of "
+        f"{cache['raw_bytes'] / 2 ** 20:.1f} MiB{packing}"
     )
     return lines
 

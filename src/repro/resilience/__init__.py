@@ -11,7 +11,8 @@ backends → dyncore → obs:
 - :mod:`repro.resilience.guards` — NaN/Inf, ``delp > 0`` and wind-bound
   invariant checks with ``raise | rollback | warn`` policies.
 - :mod:`repro.resilience.checkpoint` — in-memory snapshots for rollback
-  plus versioned on-disk checkpoints for restart.
+  (and packed, for the serving cache's states at rest) plus versioned
+  on-disk checkpoints for restart.
 - degraded mode — a failing compiled-backend stencil transparently
   re-executes on the bit-exact NumPy debug backend
   (:meth:`repro.dsl.stencil.StencilObject.__call__`), and halo receives
@@ -35,6 +36,7 @@ from repro.resilience import chaos
 from repro.resilience.chaos import ChaosPlan, InjectedFault
 from repro.resilience.checkpoint import (
     CHECKPOINT_VERSION,
+    PackedSnapshot,
     Snapshot,
     load_checkpoint,
     save_checkpoint,
@@ -77,6 +79,7 @@ __all__ = [
     "InjectedFaultError",
     "MemberLostError",
     "OrphanedMessagesWarning",
+    "PackedSnapshot",
     "RecoverableFault",
     "ResilienceConfig",
     "ResilienceError",

@@ -6,6 +6,13 @@ the model time and the step counter; the model carries no RNG state):
 - :class:`Snapshot` — an in-memory copy used by the rollback/retry loop.
   Capture and restore are plain ``np.copyto`` round-trips, so a restored
   state is bit-identical to the captured one.
+- :class:`PackedSnapshot` — a snapshot at rest (the serving layer's
+  state cache): each array split into byte planes, the three most
+  significant (sign, exponent, top mantissa bits: they repeat across a
+  field) ``zlib``-compressed at level 1 and the five low ones (noise to
+  a compressor) kept raw. Lossless: every bit round-trips, NaN payloads,
+  ``-0.0``, infinities and subnormals included. Both forms give fresh
+  per-rank arrays through one ``materialize()``.
 - :func:`save_checkpoint` / :func:`load_checkpoint` — a versioned
   on-disk ``.npz`` snapshot for restart across processes. The format is
   flat: a ``__meta__`` JSON header (format version, time, step, rank
@@ -20,9 +27,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
+import sys
 import zipfile
 import zlib
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +38,8 @@ from repro.resilience.errors import CheckpointCorruptError, CheckpointError
 
 __all__ = [
     "CHECKPOINT_VERSION",
+    "PackedArray",
+    "PackedSnapshot",
     "Snapshot",
     "checkpoint_meta",
     "load_checkpoint",
@@ -40,6 +50,17 @@ CHECKPOINT_VERSION = 1
 
 #: per-rank prognostic arrays, in serialization order
 STATE_FIELDS = ("u", "v", "w", "pt", "delp", "delz")
+
+#: per-rank arrays as a snapshot holds them: fields by name, tracers
+Ranks = Tuple[List[Dict[str, object]], List[List[object]]]
+
+
+def _map_ranks(fn: Callable, arrays, tracers) -> Ranks:
+    """``fn`` applied to every array of every rank, structure kept."""
+    return (
+        [{name: fn(a) for name, a in fields.items()} for fields in arrays],
+        [[fn(t) for t in ts] for ts in tracers],
+    )
 
 
 @dataclasses.dataclass
@@ -98,11 +119,127 @@ class Snapshot:
             for dst, src in zip(state.tracers, tracers):
                 np.copyto(dst, src)
 
+    def materialize(self) -> Ranks:
+        """Fresh copies of the captured arrays, ``(fields, tracers)``
+        per rank: a new member's own storage."""
+        return _map_ranks(np.copy, self.arrays, self.tracers)
+
+    def pack(self) -> "PackedSnapshot":
+        """This snapshot at rest (see :class:`PackedSnapshot`)."""
+        return PackedSnapshot(
+            *_map_ranks(PackedArray.pack, self.arrays, self.tracers),
+            time=self.time, step=self.step,
+        )
+
+
+# ---------------------------------------------------------------------------
+# packed form: a snapshot at rest
+# ---------------------------------------------------------------------------
+
+#: byte planes of an 8-byte value kept compressed: the most significant
+#: (sign, exponent and the top mantissa bits) repeat across a field; the
+#: low ones are mantissa noise a compressor would spend time on for
+#: nothing
+HIGH_PLANES = 3
+LOW_PLANES = 8 - HIGH_PLANES
+#: a native 8-byte value's bytes, least significant first
+_LEAST_FIRST = (
+    slice(None) if sys.byteorder == "little" else slice(None, None, -1)
+)
+
+
+@dataclasses.dataclass(frozen=True)
+class PackedArray:
+    """One array at rest, lossless: its byte planes, plane-major — the
+    :data:`HIGH_PLANES` most significant ``zlib``-compressed at level 1
+    (``high``), the others raw (``low``, one row a plane).
+
+    Any array of a native-endian 8-byte dtype packs; one that is not
+    C-contiguous packs its C-order copy and unpacks C-contiguous. A
+    non-native byte order is refused (its significant bytes sit at the
+    other end)."""
+
+    shape: Tuple[int, ...]
+    dtype: np.dtype
+    high: bytes
+    low: np.ndarray
+
+    @classmethod
+    def pack(cls, arr: np.ndarray) -> "PackedArray":
+        if arr.dtype.itemsize != 8 or not arr.dtype.isnative:
+            raise ValueError(
+                f"packs native-endian 8-byte arrays, not {arr.dtype.str}"
+            )
+        # two gathers and one compression an array, not a call a plane:
+        # a packer running beside a stepping thread hands the interpreter
+        # lock back and forth at each call that releases it
+        planes = _planes(np.ascontiguousarray(arr))
+        return cls(
+            shape=arr.shape,
+            dtype=arr.dtype,
+            high=zlib.compress(planes[LOW_PLANES:].copy(), 1),
+            low=planes[:LOW_PLANES].copy(),
+        )
+
+    def unpack(self) -> np.ndarray:
+        """A new array equal to the packed one, bit for bit."""
+        out = np.empty(self.shape, self.dtype)
+        planes = _planes(out)
+        high = np.frombuffer(zlib.decompress(self.high), np.uint8)
+        # row by row: one strided assignment of all rows is slower
+        for k, row in enumerate(self.low):
+            planes[k] = row
+        for k, row in enumerate(high.reshape(HIGH_PLANES, -1)):
+            planes[LOW_PLANES + k] = row
+        return out
+
     @property
     def nbytes(self) -> int:
+        """What the packed form holds."""
+        return len(self.high) + self.low.nbytes
+
+    @property
+    def raw_nbytes(self) -> int:
+        """What the array it packs holds."""
+        return self.low.shape[1] * 8
+
+
+def _planes(arr: np.ndarray) -> np.ndarray:
+    """A C-contiguous 8-byte array's bytes as ``(8, values)``, row ``k``
+    the ``k``-th least significant byte of every value (a view)."""
+    return arr.reshape(-1).view(np.uint8).reshape(-1, 8)[:, _LEAST_FIRST].T
+
+
+@dataclasses.dataclass
+class PackedSnapshot:
+    """A :class:`Snapshot` at rest: the same ranks, time and step, each
+    array a :class:`PackedArray` (``Snapshot.pack()``)."""
+
+    arrays: List[Dict[str, PackedArray]]
+    tracers: List[List[PackedArray]]
+    time: float
+    step: int
+
+    def materialize(self) -> Ranks:
+        """The arrays unpacked, ``(fields, tracers)`` per rank: a new
+        member's own storage."""
+        return _map_ranks(PackedArray.unpack, self.arrays, self.tracers)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held, packed."""
+        return self._total("nbytes")
+
+    @property
+    def raw_nbytes(self) -> int:
+        """Bytes of the snapshot it packs."""
+        return self._total("raw_nbytes")
+
+    def _total(self, attr: str) -> int:
         return sum(
-            a.nbytes for fields in self.arrays for a in fields.values()
-        ) + sum(t.nbytes for ts in self.tracers for t in ts)
+            getattr(a, attr) for fields in self.arrays
+            for a in fields.values()
+        ) + sum(getattr(t, attr) for ts in self.tracers for t in ts)
 
 
 # ---------------------------------------------------------------------------

@@ -338,19 +338,6 @@ def _step(engine: DynamicalCore, rec: _Member) -> None:
     rec.step_count = engine.step_count
 
 
-def _states_from_snapshot(snapshot) -> List[RankFields]:
-    """Materialize fresh per-rank :class:`RankFields` from an in-memory
-    :class:`~repro.resilience.Snapshot` (used by the serving layer's
-    checkpoint-warmed cache — no scenario builder math is re-run)."""
-    return [
-        RankFields(
-            **{name: arr.copy() for name, arr in fields.items()},
-            tracers=[t.copy() for t in tracers],
-        )
-        for fields, tracers in zip(snapshot.arrays, snapshot.tracers)
-    ]
-
-
 class EnsembleDriver:
     """N members of one scenario batched through one engine core.
 
@@ -451,8 +438,10 @@ class EnsembleDriver:
     ) -> None:
         """Install one member: built fresh from the scenario (seeded by
         this driver's root seed), or — with ``snapshot=`` — materialized
-        from a captured :class:`~repro.resilience.Snapshot`, adopting
-        its time/step and skipping the builder entirely (pass the
+        from a captured :class:`~repro.resilience.Snapshot` or a
+        :class:`~repro.resilience.PackedSnapshot` (unpacked straight into
+        the member's new arrays), adopting its time/step and skipping
+        the builder entirely (pass the
         original run's ``mass0``/``tracer0`` so conservation drift stays
         anchored to the true initial state).
 
@@ -467,9 +456,13 @@ class EnsembleDriver:
         with _TRACER.span(f"ensemble.build[{member}]"):
             resilience = _member_resilience(self._base_resilience, member)
             if snapshot is not None:
-                rec = _Member(member, _states_from_snapshot(snapshot),
-                              resilience, time=snapshot.time,
-                              step_count=snapshot.step)
+                arrays, tracers = snapshot.materialize()
+                states = [
+                    RankFields(**fields, tracers=ts)
+                    for fields, ts in zip(arrays, tracers)
+                ]
+                rec = _Member(member, states, resilience,
+                              time=snapshot.time, step_count=snapshot.step)
             else:
                 if rng is _UNSET_RNG:
                     rng = member_rng(self.seed, member)

@@ -14,9 +14,13 @@ is what makes a *state* cache sound at all. Two lookups:
   run's conservation baselines (``mass0``/``tracer0``) so drift
   reporting stays anchored to the true initial state.
 
-Entries hold bit-exact in-memory :class:`~repro.resilience.Snapshot`
-copies (the same machinery the rollback loop trusts), evicted LRU under
-an entry *and* byte budget.
+Entries hold states at rest, as a
+:class:`~repro.resilience.PackedSnapshot`: each array's three most
+significant byte planes ``zlib``-compressed, its five low ones raw, and
+every bit kept (1.3–1.4x smaller at c24·L10; a warm start unpacks
+straight into the new member's arrays). They are evicted LRU under an
+entry *and* a byte budget; the byte budget and the ``bytes`` counter
+count packed bytes, ``raw_bytes`` what the same states hold unpacked.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from operator import attrgetter
 from typing import Dict, Optional, Tuple
 
 from repro.obs.counters import Counters
-from repro.resilience import Snapshot
+from repro.resilience import PackedSnapshot
 
 __all__ = ["CacheEntry", "StateCache"]
 
@@ -36,12 +40,12 @@ SeriesKey = Tuple[str, object, int, int]
 
 
 class CacheEntry:
-    """One cached step: the snapshot plus everything the response
+    """One cached step: the packed snapshot plus everything the response
     path needs to answer without touching the engine."""
 
     __slots__ = ("snapshot", "mass0", "tracer0", "report")
 
-    def __init__(self, snapshot: Snapshot, mass0: float,
+    def __init__(self, snapshot: PackedSnapshot, mass0: float,
                  tracer0: Optional[float], report: Dict[str, object]):
         self.snapshot = snapshot
         self.mass0 = mass0
@@ -51,6 +55,10 @@ class CacheEntry:
     @property
     def nbytes(self) -> int:
         return self.snapshot.nbytes
+
+    @property
+    def raw_nbytes(self) -> int:
+        return self.snapshot.raw_nbytes
 
 
 def with_hit_ratio(snapshot: Dict[str, object]) -> Dict[str, object]:
@@ -76,12 +84,16 @@ class StateCache:
         self._entries: "OrderedDict[Tuple[SeriesKey, int], CacheEntry]" = (
             OrderedDict()
         )
+        #: packed bytes held (what ``max_bytes`` bounds), and the same
+        #: entries' bytes unpacked
         self._bytes = 0
+        self._raw_bytes = 0
         #: the accounting; it shares the cache's lock, under which the
         #: look-ups and ``put`` increment ``_n`` in place
         self.counters = Counters(
             sums=self.COUNTED,
-            local={"entries": len, "bytes": attrgetter("_bytes")},
+            local={"entries": len, "bytes": attrgetter("_bytes"),
+                   "raw_bytes": attrgetter("_raw_bytes")},
             derive=with_hit_ratio,
             lock=self._lock,
             owner=self,
@@ -97,16 +109,21 @@ class StateCache:
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
-                self._bytes -= old.nbytes
+                self._drop(old)
             self._entries[key] = entry
             self._bytes += entry.nbytes
+            self._raw_bytes += entry.raw_nbytes
             while self._entries and (
                 len(self._entries) > self.max_entries
                 or self._bytes > self.max_bytes
             ):
                 _, evicted = self._entries.popitem(last=False)
-                self._bytes -= evicted.nbytes
+                self._drop(evicted)
                 self._n["evictions"] += 1
+
+    def _drop(self, entry: CacheEntry) -> None:
+        self._bytes -= entry.nbytes
+        self._raw_bytes -= entry.raw_nbytes
 
     def exact(self, series: SeriesKey, step: int) -> Optional[CacheEntry]:
         """The entry at exactly ``step``, or None. Counts hit/miss."""
@@ -147,4 +164,4 @@ class StateCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._bytes = 0
+            self._bytes = self._raw_bytes = 0

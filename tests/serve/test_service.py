@@ -1,10 +1,12 @@
 """End-to-end :class:`ForecastService` behaviour: admission, warm
 drivers, the state cache, deadlines, cancellation, shutdown."""
 
+import re
 import threading
 
 import pytest
 
+from repro.obs.render import _serving_lines
 from repro.run import metrics, run
 from repro.runtime import compile_cache
 from repro.serve import (
@@ -15,6 +17,7 @@ from repro.serve import (
     RequestCancelled,
     ServiceClosed,
     ServiceConfig,
+    serving_summary,
 )
 
 
@@ -71,6 +74,50 @@ def test_longer_lead_warm_starts_from_cached_step(service, small_config):
     assert deeper.steps_computed == 1  # only the remainder
     direct = run("baroclinic_wave", small_config, steps=3, check=False)
     assert deeper.report["summary"] == direct.members[0].summary
+
+
+def test_warm_start_from_a_packed_entry_equals_a_direct_run_in_full_state(
+        service, small_config):
+    """A member warm-started from a packed cache entry and stepped on
+    holds, on every array of every rank, halos included, the bits of a
+    direct ``run()`` of the same total steps. Its final state is what
+    the service caches for the deeper lead, packed again."""
+    first = service.submit(_req(small_config, steps=2, seed=3,
+                                member=1)).result()
+    deeper = service.submit(_req(small_config, steps=4, seed=3,
+                                 member=1)).result()
+    assert (first.cache, deeper.cache) == ("miss", "warm")
+    assert deeper.steps_computed == 2
+    cached = service.cache.exact(("baroclinic_wave", small_config, 3, 1), 4)
+    assert (cached.snapshot.step, cached.snapshot.time) == (
+        deeper.step, deeper.report["time"])
+    arrays, tracers = cached.snapshot.materialize()
+    direct = run("baroclinic_wave", small_config, steps=4, members=(1,),
+                 seed=3, check=False).member(1)
+    assert len(arrays) == len(direct.states) == small_config.total_ranks
+    for state, fields, ts in zip(direct.states, arrays, tracers):
+        for name, arr in fields.items():
+            want = getattr(state, name)
+            assert arr.shape == want.shape
+            assert arr.tobytes() == want.tobytes(), name
+        assert len(ts) == len(state.tracers) == small_config.n_tracers
+        for got, want in zip(ts, state.tracers):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_cache_counters_and_footer_show_the_packing(service, small_config):
+    service.submit(_req(small_config)).result()
+    held = service.cache.stats()
+    assert held["entries"] == 1
+    assert 0 < held["bytes"] < 0.85 * held["raw_bytes"]
+    totals = serving_summary()["cache"]
+    assert totals["bytes"] >= held["bytes"]
+    assert totals["raw_bytes"] >= held["raw_bytes"]
+    footer = "\n".join(_serving_lines())
+    match = re.search(r"(\d+) states held in [\d.]+ MiB packed of "
+                      r"[\d.]+ MiB \((\d+\.\d\d)x\)", footer)
+    assert match and int(match.group(1)) >= 1
+    assert float(match.group(2)) > 1.15
 
 
 def test_cache_bypass_recomputes(service, small_config):
