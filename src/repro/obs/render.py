@@ -273,10 +273,8 @@ def _serving_lines() -> List[str]:
     cache = sv["cache"]
     ratio = cache.get("hit_ratio")
     ratio_cell = f"{100 * ratio:.0f}%" if ratio is not None else "n/a"
-    packing = (
-        f" ({cache['raw_bytes'] / cache['bytes']:.2f}x)"
-        if cache["bytes"] else ""
-    )
+    pack_ratio = cache.get("pack_ratio")
+    packing = f" ({pack_ratio:.2f}x)" if pack_ratio is not None else ""
     lines.append(
         f"serving slo: {sv['retries']} retries, "
         f"{sv['degraded']} degraded, "

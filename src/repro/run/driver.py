@@ -432,6 +432,7 @@ class EnsembleDriver:
         member: int,
         *,
         snapshot=None,
+        adopt: bool = False,
         rng=_UNSET_RNG,
         mass0: Optional[float] = None,
         tracer0: Optional[float] = None,
@@ -443,7 +444,10 @@ class EnsembleDriver:
         the member's new arrays), adopting its time/step and skipping
         the builder entirely (pass the
         original run's ``mass0``/``tracer0`` so conservation drift stays
-        anchored to the true initial state).
+        anchored to the true initial state). With ``adopt=True`` the
+        :class:`~repro.resilience.Snapshot`'s own arrays become the
+        member's storage, not a copy of them: for a caller that gives
+        them up (a warm start unpacked before the driver's lock).
 
         ``rng`` overrides the perturbation stream (None = unperturbed
         control). The serving layer uses this to install request states
@@ -456,7 +460,10 @@ class EnsembleDriver:
         with _TRACER.span(f"ensemble.build[{member}]"):
             resilience = _member_resilience(self._base_resilience, member)
             if snapshot is not None:
-                arrays, tracers = snapshot.materialize()
+                arrays, tracers = (
+                    (snapshot.arrays, snapshot.tracers) if adopt
+                    else snapshot.materialize()
+                )
                 states = [
                     RankFields(**fields, tracers=ts)
                     for fields, ts in zip(arrays, tracers)

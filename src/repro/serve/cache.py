@@ -15,12 +15,14 @@ is what makes a *state* cache sound at all. Two lookups:
   reporting stays anchored to the true initial state.
 
 Entries hold states at rest, as a
-:class:`~repro.resilience.PackedSnapshot`: each array's three most
-significant byte planes ``zlib``-compressed, its five low ones raw, and
-every bit kept (1.3–1.4x smaller at c24·L10; a warm start unpacks
-straight into the new member's arrays). They are evicted LRU under an
-entry *and* a byte budget; the byte budget and the ``bytes`` counter
-count packed bytes, ``raw_bytes`` what the same states hold unpacked.
+:class:`~repro.resilience.PackedSnapshot`: each array's values coded as
+their Lorenzo residuals (each predicted from its lower neighbours),
+compressed byte plane by byte plane, and every bit kept (1.6x smaller
+at c24·L10; a warm start unpacks before it takes the driver's lock,
+and the new member adopts the unpacked arrays). They are evicted LRU
+under an entry *and* a byte budget; the byte budget and the ``bytes``
+counter count packed bytes, ``raw_bytes`` what the same states hold
+unpacked, and ``pack_ratio`` the one over the other.
 """
 
 from __future__ import annotations
@@ -62,11 +64,14 @@ class CacheEntry:
 
 
 def with_hit_ratio(snapshot: Dict[str, object]) -> Dict[str, object]:
-    """What readers see: the counters plus the exact-hit ratio."""
+    """What readers see: the counters plus the exact-hit ratio and the
+    packing ratio (raw bytes over packed bytes held)."""
     lookups = snapshot["hits"] + snapshot["misses"]
+    held = snapshot["bytes"]
     return {
         **snapshot,
         "hit_ratio": (snapshot["hits"] / lookups) if lookups else None,
+        "pack_ratio": (snapshot["raw_bytes"] / held) if held else None,
     }
 
 

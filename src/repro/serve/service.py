@@ -176,7 +176,7 @@ class ServiceConfig:
         cache_entries / cache_bytes: :class:`StateCache` budget
             (``cache_entries=0`` disables caching entirely).
             ``cache_bytes`` bounds the entries' packed bytes
-            (:class:`~repro.resilience.PackedSnapshot`, 1.3–1.4x below
+            (:class:`~repro.resilience.PackedSnapshot`, 1.6x below
             the states' raw bytes at c24·L10).
         executor: rank executor spec forwarded to
             :func:`repro.run.build_core` for warm engines.
@@ -587,24 +587,26 @@ class ForecastService:
             warm, warm_step = self.cache.best_at_or_below(
                 series, request.steps
             )
-            with entry.budget.phase("warm"), dlock:
-                if warm is not None:
-                    entry.cache = "warm"
-                    self.metrics.bump("steps_saved", warm_step)
-                    driver.add_member(
-                        entry.slot,
-                        snapshot=warm.snapshot,
-                        mass0=warm.mass0,
-                        tracer0=warm.tracer0,
-                    )
-                else:
-                    entry.cache = "miss"
-                    driver.add_member(
-                        entry.slot,
-                        rng=member_rng(request.seed, request.member),
-                    )
-            entry.budget.check("warm")
-            return True
+            if warm is not None:
+                entry.cache = "warm"
+                self.metrics.bump("steps_saved", warm_step)
+                with entry.budget.phase("warm"):
+                    # unpacked before the driver lock is taken; the new
+                    # member adopts these arrays as its storage
+                    packed = warm.snapshot
+                    ready = Snapshot(*packed.materialize(), packed.time,
+                                     packed.step)
+                    with dlock:
+                        driver.add_member(
+                            entry.slot,
+                            snapshot=ready,
+                            adopt=True,
+                            mass0=warm.mass0,
+                            tracer0=warm.tracer0,
+                        )
+                entry.budget.check("warm")
+                return True
+            entry.cache = "miss"
         with entry.budget.phase("warm"), dlock:
             driver.add_member(
                 entry.slot,

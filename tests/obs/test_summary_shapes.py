@@ -72,5 +72,5 @@ def test_service_summary_keys():
     }
     assert set(summary["cache"]) == {
         "hits", "warm_hits", "misses", "evictions", "entries", "bytes",
-        "raw_bytes", "hit_ratio",
+        "raw_bytes", "hit_ratio", "pack_ratio",
     }

@@ -72,6 +72,28 @@ def test_snapshot_restore_resumes_bit_identically(driver):
     assert got["mass_drift"] == want["mass_drift"]
 
 
+def test_an_adopted_snapshot_becomes_the_members_storage(driver):
+    """``adopt=True`` installs the snapshot's own arrays, not a copy;
+    without it the member gets a copy and the snapshot stays the
+    caller's."""
+    driver.step_selected([0], 1)
+    rec = driver.members[0]
+    kept = driver.snapshot_member(0)
+    given = driver.snapshot_member(0)
+    for slot, snap, adopt in ((1, kept, False), (2, given, True)):
+        driver.add_member(slot, snapshot=snap, adopt=adopt,
+                          mass0=rec.mass0, tracer0=rec.tracer0)
+    copied = driver.members[1].states
+    adopted = driver.members[2].states
+    for r, (fields, tracers) in enumerate(zip(given.arrays, given.tracers)):
+        for name, arr in fields.items():
+            assert getattr(adopted[r], name) is arr
+            assert getattr(copied[r], name) is not kept.arrays[r][name]
+            np.testing.assert_array_equal(getattr(copied[r], name), arr)
+        assert all(a is t for a, t in zip(adopted[r].tracers, tracers))
+    assert driver.members[2].step_count == 1
+
+
 def test_snapshot_is_independent_of_later_stepping(driver):
     snap = driver.snapshot_member(0)
     before = [a.copy() for a in snap.arrays[0].values()]
