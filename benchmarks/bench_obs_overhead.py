@@ -100,5 +100,5 @@ def test_noop_tracing_overhead_below_two_percent(report):
     report(f"  traced-call traffic:  {nbytes / 1e6:8.2f} MB "
            f"({gbs:.2f} GB/s achieved)")
 
-    assert sites >= 2  # stencil.<name> + exec.numpy
+    assert sites >= 2  # stencil.<name> + exec.numpy (the NumPy emission)
     assert overhead < 0.02

@@ -86,9 +86,9 @@ def test_table2_fvtp2d_model(report, benchmark):
 
 @pytest.mark.parametrize("mode", ["module_numpy", "module_compiled"])
 def test_fvtp2d_measured(benchmark, mode):
-    """Measured wall-clock of the transport operator, debug backend vs
-    the whole-module program on the compiled backend (one call,
-    64²×20)."""
+    """Measured wall-clock of the transport operator, its stencils called
+    one by one on the ``numpy`` backend vs the whole-module program on
+    the compiled backend (one call, 64²×20)."""
     n, nk = 64, 20
     module, prog, args = _build(n, nk)
     if mode == "module_compiled":

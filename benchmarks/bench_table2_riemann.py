@@ -11,8 +11,8 @@ Shape claims reproduced here (machine-model substitution, DESIGN.md):
     the gap narrowing as the domain grows,
   - the GPU wins at every size from the target domain up.
 Additionally the *measured* wall-clock of the whole-module program on the
-compiled backend is benchmarked against the per-stencil debug backend at
-one size.
+compiled backend is benchmarked against its stencils called one by one on
+the ``numpy`` backend at one size.
 """
 
 import numpy as np
@@ -84,7 +84,7 @@ def test_table2_riemann_model(report, benchmark):
 
 @pytest.mark.parametrize("backend", ["numpy", "compiled"])
 def test_riemann_measured(benchmark, backend):
-    """Measured: per-stencil debug backend vs compiled whole-module SDFG."""
+    """Measured: per-stencil ``numpy`` calls vs compiled whole-module SDFG."""
     n, nk = 64, 40
     module, prog = _build_sdfg(n, nk)
     shape = (n + 6, n + 6, nk)

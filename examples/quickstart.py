@@ -49,9 +49,11 @@ def main() -> None:
     rng = np.random.default_rng(42)
     q = rng.random(shape)
 
-    # ---- 2. the debug backend: instant, interpretable ------------------
-    # backends live in a registry; the default is scoped with a context
-    # manager (restored on exit) instead of a mutable module global
+    # ---- 2. the numpy backend: the stencil's NumPy emission -------------
+    # each stencil lowers to a one-stencil SDFG on its first call (once per
+    # shape) and runs it as NumPy ufuncs. Backends live in a registry; the
+    # default is scoped with a context manager (restored on exit) instead
+    # of a mutable module global
     print("registered backends:", ", ".join(available_backends()))
     flux = np.zeros(shape)
     q_out = np.zeros(shape)
@@ -93,7 +95,7 @@ def main() -> None:
     arrays = {"q": q, "q_out": np.zeros(shape)}
     program(arrays=arrays, scalars={"alpha": 0.1})
     np.testing.assert_allclose(arrays["q_out"], q_out, rtol=1e-14)
-    print("optimized program matches the debug backend bit-for-bit ✓")
+    print("optimized program matches the numpy backend ✓")
 
     # ---- 6. the Fig. 10 view --------------------------------------------
     print("\nmodel-augmented kernel report (P100 model):")

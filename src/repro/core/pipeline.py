@@ -18,7 +18,7 @@ from repro.core.heuristics import apply_schedule_heuristics
 from repro.machine import HASWELL, P100, MachineModel
 from repro.core.perfmodel import model_sdfg_time
 from repro.core.transfer import extract_patterns, transfer_patterns
-from repro.dsl.backend_numpy import region_ranges
+from repro.dsl.bounds import region_ranges
 from repro.lint.audit import TransformationAudit
 from repro.lint.findings import LintFinding
 from repro.sdfg.cutout import state_cutouts

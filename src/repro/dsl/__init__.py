@@ -2,13 +2,13 @@
 
 The DSL separates *what* a stencil computes (relative-offset field accesses,
 vertical iteration policies, horizontal regions) from *how* it is executed
-(backends). Two backends are provided:
+(backends). Both provided backends lower a stencil to the data-centric
+SDFG IR (:mod:`repro.sdfg`) and generate code from it:
 
-- ``"numpy"``: a pure-NumPy debug backend for rapid prototyping, mirroring
-  the paper's pure-Python backend (Sec. III-A).
-- ``"compiled"``: lowering to the data-centric SDFG IR (:mod:`repro.sdfg`)
-  followed by code generation and a JIT-compiled loop nest per kernel
-  (Sec. V); without a C compiler, the lowered SDFG's NumPy emission.
+- ``"numpy"``: the lowered SDFG's NumPy emission, for rapid prototyping
+  and debugging, the paper's pure-Python backend (Sec. III-A).
+- ``"compiled"``: a JIT-compiled loop nest per kernel (Sec. V); without a
+  C compiler, the NumPy emission.
 
 Backends are looked up through the :mod:`repro.dsl.backends` registry —
 ``register_backend(name, factory)`` plugs in new ones without touching the

@@ -1,20 +1,28 @@
-"""Compiled backend: lower one stencil to an SDFG, JIT the kernel plan.
+"""The stencil backends: lower one stencil to an SDFG, then run one of
+its two emissions.
 
 Each stencil call inserts a StencilComputation library node into a fresh
 SDFG, expands it and compiles the result through the shared program
-cache for the ``compiled`` emission target
-(:mod:`repro.sdfg.codegen_compiled`), which turns each fused kernel plan
-into a JITted scalar loop nest (k-blocked, i/j-tiled, optionally
-threaded) instead of a sequence of full-domain ufunc calls. The
-bit-exactness contract against the NumPy emission holds: same evaluation
-order, ``fastmath`` off. Compiled programs are cached per (shapes,
-origin, domain, bounds) specialization.
+cache for the backend's emission target:
+
+- ``numpy`` runs the NumPy emission (:mod:`repro.sdfg.codegen`), the
+  full-domain ufunc sweeps every program runs under the ``numpy``
+  backend — the paper's pure-Python backend for prototyping and
+  debugging (Sec. I);
+- ``compiled`` runs the C kernels (:mod:`repro.sdfg.codegen_compiled`):
+  each fused kernel plan becomes a JITted scalar loop nest (k-blocked,
+  i/j-tiled, optionally threaded) with the same evaluation order,
+  ``fastmath`` off, so both emissions give the same bits.
+
+Programs are cached per (shapes, origin, domain, bounds) specialization:
+a stencil's first call on a backend pays one lowering.
 
 Graceful degradation: when no JIT engine is usable (no C compiler — see
-:mod:`repro.runtime.jit`) the executor warns once and compiles the
-lowered SDFG through the NumPy emission instead. This is about a missing
-toolchain; a compiled stencil that fails at run time is re-executed on
-the NumPy debug backend instead (:mod:`repro.resilience`).
+:mod:`repro.runtime.jit`) ``compiled`` warns once and runs the NumPy
+emission instead. This is about a missing toolchain; a compiled stencil
+that fails at run time is re-executed on ``numpy``
+(:mod:`repro.resilience`), which therefore does not consult
+``compile.fail``: the failed call consulted it already.
 
 Full-program optimization across many stencils is handled by the
 orchestration layer (:mod:`repro.orchestration`), not here.
@@ -22,13 +30,14 @@ orchestration layer (:mod:`repro.orchestration`), not here.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from typing import Dict, Optional, Tuple
 
-from repro.dsl.backend_numpy import GridBounds
+from repro.dsl.bounds import GridBounds
 from repro.runtime.jit import JitUnavailableError
 
-__all__ = ["CompiledStencilExecutor"]
+__all__ = ["StencilExecutor"]
 
 _WARNED = [False]
 
@@ -44,14 +53,17 @@ def _warn_once(reason: str) -> None:
         )
 
 
-class CompiledStencilExecutor:
-    """Executes a stencil through the SDFG pipeline with JITted kernels."""
+class StencilExecutor:
+    """Executes a stencil through the SDFG pipeline, on the ``compiled``
+    or the ``numpy`` emission target."""
 
-    def __init__(self, stencil_object):
+    def __init__(self, stencil_object, target: str = "compiled"):
         from repro.obs import tracer as _obs
 
         self._tracer = _obs.get_tracer()
         self.stencil_object = stencil_object
+        self.target = target
+        self._span = f"exec.{target}"
         self._cache: Dict[Tuple, object] = {}
 
     def build_sdfg(
@@ -96,7 +108,7 @@ class CompiledStencilExecutor:
         if program is None:
             # lower + compile: traced separately so reports distinguish
             # one-time specialization cost from steady-state execution
-            with self._tracer.span("exec.compiled.compile"):
+            with self._tracer.span(f"{self._span}.compile"):
                 sdfg = self.build_sdfg(
                     {n: a.shape for n, a in fields.items()},
                     {n: a.dtype.type for n, a in fields.items()},
@@ -107,29 +119,36 @@ class CompiledStencilExecutor:
                 program = self._compile(sdfg)
             self._cache[key] = program
         if self._tracer.enabled:
-            with self._tracer.span("exec.compiled"):
+            with self._tracer.span(self._span):
                 program(arrays=fields, scalars=scalars)
         else:
             program(arrays=fields, scalars=scalars)
 
     def _compile(self, sdfg):
-        from repro.runtime import jit
-        from repro.runtime.compile_cache import get_or_compile
+        from repro.runtime import compile_cache, jit
 
+        if self.target == "numpy":
+            # no compile.fail consult: a failed compiled call re-runs here
+            # and has consulted once already
+            return compile_cache._get_or_compile(sdfg, backend="numpy")
         if jit.available():
             try:
-                return get_or_compile(sdfg, backend="compiled")
+                return compile_cache.get_or_compile(sdfg, backend="compiled")
             except JitUnavailableError as exc:
                 # engine resolved but its toolchain broke at use
                 # (e.g. REPRO_JIT=cgen without a C compiler)
                 _warn_once(str(exc))
         else:
             _warn_once("no JIT engine: no C compiler")
-        return get_or_compile(sdfg, backend="numpy")
+        return compile_cache.get_or_compile(sdfg, backend="numpy")
 
 
-# self-registration: "compiled" resolves through the repro.dsl.backends
+# self-registration: both names resolve through the repro.dsl.backends
 # registry; the module itself is imported lazily on first lookup
 from repro.dsl.backends import register_backend as _register_backend
 
-_register_backend("compiled", CompiledStencilExecutor, replace=True)
+for _target in ("numpy", "compiled"):
+    _register_backend(
+        _target, functools.partial(StencilExecutor, target=_target),
+        replace=True,
+    )

@@ -5,7 +5,7 @@ a hardcoded tuple in ``stencil.py``: a backend is a *factory* taking the
 :class:`~repro.dsl.stencil.StencilObject` and returning an executor
 callable ``executor(fields, scalars, origin, domain, bounds)``. The
 built-in ``"numpy"`` and ``"compiled"`` backends self-register when their
-modules import; third-party backends call :func:`register_backend` and
+module (:mod:`repro.dsl.backend_compiled`) imports; third-party backends call :func:`register_backend` and
 need no edits here or in ``stencil.py``.
 
 The process-wide default backend is managed by :func:`default_backend`,
@@ -38,7 +38,7 @@ _REGISTRY: Dict[str, Callable] = {}
 
 #: built-in backends importable on demand; their modules self-register
 _LAZY_BUILTINS = {
-    "numpy": "repro.dsl.backend_numpy",
+    "numpy": "repro.dsl.backend_compiled",
     "compiled": "repro.dsl.backend_compiled",
 }
 

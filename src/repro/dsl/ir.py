@@ -228,14 +228,6 @@ class StencilDef:
     def scalar_params(self) -> List[ParamDecl]:
         return [p for p in self.params if not p.is_field]
 
-    def field_type(self, name: str) -> FieldType:
-        for p in self.params:
-            if p.name == name and p.is_field:
-                return p.field_type
-        if name in self.temporaries:
-            return self.temporaries[name]
-        raise KeyError(f"{name!r} is not a field of stencil {self.name!r}")
-
     def statements(self) -> List[Assign]:
         return [s for c in self.computations for s in c.statements()]
 

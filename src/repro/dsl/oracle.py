@@ -1,6 +1,6 @@
 """A semantics oracle for stencil definitions (used by tests only).
 
-The three backends share one lowering (:mod:`repro.dsl.frontend`), so
+Every backend runs one lowering (:mod:`repro.dsl.frontend`), so
 their agreeing proves that lowering deterministic, not right. This module
 executes the *definition function's AST* directly, point by point, in
 NumPy scalar arithmetic, with the semantics the DSL promises:
@@ -33,7 +33,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.dsl.backend_numpy import _CALL_FUNCS, GridBounds, region_ranges
+from repro.dsl.bounds import GridBounds, region_ranges
 from repro.dsl.builtins import RegionSpec
 from repro.dsl.extents import Extent
 
@@ -46,6 +46,13 @@ _BINOPS = {
 _CMPOPS = {
     ast.Lt: operator.lt, ast.LtE: operator.le, ast.Gt: operator.gt,
     ast.GtE: operator.ge, ast.Eq: operator.eq, ast.NotEq: operator.ne,
+}
+_CALL_FUNCS = {
+    "sqrt": np.sqrt, "abs": np.abs, "exp": np.exp, "log": np.log,
+    "sin": np.sin, "cos": np.cos, "tan": np.tan, "asin": np.arcsin,
+    "acos": np.arccos, "atan": np.arctan, "floor": np.floor,
+    "ceil": np.ceil, "trunc": np.trunc, "min": np.minimum,
+    "max": np.maximum, "sign": np.sign,
 }
 _AXES = {"I_INDEX": 0, "J_INDEX": 1, "K_INDEX": 2}
 Point = Tuple[int, int, int]

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro import resilience as _resilience
 from repro.dsl import backends
-from repro.dsl.backend_numpy import GridBounds
+from repro.dsl.bounds import GridBounds
 from repro.obs import tracer as _obs
 from repro.resilience import chaos as _chaos
 
@@ -26,7 +26,8 @@ if TYPE_CHECKING:
 
 _TRACER = _obs.get_tracer()
 
-#: the bit-exact debug backend failed compiled backends re-execute on
+#: the backend a failed call re-executes on: the NumPy emission of the
+#: same lowering, bit-identical to the compiled backend
 FALLBACK_BACKEND = "numpy"
 
 
@@ -121,8 +122,8 @@ class StencilObject:
 
     def _execute(self, backend_name, fields, scalars, origin, domain,
                  bounds) -> None:
-        """Run on ``backend_name``; degrade to the NumPy debug backend
-        when a compiled backend raises (real failure or injected
+        """Run on ``backend_name``; degrade to :data:`FALLBACK_BACKEND`
+        when another backend raises (real failure or injected
         ``compile.fail``). Executor *creation* errors (unknown backend
         names) stay outside the degraded path and propagate."""
         executor = self._executor(backend_name)

@@ -20,7 +20,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.dsl.backend_numpy import GridBounds
+from repro.dsl.bounds import GridBounds
 from repro.fv3 import constants
 
 Vec3 = Tuple[int, int, int]

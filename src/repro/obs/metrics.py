@@ -50,7 +50,7 @@ def stencil_traffic_bytes(
     horizontally and by the exact per-interval k-access bounds vertically —
     counted once at the array's element size. Temporaries are excluded:
     in the optimized regime they live in caches/registers (the paper's
-    local-storage transformation), and the debug backend's materialization
+    local-storage transformation), and the NumPy emission's materialization
     of them is an implementation detail, not modeled traffic.
     """
     definition = stencil_object.definition

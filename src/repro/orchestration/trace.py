@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.dsl.backend_numpy import GridBounds
+from repro.dsl.bounds import GridBounds
 from repro.dsl.stencil import StencilObject
 from repro.orchestration.closure import ClosureError, closure_template
 from repro.orchestration.preprocessor import preprocess_function, try_const_eval

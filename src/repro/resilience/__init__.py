@@ -14,7 +14,7 @@ backends → dyncore → obs:
   (and packed, for the serving cache's states at rest) plus versioned
   on-disk checkpoints for restart.
 - degraded mode — a failing compiled-backend stencil transparently
-  re-executes on the bit-exact NumPy debug backend
+  re-executes on the ``numpy`` backend, bit-identical
   (:meth:`repro.dsl.stencil.StencilObject.__call__`), and halo receives
   poll with a bounded budget instead of crashing on the first miss.
   A failure on the NumPy backend itself propagates to the dyncore retry
@@ -163,7 +163,7 @@ def record_fallback(stencil: str, backend: str, exc: BaseException) -> None:
     warnings.warn(
         f"stencil {stencil!r}: backend {backend!r} failed "
         f"({type(exc).__name__}: {exc}); re-executed on the NumPy "
-        f"debug backend",
+        f"backend",
         FallbackWarning,
         stacklevel=3,
     )

@@ -203,7 +203,7 @@ class CheckpointCorruptError(CheckpointError):
 
 
 class FallbackWarning(RuntimeWarning):
-    """Emitted when a stencil re-executes on the debug NumPy backend."""
+    """Emitted when a stencil re-executes on the NumPy backend."""
 
 
 class GuardWarning(RuntimeWarning):

@@ -330,8 +330,6 @@ def get_or_compile(sdfg, instrument: bool = False, backend: str = "numpy"):
     ``compile.fail`` is consulted once per call — before any look-up, so
     a seeded spec fires at the same program whatever is cached where.
     """
-    materialise = _half(_MATERIALISE, backend)
-
     if _chaos._PLAN is not None:
         fault = _chaos.consult(
             "compile.fail", sdfg=getattr(sdfg, "name", "?")
@@ -342,7 +340,15 @@ def get_or_compile(sdfg, instrument: bool = False, backend: str = "numpy"):
                 f"chaos-forced compile failure for SDFG "
                 f"{getattr(sdfg, 'name', '?')!r}",
             )
+    return _get_or_compile(sdfg, instrument, backend)
 
+
+def _get_or_compile(sdfg, instrument: bool = False, backend: str = "numpy"):
+    """:func:`get_or_compile` without the ``compile.fail`` consult: the
+    ``numpy`` stencil backend's path, which a failed ``compiled`` stencil
+    call re-runs on after consulting once
+    (:mod:`repro.dsl.backend_compiled`)."""
+    materialise = _half(_MATERIALISE, backend)
     if any(state.library_nodes for state in sdfg.states):
         sdfg.expand_library_nodes()
 
@@ -673,7 +679,7 @@ class Manifest:
 #: the classes a record may construct, besides everything in
 #: ``repro.dsl.ir`` and ``repro.sdfg.*``
 _ALLOWED = {
-    ("repro.dsl.backend_numpy", "GridBounds"),
+    ("repro.dsl.bounds", "GridBounds"),
     ("repro.dsl.extents", "Extent"),
     ("repro.dsl.builtins", "AxisAnchor"),
     ("repro.dsl.builtins", "RegionAxisSpec"),

@@ -1,9 +1,9 @@
 """Built-in scenarios: the paper's test cases plus new variants.
 
 Each scenario's state builder is the single source of truth for its
-initial conditions — the legacy helpers in :mod:`repro.fv3.initial`
-now delegate here through deprecation shims. Every scenario carries
-reference checks (physical bounds, conservation tolerances) that the
+initial conditions (:mod:`repro.fv3.initial` holds only the per-rank
+state container and the vertical reference coordinate they build on).
+Every scenario carries reference checks (physical bounds, conservation tolerances) that the
 experiment facade runs after stepping.
 """
 

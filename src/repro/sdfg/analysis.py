@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.dsl.backend_numpy import region_ranges
+from repro.dsl.bounds import region_ranges
 from repro.dsl.ir import Assign, FieldAccess, UnaryOp, expr_reads, walk_expr
 from repro.sdfg.nodes import Callback, Kernel, Node
 from repro.sdfg.subsets import Range

@@ -4,8 +4,8 @@ The paper's DaCe backend generates CUDA/C++; this reproduction generates a
 single Python module of vectorized NumPy statements. That preserves the
 properties the evaluation relies on:
 
-- whole-program compilation removes the per-stencil interpreter overhead of
-  the debug backend (argument binding, validation, temporary allocation);
+- whole-program compilation removes the per-call overhead of stencils
+  called one by one (argument binding, validation, dispatch);
 - transient elision and fusion transformations remove real array traffic;
 - per-kernel instrumentation yields the measured runtimes that the
   model-driven analysis (Fig. 10) combines with modeled peak times.
@@ -26,8 +26,8 @@ is not covered by the writes ahead of it
 condition). Steady-state execution of a compiled program therefore
 performs no array allocation.
 
-Compiled programs remain bit-compatible with the pure NumPy backend:
-``out=`` targets are only used where NumPy's ufunc memory-overlap
+Compiled programs give the bits of the definition's plain NumPy
+arithmetic (:mod:`repro.dsl.oracle`): ``out=`` targets are only used where NumPy's ufunc memory-overlap
 guarantee (NumPy ≥ 1.13) makes the result identical to evaluation through
 temporaries, and a subexpression is only materialized when its result
 dtype is provably float64 under NEP 50 promotion (at least one float64
@@ -278,7 +278,7 @@ class _ExprEmitter:
             parts.append(f"{k_src} + {shift}" if shift else k_src)
         if axes == "K":
             # K-only fields collapse to a scalar at a fixed level; keep them
-            # 2D (shape (1, 1)) to match the debug backend's broadcasting
+            # 2D (shape (1, 1)) so they broadcast against the 3D operands
             return (
                 f"{self.array_name(name)}"
                 f"[np.newaxis, np.newaxis, {parts[0]}]"
@@ -507,7 +507,7 @@ def _covering_first_write(kernel: Kernel, name: str, shape, origin) -> bool:
     """True when the first access to ``name`` inside ``kernel`` is an
     unmasked, unregioned write that covers the whole buffer before any
     read — the condition under which a pooled (garbage-initialized) buffer
-    behaves exactly like the debug backend's zeroed temporary. Mirrors the
+    behaves exactly like a zeroed temporary (temporaries start at zero). Mirrors the
     read-before-write analysis of the ``repro.lint`` D101 rule, but proves
     the safe direction."""
     oi, oj, ok = origin
@@ -631,7 +631,7 @@ def _resolve_ranges(kernel: Kernel, stmt: Assign, ext):
     irng, jrng = (ext.i_lo, ni + ext.i_hi), (ext.j_lo, nj + ext.j_hi)
     if stmt.region is None:
         return irng, jrng, None
-    from repro.dsl.backend_numpy import region_ranges
+    from repro.dsl.bounds import region_ranges
 
     restricted = region_ranges(stmt.region, kernel.domain, kernel.bounds, ext)
     if restricted is None:
@@ -748,9 +748,9 @@ class _Generator:
         # a transient owns bytes of the slab from its first toucher to its
         # last (a loop it reaches into widens that to the whole loop). One
         # with a read that earlier writes do not cover (the S202/S204
-        # condition) is zeroed as it is born — per loop iteration, exactly
-        # like the debug backend's per-call temporary zeroing; the rest
-        # are used as the slab comes
+        # condition) is zeroed as it is born — per loop iteration, so it
+        # starts at zero as a temporary does on every call; the rest are
+        # used as the slab comes
         lifetimes = transient_lifetimes(sdfg)
         needing_zero = set(transients_needing_zero(sdfg))
         born: Dict[int, List[str]] = {}

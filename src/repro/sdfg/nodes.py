@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.dsl.backend_numpy import GridBounds, region_ranges
+from repro.dsl.bounds import GridBounds, region_ranges
 from repro.dsl.extents import Extent
 from repro.dsl.ir import Assign, FieldAccess, Interval, count_flops, expr_reads
 from repro.sdfg.subsets import Range

@@ -333,7 +333,8 @@ def test_2d_field_annotation():
             out = a * m
 
     sd = parse_stencil(mixed)
-    assert sd.field_type("m").axes == "IJ"
+    types = {p.name: p.field_type for p in sd.field_params}
+    assert types["m"].axes == "IJ"
 
 
 def test_interval_bound_validation():

@@ -19,7 +19,7 @@ from repro.dsl import (
     region,
     stencil,
 )
-from repro.dsl.backend_numpy import GridBounds
+from repro.dsl.bounds import GridBounds
 
 
 def _rand(shape, seed=0):

@@ -1,22 +1,26 @@
 """The backends against the semantics oracle (:mod:`repro.dsl.oracle`).
 
-``test_backend_bitexact`` compares three implementations of one stencil
-with each other: the debug backend, the NumPy emission of its lowered
-SDFG (``dataflow``) and the compiled backend. This file compares each of
-them with an interpreter of the definition function itself, which knows
-nothing of masks, fusion clusters, registers or selects. The compiled backend is held to it with
-its register rewrites switched on one after the other (the lowering has
-no such switch: the stages take the candidate sets away by patching the
-two methods that compute them).
+Both backends run one lowering: ``numpy`` its NumPy emission, ``compiled``
+its C (or, under ``REPRO_JIT=pyloops``, Python) print; ``dataflow`` is
+that NumPy emission compiled straight from the lowered SDFG, outside the
+backend's program cache. This file holds each of them to an interpreter
+of the definition function itself, which knows nothing of masks, fusion
+clusters, registers or selects. The
+compiled backend is held to it with its register rewrites switched on
+one after the other (the lowering has no such switch: the stages take
+the candidate sets away by patching the two methods that compute them).
 """
 
 import contextlib
 import dataclasses
+import types
 
 import numpy as np
 import pytest
 
 from repro.dsl import Field, PARALLEL, computation, function, interval, stencil
+from repro.dsl.backend_compiled import StencilExecutor
+from repro.dsl.extents import compute_extents
 from repro.dsl.ir import FieldAccess, map_expr
 from repro.dsl.oracle import run_oracle
 from repro.fv3.stencils.xppm import xppm_flux
@@ -44,7 +48,7 @@ def oracle_of(stencil_obj, fields, scalars, origin, domain):
 def assert_backend_matches(stencil_obj, backend, fields, scalars, origin,
                            domain, want, where=""):
     """``backend`` is a DSL backend, or ``"dataflow"``: the NumPy
-    emission of the stencil's lowered SDFG."""
+    emission of the stencil's lowered SDFG, compiled directly."""
     got = {n: a.copy() for n, a in fields.items()}
     if backend == "dataflow":
         run_emission(stencil_obj, got, scalars, origin, domain)
@@ -323,16 +327,18 @@ def test_shipped_stencils_do_not_move_for_finite_data(stencil_obj):
     the test reads. The PPM limiters do — and give the same answer either
     way as long as the data is finite; asserted here on every shipped
     stencil, not assumed."""
-    from repro.dsl.backend_numpy import NumpyStencilExecutor
-
     fields, scalars, origin = _synthesize(stencil_obj)
     domain = (NI, NJ, NK)
     new = {n: a.copy() for n, a in fields.items()}
     old = {n: a.copy() for n, a in fields.items()}
     stencil_obj(**new, **scalars, origin=origin, domain=domain,
                 backend="numpy")
-    NumpyStencilExecutor(_with_tests_reevaluated(stencil_obj.definition))(
-        old, scalars, origin, domain
+    # the old lowering of the same stencil, through the numpy backend
+    definition = _with_tests_reevaluated(stencil_obj.definition)
+    relowered = types.SimpleNamespace(
+        name=stencil_obj.name, definition=definition,
+        extents=compute_extents(definition),
     )
+    StencilExecutor(relowered, target="numpy")(old, scalars, origin, domain)
     for name in fields:
         np.testing.assert_array_equal(new[name], old[name])

@@ -1,11 +1,12 @@
-"""Bit-exactness of every non-debug backend against the NumPy reference.
+"""Bit-exactness of every backend against the semantics oracle.
 
 Every stencil in every FV3 stencil module — the stencils the dynamical
-core, the paper harnesses and the examples call — runs through the debug
-NumPy backend, the NumPy emission of its lowered SDFG (``dataflow``, what
-every program runs under the ``numpy`` backend) and each other registered
-backend on identical random inputs; the results must be *exactly* equal —
-not allclose. For ``dataflow`` the ``out=`` scheduler only materializes
+core, the paper harnesses and the examples call — runs through each
+registered backend on identical random inputs: ``numpy``, the NumPy
+emission of its lowered SDFG (what every program runs under the
+``numpy`` backend), and ``compiled``. The results must be *exactly*
+what the definition interpreter (:mod:`repro.dsl.oracle`) gives — not
+allclose. For ``numpy`` the ``out=`` scheduler only materializes
 subexpressions whose dtype is provably float64 and only uses ``out=``
 where NumPy's ufunc overlap guarantee applies; for ``compiled`` every
 lowered scalar operation must replicate the ufunc bit-for-bit (fastmath
@@ -23,7 +24,7 @@ import repro.fv3.stencils as stencils_pkg
 from repro.dsl import StencilObject
 from repro.dsl.backends import available_backends
 from repro.dsl.extents import k_access_bounds
-from tests.sdfg.emission import run_emission
+from repro.dsl.oracle import run_oracle
 
 
 def _discover():
@@ -74,22 +75,22 @@ def _synthesize(stencil):
 
 
 def _backends():
-    """Every path a stencil runs on besides the NumPy reference: the
-    ``compiled`` backend (skipped when no JIT engine is usable) and
-    ``dataflow``, the NumPy emission of the lowered SDFG."""
+    """Every registered backend; ``compiled`` is skipped when no JIT
+    engine is usable. ``numpy`` keeps the id ``dataflow``: the NumPy
+    emission of the lowered SDFG, which that leg ran before the backend
+    did."""
     from repro.runtime import jit
 
-    params = [pytest.param("dataflow", id="dataflow")]
+    params = []
     for name in available_backends():
-        if name == "numpy":
-            continue
         marks = ()
         if name == "compiled" and not jit.available():
             marks = (pytest.mark.skip(
                 reason="compiled backend: no JIT engine (no C "
                 "compiler found)"
             ),)
-        params.append(pytest.param(name, id=name, marks=marks))
+        ident = "dataflow" if name == "numpy" else name
+        params.append(pytest.param(name, id=ident, marks=marks))
     return params
 
 
@@ -100,17 +101,13 @@ def test_backend_is_bit_identical(backend, stencil):
     domain = (NI, NJ, NK)
     ref = {n: a.copy() for n, a in fields.items()}
     got = {n: a.copy() for n, a in fields.items()}
-    stencil(**ref, **scalars, origin=origin, domain=domain, backend="numpy")
-    if backend == "dataflow":
-        run_emission(stencil, got, scalars, origin, domain)
-    else:
-        stencil(**got, **scalars, origin=origin, domain=domain,
-                backend=backend)
+    run_oracle(stencil, ref, scalars, origin=origin, domain=domain)
+    stencil(**got, **scalars, origin=origin, domain=domain, backend=backend)
     for name in fields:
         np.testing.assert_array_equal(
             got[name], ref[name],
-            err_msg=f"{stencil.name}: field {name!r} diverged between the "
-            f"debug and {backend} backends",
+            err_msg=f"{stencil.name}: field {name!r} on {backend} is not "
+            "what the definition says",
         )
 
 

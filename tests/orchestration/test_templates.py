@@ -17,7 +17,7 @@ from repro.dsl import (
     Field, PARALLEL, computation, horizontal, i_start, interval, region,
     stencil,
 )
-from repro.dsl.backend_numpy import GridBounds
+from repro.dsl.bounds import GridBounds
 from repro.fv3.config import DynamicalCoreConfig
 from repro.orchestration import OrchestratedProgram, orchestrate
 from repro.resilience import chaos

@@ -1,5 +1,6 @@
 """Degraded-mode execution: a failing compiled backend transparently
-re-executes on the bit-exact NumPy debug backend."""
+re-executes on the ``numpy`` backend, the NumPy emission of the same
+lowering, with the same bits."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro import resilience
 from repro.dsl import Field, PARALLEL, computation, interval, stencil
 from repro.dsl.backends import register_backend, unregister_backend
+from repro.dsl.oracle import run_oracle
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosPlan
 from repro.resilience.errors import FallbackWarning
@@ -29,27 +31,54 @@ def _inputs(seed=0):
 
 
 def _reference():
+    """``a`` as the definition says (:mod:`repro.dsl.oracle`)."""
     ref = _inputs()
-    _axpy(**ref, alpha=2.5, backend="numpy")
+    origin, domain = _axpy._resolve_domain(ref, None, None)
+    run_oracle(_axpy, ref, {"alpha": 2.5}, origin=origin, domain=domain)
     return ref["a"]
 
 
-def test_injected_compile_failure_falls_back_bit_identical():
-    chaos.set_plan(ChaosPlan.from_spec("compile.fail@1"))
+def _falls_back_after_one_consult(spec):
+    """The fallback runs the NumPy emission of the same lowering without
+    consulting ``compile.fail`` again: one consult for the failing call,
+    so even a fault at every consult is recovered from, and later
+    occurrence numbers do not move. Returns the plan."""
+    _axpy._executors.clear()  # compile again, as on a first call
+    plan = ChaosPlan.from_spec(spec)
+    chaos.set_plan(plan)
     fields = _inputs()
     with pytest.warns(FallbackWarning, match="re-executed on the NumPy"):
         _axpy(**fields, alpha=2.5, backend="compiled")
+    assert plan.consults("compile.fail") == 1
     np.testing.assert_array_equal(fields["a"], _reference())
     summary = resilience.summary()
     assert summary["counters"]["fallbacks"] == 1
     (entry,) = summary["fallback_log"]
     assert entry[0] == "_axpy" and entry[1] == "compiled"
     assert "InjectedCompileError" in entry[2]
+    return plan
+
+
+def test_injected_compile_failure_falls_back_bit_identical():
+    plan = _falls_back_after_one_consult("compile.fail@1")
     # the injection is one-shot: the next call compiles and runs clean
     fields2 = _inputs()
     _axpy(**fields2, alpha=2.5, backend="compiled")
+    assert plan.consults("compile.fail") == 2
     np.testing.assert_array_equal(fields2["a"], _reference())
     assert resilience.summary()["counters"]["fallbacks"] == 1
+
+
+def test_certain_compile_failure_falls_back_at_every_call():
+    plan = _falls_back_after_one_consult("compile.fail:p=1.0")
+    # nothing compiled, so the next call consults once more and falls
+    # back again
+    fields2 = _inputs()
+    with pytest.warns(FallbackWarning):
+        _axpy(**fields2, alpha=2.5, backend="compiled")
+    assert plan.consults("compile.fail") == 2
+    np.testing.assert_array_equal(fields2["a"], _reference())
+    assert resilience.summary()["counters"]["fallbacks"] == 2
 
 
 def test_real_backend_failure_falls_back_too():

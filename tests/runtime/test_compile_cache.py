@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.dsl import Field, PARALLEL, computation, interval, stencil
-from repro.dsl.backend_compiled import CompiledStencilExecutor
+from repro.dsl.backend_compiled import StencilExecutor
 from repro.runtime import compile_cache as cc
 
 
@@ -24,7 +24,7 @@ def _axpy(a: Field, b: Field, out: Field):
 
 
 def _build_sdfg(domain=(6, 6, 3)):
-    ex = CompiledStencilExecutor(_axpy)
+    ex = StencilExecutor(_axpy)
     shapes = {n: (8, 8, 4) for n in ("a", "b", "out")}
     return ex.build_sdfg(
         shapes, {n: np.float64 for n in shapes}, (0, 0, 0), domain
@@ -219,7 +219,7 @@ def test_the_machine_model_is_part_of_the_key():
 
     if not jit.available():
         pytest.skip("no JIT engine: nothing is lowered")
-    ex = CompiledStencilExecutor(_two_planes)
+    ex = StencilExecutor(_two_planes)
     shapes = {n: (10, 8, 16) for n in ("a", "b", "out")}
     sdfg = ex.build_sdfg(
         shapes, {n: np.float64 for n in shapes}, (1, 0, 0), (8, 8, 16)

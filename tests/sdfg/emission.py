@@ -1,8 +1,8 @@
-"""A stencil lowered to an SDFG outside any program, and run through the
-SDFG's NumPy emission: the code every program runs under the ``numpy``
-backend, and the ``compiled`` backend's fallback without a C compiler."""
+"""The SDFG a stencil call lowers to outside any program — what both
+stencil backends compile (``numpy`` to its NumPy emission, ``compiled``
+to C kernels) — and its NumPy emission compiled directly."""
 
-from repro.dsl.backend_compiled import CompiledStencilExecutor
+from repro.dsl.backend_compiled import StencilExecutor
 from repro.sdfg.codegen import compile_sdfg
 
 
@@ -10,7 +10,7 @@ def build_sdfg(stencil_obj, arrays, origin=(0, 0, 0), domain=None,
                bounds=None):
     """The SDFG a call of ``stencil_obj`` on ``arrays`` lowers to."""
     domain = domain or next(iter(arrays.values())).shape
-    return CompiledStencilExecutor(stencil_obj).build_sdfg(
+    return StencilExecutor(stencil_obj).build_sdfg(
         {n: a.shape for n, a in arrays.items()},
         {n: a.dtype.type for n, a in arrays.items()},
         origin,
@@ -22,7 +22,7 @@ def build_sdfg(stencil_obj, arrays, origin=(0, 0, 0), domain=None,
 def run_emission(stencil_obj, arrays, scalars=None, origin=None,
                  domain=None, bounds=None):
     """Run ``stencil_obj`` in place on ``arrays`` through the NumPy
-    emission of its lowered SDFG."""
+    emission of its lowered SDFG, compiled directly (no program cache)."""
     origin, domain = stencil_obj._resolve_domain(arrays, origin, domain)
     sdfg = build_sdfg(stencil_obj, arrays, origin, domain, bounds)
     compile_sdfg(sdfg)(arrays=arrays, scalars=scalars or {})

@@ -1,6 +1,6 @@
 """Codegen equivalence tests: a stencil's lowered SDFG, printed as NumPy
-(the emission every program runs under the ``numpy`` backend), must
-match the NumPy debug backend."""
+(the ``numpy`` backend, and the emission every program runs under it),
+must give what the definition says (:mod:`repro.dsl.oracle`)."""
 
 import numpy as np
 import pytest
@@ -18,25 +18,29 @@ from repro.dsl import (
     region,
     stencil,
 )
-from repro.dsl.backend_compiled import CompiledStencilExecutor
-from tests.sdfg.emission import run_emission
+from repro.dsl.backend_compiled import StencilExecutor
+from repro.dsl.oracle import run_oracle
 
 
-def _run_both(stencil_obj, arrays, scalars=None, **call_kwargs):
-    """Run a stencil on the debug backend and through its NumPy
-    emission, return (numpy_result, emission_result)."""
+def _run_both(stencil_obj, arrays, scalars=None, origin=None, domain=None,
+              bounds=None):
+    """Run a stencil through the oracle and through its NumPy emission,
+    return (oracle_result, emission_result)."""
     scalars = scalars or {}
-    a_np = {k: v.copy() for k, v in arrays.items()}
-    a_df = {k: v.copy() for k, v in arrays.items()}
-    stencil_obj(**a_np, **scalars, backend="numpy", **call_kwargs)
-    run_emission(stencil_obj, a_df, scalars, **call_kwargs)
-    return a_np, a_df
+    want = {k: v.copy() for k, v in arrays.items()}
+    got = {k: v.copy() for k, v in arrays.items()}
+    origin, domain = stencil_obj._resolve_domain(want, origin, domain)
+    run_oracle(stencil_obj, want, scalars, origin=origin, domain=domain,
+               bounds=bounds)
+    stencil_obj(**got, **scalars, origin=origin, domain=domain,
+                bounds=bounds, backend="numpy")
+    return want, got
 
 
-def _assert_equal(a_np, a_df):
-    for name in a_np:
+def _assert_equal(want, got):
+    for name in want:
         np.testing.assert_array_equal(
-            a_np[name], a_df[name], err_msg=f"mismatch in {name!r}"
+            got[name], want[name], err_msg=f"mismatch in {name!r}"
         )
 
 
@@ -148,10 +152,10 @@ def test_region_equivalence_both_strategies():
         s = stencil(defn)
         # toggle the region strategy on the library-node schedule
         arrays = {"v": _rand((5, 5, 2)), "flux": np.zeros((5, 5, 2))}
-        a_np = {k: v.copy() for k, v in arrays.items()}
-        s(**a_np, dt2=2.0, backend="numpy", origin=(0, 0, 0), domain=(5, 5, 2))
+        want = {k: v.copy() for k, v in arrays.items()}
+        run_oracle(s, want, {"dt2": 2.0}, origin=(0, 0, 0), domain=(5, 5, 2))
 
-        ex = CompiledStencilExecutor(s)
+        ex = StencilExecutor(s)
         sdfg = ex.build_sdfg(
             {k: v.shape for k, v in arrays.items()},
             {k: v.dtype.type for k, v in arrays.items()},
@@ -165,7 +169,7 @@ def test_region_equivalence_both_strategies():
         prog = compile_sdfg(sdfg)
         a_df = {k: v.copy() for k, v in arrays.items()}
         prog(arrays=a_df, scalars={"dt2": 2.0})
-        _assert_equal(a_np, a_df)
+        _assert_equal(want, a_df)
 
 
 def test_mixed_axes_equivalence():
@@ -188,7 +192,7 @@ def test_compiled_program_is_cached():
         with computation(PARALLEL), interval(...):
             b = a
 
-    ex = CompiledStencilExecutor(copy)
+    ex = StencilExecutor(copy)
     a = _rand((4, 4, 2))
     b = np.zeros_like(a)
     ex({"a": a, "b": b}, {}, (0, 0, 0), (4, 4, 2))
@@ -207,7 +211,7 @@ def test_instrumented_kernel_times():
 
     from repro.sdfg.codegen import compile_sdfg
 
-    ex = CompiledStencilExecutor(copy)
+    ex = StencilExecutor(copy)
     a = _rand((32, 32, 8))
     sdfg = ex.build_sdfg(
         {"a": a.shape, "b": a.shape},
@@ -259,7 +263,7 @@ def test_k_field_generated_source_broadcasts():
         with computation(FORWARD), interval(...):
             out = a * coef
 
-    ex = CompiledStencilExecutor(kcopy)
+    ex = StencilExecutor(kcopy)
     sdfg = ex.build_sdfg(
         {"a": (3, 3, 2), "coef": (2,), "out": (3, 3, 2)},
         {n: np.float64 for n in ("a", "coef", "out")},
@@ -284,10 +288,10 @@ def test_repeated_calls_do_not_see_stale_scratch():
     shape = (6, 5, 4)
     first = {"a": _rand(shape), "out": np.zeros(shape)}
     second = {"a": _rand(shape, seed=9), "out": np.zeros(shape)}
-    # pollute the pool with a run on different data, then verify the next
-    # run still matches the debug backend exactly
+    # pollute the pool with a run of the same program on different data,
+    # then verify the next run still matches the definition exactly
     poll = {k: v.copy() for k, v in first.items()}
-    run_emission(masked, poll, origin=(0, 0, 0), domain=shape)
+    masked(**poll, origin=(0, 0, 0), domain=shape, backend="numpy")
     _assert_equal(
         *_run_both(masked, second, origin=(0, 0, 0), domain=shape)
     )
@@ -301,7 +305,7 @@ def test_compiled_program_reports_runtime_bytes():
         with computation(PARALLEL), interval(...):
             out = a * 2.0 + b
 
-    ex = CompiledStencilExecutor(axpy)
+    ex = StencilExecutor(axpy)
     shapes = {n: (8, 8, 4) for n in ("a", "b", "out")}
     sdfg = ex.build_sdfg(
         shapes, {n: np.float64 for n in shapes}, (0, 0, 0), (8, 8, 4)
@@ -319,7 +323,7 @@ def test_missing_container_error_is_precomputed():
         with computation(PARALLEL), interval(...):
             b = a
 
-    ex = CompiledStencilExecutor(copy)
+    ex = StencilExecutor(copy)
     sdfg = ex.build_sdfg(
         {"a": (3, 3, 2), "b": (3, 3, 2)},
         {"a": np.float64, "b": np.float64},
@@ -346,7 +350,7 @@ def _two_computation_sdfg():
         with computation(FORWARD), interval(1, None):
             out = t[0, 0, -1] * 3.0 + a
 
-    ex = CompiledStencilExecutor(staged)
+    ex = StencilExecutor(staged)
     shape = (6, 5, 4)
     sdfg = ex.build_sdfg(
         {"a": shape, "out": shape}, {"a": np.float64, "out": np.float64},
@@ -561,7 +565,7 @@ def test_transient_written_across_intervals_needs_no_fill():
         with computation(PARALLEL), interval(...):
             out = acc * 0.5
 
-    ex = CompiledStencilExecutor(cumulative)
+    ex = StencilExecutor(cumulative)
     shape = (5, 4, 6)
     sdfg = ex.build_sdfg(
         {"a": shape, "out": shape}, {"a": np.float64, "out": np.float64},

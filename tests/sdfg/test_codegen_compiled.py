@@ -1,11 +1,12 @@
 """Unit tests for the compiled (JITted loop nest) emission target.
 
-Cross-checks the scalar lowering against both DSL backends, exercises
+Cross-checks the scalar lowering against the NumPy emission, exercises
 the eligibility rules and their per-kernel fallback, the shape of the
 loop-nest tree (k-blocking legality, statement fusion, solver loop
-orders), that both printers of one tree agree with the NumPy reference,
-and the plan's argument contract. Runs under the ``pyloops`` engine so it
-needs no toolchain; the C printer is exercised when a C compiler exists.
+orders), that both printers of one tree agree with the definition
+(:mod:`repro.dsl.oracle`), and the plan's argument contract. Runs under
+the ``pyloops`` engine so it needs no toolchain; the C printer is
+exercised when a C compiler exists.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.dsl import (
     interval,
     stencil,
 )
+from repro.dsl.oracle import run_oracle
 from repro.runtime import jit
 from repro.sdfg import codegen_compiled
 from repro.sdfg.codegen import compile_sdfg
@@ -552,13 +554,12 @@ def test_both_printers_of_one_tree_match_the_numpy_reference(
     stencil_obj, monkeypatch, tmp_path
 ):
     """Each FV3 stencil is lowered once; the Python print (``pyloops``)
-    and the C print (``cgen``) of those same trees must both reproduce the
-    debug backend bit for bit."""
+    and the C print (``cgen``) of those same trees must both reproduce
+    the definition (:mod:`repro.dsl.oracle`) bit for bit."""
     fields, scalars, origin = _synthesize(stencil_obj)
     domain = (NI, NJ, NK)
     ref = {n: a.copy() for n, a in fields.items()}
-    stencil_obj(**ref, **scalars, origin=origin, domain=domain,
-                backend="numpy")
+    run_oracle(stencil_obj, ref, scalars, origin=origin, domain=domain)
     sdfg = _build_sdfg(stencil_obj, fields, origin, domain)
     sdfg.expand_library_nodes()
     # lowered once, here, independently of any plan
