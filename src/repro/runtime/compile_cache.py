@@ -246,14 +246,14 @@ def _callback_arg_repr(value) -> str:
 def codegen_flags(instrument: bool = False, backend: str = "numpy") -> str:
     """Everything besides the SDFG that changes the generated program:
     the emission backend and, for the compiled backend, what shapes its
-    loop nests (JIT engine, thread count, and the machine model whose
-    cache size and balance pick tiles and decide what is recomputed)."""
+    loop nests (thread count, and the machine model whose cache size and
+    balance pick tiles and decide what is recomputed)."""
     flags = [f"instrument={instrument}", f"backend={backend}"]
     if backend == "compiled":
         from repro.obs.metrics import observed_machine
 
         flags.append(
-            f"jit={_jit.engine_name()};threads={_jit.default_threads()};"
+            f"threads={_jit.default_threads()};"
             f"machine={observed_machine().name}"
         )
     return "\x1e".join(flags)

@@ -13,10 +13,7 @@ nest at machine speed:
   the NumPy emission of the lowered SDFG with a single warning (see
   :mod:`repro.dsl.backend_compiled`).
 
-``REPRO_JIT=cgen|pyloops|none`` forces an engine (``pyloops`` executes
-the nest printed as Python, uninterpreted — orders of magnitude slower,
-but it validates the printed semantics without any toolchain and is what
-the test suite uses to cross-check the two printers).
+``REPRO_JIT=cgen|none`` forces an engine.
 
 **The kernel is the unit of identity.** A kernel is printed under the
 placeholder name :data:`SYMBOL`; its key is a hash of that text together
@@ -25,7 +22,7 @@ flags, the compiler binary's ``(realpath, size, mtime)``, the host's CPU
 feature string), and its symbol
 is ``repro_k_<key>``. Which program asked for it is not part of the key,
 so a stencil used by N programs — or by N rank threads at once — is one
-kernel. A request (:func:`load_c`, :func:`compile_py`) resolves each
+kernel. A request (:func:`load_c`) resolves each
 kernel in three steps:
 
 1. the process-wide table: a kernel already loaded, or being resolved by
@@ -127,7 +124,6 @@ __all__ = [
     "publish",
     "heal",
     "load_c",
-    "compile_py",
     "default_threads",
     "jit_dir",
     "stats",
@@ -135,7 +131,7 @@ __all__ = [
     "reset",
 ]
 
-_ENGINES = ("cgen", "pyloops", "none")
+_ENGINES = ("cgen", "none")
 
 #: the function name a kernel is printed under; :func:`load_c` replaces
 #: it by the kernel's own symbol ``repro_k_<key>``
@@ -419,24 +415,6 @@ def _fail(flights: Iterable[_Flight], exc: BaseException) -> None:
                 del _KERNELS[flight.key]
                 flight.error = exc
                 flight.done.set()
-
-
-def _single_flight(
-    keys: Sequence[str], produce: Callable[[List[_Flight]], None],
-) -> List[object]:
-    """The table's value for every key. Keys nobody has asked for yet are
-    claimed; ``produce(mine)`` must ``resolve`` every claimed flight.
-    What it leaves unresolved when it raises fails with that error
-    (:func:`_fail`). A caller finishes its own claims before it waits for
-    anybody else's, so two callers never wait for each other."""
-    flights, mine = _claim(keys)
-    if mine:
-        try:
-            produce(mine)
-        except BaseException as exc:
-            _fail(mine, exc)
-            raise
-    return [flight.result() for flight in flights]
 
 
 # ---------------------------------------------------------------------------
@@ -809,32 +787,6 @@ def _build(requests: List[_Request]) -> None:
         COUNTERS.add("compile_seconds", time.perf_counter() - t0)
     if failed:
         raise JitCompileError("\n".join(failed))
-
-
-# ---------------------------------------------------------------------------
-# the pyloops engine
-# ---------------------------------------------------------------------------
-
-
-def compile_py(source: str, func_name: str):
-    """Materialize one printed Python loop nest, once per distinct text,
-    as plain (slow) Python: the ``pyloops`` engine."""
-    import numpy as np
-
-    engine = engine_name()
-    if engine != "pyloops":
-        raise JitUnavailableError(
-            f"compile_py called under engine {engine!r}"
-        )
-
-    def produce(mine: List[_Flight]) -> None:
-        namespace: Dict[str, object] = {"np": np}
-        exec(compile(source, f"<jit:{func_name}>", "exec"), namespace)
-        COUNTERS.add("kernels_built")
-        mine[0].resolve(namespace[func_name])
-
-    key = "py:" + _digest(func_name, source)
-    return _single_flight([key], produce)[0]
 
 
 # ---------------------------------------------------------------------------

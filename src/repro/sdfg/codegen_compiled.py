@@ -2,11 +2,10 @@
 
 Where :mod:`repro.sdfg.codegen` lowers each fused kernel to a sequence of
 full-domain ``out=``-scheduled ufunc calls, this module lowers it to a
-single scalar loop nest and hands that nest to a JIT engine
-(:mod:`repro.runtime.jit`: a system C compiler, or plain Python for
-testing). Each kernel is analysed and lowered *once* to a loop-nest
-tree (:mod:`repro.sdfg.loopnest`); the engine's language is only printed
-from that tree, into the plan's image (:func:`generate_compiled` — the
+single scalar loop nest and hands that nest to the system C compiler
+(:mod:`repro.runtime.jit`). Each kernel is analysed and lowered *once* to
+a loop-nest tree (:mod:`repro.sdfg.loopnest`); C is only printed from
+that tree, into the plan's image (:func:`generate_compiled` — the
 plan itself, :class:`~repro.sdfg.plan.CompiledPlan`, is materialised
 from the image and needs nothing of this module). The nest realizes the
 machine model's decisions for real:
@@ -96,7 +95,6 @@ from repro.sdfg.loopnest import (
     Store,
     Strip,
     print_c,
-    print_py,
 )
 from repro.sdfg.nodes import Kernel, stmt_flops
 from repro.sdfg.plan import CompiledPlan, PlanBindError, PlanImage, UnitImage
@@ -183,7 +181,7 @@ class KernelUnit:
     """One lowered kernel: its loop-nest tree plus call metadata."""
 
     label: str
-    #: printed in the active engine's language when the image is generated
+    #: printed as C when the image is generated
     tree: Nest
     #: (shape, dtype.str) per array argument, validated at each call
     arg_specs: List[Tuple[Tuple[int, ...], str]]
@@ -869,15 +867,13 @@ class _CompiledGenerator(_Generator):
 
     def __init__(self, sdfg, instrument: bool = False):
         super().__init__(sdfg, instrument)
-        self.engine = jit.engine_name()
         self.units: List[UnitImage] = []
         self.fallback_kernels: List[Tuple[str, str]] = []
 
     def image(self) -> PlanImage:
         return super().image(
             units=self.units, fallback_kernels=self.fallback_kernels,
-            engine=self.engine, threads=jit.default_threads(),
-            preamble=_C_PREAMBLE if self.engine == "cgen" else "",
+            threads=jit.default_threads(), preamble=_C_PREAMBLE,
         )
 
     def _emit_node(self, node, out) -> None:
@@ -889,9 +885,8 @@ class _CompiledGenerator(_Generator):
             self.fallback_kernels.append((node.label, str(exc)))
             return super()._emit_node(node, out)
         uidx = len(self.units)
-        printer = print_c if self.engine == "cgen" else print_py
         self.units.append(UnitImage(
-            unit.label, printer(unit.tree), unit.arg_specs,
+            unit.label, print_c(unit.tree), unit.arg_specs,
             list(unit.tree.scalars), unit.registers,
         ))
         kidx = len(self.kernel_labels)
@@ -912,14 +907,13 @@ class _CompiledGenerator(_Generator):
 
 def generate_compiled(sdfg, instrument: bool = False) -> PlanImage:
     """SDFG (expanded) → the image of its compiled-backend plan: every
-    kernel that lowers is in it as text of the active JIT engine's
-    language. Raises :class:`repro.runtime.jit.JitUnavailableError` when
-    no engine resolved — callers (the backend registry, the orchestration
-    layer) turn that into a warn-once fallback."""
+    kernel that lowers is in it as C. Raises
+    :class:`repro.runtime.jit.JitUnavailableError` when no engine
+    resolved — callers (the backend registry, the orchestration layer)
+    turn that into a warn-once fallback."""
     if not jit.available():
         raise jit.JitUnavailableError(
-            "no JIT engine available (provide a C compiler, or set "
-            "REPRO_JIT=pyloops)"
+            "no JIT engine available (provide a C compiler)"
         )
     return _CompiledGenerator(sdfg, instrument).image()
 

@@ -1,12 +1,12 @@
-"""The loop-nest tree under the compiled backend, and its two printers.
+"""The loop-nest tree under the compiled backend, and its C printer.
 
 :mod:`repro.sdfg.codegen_compiled` lowers each eligible kernel *once* to
 the small tree defined here — every schedule decision (loop shape,
 k-blocking, i-tiling, fusion clusters, region guards, the thread axis) is
 an attribute or a node of the tree, and every value in it already carries
-its scalar type tag. :func:`print_c` and :func:`print_py` only turn the
-tree into text: they read nothing of the kernel or its schedule, so a new
-schedule rewrite is written once, on the tree, and both engines get it.
+its scalar type tag. :func:`print_c` only turns the tree into text: it
+reads nothing of the kernel or its schedule, so a new schedule rewrite is
+written once, on the tree.
 
 Structure nodes: :class:`Loop`, :class:`Strip`, :class:`Clamp`,
 :class:`Guard`, :class:`Store`, :class:`Let`. Value nodes (typed ``"d"``
@@ -22,7 +22,6 @@ condition one comparison, its two values plain names or constants.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from typing import List, Optional, Tuple, Union
 
@@ -241,25 +240,6 @@ _C_OPS = {
     ("sign", "d"): "__r_sign({0})",
     ("sign", "l"): "__r_lsign({0})",
 }
-_PY_OPS = {
-    **{op: f"(({{0}}) {op} ({{1}}))" for op in _INFIX + ("/",)},
-    "and": "((({0}) != 0) and (({1}) != 0))",
-    "or": "((({0}) != 0) or (({1}) != 0))",
-    "not": "(not (({0}) != 0))",
-    "neg": "(-({0}))",
-    "select": "(({1}) if ({0}) else ({2}))",
-    # NumPy element assignment converts a stored value itself; a register
-    # has no dtype, so what it holds is made a double here
-    ("cast", "d"): "np.float64({0})",
-    "cast": "({0})",
-    "sqrt": "np.sqrt({0})",
-    "abs": "np.abs({0})",
-    **{f: f"np.{f}({{0}})" for f in _ROUNDERS},
-    **_INT_ROUNDERS,
-    "min": "np.minimum(({0}), ({1}))",
-    "max": "np.maximum(({0}), ({1}))",
-    "sign": "np.sign({0})",
-}
 
 
 def _terms(ref: Ref):
@@ -277,10 +257,6 @@ def _c_index(ref: Ref) -> str:
     )
 
 
-def _py_index(ref: Ref) -> str:
-    return ", ".join(f"{v} + ({b})" if b else v for v, b, _ in _terms(ref))
-
-
 def _c_lit(lit: Lit) -> str:
     if lit.tag == "b":
         return "1" if lit.value else "0"
@@ -289,27 +265,19 @@ def _c_lit(lit: Lit) -> str:
     return float(lit.value).hex()
 
 
-def _py_lit(lit: Lit) -> str:
-    return repr(float(lit.value) if lit.tag == "d" else lit.value)
-
-
-def _value(node, ops, index, lit) -> str:
+def _value(node) -> str:
     if isinstance(node, Ref):
-        return f"{node.array.param}[{index(node)}]"
+        return f"{node.array.param}[{_c_index(node)}]"
     if isinstance(node, Lit):
-        return lit(node)
+        return _c_lit(node)
     if isinstance(node, Scalar):
         return f"s_{node.name}"
     if isinstance(node, Reg):
         return f"r_{node.name}"
     if isinstance(node, Axis):
         return node.var
-    fmt = ops.get((node.op, node.tag)) or ops[node.op]
-    return fmt.format(*(_value(a, ops, index, lit) for a in node.args))
-
-
-_c_value = functools.partial(_value, ops=_C_OPS, index=_c_index, lit=_c_lit)
-_py_value = functools.partial(_value, ops=_PY_OPS, index=_py_index, lit=_py_lit)
+    fmt = _C_OPS.get((node.op, node.tag)) or _C_OPS[node.op]
+    return fmt.format(*map(_value, node.args))
 
 
 # ---------------------------------------------------------------------------
@@ -323,26 +291,24 @@ _OMP = (
 )
 
 
-def _walk(out, nodes, heads, closer: Optional[str]) -> None:
-    """Print ``nodes``. ``heads(node)`` gives a node's header lines and its
-    body; a header line ending in the language's block opener (``{`` or
-    ``:``) opens a scope, the body is printed inside, and every scope is
-    closed again (by ``closer``, or by the dedent alone). A ``str`` in a
-    body is an already printed line."""
+def _walk(out, nodes) -> None:
+    """Print ``nodes``. :func:`_heads` gives a node's header lines and its
+    body; a header line ending in ``{`` opens a scope, the body is printed
+    inside, and every scope is closed again. A ``str`` in a body is an
+    already printed line."""
     for node in nodes:
         if isinstance(node, str):
             out.emit(node)
             continue
-        lines, body = heads(node)
+        lines, body = _heads(node)
         depth = out.indent
         for line in lines:
             out.emit(line)
-            out.indent += line.endswith(("{", ":"))
-        _walk(out, body, heads, closer)
+            out.indent += line.endswith("{")
+        _walk(out, body)
         while out.indent > depth:
             out.indent -= 1
-            if closer:
-                out.emit(closer)
+            out.emit("}")
 
 
 def _c_strip(v, end, lo, hi, step) -> List[str]:
@@ -353,12 +319,12 @@ def _c_strip(v, end, lo, hi, step) -> List[str]:
     ]
 
 
-def _c_heads(n):
+def _heads(n):
     if isinstance(n, Store):
-        return [f"{_c_value(n.target)} = {_c_value(n.value)};"], ()
+        return [f"{_value(n.target)} = {_value(n.value)};"], ()
     if isinstance(n, Let):
         ctype = _CTYPE[n.reg.tag] + " " if n.declare else ""
-        return [f"{ctype}{_c_value(n.reg)} = {_c_value(n.value)};"], ()
+        return [f"{ctype}{_value(n.reg)} = {_value(n.value)};"], ()
     if isinstance(n, Guard):
         cond = " && ".join(f"{v} >= {lo} && {v} < {hi}" for v, lo, hi in n.ranges)
         return [f"if ({cond}) {{"], n.body
@@ -396,43 +362,7 @@ def print_c(nest: Nest) -> str:
     out.emit("{")
     out.indent += 1
     out.emit("(void)nthreads;")
-    _walk(out, nest.body, _c_heads, "}")
+    _walk(out, nest.body)
     out.indent -= 1
     out.emit("}")
-    return out.source()
-
-
-def _py_heads(n):
-    if isinstance(n, (Store, Let)):
-        target = n.target if isinstance(n, Store) else n.reg
-        return [f"{_py_value(target)} = {_py_value(n.value)}"], ()
-    if isinstance(n, Guard):
-        cond = " and ".join(f"{lo} <= {v} < {hi}" for v, lo, hi in n.ranges)
-        return [f"if {cond}:"], n.body
-    if isinstance(n, Clamp):
-        return [
-            f"{n.lo_var} = max({n.lo}, {n.within_lo})",
-            f"{n.hi_var} = min({n.hi}, {n.within_hi})",
-            f"if {n.lo_var} < {n.hi_var}:",
-        ], n.body
-    if isinstance(n, Strip):
-        return [
-            f"for {n.var} in range({n.lo}, {n.hi}, {n.step}):",
-            f"{n.end} = min({n.var} + {n.step}, {n.hi})",
-        ], n.body
-    # ``tile`` and ``parallel`` are not printed: neither changes what a
-    # loop of the Python print computes
-    span = f"{n.hi} - 1, {n.lo} - 1, -1" if n.reverse else f"{n.lo}, {n.hi}"
-    return [f"for {n.var} in range({span}):"], n.body
-
-
-def print_py(nest: Nest) -> str:
-    """The nest as one Python function (``np`` is supplied by
-    :func:`repro.runtime.jit.compile_py`)."""
-    params = [a.param for a in nest.arrays] + [f"s_{s}" for s in nest.scalars]
-    out = _SourceBuilder()
-    out.emit(f"def {nest.name}({', '.join(params)}):")
-    out.indent += 1
-    _walk(out, nest.body, _py_heads, None)
-    out.emit("return None")
     return out.source()

@@ -8,7 +8,7 @@ kernels as text: plain data, nothing of the process that made it.
 *Materialise* — the constructors of :class:`CompiledSDFG` and
 :class:`CompiledPlan`, in this module — turns an image into a callable:
 the driver is executed, the callbacks are rebuilt from the SDFG's
-``Callback`` nodes, the kernel texts go to the JIT engine. Every plan is
+``Callback`` nodes, the C kernel texts go to the JIT. Every plan is
 materialised from an image, whether that was generated a moment ago or
 read from a record an earlier process left
 (:mod:`repro.runtime.compile_cache`, "Program records"); a process that
@@ -64,13 +64,12 @@ class PlanImage:
     transient_values: Dict[str, int]
     kernel_labels: List[str]
     #: compiled backend only (:mod:`repro.sdfg.codegen_compiled`): the
-    #: lowered kernels as text of ``engine``'s language, the kernels
-    #: left to ufunc emission with the reason, the OpenMP width
+    #: lowered kernels as C, the kernels left to ufunc emission with the
+    #: reason, the OpenMP width
     units: List["UnitImage"] = dataclasses.field(default_factory=list)
     fallback_kernels: List[Tuple[str, str]] = dataclasses.field(
         default_factory=list
     )
-    engine: Optional[str] = None
     threads: int = 1
     #: what the C engine compiles in front of every kernel text
     preamble: str = ""
@@ -82,8 +81,7 @@ class UnitImage:
     what calling it takes."""
 
     label: str
-    #: one function named :data:`repro.runtime.jit.SYMBOL`, in C or in
-    #: Python as the image's ``engine`` wants it
+    #: one C function named :data:`repro.runtime.jit.SYMBOL`
     text: str
     #: (shape, dtype.str) per array argument, validated at each call
     arg_specs: List[Tuple[Tuple[int, ...], str]]
@@ -273,62 +271,32 @@ def _c_caller(entry, unit: UnitImage, threads: int):
     return call
 
 
-def _py_caller(fn, unit: UnitImage):
-    narr = len(unit.arg_specs)
-
-    def call(*args):
-        _check_args(args[:narr], unit.arg_specs, unit.label)
-        fn(*args)
-
-    return call
-
-
 class CompiledPlan(CompiledSDFG):
     """A whole-program plan whose eligible kernels run as JIT-compiled
     scalar loop nests; ineligible kernels keep the parent's ufunc emission
     within the same program, so the plan as a whole always runs.
 
-    Materialising it hands the image's kernel texts to the JIT engine
-    they were printed for — which builds only what no program has asked
-    for before, and inside a ``jit.batch()`` only when that exits — and
-    binds the callers into the driver's ``__K`` table. The kernel keys
-    carry flags, compiler and CPU features, so an image written on
-    another host runs here once its kernels are rebuilt."""
+    Materialising it hands the image's kernel texts to the C engine —
+    which builds only what no program has asked for before, and inside a
+    ``jit.batch()`` only when that exits — and binds the callers into the
+    driver's ``__K`` table. The kernel keys carry flags, compiler and CPU
+    features, so an image written on another host runs here once its
+    kernels are rebuilt."""
 
     def __init__(self, sdfg, image: PlanImage):
         super().__init__(sdfg, image)
         self.fallback_kernels = image.fallback_kernels
         self.threads = image.threads
-        self.engine = image.engine
-        #: what the engine handed out per unit (the C engine: the
-        #: kernel's flight, which may still be in the builder's batch); a
-        #: kernel that another plan of this process also contains is the
-        #: same object in both
+        #: the JIT's flight per unit (which may still be in the builder's
+        #: batch); a kernel that another plan of this process also
+        #: contains is the same object in both
         self.kernel_functions: List = []
-        units = image.units
-        funcs: List = []
-        if not units:
-            pass
-        elif self.engine == "cgen":
+        if image.units:
             self._request_c()
-            funcs = [
-                _c_caller(partial(self._entry, index), unit, self.threads)
-                for index, unit in enumerate(units)
-            ]
-        elif self.engine == "pyloops":
-            self.kernel_functions = [
-                jit.compile_py(unit.text, jit.SYMBOL) for unit in units
-            ]
-            funcs = [
-                _py_caller(fn, unit)
-                for fn, unit in zip(self.kernel_functions, units)
-            ]
-        else:
-            raise jit.JitUnavailableError(
-                "compiled backend requires a JIT engine (a C compiler, "
-                "or REPRO_JIT=pyloops); none is available"
-            )
-        self._program.__globals__["__K"] = funcs
+        self._program.__globals__["__K"] = [
+            _c_caller(partial(self._entry, index), unit, self.threads)
+            for index, unit in enumerate(image.units)
+        ]
 
     @property
     def compiled_kernels(self) -> List[str]:
@@ -356,9 +324,7 @@ class CompiledPlan(CompiledSDFG):
         compiler rejected their unit. The plan is in the compile caches
         by then and outlives the failure; its failed flights have left
         the JIT's table and never resolve."""
-        if self.engine == "cgen" and any(
-            flight.error is not None for flight in self.kernel_functions
-        ):
+        if any(flight.error is not None for flight in self.kernel_functions):
             self._request_c()
 
     def _entry(self, index: int):

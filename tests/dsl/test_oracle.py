@@ -1,14 +1,14 @@
 """The backends against the semantics oracle (:mod:`repro.dsl.oracle`).
 
 Both backends run one lowering: ``numpy`` its NumPy emission, ``compiled``
-its C (or, under ``REPRO_JIT=pyloops``, Python) print; ``dataflow`` is
-that NumPy emission compiled straight from the lowered SDFG, outside the
-backend's program cache. This file holds each of them to an interpreter
-of the definition function itself, which knows nothing of masks, fusion
-clusters, registers or selects. The
-compiled backend is held to it with its register rewrites switched on
-one after the other (the lowering has no such switch: the stages take
-the candidate sets away by patching the two methods that compute them).
+its C print. The ``dataflow`` leg is no backend: it is that NumPy emission
+compiled straight from the lowered SDFG, outside the backend's program
+cache. This file holds each of them to an interpreter of the definition
+function itself, which knows nothing of masks, fusion clusters,
+registers or selects. The compiled backend is held to it with its
+register rewrites switched on one after the other (the lowering has no
+such switch: the stages take the candidate sets away by patching the
+two methods that compute them).
 """
 
 import contextlib
@@ -113,15 +113,16 @@ def test_array_backends_equal_the_oracle(stencil_obj):
                                domain, want)
 
 
+@pytest.mark.skipif(jit._find_cc() is None, reason="no C compiler")
 @pytest.mark.parametrize("stencil_obj", _discover())
 def test_compiled_equals_the_oracle_after_each_rewrite(stencil_obj, tmp_path):
     fields, scalars, origin = _synthesize(stencil_obj)
     domain = (NI, NJ, NK)
     want = oracle_of(stencil_obj, fields, scalars, origin, domain)
     for stage in STAGES:
-        with compiled_stage(stage, "pyloops", tmp_path):
+        with compiled_stage(stage, "cgen", tmp_path):
             assert_compiled_matches(stencil_obj, fields, scalars, origin,
-                                    domain, want, f"pyloops, {stage}")
+                                    domain, want, f"cgen, {stage}")
 
 
 @pytest.mark.skipif(jit._find_cc() is None, reason="no C compiler")

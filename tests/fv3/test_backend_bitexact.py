@@ -41,10 +41,14 @@ def _discover():
 
 
 NI, NJ, NK = 8, 7, 6
+#: deeper than two k-blocks of ``CPU_K_BLOCK`` = 12: the compiled loop
+#: nests run blocks of 12, 12 and 6 levels, the last one partial
+DEEP_NK = 30
 
 
-def _synthesize(stencil):
-    """Minimal valid arrays and scalars for one stencil, from its extents."""
+def _synthesize(stencil, nk=NK):
+    """Minimal valid arrays and scalars for one stencil, from its extents,
+    for a domain ``nk`` levels deep."""
     rng = np.random.default_rng(hash(stencil.name) % 2**32)
     defn = stencil.definition
     exts = stencil.extents.field_extents
@@ -62,9 +66,9 @@ def _synthesize(stencil):
         if "J" in axes:
             shape.append(pad_j + NJ + (ext.j_hi if ext else 0) + 1)
         if "K" in axes:
-            kb = k_access_bounds(defn, p.name, NK)
-            hi = kb[1] if kb else NK
-            shape.append(pad_k + max(hi, NK) + 1)
+            kb = k_access_bounds(defn, p.name, nk)
+            hi = kb[1] if kb else nk
+            shape.append(pad_k + max(hi, nk) + 1)
         dtype = np.dtype(p.field_type.dtype)
         if dtype == np.dtype(bool):
             fields[p.name] = rng.random(shape) > 0.5
@@ -94,11 +98,9 @@ def _backends():
     return params
 
 
-@pytest.mark.parametrize("stencil", _discover())
-@pytest.mark.parametrize("backend", _backends())
-def test_backend_is_bit_identical(backend, stencil):
-    fields, scalars, origin = _synthesize(stencil)
-    domain = (NI, NJ, NK)
+def _assert_bit_identical(backend, stencil, nk):
+    fields, scalars, origin = _synthesize(stencil, nk)
+    domain = (NI, NJ, nk)
     ref = {n: a.copy() for n, a in fields.items()}
     got = {n: a.copy() for n, a in fields.items()}
     run_oracle(stencil, ref, scalars, origin=origin, domain=domain)
@@ -106,9 +108,26 @@ def test_backend_is_bit_identical(backend, stencil):
     for name in fields:
         np.testing.assert_array_equal(
             got[name], ref[name],
-            err_msg=f"{stencil.name}: field {name!r} on {backend} is not "
-            "what the definition says",
+            err_msg=f"{stencil.name}: field {name!r} on {backend} at "
+            f"NK = {nk} is not what the definition says",
         )
+
+
+@pytest.mark.parametrize("stencil", _discover())
+@pytest.mark.parametrize("backend", _backends())
+def test_backend_is_bit_identical(backend, stencil):
+    _assert_bit_identical(backend, stencil, NK)
+
+
+@pytest.mark.parametrize("stencil", _discover())
+def test_compiled_is_bit_identical_across_k_blocks(stencil):
+    """At ``NK`` = 6 every loop nest is one k-block; here the blocked
+    kernels cross two block boundaries and end on a partial block."""
+    from repro.runtime import jit
+
+    if jit._find_cc() is None:
+        pytest.skip("no C compiler")
+    _assert_bit_identical("compiled", stencil, DEEP_NK)
 
 
 def test_suite_covers_every_stencil_module():

@@ -1,14 +1,19 @@
 """Degraded-mode execution: a failing compiled backend transparently
 re-executes on the ``numpy`` backend, the NumPy emission of the same
-lowering, with the same bits."""
+lowering, with the same bits; a host without a C compiler runs that
+emission from the start, warned once."""
+
+import warnings
 
 import numpy as np
 import pytest
 
 from repro import resilience
 from repro.dsl import Field, PARALLEL, computation, interval, stencil
+from repro.dsl import backend_compiled
 from repro.dsl.backends import register_backend, unregister_backend
 from repro.dsl.oracle import run_oracle
+from repro.orchestration import orchestrate
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosPlan
 from repro.resilience.errors import FallbackWarning
@@ -122,3 +127,62 @@ def test_argument_errors_stay_loud():
     they must not be degraded away."""
     with pytest.raises(TypeError, match="missing argument"):
         _axpy(a=np.zeros((4, 4, 2)), backend="compiled")
+
+
+@orchestrate
+def _axpy_program(a, x, y):
+    _axpy(a, x, y, 2.5, origin=(1, 1, 0), domain=(8, 7, 4))
+
+
+def _warned_unavailable(record):
+    return [w for w in record if issubclass(w.category, RuntimeWarning)
+            and "compiled backend unavailable" in str(w.message)]
+
+
+@pytest.mark.parametrize("first", ["stencil", "program"])
+def test_without_a_toolchain_compiled_warns_once_and_runs_numpy(
+    first, monkeypatch
+):
+    """A host with no C compiler has one path: a stencil called with
+    ``backend="compiled"`` and a program pinned to ``compiled`` run the
+    NumPy emission, bit-identical to the definition, and the process is
+    told once, by whichever of them asks first."""
+    from repro.runtime import jit
+
+    monkeypatch.setenv("REPRO_JIT", "none")
+    monkeypatch.setattr(backend_compiled, "_WARNED", [False])
+    jit.reset(engine=True)
+    _axpy._executors.clear()
+    want = _reference()
+    assert _axpy._resolve_domain(_inputs(), None, None) \
+        == ((1, 1, 0), (8, 7, 4))
+
+    def call_stencil():
+        fields = _inputs()
+        _axpy(**fields, alpha=2.5, backend="compiled")
+        return fields["a"]
+
+    def call_program():
+        fields = _inputs()
+        _axpy_program.build(fields["a"], fields["x"], fields["y"])
+        plan = _axpy_program.compile(backend="compiled")
+        assert type(plan).__name__ == "CompiledSDFG"
+        _axpy_program(fields["a"], fields["x"], fields["y"])
+        return fields["a"]
+
+    calls = {"stencil": call_stencil, "program": call_program}
+    order = [first] + [name for name in calls if name != first]
+    try:
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            for name in order:
+                got = calls[name]()
+                assert len(_warned_unavailable(record)) == 1, name
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(calls[name](), want)
+        (warned,) = _warned_unavailable(record)
+        assert "no JIT engine" in str(warned.message)
+    finally:
+        monkeypatch.undo()
+        jit.reset(engine=True)
+        _axpy._executors.clear()

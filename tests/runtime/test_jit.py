@@ -29,40 +29,25 @@ def forced_engine(monkeypatch):
 
 
 def test_engine_resolution_is_sticky(forced_engine):
-    assert forced_engine("pyloops") == "pyloops"
+    assert forced_engine("cgen") == "cgen"
     # a later env change is ignored until reset(engine=True)
     os.environ["REPRO_JIT"] = "none"
     try:
-        assert jit.engine_name() == "pyloops"
+        assert jit.engine_name() == "cgen"
     finally:
         os.environ.pop("REPRO_JIT", None)
         jit.reset(engine=True)
 
 
 def test_bogus_forced_engine_raises(forced_engine):
-    with pytest.raises(ValueError, match="expected one of"):
+    with pytest.raises(ValueError,
+                       match=r"expected one of \('cgen', 'none'\)"):
         forced_engine("fortran")
 
 
 def test_none_engine_is_unavailable(forced_engine):
     forced_engine("none")
     assert not jit.available()
-
-
-def test_compile_py_pyloops_executes(forced_engine):
-    forced_engine("pyloops")
-    import numpy as np
-
-    src = (
-        "def tripler(f_x):\n"
-        "    for i in range(0, 3):\n"
-        "        f_x[i] = f_x[i] * 3.0\n"
-        "    return None\n"
-    )
-    fn = jit.compile_py(src, "tripler")
-    x = np.array([1.0, 2.0, 3.0])
-    fn(x)
-    assert list(x) == [3.0, 6.0, 9.0]
 
 
 def _kernel(name, body, label=None, argtypes=(ctypes.c_void_p, ctypes.c_int64)):
@@ -673,7 +658,7 @@ def test_default_threads_env(monkeypatch):
 
 
 def test_stats_reset(forced_engine):
-    forced_engine("pyloops")
+    forced_engine("none")
     jit.COUNTERS.add("compiles", 2)
     jit.COUNTERS.add("compile_seconds", 0.5)
     assert jit.stats()["compiles"] >= 2

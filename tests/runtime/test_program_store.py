@@ -93,9 +93,6 @@ def _flag_changes():
     yield "machine", lambda patch: patch.setattr(
         obs.metrics, "_observed", P100
     )
-    yield "engine", lambda patch: (
-        patch.setenv("REPRO_JIT", "pyloops"), jit.reset(engine=True)
-    )
 
 
 @pytest.mark.parametrize("what, change", list(_flag_changes()))

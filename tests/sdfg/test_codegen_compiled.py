@@ -3,10 +3,9 @@
 Cross-checks the scalar lowering against the NumPy emission, exercises
 the eligibility rules and their per-kernel fallback, the shape of the
 loop-nest tree (k-blocking legality, statement fusion, solver loop
-orders), that both printers of one tree agree with the definition
+orders), that the C print of one tree agrees with the definition
 (:mod:`repro.dsl.oracle`), and the plan's argument contract. Runs under
-the ``pyloops`` engine so it needs no toolchain; the C printer is
-exercised when a C compiler exists.
+the ``cgen`` engine, and is skipped where no C compiler exists.
 """
 
 import numpy as np
@@ -32,7 +31,7 @@ from repro.sdfg.codegen_compiled import (
     lower_kernel,
 )
 from repro.sdfg.loopnest import (
-    Clamp, Let, Lit, Loop, Op, Ref, Reg, Store, Strip, print_c, print_py,
+    Clamp, Let, Lit, Loop, Op, Ref, Reg, Store, Strip, print_c,
 )
 from repro.sdfg.nodes import Kernel
 from tests.fv3.test_backend_bitexact import NI, NJ, NK, _discover, _synthesize
@@ -41,8 +40,10 @@ from tests.runtime.test_jit import _forget_loaded
 
 
 @pytest.fixture(autouse=True)
-def _pyloops_engine(monkeypatch):
-    monkeypatch.setenv("REPRO_JIT", "pyloops")
+def _cgen_engine(monkeypatch):
+    if jit._find_cc() is None:
+        pytest.skip("no C compiler")
+    monkeypatch.setenv("REPRO_JIT", "cgen")
     jit.reset(engine=True)
     yield
     monkeypatch.delenv("REPRO_JIT", raising=False)
@@ -147,9 +148,7 @@ def test_backward_recurrence_matches_numpy_emission():
     np.testing.assert_array_equal(got["out"], ref["out"])
 
 
-@pytest.mark.skipif(jit._find_cc() is None, reason="no C compiler")
 def test_cgen_engine_matches_numpy_emission(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_JIT", "cgen")
     monkeypatch.setenv("REPRO_JIT_DIR", str(tmp_path))
     jit.reset(engine=True)
     arrays = {"a": _rand((8, 8, 6)), "out": np.zeros((8, 8, 6))}
@@ -157,19 +156,16 @@ def test_cgen_engine_matches_numpy_emission(monkeypatch, tmp_path):
         _lap, arrays, scalars={"w": 0.25}, origin=(1, 1, 0),
         domain=(6, 6, 6),
     )
-    assert plan.engine == "cgen"
+    assert plan.compiled_kernels and len(plan.kernel_functions) == 1
     np.testing.assert_array_equal(got["out"], ref["out"])
 
 
-@pytest.mark.parametrize("engine", ["pyloops", "cgen"])
+@pytest.mark.parametrize("engine", ["cgen"])  # the id names the engine
 def test_two_programs_share_one_kernel(engine, monkeypatch, tmp_path):
     """The kernel, not the program, is what the JIT store identifies: a
     stencil at one domain is built once and is one function object in
     every plan that contains it; another domain is another kernel (the
     extents are literals of the text)."""
-    if engine == "cgen" and jit._find_cc() is None:
-        pytest.skip("no C compiler")
-    monkeypatch.setenv("REPRO_JIT", engine)
     monkeypatch.setenv("REPRO_JIT_DIR", str(tmp_path))
     jit.reset(engine=True)
     _forget_loaded()  # as a fresh process: earlier tests built _lap
@@ -186,9 +182,8 @@ def test_two_programs_share_one_kernel(engine, monkeypatch, tmp_path):
     stats = jit.stats()
     assert (stats["kernels_requested"], stats["kernels_built"],
             stats["kernels_reused"]) == (3, 2, 1)
-    if engine == "cgen":
-        assert stats["compiles"] == 2
-        assert len(list(tmp_path.glob("repro_k_*.so"))) == 2
+    assert stats["compiles"] == 2
+    assert len(list(tmp_path.glob("repro_k_*.so"))) == 2
 
 
 def test_kernel_text_does_not_name_the_containers():
@@ -198,7 +193,6 @@ def test_kernel_text_does_not_name_the_containers():
     use — not in the order of the containers' names, which the third
     pair reverses."""
     from repro.sdfg import SDFG
-    from repro.sdfg.loopnest import print_c, print_py
     from repro.sdfg.nodes import StencilComputation
 
     pairs = (("pt", "pt_out"), ("u", "u_out"), ("z_in", "a_out"))
@@ -215,7 +209,6 @@ def test_kernel_text_does_not_name_the_containers():
     sdfg.expand_library_nodes()
     units = [lower_kernel(k, sdfg) for k in sdfg.all_kernels()]
     assert len({print_c(unit.tree) for unit in units}) == 1
-    assert len({print_py(unit.tree) for unit in units}) == 1
     assert [[a.runtime for a in unit.tree.arrays] for unit in units] \
         == [list(pair) for pair in pairs]
     arrays = {n: _rand((8, 8, 6), seed=i) for i, n in enumerate(sdfg.arrays)}
@@ -263,12 +256,11 @@ def test_parallel_self_read_at_offset_is_ineligible():
 
 def test_ineligible_kernel_raises_before_any_printer_runs(monkeypatch):
     """Every eligibility decision is taken while the tree is built: a
-    kernel with no scalar form never reaches ``print_c``/``print_py``."""
+    kernel with no scalar form never reaches ``print_c``."""
     printed = []
-    for name in ("print_c", "print_py"):
-        monkeypatch.setattr(
-            codegen_compiled, name, lambda tree: printed.append(tree.name)
-        )
+    monkeypatch.setattr(
+        codegen_compiled, "print_c", lambda tree: printed.append(tree.name)
+    )
     arrays = {"a": 1.0 + _rand((4, 4, 3)), "out": np.zeros((4, 4, 3))}
     sdfg = _build_sdfg(_logged, arrays)
     with pytest.raises(IneligibleKernel, match="bit-exact scalar form"):
@@ -545,7 +537,7 @@ def test_the_ppm_kernels_are_one_nest_over_three_arrays():
 
 
 # ---------------------------------------------------------------------------
-# printer agreement: one tree, two languages, one answer
+# the printer: one tree, its C print, the definition's answer
 # ---------------------------------------------------------------------------
 
 
@@ -553,9 +545,10 @@ def test_the_ppm_kernels_are_one_nest_over_three_arrays():
 def test_both_printers_of_one_tree_match_the_numpy_reference(
     stencil_obj, monkeypatch, tmp_path
 ):
-    """Each FV3 stencil is lowered once; the Python print (``pyloops``)
-    and the C print (``cgen``) of those same trees must both reproduce
-    the definition (:mod:`repro.dsl.oracle`) bit for bit."""
+    """Each FV3 stencil is lowered once; a plan generated from the same
+    SDFG runs exactly the C print of those trees, and it reproduces the
+    definition (:mod:`repro.dsl.oracle`) bit for bit. (The name is from
+    when a Python print of the tree was checked beside it.)"""
     fields, scalars, origin = _synthesize(stencil_obj)
     domain = (NI, NJ, NK)
     ref = {n: a.copy() for n, a in fields.items()}
@@ -570,26 +563,20 @@ def test_both_printers_of_one_tree_match_the_numpy_reference(
         except IneligibleKernel:
             pass
     monkeypatch.setenv("REPRO_JIT_DIR", str(tmp_path))
-    for engine in ("pyloops", "cgen"):
-        if engine == "cgen" and jit._find_cc() is None:
-            pytest.skip("Python printer agrees; no C compiler for the C one")
-        monkeypatch.setenv("REPRO_JIT", engine)
-        jit.reset(engine=True)
-        # generates an image in this engine's language and materialises
-        # it: what the plan runs is this engine's print of those trees
-        plan = compile_sdfg_compiled(sdfg)
-        assert plan.engine == engine
-        printer = print_c if engine == "cgen" else print_py
-        assert [unit.text for unit in plan.image.units] \
-            == [printer(tree) for tree in trees]
-        got = {n: a.copy() for n, a in fields.items()}
-        plan(arrays=got, scalars=scalars)
-        for name in fields:
-            np.testing.assert_array_equal(
-                got[name], ref[name],
-                err_msg=f"{stencil_obj.name}: {name!r} diverged under the "
-                f"{engine} printer",
-            )
+    jit.reset(engine=True)
+    # generates an image and materialises it: what the plan runs is the
+    # C print of those trees
+    plan = compile_sdfg_compiled(sdfg)
+    assert [unit.text for unit in plan.image.units] \
+        == [print_c(tree) for tree in trees]
+    got = {n: a.copy() for n, a in fields.items()}
+    plan(arrays=got, scalars=scalars)
+    for name in fields:
+        np.testing.assert_array_equal(
+            got[name], ref[name],
+            err_msg=f"{stencil_obj.name}: {name!r} diverged under the "
+            "C printer",
+        )
 
 
 # ---------------------------------------------------------------------------
