@@ -10,6 +10,7 @@ the kernels of the four programs one rank's step runs
 
 import pytest
 
+from repro import obs
 from repro.machine import P100
 from repro.core.perfmodel import bound_report, format_bound_report
 from repro.core.pipeline import optimize_sdfg_locally
@@ -49,28 +50,41 @@ def test_fig10_kernel_bounds(report, benchmark):
     assert totals == sorted(totals, reverse=True)
 
 
+def _kernel_spans(span, into):
+    """(seconds, calls) per kernel label over every ``kernel.*`` span
+    under ``span``."""
+    for name, child in span.children.items():
+        kind, _, label = name.partition(".")
+        if kind == "kernel":
+            t, n = into.get(label, (0.0, 0))
+            into[label] = (t + child.total_seconds, n + child.count)
+        _kernel_spans(child, into)
+    return into
+
+
 def test_fig10_measured_runtimes_feed_report(report, benchmark):
-    """The workflow combines modeling with instrumented runtimes: the
-    report accepts measured per-kernel times from the programs a step
-    runs (rank 0's, instrumented, while the core steps)."""
+    """The workflow combines modeling with measured runtimes: the report
+    accepts the per-kernel times of the programs a step runs, read off
+    the ``kernel.*`` spans of steps taken with tracing on."""
     cfg = DynamicalCoreConfig(npx=24, npz=16, layout=1, k_split=1, n_split=1)
     core = DynamicalCore(cfg)
     core.prepare()
-    programs = [call.func for call, _ in core.step_programs(0)]
-    for program in programs:
-        program.compile(instrument=True)
 
-    benchmark(core.step_dynamics)
-    times = {}
-    for program in programs:
-        for label, (total, count) in program.kernel_times.items():
-            t, n = times.get(label, (0.0, 0))
-            times[label] = (t + total, n + count)
+    tracer = obs.get_tracer()
+    enabled = tracer.enabled
+    tracer.reset()
+    tracer.enable()
+    try:
+        benchmark(core.step_dynamics)
+    finally:
+        tracer.enabled = enabled
+    times = _kernel_spans(tracer.root, {})
+    tracer.reset()
     measured = {
         label: total / max(count, 1) for label, (total, count) in times.items()
     }
     assert measured
     rows = bound_report(core.step_graphs(), P100, measured=measured, top=8)
-    report("Fig. 10 with measured (instrumented NumPy) runtimes:")
+    report("Fig. 10 with measured (traced) runtimes:")
     report(format_bound_report(rows))
     assert all(r.runtime > 0 for r in rows)

@@ -152,9 +152,7 @@ def _runtime_lines() -> List[str]:
         lines.append(
             f"compile cache: {cache['hits']} hits / "
             f"{cache['misses']} misses "
-            f"(rate {100 * cache['hit_rate']:.0f}%), "
-            f"{cache['entries']} programs cached, "
-            f"{cache['bytes_saved'] / 1e6:.1f} MB working-set reuse"
+            f"(rate {100 * cache['hit_rate']:.0f}%)"
             f"{per_backend}"
         )
     if cache["program_traces"] or cache["program_binds"]:

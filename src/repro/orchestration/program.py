@@ -199,6 +199,7 @@ class _Template:
         self._plans: Dict[str, Any] = {}
         self._lock = threading.Lock()
         self._kernel_outputs: Optional[tuple] = None
+        self._kernel_bytes: Optional[Dict[str, int]] = None
 
     def kernel_outputs(self) -> tuple:
         """``(label, names of the containers it writes)`` per kernel, in
@@ -210,15 +211,36 @@ class _Template:
             )
         return self._kernel_outputs
 
-    def plan(self, instrument: bool, backend: str):
-        flags = _cache.codegen_flags(instrument, backend)
+    def kernel_bytes(self) -> Dict[str, int]:
+        """label → perf-model moved bytes of one call of a kernel of that
+        label (the mean over the kernels that share it): what a
+        ``kernel.<label>`` span adds per call."""
+        if self._kernel_bytes is None:
+            from repro.sdfg.nodes import Kernel
+
+            totals: Dict[str, Tuple[int, int]] = {}
+            for state in self.sdfg.states:
+                for node in state.nodes:
+                    if isinstance(node, Kernel):
+                        nbytes, count = totals.get(node.label, (0, 0))
+                        totals[node.label] = (
+                            nbytes + node.moved_bytes(self.sdfg), count + 1
+                        )
+            self._kernel_bytes = {
+                label: nbytes // count
+                for label, (nbytes, count) in totals.items()
+            }
+        return self._kernel_bytes
+
+    def plan(self, backend: str):
+        flags = _cache.codegen_flags(backend)
         plan = self._plans.get(flags)
         if plan is None:
             with self._lock:
                 plan = self._plans.get(flags)
                 if plan is None:
                     plan = self._plans[flags] = _cache.get_or_compile(
-                        self.sdfg, instrument=instrument, backend=backend
+                        self.sdfg, backend=backend
                     )
         return plan
 
@@ -356,18 +378,14 @@ class ProgramState:
     arrays, templates and plans — so an instance and its programs are
     freed by reference counting, never left to the cyclic collector."""
 
-    __slots__ = ("bindings", "binding", "instrument", "backend",
-                 "param_names")
+    __slots__ = ("bindings", "binding", "backend", "param_names")
 
     def __init__(self):
         #: call-argument key → binding; ``binding`` is the one last used
         self.bindings: Dict[tuple, _Binding] = {}
         self.binding: Optional[_Binding] = None
-        #: sticky codegen flags: once ``compile`` instrumented or pinned
-        #: a backend, bindings made for new argument identities compile
-        #: the same way instead of silently dropping them; without it a
-        #: plan is instrumented exactly while tracing is on
-        self.instrument = False
+        #: the backend ``compile`` pinned: bindings made for new argument
+        #: identities compile the same way instead of silently dropping it
         self.backend: Optional[str] = None
         #: parameter names, read once — every call needs them to find the
         #: runtime scalars among its arguments
@@ -437,22 +455,20 @@ class OrchestratedProgram:
         )
         return template.sdfg
 
-    def compile(self, instrument: bool = False,
-                backend: Optional[str] = None):
+    def compile(self, backend: Optional[str] = None):
         """Compile the current SDFG (``backend``: ``"numpy"``/``"compiled"``).
 
-        Both flags are sticky: a binding made for new argument identities
-        compiles with the same instrumentation and backend, so kernel
-        timing attribution survives across specializations and outlives
-        tracing. Without a ``backend`` pinned here a program follows the
-        DSL's default backend (:meth:`_backend_wanted`), and without
-        ``instrument`` whether tracing is on; a compiled request without
-        a usable JIT engine degrades (warn once) to NumPy.
+        The backend is sticky: a binding made for new argument identities
+        compiles for the same one. Without a ``backend`` pinned here a
+        program follows the DSL's default backend
+        (:meth:`_backend_wanted`); a compiled request without a usable
+        JIT engine degrades (warn once) to NumPy. Whether tracing is on
+        is no property of the plan: a call made while it is times its
+        kernels (``kernel.<label>`` spans), whichever plan it runs.
         """
         state = self._state
         if state.binding is None:
             raise OrchestrationError("build() the program first")
-        state.instrument = bool(state.instrument or instrument)
         if backend is not None:
             state.backend = backend
         return self._replan(state.binding).plan
@@ -469,27 +485,20 @@ class OrchestratedProgram:
             return "compiled"
         return "numpy"
 
-    def _instrument_wanted(self) -> bool:
-        """Whether a plan is instrumented now: ``compile`` asked for it,
-        or tracing is on."""
-        return self._state.instrument or _TRACER.enabled
-
     def _replan(self, binding: _Binding) -> _Binding:
-        """Give ``binding`` the plan of the backend and instrumentation
-        wanted now."""
+        """Give ``binding`` the plan of the backend wanted now."""
         from repro.dsl.backend_compiled import _warn_once
         from repro.runtime import jit
 
         wanted = resolved = self._backend_wanted()
-        instrument = self._instrument_wanted()
         if resolved == "compiled" and not jit.available():
             _warn_once("no JIT engine: no C compiler")
             resolved = "numpy"
         try:
-            plan = binding.template.plan(instrument, resolved)
+            plan = binding.template.plan(resolved)
         except jit.JitUnavailableError as exc:
             _warn_once(str(exc))
-            plan = binding.template.plan(instrument, "numpy")
+            plan = binding.template.plan("numpy")
         binding.plan, binding.backend = plan, wanted
         return binding
 
@@ -641,40 +650,18 @@ class OrchestratedProgram:
         owner = type(self.instance).__name__
         return owner if self.name == "__call__" else f"{owner}.{self.name}"
 
-    def _kernel_bytes_by_label(self) -> Dict[str, Tuple[int, int]]:
-        """label -> (summed perf-model moved bytes, kernel count)."""
-        from repro.sdfg.nodes import Kernel
-
-        out: Dict[str, Tuple[int, int]] = {}
-        sdfg = self._state.binding.template.sdfg
-        for state in sdfg.states:
-            for node in state.nodes:
-                if isinstance(node, Kernel):
-                    nbytes, count = out.get(node.label, (0, 0))
-                    out[node.label] = (nbytes + node.moved_bytes(sdfg),
-                                       count + 1)
-        return out
-
-    def _record_kernel_spans(self, parent, before: Dict) -> None:
-        """Attach per-kernel child spans from the instrumented deltas.
-
-        Kernel wall times come from the compiled program's counters; byte
-        counts come from the perf model (each accessed element once), so
+    def _record_kernel_spans(self, parent, times) -> None:
+        """A ``kernel.<label>`` child of ``parent`` per kernel the call
+        ran: ``times`` is what the plan returned, its seconds and calls;
+        bytes come from the perf model (each accessed element once), so
         the report's GB/s column is modeled traffic over measured time —
-        exactly the paper's Fig. 10 ratio.
-        """
-        bytes_by_label = self._kernel_bytes_by_label()
-        kernel_times = self._state.binding.plan.kernel_times
-        for label, (total, count) in kernel_times.items():
-            t0, c0 = before.get(label, (0.0, 0))
-            dt, dc = total - t0, count - c0
-            if dc <= 0:
-                continue
-            child = parent.child(f"kernel.{label}")
-            child.count += dc
-            child.total_seconds += dt
-            nbytes, nkernels = bytes_by_label.get(label, (0, 1))
-            child.add("bytes", dc * (nbytes // max(nkernels, 1)))
+        exactly the paper's Fig. 10 ratio."""
+        kernel_bytes = self._state.binding.template.kernel_bytes()
+        for label, (seconds, calls) in times.items():
+            parent.child(f"kernel.{label}").merge_dict({
+                "count": calls, "total_seconds": seconds,
+                "attrs": {"bytes": calls * kernel_bytes.get(label, 0)},
+            })
 
     def _bound(self, args, kwargs) -> _Binding:
         key = self._key(args, kwargs)
@@ -683,13 +670,9 @@ class OrchestratedProgram:
         if binding is None:
             binding = state.bindings[key] = self._bind(args, kwargs)
         state.binding = binding
-        if (
-            binding.backend != self._backend_wanted()
-            or binding.plan.instrument != self._instrument_wanted()
-        ):
+        if binding.backend != self._backend_wanted():
             # build() without compile(), or the default backend has been
-            # switched or tracing turned on or off since this binding was
-            # planned
+            # switched since this binding was planned
             with _TRACER.span("orchestrate.compile"):
                 self._replan(binding)
         return binding
@@ -718,10 +701,9 @@ class OrchestratedProgram:
         from repro.sdfg.analysis import memory_footprint
 
         with _TRACER.span(f"program.{self.label}") as sp:
-            before = dict(plan.kernel_times) if plan.instrument else None
-            self._run(binding, scalars)
-            if before is not None:
-                self._record_kernel_spans(sp, before)
+            times = self._run(binding, scalars)
+            if times is not None:  # (tracing may have stopped meanwhile)
+                self._record_kernel_spans(sp, times)
             # scratch the program drew from the arena — the slab, the
             # planned values laid out in it, and the declared transients
             # among them — summed over the span's entries like ``bytes``
@@ -732,9 +714,11 @@ class OrchestratedProgram:
             sp.add("slab_bytes", plan.runtime_bytes)
             sp.add("values", len(plan.plan_offsets))
 
-    def _run(self, binding: _Binding, scalars: Dict[str, float]) -> None:
+    def _run(self, binding: _Binding, scalars: Dict[str, float]):
+        """Call the plan; what it returns (its kernel times, when tracing
+        is on)."""
         arrays = binding.arrays
-        binding.plan(arrays=arrays, scalars=scalars)
+        times = binding.plan(arrays=arrays, scalars=scalars)
         if _chaos._PLAN is not None:
             # a stencil traced into a program is no ``StencilObject``
             # call; the fault such a call can be injected with is
@@ -743,11 +727,7 @@ class OrchestratedProgram:
                 _chaos.maybe_nanflip(
                     label, {n: arrays[n] for n in written if n in arrays}
                 )
-
-    @property
-    def kernel_times(self):
-        binding = self._state.binding
-        return binding.plan.kernel_times if binding and binding.plan else {}
+        return times
 
 
 def orchestrate(func=None, *, optimize: Optional[Callable] = None):

@@ -1,33 +1,32 @@
-"""Compiled-program cache: content hash of an expanded SDFG → CompiledSDFG,
-behind a store of orchestrated-program templates — each of the two in
-memory, with a disk level behind it.
+"""Compiled-program cache: a store of orchestrated-program templates in
+memory, and the records of templates and plans on disk.
 
-The tuning loops compile the same candidate many times: ``tune_cutout``
-replays transformation sequences onto fresh SDFG copies, transfer tuning
-re-times cutouts per pattern, and orchestration recompiles after identical
-rebuilds. Two SDFG *objects* with equal content generate equal programs,
-so compilation is memoized on a canonical serialization of the expanded
-graph (array descriptors, kernel schedules/sections/statements, control
-flow, tasklets; callbacks by the ``(module, qualname)`` of their
-function, with array arguments by container name and constant arguments
-by value) plus the codegen flags (:func:`codegen_flags`). A cached
-program therefore holds no array of the run that compiled it. The
-exception is a callback that no other process could find by name, or a
-callback argument that is neither an array nor a value-hashable
-constant: it is keyed by object identity, the cached program pins that
-object (so its id cannot be recycled while the entry lives), the
-orchestrated program around it is traced per instance instead of
-shared, and nothing of it goes to disk.
+The template store (:func:`template_family`):
+:mod:`repro.orchestration.program` traces each (function, owner class)
+once, publishes the result here and *binds* every later instance to it
+without building or hashing an SDFG at all; a template keeps one plan
+per backend. The store only holds the families, their single-flight
+locks and the counters; what a template records is the orchestration
+layer's business.
 
-In front of the content hash sits the template store
-(:func:`template_family`): :mod:`repro.orchestration.program` traces each
-(function, owner class) once, publishes the result here and *binds* every
-later instance to it without building or hashing an SDFG at all. The
-store only holds the families, their single-flight locks and the
-counters; what a template records is the orchestration layer's business.
+A plan is keyed by the content of its SDFG: a canonical serialization
+of the expanded graph (array descriptors, kernel schedules/sections/
+statements, control flow, tasklets; callbacks by the ``(module,
+qualname)`` of their function, with array arguments by container name
+and constant arguments by value) plus the codegen flags
+(:func:`codegen_flags`). Two SDFG *objects* with equal content generate
+equal programs — ``tune_cutout`` replays transformation sequences onto
+fresh SDFG copies, transfer tuning re-times cutouts per pattern — so
+:func:`get_or_compile` materialises a plan whose image is stored under
+that key instead of generating it again. A plan therefore holds no
+array of the run that compiled it. The exception is a callback that no
+other process could find by name, or a callback argument that is
+neither an array nor a value-hashable constant: it is keyed by object
+identity, the orchestrated program around it is traced per instance
+instead of shared, and nothing of it goes to disk.
 
-**The disk level** ("Program records" below). Both levels keep what
-they make in the kernel store's directory
+**The disk level** ("Program records" below). Templates and plans are
+kept in the kernel store's directory
 (:func:`repro.runtime.jit.jit_dir`), beside the kernels and under the
 same discipline — pid-suffixed temporary, atomic rename, stale
 temporaries swept, a record that does not load is a miss that is
@@ -76,15 +75,14 @@ record that does not load is a miss, never an error. The directory is
 an execution trust boundary anyway (it holds ``.so`` files); this keeps
 a damaged record from being more than a miss.
 
-Counters (hits, misses, bytes saved by not re-allocating the program's
-transient/local working set; program traces, binds and live templates;
+Counters (hits, misses; program traces, binds and live templates;
 ``programs_restored`` / ``programs_stored`` / ``programs_stale`` /
 ``programs_unpersistable`` — templates published from a record, written
 into one, records refused, traces that no other process could use — and
 ``restore_bytes`` / ``restore_seconds``) are surfaced through
 ``repro.obs`` spans and the report footer; a plan materialised from its
 record counts as a **hit** of its backend. :data:`MAX_ENTRIES` bounds
-each of the two levels in memory (LRU: 256 programs and 256 templates).
+the templates held in memory (LRU: 256).
 """
 
 from __future__ import annotations
@@ -120,8 +118,6 @@ _SEP = "\x1f"
 #: ``id()``: such a key means nothing to another process
 _BY_IDENTITY = "\x1d"
 
-_CACHE: "OrderedDict[str, object]" = OrderedDict()
-
 #: template families in LRU order
 _FAMILIES: "OrderedDict[Hashable, TemplateFamily]" = OrderedDict()
 _FAMILIES_LOCK = threading.Lock()
@@ -145,16 +141,15 @@ def _with_totals(snapshot: Dict[str, object]) -> Dict[str, object]:
 #: report them per backend instead of as one merged number;
 #: ``program_*`` is what orchestration did with the template store,
 #: ``programs_*`` / ``restore_*`` the disk level ("Program records"
-#: below). ``entries`` and ``templates`` count what is cached in *this*
-#: process: other processes' program objects are not shared
+#: below). ``templates`` counts what is held in *this* process: other
+#: processes' templates are not shared
 COUNTERS = register("compile_cache", Counters(
     sums=(
-        "bytes_saved", "program_traces", "program_binds",
+        "program_traces", "program_binds",
         "programs_restored", "programs_stored", "programs_stale",
         "programs_unpersistable", "restore_bytes", "restore_seconds",
     ),
     local={
-        "entries": lambda: len(_CACHE),
         "templates": lambda: sum(
             len(f.templates) for f in list(_FAMILIES.values())
         ),
@@ -166,7 +161,7 @@ stats = COUNTERS.snapshot
 
 #: the two halves of an emission backend — "numpy" is the parent ufunc
 #: emission, "compiled" the JIT loop-nest emission — by import path:
-#: *generate* (SDFG, instrument → plan image) and *materialise* (SDFG,
+#: *generate* (SDFG → plan image) and *materialise* (SDFG,
 #: image → callable plan). Imported when first used: a process that
 #: finds its images on disk imports no generator
 _GENERATE = {
@@ -179,7 +174,7 @@ _MATERIALISE = {
 }
 
 
-#: the LRU bound of the programs, and of the templates, held in memory
+#: the LRU bound of the templates held in memory
 MAX_ENTRIES = 256
 
 
@@ -243,12 +238,12 @@ def _callback_arg_repr(value) -> str:
     return f"{_BY_IDENTITY}{id(value)}" if key is None else f"const:{key!r}"
 
 
-def codegen_flags(instrument: bool = False, backend: str = "numpy") -> str:
+def codegen_flags(backend: str = "numpy") -> str:
     """Everything besides the SDFG that changes the generated program:
     the emission backend and, for the compiled backend, what shapes its
     loop nests (thread count, and the machine model whose cache size and
     balance pick tiles and decide what is recomputed)."""
-    flags = [f"instrument={instrument}", f"backend={backend}"]
+    flags = [f"backend={backend}"]
     if backend == "compiled":
         from repro.obs.metrics import observed_machine
 
@@ -259,7 +254,7 @@ def codegen_flags(instrument: bool = False, backend: str = "numpy") -> str:
     return "\x1e".join(flags)
 
 
-def _content_key(sdfg, instrument: bool, backend: str) -> Tuple[str, bool]:
+def _content_key(sdfg, backend: str) -> Tuple[str, bool]:
     """The content hash, and whether another process would compute the
     same one for this program (nothing in it is named by ``id()``)."""
     import numpy as np
@@ -273,7 +268,7 @@ def _content_key(sdfg, instrument: bool, backend: str) -> Tuple[str, bool]:
         h.update(text.encode())
         h.update(b"\x1e")
 
-    feed(codegen_flags(instrument, backend))
+    feed(codegen_flags(backend))
     for name, desc in sorted(sdfg.arrays.items()):
         zeroed = f"{_SEP}zeroed" if desc.zeroed else ""
         feed(
@@ -290,17 +285,17 @@ def _content_key(sdfg, instrument: bool, backend: str) -> Tuple[str, bool]:
     return h.hexdigest(), portable
 
 
-def cache_key(sdfg, instrument: bool = False, backend: str = "numpy") -> str:
+def cache_key(sdfg, backend: str = "numpy") -> str:
     """Canonical content hash of an expanded SDFG (+ codegen flags), so
-    NumPy and compiled plans for the same SDFG never collide in the
-    cache. Callback functions enter it by ``(module, qualname)``; only
-    one no other process could find that way, or an opaque callback
-    argument, enters it by ``id()``."""
-    return _content_key(sdfg, instrument, backend)[0]
+    NumPy and compiled plans for the same SDFG never share a record.
+    Callback functions enter it by ``(module, qualname)``; only one no
+    other process could find that way, or an opaque callback argument,
+    enters it by ``id()``."""
+    return _content_key(sdfg, backend)[0]
 
 
 # ---------------------------------------------------------------------------
-# the cache
+# plans
 # ---------------------------------------------------------------------------
 
 
@@ -316,19 +311,19 @@ def _half(table: Dict[str, str], backend: str):
     return getattr(importlib.import_module(module), name)
 
 
-def get_or_compile(sdfg, instrument: bool = False, backend: str = "numpy"):
-    """Compile an SDFG, reusing a cached program with identical content.
+def get_or_compile(sdfg, backend: str = "numpy"):
+    """Compile an SDFG into a :class:`~repro.sdfg.plan.CompiledSDFG`,
+    from the image stored for identical content when there is one.
 
-    Returns the same :class:`~repro.sdfg.codegen.CompiledSDFG` object for
-    content-equal SDFGs: per-kernel instrumentation counters accumulate
-    across users (readers take before/after deltas). ``backend="compiled"``
-    compiles through :mod:`repro.sdfg.codegen_compiled` instead; entries
-    are keyed per backend. Behind the in-memory level sits the disk
-    level: a program nobody in this process has compiled is materialised
-    from its stored image when the kernel store's directory holds one
-    (a hit for its backend), and an image generated here is stored.
-    ``compile.fail`` is consulted once per call — before any look-up, so
-    a seeded spec fires at the same program whatever is cached where.
+    ``backend="compiled"`` compiles through
+    :mod:`repro.sdfg.codegen_compiled` instead; images are keyed per
+    backend. A plan is materialised from its stored image when the kernel
+    store's directory holds one (a hit for its backend); an image
+    generated here (a miss) is stored. Every call makes a new plan: a
+    caller that calls one again keeps it (a template keeps one per
+    backend). ``compile.fail`` is consulted once per call — before the
+    look-up, so a seeded spec fires at the same program whatever is
+    stored.
     """
     if _chaos._PLAN is not None:
         fault = _chaos.consult(
@@ -340,10 +335,10 @@ def get_or_compile(sdfg, instrument: bool = False, backend: str = "numpy"):
                 f"chaos-forced compile failure for SDFG "
                 f"{getattr(sdfg, 'name', '?')!r}",
             )
-    return _get_or_compile(sdfg, instrument, backend)
+    return _get_or_compile(sdfg, backend)
 
 
-def _get_or_compile(sdfg, instrument: bool = False, backend: str = "numpy"):
+def _get_or_compile(sdfg, backend: str = "numpy"):
     """:func:`get_or_compile` without the ``compile.fail`` consult: the
     ``numpy`` stencil backend's path, which a failed ``compiled`` stencil
     call re-runs on after consulting once
@@ -354,16 +349,10 @@ def _get_or_compile(sdfg, instrument: bool = False, backend: str = "numpy"):
 
     tracer = _obs.get_tracer()
     with tracer.span("sdfg.compile") as sp:
-        key, portable = _content_key(sdfg, instrument, backend)
+        key, portable = _content_key(sdfg, backend)
         sp.set("backend", backend)
-        program = _CACHE.get(key)
-        if program is not None:
-            _CACHE.move_to_end(key)
-            COUNTERS.add("hits", label=backend)
-            COUNTERS.add("bytes_saved", program.runtime_bytes)
-            sp.add("cache_hits", 1)
-            return program
     record = record_name("p", key) if portable else None
+    program = None
     if record is not None:
         with restoring() as sp:
             image = load_record(record)
@@ -375,14 +364,11 @@ def _get_or_compile(sdfg, instrument: bool = False, backend: str = "numpy"):
         with tracer.span("sdfg.compile") as sp:
             COUNTERS.add("misses", label=backend)
             sp.add("cache_misses", 1)
-            image = _half(_GENERATE, backend)(sdfg, instrument)
+            image = _half(_GENERATE, backend)(sdfg)
             program = materialise(sdfg, image)
         if record is not None:
             with contextlib.suppress(Unpersistable):
                 store_record(record, Manifest(), image)
-    _CACHE[key] = program
-    while len(_CACHE) > MAX_ENTRIES:
-        _CACHE.popitem(last=False)
     return program
 
 
@@ -866,12 +852,11 @@ def restoring():
 
 
 def reset(clear: bool = True) -> None:
-    """Zero the counters (and optionally drop all cached programs and
-    templates). Memory only: the records under the kernel store's
+    """Zero the counters (and optionally drop all templates, and the
+    plans they keep). Memory only: the records under the kernel store's
     directory stay, so what is dropped here is restored, not traced or
     compiled, the next time it is asked for."""
     COUNTERS.reset()
     if clear:
-        _CACHE.clear()
         with _FAMILIES_LOCK:
             _FAMILIES.clear()

@@ -7,7 +7,8 @@ properties the evaluation relies on:
 - whole-program compilation removes the per-call overhead of stencils
   called one by one (argument binding, validation, dispatch);
 - transient elision and fusion transformations remove real array traffic;
-- per-kernel instrumentation yields the measured runtimes that the
+- per-kernel timing — of the calls made while tracing is on, each into
+  a buffer of its own — yields the measured runtimes that the
   model-driven analysis (Fig. 10) combines with modeled peak times.
 
 Statement emission is *scheduled*: instead of one nested expression string
@@ -705,11 +706,11 @@ def _emit_stmt(
 class _Generator:
     """One pass over an SDFG that writes its driver and plans its memory
     (NumPy emission of every kernel; the compiled backend overrides
-    :meth:`_emit_node`)."""
+    :meth:`_emit_kernel`). The driver takes a timing buffer ``__KT``:
+    ``None``, or a list each kernel adds its seconds and calls to."""
 
-    def __init__(self, sdfg, instrument: bool = False):
+    def __init__(self, sdfg):
         self.sdfg = sdfg
-        self.instrument = instrument
         self.kernel_labels: List[str] = []
         self._n_callbacks = 0
         self._plan = _BufferPlan()
@@ -721,7 +722,7 @@ class _Generator:
             self._plan.nbytes(), self._plan.events
         )
         return PlanImage(
-            self.instrument, source, self._plan.specs,
+            source, self._plan.specs,
             self._plan.events, offsets, runtime_bytes,
             self._transient_values, self.kernel_labels, **compiled,
         )
@@ -730,7 +731,7 @@ class _Generator:
     def _generate(self) -> str:
         sdfg = self.sdfg
         out = _SourceBuilder()
-        out.emit("def __program(__A, __S, __KT, __KC, __B):")
+        out.emit("def __program(__A, __S, __KT, __B):")
         out.indent += 1
         for name, desc in sdfg.arrays.items():
             out.emit(f"{name} = __A[{name!r}]")
@@ -798,15 +799,16 @@ class _Generator:
 
     def _emit_node(self, node, out: _SourceBuilder) -> None:
         if isinstance(node, Kernel):
-            kidx = len(self.kernel_labels)
+            # its two slots of the timing buffer: seconds, calls
+            slot = 2 * len(self.kernel_labels)
             self.kernel_labels.append(node.label)
             out.emit(f"# kernel {node.label}")
-            if self.instrument:
-                out.emit("__t0 = __perf_counter()")
-            _kernel_source(node, self.sdfg, out, self._plan)
-            if self.instrument:
-                out.emit(f"__KT[{kidx}] += __perf_counter() - __t0")
-                out.emit(f"__KC[{kidx}] += 1")
+            out.emit("if __KT is not None: __t0 = __perf_counter()")
+            self._emit_kernel(node, out)
+            out.emit(
+                f"if __KT is not None: __KT[{slot}] += __perf_counter() "
+                f"- __t0; __KT[{slot + 1}] += 1"
+            )
         elif isinstance(node, Tasklet):
             code = node.code
             for name in node.inputs:
@@ -822,6 +824,9 @@ class _Generator:
                 f"library node {node.label!r} must be expanded before "
                 "code generation (call sdfg.expand_library_nodes())"
             )
+
+    def _emit_kernel(self, node: Kernel, out: _SourceBuilder) -> None:
+        _kernel_source(node, self.sdfg, out, self._plan)
 
     def _collect_scalar_names(self):
         names = set()
@@ -843,21 +848,21 @@ class _Generator:
         return names
 
 
-def generate(sdfg, instrument: bool = False) -> PlanImage:
+def generate(sdfg) -> PlanImage:
     """SDFG (expanded) → the image of its NumPy-emission plan."""
-    return _Generator(sdfg, instrument).image()
+    return _Generator(sdfg).image()
 
 
 def _replace_word(code: str, name: str, repl: str) -> str:
     return re.sub(rf"\b{re.escape(name)}\b", repl, code)
 
 
-def compile_sdfg(sdfg, instrument: bool = False) -> CompiledSDFG:
+def compile_sdfg(sdfg) -> CompiledSDFG:
     """Expand (if needed) and compile an SDFG into a callable program.
 
     Prefer :func:`repro.runtime.compile_cache.get_or_compile` on hot paths:
-    it memoizes compilation on the SDFG's content hash.
+    it reads the plan's image from its record when one is stored.
     """
     if any(state.library_nodes for state in sdfg.states):
         sdfg.expand_library_nodes()
-    return CompiledSDFG(sdfg, generate(sdfg, instrument))
+    return CompiledSDFG(sdfg, generate(sdfg))

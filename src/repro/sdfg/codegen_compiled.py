@@ -860,13 +860,13 @@ def lower_kernel(kernel: Kernel, sdfg) -> KernelUnit:
 
 class _CompiledGenerator(_Generator):
     """The driver program (tasklets, callbacks, transient zero fills,
-    pooled kernel-local binding, per-kernel ``__KT``/``__KC``
-    instrumentation) is the parent's — only the body of a kernel that
-    lowers is replaced by a call into ``__K``, the list of kernel entry
-    points; a kernel that does not keeps the parent's ufunc emission."""
+    pooled kernel-local binding, per-kernel timing into ``__KT``) is the
+    parent's — only the body of a kernel that lowers is replaced by a
+    call into ``__K``, the list of kernel entry points; a kernel that
+    does not keeps the parent's ufunc emission."""
 
-    def __init__(self, sdfg, instrument: bool = False):
-        super().__init__(sdfg, instrument)
+    def __init__(self, sdfg):
+        super().__init__(sdfg)
         self.units: List[UnitImage] = []
         self.fallback_kernels: List[Tuple[str, str]] = []
 
@@ -876,36 +876,26 @@ class _CompiledGenerator(_Generator):
             threads=jit.default_threads(), preamble=_C_PREAMBLE,
         )
 
-    def _emit_node(self, node, out) -> None:
-        if not isinstance(node, Kernel):
-            return super()._emit_node(node, out)
+    def _emit_kernel(self, node, out) -> None:
         try:
             unit = lower_kernel(node, self.sdfg)
         except IneligibleKernel as exc:
             self.fallback_kernels.append((node.label, str(exc)))
-            return super()._emit_node(node, out)
+            return super()._emit_kernel(node, out)
         uidx = len(self.units)
         self.units.append(UnitImage(
             unit.label, print_c(unit.tree), unit.arg_specs,
             list(unit.tree.scalars), unit.registers,
         ))
-        kidx = len(self.kernel_labels)
-        self.kernel_labels.append(node.label)
-        out.emit(f"# kernel {node.label} [compiled:{uidx}]")
-        if self.instrument:
-            out.emit("__t0 = __perf_counter()")
         local_slots = _bind_locals(node, out, self._plan, unit.registers)
         args = [a.runtime for a in unit.tree.arrays]
         args += [f"__s_{s}" for s in unit.tree.scalars]
         out.emit(f"__K[{uidx}]({', '.join(args)})")
-        if self.instrument:
-            out.emit(f"__KT[{kidx}] += __perf_counter() - __t0")
-            out.emit(f"__KC[{kidx}] += 1")
         for idx in local_slots:
             self._plan.free(idx)
 
 
-def generate_compiled(sdfg, instrument: bool = False) -> PlanImage:
+def generate_compiled(sdfg) -> PlanImage:
     """SDFG (expanded) → the image of its compiled-backend plan: every
     kernel that lowers is in it as C. Raises
     :class:`repro.runtime.jit.JitUnavailableError` when no engine
@@ -915,12 +905,12 @@ def generate_compiled(sdfg, instrument: bool = False) -> PlanImage:
         raise jit.JitUnavailableError(
             "no JIT engine available (provide a C compiler)"
         )
-    return _CompiledGenerator(sdfg, instrument).image()
+    return _CompiledGenerator(sdfg).image()
 
 
-def compile_sdfg_compiled(sdfg, instrument: bool = False) -> CompiledPlan:
+def compile_sdfg_compiled(sdfg) -> CompiledPlan:
     """Expand (if needed) and compile an SDFG into a compiled-backend plan
     (:func:`generate_compiled`, then :class:`CompiledPlan`)."""
     if any(state.library_nodes for state in sdfg.states):
         sdfg.expand_library_nodes()
-    return CompiledPlan(sdfg, generate_compiled(sdfg, instrument))
+    return CompiledPlan(sdfg, generate_compiled(sdfg))

@@ -28,10 +28,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.obs import tracer as _obs
 from repro.runtime import jit
 from repro.runtime import ranks as _ranks
 from repro.runtime.pool import get_pool
 from repro.sdfg.nodes import Callback
+
+_TRACER = _obs.get_tracer()
 
 __all__ = [
     "PlanImage",
@@ -50,7 +53,6 @@ class PlanImage:
     stores on disk.
     The SDFG itself is not in it, nor anything of this process."""
 
-    instrument: bool
     #: the driver: one Python function ``__program``
     source: str
     #: (shape, dtype) of every planned value, the alloc/free log they
@@ -100,9 +102,10 @@ class CompiledSDFG:
 
     Call with ``arrays`` (container name → NumPy array for every
     non-transient container, plus the object behind each callback's
-    ``ObjectRef``) and optional ``scalars``. Per-kernel wall-clock
-    times are collected when the image was generated with
-    ``instrument=True`` (used by the Fig. 10 analysis).
+    ``ObjectRef``) and optional ``scalars``. A call made while tracing is
+    on times its kernels into a buffer of its own and returns
+    ``{label: (seconds, calls)}`` for the kernels it ran (the measured
+    half of the Fig. 10 analysis); any other call returns ``None``.
 
     All working memory — expression scratch, kernel-local arrays and SDFG
     transients — is one slab checked out of the process buffer pool per
@@ -116,14 +119,13 @@ class CompiledSDFG:
     Whether the image was generated a moment ago or read from a record
     of an earlier process makes no difference here: what is of *this*
     process — the executed driver, the callbacks (rebuilt from the
-    SDFG's ``Callback`` nodes, in program order), the counters — is made
-    in this constructor and nowhere else.
+    SDFG's ``Callback`` nodes, in program order) — is made in this
+    constructor and nowhere else.
     """
 
     def __init__(self, sdfg, image: PlanImage):
         self.sdfg = sdfg
         self.image = image
-        self.instrument = image.instrument
         self.source = image.source
         self.kernel_labels = image.kernel_labels
         #: byte offset of every planned value, and the slab that holds them
@@ -141,8 +143,6 @@ class CompiledSDFG:
         code = compile(self.source, f"<sdfg:{sdfg.name}>", "exec")
         exec(code, namespace)  # noqa: S102 - generated from our own IR
         self._program = namespace["__program"]
-        self._kernel_time = np.zeros(len(self.kernel_labels))
-        self._kernel_count = np.zeros(len(self.kernel_labels), dtype=np.int64)
         self._required: Tuple[str, ...] = tuple(
             name for name, desc in sdfg.arrays.items() if not desc.transient
         )
@@ -188,17 +188,18 @@ class CompiledSDFG:
         self,
         arrays: Optional[Dict[str, np.ndarray]] = None,
         scalars: Optional[Dict[str, float]] = None,
-    ) -> None:
+    ) -> Optional[Dict[str, Tuple[float, int]]]:
         arrays = arrays or {}
         missing = [n for n in self._required if n not in arrays]
         if missing:
             raise ValueError(f"missing arrays for containers: {missing}")
-        pool = get_pool()
+        # seconds and calls per kernel of this call alone, while tracing
+        timing = [0.0, 0] * len(self.kernel_labels) \
+            if _TRACER.enabled else None
         if not self.runtime_bytes:
-            self._program(
-                arrays, scalars or {}, self._kernel_time, self._kernel_count, ()
-            )
-            return
+            self._program(arrays, scalars or {}, timing, ())
+            return self._by_label(timing)
+        pool = get_pool()
         slab = pool.checkout_slab(self.runtime_bytes)
         try:
             bound = self._bound.get(slab)
@@ -207,27 +208,30 @@ class CompiledSDFG:
             scratch, transients = bound
             # caller-provided transient storage wins
             self._program(
-                {**transients, **arrays}, scalars or {},
-                self._kernel_time, self._kernel_count, scratch,
+                {**transients, **arrays}, scalars or {}, timing, scratch
             )
         finally:
             pool.release(slab)
+        return self._by_label(timing)
+
+    def _by_label(self, timing) -> Optional[Dict[str, Tuple[float, int]]]:
+        """``timing`` (seconds of kernel ``i`` at ``2i``, its calls at
+        ``2i + 1``) as (seconds, calls) per label of a kernel that ran."""
+        if timing is None:
+            return None
+        out: Dict[str, Tuple[float, int]] = {}
+        for label, seconds, calls in zip(
+            self.kernel_labels, timing[::2], timing[1::2]
+        ):
+            if calls:
+                t, n = out.get(label, (0.0, 0))
+                out[label] = (t + seconds, n + calls)
+        return out
 
     def request(self) -> None:
         """Ask again for whatever of this plan is built outside it and
         failed to build (nothing here: NumPy emission is complete when it
         is compiled; see ``CompiledPlan.request``)."""
-
-    @property
-    def kernel_times(self) -> Dict[str, Tuple[float, int]]:
-        """Per-kernel (total seconds, invocation count) when instrumented."""
-        out: Dict[str, Tuple[float, int]] = {}
-        for label, t, c in zip(
-            self.kernel_labels, self._kernel_time, self._kernel_count
-        ):
-            prev = out.get(label, (0.0, 0))
-            out[label] = (prev[0] + float(t), prev[1] + int(c))
-        return out
 
 
 # ---------------------------------------------------------------------------

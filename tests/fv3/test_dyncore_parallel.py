@@ -257,3 +257,42 @@ def test_sequential_executor_records_no_sections():
     ranks.reset_metrics()
     _run(workers=1, steps=1)
     assert ranks.summary()["sections"] == 0
+
+
+def _kernel_counts(span, program=None, into=None):
+    """``{program span: {kernel span: calls}}`` over ``span``'s tree."""
+    into = {} if into is None else into
+    for name, child in span.children.items():
+        if name.startswith("kernel."):
+            counts = into.setdefault(program, {})
+            counts[name] = counts.get(name, 0) + child.count
+        _kernel_counts(
+            child, name if name.startswith("program.") else program, into
+        )
+    return into
+
+
+@pytest.mark.traced
+def test_traced_kernel_counts_are_the_same_under_threads():
+    """A plan times the kernels of each call into a buffer of that call:
+    six rank threads calling one shared plan credit each ``program.*``
+    span with exactly the kernel calls the sequential schedule does."""
+    from repro.obs import get_tracer
+    from repro.run import build_core
+
+    cfg = DynamicalCoreConfig(npx=12, npz=4)
+    tracer = get_tracer()
+    counts = {}
+    for name, workers in (("sequential", 1), ("threads", 6)):
+        ex = ranks.RankExecutor(workers)
+        try:
+            core = build_core("baroclinic_wave", cfg, executor=ex)
+            core.step_dynamics()  # warm-up: trace, bind, build
+            tracer.reset()
+            core.step_dynamics()
+        finally:
+            ex.shutdown()
+        counts[name] = _kernel_counts(tracer.root)
+    substeps = counts["sequential"]["program.AcousticSubstep"]
+    assert substeps and min(substeps.values()) >= 6 * 8
+    assert counts["threads"] == counts["sequential"]

@@ -15,8 +15,8 @@ GROUPS = {
         "scope_reclaims",
     },
     "compile_cache": {
-        "hits", "misses", "entries", "bytes_saved", "hit_rate",
-        "by_backend", "program_traces", "program_binds", "templates",
+        "hits", "misses", "hit_rate", "by_backend", "program_traces",
+        "program_binds", "templates",
         "programs_restored", "programs_stored", "programs_stale",
         "programs_unpersistable", "restore_bytes", "restore_seconds",
     },

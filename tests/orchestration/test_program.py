@@ -110,9 +110,18 @@ def test_runtime_scalar_changes_without_rebuild():
 
 @pytest.mark.traced
 def test_tracing_switched_on_after_the_first_call_times_the_kernels():
-    """A plan follows whether tracing is on, as it follows the backend;
-    only an explicit ``compile(instrument=True)`` outlives tracing."""
+    """Whether tracing is on is no property of the plan: switching it on
+    or off re-plans nothing, and a call made while it is on times the
+    kernels of the one plan the program has."""
+    import pathlib
+
     from repro import obs
+    from repro.runtime import compile_cache as cc
+
+    def built():
+        stats = cc.stats()
+        records = pathlib.Path(cc.RECORDS_DIR).glob("repro_p_*.rec")
+        return stats["program_traces"], stats["misses"], len(list(records))
 
     tracer = obs.get_tracer()
     mod = Module()
@@ -121,18 +130,21 @@ def test_tracing_switched_on_after_the_first_call_times_the_kernels():
     call = type(mod).__dict__["__call__"].__get__(mod)
     tracer.disable()
     call(q, out, 0.5)
-    assert not call._state.binding.plan.instrument
-    tracer.enable()
-    call(q, out, 0.5)
-    span = tracer.root.children["program.Module"]
-    kernels = [name for name in span.children if name.startswith("kernel.")]
-    assert kernels and all(span.children[name].count == 1 for name in kernels)
-    tracer.disable()
-    call(q, out, 0.5)
-    assert not call._state.binding.plan.instrument
-    call.compile(instrument=True)
-    call(q, out, 0.5)
-    assert call._state.binding.plan.instrument
+    plan = call._state.binding.plan
+    before = built()
+    for rounds in (1, 2):
+        tracer.enable()
+        call(q, out, 0.5)
+        span = tracer.root.children["program.Module"]
+        kernels = [name for name in span.children
+                   if name.startswith("kernel.")]
+        assert kernels and all(
+            span.children[name].count == rounds for name in kernels
+        )
+        tracer.disable()
+        call(q, out, 0.5)
+        assert call._state.binding.plan is plan
+    assert built() == before
     np.testing.assert_allclose(out, q + 0.5 * q)
 
 

@@ -669,10 +669,8 @@ def test_every_restored_binding_equals_a_fresh_trace(scenario, layout,
             )
             sdfg = fresh.build(*args, **kwargs)
             restored = binding.template.sdfg
-            key = cc.cache_key(sdfg, binding.plan.instrument, backend)
-            assert cc.cache_key(
-                restored, binding.plan.instrument, backend
-            ) == key
+            key = cc.cache_key(sdfg, backend)
+            assert cc.cache_key(restored, backend) == key
             assert restored.scalars == sdfg.scalars
             assert binding.template.runtime_scalars == \
                 fresh._state.binding.template.runtime_scalars
@@ -680,15 +678,14 @@ def test_every_restored_binding_equals_a_fresh_trace(scenario, layout,
             assert binding.arrays.keys() == arrays.keys()
             for name, array in arrays.items():
                 assert binding.arrays[name] is array, (program.name, name)
-            plan = fresh.compile(
-                instrument=binding.plan.instrument, backend=backend
-            )
-            # (content-equal, so the cache hands back the restored plan:
-            # generate one from the fresh trace itself)
-            assert plan is binding.plan
-            generated = cc._half(cc._GENERATE, backend)(
-                sdfg, plan.instrument
-            )
+            # content-equal: the fresh trace's plan is the restored plan's
+            # record materialised again (a hit) ...
+            hits = cc.stats()["hits"]
+            assert fresh.compile(backend=backend).image == binding.plan.image
+            assert cc.stats()["hits"] == hits + 1
+            # ... so compare with an image generated from the fresh trace
+            plan = binding.plan
+            generated = cc._half(cc._GENERATE, backend)(sdfg)
             assert generated.source == plan.image.source
             assert generated.offsets == plan.plan_offsets
             assert generated.runtime_bytes == plan.runtime_bytes

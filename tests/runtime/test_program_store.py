@@ -122,18 +122,22 @@ def test_changed_codegen_flags_find_no_plan_record(what, change, monkeypatch):
         jit.reset(engine=True)
 
 
-def test_instrumented_and_plain_plans_are_two_records():
+def test_traced_and_plain_calls_share_one_plan_record():
+    """Tracing is no codegen flag: a traced process restores the plan a
+    plain one stored, and writes no second record."""
     from repro import obs
 
     _combine(Box())
     _as_a_new_process()
-    obs.enable()
+    tracer = obs.get_tracer()
+    enabled = tracer.enabled
+    tracer.enable()
     try:
         _combine(Box())
     finally:
-        obs.disable()
-    assert _counts() == (0, 1, 0, 1, 0)
-    assert len(_records("p_")) == 2
+        tracer.enabled = enabled
+    assert _counts() == (0, 1, 0, 0, 1)
+    assert len(_records("p_")) == 1
 
 
 # ---------------------------------------------------------------------------

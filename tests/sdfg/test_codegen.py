@@ -203,12 +203,17 @@ def test_compiled_program_is_cached():
     assert len(ex._cache) == 2
 
 
+@pytest.mark.traced
 def test_instrumented_kernel_times():
+    """One plan times its kernels exactly in the calls made while
+    tracing is on, each call into its own buffer: it returns that call's
+    (seconds, calls) per label, and ``None`` when tracing is off."""
     @stencil
     def copy(a: Field, b: Field):
         with computation(PARALLEL), interval(...):
             b = a
 
+    from repro import obs
     from repro.sdfg.codegen import compile_sdfg
 
     ex = StencilExecutor(copy)
@@ -219,12 +224,15 @@ def test_instrumented_kernel_times():
         (0, 0, 0),
         (32, 32, 8),
     )
-    prog = compile_sdfg(sdfg, instrument=True)
-    prog(arrays={"a": a, "b": np.zeros_like(a)})
-    times = prog.kernel_times
-    assert len(times) == 1
-    (total, count), = times.values()
-    assert count == 1 and total > 0.0
+    prog = compile_sdfg(sdfg)
+    arrays = {"a": a, "b": np.zeros_like(a)}
+    for _ in range(2):  # a second call counts its own calls only
+        times = prog(arrays=arrays)
+        assert len(times) == 1
+        (total, count), = times.values()
+        assert count == 1 and total > 0.0
+    obs.get_tracer().disable()
+    assert prog(arrays=arrays) is None
 
 
 # ---------------------------------------------------------------------------

@@ -593,14 +593,22 @@ def test_mismatched_array_raises_plan_bind_error():
         plan(arrays=bad, scalars={"w": 1.0})
 
 
+@pytest.mark.traced
 def test_instrumented_plan_records_kernel_times():
+    """A compiled plan called while tracing returns that call's kernel
+    times — a second call does not see the first's — and ``None``
+    untraced."""
+    from repro import obs
+
     arrays = {"a": _rand((4, 4, 3)), "out": np.zeros((4, 4, 3))}
     sdfg = _build_sdfg(_lap, arrays, origin=(1, 1, 0), domain=(2, 2, 3))
-    plan = compile_sdfg_compiled(sdfg, instrument=True)
-    plan(arrays=arrays, scalars={"w": 1.0})
-    assert plan.kernel_times
-    (total, count), = plan.kernel_times.values()
-    assert count == 1 and total >= 0.0
+    plan = compile_sdfg_compiled(sdfg)
+    for _ in range(2):
+        times = plan(arrays=arrays, scalars={"w": 1.0})
+        (total, count), = times.values()
+        assert count == 1 and total >= 0.0
+    obs.get_tracer().disable()
+    assert plan(arrays=arrays, scalars={"w": 1.0}) is None
 
 
 def test_unavailable_engine_raises(monkeypatch):
