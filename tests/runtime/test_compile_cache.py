@@ -47,6 +47,18 @@ def test_content_equal_sdfgs_share_a_program():
     assert cc.stats()["misses"] == 2
 
 
+def test_an_evicted_plan_is_materialised_from_its_record():
+    """No plan is held in memory: one compiled before another is a new
+    object made from the image the first compile stored, a hit and not
+    a third miss."""
+    first = cc.get_or_compile(_build_sdfg((6, 6, 3)))
+    cc.get_or_compile(_build_sdfg((5, 6, 3)))
+    again = cc.get_or_compile(_build_sdfg((6, 6, 3)))
+    assert again is not first and again.image == first.image
+    stats = cc.stats()
+    assert (stats["misses"], stats["hits"]) == (2, 1)
+
+
 def test_different_content_misses():
     cc.get_or_compile(_build_sdfg((6, 6, 3)))
     cc.get_or_compile(_build_sdfg((5, 6, 3)))
