@@ -17,10 +17,12 @@ cache for the backend's emission target:
 Programs are cached per (shapes, origin, domain, bounds) specialization:
 a stencil's first call on a backend pays one lowering.
 
-Graceful degradation: when no JIT engine is usable (no C compiler — see
-:mod:`repro.runtime.jit`) ``compiled`` warns once and runs the NumPy
-emission instead. This is about a missing toolchain; a compiled stencil
-that fails at run time is re-executed on ``numpy``
+Graceful degradation: where no C compiler is usable
+(:func:`repro.runtime.jit.available`) a ``compiled`` request gets the
+NumPy emission, warned once;
+:func:`repro.runtime.compile_cache.get_or_compile` decides that for
+stencils and programs alike. This is about a missing toolchain; a
+compiled stencil that fails at run time is re-executed on ``numpy``
 (:mod:`repro.resilience`), which therefore does not consult
 ``compile.fail``: the failed call consulted it already.
 
@@ -31,26 +33,11 @@ orchestration layer (:mod:`repro.orchestration`), not here.
 from __future__ import annotations
 
 import functools
-import warnings
 from typing import Dict, Optional, Tuple
 
 from repro.dsl.bounds import GridBounds
-from repro.runtime.jit import JitUnavailableError
 
 __all__ = ["StencilExecutor"]
-
-_WARNED = [False]
-
-
-def _warn_once(reason: str) -> None:
-    if not _WARNED[0]:
-        _WARNED[0] = True
-        warnings.warn(
-            f"compiled backend unavailable ({reason}); falling back to the "
-            f"NumPy emission for this process",
-            RuntimeWarning,
-            stacklevel=4,
-        )
 
 
 class StencilExecutor:
@@ -59,12 +46,19 @@ class StencilExecutor:
 
     def __init__(self, stencil_object, target: str = "compiled"):
         from repro.obs import tracer as _obs
+        from repro.runtime import compile_cache
 
         self._tracer = _obs.get_tracer()
         self.stencil_object = stencil_object
-        self.target = target
         self._span = f"exec.{target}"
         self._cache: Dict[Tuple, object] = {}
+        # the numpy target does not consult compile.fail: a failed
+        # compiled call re-runs there and has consulted once already
+        self._compile = functools.partial(
+            compile_cache._get_or_compile if target == "numpy"
+            else compile_cache.get_or_compile,
+            backend=target,
+        )
 
     def build_sdfg(
         self,
@@ -123,24 +117,6 @@ class StencilExecutor:
                 program(arrays=fields, scalars=scalars)
         else:
             program(arrays=fields, scalars=scalars)
-
-    def _compile(self, sdfg):
-        from repro.runtime import compile_cache, jit
-
-        if self.target == "numpy":
-            # no compile.fail consult: a failed compiled call re-runs here
-            # and has consulted once already
-            return compile_cache._get_or_compile(sdfg, backend="numpy")
-        if jit.available():
-            try:
-                return compile_cache.get_or_compile(sdfg, backend="compiled")
-            except JitUnavailableError as exc:
-                # engine resolved but its toolchain broke at use
-                # (e.g. REPRO_JIT=cgen without a C compiler)
-                _warn_once(str(exc))
-        else:
-            _warn_once("no JIT engine: no C compiler")
-        return compile_cache.get_or_compile(sdfg, backend="numpy")
 
 
 # self-registration: both names resolve through the repro.dsl.backends

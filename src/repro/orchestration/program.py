@@ -462,9 +462,11 @@ class OrchestratedProgram:
         compiles for the same one. Without a ``backend`` pinned here a
         program follows the DSL's default backend
         (:meth:`_backend_wanted`); a compiled request without a usable
-        JIT engine degrades (warn once) to NumPy. Whether tracing is on
-        is no property of the plan: a call made while it is times its
-        kernels (``kernel.<label>`` spans), whichever plan it runs.
+        C compiler gets NumPy emission, warned once
+        (:func:`repro.runtime.compile_cache.get_or_compile`). Whether
+        tracing is on is no property of the plan: a call made while it
+        is times its kernels (``kernel.<label>`` spans), whichever plan
+        it runs.
         """
         state = self._state
         if state.binding is None:
@@ -487,19 +489,8 @@ class OrchestratedProgram:
 
     def _replan(self, binding: _Binding) -> _Binding:
         """Give ``binding`` the plan of the backend wanted now."""
-        from repro.dsl.backend_compiled import _warn_once
-        from repro.runtime import jit
-
-        wanted = resolved = self._backend_wanted()
-        if resolved == "compiled" and not jit.available():
-            _warn_once("no JIT engine: no C compiler")
-            resolved = "numpy"
-        try:
-            plan = binding.template.plan(resolved)
-        except jit.JitUnavailableError as exc:
-            _warn_once(str(exc))
-            plan = binding.template.plan("numpy")
-        binding.plan, binding.backend = plan, wanted
+        wanted = self._backend_wanted()
+        binding.plan, binding.backend = binding.template.plan(wanted), wanted
         return binding
 
     def _bind(self, args, kwargs) -> _Binding:

@@ -25,6 +25,13 @@ neither an array nor a value-hashable constant: it is keyed by object
 identity, the orchestrated program around it is traced per instance
 instead of shared, and nothing of it goes to disk.
 
+A ``compiled`` request where no C compiler is available
+(:func:`repro.runtime.jit.available`), or where the one found fails
+before the plan is built, gets the ``numpy`` plan, warned once per
+process: :func:`get_or_compile` is the one place that decides it, for
+orchestrated programs and stencil calls alike. Where no compiler is
+found, nothing is lowered to C on the way.
+
 **The disk level** ("Program records" below). Templates and plans are
 kept in the kernel store's directory
 (:func:`repro.runtime.jit.jit_dir`), beside the kernels and under the
@@ -159,21 +166,6 @@ COUNTERS = register("compile_cache", Counters(
 ))
 stats = COUNTERS.snapshot
 
-#: the two halves of an emission backend — "numpy" is the parent ufunc
-#: emission, "compiled" the JIT loop-nest emission — by import path:
-#: *generate* (SDFG → plan image) and *materialise* (SDFG,
-#: image → callable plan). Imported when first used: a process that
-#: finds its images on disk imports no generator
-_GENERATE = {
-    "numpy": "repro.sdfg.codegen.generate",
-    "compiled": "repro.sdfg.codegen_compiled.generate_compiled",
-}
-_MATERIALISE = {
-    "numpy": "repro.sdfg.plan.CompiledSDFG",
-    "compiled": "repro.sdfg.plan.CompiledPlan",
-}
-
-
 #: the LRU bound of the templates held in memory
 MAX_ENTRIES = 256
 
@@ -299,31 +291,38 @@ def cache_key(sdfg, backend: str = "numpy") -> str:
 # ---------------------------------------------------------------------------
 
 
-def _half(table: Dict[str, str], backend: str):
-    """``backend``'s entry of ``_GENERATE`` or ``_MATERIALISE``."""
-    try:
-        module, _, name = table[backend].rpartition(".")
-    except KeyError:
-        raise ValueError(
-            f"unknown compile backend {backend!r}: expected one of "
-            f"{tuple(table)}"
-        ) from None
-    return getattr(importlib.import_module(module), name)
+_WARNED = [False]
+
+
+def _warn_once(reason: str) -> None:
+    """Tell the process, once, that ``compiled`` runs NumPy emission."""
+    if not _WARNED[0]:
+        _WARNED[0] = True
+        warnings.warn(
+            f"compiled backend unavailable ({reason}); falling back to the "
+            f"NumPy emission for this process",
+            RuntimeWarning,
+            stacklevel=3,
+        )
 
 
 def get_or_compile(sdfg, backend: str = "numpy"):
     """Compile an SDFG into a :class:`~repro.sdfg.plan.CompiledSDFG`,
     from the image stored for identical content when there is one.
 
-    ``backend="compiled"`` compiles through
-    :mod:`repro.sdfg.codegen_compiled` instead; images are keyed per
-    backend. A plan is materialised from its stored image when the kernel
-    store's directory holds one (a hit for its backend); an image
-    generated here (a miss) is stored. Every call makes a new plan: a
-    caller that calls one again keeps it (a template keeps one per
+    ``backend="compiled"`` lowers every kernel it can to C; images are
+    keyed per backend. A plan is materialised from its stored image when
+    the kernel store's directory holds one (a hit for its backend); an
+    image generated here (a miss) is stored. Every call makes a new plan:
+    a caller that calls one again keeps it (a template keeps one per
     backend). ``compile.fail`` is consulted once per call — before the
     look-up, so a seeded spec fires at the same program whatever is
     stored.
+
+    This is the one place that decides what a ``compiled`` request gets
+    where no C compiler is (:func:`repro.runtime.jit.available`), or
+    where the one found stops working before the plan is built: the
+    ``numpy`` plan, and a warning, once per process.
     """
     if _chaos._PLAN is not None:
         fault = _chaos.consult(
@@ -335,15 +334,23 @@ def get_or_compile(sdfg, backend: str = "numpy"):
                 f"chaos-forced compile failure for SDFG "
                 f"{getattr(sdfg, 'name', '?')!r}",
             )
-    return _get_or_compile(sdfg, backend)
+    if backend == "compiled" and not _jit.available():
+        _warn_once("no JIT engine: no C compiler")
+        backend = "numpy"
+    try:
+        return _get_or_compile(sdfg, backend)
+    except _jit.JitUnavailableError as exc:  # the compiler went away since
+        _warn_once(str(exc))
+        return _get_or_compile(sdfg, "numpy")
 
 
 def _get_or_compile(sdfg, backend: str = "numpy"):
-    """:func:`get_or_compile` without the ``compile.fail`` consult: the
-    ``numpy`` stencil backend's path, which a failed ``compiled`` stencil
-    call re-runs on after consulting once
-    (:mod:`repro.dsl.backend_compiled`)."""
-    materialise = _half(_MATERIALISE, backend)
+    """:func:`get_or_compile` without the ``compile.fail`` consult and
+    the missing-compiler decision: the ``numpy`` stencil backend's path,
+    which a failed ``compiled`` stencil call re-runs on after consulting
+    once (:mod:`repro.dsl.backend_compiled`)."""
+    from repro.sdfg.plan import CompiledSDFG
+
     if any(state.library_nodes for state in sdfg.states):
         sdfg.expand_library_nodes()
 
@@ -357,15 +364,17 @@ def _get_or_compile(sdfg, backend: str = "numpy"):
         with restoring() as sp:
             image = load_record(record)
             if image is not None:
-                program = materialise(sdfg, image)
+                program = CompiledSDFG(sdfg, image)
                 COUNTERS.add("hits", label=backend)
                 sp.add("plans", 1)
     if program is None:
+        from repro.sdfg.codegen import generate
+
         with tracer.span("sdfg.compile") as sp:
             COUNTERS.add("misses", label=backend)
             sp.add("cache_misses", 1)
-            image = _half(_GENERATE, backend)(sdfg)
-            program = materialise(sdfg, image)
+            image = generate(sdfg, backend)
+            program = CompiledSDFG(sdfg, image)
         if record is not None:
             with contextlib.suppress(Unpersistable):
                 store_record(record, Manifest(), image)

@@ -11,9 +11,10 @@ nest at machine speed:
   so the backend works on a bare Python toolchain.
 - ``none`` — there is no compiler; the ``compiled`` backend degrades to
   the NumPy emission of the lowered SDFG with a single warning (see
-  :mod:`repro.dsl.backend_compiled`).
+  :func:`repro.runtime.compile_cache.get_or_compile`).
 
-``REPRO_JIT=cgen|none`` forces an engine.
+``REPRO_JIT=cgen|none`` forces an engine; a forced ``cgen`` without a
+compiler is not :func:`available` and degrades the same way.
 
 **The kernel is the unit of identity.** A kernel is printed under the
 placeholder name :data:`SYMBOL`; its key is a hash of that text together
@@ -224,9 +225,7 @@ def engine_name() -> str:
 
     ``REPRO_JIT`` forces a choice; otherwise ``"cgen"`` when a C
     compiler is found, else ``"none"``. A forced engine whose toolchain
-    is missing still resolves — :func:`load_c` raises
-    :class:`JitUnavailableError` at use, which the backend's degradation
-    path turns into a warn-once fallback.
+    is missing still resolves, but is not :func:`available`.
     """
     global _ENGINE
     with _LOCK:
@@ -246,8 +245,11 @@ def engine_name() -> str:
 
 
 def available() -> bool:
-    """Whether a usable engine resolved (i.e. not ``"none"``)."""
-    return engine_name() != "none"
+    """Whether kernels can be built here: an engine other than
+    ``"none"`` resolved and a C compiler is found. ``False`` makes
+    :func:`repro.runtime.compile_cache.get_or_compile` answer a
+    ``compiled`` request with NumPy emission, warned once."""
+    return engine_name() != "none" and _find_cc() is not None
 
 
 def default_threads() -> int:

@@ -34,9 +34,13 @@ temporaries, and a subexpression is only materialized when its result
 dtype is provably float64 under NEP 50 promotion (at least one float64
 array operand). Everything else stays inline.
 
-This module is the *generate* half: :func:`generate` turns an SDFG into
-a :class:`~repro.sdfg.plan.PlanImage` — driver source and memory plan as
-plain data. Making an image callable is the other half,
+This module is the *generate* half, and its one generator:
+:func:`generate` turns an SDFG into a :class:`~repro.sdfg.plan.PlanImage`
+— driver source and memory plan as plain data. The backend is one
+decision inside it: under ``compiled`` a kernel that has a bit-exact
+scalar form is lowered to C (:mod:`repro.sdfg.codegen_compiled`) and the
+driver calls it; every other kernel, and every kernel under ``numpy``,
+is the NumPy emission above. Making an image callable is the other half,
 :mod:`repro.sdfg.plan`.
 """
 
@@ -62,10 +66,11 @@ from repro.dsl.ir import (
     UnaryOp,
     expr_reads,
 )
+from repro.runtime import jit
 from repro.runtime.pool import ALIGN
 from repro.sdfg.analysis import transient_lifetimes, transients_needing_zero
 from repro.sdfg.nodes import Callback, Kernel, StencilComputation, Tasklet
-from repro.sdfg.plan import CompiledSDFG, PlanImage
+from repro.sdfg.plan import CompiledSDFG, PlanImage, UnitImage
 
 _NP_FUNCS = {
     "sqrt": "np.sqrt",
@@ -590,9 +595,8 @@ def _bind_locals(
 def _kernel_source(
     kernel: Kernel, sdfg, out: _SourceBuilder, plan: _BufferPlan
 ) -> None:
-    """Emit the body of one kernel."""
+    """Emit the NumPy body of one kernel (its locals are bound)."""
     em = _ExprEmitter(kernel, sdfg)
-    local_slots = _bind_locals(kernel, out, plan)
     for (k0, k1), statements in _sections(kernel):
         if kernel.order == "PARALLEL":
             for stmt, ext in statements:
@@ -606,10 +610,6 @@ def _kernel_source(
             for stmt, ext in statements:
                 _emit_stmt(kernel, em, out, stmt, ext, plan, k_src="__k")
             out.indent -= 1
-
-    # the kernel's locals are dead past this point; later kernels reuse them
-    for idx in local_slots:
-        plan.free(idx)
 
 
 def _sections(kernel: Kernel):
@@ -704,14 +704,19 @@ def _emit_stmt(
 
 
 class _Generator:
-    """One pass over an SDFG that writes its driver and plans its memory
-    (NumPy emission of every kernel; the compiled backend overrides
-    :meth:`_emit_kernel`). The driver takes a timing buffer ``__KT``:
-    ``None``, or a list each kernel adds its seconds and calls to."""
+    """One pass over an SDFG that writes its driver and plans its memory.
+    The driver takes a timing buffer ``__KT``: ``None``, or a list each
+    kernel adds its seconds and calls to. With ``lower`` (the
+    ``compiled`` backend) the body of a kernel that has a bit-exact
+    scalar form is a call into ``__K``, the plan's list of C entry
+    points; every other kernel is NumPy emission."""
 
-    def __init__(self, sdfg):
+    def __init__(self, sdfg, lower: bool = False):
         self.sdfg = sdfg
+        self.lower = lower
         self.kernel_labels: List[str] = []
+        self.units: List[UnitImage] = []
+        self.fallback_kernels: List[Tuple[str, str]] = []
         self._n_callbacks = 0
         self._plan = _BufferPlan()
         self._transient_values: Dict[str, int] = {}
@@ -724,7 +729,8 @@ class _Generator:
         return PlanImage(
             source, self._plan.specs,
             self._plan.events, offsets, runtime_bytes,
-            self._transient_values, self.kernel_labels, **compiled,
+            self._transient_values, self.kernel_labels,
+            self.units, self.fallback_kernels, **compiled,
         )
 
     # ------------------------------------------------------------------
@@ -826,7 +832,34 @@ class _Generator:
             )
 
     def _emit_kernel(self, node: Kernel, out: _SourceBuilder) -> None:
-        _kernel_source(node, self.sdfg, out, self._plan)
+        """A kernel between the binding of its pooled locals and their
+        release: a call into ``__K`` when it is lowered to C, else its
+        NumPy emission."""
+        unit = None
+        if self.lower:
+            from repro.sdfg import codegen_compiled as lowering
+            from repro.sdfg.loopnest import print_c
+
+            try:
+                unit = lowering.lower_kernel(node, self.sdfg)
+            except lowering.IneligibleKernel as exc:
+                self.fallback_kernels.append((node.label, str(exc)))
+            else:
+                self.units.append(UnitImage(
+                    unit.label, print_c(unit.tree), unit.arg_specs,
+                    list(unit.tree.scalars), unit.registers,
+                ))
+        registers = unit.registers if unit else frozenset()
+        local_slots = _bind_locals(node, out, self._plan, registers)
+        if unit is None:
+            _kernel_source(node, self.sdfg, out, self._plan)
+        else:
+            args = [a.runtime for a in unit.tree.arrays]
+            args += [f"__s_{s}" for s in unit.tree.scalars]
+            out.emit(f"__K[{len(self.units) - 1}]({', '.join(args)})")
+        # the kernel's locals are dead past this point; later kernels reuse them
+        for idx in local_slots:
+            self._plan.free(idx)
 
     def _collect_scalar_names(self):
         names = set()
@@ -848,21 +881,37 @@ class _Generator:
         return names
 
 
-def generate(sdfg) -> PlanImage:
-    """SDFG (expanded) → the image of its NumPy-emission plan."""
-    return _Generator(sdfg).image()
+def generate(sdfg, backend: str = "numpy") -> PlanImage:
+    """SDFG (expanded) → the image of its plan on ``backend``:
+    ``"numpy"`` emits every kernel as NumPy, ``"compiled"`` lowers every
+    kernel that has a bit-exact scalar form to C
+    (:mod:`repro.sdfg.codegen_compiled`). ``"compiled"`` raises
+    :class:`repro.runtime.jit.JitUnavailableError` when no C compiler is
+    available."""
+    if backend == "numpy":
+        return _Generator(sdfg).image()
+    if backend != "compiled":
+        raise ValueError(f"unknown compile backend {backend!r}")
+    if not jit.available():
+        raise jit.JitUnavailableError("no C compiler available")
+    from repro.sdfg.codegen_compiled import _C_PREAMBLE
+
+    return _Generator(sdfg, lower=True).image(
+        threads=jit.default_threads(), preamble=_C_PREAMBLE
+    )
 
 
 def _replace_word(code: str, name: str, repl: str) -> str:
     return re.sub(rf"\b{re.escape(name)}\b", repl, code)
 
 
-def compile_sdfg(sdfg) -> CompiledSDFG:
-    """Expand (if needed) and compile an SDFG into a callable program.
+def compile_sdfg(sdfg, backend: str = "numpy") -> CompiledSDFG:
+    """Expand (if needed) and compile an SDFG into a callable program on
+    ``backend`` (:func:`generate`).
 
     Prefer :func:`repro.runtime.compile_cache.get_or_compile` on hot paths:
     it reads the plan's image from its record when one is stored.
     """
     if any(state.library_nodes for state in sdfg.states):
         sdfg.expand_library_nodes()
-    return CompiledSDFG(sdfg, generate(sdfg))
+    return CompiledSDFG(sdfg, generate(sdfg, backend))

@@ -1,13 +1,14 @@
-"""Second emission target: SDFG kernels → compiled scalar loop nests.
+"""The ``compiled`` backend's lowering: SDFG kernels → scalar loop nests.
 
-Where :mod:`repro.sdfg.codegen` lowers each fused kernel to a sequence of
-full-domain ``out=``-scheduled ufunc calls, this module lowers it to a
-single scalar loop nest and hands that nest to the system C compiler
+Where the NumPy emission of :mod:`repro.sdfg.codegen` writes each fused
+kernel as a sequence of full-domain ``out=``-scheduled ufunc calls, this
+module lowers it to a single scalar loop nest for the system C compiler
 (:mod:`repro.runtime.jit`). Each kernel is analysed and lowered *once* to
-a loop-nest tree (:mod:`repro.sdfg.loopnest`); C is only printed from
-that tree, into the plan's image (:func:`generate_compiled` — the
-plan itself, :class:`~repro.sdfg.plan.CompiledPlan`, is materialised
-from the image and needs nothing of this module). The nest realizes the
+a loop-nest tree (:mod:`repro.sdfg.loopnest`); the one generator,
+:func:`repro.sdfg.codegen.generate` with ``backend="compiled"``, prints
+C from that tree into the plan's image (the plan,
+:class:`~repro.sdfg.plan.CompiledSDFG`, is materialised from the image
+and needs nothing of this module). The nest realizes the
 machine model's decisions for real:
 
 - **local storage and on-the-fly fusion** (Sec. VI-A): a kernel local
@@ -32,9 +33,8 @@ forbids FMA contraction, min/max/sign replicate NumPy's NaN and signed-zero
 behaviour, int64 arithmetic wraps two's-complement). Anything outside that
 whitelist — transcendentals (libm is not bit-identical to NumPy), ``**``,
 ``%``, ``//``, exotic dtypes, self-reads at an offset — raises
-:class:`IneligibleKernel` and that one kernel falls back to the parent's
-ufunc emission *within the same plan*; the rest of the program still runs
-compiled.
+:class:`IneligibleKernel` and that one kernel keeps its NumPy emission
+*within the same plan*; the rest of the program still runs compiled.
 
 Loop orders are chosen per kernel so scalar execution provably matches
 NumPy's statement-at-a-time semantics:
@@ -72,13 +72,7 @@ from repro.dsl.ir import (
     walk_expr,
 )
 from repro.runtime import jit
-from repro.sdfg.codegen import (
-    _Generator,
-    _bind_locals,
-    _local_arrays,
-    _resolve_ranges,
-    _sections,
-)
+from repro.sdfg.codegen import _local_arrays, _resolve_ranges, _sections
 from repro.sdfg.loopnest import (
     Array,
     Axis,
@@ -94,20 +88,10 @@ from repro.sdfg.loopnest import (
     Scalar,
     Store,
     Strip,
-    print_c,
 )
 from repro.sdfg.nodes import Kernel, stmt_flops
-from repro.sdfg.plan import CompiledPlan, PlanBindError, PlanImage, UnitImage
 
-__all__ = [
-    "IneligibleKernel",
-    "PlanBindError",
-    "CompiledPlan",
-    "UnitImage",
-    "generate_compiled",
-    "compile_sdfg_compiled",
-    "lower_kernel",
-]
+__all__ = ["IneligibleKernel", "lower_kernel"]
 
 
 class IneligibleKernel(Exception):
@@ -851,66 +835,3 @@ def lower_kernel(kernel: Kernel, sdfg) -> KernelUnit:
     tree = low.build(k_block, i_tile)
     specs = [(tuple(a.shape), _TAG_DTYPE[a.tag]) for a in tree.arrays]
     return KernelUnit(kernel.label, tree, specs, low.registers)
-
-
-# ---------------------------------------------------------------------------
-# the compiled plan
-# ---------------------------------------------------------------------------
-
-
-class _CompiledGenerator(_Generator):
-    """The driver program (tasklets, callbacks, transient zero fills,
-    pooled kernel-local binding, per-kernel timing into ``__KT``) is the
-    parent's — only the body of a kernel that lowers is replaced by a
-    call into ``__K``, the list of kernel entry points; a kernel that
-    does not keeps the parent's ufunc emission."""
-
-    def __init__(self, sdfg):
-        super().__init__(sdfg)
-        self.units: List[UnitImage] = []
-        self.fallback_kernels: List[Tuple[str, str]] = []
-
-    def image(self) -> PlanImage:
-        return super().image(
-            units=self.units, fallback_kernels=self.fallback_kernels,
-            threads=jit.default_threads(), preamble=_C_PREAMBLE,
-        )
-
-    def _emit_kernel(self, node, out) -> None:
-        try:
-            unit = lower_kernel(node, self.sdfg)
-        except IneligibleKernel as exc:
-            self.fallback_kernels.append((node.label, str(exc)))
-            return super()._emit_kernel(node, out)
-        uidx = len(self.units)
-        self.units.append(UnitImage(
-            unit.label, print_c(unit.tree), unit.arg_specs,
-            list(unit.tree.scalars), unit.registers,
-        ))
-        local_slots = _bind_locals(node, out, self._plan, unit.registers)
-        args = [a.runtime for a in unit.tree.arrays]
-        args += [f"__s_{s}" for s in unit.tree.scalars]
-        out.emit(f"__K[{uidx}]({', '.join(args)})")
-        for idx in local_slots:
-            self._plan.free(idx)
-
-
-def generate_compiled(sdfg) -> PlanImage:
-    """SDFG (expanded) → the image of its compiled-backend plan: every
-    kernel that lowers is in it as C. Raises
-    :class:`repro.runtime.jit.JitUnavailableError` when no engine
-    resolved — callers (the backend registry, the orchestration layer)
-    turn that into a warn-once fallback."""
-    if not jit.available():
-        raise jit.JitUnavailableError(
-            "no JIT engine available (provide a C compiler)"
-        )
-    return _CompiledGenerator(sdfg).image()
-
-
-def compile_sdfg_compiled(sdfg) -> CompiledPlan:
-    """Expand (if needed) and compile an SDFG into a compiled-backend plan
-    (:func:`generate_compiled`, then :class:`CompiledPlan`)."""
-    if any(state.library_nodes for state in sdfg.states):
-        sdfg.expand_library_nodes()
-    return CompiledPlan(sdfg, generate_compiled(sdfg))

@@ -1,19 +1,18 @@
 """Materialised plans: a :class:`PlanImage` made callable.
 
 Code generation has two halves. *Generate*
-(:func:`repro.sdfg.codegen.generate`,
-:func:`repro.sdfg.codegen_compiled.generate_compiled`) turns an expanded
-SDFG into a :class:`PlanImage` — the driver source, the memory plan, the
-kernels as text: plain data, nothing of the process that made it.
-*Materialise* — the constructors of :class:`CompiledSDFG` and
-:class:`CompiledPlan`, in this module — turns an image into a callable:
+(:func:`repro.sdfg.codegen.generate`, one generator for both backends)
+turns an expanded SDFG into a :class:`PlanImage` — the driver source,
+the memory plan, the kernels as text: plain data, nothing of the
+process that made it. *Materialise* — the constructor of
+:class:`CompiledSDFG`, in this module — turns an image into a callable:
 the driver is executed, the callbacks are rebuilt from the SDFG's
-``Callback`` nodes, the C kernel texts go to the JIT. Every plan is
-materialised from an image, whether that was generated a moment ago or
-read from a record an earlier process left
-(:mod:`repro.runtime.compile_cache`, "Program records"); a process that
-finds all its images on disk never imports the generators at all, which
-is why the two halves are two modules.
+``Callback`` nodes, the C kernel texts (a ``compiled`` image's; a
+``numpy`` image has none) go to the JIT. Every plan is materialised from
+an image, whether that was generated a moment ago or read from a record
+an earlier process left (:mod:`repro.runtime.compile_cache`, "Program
+records"); a process that finds all its images on disk never imports
+the generator at all, which is why the two halves are two modules.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "UnitImage",
     "PlanBindError",
     "CompiledSDFG",
-    "CompiledPlan",
 ]
 
 
@@ -66,7 +64,7 @@ class PlanImage:
     transient_values: Dict[str, int]
     kernel_labels: List[str]
     #: compiled backend only (:mod:`repro.sdfg.codegen_compiled`): the
-    #: lowered kernels as C, the kernels left to ufunc emission with the
+    #: lowered kernels as C, the kernels left to NumPy emission with the
     #: reason, the OpenMP width
     units: List["UnitImage"] = dataclasses.field(default_factory=list)
     fallback_kernels: List[Tuple[str, str]] = dataclasses.field(
@@ -116,11 +114,21 @@ class CompiledSDFG:
     (they draw another slab) and repeated calls allocate and construct
     nothing.
 
+    A ``compiled`` image's eligible kernels run as JIT-compiled scalar
+    loop nests; its ineligible kernels, and every kernel of a ``numpy``
+    image, are NumPy emission within the same driver, so the plan as a
+    whole always runs. Materialising hands the image's kernel texts to
+    the C engine — which builds only what no program has asked for
+    before, and inside a ``jit.batch()`` only when that exits — and binds
+    the callers into the driver's ``__K`` table (empty without kernels).
+    The kernel keys carry flags, compiler and CPU features, so an image
+    written on another host runs here once its kernels are rebuilt.
+
     Whether the image was generated a moment ago or read from a record
     of an earlier process makes no difference here: what is of *this*
     process — the executed driver, the callbacks (rebuilt from the
-    SDFG's ``Callback`` nodes, in program order) — is made in this
-    constructor and nowhere else.
+    SDFG's ``Callback`` nodes, in program order), the kernel callers —
+    is made in this constructor and nowhere else.
     """
 
     def __init__(self, sdfg, image: PlanImage):
@@ -132,11 +140,22 @@ class CompiledSDFG:
         self.plan_offsets = image.offsets
         self.runtime_bytes = image.runtime_bytes
         self._transient_values = image.transient_values
+        self.fallback_kernels = image.fallback_kernels
+        #: the JIT's flight per unit (which may still be in the builder's
+        #: batch); a kernel that another plan of this process also
+        #: contains is the same object in both
+        self.kernel_functions: List = []
+        if image.units:
+            self._request_c()
         namespace = {
             "np": np,
             "__CB": [
                 node.caller() for node in sdfg.all_nodes()
                 if isinstance(node, Callback)
+            ],
+            "__K": [
+                _c_caller(partial(self._entry, index), unit, image.threads)
+                for index, unit in enumerate(image.units)
             ],
             "__perf_counter": time.perf_counter,
         }
@@ -228,10 +247,40 @@ class CompiledSDFG:
                 out[label] = (t + seconds, n + calls)
         return out
 
+    @property
+    def compiled_kernels(self) -> List[str]:
+        """The labels of the kernels that run as C: none on ``numpy``."""
+        return [unit.label for unit in self.image.units]
+
+    def _request_c(self) -> None:
+        self.kernel_functions = jit.load_c(
+            [
+                jit.KernelSource(
+                    unit.label,
+                    unit.text,
+                    (ctypes.c_void_p,) * len(unit.arg_specs)
+                    + (ctypes.c_double,) * len(unit.scalars)
+                    + (ctypes.c_int64,),
+                )
+                for unit in self.image.units
+            ],
+            self.image.preamble,
+            want_openmp=self.image.threads > 1,
+        )
+
     def request(self) -> None:
-        """Ask again for whatever of this plan is built outside it and
-        failed to build (nothing here: NumPy emission is complete when it
-        is compiled; see ``CompiledPlan.request``)."""
+        """Ask again for the kernels of a request that failed before they
+        were built — the batch they were recorded in raised, or the
+        compiler rejected their unit. The plan is in the compile caches
+        by then and outlives the failure; its failed flights have left
+        the JIT's table and never resolve."""
+        if any(flight.error is not None for flight in self.kernel_functions):
+            self._request_c()
+
+    def _entry(self, index: int):
+        """The C entry point of unit ``index``, for its first call."""
+        self.request()
+        return self.kernel_functions[index].result()
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +306,7 @@ def _check_args(args, specs, label):
 def _c_caller(entry, unit: UnitImage, threads: int):
     """``entry()`` is the kernel's entry point; it is asked for at the
     first call, when whichever batch the kernel was requested in has been
-    built (``CompiledPlan._entry``). The OpenMP width is ``threads``, or
+    built (``CompiledSDFG._entry``). The OpenMP width is ``threads``, or
     a rank thread's share of the cores (``ranks.kernel_threads``)."""
     narr = len(unit.arg_specs)
     cfn = None
@@ -273,65 +322,3 @@ def _c_caller(entry, unit: UnitImage, threads: int):
         cfn(*cargs)
 
     return call
-
-
-class CompiledPlan(CompiledSDFG):
-    """A whole-program plan whose eligible kernels run as JIT-compiled
-    scalar loop nests; ineligible kernels keep the parent's ufunc emission
-    within the same program, so the plan as a whole always runs.
-
-    Materialising it hands the image's kernel texts to the C engine —
-    which builds only what no program has asked for before, and inside a
-    ``jit.batch()`` only when that exits — and binds the callers into the
-    driver's ``__K`` table. The kernel keys carry flags, compiler and CPU
-    features, so an image written on another host runs here once its
-    kernels are rebuilt."""
-
-    def __init__(self, sdfg, image: PlanImage):
-        super().__init__(sdfg, image)
-        self.fallback_kernels = image.fallback_kernels
-        self.threads = image.threads
-        #: the JIT's flight per unit (which may still be in the builder's
-        #: batch); a kernel that another plan of this process also
-        #: contains is the same object in both
-        self.kernel_functions: List = []
-        if image.units:
-            self._request_c()
-        self._program.__globals__["__K"] = [
-            _c_caller(partial(self._entry, index), unit, self.threads)
-            for index, unit in enumerate(image.units)
-        ]
-
-    @property
-    def compiled_kernels(self) -> List[str]:
-        return [unit.label for unit in self.image.units]
-
-    def _request_c(self) -> None:
-        self.kernel_functions = jit.load_c(
-            [
-                jit.KernelSource(
-                    unit.label,
-                    unit.text,
-                    (ctypes.c_void_p,) * len(unit.arg_specs)
-                    + (ctypes.c_double,) * len(unit.scalars)
-                    + (ctypes.c_int64,),
-                )
-                for unit in self.image.units
-            ],
-            self.image.preamble,
-            want_openmp=self.threads > 1,
-        )
-
-    def request(self) -> None:
-        """Ask again for the kernels of a request that failed before they
-        were built — the batch they were recorded in raised, or the
-        compiler rejected their unit. The plan is in the compile caches
-        by then and outlives the failure; its failed flights have left
-        the JIT's table and never resolve."""
-        if any(flight.error is not None for flight in self.kernel_functions):
-            self._request_c()
-
-    def _entry(self, index: int):
-        """The C entry point of unit ``index``, for its first call."""
-        self.request()
-        return self.kernel_functions[index].result()

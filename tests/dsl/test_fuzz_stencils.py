@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro.dsl.stencil import StencilObject
 from repro.runtime import jit
-from repro.sdfg.codegen_compiled import compile_sdfg_compiled
+from repro.sdfg.codegen import compile_sdfg
 from tests.dsl.test_oracle import oracle_of, same
 from tests.runtime.test_jit import _forget_loaded
 from tests.sdfg.emission import build_sdfg as _build_sdfg
@@ -232,7 +232,7 @@ def check(source: str, seed: int = 0) -> None:
         with pytest.MonkeyPatch.context() as patch:
             patch.setenv("REPRO_JIT", "cgen")
             jit.reset(engine=True)
-            plan = compile_sdfg_compiled(sdfg)
+            plan = compile_sdfg(sdfg, "compiled")
             got = {n: a.copy() for n, a in fields.items()}
             plan(arrays=got, scalars=scalars)
             agree(got, "compiled")

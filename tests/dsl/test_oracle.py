@@ -25,7 +25,8 @@ from repro.dsl.ir import FieldAccess, map_expr
 from repro.dsl.oracle import run_oracle
 from repro.fv3.stencils.xppm import xppm_flux
 from repro.runtime import jit
-from repro.sdfg.codegen_compiled import _Lowerer, compile_sdfg_compiled
+from repro.sdfg.codegen import compile_sdfg
+from repro.sdfg.codegen_compiled import _Lowerer
 from tests.fv3.test_backend_bitexact import NI, NJ, NK, _discover, _synthesize
 from tests.runtime.test_jit import _forget_loaded
 from tests.sdfg.emission import build_sdfg as _build_sdfg, run_emission
@@ -90,8 +91,8 @@ def compiled_stage(stage, engine, store, isa=True):
 
 def assert_compiled_matches(stencil_obj, fields, scalars, origin, domain,
                             want, where):
-    plan = compile_sdfg_compiled(
-        _build_sdfg(stencil_obj, fields, origin, domain)
+    plan = compile_sdfg(
+        _build_sdfg(stencil_obj, fields, origin, domain), "compiled"
     )
     got = {n: a.copy() for n, a in fields.items()}
     plan(arrays=got, scalars=scalars)

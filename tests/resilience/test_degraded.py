@@ -10,7 +10,6 @@ import pytest
 
 from repro import resilience
 from repro.dsl import Field, PARALLEL, computation, interval, stencil
-from repro.dsl import backend_compiled
 from repro.dsl.backends import register_backend, unregister_backend
 from repro.dsl.oracle import run_oracle
 from repro.orchestration import orchestrate
@@ -139,19 +138,37 @@ def _warned_unavailable(record):
             and "compiled backend unavailable" in str(w.message)]
 
 
-@pytest.mark.parametrize("first", ["stencil", "program"])
+#: a host with no C compiler: no engine at all, or the C engine forced
+#: where the compiler it names does not exist
+_NO_TOOLCHAIN = {
+    "none": {"REPRO_JIT": "none"},
+    "cgen_without_cc": {
+        "REPRO_JIT": "cgen", "REPRO_CC": "/nonexistent/repro-no-cc",
+    },
+}
+
+
+@pytest.mark.parametrize("first, toolchain", [
+    ("stencil", "none"), ("program", "none"),
+    ("stencil", "cgen_without_cc"), ("program", "cgen_without_cc"),
+], ids=["stencil", "program", "stencil-cgen_without_cc",
+        "program-cgen_without_cc"])
 def test_without_a_toolchain_compiled_warns_once_and_runs_numpy(
-    first, monkeypatch
+    first, toolchain, monkeypatch
 ):
     """A host with no C compiler has one path: a stencil called with
     ``backend="compiled"`` and a program pinned to ``compiled`` run the
     NumPy emission, bit-identical to the definition, and the process is
-    told once, by whichever of them asks first."""
-    from repro.runtime import jit
+    told once, by whichever of them asks first. Nothing is lowered for
+    the compiled backend on the way: no ``compiled`` request is counted,
+    whether no engine resolved or the C engine was forced."""
+    from repro.runtime import compile_cache, jit
 
-    monkeypatch.setenv("REPRO_JIT", "none")
-    monkeypatch.setattr(backend_compiled, "_WARNED", [False])
+    for name, value in _NO_TOOLCHAIN[toolchain].items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(compile_cache, "_WARNED", [False])
     jit.reset(engine=True)
+    compile_cache.reset(clear=True)
     _axpy._executors.clear()
     want = _reference()
     assert _axpy._resolve_domain(_inputs(), None, None) \
@@ -166,7 +183,7 @@ def test_without_a_toolchain_compiled_warns_once_and_runs_numpy(
         fields = _inputs()
         _axpy_program.build(fields["a"], fields["x"], fields["y"])
         plan = _axpy_program.compile(backend="compiled")
-        assert type(plan).__name__ == "CompiledSDFG"
+        assert plan.compiled_kernels == []
         _axpy_program(fields["a"], fields["x"], fields["y"])
         return fields["a"]
 
@@ -180,6 +197,8 @@ def test_without_a_toolchain_compiled_warns_once_and_runs_numpy(
                 assert len(_warned_unavailable(record)) == 1, name
                 np.testing.assert_array_equal(got, want)
                 np.testing.assert_array_equal(calls[name](), want)
+        by_backend = compile_cache.stats()["by_backend"]
+        assert "compiled" not in by_backend and by_backend["numpy"]["misses"]
         (warned,) = _warned_unavailable(record)
         assert "no JIT engine" in str(warned.message)
     finally:

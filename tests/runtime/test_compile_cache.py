@@ -137,7 +137,7 @@ def test_backend_is_part_of_the_key(monkeypatch):
         assert cc.cache_key(_build_sdfg(), backend="compiled") \
             != cc.cache_key(_build_sdfg(), backend="numpy")
         assert p_c.image != p_np.image
-        assert type(p_c).__name__ == "CompiledPlan"
+        assert p_c.compiled_kernels and p_np.compiled_kernels == []
         stats = cc.stats()
         assert stats["misses"] == 2 and stats["hits"] == 0
         assert stats["by_backend"]["numpy"]["misses"] == 1

@@ -50,6 +50,16 @@ def test_none_engine_is_unavailable(forced_engine):
     assert not jit.available()
 
 
+def test_forced_engine_without_a_compiler_is_unavailable(forced_engine,
+                                                         monkeypatch):
+    """``REPRO_JIT=cgen`` still resolves where the compiler it would use
+    does not exist, but nothing can be built: not available."""
+    monkeypatch.setenv("REPRO_CC", "/nonexistent/repro-no-cc")
+    assert forced_engine("cgen") == "cgen"
+    assert jit.engine_name() == "cgen"
+    assert not jit.available()
+
+
 def _kernel(name, body, label=None, argtypes=(ctypes.c_void_p, ctypes.c_int64)):
     """A C kernel ``name`` applying ``body`` to every x[i]; distinct
     names give distinct text, hence distinct kernels."""

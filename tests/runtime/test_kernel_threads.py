@@ -10,7 +10,7 @@ from repro.dsl import backends
 from repro.run import build_core
 from repro.runtime import compile_cache, jit
 from repro.scenarios import available_scenarios, get_scenario
-from repro.sdfg.plan import CompiledPlan
+from repro.sdfg.plan import CompiledSDFG
 
 STATE_FIELDS = ("u", "v", "w", "pt", "delp", "delz")
 
@@ -50,7 +50,7 @@ def test_rank_threads_split_the_kernel_threads(compiled, monkeypatch,
     monkeypatch.setenv("REPRO_THREADS", "2")
     seen = []
     lock = threading.Lock()
-    entry = CompiledPlan._entry
+    entry = CompiledSDFG._entry
 
     def capturing(self, index):
         fn = entry(self, index)
@@ -62,7 +62,7 @@ def test_rank_threads_split_the_kernel_threads(compiled, monkeypatch,
 
         return call
 
-    monkeypatch.setattr(CompiledPlan, "_entry", capturing)
+    monkeypatch.setattr(CompiledSDFG, "_entry", capturing)
     core = _core(executor=executor, workers=workers)
     try:
         core.step_dynamics()

@@ -22,18 +22,14 @@ from repro.dsl import (
 )
 from repro.dsl.oracle import run_oracle
 from repro.runtime import jit
-from repro.sdfg import codegen_compiled
+from repro.sdfg import loopnest
 from repro.sdfg.codegen import compile_sdfg
-from repro.sdfg.codegen_compiled import (
-    IneligibleKernel,
-    PlanBindError,
-    compile_sdfg_compiled,
-    lower_kernel,
-)
+from repro.sdfg.codegen_compiled import IneligibleKernel, lower_kernel
 from repro.sdfg.loopnest import (
     Clamp, Let, Lit, Loop, Op, Ref, Reg, Store, Strip, print_c,
 )
 from repro.sdfg.nodes import Kernel
+from repro.sdfg.plan import PlanBindError
 from tests.fv3.test_backend_bitexact import NI, NJ, NK, _discover, _synthesize
 from tests.sdfg.emission import build_sdfg as _build_sdfg
 from tests.runtime.test_jit import _forget_loaded
@@ -58,7 +54,7 @@ def _run_both(stencil_obj, arrays, scalars=None, origin=(0, 0, 0),
     ref = {n: a.copy() for n, a in arrays.items()}
     got = {n: a.copy() for n, a in arrays.items()}
     compile_sdfg(sdfg)(arrays=ref, scalars=scalars)
-    plan = compile_sdfg_compiled(sdfg)
+    plan = compile_sdfg(sdfg, "compiled")
     plan(arrays=got, scalars=scalars)
     return ref, got, plan
 
@@ -214,7 +210,7 @@ def test_kernel_text_does_not_name_the_containers():
     arrays = {n: _rand((8, 8, 6), seed=i) for i, n in enumerate(sdfg.arrays)}
     ref = {n: a.copy() for n, a in arrays.items()}
     compile_sdfg(sdfg)(arrays=ref, scalars={"w": 0.25})
-    plan = compile_sdfg_compiled(sdfg)
+    plan = compile_sdfg(sdfg, "compiled")
     plan(arrays=arrays, scalars={"w": 0.25})
     assert len(set(map(id, plan.kernel_functions))) == 1  # one JIT key
     for name in arrays:
@@ -259,13 +255,13 @@ def test_ineligible_kernel_raises_before_any_printer_runs(monkeypatch):
     kernel with no scalar form never reaches ``print_c``."""
     printed = []
     monkeypatch.setattr(
-        codegen_compiled, "print_c", lambda tree: printed.append(tree.name)
+        loopnest, "print_c", lambda tree: printed.append(tree.name)
     )
     arrays = {"a": 1.0 + _rand((4, 4, 3)), "out": np.zeros((4, 4, 3))}
     sdfg = _build_sdfg(_logged, arrays)
     with pytest.raises(IneligibleKernel, match="bit-exact scalar form"):
         lower_kernel(_first_kernel(sdfg), sdfg)
-    plan = compile_sdfg_compiled(sdfg)
+    plan = compile_sdfg(sdfg, "compiled")
     assert plan.fallback_kernels and not plan.compiled_kernels
     assert printed == []
 
@@ -315,7 +311,7 @@ def test_upward_cross_statement_read_forces_full_k(monkeypatch):
     ref = {n: a.copy() for n, a in arrays.items()}
     got = {n: a.copy() for n, a in arrays.items()}
     compile_sdfg(sdfg)(arrays=ref, scalars={})
-    compile_sdfg_compiled(sdfg)(arrays=got, scalars={})
+    compile_sdfg(sdfg, "compiled")(arrays=got, scalars={})
     np.testing.assert_array_equal(got["out"], ref["out"])
 
 
@@ -363,7 +359,7 @@ def _assert_two_nests(stencil_obj):
     ref = {n: a.copy() for n, a in arrays.items()}
     got = {n: a.copy() for n, a in arrays.items()}
     compile_sdfg(sdfg)(arrays=ref, scalars={})
-    compile_sdfg_compiled(sdfg)(arrays=got, scalars={})
+    compile_sdfg(sdfg, "compiled")(arrays=got, scalars={})
     for name in arrays:
         np.testing.assert_array_equal(got[name], ref[name])
 
@@ -414,7 +410,7 @@ def test_solver_runs_column_major_unless_it_reads_a_written_neighbour():
     ref = {n: a.copy() for n, a in arrays.items()}
     got = {n: a.copy() for n, a in arrays.items()}
     compile_sdfg(sdfg)(arrays=ref, scalars={})
-    compile_sdfg_compiled(sdfg)(arrays=got, scalars={})
+    compile_sdfg(sdfg, "compiled")(arrays=got, scalars={})
     for name in arrays:
         np.testing.assert_array_equal(got[name], ref[name])
 
@@ -466,7 +462,7 @@ def test_a_local_of_one_cluster_is_a_register_and_masks_are_selects():
     (k,) = loops(unit.tree.body, "k")
     assert k.independent
 
-    plan = compile_sdfg_compiled(sdfg)
+    plan = compile_sdfg(sdfg, "compiled")
     assert plan.plan_nbytes == [] and ".fill(0)" not in plan.source
     ref = {n: a.copy() for n, a in arrays.items()}
     got = {n: a.copy() for n, a in arrays.items()}
@@ -566,7 +562,7 @@ def test_both_printers_of_one_tree_match_the_numpy_reference(
     jit.reset(engine=True)
     # generates an image and materialises it: what the plan runs is the
     # C print of those trees
-    plan = compile_sdfg_compiled(sdfg)
+    plan = compile_sdfg(sdfg, "compiled")
     assert [unit.text for unit in plan.image.units] \
         == [print_c(tree) for tree in trees]
     got = {n: a.copy() for n, a in fields.items()}
@@ -587,7 +583,7 @@ def test_both_printers_of_one_tree_match_the_numpy_reference(
 def test_mismatched_array_raises_plan_bind_error():
     arrays = {"a": _rand((4, 4, 3)), "out": np.zeros((4, 4, 3))}
     sdfg = _build_sdfg(_lap, arrays, origin=(1, 1, 0), domain=(2, 2, 3))
-    plan = compile_sdfg_compiled(sdfg)
+    plan = compile_sdfg(sdfg, "compiled")
     bad = {"a": np.zeros((4, 4, 4)), "out": np.zeros((4, 4, 3))}
     with pytest.raises(PlanBindError, match="does not match"):
         plan(arrays=bad, scalars={"w": 1.0})
@@ -602,7 +598,7 @@ def test_instrumented_plan_records_kernel_times():
 
     arrays = {"a": _rand((4, 4, 3)), "out": np.zeros((4, 4, 3))}
     sdfg = _build_sdfg(_lap, arrays, origin=(1, 1, 0), domain=(2, 2, 3))
-    plan = compile_sdfg_compiled(sdfg)
+    plan = compile_sdfg(sdfg, "compiled")
     for _ in range(2):
         times = plan(arrays=arrays, scalars={"w": 1.0})
         (total, count), = times.values()
@@ -617,4 +613,4 @@ def test_unavailable_engine_raises(monkeypatch):
     arrays = {"a": _rand((4, 4, 3)), "out": np.zeros((4, 4, 3))}
     sdfg = _build_sdfg(_lap, arrays, origin=(1, 1, 0), domain=(2, 2, 3))
     with pytest.raises(jit.JitUnavailableError):
-        compile_sdfg_compiled(sdfg)
+        compile_sdfg(sdfg, "compiled")

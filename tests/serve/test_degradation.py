@@ -14,25 +14,27 @@ import pytest
 from repro.resilience import RecoverableFault
 from repro.run import run
 from repro.runtime import jit
-from repro.sdfg.codegen_compiled import CompiledPlan
+from repro.sdfg.plan import CompiledSDFG
 from repro.serve import ForecastService, ServiceConfig
 
 
 @pytest.fixture
 def flaky_backend(monkeypatch):
-    """The compiled backend, its plans failing on demand."""
+    """The compiled backend, its plans failing on demand: a plan that
+    holds C kernels fails, a NumPy plan runs."""
     if not jit.available():
         pytest.skip("no JIT engine: compiled programs are NumPy emission")
     state = {"healthy": False, "calls": 0}
-    run_plan = CompiledPlan.__call__
+    run_plan = CompiledSDFG.__call__
 
-    def flaky_plan(plan, **kwargs):
-        state["calls"] += 1
-        if not state["healthy"]:
-            raise RecoverableFault("flaky backend: injected failure")
-        run_plan(plan, **kwargs)
+    def flaky_plan(plan, *args, **kwargs):
+        if plan.compiled_kernels:
+            state["calls"] += 1
+            if not state["healthy"]:
+                raise RecoverableFault("flaky backend: injected failure")
+        return run_plan(plan, *args, **kwargs)
 
-    monkeypatch.setattr(CompiledPlan, "__call__", flaky_plan)
+    monkeypatch.setattr(CompiledSDFG, "__call__", flaky_plan)
     return state
 
 
