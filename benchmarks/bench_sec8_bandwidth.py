@@ -11,7 +11,6 @@ import pytest
 from repro.machine import GB, GiB, HASWELL, P100
 from repro.core.heuristics import apply_schedule_heuristics
 from repro.core.perfmodel import model_kernel_time, peak_time
-from repro.dsl.backend_compiled import StencilExecutor
 from repro.fv3.stencils.basic_ops import copy_stencil
 from repro.sdfg.analysis import load_store_fraction
 from repro.sdfg.codegen import compile_sdfg
@@ -20,8 +19,7 @@ SHAPE = (192, 192, 80)
 
 
 def _copy_sdfg(shape=SHAPE):
-    ex = StencilExecutor(copy_stencil)
-    return ex.build_sdfg(
+    return copy_stencil.build_sdfg(
         {"q_in": shape, "q_out": shape},
         {"q_in": np.float64, "q_out": np.float64},
         (0, 0, 0),

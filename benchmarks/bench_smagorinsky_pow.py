@@ -13,7 +13,6 @@ import pytest
 from repro.machine import P100
 from repro.core.heuristics import apply_schedule_heuristics
 from repro.core.perfmodel import model_kernel_time, peak_time
-from repro.dsl.backend_compiled import StencilExecutor
 from repro.fv3.stencils.d_sw import smagorinsky_diffusion
 from repro.sdfg.codegen import compile_sdfg
 from repro.sdfg.transformations import PowerExpansion, apply_exhaustively
@@ -22,8 +21,7 @@ SHAPE = (192, 192, 80)
 
 
 def _sdfg(shape=SHAPE):
-    ex = StencilExecutor(smagorinsky_diffusion)
-    sdfg = ex.build_sdfg(
+    sdfg = smagorinsky_diffusion.build_sdfg(
         {"delpc": shape, "vort": shape, "smag": shape},
         {n: np.float64 for n in ("delpc", "vort", "smag")},
         (0, 0, 0),

@@ -51,10 +51,10 @@ def main() -> None:
 
     # ---- 2. the numpy backend: the stencil's NumPy emission -------------
     # each stencil lowers to a one-stencil SDFG on its first call (once per
-    # shape) and runs it as NumPy ufuncs. Backends live in a registry; the
+    # shape) and runs it as NumPy ufuncs. There are two backends; the
     # default is scoped with a context manager (restored on exit) instead
     # of a mutable module global
-    print("registered backends:", ", ".join(available_backends()))
+    print("backends:", ", ".join(available_backends()))
     flux = np.zeros(shape)
     q_out = np.zeros(shape)
     with default_backend("numpy"):

@@ -2,26 +2,24 @@
 
 The DSL separates *what* a stencil computes (relative-offset field accesses,
 vertical iteration policies, horizontal regions) from *how* it is executed
-(backends). Both provided backends lower a stencil to the data-centric
-SDFG IR (:mod:`repro.sdfg`) and generate code from it:
+(backends). There are two backends, both lowering a stencil to the
+data-centric SDFG IR (:mod:`repro.sdfg`) and generating code from it:
 
 - ``"numpy"``: the lowered SDFG's NumPy emission, for rapid prototyping
   and debugging, the paper's pure-Python backend (Sec. III-A).
 - ``"compiled"``: a JIT-compiled loop nest per kernel (Sec. V); without a
   C compiler, the NumPy emission.
 
-Backends are looked up through the :mod:`repro.dsl.backends` registry —
-``register_backend(name, factory)`` plugs in new ones without touching the
-DSL, ``available_backends()`` lists them, and ``default_backend(name)``
-switches the process default (also usable as a context manager).
+``available_backends()`` names them, and ``default_backend(name)``
+switches the process default (also usable as a context manager;
+``REPRO_BACKEND`` sets it from the environment). Any other name raises
+:class:`UnknownBackendError`, with the nearest match, where it is given.
 """
 
 from repro.dsl.backends import (
     UnknownBackendError,
     available_backends,
     default_backend,
-    get_backend,
-    register_backend,
 )
 from repro.dsl.builtins import (
     BACKWARD,
@@ -55,7 +53,6 @@ __all__ = [
     "computation",
     "default_backend",
     "function",
-    "get_backend",
     "horizontal",
     "i_end",
     "i_start",
@@ -64,7 +61,6 @@ __all__ = [
     "j_start",
     "make_storage",
     "region",
-    "register_backend",
     "stencil",
     "zeros",
 ]

@@ -1,9 +1,27 @@
 """The ``@stencil`` decorator and the callable StencilObject.
 
 Decorating a function parses nothing: the stencil IR and its extents are
-made on first use — the first call, trace or lint — once per stencil, and
-backends are compiled lazily on first use of each. A process that restores
-its programs from records never parses a stencil at all.
+made on first use — the first call, trace or lint — once per stencil. A
+process that restores its programs from records never parses a stencil
+at all.
+
+A stencil called outside a program runs the way a program does: its
+call is a StencilComputation library node in an SDFG of its own, expanded
+and compiled through the shared program cache
+(:mod:`repro.runtime.compile_cache`) into the plan of the backend asked
+for — ``numpy``, the NumPy emission, the paper's pure-Python backend for
+prototyping and debugging (Sec. I), or ``compiled``, whose fused kernels
+are JITted scalar loop nests with the same evaluation order and
+``fastmath`` off, so both give the same bits. One plan is kept per
+(backend, field shapes and dtypes, origin, domain, bounds): the first
+call of each pays one lowering.
+
+Where no C compiler is usable a ``compiled`` request gets the NumPy
+emission, warned once (:func:`~repro.runtime.compile_cache.get_or_compile`
+decides that for stencils and programs alike). A ``compiled`` call that
+fails is re-executed on :data:`FALLBACK_BACKEND` (:mod:`repro.resilience`),
+which therefore does not consult ``compile.fail``: the failed call
+consulted it already.
 """
 
 from __future__ import annotations
@@ -37,7 +55,9 @@ class StencilObject:
     def __init__(self, definition_func, backend: Optional[str] = None,
                  externals: Optional[Dict] = None, name: Optional[str] = None):
         self._func = definition_func
-        self._backend_name = backend
+        self._backend_name = (
+            backends.check_backend(backend) if backend else None
+        )
         self.externals = dict(externals or {})
         self.name = name or definition_func.__name__
         #: ``(definition, extents)`` once parsed
@@ -45,7 +65,9 @@ class StencilObject:
         self._parse_lock = threading.Lock()
         #: (field, nk) → its exact k footprint (see :meth:`_validate`)
         self._k_bounds: Dict[Tuple[str, int], Optional[Tuple[int, int]]] = {}
-        self._executors: Dict[str, object] = {}
+        #: (backend, field shapes and dtypes, origin, domain, bounds) →
+        #: its compiled plan
+        self._plans: Dict[tuple, object] = {}
         functools.update_wrapper(self, definition_func)
 
     # ------------------------------------------------------------------
@@ -76,21 +98,12 @@ class StencilObject:
 
     @property
     def backend(self) -> str:
-        return self._backend_name or backends.current_default_backend()
+        return self._backend_name or backends.default_backend()
 
     @property
     def n_halo(self) -> int:
         """Maximum halo width any input field requires."""
         return self.extents.max_halo()
-
-    def _executor(self, backend: str):
-        executor = self._executors.get(backend)
-        if executor is None:
-            # raises UnknownBackendError (a ValueError) with the registry
-            # contents and a nearest-match suggestion on bad names
-            executor = backends.create_executor(backend, self)
-            self._executors[backend] = executor
-        return executor
 
     # ------------------------------------------------------------------
     def __call__(
@@ -105,7 +118,9 @@ class StencilObject:
         fields, scalars = self._bind_arguments(args, kwargs)
         origin, domain = self._resolve_domain(fields, origin, domain)
         self._validate(fields, origin, domain)
-        backend_name = backend or self.backend
+        backend_name = (
+            backends.check_backend(backend) if backend else self.backend
+        )
         if not _TRACER.enabled:
             self._execute(backend_name, fields, scalars, origin, domain,
                           bounds)
@@ -124,22 +139,93 @@ class StencilObject:
                  bounds) -> None:
         """Run on ``backend_name``; degrade to :data:`FALLBACK_BACKEND`
         when another backend raises (real failure or injected
-        ``compile.fail``). Executor *creation* errors (unknown backend
-        names) stay outside the degraded path and propagate."""
-        executor = self._executor(backend_name)
+        ``compile.fail``)."""
         try:
-            executor(fields, scalars, origin, domain, bounds)
+            self._run(backend_name, fields, scalars, origin, domain, bounds)
         except Exception as exc:
             if backend_name == FALLBACK_BACKEND:
                 raise
             _resilience.record_fallback(self.name, backend_name, exc)
-            fallback = self._executor(FALLBACK_BACKEND)
-            fallback(fields, scalars, origin, domain, bounds)
+            self._run(FALLBACK_BACKEND, fields, scalars, origin, domain,
+                      bounds)
         if _chaos._PLAN is not None:
             _chaos.maybe_nanflip(self.name, {
                 name: fields[name]
                 for name in self.definition.written_fields() if name in fields
             })
+
+    def _run(self, backend, fields, scalars, origin, domain, bounds) -> None:
+        """Call the plan of ``backend`` for this specialization, lowered
+        and compiled on its first call."""
+        key = (
+            backend,
+            tuple(sorted((n, a.shape, a.dtype.str) for n, a in fields.items())),
+            origin,
+            domain,
+            (bounds.origin, bounds.tile_shape) if bounds else None,
+        )
+        plan = self._plans.get(key)
+        if plan is None:
+            from repro.runtime import compile_cache
+
+            # lower + compile: traced separately so reports distinguish
+            # one-time specialization cost from steady-state execution
+            with _TRACER.span(f"exec.{backend}.compile"):
+                sdfg = self.build_sdfg(
+                    {n: a.shape for n, a in fields.items()},
+                    {n: a.dtype.type for n, a in fields.items()},
+                    origin,
+                    domain,
+                    bounds,
+                )
+                # the numpy backend does not consult compile.fail: a
+                # failed compiled call re-runs there and consulted once
+                get_or_compile = (
+                    compile_cache._get_or_compile
+                    if backend == FALLBACK_BACKEND
+                    else compile_cache.get_or_compile
+                )
+                plan = get_or_compile(sdfg, backend)
+            self._plans[key] = plan
+        if _TRACER.enabled:
+            with _TRACER.span(f"exec.{backend}"):
+                plan(arrays=fields, scalars=scalars)
+        else:
+            plan(arrays=fields, scalars=scalars)
+
+    def build_sdfg(
+        self,
+        shapes: Dict[str, Tuple[int, ...]],
+        dtypes: Dict[str, type],
+        origin: Tuple[int, int, int],
+        domain: Tuple[int, int, int],
+        bounds: Optional[GridBounds] = None,
+    ):
+        """One call of this stencil as an SDFG: a StencilComputation
+        library node on containers of these shapes and dtypes, expanded."""
+        from repro.sdfg.graph import SDFG
+        from repro.sdfg.nodes import StencilComputation
+
+        sdfg = SDFG(self.name)
+        for p in self.definition.field_params:
+            sdfg.add_array(
+                p.name, shapes[p.name], dtypes[p.name], axes=p.field_type.axes
+            )
+        state = sdfg.add_state(self.name)
+        node = StencilComputation(
+            self.definition,
+            self.extents,
+            mapping={p.name: p.name for p in self.definition.field_params},
+            domain=domain,
+            origin=origin,
+            scalar_mapping={
+                p.name: p.name for p in self.definition.scalar_params
+            },
+            bounds=bounds,
+        )
+        state.add(node)
+        sdfg.expand_library_nodes()
+        return sdfg
 
     # ------------------------------------------------------------------
     def _bind_arguments(self, args, kwargs):

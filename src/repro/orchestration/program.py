@@ -200,6 +200,7 @@ class _Template:
         self._lock = threading.Lock()
         self._kernel_outputs: Optional[tuple] = None
         self._kernel_bytes: Optional[Dict[str, int]] = None
+        self._footprint: Optional[Dict[str, int]] = None
 
     def kernel_outputs(self) -> tuple:
         """``(label, names of the containers it writes)`` per kernel, in
@@ -231,6 +232,13 @@ class _Template:
                 for label, (nbytes, count) in totals.items()
             }
         return self._kernel_bytes
+
+    def memory_footprint(self) -> Dict[str, int]:
+        """:meth:`SDFG.memory_footprint` of the traced program: what a
+        ``program.*`` span adds per call."""
+        if self._footprint is None:
+            self._footprint = self.sdfg.memory_footprint()
+        return self._footprint
 
     def plan(self, backend: str):
         flags = _cache.codegen_flags(backend)
@@ -472,20 +480,15 @@ class OrchestratedProgram:
         if state.binding is None:
             raise OrchestrationError("build() the program first")
         if backend is not None:
-            state.backend = backend
+            state.backend = _backends.check_backend(backend)
         return self._replan(state.binding).plan
 
     def _backend_wanted(self) -> str:
         """``"compiled"`` or ``"numpy"``: what ``compile`` pinned, else
         what the DSL's default backend is *now* — ``REPRO_BACKEND`` sets
         it for the process, ``ForecastService`` switches it per attempt.
-        Programs have two emissions; under any backend but ``compiled``
-        they run the NumPy one."""
-        if self._state.backend is not None:
-            return self._state.backend
-        if _backends.current_default_backend() == "compiled":
-            return "compiled"
-        return "numpy"
+        Both were checked where they were given."""
+        return self._state.backend or _backends.default_backend()
 
     def _replan(self, binding: _Binding) -> _Binding:
         """Give ``binding`` the plan of the backend wanted now."""
@@ -689,8 +692,6 @@ class OrchestratedProgram:
         if not _TRACER.enabled:
             self._run(binding, scalars)
             return
-        from repro.sdfg.analysis import memory_footprint
-
         with _TRACER.span(f"program.{self.label}") as sp:
             times = self._run(binding, scalars)
             if times is not None:  # (tracing may have stopped meanwhile)
@@ -699,7 +700,7 @@ class OrchestratedProgram:
             # planned values laid out in it, and the declared transients
             # among them — summed over the span's entries like ``bytes``
             # (divide by ``count`` per call)
-            footprint = memory_footprint(template.sdfg)
+            footprint = template.memory_footprint()
             sp.add("transients", footprint["transients"])
             sp.add("transient_bytes", footprint["transient"])
             sp.add("slab_bytes", plan.runtime_bytes)

@@ -769,7 +769,9 @@ class _Builder:
                 names.add(sub.id)
             elif isinstance(env.get(sub.id), _ScalarAlias):
                 outer = env[sub.id].name
-                code = _replace_word_boundary(code, sub.id, outer)
+                from repro.sdfg.codegen import _replace_word
+
+                code = _replace_word(code, sub.id, outer)
                 names.add(outer)
         ok_shape = all(
             isinstance(sub, (ast.Name, ast.Constant, ast.BinOp, ast.UnaryOp))
@@ -787,12 +789,6 @@ class _Builder:
     def _fresh_scalar(self, hint: str) -> str:
         self._scalar_counter += 1
         return f"__s{self._scalar_counter}_{hint}"
-
-
-def _replace_word_boundary(code: str, name: str, repl: str) -> str:
-    import re
-
-    return re.sub(rf"\b{re.escape(name)}\b", repl, code)
 
 
 def _name_hint(node, fallback: str) -> str:

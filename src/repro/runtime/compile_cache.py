@@ -346,9 +346,9 @@ def get_or_compile(sdfg, backend: str = "numpy"):
 
 def _get_or_compile(sdfg, backend: str = "numpy"):
     """:func:`get_or_compile` without the ``compile.fail`` consult and
-    the missing-compiler decision: the ``numpy`` stencil backend's path,
-    which a failed ``compiled`` stencil call re-runs on after consulting
-    once (:mod:`repro.dsl.backend_compiled`)."""
+    the missing-compiler decision: the path of a stencil's ``numpy``
+    plan, which a failed ``compiled`` stencil call re-runs on after
+    consulting once (:meth:`repro.dsl.stencil.StencilObject._run`)."""
     from repro.sdfg.plan import CompiledSDFG
 
     if any(state.library_nodes for state in sdfg.states):

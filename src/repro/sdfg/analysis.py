@@ -87,20 +87,6 @@ def load_store_fraction(graphs) -> float:
     return float(accesses / denom) if denom else 0.0
 
 
-def memory_footprint(sdfg) -> Dict[str, int]:
-    """Bytes allocated per container category, and how many transients
-    share the ``transient`` bytes."""
-    persistent = sum(
-        d.nbytes for d in sdfg.arrays.values() if not d.transient
-    )
-    transients = [d for d in sdfg.arrays.values() if d.transient]
-    return {
-        "persistent": persistent,
-        "transient": sum(d.nbytes for d in transients),
-        "transients": len(transients),
-    }
-
-
 # ---------------------------------------------------------------------------
 # lifetimes of toolchain-owned storage
 # ---------------------------------------------------------------------------

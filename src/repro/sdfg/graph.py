@@ -231,6 +231,19 @@ class SDFG:
     def transients(self) -> List[str]:
         return [n for n, d in self.arrays.items() if d.transient]
 
+    def memory_footprint(self) -> Dict[str, int]:
+        """Bytes allocated per container category, and how many
+        transients share the ``transient`` bytes."""
+        persistent = sum(
+            d.nbytes for d in self.arrays.values() if not d.transient
+        )
+        transients = [d for d in self.arrays.values() if d.transient]
+        return {
+            "persistent": persistent,
+            "transient": sum(d.nbytes for d in transients),
+            "transients": len(transients),
+        }
+
     def container_readers(self) -> Dict[str, List[Tuple[SDFGState, Node]]]:
         out: Dict[str, List] = {}
         for state in self.states:

@@ -170,8 +170,9 @@ class ServiceConfig:
         breaker_threshold / breaker_cooldown: consecutive failures that
             trip a (scenario, backend) breaker, and the open→half-open
             cooldown in seconds.
-        backend: primary backend name (None = the process default at
-            service construction). The degradation target is
+        backend: primary backend name, checked when the service is
+            constructed (None = the process default at that moment).
+            The degradation target is
             :data:`repro.dsl.stencil.FALLBACK_BACKEND`, bit-identical.
         cache_entries / cache_bytes: :class:`StateCache` budget
             (``cache_entries=0`` disables caching entirely).
@@ -298,7 +299,8 @@ class ForecastService:
         # degraded batch (which flips the process default under a lock)
         # cannot change what "primary" means for everyone else
         self._primary = (
-            self.config.backend or _backends.current_default_backend()
+            _backends.check_backend(self.config.backend)
+            if self.config.backend else _backends.default_backend()
         )
         self._resilience = (
             self.config.resilience
@@ -620,7 +622,7 @@ class ForecastService:
         """Run under an explicit DSL default backend. The switch is
         process-global, so it is serialized; the pinned-at-construction
         ambient default runs lock-free."""
-        if backend == _backends.current_default_backend():
+        if backend == _backends.default_backend():
             yield
             return
         with self._backend_lock:

@@ -1,10 +1,15 @@
-"""Backend registry, default-backend management and deprecation shims."""
+"""The two backends, the default-backend management and the one name
+check every entry point makes."""
 
+import os
+import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import repro
 import repro.dsl.stencil  # noqa: F401 -- for the sys.modules lookup below
 from repro.dsl import (
     Field,
@@ -13,12 +18,11 @@ from repro.dsl import (
     available_backends,
     computation,
     default_backend,
-    get_backend,
     interval,
-    register_backend,
     stencil,
 )
-from repro.dsl.backends import current_default_backend, unregister_backend
+from repro.dsl.backends import check_backend
+from repro.orchestration import orchestrate
 
 _STENCIL_MODULE = sys.modules["repro.dsl.stencil"]
 
@@ -29,104 +33,79 @@ def _double(a: Field, out: Field):
         out = 2.0 * a
 
 
-class _RecordingExecutor:
-    """Backend executor that records calls instead of computing."""
-
-    calls = []
-
-    def __init__(self, stencil_object):
-        self.stencil_object = stencil_object
-
-    def __call__(self, fields, scalars, origin, domain, bounds):
-        self.calls.append((self.stencil_object.name, domain))
+@orchestrate
+def _double_program(a, out):
+    _double(a, out, origin=(0, 0, 0), domain=(4, 4, 2))
 
 
-@pytest.fixture
-def recording_backend():
-    _RecordingExecutor.calls = []
-    register_backend("recording", _RecordingExecutor)
-    try:
-        yield _RecordingExecutor
-    finally:
-        unregister_backend("recording")
+def _plan_backends(stencil_obj):
+    return sorted({key[0] for key in stencil_obj._plans})
 
 
 # ---------------------------------------------------------------------------
-# registry
+# the two names
 # ---------------------------------------------------------------------------
 def test_builtins_are_available_and_lazily_resolvable():
-    names = available_backends()
-    assert "numpy" in names and "compiled" in names
-    assert names == tuple(sorted(names))
-    assert callable(get_backend("numpy"))
-    assert callable(get_backend("compiled"))
-
-
-def test_register_lookup_unregister(recording_backend):
-    assert get_backend("recording") is recording_backend
-    assert "recording" in available_backends()
-    unregister_backend("recording")
-    assert "recording" not in available_backends()
-    unregister_backend("recording")  # idempotent
-
-
-def test_duplicate_registration_requires_replace(recording_backend):
-    with pytest.raises(ValueError, match="already registered"):
-        register_backend("recording", recording_backend)
-    register_backend("recording", recording_backend, replace=True)
-
-
-def test_registration_validates_name_and_factory():
-    with pytest.raises(TypeError):
-        register_backend("", _RecordingExecutor)
-    with pytest.raises(TypeError):
-        register_backend(None, _RecordingExecutor)
-    with pytest.raises(TypeError):
-        register_backend("bad", "not-callable")
+    assert available_backends() == ("compiled", "numpy")
+    for name in available_backends():
+        assert check_backend(name) == name
 
 
 def test_unknown_backend_error_names_registry_and_suggests():
     with pytest.raises(UnknownBackendError) as exc_info:
-        get_backend("nunpy")
+        check_backend("nunpy")
     err = exc_info.value
     assert isinstance(err, ValueError)  # old except-clauses keep working
     assert err.backend == "nunpy"
-    assert "numpy" in err.available and "compiled" in err.available
+    assert err.available == ("compiled", "numpy")
     assert err.suggestion == "numpy"
     assert "did you mean 'numpy'?" in str(err)
 
 
 def test_unknown_backend_without_near_miss_has_no_suggestion():
     with pytest.raises(UnknownBackendError) as exc_info:
-        get_backend("fortran2008")
+        check_backend("fortran2008")
     assert exc_info.value.suggestion is None
     assert "did you mean" not in str(exc_info.value)
 
 
 # ---------------------------------------------------------------------------
-# registered backends drive stencil dispatch
+# the backend a stencil call runs
 # ---------------------------------------------------------------------------
-def test_stencil_call_uses_registered_backend(recording_backend):
+def test_stencil_call_uses_registered_backend():
+    """A call's ``backend=`` picks the plan it runs, one per backend."""
     a = np.ones((4, 4, 2))
-    _double(a, np.zeros_like(a), backend="recording",
-            origin=(0, 0, 0), domain=(4, 4, 2))
-    assert recording_backend.calls == [("_double", (4, 4, 2))]
+    _double._plans.clear()
+    for backend in ("numpy", "compiled"):
+        out = np.zeros_like(a)
+        _double(a, out, backend=backend, origin=(0, 0, 0), domain=(4, 4, 2))
+        np.testing.assert_array_equal(out, 2.0 * a)
+    assert _plan_backends(_double) == ["compiled", "numpy"]
 
 
-def test_stencil_call_with_unknown_backend_raises(recording_backend):
+def test_stencil_call_with_unknown_backend_raises():
     a = np.ones((4, 4, 2))
     with pytest.raises(UnknownBackendError, match="recopding"):
         _double(a, np.zeros_like(a), backend="recopding",
                 origin=(0, 0, 0), domain=(4, 4, 2))
 
 
-def test_default_backend_drives_unpinned_stencils(recording_backend):
+def test_a_pinned_unknown_backend_fails_at_decoration():
+    with pytest.raises(UnknownBackendError) as exc_info:
+        stencil(backend="compield")(_double.__wrapped__)
+    assert exc_info.value.suggestion == "compiled"
+
+
+def test_default_backend_drives_unpinned_stencils():
     a = np.ones((4, 4, 2))
-    with default_backend("recording"):
-        assert _double.backend == "recording"
+    before = default_backend()
+    other = "compiled" if before == "numpy" else "numpy"
+    _double._plans.clear()
+    with default_backend(other):
+        assert _double.backend == other
         _double(a, np.zeros_like(a), origin=(0, 0, 0), domain=(4, 4, 2))
-    assert recording_backend.calls
-    assert _double.backend == current_default_backend() != "recording"
+    assert _plan_backends(_double) == [other]
+    assert _double.backend == default_backend() == before
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +113,7 @@ def test_default_backend_drives_unpinned_stencils(recording_backend):
 # ---------------------------------------------------------------------------
 def test_default_backend_getter_and_setter():
     before = default_backend()
-    assert before == current_default_backend()
+    assert before in available_backends()
     guard = default_backend("compiled")
     try:
         assert default_backend() == "compiled"
@@ -160,6 +139,54 @@ def test_default_backend_rejects_unknown_names():
     with pytest.raises(UnknownBackendError):
         default_backend("dataflw")
     assert default_backend() == before  # unchanged on error
+
+
+# ---------------------------------------------------------------------------
+# an unknown name fails where it enters
+# ---------------------------------------------------------------------------
+def test_a_misspelt_repro_backend_fails_typed_in_a_program(tmp_path):
+    """``REPRO_BACKEND`` names the default of a fresh process; misspelt,
+    the first program that asks for it raises instead of running the
+    NumPy emission."""
+    script = tmp_path / "probe.py"
+    script.write_text(textwrap.dedent("""
+        import numpy as np
+        from repro.dsl import (Field, PARALLEL, UnknownBackendError,
+                               computation, interval, stencil)
+        from repro.orchestration import orchestrate
+
+        @stencil
+        def double(a: Field, out: Field):
+            with computation(PARALLEL), interval(...):
+                out = 2.0 * a
+
+        @orchestrate
+        def program(a, out):
+            double(a, out, origin=(0, 0, 0), domain=(4, 4, 2))
+
+        a = np.ones((4, 4, 2))
+        try:
+            program(a, np.zeros_like(a))
+        except UnknownBackendError as exc:
+            print("raised", exc.suggestion)
+        else:
+            print("ran")
+    """))
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run(
+        [sys.executable, str(script)], check=True, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": src,
+                        "REPRO_BACKEND": "nunpy"},
+    ).stdout
+    assert out.strip() == "raised numpy"
+
+
+def test_compile_with_an_unknown_backend_raises():
+    a = np.ones((4, 4, 2))
+    _double_program.build(a, np.zeros_like(a))
+    with pytest.raises(UnknownBackendError) as exc_info:
+        _double_program.compile(backend="nunpy")
+    assert exc_info.value.suggestion == "numpy"
 
 
 # ---------------------------------------------------------------------------

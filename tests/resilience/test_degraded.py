@@ -10,7 +10,6 @@ import pytest
 
 from repro import resilience
 from repro.dsl import Field, PARALLEL, computation, interval, stencil
-from repro.dsl.backends import register_backend, unregister_backend
 from repro.dsl.oracle import run_oracle
 from repro.orchestration import orchestrate
 from repro.resilience import chaos
@@ -47,7 +46,7 @@ def _falls_back_after_one_consult(spec):
     consulting ``compile.fail`` again: one consult for the failing call,
     so even a fault at every consult is recovered from, and later
     occurrence numbers do not move. Returns the plan."""
-    _axpy._executors.clear()  # compile again, as on a first call
+    _axpy._plans.clear()  # compile again, as on a first call
     plan = ChaosPlan.from_spec(spec)
     chaos.set_plan(plan)
     fields = _inputs()
@@ -85,37 +84,43 @@ def test_certain_compile_failure_falls_back_at_every_call():
     assert resilience.summary()["counters"]["fallbacks"] == 2
 
 
-def test_real_backend_failure_falls_back_too():
-    class _Exploding:
-        def __init__(self, stencil_object):
-            self.stencil_object = stencil_object
+def test_real_backend_failure_falls_back_too(monkeypatch):
+    """A compiled plan that raises when it runs (not an injected fault)
+    is re-executed on the NumPy emission too."""
+    from repro.runtime import compile_cache
 
-        def __call__(self, fields, scalars, origin, domain, bounds):
+    def exploding(sdfg, backend):
+        def plan(arrays, scalars):
             raise RuntimeError("flaky accelerator")
+        return plan
 
-    register_backend("exploding", _Exploding)
+    monkeypatch.setattr(compile_cache, "get_or_compile", exploding)
+    _axpy._plans.clear()
     try:
         fields = _inputs()
         with pytest.warns(FallbackWarning, match="flaky accelerator"):
-            _axpy(**fields, alpha=2.5, backend="exploding")
+            _axpy(**fields, alpha=2.5, backend="compiled")
         np.testing.assert_array_equal(fields["a"], _reference())
     finally:
-        unregister_backend("exploding")
+        _axpy._plans.clear()
 
 
-def test_numpy_backend_failures_never_loop():
+def test_numpy_backend_failures_never_loop(monkeypatch):
     """A failure on the fallback backend itself propagates (no
     fallback-to-self recursion)."""
+    from repro.runtime import compile_cache
 
     @stencil
     def _inc(a: Field):
         with computation(PARALLEL), interval(...):
             a = a + 1.0
 
-    def _boom(fields, scalars, origin, domain, bounds):
-        raise RuntimeError("numpy backend broken")
+    def broken(sdfg, backend):
+        def plan(arrays, scalars):
+            raise RuntimeError("numpy backend broken")
+        return plan
 
-    _inc._executors["numpy"] = _boom
+    monkeypatch.setattr(compile_cache, "_get_or_compile", broken)
     with pytest.raises(RuntimeError, match="numpy backend broken"):
         _inc(a=np.ones((8, 8, 3)), backend="numpy")
     assert resilience.summary()["counters"]["fallbacks"] == 0
@@ -169,7 +174,7 @@ def test_without_a_toolchain_compiled_warns_once_and_runs_numpy(
     monkeypatch.setattr(compile_cache, "_WARNED", [False])
     jit.reset(engine=True)
     compile_cache.reset(clear=True)
-    _axpy._executors.clear()
+    _axpy._plans.clear()
     want = _reference()
     assert _axpy._resolve_domain(_inputs(), None, None) \
         == ((1, 1, 0), (8, 7, 4))
@@ -204,4 +209,4 @@ def test_without_a_toolchain_compiled_warns_once_and_runs_numpy(
     finally:
         monkeypatch.undo()
         jit.reset(engine=True)
-        _axpy._executors.clear()
+        _axpy._plans.clear()

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.dsl import Field, PARALLEL, computation, interval, stencil
-from repro.dsl.backend_compiled import StencilExecutor
 from repro.runtime import compile_cache as cc
 
 
@@ -25,9 +24,8 @@ def _axpy(a: Field, b: Field, out: Field):
 
 
 def _build_sdfg(domain=(6, 6, 3)):
-    ex = StencilExecutor(_axpy)
     shapes = {n: (8, 8, 4) for n in ("a", "b", "out")}
-    return ex.build_sdfg(
+    return _axpy.build_sdfg(
         shapes, {n: np.float64 for n in shapes}, (0, 0, 0), domain
     )
 
@@ -213,9 +211,8 @@ def test_the_machine_model_is_part_of_the_key():
 
     if not jit.available():
         pytest.skip("no JIT engine: nothing is lowered")
-    ex = StencilExecutor(_two_planes)
     shapes = {n: (10, 8, 16) for n in ("a", "b", "out")}
-    sdfg = ex.build_sdfg(
+    sdfg = _two_planes.build_sdfg(
         shapes, {n: np.float64 for n in shapes}, (1, 0, 0), (8, 8, 16)
     )
     tiny = dataclasses.replace(HASWELL, name="tiny-cache", cache_bytes=4096)

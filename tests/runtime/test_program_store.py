@@ -627,6 +627,12 @@ def test_a_second_process_restores_everything_and_builds_nothing(tmp_path):
     # no subprocess, yet the verdict is known: it was read from the store
     assert primed["isa"] is not None and primed["isa"] == cold["isa"]
     assert not TRACE_SIDE & set(primed["modules"])
+    # a traced call adds spans, not imports: the program span's scratch
+    # attributes come from the restored template
+    traced = _child(script, jit_dir=store, REPRO_TRACE="1", **env)
+    assert traced["digest"] == cold["digest"]
+    assert traced["cache"]["program_traces"] == 0
+    assert not TRACE_SIDE & set(traced["modules"])
 
 
 def test_two_cold_processes_on_one_directory_agree(tmp_path):

@@ -2,15 +2,17 @@
 stencil backends compile (``numpy`` to its NumPy emission, ``compiled``
 to C kernels) — and its NumPy emission compiled directly."""
 
-from repro.dsl.backend_compiled import StencilExecutor
+from repro.dsl.stencil import StencilObject
 from repro.sdfg.codegen import compile_sdfg
 
 
 def build_sdfg(stencil_obj, arrays, origin=(0, 0, 0), domain=None,
                bounds=None):
-    """The SDFG a call of ``stencil_obj`` on ``arrays`` lowers to."""
+    """The SDFG a call of ``stencil_obj`` on ``arrays`` lowers to; it
+    needs only the ``name``, ``definition`` and ``extents`` of a stencil."""
     domain = domain or next(iter(arrays.values())).shape
-    return StencilExecutor(stencil_obj).build_sdfg(
+    return StencilObject.build_sdfg(
+        stencil_obj,
         {n: a.shape for n, a in arrays.items()},
         {n: a.dtype.type for n, a in arrays.items()},
         origin,

@@ -8,7 +8,6 @@ from repro.sdfg import SDFG
 from repro.sdfg.analysis import (
     kernel_costs,
     load_store_fraction,
-    memory_footprint,
     total_bytes,
     total_flops,
 )
@@ -76,7 +75,7 @@ def test_load_store_fraction_bounds():
 def test_memory_footprint_categories():
     sdfg = _simple_sdfg()
     sdfg.add_transient("tmp", (8, 8, 4))
-    fp = memory_footprint(sdfg)
+    fp = sdfg.memory_footprint()
     assert fp["persistent"] == 2 * 8 * 8 * 4 * 8
     assert fp["transient"] == 8 * 8 * 4 * 8
 

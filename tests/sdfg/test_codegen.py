@@ -18,7 +18,6 @@ from repro.dsl import (
     region,
     stencil,
 )
-from repro.dsl.backend_compiled import StencilExecutor
 from repro.dsl.oracle import run_oracle
 
 
@@ -155,8 +154,7 @@ def test_region_equivalence_both_strategies():
         want = {k: v.copy() for k, v in arrays.items()}
         run_oracle(s, want, {"dt2": 2.0}, origin=(0, 0, 0), domain=(5, 5, 2))
 
-        ex = StencilExecutor(s)
-        sdfg = ex.build_sdfg(
+        sdfg = s.build_sdfg(
             {k: v.shape for k, v in arrays.items()},
             {k: v.dtype.type for k, v in arrays.items()},
             (0, 0, 0),
@@ -192,15 +190,14 @@ def test_compiled_program_is_cached():
         with computation(PARALLEL), interval(...):
             b = a
 
-    ex = StencilExecutor(copy)
     a = _rand((4, 4, 2))
     b = np.zeros_like(a)
-    ex({"a": a, "b": b}, {}, (0, 0, 0), (4, 4, 2))
-    assert len(ex._cache) == 1
-    ex({"a": a, "b": b}, {}, (0, 0, 0), (4, 4, 2))
-    assert len(ex._cache) == 1
-    ex({"a": a, "b": b}, {}, (1, 1, 0), (3, 3, 2))
-    assert len(ex._cache) == 2
+    copy(a, b, origin=(0, 0, 0), domain=(4, 4, 2), backend="compiled")
+    assert len(copy._plans) == 1
+    copy(a, b, origin=(0, 0, 0), domain=(4, 4, 2), backend="compiled")
+    assert len(copy._plans) == 1
+    copy(a, b, origin=(1, 1, 0), domain=(3, 3, 2), backend="compiled")
+    assert len(copy._plans) == 2
 
 
 @pytest.mark.traced
@@ -216,9 +213,8 @@ def test_instrumented_kernel_times():
     from repro import obs
     from repro.sdfg.codegen import compile_sdfg
 
-    ex = StencilExecutor(copy)
     a = _rand((32, 32, 8))
-    sdfg = ex.build_sdfg(
+    sdfg = copy.build_sdfg(
         {"a": a.shape, "b": a.shape},
         {"a": np.float64, "b": np.float64},
         (0, 0, 0),
@@ -271,8 +267,7 @@ def test_k_field_generated_source_broadcasts():
         with computation(FORWARD), interval(...):
             out = a * coef
 
-    ex = StencilExecutor(kcopy)
-    sdfg = ex.build_sdfg(
+    sdfg = kcopy.build_sdfg(
         {"a": (3, 3, 2), "coef": (2,), "out": (3, 3, 2)},
         {n: np.float64 for n in ("a", "coef", "out")},
         (0, 0, 0),
@@ -313,9 +308,8 @@ def test_compiled_program_reports_runtime_bytes():
         with computation(PARALLEL), interval(...):
             out = a * 2.0 + b
 
-    ex = StencilExecutor(axpy)
     shapes = {n: (8, 8, 4) for n in ("a", "b", "out")}
-    sdfg = ex.build_sdfg(
+    sdfg = axpy.build_sdfg(
         shapes, {n: np.float64 for n in shapes}, (0, 0, 0), (8, 8, 4)
     )
     prog = compile_sdfg(sdfg)
@@ -331,8 +325,7 @@ def test_missing_container_error_is_precomputed():
         with computation(PARALLEL), interval(...):
             b = a
 
-    ex = StencilExecutor(copy)
-    sdfg = ex.build_sdfg(
+    sdfg = copy.build_sdfg(
         {"a": (3, 3, 2), "b": (3, 3, 2)},
         {"a": np.float64, "b": np.float64},
         (0, 0, 0),
@@ -358,9 +351,8 @@ def _two_computation_sdfg():
         with computation(FORWARD), interval(1, None):
             out = t[0, 0, -1] * 3.0 + a
 
-    ex = StencilExecutor(staged)
     shape = (6, 5, 4)
-    sdfg = ex.build_sdfg(
+    sdfg = staged.build_sdfg(
         {"a": shape, "out": shape}, {"a": np.float64, "out": np.float64},
         (0, 0, 0), shape,
     )
@@ -573,9 +565,8 @@ def test_transient_written_across_intervals_needs_no_fill():
         with computation(PARALLEL), interval(...):
             out = acc * 0.5
 
-    ex = StencilExecutor(cumulative)
     shape = (5, 4, 6)
-    sdfg = ex.build_sdfg(
+    sdfg = cumulative.build_sdfg(
         {"a": shape, "out": shape}, {"a": np.float64, "out": np.float64},
         (0, 0, 0), shape,
     )

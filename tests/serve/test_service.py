@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.dsl import UnknownBackendError
 from repro.obs.render import _serving_lines
 from repro.run import metrics, run
 from repro.runtime import compile_cache
@@ -290,3 +291,13 @@ def test_batched_requests_counted(service, small_config):
 def test_request_validates_steps():
     with pytest.raises(ValueError):
         ForecastRequest("baroclinic_wave", 0)
+
+
+def test_an_unknown_backend_is_refused_at_construction():
+    """A misspelt ``ServiceConfig.backend`` fails typed before any
+    worker starts, not at the first request."""
+    workers = threading.active_count()
+    with pytest.raises(UnknownBackendError) as exc_info:
+        ForecastService(ServiceConfig(backend="nunpy"))
+    assert exc_info.value.suggestion == "numpy"
+    assert threading.active_count() == workers

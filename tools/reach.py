@@ -184,7 +184,7 @@ def _codes_of_objects():
     stencil = sys.modules.get("repro.dsl.stencil")
     if stencil is not None:
         for obj in gc.get_objects():
-            if isinstance(obj, stencil.StencilObject) and obj._executors:
+            if isinstance(obj, stencil.StencilObject) and obj._plans:
                 add(obj)
     cache = sys.modules.get("repro.runtime.compile_cache")
     if cache is not None:
