@@ -195,7 +195,7 @@ def lint_compiled_plan(compiled) -> List[LintFinding]:
     the slab and share no byte with a value that is live at its birth
     (R404: two owners of one piece of storage).
     """
-    subject = f"sdfg:{compiled.sdfg.name}"
+    subject = f"sdfg:{compiled.name}"
     specs = compiled.image.specs
     events = [
         BufferEvent(

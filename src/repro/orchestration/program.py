@@ -43,10 +43,11 @@ Templates outlive the process: a traced template joins its family's
 (:mod:`repro.runtime.compile_cache`, "Program records"), and the first
 miss on a family in a later process loads that record, publishes what it
 holds and binds — through the same :meth:`_Template.bind` — instead of
-tracing. The guards are re-checked on the live instance exactly as for a
-template traced a moment ago; what they cannot see, the *code* a trace
-walked, is in the record's manifest and compared before anything of the
-record is used.
+tracing; what binding and calling need is in the record beside the SDFG,
+which stays packed until something asks for the graph. The guards are
+re-checked on the live instance exactly as for a template traced a
+moment ago; what they cannot see, the *code* a trace walked, is in the
+record's manifest and compared before anything of the record is used.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ from repro.obs import tracer as _obs
 from repro.resilience import chaos as _chaos
 from repro.runtime import compile_cache as _cache
 from repro.sdfg.graph import SDFG
-from repro.sdfg.nodes import Callback, constant_key
+from repro.sdfg.nodes import constant_key
+from repro.sdfg.plan import PlanInputs
 
 _TRACER = _obs.get_tracer()
 
@@ -177,14 +179,32 @@ class _Template:
     object reached outside the instance/arguments/globals (a callback
     argument among them), a closure — has ``reads is None``: it serves
     the instance that traced it and is never shared.
+
+    What a call takes besides the binding is kept beside the SDFG: its
+    ``scalars``, the hash of its content its plans are found by
+    (``digest``) and what a plan takes from the graph
+    (:meth:`plan_inputs`). A template restored from its record has all
+    of them from there and its SDFG still packed
+    (:class:`~repro.runtime.compile_cache.PackedSDFG`): :attr:`sdfg`
+    decodes it when something asks for the graph.
     """
 
-    def __init__(self, sdfg: SDFG, runtime_scalars: List[str],
+    def __init__(self, sdfg, runtime_scalars: List[str],
                  reads: Optional[tuple] = None, guards: tuple = (),
                  containers: tuple = (), transients: tuple = (),
                  arg_names: frozenset = frozenset(),
-                 has_instance: bool = False, sources: tuple = ()):
-        self.sdfg = sdfg
+                 has_instance: bool = False, sources: tuple = (),
+                 scalars: Optional[Dict[str, float]] = None,
+                 inputs: Optional[PlanInputs] = None,
+                 digest: Optional[str] = None):
+        #: the traced SDFG, or a restored one still packed
+        self._sdfg = sdfg
+        self._packed = sdfg if isinstance(sdfg, _cache.PackedSDFG) else None
+        #: a traced template's are its SDFG's own: a caller that
+        #: transforms the graph before ``compile()`` changes them there
+        self.scalars = sdfg.scalars if scalars is None else scalars
+        self._inputs = inputs
+        self.digest = digest
         self.runtime_scalars = runtime_scalars
         self.reads = reads
         self.guards = guards
@@ -197,10 +217,31 @@ class _Template:
         self.sources = sources
         #: codegen flags → compiled plan, shared by every binding
         self._plans: Dict[str, Any] = {}
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._kernel_outputs: Optional[tuple] = None
         self._kernel_bytes: Optional[Dict[str, int]] = None
         self._footprint: Optional[Dict[str, int]] = None
+
+    @property
+    def sdfg(self) -> SDFG:
+        """The program's SDFG: a restored template's is decoded here, the
+        first time something asks for it."""
+        sdfg = self._sdfg
+        if isinstance(sdfg, _cache.PackedSDFG):
+            with self._lock:
+                sdfg = self._sdfg
+                if isinstance(sdfg, _cache.PackedSDFG):
+                    sdfg = self._sdfg = sdfg.load()
+        return sdfg
+
+    @property
+    def name(self) -> str:
+        return (self._inputs or self.sdfg).name
+
+    def plan_inputs(self) -> PlanInputs:
+        """What a plan takes from the SDFG: a traced template's are read
+        off the graph as it is now."""
+        return self._inputs or PlanInputs.of(self.sdfg)
 
     def kernel_outputs(self) -> tuple:
         """``(label, names of the containers it writes)`` per kernel, in
@@ -247,8 +288,8 @@ class _Template:
             with self._lock:
                 plan = self._plans.get(flags)
                 if plan is None:
-                    plan = self._plans[flags] = _cache.get_or_compile(
-                        self.sdfg, backend=backend
+                    plan = self._plans[flags] = _cache.compile_program(
+                        self, backend
                     )
         return plan
 
@@ -262,11 +303,13 @@ class _Template:
         if self.reads is None:
             raise _cache.Unpersistable("the trace is private to its instance")
         index = manifest.index
-        # (as the record's pickle will: asked here, a callback nobody
-        # else could find costs the family this template, not its record)
-        for node in self.sdfg.all_nodes():
-            if isinstance(node, Callback):
-                index(node.func)
+        packed = self._packed
+        if packed is not None and packed.objects is manifest.seed:
+            sdfg = packed.data  # numbered as this manifest numbers
+        else:
+            # packed here, a callback nobody else could find costs the
+            # family this template, not its record
+            sdfg = _cache.pack_sdfg(manifest, self.sdfg)
 
         def by_number(kind, ref):
             if kind == "is":
@@ -292,13 +335,16 @@ class _Template:
             "arg_names": self.arg_names,
             "has_instance": self.has_instance,
             "runtime_scalars": self.runtime_scalars,
-            "sdfg": self.sdfg,
+            "scalars": dict(self.scalars),
+            "inputs": tuple(self.plan_inputs()),
+            "digest": self.digest,
+            "sdfg": sdfg,
         }
 
     @classmethod
     def decode(cls, data: Dict[str, Any], objects: List[Any]) -> "_Template":
         """The template :meth:`encode` wrote, around the live ``objects``
-        of its record's manifest."""
+        of its record's manifest; its SDFG stays packed."""
         def by_object(kind, ref):
             if kind == "is":
                 return weakref.ref(objects[ref])
@@ -317,10 +363,12 @@ class _Template:
             for parent, kind, key in data["reads"]
         )
         return cls(
-            data["sdfg"], data["runtime_scalars"], reads, guards,
+            _cache.PackedSDFG(data["sdfg"], objects),
+            data["runtime_scalars"], reads, guards,
             data["containers"], data["transients"], data["arg_names"],
             data["has_instance"],
             tuple(objects[at] for at in data["sources"]),
+            data["scalars"], PlanInputs(*data["inputs"]), data["digest"],
         )
 
     def bind(self, instance, bound: Dict[str, Any]
@@ -364,19 +412,20 @@ class _Template:
 class _Binding:
     """One program instance bound to a template for one set of call
     arguments: the arrays its containers resolve to, the plan to call and
-    the backend that plan was asked of (``None``: no plan yet). ``held``
-    keeps the arguments alive so the ids in the binding's key cannot be
-    recycled."""
+    the backend that plan was asked of (``None``: no plan yet), and the
+    plan bound to the arrays (:class:`~repro.sdfg.plan.BoundPlan`: what
+    a call calls). ``held`` keeps the arguments alive so the ids in the
+    binding's key cannot be recycled."""
 
-    __slots__ = ("template", "arrays", "plan", "held", "backend")
+    __slots__ = ("template", "arrays", "plan", "held", "backend", "call")
 
-    def __init__(self, template: _Template, arrays, held,
-                 plan=None, backend: Optional[str] = None):
+    def __init__(self, template: _Template, arrays, held):
         self.template = template
         self.arrays = arrays
         self.held = held
-        self.plan = plan
-        self.backend = backend
+        self.plan = None
+        self.backend: Optional[str] = None
+        self.call = None
 
 
 class ProgramState:
@@ -494,6 +543,7 @@ class OrchestratedProgram:
         """Give ``binding`` the plan of the backend wanted now."""
         wanted = self._backend_wanted()
         binding.plan, binding.backend = binding.template.plan(wanted), wanted
+        binding.call = binding.plan.bind(binding.arrays)
         return binding
 
     def _bind(self, args, kwargs) -> _Binding:
@@ -530,6 +580,7 @@ class OrchestratedProgram:
                     ):
                         family.publish(template)
                         binding.arrays = rebound
+                        binding.call = binding.plan.bind(rebound)
                         self._store(family, template)
                     else:
                         _cache.COUNTERS.add("programs_unpersistable")
@@ -577,9 +628,14 @@ class OrchestratedProgram:
         published — last (caller holds ``family.lock``). If it names
         something no other process could find, it is counted and stays
         in memory only."""
-        manifest = _cache.Manifest()
         encoded = []
         try:
+            # numbered as the record the family's restored templates came
+            # from: their SDFGs are written again still packed
+            manifest = _cache.Manifest(next(
+                (member._packed.objects for member in family.templates
+                 if member._packed is not None), (),
+            ))
             name = self._record(manifest)
             for member in family.templates:
                 try:
@@ -682,10 +738,11 @@ class OrchestratedProgram:
     def __call__(self, *args, **kwargs):
         binding = self._bound(args, kwargs)
         template, plan = binding.template, binding.plan
-        scalars = dict(template.sdfg.scalars)
+        scalars = template.scalars
         if template.runtime_scalars:
             bound = dict(zip(self._parameters(), args))
             bound.update(kwargs)
+            scalars = dict(scalars)
             for name in template.runtime_scalars:
                 if name in bound:
                     scalars[name] = float(bound[name])
@@ -710,7 +767,7 @@ class OrchestratedProgram:
         """Call the plan; what it returns (its kernel times, when tracing
         is on)."""
         arrays = binding.arrays
-        times = binding.plan(arrays=arrays, scalars=scalars)
+        times = binding.call(scalars)
         if _chaos._PLAN is not None:
             # a stencil traced into a program is no ``StencilObject``
             # call; the fault such a call can be injected with is

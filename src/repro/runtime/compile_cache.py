@@ -9,21 +9,24 @@ per backend. The store only holds the families, their single-flight
 locks and the counters; what a template records is the orchestration
 layer's business.
 
-A plan is keyed by the content of its SDFG: a canonical serialization
-of the expanded graph (array descriptors, kernel schedules/sections/
-statements, control flow, tasklets; callbacks by the ``(module,
-qualname)`` of their function, with array arguments by container name
-and constant arguments by value) plus the codegen flags
-(:func:`codegen_flags`). Two SDFG *objects* with equal content generate
-equal programs — ``tune_cutout`` replays transformation sequences onto
-fresh SDFG copies, transfer tuning re-times cutouts per pattern — so
-:func:`get_or_compile` materialises a plan whose image is stored under
-that key instead of generating it again. A plan therefore holds no
-array of the run that compiled it. The exception is a callback that no
-other process could find by name, or a callback argument that is
-neither an array nor a value-hashable constant: it is keyed by object
-identity, the orchestrated program around it is traced per instance
-instead of shared, and nothing of it goes to disk.
+A plan is keyed by the content of its SDFG: a hash, the *digest*, of a
+canonical serialization of the expanded graph (array descriptors,
+kernel schedules/sections/statements, control flow, tasklets; callbacks
+by the ``(module, qualname)`` of their function, with array arguments by
+container name and constant arguments by value), hashed again with the
+codegen flags (:func:`codegen_flags`, :func:`plan_key`). Two SDFG
+*objects* with equal content generate equal programs — ``tune_cutout``
+replays transformation sequences onto fresh SDFG copies, transfer tuning
+re-times cutouts per pattern — so :func:`get_or_compile` materialises a
+plan whose image is stored under that key instead of generating it
+again. A plan therefore holds no array of the run that compiled it. The
+exception is a callback that no other process could find by name, or a
+callback argument that is neither an array nor a value-hashable
+constant: it is keyed by object identity, the orchestrated program
+around it is traced per instance instead of shared, and nothing of it
+goes to disk. A template keeps its digest and its record carries it, so
+a restored template finds its plans under any flags without hashing, or
+even decoding, its SDFG (:func:`compile_program`).
 
 A ``compiled`` request where no C compiler is available
 (:func:`repro.runtime.jit.available`), or where the one found fails
@@ -43,7 +46,12 @@ about once (:func:`repro.runtime.jit.publish` /
 
 - ``repro_t_<hash of the family's names>.rec`` — the templates of one
   family (written by the orchestration layer after a trace, read by the
-  first miss on that family in a later process);
+  first miss on that family in a later process): per template what
+  binding and calling it take — the binding recipe, the digest its
+  plans' keys are made from, the SDFG's scalars, callbacks and required
+  containers — and the SDFG itself as a part of its own
+  (:func:`pack_sdfg`), decoded only when something asks for the graph
+  (:class:`PackedSDFG`);
 - ``repro_p_<content key>.rec`` — the *image* of one plan
   (:class:`repro.sdfg.plan.PlanImage`: driver source, memory plan,
   kernel texts), read and written by :func:`get_or_compile`. The key
@@ -77,16 +85,19 @@ number in the manifest — a callback's function inside an SDFG included
 — so a record constructs nothing it was not allowed to and finds, never
 rebuilds, what it holds by identity. The whole pickle is read inside
 :func:`load_record`, together with whatever the caller makes of it
-(``decode``), so nothing of a record can fail later than there: a
-record that does not load is a miss, never an error. The directory is
+(``decode``), so nothing of a record can fail later than there — save
+a packed SDFG, read under the same allow-list when it is first asked
+for: a record that does not load is a miss, never an error. The
+directory is
 an execution trust boundary anyway (it holds ``.so`` files); this keeps
 a damaged record from being more than a miss.
 
 Counters (hits, misses; program traces, binds and live templates;
 ``programs_restored`` / ``programs_stored`` / ``programs_stale`` /
 ``programs_unpersistable`` — templates published from a record, written
-into one, records refused, traces that no other process could use — and
-``restore_bytes`` / ``restore_seconds``) are surfaced through
+into one, records refused, traces that no other process could use —,
+``restore_bytes`` / ``restore_seconds`` and ``sdfgs_decoded``) are
+surfaced through
 ``repro.obs`` spans and the report footer; a plan materialised from its
 record counts as a **hit** of its backend. :data:`MAX_ENTRIES` bounds
 the templates held in memory (LRU: 256).
@@ -106,6 +117,7 @@ import threading
 import time
 import types
 import warnings
+import zlib
 from collections import OrderedDict
 from typing import Dict, Hashable, List, Optional, Tuple
 
@@ -115,10 +127,11 @@ from repro.resilience import chaos as _chaos
 from repro.resilience.errors import InjectedCompileError
 from repro.runtime import jit as _jit
 
-__all__ = ["get_or_compile", "cache_key", "codegen_flags", "template_family",
-           "TemplateFamily", "COUNTERS", "stats", "reset", "Manifest",
-           "Unpersistable", "reference", "record_name", "load_record",
-           "store_record", "restoring", "MAX_ENTRIES"]
+__all__ = ["get_or_compile", "compile_program", "cache_key", "codegen_flags",
+           "template_family", "TemplateFamily", "COUNTERS", "stats", "reset",
+           "Manifest", "Unpersistable", "reference", "record_name",
+           "load_record", "store_record", "pack_sdfg", "PackedSDFG",
+           "restoring", "MAX_ENTRIES"]
 
 _SEP = "\x1f"
 #: prefix of every part of a content key that names an object by its
@@ -148,13 +161,15 @@ def _with_totals(snapshot: Dict[str, object]) -> Dict[str, object]:
 #: report them per backend instead of as one merged number;
 #: ``program_*`` is what orchestration did with the template store,
 #: ``programs_*`` / ``restore_*`` the disk level ("Program records"
-#: below). ``templates`` counts what is held in *this* process: other
+#: below), ``sdfgs_decoded`` the SDFGs of restored templates something
+#: asked for. ``templates`` counts what is held in *this* process: other
 #: processes' templates are not shared
 COUNTERS = register("compile_cache", Counters(
     sums=(
         "program_traces", "program_binds",
         "programs_restored", "programs_stored", "programs_stale",
         "programs_unpersistable", "restore_bytes", "restore_seconds",
+        "sdfgs_decoded",
     ),
     local={
         "templates": lambda: sum(
@@ -246,9 +261,10 @@ def codegen_flags(backend: str = "numpy") -> str:
     return "\x1e".join(flags)
 
 
-def _content_key(sdfg, backend: str) -> Tuple[str, bool]:
-    """The content hash, and whether another process would compute the
-    same one for this program (nothing in it is named by ``id()``)."""
+def _content_digest(sdfg) -> Tuple[str, bool]:
+    """The hash of the SDFG's content, and whether another process would
+    compute the same one for this program (nothing in it is named by
+    ``id()``)."""
     import numpy as np
 
     h = hashlib.sha256()
@@ -260,7 +276,6 @@ def _content_key(sdfg, backend: str) -> Tuple[str, bool]:
         h.update(text.encode())
         h.update(b"\x1e")
 
-    feed(codegen_flags(backend))
     for name, desc in sorted(sdfg.arrays.items()):
         zeroed = f"{_SEP}zeroed" if desc.zeroed else ""
         feed(
@@ -277,13 +292,22 @@ def _content_key(sdfg, backend: str) -> Tuple[str, bool]:
     return h.hexdigest(), portable
 
 
+def plan_key(digest: str, backend: str = "numpy") -> str:
+    """The key of the plan of the SDFG whose content hashes to
+    ``digest`` (:func:`_content_digest`) on ``backend``: the digest and
+    the codegen flags of this process, hashed."""
+    return hashlib.sha256(
+        f"{codegen_flags(backend)}\x1e{digest}".encode()
+    ).hexdigest()
+
+
 def cache_key(sdfg, backend: str = "numpy") -> str:
     """Canonical content hash of an expanded SDFG (+ codegen flags), so
     NumPy and compiled plans for the same SDFG never share a record.
     Callback functions enter it by ``(module, qualname)``; only one no
     other process could find that way, or an opaque callback argument,
     enters it by ``id()``."""
-    return _content_key(sdfg, backend)[0]
+    return plan_key(_content_digest(sdfg)[0], backend)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +332,22 @@ def _warn_once(reason: str) -> None:
 
 def get_or_compile(sdfg, backend: str = "numpy"):
     """Compile an SDFG into a :class:`~repro.sdfg.plan.CompiledSDFG`,
-    from the image stored for identical content when there is one.
+    from the image stored for identical content when there is one:
+    :func:`compile_program` of the SDFG alone."""
+    return compile_program(_Unkeyed(sdfg), backend)
+
+
+def compile_program(program, backend: str = "numpy"):
+    """The plan of ``program`` on ``backend``: an SDFG's stand-in with
+    the ``name`` faults are consulted under, a ``digest`` (the hash of
+    the SDFG's content, :func:`_content_digest`: ``None`` until computed
+    here, and kept there once it is), ``plan_inputs()``
+    (:class:`~repro.sdfg.plan.PlanInputs`) and ``sdfg`` — read only when
+    the digest is unknown or no image is stored under the plan's key
+    (:func:`plan_key`, the digest and this process's codegen flags). An
+    orchestrated program's template is one; restored from its record
+    with its digest, it finds its plans on every backend and under every
+    flags without its SDFG.
 
     ``backend="compiled"`` lowers every kernel it can to C; images are
     keyed per backend. A plan is materialised from its stored image when
@@ -325,23 +364,20 @@ def get_or_compile(sdfg, backend: str = "numpy"):
     ``numpy`` plan, and a warning, once per process.
     """
     if _chaos._PLAN is not None:
-        fault = _chaos.consult(
-            "compile.fail", sdfg=getattr(sdfg, "name", "?")
-        )
+        fault = _chaos.consult("compile.fail", sdfg=program.name)
         if fault is not None:
             raise InjectedCompileError(
                 fault.site, fault.occurrence,
-                f"chaos-forced compile failure for SDFG "
-                f"{getattr(sdfg, 'name', '?')!r}",
+                f"chaos-forced compile failure for SDFG {program.name!r}",
             )
     if backend == "compiled" and not _jit.available():
         _warn_once("no JIT engine: no C compiler")
         backend = "numpy"
     try:
-        return _get_or_compile(sdfg, backend)
+        return _compile(program, backend)
     except _jit.JitUnavailableError as exc:  # the compiler went away since
         _warn_once(str(exc))
-        return _get_or_compile(sdfg, "numpy")
+        return _compile(program, "numpy")
 
 
 def _get_or_compile(sdfg, backend: str = "numpy"):
@@ -349,36 +385,66 @@ def _get_or_compile(sdfg, backend: str = "numpy"):
     the missing-compiler decision: the path of a stencil's ``numpy``
     plan, which a failed ``compiled`` stencil call re-runs on after
     consulting once (:meth:`repro.dsl.stencil.StencilObject._run`)."""
-    from repro.sdfg.plan import CompiledSDFG
+    return _compile(_Unkeyed(sdfg), backend)
 
+
+class _Unkeyed:
+    """An SDFG as :func:`compile_program` asks for a program: nothing is
+    known before its content is hashed."""
+
+    __slots__ = ("sdfg", "name", "digest")
+
+    def __init__(self, sdfg):
+        self.sdfg = sdfg
+        self.name = getattr(sdfg, "name", "?")
+        self.digest: Optional[str] = None
+
+    def plan_inputs(self):
+        from repro.sdfg.plan import PlanInputs
+
+        return PlanInputs.of(self.sdfg)
+
+
+def _expanded(sdfg):
     if any(state.library_nodes for state in sdfg.states):
         sdfg.expand_library_nodes()
+    return sdfg
+
+
+def _compile(program, backend: str):
+    from repro.sdfg.plan import CompiledSDFG
 
     tracer = _obs.get_tracer()
-    with tracer.span("sdfg.compile") as sp:
-        key, portable = _content_key(sdfg, backend)
-        sp.set("backend", backend)
-    record = record_name("p", key) if portable else None
-    program = None
-    if record is not None:
+    if program.digest is None:
+        sdfg = _expanded(program.sdfg)
+        with tracer.span("sdfg.compile") as sp:
+            digest, portable = _content_digest(sdfg)
+            sp.set("backend", backend)
+        if portable:
+            program.digest = digest
+    key = None if program.digest is None \
+        else plan_key(program.digest, backend)
+    plan = None
+    if key is not None:
         with restoring() as sp:
-            image = load_record(record)
+            image = load_record(record_name("p", key))
             if image is not None:
-                program = CompiledSDFG(sdfg, image)
+                plan = CompiledSDFG(program.plan_inputs(), image)
                 COUNTERS.add("hits", label=backend)
                 sp.add("plans", 1)
-    if program is None:
+    if plan is None:
         from repro.sdfg.codegen import generate
 
+        sdfg = _expanded(program.sdfg)
         with tracer.span("sdfg.compile") as sp:
             COUNTERS.add("misses", label=backend)
             sp.add("cache_misses", 1)
             image = generate(sdfg, backend)
-            program = CompiledSDFG(sdfg, image)
-        if record is not None:
+            plan = CompiledSDFG(program.plan_inputs(), image)
+        if key is not None:
             with contextlib.suppress(Unpersistable):
-                store_record(record, Manifest(), image)
-    return program
+                store_record(record_name("p", key), Manifest(), image)
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +515,7 @@ def template_family(key: Hashable) -> TemplateFamily:
 #: directory of its own per test — it may not exist yet)
 RECORDS_DIR: Optional[str] = None
 
-_FORMAT = 1
+_FORMAT = 2
 _ENVIRONMENT: Optional[List[str]] = None
 #: source file → content hash (``None``: unreadable), read once per process
 _FILE_HASHES: Dict[str, Optional[str]] = {}
@@ -644,13 +710,19 @@ def _value_part(value, spaces: tuple, seen: set):
 
 class Manifest:
     """The objects one record holds by reference, numbered in order of
-    first use."""
+    first use — after ``objects``, the live objects of a record read
+    earlier: numbered as that record numbered them, its packed parts
+    (:class:`PackedSDFG` of them, ``seed``) are written again as they
+    are."""
 
-    def __init__(self):
+    def __init__(self, objects: List[object] = ()):
         #: ``[module, qualname, wrapped, fingerprint]`` per object
         self.entries: List[list] = []
         #: id → number; the objects are kept so that no id is recycled
         self._index: Dict[int, Tuple[int, object]] = {}
+        for obj in objects:
+            self.index(obj)
+        self.seed = objects if len(self.entries) == len(objects) else None
 
     def index(self, obj) -> int:
         """The number of ``obj``; :class:`Unpersistable` when no other
@@ -804,13 +876,45 @@ def store_record(name: str, manifest: Manifest, payload) -> bool:
     return True
 
 
+def pack_sdfg(manifest: Manifest, sdfg) -> bytes:
+    """An SDFG as a part of a record that is read only when asked for
+    (:class:`PackedSDFG`): pickled under the record's own allow-list and
+    ``manifest``, which the record's header carries, and compressed —
+    what a restored process holds of it until then (an eighth of the
+    pickle)."""
+    body = io.BytesIO()
+    _Pickler(body, manifest).dump(sdfg)
+    return zlib.compress(body.getbuffer())
+
+
+class PackedSDFG:
+    """The SDFG of a restored template, still packed: :meth:`load` reads
+    it with the allow-list and the live objects of its record's manifest
+    (counted, ``sdfgs_decoded``). What binding and calling a restored
+    program take is in the record beside it; only a traced call's byte
+    table, an injected ``stencil.nanflip``, a plan whose image is not
+    stored and the linter ask for the graph."""
+
+    __slots__ = ("data", "objects")
+
+    def __init__(self, data: bytes, objects: List[object]):
+        self.data = data
+        self.objects = objects
+
+    def load(self):
+        COUNTERS.add("sdfgs_decoded")
+        body = io.BytesIO(zlib.decompress(self.data))
+        return _Unpickler(body, self.objects).load()
+
+
 def load_record(name: str, decode=None):
     """The payload of record ``name`` — ``decode(payload, objects)`` of
     it when given, ``objects`` being the live objects its manifest
     names, by number — or ``None``: there is none, it is *stale*
-    (written by another Python, NumPy or source tree, or something it
-    names has changed its code since: counted, and overwritten by what
-    the caller builds instead) or it is *damaged* (does not parse, names
+    (written in another record format or by another Python, NumPy or
+    source tree, or something it names has changed its code since:
+    counted, and overwritten by what the caller builds instead) or it is
+    *damaged* (does not parse, names
     something that no longer resolves or that records may not construct,
     ``decode`` cannot make sense of it: healed like a damaged kernel)."""
     try:
@@ -822,9 +926,8 @@ def load_record(name: str, decode=None):
     try:
         line, _, body = data.partition(b"\n")
         header = json.loads(line)
-        if header["format"] != _FORMAT:
-            raise ValueError(f"record format {header['format']!r}")
-        stale = header["environment"] != _environment()
+        stale = header["format"] != _FORMAT \
+            or header["environment"] != _environment()
         objects = []
         for module, qualname, wrapped, fingerprint in header["manifest"]:
             if stale:

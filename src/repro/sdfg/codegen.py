@@ -70,7 +70,7 @@ from repro.runtime import jit
 from repro.runtime.pool import ALIGN
 from repro.sdfg.analysis import transient_lifetimes, transients_needing_zero
 from repro.sdfg.nodes import Callback, Kernel, StencilComputation, Tasklet
-from repro.sdfg.plan import CompiledSDFG, PlanImage, UnitImage
+from repro.sdfg.plan import CompiledSDFG, PlanImage, PlanInputs, UnitImage
 
 _NP_FUNCS = {
     "sqrt": "np.sqrt",
@@ -571,17 +571,18 @@ def _local_arrays(kernel: Kernel) -> Dict[str, Tuple[str, tuple, tuple]]:
 def _bind_locals(
     kernel: Kernel, out: _SourceBuilder, plan: _BufferPlan,
     registers: FrozenSet[str] = frozenset(),
-) -> List[int]:
+) -> Dict[str, int]:
     """Bind the kernel-local arrays to pooled slots, zeroing only those the
     kernel reads (or writes under a mask) before fully writing. Returns the
-    slots, to be freed once the kernel's code is emitted. A local among
-    ``registers`` has no array: the kernel's loop nest holds it per point."""
-    slots = []
+    slot of each, to be freed once the kernel's code is emitted. A local
+    among ``registers`` has no array: the kernel's loop nest holds it per
+    point."""
+    slots = {}
     for name, (var, shape, origin) in _local_arrays(kernel).items():
         if name in registers:
             continue
-        slots.append(plan.alloc(shape))
-        out.emit(f"{var} = __B[{slots[-1]}]")
+        slots[var] = plan.alloc(shape)
+        out.emit(f"{var} = __B[{slots[var]}]")
         if not _covering_first_write(kernel, name, shape, origin):
             out.emit(f"{var}.fill(0)")
     return slots
@@ -737,7 +738,7 @@ class _Generator:
     def _generate(self) -> str:
         sdfg = self.sdfg
         out = _SourceBuilder()
-        out.emit("def __program(__A, __S, __KT, __B):")
+        out.emit("def __program(__A, __B, __P, __S, __KT, __T):")
         out.indent += 1
         for name, desc in sdfg.arrays.items():
             out.emit(f"{name} = __A[{name!r}]")
@@ -838,27 +839,32 @@ class _Generator:
         unit = None
         if self.lower:
             from repro.sdfg import codegen_compiled as lowering
-            from repro.sdfg.loopnest import print_c
 
             try:
                 unit = lowering.lower_kernel(node, self.sdfg)
             except lowering.IneligibleKernel as exc:
                 self.fallback_kernels.append((node.label, str(exc)))
-            else:
-                self.units.append(UnitImage(
-                    unit.label, print_c(unit.tree), unit.arg_specs,
-                    list(unit.tree.scalars), unit.registers,
-                ))
         registers = unit.registers if unit else frozenset()
         local_slots = _bind_locals(node, out, self._plan, registers)
         if unit is None:
             _kernel_source(node, self.sdfg, out, self._plan)
         else:
-            args = [a.runtime for a in unit.tree.arrays]
+            from repro.sdfg.loopnest import print_c
+
+            # the arrays are the pointer tuple the bound plan made for
+            # this call site (``__P``), the OpenMP width is the call's
+            index = len(self.units)
+            self.units.append(UnitImage(
+                unit.label, print_c(unit.tree), unit.arg_specs,
+                list(unit.tree.scalars),
+                [local_slots.get(a.runtime, a.runtime)
+                 for a in unit.tree.arrays],
+            ))
+            args = [f"*__P[{index}]"]
             args += [f"__s_{s}" for s in unit.tree.scalars]
-            out.emit(f"__K[{len(self.units) - 1}]({', '.join(args)})")
+            out.emit(f"__K[{index}]({', '.join(args)}, __T)")
         # the kernel's locals are dead past this point; later kernels reuse them
-        for idx in local_slots:
+        for idx in local_slots.values():
             self._plan.free(idx)
 
     def _collect_scalar_names(self):
@@ -914,4 +920,4 @@ def compile_sdfg(sdfg, backend: str = "numpy") -> CompiledSDFG:
     """
     if any(state.library_nodes for state in sdfg.states):
         sdfg.expand_library_nodes()
-    return CompiledSDFG(sdfg, generate(sdfg, backend))
+    return CompiledSDFG(PlanInputs.of(sdfg), generate(sdfg, backend))

@@ -7,12 +7,22 @@ the memory plan, the kernels as text: plain data, nothing of the
 process that made it. *Materialise* — the constructor of
 :class:`CompiledSDFG`, in this module — turns an image into a callable:
 the driver is executed, the callbacks are rebuilt from the SDFG's
-``Callback`` nodes, the C kernel texts (a ``compiled`` image's; a
+``Callback`` nodes (:class:`PlanInputs`, what a plan takes from its SDFG
+besides the image), the C kernel texts (a ``compiled`` image's; a
 ``numpy`` image has none) go to the JIT. Every plan is materialised from
 an image, whether that was generated a moment ago or read from a record
 an earlier process left (:mod:`repro.runtime.compile_cache`, "Program
 records"); a process that finds all its images on disk never imports
-the generator at all, which is why the two halves are two modules.
+the generator at all, which is why the two halves are two modules, and
+never needs the SDFG, which is why the inputs are a third thing.
+
+A plan is called through a :class:`BoundPlan`: the plan bound to one
+set of arrays. The kernels' arguments are checked against the image
+(:func:`_check_args`, counted in ``plan.arg_checks``) when that binding
+is made and when the arena first hands the plan a slab, and each
+kernel's pointer tuple is made then too, kept per slab; a call checks
+only that no bound array has changed its shape, strides or dtype since,
+and each kernel call is one ``ctypes`` call.
 """
 
 from __future__ import annotations
@@ -20,14 +30,15 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import math
+import operator
 import time
 import weakref
-from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.obs import tracer as _obs
+from repro.obs.counters import Counters, register
 from repro.runtime import jit
 from repro.runtime import ranks as _ranks
 from repro.runtime.pool import get_pool
@@ -38,9 +49,16 @@ _TRACER = _obs.get_tracer()
 __all__ = [
     "PlanImage",
     "UnitImage",
+    "PlanInputs",
     "PlanBindError",
     "CompiledSDFG",
+    "BoundPlan",
+    "COUNTERS",
 ]
+
+#: ``arg_checks``: kernel argument lists held against the image — when
+#: a binding is made or a slab first seen, never per call
+COUNTERS = register("plan", Counters(sums=("arg_checks",)))
 
 
 @dataclasses.dataclass
@@ -87,8 +105,29 @@ class UnitImage:
     arg_specs: List[Tuple[Tuple[int, ...], str]]
     #: the scalar arguments that follow the arrays
     scalars: List[str]
-    #: kernel locals that are no array of the slab
-    registers: frozenset
+    #: what each array argument is: a container's name (a caller's
+    #: array, or a transient's planned value when no caller gives one)
+    #: or the number of a planned value (a kernel local)
+    args: List[Union[str, int]]
+
+
+class PlanInputs(NamedTuple):
+    """What a plan takes from its SDFG besides the image: the name, the
+    ``Callback`` nodes in program order (the driver's ``__CB``) and the
+    containers every call must bind. A template's record keeps them, so
+    a plan restored with it needs no SDFG."""
+
+    name: str
+    callbacks: tuple
+    required: tuple
+
+    @classmethod
+    def of(cls, sdfg) -> "PlanInputs":
+        return cls(
+            sdfg.name,
+            tuple(n for n in sdfg.all_nodes() if isinstance(n, Callback)),
+            tuple(n for n, desc in sdfg.arrays.items() if not desc.transient),
+        )
 
 
 class PlanBindError(ValueError):
@@ -100,17 +139,20 @@ class CompiledSDFG:
 
     Call with ``arrays`` (container name → NumPy array for every
     non-transient container, plus the object behind each callback's
-    ``ObjectRef``) and optional ``scalars``. A call made while tracing is
-    on times its kernels into a buffer of its own and returns
+    ``ObjectRef``) and optional ``scalars``, or :meth:`bind` the arrays
+    once and call the :class:`BoundPlan` with the scalars of each call
+    (what an orchestrated program does). A call made while tracing is on
+    times its kernels into a buffer of its own and returns
     ``{label: (seconds, calls)}`` for the kernels it ran (the measured
     half of the Fig. 10 analysis); any other call returns ``None``.
 
     All working memory — expression scratch, kernel-local arrays and SDFG
     transients — is one slab checked out of the process buffer pool per
     call and released afterwards, laid out when the image was generated
-    (:func:`repro.sdfg.codegen.plan_layout`). The shaped views a slab is seen through are
-    built the first time the arena hands that slab to this program and
-    kept for as long as the arena keeps the slab, so nested calls are safe
+    (:func:`repro.sdfg.codegen.plan_layout`). The shaped views a slab is
+    seen through, and where each planned value starts in it, are made
+    the first time the arena hands that slab to this program and kept
+    for as long as the arena keeps the slab, so nested calls are safe
     (they draw another slab) and repeated calls allocate and construct
     nothing.
 
@@ -119,20 +161,22 @@ class CompiledSDFG:
     image, are NumPy emission within the same driver, so the plan as a
     whole always runs. Materialising hands the image's kernel texts to
     the C engine — which builds only what no program has asked for
-    before, and inside a ``jit.batch()`` only when that exits — and binds
-    the callers into the driver's ``__K`` table (empty without kernels).
-    The kernel keys carry flags, compiler and CPU features, so an image
-    written on another host runs here once its kernels are rebuilt.
+    before, and inside a ``jit.batch()`` only when that exits — and
+    fills the driver's ``__K`` table (empty without kernels) with a stub
+    per kernel that asks for its entry point at the first call and puts
+    it in its own place. The kernel keys carry flags, compiler and CPU
+    features, so an image written on another host runs here once its
+    kernels are rebuilt.
 
     Whether the image was generated a moment ago or read from a record
     of an earlier process makes no difference here: what is of *this*
     process — the executed driver, the callbacks (rebuilt from the
-    SDFG's ``Callback`` nodes, in program order), the kernel callers —
-    is made in this constructor and nowhere else.
+    ``Callback`` nodes of ``inputs``, in program order), the kernel
+    entry points — is made in this constructor and nowhere else.
     """
 
-    def __init__(self, sdfg, image: PlanImage):
-        self.sdfg = sdfg
+    def __init__(self, inputs: PlanInputs, image: PlanImage):
+        self.name = inputs.name
         self.image = image
         self.source = image.source
         self.kernel_labels = image.kernel_labels
@@ -147,25 +191,23 @@ class CompiledSDFG:
         self.kernel_functions: List = []
         if image.units:
             self._request_c()
+        kernels: List = []
+        kernels.extend(
+            _first_call(self._entry, kernels, index)
+            for index in range(len(image.units))
+        )
         namespace = {
             "np": np,
-            "__CB": [
-                node.caller() for node in sdfg.all_nodes()
-                if isinstance(node, Callback)
-            ],
-            "__K": [
-                _c_caller(partial(self._entry, index), unit, image.threads)
-                for index, unit in enumerate(image.units)
-            ],
+            "__CB": [node.caller() for node in inputs.callbacks],
+            "__K": kernels,
             "__perf_counter": time.perf_counter,
         }
-        code = compile(self.source, f"<sdfg:{sdfg.name}>", "exec")
+        code = compile(self.source, f"<sdfg:{self.name}>", "exec")
         exec(code, namespace)  # noqa: S102 - generated from our own IR
         self._program = namespace["__program"]
-        self._required: Tuple[str, ...] = tuple(
-            name for name, desc in sdfg.arrays.items() if not desc.transient
-        )
-        #: arena slab → (``__B``, transient name → view), see :meth:`_bind`
+        self._required: Tuple[str, ...] = inputs.required
+        #: arena slab → (``__B``, transient name → view, where each
+        #: planned value starts), see :meth:`_views`
         self._bound: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
     @property
@@ -181,9 +223,14 @@ class CompiledSDFG:
             for shape, dtype in self.image.specs
         ]
 
-    def _bind(self, slab) -> Tuple[List[np.ndarray], Dict[str, np.ndarray]]:
-        """The plan's values as shaped views of ``slab``. Values the
-        planner gave the same bytes, shape and dtype are one view."""
+    def _views(self, slab):
+        """The plan's values as shaped views of ``slab`` (values the
+        planner gave the same bytes, shape and dtype are one view), the
+        transients among them, and the address of each — made, and the
+        kernel arguments among them checked, once per slab."""
+        bound = self._bound.get(slab)
+        if bound is not None:
+            return bound
         views: Dict[tuple, np.ndarray] = {}
         scratch = []
         for (shape, dtype), offset, nbytes in zip(
@@ -200,38 +247,34 @@ class CompiledSDFG:
             name: scratch[value]
             for name, value in self._transient_values.items()
         }
-        return scratch, transients
+        base = slab.data.ctypes.data
+        addresses = [base + offset for offset in self.plan_offsets]
+        for unit in self.image.units:
+            _check_args(unit.label, [
+                (scratch[value], spec) for value, spec in zip(
+                    map(self._planned_value, unit.args), unit.arg_specs
+                ) if value is not None
+            ])
+        bound = self._bound[slab] = (scratch, transients, addresses)
+        return bound
+
+    def _planned_value(self, arg) -> Optional[int]:
+        """The planned value a kernel's array argument is when no caller
+        gives the container: a kernel local's, a transient's."""
+        return arg if isinstance(arg, int) else self._transient_values.get(arg)
 
     # ------------------------------------------------------------------
+    def bind(self, arrays: Dict[str, np.ndarray]) -> "BoundPlan":
+        """This plan bound to ``arrays``: checked now, called with the
+        scalars of each call."""
+        return BoundPlan(self, arrays)
+
     def __call__(
         self,
         arrays: Optional[Dict[str, np.ndarray]] = None,
         scalars: Optional[Dict[str, float]] = None,
     ) -> Optional[Dict[str, Tuple[float, int]]]:
-        arrays = arrays or {}
-        missing = [n for n in self._required if n not in arrays]
-        if missing:
-            raise ValueError(f"missing arrays for containers: {missing}")
-        # seconds and calls per kernel of this call alone, while tracing
-        timing = [0.0, 0] * len(self.kernel_labels) \
-            if _TRACER.enabled else None
-        if not self.runtime_bytes:
-            self._program(arrays, scalars or {}, timing, ())
-            return self._by_label(timing)
-        pool = get_pool()
-        slab = pool.checkout_slab(self.runtime_bytes)
-        try:
-            bound = self._bound.get(slab)
-            if bound is None:
-                bound = self._bound[slab] = self._bind(slab)
-            scratch, transients = bound
-            # caller-provided transient storage wins
-            self._program(
-                {**transients, **arrays}, scalars or {}, timing, scratch
-            )
-        finally:
-            pool.release(slab)
-        return self._by_label(timing)
+        return BoundPlan(self, arrays or {})(scalars or {})
 
     def _by_label(self, timing) -> Optional[Dict[str, Tuple[float, int]]]:
         """``timing`` (seconds of kernel ``i`` at ``2i``, its calls at
@@ -283,13 +326,113 @@ class CompiledSDFG:
         return self.kernel_functions[index].result()
 
 
+#: what a call compares of each bound array with what it was checked as
+_LAYOUT = operator.attrgetter("shape", "strides", "dtype")
+
+
+class BoundPlan:
+    """A plan bound to one set of arrays: what an orchestrated program's
+    binding keeps and calls with the scalars of each call.
+
+    Made once, it checks every array a C kernel takes from the caller
+    against the image (:func:`_check_args`). The first call on a slab
+    makes the pointer tuple of every kernel — a caller's array by its
+    address, a planned value as the slab's base plus its offset (the
+    views were checked when the plan first saw the slab) — and keeps
+    them for that slab. A call then compares the shape, strides and
+    dtype of the arrays it checked with what they were — what an array
+    can change in place — and checks again when one differs, which
+    raises :class:`PlanBindError` when it no longer fits the plan."""
+
+    __slots__ = ("plan", "arrays", "_checked", "_layouts", "_slabs",
+                 "_slabless")
+
+    def __init__(self, plan: CompiledSDFG, arrays: Dict[str, np.ndarray]):
+        missing = [n for n in plan._required if n not in arrays]
+        if missing:
+            raise ValueError(f"missing arrays for containers: {missing}")
+        self.plan = plan
+        self.arrays = arrays
+        self._check()
+
+    def _check(self) -> None:
+        """Check the caller's arrays of every kernel; what earlier slabs
+        were handed is made again."""
+        plan, arrays = self.plan, self.arrays
+        checked: Dict[int, np.ndarray] = {}
+        for unit in plan.image.units:
+            given = [
+                (arrays[arg], spec)
+                for arg, spec in zip(unit.args, unit.arg_specs)
+                if arg in arrays
+            ]
+            _check_args(unit.label, given)
+            checked.update((id(arr), arr) for arr, _ in given)
+        self._checked = tuple(checked.values())
+        self._layouts = list(map(_LAYOUT, self._checked))
+        #: arena slab → (the arrays the driver sees, ``__B``, each
+        #: kernel's pointer tuple); the one triple of a plan without slab
+        self._slabs: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+        self._slabless = None if plan.runtime_bytes else self._on(None)
+
+    def _on(self, slab) -> tuple:
+        """What a call on ``slab`` hands the driver, made at the first:
+        each kernel's pointers are the address of a caller's array or
+        the slab's base plus a planned value's offset."""
+        plan, given = self.plan, self.arrays
+        if slab is None:
+            arrays, scratch, addresses = given, (), ()
+        else:
+            scratch, transients, addresses = plan._views(slab)
+            # caller-provided transient storage wins
+            arrays = {**transients, **given} if transients else given
+        address = {id(arr): arr.ctypes.data for arr in self._checked}
+        pointers = [
+            tuple(
+                address[id(given[arg])] if arg in given
+                else addresses[plan._planned_value(arg)]
+                for arg in unit.args
+            )
+            for unit in plan.image.units
+        ]
+        return arrays, scratch, pointers
+
+    def __call__(
+        self, scalars: Dict[str, float]
+    ) -> Optional[Dict[str, Tuple[float, int]]]:
+        plan = self.plan
+        if self._checked and \
+                list(map(_LAYOUT, self._checked)) != self._layouts:
+            self._check()  # an array changed in place: it must fit again
+        # seconds and calls per kernel of this call alone, while tracing
+        timing = [0.0, 0] * len(plan.kernel_labels) \
+            if _TRACER.enabled else None
+        threads = _ranks.kernel_threads(plan.image.threads)
+        if not plan.runtime_bytes:
+            plan._program(*self._slabless, scalars, timing, threads)
+            return plan._by_label(timing)
+        pool = get_pool()
+        slab = pool.checkout_slab(plan.runtime_bytes)
+        try:
+            bound = self._slabs.get(slab)
+            if bound is None:
+                bound = self._slabs[slab] = self._on(slab)
+            plan._program(*bound, scalars, timing, threads)
+        finally:
+            pool.release(slab)
+        return plan._by_label(timing)
+
+
 # ---------------------------------------------------------------------------
 # runtime call wrappers
 # ---------------------------------------------------------------------------
 
 
-def _check_args(args, specs, label):
-    for arr, (shape, dstr) in zip(args, specs):
+def _check_args(label, args):
+    """Each ``(array, (shape, dtype.str))`` of kernel ``label``: the
+    array must be C-contiguous of that shape and dtype."""
+    COUNTERS.add("arg_checks")
+    for arr, (shape, dstr) in args:
         if (
             getattr(arr, "shape", None) != shape
             or arr.dtype.str != dstr
@@ -303,22 +446,15 @@ def _check_args(args, specs, label):
             )
 
 
-def _c_caller(entry, unit: UnitImage, threads: int):
-    """``entry()`` is the kernel's entry point; it is asked for at the
-    first call, when whichever batch the kernel was requested in has been
-    built (``CompiledSDFG._entry``). The OpenMP width is ``threads``, or
-    a rank thread's share of the cores (``ranks.kernel_threads``)."""
-    narr = len(unit.arg_specs)
-    cfn = None
-
+def _first_call(entry, kernels: list, index: int):
+    """``__K[index]`` until the kernel's first call: it asks ``entry``
+    for the kernel's entry point then, when whichever batch the kernel
+    was requested in has been built (``CompiledSDFG._entry``), and puts
+    that in its own place, so every later call is the ``ctypes`` call
+    alone."""
     def call(*args):
-        nonlocal cfn
-        if cfn is None:
-            cfn = entry()
-        _check_args(args[:narr], unit.arg_specs, unit.label)
-        cargs = [arr.ctypes.data for arr in args[:narr]]
-        cargs.extend(float(s) for s in args[narr:])
-        cargs.append(_ranks.kernel_threads(threads))
-        cfn(*cargs)
+        cfn = entry(index)
+        kernels[index] = cfn
+        cfn(*args)
 
     return call

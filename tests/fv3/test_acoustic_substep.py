@@ -119,14 +119,14 @@ def test_no_rank_waits_for_a_message_inside_a_program(executor, workers,
     no slab, so under rank threads the worker cap bounds the slabs out
     at once, not the number of ranks."""
     from repro.fv3 import communicator
-    from repro.sdfg.codegen import CompiledSDFG
+    from repro.sdfg.plan import BoundPlan
 
     running = threading.local()
     waits, waits_inside = [], []
-    real_call, real_wait = CompiledSDFG.__call__, communicator._io_wait
+    real_call, real_wait = BoundPlan.__call__, communicator._io_wait
 
     def call(self, *args, **kwargs):
-        running.program = self.sdfg.name
+        running.program = self.plan.name
         try:
             return real_call(self, *args, **kwargs)
         finally:
@@ -141,7 +141,7 @@ def test_no_rank_waits_for_a_message_inside_a_program(executor, workers,
         with real_wait():
             yield
 
-    monkeypatch.setattr(CompiledSDFG, "__call__", call)
+    monkeypatch.setattr(BoundPlan, "__call__", call)
     monkeypatch.setattr(communicator, "_io_wait", io_wait)
     core = _core(executor, workers)
     try:

@@ -177,16 +177,16 @@ def test_checkouts_of_a_step_follow_from_its_plans(monkeypatch):
     """One slab per call of a program that has scratch, two arrays per
     rotated halo strip, nothing per value: the step's checkout count is
     known before it runs."""
-    from repro.sdfg.codegen import CompiledSDFG
+    from repro.sdfg.plan import BoundPlan
 
     calls = []
-    real = CompiledSDFG.__call__
+    real = BoundPlan.__call__
 
     def counted(self, *args, **kwargs):
-        calls.append(self.runtime_bytes)
+        calls.append(self.plan.runtime_bytes)
         return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(CompiledSDFG, "__call__", counted)
+    monkeypatch.setattr(BoundPlan, "__call__", counted)
     pool = get_pool()
     core = _core()
     try:

@@ -235,7 +235,7 @@ def test_cli_scenario_lints_the_programs_one_step_traces(monkeypatch,
     )
     monkeypatch.setattr(
         cli, "lint_compiled_plan",
-        lambda plan: planned.setdefault(plan.sdfg.name, plan)
+        lambda plan: planned.setdefault(plan.name, plan)
         and real_plan(plan),
     )
     assert main(["--scenario", "baroclinic_wave"]) == 0

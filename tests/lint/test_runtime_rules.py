@@ -130,7 +130,7 @@ def _fake_compiled(events, specs, offsets=None):
     nbytes = [int(np.prod(shape)) * dtype.itemsize for shape, dtype in specs]
     planned, slab = plan_layout(nbytes, plan.events)
     return SimpleNamespace(
-        sdfg=SimpleNamespace(name="prog"),
+        name="prog",
         image=plan,
         plan_events=tuple(plan.events),
         plan_nbytes=nbytes,

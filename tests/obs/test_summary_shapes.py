@@ -19,6 +19,7 @@ GROUPS = {
         "program_binds", "templates",
         "programs_restored", "programs_stored", "programs_stale",
         "programs_unpersistable", "restore_bytes", "restore_seconds",
+        "sdfgs_decoded",
     },
     "jit": {
         "engine", "kernels_requested", "kernels_built", "kernels_reused",

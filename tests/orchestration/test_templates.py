@@ -651,6 +651,7 @@ def test_every_restored_binding_equals_a_fresh_trace(scenario, layout,
     from repro.dsl import backends
     from repro.runtime import jit
     from repro.sdfg import codegen
+    from repro.sdfg.plan import PlanInputs
 
     backend = "compiled" if jit.available() else "numpy"
     monkeypatch.setattr(backends, "_default_backend", backend)
@@ -692,7 +693,7 @@ def test_every_restored_binding_equals_a_fresh_trace(scenario, layout,
             assert [u.text for u in generated.units] \
                 == [u.text for u in plan.image.units]
             if backend == "compiled":
-                again = type(plan)(sdfg, generated)
+                again = type(plan)(PlanInputs.of(sdfg), generated)
                 assert [f.key for f in again.kernel_functions] \
                     == [f.key for f in plan.kernel_functions]
             checked += 1

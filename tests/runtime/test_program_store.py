@@ -122,6 +122,41 @@ def test_changed_codegen_flags_find_no_plan_record(what, change, monkeypatch):
         jit.reset(engine=True)
 
 
+def test_a_record_of_another_format_is_stale_not_damaged(monkeypatch):
+    """A record written in an earlier format is counted stale and
+    overwritten, with no repair and no warning."""
+    _combine(Box())
+    _as_a_new_process()
+    monkeypatch.setattr(cc, "_FORMAT", cc._FORMAT + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _combine(Box())
+    assert _counts() == (1, 0, 2, 1, 0)
+    assert jit.stats()["cache_repairs"] == 0
+
+
+def test_a_variant_that_never_binds_is_never_decoded():
+    """A record holds two variants of one program: a process that binds
+    one decodes neither SDFG, nor does the process that traced the
+    second and wrote both into the record — the first still packed."""
+    small, large = Box(), Box(shape=(8, 6, 4))
+    _combine(small)
+    _as_a_new_process()
+    _combine(large)  # restores the first variant, traces the second
+    assert _counts()[:2] == (1, 1)
+    assert cc.stats()["sdfgs_decoded"] == 0
+    for box in (Box(), Box(shape=(8, 6, 4))):
+        _as_a_new_process()
+        _combine(box)
+        assert _counts()[:2] == (0, 2)
+        assert cc.stats()["sdfgs_decoded"] == 0
+    # asked for, the SDFG is the one traced
+    (family,) = cc._FAMILIES.values()
+    shapes = {t.sdfg.arrays["q"].shape for t in family.templates}
+    assert shapes == {SHAPE, (8, 6, 4)}
+    assert cc.stats()["sdfgs_decoded"] == 2
+
+
 def test_traced_and_plain_calls_share_one_plan_record():
     """Tracing is no codegen flag: a traced process restores the plan a
     plain one stored, and writes no second record."""
@@ -541,16 +576,30 @@ class Counting(subprocess.Popen):
 
 subprocess.Popen = Counting  # ``subprocess.run`` goes through it too
 
+from repro import obs  # noqa: E402
 from repro.run import EnsembleDriver  # noqa: E402
 from repro.runtime import jit, runtime_summary  # noqa: E402
 from repro.scenarios import get_scenario  # noqa: E402
+from repro.sdfg import plan  # noqa: E402
 
 config = dataclasses.replace(
     get_scenario("baroclinic_wave").default_config(), npx=12, npz=4
 )
 driver = EnsembleDriver("baroclinic_wave", config, members=(1,), seed=5,
                         diagnostics=False, executor="sequential")
-driver.step(2)
+driver.step(1)
+checks = plan.COUNTERS.snapshot()["arg_checks"]
+driver.step(1)  # the steady step
+steady_checks = plan.COUNTERS.snapshot()["arg_checks"] - checks
+
+
+def kernel_spans(span):
+    for name, child in span.children.items():
+        if name.startswith("kernel."):
+            yield name, child.attrs.get("bytes", 0)
+        yield from kernel_spans(child)
+
+
 digest = hashlib.sha256()
 snapshot = driver.snapshot_member(1)
 for arrays, tracers in zip(snapshot.arrays, snapshot.tracers):
@@ -568,6 +617,8 @@ print(json.dumps({
     # process came to know it
     "isa": jit._PROBED.get(jit._ISA_FLAG),
     "modules": sorted(name for name in sys.modules if name.startswith("repro.")),
+    "steady_checks": steady_checks,
+    "kernel_spans": dict(kernel_spans(obs.get_tracer().root)),
 }))
 '''
 
@@ -627,12 +678,23 @@ def test_a_second_process_restores_everything_and_builds_nothing(tmp_path):
     # no subprocess, yet the verdict is known: it was read from the store
     assert primed["isa"] is not None and primed["isa"] == cold["isa"]
     assert not TRACE_SIDE & set(primed["modules"])
+    # bound and called from the records alone: no SDFG decoded, and a
+    # steady step checks no kernel argument (a cold one neither)
+    assert primed["cache"]["sdfgs_decoded"] == 0
+    assert primed["steady_checks"] == cold["steady_checks"] == 0
+    assert primed["kernel_spans"] == {}
     # a traced call adds spans, not imports: the program span's scratch
-    # attributes come from the restored template
+    # attributes and each kernel span's bytes come from the restored
+    # template, whose SDFG it decodes for them
     traced = _child(script, jit_dir=store, REPRO_TRACE="1", **env)
     assert traced["digest"] == cold["digest"]
     assert traced["cache"]["program_traces"] == 0
+    assert traced["cache"]["sdfgs_decoded"] == 4
+    assert traced["steady_checks"] == 0
     assert not TRACE_SIDE & set(traced["modules"])
+    spans = traced["kernel_spans"]
+    assert "kernel.xppm_flux_c0" in spans
+    assert all(nbytes > 0 for nbytes in spans.values())
 
 
 def test_two_cold_processes_on_one_directory_agree(tmp_path):
@@ -662,3 +724,79 @@ def test_two_cold_processes_on_one_directory_agree(tmp_path):
     assert third["cache"]["programs_restored"] == 4
     assert third["cache"]["by_backend"] == {"numpy": {"hits": 4, "misses": 0}}
     assert third["jit"]["cache_repairs"] == 0
+
+
+# ---------------------------------------------------------------------------
+# a bound plan: checked when made, called without a check
+# ---------------------------------------------------------------------------
+
+
+def _state_digest(snapshot) -> str:
+    import hashlib
+
+    digest = hashlib.sha256()
+    for arrays, tracers in zip(snapshot.arrays, snapshot.tracers):
+        for name in sorted(arrays):
+            digest.update(arrays[name].tobytes())
+        for tracer in tracers:
+            digest.update(tracer.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.skipif(jit._find_cc() is None, reason="no C compiler")
+def test_a_swap_moves_no_pointer_and_a_reshaped_array_is_refused(
+        monkeypatch):
+    """Two members through one engine: the swaps copy states into the
+    arrays the programs were bound to, so every steady step checks no
+    kernel argument and each member ends where it ends alone (on the
+    NumPy emission, which takes no pointer). An array of a binding
+    reshaped in place no longer fits its kernels: the next call raises
+    ``PlanBindError`` instead of computing on it."""
+    from repro.dsl import backends
+    from repro.fv3.config import DynamicalCoreConfig
+    from repro.run import EnsembleDriver
+    from repro.sdfg import plan
+    from repro.sdfg.plan import PlanBindError
+
+    config = DynamicalCoreConfig(npx=12, npz=4, layout=1, k_split=1,
+                                 n_split=1, n_tracers=1)
+
+    def driver(members):
+        return EnsembleDriver("baroclinic_wave", config, members=members,
+                              seed=3, diagnostics=False)
+
+    alone = {}
+    monkeypatch.setattr(backends, "_default_backend", "numpy")
+    for member in (1, 2):
+        single = driver((member,))
+        try:
+            single.step(2)
+            alone[member] = _state_digest(single.snapshot_member(member))
+        finally:
+            single.close()
+    monkeypatch.setattr(backends, "_default_backend", "compiled")
+    both = driver((1, 2))
+    try:
+        both.step(1)
+        checks = plan.COUNTERS.snapshot()["arg_checks"]
+        both.step(1)  # two swaps
+        assert plan.COUNTERS.snapshot()["arg_checks"] == checks
+        assert {m: _state_digest(both.snapshot_member(m))
+                for m in (1, 2)} == alone
+        # the first program of a step, on an array one of its kernels
+        # takes from the caller
+        engine = both.engine
+        call, _ = engine.step_programs(engine.ranks[0])[0]
+        call()
+        binding = call.func._state.binding
+        array = next(
+            binding.arrays[arg] for unit in binding.plan.image.units
+            for arg in unit.args if arg in binding.arrays
+        )
+        array.shape = array.shape[::-1]
+        with pytest.raises(PlanBindError, match="does not match"):
+            call()
+        array.shape = array.shape[::-1]
+        call()  # fits again
+    finally:
+        both.close()

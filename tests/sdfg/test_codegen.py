@@ -404,11 +404,12 @@ def test_a_call_is_one_checkout_and_steady_state_builds_no_views():
     prog(arrays=arrays)
     expected = arrays["out"].copy()
     (slab,) = prog._bound  # the views of the one slab it has run in
-    scratch, transients = prog._bound[slab]
+    scratch, transients, addresses = prog._bound[slab]
     assert set(transients) == set(sdfg.transients())
-    for offset, nbytes, view in zip(prog.plan_offsets, prog.plan_nbytes,
-                                    scratch):
-        assert view.ctypes.data == slab.data.ctypes.data + offset
+    for offset, nbytes, view, address in zip(
+        prog.plan_offsets, prog.plan_nbytes, scratch, addresses
+    ):
+        assert view.ctypes.data == slab.data.ctypes.data + offset == address
         assert view.nbytes == nbytes and offset % 64 == 0
         assert offset + nbytes <= prog.runtime_bytes <= slab.capacity
     before = pool.stats()
@@ -420,7 +421,7 @@ def test_a_call_is_one_checkout_and_steady_state_builds_no_views():
     assert prog._bound[slab][0] is scratch  # not rebuilt
     np.testing.assert_array_equal(arrays["out"], expected)
     # the arena retiring the slab drops the views with it
-    del slab, scratch, transients
+    del slab, scratch, transients, addresses
     pool.release(pool.checkout_slab(prog.runtime_bytes * 2 + 64))
     assert len(prog._bound) == 0
     prog(arrays=arrays)

@@ -14,7 +14,7 @@ import pytest
 from repro.resilience import RecoverableFault
 from repro.run import run
 from repro.runtime import jit
-from repro.sdfg.plan import CompiledSDFG
+from repro.sdfg.plan import BoundPlan
 from repro.serve import ForecastService, ServiceConfig
 
 
@@ -25,16 +25,16 @@ def flaky_backend(monkeypatch):
     if not jit.available():
         pytest.skip("no JIT engine: compiled programs are NumPy emission")
     state = {"healthy": False, "calls": 0}
-    run_plan = CompiledSDFG.__call__
+    run_plan = BoundPlan.__call__
 
-    def flaky_plan(plan, *args, **kwargs):
-        if plan.compiled_kernels:
+    def flaky_plan(bound, *args, **kwargs):
+        if bound.plan.compiled_kernels:
             state["calls"] += 1
             if not state["healthy"]:
                 raise RecoverableFault("flaky backend: injected failure")
-        return run_plan(plan, *args, **kwargs)
+        return run_plan(bound, *args, **kwargs)
 
-    monkeypatch.setattr(CompiledSDFG, "__call__", flaky_plan)
+    monkeypatch.setattr(BoundPlan, "__call__", flaky_plan)
     return state
 
 

@@ -45,3 +45,52 @@ def test_the_census_finds_every_function_once():
     functions = reach.package_functions()
     names = [name for _, name in functions.values()]
     assert len(names) == len(set(names)) > 1000
+
+
+#: the census's profile writer with its object walk broken, as a rename
+#: the walk misses breaks it
+_RAISING = ('    codes = []\n',
+            '    raise AttributeError("a renamed attribute")\n')
+
+
+def test_a_process_that_cannot_write_its_profile_fails_the_census(
+        tmp_path, capsys):
+    """A dump that raised leaves a failure record: its entry point is
+    ``FAILED`` and the census exits non-zero without printing a table
+    that would call everything it reached "unreached"."""
+    reach = _census_tool()
+    tiny = [("tiny", ["-c", "pass"], {})]
+    assert _RAISING[0] in reach.SITECUSTOMIZE
+    broken = reach.SITECUSTOMIZE.replace(*_RAISING)
+    (tmp_path / "intact").mkdir()
+    assert reach._run_entry_points(tmp_path / "intact", tiny) == []
+    (tmp_path / "broken").mkdir()
+    assert reach._run_entry_points(tmp_path / "broken", tiny, broken) \
+        == ["tiny"]
+    capsys.readouterr()
+    assert reach.main(tiny, broken) != 0
+    out = capsys.readouterr().out
+    assert "FAILED" in out and "census incomplete" in out
+    assert "unreached" not in out
+
+
+def test_a_restored_program_shows_what_it_was_traced_from(monkeypatch):
+    """The census finds the stencils of a program that was restored, not
+    traced, through the sources its template keeps — without decoding
+    the template's SDFG."""
+    from repro.runtime import compile_cache as cc
+    from tests.orchestration.test_templates import Box, _add, _combine, _scale
+
+    monkeypatch.delenv("REACH_CENSUS_OUT", raising=False)
+    census = {}
+    exec(_census_tool().SITECUSTOMIZE, census)  # noqa: S102
+    cc.reset(clear=True)
+    _combine(Box())
+    cc.reset(clear=True)  # as a new process: the family is restored
+    _combine(Box())
+    stats = cc.stats()
+    assert (stats["program_traces"], stats["programs_restored"]) == (0, 1)
+    codes = census["_codes_of_objects"]()
+    assert _scale._func.__code__ in codes and _add._func.__code__ in codes
+    assert cc.stats()["sdfgs_decoded"] == 0
+    cc.reset(clear=True)

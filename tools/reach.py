@@ -13,10 +13,16 @@ templates were traced from (the program's body, every function it
 inlined and every stencil it calls, which are parsed too). Reach by a unit test does not count: the
 test suite is not an entry point.
 
+Every process writes its profile when it ends, or a failure record
+when writing the profile raised. An entry point is ``ok`` only when it
+exited 0, its top-level process left a profile and no process of it
+left a failure record; otherwise it is ``FAILED``, and the census,
+missing what that entry point reached, prints no table and exits 2.
+
 Prints one row per directory of the package, then every unreached
 function, each marked with its owner row of the census table in
 ``DESIGN.md`` ("Reachability census") or ``UNOWNED``; exits 1 when one
-is unowned. Takes about ten minutes on two cores. Leaves the committed
+is unowned. Takes 3½–6½ minutes on two cores. Leaves the committed
 harness results (``benchmarks/results``) as it found them.
 """
 
@@ -31,6 +37,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from typing import List
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
@@ -198,14 +205,24 @@ def _codes_of_objects():
 
 
 def _dump():
-    codes = _codes_of_objects()
-    for profile in list(_PROFILES):
-        codes.extend(entry.code for entry in profile.getstats())
-    lines = {
-        f"{code.co_filename}\\t{code.co_firstlineno}"
-        for code in codes
-        if not isinstance(code, str) and code.co_filename.startswith(_PACKAGE)
-    }
+    # the profile, or a failure record: a process that leaves neither
+    # fails its entry point too, if it is the top-level one
+    try:
+        codes = _codes_of_objects()
+        for profile in list(_PROFILES):
+            codes.extend(entry.code for entry in profile.getstats())
+        lines = {
+            f"{code.co_filename}\\t{code.co_firstlineno}"
+            for code in codes
+            if not isinstance(code, str)
+            and code.co_filename.startswith(_PACKAGE)
+        }
+    except Exception:
+        import traceback
+
+        with open(os.path.join(_OUT, f"{os.getpid()}.failed"), "a") as out:
+            out.write(traceback.format_exc())
+        return
     path = os.path.join(_OUT, f"{os.getpid()}.txt")
     with open(path, "a") as out:
         out.write("\\n".join(sorted(lines)) + "\\n")
@@ -286,10 +303,14 @@ def owner_rows(text: str):
     }
 
 
-def _run_entry_points(out: pathlib.Path) -> None:
+def _run_entry_points(out: pathlib.Path, entry_points=ENTRY_POINTS,
+                      sitecustomize: str = SITECUSTOMIZE) -> List[str]:
+    """Run every entry point under the profiler; the labels of those
+    that ``FAILED``."""
+    failed = []
     site = out / "site"
     site.mkdir()
-    (site / "sitecustomize.py").write_text(SITECUSTOMIZE)
+    (site / "sitecustomize.py").write_text(sitecustomize)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(site), str(ROOT / "src"), str(ROOT / "tools")]
@@ -297,24 +318,38 @@ def _run_entry_points(out: pathlib.Path) -> None:
     )
     env["REACH_CENSUS_PACKAGE"] = str(PACKAGE)
     env["REPRO_JIT_DIR"] = str(out / "jit")
-    for index, (label, argv, extra) in enumerate(ENTRY_POINTS):
+    for index, (label, argv, extra) in enumerate(entry_points):
         dumps = out / f"entry{index}"
         dumps.mkdir()
         started = time.perf_counter()
-        proc = subprocess.run(
+        proc = subprocess.Popen(
             [sys.executable] + argv, cwd=ROOT,
             env={**env, **extra, "REACH_CENSUS_OUT": str(dumps)},
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         )
-        status = "ok" if proc.returncode == 0 else f"exit {proc.returncode}"
-        print(f"  {label:<40} {time.perf_counter() - started:6.1f} s  "
-              f"{len(list(dumps.iterdir()))} processes  {status}",
-              flush=True)
+        output, _ = proc.communicate()
+        failures = sorted(dumps.glob("*.failed"))
         if proc.returncode != 0:
-            print(proc.stdout[-3000:], file=sys.stderr)
+            status = f"FAILED (exit {proc.returncode})"
+        elif not (dumps / f"{proc.pid}.txt").is_file():
+            status = "FAILED (no profile of the top-level process)"
+        elif failures:
+            status = f"FAILED ({len(failures)} processes could not dump)"
+        else:
+            status = "ok"
+        print(f"  {label:<40} {time.perf_counter() - started:6.1f} s  "
+              f"{len(list(dumps.glob('*.txt')))} processes  {status}",
+              flush=True)
+        if status != "ok":
+            failed.append(label)
+            print(output[-3000:], file=sys.stderr)
+            for failure in failures:
+                print(failure.read_text()[-3000:], file=sys.stderr)
+    return failed
 
 
-def main() -> int:
+def main(entry_points=ENTRY_POINTS,
+         sitecustomize: str = SITECUSTOMIZE) -> int:
     functions = package_functions()
     results = ROOT / "benchmarks" / "results"
     kept = {path: path.read_bytes() for path in results.glob("*")}
@@ -322,13 +357,18 @@ def main() -> int:
         out = pathlib.Path(scratch)
         print("entry points:")
         try:
-            _run_entry_points(out)
+            failed = _run_entry_points(out, entry_points, sitecustomize)
         finally:
             for path in results.glob("*"):
                 if path not in kept:
                     path.unlink()
             for path, data in kept.items():
                 path.write_bytes(data)
+        if failed:
+            # what only they reach would read "unreached"
+            print(f"\ncensus incomplete: {len(failed)} of "
+                  f"{len(entry_points)} entry points FAILED; no table")
+            return 2
         reached = set()
         for dump in out.glob("entry*/*.txt"):
             for line in dump.read_text().splitlines():
