@@ -3,16 +3,19 @@
 The text report is the human-facing view — an indented span tree with
 call counts, total/self wall time, and (for spans carrying a ``bytes``
 attribute) achieved GB/s plus the fraction of the observed machine's
-roofline bandwidth. The JSON export is the machine-facing view consumed
-by the benchmarks.
+roofline bandwidth — and below it one footer line per counter set that
+has counted anything (:func:`_footer`). The JSON export is the
+machine-facing view consumed by the benchmarks.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+import sys
+from typing import Dict, List, Mapping, Optional
 
 from repro.machine import MachineModel
+from repro.obs.counters import REGISTRY, snapshot_all
 from repro.obs.metrics import observed_machine
 from repro.obs.tracer import Span, Tracer, get_tracer
 
@@ -32,32 +35,65 @@ def snapshot(node: Span) -> Dict[str, object]:
 
 
 def to_json(tracer: Optional[Tracer] = None, indent: Optional[int] = 2) -> str:
-    """Serialize a tracer's full span tree (default tracer if omitted)."""
+    """Serialize a tracer's full span tree (default tracer if omitted),
+    every registered counter set, the resilience layer's fallback log
+    and chaos record, and the serving summary."""
+    from repro.resilience import summary
+
     tracer = tracer or get_tracer()
+    resilience = summary()
+    del resilience["counters"]  # the registry's "resilience" group
     payload = {
         "tracer": tracer.name,
         "machine": observed_machine().name,
         "spans": [snapshot(c) for c in tracer.root.children.values()],
-        "runtime": _runtime_summary(),
-        "ensemble": _ensemble_summary(),
-        "resilience": _resilience_summary(),
-        "serving": _serving_summary(),
+        "counters": snapshot_all(),
+        "resilience": resilience,
+        "serving": _serving(),
     }
     return json.dumps(payload, indent=indent)
 
 
-def _runtime_summary() -> Dict[str, Dict[str, object]]:
-    # imported lazily: report must stay loadable without pulling the
-    # runtime/codegen stack in
-    from repro.runtime import runtime_summary
-
-    return runtime_summary()
+def _serving() -> Optional[Dict[str, object]]:
+    # a process that never imported the serving layer has no services
+    serve = sys.modules.get("repro.serve")
+    return None if serve is None else serve.serving_summary()
 
 
-def _resilience_summary() -> Dict[str, object]:
-    from repro.resilience import summary
+def _value(value: object) -> str:
+    if isinstance(value, Mapping):
+        return f"({_cells(value)})"
+    if isinstance(value, float):
+        return f"{value:.3g}"
+    return str(value)
 
-    return summary()
+
+def _cells(values: Mapping[str, object]) -> str:
+    return ", ".join(f"{name} {_value(v)}" for name, v in values.items())
+
+
+def _footer() -> List[str]:
+    """One line ``group: name value, …`` per registered counter set that
+    has counted anything (a nonzero sum or peak, or a family row), over
+    every name of its snapshot, derived values included; and in the same
+    form the services' merged summary once one has handled a request and
+    the chaos plan's injection record once it has injected. Sorted by
+    group name; values print as the sets hold them (bytes, seconds,
+    fractions)."""
+    views = {
+        group: counters.snapshot()
+        for group, counters in REGISTRY.items()
+        if any(counters.values.values()) or counters.rows
+    }
+    serving = _serving()
+    if serving:
+        views["serving"] = serving
+    resilience = sys.modules.get("repro.resilience")
+    if resilience is not None:
+        chaos = resilience.summary()["chaos"]
+        if chaos["injected_total"]:
+            views["chaos"] = chaos
+    return [f"{group}: {_cells(views[group])}" for group in sorted(views)]
 
 
 def _bandwidth_cells(node: Span, machine: MachineModel) -> str:
@@ -116,208 +152,5 @@ def report(
     ]
     for child in tracer.root.children.values():
         _render(child, 0, lines, machine)
-    lines.extend(_runtime_lines())
-    lines.extend(_ensemble_lines())
-    lines.extend(_resilience_lines())
-    lines.extend(_serving_lines())
+    lines.extend(_footer())
     return "\n".join(lines)
-
-
-def _runtime_lines() -> List[str]:
-    """Footer summarizing the runtime memory subsystem, shown once either
-    the pool or the compile cache has been exercised."""
-    rt = _runtime_summary()
-    pool = rt["pool"]
-    cache = rt["compile_cache"]
-    lines: List[str] = []
-    if pool["checkouts"]:
-        lines.append(
-            f"buffer pool: {pool['checkouts']} checkouts, "
-            f"{pool['reuse_hits']} reuse hits, "
-            f"{pool['allocated_bytes'] / 1e6:.1f} MB allocated, "
-            f"{pool['alloc_bytes_avoided'] / 1e6:.1f} MB avoided, "
-            f"high water {pool['high_water_bytes'] / 1e6:.1f} MB in "
-            f"{pool['peak_slabs']} slabs "
-            f"(largest {pool['largest_slab_bytes'] / 1e6:.1f} MB, "
-            f"{pool['retirements']} retired)"
-        )
-    if cache["hits"] or cache["misses"]:
-        by = cache.get("by_backend") or {}
-        per_backend = ""
-        if len(by) > 1 or (by and "numpy" not in by):
-            per_backend = " [" + ", ".join(
-                f"{b}: {c['hits']}h/{c['misses']}m"
-                for b, c in sorted(by.items())
-            ) + "]"
-        lines.append(
-            f"compile cache: {cache['hits']} hits / "
-            f"{cache['misses']} misses "
-            f"(rate {100 * cache['hit_rate']:.0f}%)"
-            f"{per_backend}"
-        )
-    if cache["program_traces"] or cache["program_binds"]:
-        lines.append(
-            f"orchestration: {cache['program_traces']} programs traced, "
-            f"{cache['program_binds']} bound to "
-            f"{cache['templates']} templates"
-        )
-    jt = rt.get("jit", {})
-    if jt.get("kernels_requested"):
-        lines.append(
-            f"jit: {jt['engine']} engine, {jt['kernels_requested']} kernels "
-            f"requested = {jt['kernels_built']} built + "
-            f"{jt['kernels_reused']} reused; {jt['compiles']} translation "
-            f"units compiled in {jt['builds']} builds "
-            f"({jt['compile_seconds']:.3f}s blocked), "
-            f"{jt['disk_hits']} objects opened from disk"
-        )
-    if cache["program_traces"] or cache.get("programs_restored"):
-        lines.append(
-            f"programs: {cache['programs_restored']} restored / "
-            f"{cache['program_traces']} traced "
-            f"({cache['programs_stored']} stored, "
-            f"{cache['programs_unpersistable']} memory-only) / "
-            f"{cache['programs_stale']} stale records, "
-            f"{cache['restore_bytes'] / 1e3:.0f} kB read in "
-            f"{cache['restore_seconds']:.3f}s"
-        )
-    rk = rt.get("ranks", {})
-    if rk.get("sections"):
-        lines.append(
-            f"rank executor: {rk['workers']} workers, "
-            f"{rk['sections']} parallel sections / "
-            f"{rk['tasks']} rank tasks, "
-            f"{rk['section_seconds']:.3f}s inside sections"
-        )
-    if rk.get("exchanges"):
-        eff = rk.get("overlap_efficiency")
-        eff_cell = f"{100 * eff:.0f}%" if eff is not None else "n/a"
-        lines.append(
-            f"halo overlap: {eff_cell} efficiency "
-            f"({rk['hidden_seconds']:.3f}s hidden, "
-            f"{rk['exposed_seconds']:.3f}s exposed, "
-            f"{rk['exchanges']} split exchanges)"
-        )
-    pr = rt.get("procs", {})
-    if pr.get("launches"):
-        lines.append(
-            f"process executor: {pr['launches']} launch(es), "
-            f"{pr['workers']} worker(s) / {pr['ranks']} ranks, "
-            f"{pr['worker_reports_merged']} worker reports merged, "
-            f"{pr['messages']} shm messages "
-            f"({pr['bytes'] / 1e6:.1f} MB); largest worker "
-            f"{pr['worker_peak_rss_mb']:.0f} MiB RSS, "
-            f"{pr['worker_arena_high_water_mb']:.1f} MiB arena, "
-            f"{pr['worker_threads']} thread(s)"
-        )
-    return lines
-
-
-def _ensemble_lines() -> List[str]:
-    """Footer summarizing ensemble amortization, shown once the
-    experiment facade has driven at least one run."""
-    es = _ensemble_summary()
-    if not es["runs"]:
-        return []
-    rate = es["compile_amortization"]
-    rate_cell = f"{100 * rate:.0f}%" if rate is not None else "n/a"
-    return [
-        f"ensemble: {es['runs']} run(s), {es['members']} member(s), "
-        f"{es['member_steps']} member-steps in {es['seconds']:.3f}s; "
-        f"amortized {es['grid_builds_avoided']} grid builds, "
-        f"compile cache {es['compile_hits']} hits / "
-        f"{es['compile_misses']} misses ({rate_cell}), "
-        f"pool reuse {es['pool_reuse_hits']}; "
-        f"engines alive {es['engines_alive']}"
-    ]
-
-
-def _ensemble_summary() -> Dict[str, object]:
-    from repro.run import metrics
-
-    return metrics.summary()
-
-
-def _serving_summary() -> Optional[Dict[str, object]]:
-    # lazy + tolerant: the report must stay renderable in a process
-    # that never imported the serving layer
-    import sys
-
-    serve = sys.modules.get("repro.serve")
-    if serve is None:
-        return None
-    return serve.serving_summary()
-
-
-def _serving_lines() -> List[str]:
-    """Footer summarizing forecast serving, shown once any
-    :class:`~repro.serve.ForecastService` has handled a request."""
-    sv = _serving_summary()
-    if not sv:
-        return []
-
-    def ms(value) -> str:
-        return f"{1e3 * value:.1f}ms" if value is not None else "n/a"
-
-    lines = [
-        f"serving: {sv['submitted']} submitted, "
-        f"{sv['completed']} completed, {sv['shed']} shed, "
-        f"{sv['deadline_exceeded']} deadline-exceeded, "
-        f"{sv['cancelled']} cancelled, {sv['failed']} failed; "
-        f"latency p50 {ms(sv['latency']['p50'])} / "
-        f"p99 {ms(sv['latency']['p99'])}, "
-        f"queue wait p50 {ms(sv['queue_wait']['p50'])}"
-    ]
-    cache = sv["cache"]
-    ratio = cache.get("hit_ratio")
-    ratio_cell = f"{100 * ratio:.0f}%" if ratio is not None else "n/a"
-    pack_ratio = cache.get("pack_ratio")
-    packing = f" ({pack_ratio:.2f}x)" if pack_ratio is not None else ""
-    lines.append(
-        f"serving slo: {sv['retries']} retries, "
-        f"{sv['degraded']} degraded, "
-        f"breaker {sv['breakers']['trips']} trips / "
-        f"{sv['breakers']['probes']} probes / "
-        f"{sv['breakers']['recoveries']} recoveries; "
-        f"cache {cache['hits']} hits / {cache['warm_hits']} warm / "
-        f"{cache['misses']} misses (hit ratio {ratio_cell}), "
-        f"{sv['steps_saved']} steps saved; "
-        f"{cache['entries']} states held in "
-        f"{cache['bytes'] / 2 ** 20:.1f} MiB packed of "
-        f"{cache['raw_bytes'] / 2 ** 20:.1f} MiB{packing}"
-    )
-    return lines
-
-
-def _resilience_lines() -> List[str]:
-    """Footer summarizing recovery activity, shown once any fault was
-    injected or any recovery action taken."""
-    rs = _resilience_summary()
-    counters = rs["counters"]
-    injected = rs["chaos"]["injected_total"]
-    if not injected and not any(counters.values()):
-        return []
-    lines: List[str] = []
-    if injected:
-        by_site = ", ".join(
-            f"{site}={n}" for site, n in sorted(rs["chaos"]["injected"].items())
-        )
-        lines.append(
-            f"chaos: {injected} fault(s) injected "
-            f"(seed {rs['chaos']['seed']}: {by_site})"
-        )
-    shown = [
-        (name, counters[name])
-        for name in (
-            "guard_trips", "rollbacks", "retries", "fallbacks",
-            "halo_timeouts", "halo_redeliveries", "orphaned_messages",
-            "checkpoints_saved", "checkpoints_restored",
-        )
-        if counters.get(name)
-    ]
-    if shown:
-        lines.append(
-            "resilience: "
-            + ", ".join(f"{n} {name}" for name, n in shown)
-        )
-    return lines

@@ -10,13 +10,16 @@ two allocation sources the generated NumPy programs had:
   temporary it has (expression scratch, kernel-local arrays, SDFG
   transients) is an interval fixed at compile time, and releases it
   afterwards, so steady-state execution performs no array allocation.
-- :mod:`repro.runtime.compile_cache` — a content-hash cache of expanded
-  SDFGs → :class:`~repro.sdfg.codegen.CompiledSDFG`, so autotuning and
-  transfer tuning stop recompiling identical candidate configurations.
+- :mod:`repro.runtime.compile_cache` — program and plan records: the
+  templates of orchestrated programs and the images of their plans
+  (:class:`~repro.sdfg.plan.CompiledSDFG`), keyed by content and kept in
+  memory and beside the kernels on disk, so a second process, and
+  autotuning's repeated candidates, restore what was traced and
+  generated before instead of doing it again.
 - :mod:`repro.runtime.ranks` — the SPMD rank executor: the one per-rank
   body, interleaved at its wait points on the calling thread or run on
   one thread per rank with a compute-slot cap, plus the halo overlap
-  accounting behind the obs footer's efficiency line.
+  accounting (``overlap_efficiency`` on the obs footer's ``ranks:`` line).
 - :mod:`repro.runtime.jit` — JIT engine probing + compilation for the
   ``compiled`` backend (PR 8), with compile-count/wall-time counters so
   reports attribute warmup cost separately from steady-state kernels.

@@ -99,8 +99,9 @@ class UnitImage:
     what calling it takes."""
 
     label: str
-    #: one C function named :data:`repro.runtime.jit.SYMBOL`
-    text: str
+    #: one C function named :data:`repro.runtime.jit.SYMBOL`; ``None``
+    #: in a plan whose kernels have all been built (``CompiledSDFG._entry``)
+    text: Optional[str]
     #: (shape, dtype.str) per array argument, validated at each call
     arg_specs: List[Tuple[Tuple[int, ...], str]]
     #: the scalar arguments that follow the arrays
@@ -321,9 +322,17 @@ class CompiledSDFG:
             self._request_c()
 
     def _entry(self, index: int):
-        """The C entry point of unit ``index``, for its first call."""
+        """The C entry point of unit ``index``, for its first call. Once
+        every kernel of the plan has landed the image's texts are
+        dropped: only :meth:`request` reads them, after a failure, and
+        the plan's record was written when the plan was made."""
         self.request()
-        return self.kernel_functions[index].result()
+        entry = self.kernel_functions[index].result()
+        if all(flight.done.is_set() and flight.error is None
+               for flight in self.kernel_functions):
+            for unit in self.image.units:
+                unit.text = None
+        return entry
 
 
 #: what a call compares of each bound array with what it was checked as

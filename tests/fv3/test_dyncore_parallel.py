@@ -248,9 +248,11 @@ def test_parallel_metrics_surface_in_report():
     assert summary["hidden_seconds"] >= 0.0
     eff = summary["overlap_efficiency"]
     assert eff is None or 0.0 <= eff <= 1.0
-    text = report()
-    assert "rank executor:" in text
-    assert "halo overlap:" in text
+    (line,) = [ln for ln in report().splitlines()
+               if ln.startswith("ranks: ")]
+    assert f"sections {summary['sections']}," in line
+    assert f"exchanges {summary['exchanges']}," in line
+    assert "overlap_efficiency" in line
 
 
 def test_sequential_executor_records_no_sections():

@@ -1,6 +1,8 @@
-"""The key sets other code indexes (``benchmarks/perf``, the report
-footers) do not move: ``runtime_summary()``'s five groups and a
-service's ``requests`` / ``cache`` summaries, pinned exactly."""
+"""The key sets ``benchmarks/perf`` and the process executor's fold
+index do not move: ``runtime_summary()``'s five groups and a service's
+``requests`` / ``cache`` summaries, pinned exactly. The report footer
+indexes no key: it prints whatever each set's snapshot holds
+(``tests/obs/test_footer.py``)."""
 
 import pytest
 

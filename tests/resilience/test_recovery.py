@@ -140,9 +140,12 @@ def test_recovery_shows_in_obs_report(clean_run):
         # attribute the injected faults
         chaos.set_plan(plan)
         text = obs.report()
-        assert "chaos: 1 fault(s) injected" in text
-        assert "stencil.nanflip=1" in text
-        assert "1 rollbacks" in text and "1 guard_trips" in text
+        (line,) = [ln for ln in text.splitlines()
+                   if ln.startswith("chaos: ")]
+        assert "injected (stencil.nanflip 1), injected_total 1" in line
+        (line,) = [ln for ln in text.splitlines()
+                   if ln.startswith("resilience: ")]
+        assert "guard_trips 1," in line and "rollbacks 1," in line
         payload = obs.to_json()
         assert '"rollbacks": 1' in payload
     finally:

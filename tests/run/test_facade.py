@@ -148,19 +148,19 @@ def test_report_carries_ensemble_footer():
             if line.startswith("ensemble:")
         ]
         assert len(footer) == 1
-        assert "1 run(s), 2 member(s), 2 member-steps" in footer[0]
-        assert "compile cache" in footer[0]
+        assert "runs 1, members 2, member_steps 2," in footer[0]
+        assert "compile_hits" in footer[0] and "compile_misses" in footer[0]
         alive = metrics.summary()["engines_alive"]
         assert alive >= 1  # this result's
-        assert footer[0].endswith(f"engines alive {alive}")
+        assert footer[0].endswith(f"engines_alive {alive}")
         (programs,) = [
             line for line in text.splitlines()
-            if line.startswith("orchestration:")
+            if line.startswith("compile_cache:")
         ]
-        assert "programs traced" in programs and "templates" in programs
+        assert "program_traces" in programs and "templates" in programs
         payload = json.loads(obs.to_json())
-        assert payload["ensemble"]["members"] == 2
-        assert payload["ensemble"]["member_steps"] == 2
+        assert payload["counters"]["ensemble"]["members"] == 2
+        assert payload["counters"]["ensemble"]["member_steps"] == 2
         # the traced run nests per-member spans under the ensemble step
         names = text.splitlines()
         assert any("ensemble.step" in line for line in names)
@@ -175,9 +175,9 @@ def test_footer_absent_without_runs():
     summary = metrics.summary()
     assert summary["runs"] == 0
     assert summary["compile_amortization"] is None
-    from repro.obs.render import _ensemble_lines
+    from repro.obs.render import _footer
 
-    assert _ensemble_lines() == []
+    assert [ln for ln in _footer() if ln.startswith("ensemble:")] == []
 
 
 def test_metrics_accumulate_across_runs():

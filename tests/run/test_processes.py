@@ -388,7 +388,10 @@ def test_worker_observability_merged_into_parent():
     finally:
         tracer.enabled = was_enabled
         tracer.reset()
-    assert "process executor:" in report
+    (line,) = [ln for ln in report.splitlines() if ln.startswith("procs: ")]
+    assert f"worker_reports_merged {rt['procs']['worker_reports_merged']}," \
+        in line
+    assert f"messages {rt['procs']['messages']}," in line
 
 
 def test_worker_spans_folded_when_tracing():

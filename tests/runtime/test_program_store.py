@@ -325,8 +325,10 @@ def test_the_report_footer_has_a_programs_line():
     finally:
         obs.disable()
         obs.reset()
-    (line,) = [ln for ln in text.splitlines() if ln.startswith("programs:")]
-    assert "1 restored / 0 traced" in line and "0 stale" in line
+    (line,) = [ln for ln in text.splitlines()
+               if ln.startswith("compile_cache: ")]
+    assert "programs_restored 1," in line and "program_traces 0," in line
+    assert "programs_stale 0," in line
     assert "orchestrate.restore" in text
 
 

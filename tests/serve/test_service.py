@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.dsl import UnknownBackendError
-from repro.obs.render import _serving_lines
+from repro.obs.render import _footer
 from repro.run import metrics, run
 from repro.runtime import compile_cache
 from repro.serve import (
@@ -114,9 +114,9 @@ def test_cache_counters_and_footer_show_the_packing(service, small_config):
     totals = serving_summary()["cache"]
     assert totals["bytes"] >= held["bytes"]
     assert totals["raw_bytes"] >= held["raw_bytes"]
-    footer = "\n".join(_serving_lines())
-    match = re.search(r"(\d+) states held in [\d.]+ MiB packed of "
-                      r"[\d.]+ MiB \((\d+\.\d\d)x\)", footer)
+    (line,) = [ln for ln in _footer() if ln.startswith("serving: ")]
+    match = re.search(r"\bentries (\d+), bytes \d+, raw_bytes \d+, "
+                      r"hit_ratio [\d.]+, pack_ratio ([\d.]+)\)", line)
     assert match and int(match.group(1)) >= 1
     assert float(match.group(2)) > 1.15
 

@@ -85,4 +85,4 @@ def test_the_report_renderer_loads_with_the_first_report():
         capture_output=True, text=True,
     ).stdout.splitlines()
     assert out[0] == "False"
-    assert out[1].startswith("ensemble: 1 run(s), 1 member(s)")
+    assert out[1].startswith("ensemble: runs 1, members 1, ")

@@ -74,6 +74,29 @@ def test_a_process_that_cannot_write_its_profile_fails_the_census(
     assert "unreached" not in out
 
 
+def test_a_complete_census_ends_with_its_summary_line(capsys):
+    """A census whose entry points all left their profiles ends with one
+    line of totals: what it counted, and ``count_loc`` of the package."""
+    import re
+
+    from repro.util.loc import count_loc_files
+
+    reach = _census_tool()
+    tiny = [("tiny", ["-c", "pass"], {})]
+    capsys.readouterr()
+    reach.main(tiny)
+    last = capsys.readouterr().out.splitlines()[-1]
+    match = re.fullmatch(
+        r"census: (\d+) functions, (\d+) reached, (\d+) unreached, "
+        r"(\d+) owned, count_loc (\d+)", last
+    )
+    assert match, last
+    functions, reached, unreached, owned, loc = map(int, match.groups())
+    assert functions == len(reach.package_functions()) == reached + unreached
+    assert 0 < owned <= unreached
+    assert loc == count_loc_files(sorted(reach.PACKAGE.rglob("*.py")))
+
+
 def test_a_restored_program_shows_what_it_was_traced_from(monkeypatch):
     """The census finds the stencils of a program that was restored, not
     traced, through the sources its template keeps — without decoding

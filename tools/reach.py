@@ -21,9 +21,11 @@ missing what that entry point reached, prints no table and exits 2.
 
 Prints one row per directory of the package, then every unreached
 function, each marked with its owner row of the census table in
-``DESIGN.md`` ("Reachability census") or ``UNOWNED``; exits 1 when one
-is unowned. Takes 3½–6½ minutes on two cores. Leaves the committed
-harness results (``benchmarks/results``) as it found them.
+``DESIGN.md`` ("Reachability census") or ``UNOWNED``, and ends with one
+summary line, ``census: F functions, R reached, U unreached, O owned,
+count_loc L``; exits 1 when a function is unowned. Takes 3½–6½ minutes
+on two cores. Leaves the committed harness results
+(``benchmarks/results``) as it found them.
 """
 
 from __future__ import annotations
@@ -403,7 +405,20 @@ def main(entry_points=ENTRY_POINTS,
         unowned += owner is None
         print(f"{name:<72} {owner or 'UNOWNED'}")
     print(f"\n{len(unreached)} unreached, {unowned} without an owner row")
+    print(f"census: {total} functions, {hit} reached, {total - hit} "
+          f"unreached, {owned} owned, count_loc {package_loc()}")
     return 1 if unowned else 0
+
+
+def package_loc() -> int:
+    """``count_loc`` over the package (``repro.util.loc``, Table I's
+    counting rule)."""
+    sys.path.insert(0, str(ROOT / "src"))
+    try:
+        from repro.util.loc import count_loc_files
+    finally:
+        sys.path.remove(str(ROOT / "src"))
+    return count_loc_files(sorted(PACKAGE.rglob("*.py")))
 
 
 if __name__ == "__main__":
