@@ -288,17 +288,21 @@ class HaloUpdater:
             # the combinations form in pooled scratch, in the ufunc
             # order r00*u + r01*v (which fixes the signed zeros)
             t1 = pool.checkout(u.shape, u.dtype)
-            t2 = pool.checkout(u.shape, u.dtype)
-            np.multiply(rot[0, 0], u, out=t1)
-            np.multiply(rot[0, 1], v, out=t2)
-            np.add(t1, t2, out=t1)
-            _scatter(uf, plan, t1)
-            np.multiply(rot[1, 0], u, out=t1)
-            np.multiply(rot[1, 1], v, out=t2)
-            np.add(t1, t2, out=t1)
-            _scatter(vf, plan, t1)
-            pool.release(t2)
-            pool.release(t1)
+            try:
+                t2 = pool.checkout(u.shape, u.dtype)
+                try:
+                    np.multiply(rot[0, 0], u, out=t1)
+                    np.multiply(rot[0, 1], v, out=t2)
+                    np.add(t1, t2, out=t1)
+                    _scatter(uf, plan, t1)
+                    np.multiply(rot[1, 0], u, out=t1)
+                    np.multiply(rot[1, 1], v, out=t2)
+                    np.add(t1, t2, out=t1)
+                    _scatter(vf, plan, t1)
+                finally:
+                    pool.release(t2)
+            finally:
+                pool.release(t1)
             req.release()
             cells += plan.cells
         return cells

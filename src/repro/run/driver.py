@@ -325,6 +325,16 @@ def _load(engine: DynamicalCore, rec: Optional[_Member]) -> None:
     engine.resilience = rec.resilience
 
 
+def _resident_first(engine: DynamicalCore,
+                    members: Sequence[int]) -> List[int]:
+    """``members`` in the order a pass over them swaps least: the one
+    resident in ``engine``, if it is among them, first."""
+    rec = engine.resident
+    if rec is None or rec.member not in members:
+        return list(members)
+    return [rec.member, *(m for m in members if m != rec.member)]
+
+
 def _step(engine: DynamicalCore, rec: _Member) -> None:
     """Advance ``rec`` one step in the engine's arrays. A step that
     raises has half-stepped its only copy: the member is lost."""
@@ -541,9 +551,10 @@ class EnsembleDriver:
         through one warm driver: each sweep advances exactly the
         requests that still have steps left (finished or cancelled ones
         drop out), without touching the driver-global ``steps_taken``
-        that the classic whole-ensemble path reports."""
+        that the classic whole-ensemble path reports. A sweep starts
+        with the member left resident, so it swaps one member fewer."""
         for _ in range(n):
-            for m in members:
+            for m in _resident_first(self.engine, members):
                 with _TRACER.span(f"member[{m}]"):
                     _step(self.engine, self.members[m])
                     if self.diagnostics:
@@ -702,11 +713,12 @@ class EnsembleDriver:
                 check: bool, executor: str) -> RunResult:
         """The structured result of the members as they stand (stepped
         here, or gathered from rank worker processes): each member is
-        loaded once, for its checks and its summary."""
-        members = []
-        for m in self.member_ids:
+        loaded once, for its checks and its summary, the resident one
+        first; they are listed in :attr:`member_ids` order."""
+        members = {}
+        for m in _resident_first(self.engine, self.member_ids):
             rec = self._activate(m)
-            members.append(MemberResult(
+            members[m] = MemberResult(
                 member=m,
                 steps=self.steps_taken,
                 summary=self.engine.state_summary(),
@@ -716,13 +728,13 @@ class EnsembleDriver:
                 else [],
                 history=list(self.history[m]),
                 states=rec.states,
-            ))
+            )
         return RunResult(
             scenario=self.scenario.name,
             config=self.config,
             steps=self.steps_taken,
             seed=self.seed,
-            members=members,
+            members=[members[m] for m in self.member_ids],
             seconds=seconds,
             executor=executor,
             amortization=amortization,

@@ -38,14 +38,14 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.obs.counters import REGISTRY
-from repro.runtime.pool import BufferPool, CancelScope, get_pool
+from repro.runtime.pool import BufferPool, get_pool
 from repro.runtime import compile_cache
 from repro.runtime import jit
 from repro.runtime import ranks
 from repro.runtime.ranks import RankExecutor
 
 __all__ = [
-    "BufferPool", "CancelScope", "get_pool", "compile_cache", "jit",
+    "BufferPool", "get_pool", "compile_cache", "jit",
     "ranks",
     "RankExecutor", "runtime_summary",
 ]

@@ -33,11 +33,10 @@ Safety properties:
   handed out all raise, because any of them would let two later
   checkouts alias;
 - nesting is safe: a nested program call simply checks out another slab
-  while the outer call's slab is live.
-
-``BufferPool(recycle=False)`` does not recycle (every checkout allocates
-a fresh slab, a released one is dropped) as a debugging aid; the
-accounting still runs.
+  while the outer call's slab is live;
+- every checkout is released by its taker's own ``finally``, so scratch
+  comes back when a call raises, on every thread and in every worker
+  process.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ import numpy as np
 from repro.obs.counters import Counters, register
 from repro.resilience import chaos as _chaos
 
-__all__ = ["ALIGN", "BufferPool", "CancelScope", "Slab", "get_pool"]
+__all__ = ["ALIGN", "BufferPool", "Slab", "get_pool"]
 
 #: slabs start on a cache line and hold a whole number of them; a caller
 #: that lays values out in a slab at multiples of this keeps every value
@@ -83,17 +82,13 @@ _CAPACITY = operator.attrgetter("capacity")
 class BufferPool:
     """A scratch arena of slabs, served by capacity (smallest fit)."""
 
-    def __init__(self, recycle: bool = True):
-        self.recycle = recycle
+    def __init__(self):
         self._pid = os.getpid()
         self._idle: List[Slab] = []
         #: id(handle) → (handle, its slab) of every live checkout; holding
         #: the handle keeps its id from being recycled while it is live
         self._live: Dict[int, Tuple[Handle, Slab]] = {}
         self._lock = threading.Lock()
-        #: per-thread stack of active CancelScopes (cooperative
-        #: cancellation support for the serving layer)
-        self._tls = threading.local()
         #: bytes checked out and bytes idle right now
         self.live_bytes = 0
         self.idle_bytes = 0
@@ -102,7 +97,7 @@ class BufferPool:
         self.counters = Counters(
             sums=(
                 "checkouts", "reuse_hits", "allocations", "allocated_bytes",
-                "alloc_bytes_avoided", "retirements", "scope_reclaims",
+                "alloc_bytes_avoided", "retirements",
             ),
             peaks=("high_water_bytes", "peak_slabs", "largest_slab_bytes"),
             local={
@@ -114,44 +109,6 @@ class BufferPool:
         )
         self._n = self.counters.values
         self.stats = self.counters.snapshot
-
-    # ------------------------------------------------------------------
-    # cooperative cancellation
-    # ------------------------------------------------------------------
-    def cancel_scope(self, label: str = "") -> "CancelScope":
-        """A context manager that returns still-live checkouts made by
-        the **current thread** inside the scope back to the arena if the
-        scope exits with an exception.
-
-        This is the serving layer's "no wedged workers" guarantee: a
-        request cancelled (deadline exhausted, fault mid-kernel) between
-        a checkout and its matching ``release`` would otherwise leak that
-        slab from the arena for the worker's whole lifetime. A clean exit
-        releases nothing — checkouts intentionally retained past the
-        scope stay live. Only checkouts made on the entering thread are
-        tracked, so rank-executor worker threads running under a parallel
-        executor are not covered.
-        """
-        return CancelScope(self, label)
-
-    def _scope_stack(self) -> List["CancelScope"]:
-        stack = getattr(self._tls, "scopes", None)
-        if stack is None:
-            stack = self._tls.scopes = []
-        return stack
-
-    def _track(self, handle: Handle) -> None:
-        stack = getattr(self._tls, "scopes", None)
-        if stack:
-            stack[-1]._live[id(handle)] = handle
-
-    def _untrack(self, handle: Handle) -> None:
-        stack = getattr(self._tls, "scopes", None)
-        if stack:
-            key = id(handle)
-            for scope in reversed(stack):
-                if scope._live.pop(key, None) is not None:
-                    return
 
     # ------------------------------------------------------------------
     # checkout / release
@@ -175,7 +132,6 @@ class BufferPool:
         capacity = max(-(-nbytes // ALIGN), 1) * ALIGN
         n = self._n
         with self._lock:
-            # (without recycling nothing is ever idle)
             fits = [s for s in self._idle if s.capacity >= capacity]
             if fits:
                 slab = min(fits, key=_CAPACITY)
@@ -211,15 +167,14 @@ class BufferPool:
             n["peak_slabs"] = max(
                 n["peak_slabs"], len(self._live) + len(self._idle)
             )
-        try:
-            if _chaos._PLAN is not None:
+        if _chaos._PLAN is not None:
+            try:
                 _chaos.maybe_poison(
                     slab.data.view(np.float64) if spec is None else handle
                 )
-            self._track(handle)
-        except BaseException:
-            self.release(handle)
-            raise
+            except BaseException:
+                self.release(handle)
+                raise
         return handle
 
     def release(self, handle: Handle) -> None:
@@ -236,10 +191,8 @@ class BufferPool:
             slab = entry[1]
             # live + idle does not grow: no new high water
             self.live_bytes -= slab.capacity
-            if self.recycle:
-                self._idle.append(slab)
-                self.idle_bytes += slab.capacity
-        self._untrack(handle)
+            self._idle.append(slab)
+            self.idle_bytes += slab.capacity
 
     # ------------------------------------------------------------------
     def clear(self) -> None:
@@ -264,48 +217,10 @@ class BufferPool:
         """
         self._pid = os.getpid()
         self._lock = self.counters.lock = threading.Lock()
-        self._tls = threading.local()
         self._idle = []
         self._live = {}
         self.live_bytes = self.idle_bytes = 0
         self.counters.reset()
-
-
-class CancelScope:
-    """See :meth:`BufferPool.cancel_scope`. ``reclaimed`` (valid after
-    exit) counts the checkouts returned to the arena."""
-
-    __slots__ = ("_pool", "label", "_live", "reclaimed")
-
-    def __init__(self, pool: BufferPool, label: str = ""):
-        self._pool = pool
-        self.label = label
-        self._live: Dict[int, Handle] = {}
-        self.reclaimed = 0
-
-    def __enter__(self) -> "CancelScope":
-        self._pool._scope_stack().append(self)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        stack = self._pool._scope_stack()
-        if not stack or stack[-1] is not self:
-            raise RuntimeError("cancel scopes must exit LIFO")
-        stack.pop()
-        leftovers = list(self._live.values())
-        self._live.clear()
-        if exc_type is None:
-            # clean exit: retained checkouts are the caller's business,
-            # but an enclosing scope must keep covering them
-            for handle in leftovers:
-                self._pool._track(handle)
-            return False
-        for handle in leftovers:
-            self._pool.release(handle)
-        self.reclaimed = len(leftovers)
-        if leftovers:
-            self._pool.counters.add("scope_reclaims", self.reclaimed)
-        return False
 
 
 _POOL: BufferPool = BufferPool()

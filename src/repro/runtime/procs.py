@@ -349,9 +349,10 @@ class _WorkerHarness:
 
     Members are the :class:`~repro.run.driver.EnsembleDriver`'s records,
     swapped and stepped through the driver's own helpers
-    (``_new_member``, ``_load``, ``_step``): the engine is built from the
-    first member's initial state, which that member keeps, so a
-    one-member block copies nothing. Stepping is step-major over members;
+    (``_new_member``, ``_load``, ``_step``, ``_resident_first``): the
+    engine is built from the first member's initial state, which that
+    member keeps, so a one-member block copies nothing. Stepping is
+    step-major over members, each sweep starting with the resident one;
     diagnostics are the engine's own per-rank summands. Member states
     come from the parent's builders and ``SeedSequence`` streams, the
     scenario's initializer replaying a perturbed member's stream past the
@@ -409,12 +410,12 @@ class _WorkerHarness:
         return out
 
     def step(self, n: int) -> None:
-        from repro.run.driver import _step
+        from repro.run.driver import _resident_first, _step
 
         core = self.core
         for _ in range(int(n)):
-            for member, record in self.members.items():
-                _step(core, record)
+            for member in _resident_first(core, list(self.members)):
+                _step(core, self.members[member])
                 self.threads = max(self.threads, threading.active_count())
                 if self.spec.diagnostics:
                     self.history[member].append({

@@ -27,9 +27,10 @@ service without giving up any of its guarantees:
   the step loop checks the budget cooperatively between steps, so an
   exhausted request fails with a phase-attributed
   :class:`~repro.serve.errors.DeadlineExceeded` while its worker moves
-  on — scratch buffers are reclaimed via
-  :meth:`~repro.runtime.BufferPool.cancel_scope`, so a cancelled or
-  expired request cannot leak pool memory or wedge a worker.
+  on. Cancellation never interrupts a step, and a step that raises has
+  already returned its scratch: every checkout of the arena is released
+  by its own ``finally``, so a cancelled, expired or failed request
+  leaves no pool memory behind and wedges no worker.
 - **Retry with backoff.** Recoverable model faults (chaos-injected
   bit flips, guard-triggered rollbacks that exhausted the engine-level
   retry budget) are retried at the service level under a bounded
@@ -69,7 +70,6 @@ from repro.resilience import (
     Snapshot,
 )
 from repro.run import EnsembleDriver, build_core, member_rng
-from repro.runtime import get_pool
 from repro.serve.breaker import BreakerBoard
 from repro.serve.budget import DeadlineBudget, RetryPolicy
 from repro.serve.cache import CacheEntry, StateCache, with_hit_ratio
@@ -633,7 +633,7 @@ class ForecastService:
                  entry: _Entry) -> None:
         """One model step for one request: cooperative cancellation and
         deadline checks, breaker-routed backend choice, service-level
-        retry on recoverable faults, pool reclamation on abort.
+        retry on recoverable faults.
 
         The engine steps the member's only copy, so a step that raises
         loses it (:class:`~repro.resilience.MemberLostError`): each
@@ -653,11 +653,8 @@ class ForecastService:
                 with entry.budget.phase("steps"), dlock:
                     before = self._before_step(driver, entry.slot)
                     try:
-                        with get_pool().cancel_scope(
-                            f"serve.req{entry.ticket.request_id}"
-                        ):
-                            with self._on_backend(backend):
-                                driver.step_selected([entry.slot], 1)
+                        with self._on_backend(backend):
+                            driver.step_selected([entry.slot], 1)
                     except _RETRYABLE:
                         lost = driver.remove_member(entry.slot)
                         driver.add_member(

@@ -240,3 +240,52 @@ def test_noncontiguous_fields_fall_back_to_fancy_gather():
     HaloUpdater(p, n_halo=H).update_scalar(weird)
     for got, want in zip(weird, ref):
         np.testing.assert_array_equal(got, want)
+
+
+class _UnpackFault(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("workers", [1, 6], ids=["sequential", "threads"])
+def test_a_rotation_that_raises_returns_its_scratch(monkeypatch, workers):
+    """The seam rotation's two scratch arrays go back to the arena when
+    an unpack raises: every rank fails at its first rotated unpack (it
+    has taken its messages by then, so no rank waits on a peer), and
+    the step leaves no checkout live, on the calling thread and on
+    rank threads alike."""
+    import threading
+
+    from repro.fv3 import halo
+    from repro.fv3.config import DynamicalCoreConfig
+    from repro.fv3.dyncore import DynamicalCore
+    from repro.runtime import get_pool, ranks
+
+    rotating = threading.local()
+    rotate, scatter = HaloUpdater._rotate, halo._scatter
+
+    def marked_rotate(fields, rotated):
+        rotating.on = True
+        try:
+            return rotate(fields, rotated)
+        finally:
+            rotating.on = False
+
+    def failing_scatter(field, plan, values):
+        if getattr(rotating, "on", False):
+            raise _UnpackFault("unpack failed")
+        scatter(field, plan, values)
+
+    cfg = DynamicalCoreConfig(npx=12, npz=3, layout=1, n_split=2,
+                              n_tracers=1)
+    ex = ranks.RankExecutor(workers)
+    try:
+        core = DynamicalCore(cfg, executor=ex)
+        core.prepare()
+        monkeypatch.setattr(HaloUpdater, "_rotate",
+                            staticmethod(marked_rotate))
+        monkeypatch.setattr(halo, "_scatter", failing_scatter)
+        with pytest.raises(_UnpackFault):
+            core.step_dynamics()
+    finally:
+        ex.shutdown()
+    assert get_pool().stats()["live_bytes"] == 0

@@ -14,7 +14,6 @@ GROUPS = {
         "checkouts", "reuse_hits", "allocations", "allocated_bytes",
         "alloc_bytes_avoided", "retirements", "live_bytes", "idle_bytes",
         "high_water_bytes", "peak_slabs", "largest_slab_bytes",
-        "scope_reclaims",
     },
     "compile_cache": {
         "hits", "misses", "hit_rate", "by_backend", "program_traces",

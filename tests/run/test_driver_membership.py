@@ -262,9 +262,9 @@ def test_a_resident_member_is_not_copied(driver):
     assert copies() == (0, 0)
     driver.add_member(4)  # loaded for its baselines: 0 out, 4 in
     assert copies() == (1, 1)
-    driver.step(1)  # 4 out, 0 in, step; 0 out, 4 in, step
-    assert copies() == (3, 3)
-    driver.step_selected([4], 2)  # still resident
+    driver.step(1)  # 4 resident: step; 4 out, 0 in, step
+    assert copies() == (2, 2)
+    driver.step_selected([4], 2)  # 0 out, 4 in
     assert copies() == (3, 3)
     driver.remove_member(4)  # detached: copied out
     assert copies() == (3, 4)

@@ -77,9 +77,11 @@ def test_processes_bit_identical_to_sequential(sequential_run, workers):
     # threading.active_count() after each step, the most any worker saw
     assert runtime_summary()["procs"]["worker_threads"] == 1
     # member 0 owns each engine it is built from; member 1 swaps in: in
-    # the parent once to build and twice for the result, in each worker
-    # once for its baselines and twice a step (folded from the workers)
-    assert copies() == (3 + 5 * workers,) * 2
+    # the parent once to build and once for the result (member 1 is
+    # still resident), in each worker once for its baselines and once a
+    # step, each sweep starting with the member left resident (folded
+    # from the workers)
+    assert copies() == (2 + 3 * workers,) * 2
 
 
 def _copies():
