@@ -141,11 +141,12 @@ class RankWorkspace:
         self.xfx_adv = np.zeros(shape)
         self.yfx_adv = np.zeros(shape)
 
+    def accumulators(self):
+        return self.crx_adv, self.cry_adv, self.xfx_adv, self.yfx_adv
+
     def zero_accumulators(self):
-        self.crx_adv[:] = 0.0
-        self.cry_adv[:] = 0.0
-        self.xfx_adv[:] = 0.0
-        self.yfx_adv[:] = 0.0
+        for array in self.accumulators():
+            array[:] = 0.0
 
 
 class ScalarWindow:

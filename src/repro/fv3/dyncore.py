@@ -37,6 +37,7 @@ from repro.fv3.stencils.tracer2d import TracerAdvection
 from repro.obs import tracer as _obs
 from repro.runtime import jit as _jit
 from repro.runtime import ranks as _ranks
+from repro.runtime.pool import get_pool
 from repro.resilience import (
     GuardError,
     GuardWarning,
@@ -295,21 +296,39 @@ class DynamicalCore:
         """Advance the model by one physics time step (Fig. 2 outer box).
 
         Without a resilience config this is the original straight-line
-        path — no snapshots, no guard scans, zero overhead.
+        path — no snapshots, no guard scans, zero overhead. Either way the
+        step ends by giving back the pages of its scratch, also when it
+        raises (:meth:`_release_step_scratch`).
         """
         cfg = self.config
         self.initial = None
         with _TRACER.span("dyncore.step"):
-            if self.resilience is None:
-                for _ in range(cfg.k_split):
-                    self._remapping_step(cfg.dt_remap)
-            else:
-                _chaos.set_step(self.step_count)
-                for _ in range(cfg.k_split):
-                    self._guarded_remapping_step(cfg.dt_remap)
+            try:
+                if self.resilience is None:
+                    for _ in range(cfg.k_split):
+                        self._remapping_step(cfg.dt_remap)
+                else:
+                    _chaos.set_step(self.step_count)
+                    for _ in range(cfg.k_split):
+                        self._guarded_remapping_step(cfg.dt_remap)
+            finally:
+                self._release_step_scratch()
         self.time += cfg.dt_atmos
         self.step_count += 1
         self._maybe_periodic_checkpoint()
+
+    def _release_step_scratch(self) -> None:
+        """Give the kernel back the pages of everything that carries no
+        value into the next step: the accumulators and the δp snapshot
+        of every held rank (zeroed and copied before they are read) and
+        the arena's idle slabs. Arrays and slabs stay where they are, so
+        every program binding stays valid (``BufferPool.trim``)."""
+        arrays = []
+        if self.acoustics is not None:
+            for r in self.ranks:
+                arrays += self.acoustics.work[r].accumulators()
+                arrays.append(self._delp_start[r])
+        get_pool().trim(*arrays)
 
     def _guarded_remapping_step(self, dt_remap: float) -> None:
         """One remapping step under the rollback/retry harness."""

@@ -36,12 +36,19 @@ Safety properties:
   while the outer call's slab is live;
 - every checkout is released by its taker's own ``finally``, so scratch
   comes back when a call raises, on every thread and in every worker
-  process.
+  process;
+- :meth:`BufferPool.trim` gives the kernel back the pages of idle slabs
+  only, under the arena lock, so a live checkout's bytes are never
+  touched; a trimmed slab keeps its object and its address, and its next
+  taker reads zeros where it would have read stale values — arbitrary
+  contents either way.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import mmap
 import operator
 import os
 import threading
@@ -58,6 +65,32 @@ __all__ = ["ALIGN", "BufferPool", "Slab", "get_pool"]
 #: that lays values out in a slab at multiples of this keeps every value
 #: on a cache line too
 ALIGN = 64
+
+_PAGE = mmap.PAGESIZE
+try:
+    _DONTNEED = mmap.MADV_DONTNEED
+    _madvise = ctypes.CDLL(None).madvise
+    _madvise.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+    _madvise.restype = ctypes.c_int
+except (AttributeError, OSError, TypeError):  # no madvise: trim keeps all
+    _madvise = None
+
+
+def _drop_pages(data: np.ndarray) -> int:
+    """Give the kernel back the whole pages strictly inside the bytes of
+    the contiguous array ``data`` (``madvise(MADV_DONTNEED)``). The
+    mapping, and with it every address into it, stays; the next touch of
+    a page faults in a zero-filled one. Returns the bytes given back: 0
+    where there is no ``madvise``."""
+    if not data.flags.c_contiguous:
+        raise ValueError("only a contiguous array's pages can be dropped")
+    start = data.ctypes.data
+    first = -(-start // _PAGE) * _PAGE
+    end = (start + data.nbytes) // _PAGE * _PAGE
+    if _madvise is None or end <= first \
+            or _madvise(first, end - first, _DONTNEED) != 0:
+        return 0
+    return end - first
 
 
 class Slab:
@@ -97,7 +130,7 @@ class BufferPool:
         self.counters = Counters(
             sums=(
                 "checkouts", "reuse_hits", "allocations", "allocated_bytes",
-                "alloc_bytes_avoided", "retirements",
+                "alloc_bytes_avoided", "retirements", "released_bytes",
             ),
             peaks=("high_water_bytes", "peak_slabs", "largest_slab_bytes"),
             local={
@@ -195,6 +228,20 @@ class BufferPool:
             self.idle_bytes += slab.capacity
 
     # ------------------------------------------------------------------
+    def trim(self, *arrays: np.ndarray) -> int:
+        """Give the kernel back the pages of every idle slab, and of
+        ``arrays``: buffers of the caller's that hold no value until it
+        next writes them. Slabs stay in the arena and arrays stay
+        allocated, at the same addresses, so whatever was bound to them
+        stays valid; their next touch faults zero-filled pages back in.
+        Live checkouts are untouched. Returns the bytes given back
+        (``released_bytes``)."""
+        with self._lock:
+            released = sum(map(_drop_pages, arrays))
+            released += sum(_drop_pages(slab.data) for slab in self._idle)
+            self._n["released_bytes"] += released
+        return released
+
     def clear(self) -> None:
         """Drop all idle slabs (live checkouts are unaffected)."""
         with self._lock:

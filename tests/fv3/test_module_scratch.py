@@ -3,6 +3,8 @@ module objects: what that buys (a footprint that does not grow with the
 number of ranks) and what it demands (no program reads a transient it
 did not write)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.resilience.chaos import ChaosPlan
 from repro.run import build_core
 from repro.runtime.pool import BufferPool, get_pool
 from repro.scenarios import get_scenario
+from tests.runtime.test_pool import needs_mincore, resident_pages
 
 STATE_FIELDS = ("u", "v", "w", "pt", "delp", "delz")
 
@@ -83,6 +86,79 @@ def test_a_rank_keeps_five_arrays_between_programs():
         assert len(owned) == 5 * core.partitioner.total_ranks
     finally:
         _finish(core)
+
+
+def _step_arrays(core):
+    """The five arrays of every held rank that carry no value from one
+    step into the next."""
+    return [
+        array for r in core.ranks
+        for array in (*core.acoustics.work[r].accumulators(),
+                      core._delp_start[r])
+    ]
+
+
+def _digest(core) -> str:
+    h = hashlib.sha256()
+    for arrays in _state(core):
+        for array in arrays:
+            h.update(array.tobytes())
+    return h.hexdigest()
+
+
+@needs_mincore
+@pytest.mark.parametrize("executor", ["sequential", "threads"])
+@pytest.mark.parametrize("backend", ["numpy", "compiled"])
+def test_between_steps_a_rank_holds_no_page_of_its_step_arrays(
+        backend, executor, monkeypatch):
+    """A step gives the kernel back the pages of the five step arrays of
+    every rank and of the arena's idle slabs. Nothing is re-allocated or
+    re-bound: the next step keeps every slab but those a miss retires,
+    ends on the bits of a run that kept every page and, sequentially,
+    checks no kernel argument and allocates no slab. (Rank threads can
+    reach a concurrency the arena has not seen yet in any step, which
+    allocates a slab and checks the arguments of the plans that meet
+    it, with or without the pages given back.)"""
+    from repro.fv3.dyncore import DynamicalCore
+    from repro.run import EnsembleDriver
+    from repro.sdfg import plan as plan_module
+
+    monkeypatch.setattr(backends, "_default_backend", backend)
+    scenario = get_scenario("baroclinic_wave")
+
+    def driver():
+        return EnsembleDriver(
+            "baroclinic_wave", scenario.default_config(npx=12, npz=4),
+            members=(1,), seed=3, executor=executor, diagnostics=False,
+        )
+
+    with monkeypatch.context() as keep:
+        keep.setattr(DynamicalCore, "_release_step_scratch",
+                     lambda self: None)
+        with driver() as kept:
+            kept.step(2)
+            expected = _digest(kept.engine)
+    pool = get_pool()
+    with driver() as released:
+        released.step(1)
+        core = released.engine
+        assert [resident_pages(a) for a in _step_arrays(core)] \
+            == [0] * 5 * len(core.ranks)
+        assert [resident_pages(s.data) for s in pool._idle] \
+            == [0] * len(pool._idle)
+        idle = list(pool._idle)
+        checks = plan_module.COUNTERS.snapshot()["arg_checks"]
+        before = pool.stats()
+        released.step(1)
+        after = pool.stats()
+        survivors = [s for s in idle if any(s is t for t in pool._idle)]
+        retired = after["retirements"] - before["retirements"]
+        assert len(survivors) >= len(idle) - retired
+        assert after["released_bytes"] > before["released_bytes"]
+        if executor == "sequential":
+            assert plan_module.COUNTERS.snapshot()["arg_checks"] == checks
+            assert after["allocations"] == before["allocations"]
+        assert _digest(core) == expected
 
 
 @pytest.mark.parametrize("executor", ["sequential", "threads"])

@@ -82,3 +82,17 @@ def test_the_json_export_carries_every_registered_set():
     assert "runtime" not in payload and "ensemble" not in payload
     assert "counters" not in payload["resilience"]
     assert set(payload["resilience"]) == {"fallback_log", "chaos"}
+
+
+def test_the_pool_line_counts_the_pages_it_gave_back():
+    """``released_bytes`` is a name of the pool's set, so the footer
+    prints it with no line written for it."""
+    from repro.runtime.pool import get_pool
+
+    pool = get_pool()
+    pool.release(pool.checkout_slab(1 << 16))
+    pool.trim()
+    (line,) = [
+        ln for ln in _traced_report().splitlines() if ln.startswith("pool: ")
+    ]
+    assert f"released_bytes {pool.stats()['released_bytes']}," in line

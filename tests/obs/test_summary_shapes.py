@@ -12,8 +12,9 @@ from repro.runtime import procs, runtime_summary  # noqa: F401 — procs
 GROUPS = {
     "pool": {
         "checkouts", "reuse_hits", "allocations", "allocated_bytes",
-        "alloc_bytes_avoided", "retirements", "live_bytes", "idle_bytes",
-        "high_water_bytes", "peak_slabs", "largest_slab_bytes",
+        "alloc_bytes_avoided", "retirements", "released_bytes",
+        "live_bytes", "idle_bytes", "high_water_bytes", "peak_slabs",
+        "largest_slab_bytes",
     },
     "compile_cache": {
         "hits", "misses", "hit_rate", "by_backend", "program_traces",

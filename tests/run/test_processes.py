@@ -374,6 +374,7 @@ def test_worker_observability_merged_into_parent():
     before = runtime_summary().get("procs", {}).get(
         "worker_reports_merged", 0
     )
+    released = get_pool().stats()["released_bytes"]
     tracer = obs.get_tracer()
     was_enabled = tracer.enabled
     tracer.enabled = True
@@ -386,6 +387,8 @@ def test_worker_observability_merged_into_parent():
         assert rt["procs"]["worker_reports_merged"] >= before + 2
         assert rt["procs"]["messages"] > 0
         assert rt["procs"]["bytes"] > 0
+        # the parent steps nothing: what it counts its workers gave back
+        assert rt["pool"]["released_bytes"] > released
         report = obs.report()
     finally:
         tracer.enabled = was_enabled

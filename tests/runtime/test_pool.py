@@ -1,5 +1,8 @@
 """Unit tests for the scratch buffer arena (repro.runtime.pool)."""
 
+import ctypes
+import mmap
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,43 @@ from repro.runtime.pool import BufferPool, Slab, get_pool
 
 def _address(arr):
     return arr.ctypes.data
+
+
+def _libc_mincore():
+    try:
+        mincore = ctypes.CDLL(None).mincore
+    except (AttributeError, OSError, TypeError):
+        return None
+    mincore.argtypes = (ctypes.c_void_p, ctypes.c_size_t,
+                        ctypes.POINTER(ctypes.c_ubyte))
+    mincore.restype = ctypes.c_int
+    return mincore
+
+
+_MINCORE = _libc_mincore()
+
+#: where there is a ``madvise`` the arena gives pages back
+HAS_MADVISE = hasattr(mmap, "MADV_DONTNEED")
+
+#: what the page checks need: ``mincore`` to look, and pages given back
+needs_mincore = pytest.mark.skipif(
+    _MINCORE is None or not HAS_MADVISE,
+    reason="no mincore or no madvise on this platform",
+)
+
+
+def resident_pages(array) -> int:
+    """How many of the whole pages strictly inside ``array``'s bytes
+    are in memory (``mincore``)."""
+    page = mmap.PAGESIZE
+    start = _address(array)
+    first = -(-start // page) * page
+    end = (start + array.nbytes) // page * page
+    if end <= first:
+        return 0
+    vec = (ctypes.c_ubyte * ((end - first) // page))()
+    assert _MINCORE(first, end - first, vec) == 0
+    return sum(v & 1 for v in vec)
 
 
 def test_checkout_release_roundtrip_reuses_buffer():
@@ -154,6 +194,65 @@ def test_clear_drops_idle_buffers():
     assert stats["allocations"] == 2 and stats["reuse_hits"] == 0
 
 
+@needs_mincore
+def test_trim_gives_back_the_pages_of_idle_slabs_only():
+    """A live checkout keeps every byte through a trim; an idle slab
+    keeps no page, and is counted in ``released_bytes``."""
+    pool = BufferPool()
+    live = pool.checkout_slab(1 << 20)
+    idle = pool.checkout_slab(1 << 20)
+    live.data[:] = 7
+    idle.data[:] = 9
+    pool.release(idle)
+    pages, live_pages = resident_pages(idle.data), resident_pages(live.data)
+    assert pages > 0 and live_pages > 0
+    released = pool.trim()
+    assert released == pages * mmap.PAGESIZE
+    assert resident_pages(idle.data) == 0
+    assert resident_pages(live.data) == live_pages
+    assert (live.data == 7).all()
+    assert pool.stats()["released_bytes"] == released
+    pool.release(live)
+
+
+@needs_mincore
+def test_a_trimmed_slab_is_the_same_slab_at_the_same_address():
+    """Nothing is re-allocated: the next checkout gets the very ``Slab``
+    back, at its address, its whole pages faulted in zero-filled."""
+    pool = BufferPool()
+    slab = pool.checkout_slab(256 << 10)
+    where = _address(slab.data)
+    slab.data[:] = 1
+    pool.release(slab)
+    pool.trim()
+    again = pool.checkout_slab(256 << 10)
+    assert again is slab and _address(again.data) == where
+    stats = pool.stats()
+    assert stats["allocations"] == 1 and stats["reuse_hits"] == 1
+    page = mmap.PAGESIZE
+    inside = slab.data[-where % page:]
+    inside = inside[:inside.nbytes // page * page]
+    assert inside.nbytes > 0 and not inside.any()
+    pool.release(again)
+
+
+def test_trim_gives_back_the_pages_of_the_callers_arrays():
+    """The arrays a caller hands ``trim`` stay allocated where they are;
+    a non-contiguous view is refused (its span is not its bytes)."""
+    pool = BufferPool()
+    array = np.ones(1 << 17)
+    where = _address(array)
+    released = pool.trim(array)
+    assert _address(array) == where
+    if HAS_MADVISE:
+        assert released > 0
+    # what was given back reads zeros, the rest is as it was
+    assert (array == 0).sum() * array.itemsize == released
+    assert pool.stats()["released_bytes"] == released
+    with pytest.raises(ValueError, match="contiguous"):
+        pool.trim(array[::2])
+
+
 def test_process_pool_is_shared():
     assert get_pool() is get_pool()
 
@@ -295,13 +394,24 @@ def test_batches_from_many_threads_never_alias_or_lose_a_buffer():
     pool = BufferPool()
     threads, rounds = 8, 300
     errors = []
-    start = threading.Barrier(threads)
+    start = threading.Barrier(threads + 1)
+    done = threading.Event()
+    trims = 0
+
+    def trimmer():
+        # gives back the pages of whatever is idle while the workers
+        # check out: a live slab it touched would read zeros
+        nonlocal trims
+        start.wait(timeout=10)
+        while not done.is_set():
+            pool.trim()
+            trims += 1
 
     def worker(tag):
         try:
             start.wait(timeout=10)
             for turn in range(rounds):
-                nbytes = 128 * (1 + (turn + int(tag)) % 5)
+                nbytes = 4096 * (1 + (turn + int(tag)) % 5) + 128
                 slab = pool.checkout_slab(nbytes)
                 values = slab.data[:nbytes].view(np.float64)
                 values.fill(tag)
@@ -318,16 +428,21 @@ def test_batches_from_many_threads_never_alias_or_lose_a_buffer():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        workers = [threading.Thread(target=worker, args=(float(t),))
+        # no tag is 0.0: the zeros of a trimmed page must not pass
+        workers = [threading.Thread(target=worker, args=(float(t + 1),))
                    for t in range(threads)]
-        for w in workers:
+        trimming = threading.Thread(target=trimmer)
+        for w in workers + [trimming]:
             w.start()
         for w in workers:
             w.join(timeout=60)
     finally:
+        done.set()
+        trimming.join(timeout=60)
         sys.setswitchinterval(interval)
-    assert not any(w.is_alive() for w in workers)
+    assert not any(w.is_alive() for w in workers + [trimming])
     assert errors == []
+    assert trims > 0
     stats = pool.stats()
     assert stats["checkouts"] == threads * rounds * 2
     assert stats["checkouts"] == stats["reuse_hits"] + stats["allocations"]
@@ -353,10 +468,10 @@ def test_report_footer_prints_slabs_and_the_largest_slab():
         "checkouts", "reuse_hits", "allocations", "allocated_bytes",
         "alloc_bytes_avoided", "live_bytes", "idle_bytes",
         "high_water_bytes", "peak_slabs",
-        "largest_slab_bytes", "retirements",
+        "largest_slab_bytes", "retirements", "released_bytes",
     }
     (line,) = [ln for ln in _footer() if ln.startswith("pool: ")]
     for name in ("checkouts", "reuse_hits", "allocated_bytes",
                  "alloc_bytes_avoided", "high_water_bytes", "peak_slabs",
-                 "largest_slab_bytes", "retirements"):
+                 "largest_slab_bytes", "retirements", "released_bytes"):
         assert re.search(rf"\b{name} \d+(,|$)", line), name
