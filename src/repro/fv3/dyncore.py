@@ -37,7 +37,7 @@ from repro.fv3.stencils.tracer2d import TracerAdvection
 from repro.obs import tracer as _obs
 from repro.runtime import jit as _jit
 from repro.runtime import ranks as _ranks
-from repro.runtime.pool import get_pool
+from repro.runtime.pool import current, get_pool
 from repro.resilience import (
     GuardError,
     GuardWarning,
@@ -244,18 +244,25 @@ class DynamicalCore:
         one ``jit.batch()``: each is traced (or matched to a published
         template) and lowered, and the kernels nobody has built yet — of
         all of them together — go to the C compiler once. Nothing is
-        executed. The first step does this before anything else; an
-        ahead-of-time build, and a caller that inspects the modules
-        before stepping, call it directly. Done once per core; a failed
-        build is tried again."""
+        executed. Then every compute slot's slab holds the widest
+        program and every binding has met each slab (``BoundPlan.meet``),
+        so a step allocates nothing and checks no argument. The first
+        step does this before anything else; an ahead-of-time build, and
+        a caller that inspects the modules before stepping, call it
+        directly. Done once per core; a failed build is tried again."""
         if self._prepared:
             return
         if self.acoustics is None:
             self._build_step_machinery()
-        with _TRACER.span("dyncore.prepare"), _jit.batch():
-            for r in self.ranks:
-                for call, _ in self.step_programs(r):
-                    call.func.bind(*call.args)
+        with _TRACER.span("dyncore.prepare"):
+            with _jit.batch():
+                bound = [call.func.bind(*call.args) for r in self.ranks
+                         for call, _ in self.step_programs(r)]
+            nbytes = max((b.plan.runtime_bytes for b in bound), default=0)
+            with self.executor.idle_scratch() as workers:
+                for slab in [worker.reserve(nbytes) for worker in workers]:
+                    for binding in bound:
+                        binding.meet(slab)
         self._prepared = True
 
     def step_programs(self, rank: int) -> List[Tuple[partial, int]]:
@@ -321,14 +328,16 @@ class DynamicalCore:
         """Give the kernel back the pages of everything that carries no
         value into the next step: the accumulators and the δp snapshot
         of every held rank (zeroed and copied before they are read) and
-        the arena's idle slabs. Arrays and slabs stay where they are, so
-        every program binding stays valid (``BufferPool.trim``)."""
+        the slabs of the executor's slots and of this thread. Arrays and
+        slabs stay where they are, so every program binding stays valid
+        (``BufferPool.trim``)."""
         arrays = []
         if self.acoustics is not None:
             for r in self.ranks:
                 arrays += self.acoustics.work[r].accumulators()
                 arrays.append(self._delp_start[r])
-        get_pool().trim(*arrays)
+        with self.executor.idle_scratch() as workers:
+            get_pool().trim(*arrays, workers=(*workers, current()))
 
     def _guarded_remapping_step(self, dt_remap: float) -> None:
         """One remapping step under the rollback/retry harness."""

@@ -277,32 +277,29 @@ class HaloUpdater:
         """Unpack the rotated plans of a vector exchange: each payload's
         components turned into the local tile basis, straight into the
         halo cells; returns the number of cells rotated."""
-        from repro.runtime.pool import get_pool
+        from repro.runtime.pool import current
 
-        pool = get_pool()
+        worker = current()
         uf, vf = fields
         cells = 0
         for plan, req in rotated:
             rot = _ROTATIONS[plan.rotations]
             u, v = req.payload
-            # the combinations form in pooled scratch, in the ufunc
-            # order r00*u + r01*v (which fixes the signed zeros)
-            t1 = pool.checkout(u.shape, u.dtype)
+            # the combinations form in a strip of the rank's scratch, in
+            # the ufunc order r00*u + r01*v (which fixes the signed zeros)
+            strip = worker.take(2 * u.nbytes)
             try:
-                t2 = pool.checkout(u.shape, u.dtype)
-                try:
-                    np.multiply(rot[0, 0], u, out=t1)
-                    np.multiply(rot[0, 1], v, out=t2)
-                    np.add(t1, t2, out=t1)
-                    _scatter(uf, plan, t1)
-                    np.multiply(rot[1, 0], u, out=t1)
-                    np.multiply(rot[1, 1], v, out=t2)
-                    np.add(t1, t2, out=t1)
-                    _scatter(vf, plan, t1)
-                finally:
-                    pool.release(t2)
+                t1, t2 = strip.view((2, *u.shape), u.dtype)
+                np.multiply(rot[0, 0], u, out=t1)
+                np.multiply(rot[0, 1], v, out=t2)
+                np.add(t1, t2, out=t1)
+                _scatter(uf, plan, t1)
+                np.multiply(rot[1, 0], u, out=t1)
+                np.multiply(rot[1, 1], v, out=t2)
+                np.add(t1, t2, out=t1)
+                _scatter(vf, plan, t1)
             finally:
-                pool.release(t1)
+                worker.depth -= 1
             req.release()
             cells += plan.cells
         return cells

@@ -21,7 +21,7 @@ two owners. These rules verify recorded lifetime traces:
 
 The trace is the codegen-time alloc/free log of a compiled plan:
 :func:`lint_compiled_plan` replays it against the slab layout the
-planner derived from it. A compiled program checks out one slab per call
+planner derived from it. A compiled program takes one slab per call
 and every value it holds is a byte interval of it, so that log is the
 whole lifetime story of a call's scratch; :func:`lint_buffer_events`
 runs the rules on any event sequence.

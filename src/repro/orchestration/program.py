@@ -727,13 +727,16 @@ class OrchestratedProgram:
                 self._replan(binding)
         return binding
 
-    def bind(self, *args, **kwargs) -> None:
+    def bind(self, *args, **kwargs):
         """Everything a call with these arguments does before it runs
         anything: match a published template or trace one, lower it, and
         ask the JIT for its kernels — inside a ``jit.batch()`` without
         waiting for them. The call itself then finds the binding made.
-        Kernels an earlier request failed to get are asked for again."""
-        self._bound(args, kwargs).plan.request()
+        Kernels an earlier request failed to get are asked for again.
+        Returns the :class:`~repro.sdfg.plan.BoundPlan` the call calls."""
+        binding = self._bound(args, kwargs)
+        binding.plan.request()
+        return binding.call
 
     def __call__(self, *args, **kwargs):
         binding = self._bound(args, kwargs)

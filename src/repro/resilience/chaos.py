@@ -24,7 +24,7 @@ never fires unless some code consults it — but is warned about):
 ``halo.drop``             ``LocalComm.Ipack`` discards the message
 ``halo.delay``            delivery withheld for a few receive polls
 ``halo.corrupt``          a NaN is written into the packed payload
-``pool.poison``           a checked-out float scratch buffer is NaN-filled
+``pool.poison``           a take of the scratch arena is NaN-filled
 ``compile.fail``          ``get_or_compile`` raises InjectedCompileError
 ``stencil.nanflip``       a NaN lands in one stencil output element
 ========================  ==================================================
@@ -348,14 +348,14 @@ def set_step(step: int) -> None:
 
 
 def maybe_poison(buf: np.ndarray) -> None:
-    """``pool.poison``: NaN-fill a float scratch buffer on checkout.
+    """``pool.poison``: NaN-fill a scratch take (its bytes as float64).
 
     A poisoned buffer is only dangerous to a consumer that reads scratch
     before writing it — a correct program (the codegen zeroes exactly
     the read-before-write locals) absorbs the poison bit-identically.
     """
     plan = _PLAN
-    if plan is None or buf.dtype.kind != "f":
+    if plan is None:
         return
     fault = plan.consult(
         "pool.poison", shape=tuple(buf.shape), dtype=buf.dtype.name

@@ -10,11 +10,11 @@ for the three ways a dynamical-core run dies silently:
   lost, it just hasn't crashed yet).
 
 The scan allocates nothing in steady state: the single temporary — the
-boolean output of ``np.isfinite`` — is checked out of the
-:class:`~repro.runtime.pool.BufferPool` and released, so after the
-first check it is a pool reuse hit; the min/max reductions return
-scalars. What happens on a violation (``raise | rollback | warn``) is
-the *driver's* policy decision — the guard only detects and reports.
+boolean output of ``np.isfinite`` — is a take of the calling thread's
+scratch worker (:mod:`repro.runtime.pool`), whose slab is already large
+enough after the first check; the min/max reductions return scalars.
+What happens on a violation (``raise | rollback | warn``) is the
+*driver's* policy decision — the guard only detects and reports.
 """
 
 from __future__ import annotations
@@ -93,18 +93,19 @@ class StateGuard:
     # ------------------------------------------------------------------
     def _finite_violation(self, arr: np.ndarray) -> int:
         """Number of non-finite entries (0 when clean), allocation-free
-        via a pooled boolean scratch buffer."""
-        from repro.runtime.pool import get_pool
+        via a boolean buffer in the thread's scratch."""
+        from repro.runtime.pool import current
 
-        pool = get_pool()
-        buf = pool.checkout(arr.shape, np.bool_)
+        worker = current()
+        slab = worker.take(arr.size)
         try:
+            buf = slab.view(arr.shape, np.bool_)
             np.isfinite(arr, out=buf)
             if buf.all():
                 return 0
             return int(arr.size - np.count_nonzero(buf))
         finally:
-            pool.release(buf)
+            worker.depth -= 1
 
     def check_states(
         self, states: Sequence, step: int = 0

@@ -17,9 +17,8 @@ costs are paid exactly once for the whole ensemble:
 - the whole stencil suite is orchestrated and compiled once (the
   content-hash compile cache sees one engine, so the batched run's
   compile misses equal a single run's, not N times them);
-- scratch arrays cycle through the process-wide
-  :class:`~repro.runtime.BufferPool` instead of being allocated per
-  member.
+- scratch is the engine executor's slabs (:mod:`repro.runtime.pool`),
+  sized once, instead of being allocated per member.
 
 This swap is bit-exact by the same argument the rollback/retry loop
 rests on: a remapping step re-advanced from a restored
@@ -62,7 +61,6 @@ from repro.run import metrics as _metrics
 from repro.run.results import MemberResult, RunResult
 from repro.runtime import compile_cache as _compile_cache
 from repro.runtime import ranks as _ranks
-from repro.runtime.pool import get_pool
 from repro.scenarios import Scenario, get_scenario
 
 __all__ = ["EnsembleDriver", "build_core", "build_grids", "member_rng",
@@ -671,10 +669,10 @@ class EnsembleDriver:
 
     # ------------------------------------------------------------------
     def _record_amortization(self, steps: int, seconds: float,
-                             cache0: Dict, pool0: Dict) -> Dict[str, int]:
-        """What one run saved, as deltas of the compile-cache and pool
-        counters since ``cache0``/``pool0`` (also folded into the obs
-        footer's ``ensemble:`` totals)."""
+                             cache0: Dict) -> Dict[str, int]:
+        """What one run saved, as deltas of the compile-cache counters
+        since ``cache0`` (also folded into the obs footer's
+        ``ensemble:`` totals)."""
         cache = _compile_cache.COUNTERS.since(cache0)
         amortization = {
             "members": len(self.member_ids),
@@ -684,8 +682,6 @@ class EnsembleDriver:
             "compile_misses": cache["misses"],
             "program_traces": cache["program_traces"],
             "program_binds": cache["program_binds"],
-            "pool_reuse_hits":
-                get_pool().counters.since(pool0)["reuse_hits"],
         }
         # one run, folded whole (names that are not ensemble counters —
         # the program counts — are not the set's to take)
@@ -698,14 +694,11 @@ class EnsembleDriver:
     def run(self, steps: int, check: bool = True) -> RunResult:
         """Step all members and assemble the structured result."""
         cache0 = _compile_cache.stats()
-        pool0 = get_pool().stats()
         t0 = time.perf_counter()
         with _TRACER.span("ensemble.run"):
             self.step(steps)
         seconds = time.perf_counter() - t0
-        amortization = self._record_amortization(
-            steps, seconds, cache0, pool0
-        )
+        amortization = self._record_amortization(steps, seconds, cache0)
         return self._result(seconds, amortization, check,
                             repr(self.engine.executor))
 

@@ -60,7 +60,6 @@ COUNTERS = register("ensemble", Counters(
     sums=(
         "runs", "members", "member_steps", "seconds", "grid_builds",
         "grid_builds_avoided", "compile_hits", "compile_misses",
-        "pool_reuse_hits",
         # whole-member state copies made by the swap
         # (``repro.run.driver._load``): a member's state into the
         # engine's arrays, and an evicted member's out of them

@@ -48,7 +48,6 @@ from repro.run.driver import EnsembleDriver, resolve_members
 from repro.run.results import RunResult
 from repro.runtime import compile_cache as _compile_cache
 from repro.runtime import procs as _procs
-from repro.runtime.pool import get_pool
 from repro.runtime.procs import ProcessRankExecutor, WorkerSpec
 from repro.scenarios import get_scenario
 
@@ -204,7 +203,6 @@ def run_processes(
             CubedSpherePartitioner(config.npx, config.layout), config
         )
         cache0 = _compile_cache.stats()
-        pool0 = get_pool().stats()
         with tracer.span("ensemble.launch_workers") as sp:
             sp.set("workers", pex.launch(spec, n_ranks, slot_bytes, n_slots))
         # the parent driver builds engine + member states + conservation
@@ -243,9 +241,7 @@ def run_processes(
         # merge worker observability before the amortization deltas, so
         # the compile counters in the result cover the whole process tree
         _procs.fold_worker_reports(reports)
-        amortization = driver._record_amortization(
-            steps, seconds, cache0, pool0
-        )
+        amortization = driver._record_amortization(steps, seconds, cache0)
         return driver._result(seconds, amortization, check, executor_repr)
     finally:
         pex.close()

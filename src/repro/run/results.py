@@ -198,7 +198,6 @@ class RunResult:
             f"  amortized: grids {am['grid_builds_avoided']} builds "
             f"avoided, programs {am.get('program_traces', 0)} traced / "
             f"{am.get('program_binds', 0)} bound, compile cache "
-            f"{am['compile_hits']} hits / {am['compile_misses']} misses, "
-            f"pool reuse {am['pool_reuse_hits']}"
+            f"{am['compile_hits']} hits / {am['compile_misses']} misses"
         )
         return "\n".join(lines)

@@ -5,11 +5,13 @@ The paper's measured per-kernel times (Fig. 10) are meaningful only if
 they reflect array traffic, not allocator churn. This package removes the
 two allocation sources the generated NumPy programs had:
 
-- :mod:`repro.runtime.pool` — a capacity-keyed scratch arena of slabs.
-  A compiled program checks out one slab per call, in which every
+- :mod:`repro.runtime.pool` — the scratch arena: a stack of slabs per
+  worker (a rank executor's compute slot, or the calling thread). A
+  compiled program takes its worker's slab for the call, in which every
   temporary it has (expression scratch, kernel-local arrays, SDFG
-  transients) is an interval fixed at compile time, and releases it
-  afterwards, so steady-state execution performs no array allocation.
+  transients) is an interval fixed at compile time, and a core sizes
+  those slabs before its first step, so steady-state execution performs
+  no array allocation.
 - :mod:`repro.runtime.compile_cache` — program and plan records: the
   templates of orchestrated programs and the images of their plans
   (:class:`~repro.sdfg.plan.CompiledSDFG`), keyed by content and kept in
@@ -18,7 +20,8 @@ two allocation sources the generated NumPy programs had:
   generated before instead of doing it again.
 - :mod:`repro.runtime.ranks` — the SPMD rank executor: the one per-rank
   body, interleaved at its wait points on the calling thread or run on
-  one thread per rank with a compute-slot cap, plus the halo overlap
+  one thread per rank with a compute-slot cap (the slots are the
+  arena's workers), plus the halo overlap
   accounting (``overlap_efficiency`` on the obs footer's ``ranks:`` line).
 - :mod:`repro.runtime.jit` — JIT engine probing + compilation for the
   ``compiled`` backend (PR 8), with compile-count/wall-time counters so

@@ -15,16 +15,21 @@ never which body runs:
   messages of its own ranks are posted before any of them waits, and a
   wait on another worker's rank blocks until that worker posts.
 - **Rank threads** (``workers > 1``): one thread per rank runs a body to
-  its end and blocks in its waits — the ``yield``s are no-ops. A
-  semaphore caps how many ranks *compute* at once. One thread per rank
-  is mandatory — a rank blocked in a receive must not occupy the slot
-  another rank needs to post the matching send — so the cap is enforced
-  by slot handover, not by pool width: :func:`io_wait` releases the
-  calling rank's compute slot for the duration of a blocking
-  communicator wait and reacquires it afterwards. The cores are shared
-  the same way: a compiled kernel called on a rank thread opens
-  ``1/workers`` of the OpenMP team one thread would
+  its end and blocks in its waits — the ``yield``s are no-ops. There are
+  ``workers`` compute slots, and a rank computes only while it holds
+  one. One thread per rank is mandatory — a rank blocked in a receive
+  must not occupy the slot another rank needs to post the matching send
+  — so the cap is enforced by slot handover, not by pool width:
+  :func:`io_wait` hands the calling rank's slot back for the duration of
+  a blocking communicator wait and takes one again afterwards. The
+  cores are shared the same way: a compiled kernel called on a rank
+  thread opens ``1/workers`` of the OpenMP team one thread would
   (:func:`kernel_threads`), as worker processes split it.
+
+A compute slot is a scratch worker of :mod:`repro.runtime.pool`: whoever
+holds the slot takes its scratch from that worker's slabs, so the slabs
+travel with the slot (one worker under lockstep, ``workers`` under rank
+threads) and the arena is as large as the executor is wide.
 
 No span may be open across a ``yield``: under lockstep the bodies share
 one thread's span stack.
@@ -42,6 +47,7 @@ A core runs lockstep unless it is handed an executor with more workers
 from __future__ import annotations
 
 import inspect
+import queue
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -50,6 +56,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.obs import tracer as _obs
 from repro.obs.counters import Counters, register
+from repro.runtime import pool as _pool
 
 __all__ = [
     "RankExecutor",
@@ -60,8 +67,8 @@ __all__ = [
     "summary",
 ]
 
-#: per-thread reference to the executor's compute-slot semaphore, set for
-#: the duration of a rank task so ``io_wait`` can find it
+#: per-thread reference to the executor's idle compute slots, set for the
+#: duration of a rank task so ``io_wait`` can hand the slot back
 _tls = threading.local()
 
 
@@ -100,22 +107,23 @@ def kernel_threads(default: int) -> int:
 
 @contextmanager
 def io_wait():
-    """Hand back the compute slot while blocked on communication.
-
-    No-op outside a rank task. Inside one, the surrounding executor's
-    semaphore slot is released on entry and reacquired on exit, so a
-    rank blocked in ``Request.wait`` never starves the ranks whose
-    sends it is waiting for.
-    """
-    sem = getattr(_tls, "slot", None)
-    if sem is None:
+    """Hand back the compute slot, and its scratch worker, while blocked
+    on communication: a no-op outside a rank task. Inside one the slot
+    goes back on entry and one is taken on exit, so a blocked rank never
+    starves the ranks whose sends it waits for. A rank that holds a take
+    (waits inside a program call) raises instead: its live slab would go
+    to another rank."""
+    idle = getattr(_tls, "idle", None)
+    if idle is None:
         yield
         return
-    sem.release()
+    if _pool.current().depth:
+        raise RuntimeError("a rank waits holding scratch (in a program)")
+    idle.put(_pool.bind(None))
     try:
         yield
     finally:
-        sem.acquire()
+        _pool.bind(idle.get())
 
 
 def record_overlap(hidden_seconds: float, exposed_seconds: float) -> None:
@@ -131,14 +139,19 @@ def record_overlap(hidden_seconds: float, exposed_seconds: float) -> None:
 class RankExecutor:
     """Schedules per-rank SPMD bodies (see the module docstring).
 
-    ``workers`` caps concurrent *compute* (waits release their slot via
-    :func:`io_wait`); ``workers == 1`` drives the bodies in lockstep on
-    the calling thread, in rank order between their ``yield``s.
+    ``workers`` caps concurrent *compute* (a wait hands on the slot and
+    its scratch, :func:`io_wait`); ``workers == 1`` drives the bodies in
+    lockstep on the calling thread, in rank order between ``yield``s.
     """
 
     def __init__(self, workers: int = 1):
         self.workers = max(1, int(workers))
-        self._sem = threading.Semaphore(self.workers)
+        #: the scratch worker of each compute slot, and those no rank holds
+        self.scratch = [_pool.Worker(_pool.get_pool())
+                        for _ in range(self.workers)]
+        self._idle = queue.SimpleQueue()
+        for worker in self.scratch:
+            self._idle.put(worker)
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_width = 0
         self._lock = threading.Lock()
@@ -178,7 +191,8 @@ class RankExecutor:
             ranks = range(ranks)
         results: Dict[int, object] = {}
         if not self.parallel or len(ranks) <= 1:
-            self._run_lockstep(fn, ranks, results)
+            with self._slot():
+                self._run_lockstep(fn, ranks, results)
             return [results[rank] for rank in ranks]
         from repro.runtime.jit import default_threads
 
@@ -233,20 +247,40 @@ class RankExecutor:
             for body in live.values():
                 body.close()
 
-    def _run_rank(self, fn, rank, threads, results, tracer, parent):
-        _tls.slot = self._sem
-        _tls.threads = threads
-        self._sem.acquire()
+    @contextmanager
+    def _slot(self):
+        """Hold a compute slot, its worker the thread's, for the block."""
+        previous = _pool.bind(self._idle.get())
         try:
-            if parent is not None:
-                with tracer.thread_context(parent):
-                    with tracer.span(f"rank[{rank}]"):
-                        self._run_lockstep(fn, (rank,), results)
-            else:
-                self._run_lockstep(fn, (rank,), results)
+            yield
         finally:
-            self._sem.release()
-            _tls.slot = None
+            self._idle.put(_pool.bind(previous))
+
+    @contextmanager
+    def idle_scratch(self):
+        """Every slot's worker, once no rank holds it, kept from the ranks
+        for the block (a core sizes, binds and trims them)."""
+        with self._lock:
+            held = [self._idle.get() for _ in self.scratch]
+        try:
+            yield held
+        finally:
+            for worker in held:
+                self._idle.put(worker)
+
+    def _run_rank(self, fn, rank, threads, results, tracer, parent):
+        _tls.idle = self._idle
+        _tls.threads = threads
+        try:
+            with self._slot():
+                if parent is not None:
+                    with tracer.thread_context(parent):
+                        with tracer.span(f"rank[{rank}]"):
+                            self._run_lockstep(fn, (rank,), results)
+                else:
+                    self._run_lockstep(fn, (rank,), results)
+        finally:
+            _tls.idle = None
             _tls.threads = None
 
     def shutdown(self) -> None:

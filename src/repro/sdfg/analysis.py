@@ -384,7 +384,7 @@ def transients_needing_zero(sdfg) -> List[str]:
     """Transients some reader may observe before the program wrote them,
     and the ones declared zeroed.
 
-    Pooled buffers hold arbitrary data on checkout, so the code generator
+    Pooled buffers hold arbitrary data when taken, so the code generator
     zero-fills exactly these (before their first toucher, on every pass);
     every other transient is provably written before each read and is
     handed out as it comes."""

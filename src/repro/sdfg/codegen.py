@@ -505,7 +505,7 @@ class _StmtScheduler:
 
 
 # ---------------------------------------------------------------------------
-# zero-fill analysis (pooled buffers hold arbitrary data on checkout)
+# zero-fill analysis (pooled buffers hold arbitrary data when taken)
 # ---------------------------------------------------------------------------
 
 

@@ -19,10 +19,12 @@ never needs the SDFG, which is why the inputs are a third thing.
 A plan is called through a :class:`BoundPlan`: the plan bound to one
 set of arrays. The kernels' arguments are checked against the image
 (:func:`_check_args`, counted in ``plan.arg_checks``) when that binding
-is made and when the arena first hands the plan a slab, and each
-kernel's pointer tuple is made then too, kept per slab; a call checks
-only that no bound array has changed its shape, strides or dtype since,
-and each kernel call is one ``ctypes`` call.
+is made and when it first meets a slab, and each kernel's pointer tuple
+is made then too, kept per slab. ``DynamicalCore.prepare`` makes every
+binding of a step meet the slab of every worker of its executor, so a
+step's calls find theirs made; a call checks only that no bound array
+has changed its shape, strides or dtype since, and each kernel call is
+one ``ctypes`` call.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ import numpy as np
 from repro.obs import tracer as _obs
 from repro.obs.counters import Counters, register
 from repro.runtime import jit
+from repro.runtime import pool as _pool
 from repro.runtime import ranks as _ranks
-from repro.runtime.pool import get_pool
 from repro.sdfg.nodes import Callback
 
 _TRACER = _obs.get_tracer()
@@ -148,14 +150,13 @@ class CompiledSDFG:
     half of the Fig. 10 analysis); any other call returns ``None``.
 
     All working memory — expression scratch, kernel-local arrays and SDFG
-    transients — is one slab checked out of the process buffer pool per
-    call and released afterwards, laid out when the image was generated
-    (:func:`repro.sdfg.codegen.plan_layout`). The shaped views a slab is
-    seen through, and where each planned value starts in it, are made
-    the first time the arena hands that slab to this program and kept
-    for as long as the arena keeps the slab, so nested calls are safe
-    (they draw another slab) and repeated calls allocate and construct
-    nothing.
+    transients — is one slab per call, taken from the thread's scratch
+    worker (:mod:`repro.runtime.pool`), laid out when the image was
+    generated (:func:`repro.sdfg.codegen.plan_layout`). The shaped views
+    a slab is seen through, and where each planned value starts in it,
+    are made the first time this program meets that slab and kept for
+    the slab's life, so nested calls are safe (they take the next
+    depth's slab) and repeated calls allocate and construct nothing.
 
     A ``compiled`` image's eligible kernels run as JIT-compiled scalar
     loop nests; its ineligible kernels, and every kernel of a ``numpy``
@@ -344,7 +345,7 @@ class BoundPlan:
     binding keeps and calls with the scalars of each call.
 
     Made once, it checks every array a C kernel takes from the caller
-    against the image (:func:`_check_args`). The first call on a slab
+    against the image (:func:`_check_args`). Meeting a slab (:meth:`meet`)
     makes the pointer tuple of every kernel — a caller's array by its
     address, a planned value as the slab's base plus its offset (the
     views were checked when the plan first saw the slab) — and keeps
@@ -384,6 +385,13 @@ class BoundPlan:
         self._slabs: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self._slabless = None if plan.runtime_bytes else self._on(None)
 
+    def meet(self, slab) -> tuple:
+        """What a call on ``slab`` hands the driver, made the first time."""
+        bound = self._slabless or self._slabs.get(slab)
+        if bound is None:
+            bound = self._slabs[slab] = self._on(slab)
+        return bound
+
     def _on(self, slab) -> tuple:
         """What a call on ``slab`` hands the driver, made at the first:
         each kernel's pointers are the address of a caller's array or
@@ -420,15 +428,12 @@ class BoundPlan:
         if not plan.runtime_bytes:
             plan._program(*self._slabless, scalars, timing, threads)
             return plan._by_label(timing)
-        pool = get_pool()
-        slab = pool.checkout_slab(plan.runtime_bytes)
+        worker = _pool.current()
+        slab = worker.take(plan.runtime_bytes)
         try:
-            bound = self._slabs.get(slab)
-            if bound is None:
-                bound = self._slabs[slab] = self._on(slab)
-            plan._program(*bound, scalars, timing, threads)
+            plan._program(*self.meet(slab), scalars, timing, threads)
         finally:
-            pool.release(slab)
+            worker.depth -= 1
         return plan._by_label(timing)
 
 

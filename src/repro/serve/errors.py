@@ -10,8 +10,8 @@ so clients can dispatch on the class instead of parsing messages:
 - :class:`DeadlineExceeded` — the request was admitted but its deadline
   budget ran out mid-flight; the phase breakdown says where the time
   went. The worker that was running it is *not* wedged: the step loop
-  checks the budget cooperatively between steps, and every pooled buffer
-  a step checks out is returned by that checkout's own ``finally``.
+  checks the budget cooperatively between steps, and every scratch take
+  a step makes is given back by that take's own ``finally``.
 - :class:`RequestCancelled` — the client cancelled the ticket before
   completion.
 - :class:`RequestFailed` — the model itself failed after the service's

@@ -28,7 +28,7 @@ service without giving up any of its guarantees:
   exhausted request fails with a phase-attributed
   :class:`~repro.serve.errors.DeadlineExceeded` while its worker moves
   on. Cancellation never interrupts a step, and a step that raises has
-  already returned its scratch: every checkout of the arena is released
+  already returned its scratch: every take of the arena is given back
   by its own ``finally``, so a cancelled, expired or failed request
   leaves no pool memory behind and wedges no worker.
 - **Retry with backoff.** Recoverable model faults (chaos-injected

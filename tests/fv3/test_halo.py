@@ -248,11 +248,11 @@ class _UnpackFault(RuntimeError):
 
 @pytest.mark.parametrize("workers", [1, 6], ids=["sequential", "threads"])
 def test_a_rotation_that_raises_returns_its_scratch(monkeypatch, workers):
-    """The seam rotation's two scratch arrays go back to the arena when
-    an unpack raises: every rank fails at its first rotated unpack (it
-    has taken its messages by then, so no rank waits on a peer), and
-    the step leaves no checkout live, on the calling thread and on
-    rank threads alike."""
+    """The seam rotation's scratch strip goes back when an unpack
+    raises: every rank fails at its first rotated unpack (it has taken
+    its messages by then, so no rank waits on a peer), and the step
+    leaves every compute slot's worker at depth 0 and no take live, on
+    the calling thread and on rank threads alike."""
     import threading
 
     from repro.fv3 import halo
@@ -288,4 +288,5 @@ def test_a_rotation_that_raises_returns_its_scratch(monkeypatch, workers):
             core.step_dynamics()
     finally:
         ex.shutdown()
+    assert [worker.depth for worker in ex.scratch] == [0] * workers
     assert get_pool().stats()["live_bytes"] == 0

@@ -1,7 +1,7 @@
-"""The stencil modules' scratch lives in the buffer arena, not on the
-module objects: what that buys (a footprint that does not grow with the
-number of ranks) and what it demands (no program reads a transient it
-did not write)."""
+"""The stencil modules' scratch lives in the arena's worker slabs, not on
+the module objects: what that buys (a footprint that does not grow with
+the number of ranks, sized before the first step) and what it demands
+(no program reads a transient it did not write)."""
 
 import hashlib
 
@@ -15,6 +15,7 @@ from repro.orchestration import Transient
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosPlan
 from repro.run import build_core
+from repro.runtime import pool as pool_module
 from repro.runtime.pool import BufferPool, get_pool
 from repro.scenarios import get_scenario
 from tests.runtime.test_pool import needs_mincore, resident_pages
@@ -22,12 +23,12 @@ from tests.runtime.test_pool import needs_mincore, resident_pages
 STATE_FIELDS = ("u", "v", "w", "pt", "delp", "delz")
 
 
-def _core(executor="sequential", **config):
+def _core(executor="sequential", workers=None, **config):
     config = {"npx": 12, "npz": 4, **config}
     scenario = get_scenario("baroclinic_wave")
     return build_core(
         "baroclinic_wave", scenario.default_config(**config),
-        executor=executor,
+        executor=executor, workers=workers,
     )
 
 
@@ -106,58 +107,79 @@ def _digest(core) -> str:
     return h.hexdigest()
 
 
+def _driver(executor, **config):
+    """A one-member c12·L4 driver (two rank threads under ``threads``)."""
+    from repro.run import EnsembleDriver
+
+    scenario = get_scenario("baroclinic_wave")
+    return EnsembleDriver(
+        "baroclinic_wave",
+        scenario.default_config(**{"npx": 12, "npz": 4, **config}),
+        members=(1,), seed=3, executor=executor, diagnostics=False,
+        workers=2 if executor == "threads" else None,
+    )
+
+
+@pytest.mark.parametrize("executor", ["sequential", "threads"])
+@pytest.mark.parametrize("backend", ["numpy", "compiled"])
+def test_a_steady_step_allocates_no_slab_and_checks_no_argument(
+        backend, executor, monkeypatch):
+    """``prepare()`` sizes the slab of every compute slot and binds every
+    program to each of them: no step after it allocates a slab or checks
+    a kernel argument, under rank threads too (where a slot first
+    reached in a later step used to allocate one and check the plans
+    that met it)."""
+    from repro.sdfg import plan as plan_module
+
+    monkeypatch.setattr(backends, "_default_backend", backend)
+    pool = get_pool()
+    with _driver(executor) as driver:
+        driver.engine.prepare()
+        for _ in range(5):
+            allocations = pool.stats()["allocations"]
+            checks = plan_module.COUNTERS.snapshot()["arg_checks"]
+            driver.step(1)
+            assert pool.stats()["allocations"] == allocations
+            assert plan_module.COUNTERS.snapshot()["arg_checks"] == checks
+
+
 @needs_mincore
 @pytest.mark.parametrize("executor", ["sequential", "threads"])
 @pytest.mark.parametrize("backend", ["numpy", "compiled"])
 def test_between_steps_a_rank_holds_no_page_of_its_step_arrays(
         backend, executor, monkeypatch):
     """A step gives the kernel back the pages of the five step arrays of
-    every rank and of the arena's idle slabs. Nothing is re-allocated or
-    re-bound: the next step keeps every slab but those a miss retires,
-    ends on the bits of a run that kept every page and, sequentially,
-    checks no kernel argument and allocates no slab. (Rank threads can
-    reach a concurrency the arena has not seen yet in any step, which
-    allocates a slab and checks the arguments of the plans that meet
-    it, with or without the pages given back.)"""
+    every rank and of every slab of the executor's compute slots.
+    Nothing is re-allocated or re-bound: the next step keeps every slab,
+    checks no kernel argument, allocates no slab and ends on the bits of
+    a run that kept every page."""
     from repro.fv3.dyncore import DynamicalCore
-    from repro.run import EnsembleDriver
     from repro.sdfg import plan as plan_module
 
     monkeypatch.setattr(backends, "_default_backend", backend)
-    scenario = get_scenario("baroclinic_wave")
-
-    def driver():
-        return EnsembleDriver(
-            "baroclinic_wave", scenario.default_config(npx=12, npz=4),
-            members=(1,), seed=3, executor=executor, diagnostics=False,
-        )
-
     with monkeypatch.context() as keep:
         keep.setattr(DynamicalCore, "_release_step_scratch",
                      lambda self: None)
-        with driver() as kept:
+        with _driver(executor) as kept:
             kept.step(2)
             expected = _digest(kept.engine)
     pool = get_pool()
-    with driver() as released:
+    with _driver(executor) as released:
         released.step(1)
         core = released.engine
+        slabs = [s for w in core.executor.scratch for s in w.slabs]
+        assert len(slabs) == core.executor.workers
         assert [resident_pages(a) for a in _step_arrays(core)] \
             == [0] * 5 * len(core.ranks)
-        assert [resident_pages(s.data) for s in pool._idle] \
-            == [0] * len(pool._idle)
-        idle = list(pool._idle)
+        assert [resident_pages(s.data) for s in slabs] == [0] * len(slabs)
         checks = plan_module.COUNTERS.snapshot()["arg_checks"]
         before = pool.stats()
         released.step(1)
         after = pool.stats()
-        survivors = [s for s in idle if any(s is t for t in pool._idle)]
-        retired = after["retirements"] - before["retirements"]
-        assert len(survivors) >= len(idle) - retired
+        assert [s for w in core.executor.scratch for s in w.slabs] == slabs
         assert after["released_bytes"] > before["released_bytes"]
-        if executor == "sequential":
-            assert plan_module.COUNTERS.snapshot()["arg_checks"] == checks
-            assert after["allocations"] == before["allocations"]
+        assert plan_module.COUNTERS.snapshot()["arg_checks"] == checks
+        assert after["allocations"] == before["allocations"]
         assert _digest(core) == expected
 
 
@@ -195,15 +217,16 @@ def test_step_is_bit_identical_on_poisoned_scratch(backend, executor,
             np.testing.assert_array_equal(a, b, err_msg=f"rank {rank}")
 
 
-def _arena_after_two_steps(monkeypatch, **config):
-    """Pool counters and the traced plans after two steps in an arena of
-    their own (the process arena's high water remembers earlier tests)."""
+def _arena_after_two_steps(monkeypatch, backend, workers=None, **config):
+    """Pool counters and the traced plans after two steps (on ``workers``
+    rank threads, or sequentially) in an arena of their own (the process
+    arena's high water remembers earlier tests)."""
     from repro.lint.cli import _traced_programs
-    from repro.runtime import pool as pool_module
 
+    monkeypatch.setattr(backends, "_default_backend", backend)
     pool = BufferPool()
     monkeypatch.setattr(pool_module, "_POOL", pool)
-    core = _core(**config)
+    core = _core("threads" if workers else "sequential", workers, **config)
     try:
         core.step_dynamics()
         allocations = pool.stats()["allocations"]
@@ -217,42 +240,55 @@ def _arena_after_two_steps(monkeypatch, **config):
         _finish(core)
 
 
-def test_scratch_does_not_scale_with_the_number_of_ranks(monkeypatch):
+@pytest.mark.parametrize("backend", ["numpy", "compiled"])
+def test_scratch_does_not_scale_with_the_number_of_ranks(backend,
+                                                         monkeypatch):
     """6 ranks and 24 ranks of the same per-rank shape leave the same
     arena behind: under the sequential executor one rank runs one
-    program at a time, and all of them run in the same slab."""
-    six, _ = _arena_after_two_steps(monkeypatch, npx=12, layout=1)
-    twenty_four, _ = _arena_after_two_steps(monkeypatch, npx=24, layout=2)
-    for key in ("peak_slabs", "largest_slab_bytes"):
+    program at a time, all of them in the one slab of the executor's
+    slot, and the halo rotation's strip is a take of that slab too."""
+    six, plans = _arena_after_two_steps(monkeypatch, backend, npx=12,
+                                        layout=1)
+    twenty_four, _ = _arena_after_two_steps(monkeypatch, backend, npx=24,
+                                            layout=2)
+    for key in ("peak_slabs", "largest_slab_bytes", "high_water_bytes"):
         assert six[key] == twenty_four[key], key
-    # the second slab is the halo rotation's: a strip of edge cells
-    for stats in (six, twenty_four):
-        rest = stats["high_water_bytes"] - stats["largest_slab_bytes"]
-        assert 0 < rest < 0.01 * stats["largest_slab_bytes"]
+    assert six["high_water_bytes"] == max(p.runtime_bytes for p in plans)
+    assert six["peak_slabs"] == 1
 
 
-def test_arena_is_the_largest_plan_not_the_sum_of_the_plans(monkeypatch):
+#: what a step's slabs add up to against the bytes their programs name:
+#: the NumPy emission's planned values overlap more than the compiled
+#: lowering's (0.68 of what is named at c12·L4), whose kernel locals are
+#: registers and whose remaining values are mostly live at once
+NAMED_SHARE = {"numpy": 0.5, "compiled": 0.7}
+
+
+@pytest.mark.parametrize("backend", ["numpy", "compiled"])
+def test_arena_is_the_largest_plan_not_the_sum_of_the_plans(backend,
+                                                            monkeypatch):
     """The guard that keeps the fat from growing back: after two
-    sequential steps the arena's high water is the widest program's slab
-    (plus the halo rotation's second scratch array), nowhere near one
-    buffer per shape or one slab per program."""
-    stats, plans = _arena_after_two_steps(monkeypatch)
+    sequential steps the arena's high water is the widest program's
+    slab, nowhere near one buffer per shape or one slab per program;
+    under rank threads it is at most one such slab per compute slot."""
+    stats, plans = _arena_after_two_steps(monkeypatch, backend)
     slabs = [plan.runtime_bytes for plan in plans]
     assert len(slabs) == 4 and min(slabs) > 0
     assert stats["largest_slab_bytes"] == max(slabs)
-    assert stats["high_water_bytes"] <= 1.1 * max(slabs)
-    # no second program's slab is live beside the widest one
-    assert stats["high_water_bytes"] < max(slabs) + min(slabs)
-    assert stats["peak_slabs"] == 2
+    assert stats["high_water_bytes"] == max(slabs)
+    assert stats["peak_slabs"] == 1
     # and a slab is what its program keeps live, not what it ever names
     named = sum(sum(plan.plan_nbytes) for plan in plans)
-    assert sum(slabs) < 0.5 * named
+    assert sum(slabs) < NAMED_SHARE[backend] * named
+    threads, _ = _arena_after_two_steps(monkeypatch, backend, workers=2)
+    assert threads["high_water_bytes"] <= 2 * max(slabs)
+    assert threads["peak_slabs"] <= 2
 
 
 def test_checkouts_of_a_step_follow_from_its_plans(monkeypatch):
-    """One slab per call of a program that has scratch, two arrays per
-    rotated halo strip, nothing per value: the step's checkout count is
-    known before it runs."""
+    """One take per call of a program that has scratch, one per rotated
+    halo strip, nothing per value: the step's take count is known before
+    it runs."""
     from repro.sdfg.plan import BoundPlan
 
     calls = []
@@ -281,14 +317,15 @@ def test_checkouts_of_a_step_follow_from_its_plans(monkeypatch):
         with_scratch = sum(1 for nbytes in calls if nbytes)
         assert with_scratch == len(calls)
         # one vector exchange per sub-step; a strip arriving from a tile
-        # whose axes are turned takes two scratch arrays
+        # whose axes are turned takes one scratch strip for its two
+        # rotated components
         rotated = sum(
             1 for rank_plans in core.halo.plans for phase in rank_plans
             for plan in phase if plan.rotations
         )
         assert rotated == 12
         assert after["checkouts"] - before["checkouts"] \
-            == with_scratch + 2 * rotated * substeps
+            == with_scratch + rotated * substeps
         assert after["allocations"] == before["allocations"]
     finally:
         _finish(core)

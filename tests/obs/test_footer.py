@@ -87,11 +87,13 @@ def test_the_json_export_carries_every_registered_set():
 def test_the_pool_line_counts_the_pages_it_gave_back():
     """``released_bytes`` is a name of the pool's set, so the footer
     prints it with no line written for it."""
-    from repro.runtime.pool import get_pool
+    from repro.runtime.pool import current, get_pool
 
     pool = get_pool()
-    pool.release(pool.checkout_slab(1 << 16))
-    pool.trim()
+    worker = current()
+    worker.take(1 << 16)
+    worker.depth -= 1
+    pool.trim(workers=[worker])
     (line,) = [
         ln for ln in _traced_report().splitlines() if ln.startswith("pool: ")
     ]

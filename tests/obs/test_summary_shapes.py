@@ -11,8 +11,7 @@ from repro.runtime import procs, runtime_summary  # noqa: F401 — procs
 
 GROUPS = {
     "pool": {
-        "checkouts", "reuse_hits", "allocations", "allocated_bytes",
-        "alloc_bytes_avoided", "retirements", "released_bytes",
+        "checkouts", "allocations", "allocated_bytes", "released_bytes",
         "live_bytes", "idle_bytes", "high_water_bytes", "peak_slabs",
         "largest_slab_bytes",
     },

@@ -1,9 +1,9 @@
 """Fork-safety of process-global runtime state (PR 10 satellites).
 
-A forked worker inherits the parent's buffer pool — free lists full of
-arrays the parent still owns, counters mid-flight, possibly a held
-lock. The ``os.register_at_fork`` hook (plus the pid guard in
-``get_pool``) must hand the child a pristine pool; a worker's
+A forked worker inherits the parent's buffer arena — workers holding
+slabs the parent's threads may be inside, counters mid-flight, possibly
+a held lock. The ``os.register_at_fork`` hook (plus the pid guard in
+``get_pool``) must hand the child a pristine arena; a worker's
 ``snapshot_all()`` folds back into the parent whole, without double
 counting.
 """
@@ -11,14 +11,13 @@ counting.
 import multiprocessing
 import os
 
-import numpy as np
 import pytest
 
 from repro import resilience
 from repro.obs import counters
 from repro.run import metrics  # noqa: F401 — registers "ensemble"
 from repro.runtime import procs  # noqa: F401 — registers "procs"
-from repro.runtime.pool import get_pool
+from repro.runtime.pool import current, get_pool
 
 fork_ctx = pytest.importorskip("multiprocessing").get_context
 
@@ -26,40 +25,46 @@ if "fork" not in multiprocessing.get_all_start_methods():
     pytest.skip("fork start method unavailable", allow_module_level=True)
 
 
+def _take(nbytes):
+    worker = current()
+    worker.take(nbytes)
+    worker.depth -= 1
+
+
 def _child_pool_probe(conn):
     pool = get_pool()
     stats = pool.stats()
-    # the child may allocate its own buffers without disturbing the
-    # parent's free lists
-    buf = pool.checkout((16, 16), np.float64)
-    pool.release(buf)
-    buf2 = pool.checkout((16, 16), np.float64)
-    pool.release(buf2)
-    conn.send((os.getpid(), stats, pool.stats()))
+    worker = current()
+    inherited = (list(worker.slabs), worker.depth)
+    # the child allocates its own slab without touching the parent's
+    _take(2048)
+    _take(2048)
+    conn.send((os.getpid(), stats, inherited, pool.stats()))
     conn.close()
 
 
 def test_forked_child_gets_pristine_pool():
     pool = get_pool()
-    parent_buf = pool.checkout((16, 16), np.float64)
-    pool.release(parent_buf)
+    _take(2048)
     before = pool.stats()
-    assert before["checkouts"] >= 1
+    assert before["checkouts"] >= 1 and current().slabs
     ctx = fork_ctx("fork")
     parent_conn, child_conn = ctx.Pipe()
     proc = ctx.Process(target=_child_pool_probe, args=(child_conn,))
     proc.start()
     child_conn.close()
-    child_pid, child_stats, child_after = parent_conn.recv()
+    child_pid, child_stats, inherited, child_after = parent_conn.recv()
     proc.join(10)
     assert child_pid != os.getpid()
     # the at-fork hook zeroed every counter before the child's first use
     assert child_stats["checkouts"] == 0
     assert child_stats["allocated_bytes"] == 0
     assert child_stats["high_water_bytes"] == 0
-    # and the child's pool works standalone (second checkout reuses)
+    # and emptied the inherited workers
+    assert inherited == ([], 0)
+    # the child's arena works standalone (the second take reuses)
     assert child_after["checkouts"] == 2
-    assert child_after["reuse_hits"] >= 1
+    assert child_after["allocations"] == 1
     # the parent's accounting is untouched by the child's lifetime
     after = pool.stats()
     assert after["checkouts"] == before["checkouts"]

@@ -1,12 +1,15 @@
-"""Unit tests for the scratch buffer arena (repro.runtime.pool)."""
+"""Unit tests for the scratch arena (repro.runtime.pool): a stack of
+slabs per worker, taken by depth."""
 
 import ctypes
+import math
 import mmap
 
 import numpy as np
 import pytest
 
-from repro.runtime.pool import BufferPool, Slab, get_pool
+from repro.runtime import pool as pool_module
+from repro.runtime.pool import BufferPool, Slab, Worker, current, get_pool
 
 
 def _address(arr):
@@ -50,190 +53,149 @@ def resident_pages(array) -> int:
     return sum(v & 1 for v in vec)
 
 
+def _take(worker, nbytes):
+    """A take that ends at once: what a caller does in its ``finally``."""
+    slab = worker.take(nbytes)
+    worker.depth -= 1
+    return slab
+
+
 def test_checkout_release_roundtrip_reuses_buffer():
     pool = BufferPool()
-    a = pool.checkout((4, 3))
-    where = _address(a)
-    pool.release(a)
-    b = pool.checkout((4, 3))
-    assert _address(b) == where
-    assert pool.stats()["reuse_hits"] == 1
-    assert pool.stats()["allocations"] == 1
+    worker = Worker(pool)
+    where = _address(_take(worker, 96).data)
+    assert _address(_take(worker, 96).data) == where
+    assert worker.depth == 0
+    stats = pool.stats()
+    assert (stats["checkouts"], stats["allocations"]) == (2, 1)
 
 
 def test_live_buffers_never_alias():
+    """Nested takes sit at two depths, two workers hold two stacks: no
+    two live takes share a byte, and each comes back to its home."""
     pool = BufferPool()
-    a = pool.checkout((8, 8))
-    b = pool.checkout((8, 8))
-    assert not np.shares_memory(a, b)
-    a[...] = 1.0
-    b[...] = 2.0
-    assert float(a[0, 0]) == 1.0  # no shared storage
-    homes = {_address(a), _address(b)}
-    pool.release(a)
-    pool.release(b)
-    # after release both come back, still two distinct pieces of memory
-    c = pool.checkout((8, 8))
-    d = pool.checkout((8, 8))
-    assert not np.shares_memory(c, d)
-    assert {_address(c), _address(d)} == homes
-    assert pool.stats()["allocations"] == 2
+    worker, other = Worker(pool), Worker(pool)
+    outer = worker.take(512)
+    inner = worker.take(512)
+    theirs = other.take(512)
+    assert worker.depth == 2 and other.depth == 1
+    slabs = (outer, inner, theirs)
+    for i, a in enumerate(slabs):
+        a.data[:] = i + 1
+        for b in slabs[i + 1:]:
+            assert not np.shares_memory(a.data, b.data)
+    assert [int(s.data[0]) for s in slabs] == [1, 2, 3]
+    worker.depth -= 2
+    other.depth -= 1
+    # taken again, each depth serves its own slab
+    assert worker.take(512) is outer and worker.take(512) is inner
+    worker.depth -= 2
+    assert pool.stats()["allocations"] == 3
 
 
-def test_smallest_idle_slab_that_fits_serves_any_shape_and_dtype():
-    """Nothing is keyed on shape: a released slab serves whatever fits,
-    and of several that fit the smallest is taken."""
+def test_the_slab_at_a_depth_serves_any_shape_and_dtype():
+    """Nothing is keyed on shape: a depth's slab serves whatever fits it,
+    in any shape and dtype; a take it cannot hold replaces it by a
+    larger one instead of adding a second."""
     pool = BufferPool()
-    small, big = pool.checkout((4, 4)), pool.checkout((16, 16))
-    homes = {"small": _address(small), "big": _address(big)}
-    pool.release(small)
-    pool.release(big)
-    # same bytes, another shape and dtype: the small slab serves both
+    worker = Worker(pool)
+    home = _address(_take(worker, 128).data)
     for shape, dtype in (((2, 8), np.float64), ((4, 8), np.float32),
                          ((128,), np.bool_)):
-        buf = pool.checkout(shape, dtype)
+        slab = worker.take(math.prod(shape) * np.dtype(dtype).itemsize)
+        buf = slab.view(shape, dtype)
         assert (buf.shape, buf.dtype) == (shape, np.dtype(dtype))
-        assert _address(buf) == homes["small"]
-        pool.release(buf)
-    # one byte more than the small slab holds: best fit is the big one
-    buf = pool.checkout((129,), np.bool_)
-    assert _address(buf) == homes["big"]
-    # and with the big one out, the small one still serves what fits
-    other = pool.checkout((3,))
-    assert _address(other) == homes["small"]
+        assert _address(buf) == home
+        worker.depth -= 1
+    grown = _take(worker, 129)
+    assert grown.capacity == 192 and worker.slabs == [grown]
     stats = pool.stats()
-    assert stats["allocations"] == 2 and stats["retirements"] == 0
+    assert stats["allocations"] == 2 and stats["peak_slabs"] == 1
 
 
 def test_every_checkout_starts_on_a_cache_line():
-    pool = BufferPool()
+    worker = Worker(BufferPool())
     for nbytes in (1, 63, 64, 65, 4096, 100_001):
-        slab = pool.checkout_slab(nbytes)
+        slab = _take(worker, nbytes)
         assert isinstance(slab, Slab)
         assert slab.data.dtype == np.uint8 and slab.data.flags.c_contiguous
         assert slab.capacity >= nbytes and slab.capacity % 64 == 0
         assert _address(slab.data) % 64 == 0
-    assert _address(pool.checkout((3, 5))) % 64 == 0
-
-
-def test_double_release_raises():
-    pool = BufferPool()
-    a = pool.checkout((2, 2))
-    pool.release(a)
-    with pytest.raises(ValueError, match="released twice"):
-        pool.release(a)
-    slab = pool.checkout_slab(100)
-    pool.release(slab)
-    with pytest.raises(ValueError, match="released twice"):
-        pool.release(slab)
-    assert pool.stats()["live_bytes"] == 0
-
-
-def test_releasing_a_view_raises():
-    pool = BufferPool()
-    a = pool.checkout((4, 4))
-    with pytest.raises(ValueError, match="view"):
-        pool.release(a[:2])
-    with pytest.raises(ValueError, match="view"):
-        pool.release(a.reshape(16))  # same bytes, not the checkout
-    pool.release(a)
-
-
-def test_foreign_release_raises():
-    """What this arena did not hand out never enters it: not a fresh
-    array, not another arena's checkout, not a slab's bytes."""
-    pool, other = BufferPool(), BufferPool()
-    with pytest.raises(ValueError, match="never handed out"):
-        pool.release(np.empty((4, 4)))
-    theirs = other.checkout((4, 4))
-    with pytest.raises(ValueError, match="never handed out"):
-        pool.release(theirs)
-    other.release(theirs)
-    slab = pool.checkout_slab(256)
-    with pytest.raises(ValueError, match="never handed out"):
-        pool.release(slab.data)
-    pool.release(slab)
-    stats = pool.stats()
-    assert stats["live_bytes"] == 0 and stats["idle_bytes"] == slab.capacity
+    assert _address(_take(worker, 120).view((3, 5), np.float64)) % 64 == 0
 
 
 def test_high_water_and_byte_accounting():
+    """Bytes are slab capacity, whole cache lines; the high water is what
+    all workers held at once, not what was ever allocated."""
     pool = BufferPool()
+    worker, other = Worker(pool), Worker(pool)
     nbytes = 4 * 4 * 8
-    a = pool.checkout((4, 4))
-    b = pool.checkout((4, 4))
-    assert pool.live_bytes == 2 * nbytes
-    assert pool.stats()["high_water_bytes"] == 2 * nbytes
-    pool.release(a)
-    pool.release(b)
-    assert pool.live_bytes == 0
-    assert pool.idle_bytes == 2 * nbytes
-    c = pool.checkout((4, 4))
-    assert pool.stats()["alloc_bytes_avoided"] == nbytes
+    worker.take(nbytes)
+    other.take(nbytes)
+    stats = pool.stats()
+    assert (stats["live_bytes"], stats["idle_bytes"]) == (2 * nbytes, 0)
+    assert stats["high_water_bytes"] == 2 * nbytes
+    worker.depth -= 1
+    other.depth -= 1
+    stats = pool.stats()
+    assert (stats["live_bytes"], stats["idle_bytes"]) == (0, 2 * nbytes)
+    _take(worker, 3)  # fits: no new byte
     stats = pool.stats()
     assert stats["checkouts"] == 3
     assert stats["allocations"] == 2
     assert stats["high_water_bytes"] == 2 * nbytes
     assert stats["peak_slabs"] == 2
     assert stats["largest_slab_bytes"] == nbytes
-    pool.release(c)
-    # the accounting is in slab capacity, whole cache lines
-    d = pool.checkout((3,), np.bool_)
-    assert pool.live_bytes == 128
-    pool.release(d)
-
-
-def test_clear_drops_idle_buffers():
-    pool = BufferPool()
-    a = pool.checkout((4, 4))
-    pool.release(a)
-    pool.clear()
-    assert pool.idle_bytes == 0
-    pool.checkout((4, 4))
+    # a growth drops the slab it replaces: the high water is the sum of
+    # what is held, 128 + 256, not 128 + 128 + 256
+    _take(worker, 200)
     stats = pool.stats()
-    assert stats["allocations"] == 2 and stats["reuse_hits"] == 0
+    assert stats["high_water_bytes"] == nbytes + 256
+    assert stats["allocated_bytes"] == 2 * nbytes + 256
+    assert stats["peak_slabs"] == 2
+    # a worker that is gone holds nothing
+    del other
+    assert pool.stats()["idle_bytes"] == 256
 
 
 @needs_mincore
 def test_trim_gives_back_the_pages_of_idle_slabs_only():
-    """A live checkout keeps every byte through a trim; an idle slab
-    keeps no page, and is counted in ``released_bytes``."""
+    """A live take keeps every byte through a trim; a slab above the
+    worker's depth keeps no page, and is counted in ``released_bytes``."""
     pool = BufferPool()
-    live = pool.checkout_slab(1 << 20)
-    idle = pool.checkout_slab(1 << 20)
+    worker = Worker(pool)
+    live = worker.take(1 << 20)
+    idle = _take(worker, 1 << 20)  # depth 1, given back
     live.data[:] = 7
     idle.data[:] = 9
-    pool.release(idle)
     pages, live_pages = resident_pages(idle.data), resident_pages(live.data)
     assert pages > 0 and live_pages > 0
-    released = pool.trim()
+    released = pool.trim(workers=[worker])
     assert released == pages * mmap.PAGESIZE
     assert resident_pages(idle.data) == 0
     assert resident_pages(live.data) == live_pages
     assert (live.data == 7).all()
     assert pool.stats()["released_bytes"] == released
-    pool.release(live)
+    worker.depth -= 1
 
 
 @needs_mincore
 def test_a_trimmed_slab_is_the_same_slab_at_the_same_address():
-    """Nothing is re-allocated: the next checkout gets the very ``Slab``
+    """Nothing is re-allocated: the next take gets the very ``Slab``
     back, at its address, its whole pages faulted in zero-filled."""
     pool = BufferPool()
-    slab = pool.checkout_slab(256 << 10)
+    worker = Worker(pool)
+    slab = _take(worker, 256 << 10)
     where = _address(slab.data)
     slab.data[:] = 1
-    pool.release(slab)
-    pool.trim()
-    again = pool.checkout_slab(256 << 10)
+    pool.trim(workers=[worker])
+    again = _take(worker, 256 << 10)
     assert again is slab and _address(again.data) == where
-    stats = pool.stats()
-    assert stats["allocations"] == 1 and stats["reuse_hits"] == 1
+    assert pool.stats()["allocations"] == 1
     page = mmap.PAGESIZE
     inside = slab.data[-where % page:]
     inside = inside[:inside.nbytes // page * page]
     assert inside.nbytes > 0 and not inside.any()
-    pool.release(again)
 
 
 def test_trim_gives_back_the_pages_of_the_callers_arrays():
@@ -254,77 +216,90 @@ def test_trim_gives_back_the_pages_of_the_callers_arrays():
 
 
 def test_process_pool_is_shared():
+    """One arena a process; one worker a thread, until an executor slot
+    is bound in its place."""
+    import threading
+
     assert get_pool() is get_pool()
+    mine = current()
+    assert current() is mine and mine.arena is get_pool()
+    theirs = []
+    thread = threading.Thread(target=lambda: theirs.append(current()))
+    thread.start()
+    thread.join()
+    assert theirs[0] is not mine
+    slot = Worker(get_pool())
+    assert pool_module.bind(slot) is mine
+    try:
+        assert current() is slot
+    finally:
+        assert pool_module.bind(mine) is slot
 
 
 # ---------------------------------------------------------------------------
-# slabs: what a compiled program checks out, once per call
+# slabs: what a compiled program takes, once per call
 # ---------------------------------------------------------------------------
 
 
 def test_checkout_slab_is_the_same_arena_as_checkout():
-    pool = BufferPool()
-    a = pool.checkout((4, 3))
-    where = _address(a)
-    pool.release(a)
-    slab = pool.checkout_slab(4 * 3 * 8)
-    assert _address(slab.data) == where
-    pool.release(slab)
-    assert _address(pool.checkout([4, 3], "float64")) == where
-    assert pool.stats()["allocations"] == 1
+    """A shaped take (the seam rotation's strip, the guard's mask) and a
+    program's take at one depth are the same slab."""
+    worker = Worker(BufferPool())
+    where = _address(_take(worker, 4 * 3 * 8).view((4, 3), np.float64))
+    assert _address(_take(worker, 4 * 3 * 8).data) == where
+    assert worker.arena.stats()["allocations"] == 1
 
 
 def test_counters_count_checkouts_in_slab_capacity():
-    """One checkout is one slab, however many values its caller lays
-    out inside; bytes are the slab's, not the request's."""
+    """One take is one slab, however many values its caller lays out
+    inside; bytes are the slab's, not the request's."""
     pool = BufferPool()
-    slab = pool.checkout_slab(1000)
+    worker = Worker(pool)
+    slab = worker.take(1000)
     stats = pool.stats()
     assert (stats["checkouts"], stats["allocations"]) == (1, 1)
     assert stats["live_bytes"] == stats["high_water_bytes"] == 1024
-    pool.release(slab)
-    again = pool.checkout_slab(10)  # fits: the same slab, whole
+    worker.depth -= 1
+    again = worker.take(10)  # fits: the same slab, whole
     assert again is slab
     stats = pool.stats()
-    assert (stats["checkouts"], stats["reuse_hits"]) == (2, 1)
-    assert stats["allocations"] == 1 and stats["idle_bytes"] == 0
-    assert stats["alloc_bytes_avoided"] == stats["live_bytes"] == 1024
-    pool.release(again)
+    assert (stats["checkouts"], stats["allocations"]) == (2, 1)
+    assert stats["idle_bytes"] == 0 and stats["live_bytes"] == 1024
+    worker.depth -= 1
     assert pool.stats()["live_bytes"] == 0
 
 
 def test_retire_on_miss_converges_to_one_slab_per_concurrent_caller():
-    """Growing requests from one caller end in one slab, not one per
-    size: a miss gives up the idle slab that was too small."""
+    """Growing takes of one caller end in one slab, not one per size:
+    a growth replaces the depth's slab. A nested caller holds a second
+    depth, and its growth replaces that one only."""
     pool = BufferPool()
+    worker = Worker(pool)
     for nbytes in (1000, 5000, 300, 20_000, 64, 20_000, 7000):
-        pool.release(pool.checkout_slab(nbytes))
+        _take(worker, nbytes)
     stats = pool.stats()
-    assert stats["allocations"] == 3 and stats["retirements"] == 2
-    assert stats["peak_slabs"] == 1
+    assert stats["allocations"] == 3 and stats["peak_slabs"] == 1
     assert stats["idle_bytes"] == stats["high_water_bytes"] == 20_032
     # two callers at once: two slabs, and it stays two
     for _ in range(3):
-        outer = pool.checkout_slab(20_000)
-        inner = pool.checkout_slab(500)
-        pool.release(inner)
-        pool.release(outer)
+        outer = worker.take(20_000)
+        _take(worker, 500)
+        worker.depth -= 1
     stats = pool.stats()
     assert stats["allocations"] == 4 and stats["peak_slabs"] == 2
     # the nested caller grows: its slab is replaced, the outer one kept
-    outer = pool.checkout_slab(20_000)
-    inner = pool.checkout_slab(900)
-    pool.release(inner)
-    pool.release(outer)
+    assert worker.take(20_000) is outer
+    _take(worker, 900)
+    worker.depth -= 1
     stats = pool.stats()
-    assert stats["allocations"] == 5 and stats["retirements"] == 3
-    assert stats["peak_slabs"] == 2
+    assert stats["allocations"] == 5 and stats["peak_slabs"] == 2
     assert stats["idle_bytes"] == 20_032 + 960
 
 
 def test_failed_batch_returns_what_it_took():
-    """A failing allocator leaves the arena as it was: nothing checked
-    out for ever, every counter consistent, the next checkout served."""
+    """A failing allocator leaves nothing taken for ever and every
+    counter consistent: the depth stays where it was, the take is not
+    counted, and the next take is served."""
 
     class Failing(BufferPool):
         budget = 1
@@ -336,121 +311,119 @@ def test_failed_batch_returns_what_it_took():
             return np.empty(shape, dtype)
 
     pool = Failing()
-    held = pool.checkout_slab(512)
+    worker = Worker(pool)
+    held = worker.take(512)
     before = pool.stats()
     with pytest.raises(MemoryError):
-        pool.checkout_slab(512)  # the only slab is live: must allocate
+        worker.take(512)  # depth 1 has no slab: must allocate
+    assert worker.depth == 1 and pool.stats() == before
+    worker.depth -= 1
+    # and the worker is intact: its slab comes back out
+    assert _take(worker, 512) is held
+    # a growth that failed has given up the slab it was to replace
     with pytest.raises(MemoryError):
-        pool.checkout((8, 8))
-    assert pool.stats() == before
-    pool.release(held)
+        worker.take(4096)
     stats = pool.stats()
-    assert stats["live_bytes"] == 0 and stats["idle_bytes"] == 512
-    # and the arena is intact: the slab comes back out
-    assert pool.checkout_slab(512) is held
-    # a miss that retired an idle slab before failing has given it up,
-    # and says so
-    pool.release(held)
-    with pytest.raises(MemoryError):
-        pool.checkout_slab(4096)
-    stats = pool.stats()
+    assert worker.depth == 0
     assert stats["live_bytes"] == stats["idle_bytes"] == 0
-    assert stats["retirements"] == 1 and stats["checkouts"] == 2
+    assert stats["checkouts"] == 2 and stats["allocations"] == 1
+    pool.budget = 1
+    assert _take(worker, 4096).capacity == 4096
 
 
 def test_batch_checkouts_are_poisoned_and_recorded():
-    """The batch of values a program lays out in one slab is one
-    checkout to every hook: poisoned whole, counted once, and returned
-    whole by its release."""
+    """Every take is poisoned — the bytes asked for, whatever the caller
+    views them as — and consulted and counted once."""
     from repro.resilience import chaos
     from repro.resilience.chaos import ChaosPlan
 
     pool = BufferPool()
+    worker = Worker(pool)
     plan = ChaosPlan.from_spec("pool.poison:p=1.0")
     previous = chaos.set_plan(plan)
     try:
-        slab = pool.checkout_slab(3 * 3 * 8 * 2)
-        assert np.isnan(slab.data.view(np.float64)).all()
-        buf = pool.checkout((3, 3))
+        slab = worker.take(3 * 3 * 8 * 2)
+        assert np.isnan(slab.data[:144].view(np.float64)).all()
+        buf = worker.take(3 * 3 * 8).view((3, 3), np.float64)
         assert np.isnan(buf).all()
-        mask = pool.checkout((3, 3), np.bool_)  # not a float: as is
+        worker.take(9).view((3, 3), np.bool_)  # a mask: poisoned too
     finally:
         chaos.set_plan(previous)
-    assert plan.consults("pool.poison") == 2
+    assert plan.consults("pool.poison") == 3
     assert pool.stats()["checkouts"] == 3
-    for handle in (mask, buf, slab):
-        pool.release(handle)
+    worker.depth -= 3
     assert pool.stats()["live_bytes"] == 0
 
 
-def test_batches_from_many_threads_never_alias_or_lose_a_buffer():
-    """More threads than cores hammer one arena under a shortened switch
-    interval, each laying a batch of values out in the slab it got: no
-    two live slabs ever share a byte, and every counter adds up
-    afterwards."""
+def test_batches_from_many_threads_never_alias_or_lose_a_buffer(
+        monkeypatch):
+    """More rank threads than compute slots, under a shortened switch
+    interval, hand the slots (and their scratch) to each other at every
+    wait while a trimmer gives back the pages of the idle slots: no two
+    live takes ever share a byte, and every counter adds up."""
     import sys
     import threading
 
+    from repro.runtime import ranks
+
     pool = BufferPool()
-    threads, rounds = 8, 300
+    monkeypatch.setattr(pool_module, "_POOL", pool)
+    ex = ranks.RankExecutor(4)
+    n_ranks, rounds = 8, 200
     errors = []
-    start = threading.Barrier(threads + 1)
     done = threading.Event()
     trims = 0
 
     def trimmer():
-        # gives back the pages of whatever is idle while the workers
-        # check out: a live slab it touched would read zeros
+        # a slab it touched while a rank computes in it would read zeros
         nonlocal trims
-        start.wait(timeout=10)
         while not done.is_set():
-            pool.trim()
+            with ex.idle_scratch() as idle:
+                pool.trim(workers=idle)
             trims += 1
 
-    def worker(tag):
-        try:
-            start.wait(timeout=10)
-            for turn in range(rounds):
-                nbytes = 4096 * (1 + (turn + int(tag)) % 5) + 128
-                slab = pool.checkout_slab(nbytes)
+    def body(rank):
+        tag = float(rank + 1)  # no tag is 0.0: a trimmed page reads 0
+        for turn in range(rounds):
+            worker = current()
+            nbytes = 4096 * (1 + (turn + rank) % 5) + 128
+            slab = worker.take(nbytes)
+            try:
                 values = slab.data[:nbytes].view(np.float64)
                 values.fill(tag)
-                extra = pool.checkout((4, 4))
-                extra.fill(tag)
-                # a slab another thread also holds would be overwritten
-                if (values != tag).any() or (extra != tag).any():
-                    errors.append(f"thread {tag} saw another's data")
-                pool.release(extra)
-                pool.release(slab)
-        except Exception as exc:  # reported by the assertion below
-            errors.append(repr(exc))
+                extra = worker.take(128).view((4, 4), np.float64)
+                try:
+                    extra.fill(tag)
+                    if (values != tag).any() or (extra != tag).any():
+                        errors.append(f"rank {rank} saw another's data")
+                finally:
+                    worker.depth -= 1
+            finally:
+                worker.depth -= 1
+            with ranks.io_wait():  # the slot goes to another rank
+                pass
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
+    trimming = threading.Thread(target=trimmer)
     try:
-        # no tag is 0.0: the zeros of a trimmed page must not pass
-        workers = [threading.Thread(target=worker, args=(float(t + 1),))
-                   for t in range(threads)]
-        trimming = threading.Thread(target=trimmer)
-        for w in workers + [trimming]:
-            w.start()
-        for w in workers:
-            w.join(timeout=60)
+        trimming.start()
+        ex.run(body, n_ranks)
     finally:
         done.set()
         trimming.join(timeout=60)
         sys.setswitchinterval(interval)
-    assert not any(w.is_alive() for w in workers + [trimming])
+        ex.shutdown()
+    assert not trimming.is_alive()
     assert errors == []
     assert trims > 0
     stats = pool.stats()
-    assert stats["checkouts"] == threads * rounds * 2
-    assert stats["checkouts"] == stats["reuse_hits"] + stats["allocations"]
+    assert stats["checkouts"] == n_ranks * rounds * 2
     assert stats["live_bytes"] == 0
-    assert stats["peak_slabs"] <= threads * 2
-    # what was allocated is idle now or was retired by a miss on the way
-    assert stats["allocations"] - stats["retirements"] == len(pool._idle)
-    assert stats["idle_bytes"] == sum(s.capacity for s in pool._idle)
+    # two depths of four slots, each grown to its largest take at most
+    assert stats["peak_slabs"] <= 4 * 2
+    assert sum(len(w.slabs) for w in ex.scratch) == stats["peak_slabs"]
+    assert [w.depth for w in ex.scratch] == [0] * 4
 
 
 def test_report_footer_prints_slabs_and_the_largest_slab():
@@ -459,19 +432,17 @@ def test_report_footer_prints_slabs_and_the_largest_slab():
     from repro.obs.render import _footer
     from repro.runtime import runtime_summary
 
-    pool = get_pool()
-    pool.release(pool.checkout((4, 4)))
+    _take(current(), 128)
     summary = runtime_summary()["pool"]
     # every key the footer, the benchmark's layer table and the process
     # executor's fold read
-    assert set(summary) >= {
-        "checkouts", "reuse_hits", "allocations", "allocated_bytes",
-        "alloc_bytes_avoided", "live_bytes", "idle_bytes",
-        "high_water_bytes", "peak_slabs",
-        "largest_slab_bytes", "retirements", "released_bytes",
+    assert set(summary) == {
+        "checkouts", "allocations", "allocated_bytes", "live_bytes",
+        "idle_bytes", "high_water_bytes", "peak_slabs",
+        "largest_slab_bytes", "released_bytes",
     }
     (line,) = [ln for ln in _footer() if ln.startswith("pool: ")]
-    for name in ("checkouts", "reuse_hits", "allocated_bytes",
-                 "alloc_bytes_avoided", "high_water_bytes", "peak_slabs",
-                 "largest_slab_bytes", "retirements", "released_bytes"):
+    for name in ("checkouts", "allocations", "allocated_bytes",
+                 "high_water_bytes", "peak_slabs", "largest_slab_bytes",
+                 "released_bytes"):
         assert re.search(rf"\b{name} \d+(,|$)", line), name

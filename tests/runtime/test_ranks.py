@@ -9,6 +9,7 @@ import pytest
 
 from repro.fv3.communicator import LocalComm
 from repro.resilience.errors import HaloTimeoutError
+from repro.runtime import pool, ranks
 from repro.runtime.ranks import RankExecutor
 
 
@@ -116,6 +117,39 @@ def test_rank_threads_reraise_the_lowest_rank_failure():
     try:
         with pytest.raises(ValueError, match="rank 1"):
             ex.run(body, 3)
+    finally:
+        ex.shutdown()
+
+
+def test_a_wait_holding_a_take_raises_and_keeps_the_slot():
+    """A compute slot's scratch travels with the slot, so a rank thread
+    that would wait holding a take (inside a program call) raises before
+    anything is handed over: it keeps its slot and its worker, the
+    take's ``finally`` brings the depth back, a wait at depth 0 hands
+    the slot on, and every slot is idle again when the section ends."""
+    ex = RankExecutor(2)
+    seen = []
+
+    def body(rank):
+        worker = pool.current()
+        worker.take(256)
+        try:
+            with pytest.raises(RuntimeError, match="holding scratch"):
+                with ranks.io_wait():
+                    pass  # pragma: no cover — never entered
+            seen.append((rank, pool.current() is worker, worker.depth))
+        finally:
+            worker.depth -= 1
+        with ranks.io_wait():
+            pass
+
+    try:
+        ex.run(body, 2)
+        assert sorted(seen) == [(0, True, 1), (1, True, 1)]
+        assert [w.depth for w in ex.scratch] == [0, 0]
+        with ex.idle_scratch() as idle:
+            assert {id(w) for w in idle} == {id(w) for w in ex.scratch}
+        assert ex.run(lambda rank: rank, 2) == [0, 1]
     finally:
         ex.shutdown()
 

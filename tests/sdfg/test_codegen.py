@@ -362,31 +362,36 @@ def _two_computation_sdfg():
 def test_failed_arena_batch_leaves_nothing_checked_out(monkeypatch):
     """Transients and scratch are one slab, taken inside the call's
     clean-up: a failing allocation strands nothing, and neither does a
-    kernel that raises with the slab checked out."""
-    from repro.runtime.pool import get_pool
+    kernel that raises with the slab taken."""
+    from repro.runtime import pool as pool_module
+    from repro.runtime.pool import BufferPool, Worker
     from repro.sdfg.codegen import compile_sdfg
 
     sdfg, shape = _two_computation_sdfg()
     prog = compile_sdfg(sdfg)
     assert len(prog.plan_offsets) >= 2 and sdfg.transients()
-    pool = get_pool()
-    pool.clear()  # the call's slab must be allocated
-    before = pool.stats()
+    pool = BufferPool()  # the call's slab must be allocated
+    worker = Worker(pool)
+    previous = pool_module.bind(worker)
+    try:
+        before = pool.stats()
 
-    def failing(shape, dtype):
-        raise MemoryError("no slab for you")
+        def failing(shape, dtype):
+            raise MemoryError("no slab for you")
 
-    monkeypatch.setattr(pool, "_allocate", failing)
-    arrays = {"a": _rand(shape), "out": np.zeros(shape)}
-    with pytest.raises(MemoryError):
-        prog(arrays=arrays)
-    assert pool.stats() == before
-    monkeypatch.undo()
-    with pytest.raises(TypeError):
-        prog(arrays={"a": None, "out": arrays["out"]})
-    assert pool.stats()["live_bytes"] == before["live_bytes"]
-    prog(arrays=arrays)  # and the program still runs
-    assert pool.stats()["live_bytes"] == before["live_bytes"]
+        monkeypatch.setattr(pool, "_allocate", failing)
+        arrays = {"a": _rand(shape), "out": np.zeros(shape)}
+        with pytest.raises(MemoryError):
+            prog(arrays=arrays)
+        assert pool.stats() == before and worker.depth == 0
+        monkeypatch.undo()
+        with pytest.raises(TypeError):
+            prog(arrays={"a": None, "out": arrays["out"]})
+        assert worker.depth == 0 and pool.stats()["live_bytes"] == 0
+        prog(arrays=arrays)  # and the program still runs
+        assert worker.depth == 0 and pool.stats()["live_bytes"] == 0
+    finally:
+        pool_module.bind(previous)
     np.testing.assert_array_equal(
         arrays["out"][:, :, 1:],
         (arrays["a"][:, :, :-1] * 2.0 + 1.0) * 3.0 + arrays["a"][:, :, 1:],
@@ -394,13 +399,23 @@ def test_failed_arena_batch_leaves_nothing_checked_out(monkeypatch):
 
 
 def test_a_call_is_one_checkout_and_steady_state_builds_no_views():
-    from repro.runtime.pool import get_pool
+    from repro.runtime import pool as pool_module
+    from repro.runtime.pool import BufferPool, Worker
     from repro.sdfg.codegen import compile_sdfg
 
     sdfg, shape = _two_computation_sdfg()
     prog = compile_sdfg(sdfg)
     arrays = {"a": _rand(shape), "out": np.zeros(shape)}
-    pool = get_pool()
+    pool = BufferPool()
+    worker = Worker(pool)
+    previous = pool_module.bind(worker)
+    try:
+        _one_slab_calls(prog, sdfg, arrays, pool, worker)
+    finally:
+        pool_module.bind(previous)
+
+
+def _one_slab_calls(prog, sdfg, arrays, pool, worker):
     prog(arrays=arrays)
     expected = arrays["out"].copy()
     (slab,) = prog._bound  # the views of the one slab it has run in
@@ -420,9 +435,10 @@ def test_a_call_is_one_checkout_and_steady_state_builds_no_views():
     assert after["allocations"] == before["allocations"]
     assert prog._bound[slab][0] is scratch  # not rebuilt
     np.testing.assert_array_equal(arrays["out"], expected)
-    # the arena retiring the slab drops the views with it
+    # the worker growing the slab drops the views with it
     del slab, scratch, transients, addresses
-    pool.release(pool.checkout_slab(prog.runtime_bytes * 2 + 64))
+    worker.take(prog.runtime_bytes * 2 + 64)
+    worker.depth -= 1
     assert len(prog._bound) == 0
     prog(arrays=arrays)
     np.testing.assert_array_equal(arrays["out"], expected)
@@ -438,7 +454,7 @@ def _contactless(callback):
 def _program_calling(inner, shape, hook=None):
     """An SDFG that runs ``_two_computation_sdfg``'s stencil, then a
     callback that calls the compiled ``inner`` (and ``hook``) while the
-    outer program's slab is checked out."""
+    outer program's slab is taken."""
     from repro.sdfg.nodes import Callback
 
     outer, _ = _two_computation_sdfg()
@@ -455,27 +471,33 @@ def _program_calling(inner, shape, hook=None):
 
 def test_nested_program_call_takes_a_second_slab():
     from repro.runtime import pool as pool_module
-    from repro.runtime.pool import BufferPool
+    from repro.runtime.pool import BufferPool, Worker
     from repro.sdfg.codegen import compile_sdfg
 
     sdfg, shape = _two_computation_sdfg()
     inner = compile_sdfg(sdfg)
     seen = {}
     pool = BufferPool()
+    worker = Worker(pool)
     outer_sdfg, inner_arrays = _program_calling(
-        inner, shape, hook=lambda: seen.update(pool.stats()),
+        inner, shape, hook=lambda: seen.update(pool.stats(),
+                                               depth=worker.depth),
     )
     outer = compile_sdfg(outer_sdfg)
     arrays = {"a": _rand(shape), "out": np.zeros(shape)}
-    previous, pool_module._POOL = pool_module._POOL, pool
+    previous = pool_module.bind(worker)
     try:
         for _ in range(2):
             outer(arrays=arrays)
     finally:
-        pool_module._POOL = previous
-    # inside the callback the outer slab was live and the inner one idle
+        pool_module.bind(previous)
+    # inside the callback the outer slab (depth 0) was taken and the
+    # inner one (depth 1) given back
+    assert seen["depth"] == 1
     assert seen["live_bytes"] == outer.runtime_bytes
     assert seen["idle_bytes"] == inner.runtime_bytes
+    assert [s.capacity for s in worker.slabs] \
+        == [outer.runtime_bytes, inner.runtime_bytes]
     stats = pool.stats()
     assert stats["peak_slabs"] == stats["allocations"] == 2
     assert stats["checkouts"] == 4 and stats["live_bytes"] == 0
@@ -488,20 +510,23 @@ def test_nested_program_call_takes_a_second_slab():
 
 def test_two_threads_in_one_program_never_share_a_live_slab():
     """Two rank threads bound to one compiled template meet inside it:
-    each has its own slab and its own views."""
+    each has its own slab (its own worker's) and its own views."""
     import threading
 
-    from repro.runtime.pool import get_pool
+    from repro.runtime.pool import current, get_pool
     from repro.sdfg.codegen import compile_sdfg
     from repro.sdfg.nodes import Callback
 
     sdfg, shape = _two_computation_sdfg()
     meet = threading.Barrier(2)
     live = []
+    held = set()
 
     def rendezvous():
         meet.wait(timeout=30)
         live.append(get_pool().stats()["live_bytes"])
+        # (held here, the slabs outlive their threads' workers)
+        held.add(current().slabs[0])
         meet.wait(timeout=30)
 
     sdfg.add_state("meet").add(_contactless(Callback("meet", rendezvous)))
@@ -524,7 +549,7 @@ def test_two_threads_in_one_program_never_share_a_live_slab():
         w.join(timeout=60)
     assert not any(w.is_alive() for w in workers) and errors == []
     slabs = list(prog._bound)
-    assert len(slabs) == 2
+    assert len(slabs) == 2 and set(slabs) == held
     assert not np.shares_memory(slabs[0].data, slabs[1].data)
     assert all(seen - base >= 2 * prog.runtime_bytes for seen in live)
     for arrays in inputs:
