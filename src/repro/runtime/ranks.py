@@ -190,14 +190,27 @@ class RankExecutor:
         if isinstance(ranks, int):
             ranks = range(ranks)
         results: Dict[int, object] = {}
-        if not self.parallel or len(ranks) <= 1:
-            with self._slot():
-                self._run_lockstep(fn, ranks, results)
-            return [results[rank] for rank in ranks]
+        t0 = time.perf_counter()
+        try:
+            if not self.parallel or len(ranks) <= 1:
+                with self._slot():
+                    self._run_lockstep(fn, ranks, results)
+            else:
+                self._run_threads(fn, ranks, results)
+        finally:
+            with COUNTERS.lock:
+                _N["workers"] = max(_N["workers"], self.workers)
+                _N["sections"] += 1
+                _N["tasks"] += len(ranks)
+                _N["section_seconds"] += time.perf_counter() - t0
+        return [results[rank] for rank in ranks]
+
+    def _run_threads(self, fn, ranks, results) -> None:
+        """Every body on a rank thread of its own; the lowest rank's
+        failure re-raised once all have finished."""
         from repro.runtime.jit import default_threads
 
         errors: List[BaseException] = []
-        t0 = time.perf_counter()
         pool = self._ensure_pool(len(ranks))
         threads = max(1, default_threads() // self.workers)
         tracer = _obs.get_tracer()
@@ -212,15 +225,8 @@ class RankExecutor:
                 fut.result()
             except BaseException as exc:  # noqa: BLE001 — re-raised below
                 errors.append(exc)
-        elapsed = time.perf_counter() - t0
-        with COUNTERS.lock:
-            _N["workers"] = max(_N["workers"], self.workers)
-            _N["sections"] += 1
-            _N["tasks"] += len(ranks)
-            _N["section_seconds"] += elapsed
         if errors:
             raise errors[0]
-        return [results[rank] for rank in ranks]
 
     @staticmethod
     def _run_lockstep(fn, ranks, results) -> None:

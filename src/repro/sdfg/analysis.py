@@ -13,14 +13,16 @@ kernel-local arrays — is written before it is read. They are the one
 implementation behind both the code generator's zero-fill decision
 (:func:`transients_needing_zero`: pooled buffers hold arbitrary data) and
 the ``repro.lint`` S202/S204/S205 rules. :func:`transient_lifetimes` says
-between which nodes a transient has to keep its storage at all, which is
-what the code generator's memory planner lays a program's slab out from.
+which values a transient takes — a new one wherever a write covers every
+later read — and between which nodes each has to keep its storage, which
+is what the code generator's memory planner lays a program's slab out
+from.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.dsl.bounds import region_ranges
 from repro.dsl.ir import Assign, FieldAccess, UnaryOp, expr_reads, walk_expr
@@ -228,11 +230,15 @@ class UncoveredRead:
 
 
 def _remainder(required: Range, writes: Iterable[Range]) -> List[Range]:
-    rest = [required] if required.volume() else []
+    return _subtract([required] if required.volume() else [], writes)
+
+
+def _subtract(rest: List[Range], writes: Iterable[Range]) -> List[Range]:
+    """The parts of ``rest`` that no range of ``writes`` covers."""
     for written in writes:
         if not rest:
             break
-        if written.ndim == required.ndim:
+        if written.ndim == rest[0].ndim:
             rest = [p for r in rest for p in r.difference(written)]
     return rest
 
@@ -395,34 +401,121 @@ def transients_needing_zero(sdfg) -> List[str]:
     ]
 
 
-def transient_lifetimes(sdfg) -> Dict[str, Tuple[int, int]]:
-    """Transient → ``(first, last)`` positions in program order between
-    which it has to keep its storage: from the first node that touches it
-    to the last. Kernels touch what they read or write, callbacks what
-    :func:`_callback_contacts` says they may. A transient nothing touches
-    has no entry.
+class Generation(NamedTuple):
+    """One value of a transient (:func:`transient_lifetimes`): ``start``
+    is the node it begins at — where the transient's name is bound to it
+    — and ``first``/``last`` the positions between which it keeps its
+    storage."""
 
-    No value flows backwards through a transient — a read is either
-    covered by writes ahead of it in program order or zero-filled ahead
-    of the first toucher on every pass (:func:`transients_needing_zero`)
-    — so inside a loop body a lifetime is the same on every iteration.
-    What a loop does require is that a value born outside it survives
-    the back edge: a lifetime that reaches into a loop region without
-    lying wholly inside it is widened to the whole region.
+    start: int
+    first: int
+    last: int
+
+
+def transient_lifetimes(
+    sdfg, needing_zero: Iterable[str]
+) -> Dict[str, List[Generation]]:
+    """Transient → its :class:`Generation` s in program order: the values
+    it takes, each from the node that begins it to its last toucher
+    before the next. Kernels touch what they read or write, callbacks
+    what :func:`_callback_contacts` says they may. A transient nothing
+    touches has no entry.
+
+    A kernel that writes a transient begins a new generation when every
+    later read of it is covered by the writes from that kernel on — the
+    exact rectangle coverage of :func:`uncovered_reads`, no excuse
+    accepted — so no read after it can see an older value. One forward
+    pass finds them: each read pops the candidate kernels after the
+    latest one whose writes, with the ones after it, still cover it.
+    A transient with a read that needs its zero fill (``needing_zero``:
+    :func:`transients_needing_zero`, which the code generator has at
+    hand), or that a callback may touch, keeps one generation from its
+    first toucher to its last;
+    so does one whose storage a caller provides (the plan gives every
+    generation the caller's array).
+
+    No read is left to an older value, so inside a loop body a
+    generation is the same on every iteration — as long as no value
+    enters the body: a generation begins inside a loop only when the
+    transient's first toucher in that loop begins one too. What a loop
+    does require is that a value born outside it survives the back edge:
+    a generation that reaches into a loop region without lying wholly
+    inside it is widened to the whole region.
     """
     order = _program_order(sdfg)
     contacts = _callback_contacts(sdfg, order)
     transients = frozenset(sdfg.transients())
-    spans: Dict[str, Tuple[int, int]] = {}
+    splittable = transients.difference(needing_zero, *contacts.values())
+    touches: Dict[str, List[int]] = {}
+    #: transient → (position, ranges) of every kernel that wrote it
+    writes: Dict[str, List[Tuple[int, List[Range]]]] = {}
+    #: transient → writers that may still begin a generation, ascending
+    starts: Dict[str, List[int]] = {}
     for pos, (_, node) in enumerate(order):
-        if isinstance(node, Kernel):
-            touched = transients.intersection(
-                node.read_fields() + node.written_fields()
+        if not isinstance(node, Kernel):
+            for name in contacts.get(pos, ()):
+                touches.setdefault(name, []).append(pos)
+            continue
+        stmts = [(s, expr_reads(s.stmt)) for s in kernel_statements(node)]
+        for name in transients.intersection(
+            [s.stmt.target.name for s, _ in stmts]
+            + [acc.name for _, reads in stmts for acc in reads]
+        ).difference(node.local_arrays):
+            touches.setdefault(name, []).append(pos)
+        own: Dict[str, List[Tuple[int, Range]]] = {}
+        for s, _ in stmts:
+            if s.active and s.stmt.target.name in splittable:
+                own.setdefault(s.stmt.target.name, []).append(
+                    (s.idx, s.written(sdfg, node))
+                )
+        for name in own:
+            starts.setdefault(name, []).append(pos)
+        # the first writer is never popped: every read is covered by the
+        # writes ahead of it (else the transient needs its zero fill), and
+        # none is older. A read met again later in the kernel has at least
+        # the writes it had before ahead of it: it can pop nothing more
+        seen = set()
+        for s, reads in stmts:
+            if not s.active:
+                continue
+            for acc in reads:
+                stack = starts.get(acc.name, ())
+                key = (acc.name, acc.offset, s.ranges)
+                if len(stack) < 2 or key in seen \
+                        or acc.name in node.local_arrays:
+                    continue
+                if acc is s.stmt.target and s.stmt.mask is not None \
+                        and s.paired:
+                    continue  # the other branch stores those points
+                seen.add(key)
+                dk = acc.offset[2]
+                carried = (node.order == "FORWARD" and dk < 0) or (
+                    node.order == "BACKWARD" and dk > 0
+                )
+                required = access_range(
+                    sdfg, node, acc.name, acc.offset, s.ranges
+                )
+                rest = _remainder(required, [
+                    rng for idx, rng in own.get(acc.name, ())
+                    if idx < s.idx or carried
+                ])
+                # the latest writer whose writes, with the later ones,
+                # cover the read: a generation begun after it misses some
+                bound = pos
+                for wpos, ranges in reversed(writes[acc.name]):
+                    if not rest or wpos < stack[1]:
+                        break
+                    rest = _subtract(rest, ranges)
+                    bound = wpos
+                if rest:
+                    bound = stack[0]
+                while stack[-1] > bound:
+                    stack.pop()
+        for name, written in own.items():
+            writes.setdefault(name, []).append(
+                (pos, [rng for _, rng in written])
             )
-        else:
-            touched = contacts.get(pos, ())
-        for name in touched:
-            spans[name] = (spans.get(name, (pos, pos))[0], pos)
+
     regions = []
     for lp in sdfg.loops:
         inside = [
@@ -431,16 +524,37 @@ def transient_lifetimes(sdfg) -> Dict[str, Tuple[int, int]]:
         ]
         if lp.count > 1 and inside:
             regions.append((inside[0], inside[-1]))
-    for name, (lo, hi) in spans.items():
-        widened = True
-        while widened:
-            widened = False
-            for a, b in regions:
-                # the loop's tail, or its head, lies inside the lifetime
-                if a < lo <= b < hi or lo < a <= hi < b:
-                    lo, hi, widened = min(lo, a), max(hi, b), True
-        spans[name] = (lo, hi)
-    return spans
+    out: Dict[str, List[Generation]] = {}
+    for name, touched in touches.items():
+        begins = [touched[0]] + [
+            p for p in starts.get(name, ()) if p > touched[0]
+        ]
+        for a, b in regions:
+            # a value that enters the loop body forbids a split inside it
+            entry = next((p for p in touched if a <= p <= b), None)
+            if entry is not None and entry not in begins:
+                begins = [p for p in begins if not entry < p <= b]
+        ends = begins[1:] + [len(order)]
+        out[name] = [
+            Generation(lo, *_widened(
+                lo, max(p for p in touched if p < hi), regions
+            ))
+            for lo, hi in zip(begins, ends)
+        ]
+    return out
+
+
+def _widened(lo: int, hi: int, regions) -> Tuple[int, int]:
+    """``(lo, hi)`` grown to every loop region it reaches into without
+    lying wholly inside it."""
+    widened = True
+    while widened:
+        widened = False
+        for a, b in regions:
+            # the loop's tail, or its head, lies inside the lifetime
+            if a < lo <= b < hi or lo < a <= hi < b:
+                lo, hi, widened = min(lo, a), max(hi, b), True
+    return lo, hi
 
 
 def dead_transients(sdfg) -> List[Tuple[str, Kernel]]:

@@ -16,7 +16,8 @@ per statement (every NumPy operator allocating a fresh full-domain
 temporary), each floating-point subexpression becomes an explicit ufunc
 call with ``out=`` into a scratch value. Scratch values are freed as soon
 as their last consumer has been emitted, kernel-local arrays when their
-kernel ends and SDFG transients after their last toucher; from that
+kernel ends and SDFG transients per generation, after the last toucher
+of each value (:func:`repro.sdfg.analysis.transient_lifetimes`); from that
 alloc/free order a compile-time planner (:class:`_BufferPlan`) gives every
 value a byte interval of one slab, which the program checks out of
 :mod:`repro.runtime.pool` once per call. Nothing is zeroed wholesale: a
@@ -70,7 +71,9 @@ from repro.runtime import jit
 from repro.runtime.pool import ALIGN
 from repro.sdfg.analysis import transient_lifetimes, transients_needing_zero
 from repro.sdfg.nodes import Callback, Kernel, StencilComputation, Tasklet
-from repro.sdfg.plan import CompiledSDFG, PlanImage, PlanInputs, UnitImage
+from repro.sdfg.plan import (
+    CompiledSDFG, PlanImage, PlanInputs, UnitImage, generation_key,
+)
 
 _NP_FUNCS = {
     "sqrt": "np.sqrt",
@@ -710,7 +713,15 @@ class _Generator:
     kernel adds its seconds and calls to. With ``lower`` (the
     ``compiled`` backend) the body of a kernel that has a bit-exact
     scalar form is a call into ``__K``, the plan's list of C entry
-    points; every other kernel is NumPy emission."""
+    points; every other kernel is NumPy emission.
+
+    A transient is one planned value per generation
+    (:func:`repro.sdfg.analysis.transient_lifetimes`), allocated where
+    the generation's storage begins and freed after its last toucher,
+    named by :func:`repro.sdfg.plan.generation_key`. A transient of
+    several generations has its driver name bound to each where it
+    begins, so NumPy emission reads and writes the generation it is in;
+    a lowered kernel's argument names the generation of its call site."""
 
     def __init__(self, sdfg, lower: bool = False):
         self.sdfg = sdfg
@@ -721,6 +732,8 @@ class _Generator:
         self._n_callbacks = 0
         self._plan = _BufferPlan()
         self._transient_values: Dict[str, int] = {}
+        #: transient of several generations → the one emission is in
+        self._generation: Dict[str, str] = {}
 
     def image(self, **compiled) -> PlanImage:
         source = self._generate()
@@ -753,25 +766,33 @@ class _Generator:
             out.emit(f"__s_{name} = __S[{name!r}]")
         out.emit()
 
-        # a transient owns bytes of the slab from its first toucher to its
-        # last (a loop it reaches into widens that to the whole loop). One
-        # with a read that earlier writes do not cover (the S202/S204
-        # condition) is zeroed as it is born — per loop iteration, so it
-        # starts at zero as a temporary does on every call; the rest are
-        # used as the slab comes
-        lifetimes = transient_lifetimes(sdfg)
+        # a transient owns bytes of the slab per generation, from the node
+        # that begins it to its last toucher before the next (a loop it
+        # reaches into widens that to the whole loop). A transient of
+        # several generations has its name bound to each where it begins,
+        # and a kernel call names the generation it meets. One with a read
+        # that earlier writes do not cover (the S202/S204 condition) has
+        # one generation and is zeroed as it is born — per loop
+        # iteration, so it starts at zero as a temporary does on every
+        # call; the rest are used as the slab comes
         needing_zero = set(transients_needing_zero(sdfg))
-        born: Dict[int, List[str]] = {}
+        lifetimes = transient_lifetimes(sdfg, needing_zero)
+        born: Dict[int, List[Tuple[str, str]]] = {}
         dying: Dict[int, List[str]] = {}
+        begins: Dict[int, List[Tuple[str, str]]] = {}
         for name in sdfg.transients():
-            if name in lifetimes:
-                first, last = lifetimes[name]
-                born.setdefault(first, []).append(name)
-                dying.setdefault(last, []).append(name)
-            else:
+            generations = lifetimes.get(name)
+            if generations is None:
                 # nothing touches it: bound like the rest, live for no node
-                self._alloc_transient(name)
+                self._alloc_transient(name, name)
                 self._plan.free(self._transient_values[name])
+                continue
+            for index, gen in enumerate(generations):
+                key = generation_key(name, index)
+                born.setdefault(gen.first, []).append((name, key))
+                dying.setdefault(gen.last, []).append(key)
+                if len(generations) > 1:
+                    begins.setdefault(gen.start, []).append((name, key))
 
         # control-flow structure: linear chain with counted loop regions
         loop_starts = {lp.first: lp for lp in sdfg.loops}
@@ -786,10 +807,13 @@ class _Generator:
                 loop_depth.append(lp)
             out.emit(f"# --- state {state.name} ---")
             for node in state.nodes:
-                for name in born.get(pos, ()):
-                    self._alloc_transient(name)
+                for name, key in born.get(pos, ()):
+                    self._alloc_transient(name, key)
                     if name in needing_zero:
                         out.emit(f"{name}.fill(0)")
+                for name, key in begins.get(pos, ()):
+                    self._generation[name] = key
+                    out.emit(f"{name} = __A[{key!r}]")
                 self._emit_node(node, out)
                 for name in dying.get(pos, ()):
                     self._plan.free(self._transient_values[name])
@@ -800,9 +824,9 @@ class _Generator:
         out.emit("return None")
         return out.source()
 
-    def _alloc_transient(self, name: str) -> None:
+    def _alloc_transient(self, name: str, key: str) -> None:
         desc = self.sdfg.arrays[name]
-        self._transient_values[name] = self._plan.alloc(desc.shape, desc.dtype)
+        self._transient_values[key] = self._plan.alloc(desc.shape, desc.dtype)
 
     def _emit_node(self, node, out: _SourceBuilder) -> None:
         if isinstance(node, Kernel):
@@ -857,8 +881,8 @@ class _Generator:
             self.units.append(UnitImage(
                 unit.label, print_c(unit.tree), unit.arg_specs,
                 list(unit.tree.scalars),
-                [local_slots.get(a.runtime, a.runtime)
-                 for a in unit.tree.arrays],
+                [local_slots.get(a.runtime, self._generation.get(
+                    a.runtime, a.runtime)) for a in unit.tree.arrays],
             ))
             args = [f"*__P[{index}]"]
             args += [f"__s_{s}" for s in unit.tree.scalars]

@@ -56,6 +56,7 @@ __all__ = [
     "CompiledSDFG",
     "BoundPlan",
     "COUNTERS",
+    "generation_key",
 ]
 
 #: ``arg_checks``: kernel argument lists held against the image — when
@@ -80,7 +81,8 @@ class PlanImage:
     events: List[Tuple[str, int]]
     offsets: List[int]
     runtime_bytes: int
-    #: transient → its value in the plan
+    #: transient generation → its value in the plan, by
+    #: :func:`generation_key`
     transient_values: Dict[str, int]
     kernel_labels: List[str]
     #: compiled backend only (:mod:`repro.sdfg.codegen_compiled`): the
@@ -109,9 +111,17 @@ class UnitImage:
     #: the scalar arguments that follow the arrays
     scalars: List[str]
     #: what each array argument is: a container's name (a caller's
-    #: array, or a transient's planned value when no caller gives one)
-    #: or the number of a planned value (a kernel local)
+    #: array), a transient generation's key (its planned value when no
+    #: caller gives the transient) or the number of a planned value (a
+    #: kernel local)
     args: List[Union[str, int]]
+
+
+def generation_key(name: str, index: int) -> str:
+    """How a plan names generation ``index`` of transient ``name``
+    (:func:`repro.sdfg.analysis.transient_lifetimes`): the first by the
+    transient's name, a later one as ``name@index``."""
+    return f"{name}@{index}" if index else name
 
 
 class PlanInputs(NamedTuple):
@@ -186,6 +196,11 @@ class CompiledSDFG:
         self.plan_offsets = image.offsets
         self.runtime_bytes = image.runtime_bytes
         self._transient_values = image.transient_values
+        #: (key, transient) of every generation after a transient's first
+        self._later = [
+            (key, key.partition("@")[0])
+            for key in image.transient_values if "@" in key
+        ]
         self.fallback_kernels = image.fallback_kernels
         #: the JIT's flight per unit (which may still be in the builder's
         #: batch); a kernel that another plan of this process also
@@ -362,7 +377,10 @@ class BoundPlan:
         if missing:
             raise ValueError(f"missing arrays for containers: {missing}")
         self.plan = plan
-        self.arrays = arrays
+        # caller-provided transient storage stands for every generation
+        later = {key: arrays[name] for key, name in plan._later
+                 if name in arrays}
+        self.arrays = {**arrays, **later} if later else arrays
         self._check()
 
     def _check(self) -> None:

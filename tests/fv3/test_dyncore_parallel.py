@@ -255,10 +255,21 @@ def test_parallel_metrics_surface_in_report():
     assert "overlap_efficiency" in line
 
 
-def test_sequential_executor_records_no_sections():
-    ranks.reset_metrics()
-    _run(workers=1, steps=1)
-    assert ranks.summary()["sections"] == 0
+def test_sequential_and_threads_count_the_same_sections():
+    """Lockstep runs every section rank threads run: the ``ranks:``
+    counters of the same 2-step c12 run agree under both schedules, and
+    ``workers`` is the executor's width."""
+    counted = {}
+    for workers in (1, 2):
+        ranks.reset_metrics()
+        _run(workers=workers, steps=2)
+        counted[workers] = ranks.summary()
+    assert counted[1]["sections"] > 0
+    assert counted[1]["tasks"] >= 6 * counted[1]["sections"]
+    for key in ("sections", "tasks"):
+        assert counted[1][key] == counted[2][key], key
+    assert (counted[1]["workers"], counted[2]["workers"]) == (1, 2)
+    assert counted[1]["section_seconds"] > 0
 
 
 def _kernel_counts(span, program=None, into=None):

@@ -285,6 +285,133 @@ def test_arena_is_the_largest_plan_not_the_sum_of_the_plans(backend,
     assert threads["peak_slabs"] <= 2
 
 
+def _transient_peak(sdfg) -> int:
+    """The most bytes of transient values a program has to hold at once,
+    from its SDFG's touches alone: a transient holds a value at a node
+    that touches it and, from the node after the last writes that cover a
+    later read (exact rectangles) up to that read; one the program zeroes
+    or a callback may touch holds it from its first toucher to its
+    last."""
+    from repro.dsl.ir import expr_reads
+    from repro.sdfg.analysis import (
+        access_range, kernel_statements, transients_needing_zero,
+    )
+    from repro.sdfg.nodes import Callback, Kernel
+
+    nodes = [node for state in sdfg.states for node in state.nodes]
+    transients = set(sdfg.transients())
+    whole = set(transients_needing_zero(sdfg))
+    held = {name: set() for name in transients}
+    writes = {}  # (position, transient) -> ranges written
+    reads = []  # (position, transient, required, own writes ahead)
+    for pos, node in enumerate(nodes):
+        if isinstance(node, Callback):
+            touched = transients if None in (node.reads, node.writes) \
+                else transients & {*node.reads, *node.writes}
+            whole |= touched
+            for name in touched:
+                held[name].add(pos)
+            continue
+        if not isinstance(node, Kernel):
+            continue
+        stmts = kernel_statements(node)
+        own = {}
+        for s in stmts:
+            target = s.stmt.target.name
+            if target in transients:
+                held[target].add(pos)
+                if s.active:
+                    ranges = s.written(sdfg, node)
+                    own.setdefault(target, []).append((s.idx, ranges))
+                    writes.setdefault((pos, target), []).append(ranges)
+        for s in stmts:
+            for acc in expr_reads(s.stmt):
+                if acc.name in transients:
+                    held[acc.name].add(pos)
+                if acc.name not in transients or not s.active or (
+                    acc is s.stmt.target and s.paired
+                ):
+                    continue
+                carried = (node.order == "FORWARD" and acc.offset[2] < 0) \
+                    or (node.order == "BACKWARD" and acc.offset[2] > 0)
+                reads.append((pos, acc.name, access_range(
+                    sdfg, node, acc.name, acc.offset, s.ranges
+                ), [r for idx, r in own.get(acc.name, ())
+                    if idx < s.idx or carried]))
+    for name in whole:
+        if held[name]:
+            held[name] = set(range(min(held[name]), max(held[name]) + 1))
+    for pos, name, required, ahead in reads:
+        if name in whole:
+            continue
+        rest = [required]
+        for rng in ahead:
+            rest = [p for r in rest for p in r.difference(rng)]
+        start = pos
+        while rest:
+            start -= 1
+            assert start >= 0, f"a read of {name} no write covers"
+            for rng in writes.get((start, name), ()):
+                rest = [p for r in rest for p in r.difference(rng)]
+        held[name].update(range(start + 1, pos + 1))
+    align = pool_module.ALIGN
+    nbytes = {
+        name: -(-int(np.prod(sdfg.arrays[name].shape))
+                * np.dtype(sdfg.arrays[name].dtype).itemsize // align) * align
+        for name in transients
+    }
+    return max(
+        sum(nbytes[name] for name in transients if pos in held[name])
+        for pos in range(len(nodes))
+    )
+
+
+#: ``AcousticSubstep``'s slab at c12·L4 while a transient held one value
+#: from its first toucher to its last (16 and 28 values live at once)
+ONE_LIFETIME_SLAB = {"numpy": 263_808, "compiled": 165_888}
+
+
+@pytest.mark.parametrize("backend", ["numpy", "compiled"])
+def test_the_sub_step_slab_is_what_its_transients_hold_at_once(
+    backend, monkeypatch,
+):
+    """A transient is one value per generation: the sub-step's three
+    inlined transports reuse the bytes of each other's intermediates, and
+    the slab is the peak of what is live at once — on ``compiled`` the
+    peak of the transient values the SDFG's touches call for (the
+    kernels keep their locals in registers), on ``numpy`` with the
+    expression scratch nested inside."""
+    from repro.lint.cli import _traced_programs
+
+    monkeypatch.setattr(backends, "_default_backend", backend)
+    core = _core()
+    try:
+        core.step_dynamics()
+        ((sdfg, plan),) = [(g, p) for g, p in _traced_programs(core)
+                           if g.name == "AcousticSubstep"]
+    finally:
+        _finish(core)
+    live, peak, transient_live, transient_peak = {}, 0, {}, 0
+    values = set(plan._transient_values.values())
+    for kind, value in plan.plan_events:
+        if kind == "free":
+            live.pop(value, None)
+            transient_live.pop(value, None)
+            continue
+        nbytes = -(-plan.plan_nbytes[value] // pool_module.ALIGN) \
+            * pool_module.ALIGN
+        live[value] = nbytes
+        if value in values:
+            transient_live[value] = nbytes
+        peak = max(peak, sum(live.values()))
+        transient_peak = max(transient_peak, sum(transient_live.values()))
+    assert transient_peak == _transient_peak(sdfg)
+    assert plan.runtime_bytes == peak
+    if backend == "compiled":
+        assert plan.runtime_bytes == transient_peak
+    assert plan.runtime_bytes < ONE_LIFETIME_SLAB[backend]
+
+
 def test_checkouts_of_a_step_follow_from_its_plans(monkeypatch):
     """One take per call of a program that has scratch, one per rotated
     halo strip, nothing per value: the step's take count is known before
