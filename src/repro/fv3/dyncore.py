@@ -303,23 +303,21 @@ class DynamicalCore:
         """Advance the model by one physics time step (Fig. 2 outer box).
 
         Without a resilience config this is the original straight-line
-        path — no snapshots, no guard scans, zero overhead. Either way the
-        step ends by giving back the pages of its scratch, also when it
-        raises (:meth:`_release_step_scratch`).
+        path — no snapshots, no guard scans, zero overhead. The step keeps
+        the pages of its scratch: the caller that steps decides when they
+        go back (:meth:`_release_step_scratch`; ``EnsembleDriver`` does
+        it once per call of its ``step``/``step_selected``).
         """
         cfg = self.config
         self.initial = None
         with _TRACER.span("dyncore.step"):
-            try:
-                if self.resilience is None:
-                    for _ in range(cfg.k_split):
-                        self._remapping_step(cfg.dt_remap)
-                else:
-                    _chaos.set_step(self.step_count)
-                    for _ in range(cfg.k_split):
-                        self._guarded_remapping_step(cfg.dt_remap)
-            finally:
-                self._release_step_scratch()
+            if self.resilience is None:
+                for _ in range(cfg.k_split):
+                    self._remapping_step(cfg.dt_remap)
+            else:
+                _chaos.set_step(self.step_count)
+                for _ in range(cfg.k_split):
+                    self._guarded_remapping_step(cfg.dt_remap)
         self.time += cfg.dt_atmos
         self.step_count += 1
         self._maybe_periodic_checkpoint()

@@ -25,9 +25,9 @@ Rules:
 - ``S204`` transient-read-before-write / ``S205`` dead-transient:
   lifetime errors for toolchain-allocated buffers.
 
-S202, S204 and S205 report what :mod:`repro.sdfg.analysis` computes
-(``uncovered_reads`` / ``dead_transients``) — the same records that make
-the code generator zero-fill a transient.
+S202, S204 and S205 report what :func:`repro.sdfg.analysis.coverage`
+finds (``uncovered_reads`` / ``dead_transients``) — the same records
+that make the code generator zero-fill a transient or a kernel local.
 
 Rule catalog and suppression syntax: ``docs/static_analysis.md``.
 """
@@ -41,9 +41,8 @@ from repro.sdfg.analysis import (
     KernelStatement,
     access_range,
     axes_of,
-    dead_transients,
+    coverage,
     kernel_statements,
-    uncovered_reads,
 )
 from repro.sdfg.nodes import Kernel
 from repro.lint.findings import LintFinding, register_rules
@@ -132,11 +131,12 @@ def _rule_kernel_race(sdfg, subject, kernel: Kernel) -> Iterable[LintFinding]:
 
 
 def _rule_lifetimes(sdfg) -> Iterable[LintFinding]:
-    """The findings behind :func:`repro.sdfg.analysis.uncovered_reads` —
-    the same records that make the code generator zero-fill a transient.
-    A read with an excuse (loop-carried, or a callback may have
-    initialized the container) is not reported."""
-    for read in uncovered_reads(sdfg):
+    """The findings behind :func:`repro.sdfg.analysis.coverage` — the
+    same records that make the code generator zero-fill a transient or a
+    kernel local. A read with an excuse (loop-carried, or a callback may
+    have initialized the container) is not reported."""
+    cov = coverage(sdfg)
+    for read in cov.uncovered_reads:
         if read.excuse is not None:
             continue
         kind = "local array" if read.local else "transient"
@@ -174,7 +174,7 @@ def _rule_lifetimes(sdfg) -> Iterable[LintFinding]:
                     "fusion that merged producer and consumer"
                 ),
             )
-    for name, writer in dead_transients(sdfg):
+    for name, writer in cov.dead_transients:
         yield LintFinding(
             rule="S205",
             name="dead-transient",

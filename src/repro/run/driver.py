@@ -536,27 +536,40 @@ class EnsembleDriver:
 
     # ------------------------------------------------------------------
     def step(self, n: int = 1) -> None:
-        """Advance every member ``n`` physics steps, step-major."""
-        for _ in range(n):
-            with _TRACER.span("ensemble.step"):
-                self.step_selected(self.member_ids)
-            self.steps_taken += 1
+        """Advance every member ``n`` physics steps, step-major. The
+        engine gives back the pages of its step scratch once, when the
+        call returns or raises (``DynamicalCore._release_step_scratch``)."""
+        try:
+            for _ in range(n):
+                with _TRACER.span("ensemble.step"):
+                    self._sweep(self.member_ids)
+                self.steps_taken += 1
+        finally:
+            self.engine._release_step_scratch()
 
     def step_selected(self, members: Sequence[int], n: int = 1) -> None:
-        """Advance only ``members`` by ``n`` steps, step-major.
+        """Advance only ``members`` by ``n`` steps, step-major, and give
+        back the step scratch's pages once, as :meth:`step` does.
 
         The serving layer batches requests with different lead times
         through one warm driver: each sweep advances exactly the
         requests that still have steps left (finished or cancelled ones
         drop out), without touching the driver-global ``steps_taken``
-        that the classic whole-ensemble path reports. A sweep starts
-        with the member left resident, so it swaps one member fewer."""
-        for _ in range(n):
-            for m in _resident_first(self.engine, members):
-                with _TRACER.span(f"member[{m}]"):
-                    _step(self.engine, self.members[m])
-                    if self.diagnostics:
-                        self.history[m].append(self._diagnose(m))
+        that the classic whole-ensemble path reports."""
+        try:
+            for _ in range(n):
+                self._sweep(members)
+        finally:
+            self.engine._release_step_scratch()
+
+    def _sweep(self, members: Sequence[int]) -> None:
+        """One step of ``members``. A sweep starts with the member left
+        resident, so it swaps one member fewer."""
+        for m in _resident_first(self.engine, members):
+            with _TRACER.span(f"member[{m}]"):
+                _step(self.engine, self.members[m])
+                if self.diagnostics:
+                    self.history[m].append(self._diagnose(m))
 
     def member_report(self, member: int) -> Dict[str, object]:
         """One member's current summary + conservation drift (loads the

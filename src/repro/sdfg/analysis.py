@@ -6,17 +6,16 @@ intensities, and the program-wide load/store fraction the paper measures
 with PAPI (Sec. VIII: 40.15% of executed instructions were load/store
 operations).
 
-The lifetime queries (:func:`uncovered_reads`, :func:`dead_transients`)
-answer, with the exact :class:`~repro.sdfg.subsets.Range` of every
-statement, whether storage the toolchain owns — SDFG transients and
-kernel-local arrays — is written before it is read. They are the one
-implementation behind both the code generator's zero-fill decision
-(:func:`transients_needing_zero`: pooled buffers hold arbitrary data) and
-the ``repro.lint`` S202/S204/S205 rules. :func:`transient_lifetimes` says
-which values a transient takes — a new one wherever a write covers every
-later read — and between which nodes each has to keep its storage, which
-is what the code generator's memory planner lays a program's slab out
-from.
+The lifetime query (:func:`coverage`) answers, with the exact
+:class:`~repro.sdfg.subsets.Range` of every statement, whether storage
+the toolchain owns — SDFG transients and kernel-local arrays — is
+written before it is read. Its one walk is the one implementation behind
+the code generator's zero fills of transients and kernel locals (pooled
+buffers hold arbitrary data) and the ``repro.lint`` S202/S204/S205
+rules, and it says which values a transient takes — a new one wherever a
+write covers every later read — and between which nodes each has to keep
+its storage, which is what the code generator's memory planner lays a
+program's slab out from.
 """
 
 from __future__ import annotations
@@ -250,15 +249,6 @@ def _bounding_box(ranges: List[Range]) -> Optional[Range]:
     return box
 
 
-def _same_loop(sdfg, si: int, sj: int) -> bool:
-    """Are two state indices iterated together by some loop region?"""
-    return any(
-        lp.first <= si <= lp.last and lp.first <= sj <= lp.last
-        for lp in sdfg.loops
-        if lp.count > 1
-    )
-
-
 def _program_order(sdfg) -> List[Tuple[int, Node]]:
     return [
         (si, node)
@@ -285,124 +275,8 @@ def _callback_contacts(sdfg, order) -> Dict[int, FrozenSet[str]]:
     return contacts
 
 
-def uncovered_reads(sdfg) -> List[UncoveredRead]:
-    """Every read of a transient or kernel-local array, in program order,
-    that earlier writes do not cover (see :class:`UncoveredRead`).
-
-    Coverage is exact rectangle subtraction over the per-statement write
-    ranges. Inside a FORWARD/BACKWARD kernel a read at a vertical offset
-    against the sweep direction is loop-carried, so every statement of
-    the kernel counts as its producer. External (non-transient)
-    containers are the caller's to initialize and zeroed transients the
-    program's: neither is ever reported.
-    """
-    transients = {
-        name for name in sdfg.transients() if not sdfg.arrays[name].zeroed
-    }
-    order = _program_order(sdfg)
-    statements = {
-        pos: kernel_statements(node)
-        for pos, (_, node) in enumerate(order)
-        if isinstance(node, Kernel)
-    }
-    contacts = _callback_contacts(sdfg, order)
-    touched_by_callback = frozenset().union(*contacts.values())
-    #: transient → (position, state index, range) of every kernel write
-    writes: Dict[str, List[Tuple[int, int, Range]]] = {}
-    for pos, stmts in statements.items():
-        si, kernel = order[pos]
-        for s in stmts:
-            if s.active and s.stmt.target.name in transients:
-                writes.setdefault(s.stmt.target.name, []).append(
-                    (pos, si, s.written(sdfg, kernel))
-                )
-
-    out: List[UncoveredRead] = []
-    for pos, (si, node) in enumerate(order):
-        if pos in contacts:
-            # a callback sees whole containers
-            for name in sorted(contacts[pos] & transients):
-                required = Range.from_shape(sdfg.arrays[name].shape)
-                reaching = [r for p, _, r in writes.get(name, []) if p < pos]
-                missing = _remainder(required, reaching)
-                if missing:
-                    out.append(UncoveredRead(
-                        name, False, node, None, (0, 0, 0), required,
-                        _bounding_box(reaching), missing, "callback",
-                    ))
-            continue
-        if pos not in statements:
-            continue
-        stmts = statements[pos]
-        own: Dict[str, List[Tuple[int, Range]]] = {}
-        for s in stmts:
-            if s.active:
-                own.setdefault(s.stmt.target.name, []).append(
-                    (s.idx, s.written(sdfg, node))
-                )
-        for s in stmts:
-            if not s.active:
-                continue
-            for acc in expr_reads(s.stmt):
-                name = acc.name
-                local = name in node.local_arrays
-                if not local and name not in transients:
-                    continue
-                # a masked assignment reads its own target to keep the
-                # points its mask leaves out
-                keeps_old = acc is s.stmt.target and s.stmt.mask is not None
-                if keeps_old and s.paired:
-                    continue  # the other branch stores those points
-                required = access_range(sdfg, node, name, acc.offset, s.ranges)
-                dk = acc.offset[2]
-                carried = (node.order == "FORWARD" and dk < 0) or (
-                    node.order == "BACKWARD" and dk > 0
-                )
-                reaching = [
-                    rng for idx, rng in own.get(name, [])
-                    if idx < s.idx or carried
-                ]
-                later_in_loop = []
-                if not local:
-                    for wpos, wsi, rng in writes.get(name, []):
-                        if wpos < pos:
-                            reaching.append(rng)
-                        elif wpos != pos and _same_loop(sdfg, si, wsi):
-                            later_in_loop.append(rng)
-                missing = _remainder(required, reaching)
-                if not missing:
-                    continue
-                excuse = None
-                if keeps_old:
-                    excuse = "mask"
-                elif name in touched_by_callback:
-                    excuse = "callback"
-                elif not _remainder(required, reaching + later_in_loop):
-                    excuse = "loop"
-                out.append(UncoveredRead(
-                    name, local, node, s.stmt, acc.offset, required,
-                    _bounding_box(reaching), missing, excuse,
-                ))
-    return out
-
-
-def transients_needing_zero(sdfg) -> List[str]:
-    """Transients some reader may observe before the program wrote them,
-    and the ones declared zeroed.
-
-    Pooled buffers hold arbitrary data when taken, so the code generator
-    zero-fills exactly these (before their first toucher, on every pass);
-    every other transient is provably written before each read and is
-    handed out as it comes."""
-    needing = {r.name for r in uncovered_reads(sdfg) if not r.local}
-    return [
-        name for name in sdfg.transients()
-        if name in needing or sdfg.arrays[name].zeroed
-    ]
-
-
 class Generation(NamedTuple):
-    """One value of a transient (:func:`transient_lifetimes`): ``start``
+    """One value of a transient (:attr:`Coverage.lifetimes`): ``start``
     is the node it begins at — where the transient's name is bound to it
     — and ``first``/``last`` the positions between which it keeps its
     storage."""
@@ -412,27 +286,57 @@ class Generation(NamedTuple):
     last: int
 
 
-def transient_lifetimes(
-    sdfg, needing_zero: Iterable[str]
-) -> Dict[str, List[Generation]]:
-    """Transient → its :class:`Generation` s in program order: the values
-    it takes, each from the node that begins it to its last toucher
-    before the next. Kernels touch what they read or write, callbacks
-    what :func:`_callback_contacts` says they may. A transient nothing
-    touches has no entry.
+@dataclasses.dataclass
+class Coverage:
+    """What :func:`coverage` answers about the storage the toolchain owns.
 
-    A kernel that writes a transient begins a new generation when every
-    later read of it is covered by the writes from that kernel on — the
-    exact rectangle coverage of :func:`uncovered_reads`, no excuse
-    accepted — so no read after it can see an older value. One forward
-    pass finds them: each read pops the candidate kernels after the
-    latest one whose writes, with the ones after it, still cover it.
-    A transient with a read that needs its zero fill (``needing_zero``:
-    :func:`transients_needing_zero`, which the code generator has at
-    hand), or that a callback may touch, keeps one generation from its
-    first toucher to its last;
-    so does one whose storage a caller provides (the plan gives every
-    generation the caller's array).
+    ``uncovered_reads``: every read of a transient or kernel-local array,
+    in program order, that the writes ahead of it do not cover (see
+    :class:`UncoveredRead`). ``transients_needing_zero``: the transients
+    such a read may observe unwritten, and the ones declared zeroed;
+    ``locals_needing_zero``: every ``(kernel, local)`` with such a read.
+    Pooled buffers hold arbitrary data when taken, so the code generator
+    zero-fills exactly these — a transient before its first toucher, on
+    every pass, a local where its kernel binds it — and hands out every
+    other one as it comes. ``lifetimes``: transient → its
+    :class:`Generation` s in program order, each from the node that
+    begins it to its last toucher before the next (a transient nothing
+    touches has no entry). ``dead_transients``: transients a kernel
+    writes that nothing can read — no kernel statement, no callback that
+    may touch them — with the first writing kernel.
+    """
+
+    uncovered_reads: List[UncoveredRead]
+    transients_needing_zero: List[str]
+    locals_needing_zero: FrozenSet[Tuple[Kernel, str]]
+    lifetimes: Dict[str, List[Generation]]
+    dead_transients: List[Tuple[str, Kernel]]
+
+
+def coverage(sdfg) -> Coverage:
+    """One forward walk over program order that asks of every read of a
+    transient or kernel-local array whether the writes ahead of it cover
+    it; every field of :class:`Coverage` comes from its answers.
+
+    Coverage is exact rectangle subtraction over the per-statement write
+    ranges. A read first subtracts its own kernel's earlier writes —
+    every write of the kernel when the read is loop-carried (inside a
+    FORWARD/BACKWARD kernel, at a vertical offset against the sweep
+    direction) — and a transient's read then the earlier kernels'
+    writes, from the latest back, until it is covered. A callback that
+    may touch a transient (:func:`_callback_contacts`) reads all of it.
+    External (non-transient) containers are the caller's to initialize
+    and zeroed transients the program's: neither is ever reported.
+
+    Where a covered read's walk stops splits a transient into
+    generations: a kernel that writes it begins a new one when every
+    later read is covered by the writes from that kernel on — exact
+    coverage, no excuse accepted — so no read after it can see an older
+    value. Each read pops the candidate writers after the latest one its
+    walk needed. A transient with a read that needs its zero fill, or
+    that a callback may touch, keeps one generation from its first
+    toucher to its last; so does one whose storage a caller provides
+    (the plan gives every generation the caller's array).
 
     No read is left to an older value, so inside a loop body a
     generation is the same on every iteration — as long as no value
@@ -444,78 +348,170 @@ def transient_lifetimes(
     """
     order = _program_order(sdfg)
     contacts = _callback_contacts(sdfg, order)
+    touched_by_callback = frozenset().union(*contacts.values())
     transients = frozenset(sdfg.transients())
-    splittable = transients.difference(needing_zero, *contacts.values())
+    unzeroed = frozenset(
+        name for name in transients if not sdfg.arrays[name].zeroed
+    )
+    splittable = unzeroed - touched_by_callback
     touches: Dict[str, List[int]] = {}
     #: transient → (position, ranges) of every kernel that wrote it
     writes: Dict[str, List[Tuple[int, List[Range]]]] = {}
     #: transient → writers that may still begin a generation, ascending
     starts: Dict[str, List[int]] = {}
+    #: (position, statement, access, name, required, own writes ahead)
+    #: of every read the walk leaves uncovered
+    uncovered: List[tuple] = []
+    read = set()
+    first_writer: Dict[str, Kernel] = {}
     for pos, (_, node) in enumerate(order):
         if not isinstance(node, Kernel):
-            for name in contacts.get(pos, ()):
+            for name in sorted(contacts.get(pos, ())):
                 touches.setdefault(name, []).append(pos)
+                whole = Range.from_shape(sdfg.arrays[name].shape)
+                if name in unzeroed and _walk_back(
+                    _remainder(whole, []), writes.get(name, ())
+                )[0]:
+                    uncovered.append((pos, None, None, name, whole, []))
             continue
+        local_arrays = node.local_arrays
         stmts = [(s, expr_reads(s.stmt)) for s in kernel_statements(node)]
         for name in transients.intersection(
             [s.stmt.target.name for s, _ in stmts]
             + [acc.name for _, reads in stmts for acc in reads]
-        ).difference(node.local_arrays):
+        ).difference(local_arrays):
             touches.setdefault(name, []).append(pos)
         own: Dict[str, List[Tuple[int, Range]]] = {}
-        for s, _ in stmts:
-            if s.active and s.stmt.target.name in splittable:
-                own.setdefault(s.stmt.target.name, []).append(
-                    (s.idx, s.written(sdfg, node))
-                )
-        for name in own:
+        for s, reads in stmts:
+            if s.active:
+                target = s.stmt.target.name
+                read.update(acc.name for acc in reads)
+                if target in transients:
+                    first_writer.setdefault(target, node)
+                if target in unzeroed or target in local_arrays:
+                    own.setdefault(target, []).append(
+                        (s.idx, s.written(sdfg, node))
+                    )
+        for name in splittable.intersection(own):
             starts.setdefault(name, []).append(pos)
-        # the first writer is never popped: every read is covered by the
-        # writes ahead of it (else the transient needs its zero fill), and
-        # none is older. A read met again later in the kernel has at least
-        # the writes it had before ahead of it: it can pop nothing more
-        seen = set()
+        # a covered read met again later in the kernel has at least the
+        # writes it had before ahead of it: covered, it can pop no more
+        covered = set()
         for s, reads in stmts:
             if not s.active:
                 continue
             for acc in reads:
-                stack = starts.get(acc.name, ())
-                key = (acc.name, acc.offset, s.ranges)
-                if len(stack) < 2 or key in seen \
-                        or acc.name in node.local_arrays:
+                name = acc.name
+                local = name in local_arrays
+                key = (name, acc.offset, s.ranges)
+                if key in covered or not local and name not in unzeroed:
                     continue
                 if acc is s.stmt.target and s.stmt.mask is not None \
                         and s.paired:
                     continue  # the other branch stores those points
-                seen.add(key)
                 dk = acc.offset[2]
                 carried = (node.order == "FORWARD" and dk < 0) or (
                     node.order == "BACKWARD" and dk > 0
                 )
-                required = access_range(
-                    sdfg, node, acc.name, acc.offset, s.ranges
-                )
-                rest = _remainder(required, [
-                    rng for idx, rng in own.get(acc.name, ())
+                required = access_range(sdfg, node, name, acc.offset, s.ranges)
+                ahead = [
+                    rng for idx, rng in own.get(name, ())
                     if idx < s.idx or carried
-                ])
+                ]
+                rest, bound = _remainder(required, ahead), pos
+                if rest and not local:
+                    rest, bound = _walk_back(rest, writes.get(name, ()))
+                if rest:
+                    uncovered.append((pos, s, acc, name, required, ahead))
+                    continue
+                covered.add(key)
                 # the latest writer whose writes, with the later ones,
                 # cover the read: a generation begun after it misses some
-                bound = pos
-                for wpos, ranges in reversed(writes[acc.name]):
-                    if not rest or wpos < stack[1]:
-                        break
-                    rest = _subtract(rest, ranges)
-                    bound = wpos
-                if rest:
-                    bound = stack[0]
-                while stack[-1] > bound:
+                stack = () if local else starts.get(name, ())
+                while stack and stack[-1] > bound:
                     stack.pop()
         for name, written in own.items():
-            writes.setdefault(name, []).append(
-                (pos, [rng for _, rng in written])
-            )
+            if name in unzeroed:
+                writes.setdefault(name, []).append(
+                    (pos, [rng for _, rng in written])
+                )
 
+    records = [
+        _uncovered_read(sdfg, order, writes, touched_by_callback, *entry)
+        for entry in uncovered
+    ]
+    needing = {r.name for r in records if not r.local}
+    return Coverage(
+        records,
+        [name for name in sdfg.transients()
+         if name in needing or sdfg.arrays[name].zeroed],
+        frozenset((r.node, r.name) for r in records if r.local),
+        _generations(sdfg, order, touches, {
+            name: stack for name, stack in starts.items()
+            if name not in needing
+        }),
+        [(name, first_writer[name])
+         for name in sorted(transients - touched_by_callback - read)
+         if name in first_writer],
+    )
+
+
+def _walk_back(rest: List[Range], writes) -> Tuple[List[Range], int]:
+    """Subtract the ``(position, ranges)`` of ``writes`` from ``rest``,
+    the latest first, until nothing is left: what is left, and the
+    position of the last writer subtracted."""
+    bound = -1
+    for bound, ranges in reversed(writes):
+        rest = _subtract(rest, ranges)
+        if not rest:
+            break
+    return rest, bound
+
+
+def _uncovered_read(
+    sdfg, order, writes, touched_by_callback, pos, s, acc, name, required,
+    ahead,
+) -> UncoveredRead:
+    """The record of a read the walk left uncovered: what reached it (in
+    program order), what it misses and its excuse."""
+    si, node = order[pos]
+    local = s is not None and name in node.local_arrays
+    later_in_loop = []
+    # no other kernel writes a kernel's local
+    for wpos, ranges in () if local else writes.get(name, ()):
+        if wpos < pos:
+            ahead = ahead + ranges
+        elif wpos != pos and any(
+            # a loop region iterates the two states together
+            lp.count > 1 and lp.first <= min(si, order[wpos][0])
+            and max(si, order[wpos][0]) <= lp.last
+            for lp in sdfg.loops
+        ):
+            later_in_loop += ranges
+    missing = _remainder(required, ahead)
+    if s is None:  # a callback sees whole containers
+        return UncoveredRead(
+            name, False, node, None, (0, 0, 0), required,
+            _bounding_box(ahead), missing, "callback",
+        )
+    excuse = None
+    if acc is s.stmt.target and s.stmt.mask is not None:
+        excuse = "mask"
+    elif name in touched_by_callback:
+        excuse = "callback"
+    elif not _remainder(required, ahead + later_in_loop):
+        excuse = "loop"
+    return UncoveredRead(
+        name, local, node, s.stmt, acc.offset, required,
+        _bounding_box(ahead), missing, excuse,
+    )
+
+
+def _generations(sdfg, order, touches, starts) -> Dict[str, List[Generation]]:
+    """Transient → its generations: one beginning at its first toucher
+    and one at each writer left in ``starts`` after it, except inside a
+    loop a value enters; each keeps its storage to its last toucher
+    before the next, widened to every loop region it reaches into."""
     regions = []
     for lp in sdfg.loops:
         inside = [
@@ -555,26 +551,3 @@ def _widened(lo: int, hi: int, regions) -> Tuple[int, int]:
             if a < lo <= b < hi or lo < a <= hi < b:
                 lo, hi, widened = min(lo, a), max(hi, b), True
     return lo, hi
-
-
-def dead_transients(sdfg) -> List[Tuple[str, Kernel]]:
-    """Transients a kernel writes that nothing can read — no kernel
-    statement, no callback that may touch them — with the first writing
-    kernel."""
-    order = _program_order(sdfg)
-    untouched = set(sdfg.transients()).difference(
-        *_callback_contacts(sdfg, order).values()
-    )
-    first_writer: Dict[str, Kernel] = {}
-    for _, node in order:
-        if not isinstance(node, Kernel):
-            continue
-        for s in kernel_statements(node):
-            if not s.active:
-                continue
-            first_writer.setdefault(s.stmt.target.name, node)
-            untouched.difference_update(a.name for a in expr_reads(s.stmt))
-    return [
-        (name, first_writer[name])
-        for name in sorted(untouched) if name in first_writer
-    ]

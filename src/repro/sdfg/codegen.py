@@ -17,16 +17,15 @@ temporary), each floating-point subexpression becomes an explicit ufunc
 call with ``out=`` into a scratch value. Scratch values are freed as soon
 as their last consumer has been emitted, kernel-local arrays when their
 kernel ends and SDFG transients per generation, after the last toucher
-of each value (:func:`repro.sdfg.analysis.transient_lifetimes`); from that
+of each value (:attr:`repro.sdfg.analysis.Coverage.lifetimes`); from that
 alloc/free order a compile-time planner (:class:`_BufferPlan`) gives every
 value a byte interval of one slab, which the program checks out of
 :mod:`repro.runtime.pool` once per call. Nothing is zeroed wholesale: a
-local only when its kernel reads it before writing (the condition the
-``repro.lint`` D101 rule detects), a transient only when some read of it
-is not covered by the writes ahead of it
-(:func:`repro.sdfg.analysis.transients_needing_zero`, the S202/S204
-condition). Steady-state execution of a compiled program therefore
-performs no array allocation.
+transient or a kernel local only when some read of it is not covered by
+the writes ahead of it — one exact rule for both, the S202/S204
+condition, answered by one walk (:func:`repro.sdfg.analysis.coverage`).
+Steady-state execution of a compiled program therefore performs no
+array allocation.
 
 Compiled programs give the bits of the definition's plain NumPy
 arithmetic (:mod:`repro.dsl.oracle`): ``out=`` targets are only used where NumPy's ufunc memory-overlap
@@ -65,11 +64,10 @@ from repro.dsl.ir import (
     ScalarRef,
     Ternary,
     UnaryOp,
-    expr_reads,
 )
 from repro.runtime import jit
 from repro.runtime.pool import ALIGN
-from repro.sdfg.analysis import transient_lifetimes, transients_needing_zero
+from repro.sdfg.analysis import coverage
 from repro.sdfg.nodes import Callback, Kernel, StencilComputation, Tasklet
 from repro.sdfg.plan import (
     CompiledSDFG, PlanImage, PlanInputs, UnitImage, generation_key,
@@ -507,56 +505,6 @@ class _StmtScheduler:
         raise TypeError(f"cannot generate code for {type(expr).__name__}")
 
 
-# ---------------------------------------------------------------------------
-# zero-fill analysis (pooled buffers hold arbitrary data when taken)
-# ---------------------------------------------------------------------------
-
-
-def _covering_first_write(kernel: Kernel, name: str, shape, origin) -> bool:
-    """True when the first access to ``name`` inside ``kernel`` is an
-    unmasked, unregioned write that covers the whole buffer before any
-    read — the condition under which a pooled (garbage-initialized) buffer
-    behaves exactly like a zeroed temporary (temporaries start at zero). Mirrors the
-    read-before-write analysis of the ``repro.lint`` D101 rule, but proves
-    the safe direction."""
-    oi, oj, ok = origin
-    ni, nj, nk = kernel.domain
-    accesses = []  # (section, stmt, ext, reads, writes) in program order
-    for section in kernel.sections:
-        for stmt, ext in section.statements:
-            reads = any(a.name == name for a in expr_reads(stmt))
-            writes = stmt.target.name == name
-            if reads or writes:
-                accesses.append((section, stmt, ext, reads, writes))
-    if not accesses:
-        return True  # never accessed
-    if len({id(sec) for sec, *_ in accesses}) > 1:
-        return False  # cross-interval initialization: keep the zero fill
-    sec0, stmt0, ext0, r0, w0 = accesses[0]
-    if r0 or not w0:
-        # expr_reads counts a masked write's target as a read, so masked
-        # first writes land here too
-        return False
-    if stmt0.mask is not None or stmt0.region is not None:
-        return False
-    i0, i1 = oi + ext0.i_lo, oi + ni + ext0.i_hi
-    j0, j1 = oj + ext0.j_lo, oj + nj + ext0.j_hi
-    if not (i0 <= 0 and i1 >= shape[0] and j0 <= 0 and j1 >= shape[1]):
-        return False
-    if kernel.order == "PARALLEL":
-        k0, k1 = sec0.interval.resolve(nk)
-        k0, k1 = max(k0, 0), min(k1, nk)
-        return ok + k0 <= 0 and ok + k1 >= shape[2]
-    # sequential: each level writes before it reads, provided no statement
-    # reads the buffer at a vertical offset (previous/next levels)
-    for _, stmt, _, reads, _ in accesses:
-        if reads:
-            for acc in expr_reads(stmt):
-                if acc.name == name and acc.offset[2] != 0:
-                    return False
-    return True
-
-
 def _local_arrays(kernel: Kernel) -> Dict[str, Tuple[str, tuple, tuple]]:
     """(driver variable, shape, origin) of every kernel-local array: the
     compute domain grown by the array's extent."""
@@ -573,20 +521,21 @@ def _local_arrays(kernel: Kernel) -> Dict[str, Tuple[str, tuple, tuple]]:
 
 def _bind_locals(
     kernel: Kernel, out: _SourceBuilder, plan: _BufferPlan,
-    registers: FrozenSet[str] = frozenset(),
+    registers: FrozenSet[str], needing_zero: FrozenSet[Tuple[Kernel, str]],
 ) -> Dict[str, int]:
-    """Bind the kernel-local arrays to pooled slots, zeroing only those the
-    kernel reads (or writes under a mask) before fully writing. Returns the
+    """Bind the kernel-local arrays to pooled slots, zeroing the ones with
+    a read the kernel's writes ahead of it do not cover (``needing_zero``:
+    :attr:`repro.sdfg.analysis.Coverage.locals_needing_zero`). Returns the
     slot of each, to be freed once the kernel's code is emitted. A local
     among ``registers`` has no array: the kernel's loop nest holds it per
     point."""
     slots = {}
-    for name, (var, shape, origin) in _local_arrays(kernel).items():
+    for name, (var, shape, _) in _local_arrays(kernel).items():
         if name in registers:
             continue
         slots[var] = plan.alloc(shape)
         out.emit(f"{var} = __B[{slots[var]}]")
-        if not _covering_first_write(kernel, name, shape, origin):
+        if (kernel, name) in needing_zero:
             out.emit(f"{var}.fill(0)")
     return slots
 
@@ -716,7 +665,7 @@ class _Generator:
     points; every other kernel is NumPy emission.
 
     A transient is one planned value per generation
-    (:func:`repro.sdfg.analysis.transient_lifetimes`), allocated where
+    (:attr:`repro.sdfg.analysis.Coverage.lifetimes`), allocated where
     the generation's storage begins and freed after its last toucher,
     named by :func:`repro.sdfg.plan.generation_key`. A transient of
     several generations has its driver name bound to each where it
@@ -734,6 +683,8 @@ class _Generator:
         self._transient_values: Dict[str, int] = {}
         #: transient of several generations → the one emission is in
         self._generation: Dict[str, str] = {}
+        #: (kernel, local) pairs to zero where the kernel binds them
+        self._locals_needing_zero: FrozenSet[Tuple[Kernel, str]] = frozenset()
 
     def image(self, **compiled) -> PlanImage:
         source = self._generate()
@@ -775,8 +726,10 @@ class _Generator:
         # one generation and is zeroed as it is born — per loop
         # iteration, so it starts at zero as a temporary does on every
         # call; the rest are used as the slab comes
-        needing_zero = set(transients_needing_zero(sdfg))
-        lifetimes = transient_lifetimes(sdfg, needing_zero)
+        cov = coverage(sdfg)
+        needing_zero = set(cov.transients_needing_zero)
+        self._locals_needing_zero = cov.locals_needing_zero
+        lifetimes = cov.lifetimes
         born: Dict[int, List[Tuple[str, str]]] = {}
         dying: Dict[int, List[str]] = {}
         begins: Dict[int, List[Tuple[str, str]]] = {}
@@ -869,7 +822,9 @@ class _Generator:
             except lowering.IneligibleKernel as exc:
                 self.fallback_kernels.append((node.label, str(exc)))
         registers = unit.registers if unit else frozenset()
-        local_slots = _bind_locals(node, out, self._plan, registers)
+        local_slots = _bind_locals(
+            node, out, self._plan, registers, self._locals_needing_zero
+        )
         if unit is None:
             _kernel_source(node, self.sdfg, out, self._plan)
         else:

@@ -119,7 +119,7 @@ class UnitImage:
 
 def generation_key(name: str, index: int) -> str:
     """How a plan names generation ``index`` of transient ``name``
-    (:func:`repro.sdfg.analysis.transient_lifetimes`): the first by the
+    (:attr:`repro.sdfg.analysis.Coverage.lifetimes`): the first by the
     transient's name, a later one as ``name@index``."""
     return f"{name}@{index}" if index else name
 

@@ -1,5 +1,7 @@
 """Random well-typed stencils: oracle == numpy == compiled (``numpy``:
-the NumPy emission of the lowered SDFG).
+the NumPy emission of the lowered SDFG), on fresh scratch and again with
+every take of the scratch arena NaN-filled (``pool.poison``), where a
+kernel local the plan should have zeroed reads NaN.
 
 The strategy writes stencil *source* — offsets, intervals, the three
 iteration orders, regions, a 2-D target, nested ``if``/``elif``/``else``
@@ -22,7 +24,10 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro.dsl.stencil import StencilObject
+from repro.resilience import chaos
+from repro.resilience.chaos import ChaosPlan
 from repro.runtime import jit
+from repro.runtime.pool import get_pool
 from repro.sdfg.codegen import compile_sdfg
 from tests.dsl.test_oracle import oracle_of, same
 from tests.runtime.test_jit import _forget_loaded
@@ -209,35 +214,64 @@ def inputs(stencil_obj, seed: int):
     return fields, {"w": float(rng.normal())}, (pad, pad, pad)
 
 
-def check(source: str, seed: int = 0) -> None:
+def _poisoned(run) -> int:
+    """``run()`` with every take of the scratch arena NaN-filled: the
+    number of takes, each of which consulted ``pool.poison``."""
+    plan = ChaosPlan.from_spec("pool.poison:p=1.0")
+    before = get_pool().stats()["checkouts"]
+    previous = chaos.set_plan(plan)
+    try:
+        run()
+    finally:
+        chaos.set_plan(previous)
+    takes = get_pool().stats()["checkouts"] - before
+    assert plan.consults("pool.poison") == takes
+    return takes
+
+
+def check(source: str, seed: int = 0) -> int:
+    """Hold every backend to the oracle on ``source``, on fresh and on
+    poisoned scratch; returns the number of poisoned takes."""
     stencil_obj = build(source)
     fields, scalars, origin = inputs(stencil_obj, seed)
     domain = (NI, NJ, NK)
     want = oracle_of(stencil_obj, fields, scalars, origin, domain)
 
-    def agree(got, who):
+    def leg(call, who):
+        got = {n: a.copy() for n, a in fields.items()}
+        call(got)
         for name in fields:
             assert same(got[name], want[name]), (
                 f"{who}: {name!r} is not what the definition says\n{source}"
             )
 
+    def numpy_leg(who="numpy"):
+        leg(lambda got: stencil_obj(**got, **scalars, origin=origin,
+                                    domain=domain, backend="numpy"), who)
+
     with np.errstate(all="ignore"):
-        got = {n: a.copy() for n, a in fields.items()}
-        stencil_obj(**got, **scalars, origin=origin, domain=domain,
-                    backend="numpy")
-        agree(got, "numpy")
+        numpy_leg()
+        (numpy_plan,) = stencil_obj._plans.values()
+        # a plan with scratch takes one slab per call
+        takes = _poisoned(lambda: numpy_leg("numpy, poisoned"))
+        assert takes == (1 if numpy_plan.runtime_bytes else 0)
         if jit._find_cc() is None:
-            return
+            return takes
         sdfg = _build_sdfg(stencil_obj, fields, origin, domain)
         with pytest.MonkeyPatch.context() as patch:
             patch.setenv("REPRO_JIT", "cgen")
             jit.reset(engine=True)
             plan = compile_sdfg(sdfg, "compiled")
-            got = {n: a.copy() for n, a in fields.items()}
-            plan(arrays=got, scalars=scalars)
-            agree(got, "compiled")
+
+            def compiled_leg(who="compiled"):
+                leg(lambda got: plan(arrays=got, scalars=scalars), who)
+
+            compiled_leg()
+            poisoned = _poisoned(lambda: compiled_leg("compiled, poisoned"))
+            assert poisoned == (1 if plan.runtime_bytes else 0)
         jit.reset(engine=True)
         _forget_loaded()
+    return takes + poisoned
 
 
 @settings(
@@ -291,6 +325,15 @@ REGRESSIONS = {
             o1 = b
             o2 = t0a[1, 0, 0] + o1[-1, 0, 0]
 """,
+    # a local assigned under one branch keeps its zero where the test
+    # fails: its one uncovered read is the masked write's own
+    "local_kept_where_its_mask_is_false": """
+    with computation(PARALLEL):
+        with interval(...):
+            if a > 0.0:
+                t0a = a
+            o1 = t0a + b
+""",
     # a local defined under a region is zero outside it
     "regioned_local": """
     with computation(PARALLEL):
@@ -305,4 +348,5 @@ REGRESSIONS = {
 
 @pytest.mark.parametrize("name", sorted(REGRESSIONS))
 def test_named_regression(name):
-    check(HEADER + REGRESSIONS[name].lstrip("\n"), seed=1)
+    # every one has a local array, so its NumPy plan takes scratch
+    assert check(HEADER + REGRESSIONS[name].lstrip("\n"), seed=1) > 0

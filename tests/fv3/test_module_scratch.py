@@ -143,16 +143,43 @@ def test_a_steady_step_allocates_no_slab_and_checks_no_argument(
             assert plan_module.COUNTERS.snapshot()["arg_checks"] == checks
 
 
+def test_a_driver_call_gives_the_step_scratch_back_once(monkeypatch):
+    """The pages go back when a driver's ``step``/``step_selected``
+    returns, once whatever ``n`` is, also when a step raises; a core's
+    own step keeps them."""
+    from repro.fv3.dyncore import DynamicalCore
+
+    trims = []
+    release = DynamicalCore._release_step_scratch
+    monkeypatch.setattr(DynamicalCore, "_release_step_scratch",
+                        lambda self: trims.append(release(self)))
+    with _driver("sequential") as driver:
+        driver.engine.step_dynamics()
+        assert trims == []
+        driver.step(3)
+        assert len(trims) == 1
+        driver.step_selected([1], 2)
+        assert len(trims) == 2
+
+        def fail(self):
+            raise RuntimeError("step failed")
+
+        monkeypatch.setattr(DynamicalCore, "step_dynamics", fail)
+        with pytest.raises(RuntimeError, match="step failed"):
+            driver.step(2)
+        assert len(trims) == 3
+
+
 @needs_mincore
 @pytest.mark.parametrize("executor", ["sequential", "threads"])
 @pytest.mark.parametrize("backend", ["numpy", "compiled"])
 def test_between_steps_a_rank_holds_no_page_of_its_step_arrays(
         backend, executor, monkeypatch):
-    """A step gives the kernel back the pages of the five step arrays of
-    every rank and of every slab of the executor's compute slots.
-    Nothing is re-allocated or re-bound: the next step keeps every slab,
-    checks no kernel argument, allocates no slab and ends on the bits of
-    a run that kept every page."""
+    """A driver step gives the kernel back the pages of the five step
+    arrays of every rank and of every slab of the executor's compute
+    slots. Nothing is re-allocated or re-bound: the next step keeps
+    every slab, checks no kernel argument, allocates no slab and ends on
+    the bits of a run that kept every page."""
     from repro.fv3.dyncore import DynamicalCore
     from repro.sdfg import plan as plan_module
 
@@ -293,14 +320,12 @@ def _transient_peak(sdfg) -> int:
     or a callback may touch holds it from its first toucher to its
     last."""
     from repro.dsl.ir import expr_reads
-    from repro.sdfg.analysis import (
-        access_range, kernel_statements, transients_needing_zero,
-    )
+    from repro.sdfg.analysis import access_range, coverage, kernel_statements
     from repro.sdfg.nodes import Callback, Kernel
 
     nodes = [node for state in sdfg.states for node in state.nodes]
     transients = set(sdfg.transients())
-    whole = set(transients_needing_zero(sdfg))
+    whole = set(coverage(sdfg).transients_needing_zero)
     held = {name: set() for name in transients}
     writes = {}  # (position, transient) -> ranges written
     reads = []  # (position, transient, required, own writes ahead)

@@ -1,7 +1,9 @@
-"""Lifetime analysis of toolchain-owned storage: one set of records
-(:func:`repro.sdfg.analysis.uncovered_reads`) decides both what
-``repro.lint`` reports (S202/S204) and what the code generator
-zero-fills."""
+"""Lifetime analysis of toolchain-owned storage: one walk
+(:func:`repro.sdfg.analysis.coverage`) decides both what ``repro.lint``
+reports (S202/S204/S205) and what the code generator zero-fills, of the
+transients and of the kernel locals."""
+
+import re
 
 import numpy as np
 import pytest
@@ -11,11 +13,7 @@ from repro.dsl import Field, PARALLEL, computation, interval, stencil
 from repro.lint import lint_sdfg
 from repro.sdfg import SDFG
 from repro.sdfg import analysis
-from repro.sdfg.analysis import (
-    dead_transients,
-    transients_needing_zero,
-    uncovered_reads,
-)
+from repro.sdfg.analysis import coverage
 from repro.sdfg.codegen import compile_sdfg
 from repro.sdfg.nodes import Callback, StencilComputation
 from repro.sdfg.subsets import Range
@@ -41,10 +39,14 @@ def test_one_implementation_behind_lint_and_codegen():
     from repro.lint import sdfg_rules
     from repro.sdfg import codegen
 
-    assert sdfg_rules.uncovered_reads is analysis.uncovered_reads
-    assert codegen.transients_needing_zero is \
-        analysis.transients_needing_zero
+    assert sdfg_rules.coverage is analysis.coverage
+    assert codegen.coverage is analysis.coverage
+    assert not hasattr(codegen, "_covering_first_write")
     assert not hasattr(codegen, "_transients_needing_zero")
+    # the fields of the one walk are no second walks
+    for name in ("uncovered_reads", "transients_needing_zero",
+                 "transient_lifetimes", "dead_transients"):
+        assert not hasattr(analysis, name), name
 
 
 @stencil
@@ -120,24 +122,24 @@ def test_bounding_box_of_the_writes_is_not_coverage():
         (_write, W, (0, 4, 0), (5, 4, 4)),    # upper-left quarter
         (_read, R, *FULL),
     )
-    (record,) = uncovered_reads(sdfg)
+    (record,) = coverage(sdfg).uncovered_reads
     assert record.name == "t" and not record.local and record.excuse is None
     assert record.written == Range.from_shape(SHAPE)  # the box "covers"
     assert record.missing == [Range.of((5, 10), (4, 8), (0, 4))]
     (finding,) = lint_sdfg(sdfg)
     assert finding.rule == "S202" and "[5:10, 4:8, 0:4]" in finding.message
-    assert transients_needing_zero(sdfg) == ["t"] and _fills(sdfg) == 1
+    assert coverage(sdfg).transients_needing_zero == ["t"] and _fills(sdfg) == 1
 
 
 def test_covered_read_has_no_record_and_no_fill():
     sdfg = _program((_write, W, *FULL), (_read, R, (1, 1, 0), (8, 6, 4)))
-    assert uncovered_reads(sdfg) == [] and lint_sdfg(sdfg) == []
-    assert transients_needing_zero(sdfg) == [] and _fills(sdfg) == 0
+    assert coverage(sdfg).uncovered_reads == [] and lint_sdfg(sdfg) == []
+    assert coverage(sdfg).transients_needing_zero == [] and _fills(sdfg) == 0
 
 
 def test_both_branches_of_an_if_are_one_write():
     sdfg = _program((_write_if_else, W, *FULL), (_read, R, *FULL))
-    assert uncovered_reads(sdfg) == []
+    assert coverage(sdfg).uncovered_reads == []
     assert _fills(sdfg) == 0
 
 
@@ -146,23 +148,23 @@ def test_one_branch_keeps_old_values_excused_but_filled():
     static checker that is a write (DSL temporaries start at zero, as in
     D101); on a pooled buffer it needs the zero to be there."""
     sdfg = _program((_write_if, W, *FULL), (_read, R, *FULL))
-    (record,) = uncovered_reads(sdfg)
+    (record,) = coverage(sdfg).uncovered_reads
     assert record.excuse == "mask" and record.stmt.mask is not None
     assert lint_sdfg(sdfg) == []
     assert _fills(sdfg) == 1
     # a test that reads the target it guards is evaluated once, so the
     # branches are a clean pair; the test's own read is what finds nothing
     sdfg = _program((_write_if_else_on_itself, W, *FULL), (_read, R, *FULL))
-    (record,) = uncovered_reads(sdfg)
+    (record,) = coverage(sdfg).uncovered_reads
     assert record.excuse is None and record.stmt.mask is None
     assert _fills(sdfg) == 1
 
 
 def test_loop_carried_read_is_excused_but_filled():
     sdfg = _program((_read, R, *FULL), (_write, W, *FULL))
-    assert [r.excuse for r in uncovered_reads(sdfg)] == [None]
+    assert [r.excuse for r in coverage(sdfg).uncovered_reads] == [None]
     sdfg = _program((_read, R, *FULL), (_write, W, *FULL), loop=3)
-    assert [r.excuse for r in uncovered_reads(sdfg)] == ["loop"]
+    assert [r.excuse for r in coverage(sdfg).uncovered_reads] == ["loop"]
     assert lint_sdfg(sdfg) == []
     assert _fills(sdfg) == 1  # the first iteration has nothing to carry
 
@@ -175,7 +177,7 @@ def test_callback_touches_what_it_declares_or_everything(declared, fills):
     callback = Callback("cb", lambda: None)
     callback.reads = callback.writes = declared
     sdfg.states[0].nodes.insert(1, callback)
-    records = uncovered_reads(sdfg)
+    records = coverage(sdfg).uncovered_reads
     assert len(records) == fills
     if fills:
         (record,) = records
@@ -188,13 +190,13 @@ def test_callback_touches_what_it_declares_or_everything(declared, fills):
 
 def test_dead_transient_is_one_nothing_can_read():
     sdfg = _program((_write, W, *FULL))
-    assert [(n, k.label) for n, k in dead_transients(sdfg)] == \
+    assert [(n, k.label) for n, k in coverage(sdfg).dead_transients] == \
         [("t", "_write_c0")]
     reader = Callback("cb", lambda: None)  # undeclared: may read it
     sdfg.states[0].nodes.append(reader)
-    assert dead_transients(sdfg) == []
+    assert coverage(sdfg).dead_transients == []
     reader.reads = reader.writes = ["a"]
-    assert [n for n, _ in dead_transients(sdfg)] == ["t"]
+    assert [n for n, _ in coverage(sdfg).dead_transients] == ["t"]
 
 
 def test_fill_is_what_the_uncovered_points_read(monkeypatch):
@@ -214,3 +216,49 @@ def test_fill_is_what_the_uncovered_points_read(monkeypatch):
         chaos.set_plan(previous)
     np.testing.assert_array_equal(out[:, :4], a[:, :4] * 2.0 + 1.0)
     np.testing.assert_array_equal(out[:, 4:], 1.0)
+
+
+# ---------------------------------------------------------------------------
+# kernel locals: zeroed exactly where the walk finds an uncovered read
+# ---------------------------------------------------------------------------
+
+
+#: the step's four programs at c12·L4: the kernel locals with a read the
+#: kernel's earlier writes do not cover (of 232 locals)
+STEP_LOCAL_FILLS = 40
+
+
+@pytest.mark.parametrize("backend", ["numpy", "compiled"])
+def test_a_steps_local_fills_are_the_walks_records(backend):
+    """The drivers of the four step programs zero exactly the locals the
+    walk names — every one on ``numpy``; on ``compiled`` the kernels that
+    read a local before writing it all hold it in registers."""
+    from repro.run import build_core
+    from repro.runtime import jit
+    from repro.scenarios import get_scenario
+    from repro.sdfg.codegen import generate
+
+    if backend == "compiled" and not jit.available():
+        pytest.skip("no C compiler")
+    core = build_core("baroclinic_wave", get_scenario(
+        "baroclinic_wave").default_config(npx=12, npz=4))
+    records, fills = [], []
+    try:
+        core.prepare()
+        for call, _ in core.step_programs(core.ranks[0]):
+            call.func.bind(*call.args)
+            sdfg = call.func.sdfg
+            records += [(kernel.label, name) for kernel, name
+                        in coverage(sdfg).locals_needing_zero]
+            kernel = None
+            for line in generate(sdfg, backend).source.splitlines():
+                label = re.search(r"# kernel (\S+)", line)
+                kernel = label.group(1) if label else kernel
+                fill = re.search(r"__loc_(\w+)\.fill\(0\)", line)
+                if fill:
+                    fills.append((kernel, fill.group(1)))
+    finally:
+        core.finalize()
+        core.executor.shutdown()
+    assert len(records) == STEP_LOCAL_FILLS
+    assert sorted(fills) == (sorted(records) if backend == "numpy" else [])

@@ -11,7 +11,7 @@ import repro.dsl  # noqa: F401  (import order: repro.sdfg needs the DSL first)
 from repro.dsl import Field, PARALLEL, computation, interval, stencil
 from repro.runtime.pool import ALIGN
 from repro.sdfg import SDFG
-from repro.sdfg.analysis import transient_lifetimes, transients_needing_zero
+from repro.sdfg.analysis import coverage
 from repro.sdfg.codegen import compile_sdfg, plan_layout
 from repro.sdfg.nodes import Callback, StencilComputation
 
@@ -181,7 +181,7 @@ def _chain(loop=None, callback=None):
 
 
 def _lifetimes(sdfg):
-    return transient_lifetimes(sdfg, transients_needing_zero(sdfg))
+    return coverage(sdfg).lifetimes
 
 
 def _spans(sdfg):
