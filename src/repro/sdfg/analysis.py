@@ -116,13 +116,18 @@ def access_range(
 
 
 class KernelStatement:
-    """One kernel statement with its flattened index and the compute-index
-    ranges it executes over (``None``: never, on this rank/domain)."""
+    """One kernel statement with its flattened index, the index of its
+    section in the order the kernel lists (and runs) them, and the
+    compute-index ranges it executes over (``None``: never, on this
+    rank/domain)."""
 
-    __slots__ = ("idx", "stmt", "ranges", "_write_ranges", "paired")
+    __slots__ = ("idx", "sec", "stmt", "ranges", "_write_ranges", "paired")
 
-    def __init__(self, idx: int, section, stmt: Assign, ext, kernel: Kernel):
+    def __init__(
+        self, idx: int, sec: int, section, stmt: Assign, ext, kernel: Kernel
+    ):
         self.idx = idx
+        self.sec = sec
         self.stmt = stmt
         #: one half of an ``if``/``else`` that assigns this target in
         #: both branches (see :func:`_pair_branches`)
@@ -151,10 +156,12 @@ class KernelStatement:
 
 def kernel_statements(kernel: Kernel) -> List[KernelStatement]:
     out: List[KernelStatement] = []
-    for section in kernel.sections:
+    for sec, section in enumerate(kernel.sections):
         first = len(out)
         for stmt, ext in section.statements:
-            out.append(KernelStatement(len(out), section, stmt, ext, kernel))
+            out.append(
+                KernelStatement(len(out), sec, section, stmt, ext, kernel)
+            )
         _pair_branches(out[first:])
     return out
 
@@ -313,18 +320,26 @@ class Coverage:
     dead_transients: List[Tuple[str, Kernel]]
 
 
+#: the direction of a sequential kernel's vertical sweep
+_SWEEP = {"FORWARD": 1, "BACKWARD": -1}
+
+
 def coverage(sdfg) -> Coverage:
     """One forward walk over program order that asks of every read of a
     transient or kernel-local array whether the writes ahead of it cover
     it; every field of :class:`Coverage` comes from its answers.
 
     Coverage is exact rectangle subtraction over the per-statement write
-    ranges. A read first subtracts its own kernel's earlier writes —
-    every write of the kernel when the read is loop-carried (inside a
-    FORWARD/BACKWARD kernel, at a vertical offset against the sweep
-    direction) — and a transient's read then the earlier kernels'
-    writes, from the latest back, until it is covered. A callback that
-    may touch a transient (:func:`_callback_contacts`) reads all of it.
+    ranges. A read first subtracts its own kernel's writes ahead of it,
+    and a transient's read then the earlier kernels' writes, from the
+    latest back, until it is covered. A FORWARD/BACKWARD kernel runs its
+    sections in the order it lists them, each as its own vertical sweep,
+    so the writes ahead of a read depend on its vertical offset: at the
+    same level, the statements before it; at a level its sweep has
+    passed (loop-carried), every statement of its section and the
+    earlier ones; at a level its sweep has not reached, the earlier
+    sections only. A callback that may touch a transient
+    (:func:`_callback_contacts`) reads all of it.
     External (non-transient) containers are the caller's to initialize
     and zeroed transients the program's: neither is ever reported.
 
@@ -381,7 +396,8 @@ def coverage(sdfg) -> Coverage:
             + [acc.name for _, reads in stmts for acc in reads]
         ).difference(local_arrays):
             touches.setdefault(name, []).append(pos)
-        own: Dict[str, List[Tuple[int, Range]]] = {}
+        own: Dict[str, List[Tuple[int, int, Range]]] = {}
+        sweep = _SWEEP.get(node.order, 0)
         for s, reads in stmts:
             if s.active:
                 target = s.stmt.target.name
@@ -390,12 +406,13 @@ def coverage(sdfg) -> Coverage:
                     first_writer.setdefault(target, node)
                 if target in unzeroed or target in local_arrays:
                     own.setdefault(target, []).append(
-                        (s.idx, s.written(sdfg, node))
+                        (s.idx, s.sec, s.written(sdfg, node))
                     )
         for name in splittable.intersection(own):
             starts.setdefault(name, []).append(pos)
-        # a covered read met again later in the kernel has at least the
-        # writes it had before ahead of it: covered, it can pop no more
+        # a covered read met again later in the kernel (same offset, so
+        # the same rule of what is ahead) has at least the writes it had
+        # before ahead of it: covered, it can pop no more
         covered = set()
         for s, reads in stmts:
             if not s.active:
@@ -409,14 +426,13 @@ def coverage(sdfg) -> Coverage:
                 if acc is s.stmt.target and s.stmt.mask is not None \
                         and s.paired:
                     continue  # the other branch stores those points
-                dk = acc.offset[2]
-                carried = (node.order == "FORWARD" and dk < 0) or (
-                    node.order == "BACKWARD" and dk > 0
-                )
+                # > 0: a level the sweep has not reached; < 0: one it passed
+                dk = acc.offset[2] * sweep
                 required = access_range(sdfg, node, name, acc.offset, s.ranges)
                 ahead = [
-                    rng for idx, rng in own.get(name, ())
-                    if idx < s.idx or carried
+                    rng for idx, sec, rng in own.get(name, ())
+                    if (sec < s.sec if dk > 0 else sec <= s.sec if dk < 0
+                        else idx < s.idx)
                 ]
                 rest, bound = _remainder(required, ahead), pos
                 if rest and not local:
@@ -433,7 +449,7 @@ def coverage(sdfg) -> Coverage:
         for name, written in own.items():
             if name in unzeroed:
                 writes.setdefault(name, []).append(
-                    (pos, [rng for _, rng in written])
+                    (pos, [rng for _, _, rng in written])
                 )
 
     records = [

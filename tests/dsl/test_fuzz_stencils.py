@@ -334,6 +334,27 @@ REGRESSIONS = {
                 t0a = a
             o1 = t0a + b
 """,
+    # sections run in the order listed: a BACKWARD read of the level
+    # below has not seen this section's sweep reach it, only the earlier
+    # section's level 0 (the rest is the local's zero)
+    "local_read_below_in_a_backward_sweep": """
+    with computation(BACKWARD):
+        with interval(0, 1):
+            t0a = a
+        with interval(1, None):
+            t0a = b
+            o1 = t0a[0, 0, -1]
+""",
+    # a carried read of the level above, at the top of the first section,
+    # sees a level only the later-listed section writes: still its zero
+    "local_carried_from_a_later_section": """
+    with computation(BACKWARD):
+        with interval(0, -1):
+            t0a = a
+            o1 = t0a[0, 0, 1]
+        with interval(-1, None):
+            t0a = b
+""",
     # a local defined under a region is zero outside it
     "regioned_local": """
     with computation(PARALLEL):

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import repro.dsl  # noqa: F401  (import order: repro.sdfg needs the DSL first)
-from repro.dsl import Field, PARALLEL, computation, interval, stencil
+from repro.dsl import (
+    BACKWARD, Field, PARALLEL, computation, interval, stencil,
+)
 from repro.lint import lint_sdfg
 from repro.sdfg import SDFG
 from repro.sdfg import analysis
@@ -197,6 +199,41 @@ def test_dead_transient_is_one_nothing_can_read():
     assert coverage(sdfg).dead_transients == []
     reader.reads = reader.writes = ["a"]
     assert [n for n, _ in coverage(sdfg).dead_transients] == ["t"]
+
+
+@stencil
+def _below_in_a_backward_sweep(a: Field, t: Field, out: Field):
+    with computation(BACKWARD):
+        with interval(0, 1):
+            t = a
+        with interval(1, None):
+            t = a * 2.0
+            out = t[0, 0, -1]
+
+
+@stencil
+def _above_from_a_later_section(a: Field, t: Field, out: Field):
+    with computation(BACKWARD):
+        with interval(0, -1):
+            t = a
+            out = t[0, 0, 1]
+        with interval(-1, None):
+            t = a * 2.0
+
+
+@pytest.mark.parametrize("st, missing", [
+    (_below_in_a_backward_sweep, (1, 3)),
+    (_above_from_a_later_section, (3, 4)),
+])
+def test_a_sweep_sees_the_sections_listed_before_it(st, missing):
+    """Sections run in the order listed, each its own sweep: a level the
+    reading sweep has not reached holds only what earlier sections
+    wrote, and a carried read at a section's edge sees no later one."""
+    sdfg = _program((st, {"a": "a", "t": "t", "out": "out"}, *FULL))
+    (record,) = coverage(sdfg).uncovered_reads
+    assert record.excuse is None
+    assert record.missing == [Range.of((0, 10), (0, 8), missing)]
+    assert coverage(sdfg).transients_needing_zero == ["t"] and _fills(sdfg) == 1
 
 
 def test_fill_is_what_the_uncovered_points_read(monkeypatch):
