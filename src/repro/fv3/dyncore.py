@@ -17,7 +17,7 @@ import pathlib
 import time as _time
 import warnings
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,12 +44,11 @@ from repro.resilience import (
     RecoverableFault,
     ResilienceConfig,
     RetriesExhaustedError,
-    Snapshot,
-    StateGuard,
     chaos as _chaos,
-    load_checkpoint,
-    save_checkpoint,
 )
+
+if TYPE_CHECKING:
+    from repro.resilience.guards import StateGuard
 
 _TRACER = _obs.get_tracer()
 
@@ -179,7 +178,8 @@ class DynamicalCore:
         self.step_count = 0
         self.resilience = resilience
         self._guard: Optional[StateGuard] = (
-            StateGuard(resilience.guard) if resilience is not None else None
+            _resilience.StateGuard(resilience.guard)
+            if resilience is not None else None
         )
         self._prepared = False
         # (imported here: repro.run imports this module)
@@ -340,7 +340,9 @@ class DynamicalCore:
     def _guarded_remapping_step(self, dt_remap: float) -> None:
         """One remapping step under the rollback/retry harness."""
         res = self.resilience
-        snapshot = Snapshot.capture(self.states, self.time, self.step_count)
+        snapshot = _resilience.Snapshot.capture(
+            self.states, self.time, self.step_count
+        )
         attempt = 0
         while True:
             failure: Optional[BaseException] = None
@@ -396,7 +398,7 @@ class DynamicalCore:
                 pathlib.Path(res.checkpoint_dir)
                 / f"ckpt_step{self.step_count:06d}.npz"
             )
-        written = save_checkpoint(
+        written = _resilience.save_checkpoint(
             path, self.states, self.time, self.step_count,
             extra_meta={"npx": self.config.npx, "npz": self.config.npz,
                         "layout": self.config.layout},
@@ -407,7 +409,7 @@ class DynamicalCore:
     def restore_checkpoint(self, path) -> Dict[str, object]:
         """Restore all rank states, model time and step counter from a
         checkpoint file; returns its metadata."""
-        meta = load_checkpoint(path, self.states)
+        meta = _resilience.load_checkpoint(path, self.states)
         self.initial = None
         self.time = float(meta["time"])
         self.step_count = int(meta["step"])

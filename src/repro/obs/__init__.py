@@ -36,7 +36,6 @@ from repro.obs.metrics import (
     set_observed_machine,
     stencil_traffic_bytes,
 )
-from repro.obs.timing import confidence_interval, median_time
 from repro.obs.tracer import (
     Span,
     Tracer,
@@ -70,13 +69,19 @@ __all__ = [
 ]
 
 _RENDERED = ("report", "snapshot", "to_json")
+_TIMING = ("confidence_interval", "median_time")
 
 
 def __getattr__(name):
-    # the renderer (and what its footers read) loads with the first report
+    # the renderer (and what its footers read) loads with the first
+    # report, the measurement helpers with their first use
     if name in _RENDERED:
         from repro.obs import render
 
         globals().update({n: getattr(render, n) for n in _RENDERED})
         return globals()[name]
+    if name in _TIMING:
+        from repro.obs import timing
+
+        return getattr(timing, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

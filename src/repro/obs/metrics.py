@@ -10,32 +10,49 @@ time this yields achieved GB/s, and against a
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.machine import HASWELL, MachineModel
-from repro.dsl.extents import Extent, k_access_bounds
+if TYPE_CHECKING:
+    from repro.machine import MachineModel
 
 __all__ = [
     "observed_machine",
+    "observed_machine_name",
     "set_observed_machine",
     "stencil_traffic_bytes",
 ]
 
-_observed: MachineModel = HASWELL
+#: the roofline machine :func:`set_observed_machine` chose; ``None`` is
+#: the default, :data:`repro.machine.HASWELL`
+_observed: Optional["MachineModel"] = None
+#: the default's name: what a compiled plan's key carries, known without
+#: loading the machine models (``tests/test_imports.py`` holds it to
+#: ``HASWELL.name``)
+_DEFAULT_NAME = "Xeon E5-2690 v3 (Haswell)"
 
 
-def observed_machine() -> MachineModel:
+def observed_machine() -> "MachineModel":
     """Machine model used as the roofline reference in reports: the CPU
     actually running this reproduction (Haswell) unless
     :func:`set_observed_machine` chose another."""
+    if _observed is None:
+        from repro.machine import HASWELL
+
+        return HASWELL
     return _observed
 
 
-def set_observed_machine(machine: Optional[MachineModel]) -> None:
+def observed_machine_name() -> str:
+    """The name of :func:`observed_machine`, which a compiled plan's key
+    carries: a primed process keys its plans without the machine models."""
+    return _DEFAULT_NAME if _observed is None else _observed.name
+
+
+def set_observed_machine(machine: Optional["MachineModel"]) -> None:
     """Set (or with ``None``, reset to the default) the roofline machine
     used by :func:`repro.obs.report`."""
     global _observed
-    _observed = machine if machine is not None else HASWELL
+    _observed = machine
 
 
 def stencil_traffic_bytes(
@@ -53,6 +70,8 @@ def stencil_traffic_bytes(
     local-storage transformation), and the NumPy emission's materialization
     of them is an implementation detail, not modeled traffic.
     """
+    from repro.dsl.extents import Extent, k_access_bounds
+
     definition = stencil_object.definition
     extents = stencil_object.extents
     ni, nj, nk = domain

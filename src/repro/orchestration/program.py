@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,9 +62,11 @@ from repro.dsl import backends as _backends
 from repro.obs import tracer as _obs
 from repro.resilience import chaos as _chaos
 from repro.runtime import compile_cache as _cache
-from repro.sdfg.graph import SDFG
 from repro.sdfg.nodes import constant_key
 from repro.sdfg.plan import PlanInputs
+
+if TYPE_CHECKING:
+    from repro.sdfg.graph import SDFG
 
 _TRACER = _obs.get_tracer()
 

@@ -29,18 +29,13 @@ reach its parent) surfaced in the ``repro.obs`` report footer;
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import warnings
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.obs.counters import Counters, register
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosPlan, InjectedFault
-from repro.resilience.checkpoint import (
-    CHECKPOINT_VERSION,
-    PackedSnapshot,
-    Snapshot,
-    load_checkpoint,
-    save_checkpoint,
-)
 from repro.resilience.errors import (
     ChaosSpecError,
     CheckpointCorruptError,
@@ -57,10 +52,25 @@ from repro.resilience.errors import (
     ResilienceError,
     RetriesExhaustedError,
 )
-from repro.resilience.guards import GuardConfig, GuardViolation, StateGuard
-# after the submodules: importing ``repro.obs`` comes back here through
-# ``repro.dsl``, which needs them and nothing below
-from repro.obs.counters import Counters, register
+
+if TYPE_CHECKING:
+    from repro.resilience.guards import GuardConfig
+
+#: snapshot, checkpoint and guard names → the module that defines them,
+#: imported when asked: a step without a guard or a checkpoint uses none
+_LAZY = {
+    **dict.fromkeys(("CHECKPOINT_VERSION", "PackedSnapshot", "Snapshot",
+                     "load_checkpoint", "save_checkpoint"),
+                    "repro.resilience.checkpoint"),
+    **dict.fromkeys(("GuardConfig", "GuardViolation", "StateGuard"),
+                    "repro.resilience.guards"),
+}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return getattr(importlib.import_module(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -96,6 +106,12 @@ __all__ = [
 ]
 
 
+def _guard_config() -> GuardConfig:
+    from repro.resilience.guards import GuardConfig
+
+    return GuardConfig()
+
+
 @dataclasses.dataclass
 class ResilienceConfig:
     """Driver-level resilience options (``DynamicalCore(resilience=…)``).
@@ -115,7 +131,7 @@ class ResilienceConfig:
             when ``checkpoint_every > 0``).
     """
 
-    guard: GuardConfig = dataclasses.field(default_factory=GuardConfig)
+    guard: GuardConfig = dataclasses.field(default_factory=_guard_config)
     max_retries: int = 3
     backoff_base: float = 0.0
     checkpoint_every: int = 0

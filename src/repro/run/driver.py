@@ -45,7 +45,7 @@ from __future__ import annotations
 import dataclasses
 import pathlib
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,13 +55,16 @@ from repro.fv3.grid import CubedSphereGrid
 from repro.fv3.initial import RankFields
 from repro.fv3.partitioner import CubedSpherePartitioner
 from repro.obs import tracer as _obs
-from repro.resilience import MemberLostError, ResilienceConfig, Snapshot, \
-    load_checkpoint, save_checkpoint
+from repro import resilience as _resilience
+from repro.resilience import MemberLostError, ResilienceConfig
 from repro.run import metrics as _metrics
 from repro.run.results import MemberResult, RunResult
 from repro.runtime import compile_cache as _compile_cache
 from repro.runtime import ranks as _ranks
 from repro.scenarios import Scenario, get_scenario
+
+if TYPE_CHECKING:
+    from repro.resilience.checkpoint import Snapshot
 
 __all__ = ["EnsembleDriver", "build_core", "build_grids", "member_rng",
            "resolve_executor", "resolve_members"]
@@ -516,7 +519,8 @@ class EnsembleDriver:
         """A bit-exact in-memory snapshot of one member's state
         (independent of the engine's arrays and of later steps)."""
         rec = self._record(member)
-        return Snapshot.capture(rec.states, rec.time, rec.step_count)
+        return _resilience.Snapshot.capture(rec.states, rec.time,
+                                            rec.step_count)
 
     # ------------------------------------------------------------------
     # state swap
@@ -660,7 +664,7 @@ class EnsembleDriver:
                 pathlib.Path(res.checkpoint_dir)
                 / f"ckpt_step{rec.step_count:06d}.npz"
             )
-        return save_checkpoint(
+        return _resilience.save_checkpoint(
             path, rec.states, rec.time, rec.step_count,
             extra_meta={
                 "npx": self.config.npx, "npz": self.config.npz,
@@ -674,7 +678,7 @@ class EnsembleDriver:
         engine's arrays if it is resident; the other members are
         untouched). A lost member is usable again."""
         rec = self.members[member]
-        meta = load_checkpoint(path, rec.states)
+        meta = _resilience.load_checkpoint(path, rec.states)
         rec.time = float(meta["time"])
         rec.step_count = int(meta["step"])
         rec.lost = False

@@ -252,11 +252,11 @@ def codegen_flags(backend: str = "numpy") -> str:
     balance pick tiles and decide what is recomputed)."""
     flags = [f"backend={backend}"]
     if backend == "compiled":
-        from repro.obs.metrics import observed_machine
+        from repro.obs.metrics import observed_machine_name
 
         flags.append(
             f"threads={_jit.default_threads()};"
-            f"machine={observed_machine().name}"
+            f"machine={observed_machine_name()}"
         )
     return "\x1e".join(flags)
 

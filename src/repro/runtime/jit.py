@@ -102,7 +102,6 @@ import hashlib
 import os
 import re
 import shutil
-import subprocess
 import tempfile
 import threading
 import time
@@ -492,6 +491,8 @@ def _flag_works(cc: str, identity: str, flag: str) -> bool:
         except OSError:
             verdict = ""
         if verdict not in ("0", "1"):
+            import subprocess
+
             with tempfile.TemporaryDirectory() as tmp:
                 cpath = os.path.join(tmp, "probe.c")
                 with open(cpath, "w") as fh:
@@ -722,6 +723,8 @@ def _build(requests: List[_Request]) -> None:
     (:func:`_units`); load and publish every unit that compiled, then
     raise for those that did not — each of which fails its own kernels
     with an error that names them."""
+    import subprocess
+
     # (a claim that failed while its batch went on is nobody's any more)
     requests = [r for r in requests if not r.flight.done.is_set()]
     if not requests:

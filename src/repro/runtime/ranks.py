@@ -50,13 +50,16 @@ import inspect
 import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Union)
 
 from repro.obs import tracer as _obs
 from repro.obs.counters import Counters, register
 from repro.runtime import pool as _pool
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
     "RankExecutor",
@@ -161,6 +164,10 @@ class RankExecutor:
         return self.workers > 1
 
     def _ensure_pool(self, n_ranks: int) -> ThreadPoolExecutor:
+        # rank threads only: lockstep never loads ``concurrent.futures``
+        # (nor the ``logging`` it imports)
+        from concurrent.futures import ThreadPoolExecutor
+
         with self._lock:
             if self._pool is None or self._pool_width < n_ranks:
                 if self._pool is not None:

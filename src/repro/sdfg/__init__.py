@@ -7,8 +7,8 @@ into map-scoped kernels whose schedules can be mutated by graph-rewriting
 transformations without touching user code.
 """
 
-from repro.sdfg.graph import SDFG, InterstateEdge, SDFGState
-from repro.sdfg.memlet import Memlet
+import importlib
+
 from repro.sdfg.nodes import (
     AccessNode,
     Callback,
@@ -17,7 +17,23 @@ from repro.sdfg.nodes import (
     StencilComputation,
     Tasklet,
 )
-from repro.sdfg.subsets import Range
+
+#: the graph's classes → the module that defines them, imported when
+#: asked: a process that restores its programs never builds a graph
+_LAZY = {
+    "SDFG": "repro.sdfg.graph",
+    "InterstateEdge": "repro.sdfg.graph",
+    "SDFGState": "repro.sdfg.graph",
+    "Memlet": "repro.sdfg.memlet",
+    "Range": "repro.sdfg.subsets",
+}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return getattr(importlib.import_module(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "SDFG",

@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.dsl.bounds import GridBounds, region_ranges
-from repro.dsl.extents import Extent
-from repro.dsl.ir import Assign, FieldAccess, Interval, count_flops, expr_reads
-from repro.sdfg.subsets import Range
+
+if TYPE_CHECKING:
+    from repro.dsl.extents import Extent
+    from repro.dsl.ir import Assign, Interval
+    from repro.sdfg.subsets import Range
 
 _node_ids = itertools.count()
 
@@ -291,6 +293,8 @@ class Kernel(Node):
         return list(seen)
 
     def read_fields(self) -> List[str]:
+        from repro.dsl.ir import expr_reads
+
         seen: Dict[str, None] = {}
         for stmt, _ in self.statements():
             for acc in expr_reads(stmt):
@@ -333,6 +337,9 @@ class Kernel(Node):
         ``skip_regions`` omits region-restricted statements (used by the
         data-movement model, which accounts for them per statement).
         """
+        from repro.dsl.ir import expr_reads
+        from repro.sdfg.subsets import Range
+
         reads: Dict[str, Range] = {}
         writes: Dict[str, Range] = {}
 
@@ -379,7 +386,7 @@ class Kernel(Node):
         intersection — the effect behind the paper's "Split regions to
         multiple kernels" optimization step (Table III).
         """
-        import numpy as np
+        from repro.dsl.ir import expr_reads
 
         total = 0
         for section in self.sections:
@@ -442,7 +449,7 @@ class Kernel(Node):
         buffers them in registers/shared memory (Sec. VI-A2). This excess
         is what the local-storage transformation eliminates.
         """
-        import numpy as np
+        from repro.dsl.ir import expr_reads
 
         per_access = 0
         for section in self.sections:
@@ -551,6 +558,8 @@ class Kernel(Node):
 
 def stmt_flops(stmt: Assign) -> int:
     """Modeled arithmetic operations of one statement at one point."""
+    from repro.dsl.ir import count_flops
+
     ops = count_flops(stmt.value) + (
         count_flops(stmt.mask) + 1 if stmt.mask is not None else 0
     )

@@ -142,7 +142,7 @@ def compilers(monkeypatch):
     cls = _RecordingPopen
     cls.live = cls.peak = cls.started = 0
     cls.gate = None
-    monkeypatch.setattr(jit.subprocess, "Popen", cls)
+    monkeypatch.setattr(subprocess, "Popen", cls)
     return cls
 
 
@@ -529,8 +529,8 @@ def test_primed_process_never_runs_a_compiler(store, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError(f"subprocess started: {args}")
 
-    monkeypatch.setattr(jit.subprocess, "Popen", refuse)
-    monkeypatch.setattr(jit.subprocess, "run", refuse)
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    monkeypatch.setattr(subprocess, "run", refuse)
     fns = jit.load_c(kernels, PREAMBLE, want_openmp=True)
     assert [_apply(fn, (0.0,)) for fn in fns] == [[0.0], [1.0], [2.0]]
     stats = jit.stats()
@@ -547,7 +547,7 @@ def _compile_commands(monkeypatch):
         commands.append(list(args))
         return real(args, **kwargs)
 
-    monkeypatch.setattr(jit.subprocess, "Popen", recording)
+    monkeypatch.setattr(subprocess, "Popen", recording)
     return commands
 
 

@@ -1,5 +1,6 @@
-"""Every ``repro.*`` subpackage imports on its own, and the entry points
-import nothing only a trace needs.
+"""Every ``repro.*`` subpackage imports on its own, the entry points
+import nothing only a trace needs, and a primed step imports nothing it
+does not call.
 
 Inside one pytest process the import order of earlier tests hides a
 cycle (``import repro.sdfg`` first used to die in ``obs.metrics →
@@ -7,12 +8,16 @@ core.machine → core.perfmodel → sdfg.nodes → dsl → obs``), so each
 subpackage is imported *first*, in a fresh interpreter.
 """
 
+import json
 import os
 import pkgutil
 import subprocess
 import sys
 
+import pytest
+
 import repro
+from repro.runtime import jit
 
 #: what tracing a program (and parsing a stencil) needs and binding a
 #: restored one does not: loaded with the first trace
@@ -23,6 +28,45 @@ TRACE_SIDE = (
     "repro.orchestration.closure",
     "repro.sdfg.analysis",
 )
+
+#: what a primed step does not call and so never imports: the IR and the
+#: graph classes, the machine models, the timing helpers, snapshots,
+#: checkpoints and guards, the rank-thread pool (with the ``logging`` it
+#: brings) and the compiler driver; each loads at its first use
+LAZY = (
+    "repro.dsl.ir",
+    "repro.dsl.extents",
+    "repro.machine",
+    "repro.obs.timing",
+    "repro.sdfg.graph",
+    "repro.sdfg.memlet",
+    "repro.sdfg.subsets",
+    "repro.resilience.checkpoint",
+    "repro.resilience.guards",
+    "concurrent.futures",
+    "logging",
+    "subprocess",
+)
+
+#: a default c12·L4 driver and two steps, then what the process holds
+PRIMED_STEP = """
+import dataclasses, json, sys
+from repro.run import EnsembleDriver
+from repro.runtime import compile_cache, jit
+from repro.scenarios import get_scenario
+
+config = dataclasses.replace(
+    get_scenario("baroclinic_wave").default_config(), npx=12, npz=4)
+driver = EnsembleDriver("baroclinic_wave", config, members=(1,), seed=5,
+                        diagnostics=False)
+driver.step(2)
+cache, kernels = compile_cache.stats(), jit.stats()
+print(json.dumps({
+    "traces": cache["program_traces"], "stale": cache["programs_stale"],
+    "restored": cache["programs_restored"], "compiles": kernels["compiles"],
+    "modules": sorted(sys.modules),
+}))
+"""
 
 
 def _fresh_env():
@@ -86,3 +130,44 @@ def test_the_report_renderer_loads_with_the_first_report():
     ).stdout.splitlines()
     assert out[0] == "False"
     assert out[1].startswith("ensemble: runs 1, members 1, ")
+
+
+@pytest.mark.skipif(jit._find_cc() is None, reason="no C compiler")
+def test_a_primed_step_imports_only_what_it_calls(tmp_path):
+    """A primed process restores every program and compiles nothing, and
+    none of what only a trace, a checkpoint, a guard, rank threads or the
+    compiler needs is imported: the restore finds what its records name
+    among the modules a step loads anyway."""
+    env = {**_fresh_env(), "REPRO_JIT_DIR": str(tmp_path / "jit"),
+           "REPRO_BACKEND": "compiled", "REPRO_JIT": "cgen",
+           "REPRO_THREADS": "1"}
+
+    def step():
+        out = subprocess.run(
+            [sys.executable, "-c", PRIMED_STEP], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        return json.loads(out.splitlines()[-1])
+
+    cold = step()
+    assert cold["traces"] == 4 and set(LAZY) & set(cold["modules"])
+    primed = step()
+    assert (primed["traces"], primed["stale"], primed["restored"],
+            primed["compiles"]) == (0, 0, 4, 0)
+    assert [m for m in LAZY + TRACE_SIDE if m in primed["modules"]] == []
+
+
+def test_the_default_machines_name_is_known_without_the_models():
+    """A compiled plan's key names the roofline machine; the default's
+    name is kept beside the setter so that keying loads no model."""
+    from repro.machine import HASWELL, P100
+    from repro.obs import metrics
+
+    assert metrics.observed_machine_name() == HASWELL.name
+    metrics.set_observed_machine(P100)
+    try:
+        assert metrics.observed_machine_name() == P100.name
+        assert metrics.observed_machine() is P100
+    finally:
+        metrics.set_observed_machine(None)
+    assert metrics.observed_machine() is HASWELL
