@@ -12,7 +12,9 @@ verification of the results".
 With tracing on (``REPRO_TRACE=1`` or ``--trace``) the run ends with the
 ``repro.obs`` span tree: dyncore → acoustics → per-stencil calls and halo
 exchanges, with call counts, estimated bytes moved and achieved GB/s
-against the machine-model roofline.
+against the machine-model roofline; this script's own rendering is a
+span of its own. Under ``REPRO_CHAOS`` it ends with the faults that
+fired and the spec that replays exactly them.
 
 Run:  python examples/baroclinic_wave.py [steps] [--trace]
 """
@@ -22,6 +24,7 @@ import sys
 import numpy as np
 
 from repro import obs
+from repro.resilience import chaos
 from repro.run import run
 from repro.scenarios import get_scenario
 
@@ -66,19 +69,34 @@ def main(steps: int = 4) -> None:
     engine = result.engine
     h = engine.h
     k_mid = config.npz // 2
-    pt = member.states[0].pt[h:-h, h:-h, k_mid]
-    anomaly = pt - pt.mean()
-    print(f"\ntile 0 temperature anomaly at level {k_mid} "
-          f"(range {anomaly.min():+.2f}..{anomaly.max():+.2f} K):")
-    print(ascii_field(anomaly))
+    with obs.span("example.render"):
+        pt = member.states[0].pt[h:-h, h:-h, k_mid]
+        anomaly = pt - pt.mean()
+        print(f"\ntile 0 temperature anomaly at level {k_mid} "
+              f"(range {anomaly.min():+.2f}..{anomaly.max():+.2f} K):")
+        print(ascii_field(anomaly))
 
-    sizes = engine.halo.comm.message_sizes()
+    comm = engine.halo.comm
+    sizes = comm.message_sizes()
     print(f"\ncommunication: {len(sizes)} messages routed, "
           f"{sum(sizes) / 1e6:.1f} MB total")
+    by_rank = comm.bytes_by_rank()
+    rank = max(by_rank, key=by_rank.get)
+    print(f"largest sender: rank {rank}, {by_rank[rank] / 1e6:.1f} MB")
+
+    if chaos.active():
+        plan = chaos.get_plan()
+        for fault in plan.trace():
+            print(f"chaos: {fault['site']} occurrence {fault['occurrence']} "
+                  f"fired in step {fault['step']}")
+        consults = {site: plan.consults(site) for site in plan.rules}
+        print(f"chaos: fired {plan.counts()} of {consults} consults; "
+              f"replay with REPRO_CHAOS={plan.replay_spec()!r}")
 
     if obs.enabled():
         print()
         print(obs.report())
+        obs.disable()
 
 
 if __name__ == "__main__":

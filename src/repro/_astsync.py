@@ -12,8 +12,8 @@ thread/process executors run rank bodies concurrently.
 Every repro call site that converts between source text and ``ast``
 node objects takes :data:`AST_LOCK` around the conversion. The guarded
 regions are tiny (parse/compile only, never evaluation), so the lock
-costs nothing measurable; it is reentrant because stencil parsing can
-nest (inlined ``@function`` subroutines parse their own source).
+costs nothing measurable; it is reentrant so that a guarded region
+may call another.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ from repro.dsl.builtins import (
     FORWARD,
     PARALLEL,
     computation,
-    function,
     horizontal,
     i_end,
     i_start,
@@ -36,7 +35,7 @@ from repro.dsl.builtins import (
     region,
 )
 from repro.dsl.stencil import StencilObject, stencil
-from repro.dsl.storage import StorageSpec, make_storage, zeros
+from repro.dsl.storage import StorageSpec, make_storage
 from repro.dsl.types import Field, FieldIJ, FieldK
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "available_backends",
     "computation",
     "default_backend",
-    "function",
     "horizontal",
     "i_end",
     "i_start",
@@ -62,5 +60,4 @@ __all__ = [
     "make_storage",
     "region",
     "stencil",
-    "zeros",
 ]

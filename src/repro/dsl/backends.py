@@ -92,13 +92,6 @@ class _DefaultBackendGuard:
         _default_backend = self._previous
         return False
 
-    def __repr__(self) -> str:
-        return (
-            f"default_backend({self.backend!r}) "
-            f"[was {self._previous!r}]"
-        )
-
-
 def default_backend(name: str = None):
     """Get or set the process-wide default backend.
 

@@ -39,8 +39,7 @@ class GridBounds:
 def _anchor_global(anchor, tile_shape: Tuple[int, int]) -> int:
     """Global tile index denoted by an AxisAnchor (i_end = last point)."""
     size = tile_shape[0] if anchor.axis == "i" else tile_shape[1]
-    base = 0 if anchor.side == "start" else size - 1
-    return base + anchor.offset
+    return 0 if anchor.side == "start" else size - 1
 
 
 def region_ranges(

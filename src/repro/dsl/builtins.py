@@ -48,7 +48,7 @@ def _parse_only(name: str):
     def fn(*args, **kwargs):
         raise _ParseOnlyError(
             f"'{name}' is a stencil DSL construct and can only appear inside "
-            f"a function decorated with @stencil or @function."
+            f"a function decorated with @stencil."
         )
 
     fn.__name__ = name
@@ -62,26 +62,16 @@ horizontal = _parse_only("horizontal")
 
 @dataclasses.dataclass(frozen=True)
 class AxisAnchor:
-    """A symbolic index anchored at a compute-domain edge.
-
-    ``i_start + 1`` denotes the second interior column of the tile in the
-    first horizontal dimension. Used by horizontal regions (Sec. IV-B).
+    """A symbolic index at a compute-domain edge: ``i_start`` is the first
+    column of the tile in the first horizontal dimension, ``i_end`` its
+    last. Used by horizontal regions (Sec. IV-B).
     """
 
     axis: str  # "i" or "j"
     side: str  # "start" or "end"
-    offset: int = 0
-
-    def __add__(self, other: int) -> "AxisAnchor":
-        return AxisAnchor(self.axis, self.side, self.offset + int(other))
-
-    def __sub__(self, other: int) -> "AxisAnchor":
-        return AxisAnchor(self.axis, self.side, self.offset - int(other))
 
     def __repr__(self) -> str:
-        sign = "+" if self.offset >= 0 else "-"
-        base = f"{self.axis}_{self.side}"
-        return base if self.offset == 0 else f"{base}{sign}{abs(self.offset)}"
+        return f"{self.axis}_{self.side}"
 
 
 i_start = AxisAnchor("i", "start")
@@ -164,27 +154,3 @@ class _RegionFactory:
 
 region = _RegionFactory()
 
-
-class GTFunction:
-    """A stencil subroutine, inlined by the frontend at every call site.
-
-    Mirrors GT4Py's ``@gtscript.function``: the body may contain assignments
-    and ``if``/``else`` blocks and must end with a single ``return``
-    statement (scalar expression or tuple).
-    """
-
-    def __init__(self, definition):
-        self.definition = definition
-        self.__name__ = definition.__name__
-        self.__doc__ = definition.__doc__
-
-    def __call__(self, *args, **kwargs):
-        raise _ParseOnlyError(
-            f"stencil function '{self.__name__}' can only be called from "
-            "inside a @stencil or @function body."
-        )
-
-
-def function(definition) -> GTFunction:
-    """Decorator declaring an inlinable stencil subroutine."""
-    return GTFunction(definition)

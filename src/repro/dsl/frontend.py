@@ -9,7 +9,6 @@ paper (Sec. III-A, IV):
 - assignments with relative offsets ``field[di, dj, dk]``,
 - ``if``/``elif``/``else`` on field expressions (the test is evaluated
   once into a temporary; the branches are lowered to masks on its value),
-- calls to ``@function``-decorated subroutines (inlined),
 - compile-time external constants (folded to literals).
 
 Variable offsets are rejected, matching the concession in Sec. IV-D.
@@ -31,7 +30,6 @@ from repro.dsl.builtins import (
     FORWARD,
     MATH_BUILTINS,
     PARALLEL,
-    GTFunction,
     RegionSpec,
 )
 from repro.dsl.ir import (
@@ -122,24 +120,6 @@ def _make_interval(args: Tuple) -> Interval:
     return Interval(bound(start, False), bound(end, True))
 
 
-class _FunctionInfo:
-    """Parsed form of a @function subroutine, cached on the GTFunction."""
-
-    def __init__(self, gtfunc: GTFunction):
-        self.node = _get_func_ast(gtfunc.definition)
-        self.param_names = [a.arg for a in self.node.args.args]
-        self.globals = gtfunc.definition.__globals__
-        self.name = gtfunc.__name__
-
-    @staticmethod
-    def of(gtfunc: GTFunction) -> "_FunctionInfo":
-        cached = getattr(gtfunc, "_parsed_info", None)
-        if cached is None:
-            cached = _FunctionInfo(gtfunc)
-            gtfunc._parsed_info = cached
-        return cached
-
-
 class StencilParser:
     """Parses one stencil definition into a :class:`StencilDef`."""
 
@@ -160,7 +140,6 @@ class StencilParser:
         self.temporaries: Dict[str, FieldType] = {}
         self.scalar_locals: Dict[str, Expr] = {}
         self.computations: List[Computation] = []
-        self._inline_counter = 0
         self._condition_counter = 0
         self._tuple_counter = 0
         # absolute source location: ast linenos are relative to the
@@ -171,15 +150,10 @@ class StencilParser:
         except (OSError, TypeError):  # pragma: no cover - e.g. exec'd source
             self.source_file, first_line = None, 1
         self._lineno_base = first_line - 1
-        # while inlining a @function body, statements it emits are
-        # attributed to the *call site* line in the stencil's own source
-        self._lineno_override: Optional[int] = None
         self._current_lineno: Optional[int] = None
         self._parse_signature()
 
     def _abs_lineno(self, node) -> Optional[int]:
-        if self._lineno_override is not None:
-            return self._lineno_override
         lineno = getattr(node, "lineno", None)
         return None if lineno is None else self._lineno_base + lineno
 
@@ -321,17 +295,13 @@ class StencilParser:
         out: List[Assign],
         mask: Optional[Expr],
         region: Optional[RegionSpec],
-        rename: Optional[Dict[str, str]] = None,
-        subst: Optional[Dict[str, Expr]] = None,
     ) -> None:
         for stmt in stmts:
             if isinstance(stmt, ast.Assign):
-                self._parse_assign(stmt, out, mask, region, rename, subst)
-            elif isinstance(stmt, ast.AugAssign):
-                self._parse_augassign(stmt, out, mask, region, rename, subst)
+                self._parse_assign(stmt, out, mask, region)
             elif isinstance(stmt, ast.If):
                 self._current_lineno = self._abs_lineno(stmt)
-                cond = self._parse_expr(stmt.test, out, mask, region, rename, subst)
+                cond = self._parse_expr(stmt.test)
                 if _reads_fields(cond):
                     # the test is evaluated once, into a temporary of its
                     # own (wherever the enclosing masks point: nothing
@@ -340,12 +310,10 @@ class StencilParser:
                     # reads does not move its own mask
                     self._condition_counter += 1
                     held = f"__if{self._condition_counter}"
-                    self._emit_assign(held, cond, out, None, region, rename)
+                    self._emit_assign(held, cond, out, None, region)
                     cond = BinOp("!=", FieldAccess(held), Literal(0.0))
                 then_mask = cond if mask is None else BinOp("and", mask, cond)
-                self._parse_statements(
-                    stmt.body, out, then_mask, region, rename, subst
-                )
+                self._parse_statements(stmt.body, out, then_mask, region)
                 if stmt.orelse:
                     not_cond = UnaryOp("not", cond)
                     else_mask = (
@@ -353,9 +321,7 @@ class StencilParser:
                         if mask is None
                         else BinOp("and", mask, not_cond)
                     )
-                    self._parse_statements(
-                        stmt.orelse, out, else_mask, region, rename, subst
-                    )
+                    self._parse_statements(stmt.orelse, out, else_mask, region)
             elif isinstance(stmt, ast.With):
                 if len(stmt.items) != 1 or (
                     self._with_item_kind(stmt.items[0].context_expr)
@@ -377,9 +343,7 @@ class StencilParser:
                     )
                 if region is not None:
                     raise StencilSyntaxError("nested horizontal regions")
-                self._parse_statements(
-                    stmt.body, out, mask, spec, rename, subst
-                )
+                self._parse_statements(stmt.body, out, mask, spec)
             elif isinstance(stmt, ast.Pass):
                 continue
             elif isinstance(stmt, ast.Expr) and isinstance(
@@ -392,29 +356,24 @@ class StencilParser:
                     f"{type(stmt).__name__}"
                 )
 
-    def _target_names(self, target, rename) -> List[str]:
+    @staticmethod
+    def _target_names(target) -> List[str]:
         if isinstance(target, ast.Name):
-            return [self._renamed(target.id, rename)]
+            return [target.id]
         if isinstance(target, ast.Tuple) and all(
             isinstance(e, ast.Name) for e in target.elts
         ):
-            return [self._renamed(e.id, rename) for e in target.elts]
+            return [e.id for e in target.elts]
         raise StencilSyntaxError(
             f"line {target.lineno}: assignment targets must be names"
         )
 
-    @staticmethod
-    def _renamed(name: str, rename: Optional[Dict[str, str]]) -> str:
-        if rename is not None and name in rename:
-            return rename[name]
-        return name
-
-    def _parse_assign(self, stmt, out, mask, region, rename, subst) -> None:
+    def _parse_assign(self, stmt, out, mask, region) -> None:
         self._current_lineno = self._abs_lineno(stmt)
-        names = self._target_names(stmt.targets[0], rename)
+        names = self._target_names(stmt.targets[0])
         if len(stmt.targets) != 1:
             raise StencilSyntaxError("chained assignment is unsupported")
-        values = self._parse_rhs(stmt.value, len(names), out, mask, region, rename, subst)
+        values = self._parse_rhs(stmt.value, len(names))
         # every right-hand side is read before any target is written: a
         # value that reads a target assigned ahead of it is held in a
         # temporary first (``a, b = b, a``)
@@ -422,51 +381,22 @@ class StencilParser:
             if _reads_fields(value, names[:i]):
                 self._tuple_counter += 1
                 held = f"__tuple{self._tuple_counter}"
-                self._emit_assign(held, value, out, mask, region, rename)
+                self._emit_assign(held, value, out, mask, region)
                 values[i] = FieldAccess(held)
         for name, value in zip(names, values):
-            self._emit_assign(name, value, out, mask, region, rename)
+            self._emit_assign(name, value, out, mask, region)
 
-    def _parse_augassign(self, stmt, out, mask, region, rename, subst) -> None:
-        self._current_lineno = self._abs_lineno(stmt)
-        if not isinstance(stmt.target, ast.Name):
-            raise StencilSyntaxError("augmented target must be a name")
-        name = self._renamed(stmt.target.id, rename)
-        op = _BINOPS.get(type(stmt.op))
-        if op is None:
-            raise StencilSyntaxError("unsupported augmented operator")
-        current = self._name_expr(name, out, mask, region, rename)
-        rhs = self._parse_expr(stmt.value, out, mask, region, rename, subst)
-        self._emit_assign(name, BinOp(op, current, rhs), out, mask, region, rename)
-
-    def _parse_rhs(
-        self, value, n_targets, out, mask, region, rename, subst
-    ) -> List[Expr]:
-        """Parse an assignment RHS; handles tuple-returning function calls."""
-        if isinstance(value, ast.Call):
-            resolved = self._resolve_callable(value.func)
-            if isinstance(resolved, GTFunction):
-                results = self._inline_function(
-                    resolved, value, out, mask, region, rename, subst
-                )
-                if len(results) != n_targets:
-                    raise StencilSyntaxError(
-                        f"function {resolved.__name__!r} returns "
-                        f"{len(results)} values, {n_targets} targets given"
-                    )
-                return results
+    def _parse_rhs(self, value, n_targets) -> List[Expr]:
+        """Parse an assignment RHS: one expression per target."""
         if isinstance(value, ast.Tuple):
             if len(value.elts) != n_targets:
                 raise StencilSyntaxError("tuple assignment arity mismatch")
-            return [
-                self._parse_expr(e, out, mask, region, rename, subst)
-                for e in value.elts
-            ]
+            return [self._parse_expr(e) for e in value.elts]
         if n_targets != 1:
             raise StencilSyntaxError("cannot unpack a scalar expression")
-        return [self._parse_expr(value, out, mask, region, rename, subst)]
+        return [self._parse_expr(value)]
 
-    def _emit_assign(self, name, value, out, mask, region, rename) -> None:
+    def _emit_assign(self, name, value, out, mask, region) -> None:
         kind = self._classify_target(name, value, mask, region)
         if kind == "scalar_local":
             # pure scalar computation: tracked symbolically and folded into
@@ -507,7 +437,7 @@ class StencilParser:
 
     # ---- expressions -------------------------------------------------------
 
-    def _name_expr(self, name, out, mask, region, rename) -> Expr:
+    def _name_expr(self, name) -> Expr:
         if name in _AXIS_INDEX_NAMES:
             return AxisIndexExpr(_AXIS_INDEX_NAMES[name])
         kind = self.param_kinds.get(name)
@@ -532,28 +462,15 @@ class StencilParser:
                     return float(value) if isinstance(value, float) else value
         return None
 
-    def _resolve_callable(self, func_node):
-        if isinstance(func_node, ast.Name):
-            name = func_node.id
-            for space in (self.externals, self.globals):
-                if name in space and isinstance(space[name], GTFunction):
-                    return space[name]
-        return None
-
-    def _parse_expr(
-        self, node, out, mask, region, rename=None, subst=None
-    ) -> Expr:
+    def _parse_expr(self, node) -> Expr:
         if isinstance(node, ast.Constant):
             if isinstance(node.value, (bool, int, float)):
                 return Literal(node.value)
             raise StencilSyntaxError(f"unsupported literal {node.value!r}")
         if isinstance(node, ast.Name):
-            name = self._renamed(node.id, rename)
-            if subst is not None and name in subst:
-                return subst[name]
-            return self._name_expr(name, out, mask, region, rename)
+            return self._name_expr(node.id)
         if isinstance(node, ast.Subscript):
-            return self._parse_subscript(node, out, mask, region, rename, subst)
+            return self._parse_subscript(node)
         if isinstance(node, ast.BinOp):
             op = _BINOPS.get(type(node.op))
             if op is None:
@@ -562,39 +479,31 @@ class StencilParser:
                 )
             return BinOp(
                 op,
-                self._parse_expr(node.left, out, mask, region, rename, subst),
-                self._parse_expr(node.right, out, mask, region, rename, subst),
+                self._parse_expr(node.left),
+                self._parse_expr(node.right),
             )
         if isinstance(node, ast.UnaryOp):
             if isinstance(node.op, ast.USub):
-                operand = self._parse_expr(
-                    node.operand, out, mask, region, rename, subst
-                )
+                operand = self._parse_expr(node.operand)
                 if isinstance(operand, Literal):
                     return Literal(-operand.value)
                 return UnaryOp("-", operand)
             if isinstance(node.op, ast.UAdd):
-                return self._parse_expr(
-                    node.operand, out, mask, region, rename, subst
-                )
+                return self._parse_expr(node.operand)
             if isinstance(node.op, ast.Not):
                 return UnaryOp(
                     "not",
-                    self._parse_expr(
-                        node.operand, out, mask, region, rename, subst
-                    ),
+                    self._parse_expr(node.operand),
                 )
             raise StencilSyntaxError("unsupported unary operator")
         if isinstance(node, ast.Compare):
-            left = self._parse_expr(node.left, out, mask, region, rename, subst)
+            left = self._parse_expr(node.left)
             result = None
             for op_node, comparator in zip(node.ops, node.comparators):
                 op = _CMPOPS.get(type(op_node))
                 if op is None:
                     raise StencilSyntaxError("unsupported comparison operator")
-                right = self._parse_expr(
-                    comparator, out, mask, region, rename, subst
-                )
+                right = self._parse_expr(comparator)
                 cmp = BinOp(op, left, right)
                 result = cmp if result is None else BinOp("and", result, cmp)
                 left = right
@@ -602,7 +511,7 @@ class StencilParser:
         if isinstance(node, ast.BoolOp):
             op = "and" if isinstance(node.op, ast.And) else "or"
             exprs = [
-                self._parse_expr(v, out, mask, region, rename, subst)
+                self._parse_expr(v)
                 for v in node.values
             ]
             result = exprs[0]
@@ -611,25 +520,22 @@ class StencilParser:
             return result
         if isinstance(node, ast.IfExp):
             return Ternary(
-                self._parse_expr(node.test, out, mask, region, rename, subst),
-                self._parse_expr(node.body, out, mask, region, rename, subst),
-                self._parse_expr(node.orelse, out, mask, region, rename, subst),
+                self._parse_expr(node.test),
+                self._parse_expr(node.body),
+                self._parse_expr(node.orelse),
             )
         if isinstance(node, ast.Call):
-            return self._parse_call(node, out, mask, region, rename, subst)
+            return self._parse_call(node)
         raise StencilSyntaxError(
             f"line {node.lineno}: unsupported expression "
             f"{type(node).__name__}"
         )
 
-    def _parse_subscript(self, node, out, mask, region, rename, subst) -> Expr:
+    def _parse_subscript(self, node) -> Expr:
         if not isinstance(node.value, ast.Name):
             raise StencilSyntaxError("only fields may be subscripted")
-        name = self._renamed(node.value.id, rename)
-        if subst is not None and name in subst:
-            base = subst[name]
-        else:
-            base = self._name_expr(name, out, mask, region, rename)
+        name = node.value.id
+        base = self._name_expr(name)
         offset = self._parse_offset(node.slice, name)
         return shift_expr(base, offset)
 
@@ -670,25 +576,14 @@ class StencilParser:
                 return int(value)
         return None
 
-    def _parse_call(self, node, out, mask, region, rename, subst) -> Expr:
-        resolved = self._resolve_callable(node.func)
-        if isinstance(resolved, GTFunction):
-            results = self._inline_function(
-                resolved, node, out, mask, region, rename, subst
-            )
-            if len(results) != 1:
-                raise StencilSyntaxError(
-                    f"function {resolved.__name__!r} returns a tuple and must "
-                    "be the sole RHS of a tuple assignment"
-                )
-            return results[0]
+    def _parse_call(self, node) -> Expr:
         if not isinstance(node.func, ast.Name):
             raise StencilSyntaxError("only simple calls are supported")
         fname = node.func.id
         if fname not in MATH_BUILTINS:
             raise StencilSyntaxError(f"unknown function {fname!r}")
         args = tuple(
-            self._parse_expr(a, out, mask, region, rename, subst)
+            self._parse_expr(a)
             for a in node.args
         )
         if fname in ("min", "max") and len(args) > 2:
@@ -697,113 +592,6 @@ class StencilParser:
                 result = Call(fname, (result, a))
             return result
         return Call(fname, args)
-
-    # ---- function inlining -------------------------------------------------
-
-    def _inline_function(
-        self, gtfunc: GTFunction, call: ast.Call, out, mask, region, rename, subst
-    ) -> List[Expr]:
-        info = _FunctionInfo.of(gtfunc)
-        if call.keywords:
-            kw = {k.arg: v for k in call.keywords for v in (k.value,)}
-        else:
-            kw = {}
-        arg_nodes = list(call.args)
-        if len(arg_nodes) + len(kw) != len(info.param_names):
-            raise StencilSyntaxError(
-                f"function {info.name!r} expects {len(info.param_names)} "
-                f"arguments, got {len(arg_nodes) + len(kw)}"
-            )
-        arg_exprs: Dict[str, Expr] = {}
-        for pname, anode in zip(info.param_names, arg_nodes):
-            arg_exprs[pname] = self._parse_expr(
-                anode, out, mask, region, rename, subst
-            )
-        for pname in info.param_names[len(arg_nodes) :]:
-            if pname not in kw:
-                raise StencilSyntaxError(
-                    f"function {info.name!r}: missing argument {pname!r}"
-                )
-            arg_exprs[pname] = self._parse_expr(
-                kw[pname], out, mask, region, rename, subst
-            )
-
-        self._inline_counter += 1
-        prefix = f"_{info.name}_{self._inline_counter}_"
-        local_rename: Dict[str, str] = {}
-        # rename every name assigned in the function body (including
-        # reassigned parameters) to a fresh caller-side temporary
-        for sub in ast.walk(info.node):
-            targets = []
-            if isinstance(sub, ast.Assign):
-                targets = (
-                    sub.targets[0].elts
-                    if isinstance(sub.targets[0], ast.Tuple)
-                    else sub.targets
-                )
-            elif isinstance(sub, ast.AugAssign):
-                targets = [sub.target]
-            for t in targets:
-                if isinstance(t, ast.Name):
-                    local_rename.setdefault(t.id, prefix + t.id)
-        # parameters that the body reassigns are seeded with their argument
-        # value; unassigned parameters are substituted directly.
-        for pname in list(arg_exprs):
-            if pname in local_rename:
-                self._emit_assign(
-                    local_rename[pname],
-                    arg_exprs.pop(pname),
-                    out,
-                    mask,
-                    region,
-                    rename,
-                )
-
-        # temporarily widen the global namespace to the callee's module;
-        # statements emitted by the inlined body are attributed to the
-        # call-site line (the callee lives in another lineno space)
-        saved_globals = self.globals
-        merged = dict(info.globals)
-        merged.update(self.globals)
-        self.globals = merged
-        saved_override = self._lineno_override
-        self._lineno_override = self._abs_lineno(call) or self._current_lineno
-        try:
-            body = list(info.node.body)
-            if (
-                body
-                and isinstance(body[0], ast.Expr)
-                and isinstance(body[0].value, ast.Constant)
-            ):
-                body = body[1:]
-            ret_node = body[-1]
-            if not isinstance(ret_node, ast.Return) or ret_node.value is None:
-                raise StencilSyntaxError(
-                    f"function {info.name!r} must end with 'return <expr>'"
-                )
-            self._parse_statements(
-                body[:-1], out, mask, region, local_rename, arg_exprs
-            )
-            rv = ret_node.value
-            ret_exprs = (
-                [
-                    self._parse_expr(
-                        e, out, mask, region, local_rename, arg_exprs
-                    )
-                    for e in rv.elts
-                ]
-                if isinstance(rv, ast.Tuple)
-                else [
-                    self._parse_expr(
-                        rv, out, mask, region, local_rename, arg_exprs
-                    )
-                ]
-            )
-        finally:
-            self.globals = saved_globals
-            self._lineno_override = saved_override
-        return ret_exprs
-
 
 def _is_scalar_expr(expr: Expr) -> bool:
     """True if an expression reads no fields and no axis indices."""

@@ -81,10 +81,6 @@ class AxisIndexExpr(Expr):
 
     axis: str  # "I", "J" or "K"
 
-    def __repr__(self) -> str:
-        return f"{self.axis}_INDEX"
-
-
 @dataclasses.dataclass(frozen=True)
 class BinOp(Expr):
     op: str
@@ -118,10 +114,6 @@ class Ternary(Expr):
     cond: Expr
     then: Expr
     orelse: Expr
-
-    def __repr__(self) -> str:
-        return f"({self.then!r} if {self.cond!r} else {self.orelse!r})"
-
 
 # --------------------------------------------------------------------------
 # Statements, intervals, computations

@@ -18,7 +18,6 @@ NumPy scalar arithmetic, with the semantics the DSL promises:
 Where a statement runs is not semantics but extent inference, which has
 its own tests: each statement takes the extent the stencil object
 inferred for the IR statement of the same source line and target.
-Not covered: ``@function`` calls (no shipped stencil uses one).
 """
 
 from __future__ import annotations
@@ -140,7 +139,7 @@ class _Oracle:
         """Bounding ranges of every assignment below ``stmts``."""
         found = []
         for node in stmts:
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
+            if isinstance(node, ast.Assign):
                 found.extend(self._ranges(node, name, region)
                              for name, _ in self._writes(node))
             elif isinstance(node, ast.If):
@@ -179,7 +178,7 @@ class _Oracle:
                             {p for p, c in held.items() if not c}, region)
             elif isinstance(node, ast.With):
                 self._block(node.body, krng, active, self._region(node))
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            elif isinstance(node, ast.Assign):
                 self._assign(node, krng, active, region)
             elif not isinstance(node, (ast.Pass, ast.Expr)):
                 raise NotImplementedError(type(node).__name__)
@@ -187,14 +186,9 @@ class _Oracle:
     @staticmethod
     def _writes(node):
         """(target name, value) of every name an assignment writes."""
-        if isinstance(node, ast.AugAssign):
-            return [(node.target.id,
-                     ast.BinOp(node.target, node.op, node.value))]
         (target,) = node.targets
         if isinstance(target, ast.Name):
             return [(target.id, node.value)]
-        if not isinstance(node.value, ast.Tuple):
-            raise NotImplementedError("@function call")
         return [(t.id, v) for t, v in zip(target.elts, node.value.elts)]
 
     def _assign(self, node, krng, active, region) -> None:

@@ -320,10 +320,6 @@ class StencilObject:
             self._k_bounds[key] = k_access_bounds(self.definition, name, nk)
         return self._k_bounds[key]
 
-    def __repr__(self) -> str:
-        return f"StencilObject({self.name!r}, backend={self.backend!r})"
-
-
 def stencil(func=None, *, backend: Optional[str] = None,
             externals: Optional[Dict] = None, name: Optional[str] = None):
     """Decorator turning a definition function into a compiled stencil.

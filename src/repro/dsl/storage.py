@@ -120,13 +120,6 @@ def make_storage(
     return view
 
 
-def zeros(
-    shape: Tuple[int, ...], dtype=DEFAULT_DTYPE, spec: Optional[StorageSpec] = None
-) -> np.ndarray:
-    """Allocate a zero-filled field with the default allocation policy."""
-    return make_storage(shape, dtype=dtype, spec=spec, fill=0.0)
-
-
 def is_aligned(array: np.ndarray, index: Tuple[int, ...], alignment_bytes: int) -> bool:
     """Check whether ``array[index]`` sits on an ``alignment_bytes`` boundary."""
     addr = array.__array_interface__["data"][0]

@@ -32,37 +32,21 @@ class FieldType:
     axes: str = "IJK"
     dtype: type = DEFAULT_DTYPE
 
-    def __class_getitem__(cls, item):  # pragma: no cover - convenience
-        return cls(dtype=item)
-
     @property
     def ndim(self) -> int:
         return len(self.axes)
 
 
-class _FieldMeta(type):
-    """Allow both ``Field`` and ``Field[np.float32]`` spellings."""
-
-    def __getitem__(cls, item) -> FieldType:
-        return FieldType(axes=cls._axes, dtype=item)
-
-
-class Field(metaclass=_FieldMeta):
+class Field:
     """3D field annotation (I, J, K axes)."""
 
-    _axes = "IJK"
 
-
-class FieldIJ(metaclass=_FieldMeta):
+class FieldIJ:
     """2D horizontal field annotation (I, J axes)."""
 
-    _axes = "IJ"
 
-
-class FieldK(metaclass=_FieldMeta):
+class FieldK:
     """1D vertical column field annotation (K axis)."""
-
-    _axes = "K"
 
 
 #: Mapping from annotation objects to FieldType instances.
@@ -78,11 +62,7 @@ def field_type_from_annotation(annotation) -> FieldType | None:
 
     Returns ``None`` when the annotation denotes a scalar parameter.
     """
-    if isinstance(annotation, FieldType):
-        return annotation
-    if annotation in _ANNOTATION_MAP:
-        return _ANNOTATION_MAP[annotation]
-    return None
+    return _ANNOTATION_MAP.get(annotation)
 
 
 def scalar_dtype_from_annotation(annotation) -> type:

@@ -406,16 +406,6 @@ class DynamicalCore:
         _resilience.record("checkpoints_saved")
         return written
 
-    def restore_checkpoint(self, path) -> Dict[str, object]:
-        """Restore all rank states, model time and step counter from a
-        checkpoint file; returns its metadata."""
-        meta = _resilience.load_checkpoint(path, self.states)
-        self.initial = None
-        self.time = float(meta["time"])
-        self.step_count = int(meta["step"])
-        _resilience.record("checkpoints_restored")
-        return meta
-
     def _maybe_periodic_checkpoint(self) -> None:
         res = self.resilience
         if (

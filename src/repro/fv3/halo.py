@@ -25,8 +25,8 @@ rank's phase-0 messages, ``advance`` completes phase 0 and posts phase 1,
 messages ahead of either, without writing them) — the SPMD body of every
 rank executor
 (:mod:`repro.runtime.ranks`) calls these around its interior compute.
-``update_scalar`` / ``update_vector`` are whole-world conveniences over
-the same three calls (start all ranks, advance all, finish all). Spans:
+``update_vector`` is a whole-world convenience over the same three
+calls (start all ranks, advance all, finish all). Spans:
 ``halo.exchange`` (``messages`` / ``bytes`` posted) around every post and
 every wait-and-scatter, ``halo.rotate_vectors`` (``cells``) around the
 seam rotations, under every executor.
@@ -416,15 +416,10 @@ class HaloUpdater:
         self._complete(ex)
         _ranks.record_overlap(hidden, ex.blocked)
 
-    def start_scalar(self, fields: Sequence[np.ndarray],
-                     rank: int) -> RankHaloExchange:
-        """Post phase 0 of one rank's scalar halo exchange (SPMD: every
-        rank's body calls this). Pair with :meth:`finish_scalar`."""
-        return self._start((fields,), rank, vector=False)
-
     def start_scalars(self, fields_list: Sequence[Sequence[np.ndarray]],
                       rank: int, fslot_base: int = 0) -> RankHaloExchange:
-        """Like :meth:`start_scalar` for several fields at once — one
+        """Post phase 0 of one rank's scalar halo exchange of several
+        fields at once (SPMD: every rank's body calls this) — one
         exchange, one message per neighbor and phase carrying them all
         (they share a shape and dtype). ``fslot_base`` is the exchange's
         tag slot: another exchange in flight at the same time takes a
@@ -475,15 +470,6 @@ class HaloUpdater:
         except HaloTimeoutError:
             self.comm.drain()
             raise
-
-    def update_scalar(self, fields: Sequence[np.ndarray]) -> None:
-        """Fill halos of one scalar field given per-rank arrays.
-
-        Arrays are shaped (nx + 2h, ny + 2h[, nk]); the interior is
-        [h:h+nx, h:h+ny].
-        """
-        with _TRACER.span("halo.update_scalar"):
-            self._update((fields,), vector=False)
 
     def update_vector(
         self, u_fields: Sequence[np.ndarray], v_fields: Sequence[np.ndarray]

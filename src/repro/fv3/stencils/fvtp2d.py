@@ -107,12 +107,31 @@ class FiniteVolumeTransport:
         fx: np.ndarray,
         fy: np.ndarray,
     ):
-        """Compute mass-weighted fluxes ``fx``/``fy`` at the west/south
-        interfaces of the compute domain.
+        """Compute fluxes ``fx``/``fy`` at the west/south interfaces of
+        the compute domain: the reconstructed interface value times the
+        swept area ``xfx``/``yfx``.
 
         ``q`` must have valid halos; ``crx``/``xfx`` are interface Courant
         numbers / swept areas valid on the extended domain.
         """
+        self.mass_weighted(q, crx, cry, xfx, yfx, xfx, yfx, fx, fy)
+
+    @orchestrate
+    def mass_weighted(
+        self,
+        q: np.ndarray,
+        crx: np.ndarray,
+        cry: np.ndarray,
+        xfx: np.ndarray,
+        yfx: np.ndarray,
+        mfx: np.ndarray,
+        mfy: np.ndarray,
+        fx: np.ndarray,
+        fy: np.ndarray,
+    ):
+        """Fluxes of a mass-weighted scalar: the reconstructed interface
+        value rides the δp mass flux ``mfx``/``mfy`` (FV3's mfx/mfy inputs
+        to fv_tp_2d); the transverse updates use the swept areas."""
         nx, ny, nk, h = self.nx, self.ny, self.nk, self.h
         # ---- inner y sweep on the full extended i range ----
         fill_corners(q, "y", self.corner_list)
@@ -135,56 +154,6 @@ class FiniteVolumeTransport:
             origin=(h, 0, 0), domain=(nx, ny + 2 * h, nk),
         )
         # ---- outer fluxes from the advected intermediates ----
-        xppm_flux(
-            self.q_y, crx, self.fxv2,
-            origin=(h, h, 0), domain=(nx + 1, ny, nk),
-        )
-        scale_flux_x(
-            self.fxv2, xfx, fx, origin=(h, h, 0), domain=(nx + 1, ny, nk)
-        )
-        yppm_flux(
-            self.q_x, cry, self.fyv2,
-            origin=(h, h, 0), domain=(nx, ny + 1, nk),
-        )
-        scale_flux_y(
-            self.fyv2, yfx, fy, origin=(h, h, 0), domain=(nx, ny + 1, nk)
-        )
-
-    @orchestrate
-    def mass_weighted(
-        self,
-        q: np.ndarray,
-        crx: np.ndarray,
-        cry: np.ndarray,
-        xfx: np.ndarray,
-        yfx: np.ndarray,
-        mfx: np.ndarray,
-        mfy: np.ndarray,
-        fx: np.ndarray,
-        fy: np.ndarray,
-    ):
-        """Fluxes of a mass-weighted scalar: the reconstructed interface
-        value rides the δp mass flux ``mfx``/``mfy`` (FV3's mfx/mfy inputs
-        to fv_tp_2d)."""
-        nx, ny, nk, h = self.nx, self.ny, self.nk, self.h
-        fill_corners(q, "y", self.corner_list)
-        yppm_flux(
-            q, cry, self.fy_v,
-            origin=(0, h, 0), domain=(nx + 2 * h, ny + 1, nk),
-        )
-        transverse_update_y(
-            q, self.fy_v, yfx, self.rarea, self.q_y,
-            origin=(0, h, 0), domain=(nx + 2 * h, ny, nk),
-        )
-        fill_corners(q, "x", self.corner_list)
-        xppm_flux(
-            q, crx, self.fx_v,
-            origin=(h, 0, 0), domain=(nx + 1, ny + 2 * h, nk),
-        )
-        transverse_update_x(
-            q, self.fx_v, xfx, self.rarea, self.q_x,
-            origin=(h, 0, 0), domain=(nx, ny + 2 * h, nk),
-        )
         xppm_flux(
             self.q_y, crx, self.fxv2,
             origin=(h, h, 0), domain=(nx + 1, ny, nk),

@@ -25,11 +25,7 @@ from repro.lint.findings import (
     KNOWN_RULES,
     SEVERITIES,
     LintFinding,
-    SuppressionIndex,
-    UnknownRuleWarning,
-    apply_suppressions,
     max_severity,
-    parse_suppressions,
     register_rules,
     sort_findings,
 )
@@ -44,7 +40,6 @@ from repro.lint.plan_ir import (
     StartOp,
     compute_op_from_stencils,
     edges_from_schedule,
-    ring_edges,
 )
 from repro.lint.runtime_rules import (
     RUNTIME_RULES,
@@ -72,10 +67,7 @@ __all__ = [
     "SDFG_RULES",
     "SEVERITIES",
     "StartOp",
-    "SuppressionIndex",
     "TransformationAudit",
-    "UnknownRuleWarning",
-    "apply_suppressions",
     "compute_op_from_stencils",
     "edges_from_schedule",
     "lint_buffer_events",
@@ -84,8 +76,6 @@ __all__ = [
     "lint_sdfg",
     "lint_stencil",
     "max_severity",
-    "parse_suppressions",
     "register_rules",
-    "ring_edges",
     "sort_findings",
 ]

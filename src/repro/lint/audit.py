@@ -62,15 +62,6 @@ class TransformationAudit:
             self.by_stage.setdefault(stage, []).extend(new)
         return new
 
-    @property
-    def introduced(self) -> List[Tuple[str, LintFinding]]:
-        """All (stage, finding) attributions, in stage order."""
-        return [
-            (stage, f)
-            for stage, findings in self.by_stage.items()
-            for f in findings
-        ]
-
     def summary(self) -> str:
         if not self.by_stage:
             return "transformation audit: no new findings"

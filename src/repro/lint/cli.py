@@ -18,11 +18,12 @@ resulting object graph is walked: every repro-owned module a live object
 came from is linted, and so is every orchestrated program the step
 traced — what the model runs: its whole-program SDFG, transients
 included (S204/S205), and the slab layout its compiled plan executes in
-(R4xx: no two simultaneously live values share bytes). This catches
-stencils reachable only through runtime composition that a plain module
-listing would miss.
+(R4xx: no two simultaneously live values share bytes); with ``--comm``
+also the acoustic schedule of the live core, over its real halo
+topology. This catches stencils reachable only through runtime
+composition that a plain module listing would miss.
 
-Exit status is 1 if any unsuppressed finding at or above ``--fail-on``
+Exit status is 1 if any finding at or above ``--fail-on``
 (default: error) is reported, 0 otherwise — wired for CI. ``--json``
 writes the machine-readable findings + summary next to the human report.
 """
@@ -42,7 +43,6 @@ from repro.lint.dsl_rules import lint_stencil
 from repro.lint.findings import (
     SEVERITIES,
     LintFinding,
-    SuppressionIndex,
     sort_findings,
 )
 from repro.lint.runtime_rules import lint_compiled_plan
@@ -130,7 +130,7 @@ def collect_comm_plans(module) -> List:
 
 
 def lint_target(target: str, comm: bool = False) -> List[LintFinding]:
-    """Lint one module name or path; returns unsorted, unsuppressed-flagged
+    """Lint one module name or path; returns unsorted
     findings."""
     findings: List[LintFinding] = []
     path = Path(target)
@@ -246,6 +246,9 @@ def lint_scenario(name: str, comm: bool = False) -> List[LintFinding]:
                 continue
             linted.add(mod_name)
             findings.extend(_lint_module(module, comm=comm))
+        if comm:
+            # the acoustic schedule over the live core's halo topology
+            findings.extend(lint_comm_plan(core.acoustics.comm_plan()))
         return findings
     finally:
         core.finalize()
@@ -258,20 +261,12 @@ def _findings_json(findings: List[LintFinding], fail_on: str) -> dict:
     return {
         "fail_on": fail_on,
         "failing": sum(
-            1
-            for f in findings
-            if not f.suppressed
-            and SEVERITIES.index(f.severity) <= threshold
+            1 for f in findings if SEVERITIES.index(f.severity) <= threshold
         ),
         "counts": {
-            sev: sum(
-                1
-                for f in findings
-                if f.severity == sev and not f.suppressed
-            )
+            sev: sum(1 for f in findings if f.severity == sev)
             for sev in SEVERITIES
         },
-        "suppressed": sum(1 for f in findings if f.suppressed),
         "findings": [
             {
                 "rule": f.rule,
@@ -281,7 +276,6 @@ def _findings_json(findings: List[LintFinding], fail_on: str) -> dict:
                 "message": f.message,
                 "location": str(f.location) if f.location else None,
                 "hint": f.hint,
-                "suppressed": f.suppressed,
             }
             for f in findings
         ],
@@ -325,11 +319,6 @@ def main(argv=None) -> int:
         default="error",
         help="minimum severity that fails the run (default: error)",
     )
-    parser.add_argument(
-        "--show-suppressed",
-        action="store_true",
-        help="also print findings silenced by # lint: ignore[...] comments",
-    )
     args = parser.parse_args(argv)
     if not args.targets and not args.scenario:
         parser.error("no targets given (positional targets or --scenario)")
@@ -350,7 +339,7 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 2
-    findings = sort_findings(SuppressionIndex().apply(findings))
+    findings = sort_findings(findings)
 
     # Scenario discovery and multiple targets can reach the same module
     # twice; a finding is one (rule, subject, location) fact.
@@ -362,15 +351,8 @@ def main(argv=None) -> int:
         unique.append(f)
     findings = unique
 
-    shown = suppressed = 0
     for f in findings:
-        if f.suppressed:
-            suppressed += 1
-            if args.show_suppressed:
-                print(f)
-        else:
-            shown += 1
-            print(f)
+        print(f)
 
     if args.json:
         Path(args.json).write_text(
@@ -380,13 +362,10 @@ def main(argv=None) -> int:
 
     threshold = SEVERITIES.index(args.fail_on)
     failing = sum(
-        1
-        for f in findings
-        if not f.suppressed and SEVERITIES.index(f.severity) <= threshold
+        1 for f in findings if SEVERITIES.index(f.severity) <= threshold
     )
     print(
-        f"{shown} finding{'s' if shown != 1 else ''}"
-        f" ({suppressed} suppressed), {failing} at or above "
-        f"{args.fail_on!r}"
+        f"{len(findings)} finding{'s' if len(findings) != 1 else ''}, "
+        f"{failing} at or above {args.fail_on!r}"
     )
     return 1 if failing else 0

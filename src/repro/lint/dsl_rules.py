@@ -18,7 +18,7 @@ domains). Under that model:
 - dead stores and unused parameters are productivity smells
   (``D106``/``D107``).
 
-Rule catalog and suppression syntax: ``docs/static_analysis.md``.
+Rule catalog: ``docs/static_analysis.md``.
 """
 
 from __future__ import annotations

@@ -1,27 +1,17 @@
-"""Structured lint diagnostics and suppression handling.
+"""Structured lint diagnostics.
 
 Every rule reports :class:`LintFinding` objects — severity, rule id,
 subject (stencil or SDFG name), source location and a fix hint — rather
 than raising, so a whole module can be audited in one pass and findings
 can be diffed across transformation stages (the pipeline's
-transformation-safety audit keys on :meth:`LintFinding.key`).
-
-Suppression is per source line: a trailing ``# lint: ignore[D105]``
-comment (comma-separated ids, a family prefix like ``C3*``, or ``*`` for
-all) on the line a finding points at marks it suppressed. Suppressed
-findings are kept — reports show them dimmed and the CLI does not count
-them toward the exit code. Suppressions naming a rule id no registered
-rule family matches emit :class:`UnknownRuleWarning` — a typo in an
-ignore comment must not silently re-arm the finding it meant to silence.
+transformation-safety audit keys on :meth:`LintFinding.key`). A finding
+is fixed, not silenced: there is no ignore comment.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import re
-import warnings
-from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.util.loc import SourceLocation
 
@@ -32,35 +22,13 @@ _SEVERITY_RANK = {s: i for i, s in enumerate(SEVERITIES)}
 
 #: Registry of every rule id the installed rule modules can emit,
 #: ``rule id -> rule name``. Populated at import time by each rules
-#: module via :func:`register_rules`; consulted to warn on suppression
-#: comments naming rules that do not exist.
+#: module via :func:`register_rules`.
 KNOWN_RULES: Dict[str, str] = {}
-
-
-class UnknownRuleWarning(UserWarning):
-    """A ``# lint: ignore[...]`` comment names a rule id that no
-    registered rule family can emit (usually a typo)."""
 
 
 def register_rules(rules: Mapping[str, str]) -> None:
     """Register ``rule id -> rule name`` pairs emitted by a rules module."""
     KNOWN_RULES.update(rules)
-
-
-def _pattern_matches(pattern: str, rule: str) -> bool:
-    """Suppression pattern semantics: exact id, ``*`` for everything, or
-    a trailing-``*`` family prefix (``C3*`` silences C301…C3xx)."""
-    if pattern == "*":
-        return True
-    if pattern.endswith("*"):
-        return rule.startswith(pattern[:-1])
-    return pattern == rule
-
-
-def _pattern_is_known(pattern: str) -> bool:
-    if pattern == "*":
-        return True
-    return any(_pattern_matches(pattern, rule) for rule in KNOWN_RULES)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,7 +42,6 @@ class LintFinding:
     message: str
     location: SourceLocation = SourceLocation()
     hint: Optional[str] = None
-    suppressed: bool = False
 
     def __post_init__(self):
         if self.severity not in _SEVERITY_RANK:
@@ -90,10 +57,9 @@ class LintFinding:
 
     def __str__(self) -> str:
         where = f"{self.location}: " if self.location.known else ""
-        sup = " (suppressed)" if self.suppressed else ""
         return (
             f"{where}{self.severity} {self.rule} [{self.name}] "
-            f"{self.subject}: {self.message}{sup}"
+            f"{self.subject}: {self.message}"
         )
 
 
@@ -111,83 +77,6 @@ def sort_findings(findings: Iterable[LintFinding]) -> List[LintFinding]:
 
 
 def max_severity(findings: Iterable[LintFinding]) -> Optional[str]:
-    """The most severe unsuppressed severity present, or None."""
-    best: Optional[int] = None
-    for f in findings:
-        if f.suppressed:
-            continue
-        rank = _SEVERITY_RANK[f.severity]
-        best = rank if best is None else min(best, rank)
-    return None if best is None else SEVERITIES[best]
-
-
-# ---------------------------------------------------------------------------
-# Suppressions: `# lint: ignore[D101,S201]` / `# lint: ignore[*]`
-# ---------------------------------------------------------------------------
-
-_IGNORE_RE = re.compile(r"#\s*lint:\s*ignore\[([^\]]*)\]")
-
-
-def parse_suppressions(source: str) -> Dict[int, Set[str]]:
-    """Map 1-based line numbers to the rule ids suppressed on that line."""
-    out: Dict[int, Set[str]] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        m = _IGNORE_RE.search(line)
-        if m:
-            rules = {r.strip() for r in m.group(1).split(",") if r.strip()}
-            if rules:
-                out[lineno] = rules
-    return out
-
-
-class SuppressionIndex:
-    """Per-file cache of ``# lint: ignore[...]`` comments."""
-
-    def __init__(self):
-        self._by_file: Dict[str, Dict[int, Set[str]]] = {}
-
-    def _load(self, path: str) -> Dict[int, Set[str]]:
-        cached = self._by_file.get(path)
-        if cached is None:
-            try:
-                source = Path(path).read_text()
-            except OSError:
-                cached = {}
-            else:
-                cached = parse_suppressions(source)
-                if KNOWN_RULES:
-                    for lineno, rules in sorted(cached.items()):
-                        for pattern in sorted(rules):
-                            if not _pattern_is_known(pattern):
-                                warnings.warn(
-                                    f"{path}:{lineno}: suppression names "
-                                    f"unknown rule {pattern!r} (no "
-                                    "registered rule matches)",
-                                    UnknownRuleWarning,
-                                    stacklevel=3,
-                                )
-            self._by_file[path] = cached
-        return cached
-
-    def is_suppressed(self, finding: LintFinding) -> bool:
-        loc = finding.location
-        if not loc.known:
-            return False
-        rules = self._load(loc.file).get(loc.line)
-        if not rules:
-            return False
-        return any(_pattern_matches(p, finding.rule) for p in rules)
-
-    def apply(self, findings: Sequence[LintFinding]) -> List[LintFinding]:
-        """Return findings with the ``suppressed`` flag resolved."""
-        return [
-            dataclasses.replace(f, suppressed=True)
-            if self.is_suppressed(f)
-            else f
-            for f in findings
-        ]
-
-
-def apply_suppressions(findings: Sequence[LintFinding]) -> List[LintFinding]:
-    """Convenience wrapper: resolve suppressions with a fresh index."""
-    return SuppressionIndex().apply(findings)
+    """The most severe severity present, or None."""
+    ranks = [_SEVERITY_RANK[f.severity] for f in findings]
+    return SEVERITIES[min(ranks)] if ranks else None

@@ -13,8 +13,8 @@ message is posted.
 A :class:`CommPlan` is
 
 - the *message topology*: per-(rank, phase) send/recv edges, extracted
-  from :meth:`repro.fv3.halo.HaloUpdater.comm_schedule` (or synthesized
-  with :func:`ring_edges` in tests);
+  from :meth:`repro.fv3.halo.HaloUpdater.comm_schedule` (or written out
+  by hand, as the rule tests do);
 - per-rank *programs*: linear sequences of :class:`StartOp` /
   :class:`AdvanceOp` / :class:`FinishOp` / :class:`ExchangeOp` /
   :class:`ComputeOp`, mirroring what each rank thread executes;
@@ -53,7 +53,6 @@ __all__ = [
     "StartOp",
     "compute_op_from_stencils",
     "halo_extent",
-    "ring_edges",
 ]
 
 
@@ -61,8 +60,8 @@ def _capture_location() -> SourceLocation:
     """file:line of the nearest caller outside this module.
 
     Plan ops default to the line they were *constructed* on, so a
-    ``# lint: ignore[...]`` comment on the declaring line in e.g.
-    ``acoustics.py`` suppresses findings anchored to that op.
+    finding about an op points at its declaring line in e.g.
+    ``acoustics.py``.
     """
     frame = sys._getframe(1)
     skip = (__file__, dataclasses.__file__)
@@ -265,22 +264,6 @@ def edges_from_schedule(schedule) -> Tuple[MessageEdge, ...]:
         else:
             out.append(MessageEdge(*e))
     return tuple(out)
-
-
-def ring_edges(n_ranks: int, phases: Tuple[int, ...] = (0, 1),
-               cells: int = 1) -> Tuple[MessageEdge, ...]:
-    """Synthetic bidirectional-ring topology for tests: every rank
-    exchanges with both neighbors in every phase."""
-    edges = []
-    for phase in phases:
-        for dst in range(n_ranks):
-            for pi, src in enumerate(
-                sorted({(dst - 1) % n_ranks, (dst + 1) % n_ranks})
-            ):
-                if src == dst:
-                    continue
-                edges.append(MessageEdge(src, dst, phase, pi, cells))
-    return tuple(edges)
 
 
 # ---------------------------------------------------------------------------

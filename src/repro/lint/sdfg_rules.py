@@ -29,7 +29,7 @@ S202, S204 and S205 report what :func:`repro.sdfg.analysis.coverage`
 finds (``uncovered_reads`` / ``dead_transients``) — the same records
 that make the code generator zero-fill a transient or a kernel local.
 
-Rule catalog and suppression syntax: ``docs/static_analysis.md``.
+Rule catalog: ``docs/static_analysis.md``.
 """
 
 from __future__ import annotations

@@ -18,22 +18,19 @@ observes itself:
 - :func:`report` / :func:`to_json` — text span-tree table and JSON
   export (consumed by the benchmarks), rendered by
   :mod:`repro.obs.render`, which loads on their first use.
-- :func:`median_time` / :func:`confidence_interval` — repeated-run
-  measurement helpers.
+- :func:`median_time` — the repeated-run measurement helper.
 
 - :mod:`repro.obs.counters` — the one counter store: every subsystem
   declares its counters as a :class:`Counters` set and registers it;
   report footers, the JSON export and what a rank worker ships to its
   parent are loops over that registry.
 
-``REPRO_TRACE=1`` enables tracing process-wide;
-:func:`set_observed_machine` selects the roofline reference used in
-reports. See ``docs/observability.md``.
+``REPRO_TRACE=1`` enables tracing process-wide; reports measure against
+the roofline of :func:`observed_machine`. See ``docs/observability.md``.
 """
 
 from repro.obs.metrics import (
     observed_machine,
-    set_observed_machine,
     stencil_traffic_bytes,
 )
 from repro.obs.tracer import (
@@ -51,7 +48,6 @@ from repro.obs.tracer import (
 __all__ = [
     "Span",
     "Tracer",
-    "confidence_interval",
     "disable",
     "enable",
     "enabled",
@@ -60,7 +56,6 @@ __all__ = [
     "observed_machine",
     "report",
     "reset",
-    "set_observed_machine",
     "snapshot",
     "span",
     "stencil_traffic_bytes",
@@ -69,7 +64,7 @@ __all__ = [
 ]
 
 _RENDERED = ("report", "snapshot", "to_json")
-_TIMING = ("confidence_interval", "median_time")
+_TIMING = ("median_time",)
 
 
 def __getattr__(name):

@@ -10,7 +10,7 @@ time this yields achieved GB/s, and against a
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 if TYPE_CHECKING:
     from repro.machine import MachineModel
@@ -18,41 +18,28 @@ if TYPE_CHECKING:
 __all__ = [
     "observed_machine",
     "observed_machine_name",
-    "set_observed_machine",
     "stencil_traffic_bytes",
 ]
 
-#: the roofline machine :func:`set_observed_machine` chose; ``None`` is
-#: the default, :data:`repro.machine.HASWELL`
-_observed: Optional["MachineModel"] = None
-#: the default's name: what a compiled plan's key carries, known without
-#: loading the machine models (``tests/test_imports.py`` holds it to
-#: ``HASWELL.name``)
+#: the roofline machine's name: what a compiled plan's key carries, known
+#: without loading the machine models (``tests/test_imports.py`` holds it
+#: to ``HASWELL.name``)
 _DEFAULT_NAME = "Xeon E5-2690 v3 (Haswell)"
 
 
 def observed_machine() -> "MachineModel":
-    """Machine model used as the roofline reference in reports: the CPU
-    actually running this reproduction (Haswell) unless
-    :func:`set_observed_machine` chose another."""
-    if _observed is None:
-        from repro.machine import HASWELL
+    """Machine model used as the roofline reference in reports and by the
+    compiled lowering's tiling: the CPU actually running this
+    reproduction (Haswell)."""
+    from repro.machine import HASWELL
 
-        return HASWELL
-    return _observed
+    return HASWELL
 
 
 def observed_machine_name() -> str:
     """The name of :func:`observed_machine`, which a compiled plan's key
     carries: a primed process keys its plans without the machine models."""
-    return _DEFAULT_NAME if _observed is None else _observed.name
-
-
-def set_observed_machine(machine: Optional["MachineModel"]) -> None:
-    """Set (or with ``None``, reset to the default) the roofline machine
-    used by :func:`repro.obs.report`."""
-    global _observed
-    _observed = machine
+    return _DEFAULT_NAME
 
 
 def stencil_traffic_bytes(

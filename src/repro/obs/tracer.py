@@ -156,14 +156,6 @@ class Span:
         for child_data in data.get("children") or ():
             self.child(str(child_data["name"])).merge_dict(child_data)
 
-    def __repr__(self) -> str:
-        return (
-            f"Span({self.name!r}, count={self.count}, "
-            f"total={self.total_seconds:.6f}s, "
-            f"children={len(self.children)})"
-        )
-
-
 class _ActiveSpan:
     """Context manager for one live entry into a :class:`Span`."""
 
@@ -311,11 +303,6 @@ class Tracer:
     def current(self) -> Span:
         """The innermost open span (the root when none is open)."""
         return self._stack[-1]
-
-    def __repr__(self) -> str:
-        state = "enabled" if self.enabled else "disabled"
-        return f"Tracer({self.name!r}, {state}, spans={len(self.root.children)})"
-
 
 # ---------------------------------------------------------------------------
 # process-wide registry

@@ -177,9 +177,6 @@ class _Preprocessor(ast.NodeTransformer):
         node.value = self.folder.visit(node.value)
         return node
 
-    def generic_visit(self, node):
-        return super().generic_visit(node)
-
 
 class _Missing:
     pass

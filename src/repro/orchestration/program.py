@@ -98,11 +98,6 @@ class Transient:
     def ndim(self) -> int:
         return len(self.shape)
 
-    def __repr__(self) -> str:
-        zeroed = ", zeroed" if self.zeroed else ""
-        return f"transient({self.shape}, {self.dtype.name}{zeroed})"
-
-
 #: the declaration as modules spell it: ``self.tmp = transient(shape)``
 transient = Transient
 

@@ -86,16 +86,6 @@ class InjectedFault:
     step: int
     detail: Dict[str, object] = dataclasses.field(default_factory=dict)
 
-    def __str__(self) -> str:
-        extra = (
-            " " + " ".join(f"{k}={v}" for k, v in sorted(self.detail.items()))
-            if self.detail
-            else ""
-        )
-        return (
-            f"{self.site}@{self.occurrence} (step {self.step}){extra}"
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class ChaosRule:
@@ -280,13 +270,6 @@ class ChaosPlan:
             }
             for f in self.injected
         ]
-
-    def __repr__(self) -> str:
-        return (
-            f"ChaosPlan(seed={self.seed}, sites={sorted(self.rules)}, "
-            f"injected={len(self.injected)})"
-        )
-
 
 # ---------------------------------------------------------------------------
 # process-wide active plan

@@ -682,6 +682,7 @@ class EnsembleDriver:
         rec.time = float(meta["time"])
         rec.step_count = int(meta["step"])
         rec.lost = False
+        _resilience.record("checkpoints_restored")
         return meta
 
     # ------------------------------------------------------------------

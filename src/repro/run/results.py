@@ -60,9 +60,6 @@ class MemberResult:
             "history": [dict(h) for h in self.history],
         }
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "MemberResult":
         return cls(
@@ -78,11 +75,6 @@ class MemberResult:
             history=[dict(h) for h in data.get("history", [])],
             states=[],
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "MemberResult":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclasses.dataclass
 class RunResult:

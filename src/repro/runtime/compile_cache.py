@@ -68,7 +68,7 @@ the record holds by reference, each as ``(module, qualname, wrapped,
 fingerprint)``: it must resolve among the modules this process has
 imported, and its code must hash as it did — a function's source file;
 a stencil's, read off its code object without parsing it: its source
-file, the ``@function``s it inlines (recursively), the plain data
+file, the plain data
 (numbers, strings, tuples, NumPy scalars) it reads from its globals and
 ``externals``, and the source file of each module, function or class it
 names. A mismatch is a *stale* record: counted (``programs_stale``), not
@@ -127,7 +127,7 @@ from repro.resilience import chaos as _chaos
 from repro.resilience.errors import InjectedCompileError
 from repro.runtime import jit as _jit
 
-__all__ = ["get_or_compile", "compile_program", "cache_key", "codegen_flags",
+__all__ = ["get_or_compile", "compile_program", "plan_key", "codegen_flags",
            "template_family", "TemplateFamily", "COUNTERS", "stats", "reset",
            "Manifest", "Unpersistable", "reference", "record_name",
            "load_record", "store_record", "pack_sdfg", "PackedSDFG",
@@ -299,15 +299,6 @@ def plan_key(digest: str, backend: str = "numpy") -> str:
     return hashlib.sha256(
         f"{codegen_flags(backend)}\x1e{digest}".encode()
     ).hexdigest()
-
-
-def cache_key(sdfg, backend: str = "numpy") -> str:
-    """Canonical content hash of an expanded SDFG (+ codegen flags), so
-    NumPy and compiled plans for the same SDFG never share a record.
-    Callback functions enter it by ``(module, qualname)``; only one no
-    other process could find that way, or an opaque callback argument,
-    enters it by ``id()``."""
-    return plan_key(_content_digest(sdfg)[0], backend)
 
 
 # ---------------------------------------------------------------------------
@@ -625,11 +616,10 @@ def _stencil_parts(stencil) -> list:
     its name, its definition (:func:`_code_parts`) and its ``externals``
     under the rules of :func:`_value_part`. Hashes of source files, not
     their paths: a checkout can be moved."""
-    spaces = (stencil.externals,)
     return [
         stencil.name,
-        _code_parts(stencil.__wrapped__, spaces, set()),
-        [(name, _value_part(value, spaces, set()))
+        _code_parts(stencil.__wrapped__, stencil.externals),
+        [(name, _value_part(value))
          for name, value in sorted(stencil.externals.items())],
     ]
 
@@ -642,23 +632,22 @@ def _code_names(code: types.CodeType):
             yield from _code_names(const)
 
 
-def _code_parts(func, spaces: tuple, seen: set) -> list:
-    """A stencil's or ``@function``'s definition: the hash of its source
-    file and every name its code reads, valued in the first namespace
-    that has it — externals, then the globals of the stencil and of each
-    function inlined on the way, as the front end looks them up."""
+def _code_parts(func, externals: dict) -> list:
+    """A stencil's definition: the hash of its source file and every name
+    its code reads, valued in the first namespace that has it —
+    externals, then the stencil's globals, as the front end looks them
+    up."""
     code = func.__code__
     source = _file_hash(code.co_filename)
     if source is None or func.__closure__:
         raise Unpersistable(
             f"{func.__qualname__} is a closure or has no readable source"
         )
-    spaces = (*spaces, func.__globals__)
     parts = [source]
     for name in sorted(set(_code_names(code))):
-        for space in spaces:
+        for space in (externals, func.__globals__):
             if name in space:
-                parts.append((name, _value_part(space[name], spaces, seen)))
+                parts.append((name, _value_part(space[name])))
                 break
     return parts
 
@@ -667,25 +656,18 @@ def _code_parts(func, spaces: tuple, seen: set) -> list:
 _PLAIN = (bool, int, float, complex, str, bytes, type(None))
 
 
-def _value_part(value, spaces: tuple, seen: set):
-    """A value a stencil reads: a ``@function`` by its definition
-    (:func:`_code_parts`, once per stencil), plain data and tuples of it
-    by value, a module, function or class by its source file's hash, a
-    name of the DSL itself by that name; anything else is
-    :class:`Unpersistable`."""
+def _value_part(value):
+    """A value a stencil reads: plain data and tuples of it by value, a
+    module, function or class by its source file's hash, a name of the
+    DSL itself by that name; anything else is :class:`Unpersistable`."""
     import numpy as np
 
     from repro.dsl import builtins as dsl
 
-    if isinstance(value, dsl.GTFunction):
-        if id(value) in seen:
-            return ("function", value.__name__)
-        seen.add(id(value))
-        return ("function", _code_parts(value.definition, spaces, seen))
     if isinstance(value, _PLAIN + (np.generic,)):
         return (type(value).__name__, repr(value))
     if isinstance(value, tuple):
-        return tuple(_value_part(item, spaces, seen) for item in value)
+        return tuple(_value_part(item) for item in value)
     if isinstance(value, types.FunctionType):
         path = value.__code__.co_filename
     elif isinstance(value, types.ModuleType):

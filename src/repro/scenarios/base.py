@@ -55,15 +55,13 @@ class UnknownScenarioError(KeyError):
 
 
 class Perturbation:
-    """Base ensemble perturbation recipe: mutate a built state in place.
+    """Base ensemble perturbation recipe: a subclass's ``apply(state,
+    grid, rng)`` mutates a built state in place.
 
     Recipes draw exclusively from the member's generator, so the
     perturbed state is a pure function of (root seed, member id). The
-    builder calls :meth:`apply` once per rank, in rank order.
+    builder calls ``apply`` once per rank, in rank order.
     """
-
-    def apply(self, state, grid, rng: np.random.Generator) -> None:
-        raise NotImplementedError
 
 
 @dataclasses.dataclass(frozen=True)

@@ -383,7 +383,7 @@ def coverage(sdfg) -> Coverage:
         if not isinstance(node, Kernel):
             for name in sorted(contacts.get(pos, ())):
                 touches.setdefault(name, []).append(pos)
-                whole = Range.from_shape(sdfg.arrays[name].shape)
+                whole = Range(tuple((0, n) for n in sdfg.arrays[name].shape))
                 if name in unzeroed and _walk_back(
                     _remainder(whole, []), writes.get(name, ())
                 )[0]:

@@ -44,9 +44,9 @@ NumPy's statement-at-a-time semantics:
   any dk≠0 written by a *later* statement, or reads a written field that
   has no K axis across statements — those force a single full-K block.
 - FORWARD/BACKWARD kernels run column-major (all levels of one (i,j)
-  column before the next) when no statement reads an in-kernel-written
-  name at a horizontal offset, else level-major — which is exactly the
-  NumPy emission order.
+  column before the next). A statement that reads an in-kernel-written
+  name at a horizontal offset makes the kernel ineligible: it keeps its
+  NumPy emission, whose order is level by level.
 """
 
 from __future__ import annotations
@@ -212,7 +212,6 @@ class _Lowerer:
         #: sequential kernels: the register definitions of a point body
         self.decls: list = []
         self.full_k = False
-        self.column_major = True
         #: (local, horizontal shift) → its register; the arrays in use
         self._regs: Dict[Tuple[str, Tuple[int, int]], Reg] = {}
         self._scope: Dict[Reg, None] = {}
@@ -330,8 +329,11 @@ class _Lowerer:
                 widx = writers.get(acc.name)
                 if not widx:
                     continue
-                if acc.offset[0] != 0 or acc.offset[1] != 0:
-                    self.column_major = False
+                if not parallel and (acc.offset[0] != 0 or acc.offset[1] != 0):
+                    raise IneligibleKernel(
+                        f"a sweep reads {acc.name!r}, which it writes, at "
+                        f"offset {acc.offset}"
+                    )
                 if "K" not in self.arrays[acc.name].axes:
                     if any(w != idx for w in widx):
                         self.full_k = True
@@ -617,8 +619,8 @@ class _Lowerer:
         if self.kernel.order != "PARALLEL":
             for sidx, (_, stmts) in enumerate(self.sections):
                 # column-major: a section's statements run per point, so
-                # the whole section is one cluster; level-major: none is
-                regs = self._pinned(sidx, stmts) if self.column_major else ()
+                # the whole section is one cluster
+                regs = self._pinned(sidx, stmts)
                 for ps in stmts:
                     ps.nodes = self._emit(ps, regs)
             # every register is one section's, so the point body of each
@@ -723,10 +725,8 @@ class _Lowerer:
     def build(self, k_block: int, i_tile: Optional[int]) -> Nest:
         if self.kernel.order == "PARALLEL":
             body = self._parallel_shape(k_block, i_tile)
-        elif self.column_major:
-            body = self._column_shape(i_tile)
         else:
-            body = self._level_shape(i_tile)
+            body = self._column_shape(i_tile)
         # every kernel is printed under the one placeholder name: equal
         # nests print equal text, which is what the JIT store keys on
         arrays = [a for name, a in self.arrays.items() if name in self._used]
@@ -752,14 +752,12 @@ class _Lowerer:
             ranges = (*ranges, ("i", *guard[0]), ("j", *guard[1]))
         return [Guard(tuple(ranges), body)] if ranges else body
 
-    def _plane(self, plane: _Plane, i_tile, klo=None, khi=None) -> Loop:
+    def _plane(self, plane: _Plane, i_tile, klo, khi) -> Loop:
         """One cluster as a horizontal nest: i/j loops, the region guard,
-        an inner k loop over ``[klo, khi)`` when given, then its body."""
-        body = plane.body
-        if klo is not None:
-            # a cluster reads nothing it writes at another point
-            # (_fuse_clusters), so its levels do not depend on each other
-            body = [Loop("k", klo, khi, body, independent=True)]
+        an inner k loop over ``[klo, khi)``, then its body."""
+        # a cluster reads nothing it writes at another point
+        # (_fuse_clusters), so its levels do not depend on each other
+        body = [Loop("k", klo, khi, plane.body, independent=True)]
         return self._ij_nest(
             plane.irng, plane.jrng, i_tile, self._guarded(plane.guard, body)
         )
@@ -806,19 +804,6 @@ class _Lowerer:
         for sweep in sweeps:
             sweep.body = self.decls + sweep.body
         return [self._ij_nest(irng, jrng, i_tile, sweeps)]
-
-    def _level_shape(self, i_tile) -> list:
-        """Level-major, exactly the ufunc emission order: per section a
-        sequential k sweep with each statement a full horizontal plane."""
-        return [
-            self._k_sweep(krng, [
-                self._plane(
-                    _Plane(ps.irng, ps.jrng, ps.guard, ps.nodes), i_tile
-                )
-                for ps in stmts
-            ])
-            for krng, stmts in self.sections
-        ]
 
 
 def lower_kernel(kernel: Kernel, sdfg) -> KernelUnit:

@@ -139,10 +139,6 @@ class SDFGState:
                 latest[name] = acc
         return g
 
-    def __repr__(self) -> str:
-        return f"SDFGState({self.name!r}, {len(self.nodes)} nodes)"
-
-
 class SDFG:
     """Stateful dataflow multigraph."""
 
@@ -291,13 +287,3 @@ class SDFG:
         expand_sdfg(self)
         return self
 
-    def validate(self) -> None:
-        from repro.sdfg.validation import validate_sdfg
-
-        validate_sdfg(self)
-
-    def __repr__(self) -> str:
-        return (
-            f"SDFG({self.name!r}, {len(self.states)} states, "
-            f"{len(self.arrays)} containers)"
-        )

@@ -22,17 +22,3 @@ class Memlet:
     subset: Optional[Range] = None
     is_write: bool = False
 
-    def volume(self, sdfg) -> int:
-        """Number of elements moved (resolves full-container subsets)."""
-        if self.subset is not None:
-            return self.subset.volume()
-        return sdfg.arrays[self.data].volume
-
-    def nbytes(self, sdfg) -> int:
-        import numpy as np
-
-        return self.volume(sdfg) * np.dtype(sdfg.arrays[self.data].dtype).itemsize
-
-    def __repr__(self) -> str:
-        arrow = "->" if self.is_write else "<-"
-        return f"Memlet({self.data}{self.subset or '[*]'} {arrow})"

@@ -33,10 +33,6 @@ class Node:
         self.node_id = next(_node_ids)
         self.label = label
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.label!r})"
-
-
 class AccessNode(Node):
     """Oval data-container node (derived for analysis/visualization)."""
 

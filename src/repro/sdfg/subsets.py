@@ -8,7 +8,7 @@ algebra those queries are built on.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 
 @dataclasses.dataclass(frozen=True)
@@ -23,10 +23,6 @@ class Range:
     @staticmethod
     def of(*dims: Tuple[int, int]) -> "Range":
         return Range(tuple((int(a), int(b)) for a, b in dims))
-
-    @staticmethod
-    def from_shape(shape: Sequence[int]) -> "Range":
-        return Range(tuple((0, int(s)) for s in shape))
 
     def __post_init__(self):
         for begin, end in self.dims:
@@ -97,11 +93,6 @@ class Range:
         return all(
             a0 <= b0 and b1 <= a1
             for (a0, a1), (b0, b1) in zip(self.dims, other.dims)
-        )
-
-    def translated(self, offset: Sequence[int]) -> "Range":
-        return Range(
-            tuple((b + o, e + o) for (b, e), o in zip(self.dims, offset))
         )
 
     def __repr__(self) -> str:

@@ -49,8 +49,8 @@ INTERVALS = (
     [("0, 1", True), ("1, None", False)],
     [("0, -1", False), ("-1, None", True)],
 )
-REGIONS = ("i_start, :", ":, j_end", "i_start + 1 : i_end, :",
-           ":, j_start : j_start + 2")
+REGIONS = ("i_start, :", ":, j_end", "i_start : i_end, :",
+           ":, j_start : j_end")
 
 
 class _Writer:

@@ -255,14 +255,13 @@ def test_region_slice_between_anchors():
     def band(out: Field):
         with computation(PARALLEL), interval(...):
             out = 0.0
-            with horizontal(region[i_start + 1 : i_end, :]):
+            with horizontal(region[i_start : i_end, :]):
                 out = 1.0
 
     out = np.zeros((6, 3, 1))
     band(out, origin=(0, 0, 0), domain=(6, 3, 1))
-    # i_end is the last point; slice [start+1, end) covers indices 1..4
-    np.testing.assert_allclose(out[0], 0.0)
-    np.testing.assert_allclose(out[1:5], 1.0)
+    # i_end is the last point; slice [start, end) covers indices 0..4
+    np.testing.assert_allclose(out[0:5], 1.0)
     np.testing.assert_allclose(out[5], 0.0)
 
 

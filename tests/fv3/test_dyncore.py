@@ -6,6 +6,7 @@ import pytest
 
 from repro.fv3.config import DynamicalCoreConfig
 from repro.fv3.dyncore import DynamicalCore
+from tests.fv3.halo_support import update_scalar
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +158,7 @@ def test_solid_body_tracer_advection():
 def test_message_volume_matches_partitioner_estimate(small_core):
     comm = small_core.halo.comm
     comm.reset_log()
-    small_core.halo.update_scalar([s.delp for s in small_core.states])
+    update_scalar(small_core.halo, [s.delp for s in small_core.states])
     measured = comm.bytes_by_rank()[0]
     est = sum(
         small_core.partitioner.boundary_message_bytes(

@@ -9,6 +9,7 @@ import pytest
 from repro.fv3.grid import CubedSphereGrid
 from repro.fv3.halo import HaloUpdater
 from repro.fv3.partitioner import CubedSpherePartitioner
+from tests.fv3.halo_support import update_scalar
 
 H = 3
 
@@ -34,7 +35,7 @@ def test_scalar_halo_matches_analytic_field():
     which equal the analytic field at the halo cell's physical location."""
     p = CubedSpherePartitioner(npx=12, layout=1)
     fields = _rank_fields(p, _analytic)
-    HaloUpdater(p, n_halo=H).update_scalar(fields)
+    update_scalar(HaloUpdater(p, n_halo=H), fields)
     for rank in range(p.total_ranks):
         grid = CubedSphereGrid.build(p, rank, n_halo=H)
         got = fields[rank]
@@ -59,7 +60,7 @@ def test_scalar_halo_interior_neighbors_exact():
         f = np.full((p.nx + 2 * H, p.ny + 2 * H), np.nan)
         f[H:-H, H:-H] = rng.random((p.nx, p.ny)) + rank
         fields.append(f)
-    HaloUpdater(p, n_halo=H).update_scalar(fields)
+    update_scalar(HaloUpdater(p, n_halo=H), fields)
     # rank (0,0) of tile 0 and its east neighbor (1,0)
     r00 = p.rank_at(0, 0, 0)
     r10 = p.rank_at(0, 1, 0)
@@ -89,7 +90,7 @@ def test_decomposition_invariance():
     for layout in (1, 2):
         p = CubedSpherePartitioner(npx=npx, layout=layout)
         fields = [global_index_field(p, r) for r in range(p.total_ranks)]
-        HaloUpdater(p, n_halo=H).update_scalar(fields)
+        update_scalar(HaloUpdater(p, n_halo=H), fields)
         # reassemble each tile's extended view from rank (0,0) of the tile
         # ... compare PER-GLOBAL-CELL values (interior + halo of the tile)
         tile0_ranks = [r for r in range(p.total_ranks) if p.tile_of(r) == 0]
@@ -117,7 +118,7 @@ def test_three_d_fields_supported():
         f = np.zeros((8 + 2 * H, 8 + 2 * H, nk))
         f[H:-H, H:-H, :] = rank + np.arange(nk)[None, None, :]
         fields.append(f)
-    HaloUpdater(p, n_halo=H).update_scalar(fields)
+    update_scalar(HaloUpdater(p, n_halo=H), fields)
     # k structure preserved in halos
     f0 = fields[0]
     diffs = f0[0, H:-H, :] - f0[0, H:-H, :1]
@@ -156,7 +157,7 @@ def test_message_log_records_exchange():
     updater = HaloUpdater(p, n_halo=H)
     fields = [np.zeros((8 + 2 * H, 8 + 2 * H)) for _ in range(6)]
     updater.comm.reset_log()
-    updater.update_scalar(fields)
+    update_scalar(updater, fields)
     sizes = updater.comm.message_sizes(rank=0)
     assert sizes  # rank 0 sent something
     by_rank = updater.comm.bytes_by_rank()
@@ -169,9 +170,9 @@ def test_shape_validation():
     p = CubedSpherePartitioner(npx=8, layout=1)
     updater = HaloUpdater(p, n_halo=H)
     with pytest.raises(ValueError):
-        updater.update_scalar([np.zeros((4, 4))] * 6)
+        update_scalar(updater, [np.zeros((4, 4))] * 6)
     with pytest.raises(ValueError):
-        updater.update_scalar([np.zeros((14, 14))] * 5)
+        update_scalar(updater, [np.zeros((14, 14))] * 5)
 
 
 def test_an_exchange_leaves_nothing_allocated_behind():
@@ -188,12 +189,12 @@ def test_an_exchange_leaves_nothing_allocated_behind():
     u = [rng.random((8 + 2 * H, 8 + 2 * H, 2)) for _ in range(6)]
     v = [rng.random((8 + 2 * H, 8 + 2 * H, 2)) for _ in range(6)]
     only_halo = [tracemalloc.Filter(True, "*/fv3/halo.py")]
-    warm.update_scalar([f.copy() for f in fields])
+    update_scalar(warm, [f.copy() for f in fields])
     warm.update_vector([f.copy() for f in u], [f.copy() for f in v])
     tracemalloc.start()
     try:
         before = tracemalloc.take_snapshot().filter_traces(only_halo)
-        updater.update_scalar(fields)
+        update_scalar(updater, fields)
         updater.update_vector(u, v)
         gc.collect()
         after = tracemalloc.take_snapshot().filter_traces(only_halo)
@@ -217,10 +218,10 @@ def test_exchange_buffers_rebuilt_on_field_rank_change():
     ref2 = [f.copy() for f in f2]
     ref3 = [f.copy() for f in f3]
     fresh = HaloUpdater(p, n_halo=H)
-    fresh.update_scalar(ref2)
-    HaloUpdater(p, n_halo=H).update_scalar(ref3)
-    updater.update_scalar(f2)
-    updater.update_scalar(f3)
+    update_scalar(fresh, ref2)
+    update_scalar(HaloUpdater(p, n_halo=H), ref3)
+    update_scalar(updater, f2)
+    update_scalar(updater, f3)
     for got, want in zip(f2, ref2):
         np.testing.assert_array_equal(got, want)
     for got, want in zip(f3, ref3):
@@ -234,10 +235,10 @@ def test_noncontiguous_fields_fall_back_to_fancy_gather():
     rng = np.random.default_rng(2)
     base = [rng.random((8 + 2 * H, 8 + 2 * H)) for _ in range(p.total_ranks)]
     ref = [f.copy() for f in base]
-    HaloUpdater(p, n_halo=H).update_scalar(ref)
+    update_scalar(HaloUpdater(p, n_halo=H), ref)
     weird = [np.asfortranarray(f) for f in base]
     assert not weird[0].flags["C_CONTIGUOUS"]
-    HaloUpdater(p, n_halo=H).update_scalar(weird)
+    update_scalar(HaloUpdater(p, n_halo=H), weird)
     for got, want in zip(weird, ref):
         np.testing.assert_array_equal(got, want)
 

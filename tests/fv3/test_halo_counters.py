@@ -17,6 +17,7 @@ import pytest
 from repro import obs
 from repro.fv3.halo import HaloUpdater
 from repro.fv3.partitioner import CubedSpherePartitioner
+from tests.fv3.halo_support import update_scalar
 
 H = 3
 
@@ -35,7 +36,7 @@ def test_scalar_counters_match_analytic_sizes_2x2():
     p = CubedSpherePartitioner(npx=12, layout=2)  # 2x2 ranks per tile
     updater = HaloUpdater(p, n_halo=H)
     shape = (p.nx + 2 * H, p.ny + 2 * H)
-    updater.update_scalar([np.zeros(shape) for _ in range(p.total_ranks)])
+    update_scalar(updater, [np.zeros(shape) for _ in range(p.total_ranks)])
 
     ex = _exchange_span("halo.update_scalar")
     # per rank and phase: one entry posting, one completing
@@ -53,8 +54,9 @@ def test_scalar_counters_scale_with_k_and_dtype():
     updater = HaloUpdater(p, n_halo=H)
     nk = 4
     shape = (p.nx + 2 * H, p.ny + 2 * H, nk)
-    updater.update_scalar(
-        [np.zeros(shape, dtype=np.float32) for _ in range(p.total_ranks)]
+    update_scalar(
+        updater,
+        [np.zeros(shape, dtype=np.float32) for _ in range(p.total_ranks)],
     )
     ex = _exchange_span("halo.update_scalar")
     assert ex.attrs["bytes"] == _cells_per_update(p) * nk * 4
@@ -98,5 +100,5 @@ def test_counters_untouched_when_tracing_disabled():
     p = CubedSpherePartitioner(npx=8, layout=1)
     updater = HaloUpdater(p, n_halo=H)
     shape = (p.nx + 2 * H, p.ny + 2 * H)
-    updater.update_scalar([np.zeros(shape) for _ in range(p.total_ranks)])
+    update_scalar(updater, [np.zeros(shape) for _ in range(p.total_ranks)])
     assert dict(tracer.root.children) == before

@@ -21,6 +21,7 @@ from repro.fv3.partitioner import (
     _ROTATIONS,
     CubedSpherePartitioner,
 )
+from tests.fv3.halo_support import update_scalar
 
 H = 3
 NPX = 8
@@ -90,7 +91,7 @@ def test_scalar_edge_halos_bit_identical_on_all_cube_edges():
     crossings."""
     p = CubedSpherePartitioner(npx=NPX, layout=1)
     fields = _build_fields(p, _scalar_value)
-    HaloUpdater(p, n_halo=H).update_scalar(fields)
+    update_scalar(HaloUpdater(p, n_halo=H), fields)
     crossings = set()
     for rank in range(p.total_ranks):
         tile = p.tile_of(rank)
@@ -162,7 +163,7 @@ def test_corner_halo_cells_filled_and_layout_invariant(layout):
             for j in range(p.ny):
                 f[i + H, j + H] = _scalar_value(tile, ox + i, oy + j)
         fields.append(f)
-    HaloUpdater(p, n_halo=H).update_scalar(fields)
+    update_scalar(HaloUpdater(p, n_halo=H), fields)
     for rank in range(p.total_ranks):
         tile = p.tile_of(rank)
         got = fields[rank]

@@ -16,6 +16,7 @@ from repro.resilience import chaos
 from repro.resilience.chaos import ChaosPlan
 from repro.resilience.errors import HaloTimeoutError
 from repro.runtime.ranks import RankExecutor
+from tests.fv3.halo_support import update_scalar
 
 H = 3
 
@@ -49,10 +50,11 @@ def executor():
 def test_threaded_scalar_bit_identical(executor):
     part, updater, fields = _setup()
     seq = _copies(fields)
-    HaloUpdater(part, n_halo=H).update_scalar(seq)
+    update_scalar(HaloUpdater(part, n_halo=H), seq)
 
     executor.run(
-        lambda r: updater.finish_scalar(updater.start_scalar(fields, r)),
+        lambda r: updater.finish_scalar(
+            updater.start_scalars([fields], r)),
         part.total_ranks,
     )
     for a, b in zip(fields, seq):
@@ -85,7 +87,7 @@ def test_threaded_fused_multifield_matches_per_field_updates(executor):
     ref = [_copies(f) for f in (f1, f2, f3)]
     seq_updater = HaloUpdater(part, n_halo=H)
     for f in ref:
-        seq_updater.update_scalar(f)
+        update_scalar(seq_updater, f)
 
     executor.run(
         lambda r: updater.finish_scalars(
@@ -110,10 +112,10 @@ def test_repeated_rounds_stay_identical_and_leak_free(executor):
         for f, s in zip(fields, seq):
             f += bump
             s += bump
-        seq_updater.update_scalar(seq)
+        update_scalar(seq_updater, seq)
         executor.run(
             lambda r: updater.finish_scalar(
-                updater.start_scalar(fields, r)
+                updater.start_scalars([fields], r)
             ),
             part.total_ranks,
         )
@@ -134,7 +136,7 @@ def test_shuffled_post_order_is_deadlock_free(executor):
     seq_updater = HaloUpdater(part, n_halo=H)
 
     for trial in range(3):
-        seq_updater.update_scalar(seq)
+        update_scalar(seq_updater, seq)
         rng = random.Random(trial)
         order = list(range(part.total_ranks))
         rng.shuffle(order)
@@ -143,7 +145,7 @@ def test_shuffled_post_order_is_deadlock_free(executor):
         def body(i):
             rank = order[i]
             time.sleep(delays[i])
-            updater.finish_scalar(updater.start_scalar(fields, rank))
+            updater.finish_scalar(updater.start_scalars([fields], rank))
 
         executor.run(body, part.total_ranks)
         for a, b in zip(fields, seq):
@@ -155,11 +157,12 @@ def test_small_worker_cap_cannot_deadlock():
     compute slot back, so all six ranks make progress on two slots."""
     part, updater, fields = _setup(seed=9)
     seq = _copies(fields)
-    HaloUpdater(part, n_halo=H).update_scalar(seq)
+    update_scalar(HaloUpdater(part, n_halo=H), seq)
     ex = RankExecutor(2)
     try:
         ex.run(
-            lambda r: updater.finish_scalar(updater.start_scalar(fields, r)),
+            lambda r: updater.finish_scalar(
+                updater.start_scalars([fields], r)),
             part.total_ranks,
         )
     finally:
@@ -177,7 +180,7 @@ def test_threaded_timeout_keeps_diagnostics(executor):
         with pytest.raises(HaloTimeoutError) as excinfo:
             executor.run(
                 lambda r: updater.finish_scalar(
-                    updater.start_scalar(fields, r)
+                    updater.start_scalars([fields], r)
                 ),
                 part.total_ranks,
             )
@@ -198,7 +201,8 @@ def test_threaded_timeout_keeps_diagnostics(executor):
     assert updater.comm.mailbox.pending_keys() == []
     # a clean retry goes through
     executor.run(
-        lambda r: updater.finish_scalar(updater.start_scalar(fields, r)),
+        lambda r: updater.finish_scalar(
+            updater.start_scalars([fields], r)),
         part.total_ranks,
     )
 
@@ -233,7 +237,7 @@ def test_atomic_path_timeout_reports_slot_zero():
     previous = chaos.set_plan(ChaosPlan.from_spec("halo.drop@1"))
     try:
         with pytest.raises(HaloTimeoutError) as excinfo:
-            updater.update_scalar(fields)
+            update_scalar(updater, fields)
     finally:
         chaos.set_plan(previous)
         resilience.reset()

@@ -14,6 +14,7 @@ from repro.run import build_core
 from repro.runtime import compile_cache as cc
 from repro.runtime import jit
 from repro.scenarios import available_scenarios, get_scenario
+from tests.runtime.plan_keys import cache_key
 
 SMALL = DynamicalCoreConfig(npx=12, npz=4, k_split=1, n_split=2)
 
@@ -135,7 +136,7 @@ def test_modelling_a_step_leaves_the_programs_it_runs_alone():
         modelled.prepare()
 
         def traced():
-            return [cc.cache_key(call.func.sdfg)
+            return [cache_key(call.func.sdfg)
                     for rank in modelled.ranks
                     for call, _ in modelled.step_programs(rank)]
 

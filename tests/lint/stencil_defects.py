@@ -62,13 +62,6 @@ def dead_and_unused(a: Field, out: Field, unused: Field):  # MARK:D107
 
 
 @stencil
-def suppressed_race(a: Field, out: Field):
-    with computation(PARALLEL), interval(...):
-        out = a[1, 0, 0]  # lint: ignore[D105]  # MARK:suppressed
-        a = out * 2.0
-
-
-@stencil
 def producer(a: Field, t: Field):
     """Healthy producer half of the graph-defect fixtures."""
     with computation(PARALLEL), interval(...):

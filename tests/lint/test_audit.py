@@ -22,7 +22,7 @@ def test_audit_attributes_new_findings_to_stage():
     new = audit.check([sdfg], "evil-fusion")
     assert [f.rule for f in new] == ["S202", "S202"]
     assert list(audit.by_stage) == ["evil-fusion"]
-    assert [s for s, _ in audit.introduced] == ["evil-fusion", "evil-fusion"]
+    assert audit.by_stage["evil-fusion"] == new
 
 
 def test_audit_reports_each_finding_once():

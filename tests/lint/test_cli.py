@@ -1,14 +1,12 @@
-"""CLI behaviour: exit codes, output format, suppressions, targets."""
+"""CLI behaviour: exit codes, output format, targets."""
 
 from pathlib import Path
 
 import pytest
 
 from repro.fv3.stencils.remapping import copy_back
-from repro.lint import SuppressionIndex, lint_stencil
 from repro.lint.cli import main
 
-from tests.lint import stencil_defects as defects
 from tests.lint.test_dsl_rules import FIXTURE
 
 
@@ -58,33 +56,6 @@ def test_cli_directory_skips_underscore_files(tmp_path, capsys):
     assert main([str(tmp_path)]) == 0
 
 
-def test_suppression_comment_silences_finding():
-    findings = SuppressionIndex().apply(lint_stencil(defects.suppressed_race))
-    d105 = [f for f in findings if f.rule == "D105"]
-    assert len(d105) == 1 and d105[0].suppressed
-    # the identical unsuppressed defect stays live
-    live = SuppressionIndex().apply(lint_stencil(defects.war_race))
-    assert [f.suppressed for f in live if f.rule == "D105"] == [False]
-
-
-def test_cli_counts_suppressed_findings(capsys):
-    main([str(FIXTURE)])
-    out = capsys.readouterr().out
-    # suppressed_race's D105 is counted but not failing, and hidden by
-    # default
-    assert "suppressed)" in out
-    import re
-
-    m = re.search(r"\((\d+) suppressed\)", out)
-    assert m and int(m.group(1)) >= 1
-
-
-def test_cli_show_suppressed_flag(capsys):
-    main([str(FIXTURE), "--show-suppressed"])
-    out = capsys.readouterr().out
-    assert "(suppressed)" in out
-
-
 # ---------------------------------------------------------------------------
 # --comm, --scenario, --json
 # ---------------------------------------------------------------------------
@@ -96,7 +67,7 @@ def test_cli_requires_some_target(capsys):
 
 
 def test_cli_comm_lints_module_plans(capsys):
-    # one acoustic schedule, clean, nothing suppressed in-source
+    # one acoustic schedule, clean
     import repro.fv3.acoustics as acoustics
     from repro.lint.cli import collect_comm_plans
 
@@ -105,45 +76,35 @@ def test_cli_comm_lints_module_plans(capsys):
     ]
     assert main(["--comm", "repro.fv3.acoustics"]) == 0
     out = capsys.readouterr().out
-    assert "0 findings (0 suppressed)" in out
+    assert "0 findings, 0 at or above" in out
 
 
-#: a plan module with one deliberate exposed window, silenced in-source
+#: a plan module with one deliberate exposed window
 _EXPOSED_WINDOW_PLAN = (
     "from repro.lint.plan_ir import (CommPlan, ExchangeDecl, StartOp,\n"
-    "                                FinishOp, ComputeOp, ring_edges)\n"
+    "                                FinishOp, ComputeOp)\n"
+    "from tests.lint.plans import ring_edges\n"
     "a = ExchangeDecl('a', ('u',), fslot_base=0)\n"
     "plan = CommPlan.spmd('exposed.window', 2, (a,), [\n"
-    "    StartOp('a'),  # lint: ignore[C305] \u2014 deliberate empty window\n"
+    "    StartOp('a'),\n"
     "    FinishOp('a'),\n"
     "    ComputeOp('interior'),\n"
     "], ring_edges(2))\n"
 )
 
 
-def test_cli_comm_shows_suppressed_windows(tmp_path, capsys):
-    mod = tmp_path / "exposed_window_plan.py"
-    mod.write_text(_EXPOSED_WINDOW_PLAN)
-    assert main(["--comm", str(mod)]) == 0
-    out = capsys.readouterr().out
-    assert "C305" not in out and "(1 suppressed)" in out
-    main(["--comm", "--show-suppressed", str(mod)])
-    out = capsys.readouterr().out
-    assert "C305" in out
-    assert "exposed.window" in out
-
-
 def test_cli_without_comm_skips_plans(capsys):
     assert main(["repro.fv3.acoustics"]) == 0
     out = capsys.readouterr().out
-    assert "(0 suppressed)" in out
+    assert "0 findings," in out
 
 
 def test_cli_comm_fails_on_buggy_plan(tmp_path, capsys):
     mod = tmp_path / "buggy_plan.py"
     mod.write_text(
         "from repro.lint.plan_ir import (CommPlan, ExchangeDecl, StartOp,\n"
-        "                                FinishOp, ComputeOp, ring_edges)\n"
+        "                                FinishOp, ComputeOp)\n"
+        "from tests.lint.plans import ring_edges\n"
         "a = ExchangeDecl('a', ('u',), fslot_base=0)\n"
         "b = ExchangeDecl('b', ('v',), fslot_base=0)\n"
         "compute = ComputeOp('interior')\n"
@@ -167,9 +128,7 @@ def test_cli_json_artifact(tmp_path, capsys):
     data = json.loads(artifact.read_text())
     assert data["fail_on"] == "error"
     assert data["failing"] == 0
-    assert data["suppressed"] == 1
     assert {f["rule"] for f in data["findings"]} == {"C305"}
-    assert all(f["suppressed"] for f in data["findings"])
     assert set(data["counts"]) == {"error", "warning", "info"}
 
 
@@ -189,7 +148,7 @@ def test_cli_scenario_discovers_registry_stencils(monkeypatch, capsys):
         ["--comm", "--scenario", "baroclinic_wave"]
     ) == 0
     assert "acoustics.substep" in linted  # found the acoustic plan
-    assert "(0 suppressed)" in capsys.readouterr().out
+    assert "0 findings," in capsys.readouterr().out
 
 
 def test_cli_scenario_unknown_name_exits_2(capsys):
@@ -240,7 +199,7 @@ def test_cli_scenario_lints_the_programs_one_step_traces(monkeypatch,
     )
     assert main(["--scenario", "baroclinic_wave"]) == 0
     out = capsys.readouterr().out
-    assert "0 findings (0 suppressed), 0 at or above 'error'" in out
+    assert "0 findings, 0 at or above 'error'" in out
     assert sorted(linted) == sorted(planned) == [
         "AcousticSubstep", "LagrangianToEulerian", "RiemannSolverC",
         "TracerAdvection",

@@ -24,8 +24,8 @@ from repro.lint.plan_ir import (
     FinishOp,
     StartOp,
     halo_extent,
-    ring_edges,
 )
+from tests.lint.plans import ring_edges
 
 
 def _rules(findings):

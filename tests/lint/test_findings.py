@@ -1,13 +1,11 @@
-"""LintFinding mechanics: severities, ordering, keys, suppressions."""
+"""LintFinding mechanics: severities, ordering, keys, the rule registry."""
 
 import pytest
 
 from repro.lint import (
     LintFinding,
     SEVERITIES,
-    SuppressionIndex,
     max_severity,
-    parse_suppressions,
     sort_findings,
 )
 from repro.util.loc import SourceLocation
@@ -41,17 +39,13 @@ def test_sort_by_severity_then_location():
     assert sort_findings([a, b, c]) == [c, b, a]
 
 
-def test_max_severity_ignores_suppressed():
+def test_max_severity_is_the_most_severe_present():
     assert max_severity([]) is None
     assert max_severity([_f(severity="warning")]) == "warning"
     assert (
         max_severity([_f(severity="warning"), _f(severity="error")])
         == "error"
     )
-    import dataclasses
-
-    silenced = dataclasses.replace(_f(severity="error"), suppressed=True)
-    assert max_severity([silenced, _f(severity="warning")]) == "warning"
 
 
 def test_key_excludes_message():
@@ -67,68 +61,8 @@ def test_str_contains_location_rule_and_subject():
     assert "stencil" in text
 
 
-def test_parse_suppressions():
-    src = "x = 1\ny = 2  # lint: ignore[D101, S201]\nz = 3  # lint: ignore[*]\n"
-    sup = parse_suppressions(src)
-    assert sup == {2: {"D101", "S201"}, 3: {"*"}}
-
-
-def test_suppression_index_applies_by_file_and_line(tmp_path):
-    path = tmp_path / "mod.py"
-    path.write_text("a = 1\nb = 2  # lint: ignore[D105]\n")
-    idx = SuppressionIndex()
-    hit = _f(rule="D105", line=2)
-    hit = LintFinding(
-        rule="D105",
-        name="r",
-        severity="error",
-        subject="s",
-        message="m",
-        location=SourceLocation(str(path), 2),
-    )
-    miss_rule = LintFinding(
-        rule="D101",
-        name="r",
-        severity="error",
-        subject="s",
-        message="m",
-        location=SourceLocation(str(path), 2),
-    )
-    miss_line = LintFinding(
-        rule="D105",
-        name="r",
-        severity="error",
-        subject="s",
-        message="m",
-        location=SourceLocation(str(path), 1),
-    )
-    out = idx.apply([hit, miss_rule, miss_line])
-    assert [f.suppressed for f in out] == [True, False, False]
-
-
-def test_wildcard_suppression(tmp_path):
-    path = tmp_path / "mod.py"
-    path.write_text("a = 1  # lint: ignore[*]\n")
-    f = LintFinding(
-        rule="S203",
-        name="r",
-        severity="error",
-        subject="s",
-        message="m",
-        location=SourceLocation(str(path), 1),
-    )
-    assert SuppressionIndex().apply([f])[0].suppressed
-
-
-def test_unknown_location_never_suppressed():
-    f = LintFinding(
-        rule="S203", name="r", severity="error", subject="s", message="m"
-    )
-    assert not SuppressionIndex().apply([f])[0].suppressed
-
-
 # ---------------------------------------------------------------------------
-# Rule registry, family wildcards, unknown-rule warnings
+# Rule registry
 # ---------------------------------------------------------------------------
 
 
@@ -149,72 +83,12 @@ def test_registry_knows_every_rule_family():
     )
 
 
-def _finding_at(path, line, rule):
-    return LintFinding(
-        rule=rule,
-        name="r",
-        severity="error",
-        subject="s",
-        message="m",
-        location=SourceLocation(str(path), line),
-    )
-
-
-def test_family_wildcard_suppresses_whole_family(tmp_path):
-    path = tmp_path / "mod.py"
-    path.write_text("a = 1  # lint: ignore[C3*]\n")
-    c301 = _finding_at(path, 1, "C301")
-    c305 = _finding_at(path, 1, "C305")
-    r401 = _finding_at(path, 1, "R401")
-    out = SuppressionIndex().apply([c301, c305, r401])
-    assert [f.suppressed for f in out] == [True, True, False]
-
-
-def test_comm_and_runtime_ids_suppress_exactly(tmp_path):
-    path = tmp_path / "mod.py"
-    path.write_text("a = 1  # lint: ignore[C302, R404]\n")
-    out = SuppressionIndex().apply(
-        [
-            _finding_at(path, 1, "C302"),
-            _finding_at(path, 1, "C303"),
-            _finding_at(path, 1, "R404"),
-        ]
-    )
-    assert [f.suppressed for f in out] == [True, False, True]
-
-
-def test_unknown_rule_id_in_suppression_warns(tmp_path):
-    from repro.lint import UnknownRuleWarning
-
-    path = tmp_path / "mod.py"
-    path.write_text("a = 1  # lint: ignore[C999]\n")
-    with pytest.warns(UnknownRuleWarning, match=r"C999"):
-        SuppressionIndex().apply([_finding_at(path, 1, "C301")])
-
-
-def test_unknown_family_prefix_warns_but_known_one_does_not(tmp_path):
-    import warnings as _warnings
-
-    from repro.lint import UnknownRuleWarning
-
-    path = tmp_path / "mod.py"
-    path.write_text("a = 1  # lint: ignore[C3*]\nb = 2  # lint: ignore[Z9*]\n")
-    with pytest.warns(UnknownRuleWarning, match=r"Z9\*"):
-        SuppressionIndex().apply([_finding_at(path, 1, "C301")])
-    path2 = tmp_path / "clean.py"
-    path2.write_text("a = 1  # lint: ignore[C3*, *]\n")
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("error", UnknownRuleWarning)
-        SuppressionIndex().apply([_finding_at(path2, 1, "C301")])
-
-
 def test_register_rules_extends_registry():
     import repro.lint.findings as findings_mod
     from repro.lint import register_rules
 
     register_rules({"X901": "made-up"})
     try:
-        assert findings_mod._pattern_is_known("X901")
-        assert findings_mod._pattern_is_known("X9*")
+        assert findings_mod.KNOWN_RULES["X901"] == "made-up"
     finally:
         findings_mod.KNOWN_RULES.pop("X901", None)

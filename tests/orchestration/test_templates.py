@@ -27,6 +27,7 @@ from repro.run import build_core, run
 from repro.runtime import compile_cache as cc
 from repro.runtime import jit
 from repro.scenarios import available_scenarios
+from tests.runtime.plan_keys import cache_key
 
 SHAPE = (6, 6, 4)
 
@@ -77,7 +78,7 @@ def test_every_binding_equals_a_fresh_trace(scenario, layout):
                 program.func, program.instance, program.optimize
             )
             sdfg = fresh.build(*args, **kwargs)
-            assert cc.cache_key(binding.template.sdfg) == cc.cache_key(sdfg)
+            assert cache_key(binding.template.sdfg) == cache_key(sdfg)
             assert binding.template.sdfg.scalars == sdfg.scalars
             assert binding.template.runtime_scalars == \
                 fresh._state.binding.template.runtime_scalars
@@ -670,8 +671,8 @@ def test_every_restored_binding_equals_a_fresh_trace(scenario, layout,
             )
             sdfg = fresh.build(*args, **kwargs)
             restored = binding.template.sdfg
-            key = cc.cache_key(sdfg, backend)
-            assert cc.cache_key(restored, backend) == key
+            key = cache_key(sdfg, backend)
+            assert cache_key(restored, backend) == key
             assert restored.scalars == sdfg.scalars
             assert binding.template.runtime_scalars == \
                 fresh._state.binding.template.runtime_scalars

@@ -17,6 +17,7 @@ from repro.resilience.errors import (
     HaloTimeoutError,
     OrphanedMessagesWarning,
 )
+from tests.fv3.halo_support import update_scalar
 
 
 def _counters():
@@ -41,24 +42,24 @@ def test_halo_timeout_names_phase_and_drains():
     updater, fields = _updater()
     chaos.set_plan(ChaosPlan.from_spec("halo.drop@1"))
     with pytest.raises(HaloTimeoutError) as excinfo:
-        updater.update_scalar(fields)
+        update_scalar(updater, fields)
     assert excinfo.value.phase == 0
     assert "phase 0" in str(excinfo.value)
     # aborted exchange left nothing in flight: the retry goes through
     assert updater.comm.mailbox.pending_keys() == []
     assert _counters()["halo_timeouts"] == 1
     chaos.clear_plan()
-    updater.update_scalar(fields)
+    update_scalar(updater, fields)
 
 
 def test_halo_delay_is_absorbed():
     updater, fields = _updater()
     clean = [f.copy() for f in fields]
-    HaloUpdater(updater.partitioner, n_halo=3, comm=LocalComm(6)).update_scalar(
-        clean
+    update_scalar(
+        HaloUpdater(updater.partitioner, n_halo=3, comm=LocalComm(6)), clean
     )
     chaos.set_plan(ChaosPlan.from_spec("halo.delay@5"))
-    updater.update_scalar(fields)
+    update_scalar(updater, fields)
     for a, b in zip(fields, clean):
         np.testing.assert_array_equal(a, b)
     assert _counters()["halo_redeliveries"] == 1

@@ -75,7 +75,7 @@ run_results = st.builds(
 
 @given(member_results)
 def test_member_result_roundtrips(m):
-    back = MemberResult.from_json(m.to_json())
+    back = MemberResult.from_dict(json.loads(json.dumps(m.to_dict())))
     assert back == m
 
 
@@ -117,7 +117,7 @@ def test_a_config_key_the_model_no_longer_has_is_refused_by_name():
 
 @given(member_results, st.integers(0, 3))
 def test_floats_survive_bit_identically(m, _):
-    back = MemberResult.from_json(m.to_json())
+    back = MemberResult.from_dict(json.loads(json.dumps(m.to_dict())))
     for key, value in m.summary.items():
         assert math.copysign(1.0, back.summary[key]) == \
             math.copysign(1.0, value)

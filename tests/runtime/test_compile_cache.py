@@ -9,6 +9,7 @@ import pytest
 
 from repro.dsl import Field, PARALLEL, computation, interval, stencil
 from repro.runtime import compile_cache as cc
+from tests.runtime.plan_keys import cache_key
 
 
 @pytest.fixture(autouse=True)
@@ -66,10 +67,10 @@ def test_different_content_misses():
 
 
 def test_cache_key_is_deterministic():
-    k1 = cc.cache_key(_build_sdfg())
-    k2 = cc.cache_key(_build_sdfg())
+    k1 = cache_key(_build_sdfg())
+    k2 = cache_key(_build_sdfg())
     assert k1 == k2
-    assert k1 != cc.cache_key(_build_sdfg((5, 6, 3)))
+    assert k1 != cache_key(_build_sdfg((5, 6, 3)))
 
 
 def _with_callback(*args, **kwargs):
@@ -87,7 +88,7 @@ def test_callbacks_hash_by_container_name_and_constant_value():
     from repro.sdfg.nodes import ContainerRef
 
     def key(*args, **kwargs):
-        return cc.cache_key(_with_callback(*args, **kwargs))
+        return cache_key(_with_callback(*args, **kwargs))
 
     corners = ("sw", "ne")
     base = key(ContainerRef("a"), "y", corners, n_halo=3)
@@ -100,10 +101,10 @@ def test_callbacks_hash_by_container_name_and_constant_value():
 
 def test_opaque_callback_arguments_hash_by_identity():
     first, second = [], []
-    assert cc.cache_key(_with_callback(first)) == \
-        cc.cache_key(_with_callback(first))
-    assert cc.cache_key(_with_callback(first)) != \
-        cc.cache_key(_with_callback(second))
+    assert cache_key(_with_callback(first)) == \
+        cache_key(_with_callback(first))
+    assert cache_key(_with_callback(first)) != \
+        cache_key(_with_callback(second))
 
 
 def test_callback_container_references_resolve_per_call():
@@ -133,8 +134,8 @@ def test_backend_is_part_of_the_key(monkeypatch):
     try:
         p_np = cc.get_or_compile(_build_sdfg(), backend="numpy")
         p_c = cc.get_or_compile(_build_sdfg(), backend="compiled")
-        assert cc.cache_key(_build_sdfg(), backend="compiled") \
-            != cc.cache_key(_build_sdfg(), backend="numpy")
+        assert cache_key(_build_sdfg(), backend="compiled") \
+            != cache_key(_build_sdfg(), backend="numpy")
         assert p_c.image != p_np.image
         assert p_c.compiled_kernels and p_np.compiled_kernels == []
         stats = cc.stats()
@@ -200,7 +201,7 @@ def _two_planes(a: Field, b: Field, out: Field):
         out = b[1, 0, 0] + b[-1, 0, 0]
 
 
-def test_the_machine_model_is_part_of_the_key():
+def test_the_machine_model_is_part_of_the_key(monkeypatch):
     """Lowering reads the observed machine (its cache size picks the
     k-block, its balance what is recomputed), so a plan lowered for one
     machine must not be handed out under another: two machines whose
@@ -219,13 +220,13 @@ def test_the_machine_model_is_part_of_the_key():
     )
     tiny = dataclasses.replace(HASWELL, name="tiny-cache", cache_bytes=4096)
     plans = {}
-    try:
-        for machine in (HASWELL, tiny, HASWELL):
-            obs.set_observed_machine(machine)
-            plan = cc.get_or_compile(sdfg, backend="compiled")
-            assert plans.setdefault(machine.name, plan).image == plan.image
-    finally:
-        obs.set_observed_machine(None)
+    for machine in (HASWELL, tiny, HASWELL):
+        monkeypatch.setattr(obs.metrics, "observed_machine",
+                            lambda machine=machine: machine)
+        monkeypatch.setattr(obs.metrics, "observed_machine_name",
+                            lambda machine=machine: machine.name)
+        plan = cc.get_or_compile(sdfg, backend="compiled")
+        assert plans.setdefault(machine.name, plan).image == plan.image
     big, small = plans[HASWELL.name], plans[tiny.name]
     assert [u.text for u in big.image.units] \
         != [u.text for u in small.image.units]

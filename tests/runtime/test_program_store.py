@@ -90,8 +90,10 @@ def _flag_changes():
     from repro.machine import P100
 
     yield "threads", lambda patch: patch.setenv("REPRO_THREADS", "3")
-    yield "machine", lambda patch: patch.setattr(
-        obs.metrics, "_observed", P100
+    yield "machine", lambda patch: (
+        patch.setattr(obs.metrics, "observed_machine", lambda: P100),
+        patch.setattr(obs.metrics, "observed_machine_name",
+                      lambda: P100.name),
     )
 
 
@@ -339,21 +341,17 @@ def test_the_report_footer_has_a_programs_line():
 TOY = '''
 import numpy as np
 
-from repro.dsl import Field, PARALLEL, computation, function, interval, stencil
+from repro.dsl import Field, PARALLEL, computation, interval, stencil
 from repro.orchestration import orchestrate
 
 SHAPE = (6, 6, 4)
-
-
-@function
-def helper(x):
-    return x * 2.0
+TWICE = 2.0
 
 
 @stencil
 def scale(a: Field, out: Field):
     with computation(PARALLEL), interval(...):
-        out = helper(a) + 1.0
+        out = a * TWICE + 1.0
 
 
 GAIN = np.float64(2.5)
@@ -413,10 +411,10 @@ def _child(script: pathlib.Path, *args, jit_dir, **env):
 
 @pytest.mark.parametrize("edit, value", [
     # what the second process must compute after the edit (q == 1):
-    # helper(helper(1) + 1) + 1 == 7 before any of them
+    # scale(scale(1)) == (1 * 2 + 1) * 2 + 1 == 7 before any of them
     (("scale(self.tmp, out,", "scale(q, out,"), 3.0),      # the program
-    (("helper(a) + 1.0", "helper(a) + 5.0"), 19.0),        # the stencil
-    (("return x * 2.0", "return x * 3.0"), 13.0),          # what it inlines
+    (("a * TWICE + 1.0", "a * TWICE + 5.0"), 19.0),        # the stencil
+    (("TWICE = 2.0", "TWICE = 3.0"), 13.0),                # what it reads
 ])
 def test_edited_source_is_traced_again_never_bound_wrong(edit, value,
                                                          tmp_path):

@@ -88,7 +88,7 @@ def test_dataflow_graph_view():
     assert len(access_nodes) == 3
     memlets = [d["memlet"] for _, _, d in g.edges(data=True)]
     assert any(m.is_write for m in memlets)
-    assert all(m.volume(sdfg) > 0 for m in memlets)
+    assert all(m.subset.volume() > 0 for m in memlets)
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,8 @@ def test_bounding_box_of_the_writes_is_not_coverage():
     )
     (record,) = coverage(sdfg).uncovered_reads
     assert record.name == "t" and not record.local and record.excuse is None
-    assert record.written == Range.from_shape(SHAPE)  # the box "covers"
+    # the box "covers"
+    assert record.written == Range(tuple((0, n) for n in SHAPE))
     assert record.missing == [Range.of((5, 10), (4, 8), (0, 4))]
     (finding,) = lint_sdfg(sdfg)
     assert finding.rule == "S202" and "[5:10, 4:8, 0:4]" in finding.message
@@ -185,7 +186,7 @@ def test_callback_touches_what_it_declares_or_everything(declared, fills):
         (record,) = records
         assert record.node is callback and record.stmt is None
         assert record.excuse == "callback"
-        assert record.required == Range.from_shape(SHAPE)
+        assert record.required == Range(tuple((0, n) for n in SHAPE))
     assert lint_sdfg(sdfg) == []
     assert _fills(sdfg) == fills
 

@@ -16,6 +16,7 @@ from repro.sdfg.transformations import (
     apply_exhaustively,
 )
 from repro.sdfg.analysis import total_bytes
+from repro.sdfg.validation import validate_sdfg
 
 
 def _rand(shape, seed=0):
@@ -288,7 +289,7 @@ def test_apply_exhaustively_reaches_fixpoint():
 def test_validation_passes_on_transformed_graph():
     sdfg = _two_stencil_sdfg()
     apply_exhaustively(sdfg, [OTFMapFusion()])
-    sdfg.validate()
+    validate_sdfg(sdfg)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +417,7 @@ def test_subgraph_fusion_allows_disjoint_offset_ranges():
     fused = build()
     assert SubgraphFusion().apply_first(fused)
     assert len(fused.states[0].kernels) == 1
-    fused.validate()
+    validate_sdfg(fused)
     got = _run(fused, arrays)
     for n in ("x", "out"):
         np.testing.assert_array_equal(ref[n], got[n])

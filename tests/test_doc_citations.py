@@ -1,16 +1,27 @@
-"""What the docs cite of ``ROADMAP.md`` exists there.
+"""What the docs cite exists.
 
-README.md, DESIGN.md and ``docs/*.md`` point at ROADMAP items as
-"ROADMAP item 9" or "ROADMAP 9(c)". Items are renumbered only by
-retiring them to a stub, so a citation is stale when its number names
-no entry of the numbered list, or when it names a part, "(c)", that
-the item records as done.
+README.md, DESIGN.md and ``docs/*.md`` point at three kinds of things:
+
+- ROADMAP items, as "ROADMAP item 9" or "ROADMAP 9(c)". Items are
+  renumbered only by retiring them to a stub, so a citation is stale
+  when its number names no entry of the numbered list, or when it names
+  a part, "(c)", that the item records as done;
+- code, as a backticked ``path.py:name``: the file (under ``src/repro``
+  or the repository root) must define ``name`` — a function or class by
+  its qualified name, as the census owner rows write them, or a
+  module-level name;
+- switches, as ``REPRO_*``: each must be a variable the package reads
+  (the set ``tests/test_knobs.py`` computes).
 """
 
+import ast
 import pathlib
 import re
 
+from tests.test_knobs import _read_by_the_package
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "repro"
 
 #: "ROADMAP item 12(a)", "ROADMAP items 4", "ROADMAP 9(c)"
 CITATION = re.compile(r"ROADMAP\s+(?:items?\s+)?(\d+)(?:\(([a-z])\))?")
@@ -39,6 +50,61 @@ def stale_citations(text, items):
         if body is None or (part and f"({part}) done" in body):
             stale.append(match[0])
     return stale
+
+
+#: "`dsl/oracle.py:run_oracle`", "`sdfg/plan.py:CompiledSDFG.bind`"
+SYMBOL = re.compile(r"`([\w/.]+\.py):([\w.<>]+)`")
+#: a switch named anywhere in the text
+SWITCH = re.compile(r"REPRO_[A-Z0-9_]+")
+
+
+def defined_names(source: str) -> set:
+    """Every name ``source`` defines: functions and classes by qualified
+    name (``Outer.method``, ``func.<locals>.inner``), and module-level
+    assignments."""
+    names = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(prefix + child.name)
+                visit(child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                names.add(prefix + child.name)
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.Assign, ast.AnnAssign)):
+                if not prefix:
+                    targets = (child.targets if isinstance(child, ast.Assign)
+                               else [child.target])
+                    names.update(t.id for t in targets
+                                 if isinstance(t, ast.Name))
+            else:  # a def under an ``if`` or ``try`` keeps its prefix
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return names
+
+
+def stale_symbols(text, read_source):
+    """The ``path.py:name`` citations in ``text`` whose file does not
+    define ``name``; ``read_source(path)`` is the file's source, or
+    ``None`` when no such file exists."""
+    stale, defined = [], {}
+    for match in SYMBOL.finditer(text):
+        path, name = match.groups()
+        if path not in defined:
+            source = read_source(path)
+            defined[path] = None if source is None else defined_names(source)
+        if defined[path] is None or name not in defined[path]:
+            stale.append(match[0])
+    return stale
+
+
+def _read_source(path):
+    for base in (PACKAGE, ROOT):
+        if (base / path).is_file():
+            return (base / path).read_text(encoding="utf-8")
+    return None
 
 
 def _docs():
@@ -72,3 +138,36 @@ def test_a_bad_citation_is_reported():
     assert stale_citations(text, items) == [
         "ROADMAP item 3", "ROADMAP item 1(a)", "ROADMAP 7(c)",
     ]
+
+
+def test_every_code_citation_in_the_docs_names_a_live_symbol():
+    found = 0
+    stale = []
+    for path in _docs():
+        text = path.read_text(encoding="utf-8")
+        found += len(SYMBOL.findall(text))
+        stale += [f"{path.relative_to(ROOT)}: {c}"
+                  for c in stale_symbols(text, _read_source)]
+    assert found >= 50, "the pattern no longer matches how code is cited"
+    assert stale == []
+
+
+def test_a_citation_of_a_deleted_symbol_is_reported():
+    sources = {"m.py": "X = 1\n\nclass A:\n    def f(self):\n"
+                       "        def g():\n            pass\n"}
+    text = ("`m.py:X`, `m.py:A.f`, `m.py:A.f.<locals>.g` hold; "
+            "`m.py:A.h`, `m.py:f` and `gone.py:X` do not")
+    assert stale_symbols(text, sources.get) == [
+        "`m.py:A.h`", "`m.py:f`", "`gone.py:X`",
+    ]
+
+
+def test_every_switch_the_docs_name_is_read_by_the_package():
+    read = _read_by_the_package()
+    named = {
+        f"{path.relative_to(ROOT)}: {name}"
+        for path in _docs()
+        for name in SWITCH.findall(path.read_text(encoding="utf-8"))
+        if name not in read
+    }
+    assert named == set()

@@ -80,12 +80,6 @@ def test_range_intersection_contained(a, b):
         assert inter.volume() <= min(a.volume(), b.volume())
 
 
-@given(ranges(), st.tuples(st.integers(-5, 5), st.integers(-5, 5),
-                           st.integers(-5, 5)))
-def test_range_translation_preserves_volume(a, offset):
-    assert a.translated(offset).volume() == a.volume()
-
-
 # ---------------------------------------------------------------------------
 # Storage allocation (Fig. 8)
 # ---------------------------------------------------------------------------

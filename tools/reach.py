@@ -56,8 +56,9 @@ ENTRY_POINTS = [
     ("benchmark --quick", ["benchmarks/perf/run.py", "--quick"], {}),
     ("benchmark --quick --layers",
      ["benchmarks/perf/run.py", "--quick", "--layers"], {}),
-    ("repro.lint --comm, 4 scenarios",
-     ["-m", "repro.lint", "--comm"]
+    # with the findings artifact, as CI runs it
+    ("repro.lint --comm --json, 4 scenarios",
+     ["-m", "repro.lint", "--comm", "--json", os.devnull]
      + [arg for name in SCENARIOS for arg in ("--scenario", name)]
      + ["repro.fv3.acoustics", "repro.fv3.dyncore", "src/repro/fv3/stencils"],
      {}),
@@ -77,6 +78,8 @@ ENTRY_POINTS = [
     ("example tracer_transport", ["examples/tracer_transport.py"], {}),
     ("example performance_engineering",
      ["examples/performance_engineering.py"], {}),
+    ("example resilience", ["examples/resilience.py"], {}),
+    ("example serving", ["examples/serving.py"], {}),
 ] + [
     (f"run() cells, {backend}{', traced' if trace else ''}",
      ["-c", "import reach; reach.run_cells()"],
