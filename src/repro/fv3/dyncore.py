@@ -35,6 +35,7 @@ from repro.fv3.stencils.fvtp2d import FiniteVolumeTransport
 from repro.fv3.stencils.remapping import LagrangianToEulerian
 from repro.fv3.stencils.tracer2d import TracerAdvection
 from repro.obs import tracer as _obs
+from repro.orchestration.program import stand_in, swap_landed
 from repro.runtime import jit as _jit
 from repro.runtime import ranks as _ranks
 from repro.runtime.pool import current, get_pool
@@ -182,6 +183,8 @@ class DynamicalCore:
             if resilience is not None else None
         )
         self._prepared = False
+        #: the programs that run NumPy plans until their C kernels land
+        self._standins: list = []
         # (imported here: repro.run imports this module)
         from repro.run import metrics as _run_metrics
 
@@ -236,6 +239,7 @@ class DynamicalCore:
         self.acoustics = self.remap = self.tracer_adv = None
         self._delp_start = self._tracer_fields = None
         self._remapped_fields = None
+        self._standins = []
         self._prepared = False
 
     def prepare(self) -> None:
@@ -243,27 +247,43 @@ class DynamicalCore:
         of every held rank to the arguments a step calls it on, inside
         one ``jit.batch()``: each is traced (or matched to a published
         template) and lowered, and the kernels nobody has built yet — of
-        all of them together — go to the C compiler once. Nothing is
-        executed. Then every compute slot's slab holds the widest
-        program and every binding has met each slab (``BoundPlan.meet``),
-        so a step allocates nothing and checks no argument. The first
-        step does this before anything else; an ahead-of-time build, and
-        a caller that inspects the modules before stepping, call it
-        directly. Done once per core; a failed build is tried again."""
+        all of them together — go to the C compiler once, in the
+        background. Nothing is executed. A program whose kernels that
+        batch handed over runs its NumPy plan until they land
+        (:func:`~repro.orchestration.program.stand_in`): every step
+        boundary until then calls this again, which switches the
+        programs whose kernels have landed to C
+        (:func:`~repro.orchestration.program.swap_landed`). Every
+        compute slot's slab holds the widest plan of either kind and
+        every binding, stand-in and C, has met each slab
+        (``BoundPlan.meet``), so a step allocates nothing and checks no
+        argument. The first step does this before anything else; an
+        ahead-of-time build, and a caller that inspects the modules
+        before stepping, call it directly. Done once per core (a primed
+        one has nothing to switch); a failed build is tried again."""
         if self._prepared:
+            return
+        if self._standins:
+            self._standins = swap_landed(self._standins)
+            self._prepared = not self._standins
             return
         if self.acoustics is None:
             self._build_step_machinery()
         with _TRACER.span("dyncore.prepare"):
-            with _jit.batch():
+            with _jit.batch(background=True) as handed:
                 bound = [call.func.bind(*call.args) for r in self.ranks
                          for call, _ in self.step_programs(r)]
-            nbytes = max((b.plan.runtime_bytes for b in bound), default=0)
+            self._standins = stand_in(bound, handed)
+            calls = [binding.call for binding in bound] + [
+                target for standin in self._standins
+                for _, _, target in standin.swaps
+            ]
+            nbytes = max((c.plan.runtime_bytes for c in calls), default=0)
             with self.executor.idle_scratch() as workers:
                 for slab in [worker.reserve(nbytes) for worker in workers]:
-                    for binding in bound:
-                        binding.meet(slab)
-        self._prepared = True
+                    for call in calls:
+                        call.meet(slab)
+        self._prepared = not self._standins
 
     def step_programs(self, rank: int) -> List[Tuple[partial, int]]:
         """What one step of rank ``rank`` runs: each orchestrated program

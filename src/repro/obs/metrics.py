@@ -29,8 +29,9 @@ _DEFAULT_NAME = "Xeon E5-2690 v3 (Haswell)"
 
 def observed_machine() -> "MachineModel":
     """Machine model used as the roofline reference in reports and by the
-    compiled lowering's tiling: the CPU actually running this
-    reproduction (Haswell)."""
+    compiled lowering's tiling: a fixed model (the paper's Haswell), not
+    the CPU this process runs on. Kernel keys and tiles follow from it,
+    so it is the same on every host."""
     from repro.machine import HASWELL
 
     return HASWELL

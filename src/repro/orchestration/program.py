@@ -54,7 +54,9 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Tuple,
+)
 
 import numpy as np
 
@@ -62,6 +64,7 @@ from repro.dsl import backends as _backends
 from repro.obs import tracer as _obs
 from repro.resilience import chaos as _chaos
 from repro.runtime import compile_cache as _cache
+from repro.runtime import jit as _jit
 from repro.sdfg.nodes import constant_key
 from repro.sdfg.plan import PlanInputs
 
@@ -408,21 +411,28 @@ class _Template:
 
 class _Binding:
     """One program instance bound to a template for one set of call
-    arguments: the arrays its containers resolve to, the plan to call and
-    the backend that plan was asked of (``None``: no plan yet), and the
-    plan bound to the arrays (:class:`~repro.sdfg.plan.BoundPlan`: what
-    a call calls). ``held`` keeps the arguments alive so the ids in the
-    binding's key cannot be recycled."""
+    arguments: the arrays its containers resolve to, the backend its plan
+    was asked of (``None``: no plan yet), and ``call``, the plan bound to
+    the arrays (:class:`~repro.sdfg.plan.BoundPlan`: what a call calls).
+    ``call`` is the one reference through which the binding reaches its
+    plan: a cold start replaces it at a step boundary, when the C plan a
+    NumPy plan stood in for has its kernels (:func:`stand_in`).
+    ``held`` keeps the arguments alive so the ids in the binding's key
+    cannot be recycled."""
 
-    __slots__ = ("template", "arrays", "plan", "held", "backend", "call")
+    __slots__ = ("template", "arrays", "held", "backend", "call")
 
     def __init__(self, template: _Template, arrays, held):
         self.template = template
         self.arrays = arrays
         self.held = held
-        self.plan = None
         self.backend: Optional[str] = None
         self.call = None
+
+    @property
+    def plan(self):
+        """The plan a call runs (``None``: no plan yet)."""
+        return None if self.call is None else self.call.plan
 
 
 class ProgramState:
@@ -539,8 +549,8 @@ class OrchestratedProgram:
     def _replan(self, binding: _Binding) -> _Binding:
         """Give ``binding`` the plan of the backend wanted now."""
         wanted = self._backend_wanted()
-        binding.plan, binding.backend = binding.template.plan(wanted), wanted
-        binding.call = binding.plan.bind(binding.arrays)
+        binding.call = binding.template.plan(wanted).bind(binding.arrays)
+        binding.backend = wanted
         return binding
 
     def _bind(self, args, kwargs) -> _Binding:
@@ -724,16 +734,16 @@ class OrchestratedProgram:
                 self._replan(binding)
         return binding
 
-    def bind(self, *args, **kwargs):
+    def bind(self, *args, **kwargs) -> _Binding:
         """Everything a call with these arguments does before it runs
         anything: match a published template or trace one, lower it, and
         ask the JIT for its kernels — inside a ``jit.batch()`` without
         waiting for them. The call itself then finds the binding made.
         Kernels an earlier request failed to get are asked for again.
-        Returns the :class:`~repro.sdfg.plan.BoundPlan` the call calls."""
+        Returns the binding, whose ``call`` the call calls."""
         binding = self._bound(args, kwargs)
         binding.plan.request()
-        return binding.call
+        return binding
 
     def __call__(self, *args, **kwargs):
         binding = self._bound(args, kwargs)
@@ -777,6 +787,66 @@ class OrchestratedProgram:
                     label, {n: arrays[n] for n in written if n in arrays}
                 )
         return times
+
+
+class StandIn(NamedTuple):
+    """A C plan whose kernels the background builder has, and the
+    bindings that run a NumPy plan in its place meanwhile: per binding
+    the stand-in's call and the C plan's, which :func:`swap_landed`
+    puts back."""
+
+    plan: Any
+    swaps: List[Tuple[_Binding, Any, Any]]
+
+
+def stand_in(bindings: List[_Binding], handed) -> List[StandIn]:
+    """Give every binding whose plan waits on one of the ``handed``
+    flights (what a ``jit.batch(background=True)`` gave the background
+    builder) its template's NumPy plan until they land: one stand-in plan
+    per C plan, shared by its bindings and held by nothing else, so it is
+    freed at the swap. Any other binding keeps its plan, and a call of
+    a kernel still in flight waits for it."""
+    handed = {id(flight) for flight in handed}
+    #: C plan → its bindings (each once)
+    waiting: Dict[Any, Dict[int, _Binding]] = {}
+    for binding in bindings:
+        flights = binding.plan.kernel_functions
+        if any(id(flight) in handed for flight in flights):
+            waiting.setdefault(binding.plan, {})[id(binding)] = binding
+    standins = []
+    for plan, members in waiting.items():
+        (template,) = {binding.template for binding in members.values()}
+        numpy_plan = _cache.stand_in(template)
+        swaps = []
+        for binding in members.values():
+            target = binding.call
+            binding.call = numpy_plan.bind(binding.arrays)
+            swaps.append((binding, binding.call, target))
+        standins.append(StandIn(plan, swaps))
+    return standins
+
+
+def swap_landed(standins: List[StandIn]) -> List[StandIn]:
+    """At a step boundary: every binding of a C plan whose kernels have
+    all landed calls it again (counted once per plan, ``plan_swaps``);
+    the stand-ins still waiting. A build that failed is asked for again
+    here, in one batch, before the step runs anything, and raises if it
+    fails again. A binding that was planned again since (another
+    backend) is left."""
+    landed, waiting = [], []
+    for standin in standins:
+        flights = standin.plan.kernel_functions
+        done = all(flight.done.is_set() for flight in flights)
+        (landed if done else waiting).append(standin)
+    with _jit.batch():
+        for standin in landed:
+            standin.plan.request()
+    for standin in landed:
+        for binding, numpy_call, target in standin.swaps:
+            if binding.call is numpy_call:
+                binding.call = target
+        _cache.COUNTERS.add("plan_swaps")
+    return waiting
 
 
 def orchestrate(func=None, *, optimize: Optional[Callable] = None):

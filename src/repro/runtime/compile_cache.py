@@ -33,7 +33,9 @@ A ``compiled`` request where no C compiler is available
 before the plan is built, gets the ``numpy`` plan, warned once per
 process: :func:`get_or_compile` is the one place that decides it, for
 orchestrated programs and stencil calls alike. Where no compiler is
-found, nothing is lowered to C on the way.
+found, nothing is lowered to C on the way. A ``compiled`` plan whose
+kernels a cold start is still building runs the :func:`stand_in` plan
+meanwhile: the ``numpy`` plan, made without a second consult or count.
 
 **The disk level** ("Program records" below). Templates and plans are
 kept in the kernel store's directory
@@ -127,7 +129,8 @@ from repro.resilience import chaos as _chaos
 from repro.resilience.errors import InjectedCompileError
 from repro.runtime import jit as _jit
 
-__all__ = ["get_or_compile", "compile_program", "plan_key", "codegen_flags",
+__all__ = ["get_or_compile", "compile_program", "stand_in", "plan_key",
+           "codegen_flags",
            "template_family", "TemplateFamily", "COUNTERS", "stats", "reset",
            "Manifest", "Unpersistable", "reference", "record_name",
            "load_record", "store_record", "pack_sdfg", "PackedSDFG",
@@ -160,13 +163,15 @@ def _with_totals(snapshot: Dict[str, object]) -> Dict[str, object]:
 #: hits and misses are counted per backend, so cross-backend A/B runs
 #: report them per backend instead of as one merged number;
 #: ``program_*`` is what orchestration did with the template store,
+#: ``standins`` / ``plan_swaps`` the NumPy plans a cold start ran while
+#: C kernels were built (:func:`stand_in`) and the switches to C,
 #: ``programs_*`` / ``restore_*`` the disk level ("Program records"
 #: below), ``sdfgs_decoded`` the SDFGs of restored templates something
 #: asked for. ``templates`` counts what is held in *this* process: other
 #: processes' templates are not shared
 COUNTERS = register("compile_cache", Counters(
     sums=(
-        "program_traces", "program_binds",
+        "program_traces", "program_binds", "standins", "plan_swaps",
         "programs_restored", "programs_stored", "programs_stale",
         "programs_unpersistable", "restore_bytes", "restore_seconds",
         "sdfgs_decoded",
@@ -371,6 +376,17 @@ def compile_program(program, backend: str = "numpy"):
         return _compile(program, "numpy")
 
 
+def stand_in(program):
+    """The ``numpy`` plan of ``program`` that runs while the C kernels of
+    its ``compiled`` plan are built in the background
+    (``DynamicalCore.prepare``). The request was counted, and
+    ``compile.fail`` consulted, under the backend it asked for: a
+    stand-in is neither a hit nor a miss, it is counted in ``standins``,
+    and its image is not stored — a later process finds the C kernels."""
+    COUNTERS.add("standins")
+    return _compile(program, "numpy", counted=False)
+
+
 def _get_or_compile(sdfg, backend: str = "numpy"):
     """:func:`get_or_compile` without the ``compile.fail`` consult and
     the missing-compiler decision: the path of a stencil's ``numpy``
@@ -402,7 +418,10 @@ def _expanded(sdfg):
     return sdfg
 
 
-def _compile(program, backend: str):
+def _compile(program, backend: str, counted: bool = True):
+    """The plan of ``program`` on ``backend``: from its stored image (a
+    hit) or generated and stored (a miss). One not ``counted`` (a
+    :func:`stand_in`) is neither, and its image is not stored."""
     from repro.sdfg.plan import CompiledSDFG
 
     tracer = _obs.get_tracer()
@@ -421,18 +440,20 @@ def _compile(program, backend: str):
             image = load_record(record_name("p", key))
             if image is not None:
                 plan = CompiledSDFG(program.plan_inputs(), image)
-                COUNTERS.add("hits", label=backend)
+                if counted:
+                    COUNTERS.add("hits", label=backend)
                 sp.add("plans", 1)
     if plan is None:
         from repro.sdfg.codegen import generate
 
         sdfg = _expanded(program.sdfg)
         with tracer.span("sdfg.compile") as sp:
-            COUNTERS.add("misses", label=backend)
-            sp.add("cache_misses", 1)
+            if counted:
+                COUNTERS.add("misses", label=backend)
+                sp.add("cache_misses", 1)
             image = generate(sdfg, backend)
             plan = CompiledSDFG(program.plan_inputs(), image)
-        if key is not None:
+        if key is not None and counted:
             with contextlib.suppress(Unpersistable):
                 store_record(record_name("p", key), Manifest(), image)
     return plan

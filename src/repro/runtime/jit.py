@@ -45,14 +45,20 @@ kernel in three steps:
    ``wait``), loaded, and published — first the object
    ``repro_o_<hash of its keys>.so``, then one name per kernel, each by
    an atomic rename. A request outside any batch is a batch of its own.
-   The batch is synchronous on purpose: its compilers already occupy
-   every CPU the process may use, so a background builder would have
-   nothing to overlap the wait with but the tracing that produced the
-   requests.
+   A batch opened with ``background=True`` (``DynamicalCore.prepare``)
+   hands what it recorded to the *background builder* instead: one
+   thread that builds the batches handed to it in order, with one
+   compiler fewer than the CPUs (at least one), so that the caller keeps
+   a CPU to run the NumPy plans of its programs on until their kernels
+   land (``docs/performance.md``, "Cold start"). Anybody else who asks
+   for one of those kernels waits for it. The builder is no daemon: the
+   interpreter waits for it at exit, and a process worker before it
+   ends and the process executor before it forks call :func:`wait`.
 
 What :func:`load_c` hands out is the kernel's slot in the table
 (``result()`` is the entry point). Outside a batch every slot has landed
-when the request returns; inside one it lands when the batch exits, and a
+when the request returns; inside one it lands when the batch exits (or,
+handed over, when the background builder has built it), and a
 wait before that builds what the batch has recorded so far instead of
 deadlocking on itself. A batch whose block raises builds nothing and
 fails what it recorded: those slots leave the table and keep their error,
@@ -84,14 +90,19 @@ them through the same :func:`publish` and :func:`heal`, so that a
 process on a primed directory neither compiles a kernel nor traces or
 lowers a program.
 
-:func:`stats` counts kernels (``kernels_requested`` = ``kernels_built``
+:func:`stats` (which waits for the background builder first) counts
+kernels (``kernels_requested`` = ``kernels_built``
 + ``kernels_reused``, the latter from the table or from disk), entries
-into the builder (``builds``: one per batch that had anything missing),
-translation units (``compiles``), object files opened without building
-(``disk_hits``) and the wall seconds callers were blocked on the builder
-(``compile_seconds`` — wall, not the sum over concurrent compilers). They
-reach the obs report footer — the "JIT warmup" attribution the paper's
-productivity argument needs to be honest about.
+into the builder (``builds``: one per batch that had anything missing;
+``background_builds`` of them handed over), translation units
+(``compiles``), object files opened without building (``disk_hits``),
+the wall seconds callers were blocked on a build (``compile_seconds`` —
+wall, not the sum over concurrent compilers; a wait for the background
+builder, in a kernel call or in :func:`wait`, included) and the wall
+seconds the background builder built
+(``background_seconds``). They reach the obs report footer — the "JIT
+warmup" attribution the paper's productivity argument needs to be
+honest about.
 """
 
 from __future__ import annotations
@@ -129,6 +140,7 @@ __all__ = [
     "stats",
     "sweep_stale_tmps",
     "reset",
+    "wait",
 ]
 
 _ENGINES = ("cgen", "none")
@@ -148,7 +160,8 @@ _FEATURES: Optional[str] = None
 COUNTERS = register("jit", Counters(
     sums=(
         "kernels_requested", "kernels_built", "kernels_reused", "builds",
-        "compiles", "compile_seconds", "disk_hits", "cache_repairs",
+        "background_builds", "compiles", "compile_seconds",
+        "background_seconds", "disk_hits", "cache_repairs",
     ),
     local={
         "engine": lambda: _ENGINE if _ENGINE is not None else "(unresolved)",
@@ -156,8 +169,15 @@ COUNTERS = register("jit", Counters(
     lock=_LOCK,
 ))
 _COUNTS = COUNTERS.values
-stats = COUNTERS.snapshot
 _WARNED_CORRUPT = False
+
+
+def stats() -> Dict[str, object]:
+    """The counters, once the background builder is idle: a build in
+    flight has counted nothing of what it will build yet, so a read
+    waits for it (:func:`wait`) instead of reporting it half done."""
+    wait()
+    return COUNTERS.snapshot()
 
 
 class JitCacheWarning(RuntimeWarning):
@@ -355,13 +375,15 @@ class _Flight:
     request hands out; one that failed (``error``) has left the table and
     stays failed — its holder asks for the kernel again."""
 
-    __slots__ = ("key", "done", "value", "error")
+    __slots__ = ("key", "done", "value", "error", "handed")
 
     def __init__(self, key: str) -> None:
         self.key = key
         self.done = threading.Event()
         self.value: object = None
         self.error: Optional[BaseException] = None
+        #: whether the background builder has it (:func:`_hand_over`)
+        self.handed = False
 
     def resolve(self, value: object) -> None:
         self.value = value
@@ -372,7 +394,10 @@ class _Flight:
             # own claims before anybody else's: a wait inside a batch
             # first builds what the batch has recorded so far
             _flush()
+            t0 = time.perf_counter()
             self.done.wait()
+            if self.handed:  # a caller blocked on the background builder
+                COUNTERS.add("compile_seconds", time.perf_counter() - t0)
         if self.error is not None:
             raise self.error
         return self.value
@@ -536,10 +561,10 @@ class _Request(NamedTuple):
         return self.directory, self.command, self.preamble
 
 
-def _units(requests: List[_Request]) -> List[List[_Request]]:
-    """Split the requests into translation units. Only kernels of one
-    directory, command line and preamble can share a unit; every such
-    group gets one, and the CPUs :func:`_build_width` leaves over go, one
+def _units(requests: List[_Request], width: int) -> List[List[_Request]]:
+    """Split the requests into translation units for ``width`` compilers.
+    Only kernels of one directory, command line and preamble can share a
+    unit; every such group gets one, and the compilers left over go, one
     by one, to the group with the most source per unit. Inside a group
     the units are of about equal source size (largest kernel first onto
     the lightest). One unit per kernel would pay the compiler's fixed
@@ -552,7 +577,7 @@ def _units(requests: List[_Request]) -> List[List[_Request]]:
         for group, members in groups.items()
     }
     count = dict.fromkeys(groups, 1)
-    for _ in range(_build_width() - len(groups)):
+    for _ in range(width - len(groups)):
         splittable = [g for g in groups if count[g] < len(groups[g])]
         if not splittable:
             break
@@ -627,21 +652,32 @@ _OPEN = threading.local()
 
 
 @contextlib.contextmanager
-def batch():
+def batch(background: bool = False):
     """Ask for kernels now, wait for the compiler once: inside the block
     :func:`load_c` claims its kernels, takes what the store holds and
     *records* the rest; when the thread's outermost batch exits, all of
     it is built together (:func:`_build`) and the flights resolve. If
     the block raises, nothing is built and every recorded kernel fails
-    with that exception — for the threads waiting on one too."""
+    with that exception — for the threads waiting on one too.
+
+    The batch yields a list. With ``background``, what the outermost
+    batch recorded goes to the background builder at the exit instead
+    (:func:`_hand_over`), and the list then holds its flights: the
+    exit returns at once, and those flights land while the caller goes
+    on (``DynamicalCore.prepare`` runs NumPy plans meanwhile)."""
+    handed: List[_Flight] = []
     if getattr(_OPEN, "requests", None) is not None:
-        yield  # nested: the outermost batch builds
+        yield handed  # nested: the outermost batch builds
         return
     requests: List[_Request] = []
     _OPEN.requests = requests
     try:
-        yield
-        _flush()
+        yield handed
+        if background:
+            handed += _hand_over(requests[:])
+            del requests[:]
+        else:
+            _flush()
     except BaseException as exc:
         _fail((r.flight for r in requests), exc)
         raise
@@ -654,13 +690,88 @@ def _flush() -> None:
     is over, or a kernel is waited for before it is."""
     requests = getattr(_OPEN, "requests", None)
     if requests:
-        todo = requests[:]
+        todo = _unresolved(requests)
         del requests[:]
+        if not todo:
+            return
+        COUNTERS.add("builds")
         try:
-            _build(todo)
+            _build(todo, _build_width(), "compile_seconds")
         except BaseException as exc:
             _fail((r.flight for r in todo), exc)
             raise
+
+
+def _unresolved(requests: List[_Request]) -> List[_Request]:
+    # (a claim that failed while its batch went on is nobody's any more)
+    return [r for r in requests if not r.flight.done.is_set()]
+
+
+#: batches handed to the background builder, in order, and the thread
+#: building them (``None``: idle); :func:`wait` waits on ``_IDLE``
+_HANDED: List[List[_Request]] = []
+_BUILDER: Optional[threading.Thread] = None
+_IDLE = threading.Condition(_LOCK)
+
+
+def _hand_over(requests: List[_Request]) -> List[_Flight]:
+    """Give ``requests`` to the background builder, which is started if
+    it is idle; their flights. The builder is one thread running one
+    compiler fewer than the process may use CPUs (at least one), so the
+    caller keeps a CPU. It is no daemon: the interpreter waits for it at
+    exit, and no compiler outlives its process."""
+    global _BUILDER
+    requests = _unresolved(requests)
+    if not requests:
+        return []
+    for request in requests:
+        request.flight.handed = True
+    with _LOCK:
+        _COUNTS["builds"] += 1
+        _COUNTS["background_builds"] += 1
+        _HANDED.append(requests)
+        start = _BUILDER is None
+        if start:
+            _BUILDER = threading.Thread(
+                target=_build_handed, name="repro-jit-builder"
+            )
+    if start:
+        _BUILDER.start()
+    return [r.flight for r in requests]
+
+
+def _build_handed() -> None:
+    """The background builder's loop: every batch handed over, then idle.
+    What fails a build is kept by its flights, and whoever asks for one
+    of them again (``CompiledSDFG.request``) builds it or raises."""
+    global _BUILDER
+    width = max(1, _build_width() - 1)
+    while True:
+        with _LOCK:
+            if not _HANDED:
+                _BUILDER = None
+                _IDLE.notify_all()
+                return
+            requests = _HANDED.pop(0)
+        try:
+            _build(requests, width, "background_seconds")
+        except Exception as exc:  # kept by the flights
+            _fail((r.flight for r in requests), exc)
+
+
+def wait() -> None:
+    """Return once the background builder is idle: every batch handed to
+    it is built or failed. Called before the process forks a worker
+    (which would inherit flights that no thread of its own resolves),
+    when a worker ends and by :func:`stats`. Time spent waiting is time
+    blocked on a build: it goes to ``compile_seconds``."""
+    t0 = time.perf_counter()
+    with _IDLE:
+        if _BUILDER is None:
+            return
+        while _BUILDER is not None:
+            _IDLE.wait()
+    COUNTERS.add("compile_seconds", time.perf_counter() - t0)
 
 
 def load_c(
@@ -718,24 +829,20 @@ def load_c(
     return flights
 
 
-def _build(requests: List[_Request]) -> None:
-    """Compile the requests as concurrent translation units
+def _build(requests: List[_Request], width: int, seconds: str) -> None:
+    """Compile the requests as ``width`` concurrent translation units
     (:func:`_units`); load and publish every unit that compiled, then
     raise for those that did not — each of which fails its own kernels
-    with an error that names them."""
+    with an error that names them. The wall time goes to counter
+    ``seconds``."""
     import subprocess
 
-    # (a claim that failed while its batch went on is nobody's any more)
-    requests = [r for r in requests if not r.flight.done.is_set()]
-    if not requests:
-        return
     t0 = time.perf_counter()
-    COUNTERS.add("builds")
     pid = os.getpid()
     running = []
     failed: List[str] = []
     try:
-        for unit in _units(requests):
+        for unit in _units(requests, width):
             directory, command, preamble = unit[0].group
             base = os.path.join(
                 directory, "repro_o_" + _digest(*(r.symbol for r in unit))
@@ -789,7 +896,7 @@ def _build(requests: List[_Request]) -> None:
                 proc.communicate()
             _unlink(f"{base}.tmp{pid}.c")
             _unlink(f"{base}.so.tmp{pid}")
-        COUNTERS.add("compile_seconds", time.perf_counter() - t0)
+        COUNTERS.add(seconds, time.perf_counter() - t0)
     if failed:
         raise JitCompileError("\n".join(failed))
 
@@ -800,9 +907,11 @@ def _build(requests: List[_Request]) -> None:
 
 
 def reset(engine: bool = False) -> None:
-    """Zero the counters; with ``engine=True`` also forget the resolved
-    engine so the next :func:`engine_name` re-reads ``REPRO_JIT`` (tests)."""
+    """Zero the counters, once the background builder is idle; with
+    ``engine=True`` also forget the resolved engine so the next
+    :func:`engine_name` re-reads ``REPRO_JIT`` (tests)."""
     global _WARNED_CORRUPT, _ENGINE, _FEATURES
+    wait()
     COUNTERS.reset()
     with _LOCK:
         _WARNED_CORRUPT = False

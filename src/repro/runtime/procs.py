@@ -90,6 +90,7 @@ from repro.obs.counters import (
     Counters, merge_all, register, reset_all, snapshot_all,
 )
 from repro.resilience.errors import OrphanedMessagesWarning
+from repro.runtime import jit
 from repro.runtime import ranks as _ranks
 
 __all__ = [
@@ -464,14 +465,13 @@ def _worker_main(spec: WorkerSpec, owned: Tuple[int, ...], n_ranks: int,
     harness = None
     try:
         from repro.fv3.communicator import LocalComm
-        from repro.runtime.jit import default_threads
 
         if not os.environ.get("REPRO_THREADS"):
             # the workers share the cores: each starts its share of the
             # kernel threads one process would (more would have the
             # OpenMP teams of different workers spin against each other)
             os.environ["REPRO_THREADS"] = str(
-                max(1, default_threads() // n_workers)
+                max(1, jit.default_threads() // n_workers)
             )
         # a worker reports its own activity only: every counter starts
         # at zero; inherited programs and templates stay cached
@@ -522,6 +522,9 @@ def _worker_main(spec: WorkerSpec, owned: Tuple[int, ...], n_ranks: int,
             pass
         if transport is not None:
             transport.close()
+        # a forked worker leaves through ``os._exit``, which waits for no
+        # thread: a build still running would leave its compiler behind
+        jit.wait()
         conn.close()
 
 
@@ -608,6 +611,9 @@ class ProcessRankExecutor:
 
         if self._procs:
             raise RuntimeError("executor already launched")
+        # a forked worker must not inherit flights that only a thread of
+        # this process would resolve
+        jit.wait()
         ctx = multiprocessing.get_context(self.start_method)
         width = min(self.workers or n_ranks, n_ranks)
         self.n_ranks = n_ranks

@@ -1,8 +1,10 @@
 """Code generation: SDFG → vectorized NumPy Python source.
 
 The paper's DaCe backend generates CUDA/C++; this reproduction generates a
-single Python module of vectorized NumPy statements. That preserves the
-properties the evaluation relies on:
+Python module of vectorized NumPy statements: one function per kernel
+and a driver that calls them in program order (a plan compiles each
+function apart, so no parse holds the whole program). That preserves
+the properties the evaluation relies on:
 
 - whole-program compilation removes the per-call overhead of stencils
   called one by one (argument binding, validation, dispatch);
@@ -678,6 +680,8 @@ class _Generator:
         self.kernel_labels: List[str] = []
         self.units: List[UnitImage] = []
         self.fallback_kernels: List[Tuple[str, str]] = []
+        #: the NumPy-emitted kernels, a function each, in call order
+        self._functions: List[str] = []
         self._n_callbacks = 0
         self._plan = _BufferPlan()
         self._transient_values: Dict[str, int] = {}
@@ -775,7 +779,7 @@ class _Generator:
                 loop_depth.pop()
                 out.indent -= 1
         out.emit("return None")
-        return out.source()
+        return "\n".join([*self._functions, out.source()])
 
     def _alloc_transient(self, name: str, key: str) -> None:
         desc = self.sdfg.arrays[name]
@@ -811,8 +815,8 @@ class _Generator:
 
     def _emit_kernel(self, node: Kernel, out: _SourceBuilder) -> None:
         """A kernel between the binding of its pooled locals and their
-        release: a call into ``__K`` when it is lowered to C, else its
-        NumPy emission."""
+        release: a call into ``__K`` when it is lowered to C, else a call
+        of its NumPy emission (:meth:`_emit_function`)."""
         unit = None
         if self.lower:
             from repro.sdfg import codegen_compiled as lowering
@@ -821,49 +825,77 @@ class _Generator:
                 unit = lowering.lower_kernel(node, self.sdfg)
             except lowering.IneligibleKernel as exc:
                 self.fallback_kernels.append((node.label, str(exc)))
-        registers = unit.registers if unit else frozenset()
-        local_slots = _bind_locals(
-            node, out, self._plan, registers, self._locals_needing_zero
-        )
         if unit is None:
-            _kernel_source(node, self.sdfg, out, self._plan)
-        else:
-            from repro.sdfg.loopnest import print_c
+            self._emit_function(node, out)
+            return
+        from repro.sdfg.loopnest import print_c
 
-            # the arrays are the pointer tuple the bound plan made for
-            # this call site (``__P``), the OpenMP width is the call's
-            index = len(self.units)
-            self.units.append(UnitImage(
-                unit.label, print_c(unit.tree), unit.arg_specs,
-                list(unit.tree.scalars),
-                [local_slots.get(a.runtime, self._generation.get(
-                    a.runtime, a.runtime)) for a in unit.tree.arrays],
-            ))
-            args = [f"*__P[{index}]"]
-            args += [f"__s_{s}" for s in unit.tree.scalars]
-            out.emit(f"__K[{index}]({', '.join(args)}, __T)")
+        local_slots = _bind_locals(
+            node, out, self._plan, unit.registers, self._locals_needing_zero
+        )
+        # the arrays are the pointer tuple the bound plan made for this
+        # call site (``__P``), the OpenMP width is the call's
+        index = len(self.units)
+        self.units.append(UnitImage(
+            unit.label, print_c(unit.tree), unit.arg_specs,
+            list(unit.tree.scalars),
+            [local_slots.get(a.runtime, self._generation.get(
+                a.runtime, a.runtime)) for a in unit.tree.arrays],
+        ))
+        args = [f"*__P[{index}]"]
+        args += [f"__s_{s}" for s in unit.tree.scalars]
+        out.emit(f"__K[{index}]({', '.join(args)}, __T)")
         # the kernel's locals are dead past this point; later kernels reuse them
         for idx in local_slots.values():
             self._plan.free(idx)
 
-    def _collect_scalar_names(self):
-        names = set()
-        from repro.dsl.ir import walk_expr
+    def _emit_function(self, node: Kernel, out: _SourceBuilder) -> None:
+        """The NumPy emission of a kernel as a function of its own, which
+        the driver calls with the arrays and scalars it names: the plan
+        compiles every function apart (``CompiledSDFG``), so compiling a
+        program costs the largest kernel's parse, not the whole
+        program's."""
+        params = ["__B", *dict.fromkeys(
+            node.written_fields() + node.read_fields()
+        ), *(f"__s_{name}" for name in dict.fromkeys(_scalar_refs(node)))]
+        body = _SourceBuilder()
+        body.indent = 1
+        local_slots = _bind_locals(
+            node, body, self._plan, frozenset(), self._locals_needing_zero
+        )
+        _kernel_source(node, self.sdfg, body, self._plan)
+        for idx in local_slots.values():
+            self._plan.free(idx)
+        name = f"__N{len(self._functions)}"
+        call = f"{name}({', '.join(params)})"
+        self._functions.append(
+            f"def {call}:  # kernel {node.label}\n"
+            + (body.source() if body.lines else "    pass\n")
+        )
+        out.emit(call)
 
-        for kernel in self.sdfg.all_kernels():
-            for stmt, _ in kernel.statements():
-                for e in walk_expr(stmt.value):
-                    if isinstance(e, ScalarRef):
-                        names.add(e.name)
-                if stmt.mask is not None:
-                    for e in walk_expr(stmt.mask):
-                        if isinstance(e, ScalarRef):
-                            names.add(e.name)
+    def _collect_scalar_names(self):
+        names = {
+            name for kernel in self.sdfg.all_kernels()
+            for name in _scalar_refs(kernel)
+        }
         for state in self.sdfg.states:
             for node in state.nodes:
                 if isinstance(node, Tasklet):
                     names.update(node.inputs)
         return names
+
+
+def _scalar_refs(kernel: Kernel):
+    """The name of every scalar a kernel's statements read."""
+    from repro.dsl.ir import walk_expr
+
+    for stmt, _ in kernel.statements():
+        for expr in (stmt.value, stmt.mask):
+            if expr is not None:
+                for e in walk_expr(expr):
+                    if isinstance(e, ScalarRef):
+                        yield e.name
 
 
 def generate(sdfg, backend: str = "numpy") -> PlanImage:

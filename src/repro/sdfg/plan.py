@@ -33,6 +33,7 @@ import ctypes
 import dataclasses
 import math
 import operator
+import re
 import time
 import weakref
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
@@ -59,6 +60,10 @@ __all__ = [
     "generation_key",
 ]
 
+#: where a generated source splits into the top-level functions it is
+#: compiled as, one by one
+_FUNCTIONS = re.compile(r"^(?=def )", re.MULTILINE)
+
 #: ``arg_checks``: kernel argument lists held against the image — when
 #: a binding is made or a slab first seen, never per call
 COUNTERS = register("plan", Counters(sums=("arg_checks",)))
@@ -72,7 +77,8 @@ class PlanImage:
     stores on disk.
     The SDFG itself is not in it, nor anything of this process."""
 
-    #: the driver: one Python function ``__program``
+    #: the driver, ``__program``, after the NumPy-emitted kernels it
+    #: calls, a top-level function each
     source: str
     #: (shape, dtype) of every planned value, the alloc/free log they
     #: were laid out from, and where
@@ -219,8 +225,13 @@ class CompiledSDFG:
             "__K": kernels,
             "__perf_counter": time.perf_counter,
         }
-        code = compile(self.source, f"<sdfg:{self.name}>", "exec")
-        exec(code, namespace)  # noqa: S102 - generated from our own IR
+        # one top-level function at a time: the NumPy-emitted kernels are
+        # functions of their own, and compiling them apart bounds the
+        # parser's transient memory by the largest kernel, not the program
+        for piece in _FUNCTIONS.split(self.source):
+            if piece:
+                code = compile(piece, f"<sdfg:{self.name}>", "exec")
+                exec(code, namespace)  # noqa: S102 - generated from our own IR
         self._program = namespace["__program"]
         self._required: Tuple[str, ...] = inputs.required
         #: arena slab → (``__B``, transient name → view, where each
@@ -465,17 +476,23 @@ def _check_args(label, args):
     array must be C-contiguous of that shape and dtype."""
     COUNTERS.add("arg_checks")
     for arr, (shape, dstr) in args:
-        if (
-            getattr(arr, "shape", None) != shape
-            or arr.dtype.str != dstr
-            or not arr.flags.c_contiguous
-        ):
-            raise PlanBindError(
-                f"kernel {label!r}: array does not match the compiled plan "
-                f"(expected C-contiguous {shape}/{dstr}, got "
-                f"{getattr(arr, 'shape', None)}/"
-                f"{getattr(getattr(arr, 'dtype', None), 'str', None)})"
-            )
+        got_shape = getattr(arr, "shape", None)
+        got_dtype = getattr(getattr(arr, "dtype", None), "str", None)
+        if got_shape != shape or got_dtype != dstr:
+            refused = f"got {got_shape}/{got_dtype}"
+        elif not arr.flags.c_contiguous:
+            want, stride = [], arr.itemsize
+            for n in reversed(shape):
+                want.insert(0, stride)
+                stride *= n
+            refused = (f"got strides {arr.strides}, C-contiguous would be "
+                       f"{tuple(want)}")
+        else:
+            continue
+        raise PlanBindError(
+            f"kernel {label!r}: array does not match the compiled plan "
+            f"(expected C-contiguous {shape}/{dstr}, {refused})"
+        )
 
 
 def _first_call(entry, kernels: list, index: int):

@@ -14,6 +14,8 @@ plans: ``repro.runtime.compile_cache``) in an empty directory of its own,
 so that what it counts — ``program_traces``, cache misses — depends
 neither on an earlier test nor on an earlier session. The kernels stay
 in the shared ``REPRO_JIT_DIR``: recompiling them would add minutes.
+A build a test handed to the JIT's background builder ends with the
+test, so that nothing of it lands in the next one.
 """
 
 import itertools
@@ -22,6 +24,7 @@ import pytest
 
 from repro.obs import tracer as _tracer_mod
 from repro.runtime import compile_cache as _compile_cache
+from repro.runtime import jit as _jit
 
 _RECORD_DIRS = itertools.count()
 
@@ -33,6 +36,8 @@ def _own_program_records(tmp_path_factory, monkeypatch):
         _compile_cache, "RECORDS_DIR",
         str(tmp_path_factory.getbasetemp() / f"records-{next(_RECORD_DIRS)}"),
     )
+    yield
+    _jit.wait()
 
 
 def pytest_addoption(parser):

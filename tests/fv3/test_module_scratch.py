@@ -247,10 +247,17 @@ def test_step_is_bit_identical_on_poisoned_scratch(backend, executor,
 def _arena_after_two_steps(monkeypatch, backend, workers=None, **config):
     """Pool counters and the traced plans after two steps (on ``workers``
     rank threads, or sequentially) in an arena of their own (the process
-    arena's high water remembers earlier tests)."""
+    arena's high water remembers earlier tests). The kernels are built
+    first: a cold core's NumPy stand-ins take their own plans' slabs
+    until the switch to C (``tests/runtime/test_tier.py``)."""
     from repro.lint.cli import _traced_programs
+    from repro.runtime import jit
 
     monkeypatch.setattr(backends, "_default_backend", backend)
+    primer = _core(**config)
+    primer.prepare()
+    jit.wait()
+    _finish(primer)
     pool = BufferPool()
     monkeypatch.setattr(pool_module, "_POOL", pool)
     core = _core("threads" if workers else "sequential", workers, **config)

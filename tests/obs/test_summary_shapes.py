@@ -17,15 +17,15 @@ GROUPS = {
     },
     "compile_cache": {
         "hits", "misses", "hit_rate", "by_backend", "program_traces",
-        "program_binds", "templates",
+        "program_binds", "standins", "plan_swaps", "templates",
         "programs_restored", "programs_stored", "programs_stale",
         "programs_unpersistable", "restore_bytes", "restore_seconds",
         "sdfgs_decoded",
     },
     "jit": {
         "engine", "kernels_requested", "kernels_built", "kernels_reused",
-        "builds", "compiles", "compile_seconds", "disk_hits",
-        "cache_repairs",
+        "builds", "background_builds", "compiles", "compile_seconds",
+        "background_seconds", "disk_hits", "cache_repairs",
     },
     "ranks": {
         "workers", "sections", "tasks", "section_seconds", "exchanges",

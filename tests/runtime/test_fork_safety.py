@@ -140,3 +140,69 @@ def test_a_workers_whole_registry_arrives(start):
         for group, c in sets.items():
             c.reset()
             c.merge(before[group])
+
+
+def _checked_worker_main(*args):
+    """A rank worker that refuses to start on a half-built batch: every
+    kernel it inherited from the parent's table must have landed, and
+    no background builder may be running — a thread a fork does not
+    copy."""
+    from repro.runtime import jit
+
+    pending = [key for key, flight in jit._KERNELS.items()
+               if not flight.done.is_set()]
+    if pending or jit._BUILDER is not None:
+        raise SystemExit(f"forked with {len(pending)} kernels in flight")
+    _WORKER_MAIN(*args)
+
+
+_WORKER_MAIN = procs._worker_main
+
+
+def test_workers_are_forked_after_the_build_in_flight_lands(
+    monkeypatch, tmp_path, tmp_path_factory
+):
+    """A ``processes`` run launched while the background builder is
+    compiling — behind a compiler that takes two seconds — forks its
+    workers (``fork`` is the default start method) only once that build
+    has landed."""
+    import ctypes
+
+    from repro.fv3.config import DynamicalCoreConfig
+    from repro.run import run
+    from repro.runtime import jit
+
+    real = jit._find_cc()
+    if real is None:
+        pytest.skip("no C compiler")
+    slow = tmp_path_factory.mktemp("bin") / "slowcc"
+    slow.write_text(
+        "#!/bin/sh\n"
+        'case "$*" in *repro_o_*) sleep 2;; esac\n'
+        f'exec {real} "$@"\n'
+    )
+    slow.chmod(0o755)
+    monkeypatch.setenv("REPRO_JIT", "cgen")
+    monkeypatch.setenv("REPRO_CC", str(slow))
+    monkeypatch.setenv("REPRO_JIT_DIR", str(tmp_path))
+    jit.reset(engine=True)
+    monkeypatch.setattr(jit, "_KERNELS", {})
+    monkeypatch.setattr(jit, "_OBJECTS", {})
+    monkeypatch.setattr(procs, "_worker_main", _checked_worker_main)
+    kernel = jit.KernelSource(
+        "in_flight", f"void {jit.SYMBOL}(double *x) {{ x[0] += 1.0; }}",
+        (ctypes.c_void_p,),
+    )
+    try:
+        with jit.batch(background=True) as handed:
+            jit.load_c([kernel], "")
+        (flight,) = handed
+        assert not flight.done.is_set()
+        config = DynamicalCoreConfig(npx=12, npz=4, k_split=1, n_split=1)
+        result = run("baroclinic_wave", config, steps=1,
+                     executor="processes", workers=2)
+        assert result.ok
+        assert flight.done.is_set() and flight.error is None
+    finally:
+        monkeypatch.delenv("REPRO_JIT")
+        jit.reset(engine=True)

@@ -607,6 +607,7 @@ for arrays, tracers in zip(snapshot.arrays, snapshot.tracers):
         digest.update(arrays[name].tobytes())
     for tracer in tracers:
         digest.update(tracer.tobytes())
+jit.wait()  # a cold process's kernels are built in the background
 summary = runtime_summary()
 driver.close()
 print(json.dumps({

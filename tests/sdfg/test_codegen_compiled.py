@@ -584,6 +584,26 @@ def test_mismatched_array_raises_plan_bind_error():
         plan(arrays=bad, scalars={"w": 1.0})
 
 
+def test_a_storage_layout_the_plan_refuses_is_named_by_its_strides():
+    """A ``make_storage`` field has the plan's shape and dtype but the
+    storage policy's padded, I-contiguous layout: the error names the
+    strides it got and the ones it takes, not the same shape twice."""
+    from repro.dsl import make_storage
+
+    arrays = {"a": _rand((4, 4, 3)), "out": np.zeros((4, 4, 3))}
+    sdfg = _build_sdfg(_lap, arrays, origin=(1, 1, 0), domain=(2, 2, 3))
+    plan = compile_sdfg(sdfg, "compiled")
+    stored = make_storage((4, 4, 3))
+    assert not stored.flags.c_contiguous
+    with pytest.raises(PlanBindError) as err:
+        plan(arrays={"a": stored, "out": np.zeros((4, 4, 3))},
+             scalars={"w": 1.0})
+    message = str(err.value)
+    assert f"got strides {stored.strides}" in message
+    assert "C-contiguous would be (96, 24, 8)" in message
+    assert message.count("(4, 4, 3)") == 1
+
+
 @pytest.mark.traced
 def test_instrumented_plan_records_kernel_times():
     """A compiled plan called while tracing returns that call's kernel

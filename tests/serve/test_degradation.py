@@ -19,11 +19,18 @@ from repro.serve import ForecastService, ServiceConfig
 
 
 @pytest.fixture
-def flaky_backend(monkeypatch):
+def flaky_backend(monkeypatch, small_config):
     """The compiled backend, its plans failing on demand: a plan that
-    holds C kernels fails, a NumPy plan runs."""
+    holds C kernels fails, a NumPy plan runs. Its kernels are built
+    first: a cold start runs NumPy stand-ins until they land, and the
+    primary would not fail."""
+    from repro.dsl import backends
+
     if not jit.available():
         pytest.skip("no JIT engine: compiled programs are NumPy emission")
+    with backends.default_backend("compiled"):
+        run("baroclinic_wave", small_config, steps=1)
+    jit.wait()
     state = {"healthy": False, "calls": 0}
     run_plan = BoundPlan.__call__
 
