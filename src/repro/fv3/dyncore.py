@@ -6,15 +6,14 @@ remapping step runs under a rollback/retry harness: the state is
 snapshotted, the step advances, the state guard scans for blowup, and
 any recoverable fault (guard trip under the ``rollback`` policy, halo
 timeout, injected fault) restores the snapshot and re-advances — up to
-a bounded retry budget with exponential backoff. Because injected
-faults fire once per planned occurrence and the model is deterministic,
-a recovered run finishes bit-identical to a fault-free one.
+a bounded retry budget. Because injected faults fire once per planned
+occurrence and the model is deterministic, a recovered run finishes
+bit-identical to a fault-free one.
 """
 
 from __future__ import annotations
 
 import pathlib
-import time as _time
 import warnings
 from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -113,7 +112,7 @@ class DynamicalCore:
     def __init__(
         self,
         config: DynamicalCoreConfig,
-        n_halo: int = constants.N_HALO,
+        *,
         init=None,
         resilience: Optional[ResilienceConfig] = None,
         executor: Optional[_ranks.RankExecutor] = None,
@@ -128,7 +127,7 @@ class DynamicalCore:
 
             init = get_scenario("baroclinic_wave").initializer()
         self.config = config
-        self.h = n_halo
+        self.h = n_halo = constants.N_HALO
         self.partitioner = CubedSpherePartitioner(config.npx, config.layout)
         # ``comm`` is a LocalComm over either mailbox store: in-process
         # (the default) or the shared-memory table a rank worker process
@@ -399,8 +398,6 @@ class DynamicalCore:
                 _resilience.record("rollbacks")
                 snapshot.restore(self.states)
                 self.time = snapshot.time
-            if res.backoff_base > 0.0:
-                _time.sleep(res.backoff_base * 2 ** (attempt - 1))
 
     # ------------------------------------------------------------------
     # checkpoint/restart

@@ -120,11 +120,8 @@ class ResilienceConfig:
         guard: invariant checks and trip policy (see
             :class:`~repro.resilience.guards.GuardConfig`).
         max_retries: rollback/re-advance attempts per remapping step
-            before :class:`RetriesExhaustedError`.
-        backoff_base: seconds slept before retry ``k`` is
-            ``backoff_base * 2**(k-1)`` (0 disables sleeping — the
-            in-process transport has nothing to wait for; real MPI
-            transients do).
+            before :class:`RetriesExhaustedError`, each at once: the
+            in-process transport has nothing to wait for.
         checkpoint_every: write an on-disk checkpoint every N physics
             steps (0 disables).
         checkpoint_dir: directory for periodic checkpoints (required
@@ -133,7 +130,6 @@ class ResilienceConfig:
 
     guard: GuardConfig = dataclasses.field(default_factory=_guard_config)
     max_retries: int = 3
-    backoff_base: float = 0.0
     checkpoint_every: int = 0
     checkpoint_dir: Optional[str] = None
 

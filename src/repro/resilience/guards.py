@@ -20,7 +20,7 @@ What happens on a violation (``raise | rollback | warn``) is the
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -34,22 +34,18 @@ POLICIES = ("raise", "rollback", "warn")
 
 @dataclasses.dataclass(frozen=True)
 class GuardConfig:
-    """What the guard checks and what the driver does on a trip.
+    """What the driver does on a trip, and the wind bound. Every scan
+    covers :data:`GUARDED_FIELDS` and the tracers for non-finite values
+    and requires ``delp > 0``.
 
     Attributes:
         policy: ``raise`` (fail fast), ``rollback`` (retry from the last
             snapshot), or ``warn`` (report and continue).
-        check_finite: NaN/Inf scan over the guarded fields and tracers.
-        check_positive_delp: require ``delp > 0`` everywhere.
         max_wind: bound on ``|u|`` and ``|v|`` [m/s]; 0 disables.
-        fields: which state attributes the finite scan covers.
     """
 
     policy: str = "rollback"
-    check_finite: bool = True
-    check_positive_delp: bool = True
     max_wind: float = 300.0
-    fields: Tuple[str, ...] = GUARDED_FIELDS
 
     def __post_init__(self):
         if self.policy not in POLICIES:
@@ -116,16 +112,15 @@ class StateGuard:
         violations: List[GuardViolation] = []
 
         def scan(rank: int, name: str, arr: np.ndarray) -> None:
-            if cfg.check_finite:
-                bad = self._finite_violation(arr)
-                if bad:
-                    violations.append(
-                        GuardViolation(rank, name, "nonfinite", bad, step)
-                    )
-                    # non-finite data poisons the other reductions; the
-                    # remaining checks on this array would double-report
-                    return
-            if name == "delp" and cfg.check_positive_delp:
+            bad = self._finite_violation(arr)
+            if bad:
+                violations.append(
+                    GuardViolation(rank, name, "nonfinite", bad, step)
+                )
+                # non-finite data poisons the other reductions; the
+                # remaining checks on this array would double-report
+                return
+            if name == "delp":
                 lo = float(np.min(arr))
                 if not lo > 0.0:
                     violations.append(
@@ -139,17 +134,16 @@ class StateGuard:
                     )
 
         for rank, state in enumerate(states):
-            for name in cfg.fields:
+            for name in GUARDED_FIELDS:
                 scan(rank, name, getattr(state, name))
-            if cfg.check_finite:
-                for t, tracer in enumerate(state.tracers):
-                    bad = self._finite_violation(tracer)
-                    if bad:
-                        violations.append(
-                            GuardViolation(
-                                rank, f"tracer{t}", "nonfinite", bad, step
-                            )
+            for t, tracer in enumerate(state.tracers):
+                bad = self._finite_violation(tracer)
+                if bad:
+                    violations.append(
+                        GuardViolation(
+                            rank, f"tracer{t}", "nonfinite", bad, step
                         )
+                    )
         if violations:
             self.trips += 1
         return violations

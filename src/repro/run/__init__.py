@@ -70,9 +70,6 @@ def run(
     workers: Optional[int] = None,
     resilience=None,
     comm_latency: Optional[float] = None,
-    max_polls: Optional[int] = None,
-    diagnostics: bool = True,
-    check: bool = True,
 ) -> RunResult:
     """Run a scenario for ``steps`` physics steps with ``members``
     ensemble members; returns a structured :class:`RunResult`.
@@ -102,10 +99,10 @@ def run(
             every member (periodic checkpoints go to per-member
             subdirectories).
         comm_latency: simulated per-message network latency [s].
-        max_polls: receive absence budget of the simulated transport.
-        diagnostics: record per-step summaries on each member's
-            ``history``.
-        check: run the scenario's reference checks after stepping.
+
+    Every member records its per-step summaries on its ``history``, and
+    the scenario's reference checks run after stepping
+    (:attr:`RunResult.ok`).
     """
     # lazy check: a ProcessRankExecutor instance implies repro.runtime
     # .procs is already imported, so the module never loads otherwise
@@ -132,9 +129,6 @@ def run(
             workers=workers,
             resilience=resilience,
             comm_latency=comm_latency,
-            max_polls=max_polls,
-            diagnostics=diagnostics,
-            check=check,
         )
     driver = EnsembleDriver(
         scenario,
@@ -144,11 +138,10 @@ def run(
         executor=executor,
         workers=workers,
         resilience=resilience,
-        comm_latency=comm_latency,
-        max_polls=max_polls,
-        diagnostics=diagnostics,
     )
+    if comm_latency is not None:
+        driver.engine.halo.comm.latency = comm_latency
     try:
-        return driver.run(steps, check=check)
+        return driver.run(steps)
     finally:
         driver.close()

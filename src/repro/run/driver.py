@@ -167,10 +167,8 @@ def build_core(
     member: int = 0,
     seed: int = 0,
     executor: Union[None, str, _ranks.RankExecutor] = None,
-    workers: Optional[int] = None,
     resilience: Optional[ResilienceConfig] = None,
     comm_latency: Optional[float] = None,
-    max_polls: Optional[int] = None,
     grids: Optional[List[CubedSphereGrid]] = None,
     comm=None,
 ) -> DynamicalCore:
@@ -178,15 +176,15 @@ def build_core(
 
     Examples and benchmarks that used to hand-assemble
     ``DynamicalCoreConfig → DynamicalCore → comm knobs`` call this (or
-    :func:`repro.run.run` above it) instead. ``comm_latency`` and
-    ``max_polls`` configure the simulated transport exactly like the
-    scaling benchmark needs. The core's arrays hold ``member``'s initial
-    state until it steps (``DynamicalCore.initial``); a driver record
-    drawn from the same stream takes them instead of building its own.
+    :func:`repro.run.run` above it) instead. ``comm_latency`` configures
+    the simulated transport exactly like the scaling benchmark needs.
+    The core's arrays hold ``member``'s initial state until it steps
+    (``DynamicalCore.initial``); a driver record drawn from the same
+    stream takes them instead of building its own.
     """
     scen = get_scenario(scenario)
     cfg = config if config is not None else scen.default_config()
-    ex, _ = resolve_executor(executor, workers, cfg.total_ranks)
+    ex, _ = resolve_executor(executor, None, cfg.total_ranks)
     rng = member_rng(seed, member)
     initial = _stream(scen, rng)
     core = DynamicalCore(
@@ -201,8 +199,6 @@ def build_core(
     core.initial = initial
     if comm_latency is not None:
         core.halo.comm.latency = comm_latency
-    if max_polls is not None:
-        core.halo.comm.max_polls = max_polls
     return core
 
 
@@ -378,8 +374,6 @@ class EnsembleDriver:
         executor: Union[None, str, _ranks.RankExecutor] = None,
         workers: Optional[int] = None,
         resilience: Optional[ResilienceConfig] = None,
-        comm_latency: Optional[float] = None,
-        max_polls: Optional[int] = None,
         diagnostics: bool = True,
         engine=None,
     ):
@@ -417,8 +411,6 @@ class EnsembleDriver:
                     seed=self.seed,
                     executor=self.executor,
                     resilience=resilience,
-                    comm_latency=comm_latency,
-                    max_polls=max_polls,
                 )
         self._grid_builds = len(self.engine.grids)
         self._grid_builds_avoided = (
@@ -709,19 +701,20 @@ class EnsembleDriver:
         })
         return amortization
 
-    def run(self, steps: int, check: bool = True) -> RunResult:
-        """Step all members and assemble the structured result."""
+    def run(self, steps: int) -> RunResult:
+        """Step all members and assemble the structured result, each
+        member's reference checks included."""
         cache0 = _compile_cache.stats()
         t0 = time.perf_counter()
         with _TRACER.span("ensemble.run"):
             self.step(steps)
         seconds = time.perf_counter() - t0
         amortization = self._record_amortization(steps, seconds, cache0)
-        return self._result(seconds, amortization, check,
+        return self._result(seconds, amortization,
                             repr(self.engine.executor))
 
     def _result(self, seconds: float, amortization: Dict[str, int],
-                check: bool, executor: str) -> RunResult:
+                executor: str) -> RunResult:
         """The structured result of the members as they stand (stepped
         here, or gathered from rank worker processes): each member is
         loaded once, for its checks and its summary, the resident one
@@ -735,8 +728,7 @@ class EnsembleDriver:
                 summary=self.engine.state_summary(),
                 mass_drift=self._mass_drift_loaded(m),
                 tracer_drift=self._tracer_drift_loaded(m),
-                check_violations=self.reference_check(m)[m] if check
-                else [],
+                check_violations=self.reference_check(m)[m],
                 history=list(self.history[m]),
                 states=rec.states,
             )

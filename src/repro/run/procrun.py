@@ -53,12 +53,6 @@ from repro.scenarios import get_scenario
 
 __all__ = ["run_processes"]
 
-#: default receive absence budget under processes (seconds = polls *
-#: 0.05): sibling workers may spend seconds in first-step compilation
-#: while our receives are already posted, so the threaded default (0.4s)
-#: is far too twitchy for a cold fleet
-_DEFAULT_MAX_POLLS = 1200
-
 #: halo exchanges a rank has in flight at once (the winds and the
 #: transported scalars of an acoustic sub-step)
 _CONCURRENT_EXCHANGES = 2
@@ -164,9 +158,6 @@ def run_processes(
     workers: Optional[int] = None,
     resilience=None,
     comm_latency: Optional[float] = None,
-    max_polls: Optional[int] = None,
-    diagnostics: bool = True,
-    check: bool = True,
 ) -> RunResult:
     """Run a scenario on the process-based rank executor (the
     ``executor="processes"`` branch of :func:`repro.run.run`)."""
@@ -189,9 +180,6 @@ def run_processes(
         seed=int(seed),
         member_ids=members,
         comm_latency=comm_latency,
-        max_polls=max_polls if max_polls is not None
-        else _DEFAULT_MAX_POLLS,
-        diagnostics=diagnostics,
         trace=tracer.enabled,
     )
     pex = executor if executor is not None else ProcessRankExecutor(
@@ -215,7 +203,6 @@ def run_processes(
             members=members,
             seed=seed,
             executor="sequential",
-            diagnostics=diagnostics,
         )
         _check_baselines(driver, pex.ready(), n_ranks)
         t0 = time.perf_counter()
@@ -242,7 +229,7 @@ def run_processes(
         # the compile counters in the result cover the whole process tree
         _procs.fold_worker_reports(reports)
         amortization = driver._record_amortization(steps, seconds, cache0)
-        return driver._result(seconds, amortization, check, executor_repr)
+        return driver._result(seconds, amortization, executor_repr)
     finally:
         pex.close()
         if driver is not None:

@@ -13,8 +13,7 @@ nest at machine speed:
   the NumPy emission of the lowered SDFG with a single warning (see
   :func:`repro.runtime.compile_cache.get_or_compile`).
 
-``REPRO_JIT=cgen|none`` forces an engine; a forced ``cgen`` without a
-compiler is not :func:`available` and degrades the same way.
+A ``REPRO_CC`` that names no compiler leaves the engine ``none``.
 
 **The kernel is the unit of identity.** A kernel is printed under the
 placeholder name :data:`SYMBOL`; its key is a hash of that text together
@@ -143,8 +142,6 @@ __all__ = [
     "wait",
 ]
 
-_ENGINES = ("cgen", "none")
-
 #: the function name a kernel is printed under; :func:`load_c` replaces
 #: it by the kernel's own symbol ``repro_k_<key>``
 SYMBOL = "repro_k_SYMBOL"
@@ -221,7 +218,7 @@ def publish(path: str, write: Callable[[str], None]) -> None:
 
 
 class JitUnavailableError(RuntimeError):
-    """No usable JIT engine (or the forced one is not installed)."""
+    """No usable JIT engine: no C compiler is found."""
 
 
 class JitCompileError(RuntimeError):
@@ -240,26 +237,12 @@ def _find_cc() -> Optional[str]:
 
 
 def engine_name() -> str:
-    """Resolve (once) the active engine name.
-
-    ``REPRO_JIT`` forces a choice; otherwise ``"cgen"`` when a C
-    compiler is found, else ``"none"``. A forced engine whose toolchain
-    is missing still resolves, but is not :func:`available`.
-    """
+    """Resolve (once) the active engine name: ``"cgen"`` when a C
+    compiler is found, else ``"none"``."""
     global _ENGINE
     with _LOCK:
         if _ENGINE is None:
-            forced = os.environ.get("REPRO_JIT", "").strip().lower()
-            if forced:
-                if forced not in _ENGINES:
-                    raise ValueError(
-                        f"REPRO_JIT={forced!r}: expected one of {_ENGINES}"
-                    )
-                _ENGINE = forced
-            elif _find_cc() is not None:
-                _ENGINE = "cgen"
-            else:
-                _ENGINE = "none"
+            _ENGINE = "cgen" if _find_cc() is not None else "none"
         return _ENGINE
 
 
@@ -791,7 +774,7 @@ def load_c(
     cc = _find_cc()
     if cc is None:
         raise JitUnavailableError(
-            "cgen engine selected but no C compiler found "
+            "no C compiler found "
             "(searched cc/gcc/clang; set REPRO_CC to override)"
         )
     identity = _cc_identity(cc)
@@ -909,7 +892,7 @@ def _build(requests: List[_Request], width: int, seconds: str) -> None:
 def reset(engine: bool = False) -> None:
     """Zero the counters, once the background builder is idle; with
     ``engine=True`` also forget the resolved engine so the next
-    :func:`engine_name` re-reads ``REPRO_JIT`` (tests)."""
+    :func:`engine_name` looks for the compiler again (tests)."""
     global _WARNED_CORRUPT, _ENGINE, _FEATURES
     wait()
     COUNTERS.reset()

@@ -329,9 +329,14 @@ class WorkerSpec:
     seed: int
     member_ids: Tuple[int, ...]
     comm_latency: Optional[float]
-    max_polls: Optional[int]
-    diagnostics: bool
     trace: bool
+
+
+#: a worker's receive absence budget (seconds = polls * 0.05): sibling
+#: workers may spend seconds in first-step compilation while its
+#: receives are already posted, so the in-process default (0.4 s) is far
+#: too twitchy for a cold fleet
+_DEFAULT_MAX_POLLS = 1200
 
 
 def _raw(array: np.ndarray) -> memoryview:
@@ -376,8 +381,8 @@ class _WorkerHarness:
             executor=_ranks.RankExecutor(1),
             comm=comm,
             comm_latency=spec.comm_latency,
-            max_polls=spec.max_polls,
         )
+        core.halo.comm.max_polls = _DEFAULT_MAX_POLLS
         #: most threads seen alive right after a step (the report's
         #: ``threads``: the lockstep schedule needs exactly one)
         self.threads = 0
@@ -418,15 +423,14 @@ class _WorkerHarness:
             for member in _resident_first(core, list(self.members)):
                 _step(core, self.members[member])
                 self.threads = max(self.threads, threading.active_count())
-                if self.spec.diagnostics:
-                    self.history[member].append({
-                        "time": core.time,
-                        "step": core.step_count,
-                        "mass": self._partials(core.rank_integral),
-                        "max_wind": self._partials(core.rank_max_wind),
-                        "max_w": self._partials(core.rank_max_w),
-                        "tracer": self._tracer_partials(),
-                    })
+                self.history[member].append({
+                    "time": core.time,
+                    "step": core.step_count,
+                    "mass": self._partials(core.rank_integral),
+                    "max_wind": self._partials(core.rank_max_wind),
+                    "max_w": self._partials(core.rank_max_w),
+                    "tracer": self._tracer_partials(),
+                })
 
     def collect(self, conn) -> None:
         """Answer ``collect``: a header (owned ranks, per-member

@@ -19,9 +19,9 @@ The pieces (see ``docs/serving.md`` for the full SLO model):
   shedding, worker threads batching compatible requests onto warm
   :class:`~repro.run.EnsembleDriver` engines, a checkpoint-warmed
   :class:`~repro.serve.cache.StateCache` for repeat queries.
-- :class:`~repro.serve.budget.DeadlineBudget` /
-  :class:`~repro.serve.budget.RetryPolicy` — phase-attributed deadline
-  budgets and bounded retry with deterministic full-jitter backoff.
+- :class:`~repro.serve.budget.DeadlineBudget` — phase-attributed
+  deadline budgets; recoverable faults are retried at once, up to
+  ``ServiceConfig.max_retries``.
 - :class:`~repro.serve.breaker.CircuitBreaker` /
   :class:`~repro.serve.breaker.BreakerBoard` — per (scenario, backend)
   breakers routing to the bit-identical NumPy fallback when a primary
@@ -38,7 +38,7 @@ the :func:`repro.obs.report` serving footer.
 from __future__ import annotations
 
 from repro.serve.breaker import BreakerBoard, CircuitBreaker
-from repro.serve.budget import DeadlineBudget, RetryPolicy
+from repro.serve.budget import DeadlineBudget
 from repro.serve.cache import CacheEntry, StateCache
 from repro.serve.errors import (
     DeadlineExceeded,
@@ -71,7 +71,6 @@ __all__ = [
     "Overloaded",
     "RequestCancelled",
     "RequestFailed",
-    "RetryPolicy",
     "ServeError",
     "ServeMetrics",
     "ServiceClosed",

@@ -1,4 +1,4 @@
-"""Per-request deadline budgets and the bounded retry policy.
+"""Per-request deadline budgets.
 
 A :class:`DeadlineBudget` is one request's wall-clock allowance,
 decremented across named phases (queue wait, state warm-up, the step
@@ -6,25 +6,16 @@ loop). Phases are charged where the time is actually spent, so a
 :class:`~repro.serve.errors.DeadlineExceeded` names the guilty phase —
 "spent 4.8 s of a 5 s budget queued" reads very differently from
 "spent it compiling".
-
-:class:`RetryPolicy` is the service-level retry loop's schedule:
-bounded attempts with exponential backoff plus *deterministic* seeded
-jitter (full-jitter style: sleep is uniform in ``[0, base * 2**k]``,
-drawn from a per-request stream that is a pure function of (service
-seed, request id, attempt) — a replayed chaos run backs off
-identically). A sleep is always clipped to the remaining budget: the
-retry machinery never spends time the deadline doesn't have.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from typing import Callable, Dict, Optional
 
 from repro.serve.errors import DeadlineExceeded
 
-__all__ = ["DeadlineBudget", "RetryPolicy"]
+__all__ = ["DeadlineBudget"]
 
 
 class DeadlineBudget:
@@ -123,51 +114,3 @@ class _PhaseGuard:
     def __exit__(self, *exc) -> bool:
         self._budget._close_phase()
         return False
-
-
-class RetryPolicy:
-    """Bounded retry with exponential backoff + deterministic jitter.
-
-    Attributes:
-        max_retries: re-attempts after the first try (0 = fail fast).
-        backoff_base: backoff before retry ``k`` (1-indexed) is drawn
-            uniformly from ``[0, backoff_base * 2**(k-1)]`` (full
-            jitter; 0 disables sleeping).
-        max_backoff: cap on any single sleep.
-        seed: root of the jitter stream.
-    """
-
-    def __init__(self, max_retries: int = 2, backoff_base: float = 0.0,
-                 max_backoff: float = 1.0, seed: int = 0):
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        self.max_retries = int(max_retries)
-        self.backoff_base = float(backoff_base)
-        self.max_backoff = float(max_backoff)
-        self.seed = int(seed)
-
-    def backoff(self, request_id: int, attempt: int) -> float:
-        """The sleep before retry ``attempt`` (1-indexed), a pure
-        function of (policy seed, request id, attempt)."""
-        if self.backoff_base <= 0.0 or attempt < 1:
-            return 0.0
-        # string seeds are hashed with sha512 inside Random — stable
-        # across processes, unlike hash() of a tuple
-        rng = random.Random(f"{self.seed}:{request_id}:{attempt}")
-        ceiling = min(
-            self.backoff_base * 2 ** (attempt - 1), self.max_backoff
-        )
-        return rng.uniform(0.0, ceiling)
-
-    def sleep(self, request_id: int, attempt: int,
-              budget: Optional[DeadlineBudget] = None,
-              sleeper: Callable[[float], None] = time.sleep) -> float:
-        """Back off before retry ``attempt``, clipped to the remaining
-        deadline budget; returns the seconds actually slept."""
-        delay = self.backoff(request_id, attempt)
-        if budget is not None:
-            # leave headroom so the retry itself has budget to run in
-            delay = max(0.0, min(delay, budget.remaining() * 0.5))
-        if delay > 0.0:
-            sleeper(delay)
-        return delay

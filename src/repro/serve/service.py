@@ -31,11 +31,11 @@ service without giving up any of its guarantees:
   already returned its scratch: every take of the arena is given back
   by its own ``finally``, so a cancelled, expired or failed request
   leaves no pool memory behind and wedges no worker.
-- **Retry with backoff.** Recoverable model faults (chaos-injected
+- **Bounded retries.** Recoverable model faults (chaos-injected
   bit flips, guard-triggered rollbacks that exhausted the engine-level
-  retry budget) are retried at the service level under a bounded
-  :class:`~repro.serve.budget.RetryPolicy` with deterministic
-  full-jitter backoff, clipped to the remaining deadline.
+  retry budget) are retried at once at the service level, up to
+  ``max_retries`` times per request: the in-process transport has
+  nothing to wait for.
 - **Graceful degradation.** A :class:`~repro.serve.breaker.BreakerBoard`
   keyed by (scenario, backend) counts consecutive primary-backend
   failures; a tripped breaker routes steps to the NumPy fallback, which
@@ -71,7 +71,7 @@ from repro.resilience import (
 )
 from repro.run import EnsembleDriver, build_core, member_rng
 from repro.serve.breaker import BreakerBoard
-from repro.serve.budget import DeadlineBudget, RetryPolicy
+from repro.serve.budget import DeadlineBudget
 from repro.serve.cache import CacheEntry, StateCache, with_hit_ratio
 from repro.serve.errors import (
     DeadlineExceeded,
@@ -164,9 +164,7 @@ class ServiceConfig:
         batch_max: max compatible requests fused into one warm-driver
             batch.
         max_retries: service-level re-attempts per request on
-            recoverable model faults.
-        backoff_base / max_backoff: the :class:`RetryPolicy` schedule
-            (deterministic full jitter).
+            recoverable model faults, each at once.
         breaker_threshold / breaker_cooldown: consecutive failures that
             trip a (scenario, backend) breaker, and the open→half-open
             cooldown in seconds.
@@ -179,14 +177,12 @@ class ServiceConfig:
             ``cache_bytes`` bounds the entries' packed bytes
             (:class:`~repro.resilience.PackedSnapshot`, 1.6x below
             the states' raw bytes at c24·L10).
-        executor: rank executor spec forwarded to
-            :func:`repro.run.build_core` for warm engines.
-        resilience: :class:`~repro.resilience.ResilienceConfig` for the
-            warm engines. None installs the serving default — rollback
-            guards with the engine's own retry budget — so injected
-            faults are caught and rolled back *inside* a step before the
-            service-level retry loop ever sees them. A response must
-            never silently carry a NaN a guard would have caught.
+
+    A warm engine steps its ranks in lockstep under rollback guards with
+    the engine's own retry budget, so injected faults are caught and
+    rolled back *inside* a step before the service-level retry loop ever
+    sees them: a response never silently carries a NaN a guard would
+    have caught.
     """
 
     max_queue: int = 64
@@ -194,15 +190,11 @@ class ServiceConfig:
     workers: int = 2
     batch_max: int = 4
     max_retries: int = 2
-    backoff_base: float = 0.0
-    max_backoff: float = 0.5
     breaker_threshold: int = 3
     breaker_cooldown: float = 30.0
     backend: Optional[str] = None
     cache_entries: int = 64
     cache_bytes: int = 512 * 1024 * 1024
-    executor: object = None
-    resilience: object = None
 
 
 class ForecastTicket:
@@ -278,23 +270,20 @@ class _Entry:
 
 
 class ForecastService:
-    """See the module docstring. ``clock``/``sleeper`` are injectable
-    for deterministic tests (deadlines, breaker cooldowns, backoff)."""
+    """See the module docstring. ``clock`` is injectable for
+    deterministic tests (deadlines, breaker cooldowns)."""
 
     def __init__(self, config: Optional[ServiceConfig] = None, *,
-                 clock: Callable[[], float] = time.monotonic,
-                 sleeper: Callable[[float], None] = time.sleep):
+                 clock: Callable[[], float] = time.monotonic):
         self.config = config or ServiceConfig()
+        if self.config.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
         self._clock = clock
-        self._sleeper = sleeper
         self.metrics = ServeMetrics()
         self.cache = StateCache(self.config.cache_entries,
                                 self.config.cache_bytes)
         self.breakers = BreakerBoard(self.config.breaker_threshold,
                                      self.config.breaker_cooldown, clock)
-        self.retry = RetryPolicy(self.config.max_retries,
-                                 self.config.backoff_base,
-                                 self.config.max_backoff)
         # the primary backend is pinned at construction so a concurrent
         # degraded batch (which flips the process default under a lock)
         # cannot change what "primary" means for everyone else
@@ -302,10 +291,8 @@ class ForecastService:
             _backends.check_backend(self.config.backend)
             if self.config.backend else _backends.default_backend()
         )
-        self._resilience = (
-            self.config.resilience
-            if self.config.resilience is not None
-            else ResilienceConfig(guard=GuardConfig(policy="rollback"))
+        self._resilience = ResilienceConfig(
+            guard=GuardConfig(policy="rollback")
         )
         self._lock = threading.Lock()
         self._cv = threading.Condition(self._lock)
@@ -491,7 +478,6 @@ class ForecastService:
                         request.config,
                         member=request.member,
                         seed=request.seed,
-                        executor=self.config.executor,
                         resilience=self._resilience,
                     )
                     driver = EnsembleDriver(
@@ -665,16 +651,12 @@ class ForecastService:
             except _RETRYABLE as exc:
                 if on_primary:
                     breaker.record_failure()
-                if entry.attempts > self.retry.max_retries:
+                if entry.attempts > self.config.max_retries:
                     raise RequestFailed(
                         entry.ticket.request_id, entry.attempts, exc
                     )
                 entry.attempts += 1
                 self.metrics.bump("retries")
-                self.retry.sleep(
-                    entry.ticket.request_id, entry.attempts - 1,
-                    entry.budget, self._sleeper,
-                )
                 continue
             if on_primary:
                 breaker.record_success()

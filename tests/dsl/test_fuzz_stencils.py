@@ -258,17 +258,15 @@ def check(source: str, seed: int = 0) -> int:
         if jit._find_cc() is None:
             return takes
         sdfg = _build_sdfg(stencil_obj, fields, origin, domain)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setenv("REPRO_JIT", "cgen")
-            jit.reset(engine=True)
-            plan = compile_sdfg(sdfg, "compiled")
+        jit.reset(engine=True)
+        plan = compile_sdfg(sdfg, "compiled")
 
-            def compiled_leg(who="compiled"):
-                leg(lambda got: plan(arrays=got, scalars=scalars), who)
+        def compiled_leg(who="compiled"):
+            leg(lambda got: plan(arrays=got, scalars=scalars), who)
 
-            compiled_leg()
-            poisoned = _poisoned(lambda: compiled_leg("compiled, poisoned"))
-            assert poisoned == (1 if plan.runtime_bytes else 0)
+        compiled_leg()
+        poisoned = _poisoned(lambda: compiled_leg("compiled, poisoned"))
+        assert poisoned == (1 if plan.runtime_bytes else 0)
         jit.reset(engine=True)
         _forget_loaded()
     return takes + poisoned

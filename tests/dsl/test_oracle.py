@@ -69,12 +69,11 @@ STAGES = ("arrays", "pinned", "floating")
 
 
 @contextlib.contextmanager
-def compiled_stage(stage, engine, store, isa=True):
-    """A fresh compiled backend printing for ``engine`` into ``store``,
-    its lowering stopped at ``stage``."""
+def compiled_stage(stage, store, isa=True):
+    """A fresh compiled backend printing into ``store``, its lowering
+    stopped at ``stage``."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("REPRO_JIT_DIR", str(store))
-        patch.setenv("REPRO_JIT", engine)
         jit.reset(engine=True)
         _forget_loaded()
         if stage == "arrays":
@@ -120,7 +119,7 @@ def test_compiled_equals_the_oracle_after_each_rewrite(stencil_obj, tmp_path):
     domain = (NI, NJ, NK)
     want = oracle_of(stencil_obj, fields, scalars, origin, domain)
     for stage in STAGES:
-        with compiled_stage(stage, "cgen", tmp_path):
+        with compiled_stage(stage, tmp_path):
             assert_compiled_matches(stencil_obj, fields, scalars, origin,
                                     domain, want, f"cgen, {stage}")
 
@@ -135,7 +134,7 @@ def test_ppm_in_c_equals_the_oracle_after_each_rewrite(tmp_path, isa):
     want = oracle_of(xppm_flux, fields, scalars, origin, domain)
     locals_left = []
     for stage in STAGES:
-        with compiled_stage(stage, "cgen", tmp_path, isa):
+        with compiled_stage(stage, tmp_path, isa):
             plan = assert_compiled_matches(
                 xppm_flux, fields, scalars, origin, domain, want,
                 f"cgen, {stage}, isa={isa}",

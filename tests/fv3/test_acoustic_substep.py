@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.fv3.acoustics import ScalarWindow, finish_scalars
-from repro.run import build_core
+from repro.run import build_core, resolve_executor
 from repro.runtime import compile_cache as cc
 from repro.scenarios import get_scenario
 from repro.sdfg.nodes import Callback, ContainerRef, Kernel, ObjectRef
@@ -26,8 +26,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 def _core(executor="sequential", workers=None):
     config = get_scenario("baroclinic_wave").default_config(npx=12, npz=4)
-    return build_core("baroclinic_wave", config, executor=executor,
-                      workers=workers)
+    ex, _ = resolve_executor(executor, workers, config.total_ranks)
+    return build_core("baroclinic_wave", config, executor=ex)
 
 
 def _finish(core):

@@ -220,8 +220,9 @@ def test_sequential_step_hides_latency_behind_ten_windows():
     def step_seconds(comm_latency):
         core = build_core(
             "baroclinic_wave", cfg, executor="sequential",
-            comm_latency=comm_latency, max_polls=40,
+            comm_latency=comm_latency,
         )
+        core.halo.comm.max_polls = 40
         try:
             core.step_dynamics()  # programs bound, buffers allocated
             t0 = time.perf_counter()

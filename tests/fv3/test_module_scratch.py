@@ -14,7 +14,7 @@ from repro.fv3.stencils.remapping import hydrostatic_delz
 from repro.orchestration import Transient
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosPlan
-from repro.run import build_core
+from repro.run import build_core, resolve_executor
 from repro.runtime import pool as pool_module
 from repro.runtime.pool import BufferPool, get_pool
 from repro.scenarios import get_scenario
@@ -26,10 +26,9 @@ STATE_FIELDS = ("u", "v", "w", "pt", "delp", "delz")
 def _core(executor="sequential", workers=None, **config):
     config = {"npx": 12, "npz": 4, **config}
     scenario = get_scenario("baroclinic_wave")
-    return build_core(
-        "baroclinic_wave", scenario.default_config(**config),
-        executor=executor, workers=workers,
-    )
+    config = scenario.default_config(**config)
+    ex, _ = resolve_executor(executor, workers, config.total_ranks)
+    return build_core("baroclinic_wave", config, executor=ex)
 
 
 def _finish(core):

@@ -196,7 +196,6 @@ def test_a_failed_build_is_a_fault_of_the_step():
 @pytest.fixture()
 def empty_store(monkeypatch, tmp_path):
     """The C engine on an empty kernel store, as a fresh process."""
-    monkeypatch.setenv("REPRO_JIT", "cgen")
     jit.reset(engine=True)
     if jit._find_cc() is None:
         pytest.skip("no C compiler on this machine")
@@ -205,7 +204,6 @@ def empty_store(monkeypatch, tmp_path):
     monkeypatch.setattr(jit, "_KERNELS", {})
     monkeypatch.setattr(jit, "_OBJECTS", {})
     yield tmp_path
-    monkeypatch.delenv("REPRO_JIT", raising=False)
     jit.reset(engine=True)
 
 

@@ -317,16 +317,12 @@ def test_core_acoustic_plan_has_no_errors_on_any_executor(executor):
     """The real core's declared schedule is finding-free however its
     rank bodies are scheduled: one ordering, verified against the
     core's own halo topology."""
-    from repro.run.driver import build_core
+    from repro.run.driver import build_core, resolve_executor
     from repro.scenarios import get_scenario
 
-    scen = get_scenario("baroclinic_wave")
-    core = build_core(
-        "baroclinic_wave",
-        scen.default_config(npx=12, npz=4),
-        executor=executor,
-        workers=2,
-    )
+    config = get_scenario("baroclinic_wave").default_config(npx=12, npz=4)
+    ex, _ = resolve_executor(executor, 2, config.total_ranks)
+    core = build_core("baroclinic_wave", config, executor=ex)
     try:
         core.prepare()
         assert lint_comm_plan(core.acoustics.comm_plan()) == []

@@ -338,15 +338,14 @@ def test_failed_compile_publishes_nothing():
 
 def test_rank_threads_trace_each_program_once():
     config = _small()
-    threaded = run("baroclinic_wave", config, steps=1, executor="threads",
-                   check=False)
+    threaded = run("baroclinic_wave", config, steps=1, executor="threads")
     stats = cc.stats()
     assert stats["program_traces"] == stats["templates"] == 4
     assert stats["program_binds"] == 20
     assert all(len(f.templates) == 1 for f in cc._FAMILIES.values())
     cc.reset(clear=True)
     sequential = run("baroclinic_wave", config, steps=1,
-                     executor="sequential", check=False)
+                     executor="sequential")
     for a, b in zip(threaded.members[0].states, sequential.members[0].states):
         for name in ("u", "v", "w", "pt", "delp", "delz"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))

@@ -143,34 +143,28 @@ def _warned_unavailable(record):
             and "compiled backend unavailable" in str(w.message)]
 
 
-#: a host with no C compiler: no engine at all, or the C engine forced
-#: where the compiler it names does not exist
-_NO_TOOLCHAIN = {
-    "none": {"REPRO_JIT": "none"},
-    "cgen_without_cc": {
-        "REPRO_JIT": "cgen", "REPRO_CC": "/nonexistent/repro-no-cc",
-    },
-}
-
-
 @pytest.mark.parametrize("first, toolchain", [
     ("stencil", "none"), ("program", "none"),
     ("stencil", "cgen_without_cc"), ("program", "cgen_without_cc"),
 ], ids=["stencil", "program", "stencil-cgen_without_cc",
         "program-cgen_without_cc"])
 def test_without_a_toolchain_compiled_warns_once_and_runs_numpy(
-    first, toolchain, monkeypatch
+    first, toolchain, monkeypatch, tmp_path
 ):
     """A host with no C compiler has one path: a stencil called with
     ``backend="compiled"`` and a program pinned to ``compiled`` run the
     NumPy emission, bit-identical to the definition, and the process is
     told once, by whichever of them asks first. Nothing is lowered for
     the compiled backend on the way: no ``compiled`` request is counted,
-    whether no engine resolved or the C engine was forced."""
+    whether no compiler is on ``PATH`` or ``REPRO_CC`` names one that
+    does not exist."""
     from repro.runtime import compile_cache, jit
 
-    for name, value in _NO_TOOLCHAIN[toolchain].items():
-        monkeypatch.setenv(name, value)
+    if toolchain == "none":
+        monkeypatch.delenv("REPRO_CC", raising=False)
+        monkeypatch.setenv("PATH", str(tmp_path))
+    else:
+        monkeypatch.setenv("REPRO_CC", "/nonexistent/repro-no-cc")
     monkeypatch.setattr(compile_cache, "_WARNED", [False])
     jit.reset(engine=True)
     compile_cache.reset(clear=True)

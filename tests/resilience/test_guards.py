@@ -61,14 +61,6 @@ def test_wind_bound():
     assert StateGuard(GuardConfig(max_wind=0.0)).check_states([state]) == []
 
 
-def test_checks_can_be_disabled():
-    state = _state()
-    state.pt[0, 0, 0] = np.nan
-    state.delp[0, 0, 0] = -1.0
-    config = GuardConfig(check_finite=False, check_positive_delp=False)
-    assert StateGuard(config).check_states([state]) == []
-
-
 def test_policy_validated():
     with pytest.raises(ValueError, match="unknown guard policy"):
         GuardConfig(policy="explode")

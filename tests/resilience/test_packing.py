@@ -166,8 +166,7 @@ def member_states():
     config = dataclasses.replace(
         get_scenario("baroclinic_wave").default_config(), npx=24, npz=10
     )
-    result = run("baroclinic_wave", config, steps=1, members=(1,), seed=7,
-                 check=False)
+    result = run("baroclinic_wave", config, steps=1, members=(1,), seed=7)
     return result.member(1).states
 
 

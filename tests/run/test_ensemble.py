@@ -60,8 +60,7 @@ def test_member_rng_contract():
 
 
 def test_members_actually_spread():
-    result = run("baroclinic_wave", _config(), steps=1, members=3, seed=5,
-                 check=False)
+    result = run("baroclinic_wave", _config(), steps=1, members=3, seed=5)
     control = result.member(0)
     for k in (1, 2):
         member = result.member(k)
@@ -76,10 +75,8 @@ def test_members_actually_spread():
 # bit-identical invariances
 # ---------------------------------------------------------------------------
 def test_rerun_is_bit_identical():
-    first = run("baroclinic_wave", _config(), steps=2, members=3, seed=9,
-                check=False, diagnostics=False)
-    second = run("baroclinic_wave", _config(), steps=2, members=3, seed=9,
-                 check=False, diagnostics=False)
+    first = run("baroclinic_wave", _config(), steps=2, members=3, seed=9)
+    second = run("baroclinic_wave", _config(), steps=2, members=3, seed=9)
     for k in range(3):
         _assert_members_equal(
             first.member(k), second.member(k), f"re-run member {k}"
@@ -87,11 +84,10 @@ def test_rerun_is_bit_identical():
 
 
 def test_member_alone_matches_member_in_batch():
-    batch = run("baroclinic_wave", _config(), steps=2, members=3, seed=9,
-                check=False, diagnostics=False)
+    batch = run("baroclinic_wave", _config(), steps=2, members=3, seed=9)
     for k in (0, 2):
         alone = run("baroclinic_wave", _config(), steps=2, members=(k,),
-                    seed=9, check=False, diagnostics=False)
+                    seed=9)
         assert [m.member for m in alone.members] == [k]
         _assert_members_equal(
             batch.member(k), alone.member(k), f"member {k} alone vs batch"
@@ -102,8 +98,7 @@ def test_control_member_matches_direct_core_stepping():
     """The facade with members=1 reproduces a hand-built
     DynamicalCore run exactly — the engine swap adds nothing."""
     cfg = _config()
-    result = run("baroclinic_wave", cfg, steps=2, check=False,
-                 diagnostics=False)
+    result = run("baroclinic_wave", cfg, steps=2)
     core = DynamicalCore(
         cfg, init=get_scenario("baroclinic_wave").initializer()
     )
@@ -120,11 +115,9 @@ def test_control_member_matches_direct_core_stepping():
 
 def test_threaded_executor_is_bit_identical():
     sequential = run("baroclinic_wave", _config(), steps=1, members=2,
-                     seed=3, executor="sequential", check=False,
-                     diagnostics=False)
+                     seed=3, executor="sequential")
     threaded = run("baroclinic_wave", _config(), steps=1, members=2,
-                   seed=3, executor="threads", check=False,
-                   diagnostics=False)
+                   seed=3, executor="threads")
     for k in range(2):
         _assert_members_equal(
             sequential.member(k), threaded.member(k),
@@ -169,7 +162,7 @@ def test_periodic_checkpoints_land_in_member_subdirs(tmp_path):
         checkpoint_every=1, checkpoint_dir=str(tmp_path / "ckpt")
     )
     result = run("baroclinic_wave", _config(), steps=2, members=2,
-                 resilience=res, check=False, diagnostics=False)
+                 resilience=res)
     assert result.steps == 2
     for member in (0, 1):
         member_dir = tmp_path / "ckpt" / f"member{member:03d}"

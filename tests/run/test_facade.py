@@ -9,6 +9,7 @@ import pytest
 from repro import obs
 from repro.fv3.config import DynamicalCoreConfig
 from repro.run import (
+    EnsembleDriver,
     MemberResult,
     RunResult,
     build_core,
@@ -83,14 +84,15 @@ def test_describe_is_human_readable(two_member_run):
 
 
 def test_diagnostics_off_skips_history():
-    result = run("baroclinic_wave", _config(), steps=1, diagnostics=False,
-                 check=False)
+    with EnsembleDriver("baroclinic_wave", _config(),
+                        diagnostics=False) as driver:
+        result = driver.run(1)
     assert result.member(0).history == []
 
 
 def test_explicit_member_ids():
     result = run("baroclinic_wave", _config(), steps=1, members=(2,),
-                 seed=4, check=False, diagnostics=False)
+                 seed=4)
     assert [m.member for m in result.members] == [2]
 
 
@@ -126,11 +128,8 @@ def test_resolve_executor_names():
 
 
 def test_build_core_wires_comm_knobs():
-    core = build_core(
-        "baroclinic_wave", _config(), comm_latency=0.25, max_polls=17,
-    )
+    core = build_core("baroclinic_wave", _config(), comm_latency=0.25)
     assert core.halo.comm.latency == 0.25
-    assert core.halo.comm.max_polls == 17
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +139,7 @@ def test_build_core_wires_comm_knobs():
 def test_report_carries_ensemble_footer():
     metrics.reset_metrics()
     try:
-        result = run("baroclinic_wave", _config(), steps=1, members=2,
-                     check=False)
+        result = run("baroclinic_wave", _config(), steps=1, members=2)
         text = obs.report()
         footer = [
             line for line in text.splitlines()
@@ -183,10 +181,8 @@ def test_footer_absent_without_runs():
 def test_metrics_accumulate_across_runs():
     metrics.reset_metrics()
     try:
-        run("baroclinic_wave", _config(), steps=1, check=False,
-            diagnostics=False)
-        run("baroclinic_wave", _config(), steps=1, members=2, check=False,
-            diagnostics=False)
+        run("baroclinic_wave", _config(), steps=1)
+        run("baroclinic_wave", _config(), steps=1, members=2)
         summary = metrics.summary()
         assert summary["runs"] == 2
         assert summary["members"] == 3
@@ -197,8 +193,7 @@ def test_metrics_accumulate_across_runs():
 
 
 def test_members_spread_is_visible_in_history():
-    result = run("baroclinic_wave", _config(), steps=1, members=2, seed=8,
-                 check=False)
+    result = run("baroclinic_wave", _config(), steps=1, members=2, seed=8)
     winds = [m.history[0]["max_wind"] for m in result.members]
     assert winds[0] != winds[1]  # perturbed member diverges immediately
     assert np.all(np.isfinite(winds))
@@ -223,8 +218,7 @@ def test_finished_runs_are_released():
     gc.disable()
     try:
         for _ in range(3):
-            result = run("baroclinic_wave", _config(), steps=1, check=False,
-                         diagnostics=False)
+            result = run("baroclinic_wave", _config(), steps=1)
             if state is None:
                 state = weakref.ref(result.engine.states[0].delp)
             del result

@@ -243,7 +243,7 @@ def test_collect_frames_round_trip_special_values(scenario_registry):
         base, name="test_special_values", builder=builder, checks=(),
     ))
     result = run("test_special_values", _config(), steps=0, members=2,
-                 executor=_forked(2), check=False)
+                 executor=_forked(2))
     for member in result.members:
         for state in member.states:
             got = state.w.reshape(-1)
@@ -278,7 +278,7 @@ def test_workers_share_the_kernel_threads(scenario_registry, monkeypatch,
     else:
         monkeypatch.setenv("REPRO_THREADS", env)
     result = run("test_thread_share", _config(), steps=0,
-                 executor=_forked(2), check=False)
+                 executor=_forked(2))
     for state in result.members[0].states:
         assert (state.w == expected).all()
 

@@ -84,11 +84,9 @@ def _digest(states) -> str:
 ], ids=["sequential", "threads", "two_members", "rollback_guards",
         "processes"])
 def test_a_finished_run_dies_with_its_result(no_collector, kwargs):
-    result = run("baroclinic_wave", _config(), steps=1, check=False,
-                 diagnostics=False, **kwargs)
+    result = run("baroclinic_wave", _config(), steps=1, **kwargs)
     refs = _refs(result.engine)
-    result = run("baroclinic_wave", _config(), steps=1, check=False,
-                 diagnostics=False, **kwargs)
+    result = run("baroclinic_wave", _config(), steps=1, **kwargs)
     assert [ref() is None for ref in refs] == [True] * len(refs)
     del result
     assert _repro_garbage() == []
@@ -134,8 +132,7 @@ def test_engines_built_and_freed_are_counted():
     gc.disable()
     try:
         for _ in range(3):
-            result = run("baroclinic_wave", _config(), steps=1, check=False,
-                         diagnostics=False)
+            result = run("baroclinic_wave", _config(), steps=1)
         after = metrics.summary()
     finally:
         if enabled:
@@ -150,8 +147,7 @@ def test_a_released_engine_steps_again_from_the_caches():
     """What a result keeps is states, grids and the halo updater; a
     driver handed the engine rebuilds the rest — binding its programs,
     tracing none — and steps bit for bit like a fresh core."""
-    result = run("baroclinic_wave", _config(), steps=1, check=False,
-                 diagnostics=False)
+    result = run("baroclinic_wave", _config(), steps=1)
     engine = result.engine
     assert engine.acoustics is None
     assert engine.remap is None and engine.tracer_adv is None

@@ -129,7 +129,6 @@ def test_backend_is_part_of_the_key(monkeypatch):
 
     if jit._find_cc() is None:
         pytest.skip("no C compiler")
-    monkeypatch.setenv("REPRO_JIT", "cgen")
     jit.reset(engine=True)
     try:
         p_np = cc.get_or_compile(_build_sdfg(), backend="numpy")

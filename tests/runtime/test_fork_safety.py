@@ -182,7 +182,6 @@ def test_workers_are_forked_after_the_build_in_flight_lands(
         f'exec {real} "$@"\n'
     )
     slow.chmod(0o755)
-    monkeypatch.setenv("REPRO_JIT", "cgen")
     monkeypatch.setenv("REPRO_CC", str(slow))
     monkeypatch.setenv("REPRO_JIT_DIR", str(tmp_path))
     jit.reset(engine=True)
@@ -204,5 +203,4 @@ def test_workers_are_forked_after_the_build_in_flight_lands(
         assert result.ok
         assert flight.done.is_set() and flight.error is None
     finally:
-        monkeypatch.delenv("REPRO_JIT")
         jit.reset(engine=True)

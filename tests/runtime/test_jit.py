@@ -14,49 +14,33 @@ from repro.runtime import jit
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
+#: a compiler path that does not exist: no engine resolves
+_NO_CC = "/nonexistent/repro-no-cc"
+
+
 @pytest.fixture()
-def forced_engine(monkeypatch):
-    """Force an engine for one test, restoring resolution afterwards."""
-
-    def force(name):
-        monkeypatch.setenv("REPRO_JIT", name)
-        jit.reset(engine=True)
-        return jit.engine_name()
-
-    yield force
-    monkeypatch.delenv("REPRO_JIT", raising=False)
+def fresh_engine():
+    """Resolve the engine anew for one test, and again afterwards."""
+    jit.reset(engine=True)
+    yield
     jit.reset(engine=True)
 
 
-def test_engine_resolution_is_sticky(forced_engine):
-    assert forced_engine("cgen") == "cgen"
-    # a later env change is ignored until reset(engine=True)
-    os.environ["REPRO_JIT"] = "none"
-    try:
-        assert jit.engine_name() == "cgen"
-    finally:
-        os.environ.pop("REPRO_JIT", None)
-        jit.reset(engine=True)
-
-
-def test_bogus_forced_engine_raises(forced_engine):
-    with pytest.raises(ValueError,
-                       match=r"expected one of \('cgen', 'none'\)"):
-        forced_engine("fortran")
-
-
-def test_none_engine_is_unavailable(forced_engine):
-    forced_engine("none")
-    assert not jit.available()
-
-
-def test_forced_engine_without_a_compiler_is_unavailable(forced_engine,
-                                                         monkeypatch):
-    """``REPRO_JIT=cgen`` still resolves where the compiler it would use
-    does not exist, but nothing can be built: not available."""
-    monkeypatch.setenv("REPRO_CC", "/nonexistent/repro-no-cc")
-    assert forced_engine("cgen") == "cgen"
+@pytest.mark.skipif(jit._find_cc() is None, reason="no C compiler")
+def test_engine_resolution_is_sticky(fresh_engine, monkeypatch):
     assert jit.engine_name() == "cgen"
+    # a later change of compiler is ignored until reset(engine=True)
+    monkeypatch.setenv("REPRO_CC", _NO_CC)
+    assert jit.engine_name() == "cgen"
+    jit.reset(engine=True)
+    assert jit.engine_name() == "none"
+
+
+def test_none_engine_is_unavailable(fresh_engine, monkeypatch):
+    """A ``REPRO_CC`` that names no compiler resolves no engine, and
+    nothing can be built."""
+    monkeypatch.setenv("REPRO_CC", _NO_CC)
+    assert jit.engine_name() == "none"
     assert not jit.available()
 
 
@@ -84,9 +68,8 @@ def _forget_loaded():
 
 
 @pytest.fixture()
-def store(forced_engine, tmp_path, monkeypatch):
+def store(fresh_engine, tmp_path, monkeypatch):
     """The C engine on an empty store directory, as a fresh process."""
-    forced_engine("cgen")
     if jit._find_cc() is None:
         pytest.skip("no C compiler on this machine")
     monkeypatch.setenv("REPRO_JIT_DIR", str(tmp_path))
@@ -636,7 +619,7 @@ print(json.dumps(jit.stats()))
 
 
 def _run_order(store, order):
-    env = dict(os.environ, REPRO_JIT="cgen", REPRO_JIT_DIR=str(store),
+    env = dict(os.environ, REPRO_JIT_DIR=str(store),
                PYTHONPATH="src")
     proc = subprocess.run(
         [sys.executable, "-c", _ORDER_CHILD, order],
@@ -667,8 +650,8 @@ def test_default_threads_env(monkeypatch):
     assert jit.default_threads() == 1
 
 
-def test_stats_reset(forced_engine):
-    forced_engine("none")
+def test_stats_reset(fresh_engine, monkeypatch):
+    monkeypatch.setenv("REPRO_CC", _NO_CC)
     jit.COUNTERS.add("compiles", 2)
     jit.COUNTERS.add("compile_seconds", 0.5)
     assert jit.stats()["compiles"] >= 2

@@ -54,7 +54,6 @@ _REAL_CDLL = ctypes.CDLL
 
 @pytest.fixture
 def cgen(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_JIT", "cgen")
     monkeypatch.setenv("REPRO_JIT_DIR", str(tmp_path))
     jit.reset(engine=True)
     if jit._find_cc() is None:
@@ -62,7 +61,6 @@ def cgen(monkeypatch, tmp_path):
     jit.reset()  # also re-arms the once-per-process corruption warning
     _forget_loaded()  # the kernel key is the same in every test
     yield tmp_path
-    monkeypatch.delenv("REPRO_JIT", raising=False)
     jit.reset(engine=True)
 
 
@@ -186,7 +184,7 @@ def test_fresh_process_heals_corrupt_cache(cgen):
         "    'result': list(x),\n"
         "}))\n"
     )
-    env = dict(os.environ, REPRO_JIT="cgen", REPRO_JIT_DIR=str(cgen),
+    env = dict(os.environ, REPRO_JIT_DIR=str(cgen),
                PYTHONPATH="src")
     proc = subprocess.run([sys.executable, "-c", child], env=env,
                           capture_output=True, text=True, cwd=ROOT)
@@ -250,7 +248,7 @@ def test_two_cold_processes_on_one_directory_never_repair(cgen):
         f"    jit.load_c(list(pair), {PREAMBLE!r})\n"
         "print(json.dumps(jit.stats()))\n"
     )
-    env = dict(os.environ, REPRO_JIT="cgen", REPRO_JIT_DIR=str(cgen),
+    env = dict(os.environ, REPRO_JIT_DIR=str(cgen),
                PYTHONPATH="src")
     procs = [
         subprocess.Popen([sys.executable, "-W", "error", "-c", child],

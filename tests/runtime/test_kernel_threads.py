@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.dsl import backends
-from repro.run import build_core
+from repro.run import build_core, resolve_executor
 from repro.runtime import compile_cache, jit
 from repro.scenarios import available_scenarios, get_scenario
 from repro.sdfg.plan import CompiledSDFG
@@ -30,7 +30,8 @@ def compiled(monkeypatch):
 
 def _core(scenario="baroclinic_wave", executor="sequential", workers=None):
     config = get_scenario(scenario).default_config(npx=12, npz=4)
-    return build_core(scenario, config, executor=executor, workers=workers)
+    ex, _ = resolve_executor(executor, workers, config.total_ranks)
+    return build_core(scenario, config, executor=ex)
 
 
 def _finish(core):

@@ -106,7 +106,6 @@ def test_changed_codegen_flags_find_no_plan_record(what, change, monkeypatch):
 
     if jit._find_cc() is None:
         pytest.skip("no C compiler: the compiled backend is not in play")
-    monkeypatch.setenv("REPRO_JIT", "cgen")
     jit.reset(engine=True)
     monkeypatch.setattr(backends, "_default_backend", "compiled")
     try:
@@ -647,7 +646,7 @@ def test_a_second_process_restores_everything_and_builds_nothing(tmp_path):
     first one computed."""
     script, store = tmp_path / "step.py", tmp_path / "store"
     script.write_text(STEP)
-    env = dict(REPRO_BACKEND="compiled", REPRO_JIT="cgen", REPRO_THREADS="1")
+    env = dict(REPRO_BACKEND="compiled", REPRO_THREADS="1")
     cold = _child(script, jit_dir=store, **env)
     primed = _child(script, jit_dir=store, **env)
     assert primed["digest"] == cold["digest"]

@@ -31,7 +31,6 @@ pytestmark = pytest.mark.skipif(jit._find_cc() is None,
 def empty_store(monkeypatch, tmp_path):
     """The C engine on an empty kernel store and no template in memory:
     what a fresh process on a fresh directory starts from."""
-    monkeypatch.setenv("REPRO_JIT", "cgen")
     jit.reset(engine=True)
     monkeypatch.setattr(backends, "_default_backend", "compiled")
     monkeypatch.setenv("REPRO_JIT_DIR", str(tmp_path))
@@ -40,7 +39,6 @@ def empty_store(monkeypatch, tmp_path):
     cc.reset(clear=True)
     yield tmp_path
     cc.reset(clear=True)
-    monkeypatch.delenv("REPRO_JIT", raising=False)
     jit.reset(engine=True)
 
 
@@ -165,7 +163,7 @@ def test_a_process_that_exits_mid_build_leaves_its_kernels_behind(
     script, store = tmp_path / "cold.py", tmp_path / "store"
     script.write_text(COLD_RUN)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
-               REPRO_BACKEND="compiled", REPRO_JIT="cgen", REPRO_CC=str(slow),
+               REPRO_BACKEND="compiled", REPRO_CC=str(slow),
                REPRO_THREADS="1", REPRO_JIT_DIR=str(store))
 
     def child():

@@ -36,13 +36,11 @@ from tests.runtime.test_jit import _forget_loaded
 
 
 @pytest.fixture(autouse=True)
-def _cgen_engine(monkeypatch):
+def _cgen_engine():
     if jit._find_cc() is None:
         pytest.skip("no C compiler")
-    monkeypatch.setenv("REPRO_JIT", "cgen")
     jit.reset(engine=True)
     yield
-    monkeypatch.delenv("REPRO_JIT", raising=False)
     jit.reset(engine=True)
 
 
@@ -623,7 +621,7 @@ def test_instrumented_plan_records_kernel_times():
 
 
 def test_unavailable_engine_raises(monkeypatch):
-    monkeypatch.setenv("REPRO_JIT", "none")
+    monkeypatch.setenv("REPRO_CC", "/nonexistent/repro-no-cc")
     jit.reset(engine=True)
     arrays = {"a": _rand((4, 4, 3)), "out": np.zeros((4, 4, 3))}
     sdfg = _build_sdfg(_lap, arrays, origin=(1, 1, 0), domain=(2, 2, 3))

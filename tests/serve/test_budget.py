@@ -1,8 +1,13 @@
-"""Deadline budgets and the retry schedule, on a fake clock."""
+"""Deadline budgets on a fake clock, and the retry budget's bound."""
 
 import pytest
 
-from repro.serve import DeadlineBudget, DeadlineExceeded, RetryPolicy
+from repro.serve import (
+    DeadlineBudget,
+    DeadlineExceeded,
+    ForecastService,
+    ServiceConfig,
+)
 
 
 class FakeClock:
@@ -66,37 +71,6 @@ def test_budget_rejects_nonpositive_deadline():
         DeadlineBudget(-1.0)
 
 
-def test_retry_backoff_is_deterministic_and_bounded():
-    policy = RetryPolicy(max_retries=5, backoff_base=0.1,
-                         max_backoff=0.3, seed=42)
-    delays = [policy.backoff(11, k) for k in (1, 2, 3, 4)]
-    again = [policy.backoff(11, k) for k in (1, 2, 3, 4)]
-    assert delays == again  # pure function of (seed, request, attempt)
-    assert delays != [RetryPolicy(seed=43, backoff_base=0.1).backoff(11, k)
-                      for k in (1, 2, 3, 4)]
-    for k, d in enumerate(delays, start=1):
-        assert 0.0 <= d <= min(0.1 * 2 ** (k - 1), 0.3)
-
-
-def test_retry_backoff_zero_base_never_sleeps():
-    policy = RetryPolicy(max_retries=2, backoff_base=0.0)
-    slept = []
-    took = policy.sleep(1, 1, sleeper=slept.append)
-    assert took == 0.0 and slept == []
-
-
-def test_retry_sleep_clipped_to_remaining_budget():
-    clock = FakeClock()
-    budget = DeadlineBudget(10.0, clock=clock)
-    clock.advance(9.9)  # 0.1s left
-    policy = RetryPolicy(max_retries=1, backoff_base=100.0,
-                         max_backoff=100.0, seed=0)
-    slept = []
-    took = policy.sleep(5, 1, budget, sleeper=slept.append)
-    assert took <= 0.05  # at most half the remaining budget
-    assert slept == [took] or took == 0.0
-
-
 def test_retry_policy_rejects_negative_retries():
-    with pytest.raises(ValueError):
-        RetryPolicy(max_retries=-1)
+    with pytest.raises(ValueError, match="max_retries"):
+        ForecastService(ServiceConfig(max_retries=-1))

@@ -85,8 +85,7 @@ def test_degraded_result_bit_identical_to_numpy_direct(
         assert degraded.degraded
     finally:
         svc.close()
-    direct = run("baroclinic_wave", small_config, steps=2, seed=3,
-                 check=False)
+    direct = run("baroclinic_wave", small_config, steps=2, seed=3)
     assert degraded.report["summary"] == direct.members[0].summary
     assert degraded.report["mass_drift"] == direct.members[0].mass_drift
 

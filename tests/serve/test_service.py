@@ -47,7 +47,7 @@ def test_forecast_matches_direct_run_bit_identical(service, small_config):
     assert [after[f"state_copies_{way}"] - before[f"state_copies_{way}"]
             for way in ("in", "out")] == [0, 1]
     direct = run("baroclinic_wave", small_config, steps=2, members=(1,),
-                 seed=3, check=False)
+                 seed=3)
     assert response.report["summary"] == direct.members[0].summary
     assert response.report["mass_drift"] == direct.members[0].mass_drift
     assert response.step == 2
@@ -73,7 +73,7 @@ def test_longer_lead_warm_starts_from_cached_step(service, small_config):
     deeper = service.submit(_req(small_config, steps=3)).result()
     assert deeper.cache == "warm"
     assert deeper.steps_computed == 1  # only the remainder
-    direct = run("baroclinic_wave", small_config, steps=3, check=False)
+    direct = run("baroclinic_wave", small_config, steps=3)
     assert deeper.report["summary"] == direct.members[0].summary
 
 
@@ -94,7 +94,7 @@ def test_warm_start_from_a_packed_entry_equals_a_direct_run_in_full_state(
         deeper.step, deeper.report["time"])
     arrays, tracers = cached.snapshot.materialize()
     direct = run("baroclinic_wave", small_config, steps=4, members=(1,),
-                 seed=3, check=False).member(1)
+                 seed=3).member(1)
     assert len(arrays) == len(direct.states) == small_config.total_ranks
     for state, fields, ts in zip(direct.states, arrays, tracers):
         for name, arr in fields.items():

@@ -11,14 +11,23 @@ README.md, DESIGN.md and ``docs/*.md`` point at three kinds of things:
   its qualified name, as the census owner rows write them, or a
   module-level name;
 - switches, as ``REPRO_*``: each must be a variable the package reads
-  (the set ``tests/test_knobs.py`` computes).
+  (the set ``tests/test_knobs.py`` computes);
+- calls, as a backticked ``name(kw=)`` of a function of the option
+  census (``run``, ``EnsembleDriver``, ``build_core``, ...): each
+  keyword must be a parameter it takes; and as a backticked dotted
+  ``obs.x()`` or ``repro.x.y()``: the name must resolve.
 """
 
 import ast
+import importlib
 import pathlib
 import re
 
-from tests.test_knobs import _read_by_the_package
+from tests.test_knobs import (
+    OPTION_FUNCTIONS,
+    _read_by_the_package,
+    option_function,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
@@ -171,3 +180,98 @@ def test_every_switch_the_docs_name_is_read_by_the_package():
         if name not in read
     }
     assert named == set()
+
+
+#: a backticked call: "`run(max_polls=)`", "`EnsembleDriver(..., engine=x)`"
+CALL = re.compile(r"`([A-Za-z_][\w.]*)\(([^`]*)\)`")
+#: a keyword inside a call's arguments
+KEYWORD = re.compile(r"(?<![\w.=])(\w+)=(?!=)")
+#: how a doc may spell a function of the option census
+_MODULES = ("repro.run.driver.", "repro.run.", "repro.fv3.dyncore.",
+            "repro.fv3.")
+#: a backticked dotted call of the package: "`obs.report()`"
+DOTTED = re.compile(r"`((?:obs|repro)(?:\.[A-Za-z_]\w*)+)\(")
+
+
+def stale_keywords(text, parameters):
+    """The backticked calls in ``text`` of a function of ``parameters``
+    (its name → the names it takes) that pass a keyword it does not
+    take, as ``name(kw=)``."""
+    stale = []
+    for match in CALL.finditer(text):
+        name = match[1]
+        for module in _MODULES:
+            if name.startswith(module):
+                name = name[len(module):]
+                break
+        if name in parameters:
+            stale += [f"`{match[1]}({kw}=)`"
+                      for kw in KEYWORD.findall(match[2])
+                      if kw not in parameters[name]]
+    return stale
+
+
+def stale_dotted_calls(text, resolves):
+    """The backticked dotted calls in ``text`` whose name does not
+    resolve (``resolves(name)`` is false)."""
+    return [f"`{m[1]}()`" for m in DOTTED.finditer(text)
+            if not resolves(m[1])]
+
+
+def _parameters():
+    out = {}
+    for name in OPTION_FUNCTIONS:
+        args = option_function(name).args
+        out[name] = {a.arg for a in args.posonlyargs + args.args
+                     + args.kwonlyargs} - {"self"}
+    return out
+
+
+def _resolves(name):
+    """Whether ``repro.x.y`` (``obs.x`` is ``repro.obs.x``) names a module
+    of the package or an attribute reachable from one."""
+    parts = ("repro." + name if name.startswith("obs.") else name).split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_every_call_the_docs_cite_takes_its_keywords_and_resolves():
+    parameters = _parameters()
+    assert "max_polls" not in parameters["run"]
+    found = 0
+    stale = []
+    for path in _docs():
+        text = path.read_text(encoding="utf-8")
+        found += len(DOTTED.findall(text))
+        where = path.relative_to(ROOT)
+        stale += [f"{where}: {c}" for c in stale_keywords(text, parameters)]
+        stale += [f"{where}: {c}" for c in stale_dotted_calls(text, _resolves)]
+    assert found >= 5, "the pattern no longer matches how calls are cited"
+    assert stale == []
+
+
+def test_a_stale_keyword_or_call_is_reported():
+    parameters = {"run": {"scenario", "steps", "members"},
+                  "EnsembleDriver": {"members", "engine"}}
+    text = ("`run(steps=2, members=3)`, `repro.run.run(max_polls=)`, "
+            "`EnsembleDriver(..., engine=core)`, "
+            "`repro.run.EnsembleDriver(comm_latency=0.1)`, "
+            "`pipe.run(check=True)` and `build(max_polls=)`")
+    assert stale_keywords(text, parameters) == [
+        "`repro.run.run(max_polls=)`",
+        "`repro.run.EnsembleDriver(comm_latency=)`",
+    ]
+    text = ("`obs.report()`, `repro.run.run(\"x\")`, `repro.obs.enable()`, "
+            "`obs.set_observed_machine()` and `repro.nothing.here()`")
+    assert stale_dotted_calls(text, _resolves) == [
+        "`obs.set_observed_machine()`", "`repro.nothing.here()`",
+    ]

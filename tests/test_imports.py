@@ -139,7 +139,7 @@ def test_a_primed_step_imports_only_what_it_calls(tmp_path):
     compiler needs is imported: the restore finds what its records name
     among the modules a step loads anyway."""
     env = {**_fresh_env(), "REPRO_JIT_DIR": str(tmp_path / "jit"),
-           "REPRO_BACKEND": "compiled", "REPRO_JIT": "cgen",
+           "REPRO_BACKEND": "compiled",
            "REPRO_THREADS": "1"}
 
     def step():

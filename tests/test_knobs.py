@@ -2,8 +2,12 @@
 ``src/`` is set by at least one test or benchmark and is a row of the
 README's "Environment variables" table — and the table lists nothing that
 is no longer read. Every field of the configuration objects is read by
-the code it configures. A switch nobody exercises, or a field nobody
-reads, fails here, not in a review."""
+the code it configures. Every option a user can set — the keyword-only
+parameters of the public entry points, the fields of the service and
+resilience configurations and the variables — is a row of DESIGN.md's
+"Option census" that names the entry point setting it, or its owner. A
+switch nobody exercises, a field nobody reads, or an option with neither
+setter nor owner fails here, not in a review."""
 
 import ast
 import pathlib
@@ -32,7 +36,7 @@ def _text(*directories):
 
 def _read_by_the_package():
     names = set(_READ.findall(_text("src")))
-    assert len(names) >= 7  # the pattern still matches how they are read
+    assert len(names) >= 6  # the pattern still matches how they are read
     return names
 
 
@@ -79,3 +83,146 @@ def test_every_config_field_is_read_outside_its_class():
     ]
     assert all(names for _, _, names in fields.values())
     assert unread == []
+
+
+# ---------------------------------------------------------------------------
+# the option census (DESIGN.md, "Option census")
+# ---------------------------------------------------------------------------
+
+#: how a row spells the function → (file under ``src/repro``, qualname)
+OPTION_FUNCTIONS = {
+    "run": ("run/__init__.py", "run"),
+    "EnsembleDriver": ("run/driver.py", "EnsembleDriver.__init__"),
+    "EnsembleDriver.run": ("run/driver.py", "EnsembleDriver.run"),
+    "build_core": ("run/driver.py", "build_core"),
+    "DynamicalCore": ("fv3/dyncore.py", "DynamicalCore.__init__"),
+}
+#: the configurations whose fields are options (``DynamicalCoreConfig``
+#: is the model's namelist: the scenarios set it)
+OPTION_CONFIGS = ("ServiceConfig", "ResilienceConfig", "GuardConfig")
+OWNER_KINDS = ("entry point", "deployment", "error path", "safety", "API")
+_OPTION_ROW = re.compile(
+    r"^\| `([^`]+)` \| ([a-zA-Z ]+) \| (.+?) \|\s*$", re.MULTILINE
+)
+_FIRST_CODE = re.compile(r"`([^`]+)`")
+
+
+def option_function(name):
+    """The ``def`` of a function of :data:`OPTION_FUNCTIONS`."""
+    path, qualname = OPTION_FUNCTIONS[name]
+    path = ROOT / "src" / "repro" / path
+    scope = ast.parse(path.read_text(), str(path)).body
+    for part in qualname.split("."):
+        (node,) = [n for n in scope if getattr(n, "name", None) == part]
+        scope = node.body
+    return node
+
+
+def code_options():
+    """Every option the code offers, spelled as the table spells it:
+    ``run(members=)``, ``ServiceConfig.workers``, ``REPRO_CC``."""
+    options = set()
+    for name in OPTION_FUNCTIONS:
+        for arg in option_function(name).args.kwonlyargs:
+            options.add(f"{name}({arg.arg}=)")
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and node.name in OPTION_CONFIGS:
+                options.update(
+                    f"{node.name}.{stmt.target.id}" for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                )
+    return options | _read_by_the_package()
+
+
+def option_rows(design):
+    """``{option: (owner kind, text)}`` of the "Option census" table."""
+    section = design.partition("\n### Option census\n")[2]
+    section = section.partition("\n#")[0]
+    rows = _OPTION_ROW.findall(section)
+    table = {option: (kind, text) for option, kind, text in rows}
+    assert len(table) == len(rows), "an option has two rows"
+    return table
+
+
+def _test_exists(test_id):
+    """Whether ``path::name`` (a parametrisation ``[...]`` stripped) is a
+    test function of a file of the suite."""
+    path, _, name = test_id.partition("::")
+    name = name.partition("[")[0]
+    file = ROOT / path
+    if not name or not file.is_file():
+        return False
+    return any(
+        isinstance(node, ast.FunctionDef) and node.name == name
+        for node in ast.walk(ast.parse(file.read_text(), str(file)))
+    )
+
+
+def option_census_problems(table, options, labels, test_exists):
+    """What keeps the table from being the closed census of ``options``:
+    a missing or stale row, an unknown owner kind, a setter that is no
+    entry point of ``labels``, an error path naming no test, an API row
+    naming no ROADMAP item."""
+    problems = [f"no row: {o}" for o in sorted(options - table.keys())]
+    problems += [f"no such option: {o}"
+                 for o in sorted(table.keys() - options)]
+    for option, (kind, text) in sorted(table.items()):
+        first = _FIRST_CODE.match(text)
+        if kind not in OWNER_KINDS:
+            problems.append(f"{option}: unknown owner {kind!r}")
+        elif kind == "entry point" and (
+                not first or first.group(1) not in labels):
+            problems.append(f"{option}: no entry point names it")
+        elif kind == "error path" and (
+                not first or not test_exists(first.group(1))):
+            problems.append(f"{option}: names no test of the suite")
+        elif kind == "API" and "ROADMAP item" not in text:
+            problems.append(f"{option}: names no ROADMAP item")
+    return problems
+
+
+def _entry_point_labels():
+    from tests.test_reach import _census_tool
+
+    return {label for label, _, _ in _census_tool().ENTRY_POINTS}
+
+
+def test_every_option_names_its_setter_or_owner():
+    table = option_rows((ROOT / "DESIGN.md").read_text(encoding="utf-8"))
+    options = code_options()
+    assert len(options) >= 40  # the walk still finds the keywords
+    assert option_census_problems(
+        table, options, _entry_point_labels(), _test_exists
+    ) == []
+
+
+def test_an_option_without_a_row_or_a_setter_is_reported():
+    design = (
+        "# D\n\n### Option census\n\n| option | owner | what |\n"
+        "|---|---|---|\n"
+        "| `run(seed=)` | entry point | `example quickstart`: 1 |\n"
+        "| `run(gone=)` | entry point | `example quickstart`: 2 |\n"
+        "| `run(alias=)` | entry point | `a test`: 3 |\n"
+        "| `REPRO_X` | error path | `tests/test_knobs.py::test_nothing` |\n"
+        "| `REPRO_Y` | error path | `tests/test_knobs.py::"
+        "test_every_option_names_its_setter_or_owner` |\n"
+        "| `Config.api` | API | a caller one day |\n"
+        "| `Config.cap` | capacity | a limit |\n"
+        "\n## Next\n\n| `run(after=)` | entry point | `x` |\n"
+    )
+    table = option_rows(design)
+    assert "run(after=)" not in table
+    options = {"run(seed=)", "run(planted=)", "run(alias=)", "REPRO_X",
+               "REPRO_Y", "Config.api", "Config.cap"}
+    assert option_census_problems(
+        table, options, {"example quickstart"}, _test_exists
+    ) == [
+        "no row: run(planted=)",
+        "no such option: run(gone=)",
+        "Config.api: names no ROADMAP item",
+        "Config.cap: unknown owner 'capacity'",
+        "REPRO_X: names no test of the suite",
+        "run(alias=): no entry point names it",
+    ]
