@@ -79,7 +79,7 @@ def test_pattern_descriptions_are_label_based(report, benchmark):
     for c in cutouts:
         cfgs, _ = tune_cutout(c, make_evaluator(machine=P100))
         configs.extend(cfgs)
-    patterns = extract_patterns(configs, top_m=2)
+    patterns = extract_patterns(configs)
     report(f"{len(patterns)} patterns extracted from {len(cutouts)} cutouts:")
     for p in patterns[:10]:
         report(f"  {p}")

@@ -14,7 +14,7 @@ memory for recomputation), then an SGF pass on the OTF-optimized cutouts.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.machine import MachineModel
 from repro.core.perfmodel import model_sdfg_time
@@ -45,6 +45,10 @@ class TuningConfig:
 
 
 _XFORMS = {"otf": OTFMapFusion, "sgf": SubgraphFusion}
+#: the passes of the hierarchical search, in order
+PASSES = ("otf", "sgf")
+#: the depth of a pass's search tree: applications in one configuration
+MAX_DEPTH = 3
 
 
 def _candidate_steps(sdfg, xform_name: str) -> List[Tuple[object, Step]]:
@@ -78,29 +82,23 @@ def make_evaluator(
 
 
 def tune_cutout(
-    cutout: Cutout,
-    evaluator: Callable[[Cutout], float],
-    passes: Sequence[str] = ("otf", "sgf"),
-    max_depth: int = 3,
-    top_m: int = 2,
+    cutout: Cutout, evaluator: Callable[[Cutout], float]
 ) -> Tuple[List[TuningConfig], int]:
     """Exhaustively tune one cutout.
 
-    Returns (configs sorted best-first, total configurations evaluated).
-    The search is a tree over transformation applications per pass; each
-    pass starts from the best configuration of the previous one
-    (hierarchical OTF → SGF tuning).
+    Returns (every configuration sorted best-first, total configurations
+    evaluated). The search is a tree over transformation applications per
+    pass, :data:`MAX_DEPTH` deep; each pass starts from the best
+    configuration of the previous one (hierarchical OTF → SGF tuning).
     """
     with _TRACER.span("autotune.cutout") as sp:
-        configs, evaluated = _tune_cutout(
-            cutout, evaluator, passes, max_depth, top_m
-        )
+        configs, evaluated = _tune_cutout(cutout, evaluator)
         sp.add("configurations", evaluated)
         sp.set("cutout", cutout.source_state)
         return configs, evaluated
 
 
-def _tune_cutout(cutout, evaluator, passes, max_depth, top_m):
+def _tune_cutout(cutout, evaluator):
     evaluated = 0
 
     def scored(sdfg, steps) -> TuningConfig:
@@ -113,10 +111,10 @@ def _tune_cutout(cutout, evaluator, passes, max_depth, top_m):
     best_steps: Tuple[Step, ...] = ()
     all_configs: List[TuningConfig] = [scored(best_sdfg, best_steps)]
 
-    for pass_name in passes:
+    for pass_name in PASSES:
         frontier = [(best_sdfg, best_steps)]
         pass_configs: List[TuningConfig] = []
-        for _ in range(max_depth):
+        for _ in range(MAX_DEPTH):
             next_frontier = []
             for sdfg, steps in frontier:
                 for concrete, step in _candidate_steps(sdfg, pass_name):
@@ -142,7 +140,7 @@ def _tune_cutout(cutout, evaluator, passes, max_depth, top_m):
             best = pool[0]
             best_sdfg, best_steps = _replay(cutout, best.steps), best.steps
     all_configs.sort(key=lambda c: c.score)
-    return all_configs[: max(top_m, len(all_configs))], evaluated
+    return all_configs, evaluated
 
 
 def _replay(cutout: Cutout, steps: Tuple[Step, ...]):

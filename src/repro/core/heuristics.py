@@ -53,7 +53,7 @@ def representative_kernels(sdfg) -> Dict[str, Kernel]:
 
 
 def apply_schedule_heuristics(
-    sdfg, machine: MachineModel, reps: Optional[Dict[str, Kernel]] = None
+    sdfg, machine: MachineModel
 ) -> Dict[str, KernelSchedule]:
     """Sweep representatives and apply the winners en masse.
 
@@ -62,9 +62,8 @@ def apply_schedule_heuristics(
     stencils and [J, I, Interval, Operation, K] for vertical solvers
     (Sec. VI-A4).
     """
-    reps = reps or representative_kernels(sdfg)
     chosen: Dict[str, KernelSchedule] = {}
-    for cls, kernel in reps.items():
+    for cls, kernel in representative_kernels(sdfg).items():
         ranked = sweep_schedules(kernel, sdfg, machine)
         chosen[cls] = ranked[0][0]
     for kernel in sdfg.all_kernels():

@@ -92,6 +92,10 @@ def optimize_sdfg_locally(sdfg, machine: MachineModel = P100) -> None:
     apply_exhaustively(sdfg, [RegionSplit()])
 
 
+#: the cutouts transfer tuning searches, at most
+MAX_TUNING_CUTOUTS = 32
+
+
 @dataclasses.dataclass
 class PipelineOptions:
     machine: MachineModel = P100
@@ -99,21 +103,18 @@ class PipelineOptions:
     measure: bool = False  # also time compiled programs (wall clock)
     transfer_states: Optional[Sequence[str]] = None  # tune only these states
     tune_measured: bool = False  # evaluate cutouts by execution
-    max_tuning_cutouts: int = 32
-    fine_tune_hooks: Sequence[Callable] = ()
-    #: re-run the lint race/overlap rules after every stage and attribute
-    #: new violations to the transformation that introduced them
-    lint_audit: bool = True
 
 
 class OptimizationPipeline:
     """Runs the Fig. 7 cycle on the SDFGs of an orchestrated step, one per
-    program (``DynamicalCore.step_graphs``)."""
+    program (``DynamicalCore.step_graphs``). After every stage the
+    transformation-safety audit re-runs the lint race/overlap rules and
+    charges new violations to the stage that introduced them."""
 
     def __init__(self, options: Optional[PipelineOptions] = None):
         self.options = options or PipelineOptions()
         self.stages: List[StageResult] = []
-        #: transformation-safety audit (created by run() when enabled)
+        #: transformation-safety audit (created by run())
         self.audit: Optional[TransformationAudit] = None
 
     # ------------------------------------------------------------------
@@ -143,18 +144,16 @@ class OptimizationPipeline:
         Table III row carries the full span tree of how it was produced.
         """
         tracer = obs.get_tracer()
-        new_findings: List[LintFinding] = []
         with tracer.timed(f"pipeline.{name}") as timer:
             if work is not None:
                 work()
-            if self.audit is not None:
-                new_findings = self.audit.check(graphs, name)
-                if timer.span is not None:
-                    timer.span.set("lint.new_findings", len(new_findings))
-                    if new_findings:
-                        timer.span.set(
-                            "lint.findings", [str(f) for f in new_findings]
-                        )
+            new_findings = self.audit.check(graphs, name)
+            if timer.span is not None:
+                timer.span.set("lint.new_findings", len(new_findings))
+                if new_findings:
+                    timer.span.set(
+                        "lint.findings", [str(f) for f in new_findings]
+                    )
             result = self._record(cycle, name, graphs, baseline, run)
         result.lint_findings = new_findings
         result.stage_seconds = timer.seconds
@@ -174,9 +173,8 @@ class OptimizationPipeline:
         opts = self.options
         for sdfg in graphs:
             validate_sdfg(sdfg)  # structural invariants must hold at entry
-        if opts.lint_audit:
-            self.audit = TransformationAudit()
-            self.audit.start(graphs)  # pre-existing findings are not charged
+        self.audit = TransformationAudit()
+        self.audit.start(graphs)  # pre-existing findings are not charged
         baseline_time = sum(
             model_sdfg_time(g, opts.baseline_machine) for g in graphs
         )
@@ -213,12 +211,8 @@ class OptimizationPipeline:
                     each(lambda g: apply_exhaustively(g, [RegionSplit()])))
 
         # ---- cycle 2 ------------------------------------------------------
-        def _fine_tune(sdfg):
-            for hook in opts.fine_tune_hooks:
-                hook(sdfg)
-
         self._stage("Cycle 2", "Lagrangian contrib. reschedule", graphs,
-                    baseline_time, run, each(_fine_tune))
+                    baseline_time, run)
 
         self._stage("Cycle 2", "Region pruning", graphs, baseline_time, run,
                     each(prune_inactive_regions))
@@ -241,7 +235,7 @@ class OptimizationPipeline:
                 for c in cutouts
                 if any(tag in c.source_state for tag in opts.transfer_states)
             ]
-        cutouts = cutouts[: opts.max_tuning_cutouts]
+        cutouts = cutouts[:MAX_TUNING_CUTOUTS]
         evaluator = make_evaluator(
             machine=opts.machine, measured=opts.tune_measured
         )
@@ -252,7 +246,7 @@ class OptimizationPipeline:
                 cfgs, n = tune_cutout(cutout, evaluator)
                 configs.extend(cfgs)
                 total_evaluated += n
-        patterns = extract_patterns(configs, top_m=2)
+        patterns = extract_patterns(configs)
         per_pattern = dict.fromkeys(patterns, 0)
         with obs.timed("transfer.apply_patterns") as phase2:
             for sdfg in graphs:

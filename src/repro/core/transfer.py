@@ -11,12 +11,15 @@ is pruned by considering only the first match per pattern in each state.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.autotune import TuningConfig, _XFORMS
 from repro.machine import MachineModel
 from repro.core.perfmodel import model_sdfg_time
 from repro.sdfg.cutout import cutout_from_nodes
+
+#: the best configurations of each cutout that become patterns (M)
+TOP_M = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -31,10 +34,9 @@ class Pattern:
         return f"Pattern({self.xform}: {pretty})"
 
 
-def extract_patterns(
-    configs: Sequence[TuningConfig], top_m: int = 2
-) -> List[Pattern]:
-    """Translate the best M configurations of each cutout into patterns."""
+def extract_patterns(configs: Sequence[TuningConfig]) -> List[Pattern]:
+    """Translate the best :data:`TOP_M` configurations of each cutout
+    into patterns."""
     patterns: List[Pattern] = []
     seen = set()
     by_cutout = {}
@@ -44,7 +46,7 @@ def extract_patterns(
         cfgs = sorted(cfgs, key=lambda c: c.score)
         taken = 0
         for cfg in cfgs:
-            if cfg.is_baseline or taken >= top_m:
+            if cfg.is_baseline or taken >= TOP_M:
                 continue
             taken += 1
             for xform_name, labels in cfg.steps:
@@ -77,10 +79,7 @@ class TransferResult:
 
 
 def transfer_patterns(
-    sdfg,
-    patterns: Sequence[Pattern],
-    machine: Optional[MachineModel] = None,
-    require_improvement: bool = True,
+    sdfg, patterns: Sequence[Pattern], machine: MachineModel
 ) -> TransferResult:
     """Apply patterns across the whole graph.
 
@@ -101,9 +100,8 @@ def transfer_patterns(
                 if cand is None:
                     break
                 tested += 1
-                if require_improvement and machine is not None:
-                    if not _improves_locally(sdfg, state, pattern, cand, machine):
-                        break
+                if not _improves_locally(sdfg, state, pattern, cand, machine):
+                    break
                 xform = _XFORMS[pattern.xform]()
                 xform.apply(sdfg, state, cand)
                 applied += 1

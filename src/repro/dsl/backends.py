@@ -4,8 +4,8 @@ There are two backends, two emissions of one lowering:
 ``"compiled"`` (C kernels; the NumPy emission where no C compiler is)
 and ``"numpy"`` (the NumPy emission, for prototyping and debugging).
 Every place a backend name enters — :func:`default_backend`, the first
-read of ``REPRO_BACKEND``, ``@stencil(backend=...)``, a stencil call's
-``backend=``, ``OrchestratedProgram.compile(backend=...)`` and
+read of ``REPRO_BACKEND``, a stencil call's ``backend=``,
+``OrchestratedProgram.compile(backend=...)`` and
 ``ServiceConfig.backend`` — passes it through :func:`check_backend`, so
 a misspelt name raises :class:`UnknownBackendError` where it was given
 instead of running another backend.

@@ -52,14 +52,10 @@ FALLBACK_BACKEND = "numpy"
 class StencilObject:
     """A compiled, callable stencil."""
 
-    def __init__(self, definition_func, backend: Optional[str] = None,
-                 externals: Optional[Dict] = None, name: Optional[str] = None):
+    def __init__(self, definition_func, externals: Optional[Dict] = None):
         self._func = definition_func
-        self._backend_name = (
-            backends.check_backend(backend) if backend else None
-        )
         self.externals = dict(externals or {})
-        self.name = name or definition_func.__name__
+        self.name = definition_func.__name__
         #: ``(definition, extents)`` once parsed
         self._parsed: Optional[tuple] = None
         self._parse_lock = threading.Lock()
@@ -92,13 +88,8 @@ class StencilObject:
                     raise StencilSyntaxError(
                         f"stencil {self.name!r}: {exc}"
                     ) from exc
-                definition.name = self.name
                 self._parsed = (definition, compute_extents(definition))
             return self._parsed
-
-    @property
-    def backend(self) -> str:
-        return self._backend_name or backends.default_backend()
 
     @property
     def n_halo(self) -> int:
@@ -119,7 +110,8 @@ class StencilObject:
         origin, domain = self._resolve_domain(fields, origin, domain)
         self._validate(fields, origin, domain)
         backend_name = (
-            backends.check_backend(backend) if backend else self.backend
+            backends.check_backend(backend) if backend
+            else backends.default_backend()
         )
         if not _TRACER.enabled:
             self._execute(backend_name, fields, scalars, origin, domain,
@@ -320,17 +312,17 @@ class StencilObject:
             self._k_bounds[key] = k_access_bounds(self.definition, name, nk)
         return self._k_bounds[key]
 
-def stencil(func=None, *, backend: Optional[str] = None,
-            externals: Optional[Dict] = None, name: Optional[str] = None):
+def stencil(func=None, *, externals: Optional[Dict] = None):
     """Decorator turning a definition function into a compiled stencil.
 
-    Usable bare (``@stencil``) or with options
-    (``@stencil(backend="compiled", externals={...})``).
+    Usable bare (``@stencil``) or with the compile-time constants its
+    definition reads (``@stencil(externals={...})``). A call runs on the
+    process default backend, or on the one its ``backend=`` names.
     """
     if func is not None:
         return StencilObject(func)
 
     def wrapper(f):
-        return StencilObject(f, backend=backend, externals=externals, name=name)
+        return StencilObject(f, externals=externals)
 
     return wrapper

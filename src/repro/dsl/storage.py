@@ -10,7 +10,6 @@ stencil). This module reproduces those knobs on top of NumPy buffers.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -40,25 +39,28 @@ class StorageSpec:
             raise ValueError(f"layout must be 'F' or 'C', got {self.layout!r}")
         if self.alignment_bytes < 1:
             raise ValueError("alignment_bytes must be >= 1")
+        if self.stride_padding < 0:
+            # a negative pad shrinks the leading stride below the extent:
+            # two indices would name the same element
+            raise ValueError(
+                f"stride_padding must be >= 0, got {self.stride_padding}"
+            )
 
 
 def make_storage(
     shape: Tuple[int, ...],
-    dtype=DEFAULT_DTYPE,
     spec: Optional[StorageSpec] = None,
     aligned_index: Optional[Tuple[int, ...]] = None,
-    fill: Optional[float] = 0.0,
 ) -> np.ndarray:
-    """Allocate a field with the requested layout and alignment.
+    """Allocate a zero-filled field of the model's dtype with the requested
+    layout and alignment.
 
     Args:
         shape: field shape (any rank; FV3 uses (I, J, K) 3D fields).
-        dtype: element dtype.
         spec: allocation policy; defaults to the paper's scheme.
         aligned_index: index of the first compute-domain element (i.e. the
             element just past the halo) that must be aligned. Defaults to
             the origin.
-        fill: initial fill value; ``None`` leaves memory uninitialized.
 
     Returns:
         A NumPy array view with the requested strides whose
@@ -69,10 +71,7 @@ def make_storage(
     if len(aligned_index) != len(shape):
         raise ValueError("aligned_index rank must match shape rank")
 
-    itemsize = np.dtype(dtype).itemsize
-    align_elems = max(1, math.gcd(spec.alignment_bytes, 2**30) // itemsize)
-    if spec.alignment_bytes % itemsize:
-        align_elems = spec.alignment_bytes  # byte-level; handled below
+    itemsize = np.dtype(DEFAULT_DTYPE).itemsize
 
     # padded shape along the contiguous dimension
     padded = list(shape)
@@ -98,7 +97,7 @@ def make_storage(
     anchor = sum(i * s for i, s in zip(aligned_index, strides_elems))
 
     slack = spec.alignment_bytes // itemsize + 1
-    buffer = np.empty(total_elems + slack, dtype=dtype)
+    buffer = np.empty(total_elems + slack, dtype=DEFAULT_DTYPE)
     base_addr = buffer.__array_interface__["data"][0]
     # pre-padding: shift the view start so the anchor element is aligned
     anchor_addr = base_addr + anchor * itemsize
@@ -110,13 +109,12 @@ def make_storage(
 
     view = np.ndarray(
         shape,
-        dtype=dtype,
+        dtype=DEFAULT_DTYPE,
         buffer=buffer,
         offset=shift_elems * itemsize,
         strides=tuple(s * itemsize for s in strides_elems),
     )
-    if fill is not None:
-        view[...] = fill
+    view[...] = 0.0
     return view
 
 

@@ -23,9 +23,10 @@ also the acoustic schedule of the live core, over its real halo
 topology. This catches stencils reachable only through runtime
 composition that a plain module listing would miss.
 
-Exit status is 1 if any finding at or above ``--fail-on``
-(default: error) is reported, 0 otherwise — wired for CI. ``--json``
-writes the machine-readable findings + summary next to the human report.
+Exit status is 1 if any finding of severity ``error`` is reported, 0
+otherwise — wired for CI; warnings and infos are printed, never fail.
+``--json`` writes the machine-readable findings + summary next to the
+human report.
 """
 
 from __future__ import annotations
@@ -256,13 +257,21 @@ def lint_scenario(name: str, comm: bool = False) -> List[LintFinding]:
             core.executor.shutdown()
 
 
-def _findings_json(findings: List[LintFinding], fail_on: str) -> dict:
-    threshold = SEVERITIES.index(fail_on)
+#: the severity at and above which a finding fails the run
+FAIL_ON = "error"
+
+
+def _failing(findings: List[LintFinding]) -> int:
+    threshold = SEVERITIES.index(FAIL_ON)
+    return sum(
+        1 for f in findings if SEVERITIES.index(f.severity) <= threshold
+    )
+
+
+def _findings_json(findings: List[LintFinding]) -> dict:
     return {
-        "fail_on": fail_on,
-        "failing": sum(
-            1 for f in findings if SEVERITIES.index(f.severity) <= threshold
-        ),
+        "fail_on": FAIL_ON,
+        "failing": _failing(findings),
         "counts": {
             sev: sum(1 for f in findings if f.severity == sev)
             for sev in SEVERITIES
@@ -313,12 +322,6 @@ def main(argv=None) -> int:
         metavar="PATH",
         help="write findings and summary as JSON to PATH",
     )
-    parser.add_argument(
-        "--fail-on",
-        choices=SEVERITIES,
-        default="error",
-        help="minimum severity that fails the run (default: error)",
-    )
     args = parser.parse_args(argv)
     if not args.targets and not args.scenario:
         parser.error("no targets given (positional targets or --scenario)")
@@ -356,16 +359,12 @@ def main(argv=None) -> int:
 
     if args.json:
         Path(args.json).write_text(
-            json.dumps(_findings_json(findings, args.fail_on), indent=2)
-            + "\n"
+            json.dumps(_findings_json(findings), indent=2) + "\n"
         )
 
-    threshold = SEVERITIES.index(args.fail_on)
-    failing = sum(
-        1 for f in findings if SEVERITIES.index(f.severity) <= threshold
-    )
+    failing = _failing(findings)
     print(
         f"{len(findings)} finding{'s' if len(findings) != 1 else ''}, "
-        f"{failing} at or above {args.fail_on!r}"
+        f"{failing} at or above {FAIL_ON!r}"
     )
     return 1 if failing else 0

@@ -11,10 +11,10 @@ import numpy as np
 __all__ = ["median_time"]
 
 
-def median_time(fn: Callable, repetitions: int = 10, warmup: int = 1) -> float:
-    """Median wall-clock seconds of ``fn()`` over several runs."""
-    for _ in range(warmup):
-        fn()
+def median_time(fn: Callable, repetitions: int = 10) -> float:
+    """Median wall-clock seconds of ``fn()`` over several runs, after one
+    unmeasured warm-up call."""
+    fn()
     times: List[float] = []
     for _ in range(repetitions):
         t0 = time.perf_counter()

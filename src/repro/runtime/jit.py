@@ -299,14 +299,19 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def sweep_stale_tmps(path: str, max_age_seconds: float = 600.0) -> List[str]:
+#: the age past which a tmp whose pid looks alive is abandoned (pid reuse)
+TMP_MAX_AGE_SECONDS = 600.0
+
+
+def sweep_stale_tmps(path: str) -> List[str]:
     """Remove orphaned ``repro_*.tmp<pid>`` files beside the cache.
 
     A build writes every file to a pid-suffixed temporary name and
     ``os.replace``s it into place; a compiler (or process) death in
     between leaves the tmp behind forever. A tmp is stale when its owning
     pid is gone, or — to cover pid reuse — when it is older than
-    ``max_age_seconds`` and not our own. Returns the removed paths.
+    :data:`TMP_MAX_AGE_SECONDS` and not our own. Returns the removed
+    paths.
     """
     removed: List[str] = []
     try:
@@ -324,7 +329,7 @@ def sweep_stale_tmps(path: str, max_age_seconds: float = 600.0) -> List[str]:
             # a live concurrent build: only reap it once it is clearly
             # abandoned (pid reuse can make a dead owner look alive)
             try:
-                if now - os.path.getmtime(full) < max_age_seconds:
+                if now - os.path.getmtime(full) < TMP_MAX_AGE_SECONDS:
                     continue
             except OSError:
                 continue

@@ -338,6 +338,9 @@ class WorkerSpec:
 #: too twitchy for a cold fleet
 _DEFAULT_MAX_POLLS = 1200
 
+#: how long the parent waits for a worker's reply to one command
+COMMAND_TIMEOUT = 600.0
+
 
 def _raw(array: np.ndarray) -> memoryview:
     """The bytes of a C-contiguous array, for the raw collect frames."""
@@ -576,7 +579,8 @@ def _default_start_method() -> str:
     import multiprocessing
 
     # fork is preferred: workers inherit the scenario registry, warm
-    # in-memory caches and the import graph, so launch cost stays low
+    # in-memory caches and the import graph, so launch cost stays low;
+    # spawn is where a platform has no fork
     return ("fork" if "fork" in multiprocessing.get_all_start_methods()
             else "spawn")
 
@@ -593,12 +597,9 @@ class ProcessRankExecutor:
     deterministically.
     """
 
-    def __init__(self, workers: Optional[int] = None,
-                 start_method: Optional[str] = None,
-                 command_timeout: float = 600.0):
+    def __init__(self, workers: Optional[int] = None):
         self.workers = workers
-        self.start_method = start_method or _default_start_method()
-        self.command_timeout = command_timeout
+        self.start_method = _default_start_method()
         self.transport: Optional[ShmTransport] = None
         self._procs: List[object] = []
         self._conns: List[object] = []
@@ -660,7 +661,7 @@ class ProcessRankExecutor:
     def _await(self, index: int) -> None:
         """Block until worker ``index`` has sent something."""
         conn, proc = self._conns[index], self._procs[index]
-        deadline = time.monotonic() + self.command_timeout
+        deadline = time.monotonic() + COMMAND_TIMEOUT
         while not conn.poll(1.0):
             if not proc.is_alive() and not conn.poll(0):
                 raise self._failure(
@@ -669,7 +670,7 @@ class ProcessRankExecutor:
             if time.monotonic() > deadline:
                 raise self._failure(
                     index,
-                    f"unresponsive after {self.command_timeout:.0f}s",
+                    f"unresponsive after {COMMAND_TIMEOUT:.0f}s",
                 )
 
     def _recv(self, index: int):

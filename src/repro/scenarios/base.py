@@ -187,13 +187,10 @@ class Scenario:
 _REGISTRY: Dict[str, Scenario] = {}
 
 
-def register_scenario(scenario: Scenario, replace: bool = False) -> Scenario:
-    """Add a scenario to the registry (``replace`` permits overriding)."""
-    if scenario.name in _REGISTRY and not replace:
-        raise ValueError(
-            f"scenario {scenario.name!r} is already registered "
-            f"(pass replace=True to override)"
-        )
+def register_scenario(scenario: Scenario) -> Scenario:
+    """Add a scenario to the registry; a name is registered once."""
+    if scenario.name in _REGISTRY:
+        raise ValueError(f"scenario {scenario.name!r} is already registered")
     _REGISTRY[scenario.name] = scenario
     return scenario
 

@@ -44,7 +44,7 @@ class Cutout:
         return self.sdfg.all_kernels()
 
 
-def state_cutouts(sdfg, max_kernels: Optional[int] = None) -> List[Cutout]:
+def state_cutouts(sdfg) -> List[Cutout]:
     """One cutout per state containing at least two kernels.
 
     Matches the paper's FVT case study where "the cutouts are its 127 SDFG
@@ -54,8 +54,6 @@ def state_cutouts(sdfg, max_kernels: Optional[int] = None) -> List[Cutout]:
     out = []
     for state in sdfg.states:
         if len(state.kernels) < 2:
-            continue
-        if max_kernels is not None and len(state.kernels) > max_kernels:
             continue
         out.append(cutout_from_nodes(sdfg, state, state.kernels))
     return out

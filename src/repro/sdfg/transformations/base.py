@@ -35,11 +35,16 @@ class Transformation:
         return f"<{type(self).__name__}>"
 
 
-def apply_exhaustively(sdfg, transformations, max_applications: int = 10_000) -> int:
+#: a bound on the rewrites of one fixpoint, so that two transformations
+#: undoing each other cannot loop for ever
+MAX_APPLICATIONS = 10_000
+
+
+def apply_exhaustively(sdfg, transformations) -> int:
     """Apply transformations to fixpoint; returns number of applications."""
     applied = 0
     progress = True
-    while progress and applied < max_applications:
+    while progress and applied < MAX_APPLICATIONS:
         progress = False
         for xf in transformations:
             if xf.apply_first(sdfg):

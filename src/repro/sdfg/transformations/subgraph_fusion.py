@@ -84,9 +84,6 @@ def _offset_hazard(sdfg, writer: Kernel, reader: Kernel, order: str) -> bool:
 class SubgraphFusion(Transformation):
     name = "subgraph_fusion"
 
-    def __init__(self, same_order_only: bool = True):
-        self.same_order_only = same_order_only
-
     def candidates(self, sdfg, state) -> List[Tuple[int, int]]:
         kernels = [
             (i, n) for i, n in enumerate(state.nodes) if isinstance(n, Kernel)

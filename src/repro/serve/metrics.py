@@ -32,20 +32,23 @@ def percentile(samples: Sequence[float], q: float) -> Optional[float]:
     return ordered[int(rank) - 1]
 
 
+#: the samples a reservoir keeps: enough for exact smoke-run quantiles,
+#: bounded for long services
+RESERVOIR_CAP = 4096
+
+
 class _Reservoir:
-    """Keep the most recent ``cap`` samples (enough for exact smoke-run
-    quantiles; bounded for long services)."""
+    """Keep the most recent :data:`RESERVOIR_CAP` samples."""
 
-    __slots__ = ("cap", "samples", "count")
+    __slots__ = ("samples", "count")
 
-    def __init__(self, cap: int = 4096):
-        self.cap = cap
+    def __init__(self):
         self.samples: List[float] = []
         self.count = 0
 
     def add(self, value: float) -> None:
         self.count += 1
-        if len(self.samples) >= self.cap:
+        if len(self.samples) >= RESERVOIR_CAP:
             self.samples.pop(0)
         self.samples.append(float(value))
 
@@ -68,12 +71,12 @@ class ServeMetrics:
         "batched_requests", "steps_computed", "steps_saved",
     )
 
-    def __init__(self, reservoir_cap: int = 4096):
+    def __init__(self):
         self._lock = threading.Lock()
         self.counters = Counters(sums=self.COUNTERS)
         self.bump = self.counters.add
-        self.latency = _Reservoir(reservoir_cap)
-        self.queue_wait = _Reservoir(reservoir_cap)
+        self.latency = _Reservoir()
+        self.queue_wait = _Reservoir()
 
     def observe_latency(self, seconds: float) -> None:
         with self._lock:

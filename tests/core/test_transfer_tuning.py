@@ -93,7 +93,7 @@ def test_extract_patterns_top_m_and_dedup():
     for c in cutouts:
         cfgs, _ = tune_cutout(c, make_evaluator(machine=P100))
         configs.extend(cfgs)
-    patterns = extract_patterns(configs, top_m=2)
+    patterns = extract_patterns(configs)
     assert patterns
     # the same motif in both states yields ONE deduplicated pattern
     otf_patterns = [p for p in patterns if p.xform == "otf"]
@@ -109,7 +109,7 @@ def test_transfer_applies_pattern_across_whole_graph():
     for c in cutouts:
         cfgs, _ = tune_cutout(c, make_evaluator(machine=P100))
         configs.extend(cfgs)
-    patterns = extract_patterns(configs, top_m=2)
+    patterns = extract_patterns(configs)
     before = model_sdfg_time(sdfg, P100)
     result = transfer_patterns(sdfg, patterns, machine=P100)
     after = model_sdfg_time(sdfg, P100)
@@ -139,7 +139,7 @@ def test_transfer_preserves_program_output():
     for c in cutouts:
         cfgs, _ = tune_cutout(c, make_evaluator(machine=P100))
         configs.extend(cfgs)
-    patterns = extract_patterns(configs, top_m=2)
+    patterns = extract_patterns(configs)
     transfer_patterns(tuned, patterns, machine=P100)
     got = run(tuned)
     for i in range(4):
@@ -160,6 +160,5 @@ def test_transfer_requires_local_improvement():
     from repro.core.transfer import Pattern
 
     pattern = Pattern("otf", (("_produce_c0",), ("_consume_c0",)))
-    result = transfer_patterns(sdfg, [pattern], machine=P100,
-                               require_improvement=True)
+    result = transfer_patterns(sdfg, [pattern], machine=P100)
     assert result.applied == 1  # OTF here removes a transient: a clear win

@@ -297,12 +297,12 @@ def test_stencil_decorator_bare_and_with_options():
         with computation(PARALLEL), interval(...):
             b = a
 
-    @stencil(backend="numpy", name="renamed")
+    @stencil(externals={"SCALE": 2.0})
     def s2(a: Field, b: Field):
         with computation(PARALLEL), interval(...):
-            b = a
+            b = a * SCALE  # noqa: F821 - an external
 
     assert s1.name == "s1"
-    assert s2.name == "renamed"
-    assert s2.backend == "numpy"
+    assert s2.name == "s2" and s2.externals == {"SCALE": 2.0}
+    assert s2.definition.name == "s2"
     assert [p.name for p in s1.definition.field_params] == ["a", "b"]

@@ -60,12 +60,6 @@ def test_decorating_parses_nothing_and_racing_readers_parse_once(parses):
     assert obj.extents is obj.extents and parses == [_copy]
 
 
-def test_a_name_override_applies_before_and_after_the_parse(parses):
-    obj = stencil(name="renamed")(_copy)
-    assert obj.name == "renamed" and parses == []
-    assert obj.definition.name == "renamed"
-
-
 def test_bare_calls_walk_the_ir_once_per_field_and_depth(monkeypatch):
     walked = []
     real = extents.k_access_bounds

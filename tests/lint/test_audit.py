@@ -3,7 +3,8 @@ stage that introduced them, and the pipeline validates at entry/exit."""
 
 import pytest
 
-from repro.core.pipeline import OptimizationPipeline, PipelineOptions
+from repro.core import pipeline as _pipeline
+from repro.core.pipeline import OptimizationPipeline
 from repro.lint import TransformationAudit
 from repro.sdfg.validation import SDFGValidationError
 
@@ -55,36 +56,28 @@ def test_audit_summary_names_stage_and_rule():
     assert "bad-stage" in text and "S202" in text
 
 
-def test_pipeline_attributes_findings_to_hook_stage():
+def _plant_in_region_pruning(monkeypatch, rewrite):
+    """Make the region-pruning stage apply ``rewrite`` instead."""
+    monkeypatch.setattr(_pipeline, "prune_inactive_regions", rewrite)
+
+
+def test_pipeline_attributes_findings_to_hook_stage(monkeypatch):
     sdfg = chained_sdfg()
-    pipeline = OptimizationPipeline(
-        PipelineOptions(fine_tune_hooks=[fuse_chained_illegally])
-    )
+    _plant_in_region_pruning(monkeypatch, fuse_chained_illegally)
+    pipeline = OptimizationPipeline()
     stages = pipeline.run([sdfg])
     by_name = {s.name: s for s in stages}
-    hook_stage = by_name["Lagrangian contrib. reschedule"]
-    assert [f.rule for f in hook_stage.lint_findings] == ["S202", "S202"]
-    # every stage before the hook stayed clean
+    planted = by_name["Region pruning"]
+    assert [f.rule for f in planted.lint_findings] == ["S202", "S202"]
+    # every stage before the planted rewrite stayed clean
     for name in (
         "GT4Py + DaCe (Default)",
         "Stencil schedule heuristics",
         "Local caching",
+        "Lagrangian contrib. reschedule",
     ):
         assert by_name[name].lint_findings == []
-    assert pipeline.audit is not None
-    assert list(pipeline.audit.by_stage) == ["Lagrangian contrib. reschedule"]
-
-
-def test_pipeline_audit_can_be_disabled():
-    sdfg = chained_sdfg()
-    pipeline = OptimizationPipeline(
-        PipelineOptions(
-            lint_audit=False, fine_tune_hooks=[fuse_chained_illegally]
-        )
-    )
-    stages = pipeline.run([sdfg])
-    assert pipeline.audit is None
-    assert all(s.lint_findings == [] for s in stages)
+    assert list(pipeline.audit.by_stage) == ["Region pruning"]
 
 
 def test_pipeline_validates_at_entry():
@@ -94,13 +87,14 @@ def test_pipeline_validates_at_entry():
         OptimizationPipeline().run([sdfg])
 
 
-def test_pipeline_validates_after_final_stage():
+def test_pipeline_validates_after_final_stage(monkeypatch):
     sdfg = producer_consumer_sdfg()
 
     def corrupt(sd):
         sd.arrays["out"].shape = (10, 8, 2)  # K now too small
 
-    pipeline = OptimizationPipeline(PipelineOptions(fine_tune_hooks=[corrupt]))
+    _plant_in_region_pruning(monkeypatch, corrupt)
+    pipeline = OptimizationPipeline()
     with pytest.raises(SDFGValidationError, match="exceeds container"):
         pipeline.run([sdfg])
     # the stages up to the corruption were still recorded

@@ -34,6 +34,13 @@ def _config(**overrides):
     return DynamicalCoreConfig(**base)
 
 
+def _started_by(start, workers, monkeypatch):
+    """An executor whose workers start by ``start``: the platform
+    decides, and spawn is the path of one without fork."""
+    monkeypatch.setattr(procs, "_default_start_method", lambda: start)
+    return ProcessRankExecutor(workers=workers)
+
+
 def _assert_bit_identical(a, b):
     assert [m.member for m in a.members] == [m.member for m in b.members]
     for ma, mb in zip(a.members, b.members):
@@ -133,11 +140,11 @@ _SAMPLE = {(1, "fork", 1), (2, "spawn", 2), (3, "fork", 2), (6, "spawn", 1)}
     for workers in (1, 2, 3, 6)
 ])
 def test_perturbed_members_bit_identical(perturbed_sequential, workers,
-                                         start, layout):
+                                         start, layout, monkeypatch):
     """Lockstep workers over 4 steps x 2 members reuse every message
     key many times across steps and members with nothing but
     occupied-key blocking between them."""
-    pex = ProcessRankExecutor(workers=workers, start_method=start)
+    pex = _started_by(start, workers, monkeypatch)
     proc = run("baroclinic_wave", _config(layout=layout, n_split=1),
                steps=4, members=(1, 2), seed=9, executor=pex)
     _assert_bit_identical(perturbed_sequential[layout], proc)
@@ -221,8 +228,11 @@ def _in_worker() -> bool:
 
 
 def _forked(workers):
-    """Forked workers inherit what a test registered or patched."""
-    return ProcessRankExecutor(workers=workers, start_method="fork")
+    """Forked workers (the default where there is fork) inherit what a
+    test registered or patched."""
+    pex = ProcessRankExecutor(workers=workers)
+    assert pex.start_method == "fork"
+    return pex
 
 
 def test_collect_frames_round_trip_special_values(scenario_registry):
@@ -342,10 +352,10 @@ def test_worker_build_failure_surfaces_typed_and_tears_down(
     _assert_torn_down(seen)
 
 
-def test_spawn_start_method_matches(sequential_run):
+def test_spawn_start_method_matches(sequential_run, monkeypatch):
     """The spawn start method (no inherited interpreter state) rebuilds
     the same replicas and produces the same bits."""
-    pex = ProcessRankExecutor(workers=2, start_method="spawn")
+    pex = _started_by("spawn", 2, monkeypatch)
     proc = run("baroclinic_wave", _config(), steps=2, members=2, seed=4,
                executor=pex)
     _assert_bit_identical(sequential_run, proc)

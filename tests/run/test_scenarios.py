@@ -51,7 +51,7 @@ def test_get_scenario_passthrough_and_unknown():
     assert "baroclinic_wave" in str(err.value)  # names the known ones
 
 
-def test_register_rejects_duplicates_unless_replace():
+def test_register_rejects_duplicates():
     scen = get_scenario("baroclinic_wave")
     with pytest.raises(ValueError, match="already registered"):
         register_scenario(scen)
@@ -64,8 +64,9 @@ def test_register_rejects_duplicates_unless_replace():
         replacement = Scenario(
             name="test_dummy", description="dummy2", builder=scen.builder
         )
-        register_scenario(replacement, replace=True)
-        assert get_scenario("test_dummy") is replacement
+        with pytest.raises(ValueError, match="'test_dummy' is already"):
+            register_scenario(replacement)
+        assert get_scenario("test_dummy") is dummy
     finally:
         _base._REGISTRY.pop("test_dummy", None)
 

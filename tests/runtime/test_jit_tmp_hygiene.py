@@ -45,7 +45,7 @@ def test_sweep_reaps_ancient_tmp_even_if_pid_looks_alive(tmp_path):
     # pid reuse cover: an hour-old tmp is abandoned regardless of pid
     ancient = tmp_path / "repro_abc.so.tmp1"
     _touch(str(ancient), age_seconds=3600.0)
-    removed = jit.sweep_stale_tmps(str(tmp_path), max_age_seconds=600.0)
+    removed = jit.sweep_stale_tmps(str(tmp_path))
     assert str(ancient) in removed
 
 

@@ -13,9 +13,14 @@ README.md, DESIGN.md and ``docs/*.md`` point at three kinds of things:
 - switches, as ``REPRO_*``: each must be a variable the package reads
   (the set ``tests/test_knobs.py`` computes);
 - calls, as a backticked ``name(kw=)`` of a function of the option
-  census (``run``, ``EnsembleDriver``, ``build_core``, ...): each
-  keyword must be a parameter it takes; and as a backticked dotted
-  ``obs.x()`` or ``repro.x.y()``: the name must resolve.
+  census (``run``, ``EnsembleDriver``, ``build_core``, ``stencil``,
+  ``tune_cutout``, a transformation, ...) or of a configuration
+  (``PipelineOptions``, ``StorageSpec``, ...): each keyword must be a
+  parameter it takes or a field it has; and as a backticked dotted
+  ``obs.x()`` or ``repro.x.y()``: the name must resolve;
+- flags of ``python -m repro.lint``, as ``--flag`` anywhere in its own
+  doc (``docs/static_analysis.md``) and on any line naming
+  ``repro.lint``: each must be a flag the CLI takes.
 """
 
 import ast
@@ -24,8 +29,12 @@ import pathlib
 import re
 
 from tests.test_knobs import (
+    LIBRARY_FUNCTIONS,
     OPTION_FUNCTIONS,
+    _constructors,
+    _flags,
     _read_by_the_package,
+    option_config_fields,
     option_function,
 )
 
@@ -182,13 +191,27 @@ def test_every_switch_the_docs_name_is_read_by_the_package():
     assert named == set()
 
 
-#: a backticked call: "`run(max_polls=)`", "`EnsembleDriver(..., engine=x)`"
-CALL = re.compile(r"`([A-Za-z_][\w.]*)\(([^`]*)\)`")
+#: a backticked call: "`run(max_polls=)`", "`EnsembleDriver(..., engine=x)`",
+#: "`@stencil(externals=...)`"
+CALL = re.compile(r"`@?([A-Za-z_][\w.]*)\(([^`]*)\)`")
 #: a keyword inside a call's arguments
 KEYWORD = re.compile(r"(?<![\w.=])(\w+)=(?!=)")
-#: how a doc may spell a function of the option census
+#: how a doc may spell a function of the option census (the first prefix
+#: a name starts with is dropped: ``repro.obs.median_time`` is
+#: ``obs.median_time``)
 _MODULES = ("repro.run.driver.", "repro.run.", "repro.fv3.dyncore.",
-            "repro.fv3.")
+            "repro.fv3.", "repro.dsl.stencil.", "repro.dsl.storage.",
+            "repro.dsl.", "repro.orchestration.program.",
+            "repro.orchestration.", "repro.core.pipeline.",
+            "repro.core.autotune.", "repro.core.transfer.",
+            "repro.core.heuristics.", "repro.core.",
+            "repro.sdfg.transformations.", "repro.sdfg.cutout.",
+            "repro.sdfg.", "repro.runtime.procs.", "repro.runtime.ranks.",
+            "repro.runtime.", "repro.serve.service.", "repro.serve.metrics.",
+            "repro.serve.", "repro.scenarios.base.", "repro.scenarios.",
+            "repro.")
+#: a flag as a doc writes it: "--comm", "[--json PATH]"
+FLAG = re.compile(r"(?<![\w-])--([a-z][\w-]*)")
 #: a backticked dotted call of the package: "`obs.report()`"
 DOTTED = re.compile(r"`((?:obs|repro)(?:\.[A-Za-z_]\w*)+)\(")
 
@@ -218,12 +241,30 @@ def stale_dotted_calls(text, resolves):
             if not resolves(m[1])]
 
 
+def stale_flags(text, flags, everywhere):
+    """The ``--flags`` in ``text`` that are not in ``flags``: every one
+    when ``everywhere``, else those on a line naming ``repro.lint``."""
+    lines = [line for line in text.splitlines()
+             if everywhere or "repro.lint" in line]
+    return [f"--{flag}" for line in lines for flag in FLAG.findall(line)
+            if f"--{flag}" not in flags]
+
+
+def _names_taken(function):
+    args = function.args
+    return {a.arg for a in args.posonlyargs + args.args
+            + args.kwonlyargs} - {"self"}
+
+
 def _parameters():
-    out = {}
-    for name in OPTION_FUNCTIONS:
-        args = option_function(name).args
-        out[name] = {a.arg for a in args.posonlyargs + args.args
-                     + args.kwonlyargs} - {"self"}
+    """Every function of the census and every configuration, by the name
+    a doc calls it → the keywords it takes."""
+    out = {name: _names_taken(option_function(name))
+           for name in {**OPTION_FUNCTIONS, **LIBRARY_FUNCTIONS}}
+    out.update((name, _names_taken(init))
+               for name, init in _constructors().items())
+    out.update((name, set(fields))
+               for name, fields in option_config_fields().items())
     return out
 
 
@@ -247,6 +288,8 @@ def _resolves(name):
 def test_every_call_the_docs_cite_takes_its_keywords_and_resolves():
     parameters = _parameters()
     assert "max_polls" not in parameters["run"]
+    assert "externals" in parameters["stencil"]
+    assert "stride_padding" in parameters["StorageSpec"]
     found = 0
     stale = []
     for path in _docs():
@@ -274,4 +317,35 @@ def test_a_stale_keyword_or_call_is_reported():
             "`obs.set_observed_machine()` and `repro.nothing.here()`")
     assert stale_dotted_calls(text, _resolves) == [
         "`obs.set_observed_machine()`", "`repro.nothing.here()`",
+    ]
+
+
+def test_every_lint_flag_the_docs_name_is_taken():
+    flags = set(_flags())
+    assert "--comm" in flags
+    stale = []
+    for path in _docs():
+        own = path.name == "static_analysis.md"
+        stale += [f"{path.relative_to(ROOT)}: {flag}" for flag in
+                  stale_flags(path.read_text(encoding="utf-8"), flags, own)]
+    assert stale == []
+
+
+def test_a_stale_flag_or_keyword_of_the_second_ring_is_reported():
+    flags = {"--comm", "--json"}
+    text = ("python -m repro.lint x --comm --fail-on warning\n"
+            "pytest --deep\n[--json PATH] [--strict]\n")
+    assert stale_flags(text, flags, everywhere=False) == ["--fail-on"]
+    assert stale_flags(text, flags, everywhere=True) == [
+        "--fail-on", "--deep", "--strict",
+    ]
+    parameters = {"stencil": {"func", "externals"},
+                  "PipelineOptions": {"machine"},
+                  "obs.median_time": {"fn", "repetitions"}}
+    text = ("`@stencil(backend=...)`, `repro.dsl.stencil(externals=x)`, "
+            "`PipelineOptions(lint_audit=False)` and "
+            "`repro.obs.median_time(f, warmup=2)`")
+    assert stale_keywords(text, parameters) == [
+        "`stencil(backend=)`", "`PipelineOptions(lint_audit=)`",
+        "`repro.obs.median_time(warmup=)`",
     ]

@@ -4,10 +4,12 @@ README's "Environment variables" table — and the table lists nothing that
 is no longer read. Every field of the configuration objects is read by
 the code it configures. Every option a user can set — the keyword-only
 parameters of the public entry points, the fields of the service and
-resilience configurations and the variables — is a row of DESIGN.md's
-"Option census" that names the entry point setting it, or its owner. A
-switch nobody exercises, a field nobody reads, or an option with neither
-setter nor owner fails here, not in a review."""
+resilience configurations and the variables, and in the library those
+entry points call every defaulted parameter, configuration field and
+lint flag — is a row of DESIGN.md's "Option census" that names the entry
+point setting it, or its owner. A switch nobody exercises, a field
+nobody reads, or an option with neither setter nor owner fails here, not
+in a review."""
 
 import ast
 import pathlib
@@ -97,9 +99,43 @@ OPTION_FUNCTIONS = {
     "build_core": ("run/driver.py", "build_core"),
     "DynamicalCore": ("fv3/dyncore.py", "DynamicalCore.__init__"),
 }
+#: the second ring, the library the entry points call directly: every
+#: parameter with a default is an option (a decorator's bare ``func`` is
+#: not: ``@stencil`` is the call without options)
+LIBRARY_FUNCTIONS = {
+    "ProcessRankExecutor": ("runtime/procs.py",
+                            "ProcessRankExecutor.__init__"),
+    "RankExecutor": ("runtime/ranks.py", "RankExecutor.__init__"),
+    "stencil": ("dsl/stencil.py", "stencil"),
+    "StencilObject": ("dsl/stencil.py", "StencilObject.__init__"),
+    "StencilObject.__call__": ("dsl/stencil.py", "StencilObject.__call__"),
+    "orchestrate": ("orchestration/program.py", "orchestrate"),
+    "make_storage": ("dsl/storage.py", "make_storage"),
+    "OptimizationPipeline.run": ("core/pipeline.py",
+                                 "OptimizationPipeline.run"),
+    "make_evaluator": ("core/autotune.py", "make_evaluator"),
+    "tune_cutout": ("core/autotune.py", "tune_cutout"),
+    "extract_patterns": ("core/transfer.py", "extract_patterns"),
+    "transfer_patterns": ("core/transfer.py", "transfer_patterns"),
+    "apply_exhaustively": ("sdfg/transformations/base.py",
+                           "apply_exhaustively"),
+    "apply_schedule_heuristics": ("core/heuristics.py",
+                                  "apply_schedule_heuristics"),
+    "state_cutouts": ("sdfg/cutout.py", "state_cutouts"),
+    "ForecastService": ("serve/service.py", "ForecastService.__init__"),
+    "ServeMetrics": ("serve/metrics.py", "ServeMetrics.__init__"),
+    "obs.median_time": ("obs/timing.py", "median_time"),
+    "jit.sweep_stale_tmps": ("runtime/jit.py", "sweep_stale_tmps"),
+    "register_scenario": ("scenarios/base.py", "register_scenario"),
+}
+#: every constructor of a class here is an option function too
+TRANSFORMATIONS = "sdfg/transformations"
+#: the command-line tool whose flags are options, as ``repro.lint --comm``
+LINT_CLI = ("repro.lint", "lint/cli.py")
 #: the configurations whose fields are options (``DynamicalCoreConfig``
 #: is the model's namelist: the scenarios set it)
-OPTION_CONFIGS = ("ServiceConfig", "ResilienceConfig", "GuardConfig")
+OPTION_CONFIGS = ("ServiceConfig", "ResilienceConfig", "GuardConfig",
+                  "StorageSpec", "PipelineOptions", "ForecastRequest")
 OWNER_KINDS = ("entry point", "deployment", "error path", "safety", "API")
 _OPTION_ROW = re.compile(
     r"^\| `([^`]+)` \| ([a-zA-Z ]+) \| (.+?) \|\s*$", re.MULTILINE
@@ -108,8 +144,9 @@ _FIRST_CODE = re.compile(r"`([^`]+)`")
 
 
 def option_function(name):
-    """The ``def`` of a function of :data:`OPTION_FUNCTIONS`."""
-    path, qualname = OPTION_FUNCTIONS[name]
+    """The ``def`` of a function of :data:`OPTION_FUNCTIONS` or
+    :data:`LIBRARY_FUNCTIONS`."""
+    path, qualname = {**OPTION_FUNCTIONS, **LIBRARY_FUNCTIONS}[name]
     path = ROOT / "src" / "repro" / path
     scope = ast.parse(path.read_text(), str(path)).body
     for part in qualname.split("."):
@@ -118,22 +155,73 @@ def option_function(name):
     return node
 
 
+def _defaulted(function):
+    """The names of a ``def``'s parameters that have a default."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    return [a.arg for a in positional[len(positional) - len(args.defaults):]
+            if a.arg != "func"] + [
+        a.arg for a, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+
+
+def _constructors():
+    """``{class name: its __init__}`` of every transformation."""
+    return {
+        node.name: stmt
+        for path in sorted((ROOT / "src" / "repro" / TRANSFORMATIONS)
+                           .glob("*.py"))
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, ast.ClassDef)
+        for stmt in node.body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"
+    }
+
+
+def _flags():
+    """The ``--flags`` the lint CLI declares."""
+    path = ROOT / "src" / "repro" / LINT_CLI[1]
+    return [
+        node.args[0].value
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "add_argument"
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value.startswith("--")
+    ]
+
+
 def code_options():
     """Every option the code offers, spelled as the table spells it:
-    ``run(members=)``, ``ServiceConfig.workers``, ``REPRO_CC``."""
+    ``run(members=)``, ``ServiceConfig.workers``, ``REPRO_CC``,
+    ``stencil(externals=)``, ``repro.lint --comm``."""
     options = set()
     for name in OPTION_FUNCTIONS:
         for arg in option_function(name).args.kwonlyargs:
             options.add(f"{name}({arg.arg}=)")
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.ClassDef) and node.name in OPTION_CONFIGS:
-                options.update(
-                    f"{node.name}.{stmt.target.id}" for stmt in node.body
-                    if isinstance(stmt, ast.AnnAssign)
-                    and isinstance(stmt.target, ast.Name)
-                )
+    functions = {name: option_function(name) for name in LIBRARY_FUNCTIONS}
+    for name, function in {**functions, **_constructors()}.items():
+        options.update(f"{name}({arg}=)" for arg in _defaulted(function))
+    options.update(f"{LINT_CLI[0]} {flag}" for flag in _flags())
+    options.update(f"{name}.{field}"
+                   for name, fields in option_config_fields().items()
+                   for field in fields)
     return options | _read_by_the_package()
+
+
+def option_config_fields():
+    """``{configuration: its field names}`` of :data:`OPTION_CONFIGS`."""
+    return {
+        node.name: [
+            stmt.target.id for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+        ]
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef) and node.name in OPTION_CONFIGS
+    }
 
 
 def option_rows(design):

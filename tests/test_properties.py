@@ -2,6 +2,7 @@
 numerical invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -103,6 +104,14 @@ def test_storage_alignment_always_satisfied(shape, alignment, layout):
         assert arr.strides[0] == arr.itemsize
     else:
         assert arr.strides[-1] == arr.itemsize
+
+
+def test_a_negative_stride_padding_is_refused():
+    """``-3`` made the byte strides (8, 40, 320) of an (8, 8, 4) field,
+    so ``a[5, 0, 0]`` and ``a[0, 1, 0]`` were one element."""
+    for pad in (-3, -9):
+        with pytest.raises(ValueError, match="stride_padding must be >= 0"):
+            StorageSpec(stride_padding=pad)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ Prints one row per directory of the package, then every unreached
 function, each marked with its owner row of the census table in
 ``DESIGN.md`` ("Reachability census") or ``UNOWNED``, and ends with one
 summary line, ``census: F functions, R reached, U unreached, O owned,
-count_loc L``; exits 1 when a function is unowned. Takes 3½–6½ minutes
-on two cores. Leaves the committed harness results
-(``benchmarks/results``) as it found them.
+count_loc L``; exits 1 when a function is unowned. Takes about 3¼
+minutes on two idle cores, longer on a shared host. Leaves the committed
+harness results (``benchmarks/results``) as it found them.
 """
 
 from __future__ import annotations
